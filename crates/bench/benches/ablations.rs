@@ -30,7 +30,7 @@ fn predictor_bits_sweep() {
     let mut table = TablePrinter::new(["bits", "MB/s"]);
     for bits in 1..=5u32 {
         let mut config = RuntimeConfig::new(Mode::PredictOpt);
-        config.predictor_bits = bits;
+        config.engine_tuning.predictor_bits = bits;
         let os = boot(64);
         table.row([bits.to_string(), fmt_mbps(micro_with(config, os))]);
     }

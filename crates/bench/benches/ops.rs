@@ -1,5 +1,5 @@
 //! Microbenches for the design-choice ablations DESIGN.md calls out:
-//! bitmap fast path vs fincore-style scan, range-tree concurrency,
+//! bitmap fast path vs fincore-style scan, range-index mark/query,
 //! predictor step cost, and `readahead_info` round trips.
 //!
 //! These measure *wall-clock* cost of the real data structures (not
@@ -7,7 +7,7 @@
 //! sit on every I/O. The harness is hand-rolled (warmup + timed batches,
 //! best-of-N ns/op) so it runs with no external bench framework.
 
-use crossprefetch::{LockScope, Mode, Predictor, RangeTree, Runtime};
+use crossprefetch::{BPlusRangeIndex, LockScope, Mode, Predictor, Runtime};
 use simclock::{CostModel, GlobalClock, ThreadClock};
 use simos::{Device, DeviceConfig, FileSystem, FsKind, Os, OsConfig, RaInfoRequest};
 use std::hint::black_box;
@@ -57,20 +57,20 @@ fn bench_predictor() {
     });
 }
 
-fn bench_range_tree() {
+fn bench_range_index() {
     let costs = CostModel::default();
-    let tree = RangeTree::new();
+    let index = BPlusRangeIndex::new();
     let mut clk = clock();
     let mut at = 0u64;
-    bench_function("range_tree_mark_64p", || {
-        tree.mark_cached(&mut clk, &costs, LockScope::PerNode, at, at + 64);
+    bench_function("range_index_mark_64p", || {
+        index.mark_cached(&mut clk, &costs, LockScope::PerNode, at, at + 64);
         at = (at + 64) % (1 << 20);
     });
-    let tree = RangeTree::new();
+    let index = BPlusRangeIndex::new();
     let mut clk = clock();
-    tree.mark_cached(&mut clk, &costs, LockScope::PerNode, 0, 1 << 16);
-    bench_function("range_tree_missing_query_1024p", || {
-        tree.missing_in(&mut clk, &costs, LockScope::PerNode, 100, 1124)
+    index.mark_cached(&mut clk, &costs, LockScope::PerNode, 0, 1 << 16);
+    bench_function("range_index_missing_query_1024p", || {
+        index.missing_in(&mut clk, &costs, LockScope::PerNode, 100, 1124)
     });
 }
 
@@ -133,7 +133,7 @@ fn bench_snappy() {
 fn main() {
     println!("{:<40} {:>12}", "bench", "best");
     bench_predictor();
-    bench_range_tree();
+    bench_range_index();
     bench_visibility_paths();
     bench_runtime_read();
     bench_snappy();

@@ -1,9 +1,7 @@
 //! Runtime modes, feature staging, and tunables.
 
-use predict::{AdaptiveConfig, CorrelationConfig, EngineConfig, EngineKind, SEQ_BATCH_PAGES};
+use predict::{EngineConfig, EngineKind};
 use simos::PAGE_SIZE;
-
-use crate::range_index::RangeIndexKind;
 
 /// The comparison mechanisms of the paper's Table 2 (plus the Figure 2
 /// fincore strawman).
@@ -107,75 +105,32 @@ pub struct RuntimeConfig {
     /// Explicit feature overrides (None = derive from `mode`). Used by the
     /// Table 5 breakdown.
     pub features: Option<Features>,
-    /// Predictor counter width in bits (`CROSS_BITMAP_SHIFT` analogue).
-    pub predictor_bits: u32,
     /// Which prediction engine new descriptors use. `Strided` (the
     /// default) is the §4.6 counter and keeps telemetry byte-identical to
     /// the pre-engine runtime; `Correlation` mines recurring block
     /// associations; `Adaptive` set-duels the two per file. Only modes
     /// with the `predict` feature consult it.
     pub engine: EngineKind,
-    /// Sequential-batch window in pages: jumps within this distance of
-    /// the previous access still count as sequential-ish (Linux's
-    /// 32-block batch, §3.1). Default [`predict::SEQ_BATCH_PAGES`].
-    pub seq_batch_pages: u64,
-    /// Correlation engine: history-ring capacity in observations.
-    pub correlation_history: usize,
-    /// Correlation engine: association-table entry cap.
-    pub correlation_max_assocs: usize,
-    /// Correlation engine: observations between background mining passes.
-    pub correlation_mine_interval: u64,
-    /// Correlation engine: successor support needed before prefetching.
-    pub correlation_min_support: u32,
-    /// Correlation engine: page cap per learned prefetch run.
-    pub correlation_max_span_pages: u64,
-    /// Adaptive engine: every n-th access is shadow-scored.
-    pub adaptive_sample_interval: u64,
-    /// Adaptive engine: sampled accesses per duel window.
-    pub adaptive_duel_window: u64,
-    /// Adaptive engine: shadow-book capacity per sub-engine.
-    pub adaptive_shadow_capacity: usize,
+    /// Tuning for whichever engine `engine` selects: the strided
+    /// counter's width and sequential-batch window, the correlation
+    /// miner's table sizes, the adaptive duel's sampling.
+    pub engine_tuning: EngineConfig,
     /// Optimistic prefetch at open, bytes (§4.6 default 2 MiB).
     pub open_prefetch_bytes: u64,
     /// Ceiling for one relaxed prefetch request, pages (§4.7: 64 MiB).
     pub max_prefetch_pages: u64,
     /// Background prefetcher threads (`NR_WORKERS_VAR`).
     pub workers: usize,
-    /// Stop *aggressive* growth when free memory drops below this fraction
-    /// of the budget.
-    pub aggressive_floor: f64,
-    /// Stop *all* prefetching below this fraction of free memory.
-    pub prefetch_floor: f64,
-    /// Begin evicting when free memory drops below this fraction.
-    pub evict_trigger: f64,
-    /// Evict until free memory reaches this fraction.
-    pub evict_target: f64,
     /// Minimum idle time (virtual ns) before the memory watcher may evict
     /// a file — protects files other threads are actively streaming.
     pub evict_min_idle_ns: u64,
     /// Minimum interval (virtual ns) between memory-watcher eviction
     /// scans; reads arriving inside the window skip the scan entirely.
     pub evict_scan_interval_ns: u64,
-    /// Issue a fincore poll every N reads (FincoreApp mode).
-    pub fincore_poll_interval: u64,
-    /// Attempts a worker makes on a transiently failing prefetch before
-    /// giving the range up (first try + retries).
-    pub prefetch_retry_attempts: u32,
-    /// Initial retry backoff in virtual ns; doubles per attempt.
-    pub prefetch_retry_backoff_ns: u64,
     /// Shards for the per-file state registry (0 = auto: 2× `workers`).
     /// Shard count never affects simulated timing or telemetry counters —
     /// only real-lock contention between host threads.
     pub registry_shards: usize,
-    /// Coalesce adjacent planned prefetch ranges into one submission per
-    /// worker wakeup: missing runs separated by at most one OS readahead
-    /// window are merged before dispatch, trading a few duplicate-checked
-    /// pages for fewer syscalls on the `2^n`-window growth path. Only the
-    /// cache-visibility (`readahead_info`) path may coalesce — the OS
-    /// dedups already-cached gap pages there. Default off: merging
-    /// changes the syscall count and therefore the virtual timeline, so
-    /// it is an opt-in optimisation, not a behaviour-preserving default.
-    pub coalesce_prefetch: bool,
     /// Batched prefetch submission (the SQ/CQ path): planned prefetch
     /// runs accumulate in a bounded per-worker submission queue and are
     /// handed to the OS as one vectored `readahead_info`-style call that
@@ -205,19 +160,6 @@ pub struct RuntimeConfig {
     /// is bypassed and telemetry is byte-identical to the ring-less
     /// runtime.
     pub ring_submit: bool,
-    /// Minimum predictor confidence (0.0–1.0) before the ring pre-issues
-    /// the next predicted demand read speculatively. Mispredicted
-    /// speculative reads are cancelled and charged as wasted prefetch, so
-    /// the bar is high by default.
-    pub ring_spec_confidence: f64,
-    /// Per-file range-index implementation (§4.5). `BPlus` (the default)
-    /// is the arena-allocated B+ tree with dynamic leaf split/merge and
-    /// optimistic lock coupling; `Flat` keeps the legacy fixed-stride
-    /// node array for A/B runs. Both charge virtual time in identical
-    /// per-region quanta, so single-threaded telemetry is byte-identical
-    /// either way; they differ under real multi-thread contention, where
-    /// the B+ index's optimistic readers retry instead of queueing.
-    pub range_index: RangeIndexKind,
     /// Exemplar reservoir depth per latency class for causal span tracing
     /// ([`crate::span::SpanCollector`]): the slowest K reads of each class
     /// keep their complete span tree. Sizing only — span *collection*
@@ -248,37 +190,18 @@ impl RuntimeConfig {
         Self {
             mode,
             features: None,
-            predictor_bits: 3,
             engine: EngineKind::Strided,
-            seq_batch_pages: SEQ_BATCH_PAGES,
-            correlation_history: 512,
-            correlation_max_assocs: 4096,
-            correlation_mine_interval: 64,
-            correlation_min_support: 2,
-            correlation_max_span_pages: 32,
-            adaptive_sample_interval: 4,
-            adaptive_duel_window: 16,
-            adaptive_shadow_capacity: 64,
+            engine_tuning: EngineConfig::default(),
             open_prefetch_bytes: 2 << 20,
             max_prefetch_pages: (64 << 20) / PAGE_SIZE,
             workers: 2,
-            aggressive_floor: 0.15,
-            prefetch_floor: 0.05,
-            evict_trigger: 0.10,
-            evict_target: 0.25,
             evict_min_idle_ns: 100 * simclock::NS_PER_MS,
             evict_scan_interval_ns: simclock::NS_PER_MS,
-            fincore_poll_interval: 32,
-            prefetch_retry_attempts: 4,
-            prefetch_retry_backoff_ns: 100 * simclock::NS_PER_US,
             registry_shards: 0,
-            coalesce_prefetch: false,
             batch_submit: false,
             batch_max_runs: 8,
             batch_deadline_ns: 50 * simclock::NS_PER_US,
             ring_submit: false,
-            ring_spec_confidence: 0.9,
-            range_index: RangeIndexKind::BPlus,
             span_exemplars: 8,
             tenants: None,
             tiering: None,
@@ -299,25 +222,9 @@ impl RuntimeConfig {
         }
     }
 
-    /// Bundles the engine tuning knobs for [`predict::Engine::for_kind`].
+    /// The engine tuning handed to [`predict::Engine::for_kind`].
     pub fn engine_config(&self) -> EngineConfig {
-        EngineConfig {
-            predictor_bits: self.predictor_bits,
-            seq_batch_pages: self.seq_batch_pages,
-            correlation: CorrelationConfig {
-                history: self.correlation_history,
-                max_assocs: self.correlation_max_assocs,
-                mine_interval: self.correlation_mine_interval,
-                min_support: self.correlation_min_support,
-                max_span_pages: self.correlation_max_span_pages,
-            },
-            adaptive: AdaptiveConfig {
-                sample_interval: self.adaptive_sample_interval,
-                duel_window: self.adaptive_duel_window,
-                shadow_capacity: self.adaptive_shadow_capacity,
-                shadow_age: AdaptiveConfig::default().shadow_age,
-            },
-        }
+        self.engine_tuning.clone()
     }
 }
 
@@ -365,25 +272,32 @@ mod tests {
 
     #[test]
     fn default_limits_match_paper() {
+        use crate::read_path::RING_SPEC_CONFIDENCE;
+        use crate::runtime::{
+            AGGRESSIVE_FLOOR, EVICT_TARGET, EVICT_TRIGGER, PREFETCH_FLOOR, PREFETCH_RETRY_ATTEMPTS,
+            PREFETCH_RETRY_BACKOFF_NS,
+        };
         let config = RuntimeConfig::new(Mode::PredictOpt);
         assert_eq!(config.open_prefetch_bytes, 2 << 20);
         assert_eq!(config.max_prefetch_pages * PAGE_SIZE, 64 << 20);
-        assert_eq!(config.predictor_bits, 3);
         assert_eq!(config.engine, EngineKind::Strided);
-        assert_eq!(config.seq_batch_pages, SEQ_BATCH_PAGES);
-    }
-
-    #[test]
-    fn engine_config_mirrors_the_knobs() {
-        let mut config = RuntimeConfig::new(Mode::Predict);
-        config.predictor_bits = 4;
-        config.seq_batch_pages = 64;
-        config.correlation_min_support = 3;
-        config.adaptive_duel_window = 8;
-        let ec = config.engine_config();
-        assert_eq!(ec.predictor_bits, 4);
-        assert_eq!(ec.seq_batch_pages, 64);
-        assert_eq!(ec.correlation.min_support, 3);
-        assert_eq!(ec.adaptive.duel_window, 8);
+        assert_eq!(config.engine_tuning, EngineConfig::default());
+        assert_eq!(config.engine_tuning.predictor_bits, 3);
+        assert_eq!(
+            config.engine_tuning.seq_batch_pages,
+            predict::SEQ_BATCH_PAGES
+        );
+        assert_eq!(
+            (
+                AGGRESSIVE_FLOOR,
+                PREFETCH_FLOOR,
+                EVICT_TRIGGER,
+                EVICT_TARGET
+            ),
+            (0.15, 0.05, 0.10, 0.25)
+        );
+        assert_eq!(PREFETCH_RETRY_ATTEMPTS, 4);
+        assert_eq!(PREFETCH_RETRY_BACKOFF_NS, 100 * simclock::NS_PER_US);
+        assert_eq!(RING_SPEC_CONFIDENCE, 0.9);
     }
 }

@@ -6,12 +6,12 @@
 //! the paper's cross-layered prefetching design:
 //!
 //! * a **shim** ([`CpFile`]) that transparently intercepts POSIX-style I/O;
-//! * a per-descriptor n-bit **access-pattern predictor**
-//!   ([`predictor::Predictor`], §4.6) driving exponential prefetch-window
-//!   growth;
-//! * a concurrent **range tree** with per-node locks and embedded bitmaps
-//!   ([`range_tree::RangeTree`], §4.5) as the user-level mirror of the
-//!   kernel's per-inode cache-state bitmap;
+//! * a per-descriptor n-bit **access-pattern predictor** ([`Predictor`],
+//!   §4.6) driving exponential prefetch-window growth;
+//! * a concurrent **range index** with per-range locks and embedded
+//!   bitmaps ([`BPlusRangeIndex`], §4.5) as the user-level mirror of the
+//!   kernel's per-inode cache-state bitmap ([`RangeTree`] is the flat
+//!   reference model the test suites check it against);
 //! * **background prefetch workers** ([`worker::WorkerPool`]) that issue
 //!   `readahead_info` calls off the application's critical path;
 //! * **memory-budget-aware aggressive prefetching and eviction**
@@ -53,7 +53,6 @@
 mod config;
 pub mod metrics;
 pub mod policy;
-pub mod predictor;
 pub mod range_index;
 pub mod range_tree;
 mod read_path;
@@ -71,12 +70,12 @@ pub use config::{Features, Mode, RuntimeConfig};
 pub use metrics::{PipelineStage, ReadClass, RuntimeMetrics};
 pub use policy::{OpenAction, Policy, PostReadHook};
 pub use predict::{
-    AdaptiveConfig, AdaptiveEngine, CorrelationConfig, CorrelationEngine, Engine, EngineConfig,
-    EngineKind, PredictionEngine, PrefetchDecision, PrefetchRun, QualityFeedback,
+    AccessPattern, AdaptiveConfig, AdaptiveEngine, CorrelationConfig, CorrelationEngine, Direction,
+    Engine, EngineConfig, EngineKind, Prediction, PredictionEngine, Predictor, PrefetchDecision,
+    PrefetchRun, QualityFeedback, SEQ_BATCH_PAGES,
 };
-pub use predictor::{AccessPattern, Direction, Prediction, Predictor, SEQ_BATCH_PAGES};
-pub use range_index::{BPlusRangeIndex, FileRangeIndex, IndexStats, RangeIndex, RangeIndexKind};
-pub use range_tree::{LockScope, RangeTree};
+pub use range_index::{BPlusRangeIndex, IndexStats, LockScope};
+pub use range_tree::RangeTree;
 pub use ring::{FlushReason, SpecRead, SubmissionQueue};
 pub use runtime::{CpFile, LibFile, Runtime};
 pub use span::{
@@ -84,7 +83,7 @@ pub use span::{
     StageSelf,
 };
 pub use stats::LibStats;
-pub use telemetry::{RuntimeReport, TELEMETRY_SCHEMA_VERSION};
+pub use telemetry::{RuntimeReport, ADDITIVE_SECTIONS, TELEMETRY_SCHEMA_VERSION};
 pub use tenant::{
     AdmissionRung, QosClass, TenantArbiter, TenantId, TenantReport, TenantSpec, TenantsConfig,
 };

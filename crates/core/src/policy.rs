@@ -12,8 +12,7 @@
 use predict::EngineKind;
 
 use crate::config::{Features, Mode, RuntimeConfig};
-use crate::range_index::RangeIndexKind;
-use crate::range_tree::LockScope;
+use crate::range_index::LockScope;
 
 /// What the shim does when a file is opened.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,9 +56,6 @@ pub struct Policy {
     pub open_action: OpenAction,
     /// Locking granularity of the user-level cache view.
     pub scope: LockScope,
-    /// Which range-index implementation backs each file's cache view
-    /// (flat fixed-stride vs the arena-allocated B+ tree).
-    pub index: RangeIndexKind,
     /// Post-read hooks, in execution order.
     pub post_read: Vec<PostReadHook>,
     /// Batched prefetch submission: accumulate planned runs and submit
@@ -79,18 +75,6 @@ pub struct Policy {
     /// resolve to the (stateless-by-disuse) strided default regardless of
     /// the config knob.
     pub engine: EngineKind,
-    /// Multi-tenant admission control: `true` when a tenant table is
-    /// configured and a [`crate::tenant::TenantArbiter`] will be built.
-    /// Unlike batching and the ring this needs no visibility — the
-    /// degraded rungs of the ladder are exactly the blind paths.
-    pub tenants: bool,
-    /// Cross-tier promotion planning: `true` when a tiering config is
-    /// present and a [`crate::tiering::TierPlanner`] *may* be built.
-    /// Promotion consumes engine confidence, so like the ring it only
-    /// does anything under a predicting mode — and it additionally
-    /// requires the OS to actually sit on a tiered store, which the
-    /// runtime checks at construction (policy is config-only).
-    pub tiering: bool,
 }
 
 impl Policy {
@@ -125,7 +109,6 @@ impl Policy {
             silence_heuristic_ra: features.intercepting() && !features.fincore_poll,
             open_action,
             scope,
-            index: config.range_index,
             post_read,
             batch_submit: features.visibility && config.batch_submit,
             ring: features.visibility && config.ring_submit,
@@ -134,8 +117,6 @@ impl Policy {
             } else {
                 EngineKind::Strided
             },
-            tenants: config.tenants.is_some(),
-            tiering: config.tiering.is_some(),
         }
     }
 }
@@ -247,26 +228,6 @@ mod tests {
     }
 
     #[test]
-    fn tenants_off_by_default_everywhere() {
-        use crate::tenant::{QosClass, TenantSpec, TenantsConfig};
-        // Off by default for every mechanism: no arbiter, no new paths.
-        for mode in Mode::table2() {
-            assert!(!Policy::for_config(&RuntimeConfig::new(mode)).tenants);
-        }
-        assert!(!Policy::for_config(&RuntimeConfig::new(Mode::FincoreApp)).tenants);
-        // A configured tenant table flips it on — for any mode, since the
-        // degraded rungs are exactly the blind (no-visibility) paths.
-        for mode in [Mode::PredictOpt, Mode::OsOnly] {
-            let mut config = RuntimeConfig::new(mode);
-            config.tenants = Some(TenantsConfig::new(vec![TenantSpec::new(
-                "a",
-                QosClass::Gold,
-            )]));
-            assert!(Policy::for_config(&config).tenants);
-        }
-    }
-
-    #[test]
     fn engine_resolves_to_strided_without_predict() {
         // The knob only matters where a predictor runs at all.
         let mut passthrough = RuntimeConfig::new(Mode::OsOnly);
@@ -284,19 +245,6 @@ mod tests {
             Policy::for_config(&RuntimeConfig::new(Mode::PredictOpt)).engine,
             EngineKind::Strided
         );
-    }
-
-    #[test]
-    fn range_index_defaults_to_bplus_and_stays_selectable() {
-        for mode in Mode::table2() {
-            assert_eq!(
-                Policy::for_config(&RuntimeConfig::new(mode)).index,
-                RangeIndexKind::BPlus
-            );
-        }
-        let mut config = RuntimeConfig::new(Mode::Predict);
-        config.range_index = RangeIndexKind::Flat;
-        assert_eq!(Policy::for_config(&config).index, RangeIndexKind::Flat);
     }
 
     #[test]

@@ -23,8 +23,8 @@
 //! # Contention model (virtual time)
 //!
 //! Charges are quantised per [`NODE_PAGES`]-aligned region exactly like the
-//! flat tree — same count, same hold times — so single-threaded timelines
-//! are byte-identical whichever index is selected. The difference is
+//! flat reference tree — same count, same hold times — so single-threaded
+//! timelines are byte-identical between the two. The difference is
 //! contended reads under [`LockScope::PerNode`]: instead of queueing behind
 //! an in-service writer (`RwContention::read`), an optimistic descent
 //! validates, fails, and re-descends, paying
@@ -38,8 +38,7 @@ use parking_lot::RwLock;
 use simclock::{CostModel, Counter, Histogram, RwContention, ThreadClock};
 
 use super::bitmap::PageBitmap;
-use super::IndexStats;
-use crate::range_tree::{LockScope, NODE_PAGES};
+use super::{IndexStats, LockScope, NODE_PAGES};
 
 /// Maximum pages one leaf may span — the flat tree's stride, so the
 /// per-region charge quanta line up across implementations.
@@ -483,7 +482,7 @@ impl BPlusRangeIndex {
     }
 
     /// Charges the per-level descent cost (a no-op at the default of 0,
-    /// which keeps the flat-vs-B+ swap timing-neutral).
+    /// which keeps timelines identical to the flat reference model).
     fn charge_descent(&self, clock: &mut ThreadClock, costs: &CostModel) {
         if costs.range_index_descent_ns == 0 {
             return;
@@ -1157,54 +1156,6 @@ impl BPlusRangeIndex {
 impl Default for BPlusRangeIndex {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-impl super::RangeIndex for BPlusRangeIndex {
-    fn set_wait_histogram(&self, hist: Arc<Histogram>) {
-        BPlusRangeIndex::set_wait_histogram(self, hist);
-    }
-
-    fn mark_cached(
-        &self,
-        clock: &mut ThreadClock,
-        costs: &CostModel,
-        scope: LockScope,
-        start: u64,
-        end: u64,
-    ) -> u64 {
-        BPlusRangeIndex::mark_cached(self, clock, costs, scope, start, end)
-    }
-
-    fn missing_in(
-        &self,
-        clock: &mut ThreadClock,
-        costs: &CostModel,
-        scope: LockScope,
-        start: u64,
-        end: u64,
-    ) -> Vec<(u64, u64)> {
-        BPlusRangeIndex::missing_in(self, clock, costs, scope, start, end)
-    }
-
-    fn clear(&self, clock: &mut ThreadClock, costs: &CostModel, scope: LockScope) -> u64 {
-        BPlusRangeIndex::clear(self, clock, costs, scope)
-    }
-
-    fn resident(&self) -> u64 {
-        BPlusRangeIndex::resident(self)
-    }
-
-    fn lock_wait_ns(&self) -> u64 {
-        BPlusRangeIndex::lock_wait_ns(self)
-    }
-
-    fn whole_file_wait_ns(&self) -> u64 {
-        BPlusRangeIndex::whole_file_wait_ns(self)
-    }
-
-    fn index_stats(&self) -> IndexStats {
-        BPlusRangeIndex::stats(self)
     }
 }
 

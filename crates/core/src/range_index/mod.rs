@@ -1,52 +1,35 @@
-//! Pluggable per-file range index for CROSS-LIB's cache-state view (§4.5).
+//! Per-file range index for CROSS-LIB's cache-state view (§4.5).
 //!
 //! The paper's range tree — per-range locks with embedded presence bitmaps
-//! so non-conflicting readers of one shared file never serialize — has two
-//! implementations behind the [`RangeIndex`] trait:
+//! so non-conflicting readers of one shared file never serialize — is
+//! [`BPlusRangeIndex`]: an arena-allocated B+ tree with dynamically
+//! split/merged leaves and optimistic lock coupling. The read path and
+//! the runtime call its inherent methods directly.
 //!
-//! * [`RangeTree`](crate::range_tree::RangeTree) — the legacy flat
-//!   fixed-stride array (one node per 4 MiB), kept selectable via
-//!   [`RuntimeConfig::range_index`] for A/B runs and the determinism gate;
-//! * [`BPlusRangeIndex`] — an arena-allocated B+ tree with dynamically
-//!   split/merged leaves and optimistic lock coupling, the default.
-//!
-//! Both charge virtual time in identical per-[`NODE_PAGES`]-region quanta,
-//! so a single-threaded run produces byte-identical telemetry whichever
-//! index is selected; they differ only in real-machine data layout and in
-//! how *contended* (multi-threaded) acquisitions are modeled — the B+
-//! index's optimistic readers pay a bounded retry penalty instead of
-//! queueing behind in-service writers.
-//!
-//! [`RuntimeConfig::range_index`]: crate::config::RuntimeConfig::range_index
+//! [`RangeTree`](crate::range_tree::RangeTree), a flat fixed-stride node
+//! array, is the reference model the property and stress suites compare
+//! it against; nothing on the read path constructs one. Both charge virtual time in identical
+//! per-[`NODE_PAGES`]-region quanta, so a single-threaded run ticks
+//! byte-identically on either; they differ only in real-machine data
+//! layout and in how *contended* (multi-threaded) acquisitions are
+//! modeled — the B+ index's optimistic readers pay a bounded retry
+//! penalty instead of queueing behind in-service writers.
 
 pub mod bitmap;
 mod bplus;
 
-use std::sync::Arc;
-
-use simclock::{CostModel, Histogram, ThreadClock};
-
-use crate::range_tree::RangeTree;
-pub use crate::range_tree::{LockScope, NODE_PAGES};
 pub use bplus::BPlusRangeIndex;
 
-/// Which range-index implementation a runtime builds per file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RangeIndexKind {
-    /// Legacy flat fixed-stride node array (`range_tree.rs`).
-    Flat,
-    /// Arena-allocated B+ tree with optimistic lock coupling.
-    BPlus,
-}
+/// Pages per charging region: 1024 pages = 4 MiB.
+pub const NODE_PAGES: u64 = 1024;
 
-impl RangeIndexKind {
-    /// Stable lowercase name used in telemetry and bench sidecar ids.
-    pub fn name(self) -> &'static str {
-        match self {
-            RangeIndexKind::Flat => "flat",
-            RangeIndexKind::BPlus => "bplus",
-        }
-    }
+/// Contention regime for a range-index operation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LockScope {
+    /// Charge per-node locks (scalable path).
+    PerNode,
+    /// Charge the single whole-file lock (baseline path).
+    WholeFile,
 }
 
 /// Structural statistics of one file's range index.
@@ -54,7 +37,7 @@ impl RangeIndexKind {
 pub struct IndexStats {
     /// Levels from root to leaves (0 = empty, 1 = a lone leaf root).
     pub depth: u64,
-    /// Live leaves (flat reports its allocated stride nodes here).
+    /// Live leaves.
     pub leaves: u64,
     /// Leaf or inner-node splits performed.
     pub splits: u64,
@@ -76,230 +59,9 @@ impl IndexStats {
     }
 }
 
-/// The per-file cache-state index CROSS-LIB's read path probes and updates.
-///
-/// All mutating queries take a [`ThreadClock`] and charge virtual time for
-/// the locks they would take on a real machine, honoring the caller's
-/// [`LockScope`] (per-range locks vs the whole-file baseline of Figure 6).
-pub trait RangeIndex {
-    /// Installs a shared histogram that every lock acquisition records its
-    /// wait into. First call wins; later calls are ignored.
-    fn set_wait_histogram(&self, hist: Arc<Histogram>);
-
-    /// Marks `[start, end)` as cached. Returns pages newly marked.
-    fn mark_cached(
-        &self,
-        clock: &mut ThreadClock,
-        costs: &CostModel,
-        scope: LockScope,
-        start: u64,
-        end: u64,
-    ) -> u64;
-
-    /// Returns the sub-ranges of `[start, end)` *not* marked cached.
-    fn missing_in(
-        &self,
-        clock: &mut ThreadClock,
-        costs: &CostModel,
-        scope: LockScope,
-        start: u64,
-        end: u64,
-    ) -> Vec<(u64, u64)>;
-
-    /// Pages marked cached within `[start, end)`.
-    fn cached_in(
-        &self,
-        clock: &mut ThreadClock,
-        costs: &CostModel,
-        scope: LockScope,
-        start: u64,
-        end: u64,
-    ) -> u64 {
-        let total = end.saturating_sub(start);
-        let missing: u64 = self
-            .missing_in(clock, costs, scope, start, end)
-            .iter()
-            .map(|&(s, e)| e - s)
-            .sum();
-        total - missing
-    }
-
-    /// Clears the whole view (after CROSS-LIB evicts the file). Returns
-    /// pages cleared.
-    fn clear(&self, clock: &mut ThreadClock, costs: &CostModel, scope: LockScope) -> u64;
-
-    /// Total pages marked cached.
-    fn resident(&self) -> u64;
-
-    /// Aggregate wait time across all of this index's lock models.
-    fn lock_wait_ns(&self) -> u64;
-
-    /// Wait time on the whole-file lock only.
-    fn whole_file_wait_ns(&self) -> u64;
-
-    /// Structural statistics (depth, leaves, splits/merges, retries).
-    fn index_stats(&self) -> IndexStats;
-}
-
-impl RangeIndex for RangeTree {
-    fn set_wait_histogram(&self, hist: Arc<Histogram>) {
-        RangeTree::set_wait_histogram(self, hist);
-    }
-
-    fn mark_cached(
-        &self,
-        clock: &mut ThreadClock,
-        costs: &CostModel,
-        scope: LockScope,
-        start: u64,
-        end: u64,
-    ) -> u64 {
-        RangeTree::mark_cached(self, clock, costs, scope, start, end)
-    }
-
-    fn missing_in(
-        &self,
-        clock: &mut ThreadClock,
-        costs: &CostModel,
-        scope: LockScope,
-        start: u64,
-        end: u64,
-    ) -> Vec<(u64, u64)> {
-        RangeTree::missing_in(self, clock, costs, scope, start, end)
-    }
-
-    fn clear(&self, clock: &mut ThreadClock, costs: &CostModel, scope: LockScope) -> u64 {
-        RangeTree::clear(self, clock, costs, scope)
-    }
-
-    fn resident(&self) -> u64 {
-        RangeTree::resident(self)
-    }
-
-    fn lock_wait_ns(&self) -> u64 {
-        RangeTree::lock_wait_ns(self)
-    }
-
-    fn whole_file_wait_ns(&self) -> u64 {
-        RangeTree::whole_file_wait_ns(self)
-    }
-
-    fn index_stats(&self) -> IndexStats {
-        let nodes = self.node_count();
-        IndexStats {
-            depth: u64::from(nodes > 0),
-            leaves: nodes,
-            splits: 0,
-            merges: 0,
-            optimistic_retries: 0,
-        }
-    }
-}
-
-/// One file's range index, dispatching to the configured implementation.
-///
-/// One instance exists per open file (not per node), so the size gap
-/// between the two variants is irrelevant and not worth an indirection
-/// on every dispatch.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-pub enum FileRangeIndex {
-    /// Legacy flat fixed-stride tree.
-    Flat(RangeTree),
-    /// Arena-allocated B+ tree.
-    BPlus(BPlusRangeIndex),
-}
-
-impl FileRangeIndex {
-    /// Builds an empty index of the requested kind.
-    pub fn new(kind: RangeIndexKind) -> Self {
-        match kind {
-            RangeIndexKind::Flat => FileRangeIndex::Flat(RangeTree::new()),
-            RangeIndexKind::BPlus => FileRangeIndex::BPlus(BPlusRangeIndex::new()),
-        }
-    }
-
-    fn as_index(&self) -> &dyn RangeIndex {
-        match self {
-            FileRangeIndex::Flat(tree) => tree,
-            FileRangeIndex::BPlus(tree) => tree,
-        }
-    }
-}
-
-impl RangeIndex for FileRangeIndex {
-    fn set_wait_histogram(&self, hist: Arc<Histogram>) {
-        self.as_index().set_wait_histogram(hist);
-    }
-
-    fn mark_cached(
-        &self,
-        clock: &mut ThreadClock,
-        costs: &CostModel,
-        scope: LockScope,
-        start: u64,
-        end: u64,
-    ) -> u64 {
-        self.as_index().mark_cached(clock, costs, scope, start, end)
-    }
-
-    fn missing_in(
-        &self,
-        clock: &mut ThreadClock,
-        costs: &CostModel,
-        scope: LockScope,
-        start: u64,
-        end: u64,
-    ) -> Vec<(u64, u64)> {
-        self.as_index().missing_in(clock, costs, scope, start, end)
-    }
-
-    fn cached_in(
-        &self,
-        clock: &mut ThreadClock,
-        costs: &CostModel,
-        scope: LockScope,
-        start: u64,
-        end: u64,
-    ) -> u64 {
-        self.as_index().cached_in(clock, costs, scope, start, end)
-    }
-
-    fn clear(&self, clock: &mut ThreadClock, costs: &CostModel, scope: LockScope) -> u64 {
-        self.as_index().clear(clock, costs, scope)
-    }
-
-    fn resident(&self) -> u64 {
-        self.as_index().resident()
-    }
-
-    fn lock_wait_ns(&self) -> u64 {
-        self.as_index().lock_wait_ns()
-    }
-
-    fn whole_file_wait_ns(&self) -> u64 {
-        self.as_index().whole_file_wait_ns()
-    }
-
-    fn index_stats(&self) -> IndexStats {
-        self.as_index().index_stats()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simclock::GlobalClock;
-
-    fn clock() -> ThreadClock {
-        ThreadClock::new(Arc::new(GlobalClock::new()))
-    }
-
-    #[test]
-    fn kinds_have_stable_names() {
-        assert_eq!(RangeIndexKind::Flat.name(), "flat");
-        assert_eq!(RangeIndexKind::BPlus.name(), "bplus");
-    }
 
     #[test]
     fn stats_absorb_sums_and_maxes() {
@@ -327,42 +89,5 @@ mod tests {
                 optimistic_retries: 6,
             }
         );
-    }
-
-    #[test]
-    fn dispatch_enum_round_trips_through_both_kinds() {
-        let costs = CostModel::default();
-        for kind in [RangeIndexKind::Flat, RangeIndexKind::BPlus] {
-            let index = FileRangeIndex::new(kind);
-            let mut c = clock();
-            assert_eq!(
-                index.mark_cached(&mut c, &costs, LockScope::PerNode, 10, 20),
-                10
-            );
-            assert_eq!(
-                index.missing_in(&mut c, &costs, LockScope::PerNode, 0, 30),
-                vec![(0, 10), (20, 30)]
-            );
-            assert_eq!(
-                index.cached_in(&mut c, &costs, LockScope::PerNode, 0, 30),
-                10
-            );
-            assert_eq!(index.resident(), 10);
-            assert!(index.index_stats().leaves >= 1);
-            assert_eq!(index.clear(&mut c, &costs, LockScope::PerNode), 10);
-        }
-    }
-
-    #[test]
-    fn flat_reports_nodes_as_leaves() {
-        let tree = RangeTree::new();
-        let mut c = clock();
-        let costs = CostModel::default();
-        assert_eq!(tree.index_stats(), IndexStats::default());
-        RangeTree::mark_cached(&tree, &mut c, &costs, LockScope::PerNode, 0, NODE_PAGES + 1);
-        let stats = RangeIndex::index_stats(&tree);
-        assert_eq!(stats.depth, 1);
-        assert_eq!(stats.leaves, 2);
-        assert_eq!(stats.splits, 0);
     }
 }

@@ -1,26 +1,22 @@
-//! Concurrent per-file range tree with embedded bitmaps (§4.5).
+//! Flat per-file range tree with embedded bitmaps: the reference model
+//! for tests.
 //!
-//! CROSS-LIB's user-level view of a file's cache state. Each node covers a
-//! contiguous page range and embeds a presence bitmap; each node carries its
-//! own lock, so threads working on non-conflicting ranges of a shared file
-//! proceed without serializing on one per-file bitmap lock.
+//! The runtime's per-file cache view is the B+ tree in
+//! [`range_index`](crate::range_index); nothing outside test code
+//! constructs a [`RangeTree`]. It stays because it is small enough to be
+//! obviously right: the property suite replays every op stream through
+//! both and requires identical answers *and* identical virtual-time
+//! charges, and the stress suite uses it as the blocking-reader baseline
+//! the B+ index's optimistic lock coupling must beat.
 //!
-//! Two contention regimes are modeled, selected per call:
+//! Each node covers a fixed [`NODE_PAGES`] (4 MiB) page range, embeds a
+//! presence bitmap and carries its own lock. Two contention regimes are
+//! modeled, selected per call:
 //!
-//! * **per-node** (`range_tree` feature on): virtual-time lock charges go
-//!   to the touched nodes' [`RwContention`] resources — non-overlapping
-//!   ranges scale;
-//! * **whole-file** (`range_tree` off; the Table 5 `+cache visibility`-only
-//!   configuration and `[+fetchall+opt]`): all charges go to one per-file
-//!   resource, reproducing the single-bitmap-lock bottleneck of Figure 6.
-//!
-//! Node ranges are fixed at [`NODE_PAGES`] (4 MiB) rather than dynamically
-//! split/merged as in the paper. This is the *legacy* index, kept
-//! selectable via `RuntimeConfig::range_index` for A/B runs and the
-//! determinism gate; the default is the B+ tree in
-//! [`range_index`](crate::range_index), which implements the paper's
-//! dynamic split/merge and optimistic lock coupling while charging
-//! virtual time in the same per-[`NODE_PAGES`]-region quanta as this tree.
+//! * **per-node**: virtual-time lock charges go to the touched nodes'
+//!   [`RwContention`] resources — non-overlapping ranges scale;
+//! * **whole-file**: all charges go to one per-file resource, the
+//!   single-bitmap-lock bottleneck of Figure 6.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
@@ -29,18 +25,7 @@ use parking_lot::RwLock;
 use simclock::{CostModel, Histogram, RwContention, ThreadClock};
 
 use crate::range_index::bitmap::PageBitmap;
-
-/// Pages per tree node: 1024 pages = 4 MiB.
-pub const NODE_PAGES: u64 = 1024;
-
-/// Contention regime for a range-tree operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LockScope {
-    /// Charge per-node locks (scalable path).
-    PerNode,
-    /// Charge the single whole-file lock (baseline path).
-    WholeFile,
-}
+use crate::range_index::{LockScope, NODE_PAGES};
 
 /// One range node: word-at-a-time presence bits plus its contention model.
 #[derive(Debug)]
@@ -98,8 +83,7 @@ impl RangeTree {
     }
 
     /// Installs a shared histogram that every lock acquisition records its
-    /// wait into (the runtime wires all trees to one lib-side
-    /// distribution). First call wins; later calls are ignored.
+    /// wait into. First call wins; later calls are ignored.
     pub fn set_wait_histogram(&self, hist: Arc<Histogram>) {
         let _ = self.wait_hist.set(hist);
     }

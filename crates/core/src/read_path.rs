@@ -28,14 +28,14 @@
 
 use std::sync::atomic::Ordering;
 
-use predict::{AccessObservation, PredictionEngine, PrefetchDecision};
+use predict::{
+    AccessObservation, AccessPattern, Direction, Prediction, PredictionEngine, PrefetchDecision,
+};
 use simclock::ThreadClock;
 use simos::{IoError, ReadOutcome, PAGE_SIZE};
 
 use crate::metrics::{PipelineStage, ReadClass};
 use crate::policy::PostReadHook;
-use crate::predictor::{AccessPattern, Prediction};
-use crate::range_index::RangeIndex;
 use crate::runtime::CpFile;
 use crate::trace::{LookupOutcome, TraceEventKind};
 
@@ -45,6 +45,14 @@ const FETCHALL_REFRESH_READS: u64 = 256;
 /// Unexpected-miss pages tolerated before the user-level cache view is
 /// discarded and re-imported from the OS.
 const STALE_RESYNC_PAGES: u64 = 128;
+
+/// Reads between fincore polls in FincoreApp mode.
+const FINCORE_POLL_INTERVAL: u64 = 32;
+
+/// Minimum engine confidence (0.0–1.0) before the ring pre-issues the
+/// next predicted demand read. Mispredicted speculative reads are
+/// cancelled and charged as wasted prefetch, so the bar is high.
+pub(crate) const RING_SPEC_CONFIDENCE: f64 = 0.9;
 
 /// How the demand-fill stage performs its OS read.
 ///
@@ -406,13 +414,9 @@ impl CpFile {
         // same size as this one, adjacent in the stream's direction. The
         // account stage issues it after this access settles; the issue
         // path re-checks that normal prefetch has not covered it.
-        if inner.policy.ring
-            && ctx.pages > 0
-            && ctx.decision.confidence >= inner.config.ring_spec_confidence
-        {
+        if inner.policy.ring && ctx.pages > 0 && ctx.decision.confidence >= RING_SPEC_CONFIDENCE {
             if let Some(pred) = &ctx.decision.prediction {
                 if pred.prefetch_pages > 0 {
-                    use crate::predictor::Direction;
                     let file_pages = inner.os.fs().size(self.file.ino).div_ceil(PAGE_SIZE);
                     ctx.spec_target = match pred.direction {
                         Direction::Forward => {
@@ -453,7 +457,6 @@ impl CpFile {
     /// streams promote — the planner's frontier is monotone, matching
     /// the placement map's word-granular advance.
     fn maybe_promote(&self, clock: &mut ThreadClock, ctx: &ReadCtx) {
-        use crate::predictor::Direction;
         let inner = &self.runtime.inner;
         let Some(planner) = &inner.planner else {
             return;
@@ -733,7 +736,7 @@ impl CpFile {
     fn hook_fincore_poll(&self, clock: &mut ThreadClock, ctx: &ReadCtx) {
         let inner = &self.runtime.inner;
         let n = self.file.reads_since_poll.fetch_add(1, Ordering::Relaxed) + 1;
-        if n.is_multiple_of(inner.config.fincore_poll_interval) {
+        if n.is_multiple_of(FINCORE_POLL_INTERVAL) {
             inner.stats.fincore_polls.incr();
             let runtime2 = self.runtime.clone();
             let fd = self.file.prefetch_fd;
@@ -837,7 +840,6 @@ impl CpFile {
         p0: u64,
         p1: u64,
     ) {
-        use crate::predictor::Direction;
         let runtime = &self.runtime;
         let inner = &runtime.inner;
 

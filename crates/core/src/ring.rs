@@ -16,11 +16,11 @@
 //! * demand misses submit through the same ring — the read path drains
 //!   staged prefetch entries and crosses them *with* the demand read in
 //!   one vectored `Os::try_read_batch` call;
-//! * when the active prediction engine's confidence clears
-//!   [`crate::RuntimeConfig::ring_spec_confidence`], the next predicted
-//!   demand read is pre-issued speculatively (Foreactor-style) and
-//!   recorded as a [`SpecRead`] completion: absorbed on an exact match,
-//!   cancelled and charged as wasted prefetch on a mispredict.
+//! * when the active prediction engine's confidence clears the
+//!   speculation bar (0.9), the next predicted demand read is pre-issued
+//!   speculatively (Foreactor-style) and recorded as a [`SpecRead`]
+//!   completion: absorbed on an exact match, cancelled and charged as
+//!   wasted prefetch on a mispredict.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

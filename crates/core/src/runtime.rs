@@ -16,8 +16,7 @@ use simos::{
 use crate::config::{Features, Mode, RuntimeConfig};
 use crate::metrics::RuntimeMetrics;
 use crate::policy::{OpenAction, Policy};
-use crate::range_index::{FileRangeIndex, IndexStats, RangeIndex};
-use crate::range_tree::LockScope;
+use crate::range_index::{BPlusRangeIndex, IndexStats, LockScope};
 use crate::ring::{Flush, FlushReason, SpecRead, SubmissionQueue};
 use crate::span::{CrossLayerSink, SpanCollector, SpanKind};
 use crate::stats::LibStats;
@@ -45,9 +44,8 @@ pub struct LibFile {
     pub ino: InodeId,
     /// A descriptor the runtime owns for issuing prefetch/advice calls.
     pub(crate) prefetch_fd: Fd,
-    /// User-level cache view with per-range locking (flat or B+ per
-    /// `RuntimeConfig::range_index`).
-    pub(crate) tree: FileRangeIndex,
+    /// User-level cache view with per-range locking.
+    pub(crate) tree: BPlusRangeIndex,
     /// Virtual time of the most recent application access.
     pub(crate) last_access_ns: AtomicU64,
     /// Reads since the last fincore poll (FincoreApp mode).
@@ -78,6 +76,23 @@ pub struct LibFile {
 /// enough to hide in the accounting stage, frequent enough to steer the
 /// correlation support bar and the adaptive hit weighting within a run.
 const FEEDBACK_INTERVAL_READS: u64 = 64;
+
+/// Stop *aggressive* window growth when available memory drops to this
+/// fraction of the budget (§4.6's high watermark).
+pub(crate) const AGGRESSIVE_FLOOR: f64 = 0.15;
+/// Stop *all* floor-respecting prefetch below this available fraction.
+pub(crate) const PREFETCH_FLOOR: f64 = 0.05;
+/// The memory watcher begins evicting when free memory drops below this
+/// fraction of the budget.
+pub(crate) const EVICT_TRIGGER: f64 = 0.10;
+/// The memory watcher stops evicting once free memory is back at this
+/// fraction of the budget.
+pub(crate) const EVICT_TARGET: f64 = 0.25;
+/// Attempts a worker makes on a transiently failing prefetch before
+/// giving the range up (first try + retries).
+pub(crate) const PREFETCH_RETRY_ATTEMPTS: u32 = 4;
+/// Initial retry backoff in virtual ns; doubles per attempt.
+pub(crate) const PREFETCH_RETRY_BACKOFF_NS: u64 = 100 * simclock::NS_PER_US;
 
 /// An open file handle through CROSS-LIB — the shim's `FILE*` analogue.
 ///
@@ -116,7 +131,7 @@ pub struct CpFile {
     /// Whether mapped access restored fault-around already.
     mmap_touched: std::sync::atomic::AtomicBool,
     /// Last pattern index the tracer saw for this descriptor
-    /// ([`crate::predictor::AccessPattern::index`]; 255 = none yet). Only
+    /// ([`predict::AccessPattern::index`]; 255 = none yet). Only
     /// touched while tracing is enabled.
     pub(crate) last_pattern: std::sync::atomic::AtomicU8,
 }
@@ -306,7 +321,7 @@ impl Runtime {
 
     fn lib_file(&self, ino: InodeId, fd: Fd) -> Arc<LibFile> {
         self.inner.files.get_or_insert_with(ino.0, || {
-            let tree = FileRangeIndex::new(self.inner.policy.index);
+            let tree = BPlusRangeIndex::new();
             tree.set_wait_histogram(Arc::clone(&self.inner.metrics.lib_lock_wait_ns));
             Arc::new(LibFile {
                 ino,
@@ -433,7 +448,7 @@ impl Runtime {
             }
         }
 
-        let engine = Engine::for_kind(self.inner.policy.engine, &self.inner.config.engine_config());
+        let engine = Engine::for_kind(self.inner.policy.engine, &self.inner.config.engine_tuning);
         CpFile {
             runtime: self.clone(),
             fd,
@@ -586,7 +601,7 @@ impl Runtime {
     /// high-watermark behaviour under a steady-state-full cache).
     pub(crate) fn aggressive_allowed(&self, now: u64) -> bool {
         let inner = &self.inner;
-        if self.available_fraction() <= inner.config.aggressive_floor {
+        if self.available_fraction() <= AGGRESSIVE_FLOOR {
             return false;
         }
         let evicted = inner.os.mem().evicted.get();
@@ -621,7 +636,7 @@ impl Runtime {
         if from >= end {
             return from;
         }
-        if respect_floors && self.available_fraction() < inner.config.prefetch_floor {
+        if respect_floors && self.available_fraction() < PREFETCH_FLOOR {
             return from;
         }
         // Memory-budget clamp: one prefetch may claim at most half the
@@ -663,7 +678,7 @@ impl Runtime {
         // is the system-call reduction at the heart of §4.2.
         let missing = if inner.policy.features.visibility && !force_blind {
             let runs = file.tree.missing_in(clock, costs, self.scope(), from, end);
-            if inner.config.coalesce_prefetch || force_coalesce {
+            if force_coalesce {
                 self.coalesce_runs(runs)
             } else {
                 runs
@@ -752,10 +767,11 @@ impl Runtime {
     }
 
     /// Merges adjacent missing runs separated by at most one OS readahead
-    /// window into a single submission (batched prefetch, opt-in via
-    /// [`RuntimeConfig::coalesce_prefetch`]). The merged span covers the
-    /// gap pages too — safe only on the cache-visibility path, where the
-    /// OS dedups already-cached pages inside the span.
+    /// window into a single submission — the tenant ladder's
+    /// [`AdmissionRung::CoalescedOnly`] rung trades a few duplicate-checked
+    /// pages for fewer syscalls. The merged span covers the gap pages too —
+    /// safe only on the cache-visibility path, where the OS dedups
+    /// already-cached pages inside the span.
     fn coalesce_runs(&self, runs: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
         let gap = self.inner.os.config().ra_max_pages;
         let mut out: Vec<(u64, u64)> = Vec::with_capacity(runs.len());
@@ -982,9 +998,12 @@ impl Runtime {
                         attempt: 1,
                     },
                 );
-                let backoff = inner.config.prefetch_retry_backoff_ns.max(1);
-                clock.advance(backoff);
-                crate::span::record_leaf(SpanKind::RetryBackoff, backoff, clock.now());
+                clock.advance(PREFETCH_RETRY_BACKOFF_NS);
+                crate::span::record_leaf(
+                    SpanKind::RetryBackoff,
+                    PREFETCH_RETRY_BACKOFF_NS,
+                    clock.now(),
+                );
                 self.issue_prefetch(
                     clock,
                     &run.file,
@@ -1074,7 +1093,7 @@ impl Runtime {
     ///
     /// * a transient device error (`IoError::Io`) is retried after
     ///   exponential backoff in virtual time, up to
-    ///   [`RuntimeConfig::prefetch_retry_attempts`] tries; exhaustion
+    ///   [`PREFETCH_RETRY_ATTEMPTS`] tries; exhaustion
     ///   abandons the chunk *without* marking it in the user-level view,
     ///   so later reads demand-fetch it correctly;
     /// * `IoError::Unsupported` from `readahead_info` (a stock kernel
@@ -1092,7 +1111,6 @@ impl Runtime {
         let inner = &self.inner;
         let costs = &inner.os.config().costs;
         let os_cap = inner.os.config().ra_max_pages;
-        let attempts = inner.config.prefetch_retry_attempts.max(1);
         for &(start, end) in missing {
             let mut cursor = start;
             'chunks: while cursor < end {
@@ -1107,7 +1125,7 @@ impl Runtime {
                     span.min(os_cap)
                 };
                 let mut attempt: u32 = 0;
-                let mut backoff = inner.config.prefetch_retry_backoff_ns.max(1);
+                let mut backoff = PREFETCH_RETRY_BACKOFF_NS;
                 loop {
                     attempt += 1;
                     let outcome = if use_info {
@@ -1157,7 +1175,7 @@ impl Runtime {
                             continue 'chunks;
                         }
                         Err(_) => {
-                            if attempt >= attempts {
+                            if attempt >= PREFETCH_RETRY_ATTEMPTS {
                                 inner.stats.prefetch_give_ups.incr();
                                 inner.stats.pages_abandoned.add(chunk);
                                 inner.trace.emit(
@@ -1201,7 +1219,7 @@ impl Runtime {
         if !inner.policy.features.aggressive {
             return;
         }
-        if self.free_fraction() >= inner.config.evict_trigger {
+        if self.free_fraction() >= EVICT_TRIGGER {
             return;
         }
         // Bound the candidate scan to once per watcher interval.
@@ -1237,7 +1255,7 @@ impl Runtime {
         });
 
         for file in candidates {
-            if self.free_fraction() >= inner.config.evict_target {
+            if self.free_fraction() >= EVICT_TARGET {
                 break;
             }
             let resident = inner.os.cache(file.ino).state.read().resident();
@@ -1250,8 +1268,7 @@ impl Runtime {
             let dropped = inner
                 .os
                 .fadvise(clock, file.prefetch_fd, Advice::DontNeed, 0, u64::MAX);
-            let cleared = file.tree.clear(clock, costs, self.scope());
-            let _ = cleared;
+            file.tree.clear(clock, costs, self.scope());
             if dropped == 0 {
                 continue;
             }
@@ -1305,17 +1322,12 @@ impl Runtime {
         self.inner.files.stats()
     }
 
-    /// The configured range-index implementation's stable name.
-    pub fn range_index_kind(&self) -> &'static str {
-        self.inner.policy.index.name()
-    }
-
     /// Structural statistics aggregated across every file's range index
     /// (depth takes the max; leaves, splits, merges, retries sum).
     pub fn range_index_stats(&self) -> IndexStats {
         let mut total = IndexStats::default();
         for file in self.inner.inner_files() {
-            total.absorb(&file.tree.index_stats());
+            total.absorb(&file.tree.stats());
         }
         total
     }
@@ -1707,12 +1719,11 @@ impl CpFile {
         }
         let offset = start_page * PAGE_SIZE;
         let len = (end_page - start_page) * PAGE_SIZE;
-        let attempts = inner.config.prefetch_retry_attempts.max(1);
         let est_ns = costs.syscall_ns;
         let dispatch = inner.workers.dispatch(clock.now(), est_ns, |wclock| {
             let demand = [ReadBatchEntry::new(self.fd, offset, len)];
             let mut attempt: u32 = 0;
-            let mut backoff = inner.config.prefetch_retry_backoff_ns.max(1);
+            let mut backoff = PREFETCH_RETRY_BACKOFF_NS;
             loop {
                 attempt += 1;
                 match inner.os.try_read_batch(wclock, &demand, &[]) {
@@ -1744,7 +1755,7 @@ impl CpFile {
                         return;
                     }
                 }
-                if attempt >= attempts {
+                if attempt >= PREFETCH_RETRY_ATTEMPTS {
                     return;
                 }
                 inner.stats.prefetch_retries.incr();

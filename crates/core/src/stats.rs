@@ -41,8 +41,8 @@ pub struct LibStats {
     /// Stale pages (claimed cached, found evicted) the watchdog observed.
     pub stale_pages_observed: Counter,
     /// Adjacent planned prefetch runs merged into an earlier submission
-    /// ([`crate::RuntimeConfig::coalesce_prefetch`]); each merge is one
-    /// saved syscall-bearing submission.
+    /// (the tenant ladder's [`crate::AdmissionRung::CoalescedOnly`] rung);
+    /// each merge is one saved syscall-bearing submission.
     pub prefetch_runs_coalesced: Counter,
     /// Submission batches flushed to the vectored OS path
     /// ([`crate::RuntimeConfig::batch_submit`]).

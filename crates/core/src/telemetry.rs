@@ -21,6 +21,12 @@ use crate::Runtime;
 /// Version stamped into every JSON export; bump on breaking layout change.
 pub const TELEMETRY_SCHEMA_VERSION: u32 = 1;
 
+/// Top-level JSON sections added after schema v1 was frozen, in export
+/// order. Each is emitted whether or not its feature is on; stripping all
+/// of them from an export leaves the schema-v1 baseline layout, which is
+/// what `schema_compat` and the knob-off byte-identity tests compare.
+pub const ADDITIVE_SECTIONS: [&str; 5] = ["spans", "ring", "range_index", "tenants", "tiering"];
+
 /// A point-in-time snapshot of the cross-layered telemetry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RuntimeReport {
@@ -152,20 +158,19 @@ pub struct RuntimeReport {
     /// serves plain `batch_submit` mode (overdue batches flush at their
     /// own due time), so this can be nonzero with the ring disabled.
     pub ring_timer_fires: u64,
-    /// Which range-index implementation backs the per-file cache views
-    /// ([`crate::RangeIndexKind::name`], policy-resolved).
+    /// Which range-index implementation backs the per-file cache views:
+    /// always `"bplus"` ([`crate::BPlusRangeIndex`]).
     pub range_index_kind: &'static str,
-    /// Deepest per-file tree (1 = a lone leaf root; the flat tree reports
-    /// 1 whenever any node exists).
+    /// Deepest per-file tree (1 = a lone leaf root).
     pub range_index_depth: u64,
-    /// Leaves (flat: fixed-stride nodes) allocated across files.
+    /// Leaves allocated across files.
     pub range_index_leaves: u64,
-    /// Leaf splits performed (0 for the flat tree).
+    /// Leaf splits performed.
     pub range_index_splits: u64,
-    /// Adjacent-leaf merges performed (0 for the flat tree).
+    /// Adjacent-leaf merges performed.
     pub range_index_merges: u64,
     /// Optimistic read descents that failed version validation and paid
-    /// the re-descent penalty (0 single-threaded and for the flat tree).
+    /// the re-descent penalty (0 single-threaded).
     pub range_index_retries: u64,
     /// Per-stage virtual-time cost of the staged read pipeline, in
     /// [`PipelineStage::all`] order as `(stage name, distribution)`.
@@ -345,7 +350,7 @@ impl RuntimeReport {
             ring_spec_cancelled: stats.ring_spec_cancelled.get(),
             ring_spec_pages_charged: stats.ring_spec_pages_charged.get(),
             ring_timer_fires: stats.ring_timer_fires.get(),
-            range_index_kind: runtime.range_index_kind(),
+            range_index_kind: "bplus",
             range_index_depth: index_stats.depth,
             range_index_leaves: index_stats.leaves,
             range_index_splits: index_stats.splits,
@@ -367,7 +372,7 @@ impl RuntimeReport {
             .iter()
             .map(|&class| (class.name(), runtime.spans().class_totals(class)))
             .collect(),
-            tenants_enabled: runtime.inner.policy.tenants,
+            tenants_enabled: runtime.inner.tenants.is_some(),
             tenant_rebalances: runtime.tenants().map_or(0, |a| a.rebalances()),
             tenants: runtime.tenants().map_or_else(Vec::new, |a| a.reports()),
             tiering_enabled: runtime.inner.planner.is_some(),
@@ -1303,6 +1308,8 @@ mod tests {
         assert!(report.pages_initiated > 0);
         assert!(report.device_read_bytes > 0);
         assert!(report.hit_ratio > 0.0);
+        assert_eq!(report.range_index_kind, "bplus");
+        assert!(report.range_index_leaves > 0);
         // The latency histograms cover every read.
         let latency_samples = report.read_cache_hit.count
             + report.read_prefetch_hit.count
@@ -1370,6 +1377,11 @@ mod tests {
         assert!(json.contains("\"schema_version\":1"));
         assert!(json.contains("\"read_cache_hit_ns\""));
         assert!(json.contains("\"prefetch_quality\""));
+        assert!(json.contains("\"range_index\":{\"kind\":\"bplus\""));
+        assert!(json.contains("\"optimistic_retries\""));
+        for section in ADDITIVE_SECTIONS {
+            assert!(json.contains(&format!("\"{section}\":{{")), "{section}");
+        }
         // Balanced braces and quotes — cheap structural sanity without a
         // JSON parser in the dependency-free build.
         assert_eq!(

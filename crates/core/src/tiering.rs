@@ -30,10 +30,10 @@ use parking_lot::Mutex;
 /// the planner entirely and leaves every mechanism byte-identical).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TieringConfig {
-    /// Minimum engine confidence (same scale as
-    /// [`crate::RuntimeConfig::ring_spec_confidence`]) before a predicted
-    /// range is worth a promotion copy. Promotion moves data, not just
-    /// cache state, so the bar sits above the speculation bar by default.
+    /// Minimum engine confidence (same 0.0–1.0 scale as the ring's
+    /// speculation bar) before a predicted range is worth a promotion
+    /// copy. Promotion moves data, not just cache state, so the bar sits
+    /// above the speculation bar by default.
     pub promote_confidence: f64,
     /// Smallest promotion worth dispatching, in pages — sub-threshold
     /// tails stay remote rather than paying a worker dispatch and two

@@ -27,8 +27,8 @@ use simclock::Counter;
 use simos::{InodeId, OsTraceEvent, OsTraceSink};
 
 use crate::metrics::ReadClass;
-use crate::predictor::AccessPattern;
 use crate::ring::FlushReason;
+use predict::AccessPattern;
 
 /// Default ring capacity (events).
 pub const DEFAULT_TRACE_CAPACITY: usize = 64 * 1024;

@@ -122,7 +122,7 @@ fn memory_watcher_evicts_oldest_idle_file_and_stops_at_target() {
     // pages and is never evicted.
     assert!(
         !evicted.contains(&b.ino()),
-        "watcher must stop at evict_target instead of draining every file"
+        "watcher must stop at the eviction target instead of draining every file"
     );
     assert!(
         rt.os().cache(b.ino()).state.read().resident() > 0,

@@ -2,13 +2,12 @@
 //!
 //! Runs one fixed, fully deterministic single-threaded workload per
 //! Table-2 mechanism (plus the fincore baseline), exports telemetry JSON
-//! with span tracing and the completion-driven ring left at their defaults
-//! (disabled), strips the additive `spans`, `ring`, `range_index`,
-//! `tenants`, and `tiering` sections, and compares the result byte-for-byte against the checked-in
-//! pre-span baseline (`tests/data/telemetry_schema_baseline.json`). Any
-//! other byte difference means a knob that should be inert changed the
-//! schema-v1 surface — including swapping the flat range tree for the B+
-//! index, which must leave every pre-existing field byte-identical.
+//! with every opt-in subsystem left at its default (disabled), strips
+//! the additive sections ([`ADDITIVE_SECTIONS`]), and compares the
+//! result byte-for-byte against the checked-in pre-span baseline
+//! (`tests/data/telemetry_schema_baseline.json`). Any other byte
+//! difference means a change that should be inert altered the schema-v1
+//! surface.
 //!
 //! Usage:
 //!   cargo run --release --example schema_compat            # verify
@@ -16,7 +15,8 @@
 
 use std::path::PathBuf;
 
-use crossprefetch::{Mode, Runtime, RuntimeConfig, RuntimeReport};
+use cp_bench::strip_section;
+use crossprefetch::{Mode, Runtime, RuntimeConfig, RuntimeReport, ADDITIVE_SECTIONS};
 use simos::{Device, DeviceConfig, FileSystem, FsKind, Os, OsConfig};
 
 fn baseline_path() -> PathBuf {
@@ -59,38 +59,6 @@ fn run_mode(mode: Mode) -> String {
     RuntimeReport::collect(&runtime).to_json()
 }
 
-/// Removes a `"name":{...},`-shaped top-level section from a report JSON
-/// string (brace-counted; report sections contain no string-embedded
-/// braces). Returns the input unchanged when the section is absent — which
-/// is exactly the pre-span baseline case.
-fn strip_section(json: &str, name: &str) -> String {
-    let key = format!("\"{name}\":{{");
-    let Some(start) = json.find(&key) else {
-        return json.to_string();
-    };
-    let bytes = json.as_bytes();
-    let mut depth = 0usize;
-    let mut i = start + key.len() - 1;
-    let end = loop {
-        match bytes[i] {
-            b'{' => depth += 1,
-            b'}' => {
-                depth -= 1;
-                if depth == 0 {
-                    break i;
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    };
-    let mut tail = end + 1;
-    if bytes.get(tail) == Some(&b',') {
-        tail += 1;
-    }
-    format!("{}{}", &json[..start], &json[tail..])
-}
-
 fn main() {
     let modes = [
         Mode::AppOnly,
@@ -103,12 +71,11 @@ fn main() {
     let current: Vec<String> = modes
         .iter()
         .map(|&mode| {
-            let json = run_mode(mode);
-            let json = strip_section(&json, "spans");
-            let json = strip_section(&json, "ring");
-            let json = strip_section(&json, "range_index");
-            let json = strip_section(&json, "tenants");
-            strip_section(&json, "tiering")
+            ADDITIVE_SECTIONS
+                .iter()
+                .fold(run_mode(mode), |json, section| {
+                    strip_section(&json, section)
+                })
         })
         .collect();
     let rendered = current.join("\n") + "\n";

@@ -57,14 +57,14 @@ fn engine_knobs_are_inert_under_strided() {
     for mode in MECHANISMS {
         let baseline = run_mixed_workload(RuntimeConfig::new(mode));
         let mut tweaked = RuntimeConfig::new(mode);
-        tweaked.correlation_history = 16;
-        tweaked.correlation_max_assocs = 8;
-        tweaked.correlation_mine_interval = 2;
-        tweaked.correlation_min_support = 1;
-        tweaked.correlation_max_span_pages = 1;
-        tweaked.adaptive_sample_interval = 1;
-        tweaked.adaptive_duel_window = 2;
-        tweaked.adaptive_shadow_capacity = 4;
+        tweaked.engine_tuning.correlation.history = 16;
+        tweaked.engine_tuning.correlation.max_assocs = 8;
+        tweaked.engine_tuning.correlation.mine_interval = 2;
+        tweaked.engine_tuning.correlation.min_support = 1;
+        tweaked.engine_tuning.correlation.max_span_pages = 1;
+        tweaked.engine_tuning.adaptive.sample_interval = 1;
+        tweaked.engine_tuning.adaptive.duel_window = 2;
+        tweaked.engine_tuning.adaptive.shadow_capacity = 4;
         assert_eq!(
             baseline,
             run_mixed_workload(tweaked),
@@ -125,12 +125,12 @@ fn seq_batch_pages_default_is_identical_and_knob_is_live() {
     for mode in [Mode::Predict, Mode::PredictOpt] {
         let baseline = run_mixed_workload(RuntimeConfig::new(mode));
         let mut explicit = RuntimeConfig::new(mode);
-        explicit.seq_batch_pages = SEQ_BATCH_PAGES;
+        explicit.engine_tuning.seq_batch_pages = SEQ_BATCH_PAGES;
         assert_eq!(baseline, run_mixed_workload(explicit));
 
         let strided = run_gapped_stride_workload(RuntimeConfig::new(mode));
         let mut narrow = RuntimeConfig::new(mode);
-        narrow.seq_batch_pages = 1;
+        narrow.engine_tuning.seq_batch_pages = 1;
         assert_ne!(
             strided,
             run_gapped_stride_workload(narrow),

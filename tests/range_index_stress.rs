@@ -1,6 +1,6 @@
 //! Seeded multi-thread stress for the B+ range index.
 //!
-//! Two properties that must survive eight host threads hammering one
+//! Three properties that must survive eight host threads hammering one
 //! shared index:
 //!
 //! * **Same-seed determinism of the page set.** For a mark-only workload
@@ -14,11 +14,16 @@
 //!   mix the final page set depends on interleaving, but the B+ structure
 //!   must stay well-formed and `resident` must equal the page-count
 //!   complement of `missing_in` at quiescence.
+//! * **Contended-read scaling.** Colliding on one region under
+//!   `LockScope::PerNode`, optimistic lock coupling (bounded retry
+//!   penalty) must accumulate less virtual lock wait than the flat
+//!   reference tree's blocking reader queue.
 
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::thread;
 
-use crossprefetch::{BPlusRangeIndex, LockScope, RangeIndex, RangeTree};
+use crossprefetch::range_index::NODE_PAGES;
+use crossprefetch::{BPlusRangeIndex, LockScope, RangeTree};
 use simclock::{CostModel, GlobalClock, ThreadClock};
 
 const THREADS: u64 = 8;
@@ -140,7 +145,66 @@ fn mixed_ops_with_clears_keep_invariants_and_accounting() {
         SPACE - missing_pages,
         "resident pages must be the exact complement of missing pages"
     );
-    let stats = index.index_stats();
+    let stats = index.stats();
     assert!(stats.leaves > 0, "stress should leave a populated tree");
     assert!(stats.depth >= 2, "200k-page space should force inner nodes");
+}
+
+/// Eight threads colliding on one shared index, barrier-synchronised per
+/// round. Each round every thread starts a fresh clock at virtual zero
+/// (the open-loop arrival pattern: a long-running thread's clock drifts
+/// microseconds from its peers and would dilute the collision), then runs
+/// `mark_then_query` on the round's previously untouched region — so
+/// writer holds overlap reader arrivals on the same leaf/node.
+fn contended_rounds(
+    rounds: u64,
+    mark_then_query: impl Fn(&mut ThreadClock, &CostModel, u64) + Sync,
+) {
+    let global = Arc::new(GlobalClock::new());
+    let barrier = Barrier::new(THREADS as usize);
+    thread::scope(|s| {
+        for _ in 0..THREADS {
+            s.spawn(|| {
+                let costs = CostModel::default();
+                for r in 0..rounds {
+                    barrier.wait();
+                    let mut clock = ThreadClock::new(Arc::clone(&global));
+                    mark_then_query(&mut clock, &costs, r * NODE_PAGES);
+                }
+            });
+        }
+    });
+}
+
+#[test]
+fn contended_reads_favor_optimistic_coupling() {
+    let scope = LockScope::PerNode;
+    // Wall-clock interleavings are noisy: scale the workload up until the
+    // flat reference shows unambiguous blocking (≥ 50 µs of virtual lock
+    // wait) so the comparison is not a coin flip on scheduler noise.
+    let mut rounds = 16;
+    let mut last = (0, 0, 0);
+    for _attempt in 0..6 {
+        let flat = RangeTree::new();
+        contended_rounds(rounds, |clock, costs, base| {
+            flat.mark_cached(clock, costs, scope, base, base + NODE_PAGES);
+            flat.missing_in(clock, costs, scope, base, base + NODE_PAGES);
+        });
+        let bplus = BPlusRangeIndex::new();
+        contended_rounds(rounds, |clock, costs, base| {
+            bplus.mark_cached(clock, costs, scope, base, base + NODE_PAGES);
+            bplus.missing_in(clock, costs, scope, base, base + NODE_PAGES);
+        });
+        let retries = bplus.stats().optimistic_retries;
+        last = (flat.lock_wait_ns(), bplus.lock_wait_ns(), retries);
+        if last.0 >= 50_000 && last.1 < last.0 && retries > 0 {
+            return;
+        }
+        rounds *= 2;
+    }
+    panic!(
+        "optimistic coupling never separated from the flat reference: \
+         flat wait {} ns, B+ wait {} ns, {} retries",
+        last.0, last.1, last.2
+    );
 }

@@ -50,23 +50,6 @@ fn run_workload(config: RuntimeConfig) -> String {
     RuntimeReport::collect(&runtime).to_json()
 }
 
-/// With `ring_submit` off, the ring knobs must be inert: telemetry is
-/// byte-identical no matter how they are set, for every mechanism.
-#[test]
-fn ring_knobs_are_inert_when_disabled() {
-    for mode in MECHANISMS {
-        let baseline = run_workload(RuntimeConfig::new(mode));
-        let mut tweaked = RuntimeConfig::new(mode);
-        tweaked.ring_spec_confidence = 0.0;
-        assert_eq!(
-            baseline,
-            run_workload(tweaked),
-            "{}: ring knobs leaked into the ring-off path",
-            mode.label()
-        );
-    }
-}
-
 /// The ring requires cache visibility (the absorb path reads the shared
 /// bitmap): turning the knob on under a blind mechanism changes nothing,
 /// end to end.

@@ -3,6 +3,7 @@
 //! quality-ledger invariant under admission throttling, and starvation
 //! freedom for low-QoS tenants.
 
+use cp_bench::strip_section;
 use crossprefetch::{Mode, Runtime, RuntimeConfig, RuntimeReport, TenantId, TenantsConfig};
 use simos::{Device, DeviceConfig, FileSystem, FsKind, Os, OsConfig};
 use workloads::{run_fleet, setup_fleet, FleetConfig, FleetTenantSpec};
@@ -42,36 +43,6 @@ fn throttled_fleet() -> FleetConfig {
         read_bytes: 16 * 1024,
         ..FleetConfig::default()
     }
-}
-
-/// Removes a `"name":{...},`-shaped top-level section from a report JSON
-/// string (brace-counted), as `examples/schema_compat.rs` does.
-fn strip_section(json: &str, name: &str) -> String {
-    let key = format!("\"{name}\":{{");
-    let Some(start) = json.find(&key) else {
-        return json.to_string();
-    };
-    let bytes = json.as_bytes();
-    let mut depth = 0usize;
-    let mut i = start + key.len() - 1;
-    let end = loop {
-        match bytes[i] {
-            b'{' => depth += 1,
-            b'}' => {
-                depth -= 1;
-                if depth == 0 {
-                    break i;
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    };
-    let mut tail = end + 1;
-    if bytes.get(tail) == Some(&b',') {
-        tail += 1;
-    }
-    format!("{}{}", &json[..start], &json[tail..])
 }
 
 /// The deterministic mixed workload the batching/ring suites drive, with
