@@ -166,39 +166,6 @@ pub fn write_sidecar(dir: &Path, id: &str, runtime: &Runtime) {
     }
 }
 
-/// Removes a `"name":{...},`-shaped top-level section from a report JSON
-/// string (brace-counted; report sections contain no string-embedded
-/// braces). Returns the input unchanged when the section is absent.
-/// Stripping every [`crossprefetch::ADDITIVE_SECTIONS`] entry leaves the
-/// schema-v1 baseline layout.
-pub fn strip_section(json: &str, name: &str) -> String {
-    let key = format!("\"{name}\":{{");
-    let Some(start) = json.find(&key) else {
-        return json.to_string();
-    };
-    let bytes = json.as_bytes();
-    let mut depth = 0usize;
-    let mut i = start + key.len() - 1;
-    let end = loop {
-        match bytes[i] {
-            b'{' => depth += 1,
-            b'}' => {
-                depth -= 1;
-                if depth == 0 {
-                    break i;
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    };
-    let mut tail = end + 1;
-    if bytes.get(tail) == Some(&b',') {
-        tail += 1;
-    }
-    format!("{}{}", &json[..start], &json[tail..])
-}
-
 /// Shared LSM-workload setup matching the paper's RocksDB configuration:
 /// 40 M keys / 120 GB DB means ~3 KB per key — one data block per key —
 /// so a 16-key `MultiGet` batch spans 16 consecutive blocks, which is the

@@ -153,11 +153,15 @@ pub struct RuntimeConfig {
     /// exported bitmap without a syscall crossing; demand misses cross via
     /// one vectored `read_batch` call that piggybacks any staged prefetch
     /// runs; and high-confidence predictions pre-issue the next demand
-    /// read speculatively. Requires cache visibility (the absorb path
-    /// reads the shared bitmap); ignored on modes without it. Default
-    /// off: the ring changes syscall counts, crossing costs, and
-    /// therefore the virtual timeline — with it off, every new code path
-    /// is bypassed and telemetry is byte-identical to the ring-less
+    /// read speculatively. Prefetch runs are only *staged* while
+    /// [`Self::batch_submit`] is also on — with the ring alone every
+    /// crossing carries just its demand entry — and only `tests/ring.rs`
+    /// and the telemetry feature-on golden turn both on (no benchmark
+    /// workload, bench gate or example does). Requires cache visibility
+    /// (the absorb path reads the shared bitmap); ignored on modes without
+    /// it. Default off: the ring changes syscall counts, crossing costs,
+    /// and therefore the virtual timeline — with it off, every new code
+    /// path is bypassed and telemetry is byte-identical to the ring-less
     /// runtime.
     pub ring_submit: bool,
     /// Exemplar reservoir depth per latency class for causal span tracing

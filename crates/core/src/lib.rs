@@ -83,7 +83,7 @@ pub use span::{
     StageSelf,
 };
 pub use stats::LibStats;
-pub use telemetry::{RuntimeReport, ADDITIVE_SECTIONS, TELEMETRY_SCHEMA_VERSION};
+pub use telemetry::{FieldKind, FieldSpec, RuntimeReport, TELEMETRY_SCHEMA_VERSION};
 pub use tenant::{
     AdmissionRung, QosClass, TenantArbiter, TenantId, TenantReport, TenantSpec, TenantsConfig,
 };

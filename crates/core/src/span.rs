@@ -29,6 +29,7 @@
 //!   never enter the buckets — they are off the read's critical path.
 
 use std::cell::{Cell, RefCell};
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -37,6 +38,7 @@ use simclock::Counter;
 use simos::{OsSpanKind, OsTraceEvent, OsTraceSink};
 
 use crate::metrics::{PipelineStage, ReadClass};
+use crate::telemetry::Metric;
 use crate::trace::TraceLog;
 
 /// Request identifier: unique per traced read within one runtime.
@@ -294,6 +296,25 @@ impl SpanClassTotals {
                     .saturating_sub(earlier.path.retry_backoff_ns),
             },
         }
+    }
+}
+
+/// Telemetry export: one `spans.classes` entry.
+impl Metric for SpanClassTotals {
+    fn write_json(&self, out: &mut String) {
+        let _ = write!(
+            out,
+            "{{\"reads\":{},\"stage_compute_ns\":{},\"lock_wait_ns\":{},\"queue_wait_ns\":{},\"device_service_ns\":{},\"retry_backoff_ns\":{}}}",
+            self.reads,
+            self.path.stage_compute_ns,
+            self.path.lock_wait_ns,
+            self.path.queue_wait_ns,
+            self.path.device_service_ns,
+            self.path.retry_backoff_ns
+        );
+    }
+    fn since(&self, earlier: &Self) -> Self {
+        self.delta(earlier)
     }
 }
 

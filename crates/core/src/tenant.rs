@@ -18,11 +18,14 @@
 //! exists, every new code path is bypassed, and telemetry stays
 //! byte-identical to the tenant-less runtime.
 
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 use simclock::Counter;
 use simos::{InodeId, Os, PrefetchQuality};
+
+use crate::telemetry::{push_json_string, Metric};
 
 /// Identifies a tenant: an index into [`TenantsConfig::tenants`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -214,6 +217,44 @@ impl TenantReport {
             denied: self.denied.saturating_sub(earlier.denied),
             denied_pages: self.denied_pages.saturating_sub(earlier.denied_pages),
         }
+    }
+}
+
+/// Telemetry export: tenant rows render as a JSON array and difference
+/// by tenant name.
+impl Metric for Vec<TenantReport> {
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        for (i, row) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str("{\"name\":");
+            push_json_string(out, &row.name);
+            let _ = write!(
+                out,
+                ",\"qos\":\"{}\",\"weight\":{},\"budget_pages\":{},\"window_used_pages\":{},\"initiated_pages\":{},\"admitted_pages\":{},\"degraded_coalesced\":{},\"degraded_blind\":{},\"denied\":{},\"denied_pages\":{}}}",
+                row.qos,
+                row.weight,
+                row.budget_pages,
+                row.window_used_pages,
+                row.initiated_pages,
+                row.admitted_pages,
+                row.degraded_coalesced,
+                row.degraded_blind,
+                row.denied,
+                row.denied_pages
+            );
+        }
+        out.push(']');
+    }
+    fn since(&self, earlier: &Self) -> Self {
+        self.iter()
+            .map(|row| {
+                let prior = earlier.iter().find(|r| r.name == row.name);
+                prior.map_or_else(|| row.clone(), |r| row.delta(r))
+            })
+            .collect()
     }
 }
 

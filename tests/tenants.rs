@@ -3,8 +3,9 @@
 //! quality-ledger invariant under admission throttling, and starvation
 //! freedom for low-QoS tenants.
 
-use cp_bench::strip_section;
-use crossprefetch::{Mode, Runtime, RuntimeConfig, RuntimeReport, TenantId, TenantsConfig};
+use crossprefetch::{
+    Mode, QosClass, Runtime, RuntimeConfig, RuntimeReport, TenantId, TenantSpec, TenantsConfig,
+};
 use simos::{Device, DeviceConfig, FileSystem, FsKind, Os, OsConfig};
 use workloads::{run_fleet, setup_fleet, FleetConfig, FleetTenantSpec};
 
@@ -47,7 +48,7 @@ fn throttled_fleet() -> FleetConfig {
 
 /// The deterministic mixed workload the batching/ring suites drive, with
 /// plain (untenanted) opens.
-fn run_untenanted(config: RuntimeConfig) -> String {
+fn run_untenanted(config: RuntimeConfig) -> RuntimeReport {
     let runtime = Runtime::new(os(48), config);
     let mut clock = runtime.new_clock();
     let file = runtime
@@ -65,7 +66,7 @@ fn run_untenanted(config: RuntimeConfig) -> String {
         file.read_charge(&mut clock, (state % (47 << 20)) & !4095, chunk);
     }
     runtime.flush_prefetch_batches(&mut clock);
-    RuntimeReport::collect(&runtime).to_json()
+    RuntimeReport::collect(&runtime)
 }
 
 /// Configuring tenants without ever binding one must not change a single
@@ -79,22 +80,64 @@ fn tenants_config_is_inert_for_untenanted_opens() {
         config.tenants = Some(TenantsConfig::new(throttled_fleet().tenant_specs()));
         let with = run_untenanted(config);
         assert!(
-            with.contains("\"tenants\":{\"enabled\":true"),
+            with.to_json().contains("\"tenants\":{\"enabled\":true"),
             "{}: configured arbiter should surface in telemetry",
             mode.label()
         );
         assert!(
-            without.contains("\"tenants\":{\"enabled\":false"),
+            without.to_json().contains("\"tenants\":{\"enabled\":false"),
             "{}: unconfigured arbiter should read disabled",
             mode.label()
         );
         assert_eq!(
-            strip_section(&with, "tenants"),
-            strip_section(&without, "tenants"),
+            with.to_json_without(&["tenants"]),
+            without.to_json_without(&["tenants"]),
             "{}: tenant config leaked into untenanted telemetry",
             mode.label()
         );
     }
+}
+
+/// Tenant names are caller-supplied strings: one holding `{`, `}` and `"`
+/// must neither unbalance the export nor confuse the section filter (the
+/// brace-counting string surgery this filter replaced ran off the end of
+/// the buffer on such a name).
+#[test]
+fn hostile_tenant_name_exports_balanced_json_and_filters_cleanly() {
+    let mut config = RuntimeConfig::new(Mode::PredictOpt);
+    config.tenants = Some(TenantsConfig::new(vec![
+        TenantSpec::new("a{\"}", QosClass::Gold),
+        TenantSpec::new("}{", QosClass::Bronze),
+    ]));
+    let with = run_untenanted(config);
+    let json = with.to_json();
+    assert!(json.contains(r#""list":[{"name":"a{\"}","qos":"gold""#));
+    assert!(json.contains(r#"{"name":"}{","qos":"bronze""#));
+
+    // Structural balance, counting braces only outside string literals.
+    let (mut depth, mut in_string, mut escaped) = (0i64, false, false);
+    for c in json.chars() {
+        match c {
+            _ if escaped => escaped = false,
+            '\\' if in_string => escaped = true,
+            '"' => in_string = !in_string,
+            '{' | '[' if !in_string => depth += 1,
+            '}' | ']' if !in_string => {
+                depth -= 1;
+                assert!(depth >= 0, "closed more than was opened");
+            }
+            _ => {}
+        }
+    }
+    assert!(!in_string && depth == 0, "unbalanced export: {json}");
+
+    let filtered = with.to_json_without(&["tenants"]);
+    assert!(!filtered.contains("\"tenants\":"));
+    assert_eq!(
+        filtered,
+        run_untenanted(RuntimeConfig::new(Mode::PredictOpt)).to_json_without(&["tenants"]),
+        "only the tenants section may differ"
+    );
 }
 
 /// Same seed, same fleet, same budgets: the arbitrated run is fully
