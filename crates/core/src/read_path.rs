@@ -32,7 +32,7 @@ use predict::{
     AccessObservation, AccessPattern, Direction, Prediction, PredictionEngine, PrefetchDecision,
 };
 use simclock::ThreadClock;
-use simos::{IoError, ReadOutcome, PAGE_SIZE};
+use simos::{IoError, Os, RaBatchCompletion, RaBatchEntry, ReadBatchEntry, ReadOutcome, PAGE_SIZE};
 
 use crate::metrics::{PipelineStage, ReadClass};
 use crate::policy::PostReadHook;
@@ -54,6 +54,10 @@ const FINCORE_POLL_INTERVAL: u64 = 32;
 /// cancelled and charged as wasted prefetch, so the bar is high.
 pub(crate) const RING_SPEC_CONFIDENCE: f64 = 0.9;
 
+/// One ring crossing's result: the demand read's own outcome and the
+/// completions of the prefetch entries that rode along.
+pub(crate) type RingCrossing<E> = (Result<ReadOutcome, E>, Vec<RaBatchCompletion>);
+
 /// How the demand-fill stage performs its OS read.
 ///
 /// The fallible instantiation consults the device fault plan and can
@@ -73,14 +77,15 @@ pub(crate) trait FillMode {
         len: u64,
     ) -> Result<ReadOutcome, Self::Error>;
 
-    /// Charges the demand read through the ring's vectored crossing,
-    /// piggybacking any staged prefetch runs on the same syscall.
-    fn ring_fill(
-        file: &CpFile,
+    /// Submits one demand read plus staged prefetch entries as a single
+    /// vectored ring crossing ([`CpFile::ring_fill`] drives it). The outer
+    /// error is the kernel rejecting the crossing outright.
+    fn ring_cross(
+        os: &Os,
         clock: &mut ThreadClock,
-        offset: u64,
-        len: u64,
-    ) -> Result<ReadOutcome, Self::Error>;
+        demand: ReadBatchEntry,
+        staged: &[RaBatchEntry],
+    ) -> Result<RingCrossing<Self::Error>, IoError>;
 
     /// Charges a write; the read-modify-write head/tail demand reads use
     /// the same fault surface as `fill`.
@@ -111,13 +116,14 @@ impl FillMode for NeverFails {
             .read_charge(clock, file.fd, offset, len))
     }
 
-    fn ring_fill(
-        file: &CpFile,
+    fn ring_cross(
+        os: &Os,
         clock: &mut ThreadClock,
-        offset: u64,
-        len: u64,
-    ) -> Result<ReadOutcome, Self::Error> {
-        Ok(file.ring_fill(clock, offset, len))
+        demand: ReadBatchEntry,
+        staged: &[RaBatchEntry],
+    ) -> Result<RingCrossing<Self::Error>, IoError> {
+        let (mut outcomes, completions) = os.read_batch(clock, &[demand], staged)?;
+        Ok((Ok(outcomes.pop().unwrap_or_default()), completions))
     }
 
     fn write_fill(
@@ -152,13 +158,17 @@ impl FillMode for MayFail {
             .try_read_charge(clock, file.fd, offset, len)
     }
 
-    fn ring_fill(
-        file: &CpFile,
+    fn ring_cross(
+        os: &Os,
         clock: &mut ThreadClock,
-        offset: u64,
-        len: u64,
-    ) -> Result<ReadOutcome, Self::Error> {
-        file.try_ring_fill(clock, offset, len)
+        demand: ReadBatchEntry,
+        staged: &[RaBatchEntry],
+    ) -> Result<RingCrossing<Self::Error>, IoError> {
+        let (mut outcomes, completions) = os.try_read_batch(clock, &[demand], staged)?;
+        Ok((
+            outcomes.pop().unwrap_or(Ok(ReadOutcome::default())),
+            completions,
+        ))
     }
 
     fn write_fill(
@@ -532,22 +542,11 @@ impl CpFile {
         ctx: &mut ReadCtx,
     ) -> Result<ReadOutcome, F::Error> {
         let inner = &self.runtime.inner;
-        let outcome = if ctx.is_write {
-            let written = match F::write_fill(self, clock, ctx.offset, ctx.len) {
-                Ok(written) => written,
-                Err(err) => {
-                    if inner.policy.intercept {
-                        self.file
-                            .last_access_ns
-                            .store(clock.now(), Ordering::Relaxed);
-                    }
-                    return Err(self.note_read_error(clock, err, ctx));
-                }
-            };
-            ReadOutcome {
+        let filled = if ctx.is_write {
+            F::write_fill(self, clock, ctx.offset, ctx.len).map(|written| ReadOutcome {
                 bytes: written,
                 ..ReadOutcome::default()
-            }
+            })
         } else {
             let ring = inner.policy.ring && !inner.degraded.load(Ordering::Relaxed);
             let mut absorbed = None;
@@ -564,24 +563,24 @@ impl CpFile {
                     absorbed = inner.os.absorb_read(clock, self.fd, ctx.offset, ctx.len);
                 }
             }
-            let filled = match absorbed {
+            match absorbed {
                 Some(outcome) => Ok(outcome),
                 // Everything else crosses — as a vectored ring submission
                 // that piggybacks staged prefetch runs when the ring is
                 // on, or the plain read syscall when it is off.
-                None if ring => F::ring_fill(self, clock, ctx.offset, ctx.len),
+                None if ring => self.ring_fill::<F>(clock, ctx.offset, ctx.len),
                 None => F::fill(self, clock, ctx.offset, ctx.len),
-            };
-            match filled {
-                Ok(outcome) => outcome,
-                Err(err) => {
-                    if inner.policy.intercept {
-                        self.file
-                            .last_access_ns
-                            .store(clock.now(), Ordering::Relaxed);
-                    }
-                    return Err(self.note_read_error(clock, err, ctx));
+            }
+        };
+        let outcome = match filled {
+            Ok(outcome) => outcome,
+            Err(err) => {
+                if inner.policy.intercept {
+                    self.file
+                        .last_access_ns
+                        .store(clock.now(), Ordering::Relaxed);
                 }
+                return Err(self.note_read_error(clock, err, ctx));
             }
         };
         ctx.close_stage(self, PipelineStage::DemandFill, clock.now());
@@ -853,6 +852,11 @@ impl CpFile {
 
         let max_pages = inner.config.max_prefetch_pages;
         let window = self.window_pages.load(Ordering::Relaxed);
+        let next_window = if pred.aggressive {
+            (window * 2).clamp(pred.prefetch_pages, max_pages)
+        } else {
+            pred.prefetch_pages.min(max_pages)
+        };
         match pred.direction {
             Direction::Forward => {
                 let frontier = self.fwd_frontier.load(Ordering::Relaxed);
@@ -867,11 +871,6 @@ impl CpFile {
                 if p1 < marker {
                     return; // plenty prefetched ahead already
                 }
-                let next_window = if pred.aggressive {
-                    (window * 2).clamp(pred.prefetch_pages, max_pages)
-                } else {
-                    pred.prefetch_pages.min(max_pages)
-                };
                 let target = p1 + next_window;
                 let start = frontier.max(p1);
                 if target > start {
@@ -892,11 +891,6 @@ impl CpFile {
                 if p0 > marker {
                     return;
                 }
-                let next_window = if pred.aggressive {
-                    (window * 2).clamp(pred.prefetch_pages, max_pages)
-                } else {
-                    pred.prefetch_pages.min(max_pages)
-                };
                 let target = p0.saturating_sub(next_window);
                 let end = frontier.min(p0);
                 if end > target {

@@ -17,13 +17,14 @@ use crate::config::{Features, Mode, RuntimeConfig};
 use crate::metrics::RuntimeMetrics;
 use crate::policy::{OpenAction, Policy};
 use crate::range_index::{BPlusRangeIndex, IndexStats, LockScope};
+use crate::read_path::FillMode;
 use crate::ring::{Flush, FlushReason, SpecRead, SubmissionQueue};
 use crate::span::{CrossLayerSink, SpanCollector, SpanKind};
 use crate::stats::LibStats;
 use crate::tenant::{AdmissionRung, TenantArbiter, TenantId, UNBOUND_TENANT};
 use crate::tiering::TierPlanner;
 use crate::trace::{LookupOutcome, TraceEventKind, TraceLog};
-use crate::worker::WorkerPool;
+use crate::worker::{Dispatch, WorkerPool};
 
 /// One staged prefetch run awaiting submission through the ring: a
 /// limit-sized sub-range of a planned prefetch, carrying everything the
@@ -93,6 +94,24 @@ pub(crate) const EVICT_TARGET: f64 = 0.25;
 pub(crate) const PREFETCH_RETRY_ATTEMPTS: u32 = 4;
 /// Initial retry backoff in virtual ns; doubles per attempt.
 pub(crate) const PREFETCH_RETRY_BACKOFF_NS: u64 = 100 * simclock::NS_PER_US;
+
+/// What one walk down [`Runtime::retry_ladder`] may spend.
+#[derive(Debug, Clone, Copy)]
+struct RetryBudget {
+    /// Device attempts in total (first try + retries).
+    attempts: u32,
+    /// Backoff after the first failure, in virtual ns; doubles per retry.
+    first_backoff_ns: u64,
+    /// Attempts the caller already made, and saw fail, before entering.
+    spent: u32,
+}
+
+/// The prefetch budget with nothing spent yet.
+const PREFETCH_RETRY: RetryBudget = RetryBudget {
+    attempts: PREFETCH_RETRY_ATTEMPTS,
+    first_backoff_ns: PREFETCH_RETRY_BACKOFF_NS,
+    spent: 0,
+};
 
 /// An open file handle through CROSS-LIB — the shim's `FILE*` analogue.
 ///
@@ -507,59 +526,101 @@ impl Runtime {
         let Some(planner) = &inner.planner else {
             return;
         };
-        let attempts = planner.config().promote_retry_attempts.max(1);
-        let first_backoff = planner.config().promote_retry_backoff_ns.max(1);
+        let budget = RetryBudget {
+            attempts: planner.config().promote_retry_attempts.max(1),
+            first_backoff_ns: planner.config().promote_retry_backoff_ns.max(1),
+            spent: 0,
+        };
         inner.stats.promotions_issued.incr();
         let runtime = self.clone();
         let file = Arc::clone(file);
         let est_ns = inner.os.config().costs.syscall_ns.max(1);
         let dispatch = inner.workers.dispatch(clock.now(), est_ns, move |wclock| {
-            let inner = &runtime.inner;
-            let mut backoff = first_backoff;
-            let mut attempt = 0u32;
-            loop {
-                attempt += 1;
-                match inner.os.try_promote_range(wclock, file.ino, start, pages) {
-                    Ok(newly) => {
-                        inner.stats.promotions_completed.incr();
-                        inner.stats.promotion_pages.add(newly);
-                        runtime.note_pages_initiated(&file, newly);
-                        break;
-                    }
-                    Err(_) if attempt >= attempts => {
-                        inner.stats.promotion_give_ups.incr();
-                        inner.trace.emit(
-                            wclock.now(),
-                            TraceEventKind::PrefetchAbandoned {
-                                ino: file.ino,
-                                start_page: start,
-                                pages,
-                            },
-                        );
-                        break;
-                    }
-                    Err(_) => {
-                        inner.stats.promotion_retries.incr();
-                        inner.trace.emit(
-                            wclock.now(),
-                            TraceEventKind::PrefetchRetry {
-                                ino: file.ino,
-                                start_page: start,
-                                pages,
-                                attempt,
-                            },
-                        );
-                        wclock.advance(backoff);
-                        crate::span::record_leaf(SpanKind::RetryBackoff, backoff, wclock.now());
-                        backoff = backoff.saturating_mul(2);
-                    }
+            let stats = &runtime.inner.stats;
+            let copied = runtime.retry_ladder(
+                wclock,
+                (file.ino, start, pages),
+                budget,
+                &stats.promotion_retries,
+                |wclock| {
+                    let os = &runtime.inner.os;
+                    os.try_promote_range(wclock, file.ino, start, pages).ok()
+                },
+            );
+            match copied {
+                Some(newly) => {
+                    stats.promotions_completed.incr();
+                    stats.promotion_pages.add(newly);
+                    runtime.note_pages_initiated(&file, newly);
                 }
+                None => stats.promotion_give_ups.incr(),
             }
         });
-        inner
-            .metrics
-            .worker_queue_ns
-            .record(dispatch.queue_wait_ns());
+        self.note_queue_wait(&dispatch);
+    }
+
+    /// The one retry ladder for background I/O that hit a transient
+    /// fault. Runs `attempt` until it yields a value; each `None` (a
+    /// transient failure) is counted in `retries`, traced as
+    /// `PrefetchRetry` with its 1-based attempt number, and followed by a
+    /// doubling virtual-time backoff. When `budget.attempts` are used up
+    /// the `(ino, start_page, pages)` range is traced `PrefetchAbandoned`
+    /// and the ladder returns `None`; what giving up costs is the
+    /// caller's to count.
+    fn retry_ladder<T>(
+        &self,
+        clock: &mut ThreadClock,
+        (ino, start_page, pages): (InodeId, u64, u64),
+        budget: RetryBudget,
+        retries: &simclock::Counter,
+        mut attempt: impl FnMut(&mut ThreadClock) -> Option<T>,
+    ) -> Option<T> {
+        let trace = &self.inner.trace;
+        let mut failed = budget.spent;
+        let mut backoff = budget.first_backoff_ns;
+        loop {
+            if failed >= budget.attempts {
+                let abandoned = TraceEventKind::PrefetchAbandoned {
+                    ino,
+                    start_page,
+                    pages,
+                };
+                trace.emit(clock.now(), abandoned);
+                return None;
+            }
+            if failed > 0 {
+                retries.incr();
+                let retry = TraceEventKind::PrefetchRetry {
+                    ino,
+                    start_page,
+                    pages,
+                    attempt: failed,
+                };
+                trace.emit(clock.now(), retry);
+                clock.advance(backoff);
+                crate::span::record_leaf(SpanKind::RetryBackoff, backoff, clock.now());
+                backoff = backoff.saturating_mul(2);
+            }
+            if let Some(done) = attempt(clock) {
+                return Some(done);
+            }
+            failed += 1;
+        }
+    }
+
+    /// Flips the one-way degradation latch (the kernel rejected
+    /// `readahead_info`), tracing the downgrade the first time only.
+    fn latch_degraded(&self, now_ns: u64, ino: InodeId) {
+        if !self.inner.degraded.swap(true, Ordering::Relaxed) {
+            let downgraded = TraceEventKind::VisibilityDowngraded { ino };
+            self.inner.trace.emit(now_ns, downgraded);
+        }
+    }
+
+    /// Books how long a job just handed to the worker pool sat queued.
+    fn note_queue_wait(&self, dispatch: &Dispatch) {
+        let waited = dispatch.queue_wait_ns();
+        self.inner.metrics.worker_queue_ns.record(waited);
     }
 
     /// Whether the tenant arbiter leaves room for a speculative ring
@@ -737,12 +798,9 @@ impl Runtime {
         let first_page = missing[0].0;
         let ino = file.ino;
         let dispatch = inner.workers.dispatch(clock.now(), est_ns, move |wclock| {
-            runtime.issue_prefetch(wclock, &file, &missing, relax, visibility, max_pages);
+            runtime.issue_prefetch(wclock, &file, &missing, relax, visibility, 0);
         });
-        inner
-            .metrics
-            .worker_queue_ns
-            .record(dispatch.queue_wait_ns());
+        self.note_queue_wait(&dispatch);
         inner.metrics.prefetch_ns.record(dispatch.latency_ns());
         if inner.trace.is_enabled() {
             inner.trace.emit(
@@ -904,10 +962,7 @@ impl Runtime {
             .dispatch_on(slot, at_ns, est_ns, move |wclock| {
                 runtime.issue_prefetch_batch(wclock, batch);
             });
-        inner
-            .metrics
-            .worker_queue_ns
-            .record(dispatch.queue_wait_ns());
+        self.note_queue_wait(&dispatch);
         inner.metrics.prefetch_ns.record(dispatch.latency_ns());
         crate::span::record_leaf(SpanKind::BatchFlush, dispatch.latency_ns(), dispatch.end_ns);
     }
@@ -920,29 +975,15 @@ impl Runtime {
     /// latch and re-issues every staged run through the unbatched path,
     /// which then goes blind.
     fn issue_prefetch_batch(&self, clock: &mut ThreadClock, batch: Vec<BatchedRun>) {
-        let inner = &self.inner;
-        let max_pages = inner.config.max_prefetch_pages;
         let entries = self.batch_entries(&batch);
-        match inner.os.try_readahead_batch(clock, &entries) {
+        match self.inner.os.try_readahead_batch(clock, &entries) {
             Ok(completions) => self.apply_batch_completions(clock, &batch, &completions),
             Err(_) => {
-                if !inner.degraded.swap(true, Ordering::Relaxed) {
-                    if let Some(run) = batch.first() {
-                        inner.trace.emit(
-                            clock.now(),
-                            TraceEventKind::VisibilityDowngraded { ino: run.file.ino },
-                        );
-                    }
+                if let Some(run) = batch.first() {
+                    self.latch_degraded(clock.now(), run.file.ino);
                 }
                 for run in &batch {
-                    self.issue_prefetch(
-                        clock,
-                        &run.file,
-                        &[(run.start, run.end)],
-                        run.relax,
-                        true,
-                        max_pages,
-                    );
+                    self.reissue_run(clock, run, 0);
                 }
             }
         }
@@ -972,8 +1013,8 @@ impl Runtime {
 
     /// Per-entry completion handling for a vectored submission: merged
     /// accounting, user-view import, and the transient-failure retry
-    /// ladder (the vectored submission counts as each entry's first
-    /// attempt).
+    /// ladder, entered with one attempt spent — the vectored submission
+    /// was each entry's first.
     fn apply_batch_completions(
         &self,
         clock: &mut ThreadClock,
@@ -982,36 +1023,12 @@ impl Runtime {
     ) {
         let inner = &self.inner;
         let costs = &inner.os.config().costs;
-        let max_pages = inner.config.max_prefetch_pages;
         for (run, done) in batch.iter().zip(completions) {
             if done.merged {
                 inner.stats.batch_runs_merged.incr();
             }
             if done.error.is_some() {
-                inner.stats.prefetch_retries.incr();
-                inner.trace.emit(
-                    clock.now(),
-                    TraceEventKind::PrefetchRetry {
-                        ino: run.file.ino,
-                        start_page: run.start,
-                        pages: run.end - run.start,
-                        attempt: 1,
-                    },
-                );
-                clock.advance(PREFETCH_RETRY_BACKOFF_NS);
-                crate::span::record_leaf(
-                    SpanKind::RetryBackoff,
-                    PREFETCH_RETRY_BACKOFF_NS,
-                    clock.now(),
-                );
-                self.issue_prefetch(
-                    clock,
-                    &run.file,
-                    &[(run.start, run.end)],
-                    run.relax,
-                    true,
-                    max_pages,
-                );
+                self.reissue_run(clock, run, 1);
                 continue;
             }
             self.note_pages_initiated(&run.file, done.initiated_pages);
@@ -1043,10 +1060,7 @@ impl Runtime {
         let dispatch = inner.workers.dispatch(clock.now(), 0, move |wclock| {
             runtime.apply_batch_completions(wclock, &staged, &completions);
         });
-        inner
-            .metrics
-            .worker_queue_ns
-            .record(dispatch.queue_wait_ns());
+        self.note_queue_wait(&dispatch);
         // Measured on the detached worker timeline: attach as an async
         // child, never on the demand read's critical path.
         crate::span::suspended(|| {
@@ -1064,26 +1078,21 @@ impl Runtime {
     /// prefetch is lost.
     fn ring_degrade(&self, clock: &mut ThreadClock, staged: Vec<BatchedRun>, ino: InodeId) {
         let inner = &self.inner;
-        if !inner.degraded.swap(true, Ordering::Relaxed) {
-            inner
-                .trace
-                .emit(clock.now(), TraceEventKind::VisibilityDowngraded { ino });
-        }
-        let max_pages = inner.config.max_prefetch_pages;
+        self.latch_degraded(clock.now(), ino);
         let est_ns = inner.os.config().costs.syscall_ns;
         for run in staged {
             let runtime = self.clone();
             inner.workers.dispatch(clock.now(), est_ns, move |wclock| {
-                runtime.issue_prefetch(
-                    wclock,
-                    &run.file,
-                    &[(run.start, run.end)],
-                    run.relax,
-                    true,
-                    max_pages,
-                );
+                runtime.reissue_run(wclock, &run, 0);
             });
         }
+    }
+
+    /// Sends one staged run down the unbatched worker path instead, with
+    /// `spent` attempts already made on it by a vectored submission.
+    fn reissue_run(&self, clock: &mut ThreadClock, run: &BatchedRun, spent: u32) {
+        let range = [(run.start, run.end)];
+        self.issue_prefetch(clock, &run.file, &range, run.relax, true, spent);
     }
 
     /// Worker half: actually issue the prefetch syscalls.
@@ -1091,11 +1100,12 @@ impl Runtime {
     /// Every attempt goes through the fallible OS surface, so injected
     /// faults reach the degradation ladder:
     ///
-    /// * a transient device error (`IoError::Io`) is retried after
-    ///   exponential backoff in virtual time, up to
-    ///   [`PREFETCH_RETRY_ATTEMPTS`] tries; exhaustion
-    ///   abandons the chunk *without* marking it in the user-level view,
-    ///   so later reads demand-fetch it correctly;
+    /// * a transient device error (`IoError::Io`) walks
+    ///   [`Runtime::retry_ladder`] with the prefetch budget
+    ///   ([`PREFETCH_RETRY_ATTEMPTS`] tries, `spent` of them already made
+    ///   by the caller); exhaustion abandons the chunk *without* marking
+    ///   it in the user-level view, so later reads demand-fetch it
+    ///   correctly;
     /// * `IoError::Unsupported` from `readahead_info` (a stock kernel
     ///   without CROSS-OS) flips the runtime-wide one-way `degraded`
     ///   latch and re-issues the same chunk as blind `readahead(2)`.
@@ -1106,14 +1116,19 @@ impl Runtime {
         missing: &[(u64, u64)],
         relax: bool,
         visibility: bool,
-        max_pages: u64,
+        spent: u32,
     ) {
         let inner = &self.inner;
         let costs = &inner.os.config().costs;
         let os_cap = inner.os.config().ra_max_pages;
+        let max_pages = inner.config.max_prefetch_pages;
+        let budget = RetryBudget {
+            spent,
+            ..PREFETCH_RETRY
+        };
         for &(start, end) in missing {
             let mut cursor = start;
-            'chunks: while cursor < end {
+            while cursor < end {
                 let span = end - cursor;
                 let use_info = visibility && !inner.degraded.load(Ordering::Relaxed);
                 // Blind readahead(2) initiates at most one OS window per
@@ -1124,10 +1139,7 @@ impl Runtime {
                 } else {
                     span.min(os_cap)
                 };
-                let mut attempt: u32 = 0;
-                let mut backoff = PREFETCH_RETRY_BACKOFF_NS;
-                loop {
-                    attempt += 1;
+                let attempt = |clock: &mut ThreadClock| {
                     let outcome = if use_info {
                         let req = RaInfoRequest::prefetch(cursor * PAGE_SIZE, chunk * PAGE_SIZE)
                             .with_limit_pages(if relax { chunk } else { os_cap });
@@ -1163,45 +1175,23 @@ impl Runtime {
                             .map(|initiated| self.note_pages_initiated(file, initiated))
                     };
                     match outcome {
-                        Ok(()) => break,
+                        Ok(()) => Some(true),
                         Err(IoError::Unsupported) if use_info => {
-                            if !inner.degraded.swap(true, Ordering::Relaxed) {
-                                inner.trace.emit(
-                                    clock.now(),
-                                    TraceEventKind::VisibilityDowngraded { ino: file.ino },
-                                );
-                            }
-                            // Same cursor, recomputed as a blind chunk.
-                            continue 'chunks;
+                            self.latch_degraded(clock.now(), file.ino);
+                            Some(false)
                         }
-                        Err(_) => {
-                            if attempt >= PREFETCH_RETRY_ATTEMPTS {
-                                inner.stats.prefetch_give_ups.incr();
-                                inner.stats.pages_abandoned.add(chunk);
-                                inner.trace.emit(
-                                    clock.now(),
-                                    TraceEventKind::PrefetchAbandoned {
-                                        ino: file.ino,
-                                        start_page: cursor,
-                                        pages: chunk,
-                                    },
-                                );
-                                break;
-                            }
-                            inner.stats.prefetch_retries.incr();
-                            inner.trace.emit(
-                                clock.now(),
-                                TraceEventKind::PrefetchRetry {
-                                    ino: file.ino,
-                                    start_page: cursor,
-                                    pages: chunk,
-                                    attempt,
-                                },
-                            );
-                            clock.advance(backoff);
-                            crate::span::record_leaf(SpanKind::RetryBackoff, backoff, clock.now());
-                            backoff = backoff.saturating_mul(2);
-                        }
+                        Err(_) => None,
+                    }
+                };
+                let range = (file.ino, cursor, chunk);
+                let retries = &inner.stats.prefetch_retries;
+                match self.retry_ladder(clock, range, budget, retries, attempt) {
+                    Some(true) => {}
+                    // Downgraded: same cursor, recomputed as a blind chunk.
+                    Some(false) => continue,
+                    None => {
+                        inner.stats.prefetch_give_ups.incr();
+                        inner.stats.pages_abandoned.add(chunk);
                     }
                 }
                 cursor += chunk;
@@ -1368,7 +1358,12 @@ impl CpFile {
 
     /// Reads `len` bytes at `offset`, returning content.
     pub fn read(&self, clock: &mut ThreadClock, offset: u64, len: u64) -> Vec<u8> {
-        let (outcome, _) = self.pipeline_read(clock, offset, len, false);
+        let outcome = self.read_charge(clock, offset, len);
+        self.fetch(offset, outcome)
+    }
+
+    /// The content tail of a read whose charge delivered `outcome`.
+    fn fetch(&self, offset: u64, outcome: ReadOutcome) -> Vec<u8> {
         let mut buf = vec![0u8; outcome.bytes as usize];
         if outcome.bytes > 0 {
             self.runtime
@@ -1376,6 +1371,16 @@ impl CpFile {
                 .fetch_content(self.file.ino, offset, &mut buf);
         }
         buf
+    }
+
+    /// The content tail of a write whose charge absorbed `written` bytes.
+    fn store(&self, offset: u64, data: &[u8], written: u64) -> u64 {
+        if written > 0 {
+            self.runtime
+                .os()
+                .store_content(self.file.ino, offset, &data[..written as usize]);
+        }
+        written
     }
 
     /// Fallible read, timing only: like [`CpFile::read_charge`] but the
@@ -1411,13 +1416,7 @@ impl CpFile {
         len: u64,
     ) -> Result<Vec<u8>, IoError> {
         let outcome = self.try_read_charge(clock, offset, len)?;
-        let mut buf = vec![0u8; outcome.bytes as usize];
-        if outcome.bytes > 0 {
-            self.runtime
-                .os()
-                .fetch_content(self.file.ino, offset, &mut buf);
-        }
-        Ok(buf)
+        Ok(self.fetch(offset, outcome))
     }
 
     /// Writes `len` bytes at `offset`, timing only.
@@ -1427,14 +1426,8 @@ impl CpFile {
 
     /// Writes content at `offset`.
     pub fn write(&self, clock: &mut ThreadClock, offset: u64, data: &[u8]) -> u64 {
-        let written = self
-            .pipeline_read(clock, offset, data.len() as u64, true)
-            .0
-            .bytes;
-        if written > 0 {
-            self.runtime.os().store_content(self.file.ino, offset, data);
-        }
-        written
+        let written = self.write_charge(clock, offset, data.len() as u64);
+        self.store(offset, data, written)
     }
 
     /// Fallible write, timing only: the read-modify-write head/tail
@@ -1468,12 +1461,7 @@ impl CpFile {
         data: &[u8],
     ) -> Result<u64, IoError> {
         let written = self.try_write_charge(clock, offset, data.len() as u64)?;
-        if written > 0 {
-            self.runtime
-                .os()
-                .store_content(self.file.ino, offset, &data[..written as usize]);
-        }
-        Ok(written)
+        Ok(self.store(offset, data, written))
     }
 
     /// `fsync` passthrough.
@@ -1556,62 +1544,29 @@ impl CpFile {
         (staged, entries)
     }
 
-    /// Infallible demand ring crossing: the miss and any staged prefetch
-    /// runs cross as one vectored `read_batch` call. An `Unsupported`
-    /// kernel latches degradation, re-issues the staged runs through the
-    /// blind path, and falls back to the plain read.
-    pub(crate) fn ring_fill(&self, clock: &mut ThreadClock, offset: u64, len: u64) -> ReadOutcome {
-        let (staged, entries) = self.ring_stage();
-        let demand = [ReadBatchEntry::new(self.fd, offset, len)];
-        match self.runtime.inner.os.read_batch(clock, &demand, &entries) {
-            Ok((mut outcomes, completions)) => {
-                self.runtime
-                    .finish_ring_crossing(clock, staged, completions);
-                outcomes.pop().unwrap_or_default()
-            }
-            Err(_) => {
-                self.runtime.ring_degrade(clock, staged, self.file.ino);
-                self.runtime
-                    .inner
-                    .os
-                    .read_charge(clock, self.fd, offset, len)
-            }
-        }
-    }
-
-    /// Fallible demand ring crossing (see [`CpFile::ring_fill`]); a
+    /// Demand ring crossing: the miss and any staged prefetch runs cross
+    /// as one vectored `read_batch` call, under `F`'s fault discipline — a
     /// transient device fault in the demand portion surfaces to the
     /// caller while the piggybacked prefetch completions still process.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`IoError::Io`] when the device fault plan injects an EIO
-    /// into the demand-class portion of the crossing.
-    pub(crate) fn try_ring_fill(
+    /// An `Unsupported` kernel latches degradation, re-issues the staged
+    /// runs through the blind path, and falls back to the plain read.
+    pub(crate) fn ring_fill<F: FillMode>(
         &self,
         clock: &mut ThreadClock,
         offset: u64,
         len: u64,
-    ) -> Result<ReadOutcome, IoError> {
+    ) -> Result<ReadOutcome, F::Error> {
         let (staged, entries) = self.ring_stage();
-        let demand = [ReadBatchEntry::new(self.fd, offset, len)];
-        match self
-            .runtime
-            .inner
-            .os
-            .try_read_batch(clock, &demand, &entries)
-        {
-            Ok((mut outcomes, completions)) => {
+        let demand = ReadBatchEntry::new(self.fd, offset, len);
+        match F::ring_cross(&self.runtime.inner.os, clock, demand, &entries) {
+            Ok((outcome, completions)) => {
                 self.runtime
                     .finish_ring_crossing(clock, staged, completions);
-                outcomes.pop().unwrap_or(Ok(ReadOutcome::default()))
+                outcome
             }
             Err(_) => {
                 self.runtime.ring_degrade(clock, staged, self.file.ino);
-                self.runtime
-                    .inner
-                    .os
-                    .try_read_charge(clock, self.fd, offset, len)
+                F::fill(self, clock, offset, len)
             }
         }
     }
@@ -1680,9 +1635,9 @@ impl CpFile {
     /// (Foreactor style): worth it only when the whole target is still
     /// missing from the user view — partial coverage means the normal
     /// prefetch stream is already on it — and no staged batch overlaps
-    /// it. The read runs on the worker pool with the standard transient
-    /// retry ladder; an `Unsupported` kernel latches degradation and
-    /// aborts the speculation.
+    /// it. The read runs on the worker pool on [`Runtime::retry_ladder`]
+    /// with the prefetch budget; an `Unsupported` kernel latches
+    /// degradation and aborts the speculation.
     pub(crate) fn maybe_issue_spec(&self, clock: &mut ThreadClock, start_page: u64, end_page: u64) {
         let inner = &self.runtime.inner;
         if start_page >= end_page || self.spec.lock().is_some() {
@@ -1722,61 +1677,40 @@ impl CpFile {
         let est_ns = costs.syscall_ns;
         let dispatch = inner.workers.dispatch(clock.now(), est_ns, |wclock| {
             let demand = [ReadBatchEntry::new(self.fd, offset, len)];
-            let mut attempt: u32 = 0;
-            let mut backoff = PREFETCH_RETRY_BACKOFF_NS;
-            loop {
-                attempt += 1;
+            let range = (ino, start_page, end_page - start_page);
+            let retries = &inner.stats.prefetch_retries;
+            let attempt = |wclock: &mut ThreadClock| {
                 match inner.os.try_read_batch(wclock, &demand, &[]) {
                     Ok((mut outcomes, _)) => match outcomes.pop() {
-                        Some(Ok(outcome)) => {
-                            *self.spec.lock() = Some(SpecRead {
-                                offset,
-                                len,
-                                outcome,
-                                ready_ns: wclock.now(),
-                            });
-                            return;
-                        }
-                        // Transient demand-class fault: retry below.
-                        // Pages the failed fill completed stay cached
-                        // (plain, uncharged), so dropping the
-                        // speculation on exhaustion loses nothing.
-                        Some(Err(_)) => {}
-                        None => return,
+                        Some(Ok(outcome)) => Some(Some(SpecRead {
+                            offset,
+                            len,
+                            outcome,
+                            ready_ns: wclock.now(),
+                        })),
+                        // Transient demand-class fault: retry. Pages the
+                        // failed fill completed stay cached (plain,
+                        // uncharged), so dropping the speculation on
+                        // exhaustion loses nothing.
+                        Some(Err(_)) => None,
+                        None => Some(None),
                     },
                     Err(_) => {
                         // Unsupported kernel: the ring is gone; latch the
                         // one-way downgrade and abort the speculation.
-                        if !inner.degraded.swap(true, Ordering::Relaxed) {
-                            inner
-                                .trace
-                                .emit(wclock.now(), TraceEventKind::VisibilityDowngraded { ino });
-                        }
-                        return;
+                        self.runtime.latch_degraded(wclock.now(), ino);
+                        Some(None)
                     }
                 }
-                if attempt >= PREFETCH_RETRY_ATTEMPTS {
-                    return;
-                }
-                inner.stats.prefetch_retries.incr();
-                inner.trace.emit(
-                    wclock.now(),
-                    TraceEventKind::PrefetchRetry {
-                        ino,
-                        start_page,
-                        pages: end_page - start_page,
-                        attempt,
-                    },
-                );
-                wclock.advance(backoff);
-                crate::span::record_leaf(SpanKind::RetryBackoff, backoff, wclock.now());
-                backoff = backoff.saturating_mul(2);
+            };
+            let spec = self
+                .runtime
+                .retry_ladder(wclock, range, PREFETCH_RETRY, retries, attempt);
+            if let Some(spec) = spec.flatten() {
+                *self.spec.lock() = Some(spec);
             }
         });
-        inner
-            .metrics
-            .worker_queue_ns
-            .record(dispatch.queue_wait_ns());
+        self.runtime.note_queue_wait(&dispatch);
         crate::span::record_leaf(SpanKind::RingSubmit, dispatch.latency_ns(), dispatch.end_ns);
     }
 
@@ -1837,10 +1771,7 @@ impl CpFile {
             let pairs = self.engine.lock().mine();
             wclock.advance(step_ns.saturating_mul(pairs.max(1)));
         });
-        inner
-            .metrics
-            .worker_queue_ns
-            .record(dispatch.queue_wait_ns());
+        self.runtime.note_queue_wait(&dispatch);
     }
 
     /// Feeds the per-file timely/late/wasted delta to engines that learn

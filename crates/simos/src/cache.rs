@@ -11,7 +11,7 @@
 //! lock taken by regular I/O and by baseline prefetching; `bitmap_lock`
 //! models the CROSS-OS bitmap rw-lock taken by `readahead_info`.
 
-use parking_lot::RwLock;
+use parking_lot::{Mutex, MutexGuard, RwLock};
 use simclock::{Counter, RwContention};
 use simfs::InodeId;
 
@@ -479,6 +479,10 @@ pub struct InodeCache {
     pub hits: Counter,
     /// Page-cache misses observed for this file.
     pub misses: Counter,
+    /// Serializes prefetch fills of this inode in real time, scan through
+    /// publish, so two prefetchers never both fetch a page each saw
+    /// missing. Not a modelled lock: it charges no virtual time.
+    pub(crate) fill_guard: Mutex<()>,
 }
 
 impl InodeCache {
@@ -491,7 +495,22 @@ impl InodeCache {
             bitmap_lock: RwContention::new("cross-bitmap"),
             hits: Counter::new(),
             misses: Counter::new(),
+            fill_guard: Mutex::new(()),
         }
+    }
+
+    /// Opens a prefetch fill of `[start, end)`: takes the fill guard and
+    /// scans for the missing runs under it. The guard travels with the
+    /// fill until its pages are published (or it is abandoned), so a
+    /// concurrent prefetcher's scan sees them present.
+    pub(crate) fn scan_missing(
+        &self,
+        start: u64,
+        end: u64,
+    ) -> (MutexGuard<'_, ()>, Vec<PageRange>) {
+        let fill = self.fill_guard.lock();
+        let missing = self.state.read().missing_runs(start, end);
+        (fill, missing)
     }
 
     /// Hit ratio in `[0, 1]`, or 1.0 when no accesses were recorded.

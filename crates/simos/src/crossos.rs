@@ -15,12 +15,13 @@
 
 use std::sync::Arc;
 
+use parking_lot::MutexGuard;
 use simclock::ThreadClock;
-use simstore::IoPriority;
+use simstore::{Device, DeviceError, IoPriority};
 
-use crate::cache::PAGES_PER_WORD;
+use crate::cache::{InodeCache, PageRange, PAGES_PER_WORD};
 use crate::error::IoError;
-use crate::os::{Fd, Os, PAGE_SIZE};
+use crate::os::{into_ok, FaultMode, Fd, MayFault, NeverFault, Os, PAGE_SIZE};
 use crate::trace::OsSpanKind;
 use simfs::InodeId;
 
@@ -150,7 +151,7 @@ impl Os {
     /// # Ok::<(), simos::FsError>(())
     /// ```
     pub fn readahead_info(&self, clock: &mut ThreadClock, fd: Fd, req: RaInfoRequest) -> RaInfo {
-        crate::os::into_ok(self.readahead_info_impl::<crate::os::NeverFault>(clock, fd, req))
+        into_ok(self.readahead_info_impl::<NeverFault>(clock, fd, req))
     }
 
     /// Fallible variant of [`Os::readahead_info`].
@@ -175,16 +176,11 @@ impl Os {
         fd: Fd,
         req: RaInfoRequest,
     ) -> Result<RaInfo, IoError> {
-        if !self.config().readahead_info_supported {
-            clock.advance(self.config().costs.syscall_ns);
-            self.stats().syscalls.incr();
-            self.stats().ra_info_unsupported.incr();
-            return Err(IoError::Unsupported);
-        }
-        self.readahead_info_impl::<crate::os::MayFault>(clock, fd, req)
+        self.probe_cross_os(clock)?;
+        self.readahead_info_impl::<MayFault>(clock, fd, req)
     }
 
-    fn readahead_info_impl<F: crate::os::FaultMode>(
+    fn readahead_info_impl<F: FaultMode>(
         &self,
         clock: &mut ThreadClock,
         fd: Fd,
@@ -203,21 +199,11 @@ impl Os {
         let p1 = ((req.offset + req.len).div_ceil(PAGE_SIZE)).min(file_pages);
 
         // Fast path: bitmap scan under the bitmap read lock.
-        let spans = self.span_sink();
-        let scan_access = cache
+        let scan = cache
             .bitmap_lock
             .read(clock.now(), costs.bitmap_scan_ns(p1.saturating_sub(p0)));
-        clock.advance_to(scan_access.end_ns);
-        if scan_access.wait_ns > 0 {
-            if let Some(sink) = spans {
-                sink.emit_os_span(
-                    scan_access.end_ns,
-                    OsSpanKind::BitmapLockWait,
-                    scan_access.wait_ns,
-                );
-            }
-        }
-        let missing = cache.state.read().missing_runs(p0, p1);
+        self.settle_lock(clock, scan, OsSpanKind::BitmapLockWait);
+        let (fill, missing) = cache.scan_missing(p0, p1);
         let range_pages = p1.saturating_sub(p0);
         let missing_pages: u64 = missing.iter().map(|&(s, e)| e - s).sum();
         let cached_pages = range_pages - missing_pages;
@@ -225,84 +211,16 @@ impl Os {
         let mut initiated = 0;
         let mut ready_at = 0;
         if !req.query_only && missing_pages > 0 {
-            let cap = req
-                .limit_pages
-                .unwrap_or(self.config().ra_max_pages)
-                .min(self.config().crossos_max_prefetch_pages)
-                .max(1);
-            // Take missing runs front-to-back until the cap is consumed.
-            let mut budget = cap;
-            let mut scheduled: Vec<(u64, u64)> = Vec::new();
-            for &(s, e) in &missing {
-                if budget == 0 {
-                    break;
-                }
-                let take = (e - s).min(budget);
-                scheduled.push((s, s + take));
-                budget -= take;
-            }
-
-            // Device I/O proceeds off the caller's critical path. Large
-            // transfers complete *progressively*: charge the device in
-            // VFS-request-sized chunks and record each chunk's own
-            // completion, so readers consume the front of a big prefetch
-            // while its tail is still in flight.
-            let mut io_clock = ThreadClock::detached_at(Arc::clone(self.global()), clock.now());
-            let chunk_pages = (self.device().config().max_request_bytes / PAGE_SIZE).max(1);
-            let mut chunk_ready: Vec<(u64, u64, u64)> = Vec::new();
-            for &(s, e) in &scheduled {
-                let mut cursor = s;
-                while cursor < e {
-                    let upto = (cursor + chunk_pages).min(e);
-                    let before = io_clock.now();
-                    // All-or-nothing: nothing has been inserted or
-                    // published yet, so propagating here leaves the
-                    // bitmap and tree exactly as before the call.
-                    self.charge_read_runs::<F>(
-                        &mut io_clock,
-                        entry.ino,
-                        cursor,
-                        upto - cursor,
-                        IoPriority::Prefetch,
-                    )?;
-                    push_interpolated_ready(&mut chunk_ready, cursor, upto, before, io_clock.now());
-                    cursor = upto;
-                }
-            }
-            ready_at = io_clock.now();
-            if ready_at > clock.now() {
-                if let Some(sink) = spans {
-                    sink.emit_os_span(ready_at, OsSpanKind::DevicePrefetch, ready_at - clock.now());
-                }
-            }
-
-            // Publish once after the entire walk (write side, short hold).
-            let publish_hold = costs.bitmap_lock_hold_ns
-                + costs.bitmap_scan_ns(scheduled.iter().map(|&(s, e)| e - s).sum());
-            let publish = cache.bitmap_lock.write(clock.now(), publish_hold);
-            clock.advance_to(publish.end_ns);
-            if publish.wait_ns > 0 {
-                if let Some(sink) = spans {
-                    sink.emit_os_span(publish.end_ns, OsSpanKind::BitmapLockWait, publish.wait_ns);
-                }
-            }
-
-            // Bias the recency of readahead pages slightly into the future:
-            // a page prefetched-but-not-yet-read must outrank just-consumed
-            // stream history in the LRU, or reclaim cannibalizes the window
-            // right before the reader arrives (the classic use-once-scan
-            // pathology; Linux protects readahead pages similarly).
-            let touch = clock.now() + PREFETCH_TOUCH_BIAS_NS;
-            {
-                let mut state = cache.state.write();
-                for &(s, e, ready) in &chunk_ready {
-                    initiated += state.insert_range_prefetched(s, e, touch, ready);
-                }
-            }
-            self.stats().prefetched_pages.add(initiated);
-            if self.mem().note_inserted(initiated) {
-                self.reclaim(clock);
-            }
+            let scheduled = clamp_to_budget(&missing, self.prefetch_cap(req.limit_pages));
+            // All-or-nothing: nothing has been inserted or published yet,
+            // so propagating a fault here leaves the bitmap and tree
+            // exactly as before the call.
+            let ready = self.charge_prefetch_progressive::<F>(clock, entry.ino, &scheduled)?;
+            ready_at = ready.last().map_or(0, |piece| piece.2);
+            let pages = scheduled.iter().map(|&(s, e)| e - s).sum();
+            initiated = self.publish_bitmap(clock, &cache, fill, pages, &ready);
+        } else {
+            drop(fill);
         }
 
         // Export the bitmap window, coarsened per the requested shift (one
@@ -347,6 +265,167 @@ impl Os {
             file_hits: cache.hits.get(),
             file_misses: cache.misses.get(),
         })
+    }
+}
+
+/// One published piece of a prefetch fill: pages `[start, end)` whose
+/// device transfer completes at `ready_ns`.
+pub(crate) type ReadyPiece = (u64, u64, u64);
+
+/// Takes missing runs front to back until `budget` pages are consumed.
+fn clamp_to_budget(missing: &[PageRange], mut budget: u64) -> Vec<PageRange> {
+    let mut scheduled = Vec::new();
+    for &(s, e) in missing {
+        if budget == 0 {
+            break;
+        }
+        let take = (e - s).min(budget);
+        scheduled.push((s, s + take));
+        budget -= take;
+    }
+    scheduled
+}
+
+/// The steps every prefetch path shares. The direct paths
+/// (`readahead_info`, baseline tree prefetch) and the vectored batch body
+/// differ in which of the two device charges below they make.
+impl Os {
+    /// The failed `ENOSYS` probe of a stock kernel: one crossing, counted,
+    /// and the permanent [`IoError::Unsupported`].
+    fn probe_cross_os(&self, clock: &mut ThreadClock) -> Result<(), IoError> {
+        if self.config().readahead_info_supported {
+            return Ok(());
+        }
+        clock.advance(self.config().costs.syscall_ns);
+        self.stats().syscalls.incr();
+        self.stats().ra_info_unsupported.incr();
+        Err(IoError::Unsupported)
+    }
+
+    /// Page limit of one prefetch request: the §4.7 override or the OS
+    /// readahead cap, clamped to the CROSS-OS ceiling.
+    fn prefetch_cap(&self, limit_pages: Option<u64>) -> u64 {
+        limit_pages
+            .unwrap_or(self.config().ra_max_pages)
+            .min(self.config().crossos_max_prefetch_pages)
+            .max(1)
+    }
+
+    /// The direct paths' device charge. I/O proceeds off the caller's
+    /// critical path, on a clock detached at `clock`'s now, and large
+    /// transfers complete *progressively*: the device is charged in
+    /// VFS-request-sized chunks and each chunk's own completion recorded,
+    /// so readers consume the front of a big prefetch while its tail is
+    /// still in flight. Returns the pieces to publish; the last one's
+    /// readiness is when the whole transfer lands.
+    pub(crate) fn charge_prefetch_progressive<F: FaultMode>(
+        &self,
+        clock: &ThreadClock,
+        ino: InodeId,
+        scheduled: &[PageRange],
+    ) -> Result<Vec<ReadyPiece>, F::Error> {
+        let mut io_clock = ThreadClock::detached_at(Arc::clone(self.global()), clock.now());
+        let chunk_pages = (self.device().config().max_request_bytes / PAGE_SIZE).max(1);
+        let mut ready = Vec::new();
+        for &(s, e) in scheduled {
+            let mut cursor = s;
+            while cursor < e {
+                let upto = (cursor + chunk_pages).min(e);
+                let before = io_clock.now();
+                self.charge_read_runs::<F>(
+                    &mut io_clock,
+                    ino,
+                    cursor,
+                    upto - cursor,
+                    IoPriority::Prefetch,
+                )?;
+                push_interpolated_ready(&mut ready, cursor, upto, before, io_clock.now());
+                cursor = upto;
+            }
+        }
+        let done_ns = io_clock.now();
+        if done_ns > clock.now() {
+            if let Some(sink) = self.span_sink() {
+                sink.emit_os_span(done_ns, OsSpanKind::DevicePrefetch, done_ns - clock.now());
+            }
+        }
+        Ok(ready)
+    }
+
+    /// The batch body's device charge: one vectored submission per device
+    /// touched carries all of the run's physical extents — one fixed
+    /// latency, one congestion check, one fault draw each — the default
+    /// (local) device first, a single submission when un-tiered.
+    fn charge_prefetch_vectored(
+        &self,
+        io_clock: &mut ThreadClock,
+        ino: InodeId,
+        scheduled: &[PageRange],
+    ) -> Result<(), DeviceError> {
+        let mut per_device: Vec<(&Arc<Device>, Vec<u64>)> = vec![(self.device(), Vec::new())];
+        for &(s, e) in scheduled {
+            into_ok(self.route_extents(ino, s, e - s, |device, blocks| {
+                match per_device.iter_mut().find(|(d, _)| Arc::ptr_eq(d, device)) {
+                    Some((_, runs)) => runs.push(blocks),
+                    None => per_device.push((device, vec![blocks])),
+                }
+                Ok(())
+            }));
+        }
+        for (device, runs) in per_device {
+            device.try_charge_read_vectored(io_clock, &runs, IoPriority::Prefetch)?;
+        }
+        Ok(())
+    }
+
+    /// CROSS-OS publish: takes the bitmap lock (write side, short hold)
+    /// once after the entire walk of `pages` scheduled pages, then
+    /// publishes.
+    fn publish_bitmap(
+        &self,
+        clock: &mut ThreadClock,
+        cache: &InodeCache,
+        fill: MutexGuard<'_, ()>,
+        pages: u64,
+        ready: &[ReadyPiece],
+    ) -> u64 {
+        let costs = &self.config().costs;
+        let hold = costs.bitmap_lock_hold_ns + costs.bitmap_scan_ns(pages);
+        let publish = cache.bitmap_lock.write(clock.now(), hold);
+        self.settle_lock(clock, publish, OsSpanKind::BitmapLockWait);
+        self.publish_prefetched(clock, cache, fill, ready)
+    }
+
+    /// The tail of every prefetch fill: inserts the `(start, end,
+    /// ready_ns)` pieces as prefetched pages, closes the fill, and accounts
+    /// the newly resident pages (reclaiming if that crossed the budget).
+    /// Returns the pages newly inserted.
+    pub(crate) fn publish_prefetched(
+        &self,
+        clock: &mut ThreadClock,
+        cache: &InodeCache,
+        fill: MutexGuard<'_, ()>,
+        ready: &[ReadyPiece],
+    ) -> u64 {
+        // Bias the recency of readahead pages slightly into the future:
+        // a page prefetched-but-not-yet-read must outrank just-consumed
+        // stream history in the LRU, or reclaim cannibalizes the window
+        // right before the reader arrives (the classic use-once-scan
+        // pathology; Linux protects readahead pages similarly).
+        let touch = clock.now() + PREFETCH_TOUCH_BIAS_NS;
+        let mut newly = 0;
+        {
+            let mut state = cache.state.write();
+            for &(s, e, ready_ns) in ready {
+                newly += state.insert_range_prefetched(s, e, touch, ready_ns);
+            }
+        }
+        drop(fill);
+        self.stats().prefetched_pages.add(newly);
+        if self.mem().note_inserted(newly) {
+            self.reclaim(clock);
+        }
+        newly
     }
 }
 
@@ -471,12 +550,7 @@ impl Os {
         clock: &mut ThreadClock,
         entries: &[RaBatchEntry],
     ) -> Result<Vec<RaBatchCompletion>, IoError> {
-        if !self.config().readahead_info_supported {
-            clock.advance(self.config().costs.syscall_ns);
-            self.stats().syscalls.incr();
-            self.stats().ra_info_unsupported.incr();
-            return Err(IoError::Unsupported);
-        }
+        self.probe_cross_os(clock)?;
         clock.advance(self.config().costs.syscall_ns);
         self.stats().syscalls.incr();
         self.stats().ra_batch_calls.incr();
@@ -505,11 +579,7 @@ impl Os {
             let file_pages = self.fs().size(ino).div_ceil(PAGE_SIZE);
             let p0 = (entry.offset / PAGE_SIZE).min(file_pages);
             let p1 = ((entry.offset + entry.len).div_ceil(PAGE_SIZE)).min(file_pages);
-            let cap = entry
-                .limit_pages
-                .unwrap_or(self.config().ra_max_pages)
-                .min(self.config().crossos_max_prefetch_pages)
-                .max(1);
+            let cap = self.prefetch_cap(entry.limit_pages);
             let gi = inodes.iter().position(|&i| i == ino).unwrap_or_else(|| {
                 inodes.push(ino);
                 groups.push(Vec::new());
@@ -558,14 +628,12 @@ impl Os {
             let scan = cache
                 .bitmap_lock
                 .read(clock.now(), costs.bitmap_scan_ns(scan_pages));
-            clock.advance_to(scan.end_ns);
-            if scan.wait_ns > 0 {
-                if let Some(sink) = spans {
-                    sink.emit_os_span(scan.end_ns, OsSpanKind::BitmapLockWait, scan.wait_ns);
-                }
-            }
+            self.settle_lock(clock, scan, OsSpanKind::BitmapLockWait);
 
-            let mut inserted: Vec<(u64, u64, u64)> = Vec::new();
+            // One fill per inode: every run's scan and the single publish
+            // below happen under the same guard.
+            let fill = cache.fill_guard.lock();
+            let mut inserted: Vec<ReadyPiece> = Vec::new();
             let mut publish_pages = 0u64;
             for run in &runs {
                 let missing = cache.state.read().missing_runs(run.0, run.1);
@@ -577,75 +645,16 @@ impl Os {
                         .sum();
                     completions[m.idx].cached_pages = (m.p1 - m.p0) - missing_in_member;
                 }
-                let mut budget = run.2;
-                let mut scheduled: Vec<(u64, u64)> = Vec::new();
-                for &(s, e) in &missing {
-                    if budget == 0 {
-                        break;
-                    }
-                    let take = (e - s).min(budget);
-                    scheduled.push((s, s + take));
-                    budget -= take;
-                }
+                let scheduled = clamp_to_budget(&missing, run.2);
                 if scheduled.is_empty() {
                     continue;
                 }
 
-                // One vectored submission per device carries the run's
-                // physical block runs: one fixed latency, one congestion
-                // check, one fault draw per device touched (a single
-                // submission on the un-tiered path).
                 let before = io_clock.now();
-                let mut vec_fault = false;
-                match self.tiered() {
-                    None => {
-                        let mut block_runs: Vec<u64> = Vec::new();
-                        for &(s, e) in &scheduled {
-                            for blk in self.fs().map_blocks(ino, s, e - s) {
-                                block_runs.push(blk.blocks);
-                            }
-                        }
-                        vec_fault = self
-                            .device()
-                            .try_charge_read_vectored(
-                                &mut io_clock,
-                                &block_runs,
-                                IoPriority::Prefetch,
-                            )
-                            .is_err();
-                    }
-                    Some(tiered) => {
-                        let mut local_runs: Vec<u64> = Vec::new();
-                        let mut remote_runs: Vec<u64> = Vec::new();
-                        for &(s, e) in &scheduled {
-                            for (ts, tc, tier) in tiered.split_runs(ino.0, s, e - s) {
-                                let dst = match tier {
-                                    simstore::Tier::Local => &mut local_runs,
-                                    simstore::Tier::Remote => &mut remote_runs,
-                                };
-                                for blk in self.fs().map_blocks(ino, ts, tc) {
-                                    dst.push(blk.blocks);
-                                }
-                            }
-                        }
-                        for (device, runs) in [
-                            (tiered.local(), &local_runs),
-                            (tiered.remote(), &remote_runs),
-                        ] {
-                            if runs.is_empty() {
-                                continue;
-                            }
-                            if device
-                                .try_charge_read_vectored(&mut io_clock, runs, IoPriority::Prefetch)
-                                .is_err()
-                            {
-                                vec_fault = true;
-                                break;
-                            }
-                        }
-                    }
-                }
-                if vec_fault {
+                if self
+                    .charge_prefetch_vectored(&mut io_clock, ino, &scheduled)
+                    .is_err()
+                {
                     // Per-run all-or-nothing: nothing of this run is
                     // inserted or published; its members learn via the
                     // completion queue and may retry individually.
@@ -699,30 +708,7 @@ impl Os {
 
             // Publish once per inode after the whole walk.
             if !inserted.is_empty() {
-                let publish_hold = costs.bitmap_lock_hold_ns + costs.bitmap_scan_ns(publish_pages);
-                let publish = cache.bitmap_lock.write(clock.now(), publish_hold);
-                clock.advance_to(publish.end_ns);
-                if publish.wait_ns > 0 {
-                    if let Some(sink) = spans {
-                        sink.emit_os_span(
-                            publish.end_ns,
-                            OsSpanKind::BitmapLockWait,
-                            publish.wait_ns,
-                        );
-                    }
-                }
-                let touch = clock.now() + PREFETCH_TOUCH_BIAS_NS;
-                let mut initiated_total = 0;
-                {
-                    let mut state = cache.state.write();
-                    for &(s, e, ready) in &inserted {
-                        initiated_total += state.insert_range_prefetched(s, e, touch, ready);
-                    }
-                }
-                self.stats().prefetched_pages.add(initiated_total);
-                if self.mem().note_inserted(initiated_total) {
-                    self.reclaim(clock);
-                }
+                self.publish_bitmap(clock, &cache, fill, publish_pages, &inserted);
             }
         }
 
@@ -784,12 +770,9 @@ impl Os {
         demand: &[ReadBatchEntry],
         prefetch: &[RaBatchEntry],
     ) -> Result<(Vec<crate::os::ReadOutcome>, Vec<RaBatchCompletion>), IoError> {
-        self.read_batch_impl::<crate::os::NeverFault>(clock, demand, prefetch)
+        self.read_batch_impl::<NeverFault>(clock, demand, prefetch)
             .map(|(outcomes, completions)| {
-                (
-                    outcomes.into_iter().map(crate::os::into_ok).collect(),
-                    completions,
-                )
+                (outcomes.into_iter().map(into_ok).collect(), completions)
             })
     }
 
@@ -808,21 +791,16 @@ impl Os {
         demand: &[ReadBatchEntry],
         prefetch: &[RaBatchEntry],
     ) -> Result<ReadBatchResult<IoError>, IoError> {
-        self.read_batch_impl::<crate::os::MayFault>(clock, demand, prefetch)
+        self.read_batch_impl::<MayFault>(clock, demand, prefetch)
     }
 
-    fn read_batch_impl<F: crate::os::FaultMode>(
+    fn read_batch_impl<F: FaultMode>(
         &self,
         clock: &mut ThreadClock,
         demand: &[ReadBatchEntry],
         prefetch: &[RaBatchEntry],
     ) -> Result<ReadBatchResult<F::Error>, IoError> {
-        if !self.config().readahead_info_supported {
-            clock.advance(self.config().costs.syscall_ns);
-            self.stats().syscalls.incr();
-            self.stats().ra_info_unsupported.incr();
-            return Err(IoError::Unsupported);
-        }
+        self.probe_cross_os(clock)?;
         clock.advance(self.config().costs.syscall_ns);
         self.stats().syscalls.incr();
         self.stats().read_batch_calls.incr();
@@ -878,16 +856,10 @@ impl Os {
 
         // Completion check on the delineated path: bitmap read lock, never
         // the cache-tree lock.
-        let spans = self.span_sink();
         let scan = cache
             .bitmap_lock
             .read(clock.now(), costs.bitmap_scan_ns(pages));
-        clock.advance_to(scan.end_ns);
-        if scan.wait_ns > 0 {
-            if let Some(sink) = spans {
-                sink.emit_os_span(scan.end_ns, OsSpanKind::BitmapLockWait, scan.wait_ns);
-            }
-        }
+        self.settle_lock(clock, scan, OsSpanKind::BitmapLockWait);
 
         let (timely, late, ready_at) = {
             let mut state = cache.state.write();
@@ -898,9 +870,7 @@ impl Os {
                 return None;
             }
             let ready_at = state.ready_max(p0, p1);
-            let refetch_estimate = self.device().config().read_request_latency_ns()
-                + simclock::transfer_ns(pages * PAGE_SIZE, self.device().config().read_bw);
-            if ready_at.saturating_sub(clock.now()) > refetch_estimate * 2 {
+            if self.demand_overtakes(clock, ready_at, pages) {
                 // The syscall path would overtake this queued prefetch
                 // with a demand read; let it.
                 return None;
@@ -910,14 +880,7 @@ impl Os {
         };
         cache.hits.add(pages);
         self.stats().hit_pages.add(pages);
-        let wait = ready_at.saturating_sub(clock.now());
-        if wait > 0 {
-            self.stats().ready_wait_ns.add(wait);
-            clock.advance_to(ready_at);
-            if let Some(sink) = spans {
-                sink.emit_os_span(ready_at, OsSpanKind::ReadyWait, wait);
-            }
-        }
+        self.wait_ready(clock, ready_at);
         let now = clock.now();
         cache.state.write().touch_range(p0, p1, now);
         clock.advance(costs.copy_pages_ns(pages));
@@ -927,20 +890,7 @@ impl Os {
         // Keep the heuristic-readahead state machine in lockstep with the
         // syscall path (every ring-eligible mode silences it at open, but
         // the descriptor state must not diverge).
-        let ra_request = entry.ra.lock().on_read(p0, pages);
-        if let Some(req) = ra_request {
-            if let Some(sink) = self.trace_sink() {
-                sink.emit_os_event(
-                    clock.now(),
-                    crate::trace::OsTraceEvent::RaWindowGrow {
-                        ino: entry.ino,
-                        start_page: req.start,
-                        window_pages: req.count,
-                    },
-                );
-            }
-            self.prefetch_via_tree(clock, entry.ino, &cache, req.start, req.count);
-        }
+        self.heuristic_readahead::<NeverFault>(clock, &entry, &cache, p0, pages);
 
         Some(crate::os::ReadOutcome {
             pages,
@@ -982,20 +932,15 @@ impl Os {
     }
 }
 
-/// Recency bias for prefetched-but-unread pages (see the insert sites).
-pub(crate) const PREFETCH_TOUCH_BIAS_NS: u64 = 5 * simclock::NS_PER_MS;
+/// Recency bias for prefetched-but-unread pages (see
+/// [`Os::publish_prefetched`]).
+const PREFETCH_TOUCH_BIAS_NS: u64 = 5 * simclock::NS_PER_MS;
 
 /// Records sub-chunk readiness for `[start, end)` filled between `t0` and
 /// `t1`: the device streams data in, so the front of a request becomes
 /// readable before its tail. Readiness is interpolated linearly over
 /// 32-page (128 KiB) sub-chunks, matching DMA-completion granularity.
-pub(crate) fn push_interpolated_ready(
-    out: &mut Vec<(u64, u64, u64)>,
-    start: u64,
-    end: u64,
-    t0: u64,
-    t1: u64,
-) {
+fn push_interpolated_ready(out: &mut Vec<ReadyPiece>, start: u64, end: u64, t0: u64, t1: u64) {
     const SUB_PAGES: u64 = 32;
     let total = end - start;
     let span = t1.saturating_sub(t0);

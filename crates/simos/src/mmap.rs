@@ -9,7 +9,7 @@
 use simclock::ThreadClock;
 use simstore::IoPriority;
 
-use crate::os::{Fd, Os, PAGE_SIZE};
+use crate::os::{into_ok, Fd, NeverFault, Os, PAGE_SIZE};
 use crate::readahead::RaMode;
 
 /// Outcome of an [`Os::mmap_read`].
@@ -87,10 +87,13 @@ impl Os {
             let total: u64 = missing.iter().map(|&(s, e)| e - s).sum();
             if total > 0 {
                 for &(s, e) in &missing {
-                    for run in self.fs().map_blocks(entry.ino, s, e - s) {
-                        self.device()
-                            .charge_read(clock, run.blocks, IoPriority::Blocking);
-                    }
+                    into_ok(self.charge_read_runs::<NeverFault>(
+                        clock,
+                        entry.ino,
+                        s,
+                        e - s,
+                        IoPriority::Blocking,
+                    ));
                 }
                 let hold = costs.tree_insert_per_page_ns * total;
                 let tree = cache.tree_lock.write(clock.now(), hold);
@@ -163,6 +166,61 @@ mod tests {
         os.mmap_read(&mut clock, fd, 0, 16 * 4096);
         let minor_cost = clock.now() - before;
         assert!(minor_cost < 100_000, "resident touch cost {minor_cost}ns");
+    }
+
+    /// On a tiered OS a major fault is served by the tier the placement
+    /// map names: never-promoted blocks move the remote device's counters
+    /// only, promoted ones the local device's — and count as the
+    /// application touching them, so a later demotion is not "wasted".
+    #[test]
+    fn tiered_major_faults_charge_the_tier_holding_the_blocks() {
+        use simstore::TieredStore;
+        let os = Os::new_tiered(
+            OsConfig::with_memory_mb(256),
+            TieredStore::new(
+                Device::new(DeviceConfig::local_nvme()),
+                Device::new(DeviceConfig::remote_nvmeof()),
+                4096,
+            ),
+            FileSystem::new(FsKind::Ext4Like),
+        );
+        let mut clock = os.new_clock();
+        let fd = os.create_sized(&mut clock, "/t", 1 << 20).unwrap();
+        let ino = os.fd_inode(fd);
+        let tiered = os.tiered().unwrap();
+
+        os.mmap_read(&mut clock, fd, 0, 64 * PAGE_SIZE);
+        let resident = os.cache(ino).state.read().resident();
+        assert!(resident >= 64);
+        assert_eq!(
+            tiered.remote().stats().read_bytes.get(),
+            resident * PAGE_SIZE
+        );
+        assert_eq!(tiered.local().stats().read_bytes.get(), 0);
+
+        // Promote an untouched range at the store level (no cache insert),
+        // then fault it in: the reads land on the local device.
+        let phys: Vec<(u64, u64)> = os
+            .fs()
+            .map_blocks(ino, 128, 64)
+            .iter()
+            .map(|run| (run.pstart, run.blocks))
+            .collect();
+        tiered
+            .try_promote(&mut clock, ino.0, 128, 64, &phys)
+            .unwrap();
+        let remote_before = tiered.remote().stats().read_bytes.get();
+        os.madvise(&mut clock, fd, Advice::Random);
+        os.mmap_read(&mut clock, fd, 128 * PAGE_SIZE, 64 * PAGE_SIZE);
+        assert_eq!(
+            tiered.local().stats().read_bytes.get(),
+            64 * PAGE_SIZE,
+            "promoted blocks must be read from the local tier"
+        );
+        assert_eq!(tiered.remote().stats().read_bytes.get(), remote_before);
+        let map = |f: u64, lb: u64| os.fs().map_block(simfs::InodeId(f), lb);
+        assert_eq!(tiered.demote_cold(&mut clock, 64, &map), 64);
+        assert_eq!(tiered.stats().promoted_wasted_blocks.get(), 0);
     }
 
     #[test]

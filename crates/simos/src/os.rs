@@ -3,7 +3,7 @@
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
-use simclock::{FcfsResource, GlobalClock, ThreadClock};
+use simclock::{Access, FcfsResource, GlobalClock, ThreadClock};
 use simfs::{FileSystem, FsError, InodeId};
 use simstore::{Device, IoPriority, TieredStore, BLOCK_SIZE};
 
@@ -450,12 +450,86 @@ impl Os {
         self.fs.size(self.fd_inode(fd))
     }
 
+    /// Settles a virtual-lock acquisition the caller just made: advances
+    /// to its end and bridges any queueing into the span stream as `kind`.
+    pub(crate) fn settle_lock(&self, clock: &mut ThreadClock, access: Access, kind: OsSpanKind) {
+        clock.advance_to(access.end_ns);
+        if access.wait_ns > 0 {
+            if let Some(sink) = self.span_sink() {
+                sink.emit_os_span(access.end_ns, kind, access.wait_ns);
+            }
+        }
+    }
+
+    /// Whether a demand read of `pages` should overtake in-flight prefetch
+    /// that lands at `ready_at`. Waiting up to about the demand cost for
+    /// an in-flight page is the normal prefetch-hit path; beyond twice
+    /// that, overtaking the queued stream is strictly better even with
+    /// the duplicate I/O.
+    pub(crate) fn demand_overtakes(&self, clock: &ThreadClock, ready_at: u64, pages: u64) -> bool {
+        let device = self.device.config();
+        let refetch_estimate = device.read_request_latency_ns()
+            + simclock::transfer_ns(pages * PAGE_SIZE, device.read_bw);
+        ready_at.saturating_sub(clock.now()) > refetch_estimate * 2
+    }
+
+    /// Waits out in-flight prefetch that lands at `ready_at`.
+    pub(crate) fn wait_ready(&self, clock: &mut ThreadClock, ready_at: u64) {
+        let wait = ready_at.saturating_sub(clock.now());
+        if wait == 0 {
+            return;
+        }
+        self.stats.ready_wait_ns.add(wait);
+        clock.advance_to(ready_at);
+        if let Some(sink) = self.span_sink() {
+            sink.emit_os_span(ready_at, OsSpanKind::ReadyWait, wait);
+        }
+    }
+
+    /// First stage of the extent router: visits `[lstart, lstart + pages)`
+    /// as maximal logical runs each held by one device — the whole range
+    /// on the single device, the placement map's same-tier runs when
+    /// tiered. Run-based write-back stops here (it charges one request per
+    /// logical run); read charges continue through [`Os::route_extents`].
+    fn tier_runs<'a, E>(
+        &'a self,
+        ino: InodeId,
+        lstart: u64,
+        pages: u64,
+        mut visit: impl FnMut(u64, u64, &'a Arc<Device>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        match &self.tiered {
+            None => visit(lstart, pages, &self.device),
+            Some(tiered) => tiered
+                .split_runs(ino.0, lstart, pages)
+                .into_iter()
+                .try_for_each(|(start, count, tier)| visit(start, count, tiered.device(tier))),
+        }
+    }
+
+    /// The extent router: logical pages → tier split → physically
+    /// contiguous runs. Visits each run's block count with the device
+    /// holding it, in logical order, stopping at the first error. Every
+    /// read charge site resolves its device here.
+    pub(crate) fn route_extents<'a, E>(
+        &'a self,
+        ino: InodeId,
+        lstart: u64,
+        pages: u64,
+        mut visit: impl FnMut(&'a Arc<Device>, u64) -> Result<(), E>,
+    ) -> Result<(), E> {
+        self.tier_runs(ino, lstart, pages, |start, count, device| {
+            self.fs
+                .map_blocks(ino, start, count)
+                .into_iter()
+                .try_for_each(|run| visit(device, run.blocks))
+        })
+    }
+
     /// Charges device reads for `pages` logical pages of `ino` starting at
-    /// `lstart`, one charge per physical extent. Single-device mode is the
-    /// historical inline loop; tiered mode first splits the range into
-    /// maximal same-tier runs, so one logical read may cross both devices,
-    /// and stamps the placement map's touch clock on success (promotion
-    /// payoff / demotion recency).
+    /// `lstart`, one charge per routed extent, so one logical read may
+    /// cross both tiers. A tiered demand read also stamps the placement
+    /// map's touch clock (promotion payoff / demotion recency).
     pub(crate) fn charge_read_runs<F: FaultMode>(
         &self,
         clock: &mut ThreadClock,
@@ -464,26 +538,15 @@ impl Os {
         pages: u64,
         priority: IoPriority,
     ) -> Result<(), F::Error> {
-        match &self.tiered {
-            None => {
-                for run in self.fs.map_blocks(ino, lstart, pages) {
-                    F::charge_read(&self.device, clock, run.blocks, priority)?;
-                }
-            }
-            Some(tiered) => {
-                for (s, c, tier) in tiered.split_runs(ino.0, lstart, pages) {
-                    for run in self.fs.map_blocks(ino, s, c) {
-                        F::charge_read(tiered.device(tier), clock, run.blocks, priority)?;
-                    }
-                }
-                // Only a demand read counts as the application touching the
-                // range — prefetch passing over a promoted block must not
-                // clear its promoted-unread bit (that would launder wasted
-                // promotions into useful ones).
-                if priority == IoPriority::Blocking {
-                    tiered.note_read(ino.0, lstart, pages, clock.now());
-                }
-            }
+        self.route_extents(ino, lstart, pages, |device, blocks| {
+            F::charge_read(device, clock, blocks, priority)
+        })?;
+        // Only a demand read counts as the application touching the
+        // range — prefetch passing over a promoted block must not clear
+        // its promoted-unread bit (that would launder wasted promotions
+        // into useful ones).
+        if let (Some(tiered), IoPriority::Blocking) = (&self.tiered, priority) {
+            tiered.note_read(ino.0, lstart, pages, clock.now());
         }
         Ok(())
     }
@@ -654,20 +717,16 @@ impl Os {
         // (in-flight or cached) pages; `ready` is word-granular, and a
         // fully-missing range must not wait on unrelated neighbours.
         if present > 0 {
-            let refetch_estimate = self.device.config().read_request_latency_ns()
-                + simclock::transfer_ns(pages * PAGE_SIZE, self.device.config().read_bw);
-            // Waiting up to about the demand cost for an in-flight page is
-            // the normal prefetch-hit path; beyond twice that, overtaking
-            // the queued stream is strictly better even with the duplicate
-            // I/O.
-            let bypass_threshold = refetch_estimate * 2;
-            let wait = ready_at.saturating_sub(clock.now());
-            if wait > bypass_threshold {
+            let mut overtook = false;
+            if self.demand_overtakes(clock, ready_at, pages) {
                 let t0 = clock.now();
-                let bypass_ok = self
+                // A transient fault in the overtake attempt is not fatal:
+                // the queued prefetch stream is still coming, so fall back
+                // to waiting for it rather than failing the read.
+                overtook = self
                     .charge_read_runs::<F>(clock, entry.ino, p0, pages, IoPriority::Blocking)
                     .is_ok();
-                if bypass_ok {
+                if overtook {
                     let now = clock.now();
                     cache.state.write().lower_ready(p0, p1, now);
                     self.stats.demand_bypass_pages.add(present);
@@ -675,27 +734,10 @@ impl Os {
                     if let Some(sink) = spans {
                         sink.emit_os_span(now, OsSpanKind::DeviceRead, now - t0);
                     }
-                } else {
-                    // The overtake attempt hit a transient fault; the queued
-                    // prefetch stream is still coming, so fall back to
-                    // waiting for it rather than failing the read.
-                    let fallback_wait = ready_at.saturating_sub(clock.now());
-                    self.stats.ready_wait_ns.add(fallback_wait);
-                    clock.advance_to(ready_at);
-                    if fallback_wait > 0 {
-                        if let Some(sink) = spans {
-                            sink.emit_os_span(ready_at, OsSpanKind::ReadyWait, fallback_wait);
-                        }
-                    }
                 }
-            } else {
-                self.stats.ready_wait_ns.add(wait);
-                clock.advance_to(ready_at);
-                if wait > 0 {
-                    if let Some(sink) = spans {
-                        sink.emit_os_span(ready_at, OsSpanKind::ReadyWait, wait);
-                    }
-                }
+            }
+            if !overtook {
+                self.wait_ready(clock, ready_at);
             }
         }
 
@@ -733,12 +775,7 @@ impl Os {
                 let hold =
                     costs.tree_insert_per_page_ns * inserted + costs.page_alloc_ns * inserted;
                 let access = cache.tree_lock.write(clock.now(), hold);
-                clock.advance_to(access.end_ns);
-                if access.wait_ns > 0 {
-                    if let Some(sink) = spans {
-                        sink.emit_os_span(access.end_ns, OsSpanKind::TreeLockWait, access.wait_ns);
-                    }
-                }
+                self.settle_lock(clock, access, OsSpanKind::TreeLockWait);
                 let now = clock.now();
                 let mut newly = 0;
                 {
@@ -764,24 +801,7 @@ impl Os {
         clock.advance(costs.copy_pages_ns(pages));
         self.stats.bytes_read.add(len);
 
-        // Heuristic readahead.
-        let ra_request = entry.ra.lock().on_read(p0, pages);
-        if let Some(req) = ra_request {
-            if let Some(sink) = self.trace_sink() {
-                sink.emit_os_event(
-                    clock.now(),
-                    OsTraceEvent::RaWindowGrow {
-                        ino: entry.ino,
-                        start_page: req.start,
-                        window_pages: req.count,
-                    },
-                );
-            }
-            // Kernel readahead is best-effort: in fallible mode a fault
-            // aborts the window silently, never the read that triggered it.
-            let _ =
-                self.prefetch_via_tree_impl::<F>(clock, entry.ino, &cache, req.start, req.count);
-        }
+        self.heuristic_readahead::<F>(clock, &entry, &cache, p0, pages);
 
         Ok(ReadOutcome {
             pages,
@@ -792,40 +812,41 @@ impl Os {
         })
     }
 
+    /// The heuristic-readahead tail of a read: advances the descriptor's
+    /// window state machine and issues the window it asks for through the
+    /// baseline tree path. Kernel readahead is best-effort: in fallible
+    /// mode a fault aborts the window silently, never the read that
+    /// triggered it.
+    pub(crate) fn heuristic_readahead<F: FaultMode>(
+        &self,
+        clock: &mut ThreadClock,
+        entry: &FdEntry,
+        cache: &InodeCache,
+        p0: u64,
+        pages: u64,
+    ) {
+        let Some(req) = entry.ra.lock().on_read(p0, pages) else {
+            return;
+        };
+        if let Some(sink) = self.trace_sink() {
+            sink.emit_os_event(
+                clock.now(),
+                OsTraceEvent::RaWindowGrow {
+                    ino: entry.ino,
+                    start_page: req.start,
+                    window_pages: req.count,
+                },
+            );
+        }
+        let _ = self.prefetch_via_tree::<F>(clock, entry.ino, cache, req.start, req.count);
+    }
+
     /// Baseline prefetch: inserts `[start, start+count)` through the cache
     /// tree lock (the un-delineated path). Device I/O is asynchronous.
-    /// Returns pages newly scheduled.
-    pub(crate) fn prefetch_via_tree(
-        &self,
-        clock: &mut ThreadClock,
-        ino: InodeId,
-        cache: &InodeCache,
-        start: u64,
-        count: u64,
-    ) -> u64 {
-        into_ok(self.prefetch_via_tree_impl::<NeverFault>(clock, ino, cache, start, count))
-    }
-
-    /// Fallible baseline prefetch, all-or-nothing: on an injected fault
-    /// nothing is inserted or published — a retry re-covers the whole
-    /// range — and the error surfaces to the caller.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`IoError::Io`] when the fault plan injects an EIO into the
-    /// prefetch-class device reads.
-    pub(crate) fn try_prefetch_via_tree(
-        &self,
-        clock: &mut ThreadClock,
-        ino: InodeId,
-        cache: &InodeCache,
-        start: u64,
-        count: u64,
-    ) -> Result<u64, IoError> {
-        self.prefetch_via_tree_impl::<MayFault>(clock, ino, cache, start, count)
-    }
-
-    fn prefetch_via_tree_impl<F: FaultMode>(
+    /// Returns pages newly scheduled. All-or-nothing in fallible mode: on
+    /// an injected fault nothing is inserted or published — a retry
+    /// re-covers the whole range — and the error surfaces to the caller.
+    fn prefetch_via_tree<F: FaultMode>(
         &self,
         clock: &mut ThreadClock,
         ino: InodeId,
@@ -839,74 +860,19 @@ impl Os {
         if start >= end {
             return Ok(0);
         }
-        let missing = cache.state.read().missing_runs(start, end);
+        let (fill, missing) = cache.scan_missing(start, end);
         if missing.is_empty() {
             return Ok(0);
         }
         let total: u64 = missing.iter().map(|&(s, e)| e - s).sum();
 
         // Lock charge: baseline prefetch contends on the tree lock.
-        let spans = self.span_sink();
         let hold = costs.tree_insert_per_page_ns * total + costs.page_alloc_ns * total;
         let access = cache.tree_lock.write(clock.now(), hold);
-        clock.advance_to(access.end_ns);
-        if access.wait_ns > 0 {
-            if let Some(sink) = spans {
-                sink.emit_os_span(access.end_ns, OsSpanKind::TreeLockWait, access.wait_ns);
-            }
-        }
+        self.settle_lock(clock, access, OsSpanKind::TreeLockWait);
 
-        // Device I/O proceeds asynchronously, completing progressively in
-        // VFS-request-sized chunks.
-        let mut io_clock = ThreadClock::detached_at(Arc::clone(&self.global), clock.now());
-        let io_start_ns = io_clock.now();
-        let chunk_pages = (self.device.config().max_request_bytes / PAGE_SIZE).max(1);
-        let mut chunk_ready: Vec<(u64, u64, u64)> = Vec::new();
-        for &(mstart, mend) in &missing {
-            let mut cursor = mstart;
-            while cursor < mend {
-                let upto = (cursor + chunk_pages).min(mend);
-                let before = io_clock.now();
-                self.charge_read_runs::<F>(
-                    &mut io_clock,
-                    ino,
-                    cursor,
-                    upto - cursor,
-                    IoPriority::Prefetch,
-                )?;
-                crate::crossos::push_interpolated_ready(
-                    &mut chunk_ready,
-                    cursor,
-                    upto,
-                    before,
-                    io_clock.now(),
-                );
-                cursor = upto;
-            }
-        }
-        // Same readahead-page recency protection as the CROSS-OS path.
-        let touch = clock.now() + crate::crossos::PREFETCH_TOUCH_BIAS_NS;
-        let mut newly = 0;
-        {
-            let mut state = cache.state.write();
-            for &(cstart, cend, ready) in &chunk_ready {
-                newly += state.insert_range_prefetched(cstart, cend, touch, ready);
-            }
-        }
-        if io_clock.now() > io_start_ns {
-            if let Some(sink) = spans {
-                sink.emit_os_span(
-                    io_clock.now(),
-                    OsSpanKind::DevicePrefetch,
-                    io_clock.now() - io_start_ns,
-                );
-            }
-        }
-        self.stats.prefetched_pages.add(newly);
-        if self.mem.note_inserted(newly) {
-            self.reclaim(clock);
-        }
-        Ok(newly)
+        let ready = self.charge_prefetch_progressive::<F>(clock, ino, &missing)?;
+        Ok(self.publish_prefetched(clock, cache, fill, &ready))
     }
 
     /// Fetches content bytes from the backing store without a time charge —
@@ -1100,22 +1066,31 @@ impl Os {
         }
         self.mem.note_cleaned(dirty);
         self.stats.written_back_pages.add(dirty);
+        self.charge_default_write(clock, dirty, sync);
+        dirty
+    }
+
+    /// Charges a write of `pages` to the default device: synchronously on
+    /// the caller's clock at demand priority, or detached from it at
+    /// background priority. The aggregate flushes that know a page count
+    /// but no extents (legacy whole-file write-back, dirty pages dropped
+    /// by reclaim, `DONTNEED` and `drop_caches`) charge here.
+    fn charge_default_write(&self, clock: &mut ThreadClock, pages: u64, sync: bool) {
         if sync {
-            self.device.charge_write(clock, dirty, IoPriority::Blocking);
+            self.device.charge_write(clock, pages, IoPriority::Blocking);
         } else {
             let mut io_clock = ThreadClock::detached_at(Arc::clone(&self.global), clock.now());
             self.device
-                .charge_write(&mut io_clock, dirty, IoPriority::Prefetch);
+                .charge_write(&mut io_clock, pages, IoPriority::Prefetch);
         }
-        dirty
     }
 
     /// Run-based flush: clears the file's dirty runs, merging runs whose
     /// clean gap is at most `coalesce_gap_pages` into one device crossing
     /// (the gap pages ride along as extra bytes — strictly fewer write
-    /// requests for a few redundant writes). Tiered mode routes each
-    /// merged run's extents to the device currently holding them. Returns
-    /// the dirty pages flushed.
+    /// requests for a few redundant writes). Each merged run is charged
+    /// once per device currently holding part of it. Returns the dirty
+    /// pages flushed.
     pub fn writeback_file_runs(&self, clock: &mut ThreadClock, ino: InodeId, sync: bool) -> u64 {
         let gap = self
             .config
@@ -1163,18 +1138,11 @@ impl Os {
         };
         let t0 = io.now();
         for &(s, e) in &merged {
-            match &self.tiered {
-                None => {
-                    self.stats.wb_runs_flushed.incr();
-                    self.device.charge_write(io, e - s, priority);
-                }
-                Some(tiered) => {
-                    for (_, count, tier) in tiered.split_runs(ino.0, s, e - s) {
-                        self.stats.wb_runs_flushed.incr();
-                        tiered.device(tier).charge_write(io, count, priority);
-                    }
-                }
-            }
+            into_ok(self.tier_runs(ino, s, e - s, |_, count, device| {
+                self.stats.wb_runs_flushed.incr();
+                device.charge_write(io, count, priority);
+                Ok(())
+            }));
         }
         if io.now() > t0 {
             if let Some(sink) = self.span_sink() {
@@ -1240,16 +1208,7 @@ impl Os {
     /// length, so applications cannot tell how much was actually initiated.
     /// The true initiated page count is recorded in [`OsStats`].
     pub fn readahead(&self, clock: &mut ThreadClock, fd: Fd, offset: u64, len: u64) -> u64 {
-        clock.advance(self.config.costs.syscall_ns);
-        self.stats.syscalls.incr();
-        self.stats.ra_calls.incr();
-        let entry = self.fd_entry(fd);
-        let cache = self.cache(entry.ino);
-        let start = offset / PAGE_SIZE;
-        let pages = len.div_ceil(PAGE_SIZE);
-        let cap = entry.ra.lock().effective_max();
-        let capped = pages.min(cap);
-        self.prefetch_via_tree(clock, entry.ino, &cache, start, capped);
+        into_ok(self.readahead_impl::<NeverFault>(clock, fd, offset, len));
         len
     }
 
@@ -1270,16 +1229,26 @@ impl Os {
         offset: u64,
         len: u64,
     ) -> Result<u64, IoError> {
+        self.readahead_impl::<MayFault>(clock, fd, offset, len)
+    }
+
+    /// `readahead(2)` proper: one crossing, the silent cap, then the
+    /// baseline tree prefetch. Returns the pages actually initiated.
+    fn readahead_impl<F: FaultMode>(
+        &self,
+        clock: &mut ThreadClock,
+        fd: Fd,
+        offset: u64,
+        len: u64,
+    ) -> Result<u64, F::Error> {
         clock.advance(self.config.costs.syscall_ns);
         self.stats.syscalls.incr();
         self.stats.ra_calls.incr();
         let entry = self.fd_entry(fd);
         let cache = self.cache(entry.ino);
         let start = offset / PAGE_SIZE;
-        let pages = len.div_ceil(PAGE_SIZE);
-        let cap = entry.ra.lock().effective_max();
-        let capped = pages.min(cap);
-        self.try_prefetch_via_tree(clock, entry.ino, &cache, start, capped)
+        let capped = len.div_ceil(PAGE_SIZE).min(entry.ra.lock().effective_max());
+        self.prefetch_via_tree::<F>(clock, entry.ino, &cache, start, capped)
     }
 
     /// Promotes the remote-placed blocks of `[start, start+pages)` to the
@@ -1323,8 +1292,7 @@ impl Os {
             return Ok(0);
         }
         let t0 = clock.now();
-        let mut copied: Vec<(u64, u64)> = Vec::new();
-        let mut fault: Option<IoError> = None;
+        let mut copy = Ok(0);
         for &(rs, rc) in &work {
             let phys: Vec<(u64, u64)> = self
                 .fs
@@ -1332,12 +1300,9 @@ impl Os {
                 .iter()
                 .map(|run| (run.pstart, run.blocks))
                 .collect();
-            match tiered.try_promote(clock, ino.0, rs, rc, &phys) {
-                Ok(_) => copied.push((rs, rc)),
-                Err(err) => {
-                    fault = Some(IoError::from(err));
-                    break;
-                }
+            copy = tiered.try_promote(clock, ino.0, rs, rc, &phys);
+            if copy.is_err() {
+                break;
             }
         }
         if clock.now() > t0 {
@@ -1345,31 +1310,14 @@ impl Os {
                 sink.emit_os_span(clock.now(), OsSpanKind::TierPromote, clock.now() - t0);
             }
         }
-        if let Some(err) = fault {
-            return Err(err);
-        }
-        let total: u64 = copied.iter().map(|&(_, c)| c).sum();
-        if total == 0 {
-            return Ok(0);
-        }
+        copy?;
         let cache = self.cache(ino);
-        let hold = costs.tree_insert_per_page_ns * total + costs.page_alloc_ns * total;
+        let hold = costs.tree_insert_per_page_ns * want + costs.page_alloc_ns * want;
         let access = cache.tree_lock.write(clock.now(), hold);
         clock.advance_to(access.end_ns);
-        let touch = clock.now() + crate::crossos::PREFETCH_TOUCH_BIAS_NS;
-        let ready = clock.now();
-        let mut newly = 0;
-        {
-            let mut state = cache.state.write();
-            for &(rs, rc) in &copied {
-                newly += state.insert_range_prefetched(rs, rs + rc, touch, ready);
-            }
-        }
-        self.stats.prefetched_pages.add(newly);
-        if self.mem.note_inserted(newly) {
-            self.reclaim(clock);
-        }
-        Ok(newly)
+        let now = clock.now();
+        let ready: Vec<_> = work.iter().map(|&(rs, rc)| (rs, rs + rc, now)).collect();
+        Ok(self.publish_prefetched(clock, &cache, cache.fill_guard.lock(), &ready))
     }
 
     /// `posix_fadvise(2)`.
@@ -1399,7 +1347,9 @@ impl Os {
                 let cache = self.cache(entry.ino);
                 let start = offset / PAGE_SIZE;
                 let pages = len.div_ceil(PAGE_SIZE).min(entry.ra.lock().effective_max());
-                self.prefetch_via_tree(clock, entry.ino, &cache, start, pages);
+                into_ok(
+                    self.prefetch_via_tree::<NeverFault>(clock, entry.ino, &cache, start, pages),
+                );
             }
             Advice::DontNeed => {
                 let cache = self.cache(entry.ino);
@@ -1426,10 +1376,7 @@ impl Os {
                 if dirty > 0 {
                     self.stats.written_back_pages.add(dirty);
                     self.stats.wb_flush_drop.incr();
-                    let mut io_clock =
-                        ThreadClock::detached_at(Arc::clone(&self.global), clock.now());
-                    self.device
-                        .charge_write(&mut io_clock, dirty, IoPriority::Prefetch);
+                    self.charge_default_write(clock, dirty, false);
                 }
                 self.stats.evicted_by_advice.add(removed);
                 return removed;
@@ -1509,8 +1456,7 @@ impl Os {
         if dirty_total > 0 {
             self.stats.written_back_pages.add(dirty_total);
             self.stats.wb_flush_drop.incr();
-            self.device
-                .charge_write(clock, dirty_total, IoPriority::Blocking);
+            self.charge_default_write(clock, dirty_total, true);
         }
     }
 
@@ -1583,9 +1529,7 @@ impl Os {
         if dirty_total > 0 {
             self.stats.written_back_pages.add(dirty_total);
             self.stats.wb_flush_drop.incr();
-            let mut io_clock = ThreadClock::detached_at(Arc::clone(&self.global), clock.now());
-            self.device
-                .charge_write(&mut io_clock, dirty_total, IoPriority::Prefetch);
+            self.charge_default_write(clock, dirty_total, false);
         }
     }
 
@@ -1618,5 +1562,100 @@ impl Os {
             return 1.0;
         }
         hits / (hits + misses)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::FsKind;
+    use proptest::prelude::*;
+    use simstore::DeviceConfig;
+
+    const FILE_PAGES: u64 = 512;
+
+    /// A tiered OS with one physically fragmented file (allocated
+    /// alternately with a second file on the log-structured allocator)
+    /// and the given logical runs promoted.
+    fn fragmented_tiered(promoted: &[(u64, u64)]) -> (Arc<Os>, InodeId) {
+        let os = Os::new_tiered(
+            OsConfig::with_memory_mb(64),
+            TieredStore::new(
+                Device::new(DeviceConfig::local_nvme()),
+                Device::new(DeviceConfig::remote_nvmeof()),
+                1 << 20,
+            ),
+            FileSystem::new(FsKind::F2fsLike),
+        );
+        let mut clock = os.new_clock();
+        let fd = os.create(&mut clock, "/routed").unwrap();
+        let other = os.create(&mut clock, "/interleaved").unwrap();
+        let (ino, other) = (os.fd_inode(fd), os.fd_inode(other));
+        for i in 0..FILE_PAGES / 32 {
+            os.fs().allocate(ino, i * 32, 32);
+            os.fs().allocate(other, i * 32, 32);
+        }
+        os.fs().set_size(ino, FILE_PAGES * PAGE_SIZE);
+        assert!(os.fs().extent_count(ino) > 1, "file must be fragmented");
+        for &(start, count) in promoted {
+            os.try_promote_range(&mut clock, ino, start, count).unwrap();
+        }
+        (os, ino)
+    }
+
+    /// What the router visits, as `(device, blocks)` in visiting order.
+    fn routed(os: &Os, ino: InodeId, start: u64, count: u64) -> Vec<(*const Device, u64)> {
+        let mut out = Vec::new();
+        into_ok(os.route_extents(ino, start, count, |device, blocks| {
+            out.push((Arc::as_ptr(device), blocks));
+            Ok(())
+        }));
+        out
+    }
+
+    proptest! {
+        /// Over random placements and query ranges the extent router yields
+        /// exactly `split_runs` × `map_blocks`: every physical run of every
+        /// same-tier logical run, in logical order, paired with the device
+        /// of that tier.
+        #[test]
+        fn extent_router_is_tier_split_times_block_map(
+            promoted in prop::collection::vec((0u64..FILE_PAGES, 1u64..96), 0..10),
+            queries in prop::collection::vec((0u64..FILE_PAGES, 0u64..256), 1..8),
+        ) {
+            let (os, ino) = fragmented_tiered(&promoted);
+            let tiered = os.tiered().unwrap();
+            for (start, count) in queries {
+                let count = count.min(FILE_PAGES - start);
+                let mut expected = Vec::new();
+                for (s, c, tier) in tiered.split_runs(ino.0, start, count) {
+                    for run in os.fs().map_blocks(ino, s, c) {
+                        expected.push((Arc::as_ptr(tiered.device(tier)), run.blocks));
+                    }
+                }
+                prop_assert_eq!(routed(&os, ino, start, count), expected);
+            }
+        }
+    }
+
+    /// Without tiers the router is the block map on the one device.
+    #[test]
+    fn untiered_router_is_the_block_map() {
+        let os = Os::new(
+            OsConfig::with_memory_mb(64),
+            Device::new(DeviceConfig::local_nvme()),
+            FileSystem::new(FsKind::Ext4Like),
+        );
+        let mut clock = os.new_clock();
+        let fd = os.create_sized(&mut clock, "/flat", 1 << 20).unwrap();
+        let ino = os.fd_inode(fd);
+        let expected: Vec<_> = os
+            .fs()
+            .map_blocks(ino, 3, 200)
+            .iter()
+            .map(|run| (Arc::as_ptr(os.device()), run.blocks))
+            .collect();
+        assert_eq!(routed(&os, ino, 3, 200), expected);
+        assert!(routed(&os, ino, 3, 0).is_empty());
     }
 }

@@ -84,6 +84,20 @@ pub struct Device {
     fault_ops: AtomicU64,
 }
 
+/// One direction of the device as the queueing routine sees it: the
+/// blocking/total horizon pair, its bandwidth, and the counters it bills.
+struct Channel<'a> {
+    total: &'a FcfsResource,
+    blocking: &'a FcfsResource,
+    bw: f64,
+    requests: &'a Counter,
+    bytes: &'a Counter,
+    /// Background-class (prefetch / write-back) submissions, by count.
+    background_requests: &'a Counter,
+    /// Background submissions stalled by the congestion window.
+    throttled: &'a Counter,
+}
+
 impl Device {
     /// Creates a device with the given performance model.
     ///
@@ -168,17 +182,7 @@ impl Device {
         priority: IoPriority,
     ) -> Result<(), DeviceError> {
         if count > 0 {
-            if let Some(plan) = &self.faults {
-                let p = plan.eio_probability(priority);
-                if p > 0.0 {
-                    let op = self.fault_ops.fetch_add(1, Ordering::Relaxed);
-                    if plan.draw_eio(op, p) {
-                        clock.advance(self.config.read_request_latency_ns());
-                        self.stats.injected_read_faults.incr();
-                        return Err(DeviceError::TransientIo);
-                    }
-                }
-            }
+            self.draw_read_fault(clock, priority)?;
         }
         self.charge_read(clock, count, priority);
         Ok(())
@@ -202,62 +206,33 @@ impl Device {
         runs: &[u64],
         priority: IoPriority,
     ) -> Result<(), DeviceError> {
-        let total: u64 = runs.iter().sum();
-        if total == 0 {
+        if runs.iter().sum::<u64>() == 0 {
             return Ok(());
         }
-        if let Some(plan) = &self.faults {
-            let p = plan.eio_probability(priority);
-            if p > 0.0 {
-                let op = self.fault_ops.fetch_add(1, Ordering::Relaxed);
-                if plan.draw_eio(op, p) {
-                    clock.advance(self.config.read_request_latency_ns());
-                    self.stats.injected_read_faults.incr();
-                    return Err(DeviceError::TransientIo);
-                }
-            }
-        }
+        self.draw_read_fault(clock, priority)?;
         self.stats.vectored_submissions.incr();
         let latency = self.config.read_request_latency_ns() + self.spike_extra(clock.now());
-        if priority == IoPriority::Prefetch {
-            self.stats.prefetch_requests.incr();
-            let backlog = self
-                .read_server
-                .clear_time(clock.now())
-                .saturating_sub(clock.now());
-            if backlog > self.config.prefetch_congestion_ns {
-                self.stats.prefetch_throttled.incr();
-                clock.advance_to(
-                    self.read_server
-                        .clear_time(clock.now())
-                        .saturating_sub(self.config.prefetch_congestion_ns),
-                );
-            }
+        self.submit(clock, &self.read_channel(), runs, latency, priority);
+        Ok(())
+    }
+
+    /// One per-submission draw against the fault plan's EIO schedule for
+    /// `priority`'s traffic class. A hit pays the fixed round-trip latency
+    /// only and counts as an injected fault.
+    fn draw_read_fault(
+        &self,
+        clock: &mut ThreadClock,
+        priority: IoPriority,
+    ) -> Result<(), DeviceError> {
+        let Some(plan) = &self.faults else {
+            return Ok(());
+        };
+        let p = plan.eio_probability(priority);
+        if p > 0.0 && plan.draw_eio(self.fault_ops.fetch_add(1, Ordering::Relaxed), p) {
+            clock.advance(self.config.read_request_latency_ns());
+            self.stats.injected_read_faults.incr();
+            return Err(DeviceError::TransientIo);
         }
-        let mut completion = clock.now();
-        let mut first = true;
-        for &count in runs {
-            let mut remaining = count * BLOCK_SIZE as u64;
-            while remaining > 0 {
-                let chunk = remaining.min(self.config.max_request_bytes);
-                let service = transfer_ns(chunk, self.config.read_bw);
-                let access = match priority {
-                    IoPriority::Blocking => {
-                        let access = self.read_blocking.access(clock.now(), service);
-                        self.read_server.access(access.start_ns, service);
-                        access
-                    }
-                    IoPriority::Prefetch => self.read_server.access(clock.now(), service),
-                };
-                let lat = if first { latency } else { 0 };
-                completion = completion.max(access.end_ns + lat);
-                self.stats.read_requests.incr();
-                remaining -= chunk;
-                first = false;
-            }
-        }
-        self.stats.read_bytes.add(total * BLOCK_SIZE as u64);
-        clock.advance_to(completion);
         Ok(())
     }
 
@@ -274,66 +249,97 @@ impl Device {
     }
 
     /// Charges the virtual-time cost of reading `count` contiguous blocks
-    /// without materializing content (callers that track presence only).
+    /// without materializing content (callers that track presence only):
+    /// the one-run case of the queueing routine.
     pub fn charge_read(&self, clock: &mut ThreadClock, count: u64, priority: IoPriority) {
-        let bytes = count * BLOCK_SIZE as u64;
-        let spike = if bytes > 0 {
+        let spike = if count > 0 {
             self.spike_extra(clock.now())
         } else {
             0
         };
         let latency = self.config.read_request_latency_ns() + spike;
+        self.submit(clock, &self.read_channel(), &[count], latency, priority);
+    }
 
+    fn read_channel(&self) -> Channel<'_> {
+        Channel {
+            total: &self.read_server,
+            blocking: &self.read_blocking,
+            bw: self.config.read_bw,
+            requests: &self.stats.read_requests,
+            bytes: &self.stats.read_bytes,
+            background_requests: &self.stats.prefetch_requests,
+            throttled: &self.stats.prefetch_throttled,
+        }
+    }
+
+    fn write_channel(&self) -> Channel<'_> {
+        Channel {
+            total: &self.write_server,
+            blocking: &self.write_blocking,
+            bw: self.config.write_bw,
+            requests: &self.stats.write_requests,
+            bytes: &self.stats.write_bytes,
+            background_requests: &self.stats.writeback_requests,
+            throttled: &self.stats.writeback_throttled,
+        }
+    }
+
+    /// The device's queueing model, stated once: charges `runs` (each a
+    /// count of contiguous blocks) on `channel` as one submission. A
+    /// read, a write and a vectored read are this routine with a different
+    /// channel and run slice.
+    fn submit(
+        &self,
+        clock: &mut ThreadClock,
+        channel: &Channel<'_>,
+        runs: &[u64],
+        latency: u64,
+        priority: IoPriority,
+    ) {
         if priority == IoPriority::Prefetch {
-            self.stats.prefetch_requests.incr();
-            // Congestion control: stall the prefetcher while the contiguous
-            // busy stretch ahead of it exceeds the window.
-            let backlog = self
-                .read_server
-                .clear_time(clock.now())
-                .saturating_sub(clock.now());
-            if backlog > self.config.prefetch_congestion_ns {
-                self.stats.prefetch_throttled.incr();
-                clock.advance_to(
-                    self.read_server
-                        .clear_time(clock.now())
-                        .saturating_sub(self.config.prefetch_congestion_ns),
-                );
+            channel.background_requests.incr();
+            // Congestion control: stall the background stream while the
+            // contiguous busy stretch ahead of it exceeds the window.
+            let clear = channel.total.clear_time(clock.now());
+            if clear.saturating_sub(clock.now()) > self.config.prefetch_congestion_ns {
+                channel.throttled.incr();
+                clock.advance_to(clear.saturating_sub(self.config.prefetch_congestion_ns));
             }
         }
-
-        let mut remaining = bytes;
         let mut completion = clock.now();
-        let mut first = true;
-        while remaining > 0 {
-            let chunk = remaining.min(self.config.max_request_bytes);
-            let service = transfer_ns(chunk, self.config.read_bw);
-            let access = match priority {
-                IoPriority::Blocking => {
-                    // Queue only behind other demand reads, then reserve
-                    // the capacity on the total horizon so prefetch sees
-                    // the bandwidth as consumed.
-                    let access = self.read_blocking.access(clock.now(), service);
-                    self.read_server.access(access.start_ns, service);
-                    access
-                }
-                IoPriority::Prefetch => {
+        // Fixed latency applies per request but overlaps across the
+        // pipelined splits of one submission: charge it once.
+        let mut latency = latency;
+        let mut blocks = 0;
+        for &count in runs {
+            blocks += count;
+            let mut remaining = count * BLOCK_SIZE as u64;
+            while remaining > 0 {
+                let chunk = remaining.min(self.config.max_request_bytes);
+                let service = transfer_ns(chunk, channel.bw);
+                let access = match priority {
+                    IoPriority::Blocking => {
+                        // Queue only behind other demand traffic, then
+                        // reserve the capacity on the total horizon so
+                        // background traffic sees the bandwidth as consumed.
+                        let access = channel.blocking.access(clock.now(), service);
+                        channel.total.access(access.start_ns, service);
+                        access
+                    }
                     // Share the total horizon fairly with demand traffic —
                     // NVMe does not deprioritize readahead I/O; the
-                    // asymmetry is only that demand reads never queue
-                    // behind prefetch *backlog* (their own horizon above).
-                    self.read_server.access(clock.now(), service)
-                }
-            };
-            // Fixed latency applies per request but overlaps across the
-            // pipelined splits of one logical transfer: charge it once.
-            let lat = if first { latency } else { 0 };
-            completion = completion.max(access.end_ns + lat);
-            self.stats.read_requests.incr();
-            remaining -= chunk;
-            first = false;
+                    // asymmetry is only that demand requests never queue
+                    // behind background *backlog* (their own horizon above).
+                    IoPriority::Prefetch => channel.total.access(clock.now(), service),
+                };
+                completion = completion.max(access.end_ns + latency);
+                latency = 0;
+                channel.requests.incr();
+                remaining -= chunk;
+            }
         }
-        self.stats.read_bytes.add(bytes);
+        channel.bytes.add(blocks * BLOCK_SIZE as u64);
         clock.advance_to(completion);
     }
 
@@ -366,47 +372,11 @@ impl Device {
     /// and stalls on the congestion window when its backlog would otherwise
     /// pile up in front of demand traffic.
     pub fn charge_write(&self, clock: &mut ThreadClock, count: u64, priority: IoPriority) {
-        let bytes = count * BLOCK_SIZE as u64;
+        if count == 0 {
+            return;
+        }
         let latency = self.config.write_request_latency_ns();
-
-        if priority == IoPriority::Prefetch && bytes > 0 {
-            self.stats.writeback_requests.incr();
-            let backlog = self
-                .write_server
-                .clear_time(clock.now())
-                .saturating_sub(clock.now());
-            if backlog > self.config.prefetch_congestion_ns {
-                self.stats.writeback_throttled.incr();
-                clock.advance_to(
-                    self.write_server
-                        .clear_time(clock.now())
-                        .saturating_sub(self.config.prefetch_congestion_ns),
-                );
-            }
-        }
-
-        let mut remaining = bytes;
-        let mut completion = clock.now();
-        let mut first = true;
-        while remaining > 0 {
-            let chunk = remaining.min(self.config.max_request_bytes);
-            let service = transfer_ns(chunk, self.config.write_bw);
-            let access = match priority {
-                IoPriority::Blocking => {
-                    let access = self.write_blocking.access(clock.now(), service);
-                    self.write_server.access(access.start_ns, service);
-                    access
-                }
-                IoPriority::Prefetch => self.write_server.access(clock.now(), service),
-            };
-            let lat = if first { latency } else { 0 };
-            completion = completion.max(access.end_ns + lat);
-            self.stats.write_requests.incr();
-            remaining -= chunk;
-            first = false;
-        }
-        self.stats.write_bytes.add(bytes);
-        clock.advance_to(completion);
+        self.submit(clock, &self.write_channel(), &[count], latency, priority);
     }
 
     /// Writes bytes at an arbitrary offset within one block, with content

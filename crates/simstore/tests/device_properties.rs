@@ -86,6 +86,112 @@ proptest! {
     }
 }
 
+/// Every `DeviceStats` counter, in declaration order.
+fn stat_values(device: &Device) -> [u64; 11] {
+    let s = device.stats();
+    [
+        s.read_requests.get(),
+        s.write_requests.get(),
+        s.read_bytes.get(),
+        s.write_bytes.get(),
+        s.prefetch_requests.get(),
+        s.prefetch_throttled.get(),
+        s.injected_read_faults.get(),
+        s.vectored_submissions.get(),
+        s.latency_spike_requests.get(),
+        s.writeback_requests.get(),
+        s.writeback_throttled.get(),
+    ]
+}
+
+fn priority(is_prefetch: bool) -> IoPriority {
+    if is_prefetch {
+        IoPriority::Prefetch
+    } else {
+        IoPriority::Blocking
+    }
+}
+
+proptest! {
+    /// `charge_read(n)` is the one-run case of the vectored submission:
+    /// twin devices end on identical clocks with identical counters,
+    /// except that only the vectored twin counts `vectored_submissions`.
+    /// Counts above 512 blocks cross the 2 MiB request split; enough
+    /// prefetch traffic crosses the congestion window.
+    #[test]
+    fn single_run_read_equals_one_run_vector(ops in prop::collection::vec((1u64..1500, prop::bool::ANY, 0u64..300_000), 1..40)) {
+        let plain = Device::new(DeviceConfig::local_nvme());
+        let vectored = Device::new(DeviceConfig::local_nvme());
+        let mut a = clock();
+        let mut b = clock();
+        let submissions = ops.len() as u64;
+        for (count, is_prefetch, think_ns) in ops {
+            plain.charge_read(&mut a, count, priority(is_prefetch));
+            vectored.try_charge_read_vectored(&mut b, &[count], priority(is_prefetch)).unwrap();
+            prop_assert_eq!(a.now(), b.now());
+            a.advance(think_ns);
+            b.advance(think_ns);
+        }
+        let mut expected = stat_values(&plain);
+        prop_assert_eq!(expected[7], 0);
+        expected[7] = submissions;
+        prop_assert_eq!(stat_values(&vectored), expected);
+    }
+
+    /// A write is a read on its own channel: with the write channel given
+    /// the read channel's bandwidth and fixed latency, a write stream
+    /// leaves the clock and the write-side counters exactly where the
+    /// same read stream leaves the read-side ones, and neither touches
+    /// the other channel.
+    #[test]
+    fn write_mirrors_read_on_its_own_channel(ops in prop::collection::vec((1u64..1500, prop::bool::ANY, 0u64..300_000), 1..40)) {
+        let mut config = DeviceConfig::local_nvme();
+        config.write_bw = config.read_bw;
+        config.write_latency_ns = config.read_latency_ns;
+        let reader = Device::new(config.clone());
+        let writer = Device::new(config);
+        let mut a = clock();
+        let mut b = clock();
+        for (count, is_prefetch, think_ns) in ops {
+            reader.charge_read(&mut a, count, priority(is_prefetch));
+            writer.charge_write(&mut b, count, priority(is_prefetch));
+            prop_assert_eq!(a.now(), b.now());
+            a.advance(think_ns);
+            b.advance(think_ns);
+        }
+        let r = stat_values(&reader);
+        let w = stat_values(&writer);
+        // (requests, bytes, background requests, background stalls)
+        prop_assert_eq!([w[1], w[3], w[9], w[10]], [r[0], r[2], r[4], r[5]]);
+        prop_assert_eq!([w[0], w[2], w[4], w[5]], [0, 0, 0, 0]);
+        prop_assert_eq!([r[1], r[3], r[9], r[10]], [0, 0, 0, 0]);
+    }
+}
+
+/// The zero-count edge cases differ per entry point and the benchmark
+/// compares these counters, so they are pinned: a zero-block prefetch read
+/// still counts as a prefetch request (and nothing else); a zero-block
+/// write and an all-zero or empty vector touch nothing at all.
+#[test]
+fn zero_count_edge_cases_are_pinned() {
+    let device = Device::new(DeviceConfig::local_nvme());
+    let mut c = clock();
+    device.charge_read(&mut c, 0, IoPriority::Prefetch);
+    let mut expected = [0u64; 11];
+    expected[4] = 1; // prefetch_requests
+    assert_eq!(stat_values(&device), expected);
+    device.charge_read(&mut c, 0, IoPriority::Blocking);
+    device.charge_write(&mut c, 0, IoPriority::Prefetch);
+    device.charge_write(&mut c, 0, IoPriority::Blocking);
+    for runs in [&[][..], &[0, 0][..]] {
+        for pri in [IoPriority::Prefetch, IoPriority::Blocking] {
+            device.try_charge_read_vectored(&mut c, runs, pri).unwrap();
+        }
+    }
+    assert_eq!(stat_values(&device), expected);
+    assert_eq!(c.now(), 0);
+}
+
 #[test]
 fn blocking_latency_unaffected_by_prefetch_backlog() {
     let device = Device::new(DeviceConfig::local_nvme());

@@ -3,6 +3,7 @@
 
 use crossprefetch::{FlushReason, Mode, Runtime, RuntimeConfig, RuntimeReport, TraceEventKind};
 use simos::{Device, DeviceConfig, FaultPlan, FileSystem, FsKind, Os, OsConfig};
+use std::collections::HashMap;
 
 fn os(memory_mb: u64) -> std::sync::Arc<Os> {
     Os::new(
@@ -219,6 +220,7 @@ fn partial_batch_failure_feeds_the_retry_ladder() {
     let mut config = RuntimeConfig::new(Mode::PredictOpt);
     config.batch_submit = true;
     let runtime = Runtime::new(os, config);
+    runtime.trace().set_enabled(true);
     let mut clock = runtime.new_clock();
     let file = runtime
         .create_sized(&mut clock, "/data/faulty.bin", 32 << 20)
@@ -239,6 +241,40 @@ fn partial_batch_failure_feeds_the_retry_ladder() {
     );
     // Reads still complete (demand path is un-faulted).
     assert_eq!(runtime.stats().reads.get(), 256);
+
+    // The vectored submission was each entry's first attempt, so per
+    // chunk the ladder's attempt numbers strictly increase and stop short
+    // of the budget: at most PREFETCH_RETRY_ATTEMPTS = 4 device tries
+    // (1 batched + 3 retried) before the chunk is abandoned.
+    let mut failed_attempts: HashMap<(u64, u64), Vec<u32>> = HashMap::new();
+    let mut abandoned = 0;
+    for event in runtime.trace().snapshot() {
+        match event.kind {
+            TraceEventKind::PrefetchRetry {
+                start_page,
+                pages,
+                attempt,
+                ..
+            } => failed_attempts
+                .entry((start_page, pages))
+                .or_default()
+                .push(attempt),
+            TraceEventKind::PrefetchAbandoned {
+                start_page, pages, ..
+            } => {
+                abandoned += 1;
+                let attempts = failed_attempts.remove(&(start_page, pages));
+                assert_eq!(
+                    attempts,
+                    Some(vec![1, 2, 3]),
+                    "chunk at page {start_page}: 4 tries, numbered once each"
+                );
+            }
+            _ => {}
+        }
+    }
+    assert_eq!(abandoned, stats.prefetch_give_ups.get());
+    assert_eq!(stats.prefetch_retries.get(), 3 * abandoned);
 }
 
 /// The acceptance criterion: on a sequential stream, batching initiates at
