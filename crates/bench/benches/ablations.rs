@@ -1,68 +1,24 @@
-//! Ablations over the artifact's customization knobs (paper appendix A.6):
-//! predictor counter width (`CROSS_BITMAP_SHIFT` analogue for prediction),
-//! prefetch worker count (`NR_WORKERS_VAR`), open-prefetch size
-//! (`PREFETCH_SIZE_VAR`), bitmap export granularity, and the per-inode-LRU
-//! future-work feature (§4.6).
+//! Ablations: the artifact's customization knobs (paper appendix A.6:
+//! predictor counter width, `NR_WORKERS_VAR`, `PREFETCH_SIZE_VAR`,
+//! `CROSS_BITMAP_SHIFT`), the per-inode-LRU future-work feature (§4.6), and
+//! every opt-in subsystem added since, off against on: prediction engines,
+//! batched submission, the completion ring, the tenant arbiter, cross-tier
+//! promotion, deferred write-back. This bench only prints; the claims its
+//! tables illustrate are gated by `cargo test`
+//! (`tests/{engines,batching,ring,tenants,tiering}.rs`).
 
-use cp_bench::{banner, boot, fmt_mbps, scale, TablePrinter};
-use crossprefetch::{Mode, Runtime, RuntimeConfig};
+use cp_bench::{banner, boot, boot_tiered, fmt_mbps, scale, TablePrinter};
+use crossprefetch::{
+    EngineKind, Mode, Runtime, RuntimeConfig, RuntimeReport, TenantsConfig, TieringConfig,
+    WritebackConfig, PAGE_SIZE,
+};
+use simclock::{ThreadClock, NS_PER_MS, NS_PER_US};
 use simos::{Device, DeviceConfig, FileSystem, FsKind, Os, OsConfig, RaInfoRequest};
 use std::sync::Arc;
-use workloads::{run_micro, setup_micro, MicroConfig, MicroPattern};
-
-fn micro_with(config: RuntimeConfig, os: Arc<simos::Os>) -> f64 {
-    let rt = Runtime::new(os, config);
-    let cfg = MicroConfig {
-        threads: 8,
-        data_bytes: 96 << 20,
-        io_bytes: 16 * 1024,
-        ops_per_thread: 600 * scale(),
-        shared: true,
-        pattern: MicroPattern::BatchedRandom { batch: 8 },
-        seed: 0xAB1,
-    };
-    setup_micro(&rt, &cfg);
-    run_micro(&rt, &cfg).mbps()
-}
-
-fn predictor_bits_sweep() {
-    println!("--- predictor counter width (3 bits is the paper's choice) ---");
-    let mut table = TablePrinter::new(["bits", "MB/s"]);
-    for bits in 1..=5u32 {
-        let mut config = RuntimeConfig::new(Mode::PredictOpt);
-        config.engine_tuning.predictor_bits = bits;
-        let os = boot(64);
-        table.row([bits.to_string(), fmt_mbps(micro_with(config, os))]);
-    }
-    table.print();
-    println!();
-}
-
-fn workers_sweep() {
-    println!("--- prefetch worker threads (NR_WORKERS_VAR) ---");
-    let mut table = TablePrinter::new(["workers", "MB/s"]);
-    for workers in [1usize, 2, 4, 8] {
-        let mut config = RuntimeConfig::new(Mode::PredictOpt);
-        config.workers = workers;
-        let os = boot(64);
-        table.row([workers.to_string(), fmt_mbps(micro_with(config, os))]);
-    }
-    table.print();
-    println!();
-}
-
-fn open_prefetch_sweep() {
-    println!("--- optimistic open-prefetch size (PREFETCH_SIZE_VAR) ---");
-    let mut table = TablePrinter::new(["open prefetch", "MB/s"]);
-    for mb in [0u64, 1, 2, 8] {
-        let mut config = RuntimeConfig::new(Mode::PredictOpt);
-        config.open_prefetch_bytes = mb << 20;
-        let os = boot(64);
-        table.row([format!("{mb} MiB"), fmt_mbps(micro_with(config, os))]);
-    }
-    table.print();
-    println!();
-}
+use workloads::{
+    run_fleet, run_kvprobe, run_micro, setup_fleet, setup_kvprobe, setup_micro, FleetConfig,
+    KvProbeConfig, MicroConfig, MicroPattern,
+};
 
 fn bitmap_shift_sweep() {
     println!("--- bitmap export granularity (CROSS_BITMAP_SHIFT) ---");
@@ -94,32 +50,250 @@ fn bitmap_shift_sweep() {
     println!();
 }
 
-fn per_inode_lru_toggle() {
-    println!("--- per-inode LRU reclaim (the paper's future-work item) ---");
-    let mut table = TablePrinter::new(["reclaim", "MB/s"]);
-    for (label, enabled) in [("global word LRU", false), ("per-inode LRU", true)] {
-        let mut os_config = OsConfig::with_memory_mb(48);
-        os_config.per_inode_lru = enabled;
-        let os = Os::new(
-            os_config,
-            Device::new(DeviceConfig::local_nvme()),
-            FileSystem::new(FsKind::Ext4Like),
-        );
-        let config = RuntimeConfig::new(Mode::PredictOpt);
-        table.row([label.to_string(), fmt_mbps(micro_with(config, os))]);
+/// A [`report_sweep`] workload: creates its dataset, drives `clock`
+/// through the run, and returns a note for the table's last column.
+type Workload = fn(&Runtime, &mut ThreadClock) -> String;
+
+const PATH: &str = "/bench/data.bin";
+
+/// Eight threads of batched-random 16 KiB reads over a shared 96 MiB file.
+fn micro(rt: &Runtime, clock: &mut ThreadClock) -> String {
+    let cfg = MicroConfig {
+        threads: 8,
+        data_bytes: 96 << 20,
+        io_bytes: 16 * 1024,
+        ops_per_thread: 600 * scale(),
+        shared: true,
+        pattern: MicroPattern::BatchedRandom { batch: 8 },
+        seed: 0xAB1,
+    };
+    setup_micro(rt, &cfg);
+    let result = run_micro(rt, &cfg);
+    clock.advance(result.elapsed_ns);
+    format!("{} MB/s", fmt_mbps(result.mbps()))
+}
+
+/// Sequential 16 KiB reads over a cold 96 MiB file.
+fn sequential(rt: &Runtime, clock: &mut ThreadClock) -> String {
+    let file = rt.create_sized(clock, PATH, 96 << 20).expect("create");
+    for i in 0..1536 * scale() {
+        file.read_charge(clock, i * 16_384, 16_384);
+    }
+    String::new()
+}
+
+/// Zipfian index-then-record probes over an 18 MiB dataset: the shape the
+/// strided counter cannot learn and a correlation miner can.
+fn kvprobe(rt: &Runtime, clock: &mut ThreadClock) -> String {
+    let mut cfg = KvProbeConfig::default();
+    cfg.probes *= scale();
+    setup_kvprobe(rt, &cfg, PATH);
+    run_kvprobe(rt, clock, &cfg, PATH);
+    String::new()
+}
+
+/// The mixed-QoS fleet, open loop at 4000 req/s: ~74 % of where it
+/// saturates with the arbiter on, so queues drain and p99s mean something.
+const FLEET_GAP_NS: u64 = 250 * NS_PER_US;
+
+fn fleet(rt: &Runtime, clock: &mut ThreadClock) -> String {
+    let cfg = FleetConfig::mixed_qos(FLEET_GAP_NS);
+    setup_fleet(rt, &cfg);
+    let result = run_fleet(rt, clock, &cfg);
+    let gold = result.tenant("gold").expect("gold tenant");
+    let (read, response) = (gold.p99_read_ns, gold.p99_response_ns / NS_PER_US);
+    format!("gold p99: read {read} ns, response {response} us")
+}
+
+/// One sequential scan of a 9 MiB file (the stream the tier planner
+/// promotes from), a cache drop, then 32 KiB reads at hashed offsets, a
+/// 4-page write riding along every `write_every`-th read (dirty runs with
+/// 4-page gaps: distinct write calls the deferred daemon can coalesce
+/// under its gap budget), then `fsync`.
+fn scan_then_scatter(rt: &Runtime, clock: &mut ThreadClock, write_every: u64) -> String {
+    let file = rt.create_sized(clock, PATH, 9 << 20).expect("create");
+    let pages = file.size() / PAGE_SIZE;
+    for page in 0..pages {
+        file.read_charge(clock, page * PAGE_SIZE, PAGE_SIZE);
+    }
+    rt.flush_prefetch_batches(clock);
+    rt.os().drop_caches(clock);
+    for i in 0..4096 * scale() {
+        let page = i.wrapping_mul(0x9E37_79B9) % (pages - 8);
+        file.read_charge(clock, page * PAGE_SIZE, 8 * PAGE_SIZE);
+        if i % write_every == 0 {
+            file.write_charge(clock, (i * 2 % (pages - 4)) * PAGE_SIZE, 4 * PAGE_SIZE);
+        }
+    }
+    file.fsync(clock);
+    String::new()
+}
+
+/// The one comparison-table routine. Every `modes` x `values` row boots
+/// its own OS (`os`) and runtime (`set` applies the value to the mode's
+/// default config), runs `workload`, closes the prefetch-quality books
+/// with a cache drop (still-speculative pages settle as wasted) and prints
+/// the [`RuntimeReport`] next to the run's boundary crossings.
+fn report_sweep<T: Copy>(
+    title: &str,
+    workload: Workload,
+    modes: &[Mode],
+    values: &[(&str, T)],
+    os: impl Fn(T) -> Arc<Os>,
+    set: impl Fn(&mut RuntimeConfig, T),
+) {
+    println!("--- {title} ---");
+    let columns = "run|initiated|timely|late|wasted|pf-hit %|hit %|ra/rd/wr crossings\
+                   |local/remote tier rds|miss p50/p99 us|ms|note";
+    let mut table = TablePrinter::new(columns.split('|'));
+    for &mode in modes {
+        for &(name, value) in values {
+            let mut config = RuntimeConfig::new(mode);
+            set(&mut config, value);
+            let rt = Runtime::new(os(value), config);
+            let mut clock = rt.new_clock();
+            let note = workload(&rt, &mut clock);
+            rt.flush_prefetch_batches(&mut clock);
+            let ms = clock.now() as f64 / NS_PER_MS as f64;
+            let calls = rt.os().stats();
+            let device_writes = rt.os().device().stats().write_requests.get();
+            let prefetch_calls =
+                calls.ra_info_calls.get() + calls.ra_calls.get() + calls.ra_batch_calls.get();
+            let read_calls = calls.reads.get() + calls.read_batch_calls.get();
+            rt.os().drop_caches(&mut clock);
+            let r = RuntimeReport::collect(&rt);
+            let (q, miss) = (r.prefetch_quality, &r.read_demand_miss);
+            let hits = (r.read_cache_hit.count + r.read_prefetch_hit.count) as f64;
+            table.row([
+                format!("{} {name}", mode.label()),
+                r.pages_initiated.to_string(),
+                q.timely.to_string(),
+                q.late.to_string(),
+                q.wasted.to_string(),
+                // Only meaningful when the runtime (not OS readahead) initiated.
+                match r.pages_initiated {
+                    0 => "-".to_string(),
+                    n => format!("{:.1}", (q.timely + q.late) as f64 * 100.0 / n as f64),
+                },
+                format!("{:.1}", hits * 100.0 / (hits + miss.count as f64).max(1.0)),
+                format!("{prefetch_calls}/{read_calls}/{device_writes}"),
+                format!("{}/{}", r.tier_local_reads, r.tier_remote_reads),
+                format!("{}/{}", miss.p50() / NS_PER_US, miss.p99() / NS_PER_US),
+                format!("{ms:.2}"),
+                note,
+            ]);
+        }
     }
     table.print();
+    println!();
 }
 
 fn main() {
     banner(
         "Ablations",
-        "artifact knobs: predictor bits, workers, open-prefetch, bitmap shift, per-inode LRU",
+        "artifact knobs and opt-in subsystems, one knob at a time",
         "3-bit counter best (paper §4.6); other knobs plateau quickly",
     );
-    predictor_bits_sweep();
-    workers_sweep();
-    open_prefetch_sweep();
     bitmap_shift_sweep();
-    per_inode_lru_toggle();
+
+    let (predict, predict_opt) = ([Mode::Predict], [Mode::PredictOpt]);
+    let mut mechanisms = Mode::table2().to_vec();
+    mechanisms.push(Mode::FincoreApp);
+    let off_on = [("off", false), ("on", true)];
+    let engines = EngineKind::all().map(|engine| (engine.name(), engine));
+    let fleet_tenants = TenantsConfig::new(FleetConfig::mixed_qos(FLEET_GAP_NS).tenant_specs());
+
+    let knob_sweep = |title, values: &[(&str, u64)], set: fn(&mut RuntimeConfig, u64)| {
+        report_sweep(title, micro, &predict_opt, values, |_| boot(64), set);
+    };
+    knob_sweep(
+        "predictor counter width in bits (3 is the paper's choice)",
+        &[("1", 1), ("2", 2), ("3", 3), ("4", 4), ("5", 5)],
+        |c, bits| c.engine_tuning.predictor_bits = bits as u32,
+    );
+    knob_sweep(
+        "prefetch worker threads (NR_WORKERS_VAR)",
+        &[("1", 1), ("2", 2), ("4", 4), ("8", 8)],
+        |c, workers| c.workers = workers as usize,
+    );
+    knob_sweep(
+        "optimistic open-prefetch size in MiB (PREFETCH_SIZE_VAR)",
+        &[("0", 0), ("1", 1), ("2", 2), ("8", 8)],
+        |c, mb| c.open_prefetch_bytes = mb << 20,
+    );
+    report_sweep(
+        "per-inode LRU reclaim (the paper's future-work item); off = global word LRU",
+        micro,
+        &predict_opt,
+        &off_on,
+        |per_inode_lru| os_with(48, |c| c.per_inode_lru = per_inode_lru),
+        |_, _| {},
+    );
+    // 8 MB of cache against the 18 MiB probe dataset keeps the OS evicting,
+    // so planned prefetches actually issue and waste is a real cost.
+    report_sweep(
+        "prediction engine x mechanism (zipfian kvprobe, 8 MB cache)",
+        kvprobe,
+        &mechanisms,
+        &engines,
+        |_| boot(8),
+        |c, engine| c.engine = engine,
+    );
+    report_sweep(
+        "batched SQ/CQ prefetch submission x mechanism (sequential 16 KiB reads)",
+        sequential,
+        &mechanisms,
+        &off_on,
+        |_| boot(64),
+        |c, on| c.batch_submit = on,
+    );
+    report_sweep(
+        "completion ring (zipfian kvprobe, 8 MB cache)",
+        kvprobe,
+        &predict,
+        &off_on,
+        |_| boot(8),
+        |c, on| c.ring_submit = on,
+    );
+    report_sweep(
+        "tenant arbiter (mixed-QoS fleet at 4000 req/s, ~320 MiB behind a 16 MB cache)",
+        fleet,
+        &predict_opt,
+        &off_on,
+        |_| boot(16),
+        |c, on| c.tenants = on.then(|| fleet_tenants.clone()),
+    );
+    // An 8 MiB local tier in front of NVMe-oF under the 9 MiB file: ~11 %
+    // of the blocks cannot fit locally no matter what.
+    report_sweep(
+        "cross-tier promotion (scan, then scattered cold 32 KiB re-reads, 4 MB cache)",
+        |rt, clock| scan_then_scatter(rt, clock, u64::MAX),
+        &predict,
+        &off_on,
+        |_| boot_tiered(4, 2048),
+        |c, on| c.tiering = on.then(TieringConfig::new),
+    );
+    report_sweep(
+        "write-back (same, plus a 4-page write every 4th read, 8 MB cache)",
+        |rt, clock| scan_then_scatter(rt, clock, 4),
+        &predict,
+        &[("deferred", false), ("write-through", true)],
+        |write_through| {
+            let writeback = WritebackConfig {
+                write_through,
+                ..WritebackConfig::default()
+            };
+            os_with(8, |c| c.writeback = Some(writeback))
+        },
+        |_, _| {},
+    );
+}
+
+/// A local-NVMe, ext4-like OS with `memory_mb` of page cache and `tweak`
+/// applied to its config.
+fn os_with(memory_mb: u64, tweak: impl FnOnce(&mut OsConfig)) -> Arc<Os> {
+    let mut config = OsConfig::with_memory_mb(memory_mb);
+    tweak(&mut config);
+    let device = Device::new(DeviceConfig::local_nvme());
+    Os::new(config, device, FileSystem::new(FsKind::Ext4Like))
 }

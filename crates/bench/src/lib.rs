@@ -13,10 +13,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::path::Path;
 use std::sync::Arc;
 
-use crossprefetch::{Mode, Runtime, RuntimeConfig, RuntimeReport, TieredStore};
+use crossprefetch::{Mode, Runtime, RuntimeConfig, TieredStore};
 use simos::{Device, DeviceConfig, FileSystem, FsKind, Os, OsConfig};
 
 /// Boots a fresh OS with `memory_mb` of page cache on a local NVMe model
@@ -124,11 +123,6 @@ pub fn fmt_mbps(v: f64) -> String {
     }
 }
 
-/// Formats a ratio like `1.42x`.
-pub fn fmt_ratio(v: f64) -> String {
-    format!("{v:.2}x")
-}
-
 /// Environment-controlled scale factor (`CP_BENCH_SCALE`, default 1).
 ///
 /// Scale 1 keeps every bench in seconds; higher values enlarge datasets
@@ -139,31 +133,6 @@ pub fn scale() -> u64 {
         .and_then(|s| s.parse().ok())
         .filter(|&s| s >= 1)
         .unwrap_or(1)
-}
-
-/// Writes a `BENCH_<id>.json` telemetry sidecar for `runtime` into the
-/// directory named by `CP_BENCH_TELEMETRY_DIR`. A no-op when the variable
-/// is unset, so benches stay silent by default; point it at a directory to
-/// collect one machine-readable [`RuntimeReport`] per bench cell.
-pub fn telemetry_sidecar(id: &str, runtime: &Runtime) {
-    if let Ok(dir) = std::env::var("CP_BENCH_TELEMETRY_DIR") {
-        write_sidecar(Path::new(&dir), id, runtime);
-    }
-}
-
-/// Sidecar writer backing [`telemetry_sidecar`]; writes
-/// `<dir>/BENCH_<sanitized id>.json`. Failures are reported on stderr, not
-/// propagated — telemetry must never fail a bench run.
-pub fn write_sidecar(dir: &Path, id: &str, runtime: &Runtime) {
-    let safe: String = id
-        .chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-        .collect();
-    let path = dir.join(format!("BENCH_{safe}.json"));
-    let json = RuntimeReport::collect(runtime).to_json();
-    if let Err(err) = std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, json)) {
-        eprintln!("telemetry sidecar {} not written: {err}", path.display());
-    }
 }
 
 /// Shared LSM-workload setup matching the paper's RocksDB configuration:
@@ -265,7 +234,6 @@ pub fn run_patterns(device: simos::DeviceConfig, fs: FsKind, figure: &str, shape
             }
             best = best.max(mbps / first.unwrap_or(mbps));
             cells.push(fmt_mbps(mbps));
-            telemetry_sidecar(&format!("{figure}_{pattern}_{}", mode.label()), &rt);
         }
         cells.push(format!("{best:.2}x"));
         table.row(cells);
@@ -288,23 +256,6 @@ mod tests {
     #[test]
     fn scale_defaults_to_one() {
         assert!(scale() >= 1);
-    }
-
-    #[test]
-    fn sidecar_writes_schema_stamped_json() {
-        let os = boot(16);
-        let rt = runtime(Arc::clone(&os), Mode::PredictOpt);
-        let mut clock = rt.new_clock();
-        let file = rt.create_sized(&mut clock, "/b", 1 << 20).unwrap();
-        file.read_charge(&mut clock, 0, 64 * 1024);
-
-        let dir = std::env::temp_dir().join(format!("cp_sidecar_{}", std::process::id()));
-        write_sidecar(&dir, "fig: test/cell", &rt);
-        let path = dir.join("BENCH_fig__test_cell.json");
-        let body = std::fs::read_to_string(&path).unwrap();
-        assert!(body.contains("\"schema_version\":1"));
-        assert!(body.contains("\"histograms\""));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -450,7 +450,8 @@ type LocalBuffer = Arc<Mutex<Vec<TraceEvent>>>;
 thread_local! {
     /// This thread's buffer per trace log (keyed by log id). Buffers are
     /// *also* registered with the owning log, so `snapshot()` can collect
-    /// events from threads that never flushed.
+    /// events from threads that never flushed. Entries of dropped logs are
+    /// pruned when the thread registers with a new log (see `emit`).
     static LOCAL_BUFFERS: RefCell<HashMap<u64, LocalBuffer>> = RefCell::new(HashMap::new());
 }
 
@@ -521,11 +522,18 @@ impl TraceLog {
         };
         let buffer = LOCAL_BUFFERS.with(|map| {
             let mut map = map.borrow_mut();
-            Arc::clone(map.entry(self.id).or_insert_with(|| {
-                let buffer: LocalBuffer = Arc::new(Mutex::new(Vec::new()));
-                self.buffers.lock().push(Arc::clone(&buffer));
-                buffer
-            }))
+            if let Some(buffer) = map.get(&self.id) {
+                return Arc::clone(buffer);
+            }
+            // This thread's first event into this log. A live log holds a
+            // second reference to each of its buffers, so a buffer only
+            // this map still references belongs to a dropped log: release
+            // those here instead of keeping one per log ever emitted into.
+            map.retain(|_, buffer| Arc::strong_count(buffer) > 1);
+            let buffer: LocalBuffer = Arc::new(Mutex::new(Vec::new()));
+            self.buffers.lock().push(Arc::clone(&buffer));
+            map.insert(self.id, Arc::clone(&buffer));
+            buffer
         });
         let mut local = buffer.lock();
         local.push(event);
@@ -684,6 +692,24 @@ mod tests {
         .join()
         .unwrap();
         assert_eq!(log.snapshot().len(), 10);
+    }
+
+    #[test]
+    fn dropped_logs_release_their_thread_local_buffers() {
+        // A dedicated thread, so the map starts empty whatever ran before.
+        std::thread::spawn(|| {
+            for i in 0..100u64 {
+                let log = TraceLog::new(16);
+                log.set_enabled(true);
+                log.emit(i, evict_event(i));
+            }
+            // Only the last log's buffer may linger (until the next
+            // registration prunes it).
+            let live = LOCAL_BUFFERS.with(|map| map.borrow().len());
+            assert!(live <= 1, "{live} buffers outlived their logs");
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]

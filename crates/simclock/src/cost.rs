@@ -150,7 +150,7 @@ mod tests {
     }
 
     #[test]
-    fn clone_compares_equal() {
+    fn clone_equals_original() {
         let costs = CostModel::default();
         assert_eq!(costs.clone(), costs);
     }

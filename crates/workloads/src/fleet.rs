@@ -21,7 +21,8 @@
 //! [`FleetConfig::only_tenant`] replays the identical arrival stream but
 //! executes only one tenant's requests (every RNG draw still happens, so
 //! arrivals and offsets stay aligned). That is the *unloaded baseline*
-//! the `fleet_compare` acceptance gate measures p99 bounds against.
+//! the arbitration gate (`tests/tenants.rs`) bounds the gold tenant's
+//! response tail against.
 
 use crossprefetch::{QosClass, Runtime, TenantId, TenantSpec};
 use rand::rngs::StdRng;
@@ -116,6 +117,34 @@ impl Default for FleetConfig {
 }
 
 impl FleetConfig {
+    /// The mixed-QoS fleet the arbitration gate and the `ablations` bench
+    /// share: two hot bronze batch tenants bursting at hashed-random
+    /// offsets over cold 32 MiB files, a silver and a gold tenant each
+    /// streaming one long cold pass over 128 MiB (so their only structural
+    /// misses are the initial readahead ramp — anything beyond that is
+    /// inflicted by the fleet), 16 KiB reads, 8192 requests. ~320 MiB in
+    /// all: run it behind a 16 MB cache and prefetch credit is the
+    /// contended resource. Open loop at `mean_interarrival_ns`; the
+    /// arbitrated fleet saturates near 185 us (~5400 req/s).
+    pub fn mixed_qos(mean_interarrival_ns: u64) -> Self {
+        let streaming =
+            |name, qos| FleetTenantSpec::new(name, qos, false).with_file_bytes(128 << 20);
+        Self {
+            tenants: vec![
+                FleetTenantSpec::new("batch-a", QosClass::Bronze, true),
+                FleetTenantSpec::new("batch-b", QosClass::Bronze, true),
+                streaming("standard", QosClass::Silver),
+                streaming("gold", QosClass::Gold),
+            ],
+            requests: 8192,
+            mean_interarrival_ns,
+            files_per_tenant: 1,
+            file_bytes: 32 << 20,
+            read_bytes: 16 * 1024,
+            ..Self::default()
+        }
+    }
+
     /// The arbiter-facing tenant table (same order as [`Self::tenants`],
     /// so [`TenantId`] indexes agree).
     pub fn tenant_specs(&self) -> Vec<TenantSpec> {

@@ -1,22 +1,15 @@
 //! Batched prefetch submission: off-path byte-identity, flush policy,
 //! partial-batch failure, and crossing-count savings.
 
+use cp_bench::boot;
 use crossprefetch::{FlushReason, Mode, Runtime, RuntimeConfig, RuntimeReport, TraceEventKind};
 use simos::{Device, DeviceConfig, FaultPlan, FileSystem, FsKind, Os, OsConfig};
 use std::collections::HashMap;
 
-fn os(memory_mb: u64) -> std::sync::Arc<Os> {
-    Os::new(
-        OsConfig::with_memory_mb(memory_mb),
-        Device::new(DeviceConfig::local_nvme()),
-        FileSystem::new(FsKind::Ext4Like),
-    )
-}
-
 /// A deterministic mixed workload: sequential ramp, warm re-read, random
 /// jumps. Returns the runtime's JSON report after draining batches.
 fn run_workload(config: RuntimeConfig) -> String {
-    let runtime = Runtime::new(os(48), config);
+    let runtime = Runtime::new(boot(48), config);
     let mut clock = runtime.new_clock();
     let file = runtime
         .create_sized(&mut clock, "/data/w.bin", 48 << 20)
@@ -84,7 +77,7 @@ fn small_capacity_flushes_on_full() {
     config.batch_submit = true;
     config.batch_max_runs = 1;
     config.batch_deadline_ns = u64::MAX / 2;
-    let runtime = Runtime::new(os(48), config);
+    let runtime = Runtime::new(boot(48), config);
     let mut clock = runtime.new_clock();
     let file = runtime
         .create_sized(&mut clock, "/data/full.bin", 32 << 20)
@@ -116,7 +109,7 @@ fn short_deadline_flushes_on_deadline() {
     config.batch_submit = true;
     config.batch_max_runs = 1_000_000;
     config.batch_deadline_ns = 1;
-    let runtime = Runtime::new(os(48), config);
+    let runtime = Runtime::new(boot(48), config);
     let mut clock = runtime.new_clock();
     let file = runtime
         .create_sized(&mut clock, "/data/deadline.bin", 32 << 20)
@@ -146,7 +139,7 @@ fn idle_stream_flushes_at_the_deadline() {
     config.batch_submit = true;
     config.batch_max_runs = 1_000_000; // never flush by size
     config.batch_deadline_ns = deadline;
-    let runtime = Runtime::new(os(48), config);
+    let runtime = Runtime::new(boot(48), config);
     runtime.trace().set_enabled(true);
     let mut clock = runtime.new_clock();
     let file = runtime
@@ -290,7 +283,7 @@ fn batching_halves_crossings_at_parity() {
     let run = |batch: bool| {
         let mut config = RuntimeConfig::new(Mode::Predict);
         config.batch_submit = batch;
-        let runtime = Runtime::new(os(64), config);
+        let runtime = Runtime::new(boot(64), config);
         let mut clock = runtime.new_clock();
         let file = runtime
             .create_sized(&mut clock, "/data/seq.bin", 48 << 20)

@@ -18,16 +18,12 @@
 //!
 //! Wall-clock measurements are noisy; the test scales the workload up
 //! until the single-lock baseline shows unambiguous contention before
-//! asserting. Telemetry sidecars (`BENCH_contention_*.json`) go wherever
-//! `CP_BENCH_TELEMETRY_DIR` points, plus `CARGO_TARGET_TMPDIR` so the
-//! test can verify the export itself.
+//! asserting.
 
-use std::path::Path;
 use std::sync::Arc;
 use std::thread;
 
-use cp_bench::{telemetry_sidecar, write_sidecar};
-use crossprefetch::{Mode, Runtime, RuntimeConfig};
+use crossprefetch::{Mode, Runtime, RuntimeConfig, RuntimeReport};
 use simos::{Device, DeviceConfig, FileSystem, FsKind, Os, OsConfig};
 
 fn boot(shards: usize) -> Arc<Os> {
@@ -95,8 +91,6 @@ fn max_shard_wait_ns(rt: &Runtime, os: &Os) -> u64 {
 
 #[test]
 fn contention_smoke_1_and_8_threads() {
-    let tmp = Path::new(env!("CARGO_TARGET_TMPDIR"));
-
     // 1 thread: no contention exists, so no wait may be recorded — this
     // is the invariant that keeps shard accounting out of the simulated
     // timeline.
@@ -119,8 +113,6 @@ fn contention_smoke_1_and_8_threads() {
         rt1.spans().most_contended().is_none(),
         "single-threaded run produced a most-contended exemplar"
     );
-    telemetry_sidecar("contention_t1", &rt1);
-    write_sidecar(tmp, "contention_t1", &rt1);
 
     // 8 threads, single lock vs sharded. Scale until the baseline shows
     // real blocking (≥50 µs of wall-clock wait) so the comparison is not
@@ -141,13 +133,8 @@ fn contention_smoke_1_and_8_threads() {
                 hot.registry_wait_ns > 0,
                 "most-contended exemplar must carry nonzero registry wait"
             );
-            telemetry_sidecar("contention_t8_single_lock", &rt_base);
-            telemetry_sidecar("contention_t8_sharded", &rt_shard);
-            write_sidecar(tmp, "contention_t8_single_lock", &rt_base);
-            write_sidecar(tmp, "contention_t8_sharded", &rt_shard);
-            // The sidecar export carries the per-shard accounting.
-            let json =
-                std::fs::read_to_string(tmp.join("BENCH_contention_t8_sharded.json")).unwrap();
+            // The telemetry export carries the per-shard accounting.
+            let json = RuntimeReport::collect(&rt_shard).to_json();
             assert!(json.contains("\"registries\""));
             assert!(json.contains("\"per_shard_wait_ns\""));
             return;

@@ -2,17 +2,15 @@
 //! default, per-engine determinism, and closed-loop prefetch-quality
 //! accounting.
 
-use crossprefetch::{EngineKind, Mode, Runtime, RuntimeConfig, RuntimeReport, SEQ_BATCH_PAGES};
-use simos::{Device, DeviceConfig, FileSystem, FsKind, Os, OsConfig};
-use workloads::{run_kvprobe, setup_kvprobe, KvProbeConfig};
+use std::sync::Arc;
 
-fn os(memory_mb: u64) -> std::sync::Arc<Os> {
-    Os::new(
-        OsConfig::with_memory_mb(memory_mb),
-        Device::new(DeviceConfig::local_nvme()),
-        FileSystem::new(FsKind::Ext4Like),
-    )
-}
+use cp_bench::boot;
+use crossprefetch::{
+    EngineKind, Mode, Runtime, RuntimeConfig, RuntimeReport, PAGE_SIZE, SEQ_BATCH_PAGES,
+};
+use simclock::{ThreadClock, NS_PER_MS, NS_PER_US};
+use simos::{Device, DeviceConfig, FaultPlan, FileSystem, FsKind, Os, OsConfig};
+use workloads::{run_kvprobe, setup_kvprobe, KvProbeConfig};
 
 const MECHANISMS: [Mode; 6] = [
     Mode::AppOnly,
@@ -26,7 +24,7 @@ const MECHANISMS: [Mode; 6] = [
 /// The same deterministic mixed workload the batching inertness test
 /// drives: sequential ramp, warm re-read, random jumps.
 fn run_mixed_workload(config: RuntimeConfig) -> String {
-    let runtime = Runtime::new(os(48), config);
+    let runtime = Runtime::new(boot(48), config);
     let mut clock = runtime.new_clock();
     let file = runtime
         .create_sized(&mut clock, "/data/w.bin", 48 << 20)
@@ -104,7 +102,7 @@ fn engine_selection_is_inert_without_predict() {
 /// the stream is sequential-ish under the default 32-page batch window
 /// and random under a 1-page window.
 fn run_gapped_stride_workload(config: RuntimeConfig) -> String {
-    let runtime = Runtime::new(os(48), config);
+    let runtime = Runtime::new(boot(48), config);
     let mut clock = runtime.new_clock();
     let file = runtime
         .create_sized(&mut clock, "/data/s.bin", 48 << 20)
@@ -140,65 +138,104 @@ fn seq_batch_pages_default_is_identical_and_knob_is_live() {
     }
 }
 
-fn kvprobe_json(engine: EngineKind, seed: u64) -> String {
-    let o = os(64);
+/// A seeded zipfian kvprobe under `engine` on `Mode::Predict` (no OS
+/// heuristic readahead, no open-time prefetch: the engine's own plans are
+/// the only speculative pages). Returns the runtime and its clock.
+fn probe(engine: EngineKind, os: Arc<Os>, probes: u64, seed: u64) -> (Runtime, ThreadClock) {
     let mut config = RuntimeConfig::new(Mode::Predict);
     config.engine = engine;
-    let runtime = Runtime::new(o, config);
+    let runtime = Runtime::new(os, config);
     let cfg = KvProbeConfig {
-        probes: 1024,
+        probes,
         seed,
         ..KvProbeConfig::default()
     };
     setup_kvprobe(&runtime, &cfg, "/kv");
     let mut clock = runtime.new_clock();
     run_kvprobe(&runtime, &mut clock, &cfg, "/kv");
-    RuntimeReport::collect(&runtime).to_json()
+    (runtime, clock)
 }
 
 /// Same-seed zipfian runs diff clean for every engine — the correlation
 /// miner and the adaptive duel are as deterministic as the strided
-/// counter.
+/// counter — on a healthy device and under the `fault_injection`
+/// example's seeded plan (transient prefetch- and demand-class EIOs plus
+/// latency spikes), where the retry ladder must demonstrably engage.
 #[test]
 fn same_seed_runs_are_identical_for_every_engine() {
-    for engine in EngineKind::all() {
-        let first = kvprobe_json(engine, 7);
-        let second = kvprobe_json(engine, 7);
-        assert_eq!(first, second, "{}: same-seed divergence", engine.name());
-        assert!(
-            first.contains(&format!("\"selected\":\"{}\"", engine.name())),
-            "{}: telemetry should name the selected engine",
-            engine.name()
-        );
+    let faults = FaultPlan::seeded(0xC0FFEE)
+        .with_prefetch_eio(0.10)
+        .with_demand_eio(0.02)
+        .with_latency_spikes(20 * NS_PER_MS, 2 * NS_PER_MS, 500 * NS_PER_US);
+    for plan in [FaultPlan::seeded(0), faults] {
+        for engine in EngineKind::all() {
+            let run = || {
+                // 8 MB against the 18 MiB dataset: eviction keeps every
+                // engine prefetching, so the 10 % prefetch EIO has
+                // requests to hit even under the frugal correlation miner.
+                let os = Os::new(
+                    OsConfig::with_memory_mb(8),
+                    Device::with_fault_plan(DeviceConfig::local_nvme(), plan.clone()),
+                    FileSystem::new(FsKind::Ext4Like),
+                );
+                let (runtime, mut clock) = probe(engine, os, 2048, 7);
+                // kvprobe's reads are infallible; a fallible scattered
+                // tail lets demand-class EIOs reach the workload too.
+                let file = runtime.open(&mut clock, "/kv").unwrap();
+                let pages = file.size() / PAGE_SIZE;
+                let surfaced = (0..1024u64)
+                    .filter(|i| {
+                        let page = i.wrapping_mul(0x9E37_79B9) % pages;
+                        file.try_read_charge(&mut clock, page * PAGE_SIZE, PAGE_SIZE)
+                            .is_err()
+                    })
+                    .count() as u64;
+                let report = RuntimeReport::collect(&runtime);
+                assert_eq!(report.read_errors, surfaced);
+                report
+            };
+            let (first, second) = (run(), run());
+            let name = engine.name();
+            assert_eq!(
+                first.to_json(),
+                second.to_json(),
+                "{name}: same-seed divergence"
+            );
+            assert!(
+                first
+                    .to_json()
+                    .contains(&format!("\"selected\":\"{name}\"")),
+                "{name}: telemetry should name the selected engine"
+            );
+            if plan != FaultPlan::seeded(0) {
+                assert!(first.device_read_faults > 0, "{name}: no EIO was injected");
+                assert!(
+                    first.prefetch_retries > 0,
+                    "{name}: the retry ladder never engaged"
+                );
+                assert!(first.read_errors > 0, "{name}: no demand EIO surfaced");
+            }
+        }
     }
 }
 
-/// Closed-loop quality accounting: after a zipfian run plus a cache drop,
-/// every initiated prefetch page has been classified exactly once —
-/// timely + late + wasted sums to `pages_initiated` — for each engine.
-///
-/// `Mode::Predict` silences the OS heuristic readahead and does no
-/// open-time prefetch, so the runtime's own prefetch paths are the only
-/// source of speculative pages; dropping the cache at the end converts
-/// still-speculative pages to wasted, closing the books.
+/// Closed-loop quality accounting and the engine-comparison gate, on the
+/// access shape the §4.6 strided counter cannot learn. After a zipfian run
+/// plus a cache drop (still-speculative pages settle as wasted), every
+/// initiated prefetch page has been classified exactly once — timely +
+/// late + wasted sums to `pages_initiated` — for each engine; and the
+/// MITHRIL-style claim holds: correlation and adaptive each convert a
+/// strictly larger share of what they prefetch into hits than strided
+/// does, at no more than 1.25x its wasted pages (seed 42: strided 72.1 %
+/// at 1087 wasted, correlation 100 % at 0, adaptive 81.3 % at 179).
 #[test]
 fn quality_counters_sum_to_pages_initiated_for_every_engine() {
-    for engine in EngineKind::all() {
+    let [strided, correlation, adaptive] = EngineKind::all().map(|engine| {
         // 8 MB of memory against an 18 MiB dataset: eviction keeps cold
         // pages uncached, so planned prefetches actually issue (and the
         // stale-view watchdog resyncs the user-level tree, re-enabling
         // prefetches of previously-read pages).
-        let o = os(8);
-        let mut config = RuntimeConfig::new(Mode::Predict);
-        config.engine = engine;
-        let runtime = Runtime::new(o, config);
-        let cfg = KvProbeConfig {
-            probes: 2048,
-            ..KvProbeConfig::default()
-        };
-        setup_kvprobe(&runtime, &cfg, "/kv");
-        let mut clock = runtime.new_clock();
-        run_kvprobe(&runtime, &mut clock, &cfg, "/kv");
+        let (runtime, mut clock) = probe(engine, boot(8), 2048, 42);
         runtime.os().drop_caches(&mut clock);
         let report = RuntimeReport::collect(&runtime);
         let q = report.prefetch_quality;
@@ -217,30 +254,59 @@ fn quality_counters_sum_to_pages_initiated_for_every_engine() {
             q.wasted,
             report.pages_initiated
         );
+        let hit_ratio = (q.timely + q.late) as f64 / report.pages_initiated as f64;
+        (hit_ratio, q.wasted)
+    });
+    for (name, (hit_ratio, wasted)) in [("correlation", correlation), ("adaptive", adaptive)] {
+        assert!(
+            hit_ratio > strided.0,
+            "{name}: prefetch-hit ratio {hit_ratio:.3} does not beat strided's {:.3}",
+            strided.0
+        );
+        assert!(
+            wasted * 4 <= strided.1 * 5,
+            "{name}: {wasted} wasted pages exceed 1.25x strided's {}",
+            strided.1
+        );
     }
+}
+
+/// The adaptive selector must not tax the stream the strided counter
+/// owns: sequential 16 KiB reads finish within 2 % of `Strided`'s virtual
+/// time (today: identical to the nanosecond).
+#[test]
+fn adaptive_matches_strided_on_sequential_reads() {
+    let [strided, _, adaptive] = EngineKind::all().map(|engine| {
+        let mut config = RuntimeConfig::new(Mode::Predict);
+        config.engine = engine;
+        let runtime = Runtime::new(boot(64), config);
+        let mut clock = runtime.new_clock();
+        let file = runtime
+            .create_sized(&mut clock, "/data/seq.bin", 48 << 20)
+            .unwrap();
+        for i in 0..768u64 {
+            file.read_charge(&mut clock, i * 16_384, 16_384);
+        }
+        runtime.flush_prefetch_batches(&mut clock);
+        clock.now()
+    });
+    assert!(
+        strided.abs_diff(adaptive) * 50 <= strided,
+        "adaptive {adaptive} ns drifts more than 2% from strided {strided} ns"
+    );
 }
 
 /// The correlation and adaptive engines leave fingerprints in the new
 /// telemetry section; the strided default leaves it at zero.
 #[test]
 fn engine_counters_track_the_selected_engine() {
-    let strided = kvprobe_json(EngineKind::Strided, 11);
-    assert!(strided.contains("\"assoc_runs\":0,"));
-    assert!(strided.contains("\"mining_passes\":0,"));
+    let (strided, _) = probe(EngineKind::Strided, boot(64), 1024, 11);
+    let strided = RuntimeReport::collect(&strided);
+    assert_eq!(strided.engine_assoc_runs, 0);
+    assert_eq!(strided.engine_mining_passes, 0);
 
-    let o = os(64);
-    let mut config = RuntimeConfig::new(Mode::Predict);
-    config.engine = EngineKind::Adaptive;
-    let runtime = Runtime::new(o, config);
-    let cfg = KvProbeConfig {
-        probes: 2048,
-        seed: 11,
-        ..KvProbeConfig::default()
-    };
-    setup_kvprobe(&runtime, &cfg, "/kv");
-    let mut clock = runtime.new_clock();
-    run_kvprobe(&runtime, &mut clock, &cfg, "/kv");
-    let stats = runtime.stats();
+    let (adaptive, _) = probe(EngineKind::Adaptive, boot(64), 2048, 11);
+    let stats = adaptive.stats();
     assert!(stats.engine_mining_passes.get() > 0);
     assert!(
         stats.engine_duels.get() > 0,
