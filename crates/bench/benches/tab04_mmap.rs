@@ -6,7 +6,7 @@
 //! fault-around; CrossP watches the exported bitmap and prefetches ahead.
 
 use cp_bench::{banner, boot, fmt_mbps, runtime, scale, TablePrinter};
-use crossprefetch::{Advice, Mode, Runtime, PAGE_SIZE};
+use crossprefetch::{Advice, Mode, PAGE_SIZE};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simclock::Throughput;
@@ -21,65 +21,39 @@ fn run(mode: Mode, sequential: bool) -> f64 {
         os.fs().create_sized("/mmap/data", file_bytes).unwrap();
     }
     let start = os.global().now();
-    let spans: Vec<(u64, u64)> = crossbeam_run(threads, |t| {
-        let rt: Runtime = rt.clone();
-        move || {
-            let mut clock = simclock::ThreadClock::starting_at(Arc::clone(rt.os().global()), start);
-            let file = rt.open(&mut clock, "/mmap/data").unwrap();
-            if rt.config().mode == Mode::AppOnly {
-                // Unmodified app behaviour: madvise(RANDOM) (§5.2 Table 4).
-                file.advise(&mut clock, Advice::Random, 0, 0);
-            }
-            let region = file_bytes / threads as u64;
-            let lo = region * t as u64;
-            let io = 64 * 1024u64;
-            let mut rng = StdRng::seed_from_u64(0xAB1E ^ (t as u64) << 30);
-            let mut bytes = 0u64;
-            let ops = 400 * cp_bench::scale();
-            let mut offset = lo;
-            for _ in 0..ops {
-                if sequential {
-                    if offset + io > lo + region {
-                        offset = lo;
-                    }
-                    file.mmap_read(&mut clock, offset, io);
-                    offset += io;
-                } else {
-                    let at = lo + rng.gen_range(0..region.saturating_sub(io).max(1));
-                    let at = at / PAGE_SIZE * PAGE_SIZE;
-                    file.mmap_read(&mut clock, at, io);
-                }
-                bytes += io;
-            }
-            (bytes, clock.now() - start)
+    let spans = simclock::run_threads(os.global(), start, threads, |t, clock| {
+        let file = rt.open(clock, "/mmap/data").unwrap();
+        if rt.config().mode == Mode::AppOnly {
+            // Unmodified app behaviour: madvise(RANDOM) (§5.2 Table 4).
+            file.advise(clock, Advice::Random, 0, 0);
         }
+        let region = file_bytes / threads as u64;
+        let lo = region * t as u64;
+        let io = 64 * 1024u64;
+        let mut rng = StdRng::seed_from_u64(0xAB1E ^ (t as u64) << 30);
+        let mut bytes = 0u64;
+        let ops = 400 * cp_bench::scale();
+        let mut offset = lo;
+        for _ in 0..ops {
+            if sequential {
+                if offset + io > lo + region {
+                    offset = lo;
+                }
+                file.mmap_read(clock, offset, io);
+                offset += io;
+            } else {
+                let at = lo + rng.gen_range(0..region.saturating_sub(io).max(1));
+                let at = at / PAGE_SIZE * PAGE_SIZE;
+                file.mmap_read(clock, at, io);
+            }
+            bytes += io;
+        }
+        (bytes, clock.now() - start)
     });
     let bytes: u64 = spans.iter().map(|s| s.0).sum();
     let elapsed = spans.iter().map(|s| s.1).max().unwrap_or(1).max(1);
     let _ = scale();
     Throughput::new(bytes, 0, elapsed).mb_per_sec()
-}
-
-/// Spawns `n` closures on scoped threads and collects results.
-fn crossbeam_run<T, F, G>(n: usize, make: F) -> Vec<T>
-where
-    T: Send,
-    G: FnOnce() -> T + Send,
-    F: Fn(usize) -> G,
-{
-    crossbeam_utils_scope(n, make)
-}
-
-fn crossbeam_utils_scope<T, F, G>(n: usize, make: F) -> Vec<T>
-where
-    T: Send,
-    G: FnOnce() -> T + Send,
-    F: Fn(usize) -> G,
-{
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n).map(|i| scope.spawn(make(i))).collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    })
 }
 
 fn main() {

@@ -45,8 +45,8 @@ impl ReadClass {
     }
 }
 
-/// The named stages of the staged read pipeline
-/// ([`crate::read_path`]), in execution order. Stage boundaries are the
+/// The named stages of the staged read pipeline (the `read_path`
+/// module), in execution order. Stage boundaries are the
 /// latency-histogram and trace attach points of the hot path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PipelineStage {

@@ -1,12 +1,15 @@
 //! Word-at-a-time page presence bitmap shared by both range indexes.
 //!
-//! One bit per page, packed 64 pages to a `u64`. All range operations work
-//! on masked whole words rather than bit-by-bit loops, so probing or marking
-//! a 4 MiB stripe touches 16 words instead of 1024 bits. The flat
-//! [`RangeTree`] embeds one `PageBitmap` per fixed stride node; the B+ index
-//! embeds one per dynamically-sized leaf.
+//! One bit per page, packed 64 pages to a `u64`. All range operations run
+//! on the word walk in [`simstore::wordwalk`] (shared with the OS cache
+//! state and the tier placement map) rather than bit-by-bit loops, so
+//! probing or marking a 4 MiB stripe touches 16 words instead of 1024
+//! bits. The flat [`RangeTree`] embeds one `PageBitmap` per fixed stride
+//! node; the B+ index embeds one per dynamically-sized leaf.
 //!
 //! [`RangeTree`]: crate::range_tree::RangeTree
+
+use simstore::wordwalk::{bit_is_set, bit_runs, word_spans, WORD_BITS};
 
 /// A growable page-presence bitmap with word-masked bulk operations.
 ///
@@ -18,16 +21,6 @@
 pub struct PageBitmap {
     words: Vec<u64>,
     resident: u64,
-}
-
-/// Mask selecting bits `[b0, b1)` of one word (`b1 <= 64`, `b0 <= b1`).
-fn word_mask(b0: u64, b1: u64) -> u64 {
-    debug_assert!(b0 <= b1 && b1 <= 64);
-    if b0 == b1 {
-        0
-    } else {
-        (u64::MAX >> (64 - (b1 - b0))) << b0
-    }
 }
 
 impl PageBitmap {
@@ -48,9 +41,11 @@ impl PageBitmap {
 
     /// Whether local page `page` is set.
     pub fn is_set(&self, page: u64) -> bool {
-        self.words
-            .get((page / 64) as usize)
-            .is_some_and(|word| word & (1 << (page % 64)) != 0)
+        bit_is_set(&self.words, page)
+    }
+
+    fn word(&self, w: usize) -> u64 {
+        self.words.get(w).copied().unwrap_or(0)
     }
 
     /// Sets every page in `[start, end)`; returns how many were newly set.
@@ -58,20 +53,14 @@ impl PageBitmap {
         if start >= end {
             return 0;
         }
-        let last_word = ((end - 1) / 64) as usize;
-        if self.words.len() <= last_word {
-            self.words.resize(last_word + 1, 0);
+        let need = end.div_ceil(WORD_BITS) as usize;
+        if self.words.len() < need {
+            self.words.resize(need, 0);
         }
         let mut newly = 0u64;
-        let mut page = start;
-        while page < end {
-            let w = (page / 64) as usize;
-            let upto = end.min((page / 64 + 1) * 64);
-            let mask = word_mask(page % 64, (upto - 1) % 64 + 1);
-            let fresh = mask & !self.words[w];
+        for (w, mask) in word_spans(start, end) {
+            newly += u64::from((mask & !self.words[w]).count_ones());
             self.words[w] |= mask;
-            newly += u64::from(fresh.count_ones());
-            page = upto;
         }
         self.resident += newly;
         newly
@@ -79,28 +68,12 @@ impl PageBitmap {
 
     /// Whether every page in `[start, end)` is set.
     pub fn contains_all(&self, start: u64, end: u64) -> bool {
-        if start >= end {
-            return true;
-        }
-        let mut page = start;
-        while page < end {
-            let w = (page / 64) as usize;
-            let upto = end.min((page / 64 + 1) * 64);
-            let mask = word_mask(page % 64, (upto - 1) % 64 + 1);
-            let word = self.words.get(w).copied().unwrap_or(0);
-            if word & mask != mask {
-                return false;
-            }
-            page = upto;
-        }
-        true
+        word_spans(start, end).all(|(w, mask)| self.word(w) & mask == mask)
     }
 
     /// Zeroes every bit, keeping the allocation. Returns pages cleared.
     pub fn clear_all(&mut self) -> u64 {
-        for word in &mut self.words {
-            *word = 0;
-        }
+        self.words.fill(0);
         std::mem::take(&mut self.resident)
     }
 
@@ -109,7 +82,7 @@ impl PageBitmap {
     ///
     /// `open` carries an absolute run start across calls so a missing run
     /// spanning two bitmaps (adjacent nodes or leaves) is reported once.
-    /// Fully-set and fully-clear words are handled without visiting bits.
+    /// Words are split into runs of equal bits; no bit is visited alone.
     pub fn collect_missing(
         &self,
         start: u64,
@@ -118,34 +91,16 @@ impl PageBitmap {
         open: &mut Option<u64>,
         out: &mut Vec<(u64, u64)>,
     ) {
-        let mut page = start;
-        while page < end {
-            let w = (page / 64) as usize;
-            let upto = end.min((page / 64 + 1) * 64);
-            let mask = word_mask(page % 64, (upto - 1) % 64 + 1);
-            let set = self.words.get(w).copied().unwrap_or(0) & mask;
-            if set == mask {
-                // Every page in this segment present: close any open run.
-                if let Some(s) = open.take() {
-                    out.push((s, base + page));
-                }
-            } else if set == 0 {
-                // Every page missing: open (or extend) the run.
-                if open.is_none() {
-                    *open = Some(base + page);
-                }
-            } else {
-                for p in page..upto {
-                    if set & (1 << (p % 64)) != 0 {
-                        if let Some(s) = open.take() {
-                            out.push((s, base + p));
-                        }
-                    } else if open.is_none() {
-                        *open = Some(base + p);
-                    }
+        for (w, mask) in word_spans(start, end) {
+            for (b0, _, set) in bit_runs(self.word(w), mask) {
+                let at = base + w as u64 * WORD_BITS + b0;
+                if !set {
+                    // A missing run opens here unless one is already open.
+                    open.get_or_insert(at);
+                } else if let Some(s) = open.take() {
+                    out.push((s, at));
                 }
             }
-            page = upto;
         }
     }
 
@@ -173,6 +128,7 @@ impl PageBitmap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simstore::wordwalk::word_mask;
 
     #[test]
     fn word_mask_edges() {
@@ -322,6 +278,18 @@ mod tests {
                 bm.contains_all(qa, qb),
                 model[qa as usize..qb as usize].iter().all(|&x| x),
             );
+            // Missing runs, page by page: maximal, offset by `base`.
+            let (mut open, mut got) = (None, Vec::new());
+            bm.collect_missing(qa, qb, 1_000, &mut open, &mut got);
+            got.extend(open.map(|s| (s, 1_000 + qb)));
+            let mut expect: Vec<(u64, u64)> = Vec::new();
+            for p in (qa..qb).filter(|&p| !model[p as usize]) {
+                match expect.last_mut() {
+                    Some(last) if last.1 == 1_000 + p => last.1 += 1,
+                    _ => expect.push((1_000 + p, 1_001 + p)),
+                }
+            }
+            assert_eq!(got, expect);
         }
         assert_eq!(bm.resident(), model.iter().filter(|&&x| x).count() as u64);
     }

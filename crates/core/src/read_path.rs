@@ -643,11 +643,19 @@ impl CpFile {
             }
         }
 
-        // Update the user-level view: these pages are now cached.
-        if inner.policy.features.visibility && ctx.pages > 0 {
+        // Update the user-level view: the pages this access covered are
+        // now cached. A read covers what the OS delivered after clamping
+        // to the file (nothing for an empty or past-EOF read); a write's
+        // outcome carries bytes only, so it covers its whole span.
+        let covered = if ctx.is_write {
+            ctx.pages
+        } else {
+            outcome.pages
+        };
+        if inner.policy.features.visibility && covered > 0 {
             self.file
                 .tree
-                .mark_cached(clock, costs, runtime.scope(), ctx.p0, ctx.p1);
+                .mark_cached(clock, costs, runtime.scope(), ctx.p0, ctx.p0 + covered);
         }
         self.file
             .last_access_ns

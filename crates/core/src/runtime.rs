@@ -1500,6 +1500,11 @@ impl CpFile {
             inner.os.fadvise(clock, self.fd, Advice::Normal, 0, 0);
         }
         let outcome = inner.os.mmap_read(clock, self.fd, offset, len);
+        // Mapped access is activity: without the stamp the memory watcher
+        // sees a file touched only through mmap as idle since boot.
+        self.file
+            .last_access_ns
+            .store(clock.now(), Ordering::Relaxed);
         if inner.policy.features.predict && len > 0 {
             let costs = &inner.os.config().costs;
             let p0 = offset / PAGE_SIZE;

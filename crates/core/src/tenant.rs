@@ -6,7 +6,7 @@
 //! dimension (DESIGN.md §15): every open may carry a [`TenantId`], each
 //! tenant holds a fair-share *prefetch window* over a configurable slice
 //! of the memory budget, and speculative prefetch degrades — full →
-//! coalesced-only → blind → none — under [`simos::MemoryManager`]
+//! coalesced-only → blind → none — under [`simos::reclaim::MemoryManager`]
 //! pressure *before* any demand read pays.
 //!
 //! Shares are weighted by the configured [`QosClass`] and scaled by each

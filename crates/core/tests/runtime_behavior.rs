@@ -287,3 +287,81 @@ fn shared_file_handles_share_cache_view() {
     let outcome = h2.read_charge(&mut clock, 0, 1 << 20);
     assert_eq!(outcome.miss_pages, 0, "second handle must see shared cache");
 }
+
+/// An 8 MiB file touched on every iteration beside a 256 MiB stream on a
+/// 32 MiB cache. Returns `(hot pages resident, hot pages, files evicted)`.
+fn hot_file_beside_stream(hot_via_mmap: bool) -> (u64, u64, u64) {
+    let rt = runtime(Mode::PredictOpt, 32);
+    let mut clock = rt.new_clock();
+    let hot_bytes = 8u64 << 20;
+    let hot = rt.create_sized(&mut clock, "/hot", hot_bytes).unwrap();
+    let stream = rt.create_sized(&mut clock, "/stream", 256 << 20).unwrap();
+    let chunk = 32 * 1024u64;
+    for i in 0..8192u64 {
+        let at = i * chunk % hot_bytes;
+        if hot_via_mmap {
+            hot.mmap_read(&mut clock, at, chunk);
+        } else {
+            hot.read_charge(&mut clock, at, chunk);
+        }
+        stream.read_charge(&mut clock, i * chunk, chunk);
+    }
+    let ino = rt.os().fs().lookup("/hot").unwrap();
+    let resident = rt.os().cache(ino).state.read().resident();
+    (
+        resident,
+        hot_bytes / PAGE_SIZE,
+        rt.stats().files_evicted.get(),
+    )
+}
+
+#[test]
+fn memory_watcher_sees_mmap_access_as_activity() {
+    // The §4.6 watcher evicts whole files idle past `evict_min_idle_ns`;
+    // a file kept hot through mapped access is as busy as one kept hot
+    // through read(2) and must survive beside the stream either way.
+    let via_read = hot_file_beside_stream(false);
+    let via_mmap = hot_file_beside_stream(true);
+    assert_eq!(via_read.2, 0, "read-hot file evicted: {via_read:?}");
+    assert_eq!(via_read.0, via_read.1, "read-hot file not resident");
+    assert_eq!(via_mmap, via_read, "mmap-hot file treated as idle");
+}
+
+#[test]
+fn reads_the_os_clamps_do_not_mark_the_user_level_view() {
+    // The view may only claim pages a read actually covered: an empty
+    // read, a read at or past EOF, and the tail of an EOF-straddling read
+    // deliver nothing there, so a later real read of those pages (after
+    // another writer grew the file) must not find a stale claim.
+    let rt = runtime(Mode::Predict, 512);
+    let mut clock = rt.new_clock();
+    let pages = 64u64;
+    let file = rt
+        .create_sized(&mut clock, "/clamped", pages * PAGE_SIZE)
+        .unwrap();
+    assert_eq!(file.read_charge(&mut clock, 10 * PAGE_SIZE, 0).pages, 0);
+    assert_eq!(
+        file.read_charge(&mut clock, pages * PAGE_SIZE, PAGE_SIZE)
+            .pages,
+        0
+    );
+    assert_eq!(
+        file.read_charge(&mut clock, (pages + 6) * PAGE_SIZE, PAGE_SIZE)
+            .pages,
+        0
+    );
+    let straddle = file.read_charge(&mut clock, (pages - 1) * PAGE_SIZE, 3 * PAGE_SIZE);
+    assert_eq!(straddle.pages, 1);
+
+    let ino = rt.os().fs().lookup("/clamped").unwrap();
+    rt.os().fs().set_size(ino, (pages + 16) * PAGE_SIZE);
+    for page in [10, pages, pages + 1, pages + 6] {
+        let outcome = file.read_charge(&mut clock, page * PAGE_SIZE, PAGE_SIZE);
+        assert_eq!(outcome.miss_pages, 1, "page {page} was never read before");
+        assert_eq!(
+            rt.stats().stale_pages_observed.get(),
+            0,
+            "view claimed page {page}, which no read ever covered"
+        );
+    }
+}

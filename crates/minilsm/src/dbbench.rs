@@ -105,24 +105,11 @@ impl DbBench {
         let hits0 = self.db.runtime().os().stats().hit_pages.get();
         let miss0 = self.db.runtime().os().stats().miss_pages.get();
         let start = self.db.runtime().os().global().now();
-        let results: Vec<(u64, u64, u64)> = crossbeam::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let worker = &worker;
-                    let db = Arc::clone(&self.db);
-                    scope.spawn(move |_| {
-                        let mut clock = simclock::ThreadClock::starting_at(
-                            Arc::clone(db.runtime().os().global()),
-                            start,
-                        );
-                        let (ops, bytes) = worker(t, &mut clock);
-                        (ops, bytes, clock.now() - start)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        })
-        .unwrap();
+        let global = self.db.runtime().os().global();
+        let results = simclock::run_threads(global, start, threads, |t, clock| {
+            let (ops, bytes) = worker(t, clock);
+            (ops, bytes, clock.now() - start)
+        });
         let hits = self.db.runtime().os().stats().hit_pages.get() - hits0;
         let misses = self.db.runtime().os().stats().miss_pages.get() - miss0;
         BenchResult {

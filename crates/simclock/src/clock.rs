@@ -111,6 +111,35 @@ impl ThreadClock {
     }
 }
 
+/// Runs `n` simulated threads to completion on scoped OS threads: thread
+/// `t` gets its own [`ThreadClock`] starting at `start_ns` on `global` and
+/// runs `body(t, &mut clock)`. Results come back in thread-index order; a
+/// panicking thread's panic resumes on the caller.
+///
+/// Every multi-threaded workload and bench launches its workers here, so
+/// this is the one place a thread schedule is decided.
+pub fn run_threads<T, F>(global: &Arc<GlobalClock>, start_ns: u64, n: usize, body: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize, &mut ThreadClock) -> T + Sync,
+{
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..n)
+            .map(|t| {
+                let body = &body;
+                scope.spawn(move || {
+                    let mut clock = ThreadClock::starting_at(Arc::clone(global), start_ns);
+                    body(t, &mut clock)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,6 +182,18 @@ mod tests {
         let clock = ThreadClock::starting_at(Arc::clone(&global), 42);
         assert_eq!(clock.now(), 42);
         assert_eq!(global.now(), 42);
+    }
+
+    #[test]
+    fn run_threads_forks_clocks_and_keeps_index_order() {
+        let global = Arc::new(GlobalClock::new());
+        let ends = run_threads(&global, 100, 4, |t, clock| {
+            assert_eq!(clock.now(), 100);
+            clock.advance(t as u64 * 10);
+            (t, clock.now())
+        });
+        assert_eq!(ends, vec![(0, 100), (1, 110), (2, 120), (3, 130)]);
+        assert_eq!(global.now(), 130);
     }
 
     #[test]

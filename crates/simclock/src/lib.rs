@@ -36,7 +36,7 @@ mod hist;
 mod resource;
 mod stats;
 
-pub use clock::{GlobalClock, ThreadClock};
+pub use clock::{run_threads, GlobalClock, ThreadClock};
 pub use cost::CostModel;
 pub use hist::{bucket_ceil, bucket_floor, Histogram, HistogramSnapshot, HISTOGRAM_BUCKETS};
 pub use resource::{Access, FcfsResource, RwContention};

@@ -14,9 +14,10 @@
 use parking_lot::{Mutex, MutexGuard, RwLock};
 use simclock::{Counter, RwContention};
 use simfs::InodeId;
+use simstore::wordwalk::{bit_is_set, set_runs, word_spans, WORD_BITS};
 
 /// Pages per bitmap word (and per recency/eviction unit).
-pub const PAGES_PER_WORD: u64 = 64;
+pub const PAGES_PER_WORD: u64 = WORD_BITS;
 
 /// A contiguous page range `[start, end)` within a file.
 pub type PageRange = (u64, u64);
@@ -89,34 +90,41 @@ impl CacheState {
         }
     }
 
+    /// The word walk over `[start, end)` clamped to the allocated words:
+    /// every yielded index is in bounds, and an open-ended range
+    /// (`u64::MAX / 2` for "to end of file") costs only the words that
+    /// exist.
+    fn spans(&self, start: u64, end: u64) -> impl Iterator<Item = (usize, u64)> {
+        word_spans(start, end.min(self.allocated_pages()))
+    }
+
+    /// Pages the allocated words cover.
+    fn allocated_pages(&self) -> u64 {
+        self.words.len() as u64 * PAGES_PER_WORD
+    }
+
     /// Whether `page` is present.
     pub fn is_present(&self, page: u64) -> bool {
-        let (w, b) = (page / PAGES_PER_WORD, page % PAGES_PER_WORD);
-        self.words
-            .get(w as usize)
-            .is_some_and(|word| word & (1 << b) != 0)
+        bit_is_set(&self.words, page)
     }
 
     /// Number of present pages in `[start, end)`.
     pub fn present_in(&self, start: u64, end: u64) -> u64 {
-        (start..end).filter(|&p| self.is_present(p)).count() as u64
+        self.spans(start, end)
+            .map(|(w, mask)| u64::from((self.words[w] & mask).count_ones()))
+            .sum()
     }
 
     /// Maximal missing runs within `[start, end)`.
     pub fn missing_runs(&self, start: u64, end: u64) -> Vec<PageRange> {
         let mut runs = Vec::new();
-        let mut run_start = None;
-        for page in start..end {
-            if self.is_present(page) {
-                if let Some(s) = run_start.take() {
-                    runs.push((s, page));
-                }
-            } else if run_start.is_none() {
-                run_start = Some(page);
-            }
+        for (w, mask) in self.spans(start, end) {
+            push_set_runs(&mut runs, w, !self.words[w] & mask);
         }
-        if let Some(s) = run_start {
-            runs.push((s, end));
+        // Everything past the allocated words is missing.
+        let tail = start.max(self.allocated_pages());
+        if tail < end {
+            push_run(&mut runs, tail, end);
         }
         runs
     }
@@ -124,22 +132,7 @@ impl CacheState {
     /// Inserts `[start, end)`, recording recency `now` and fill completion
     /// `ready_at`. Returns the number of pages newly inserted.
     pub fn insert_range(&mut self, start: u64, end: u64, now: u64, ready_at: u64) -> u64 {
-        if end <= start {
-            return 0;
-        }
-        self.ensure_pages(end);
-        let mut inserted = 0;
-        for page in start..end {
-            let (w, b) = ((page / PAGES_PER_WORD) as usize, page % PAGES_PER_WORD);
-            if self.words[w] & (1 << b) == 0 {
-                self.words[w] |= 1 << b;
-                inserted += 1;
-            }
-            self.touch[w] = self.touch[w].max(now);
-            self.ready[w] = self.ready[w].max(ready_at);
-        }
-        self.resident += inserted;
-        inserted
+        self.insert(start, end, now, ready_at, false)
     }
 
     /// Inserts `[start, end)` on behalf of a prefetch path: identical to
@@ -153,18 +146,22 @@ impl CacheState {
         now: u64,
         ready_at: u64,
     ) -> u64 {
+        self.insert(start, end, now, ready_at, true)
+    }
+
+    fn insert(&mut self, start: u64, end: u64, now: u64, ready_at: u64, speculative: bool) -> u64 {
         if end <= start {
             return 0;
         }
         self.ensure_pages(end);
         let mut inserted = 0;
-        for page in start..end {
-            let (w, b) = ((page / PAGES_PER_WORD) as usize, page % PAGES_PER_WORD);
-            if self.words[w] & (1 << b) == 0 {
-                self.words[w] |= 1 << b;
-                self.speculative[w] |= 1 << b;
-                inserted += 1;
+        for (w, mask) in word_spans(start, end) {
+            let fresh = mask & !self.words[w];
+            self.words[w] |= fresh;
+            if speculative {
+                self.speculative[w] |= fresh;
             }
+            inserted += u64::from(fresh.count_ones());
             self.touch[w] = self.touch[w].max(now);
             self.ready[w] = self.ready[w].max(ready_at);
         }
@@ -180,17 +177,11 @@ impl CacheState {
     /// timely/late, eviction books them wasted. Returns the number of
     /// pages newly flagged (present and not already speculative).
     pub fn mark_speculative(&mut self, start: u64, end: u64) -> u64 {
-        if end <= start || self.words.is_empty() {
-            return 0;
-        }
-        let cap = self.words.len() as u64 * PAGES_PER_WORD;
         let mut flagged = 0;
-        for page in start..end.min(cap) {
-            let (w, b) = ((page / PAGES_PER_WORD) as usize, page % PAGES_PER_WORD);
-            if self.words[w] & (1 << b) != 0 && self.speculative[w] & (1 << b) == 0 {
-                self.speculative[w] |= 1 << b;
-                flagged += 1;
-            }
+        for (w, mask) in self.spans(start, end) {
+            let fresh = self.words[w] & mask & !self.speculative[w];
+            self.speculative[w] |= fresh;
+            flagged += u64::from(fresh.count_ones());
         }
         flagged
     }
@@ -201,32 +192,10 @@ impl CacheState {
     /// *late*. Consumed pages lose their speculative flag. Returns
     /// `(timely, late)` for this access.
     pub fn classify_access(&mut self, start: u64, end: u64, now: u64) -> (u64, u64) {
-        if end <= start || self.speculative.is_empty() {
-            return (0, 0);
-        }
-        let first = (start / PAGES_PER_WORD) as usize;
-        let last = (((end - 1) / PAGES_PER_WORD) as usize).min(self.speculative.len() - 1);
-        if first >= self.speculative.len() {
-            return (0, 0);
-        }
         let (mut timely, mut late) = (0u64, 0u64);
-        for w in first..=last {
-            if self.speculative[w] == 0 {
-                continue;
-            }
-            let wbase = w as u64 * PAGES_PER_WORD;
-            let lo = start.max(wbase) - wbase;
-            let hi = (end.min(wbase + PAGES_PER_WORD) - wbase).min(PAGES_PER_WORD);
-            let mask = if hi - lo == PAGES_PER_WORD {
-                u64::MAX
-            } else {
-                ((1u64 << (hi - lo)) - 1) << lo
-            };
+        for (w, mask) in self.spans(start, end) {
             let hit = self.speculative[w] & mask;
-            if hit == 0 {
-                continue;
-            }
-            self.speculative[w] &= !mask;
+            self.speculative[w] &= !hit;
             let n = u64::from(hit.count_ones());
             if self.ready[w] <= now {
                 timely += n;
@@ -258,38 +227,23 @@ impl CacheState {
             return;
         }
         self.ensure_pages(end);
-        let first = (start / PAGES_PER_WORD) as usize;
-        let last = ((end - 1) / PAGES_PER_WORD) as usize;
-        for w in first..=last {
+        for (w, _) in word_spans(start, end) {
             self.touch[w] = self.touch[w].max(now);
         }
     }
 
     /// Latest in-flight fill completion affecting `[start, end)`.
     pub fn ready_max(&self, start: u64, end: u64) -> u64 {
-        if end <= start || self.words.is_empty() {
-            return 0;
-        }
-        let first = (start / PAGES_PER_WORD) as usize;
-        let last = (((end - 1) / PAGES_PER_WORD) as usize).min(self.words.len() - 1);
-        if first >= self.words.len() {
-            return 0;
-        }
-        self.ready[first..=last].iter().copied().max().unwrap_or(0)
+        self.spans(start, end)
+            .map(|(w, _)| self.ready[w])
+            .max()
+            .unwrap_or(0)
     }
 
     /// Lowers the in-flight readiness of `[start, end)` to at most `ns` —
     /// used when a demand read overtakes a queued prefetch stream.
     pub fn lower_ready(&mut self, start: u64, end: u64, ns: u64) {
-        if end <= start || self.words.is_empty() {
-            return;
-        }
-        let first = (start / PAGES_PER_WORD) as usize;
-        let last = (((end - 1) / PAGES_PER_WORD) as usize).min(self.words.len() - 1);
-        if first >= self.words.len() {
-            return;
-        }
-        for w in first..=last {
+        for (w, _) in self.spans(start, end) {
             self.ready[w] = self.ready[w].min(ns);
         }
     }
@@ -299,13 +253,11 @@ impl CacheState {
     pub fn mark_dirty(&mut self, start: u64, end: u64, now: u64) -> u64 {
         self.ensure_pages(end);
         let mut newly = 0;
-        for page in start..end {
-            let (w, b) = ((page / PAGES_PER_WORD) as usize, page % PAGES_PER_WORD);
-            debug_assert!(self.words[w] & (1 << b) != 0, "dirtying absent page");
-            if self.dirty[w] & (1 << b) == 0 {
-                self.dirty[w] |= 1 << b;
-                newly += 1;
-            }
+        for (w, mask) in word_spans(start, end) {
+            debug_assert!(self.words[w] & mask == mask, "dirtying absent page");
+            let fresh = mask & !self.dirty[w];
+            self.dirty[w] |= fresh;
+            newly += u64::from(fresh.count_ones());
         }
         if newly > 0 && self.dirty_pages == 0 {
             self.dirty_since_ns = now.max(1);
@@ -316,9 +268,7 @@ impl CacheState {
 
     /// Clears all dirty bits, returning how many pages were dirty.
     pub fn clear_dirty(&mut self) -> u64 {
-        for word in &mut self.dirty {
-            *word = 0;
-        }
+        self.dirty.fill(0);
         self.dirty_since_ns = 0;
         std::mem::take(&mut self.dirty_pages)
     }
@@ -326,44 +276,28 @@ impl CacheState {
     /// Clears dirty bits in `[start, end)`, returning how many were dirty.
     pub fn clear_dirty_range(&mut self, start: u64, end: u64) -> u64 {
         let mut cleaned = 0;
-        for page in start..end.min(self.dirty.len() as u64 * PAGES_PER_WORD) {
-            let (w, b) = ((page / PAGES_PER_WORD) as usize, page % PAGES_PER_WORD);
-            if self.dirty[w] & (1 << b) != 0 {
-                self.dirty[w] &= !(1 << b);
-                cleaned += 1;
-            }
+        for (w, mask) in self.spans(start, end) {
+            cleaned += u64::from((self.dirty[w] & mask).count_ones());
+            self.dirty[w] &= !mask;
         }
+        self.settle_dirty(cleaned);
+        cleaned
+    }
+
+    /// Takes `cleaned` pages off the dirty count; the deadline anchor
+    /// resets once the file is clean.
+    fn settle_dirty(&mut self, cleaned: u64) {
         self.dirty_pages -= cleaned;
         if self.dirty_pages == 0 {
             self.dirty_since_ns = 0;
         }
-        cleaned
     }
 
     /// Maximal runs of dirty pages — the write-back daemon's flush list.
     pub fn dirty_runs(&self) -> Vec<PageRange> {
         let mut runs = Vec::new();
-        let mut run_start = None;
         for (w, &word) in self.dirty.iter().enumerate() {
-            if word == 0 {
-                if let Some(s) = run_start.take() {
-                    runs.push((s, w as u64 * PAGES_PER_WORD));
-                }
-                continue;
-            }
-            for b in 0..PAGES_PER_WORD {
-                let page = w as u64 * PAGES_PER_WORD + b;
-                if word & (1 << b) != 0 {
-                    if run_start.is_none() {
-                        run_start = Some(page);
-                    }
-                } else if let Some(s) = run_start.take() {
-                    runs.push((s, page));
-                }
-            }
-        }
-        if let Some(s) = run_start {
-            runs.push((s, self.dirty.len() as u64 * PAGES_PER_WORD));
+            push_set_runs(&mut runs, w, word);
         }
         runs
     }
@@ -377,48 +311,25 @@ impl CacheState {
     /// Removes `[start, end)` from the cache. Returns `(removed, dirty)`
     /// counts; dirty pages removed must be written back by the caller.
     pub fn remove_range(&mut self, start: u64, end: u64) -> (u64, u64) {
-        let mut removed = 0;
-        let mut dirty = 0;
-        for page in start..end.min(self.words.len() as u64 * PAGES_PER_WORD) {
-            let (w, b) = ((page / PAGES_PER_WORD) as usize, page % PAGES_PER_WORD);
-            if self.words[w] & (1 << b) != 0 {
-                self.words[w] &= !(1 << b);
-                removed += 1;
-                if self.dirty[w] & (1 << b) != 0 {
-                    self.dirty[w] &= !(1 << b);
-                    dirty += 1;
-                }
-                if self.speculative[w] & (1 << b) != 0 {
-                    self.speculative[w] &= !(1 << b);
-                    self.quality.wasted += 1;
-                }
-            }
+        let (mut removed, mut dirty) = (0, 0);
+        for (w, mask) in self.spans(start, end) {
+            let gone = self.words[w] & mask;
+            self.words[w] &= !gone;
+            removed += u64::from(gone.count_ones());
+            dirty += u64::from((self.dirty[w] & gone).count_ones());
+            self.dirty[w] &= !gone;
+            self.quality.wasted += u64::from((self.speculative[w] & gone).count_ones());
+            self.speculative[w] &= !gone;
         }
         self.resident -= removed;
-        self.dirty_pages -= dirty;
-        if self.dirty_pages == 0 {
-            self.dirty_since_ns = 0;
-        }
+        self.settle_dirty(dirty);
         (removed, dirty)
     }
 
     /// Evicts one whole word by index. Returns `(removed, dirty)`.
     pub fn evict_word(&mut self, widx: usize) -> (u64, u64) {
-        if widx >= self.words.len() {
-            return (0, 0);
-        }
-        let removed = self.words[widx].count_ones() as u64;
-        let dirty = self.dirty[widx].count_ones() as u64;
-        self.quality.wasted += u64::from(self.speculative[widx].count_ones());
-        self.words[widx] = 0;
-        self.dirty[widx] = 0;
-        self.speculative[widx] = 0;
-        self.resident -= removed;
-        self.dirty_pages -= dirty;
-        if self.dirty_pages == 0 {
-            self.dirty_since_ns = 0;
-        }
-        (removed, dirty)
+        let start = widx as u64 * PAGES_PER_WORD;
+        self.remove_range(start, start + PAGES_PER_WORD)
     }
 
     /// Pages currently present.
@@ -450,14 +361,30 @@ impl CacheState {
     /// Copies the presence bitmap covering pages `[start, end)` into words
     /// (LSB of word 0 = page `start` rounded down to a word boundary).
     pub fn snapshot_words(&self, start: u64, end: u64) -> Vec<u64> {
-        if end <= start {
-            return Vec::new();
-        }
         let first = (start / PAGES_PER_WORD) as usize;
-        let last = ((end - 1) / PAGES_PER_WORD) as usize;
-        (first..=last)
-            .map(|w| self.words.get(w).copied().unwrap_or(0))
-            .collect()
+        let mut out = vec![0; word_spans(start, end).count()];
+        for (w, _) in self.spans(start, end) {
+            out[w - first] = self.words[w];
+        }
+        out
+    }
+}
+
+/// Appends the runs of set bits of `bits` to `runs`, as absolute pages of
+/// word index `w`.
+fn push_set_runs(runs: &mut Vec<PageRange>, w: usize, bits: u64) {
+    let base = w as u64 * PAGES_PER_WORD;
+    for (b0, b1) in set_runs(bits) {
+        push_run(runs, base + b0, base + b1);
+    }
+}
+
+/// Appends `[start, end)`, extending the last run when it is adjacent so
+/// runs stay maximal across word boundaries.
+fn push_run(runs: &mut Vec<PageRange>, start: u64, end: u64) {
+    match runs.last_mut() {
+        Some(last) if last.1 == start => last.1 = end,
+        _ => runs.push((start, end)),
     }
 }
 

@@ -17,6 +17,7 @@ use std::sync::Arc;
 
 use parking_lot::MutexGuard;
 use simclock::ThreadClock;
+use simstore::wordwalk::{bit_is_set, word_spans};
 use simstore::{Device, DeviceError, IoPriority};
 
 use crate::cache::{InodeCache, PageRange, PAGES_PER_WORD};
@@ -960,12 +961,11 @@ fn push_interpolated_ready(out: &mut Vec<ReadyPiece>, start: u64, end: u64, t0: 
 fn coarsen_bitmap(state: &crate::cache::CacheState, start: u64, end: u64, shift: u32) -> Vec<u64> {
     let group = 1u64 << shift.min(16);
     let groups = (end - start).div_ceil(group);
-    let mut out = vec![0u64; (groups as usize).div_ceil(64)];
-    for g in 0..groups {
-        let gstart = start + g * group;
-        let gend = (gstart + group).min(end);
-        if state.present_in(gstart, gend) == gend - gstart {
-            out[(g / 64) as usize] |= 1 << (g % 64);
+    // Every group starts set; each missing run clears the groups it touches.
+    let mut out: Vec<u64> = word_spans(0, groups).map(|(_, mask)| mask).collect();
+    for (s, e) in state.missing_runs(start, end) {
+        for (w, mask) in word_spans((s - start) / group, (e - start).div_ceil(group)) {
+            out[w] &= !mask;
         }
     }
     out
@@ -974,12 +974,7 @@ fn coarsen_bitmap(state: &crate::cache::CacheState, start: u64, end: u64, shift:
 /// Returns whether `page` is set in an exported [`RaInfo`] bitmap
 /// (exact exports only — for coarse exports index by group).
 pub fn bitmap_has_page(info: &RaInfo, page: u64) -> bool {
-    if page < info.window_start {
-        return false;
-    }
-    let rel = page - info.window_start;
-    let (w, b) = ((rel / PAGES_PER_WORD) as usize, rel % PAGES_PER_WORD);
-    info.bitmap.get(w).is_some_and(|word| word & (1 << b) != 0)
+    page >= info.window_start && bit_is_set(&info.bitmap, page - info.window_start)
 }
 
 #[cfg(test)]

@@ -1155,7 +1155,7 @@ impl Os {
     /// One write-back daemon pass: flushes files whose oldest dirty page
     /// has outlived the virtual-time deadline, then — while global dirty
     /// occupancy exceeds the soft background threshold — sweeps the
-    /// longest-dirty files first. A no-op without a [`WritebackConfig`].
+    /// longest-dirty files first. A no-op without a [`crate::WritebackConfig`].
     /// The write path calls this after every absorbed write; long-running
     /// harnesses may also tick it explicitly.
     pub fn writeback_tick(&self, clock: &mut ThreadClock) {

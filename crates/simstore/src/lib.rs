@@ -37,6 +37,7 @@ mod device;
 mod fault;
 mod store;
 mod tiered;
+pub mod wordwalk;
 
 pub use config::DeviceConfig;
 pub use device::{Device, DeviceStats, IoPriority};

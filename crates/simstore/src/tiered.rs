@@ -29,11 +29,12 @@ use std::sync::Arc;
 use parking_lot::{Mutex, RwLock};
 use simclock::{Counter, ThreadClock};
 
+use crate::wordwalk::{bit_runs, set_runs, word_spans, WORD_BITS};
 use crate::{Device, DeviceError, IoPriority};
 
 /// Blocks tracked per placement word (matches the reclaim LRU's
 /// pages-per-word granularity).
-pub const PLACEMENT_WORD_BLOCKS: u64 = 64;
+pub const PLACEMENT_WORD_BLOCKS: u64 = WORD_BITS;
 
 /// Which tier currently holds a block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -84,14 +85,11 @@ pub struct TierStats {
     pub demoted_dirty_blocks: Counter,
 }
 
-/// Mask of the bits `[bit0, bit1)` within one word.
-fn bit_mask(bit0: u64, bit1: u64) -> u64 {
-    debug_assert!(bit0 <= bit1 && bit1 <= PLACEMENT_WORD_BLOCKS);
-    if bit1 - bit0 == PLACEMENT_WORD_BLOCKS {
-        u64::MAX
-    } else {
-        ((1u64 << (bit1 - bit0)) - 1) << bit0
-    }
+/// The logical blocks of placement word `word` whose bit is set in `bits`,
+/// ascending — walked run by run, never bit by bit.
+fn set_blocks(word: u64, bits: u64) -> impl Iterator<Item = u64> {
+    let base = word * PLACEMENT_WORD_BLOCKS;
+    set_runs(bits).flat_map(move |(b0, b1)| base + b0..base + b1)
 }
 
 /// A local+remote device pair behind one block interface.
@@ -185,16 +183,16 @@ impl TieredStore {
         }
         let placement = self.placement(file);
         let guard = placement.lock();
-        for lblock in lstart..lstart + count {
-            let word = lblock / PLACEMENT_WORD_BLOCKS;
-            let bit = lblock % PLACEMENT_WORD_BLOCKS;
-            let tier = match guard.words.get(&word) {
-                Some(w) if w.local & (1 << bit) != 0 => Tier::Local,
-                _ => Tier::Remote,
-            };
-            match runs.last_mut() {
-                Some((s, c, t)) if *t == tier && *s + *c == lblock => *c += 1,
-                _ => runs.push((lblock, 1, tier)),
+        for (w, mask) in word_spans(lstart, lstart + count) {
+            let word = w as u64;
+            let local = guard.words.get(&word).map_or(0, |tw| tw.local);
+            for (b0, b1, is_local) in bit_runs(local, mask) {
+                let start = word * PLACEMENT_WORD_BLOCKS + b0;
+                let tier = if is_local { Tier::Local } else { Tier::Remote };
+                match runs.last_mut() {
+                    Some((s, c, t)) if *t == tier && *s + *c == start => *c += b1 - b0,
+                    _ => runs.push((start, b1 - b0, tier)),
+                }
             }
         }
         runs
@@ -219,19 +217,13 @@ impl TieredStore {
         }
         let placement = self.placement(file);
         let mut guard = placement.lock();
-        let mut lblock = lstart;
-        while lblock < lstart + count {
-            let word = lblock / PLACEMENT_WORD_BLOCKS;
-            let bit0 = lblock % PLACEMENT_WORD_BLOCKS;
-            let bit1 = (bit0 + (lstart + count - lblock)).min(PLACEMENT_WORD_BLOCKS);
-            if let Some(w) = guard.words.get_mut(&word) {
-                let mask = bit_mask(bit0, bit1);
+        for (word, mask) in word_spans(lstart, lstart + count) {
+            if let Some(w) = guard.words.get_mut(&(word as u64)) {
                 if w.local & mask != 0 {
                     w.touch_ns = w.touch_ns.max(now);
                     w.unread &= !mask;
                 }
             }
-            lblock += bit1 - bit0;
         }
     }
 
@@ -298,20 +290,14 @@ impl TieredStore {
         let placement = self.placement(file);
         let mut guard = placement.lock();
         let mut newly = 0u64;
-        let mut lblock = lstart;
-        while lblock < lstart + count {
-            let word = lblock / PLACEMENT_WORD_BLOCKS;
-            let bit0 = lblock % PLACEMENT_WORD_BLOCKS;
-            let bit1 = (bit0 + (lstart + count - lblock)).min(PLACEMENT_WORD_BLOCKS);
-            let mask = bit_mask(bit0, bit1);
-            let w = guard.words.entry(word).or_default();
+        for (word, mask) in word_spans(lstart, lstart + count) {
+            let w = guard.words.entry(word as u64).or_default();
             let fresh = mask & !w.local;
             newly += fresh.count_ones() as u64;
             w.local |= mask;
             w.unread |= fresh;
             w.modified &= !fresh;
             w.touch_ns = w.touch_ns.max(now);
-            lblock += bit1 - bit0;
         }
         drop(guard);
         self.resident.fetch_add(newly, Ordering::Relaxed);
@@ -404,20 +390,16 @@ impl TieredStore {
         if demoted == 0 {
             return 0;
         }
-        let mut dirty = 0u64;
-        for bit in 0..PLACEMENT_WORD_BLOCKS {
-            if local & (1 << bit) == 0 {
-                continue;
+        for lblock in set_blocks(word, modified) {
+            let pblock = map_block(file, lblock);
+            if let Some(data) = self.local.store().get_block(pblock) {
+                self.remote.store().write_block(pblock, &data);
             }
-            let pblock = map_block(file, word * PLACEMENT_WORD_BLOCKS + bit);
-            if modified & (1 << bit) != 0 {
-                if let Some(data) = self.local.store().get_block(pblock) {
-                    self.remote.store().write_block(pblock, &data);
-                }
-                dirty += 1;
-            }
-            self.local.store().discard(pblock);
         }
+        for lblock in set_blocks(word, local) {
+            self.local.store().discard(map_block(file, lblock));
+        }
+        let dirty = modified.count_ones() as u64;
         if dirty > 0 {
             self.remote.charge_write(clock, dirty, IoPriority::Prefetch);
         }
@@ -445,12 +427,8 @@ impl TieredStore {
         for (&word, w) in &guard.words {
             resident += w.local.count_ones() as u64;
             wasted += (w.unread & w.local).count_ones() as u64;
-            for bit in 0..PLACEMENT_WORD_BLOCKS {
-                if w.local & (1 << bit) != 0 {
-                    self.local
-                        .store()
-                        .discard(map_block(file, word * PLACEMENT_WORD_BLOCKS + bit));
-                }
+            for lblock in set_blocks(word, w.local) {
+                self.local.store().discard(map_block(file, lblock));
             }
         }
         self.resident.fetch_sub(resident, Ordering::Relaxed);

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use simclock::{GlobalClock, ThreadClock};
-use simstore::{Device, DeviceConfig, IoPriority, BLOCK_SIZE};
+use simstore::{Device, DeviceConfig, IoPriority, Tier, TieredStore, BLOCK_SIZE};
 use std::sync::Arc;
 
 fn clock() -> ThreadClock {
@@ -11,6 +11,55 @@ fn clock() -> ThreadClock {
 }
 
 proptest! {
+    #[test]
+    fn tier_runs_match_a_per_block_placement_scan(
+        ops in prop::collection::vec((0u8..4, 0u64..640, 1u64..200), 1..40)
+    ) {
+        // Random promote / read / write / demote sequences over ten
+        // placement words; after each, `split_runs` must equal a
+        // block-by-block `tier_of` scan merged into maximal runs, and the
+        // resident count must equal the blocks that scan finds local.
+        let store = TieredStore::new(
+            Device::new(DeviceConfig::local_nvme()),
+            Device::new(DeviceConfig::remote_nvmeof()),
+            512,
+        );
+        let mut c = clock();
+        let identity = |_file: u64, lblock: u64| lblock;
+        for (kind, lstart, count) in ops {
+            match kind {
+                0 => {
+                    for (s, n) in store.remote_runs(7, lstart, count) {
+                        if store.ensure_room(&mut c, n, &identity) {
+                            store.try_promote(&mut c, 7, s, n, &[(s, n)]).unwrap();
+                        }
+                    }
+                }
+                1 => store.note_read(7, lstart, count, c.now()),
+                2 => {
+                    store.note_block_written(7, lstart, c.now());
+                }
+                _ => {
+                    store.demote_cold(&mut c, count, &identity);
+                }
+            }
+            for (qs, qn) in [(lstart, count), (0, 900)] {
+                let mut expect: Vec<(u64, u64, Tier)> = Vec::new();
+                for lblock in qs..qs + qn {
+                    let tier = store.tier_of(7, lblock);
+                    match expect.last_mut() {
+                        Some((_, n, t)) if *t == tier => *n += 1,
+                        _ => expect.push((lblock, 1, tier)),
+                    }
+                }
+                prop_assert_eq!(store.split_runs(7, qs, qn), expect);
+            }
+            let local = (0..900).filter(|&b| store.tier_of(7, b) == Tier::Local).count();
+            prop_assert_eq!(store.local_resident_blocks(), local as u64);
+            prop_assert!(store.local_resident_blocks() <= store.local_capacity_blocks());
+        }
+    }
+
     #[test]
     fn read_time_never_beats_bandwidth(counts in prop::collection::vec(1u64..512, 1..20)) {
         let device = Device::new(DeviceConfig::local_nvme());

@@ -106,24 +106,12 @@ impl FilebenchResult {
 /// Runs `cfg.instances` instances of the personality on a shared OS.
 pub fn run_filebench(os: &Arc<Os>, cfg: &FilebenchConfig) -> FilebenchResult {
     let start = os.global().now();
-    let spans: Vec<(u64, u64, u64)> = crossbeam::scope(|scope| {
-        let handles: Vec<_> = (0..cfg.instances)
-            .map(|inst| {
-                let os = Arc::clone(os);
-                let cfg = cfg.clone();
-                scope.spawn(move |_| {
-                    // Each instance links its own CROSS-LIB runtime.
-                    let runtime = Runtime::new(Arc::clone(&os), RuntimeConfig::new(cfg.mode));
-                    let mut clock =
-                        simclock::ThreadClock::starting_at(Arc::clone(os.global()), start);
-                    let (ops, bytes) = run_instance(&runtime, &mut clock, inst, &cfg);
-                    (ops, bytes, clock.now() - start)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    })
-    .unwrap();
+    let spans = simclock::run_threads(os.global(), start, cfg.instances, |inst, clock| {
+        // Each instance links its own CROSS-LIB runtime.
+        let runtime = Runtime::new(Arc::clone(os), RuntimeConfig::new(cfg.mode));
+        let (ops, bytes) = run_instance(&runtime, clock, inst, cfg);
+        (ops, bytes, clock.now() - start)
+    });
     FilebenchResult {
         bytes: spans.iter().map(|s| s.1).sum(),
         ops: spans.iter().map(|s| s.0).sum(),

@@ -12,8 +12,6 @@
 //! assumes it completed (Figure 1's under-prefetch pathology); for random
 //! work it disables OS prefetching like RocksDB does.
 
-use std::sync::Arc;
-
 use crossprefetch::{Advice, CpFile, Mode, Runtime, PAGE_SIZE};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -141,74 +139,60 @@ pub fn run_micro(runtime: &Runtime, cfg: &MicroConfig) -> MicroResult {
     let miss0 = runtime.os().stats().miss_pages.get();
     let start = runtime.os().global().now();
 
-    let spans: Vec<(u64, u64)> = crossbeam::scope(|scope| {
-        let handles: Vec<_> = (0..cfg.threads)
-            .map(|t| {
-                let runtime = runtime.clone();
-                let cfg = cfg.clone();
-                scope.spawn(move |_| {
-                    let mut clock = simclock::ThreadClock::starting_at(
-                        Arc::clone(runtime.os().global()),
-                        start,
-                    );
-                    let path = if cfg.shared {
-                        "/micro/shared".to_string()
-                    } else {
-                        format!("/micro/t{t}")
-                    };
-                    let file = runtime.open(&mut clock, &path).expect("setup ran");
-                    apply_apponly_policy(&runtime, &mut clock, &file, cfg.pattern);
+    let spans = simclock::run_threads(runtime.os().global(), start, cfg.threads, |t, clock| {
+        let path = if cfg.shared {
+            "/micro/shared".to_string()
+        } else {
+            format!("/micro/t{t}")
+        };
+        let file = runtime.open(clock, &path).expect("setup ran");
+        apply_apponly_policy(runtime, clock, &file, cfg.pattern);
 
-                    let (lo, hi) = if cfg.shared {
-                        region_of(&cfg, t)
-                    } else {
-                        (0, cfg.data_bytes / cfg.threads as u64)
-                    };
-                    let mut rng = StdRng::seed_from_u64(cfg.seed ^ (t as u64) << 32);
-                    let mut bytes = 0u64;
-                    let io = cfg.io_bytes;
-                    let app_only = runtime.config().mode == Mode::AppOnly;
+        let (lo, hi) = if cfg.shared {
+            region_of(cfg, t)
+        } else {
+            (0, cfg.data_bytes / cfg.threads as u64)
+        };
+        let mut rng = StdRng::seed_from_u64(cfg.seed ^ (t as u64) << 32);
+        let mut bytes = 0u64;
+        let io = cfg.io_bytes;
+        let app_only = runtime.config().mode == Mode::AppOnly;
 
-                    match cfg.pattern {
-                        MicroPattern::Sequential => {
-                            let mut offset = lo;
-                            let mut since_ra = u64::MAX; // force initial RA
-                            for _ in 0..cfg.ops_per_thread {
-                                if offset + io > hi {
-                                    offset = lo;
-                                }
-                                // APPonly: prefetch 4 MiB ahead per region
-                                // and assume it happened (Figure 1).
-                                if app_only && since_ra >= (4 << 20) {
-                                    file.readahead(&mut clock, offset, 4 << 20);
-                                    since_ra = 0;
-                                }
-                                file.read_charge(&mut clock, offset, io);
-                                offset += io;
-                                since_ra = since_ra.saturating_add(io);
-                                bytes += io;
-                            }
-                        }
-                        MicroPattern::BatchedRandom { batch } => {
-                            let span = (hi - lo).saturating_sub(batch * io).max(1);
-                            let mut done = 0u64;
-                            while done < cfg.ops_per_thread {
-                                let base = lo + rng.gen_range(0..span) / PAGE_SIZE * PAGE_SIZE;
-                                for j in 0..batch.min(cfg.ops_per_thread - done) {
-                                    file.read_charge(&mut clock, base + j * io, io);
-                                    bytes += io;
-                                }
-                                done += batch;
-                            }
-                        }
+        match cfg.pattern {
+            MicroPattern::Sequential => {
+                let mut offset = lo;
+                let mut since_ra = u64::MAX; // force initial RA
+                for _ in 0..cfg.ops_per_thread {
+                    if offset + io > hi {
+                        offset = lo;
                     }
-                    (bytes, clock.now() - start)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    })
-    .unwrap();
+                    // APPonly: prefetch 4 MiB ahead per region
+                    // and assume it happened (Figure 1).
+                    if app_only && since_ra >= (4 << 20) {
+                        file.readahead(clock, offset, 4 << 20);
+                        since_ra = 0;
+                    }
+                    file.read_charge(clock, offset, io);
+                    offset += io;
+                    since_ra = since_ra.saturating_add(io);
+                    bytes += io;
+                }
+            }
+            MicroPattern::BatchedRandom { batch } => {
+                let span = (hi - lo).saturating_sub(batch * io).max(1);
+                let mut done = 0u64;
+                while done < cfg.ops_per_thread {
+                    let base = lo + rng.gen_range(0..span) / PAGE_SIZE * PAGE_SIZE;
+                    for j in 0..batch.min(cfg.ops_per_thread - done) {
+                        file.read_charge(clock, base + j * io, io);
+                        bytes += io;
+                    }
+                    done += batch;
+                }
+            }
+        }
+        (bytes, clock.now() - start)
+    });
 
     let hits = runtime.os().stats().hit_pages.get() - hits0;
     let misses = runtime.os().stats().miss_pages.get() - miss0;
@@ -246,45 +230,32 @@ pub fn run_shared_rw(
     let total = readers + writers;
     let start = runtime.os().global().now();
 
-    let spans: Vec<(bool, u64, u64)> = crossbeam::scope(|scope| {
-        let handles: Vec<_> = (0..total)
-            .map(|t| {
-                let runtime = runtime.clone();
-                scope.spawn(move |_| {
-                    let is_writer = t < writers;
-                    let mut clock = simclock::ThreadClock::starting_at(
-                        Arc::clone(runtime.os().global()),
-                        start,
-                    );
-                    let file = runtime.open(&mut clock, "/micro/rw").expect("created");
-                    if runtime.config().mode == Mode::AppOnly {
-                        file.advise(&mut clock, Advice::Random, 0, 0);
-                    }
-                    let region = data_bytes / total as u64;
-                    let lo = region * t as u64;
-                    let span = region.saturating_sub(8 * io).max(1);
-                    let mut rng = StdRng::seed_from_u64(seed ^ (t as u64) << 28);
-                    let mut bytes = 0u64;
-                    let mut done = 0u64;
-                    while done < ops_per_thread {
-                        let base = lo + rng.gen_range(0..span) / PAGE_SIZE * PAGE_SIZE;
-                        for j in 0..8.min(ops_per_thread - done) {
-                            if is_writer {
-                                file.write_charge(&mut clock, base + j * io, io);
-                            } else {
-                                file.read_charge(&mut clock, base + j * io, io);
-                            }
-                            bytes += io;
-                        }
-                        done += 8;
-                    }
-                    (is_writer, bytes, clock.now() - start)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    })
-    .unwrap();
+    let spans = simclock::run_threads(runtime.os().global(), start, total, |t, clock| {
+        let is_writer = t < writers;
+        let file = runtime.open(clock, "/micro/rw").expect("created");
+        if runtime.config().mode == Mode::AppOnly {
+            file.advise(clock, Advice::Random, 0, 0);
+        }
+        let region = data_bytes / total as u64;
+        let lo = region * t as u64;
+        let span = region.saturating_sub(8 * io).max(1);
+        let mut rng = StdRng::seed_from_u64(seed ^ (t as u64) << 28);
+        let mut bytes = 0u64;
+        let mut done = 0u64;
+        while done < ops_per_thread {
+            let base = lo + rng.gen_range(0..span) / PAGE_SIZE * PAGE_SIZE;
+            for j in 0..8.min(ops_per_thread - done) {
+                if is_writer {
+                    file.write_charge(clock, base + j * io, io);
+                } else {
+                    file.read_charge(clock, base + j * io, io);
+                }
+                bytes += io;
+            }
+            done += 8;
+        }
+        (is_writer, bytes, clock.now() - start)
+    });
 
     let collect = |want_writer: bool| {
         let picked: Vec<_> = spans.iter().filter(|s| s.0 == want_writer).collect();

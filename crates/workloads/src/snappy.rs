@@ -308,58 +308,45 @@ pub fn run_snappy(os: &Arc<Os>, cfg: &SnappyConfig) -> SnappyResult {
     }
     let bytes_out_total = AtomicU64::new(0);
     let start = os.global().now();
-    let spans: Vec<(u64, u64)> = crossbeam::scope(|scope| {
-        let handles: Vec<_> = (0..cfg.threads)
-            .map(|t| {
-                let os = Arc::clone(os);
-                let cfg = cfg.clone();
-                let bytes_out_total = &bytes_out_total;
-                scope.spawn(move |_| {
-                    let runtime = Runtime::new(Arc::clone(&os), RuntimeConfig::new(cfg.mode));
-                    let mut clock =
-                        simclock::ThreadClock::starting_at(Arc::clone(os.global()), start);
-                    let mut bytes_in = 0u64;
-                    for f in 0..cfg.files_per_thread {
-                        let input = runtime
-                            .open(&mut clock, &format!("/snappy/in-{t}-{f}"))
-                            .expect("created above");
-                        if cfg.mode == Mode::AppOnly {
-                            // The paper modifies Snappy to fadvise after
-                            // open in the APPonly configuration.
-                            input.advise(&mut clock, Advice::Sequential, 0, 0);
-                            input.readahead(&mut clock, 0, cfg.file_bytes);
-                        }
-                        // Stream the file through buffered-I/O-sized reads
-                        // (what the OS actually sees under stdio): the
-                        // window dynamics of each mechanism apply here.
-                        let chunk = 512 * 1024u64;
-                        let mut data = Vec::with_capacity(cfg.file_bytes as usize);
-                        let mut offset = 0u64;
-                        while offset < cfg.file_bytes {
-                            let take = chunk.min(cfg.file_bytes - offset);
-                            data.extend(input.read(&mut clock, offset, take));
-                            offset += take;
-                        }
-                        bytes_in += data.len() as u64;
+    let spans = simclock::run_threads(os.global(), start, cfg.threads, |t, clock| {
+        let runtime = Runtime::new(Arc::clone(os), RuntimeConfig::new(cfg.mode));
+        let mut bytes_in = 0u64;
+        for f in 0..cfg.files_per_thread {
+            let input = runtime
+                .open(clock, &format!("/snappy/in-{t}-{f}"))
+                .expect("created above");
+            if cfg.mode == Mode::AppOnly {
+                // The paper modifies Snappy to fadvise after
+                // open in the APPonly configuration.
+                input.advise(clock, Advice::Sequential, 0, 0);
+                input.readahead(clock, 0, cfg.file_bytes);
+            }
+            // Stream the file through buffered-I/O-sized reads
+            // (what the OS actually sees under stdio): the
+            // window dynamics of each mechanism apply here.
+            let chunk = 512 * 1024u64;
+            let mut data = Vec::with_capacity(cfg.file_bytes as usize);
+            let mut offset = 0u64;
+            while offset < cfg.file_bytes {
+                let take = chunk.min(cfg.file_bytes - offset);
+                data.extend(input.read(clock, offset, take));
+                offset += take;
+            }
+            bytes_in += data.len() as u64;
 
-                        // Real compression, charged at the codec rate.
-                        let compressed = compress(&data);
-                        clock.advance(transfer_ns(data.len() as u64, cfg.compress_bytes_per_sec));
-                        bytes_out_total.fetch_add(compressed.len() as u64, Ordering::Relaxed);
+            // Real compression, charged at the codec rate.
+            let compressed = compress(&data);
+            clock.advance(transfer_ns(data.len() as u64, cfg.compress_bytes_per_sec));
+            bytes_out_total.fetch_add(compressed.len() as u64, Ordering::Relaxed);
 
-                        let out = runtime
-                            .create(&mut clock, &format!("/snappy/out-{t}-{f}.sz"))
-                            .expect("unique output");
-                        out.write(&mut clock, 0, &compressed);
-                        out.fsync(&mut clock);
-                    }
-                    (bytes_in, clock.now() - start)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    })
-    .unwrap();
+            let out = runtime
+                .create(clock, &format!("/snappy/out-{t}-{f}.sz"))
+                .expect("unique output");
+            out.write(clock, 0, &compressed);
+            out.fsync(clock);
+        }
+        (bytes_in, clock.now() - start)
+    });
     SnappyResult {
         bytes_in: spans.iter().map(|s| s.0).sum(),
         bytes_out: bytes_out_total.load(Ordering::Relaxed),

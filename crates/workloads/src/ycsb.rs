@@ -97,113 +97,85 @@ pub fn run_ycsb(db: &Arc<Db>, cfg: &YcsbConfig) -> BenchResult {
     let miss0 = db.runtime().os().stats().miss_pages.get();
     let start = db.runtime().os().global().now();
 
-    let spans: Vec<(u64, u64, u64)> = crossbeam::scope(|scope| {
-        let handles: Vec<_> = (0..cfg.threads)
-            .map(|t| {
-                let db = Arc::clone(db);
-                let zipf = zipf.clone();
-                let latest = latest.clone();
-                let cfg = cfg.clone();
-                let insert_counter = &insert_counter;
-                scope.spawn(move |_| {
-                    let mut clock = simclock::ThreadClock::starting_at(
-                        Arc::clone(db.runtime().os().global()),
-                        start,
-                    );
-                    let mut rng = StdRng::seed_from_u64(cfg.seed ^ (t as u64) << 32);
-                    let mut ops = 0u64;
-                    let mut bytes = 0u64;
-                    for _ in 0..cfg.ops_per_thread {
-                        let dice: f64 = rng.gen();
-                        match cfg.workload {
-                            YcsbWorkload::A => {
-                                if dice < 0.5 {
-                                    bytes += ycsb_read(&db, &mut clock, &zipf, &mut rng, &cfg);
-                                } else {
-                                    ycsb_update(&db, &mut clock, &zipf, &mut rng, &cfg);
-                                    bytes += cfg.value_bytes as u64;
+    let global = db.runtime().os().global();
+    let spans = simclock::run_threads(global, start, cfg.threads, |t, clock| {
+        let mut rng = StdRng::seed_from_u64(cfg.seed ^ (t as u64) << 32);
+        let mut ops = 0u64;
+        let mut bytes = 0u64;
+        for _ in 0..cfg.ops_per_thread {
+            let dice: f64 = rng.gen();
+            match cfg.workload {
+                YcsbWorkload::A => {
+                    if dice < 0.5 {
+                        bytes += ycsb_read(db, clock, &zipf, &mut rng, cfg);
+                    } else {
+                        ycsb_update(db, clock, &zipf, &mut rng, cfg);
+                        bytes += cfg.value_bytes as u64;
+                    }
+                }
+                YcsbWorkload::B => {
+                    if dice < 0.95 {
+                        bytes += ycsb_read(db, clock, &zipf, &mut rng, cfg);
+                    } else {
+                        ycsb_update(db, clock, &zipf, &mut rng, cfg);
+                        bytes += cfg.value_bytes as u64;
+                    }
+                }
+                YcsbWorkload::C => {
+                    bytes += ycsb_read(db, clock, &zipf, &mut rng, cfg);
+                }
+                YcsbWorkload::D => {
+                    if dice < 0.95 {
+                        let max = insert_counter.load(Ordering::Relaxed);
+                        let key = latest.sample(&mut rng, max);
+                        if let Some(v) = db.get(clock, &bench_key(key)) {
+                            bytes += v.len() as u64;
+                        }
+                    } else {
+                        let key = insert_counter.fetch_add(1, Ordering::Relaxed);
+                        db.put(clock, &bench_key(key), &bench_value(key, cfg.value_bytes));
+                        bytes += cfg.value_bytes as u64;
+                    }
+                }
+                YcsbWorkload::E => {
+                    if dice < 0.95 {
+                        let from = zipf.sample(&mut rng);
+                        let start_key = bench_key(from);
+                        let mut iter =
+                            DbIter::new(db, clock, Some(&start_key), ScanDirection::Forward);
+                        for _ in 0..cfg.scan_len {
+                            match iter.next(clock) {
+                                Some(entry) => {
+                                    bytes += entry.value.map_or(0, |v| v.len() as u64);
                                 }
-                            }
-                            YcsbWorkload::B => {
-                                if dice < 0.95 {
-                                    bytes += ycsb_read(&db, &mut clock, &zipf, &mut rng, &cfg);
-                                } else {
-                                    ycsb_update(&db, &mut clock, &zipf, &mut rng, &cfg);
-                                    bytes += cfg.value_bytes as u64;
-                                }
-                            }
-                            YcsbWorkload::C => {
-                                bytes += ycsb_read(&db, &mut clock, &zipf, &mut rng, &cfg);
-                            }
-                            YcsbWorkload::D => {
-                                if dice < 0.95 {
-                                    let max = insert_counter.load(Ordering::Relaxed);
-                                    let key = latest.sample(&mut rng, max);
-                                    if let Some(v) = db.get(&mut clock, &bench_key(key)) {
-                                        bytes += v.len() as u64;
-                                    }
-                                } else {
-                                    let key = insert_counter.fetch_add(1, Ordering::Relaxed);
-                                    db.put(
-                                        &mut clock,
-                                        &bench_key(key),
-                                        &bench_value(key, cfg.value_bytes),
-                                    );
-                                    bytes += cfg.value_bytes as u64;
-                                }
-                            }
-                            YcsbWorkload::E => {
-                                if dice < 0.95 {
-                                    let from = zipf.sample(&mut rng);
-                                    let start_key = bench_key(from);
-                                    let mut iter = DbIter::new(
-                                        &db,
-                                        &mut clock,
-                                        Some(&start_key),
-                                        ScanDirection::Forward,
-                                    );
-                                    for _ in 0..cfg.scan_len {
-                                        match iter.next(&mut clock) {
-                                            Some(entry) => {
-                                                bytes += entry.value.map_or(0, |v| v.len() as u64);
-                                            }
-                                            None => break,
-                                        }
-                                    }
-                                } else {
-                                    let key = insert_counter.fetch_add(1, Ordering::Relaxed);
-                                    db.put(
-                                        &mut clock,
-                                        &bench_key(key),
-                                        &bench_value(key, cfg.value_bytes),
-                                    );
-                                    bytes += cfg.value_bytes as u64;
-                                }
-                            }
-                            YcsbWorkload::F => {
-                                if dice < 0.5 {
-                                    bytes += ycsb_read(&db, &mut clock, &zipf, &mut rng, &cfg);
-                                } else {
-                                    // Read-modify-write.
-                                    let key = zipf.sample(&mut rng);
-                                    let kb = bench_key(key);
-                                    if let Some(v) = db.get(&mut clock, &kb) {
-                                        bytes += v.len() as u64;
-                                    }
-                                    db.put(&mut clock, &kb, &bench_value(key, cfg.value_bytes));
-                                    bytes += cfg.value_bytes as u64;
-                                }
+                                None => break,
                             }
                         }
-                        ops += 1;
+                    } else {
+                        let key = insert_counter.fetch_add(1, Ordering::Relaxed);
+                        db.put(clock, &bench_key(key), &bench_value(key, cfg.value_bytes));
+                        bytes += cfg.value_bytes as u64;
                     }
-                    (ops, bytes, clock.now() - start)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    })
-    .unwrap();
+                }
+                YcsbWorkload::F => {
+                    if dice < 0.5 {
+                        bytes += ycsb_read(db, clock, &zipf, &mut rng, cfg);
+                    } else {
+                        // Read-modify-write.
+                        let key = zipf.sample(&mut rng);
+                        let kb = bench_key(key);
+                        if let Some(v) = db.get(clock, &kb) {
+                            bytes += v.len() as u64;
+                        }
+                        db.put(clock, &kb, &bench_value(key, cfg.value_bytes));
+                        bytes += cfg.value_bytes as u64;
+                    }
+                }
+            }
+            ops += 1;
+        }
+        (ops, bytes, clock.now() - start)
+    });
 
     let hits = db.runtime().os().stats().hit_pages.get() - hits0;
     let misses = db.runtime().os().stats().miss_pages.get() - miss0;

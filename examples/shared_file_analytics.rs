@@ -27,27 +27,16 @@ fn run(mode: Mode) -> (f64, u64) {
         .unwrap();
 
     let start = os.global().now();
-    let spans: Vec<u64> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..THREADS)
-            .map(|t| {
-                let runtime = runtime.clone();
-                let os = Arc::clone(&os);
-                scope.spawn(move || {
-                    let mut clock =
-                        simclock::ThreadClock::starting_at(Arc::clone(os.global()), start);
-                    let file = runtime.open(&mut clock, "/warehouse/events.bin").unwrap();
-                    // Each analyst scans its own shard.
-                    let shard = FILE_BYTES / THREADS as u64;
-                    let lo = shard * t as u64;
-                    let chunk = 64 * 1024u64;
-                    for i in 0..(shard / chunk) {
-                        file.read_charge(&mut clock, lo + i * chunk, chunk);
-                    }
-                    clock.now() - start
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    let spans = simclock::run_threads(os.global(), start, THREADS, |t, clock| {
+        let file = runtime.open(clock, "/warehouse/events.bin").unwrap();
+        // Each analyst scans its own shard.
+        let shard = FILE_BYTES / THREADS as u64;
+        let lo = shard * t as u64;
+        let chunk = 64 * 1024u64;
+        for i in 0..(shard / chunk) {
+            file.read_charge(clock, lo + i * chunk, chunk);
+        }
+        clock.now() - start
     });
     let elapsed = *spans.iter().max().unwrap();
     let mbps = (FILE_BYTES as f64 / 1e6) / (elapsed as f64 / 1e9);
