@@ -2,9 +2,10 @@
 //!
 //! The paper's range tree — per-range locks with embedded presence bitmaps
 //! so non-conflicting readers of one shared file never serialize — is
-//! [`BPlusRangeIndex`]: an arena-allocated B+ tree with dynamically
-//! split/merged leaves and optimistic lock coupling. The read path and
-//! the runtime call its inherent methods directly.
+//! [`BPlusRangeIndex`]: dynamically split/merged leaves, each with its own
+//! bitmap and lock, routed by std's ordered map under a short topology
+//! latch, with optimistic lock coupling. The read path and the runtime
+//! call its inherent methods directly.
 //!
 //! [`RangeTree`](crate::range_tree::RangeTree), a flat fixed-stride node
 //! array, is the reference model the property and stress suites compare
@@ -35,15 +36,18 @@ pub enum LockScope {
 /// Structural statistics of one file's range index.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IndexStats {
-    /// Levels from root to leaves (0 = empty, 1 = a lone leaf root).
+    /// The index's own levels: 0 = empty, 1 = a lone leaf, 2 = routing
+    /// map over leaves. The map's internal height is std's business: it
+    /// is not exposed and nothing charges for it.
     pub depth: u64,
     /// Live leaves.
     pub leaves: u64,
-    /// Leaf or inner-node splits performed.
+    /// Leaf splits performed: new leaves that continue a contiguous run
+    /// because the span cap chopped it.
     pub splits: u64,
-    /// Leaf absorptions / inner-node merges performed.
+    /// Leaf absorptions performed.
     pub merges: u64,
-    /// Optimistic read descents that failed validation and retried.
+    /// Optimistic reads that failed validation and retried.
     pub optimistic_retries: u64,
 }
 

@@ -1,7 +1,7 @@
 //! Flat per-file range tree with embedded bitmaps: the reference model
 //! for tests.
 //!
-//! The runtime's per-file cache view is the B+ tree in
+//! The runtime's per-file cache view is the index in
 //! [`range_index`](crate::range_index); nothing outside test code
 //! constructs a [`RangeTree`]. It stays because it is small enough to be
 //! obviously right: the property suite replays every op stream through

@@ -1505,10 +1505,12 @@ impl CpFile {
         self.file
             .last_access_ns
             .store(clock.now(), Ordering::Relaxed);
-        if inner.policy.features.predict && len > 0 {
+        // Only the pages the OS actually mapped (it clamps to the file) may
+        // enter the user-level view or reach the engine.
+        if inner.policy.features.predict && outcome.pages > 0 {
             let costs = &inner.os.config().costs;
             let p0 = offset / PAGE_SIZE;
-            let p1 = (offset + len).div_ceil(PAGE_SIZE);
+            let p1 = p0 + outcome.pages;
             if inner.policy.features.visibility {
                 self.file
                     .tree

@@ -346,16 +346,17 @@ report_fields! {
         /// Which range-index implementation backs the per-file cache views:
         /// always `"bplus"` ([`crate::BPlusRangeIndex`]).
         Label range_index_kind: &'static str = "kind" <= "bplus";
-        /// Deepest per-file tree (1 = a lone leaf root).
+        /// Most levels any file's index has: 0 = empty, 1 = a lone leaf,
+        /// 2 = routing map over leaves.
         Gauge range_index_depth: u64 = "depth" <= index.depth;
         /// Leaves allocated across files.
         Gauge range_index_leaves: u64 = "leaves" <= index.leaves;
-        /// Leaf splits performed.
+        /// Leaf splits performed (contiguous runs chopped at the span cap).
         Counter range_index_splits: u64 = "splits" <= index.splits;
         /// Adjacent-leaf merges performed.
         Counter range_index_merges: u64 = "merges" <= index.merges;
-        /// Optimistic read descents that failed version validation and paid
-        /// the re-descent penalty (0 single-threaded).
+        /// Optimistic reads that failed version validation and paid the
+        /// retry penalty (0 single-threaded).
         Counter range_index_retries: u64 = "optimistic_retries" <= index.optimistic_retries;
     }
     additive ["tenants"] {

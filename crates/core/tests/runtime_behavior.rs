@@ -365,3 +365,45 @@ fn reads_the_os_clamps_do_not_mark_the_user_level_view() {
         );
     }
 }
+
+#[test]
+fn mapped_accesses_the_os_clamps_do_not_mark_the_user_level_view() {
+    // Same contract on the mmap path: the OS clamps a mapped access to
+    // the file and reports the pages it touched, and only those may enter
+    // the view.
+    let rt = runtime(Mode::Predict, 512);
+    let mut clock = rt.new_clock();
+    let pages = 64u64;
+    let file = rt
+        .create_sized(&mut clock, "/mapped", pages * PAGE_SIZE)
+        .unwrap();
+    assert_eq!(
+        file.mmap_read(&mut clock, pages * PAGE_SIZE, PAGE_SIZE)
+            .pages,
+        0
+    );
+    assert_eq!(
+        file.mmap_read(&mut clock, (pages + 6) * PAGE_SIZE, PAGE_SIZE)
+            .pages,
+        0
+    );
+    let straddle = file.mmap_read(&mut clock, (pages - 1) * PAGE_SIZE, 3 * PAGE_SIZE);
+    assert_eq!(straddle.pages, 1);
+
+    let ino = rt.os().fs().lookup("/mapped").unwrap();
+    rt.os().fs().set_size(ino, (pages + 16) * PAGE_SIZE);
+    // Descending, so the fault-around readahead that mapped access
+    // restores on the descriptor never fetches the next probe.
+    for page in [pages + 6, pages + 1, pages] {
+        let outcome = file.read_charge(&mut clock, page * PAGE_SIZE, PAGE_SIZE);
+        assert_eq!(
+            outcome.miss_pages, 1,
+            "page {page} was never touched before"
+        );
+        assert_eq!(
+            rt.stats().stale_pages_observed.get(),
+            0,
+            "view claimed page {page}, which no mapped access ever covered"
+        );
+    }
+}

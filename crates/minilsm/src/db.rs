@@ -505,19 +505,4 @@ impl Db {
             .map(|(k, v)| (k.to_vec(), v.map(|v| v.to_vec())))
             .collect()
     }
-
-    /// Total live SSTables.
-    pub fn table_count(&self) -> usize {
-        self.levels.read().iter().map(|l| l.len()).sum()
-    }
-
-    /// Total bytes across live SSTables.
-    pub fn table_bytes(&self) -> u64 {
-        self.levels
-            .read()
-            .iter()
-            .flatten()
-            .map(|t| t.reader.meta.file_bytes)
-            .sum()
-    }
 }

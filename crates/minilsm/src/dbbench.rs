@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use simclock::{Throughput, NS_PER_SEC};
+use simclock::Throughput;
 
 use crate::db::Db;
 use crate::iter::{DbIter, ScanDirection};
@@ -244,10 +244,5 @@ impl DbBench {
                 (ops_per_thread, bytes)
             }
         })
-    }
-
-    /// Virtual seconds a result spans — convenience for reporting.
-    pub fn virtual_secs(result: &BenchResult) -> f64 {
-        result.elapsed_ns as f64 / NS_PER_SEC as f64
     }
 }

@@ -23,8 +23,6 @@ pub struct CostModel {
     pub tree_walk_per_page_ns: u64,
     /// Inserting one page into the per-file cache tree.
     pub tree_insert_per_page_ns: u64,
-    /// Hold time charged on the cache-tree lock per page touched.
-    pub tree_lock_hold_per_page_ns: u64,
     /// Checking or setting one 64-page word of a cache-state bitmap.
     pub bitmap_word_ns: u64,
     /// Hold time on the per-inode bitmap rw-lock per operation.
@@ -43,31 +41,19 @@ pub struct CostModel {
     pub page_alloc_ns: u64,
     /// Predictor update per intercepted I/O in CROSS-LIB.
     pub predictor_step_ns: u64,
-    /// Range-tree descent plus per-node lock in CROSS-LIB.
+    /// Range-index lookup plus per-leaf lock in CROSS-LIB. This one
+    /// constant prices routing: the index charges nothing per level,
+    /// split or merge.
     pub range_tree_op_ns: u64,
     /// Major-fault fixed cost for memory-mapped access (trap + page-table).
     pub fault_ns: u64,
     /// Minor cost of touching an already-resident mapped page.
     pub mmap_minor_ns: u64,
-    /// Per-level descent charge of the B+ range index (version probe per
-    /// inner node). Defaults to 0: `range_tree_op_ns` already amortises a
-    /// shallow descent, and a zero default keeps the flat-vs-B+ index swap
-    /// timing-neutral for the single-threaded determinism gate. Raise it
-    /// for sensitivity runs.
-    pub range_index_descent_ns: u64,
-    /// Structural charge per leaf split in the B+ range index (arena
-    /// allocation + key insertion along the spine). Defaults to 0 for the
-    /// same timing-neutrality reason as `range_index_descent_ns`.
-    pub range_index_split_ns: u64,
-    /// Structural charge per leaf merge in the B+ range index (bitmap
-    /// word-OR + key removal along the spine). Defaults to 0.
-    pub range_index_merge_ns: u64,
-    /// Penalty an optimistic read descent pays when version validation
-    /// fails against a writer in service and the reader re-descends
-    /// instead of blocking (always capped at the blocking wait it
-    /// replaces). Nonzero by default: validation failures only exist under
-    /// multi-threaded contention, so the charge never perturbs
-    /// single-threaded timelines.
+    /// Penalty an optimistic range-index read pays when version validation
+    /// fails against a writer in service and the reader retries instead
+    /// of blocking (always capped at the blocking wait it replaces).
+    /// Validation failures only exist under multi-threaded contention, so
+    /// the charge never perturbs single-threaded timelines.
     pub range_index_retry_ns: u64,
 }
 
@@ -100,7 +86,6 @@ impl Default for CostModel {
             page_copy_ns: 400,
             tree_walk_per_page_ns: 120,
             tree_insert_per_page_ns: 250,
-            tree_lock_hold_per_page_ns: 150,
             bitmap_word_ns: 12,
             bitmap_lock_hold_ns: 60,
             lock_op_ns: 40,
@@ -113,9 +98,6 @@ impl Default for CostModel {
             range_tree_op_ns: 90,
             fault_ns: 1_500,
             mmap_minor_ns: 120,
-            range_index_descent_ns: 0,
-            range_index_split_ns: 0,
-            range_index_merge_ns: 0,
             range_index_retry_ns: 120,
         }
     }

@@ -342,11 +342,6 @@ impl CacheState {
         self.dirty_pages
     }
 
-    /// Word count (file coverage / [`PAGES_PER_WORD`], rounded up).
-    pub fn word_count(&self) -> usize {
-        self.words.len()
-    }
-
     /// `(word index, last touch, resident pages)` for every non-empty word
     /// — the reclaim scan input.
     pub fn word_summaries(&self) -> Vec<(usize, u64, u64)> {

@@ -2,10 +2,10 @@
 
 use simstore::DeviceError;
 
-/// Errors surfaced by the `try_*` syscall variants ([`crate::Os::try_read_at`],
+/// Errors surfaced by the `try_*` syscall variants ([`crate::Os::try_read_charge`],
 /// [`crate::Os::try_readahead`], [`crate::Os::try_readahead_info`]).
 ///
-/// The infallible variants (`read_at`, `readahead`, `readahead_info`) keep
+/// The infallible variants (`read_charge`, `readahead`, `readahead_info`) keep
 /// their historical never-fail contract: they never consult the device's
 /// transient-EIO schedule and ignore [`crate::OsConfig::readahead_info_supported`],
 /// so existing callers are byte-for-byte unaffected by the fault layer.

@@ -561,41 +561,6 @@ impl Os {
         out
     }
 
-    /// Reads into `buf`, returning the byte count delivered.
-    pub fn read_at(&self, clock: &mut ThreadClock, fd: Fd, offset: u64, buf: &mut [u8]) -> u64 {
-        let outcome = self.read_charge(clock, fd, offset, buf.len() as u64);
-        self.fetch_content(
-            self.fd_inode(fd),
-            offset,
-            &mut buf[..outcome.bytes as usize],
-        );
-        outcome.bytes
-    }
-
-    /// Fallible variant of [`Os::read_at`]: consults the device fault plan
-    /// and surfaces a transient [`IoError::Io`] to the caller. See
-    /// [`Os::try_read_charge`] for the failure semantics.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`IoError::Io`] when the fault plan injects an EIO into the
-    /// demand fill.
-    pub fn try_read_at(
-        &self,
-        clock: &mut ThreadClock,
-        fd: Fd,
-        offset: u64,
-        buf: &mut [u8],
-    ) -> Result<u64, IoError> {
-        let outcome = self.try_read_charge(clock, fd, offset, buf.len() as u64)?;
-        self.fetch_content(
-            self.fd_inode(fd),
-            offset,
-            &mut buf[..outcome.bytes as usize],
-        );
-        Ok(outcome.bytes)
-    }
-
     /// The charging half of the read path: identical timing and cache
     /// behaviour to [`Os::read`], without materializing content. Workloads
     /// that only measure use this. Never consults the fault plan's EIO
@@ -1460,10 +1425,9 @@ impl Os {
         }
     }
 
-    /// Adjusts the memory budget at runtime (memory:data-ratio sweeps and
-    /// the tenant arbiter both shrink it). A shrink below the resident
+    /// Adjusts the memory budget at runtime. A shrink below the resident
     /// set reclaims immediately — leaving the cache over budget until the
-    /// next insert would let a shrunk tenant keep squatting on pages.
+    /// next insert would let the old residents keep squatting on pages.
     pub fn set_memory_budget(&self, clock: &mut ThreadClock, pages: u64) {
         if self.mem.set_budget(pages) {
             self.reclaim(clock);

@@ -18,7 +18,6 @@ fn scaled_costs(factor: f64) -> CostModel {
         page_copy_ns: scale(base.page_copy_ns),
         tree_walk_per_page_ns: scale(base.tree_walk_per_page_ns),
         tree_insert_per_page_ns: scale(base.tree_insert_per_page_ns),
-        tree_lock_hold_per_page_ns: scale(base.tree_lock_hold_per_page_ns),
         bitmap_word_ns: scale(base.bitmap_word_ns),
         bitmap_lock_hold_ns: scale(base.bitmap_lock_hold_ns),
         lock_op_ns: scale(base.lock_op_ns),
@@ -29,9 +28,6 @@ fn scaled_costs(factor: f64) -> CostModel {
         page_alloc_ns: scale(base.page_alloc_ns),
         predictor_step_ns: scale(base.predictor_step_ns),
         range_tree_op_ns: scale(base.range_tree_op_ns),
-        range_index_descent_ns: scale(base.range_index_descent_ns),
-        range_index_split_ns: scale(base.range_index_split_ns),
-        range_index_merge_ns: scale(base.range_index_merge_ns),
         range_index_retry_ns: scale(base.range_index_retry_ns),
         fault_ns: scale(base.fault_ns),
         mmap_minor_ns: scale(base.mmap_minor_ns),
