@@ -337,16 +337,6 @@ impl PredictionEngine for AdaptiveEngine {
     fn mine(&mut self) -> u64 {
         self.correlation.mine()
     }
-
-    fn reset(&mut self) {
-        self.strided.reset();
-        self.correlation.reset();
-        self.owner = EngineKind::Strided;
-        self.shadow_strided = ShadowBook::default();
-        self.shadow_correlation = ShadowBook::default();
-        self.sampled_in_duel = 0;
-        self.last_streaming = None;
-    }
 }
 
 #[cfg(test)]

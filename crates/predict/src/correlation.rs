@@ -67,20 +67,29 @@ impl Default for CorrelationConfig {
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct Successor {
     block: u64,
     span: u64,
     count: u32,
 }
 
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct AssocEntry {
     successors: Vec<Successor>,
     /// Total times this block was seen as a predecessor.
     freq: u32,
     /// Observation stamp of the last mining touch or lookup hit.
     last_seen: u64,
+}
+
+impl AssocEntry {
+    /// Eviction order under table pressure: lowest goes first. Recency,
+    /// extended by [`FREQUENCY_LIFETIME_BONUS`] observations per sighting.
+    fn eviction_score(&self) -> u64 {
+        self.last_seen
+            .saturating_add(u64::from(self.freq) * FREQUENCY_LIFETIME_BONUS)
+    }
 }
 
 /// Size and activity snapshot, used by tests and telemetry to check the
@@ -187,26 +196,25 @@ impl CorrelationEngine {
 
     /// Evicts table entries down to capacity by the lowest
     /// recency+frequency score (`last_seen + freq * bonus`), ties broken
-    /// by block id — fully deterministic under `BTreeMap` iteration.
+    /// by block id, so the victims are a function of the table alone.
+    ///
+    /// One selection per pass: removing an entry changes no survivor's
+    /// key and the block id makes every key unique, so the `excess`
+    /// smallest keys are exactly the victims that evicting one minimum
+    /// at a time would pick. Cost is O(table), not O(table × victims).
     fn enforce_cap(&mut self) {
-        while self.table.len() > self.config.max_assocs {
-            let victim = self
-                .table
-                .iter()
-                .min_by_key(|(block, e)| {
-                    (
-                        e.last_seen
-                            .saturating_add(u64::from(e.freq) * FREQUENCY_LIFETIME_BONUS),
-                        **block,
-                    )
-                })
-                .map(|(block, _)| *block);
-            match victim {
-                Some(block) => {
-                    self.table.remove(&block);
-                }
-                None => break,
-            }
+        let excess = self.table.len().saturating_sub(self.config.max_assocs);
+        if excess == 0 {
+            return;
+        }
+        let mut keys: Vec<(u64, u64)> = self
+            .table
+            .iter()
+            .map(|(&block, entry)| (entry.eviction_score(), block))
+            .collect();
+        keys.select_nth_unstable(excess - 1);
+        for &(_, block) in &keys[..excess] {
+            self.table.remove(&block);
         }
     }
 
@@ -306,15 +314,6 @@ impl PredictionEngine for CorrelationEngine {
 
     fn mine(&mut self) -> u64 {
         self.mine_pass()
-    }
-
-    fn reset(&mut self) {
-        self.ring.clear();
-        self.table.clear();
-        self.since_mine = 0;
-        self.support_boost = 0;
-        self.feedback_timely = 0;
-        self.feedback_wasted = 0;
     }
 }
 
@@ -486,5 +485,215 @@ mod tests {
             (fingerprint, engine.stats())
         };
         assert_eq!(run(), run());
+    }
+
+    /// The eviction loop `enforce_cap` replaced — one full-table minimum
+    /// scan per victim — kept as the differential oracle.
+    fn evict_one_victim_per_scan(engine: &mut CorrelationEngine, cap: usize) {
+        while engine.table.len() > cap {
+            let victim = engine
+                .table
+                .iter()
+                .min_by_key(|(block, e)| {
+                    (
+                        e.last_seen
+                            .saturating_add(u64::from(e.freq) * FREQUENCY_LIFETIME_BONUS),
+                        **block,
+                    )
+                })
+                .map(|(block, _)| *block);
+            match victim {
+                Some(block) => {
+                    engine.table.remove(&block);
+                }
+                None => break,
+            }
+        }
+    }
+
+    /// The engine beside a twin whose own cap never engages and which the
+    /// oracle trims after every pass instead (eviction is the last thing
+    /// a pass does to the table, so the two orders are the same).
+    struct Differential {
+        subject: CorrelationEngine,
+        oracle: CorrelationEngine,
+        cap: usize,
+    }
+
+    impl Differential {
+        fn new(config: CorrelationConfig) -> Self {
+            Self {
+                cap: config.max_assocs,
+                oracle: CorrelationEngine::new(CorrelationConfig {
+                    max_assocs: usize::MAX,
+                    ..config.clone()
+                }),
+                subject: CorrelationEngine::new(config),
+            }
+        }
+
+        /// Feeds one access to both; the decisions must agree. Returns
+        /// whether a mining pass is due.
+        fn observe(&mut self, page: u64, pages: u64) -> bool {
+            let got = self.subject.observe(&obs(page, pages));
+            let want = self.oracle.observe(&obs(page, pages));
+            assert_eq!(
+                (&got.runs, got.confidence, got.mine_due),
+                (&want.runs, want.confidence, want.mine_due),
+                "decisions diverge at page {page}"
+            );
+            got.mine_due
+        }
+
+        /// Mines both; the whole table (blocks, successors, `freq`,
+        /// `last_seen`) must agree. Returns `(table length before
+        /// eviction, victims)`.
+        fn mine(&mut self) -> (usize, usize) {
+            assert_eq!(self.subject.mine(), self.oracle.mine());
+            let before = self.oracle.table.len();
+            evict_one_victim_per_scan(&mut self.oracle, self.cap);
+            let victims = before - self.oracle.table.len();
+            assert!(
+                self.subject.table == self.oracle.table,
+                "tables diverge evicting {victims} of {before}"
+            );
+            assert_eq!(self.subject.stats(), self.oracle.stats());
+            (before, victims)
+        }
+    }
+
+    /// `kv_probe` in miniature: a skewed key pick reads the key's index
+    /// page, then its 8-page record. Yields `(page, pages)` observations.
+    struct ProbeStream {
+        state: u64,
+        keys: u64,
+        record: Option<(u64, u64)>,
+    }
+
+    impl ProbeStream {
+        fn new(seed: u64, keys: u64) -> Self {
+            Self {
+                state: seed,
+                keys,
+                record: None,
+            }
+        }
+
+        fn draw(&mut self) -> u64 {
+            self.state = self
+                .state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (self.state >> 33) % self.keys
+        }
+    }
+
+    impl Iterator for ProbeStream {
+        type Item = (u64, u64);
+
+        fn next(&mut self) -> Option<(u64, u64)> {
+            if let Some(record) = self.record.take() {
+                return Some(record);
+            }
+            // The product of two uniform draws piles mass on the low keys.
+            let key = self.draw() * self.draw() / self.keys;
+            let index_pages = self.keys / 64;
+            self.record = Some((index_pages + key * 8, 8));
+            Some((key / 64, 1))
+        }
+    }
+
+    #[test]
+    fn one_selection_evicts_what_one_scan_per_victim_did() {
+        // Passes of 1 .. 1 500 observations, so the same table overflows
+        // by one entry, by tens, and by more than it may keep. The wide
+        // key space fills it with cold entries that tie on their mining
+        // stamp; the narrow one keeps re-reading what the table holds, so
+        // victims are picked among scores one lookup apart.
+        const PASS_LENGTHS: [usize; 8] = [1, 64, 3, 1_500, 2, 17, 1, 200];
+        for cap in [1usize, 8, 256] {
+            let (mut by_one, mut by_many, mut by_most) = (0, 0, 0);
+            for keys in [16_384, 4 * cap.max(16) as u64] {
+                let mut pair = Differential::new(CorrelationConfig {
+                    max_assocs: cap,
+                    history: 2_048,
+                    ..CorrelationConfig::default()
+                });
+                let mut stream = ProbeStream::new(0xC0FFEE ^ keys, keys);
+                for round in 0..96 {
+                    let pass = PASS_LENGTHS[round % PASS_LENGTHS.len()];
+                    for (page, pages) in stream.by_ref().take(pass) {
+                        pair.observe(page, pages);
+                    }
+                    let (before, victims) = pair.mine();
+                    by_one += usize::from(victims == 1);
+                    by_many += usize::from(victims > 1);
+                    by_most += usize::from(victims > before / 2);
+                }
+                assert_eq!(pair.subject.stats().assoc_entries, cap);
+            }
+            assert!(
+                by_one > 0 && by_many > 0 && by_most > 0,
+                "cap {cap}: overflow by one {by_one}, by many {by_many}, by most {by_most}"
+            );
+        }
+    }
+
+    #[test]
+    fn score_ties_fall_to_the_lowest_block_id() {
+        let mut pair = Differential::new(CorrelationConfig {
+            max_assocs: 2,
+            ..CorrelationConfig::default()
+        });
+        // Pass 1 at stamp 4: 900 seen twice (score 4 + 32), 50 once (20).
+        for page in [900, 50, 900, 500] {
+            pair.observe(page, 1);
+        }
+        assert_eq!(pair.mine(), (2, 0));
+        // Pass 2 at stamp 20: 500 and 100 seen once each (20 + 16), so
+        // three entries tie at 36 through different recency/frequency.
+        for _ in 0..14 {
+            pair.observe(500, 1);
+        }
+        pair.observe(100, 1);
+        pair.observe(7_000, 1);
+        assert_eq!(pair.mine(), (4, 2));
+        // 50 goes on score; of the tied three, the lowest block goes.
+        let survivors: Vec<u64> = pair.subject.table.keys().copied().collect();
+        assert_eq!(survivors, vec![500, 900]);
+
+        // One pass of never-seen blocks in descending order: every new
+        // entry has the same stamp and frequency, so block id alone
+        // decides and the highest ids stay.
+        let mut pair = Differential::new(CorrelationConfig {
+            max_assocs: 8,
+            ..CorrelationConfig::default()
+        });
+        for page in (1..=40u64).rev() {
+            pair.observe(page * 10, 1);
+        }
+        assert_eq!(pair.mine(), (39, 31));
+        let survivors: Vec<u64> = pair.subject.table.keys().copied().collect();
+        assert_eq!(survivors, (33..=40).map(|p| p * 10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn default_cap_saturates_and_evicts_identically() {
+        // The shipped configuration, mined whenever the engine asks: 64
+        // observations a pass against a 4 096-entry table.
+        let mut pair = Differential::new(CorrelationConfig::default());
+        let mut evicting_passes = 0;
+        for (page, pages) in ProbeStream::new(42, 16_384).take(16_000) {
+            if pair.observe(page, pages) {
+                let (_, victims) = pair.mine();
+                evicting_passes += usize::from(victims > 0);
+            }
+        }
+        assert!(
+            evicting_passes > 50,
+            "only {evicting_passes} passes evicted"
+        );
+        let max_assocs = CorrelationConfig::default().max_assocs;
+        assert_eq!(pair.subject.stats().assoc_entries, max_assocs);
     }
 }

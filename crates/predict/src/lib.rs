@@ -152,9 +152,6 @@ pub trait PredictionEngine {
     fn mine(&mut self) -> u64 {
         0
     }
-
-    /// Clears stream history (e.g. after an explicit seek).
-    fn reset(&mut self);
 }
 
 /// Construction-time tuning shared by all engines; the runtime builds one
@@ -264,14 +261,6 @@ impl PredictionEngine for Engine {
             Engine::Strided(e) => e.mine(),
             Engine::Correlation(e) => e.mine(),
             Engine::Adaptive(e) => e.mine(),
-        }
-    }
-
-    fn reset(&mut self) {
-        match self {
-            Engine::Strided(e) => PredictionEngine::reset(e),
-            Engine::Correlation(e) => PredictionEngine::reset(e),
-            Engine::Adaptive(e) => PredictionEngine::reset(e.as_mut()),
         }
     }
 }

@@ -348,18 +348,6 @@ impl Predictor {
         }
         amount
     }
-
-    /// Resets stream history (e.g. after an explicit seek).
-    pub fn reset(&mut self) {
-        self.counter = 0;
-        self.prev_end = None;
-        self.prev_start = None;
-        self.skip = 0;
-        self.aggressive_window = 0;
-        self.dir_score = 0;
-        self.run_pages = 0;
-        self.avg_run_pages = 0;
-    }
 }
 
 impl Default for Predictor {
@@ -386,10 +374,6 @@ impl PredictionEngine for Predictor {
             confidence,
             ..PrefetchDecision::default()
         }
-    }
-
-    fn reset(&mut self) {
-        Predictor::reset(self);
     }
 }
 
@@ -538,15 +522,6 @@ mod tests {
         let pred = p.on_access(500, 4, false, MAX);
         assert_eq!(p.counter(), 1);
         assert_eq!(pred.from_page, 504);
-    }
-
-    #[test]
-    fn reset_clears_history() {
-        let mut p = Predictor::new(3);
-        drive_sequential(&mut p, 0, 10, 4);
-        p.reset();
-        assert_eq!(p.counter(), 0);
-        assert_eq!(p.pattern(), AccessPattern::HighlyRandom);
     }
 
     #[test]

@@ -28,6 +28,14 @@ impl Access {
 /// forfeited (conservative — capacity is never double-booked).
 const MAX_INTERVALS: usize = 8192;
 
+/// Whether every busy interval ends at or before `now`, so a request at
+/// `now` appends to the calendar. Intervals are sorted and disjoint,
+/// hence so are their ends: the last one decides, and the binary search
+/// for the first interval ending after `now` would answer `len`.
+fn idle_from(busy: &VecDeque<(u64, u64)>, now: u64) -> bool {
+    busy.back().is_none_or(|&(_, end)| end <= now)
+}
+
 /// A single-server resource in virtual time with **gap filling**.
 ///
 /// Storage bandwidth, a journal, or an exclusively-held lock all behave
@@ -77,7 +85,11 @@ impl FcfsResource {
     pub fn access(&self, now: u64, service_ns: u64) -> Access {
         let mut busy = self.busy.lock();
         // Find the insertion point: first interval ending after `now`.
-        let mut idx = busy.partition_point(|&(_, end)| end <= now);
+        let mut idx = if idle_from(&busy, now) {
+            busy.len()
+        } else {
+            busy.partition_point(|&(_, end)| end <= now)
+        };
         let mut start = now;
         while idx < busy.len() {
             let (istart, iend) = busy[idx];
@@ -129,6 +141,9 @@ impl FcfsResource {
     /// i.e. the end of the busy interval containing `now`, or `now`.
     pub fn clear_time(&self, now: u64) -> u64 {
         let busy = self.busy.lock();
+        if idle_from(&busy, now) {
+            return now;
+        }
         let idx = busy.partition_point(|&(_, end)| end <= now);
         match busy.get(idx) {
             Some(&(start, end)) if start <= now => end,
@@ -231,6 +246,135 @@ impl RwContention {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The calendar as it was before the append fast path: every request
+    /// binary-searches for its insertion point. Differential oracle.
+    #[derive(Default)]
+    struct SearchingCalendar {
+        busy: VecDeque<(u64, u64)>,
+    }
+
+    impl SearchingCalendar {
+        fn access(&mut self, now: u64, service_ns: u64) -> Access {
+            let busy = &mut self.busy;
+            let mut idx = busy.partition_point(|&(_, end)| end <= now);
+            let mut start = now;
+            while idx < busy.len() {
+                let (istart, iend) = busy[idx];
+                if start + service_ns <= istart {
+                    break;
+                }
+                start = start.max(iend);
+                idx += 1;
+            }
+            let end = start + service_ns;
+            busy.insert(idx, (start, end));
+            while idx + 1 < busy.len() && busy[idx].1 >= busy[idx + 1].0 {
+                let (_, next_end) = busy.remove(idx + 1).expect("bounds checked");
+                busy[idx].1 = busy[idx].1.max(next_end);
+            }
+            while idx > 0 && busy[idx - 1].1 >= busy[idx].0 {
+                let (_, cur_end) = busy.remove(idx).expect("bounds checked");
+                busy[idx - 1].1 = busy[idx - 1].1.max(cur_end);
+                idx -= 1;
+            }
+            if busy.len() > MAX_INTERVALS {
+                let (first_start, _) = busy[0];
+                let (_, second_end) = busy[1];
+                busy[1] = (first_start, second_end);
+                busy.pop_front();
+            }
+            Access {
+                start_ns: start,
+                end_ns: end,
+                wait_ns: start - now,
+            }
+        }
+
+        fn clear_time(&self, now: u64) -> u64 {
+            let idx = self.busy.partition_point(|&(_, end)| end <= now);
+            match self.busy.get(idx) {
+                Some(&(start, end)) if start <= now => end,
+                _ => now,
+            }
+        }
+    }
+
+    /// The calendar beside its oracle: every `Access`, and the
+    /// `clear_time` of every instant a request names (its arrival, its
+    /// start, its end), must agree.
+    struct Differential {
+        device: FcfsResource,
+        oracle: SearchingCalendar,
+    }
+
+    impl Differential {
+        fn new() -> Self {
+            Self {
+                device: FcfsResource::new("dev"),
+                oracle: SearchingCalendar::default(),
+            }
+        }
+
+        fn access(&mut self, now: u64, service_ns: u64) -> Access {
+            assert_eq!(self.device.clear_time(now), self.oracle.clear_time(now));
+            let access = self.device.access(now, service_ns);
+            assert_eq!(access, self.oracle.access(now, service_ns));
+            for at in [now, access.start_ns, access.end_ns] {
+                assert_eq!(self.device.clear_time(at), self.oracle.clear_time(at));
+            }
+            access
+        }
+
+        fn assert_same_intervals(&self) {
+            assert_eq!(*self.device.busy.lock(), self.oracle.busy);
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn append_fast_path_matches_the_searching_calendar(
+            ops in prop::collection::vec((0u8..5, 0u64..3_000, 0u64..400), 1..300)
+        ) {
+            // Arrival shapes: in order (0, 1), back-to-back at the last
+            // completion (2), out of order anywhere in the past (3), and
+            // far ahead so later ones land in the middle (4); one service
+            // time in eight is zero-length.
+            let mut pair = Differential::new();
+            let mut cursor = 0u64;
+            let mut last_end = 0u64;
+            for (shape, delta, service) in ops {
+                let now = match shape {
+                    0 | 1 => {
+                        cursor += delta;
+                        cursor
+                    }
+                    2 => last_end,
+                    3 => delta * cursor / 3_000,
+                    _ => cursor + 40 * delta,
+                };
+                let service_ns = if service % 8 == 0 { 0 } else { service };
+                last_end = pair.access(now, service_ns).end_ns;
+            }
+            pair.assert_same_intervals();
+        }
+    }
+
+    #[test]
+    fn interval_forfeit_matches_the_searching_calendar() {
+        // Spaced appends up to and past `MAX_INTERVALS`, with every
+        // seventh request reaching back into an old gap.
+        let mut pair = Differential::new();
+        for i in 0..MAX_INTERVALS as u64 + 200 {
+            match i % 7 {
+                6 => pair.access(i * 500 + 250, 3),
+                _ => pair.access(i * 1_000, 1),
+            };
+        }
+        pair.assert_same_intervals();
+        assert_eq!(pair.oracle.busy.len(), MAX_INTERVALS);
+    }
 
     #[test]
     fn fcfs_serializes_back_to_back_requests() {

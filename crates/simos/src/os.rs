@@ -854,8 +854,15 @@ impl Os {
                 Some(tiered) => tiered.device(tiered.tier_of(ino.0, lblock)),
                 None => &self.device,
             };
-            let block = device.store().read_block_vec(pblock);
-            out[done..done + take].copy_from_slice(&block[within..within + take]);
+            let dest = &mut out[done..done + take];
+            if take == BLOCK_SIZE {
+                device.store().read_block(pblock, dest);
+            } else {
+                // Partial head or tail page: the store reads whole blocks.
+                let mut block = [0u8; BLOCK_SIZE];
+                device.store().read_block(pblock, &mut block);
+                dest.copy_from_slice(&block[within..within + take]);
+            }
             done += take;
         }
     }
