@@ -683,10 +683,13 @@ impl CpFile {
             }
         }
 
-        // Engines that learn from prefetch quality see the per-file
-        // timely/late/wasted delta here (no-op for the strided engine, no
+        // Engines that learn from what their predictions were worth see
+        // whether this read needed the device, and the per-file
+        // timely/late/wasted delta (gated off for the strided engine, no
         // virtual time charged either way).
-        if !ctx.is_write {
+        if self.engine_feedback && !ctx.is_write {
+            let needed_io = outcome.miss_pages + outcome.prefetch_hit_pages > 0;
+            self.engine.lock().outcome(needed_io);
             self.maybe_feed_quality();
         }
 

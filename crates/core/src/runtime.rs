@@ -1739,13 +1739,17 @@ impl CpFile {
                 continue;
             }
             inner.stats.engine_assoc_runs.incr();
-            let reached = self
-                .runtime
+            // `prefetch_pages` also returns the run's end when the
+            // visibility check skips it whole, so count what it requested
+            // (a concurrent reader's request inside the call is counted
+            // too: the counter is the runtime's, not the file's).
+            let requested = inner.stats.pages_requested.get();
+            self.runtime
                 .prefetch_pages(clock, &self.file, run.start, run.pages, true);
             inner
                 .stats
                 .engine_assoc_pages
-                .add(reached.saturating_sub(run.start));
+                .add(inner.stats.pages_requested.get() - requested);
         }
         if decision.duel_completed {
             inner.stats.engine_duels.incr();
@@ -1783,14 +1787,12 @@ impl CpFile {
 
     /// Feeds the per-file timely/late/wasted delta to engines that learn
     /// from it (correlation support tuning, adaptive hit weighting),
-    /// sampled every [`FEEDBACK_INTERVAL_READS`] accesses. Gated off
-    /// entirely for the strided engine via the cached `engine_feedback`
-    /// flag. Reads real lock state only — no virtual time is charged, so
-    /// enabling feedback never perturbs the simulated timeline by itself.
+    /// sampled every [`FEEDBACK_INTERVAL_READS`] accesses. The caller
+    /// gates it off entirely for the strided engine via the cached
+    /// `engine_feedback` flag. Reads real lock state only — no virtual
+    /// time is charged, so enabling feedback never perturbs the simulated
+    /// timeline by itself.
     pub(crate) fn maybe_feed_quality(&self) {
-        if !self.engine_feedback {
-            return;
-        }
         if self.reads_since_feedback.fetch_add(1, Ordering::Relaxed) + 1 < FEEDBACK_INTERVAL_READS {
             return;
         }

@@ -88,7 +88,8 @@ pub struct LibStats {
     /// Correlation-mined prefetch runs issued by the prediction engine
     /// (zero under the strided default, which emits no association runs).
     pub engine_assoc_runs: Counter,
-    /// Pages those association runs scheduled (after memory clamping).
+    /// Pages those association runs requested (after memory clamping and
+    /// the visibility check: a run that was cached whole adds nothing).
     pub engine_assoc_pages: Counter,
     /// Deferred association-mining passes dispatched to the worker pool.
     pub engine_mining_passes: Counter,

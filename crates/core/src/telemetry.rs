@@ -288,7 +288,7 @@ report_fields! {
         Label engine: &'static str = "selected" <= runtime.inner.policy.engine.name();
         /// Correlation-mined prefetch runs the engine issued.
         Counter engine_assoc_runs: u64 = "assoc_runs" <= stats.engine_assoc_runs.get();
-        /// Pages those association runs scheduled.
+        /// Pages those association runs requested (cached pages excluded).
         Counter engine_assoc_pages: u64 = "assoc_pages" <= stats.engine_assoc_pages.get();
         /// Deferred mining passes dispatched to the worker pool.
         Counter engine_mining_passes: u64 = "mining_passes" <= stats.engine_mining_passes.get();

@@ -8,16 +8,17 @@
 //! | Engine | Model | Wins on |
 //! |---|---|---|
 //! | [`Predictor`] (*strided*, default) | n-bit saturating counter | streaming / strided scans |
-//! | [`CorrelationEngine`] | MITHRIL-style block-association mining | recurring random chains |
-//! | [`AdaptiveEngine`] | per-file set-dueling over both | mixed / phase-changing files |
+//! | [`CorrelationEngine`] | MITHRIL-style block-association mining | recurring random chains that outlive the cache |
+//! | [`AdaptiveEngine`] | per-file set-dueling over both, scored on I/O saved; the sequential arm plans by learned run length | mixed / phase-changing files, index-then-record lookups |
 //!
 //! The runtime holds one [`Engine`] per file descriptor and calls
 //! [`PredictionEngine::observe`] from its predict pipeline stage; the
 //! decision's [`Prediction`] (if any) feeds the existing paced-frontier
 //! planner, while explicit [`PrefetchRun`]s are issued directly. Engines
-//! that return `true` from [`PredictionEngine::wants_feedback`] receive
-//! the timely/late/wasted tallies from the OS prefetch-quality accounting
-//! via [`PredictionEngine::feedback`], and `mine_due` decisions schedule
+//! that return `true` from [`PredictionEngine::wants_feedback`] are told
+//! whether each read needed the device ([`PredictionEngine::outcome`]) and
+//! receive the timely/late/wasted tallies from the OS prefetch-quality
+//! accounting via [`PredictionEngine::feedback`], and `mine_due` decisions schedule
 //! [`PredictionEngine::mine`] on the worker pool, keeping table
 //! maintenance off the read path.
 //!
@@ -146,6 +147,14 @@ pub trait PredictionEngine {
         false
     }
 
+    /// Reports what the access just observed cost: `needed_io` is true when
+    /// any of its pages came off the device, on demand or through a
+    /// prefetch. Engines that score their own predictions use it to credit
+    /// only I/O actually saved; an engine that is never told assumes every
+    /// access needed the device. Called under the same gate as
+    /// [`PredictionEngine::feedback`].
+    fn outcome(&mut self, _needed_io: bool) {}
+
     /// Runs one background maintenance pass (association mining); returns
     /// the units of work done, which the caller converts into a
     /// virtual-time charge on the worker that runs it.
@@ -253,6 +262,14 @@ impl PredictionEngine for Engine {
             Engine::Strided(e) => e.wants_feedback(),
             Engine::Correlation(e) => e.wants_feedback(),
             Engine::Adaptive(e) => e.wants_feedback(),
+        }
+    }
+
+    fn outcome(&mut self, needed_io: bool) {
+        match self {
+            Engine::Strided(e) => e.outcome(needed_io),
+            Engine::Correlation(e) => e.outcome(needed_io),
+            Engine::Adaptive(e) => e.outcome(needed_io),
         }
     }
 

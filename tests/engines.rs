@@ -227,7 +227,7 @@ fn same_seed_runs_are_identical_for_every_engine() {
 /// MITHRIL-style claim holds: correlation and adaptive each convert a
 /// strictly larger share of what they prefetch into hits than strided
 /// does, at no more than 1.25x its wasted pages (seed 42: strided 72.1 %
-/// at 1087 wasted, correlation 100 % at 0, adaptive 81.3 % at 179).
+/// at 1087 wasted, correlation 100 % at 0, adaptive 100 % at 0).
 #[test]
 fn quality_counters_sum_to_pages_initiated_for_every_engine() {
     let [strided, correlation, adaptive] = EngineKind::all().map(|engine| {
@@ -294,6 +294,55 @@ fn adaptive_matches_strided_on_sequential_reads() {
         strided.abs_diff(adaptive) * 50 <= strided,
         "adaptive {adaptive} ns drifts more than 2% from strided {strided} ns"
     );
+}
+
+/// The gate on time, not only on hit ratio: on a zipfian kvprobe whose
+/// data is 9x the cache (4 096 keys x 9 pages against 16 MB — the default
+/// 512-key dataset fits the correlation table and never shows the
+/// failure), `Predict` + `Adaptive` + ring finishes in less virtual time
+/// than `OsOnly` on the same OS config, wastes at most a tenth of what it
+/// initiates, balances its quality ledger, and repeats exactly per seed
+/// (seed 42: 528 ms against 803 ms — 1 135 ms before run shape and
+/// I/O-scored duels — and 4 wasted pages of 7 245).
+#[test]
+fn adaptive_beats_osonly_on_an_out_of_cache_kvprobe() {
+    let cfg = KvProbeConfig {
+        keys: 4096,
+        probes: 4096,
+        ..KvProbeConfig::default()
+    };
+    let run = |config: RuntimeConfig| {
+        let runtime = Runtime::new(boot(16), config);
+        setup_kvprobe(&runtime, &cfg, "/kv");
+        let mut clock = runtime.new_clock();
+        let elapsed_ns = run_kvprobe(&runtime, &mut clock, &cfg, "/kv").elapsed_ns;
+        runtime.os().drop_caches(&mut clock);
+        (elapsed_ns, RuntimeReport::collect(&runtime))
+    };
+    let adaptive = || {
+        let mut config = RuntimeConfig::new(Mode::Predict);
+        config.engine = EngineKind::Adaptive;
+        config.ring_submit = true;
+        run(config)
+    };
+    let (os_only_ns, _) = run(RuntimeConfig::new(Mode::OsOnly));
+    let (adaptive_ns, report) = adaptive();
+    assert!(
+        adaptive_ns < os_only_ns,
+        "adaptive took {adaptive_ns} ns, OSonly {os_only_ns} ns"
+    );
+    let q = report.prefetch_quality;
+    assert!(report.pages_initiated > 0);
+    assert_eq!(q.timely + q.late + q.wasted, report.pages_initiated);
+    assert!(
+        q.wasted * 10 <= report.pages_initiated,
+        "{} of {} initiated pages wasted",
+        q.wasted,
+        report.pages_initiated
+    );
+    let (again_ns, again) = adaptive();
+    assert_eq!(adaptive_ns, again_ns);
+    assert_eq!(report.to_json(), again.to_json());
 }
 
 /// The correlation and adaptive engines leave fingerprints in the new
