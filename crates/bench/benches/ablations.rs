@@ -12,6 +12,8 @@ use crossprefetch::{
     EngineKind, Mode, Runtime, RuntimeConfig, RuntimeReport, TenantsConfig, TieringConfig,
     WritebackConfig, PAGE_SIZE,
 };
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use simclock::{ThreadClock, NS_PER_MS, NS_PER_US};
 use simos::{Device, DeviceConfig, FileSystem, FsKind, Os, OsConfig, RaInfoRequest};
 use std::sync::Arc;
@@ -82,9 +84,9 @@ fn sequential(rt: &Runtime, clock: &mut ThreadClock) -> String {
     String::new()
 }
 
-/// Zipfian index-then-record probes over `keys` 9-page keys: the shape
-/// the strided counter cannot learn and a correlation miner can — while
-/// what it mined outlives the cache.
+/// Zipfian index-then-record probes over `keys` 9-page keys: short runs
+/// the predictor plans by their learned shape, and recurring chains a
+/// correlation miner can learn — while what it mined outlives the cache.
 fn kvprobe_over(keys: u64, rt: &Runtime, clock: &mut ThreadClock) -> String {
     let mut cfg = KvProbeConfig {
         keys,
@@ -99,6 +101,40 @@ fn kvprobe_over(keys: u64, rt: &Runtime, clock: &mut ThreadClock) -> String {
 /// The default 18 MiB dataset: 4 608 pages, about the correlation table.
 fn kvprobe(rt: &Runtime, clock: &mut ThreadClock) -> String {
     kvprobe_over(KvProbeConfig::default().keys, rt, clock)
+}
+
+const IO_BYTES: u64 = 16 * 1024;
+
+/// Bursts of four 16 KiB reads at a random offset of a 32 MiB file (the
+/// `fleet_open` batch tenants' shape): a 16-page run, then a far jump.
+fn bursts(rt: &Runtime, clock: &mut ThreadClock) -> String {
+    let file = rt.create_sized(clock, PATH, 32 << 20).expect("create");
+    let slots = file.size() / IO_BYTES;
+    let mut rng = StdRng::seed_from_u64(0xB0B5);
+    for _ in 0..4096 * scale() {
+        let slot = rng.gen_range(0..slots - 4);
+        for read in 0..4 {
+            file.read_charge(clock, (slot + read) * IO_BYTES, IO_BYTES);
+        }
+    }
+    String::new()
+}
+
+/// Sequential 16 KiB reads over a 64 MiB file, wrapping at its end; every
+/// 8 MiB the scan skips forward by up to 2 MiB (the `seq_stream` shape at
+/// a quarter of its segment length): long runs of unequal length.
+fn stream_with_skips(rt: &Runtime, clock: &mut ThreadClock) -> String {
+    let file = rt.create_sized(clock, PATH, 64 << 20).expect("create");
+    let slots = file.size() / IO_BYTES;
+    let (mut rng, mut slot) = (StdRng::seed_from_u64(0x5C1F), 0);
+    for i in 0..16_384 * scale() {
+        if i > 0 && i % 512 == 0 {
+            slot = (slot + rng.gen_range(0..128)) % slots;
+        }
+        file.read_charge(clock, slot * IO_BYTES, IO_BYTES);
+        slot = (slot + 1) % slots;
+    }
+    String::new()
 }
 
 /// The mixed-QoS fleet, open loop at 4000 req/s: ~74 % of where it
@@ -250,28 +286,39 @@ fn main() {
         |per_inode_lru| os_with(48, |c| c.per_inode_lru = per_inode_lru),
         |_, _| {},
     );
-    // 8 MB of cache against the 18 MiB probe dataset keeps the OS evicting,
-    // so planned prefetches actually issue and waste is a real cost.
-    report_sweep(
-        "prediction engine x mechanism (zipfian kvprobe, 8 MB cache)",
-        kvprobe,
-        &mechanisms,
-        &engines,
-        |_| boot(8),
-        |c, engine| c.engine = engine,
-    );
-    // The same probes over 8x the keys (144 MiB): what the correlation
-    // table still remembers is still cached, so time, not hit ratio, tells
-    // the engines apart (`adaptive_beats_osonly_on_an_out_of_cache_kvprobe`
-    // gates it).
-    report_sweep(
-        "prediction engine x mechanism (zipfian kvprobe, 144 MiB behind a 16 MB cache)",
-        |rt, clock| kvprobe_over(4096, rt, clock),
-        &mechanisms,
-        &engines,
-        |_| boot(16),
-        |c, engine| c.engine = engine,
-    );
+    // Four access shapes, each behind a cache it does not fit, so planned
+    // prefetches actually issue and waste is a real cost. At 8x the keys
+    // what the correlation table still remembers is still cached, so time,
+    // not hit ratio, tells the engines apart; `tests/engines.rs` gates that
+    // row for `strided` and `adaptive`.
+    let shapes: [(&str, Workload, u64); 4] = [
+        ("zipfian kvprobe, 18 MiB behind an 8 MB cache", kvprobe, 8),
+        (
+            "zipfian kvprobe, 144 MiB behind a 16 MB cache",
+            |rt, clock| kvprobe_over(4096, rt, clock),
+            16,
+        ),
+        (
+            "bursts of four 16 KiB reads, 32 MiB behind a 4 MB cache",
+            bursts,
+            4,
+        ),
+        (
+            "16 KiB stream with skips, 64 MiB behind a 32 MB cache",
+            stream_with_skips,
+            32,
+        ),
+    ];
+    for (shape, workload, memory_mb) in shapes {
+        report_sweep(
+            &format!("prediction engine x mechanism ({shape})"),
+            workload,
+            &mechanisms,
+            &engines,
+            |_| boot(memory_mb),
+            |c, engine| c.engine = engine,
+        );
+    }
     report_sweep(
         "batched SQ/CQ prefetch submission x mechanism (sequential 16 KiB reads)",
         sequential,

@@ -40,24 +40,9 @@
 //!    prefetch-quality feedback. Ties keep the incumbent; a change of
 //!    winner transfers ownership (surfaced to telemetry and traces).
 //!
-//! The sequential arm is the strided [`Predictor`], planned by **run
-//! shape**. The counter re-earns its window inside every run, so on a
-//! file read as short runs (an index page, then an 8-page record) every
-//! other page is late and the window overshoots the record's end. The arm
-//! remembers the page length of the last two completed forward runs of at
-//! least two accesses and plans for the shorter of them (one long scan
-//! between records must not inflate a burst):
-//!
-//! * **at a jump** it asks for nothing — a lone access (the index page)
-//!   has no continuation worth a request;
-//! * **on the first continuation** it asks once, for the expected
-//!   remainder of the run, never past the learned run end;
-//! * **inside what that request covered** it stays silent;
-//! * **past it** — the run outgrew its shape — and whenever no shape is
-//!   known (fewer than two completed runs, a backward or overlapping run,
-//!   runs as long as the counter's own ceiling of `2^max_count` pages),
-//!   the predictor's prediction passes through untouched, so a stream is
-//!   planned exactly as `Strided` plans it.
+//! The sequential arm *is* the strided [`Predictor`], run shape and all
+//! (see [`crate::strided`]): on a file the duel never hands over, this
+//! engine plans exactly as `Strided` does.
 //!
 //! Everything is integer arithmetic over the observed stream and the
 //! reported outcomes — same-seed runs duel identically.
@@ -65,7 +50,7 @@
 use std::collections::VecDeque;
 
 use crate::correlation::{CorrelationConfig, CorrelationEngine};
-use crate::strided::{Direction, Prediction, Predictor};
+use crate::strided::Predictor;
 use crate::{AccessObservation, EngineKind, PredictionEngine, PrefetchDecision, QualityFeedback};
 
 /// Tuning for the adaptive selector.
@@ -165,95 +150,11 @@ impl ShadowBook {
     }
 }
 
-/// What the sequential arm has learned about how long this file's forward
-/// runs are. A strided counter re-earns its window inside every run; on a
-/// file read as many short runs (an index page, then an 8-page record)
-/// that ramp is the whole run, and every other page arrives late. Once
-/// two multi-access forward runs have completed, the arm plans a run in
-/// one request instead. See the module docs for the protocol.
-#[derive(Debug, Clone, Default)]
-struct RunShape {
-    /// First page of the current run.
-    start: u64,
-    /// One past the furthest page the current run has read.
-    end: u64,
-    /// Accesses in the current run (0 only before the first access).
-    accesses: u64,
-    /// Every continuation so far moved forward past `end`.
-    forward: bool,
-    /// One past the last page the current run's burst asked for
-    /// (`end` of the run's first access until a burst is issued).
-    covered: u64,
-    /// Page lengths of the last two completed multi-access forward runs,
-    /// newest first; 0 = not seen yet.
-    recent: [u64; 2],
-}
-
-impl RunShape {
-    /// The run length to plan for: the shorter of the last two completed
-    /// runs, so one long scan between records cannot inflate a burst.
-    /// `None` until two runs have completed, and for runs at least as
-    /// long as `ramp_ceiling` — those the strided ramp covers by itself.
-    fn expected(&self, ramp_ceiling: u64) -> Option<u64> {
-        let shorter = self.recent[0].min(self.recent[1]);
-        (shorter > 0 && shorter < ramp_ceiling).then_some(shorter)
-    }
-
-    /// Tracks the access and turns the strided prediction into the arm's:
-    /// silent at a jump, one request for the expected remainder on the
-    /// first continuation, silent while the reader is inside what that
-    /// request covered, and the strided prediction untouched otherwise.
-    fn plan(&mut self, obs: &AccessObservation, pred: Prediction, ramp_ceiling: u64) -> Prediction {
-        let end = obs.page + obs.pages;
-        if pred.jumped || self.accesses == 0 {
-            if self.forward && self.accesses >= 2 {
-                self.recent = [self.end - self.start, self.recent[0]];
-            }
-            *self = RunShape {
-                start: obs.page,
-                end,
-                accesses: 1,
-                forward: true,
-                covered: end,
-                recent: self.recent,
-            };
-        } else {
-            self.forward &= obs.page >= self.end;
-            self.end = self.end.max(end);
-            self.accesses += 1;
-        }
-        let expected = match self.expected(ramp_ceiling) {
-            Some(expected) if self.forward => expected,
-            _ => return pred,
-        };
-        let burst = if self.accesses == 2 {
-            expected
-                .saturating_sub(self.end - self.start)
-                .min(obs.max_prefetch_pages)
-        } else {
-            0
-        };
-        if burst > 0 {
-            self.covered = self.end + burst;
-        } else if self.end > self.covered {
-            return pred; // the run outgrew its shape: back to the ramp
-        }
-        Prediction {
-            prefetch_pages: burst,
-            from_page: self.end,
-            direction: Direction::Forward,
-            aggressive: false,
-            ..pred
-        }
-    }
-}
-
 /// The adaptive engine. See the module docs for the dueling protocol.
 #[derive(Debug, Clone)]
 pub struct AdaptiveEngine {
     config: AdaptiveConfig,
     strided: Predictor,
-    run_shape: RunShape,
     correlation: CorrelationEngine,
     owner: EngineKind,
     observations: u64,
@@ -292,7 +193,6 @@ impl AdaptiveEngine {
         Self {
             config,
             strided: Predictor::with_batch_window(bits, seq_batch_pages),
-            run_shape: RunShape::default(),
             correlation: CorrelationEngine::new(correlation),
             owner: EngineKind::Strided,
             observations: 0,
@@ -328,19 +228,6 @@ impl AdaptiveEngine {
         let hits = i128::from(book.hits) * i128::from(self.hit_weight_permille);
         let waste = i128::from(book.wasted) * i128::from(WASTE_WEIGHT_PERMILLE);
         hits - waste
-    }
-
-    /// The sequential arm's step: the strided counter's prediction,
-    /// planned by run shape once one is known.
-    fn sequential_arm(&mut self, obs: &AccessObservation) -> Prediction {
-        let pred = self.strided.on_access(
-            obs.page,
-            obs.pages,
-            obs.aggressive_ok,
-            obs.max_prefetch_pages,
-        );
-        self.run_shape
-            .plan(obs, pred, 1 << self.strided.max_count())
     }
 
     /// Settles the latest access against both shadow books, once.
@@ -395,7 +282,12 @@ impl PredictionEngine for AdaptiveEngine {
         self.shadow_correlation.expire(now, self.config.shadow_age);
 
         // Both models observe every access so the loser stays warm.
-        let strided_pred = self.sequential_arm(obs);
+        let strided_pred = self.strided.on_access(
+            obs.page,
+            obs.pages,
+            obs.aggressive_ok,
+            obs.max_prefetch_pages,
+        );
         let correlation_decision = self.correlation.observe(obs);
 
         // A regime flip — crossing the random/streaming boundary —
@@ -481,6 +373,7 @@ impl PredictionEngine for AdaptiveEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::strided::tests::{probes, RECORD_PAGES};
 
     fn engine() -> AdaptiveEngine {
         AdaptiveEngine::new(
@@ -601,108 +494,6 @@ mod tests {
         }
         assert!(e.shadow_strided.entries.len() <= 8);
         assert!(e.shadow_correlation.entries.len() <= 8);
-    }
-
-    const RECORD_PAGES: u64 = 8;
-
-    /// The tests' own index-then-record stream: per probe, one index page
-    /// and the first page of the key's record, which is then read one
-    /// page at a time. Keys come from a seeded LCG over a space far
-    /// larger than the probe count, so chains do not recur.
-    fn probes(seed: u64, count: u64) -> Vec<(u64, u64)> {
-        let mut state = seed;
-        (0..count)
-            .map(|_| {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                let key = (state >> 33) % 1_000_000;
-                (key, 2_000_000 + key * RECORD_PAGES)
-            })
-            .collect()
-    }
-
-    /// Feeds one probe to the sequential arm; returns the prefetch it asked
-    /// for after each of the nine accesses as `(from_page, pages)`.
-    fn probe(e: &mut AdaptiveEngine, index: u64, record: u64) -> Vec<(u64, u64)> {
-        std::iter::once(index)
-            .chain(record..record + RECORD_PAGES)
-            .map(|page| {
-                let pred = e.sequential_arm(&obs(page, 1));
-                (pred.from_page, pred.prefetch_pages)
-            })
-            .collect()
-    }
-
-    #[test]
-    fn a_known_shape_is_silent_at_jumps_and_bursts_once_per_run() {
-        let mut e = engine();
-        let stream = probes(7, 64);
-        // Two records must complete (the second closes at the third
-        // probe's index jump) before the arm plans by shape.
-        for &(index, record) in &stream[..3] {
-            probe(&mut e, index, record);
-        }
-        for &(index, record) in &stream[3..] {
-            let asked = probe(&mut e, index, record);
-            assert_eq!(asked[0].1, 0, "silent at the jump to the index page");
-            assert_eq!(asked[1].1, 0, "silent at the jump to the record");
-            assert_eq!(
-                asked[2],
-                (record + 2, RECORD_PAGES - 2),
-                "one request for the remainder on the first continuation"
-            );
-            assert!(
-                asked[3..].iter().all(|&(_, pages)| pages == 0),
-                "silent for the rest of the expected run: {asked:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn a_run_that_outgrows_its_shape_gets_the_strided_prediction_untouched() {
-        let mut e = engine();
-        let mut twin = Predictor::new(3);
-        let mut step = |e: &mut AdaptiveEngine, page: u64| {
-            let expected = twin.on_access(page, 1, false, 16_384);
-            (e.sequential_arm(&obs(page, 1)), expected)
-        };
-        // Before two runs have completed the arm is the predictor.
-        for &(index, record) in &probes(11, 2) {
-            for page in std::iter::once(index).chain(record..record + RECORD_PAGES) {
-                let (got, expected) = step(&mut e, page);
-                assert_eq!(got, expected, "no shape known yet");
-            }
-        }
-        // A 40-page run against a learned 8-page shape.
-        let base = 900_000_000;
-        for i in 0..40u64 {
-            let (got, expected) = step(&mut e, base + i);
-            if i < RECORD_PAGES {
-                assert!(got.from_page + got.prefetch_pages <= base + RECORD_PAGES);
-            } else {
-                assert_eq!(got, expected, "page {i}: past the shape, back to the ramp");
-            }
-        }
-    }
-
-    #[test]
-    fn a_stream_then_records_never_bursts_past_the_shorter_run() {
-        let mut e = engine();
-        for i in 0..2_500u64 {
-            e.sequential_arm(&obs(i * 4, 4));
-        }
-        for (n, &(index, record)) in probes(13, 32).iter().enumerate() {
-            let asked = probe(&mut e, index, record);
-            // Once the first record has completed, it and the 10 000-page
-            // run are the two recent runs, and the shorter one rules.
-            if n >= 1 {
-                let total: u64 = asked.iter().map(|&(_, pages)| pages).sum();
-                assert_eq!(total, RECORD_PAGES - 2, "probe {n}: {asked:?}");
-                assert!(asked.iter().all(|&(from, pages)| pages == 0
-                    || (from >= record && from + pages <= record + RECORD_PAGES)));
-            }
-        }
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //!
 //! | Engine | Model | Wins on |
 //! |---|---|---|
-//! | [`Predictor`] (*strided*, default) | n-bit saturating counter | streaming / strided scans |
+//! | [`Predictor`] (*strided*, default) | n-bit saturating counter, planned by learned run length | streaming / strided scans, short forward runs (index-then-record lookups, bursts) |
 //! | [`CorrelationEngine`] | MITHRIL-style block-association mining | recurring random chains that outlive the cache |
-//! | [`AdaptiveEngine`] | per-file set-dueling over both, scored on I/O saved; the sequential arm plans by learned run length | mixed / phase-changing files, index-then-record lookups |
+//! | [`AdaptiveEngine`] | per-file set-dueling over both, scored on I/O saved | mixed / phase-changing files |
 //!
 //! The runtime holds one [`Engine`] per file descriptor and calls
 //! [`PredictionEngine::observe`] from its predict pipeline stage; the

@@ -6,8 +6,29 @@
 //! within the 32-block batch window) or down (random jump), and its value
 //! sets the number of blocks to prefetch, growing exponentially (`2^c`
 //! blocks). Once a steady state is reached (fully random or fully
-//! sequential), predictions are *delayed* for the next `n` accesses to keep
-//! interception overhead low.
+//! sequential), counter updates are *delayed* for the next `n`
+//! sequential-ish accesses to keep interception overhead low; a jump is
+//! never damped, so a stream that turns random stops prefetching at once.
+//!
+//! The counter re-earns its window inside every run, so on a file read as
+//! short runs (an index page then an 8-page record, a burst of four
+//! 16 KiB reads at a random offset) every other page is late and the
+//! window overshoots the run's end. The predictor therefore also learns
+//! the **run shape**: the page length of the last two completed forward
+//! runs of at least two accesses, planning for the shorter of them (one
+//! long scan between records must not inflate a burst).
+//!
+//! | Where in the run | Prediction |
+//! |---|---|
+//! | at a jump | nothing — a lone access has no continuation worth a request |
+//! | first continuation | one request for the expected remainder, never past the learned run end |
+//! | inside what that request covered | nothing |
+//! | past it (the run outgrew its shape) | the counter's ramp, untouched |
+//! | no shape known | the counter's ramp, untouched |
+//!
+//! No shape is known before two runs have completed, in a backward or
+//! overlapping run, and when runs are at least as long as the counter's
+//! own ceiling of `2^max_count` pages — those the ramp covers by itself.
 
 use crate::{AccessObservation, EngineKind, PredictionEngine, PrefetchDecision};
 
@@ -133,18 +154,100 @@ pub struct Predictor {
     /// against where the previous access *began*, because near page 0 a
     /// clamp on `prev_end - count` misreads a backward run as a reversal.
     prev_start: Option<u64>,
-    /// Steady-state damping: skip this many updates.
+    /// Steady-state damping: skip this many sequential-ish updates.
     skip: u32,
-    /// Aggressive-mode growth window (pages), doubling while saturated.
-    aggressive_window: u64,
     /// Direction score: positive = forward, negative = backward.
     dir_score: i32,
     /// Pages consumed in the current sequential run.
     run_pages: u64,
-    /// Exponential moving average of completed run lengths — used to cap
-    /// speculation for batched-but-random streams so the window covers
-    /// the rest of the batch without overshooting into the jump.
-    avg_run_pages: u64,
+    /// How long this descriptor's forward runs are.
+    shape: RunShape,
+}
+
+/// What the predictor has learned about how long this descriptor's forward
+/// runs are, and where in the current run the reader is. See the module
+/// docs for the protocol.
+#[derive(Debug, Clone, Default)]
+struct RunShape {
+    /// First page of the current run.
+    start: u64,
+    /// One past the furthest page the current run has read.
+    end: u64,
+    /// Accesses in the current run (0 only before the first access).
+    accesses: u64,
+    /// Every continuation so far moved forward past `end`.
+    forward: bool,
+    /// One past the last page the current run's one request asked for
+    /// (`end` of the run's first access until it is issued).
+    covered: u64,
+    /// Page lengths of the last two completed multi-access forward runs,
+    /// newest first; 0 = not seen yet.
+    recent: [u64; 2],
+}
+
+impl RunShape {
+    /// The run length to plan for: the shorter of the last two completed
+    /// runs, so one long scan between records cannot inflate a request.
+    /// 0 until two runs have completed.
+    fn expected(&self) -> u64 {
+        self.recent[0].min(self.recent[1])
+    }
+
+    /// Tracks the access `page..end` and turns the counter's `ramp`
+    /// prediction into the predictor's: silent at a jump, one request for
+    /// the expected remainder on the first continuation, silent while the
+    /// reader is inside what that request covered, and the ramp untouched
+    /// otherwise (no shape, or runs of `ramp_ceiling` pages and more —
+    /// those the ramp covers by itself).
+    fn plan(
+        &mut self,
+        page: u64,
+        end: u64,
+        max_pages: u64,
+        ramp_ceiling: u64,
+        ramp: Prediction,
+    ) -> Prediction {
+        if ramp.jumped || self.accesses == 0 {
+            if self.forward && self.accesses >= 2 {
+                self.recent = [self.end - self.start, self.recent[0]];
+            }
+            *self = RunShape {
+                start: page,
+                end,
+                accesses: 1,
+                forward: true,
+                covered: end,
+                recent: self.recent,
+            };
+        } else {
+            self.forward &= page >= self.end;
+            self.end = self.end.max(end);
+            self.accesses += 1;
+        }
+        let expected = self.expected();
+        if !self.forward || expected == 0 || expected >= ramp_ceiling {
+            return ramp;
+        }
+        let request = if self.accesses == 2 {
+            expected
+                .saturating_sub(self.end - self.start)
+                .min(max_pages)
+        } else {
+            0
+        };
+        if request > 0 {
+            self.covered = self.end + request;
+        } else if self.end > self.covered {
+            return ramp; // the run outgrew its shape: back to the ramp
+        }
+        Prediction {
+            prefetch_pages: request,
+            from_page: self.end,
+            direction: Direction::Forward,
+            aggressive: false,
+            ..ramp
+        }
+    }
 }
 
 impl Predictor {
@@ -177,10 +280,9 @@ impl Predictor {
             prev_end: None,
             prev_start: None,
             skip: 0,
-            aggressive_window: 0,
             dir_score: 0,
             run_pages: 0,
-            avg_run_pages: 0,
+            shape: RunShape::default(),
         }
     }
 
@@ -216,7 +318,8 @@ impl Predictor {
     /// Feeds an access of `count` pages at `page`; returns the prediction.
     ///
     /// The returned `prefetch_pages` is the exponential base window
-    /// (`2^c` blocks, §4.6), capped at `max_pages`. Aggressive growth
+    /// (`2^c` blocks, §4.6), capped at `max_pages`, unless the learned run
+    /// shape plans the run instead (module docs). Aggressive growth
     /// beyond the base is paced by *consumption* in the runtime's
     /// frontier logic, not here — a saturated counter alone must not keep
     /// doubling the window while the reader has not caught up.
@@ -250,21 +353,15 @@ impl Predictor {
         self.prev_end = Some(end);
         self.prev_start = Some(page);
 
-        // Run-length tracking for fine-grained speculation capping.
-        if sequentialish {
-            self.run_pages += count;
+        self.run_pages = if sequentialish {
+            self.run_pages + count
         } else {
-            if self.run_pages > 0 {
-                self.avg_run_pages = if self.avg_run_pages == 0 {
-                    self.run_pages
-                } else {
-                    (3 * self.avg_run_pages + self.run_pages) / 4
-                };
-            }
-            self.run_pages = count;
-        }
+            count
+        };
 
-        if self.skip > 0 {
+        // Steady-state damping skips sequential-ish updates only: a jump
+        // always moves the counter.
+        if self.skip > 0 && sequentialish {
             self.skip -= 1;
         } else {
             let max = self.max_count();
@@ -297,7 +394,7 @@ impl Predictor {
             }
         }
 
-        let prefetch = self.prefetch_amount(aggressive, max_pages);
+        let (prefetch, aggressive) = self.ramp_window(aggressive, max_pages);
         let direction = if self.dir_score < -1 {
             Direction::Backward
         } else {
@@ -307,46 +404,38 @@ impl Predictor {
             Direction::Forward => end,
             Direction::Backward => page.saturating_sub(prefetch),
         };
-        Prediction {
+        let ramp = Prediction {
             pattern: self.pattern(),
             prefetch_pages: prefetch,
             from_page,
             direction,
-            aggressive: self.aggressive_window > 0,
+            aggressive,
             jumped: !sequentialish,
-        }
+        };
+        let ramp_ceiling = 1 << self.max_count();
+        self.shape.plan(page, end, max_pages, ramp_ceiling, ramp)
     }
 
-    fn prefetch_amount(&mut self, aggressive: bool, max_pages: u64) -> u64 {
+    /// The counter's window, and whether it is the aggressive seed.
+    fn ramp_window(&self, aggressive: bool, max_pages: u64) -> (u64, bool) {
         if self.counter < 2 {
-            self.aggressive_window = 0;
-            return 0;
+            return (0, false);
         }
         let base = 1u64 << self.counter; // 2^c blocks (§4.6)
-                                         // Aggressive growth requires a definitely-sequential counter AND
-                                         // runs observed to be long — either the historical average or the
-                                         // current unbroken run. A batched-random stream saturates the
-                                         // counter but keeps short runs; a fresh descriptor has no history
-                                         // and must earn its window.
-        let long_runs = self.avg_run_pages >= 256 || self.run_pages >= 256;
+
+        // Aggressive growth requires a definitely-sequential counter AND
+        // runs observed to be long — the current unbroken run or the
+        // learned shape. A batched-random stream saturates the counter
+        // but keeps short runs; a fresh descriptor has no history and
+        // must earn its window.
+        let long_runs = self.run_pages >= 256 || self.shape.expected() >= 256;
         if aggressive && self.counter == self.max_count() && long_runs {
             // Offer a larger base (4x) as the seed for the runtime's
             // consumption-paced window doubling.
-            self.aggressive_window = (base * 4).min(max_pages);
-            return self.aggressive_window;
+            let window = (base * 4).min(max_pages);
+            return (window, window > 0);
         }
-        self.aggressive_window = 0;
-        let mut amount = base.min(max_pages);
-        // Fine-grained speculation capping: with run history, cap at the
-        // expected remainder of the current run, so a batch is covered
-        // without overshooting into the jump. A fresh descriptor has no
-        // history; its ramp is already bounded by the counter itself
-        // (2^c grows one doubling per access).
-        if self.avg_run_pages > 0 {
-            let remaining = self.avg_run_pages.saturating_sub(self.run_pages).max(4);
-            amount = amount.min(remaining);
-        }
-        amount
+        (base.min(max_pages), false)
     }
 }
 
@@ -378,7 +467,7 @@ impl PredictionEngine for Predictor {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     const MAX: u64 = 16384;
@@ -485,35 +574,190 @@ mod tests {
         assert!(pred.prefetch_pages <= 4, "got {}", pred.prefetch_pages);
     }
 
+    /// Feeds `accesses` reads of `count` pages from `start`; returns what
+    /// was asked for after each as `(from_page, pages)`.
+    fn run(p: &mut Predictor, start: u64, accesses: u64, count: u64) -> Vec<(u64, u64)> {
+        (0..accesses)
+            .map(|i| {
+                let pred = p.on_access(start + i * count, count, true, MAX);
+                (pred.from_page, pred.prefetch_pages)
+            })
+            .collect()
+    }
+
     #[test]
     fn batched_stream_caps_at_expected_run_remainder() {
         let mut p = Predictor::new(3);
         // Several 16-page batches separated by far jumps.
         let mut base = 0u64;
         for _ in 0..6 {
-            for i in 0..16u64 {
-                p.on_access(base + i, 1, true, MAX);
+            run(&mut p, base, 16, 1);
+            base += 1_000_000;
+        }
+        let pred = p.on_access(base, 1, true, MAX);
+        assert!(pred.jumped);
+        assert_eq!(pred.prefetch_pages, 0, "silent at the jump");
+        let asked = run(&mut p, base + 1, 15, 1);
+        assert_eq!(
+            asked[0],
+            (base + 2, 14),
+            "one request on the first continuation, ending at the learned run end"
+        );
+        assert!(
+            asked[1..].iter().all(|&(_, pages)| pages == 0),
+            "silent to the end of the batch: {asked:?}"
+        );
+    }
+
+    #[test]
+    fn a_run_that_outlives_its_predecessors_keeps_its_window() {
+        let mut p = Predictor::new(3);
+        let mut base = 0u64;
+        for pages in [8_192u64, 3_000, 8_192] {
+            for i in 0..pages / 4 {
+                let pred = p.on_access(base + i * 4, 4, false, MAX);
+                // Past the ramp the window is the counter's, to the end
+                // of the run.
+                if i >= 8 {
+                    assert_eq!(pred.prefetch_pages, 128, "run of {pages}, read {i}");
+                }
+            }
+            base += 10_000_000;
+        }
+    }
+
+    #[test]
+    fn a_stream_then_bursts_never_asks_past_a_burst() {
+        let mut p = Predictor::new(3);
+        // A run at least as long as the counter's ceiling is planned by
+        // the ramp alone, whatever the shape says.
+        let asked = run(&mut p, 0, 2_500, 4);
+        assert!(asked[8..].iter().all(|&(_, pages)| pages >= 128));
+        let mut base = 50_000_000u64;
+        for n in 0..32 {
+            let asked = run(&mut p, base, 4, 4);
+            // Once the first burst has completed, it and the 10 000-page
+            // run are the two recent runs, and the shorter one rules.
+            if n >= 1 {
+                assert_eq!(
+                    asked,
+                    [(base + 4, 0), (base + 8, 8), (base + 12, 0), (base + 16, 0)]
+                );
             }
             base += 1_000_000;
         }
-        // First access of a new batch: speculation ≤ the learned run size.
-        let pred = p.on_access(base, 1, true, MAX);
-        assert!(
-            pred.prefetch_pages <= 16,
-            "batch-capped window, got {}",
-            pred.prefetch_pages
-        );
-        assert!(pred.jumped);
+        // And a long run after the bursts gets its ramp back.
+        let asked = run(&mut p, base, 64, 4);
+        assert_eq!(asked[1], (base + 8, 8));
+        assert!(asked[4..].iter().all(|&(_, pages)| pages > 0), "{asked:?}");
     }
 
     #[test]
     fn steady_state_damps_updates() {
         let mut p = Predictor::new(3);
-        drive_sequential(&mut p, 0, 20, 4);
+        drive_sequential(&mut p, 0, 8, 4);
         assert_eq!(p.counter(), p.max_count());
-        // One random jump during the damped phase leaves the counter alone.
-        p.on_access(10_000_000, 4, false, MAX);
-        assert_eq!(p.counter(), p.max_count());
+        assert_eq!(p.skip, 3, "a saturated stream skips `bits` updates");
+        drive_sequential(&mut p, 32, 3, 4);
+        assert_eq!(p.skip, 0);
+        drive_sequential(&mut p, 44, 2, 4);
+        // A far jump inside the damped window still lowers the counter.
+        assert!(p.skip > 0);
+        let pred = p.on_access(10_000_000, 4, false, MAX);
+        assert!(pred.jumped);
+        assert_eq!(p.counter(), p.max_count() - 2);
+    }
+
+    pub(crate) const RECORD_PAGES: u64 = 8;
+
+    /// An index-then-record stream: per probe, one index page and the
+    /// first page of the key's record, which is then read one page at a
+    /// time. Keys come from a seeded LCG over a space far larger than the
+    /// probe count, so chains do not recur.
+    pub(crate) fn probes(seed: u64, count: u64) -> Vec<(u64, u64)> {
+        let mut state = seed;
+        (0..count)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let key = (state >> 33) % 1_000_000;
+                (key, 2_000_000 + key * RECORD_PAGES)
+            })
+            .collect()
+    }
+
+    /// Feeds one probe; returns the prefetch asked for after each of the
+    /// nine accesses as `(from_page, pages)`.
+    fn probe(p: &mut Predictor, index: u64, record: u64) -> Vec<(u64, u64)> {
+        let mut asked = run(p, index, 1, 1);
+        asked.extend(run(p, record, RECORD_PAGES, 1));
+        asked
+    }
+
+    #[test]
+    fn a_known_shape_is_silent_at_jumps_and_bursts_once_per_run() {
+        let mut p = Predictor::new(3);
+        let stream = probes(7, 64);
+        // Two records must complete (the second closes at the third
+        // probe's index jump) before the predictor plans by shape.
+        for &(index, record) in &stream[..3] {
+            probe(&mut p, index, record);
+        }
+        for &(index, record) in &stream[3..] {
+            let asked = probe(&mut p, index, record);
+            assert_eq!(asked[0].1, 0, "silent at the jump to the index page");
+            assert_eq!(asked[1].1, 0, "silent at the jump to the record");
+            assert_eq!(
+                asked[2],
+                (record + 2, RECORD_PAGES - 2),
+                "one request for the remainder on the first continuation"
+            );
+            assert!(
+                asked[3..].iter().all(|&(_, pages)| pages == 0),
+                "silent for the rest of the expected run: {asked:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_run_that_outgrows_its_shape_gets_the_strided_prediction_untouched() {
+        let mut p = Predictor::new(3);
+        for &(index, record) in &probes(11, 3) {
+            probe(&mut p, index, record);
+        }
+        // A 40-page run against a learned 8-page shape.
+        let base = 900_000_000;
+        for i in 0..40u64 {
+            let got = p.on_access(base + i, 1, false, MAX);
+            if i < RECORD_PAGES {
+                assert!(got.from_page + got.prefetch_pages <= base + RECORD_PAGES);
+            } else {
+                let ramp = if p.counter() < 2 { 0 } else { 1 << p.counter() };
+                assert_eq!(
+                    (got.from_page, got.prefetch_pages),
+                    (base + i + 1, ramp),
+                    "page {i}: past the shape, back to the ramp"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_stream_then_records_never_bursts_past_the_shorter_run() {
+        let mut p = Predictor::new(3);
+        run(&mut p, 0, 2_500, 4);
+        for (n, &(index, record)) in probes(13, 32).iter().enumerate() {
+            let asked = probe(&mut p, index, record);
+            // Once the first record has completed, it and the 10 000-page
+            // run are the two recent runs, and the shorter one rules.
+            if n >= 1 {
+                let total: u64 = asked.iter().map(|&(_, pages)| pages).sum();
+                assert_eq!(total, RECORD_PAGES - 2, "probe {n}: {asked:?}");
+                assert!(asked.iter().all(|&(from, pages)| pages == 0
+                    || (from >= record && from + pages <= record + RECORD_PAGES)));
+            }
+        }
     }
 
     #[test]

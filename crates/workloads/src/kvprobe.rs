@@ -4,14 +4,14 @@
 //! Each probe samples a key from a [`Zipfian`] distribution, reads the
 //! key's *index* page, then walks the key's *record* — a short run of
 //! consecutive data pages placed at a hashed (key-order-destroying) slot
-//! in the data region. The resulting page stream is exactly the pattern
-//! the strided §4.6 counter cannot learn and a correlation miner can:
+//! in the data region. The resulting page stream is what separates the
+//! prediction engines:
 //!
 //! * index page → first record page is a recurring *jump* for hot keys
 //!   (mineable association, invisible to a stride detector);
-//! * within a record the stream is briefly sequential, so the strided
-//!   predictor ramps up and overshoots past the record's end (waste the
-//!   engine-comparison gate measures);
+//! * within a record the stream is briefly sequential: a bare `2^c`
+//!   counter ramps up inside it and overshoots past its end, which is
+//!   why the strided predictor plans such runs by their learned length;
 //! * hashed record placement means no global stride ever emerges.
 //!
 //! The driver is single-threaded and fully deterministic for a given

@@ -219,15 +219,16 @@ fn same_seed_runs_are_identical_for_every_engine() {
     }
 }
 
-/// Closed-loop quality accounting and the engine-comparison gate, on the
-/// access shape the §4.6 strided counter cannot learn. After a zipfian run
-/// plus a cache drop (still-speculative pages settle as wasted), every
-/// initiated prefetch page has been classified exactly once — timely +
-/// late + wasted sums to `pages_initiated` — for each engine; and the
-/// MITHRIL-style claim holds: correlation and adaptive each convert a
-/// strictly larger share of what they prefetch into hits than strided
-/// does, at no more than 1.25x its wasted pages (seed 42: strided 72.1 %
-/// at 1087 wasted, correlation 100 % at 0, adaptive 100 % at 0).
+/// Closed-loop quality accounting and the engine-comparison gate, on an
+/// index-then-record probe stream. After a zipfian run plus a cache drop
+/// (still-speculative pages settle as wasted), every initiated prefetch
+/// page has been classified exactly once — timely + late + wasted sums to
+/// `pages_initiated` — for each engine. Since the strided predictor
+/// learned the run shape all three convert nearly all they prefetch into
+/// hits, so the gate is that none trails: no engine's hit ratio is more
+/// than 0.05 below the best, and neither learned engine wastes more than
+/// 1.25x strided's pages (seed 42: strided 95.6 % at 80 wasted of 1 814,
+/// correlation 100 % at 0 of 76, adaptive 95.3 % at 80 of 1 697).
 #[test]
 fn quality_counters_sum_to_pages_initiated_for_every_engine() {
     let [strided, correlation, adaptive] = EngineKind::all().map(|engine| {
@@ -257,11 +258,15 @@ fn quality_counters_sum_to_pages_initiated_for_every_engine() {
         let hit_ratio = (q.timely + q.late) as f64 / report.pages_initiated as f64;
         (hit_ratio, q.wasted)
     });
-    for (name, (hit_ratio, wasted)) in [("correlation", correlation), ("adaptive", adaptive)] {
+    let best = strided.0.max(correlation.0).max(adaptive.0);
+    for (name, (hit_ratio, wasted)) in [
+        ("strided", strided),
+        ("correlation", correlation),
+        ("adaptive", adaptive),
+    ] {
         assert!(
-            hit_ratio > strided.0,
-            "{name}: prefetch-hit ratio {hit_ratio:.3} does not beat strided's {:.3}",
-            strided.0
+            hit_ratio >= best - 0.05,
+            "{name}: prefetch-hit ratio {hit_ratio:.3} trails the best engine's {best:.3}"
         );
         assert!(
             wasted * 4 <= strided.1 * 5,
@@ -342,6 +347,51 @@ fn adaptive_beats_osonly_on_an_out_of_cache_kvprobe() {
     );
     let (again_ns, again) = adaptive();
     assert_eq!(adaptive_ns, again_ns);
+    assert_eq!(report.to_json(), again.to_json());
+}
+
+/// The same gate for the default engine: on that 9x-cache kvprobe
+/// `Predict` + `Strided` + ring finishes in at most `OsOnly`'s virtual
+/// time / 1.3, wastes at most a tenth of what it initiates, balances its
+/// quality ledger, and repeats exactly per seed (seed 42: 433 ms against
+/// 803 ms, 120 wasted pages of 8 372; before the predictor learned the
+/// run shape it lost to `OsOnly`).
+#[test]
+fn strided_beats_osonly_on_an_out_of_cache_kvprobe() {
+    let cfg = KvProbeConfig {
+        keys: 4096,
+        probes: 4096,
+        ..KvProbeConfig::default()
+    };
+    let run = |config: RuntimeConfig| {
+        let runtime = Runtime::new(boot(16), config);
+        setup_kvprobe(&runtime, &cfg, "/kv");
+        let mut clock = runtime.new_clock();
+        let elapsed_ns = run_kvprobe(&runtime, &mut clock, &cfg, "/kv").elapsed_ns;
+        runtime.os().drop_caches(&mut clock);
+        (elapsed_ns, RuntimeReport::collect(&runtime))
+    };
+    let strided = || {
+        let mut config = RuntimeConfig::new(Mode::Predict);
+        config.ring_submit = true;
+        run(config)
+    };
+    let (os_only_ns, _) = run(RuntimeConfig::new(Mode::OsOnly));
+    let (strided_ns, report) = strided();
+    assert!(
+        strided_ns * 13 <= os_only_ns * 10,
+        "strided took {strided_ns} ns, OSonly {os_only_ns} ns"
+    );
+    let q = report.prefetch_quality;
+    assert_eq!(q.timely + q.late + q.wasted, report.pages_initiated);
+    assert!(
+        q.wasted * 10 <= report.pages_initiated,
+        "{} of {} initiated pages wasted",
+        q.wasted,
+        report.pages_initiated
+    );
+    let (again_ns, again) = strided();
+    assert_eq!(strided_ns, again_ns);
     assert_eq!(report.to_json(), again.to_json());
 }
 

@@ -227,9 +227,16 @@ fn cancelled_speculation_is_charged_as_wasted() {
 /// classified exactly once even when speculations issue, absorb, and
 /// cancel along the way. Against the ring-off run of the same stream the
 /// ring at least halves demand-read crossings (`read` + `read_batch`
-/// calls; seed 42: 36864 -> 2237) while classifying the same reads with
-/// under 1 % drift per class — speculative pre-issue may turn a handful of
-/// demand misses into hits, never the other way.
+/// calls; seed 42: 36864 -> 2972) while classifying the same reads with
+/// under 1 % drift for cache hits and demand misses and under 2 % for
+/// prefetch hits — the small class since the predictor plans a record in
+/// one request (2 760 reads). The ring may turn a handful of demand misses
+/// into hits, never the other way, and a read may move from prefetch-hit
+/// to cache-hit: at seed 42 the OS evicts 104 fewer pages with the ring
+/// on, so the run initiates 36 fewer pages (2 840 -> 2 804) and exactly
+/// that many reads find their page already touched (cache-hit 32 374 ->
+/// 32 422 with the 12 fewer misses). No speculation is involved: none is
+/// issued on this stream.
 #[test]
 fn quality_counters_balance_under_ring_on_kvprobe() {
     let run = |ring: bool, batch: bool| {
@@ -269,18 +276,24 @@ fn quality_counters_balance_under_ring_on_kvprobe() {
         "expected >=2x fewer demand-read crossings: {on_crossings} vs {off_crossings}"
     );
     assert_eq!(on.reads, off.reads, "ring must not lose reads");
-    for (class, off, on) in [
-        ("cache-hit", &off.read_cache_hit, &on.read_cache_hit),
+    for (class, percent, off, on) in [
+        ("cache-hit", 1, &off.read_cache_hit, &on.read_cache_hit),
         (
             "prefetch-hit",
+            2,
             &off.read_prefetch_hit,
             &on.read_prefetch_hit,
         ),
-        ("demand-miss", &off.read_demand_miss, &on.read_demand_miss),
+        (
+            "demand-miss",
+            1,
+            &off.read_demand_miss,
+            &on.read_demand_miss,
+        ),
     ] {
         assert!(
-            off.count.abs_diff(on.count) * 100 <= off.count,
-            "{class} reads drifted 1% or more: {} -> {}",
+            off.count.abs_diff(on.count) * 100 <= off.count * percent,
+            "{class} reads drifted {percent}% or more: {} -> {}",
             off.count,
             on.count
         );
