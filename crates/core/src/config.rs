@@ -1,7 +1,7 @@
 //! Runtime modes, feature staging, and tunables.
 
 use predict::{EngineConfig, EngineKind};
-use simos::PAGE_SIZE;
+use simos::CROSSOS_MAX_PREFETCH_PAGES;
 
 /// The comparison mechanisms of the paper's Table 2 (plus the Figure 2
 /// fincore strawman).
@@ -106,18 +106,19 @@ pub struct RuntimeConfig {
     /// Table 5 breakdown.
     pub features: Option<Features>,
     /// Which prediction engine new descriptors use. `Strided` (the
-    /// default) is the §4.6 counter and keeps telemetry byte-identical to
-    /// the pre-engine runtime; `Correlation` mines recurring block
-    /// associations; `Adaptive` set-duels the two per file. Only modes
-    /// with the `predict` feature consult it.
+    /// default) is the §4.6 counter planned by learned run shape;
+    /// `Correlation` mines recurring block associations; `Adaptive`
+    /// set-duels the two per file. Only modes with the `predict` feature
+    /// consult it.
     pub engine: EngineKind,
     /// Tuning for whichever engine `engine` selects: the strided
-    /// counter's width and sequential-batch window, the correlation
-    /// miner's table sizes, the adaptive duel's sampling.
+    /// counter's width.
     pub engine_tuning: EngineConfig,
     /// Optimistic prefetch at open, bytes (§4.6 default 2 MiB).
     pub open_prefetch_bytes: u64,
-    /// Ceiling for one relaxed prefetch request, pages (§4.7: 64 MiB).
+    /// Ceiling for one relaxed prefetch request, pages (§4.7: 64 MiB,
+    /// [`CROSSOS_MAX_PREFETCH_PAGES`]). The OS initiates no more than that
+    /// per call, so [`crate::Runtime::new`] clamps larger values to it.
     pub max_prefetch_pages: u64,
     /// Background prefetcher threads (`NR_WORKERS_VAR`).
     pub workers: usize,
@@ -197,7 +198,7 @@ impl RuntimeConfig {
             engine: EngineKind::Strided,
             engine_tuning: EngineConfig::default(),
             open_prefetch_bytes: 2 << 20,
-            max_prefetch_pages: (64 << 20) / PAGE_SIZE,
+            max_prefetch_pages: CROSSOS_MAX_PREFETCH_PAGES,
             workers: 2,
             evict_min_idle_ns: 100 * simclock::NS_PER_MS,
             evict_scan_interval_ns: simclock::NS_PER_MS,
@@ -283,14 +284,13 @@ mod tests {
         };
         let config = RuntimeConfig::new(Mode::PredictOpt);
         assert_eq!(config.open_prefetch_bytes, 2 << 20);
-        assert_eq!(config.max_prefetch_pages * PAGE_SIZE, 64 << 20);
+        assert_eq!(config.max_prefetch_pages, CROSSOS_MAX_PREFETCH_PAGES);
+        assert_eq!(CROSSOS_MAX_PREFETCH_PAGES * simos::PAGE_SIZE, 64 << 20);
         assert_eq!(config.engine, EngineKind::Strided);
         assert_eq!(config.engine_tuning, EngineConfig::default());
         assert_eq!(config.engine_tuning.predictor_bits, 3);
-        assert_eq!(
-            config.engine_tuning.seq_batch_pages,
-            predict::SEQ_BATCH_PAGES
-        );
+        // The predictor's batch window and the OS readahead's are twins.
+        assert_eq!(predict::SEQ_BATCH_PAGES, simos::readahead::SEQ_BATCH_PAGES);
         assert_eq!(
             (
                 AGGRESSIVE_FLOOR,

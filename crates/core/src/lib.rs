@@ -70,9 +70,9 @@ pub use config::{Features, Mode, RuntimeConfig};
 pub use metrics::{PipelineStage, ReadClass, RuntimeMetrics};
 pub use policy::{OpenAction, Policy, PostReadHook};
 pub use predict::{
-    AccessPattern, AdaptiveConfig, AdaptiveEngine, CorrelationConfig, CorrelationEngine, Direction,
-    Engine, EngineConfig, EngineKind, Prediction, PredictionEngine, Predictor, PrefetchDecision,
-    PrefetchRun, QualityFeedback, SEQ_BATCH_PAGES,
+    AccessPattern, AdaptiveEngine, CorrelationEngine, Direction, Engine, EngineConfig, EngineKind,
+    Prediction, PredictionEngine, Predictor, PrefetchDecision, PrefetchRun, QualityFeedback,
+    SEQ_BATCH_PAGES,
 };
 pub use range_index::{BPlusRangeIndex, IndexStats, LockScope};
 pub use range_tree::RangeTree;

@@ -378,8 +378,8 @@ impl CpFile {
     /// Stage 2 — predict: one engine step per intercepted access (cheap,
     /// §4.6's per-descriptor pattern classification, generalised to the
     /// pluggable engines), plus the pattern-flip trace event. The strided
-    /// engine's step is the historical predictor step exactly — one clock
-    /// advance, one `on_access`, nothing else.
+    /// engine's step is one clock advance and one `on_access`, nothing
+    /// else.
     fn stage_predict(&self, clock: &mut ThreadClock, ctx: &mut ReadCtx) {
         let runtime = &self.runtime;
         let inner = &runtime.inner;

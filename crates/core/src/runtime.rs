@@ -89,29 +89,12 @@ pub(crate) const EVICT_TRIGGER: f64 = 0.10;
 /// The memory watcher stops evicting once free memory is back at this
 /// fraction of the budget.
 pub(crate) const EVICT_TARGET: f64 = 0.25;
-/// Attempts a worker makes on a transiently failing prefetch before
-/// giving the range up (first try + retries).
+/// Attempts a worker makes on a transiently failing prefetch, ring
+/// speculation or promotion copy before giving the range up (first try +
+/// retries).
 pub(crate) const PREFETCH_RETRY_ATTEMPTS: u32 = 4;
 /// Initial retry backoff in virtual ns; doubles per attempt.
 pub(crate) const PREFETCH_RETRY_BACKOFF_NS: u64 = 100 * simclock::NS_PER_US;
-
-/// What one walk down [`Runtime::retry_ladder`] may spend.
-#[derive(Debug, Clone, Copy)]
-struct RetryBudget {
-    /// Device attempts in total (first try + retries).
-    attempts: u32,
-    /// Backoff after the first failure, in virtual ns; doubles per retry.
-    first_backoff_ns: u64,
-    /// Attempts the caller already made, and saw fail, before entering.
-    spent: u32,
-}
-
-/// The prefetch budget with nothing spent yet.
-const PREFETCH_RETRY: RetryBudget = RetryBudget {
-    attempts: PREFETCH_RETRY_ATTEMPTS,
-    first_backoff_ns: PREFETCH_RETRY_BACKOFF_NS,
-    spent: 0,
-};
 
 /// An open file handle through CROSS-LIB — the shim's `FILE*` analogue.
 ///
@@ -214,7 +197,12 @@ pub(crate) struct RuntimeInner {
 
 impl Runtime {
     /// Attaches a runtime in the given mechanism mode to an OS.
-    pub fn new(os: Arc<Os>, config: RuntimeConfig) -> Self {
+    pub fn new(os: Arc<Os>, mut config: RuntimeConfig) -> Self {
+        // The OS initiates at most its own ceiling per call; a larger chunk
+        // would be marked cached in the user-level view without being read.
+        config.max_prefetch_pages = config
+            .max_prefetch_pages
+            .min(simos::CROSSOS_MAX_PREFETCH_PAGES);
         let policy = Policy::for_config(&config);
         let shards = config.effective_registry_shards();
         let workers = WorkerPool::new(config.workers.max(1), Arc::clone(os.global()));
@@ -236,11 +224,7 @@ impl Runtime {
         let tenants = config.tenants.clone().map(TenantArbiter::new);
         // Promotion needs somewhere to promote *to*: a tiering config on
         // an un-tiered OS builds no planner (and no new code path runs).
-        let planner = config
-            .tiering
-            .clone()
-            .filter(|_| os.tiered().is_some())
-            .map(TierPlanner::new);
+        let planner = (config.tiering.is_some() && os.tiered().is_some()).then(TierPlanner::new);
         Self {
             inner: Arc::new(RuntimeInner {
                 os,
@@ -523,14 +507,9 @@ impl Runtime {
         pages: u64,
     ) {
         let inner = &self.inner;
-        let Some(planner) = &inner.planner else {
+        if inner.planner.is_none() {
             return;
-        };
-        let budget = RetryBudget {
-            attempts: planner.config().promote_retry_attempts.max(1),
-            first_backoff_ns: planner.config().promote_retry_backoff_ns.max(1),
-            spent: 0,
-        };
+        }
         inner.stats.promotions_issued.incr();
         let runtime = self.clone();
         let file = Arc::clone(file);
@@ -540,7 +519,7 @@ impl Runtime {
             let copied = runtime.retry_ladder(
                 wclock,
                 (file.ino, start, pages),
-                budget,
+                0,
                 &stats.promotion_retries,
                 |wclock| {
                     let os = &runtime.inner.os;
@@ -563,23 +542,25 @@ impl Runtime {
     /// fault. Runs `attempt` until it yields a value; each `None` (a
     /// transient failure) is counted in `retries`, traced as
     /// `PrefetchRetry` with its 1-based attempt number, and followed by a
-    /// doubling virtual-time backoff. When `budget.attempts` are used up
-    /// the `(ino, start_page, pages)` range is traced `PrefetchAbandoned`
-    /// and the ladder returns `None`; what giving up costs is the
-    /// caller's to count.
+    /// doubling virtual-time backoff from [`PREFETCH_RETRY_BACKOFF_NS`].
+    /// `spent` is the attempts the caller already made, and saw fail,
+    /// before entering. When [`PREFETCH_RETRY_ATTEMPTS`] are used up the
+    /// `(ino, start_page, pages)` range is traced `PrefetchAbandoned` and
+    /// the ladder returns `None`; what giving up costs is the caller's to
+    /// count.
     fn retry_ladder<T>(
         &self,
         clock: &mut ThreadClock,
         (ino, start_page, pages): (InodeId, u64, u64),
-        budget: RetryBudget,
+        spent: u32,
         retries: &simclock::Counter,
         mut attempt: impl FnMut(&mut ThreadClock) -> Option<T>,
     ) -> Option<T> {
         let trace = &self.inner.trace;
-        let mut failed = budget.spent;
-        let mut backoff = budget.first_backoff_ns;
+        let mut failed = spent;
+        let mut backoff = PREFETCH_RETRY_BACKOFF_NS;
         loop {
-            if failed >= budget.attempts {
+            if failed >= PREFETCH_RETRY_ATTEMPTS {
                 let abandoned = TraceEventKind::PrefetchAbandoned {
                     ino,
                     start_page,
@@ -1122,10 +1103,6 @@ impl Runtime {
         let costs = &inner.os.config().costs;
         let os_cap = inner.os.config().ra_max_pages;
         let max_pages = inner.config.max_prefetch_pages;
-        let budget = RetryBudget {
-            spent,
-            ..PREFETCH_RETRY
-        };
         for &(start, end) in missing {
             let mut cursor = start;
             while cursor < end {
@@ -1185,7 +1162,7 @@ impl Runtime {
                 };
                 let range = (file.ino, cursor, chunk);
                 let retries = &inner.stats.prefetch_retries;
-                match self.retry_ladder(clock, range, budget, retries, attempt) {
+                match self.retry_ladder(clock, range, spent, retries, attempt) {
                     Some(true) => {}
                     // Downgraded: same cursor, recomputed as a blind chunk.
                     Some(false) => continue,
@@ -1712,7 +1689,7 @@ impl CpFile {
             };
             let spec = self
                 .runtime
-                .retry_ladder(wclock, range, PREFETCH_RETRY, retries, attempt);
+                .retry_ladder(wclock, range, 0, retries, attempt);
             if let Some(spec) = spec.flatten() {
                 *self.spec.lock() = Some(spec);
             }

@@ -4,7 +4,7 @@
 //! high/low watermarks; a fleet deployment serves many tenants whose
 //! working sets fight for that one cache. This module adds the missing
 //! dimension (DESIGN.md §15): every open may carry a [`TenantId`], each
-//! tenant holds a fair-share *prefetch window* over a configurable slice
+//! tenant holds a fair-share *prefetch window* over a fixed slice (half)
 //! of the memory budget, and speculative prefetch degrades — full →
 //! coalesced-only → blind → none — under [`simos::reclaim::MemoryManager`]
 //! pressure *before* any demand read pays.
@@ -84,41 +84,38 @@ impl TenantSpec {
     }
 }
 
-/// Arbiter tuning (see [`crate::RuntimeConfig::tenants`]).
+/// The tenant table handed to [`crate::RuntimeConfig::tenants`]. The
+/// arbiter's tuning is not configurable: it lives in this module's
+/// constants beside the code that reads each one.
 #[derive(Debug, Clone)]
 pub struct TenantsConfig {
     /// The tenant table; [`TenantId`] indexes into it.
     pub tenants: Vec<TenantSpec>,
-    /// Fraction of the OS memory budget the per-rebalance prefetch-window
-    /// pool covers. Shares of this pool — not of the whole cache — are
-    /// what admission strains against, so demand-filled pages are never
-    /// charged to a tenant.
-    pub window_budget_fraction: f64,
-    /// Virtual-time interval between share rebalances; each rebalance
-    /// re-reads every tenant's quality ledger and resets window usage.
-    pub rebalance_interval_ns: u64,
-    /// Fraction of the memory budget below which admission is free: with
-    /// resident pages under this low watermark there is no pressure and
-    /// every request rides the `Full` rung.
-    pub pressure_floor: f64,
-    /// Floor of the quality scaling: a tenant whose prefetch is 100%
-    /// wasted still keeps this fraction of its QoS weight, so it can
-    /// re-earn its share when its access pattern turns useful.
-    pub efficiency_floor: f64,
 }
 
 impl TenantsConfig {
-    /// Default tuning over the given tenant table.
+    /// An arbiter over the given tenant table.
     pub fn new(tenants: Vec<TenantSpec>) -> Self {
-        Self {
-            tenants,
-            window_budget_fraction: 0.5,
-            rebalance_interval_ns: 10 * simclock::NS_PER_MS,
-            pressure_floor: 0.5,
-            efficiency_floor: 0.25,
-        }
+        Self { tenants }
     }
 }
+
+/// Fraction of the OS memory budget the per-rebalance prefetch-window
+/// pool covers. Shares of this pool — not of the whole cache — are what
+/// admission strains against, so demand-filled pages are never charged
+/// to a tenant.
+const WINDOW_BUDGET_FRACTION: f64 = 0.5;
+/// Virtual-time interval between share rebalances; each rebalance
+/// re-reads every tenant's quality ledger and resets window usage.
+const REBALANCE_INTERVAL_NS: u64 = 10 * simclock::NS_PER_MS;
+/// Fraction of the memory budget below which admission is free: with
+/// resident pages under this low watermark there is no pressure and
+/// every request rides the `Full` rung.
+const PRESSURE_FLOOR: f64 = 0.5;
+/// Floor of the quality scaling: a tenant whose prefetch is 100% wasted
+/// still keeps this fraction of its QoS weight, so it can re-earn its
+/// share when its access pattern turns useful.
+const EFFICIENCY_FLOOR: f64 = 0.25;
 
 /// The admission ladder, in degradation order. Speculation gives way
 /// first; demand reads are never gated.
@@ -270,7 +267,6 @@ fn mul_frac(value: u64, fraction: f64) -> u64 {
 /// [`crate::RuntimeConfig::tenants`] is set).
 #[derive(Debug)]
 pub struct TenantArbiter {
-    config: TenantsConfig,
     tenants: Vec<TenantState>,
     /// Virtual time of the next share rebalance (0 = at first admit).
     next_rebalance_ns: AtomicU64,
@@ -285,9 +281,9 @@ impl TenantArbiter {
     pub fn new(config: TenantsConfig) -> Self {
         let tenants = config
             .tenants
-            .iter()
+            .into_iter()
             .map(|spec| TenantState {
-                spec: spec.clone(),
+                spec,
                 inodes: Mutex::new(Vec::new()),
                 budget_pages: AtomicU64::new(u64::MAX),
                 window_used: AtomicU64::new(0),
@@ -300,7 +296,6 @@ impl TenantArbiter {
             })
             .collect();
         Self {
-            config,
             tenants,
             next_rebalance_ns: AtomicU64::new(0),
             rebalance_gate: Mutex::new(()),
@@ -369,7 +364,7 @@ impl TenantArbiter {
     /// The rung `want` pages land on right now, without charging.
     fn rung(&self, os: &Os, state: &TenantState, want: u64) -> AdmissionRung {
         let mem = os.mem();
-        let low = mul_frac(mem.budget(), self.config.pressure_floor);
+        let low = mul_frac(mem.budget(), PRESSURE_FLOOR);
         let pressure = mem.pressure_above(low);
         if pressure <= 0.0 {
             return AdmissionRung::Full;
@@ -399,7 +394,7 @@ impl TenantArbiter {
         }
     }
 
-    /// Recomputes fair shares once `rebalance_interval_ns` has elapsed.
+    /// Recomputes fair shares once [`REBALANCE_INTERVAL_NS`] has elapsed.
     fn maybe_rebalance(&self, os: &Os, now_ns: u64) {
         let next = self.next_rebalance_ns.load(Ordering::Relaxed);
         if now_ns < next {
@@ -411,18 +406,16 @@ impl TenantArbiter {
         }
         self.rebalance(os);
         self.rebalances.incr();
-        self.next_rebalance_ns.store(
-            now_ns + self.config.rebalance_interval_ns.max(1),
-            Ordering::Relaxed,
-        );
+        self.next_rebalance_ns
+            .store(now_ns + REBALANCE_INTERVAL_NS, Ordering::Relaxed);
     }
 
     /// One rebalance pass: weight = QoS weight × quality efficiency,
-    /// where efficiency interpolates from `efficiency_floor` (all wasted)
+    /// where efficiency interpolates from [`EFFICIENCY_FLOOR`] (all wasted)
     /// to 1.0 (every initiated page consumed timely or late). Shares of
     /// the window pool are proportional to weight; window usage resets.
     fn rebalance(&self, os: &Os) {
-        let floor_milli = mul_frac(1000, self.config.efficiency_floor);
+        let floor_milli = mul_frac(1000, EFFICIENCY_FLOOR);
         let weights: Vec<u64> = self
             .tenants
             .iter()
@@ -438,7 +431,7 @@ impl TenantArbiter {
                 (state.spec.qos.weight() * eff_milli).max(1)
             })
             .collect();
-        let pool = mul_frac(os.mem().budget(), self.config.window_budget_fraction);
+        let pool = mul_frac(os.mem().budget(), WINDOW_BUDGET_FRACTION);
         let total: u64 = weights.iter().sum::<u64>().max(1);
         for (state, &weight) in self.tenants.iter().zip(&weights) {
             let share = ((pool as u128 * weight as u128) / total as u128) as u64;
@@ -506,6 +499,15 @@ mod tests {
     }
 
     #[test]
+    fn tuning_constants_are_pinned() {
+        assert_eq!(
+            (WINDOW_BUDGET_FRACTION, PRESSURE_FLOOR, EFFICIENCY_FLOOR),
+            (0.5, 0.5, 0.25)
+        );
+        assert_eq!(REBALANCE_INTERVAL_NS, 10 * simclock::NS_PER_MS);
+    }
+
+    #[test]
     fn no_pressure_admits_everything() {
         let os = small_os();
         let arbiter = TenantArbiter::new(two_tenants());
@@ -567,7 +569,7 @@ mod tests {
         let reports = arbiter.reports();
         // gold:bronze = 8:1 with no quality evidence yet (floor division
         // of the pool, so pin the exact integer shares).
-        let pool = mul_frac(os.mem().budget(), 0.5);
+        let pool = mul_frac(os.mem().budget(), WINDOW_BUDGET_FRACTION);
         assert_eq!(reports[0].budget_pages, pool * 8 / 9);
         assert_eq!(reports[1].budget_pages, pool / 9);
         assert!(reports[0].budget_pages + reports[1].budget_pages <= pool);

@@ -25,49 +25,32 @@ use std::collections::HashMap;
 
 use parking_lot::Mutex;
 
-/// Configuration for the cross-tier promotion planner
+/// Minimum engine confidence (same 0.0–1.0 scale as the ring's
+/// speculation bar) before a predicted range is worth a promotion copy.
+/// Promotion moves data, not just cache state, so the bar sits above the
+/// speculation bar: only well-established streams promote.
+const PROMOTE_CONFIDENCE: f64 = 0.75;
+/// Smallest promotion worth dispatching, in pages — sub-threshold tails
+/// stay remote rather than paying a worker dispatch and two device
+/// crossings for a handful of blocks.
+const PROMOTE_MIN_PAGES: u64 = 8;
+/// Largest single promotion job, in pages (4 MiB); larger predicted
+/// ranges are clamped (the stream's continued progress re-arms the
+/// planner for the rest).
+const MAX_PROMOTION_PAGES: u64 = 1024;
+
+/// Turns the cross-tier promotion planner on
 /// ([`crate::RuntimeConfig::tiering`]; `None` — the default — disables
-/// the planner entirely and leaves every mechanism byte-identical).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TieringConfig {
-    /// Minimum engine confidence (same 0.0–1.0 scale as the ring's
-    /// speculation bar) before a predicted range is worth a promotion
-    /// copy. Promotion moves data, not just cache state, so the bar sits
-    /// above the speculation bar by default.
-    pub promote_confidence: f64,
-    /// Smallest promotion worth dispatching, in pages — sub-threshold
-    /// tails stay remote rather than paying a worker dispatch and two
-    /// device crossings for a handful of blocks.
-    pub promote_min_pages: u64,
-    /// Largest single promotion job, in pages; larger predicted ranges
-    /// are clamped (the stream's continued progress re-arms the planner
-    /// for the rest).
-    pub max_promotion_pages: u64,
-    /// Worker-side attempts per promotion job before giving up (remote
-    /// faults retry through the same backoff ladder as prefetch).
-    pub promote_retry_attempts: u32,
-    /// Initial retry backoff, in virtual nanoseconds (doubles per retry).
-    pub promote_retry_backoff_ns: u64,
-}
+/// the planner entirely and leaves every mechanism byte-identical). It
+/// carries no tunables: the planner's thresholds are constants of this
+/// module and promotion retries share the prefetch ladder.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct TieringConfig {}
 
 impl TieringConfig {
-    /// Paper-flavoured defaults: promote only well-established streams
-    /// (confidence ≥ 0.75), 8-page minimum, 1024-page (4 MiB) job cap,
-    /// prefetch-matching retry ladder.
+    /// The planner, on.
     pub fn new() -> Self {
-        Self {
-            promote_confidence: 0.75,
-            promote_min_pages: 8,
-            max_promotion_pages: 1024,
-            promote_retry_attempts: 4,
-            promote_retry_backoff_ns: 100 * simclock::NS_PER_US,
-        }
-    }
-}
-
-impl Default for TieringConfig {
-    fn default() -> Self {
-        Self::new()
+        Self {}
     }
 }
 
@@ -80,25 +63,16 @@ impl Default for TieringConfig {
 /// (the OS-side placement map makes re-promotion harmless but the
 /// dispatch and device probing are not free); ranges straddling it are
 /// trimmed to the new part.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct TierPlanner {
-    config: TieringConfig,
     /// ino → one past the last page already handed to a promotion job.
     frontiers: Mutex<HashMap<u64, u64>>,
 }
 
 impl TierPlanner {
-    /// Builds a planner with the given knobs.
-    pub fn new(config: TieringConfig) -> Self {
-        Self {
-            config,
-            frontiers: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// The knobs in effect.
-    pub fn config(&self) -> &TieringConfig {
-        &self.config
+    /// Builds a planner with no frontier yet.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Considers promoting `[start, start + pages)` of inode `ino` on a
@@ -107,7 +81,7 @@ impl TierPlanner {
     /// is not worth a job (low confidence, already requested, or below
     /// the minimum size).
     pub fn plan(&self, ino: u64, start: u64, pages: u64, confidence: f64) -> Option<(u64, u64)> {
-        if confidence < self.config.promote_confidence || pages == 0 {
+        if confidence < PROMOTE_CONFIDENCE || pages == 0 {
             return None;
         }
         let end = start.saturating_add(pages);
@@ -117,8 +91,8 @@ impl TierPlanner {
         if from >= end {
             return None; // fully behind the frontier: already requested
         }
-        let want = (end - from).min(self.config.max_promotion_pages);
-        if want < self.config.promote_min_pages {
+        let want = (end - from).min(MAX_PROMOTION_PAGES);
+        if want < PROMOTE_MIN_PAGES {
             return None;
         }
         *frontier = from + want;
@@ -138,7 +112,7 @@ mod tests {
 
     #[test]
     fn low_confidence_never_plans() {
-        let planner = TierPlanner::new(TieringConfig::new());
+        let planner = TierPlanner::new();
         assert_eq!(planner.plan(1, 0, 256, 0.5), None);
         // The rejected candidate must not have advanced the frontier.
         assert_eq!(planner.plan(1, 0, 256, 0.9), Some((0, 256)));
@@ -146,7 +120,7 @@ mod tests {
 
     #[test]
     fn frontier_trims_and_dedups() {
-        let planner = TierPlanner::new(TieringConfig::new());
+        let planner = TierPlanner::new();
         assert_eq!(planner.plan(7, 0, 128, 1.0), Some((0, 128)));
         // Same range again: fully behind the frontier.
         assert_eq!(planner.plan(7, 0, 128, 1.0), None);
@@ -158,21 +132,22 @@ mod tests {
 
     #[test]
     fn clamps_to_max_and_rejects_tiny() {
-        let mut config = TieringConfig::new();
-        config.max_promotion_pages = 100;
-        config.promote_min_pages = 10;
-        let planner = TierPlanner::new(config);
-        assert_eq!(planner.plan(1, 0, 5000, 1.0), Some((0, 100)));
+        assert_eq!(
+            (PROMOTE_CONFIDENCE, PROMOTE_MIN_PAGES, MAX_PROMOTION_PAGES),
+            (0.75, 8, 1024)
+        );
+        let planner = TierPlanner::new();
+        assert_eq!(planner.plan(1, 0, 5000, 1.0), Some((0, 1024)));
         // Leftover above the clamp is re-plannable later.
-        assert_eq!(planner.plan(1, 100, 50, 1.0), Some((100, 50)));
+        assert_eq!(planner.plan(1, 1024, 50, 1.0), Some((1024, 50)));
         // Below the minimum: dropped without moving the frontier.
-        assert_eq!(planner.plan(1, 150, 5, 1.0), None);
-        assert_eq!(planner.plan(1, 150, 20, 1.0), Some((150, 20)));
+        assert_eq!(planner.plan(1, 1074, 5, 1.0), None);
+        assert_eq!(planner.plan(1, 1074, 20, 1.0), Some((1074, 20)));
     }
 
     #[test]
     fn forget_resets_frontier() {
-        let planner = TierPlanner::new(TieringConfig::new());
+        let planner = TierPlanner::new();
         assert_eq!(planner.plan(3, 0, 64, 1.0), Some((0, 64)));
         planner.forget(3);
         assert_eq!(planner.plan(3, 0, 64, 1.0), Some((0, 64)));

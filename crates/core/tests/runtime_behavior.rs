@@ -407,3 +407,35 @@ fn mapped_accesses_the_os_clamps_do_not_mark_the_user_level_view() {
         );
     }
 }
+
+#[test]
+fn a_prefetch_ceiling_above_the_os_one_does_not_overmark_the_view() {
+    // CROSS-OS initiates at most its own 64 MiB ceiling per call. A larger
+    // `max_prefetch_pages` used to make LIB mark the whole chunk cached
+    // and advance past pages the OS never started: the view went stale
+    // (384 pages over 3 resyncs, 53 248 of 65 536 pages initiated at 4x).
+    // `Runtime::new` clamps the setting to the ceiling it cannot exceed.
+    let ceiling = simos::CROSSOS_MAX_PREFETCH_PAGES;
+    for max_prefetch_pages in [ceiling, 4 * ceiling] {
+        let mut config = RuntimeConfig::new(Mode::FetchAllOpt);
+        config.max_prefetch_pages = max_prefetch_pages;
+        let rt = Runtime::new(boot(1024), config);
+        assert_eq!(rt.config().max_prefetch_pages, ceiling);
+        let mut clock = rt.new_clock();
+        let file = rt.create_sized(&mut clock, "/big", 256 << 20).unwrap();
+        let chunk = 64 * 1024u64;
+        for i in 0..(256 << 20) / chunk {
+            file.read_charge(&mut clock, i * chunk, chunk);
+        }
+        let stats = rt.stats();
+        assert_eq!(
+            (
+                stats.stale_pages_observed.get(),
+                stats.stale_resyncs.get(),
+                stats.pages_initiated.get()
+            ),
+            (0, 0, (256 << 20) / PAGE_SIZE),
+            "max_prefetch_pages {max_prefetch_pages}"
+        );
+    }
+}

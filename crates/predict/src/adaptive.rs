@@ -14,10 +14,10 @@
 //!
 //! 1. Both sub-engines observe every access, so the loser's model stays
 //!    warm. Only the owner's decision reaches the prefetch planner.
-//! 2. Every [`AdaptiveConfig::sample_interval`]-th access, each arm's
-//!    would-be prefetch is recorded in its shadow book (capacity
-//!    [`AdaptiveConfig::shadow_capacity`] entries; overflow and aged-out
-//!    entries count as shadow waste, so over-speculation is penalised).
+//! 2. Every 4th access, each arm's would-be prefetch is recorded in its
+//!    shadow book (capacity 64 entries; overflow and entries older than
+//!    256 accesses count as shadow waste, so over-speculation is
+//!    penalised).
 //! 3. An access is settled against both books once its outcome is known:
 //!    when the runtime reports it ([`PredictionEngine::outcome`]) or,
 //!    unreported, when the next access arrives. Every entry it overlaps
@@ -26,13 +26,12 @@
 //!    page); an entry that predicted resident pages is dropped as
 //!    neither a hit nor waste. An engine that is never told counts every
 //!    touched prediction as a hit.
-//! 4. Duel windows run back to back: after every
-//!    [`AdaptiveConfig::duel_window`] sampled accesses the utilities are
-//!    compared and the tallies reset. A *regime flip* — the strided
-//!    classifier crossing the random/streaming boundary (the coarse form
-//!    of the trace subsystem's `predictor-flip` signal) — restarts the
-//!    window early with fresh tallies, so a phase change is re-dueled on
-//!    clean data instead of stale credit. Oscillation between
+//! 4. Duel windows run back to back: after every 16 sampled accesses the
+//!    utilities are compared and the tallies reset. A *regime flip* — the
+//!    strided classifier crossing the random/streaming boundary (the
+//!    coarse form of the trace subsystem's `predictor-flip` signal) —
+//!    restarts the window early with fresh tallies, so a phase change is
+//!    re-dueled on clean data instead of stale credit. Oscillation between
 //!    neighbouring classes on the same side of the boundary is noise,
 //!    not a phase change, and must not starve the duel clock.
 //!    Utility = `hits * hit_weight − wasted * waste_weight`, with
@@ -49,21 +48,23 @@
 
 use std::collections::VecDeque;
 
-use crate::correlation::{CorrelationConfig, CorrelationEngine};
+use crate::correlation::CorrelationEngine;
 use crate::strided::Predictor;
 use crate::{AccessObservation, EngineKind, PredictionEngine, PrefetchDecision, QualityFeedback};
 
-/// Tuning for the adaptive selector.
+/// The duel's sampling. The defaults are the only values the runtime ever
+/// runs; tests substitute denser sampling and smaller books through
+/// [`AdaptiveEngine::with_config`].
 #[derive(Debug, Clone, PartialEq)]
-pub struct AdaptiveConfig {
+pub(crate) struct AdaptiveConfig {
     /// Every n-th access is sampled into the shadow books (1 = all).
-    pub sample_interval: u64,
+    pub(crate) sample_interval: u64,
     /// Sampled accesses per duel window before utilities are compared.
-    pub duel_window: u64,
+    pub(crate) duel_window: u64,
     /// Shadow-book capacity (predicted ranges) per engine.
-    pub shadow_capacity: usize,
+    pub(crate) shadow_capacity: usize,
     /// Accesses before an unconsumed shadow range counts as waste.
-    pub shadow_age: u64,
+    pub(crate) shadow_age: u64,
 }
 
 impl Default for AdaptiveConfig {
@@ -180,20 +181,19 @@ const WASTE_WEIGHT_PERMILLE: u64 = 1500;
 
 impl AdaptiveEngine {
     /// Creates an adaptive selector over a fresh strided predictor
-    /// (`bits`-wide counter, `seq_batch_pages` batch window) and a fresh
-    /// correlation miner.
-    pub fn new(
-        config: AdaptiveConfig,
-        bits: u32,
-        seq_batch_pages: u64,
-        correlation: CorrelationConfig,
-    ) -> Self {
+    /// (`bits`-wide counter) and a fresh correlation miner.
+    pub fn new(bits: u32) -> Self {
+        Self::with_config(AdaptiveConfig::default(), bits)
+    }
+
+    /// The construction seam: a selector dueling on the given sampling.
+    pub(crate) fn with_config(config: AdaptiveConfig, bits: u32) -> Self {
         assert!(config.sample_interval >= 1, "sample interval must be >= 1");
         assert!(config.duel_window >= 1, "duel window must be >= 1");
         Self {
             config,
-            strided: Predictor::with_batch_window(bits, seq_batch_pages),
-            correlation: CorrelationEngine::new(correlation),
+            strided: Predictor::new(bits),
+            correlation: CorrelationEngine::new(),
             owner: EngineKind::Strided,
             observations: 0,
             unsettled: None,
@@ -376,16 +376,27 @@ mod tests {
     use crate::strided::tests::{probes, RECORD_PAGES};
 
     fn engine() -> AdaptiveEngine {
-        AdaptiveEngine::new(
+        AdaptiveEngine::with_config(
             AdaptiveConfig {
                 sample_interval: 1,
                 duel_window: 8,
                 ..AdaptiveConfig::default()
             },
             3,
-            crate::SEQ_BATCH_PAGES,
-            CorrelationConfig::default(),
         )
+    }
+
+    #[test]
+    fn default_sampling_is_pinned() {
+        assert_eq!(
+            AdaptiveConfig::default(),
+            AdaptiveConfig {
+                sample_interval: 4,
+                duel_window: 16,
+                shadow_capacity: 64,
+                shadow_age: 256,
+            }
+        );
     }
 
     fn obs(page: u64, pages: u64) -> AccessObservation {
@@ -479,15 +490,13 @@ mod tests {
 
     #[test]
     fn shadow_books_stay_bounded() {
-        let mut e = AdaptiveEngine::new(
+        let mut e = AdaptiveEngine::with_config(
             AdaptiveConfig {
                 sample_interval: 1,
                 shadow_capacity: 8,
                 ..AdaptiveConfig::default()
             },
             3,
-            crate::SEQ_BATCH_PAGES,
-            CorrelationConfig::default(),
         );
         for i in 0..1000u64 {
             e.observe(&obs(i * 4, 4));

@@ -10,15 +10,17 @@
 //! Structure (after MITHRIL's mining/filtering split):
 //!
 //! * a **history ring** of the most recent `(block, span)` observations,
-//!   capped at [`CorrelationConfig::history`] entries — the only state the
-//!   hot path writes;
-//! * an **association table** `block → [successor; 4]` capped at
-//!   [`CorrelationConfig::max_assocs`] entries, evicted by combined
-//!   recency + frequency score — the only state the hot path reads;
+//!   capped at 512 entries — the only state the hot path writes;
+//! * an **association table** `block → [successor; 4]` capped at 4096
+//!   entries, evicted by combined recency + frequency score — the only
+//!   state the hot path reads;
 //! * a **mining pass** ([`PredictionEngine::mine`]) that folds the ring
-//!   into the table. The runtime schedules it on the worker pool every
-//!   [`CorrelationConfig::mine_interval`] observations, so table
-//!   maintenance is charged to background virtual time, not the read path.
+//!   into the table. The runtime schedules it on the worker pool every 64
+//!   observations, so table maintenance is charged to background virtual
+//!   time, not the read path.
+//!
+//! The sizes are constants; the crate-private `CorrelationConfig` exists
+//! so tests can build small tables, not as a tuning surface.
 //!
 //! All state lives in ordered containers (`BTreeMap`), so mining and
 //! eviction are deterministic and same-seed runs stay byte-identical.
@@ -36,23 +38,25 @@ const SUCCESSOR_SLOTS: usize = 4;
 /// by, relative to pure recency, when the table is over capacity.
 const FREQUENCY_LIFETIME_BONUS: u64 = 16;
 
-/// Tuning for the correlation miner. Defaults bound the engine to a few
-/// tens of KiB per file descriptor.
+/// The miner's sizes. The defaults — the only values the runtime ever
+/// runs — bound the engine to a few tens of KiB per file descriptor;
+/// tests substitute small tables through
+/// [`CorrelationEngine::with_config`].
 #[derive(Debug, Clone, PartialEq)]
-pub struct CorrelationConfig {
+pub(crate) struct CorrelationConfig {
     /// History-ring capacity in observations (bounded memory; overflow
     /// drops the oldest unmined entries).
-    pub history: usize,
+    pub(crate) history: usize,
     /// Association-table capacity in entries; recency+frequency eviction
     /// keeps it at or under this.
-    pub max_assocs: usize,
+    pub(crate) max_assocs: usize,
     /// Observations between background mining passes.
-    pub mine_interval: u64,
+    pub(crate) mine_interval: u64,
     /// Minimum times a successor must have followed a block before it is
     /// prefetched.
-    pub min_support: u32,
+    pub(crate) min_support: u32,
     /// Cap on the pages prefetched per learned successor.
-    pub max_span_pages: u64,
+    pub(crate) max_span_pages: u64,
 }
 
 impl Default for CorrelationConfig {
@@ -124,9 +128,20 @@ pub struct CorrelationEngine {
     feedback_wasted: u64,
 }
 
+impl Default for CorrelationEngine {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl CorrelationEngine {
-    /// Creates an engine with the given tuning.
-    pub fn new(config: CorrelationConfig) -> Self {
+    /// Creates an engine with empty history and table.
+    pub fn new() -> Self {
+        Self::with_config(CorrelationConfig::default())
+    }
+
+    /// The construction seam: an engine over tables of the given sizes.
+    pub(crate) fn with_config(config: CorrelationConfig) -> Self {
         assert!(config.history >= 2, "history ring needs at least 2 slots");
         assert!(config.max_assocs >= 1, "association table needs capacity");
         assert!(config.mine_interval >= 1, "mine interval must be positive");
@@ -341,8 +356,22 @@ mod tests {
     }
 
     #[test]
+    fn default_sizes_are_pinned() {
+        assert_eq!(
+            CorrelationConfig::default(),
+            CorrelationConfig {
+                history: 512,
+                max_assocs: 4096,
+                mine_interval: 64,
+                min_support: 2,
+                max_span_pages: 32,
+            }
+        );
+    }
+
+    #[test]
     fn learned_chain_emits_runs_with_support() {
-        let mut engine = CorrelationEngine::new(CorrelationConfig::default());
+        let mut engine = CorrelationEngine::new();
         drive_chain(&mut engine, 3);
         let decision = engine.observe(&obs(100, 1));
         assert_eq!(decision.runs.len(), 1, "one learned successor");
@@ -361,7 +390,7 @@ mod tests {
 
     #[test]
     fn single_occurrence_is_below_support() {
-        let mut engine = CorrelationEngine::new(CorrelationConfig::default());
+        let mut engine = CorrelationEngine::new();
         drive_chain(&mut engine, 1);
         let decision = engine.observe(&obs(100, 1));
         assert!(
@@ -377,7 +406,7 @@ mod tests {
             mine_interval: 8,
             ..CorrelationConfig::default()
         };
-        let mut engine = CorrelationEngine::new(config);
+        let mut engine = CorrelationEngine::with_config(config);
         for i in 0..4096u64 {
             engine.observe(&obs(i * 7, 1));
             if i % 8 == 7 {
@@ -395,7 +424,7 @@ mod tests {
             history: 64,
             ..CorrelationConfig::default()
         };
-        let mut engine = CorrelationEngine::new(config);
+        let mut engine = CorrelationEngine::with_config(config);
         for i in 0..1000u64 {
             engine.observe(&obs(i, 1));
         }
@@ -410,7 +439,7 @@ mod tests {
             mine_interval: 4,
             ..CorrelationConfig::default()
         };
-        let mut engine = CorrelationEngine::new(config);
+        let mut engine = CorrelationEngine::with_config(config);
         let mut due_at = Vec::new();
         for i in 0..8u64 {
             if engine.observe(&obs(i * 100, 1)).mine_due {
@@ -428,7 +457,7 @@ mod tests {
             max_assocs: 8,
             ..CorrelationConfig::default()
         };
-        let mut engine = CorrelationEngine::new(config);
+        let mut engine = CorrelationEngine::with_config(config);
         // One hot pair repeated, then a cold sweep that overflows the cap.
         for _ in 0..16 {
             engine.observe(&obs(100, 1));
@@ -449,7 +478,7 @@ mod tests {
 
     #[test]
     fn waste_feedback_raises_the_support_bar() {
-        let mut engine = CorrelationEngine::new(CorrelationConfig::default());
+        let mut engine = CorrelationEngine::new();
         drive_chain(&mut engine, 2); // support == 2: exactly at the bar
         assert!(!engine.observe(&obs(100, 1)).runs.is_empty());
         engine.feedback(&QualityFeedback {
@@ -466,7 +495,7 @@ mod tests {
     #[test]
     fn deterministic_across_identical_streams() {
         let run = || {
-            let mut engine = CorrelationEngine::new(CorrelationConfig::default());
+            let mut engine = CorrelationEngine::new();
             let mut state = 0xDEADBEEFu64;
             let mut fingerprint = Vec::new();
             for i in 0..2000u64 {
@@ -524,11 +553,11 @@ mod tests {
         fn new(config: CorrelationConfig) -> Self {
             Self {
                 cap: config.max_assocs,
-                oracle: CorrelationEngine::new(CorrelationConfig {
+                oracle: CorrelationEngine::with_config(CorrelationConfig {
                     max_assocs: usize::MAX,
                     ..config.clone()
                 }),
-                subject: CorrelationEngine::new(config),
+                subject: CorrelationEngine::with_config(config),
             }
         }
 

@@ -33,8 +33,8 @@ pub mod adaptive;
 pub mod correlation;
 pub mod strided;
 
-pub use adaptive::{AdaptiveConfig, AdaptiveEngine};
-pub use correlation::{CorrelationConfig, CorrelationEngine, CorrelationStats};
+pub use adaptive::AdaptiveEngine;
+pub use correlation::{CorrelationEngine, CorrelationStats};
 pub use strided::{AccessPattern, Direction, Prediction, Predictor, SEQ_BATCH_PAGES};
 
 /// Which prediction engine a file descriptor uses.
@@ -164,27 +164,18 @@ pub trait PredictionEngine {
 }
 
 /// Construction-time tuning shared by all engines; the runtime builds one
-/// from its `RuntimeConfig`.
+/// from its `RuntimeConfig`. Everything else an engine is sized by (the
+/// batch window, the miner's tables, the duel's sampling) is a constant of
+/// the module that uses it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
-    /// Strided counter width in bits (1..=5).
+    /// Strided counter width in bits (1..=5; the paper finds 3 best).
     pub predictor_bits: u32,
-    /// Sequential-batch window in pages (default [`SEQ_BATCH_PAGES`]).
-    pub seq_batch_pages: u64,
-    /// Correlation-miner tuning.
-    pub correlation: CorrelationConfig,
-    /// Adaptive-selector tuning.
-    pub adaptive: AdaptiveConfig,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
-        Self {
-            predictor_bits: 3,
-            seq_batch_pages: SEQ_BATCH_PAGES,
-            correlation: CorrelationConfig::default(),
-            adaptive: AdaptiveConfig::default(),
-        }
+        Self { predictor_bits: 3 }
     }
 }
 
@@ -205,19 +196,11 @@ impl Engine {
     /// Builds the engine selected by `kind` from shared tuning.
     pub fn for_kind(kind: EngineKind, config: &EngineConfig) -> Engine {
         match kind {
-            EngineKind::Strided => Engine::Strided(Predictor::with_batch_window(
-                config.predictor_bits,
-                config.seq_batch_pages,
-            )),
-            EngineKind::Correlation => {
-                Engine::Correlation(CorrelationEngine::new(config.correlation.clone()))
+            EngineKind::Strided => Engine::Strided(Predictor::new(config.predictor_bits)),
+            EngineKind::Correlation => Engine::Correlation(CorrelationEngine::new()),
+            EngineKind::Adaptive => {
+                Engine::Adaptive(Box::new(AdaptiveEngine::new(config.predictor_bits)))
             }
-            EngineKind::Adaptive => Engine::Adaptive(Box::new(AdaptiveEngine::new(
-                config.adaptive.clone(),
-                config.predictor_bits,
-                config.seq_batch_pages,
-                config.correlation.clone(),
-            ))),
         }
     }
 

@@ -91,9 +91,8 @@ impl AccessPattern {
 }
 
 /// Pages within which a jump still counts as sequential-ish (Linux's
-/// 32-block batch, §3.1). This is the *default* batch window; it is
-/// configurable per predictor via [`Predictor::with_batch_window`] and
-/// surfaced as `RuntimeConfig::seq_batch_pages` in the runtime.
+/// 32-block batch, §3.1; the OS model's `simos::readahead::SEQ_BATCH_PAGES`
+/// is the same number).
 pub const SEQ_BATCH_PAGES: u64 = 32;
 
 /// Detected stream direction.
@@ -147,8 +146,6 @@ pub struct Prediction {
 pub struct Predictor {
     bits: u32,
     counter: u32,
-    /// Pages within which a jump still counts as sequential-ish.
-    batch_window: u64,
     prev_end: Option<u64>,
     /// Start page of the previous access — direction voting compares
     /// against where the previous access *began*, because near page 0 a
@@ -252,31 +249,17 @@ impl RunShape {
 
 impl Predictor {
     /// Creates a predictor with an `bits`-bit counter (the paper finds 3
-    /// bits best; 1..=5 are supported) and the default
-    /// [`SEQ_BATCH_PAGES`] sequential-batch window.
+    /// bits best; 1..=5 are supported). Jumps within [`SEQ_BATCH_PAGES`]
+    /// of the previous access still count as sequential-ish.
     ///
     /// # Panics
     ///
     /// Panics if `bits` is 0 or greater than 5.
     pub fn new(bits: u32) -> Self {
-        Self::with_batch_window(bits, SEQ_BATCH_PAGES)
-    }
-
-    /// Creates a predictor with an explicit sequential-batch window:
-    /// jumps within `batch_window` pages of the previous access still
-    /// count as sequential-ish. The default is [`SEQ_BATCH_PAGES`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits` is 0 or greater than 5, or if `batch_window`
-    /// is 0.
-    pub fn with_batch_window(bits: u32, batch_window: u64) -> Self {
         assert!((1..=5).contains(&bits), "counter width {bits} out of 1..=5");
-        assert!(batch_window > 0, "batch window must be at least one page");
         Self {
             bits,
             counter: 0,
-            batch_window,
             prev_end: None,
             prev_start: None,
             skip: 0,
@@ -335,7 +318,7 @@ impl Predictor {
         let before_start = self.prev_start;
         let sequentialish = match before_end {
             None => true, // optimistic-at-open (§4.6)
-            Some(prev) => page + self.batch_window >= prev && page <= prev + self.batch_window,
+            Some(prev) => page + SEQ_BATCH_PAGES >= prev && page <= prev + SEQ_BATCH_PAGES,
         };
         if let (Some(pend), Some(pstart)) = (before_end, before_start) {
             // Direction voting: a backward-adjacent access (this access
@@ -344,9 +327,9 @@ impl Predictor {
             // the previous access's *start*: subtracting `count` from the
             // previous end clamps at page 0 and misclassified a backward
             // run that reaches the front of the file as a reversal.
-            if end <= pstart.saturating_add(self.batch_window) && page < pstart {
+            if end <= pstart.saturating_add(SEQ_BATCH_PAGES) && page < pstart {
                 self.dir_score = (self.dir_score - 1).max(-8);
-            } else if page >= pend.saturating_sub(self.batch_window) {
+            } else if page >= pend.saturating_sub(SEQ_BATCH_PAGES) {
                 self.dir_score = (self.dir_score + 1).min(8);
             }
         }
@@ -381,11 +364,7 @@ impl Predictor {
                 // overwritten above — the stale read made every jump look
                 // `count` pages long, so far jumps never fell faster).
                 let distance = before_end.map_or(0, |prev| page.abs_diff(prev));
-                let drop = if distance > 8 * self.batch_window {
-                    2
-                } else {
-                    1
-                };
+                let drop = if distance > 8 * SEQ_BATCH_PAGES { 2 } else { 1 };
                 if self.counter == 0 {
                     self.skip = self.bits; // steady random: damp updates
                 } else {
@@ -790,51 +769,8 @@ pub(crate) mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one page")]
-    fn zero_batch_window_rejected() {
-        Predictor::with_batch_window(3, 0);
-    }
-
-    #[test]
-    fn default_batch_window_matches_the_constant() {
-        // Lifting SEQ_BATCH_PAGES into configuration must not change the
-        // default behaviour: a predictor built via `new` and one built via
-        // `with_batch_window(bits, SEQ_BATCH_PAGES)` stay in lockstep over
-        // a mixed stream.
-        let mut a = Predictor::new(3);
-        let mut b = Predictor::with_batch_window(3, SEQ_BATCH_PAGES);
-        let mut state = 0x9E3779B97F4A7C15u64;
-        for i in 0..256u64 {
-            let page = if i % 3 == 0 {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                state % 1_000_000
-            } else {
-                i * 4
-            };
-            assert_eq!(
-                a.on_access(page, 4, i % 2 == 0, MAX),
-                b.on_access(page, 4, i % 2 == 0, MAX),
-            );
-            assert_eq!(a.counter(), b.counter());
-        }
-    }
-
-    #[test]
-    fn narrow_batch_window_classifies_strides_as_random() {
-        // With a 1-page window, a 4-page stride stream is a run of jumps.
-        let mut p = Predictor::with_batch_window(3, 1);
-        let mut pred = None;
-        for i in 1..20u64 {
-            pred = Some(p.on_access(i * 8, 4, false, MAX));
-        }
-        let pred = pred.unwrap();
-        assert_eq!(pred.prefetch_pages, 0);
-        assert!(matches!(
-            pred.pattern,
-            AccessPattern::HighlyRandom | AccessPattern::Random
-        ));
+    fn batch_window_is_the_linux_batch() {
+        assert_eq!(SEQ_BATCH_PAGES, 32);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! OS-level configuration.
 
-use simclock::{CostModel, NS_PER_MS, NS_PER_SEC};
+use simclock::{CostModel, NS_PER_SEC};
 
 /// Write-back daemon tunables (CAWL-style cache-aware write-back: writes
 /// absorb into the page cache and are flushed in coalesced runs when
@@ -14,17 +14,9 @@ pub struct WritebackConfig {
     /// Per-file dirty pages that trigger a background flush of that file.
     pub file_dirty_threshold_pages: u64,
     /// Global dirty pages that trigger a background sweep of the oldest
-    /// dirty files (softer than [`OsConfig::dirty_limit_pages`], which
-    /// remains the hard synchronous limit).
+    /// dirty files (softer than the write path's hard synchronous
+    /// limit, a constant of `os.rs`).
     pub background_dirty_pages: u64,
-    /// Virtual-time deadline: a file whose oldest dirty page is older than
-    /// this is flushed on the next daemon tick (Linux's 30 s
-    /// `dirty_expire_centisecs` scaled to simulation time).
-    pub dirty_deadline_ns: u64,
-    /// Merge dirty runs separated by at most this many clean-but-present
-    /// pages into one device write (the gap pages ride along), trading a
-    /// few extra bytes for strictly fewer write crossings.
-    pub coalesce_gap_pages: u64,
     /// Flush every write synchronously instead of absorbing — the
     /// write-through comparison baseline for the coalescing gate.
     pub write_through: bool,
@@ -35,8 +27,6 @@ impl Default for WritebackConfig {
         Self {
             file_dirty_threshold_pages: 1024,
             background_dirty_pages: 2048,
-            dirty_deadline_ns: 500 * NS_PER_MS,
-            coalesce_gap_pages: 8,
             write_through: false,
         }
     }
@@ -49,14 +39,9 @@ pub struct OsConfig {
     pub memory_budget_pages: u64,
     /// Default per-window readahead cap in pages (Linux: 32 = 128 KiB).
     pub ra_max_pages: u64,
-    /// Hard ceiling any `readahead_info` limit override may reach, in
-    /// pages. The paper caps relaxed prefetch requests at 64 MiB.
-    pub crossos_max_prefetch_pages: u64,
     /// Fraction of the budget to free when reclaim triggers (reclaim runs
     /// until `resident <= budget * (1 - reclaim_slack)`).
     pub reclaim_slack: f64,
-    /// Dirty pages allowed before the write path forces writeback.
-    pub dirty_limit_pages: u64,
     /// Pages a fault pulls in around an `mmap` access (Linux fault-around).
     pub fault_around_pages: u64,
     /// Inactivity horizon after which a file is reclaim-preferred (30 s in
@@ -99,9 +84,7 @@ impl Default for OsConfig {
         Self {
             memory_budget_pages: 64 * 256, // 64 MiB — tests override
             ra_max_pages: 32,
-            crossos_max_prefetch_pages: (64 << 20) / 4096,
             reclaim_slack: 0.05,
-            dirty_limit_pages: 4096,
             fault_around_pages: 16,
             inactive_after_ns: 30 * NS_PER_SEC,
             per_inode_lru: false,

@@ -11,7 +11,7 @@
 //!
 //! The limit relaxation of §4.7 is the `limit_pages` override: unlike
 //! `readahead(2)`, a `readahead_info` request may exceed the OS readahead
-//! cap, up to `OsConfig::crossos_max_prefetch_pages` (64 MiB by default).
+//! cap, up to [`CROSSOS_MAX_PREFETCH_PAGES`].
 
 use std::sync::Arc;
 
@@ -25,6 +25,10 @@ use crate::error::IoError;
 use crate::os::{into_ok, FaultMode, Fd, MayFault, NeverFault, Os, PAGE_SIZE};
 use crate::trace::OsSpanKind;
 use simfs::InodeId;
+
+/// Hard ceiling any `readahead_info` limit override may reach, in pages:
+/// the paper caps relaxed prefetch requests at 64 MiB (§4.7).
+pub const CROSSOS_MAX_PREFETCH_PAGES: u64 = (64 << 20) / PAGE_SIZE;
 
 /// Request structure for [`Os::readahead_info`] — the `info` parameter of
 /// the paper's Listing 1, input half.
@@ -308,8 +312,7 @@ impl Os {
     fn prefetch_cap(&self, limit_pages: Option<u64>) -> u64 {
         limit_pages
             .unwrap_or(self.config().ra_max_pages)
-            .min(self.config().crossos_max_prefetch_pages)
-            .max(1)
+            .clamp(1, CROSSOS_MAX_PREFETCH_PAGES)
     }
 
     /// The direct paths' device charge. I/O proceeds off the caller's
@@ -595,7 +598,6 @@ impl Os {
         // large transfer.
         let mut io_clock = ThreadClock::detached_at(Arc::clone(self.global()), clock.now());
         let merge_gap = self.config().ra_max_pages;
-        let ceiling = self.config().crossos_max_prefetch_pages;
         let spans = self.span_sink();
 
         for (ino, mut members) in inodes.into_iter().zip(groups) {
@@ -612,7 +614,7 @@ impl Os {
                 match runs.last_mut() {
                     Some(run) if m.p0 <= run.1.saturating_add(merge_gap) => {
                         run.1 = run.1.max(m.p1);
-                        run.2 = run.2.saturating_add(m.cap).min(ceiling);
+                        run.2 = run.2.saturating_add(m.cap).min(CROSSOS_MAX_PREFETCH_PAGES);
                         run.3.push(mi);
                         completions[m.idx].merged = true;
                     }
@@ -1035,7 +1037,7 @@ mod tests {
             fd,
             RaInfoRequest::prefetch(0, 256 << 20).with_limit_pages(huge),
         );
-        assert_eq!(info.initiated_pages, os.config().crossos_max_prefetch_pages);
+        assert_eq!(info.initiated_pages, CROSSOS_MAX_PREFETCH_PAGES);
     }
 
     #[test]

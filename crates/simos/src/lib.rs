@@ -59,7 +59,7 @@ pub use cache::PrefetchQuality;
 pub use config::{OsConfig, WritebackConfig};
 pub use crossos::{
     bitmap_has_page, RaBatchCompletion, RaBatchEntry, RaInfo, RaInfoRequest, ReadBatchEntry,
-    ReadBatchResult,
+    ReadBatchResult, CROSSOS_MAX_PREFETCH_PAGES,
 };
 pub use error::IoError;
 pub use mmap::MmapOutcome;

@@ -84,6 +84,20 @@ pub(crate) fn into_ok<T>(result: Result<T, std::convert::Infallible>) -> T {
 /// Page size in bytes (same as the device block size).
 pub const PAGE_SIZE: u64 = BLOCK_SIZE as u64;
 
+/// Global dirty pages past which the write path forces writeback (the
+/// hard, synchronous limit; Linux's `dirty_ratio` at this scale).
+const DIRTY_LIMIT_PAGES: u64 = 4096;
+
+/// A file whose oldest dirty page is older than this is flushed on the
+/// next daemon tick (Linux's 30 s `dirty_expire_centisecs` scaled to
+/// simulation time).
+const DIRTY_DEADLINE_NS: u64 = 500 * simclock::NS_PER_MS;
+
+/// The daemon merges dirty runs separated by at most this many
+/// clean-but-present pages into one device write (the gap pages ride
+/// along), trading a few extra bytes for strictly fewer write crossings.
+const COALESCE_GAP_PAGES: u64 = 8;
+
 /// A file descriptor handle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Fd(pub usize);
@@ -991,7 +1005,7 @@ impl Os {
             // whole file past the hard limit. Byte-identical to the
             // pre-daemon behaviour.
             None => {
-                if self.mem.dirty() > self.config.dirty_limit_pages
+                if self.mem.dirty() > DIRTY_LIMIT_PAGES
                     && self.writeback_file(clock, entry.ino, false) > 0
                 {
                     self.stats.wb_flush_threshold.incr();
@@ -1009,7 +1023,7 @@ impl Os {
                         if self.writeback_file(clock, entry.ino, false) > 0 {
                             self.stats.wb_flush_threshold.incr();
                         }
-                    } else if self.mem.dirty() > self.config.dirty_limit_pages {
+                    } else if self.mem.dirty() > DIRTY_LIMIT_PAGES {
                         // Hard global limit: the writer pays, synchronously.
                         if self.writeback_file(clock, entry.ino, true) > 0 {
                             self.stats.wb_flush_threshold.incr();
@@ -1058,17 +1072,17 @@ impl Os {
     }
 
     /// Run-based flush: clears the file's dirty runs, merging runs whose
-    /// clean gap is at most `coalesce_gap_pages` into one device crossing
+    /// clean gap is at most `COALESCE_GAP_PAGES` into one device crossing
     /// (the gap pages ride along as extra bytes — strictly fewer write
     /// requests for a few redundant writes). Each merged run is charged
     /// once per device currently holding part of it. Returns the dirty
     /// pages flushed.
     pub fn writeback_file_runs(&self, clock: &mut ThreadClock, ino: InodeId, sync: bool) -> u64 {
-        let gap = self
-            .config
-            .writeback
-            .as_ref()
-            .map_or(0, |wb| wb.coalesce_gap_pages);
+        // Without the daemon (a tiered store's flushes) runs never merge.
+        let gap = match self.config.writeback {
+            Some(_) => COALESCE_GAP_PAGES,
+            None => 0,
+        };
         let cache = self.cache(ino);
         let (runs, dirty) = {
             let mut state = cache.state.write();
@@ -1145,7 +1159,7 @@ impl Os {
         dirty_files.sort_unstable();
         for &(since, ino) in &dirty_files {
             if since != 0
-                && since.saturating_add(wb.dirty_deadline_ns) <= now
+                && since.saturating_add(DIRTY_DEADLINE_NS) <= now
                 && self.writeback_file_runs(clock, ino, false) > 0
             {
                 self.stats.wb_flush_deadline.incr();
@@ -1544,6 +1558,13 @@ mod tests {
     use simstore::DeviceConfig;
 
     const FILE_PAGES: u64 = 512;
+
+    #[test]
+    fn write_path_constants_are_pinned() {
+        assert_eq!(DIRTY_LIMIT_PAGES, 4096);
+        assert_eq!(DIRTY_DEADLINE_NS, 500 * simclock::NS_PER_MS);
+        assert_eq!(COALESCE_GAP_PAGES, 8);
+    }
 
     /// A tiered OS with one physically fragmented file (allocated
     /// alternately with a second file on the log-structured allocator)

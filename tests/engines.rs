@@ -1,25 +1,14 @@
-//! Pluggable prediction engines: knob inertness under the strided
-//! default, per-engine determinism, and closed-loop prefetch-quality
-//! accounting.
+//! Pluggable prediction engines: engine selection inert on modes that
+//! never predict, per-engine determinism, and closed-loop
+//! prefetch-quality accounting.
 
 use std::sync::Arc;
 
 use cp_bench::boot;
-use crossprefetch::{
-    EngineKind, Mode, Runtime, RuntimeConfig, RuntimeReport, PAGE_SIZE, SEQ_BATCH_PAGES,
-};
+use crossprefetch::{EngineKind, Mode, Runtime, RuntimeConfig, RuntimeReport, PAGE_SIZE};
 use simclock::{ThreadClock, NS_PER_MS, NS_PER_US};
 use simos::{Device, DeviceConfig, FaultPlan, FileSystem, FsKind, Os, OsConfig};
 use workloads::{run_kvprobe, setup_kvprobe, KvProbeConfig};
-
-const MECHANISMS: [Mode; 6] = [
-    Mode::AppOnly,
-    Mode::OsOnly,
-    Mode::Predict,
-    Mode::PredictOpt,
-    Mode::FetchAllOpt,
-    Mode::FincoreApp,
-];
 
 /// The same deterministic mixed workload the batching inertness test
 /// drives: sequential ramp, warm re-read, random jumps.
@@ -47,31 +36,6 @@ fn run_mixed_workload(config: RuntimeConfig) -> String {
     RuntimeReport::collect(&runtime).to_json()
 }
 
-/// With the default `Strided` engine selected, every correlation and
-/// adaptive knob must be inert: telemetry stays byte-identical across all
-/// six Table-2 mechanisms no matter how they are set.
-#[test]
-fn engine_knobs_are_inert_under_strided() {
-    for mode in MECHANISMS {
-        let baseline = run_mixed_workload(RuntimeConfig::new(mode));
-        let mut tweaked = RuntimeConfig::new(mode);
-        tweaked.engine_tuning.correlation.history = 16;
-        tweaked.engine_tuning.correlation.max_assocs = 8;
-        tweaked.engine_tuning.correlation.mine_interval = 2;
-        tweaked.engine_tuning.correlation.min_support = 1;
-        tweaked.engine_tuning.correlation.max_span_pages = 1;
-        tweaked.engine_tuning.adaptive.sample_interval = 1;
-        tweaked.engine_tuning.adaptive.duel_window = 2;
-        tweaked.engine_tuning.adaptive.shadow_capacity = 4;
-        assert_eq!(
-            baseline,
-            run_mixed_workload(tweaked),
-            "{}: engine knobs leaked into the strided path",
-            mode.label()
-        );
-    }
-}
-
 /// Selecting a non-strided engine on a mode that never consults a
 /// predictor resolves back to strided: the knob cannot perturb
 /// non-predicting mechanisms.
@@ -95,46 +59,6 @@ fn engine_selection_is_inert_without_predict() {
                 engine.name()
             );
         }
-    }
-}
-
-/// One-page reads at a 16 KiB stride: each read leaves a 3-page gap, so
-/// the stream is sequential-ish under the default 32-page batch window
-/// and random under a 1-page window.
-fn run_gapped_stride_workload(config: RuntimeConfig) -> String {
-    let runtime = Runtime::new(boot(48), config);
-    let mut clock = runtime.new_clock();
-    let file = runtime
-        .create_sized(&mut clock, "/data/s.bin", 48 << 20)
-        .unwrap();
-    for i in 0..1024u64 {
-        file.read_charge(&mut clock, i * 16 * 1024, 4096);
-    }
-    runtime.flush_prefetch_batches(&mut clock);
-    RuntimeReport::collect(&runtime).to_json()
-}
-
-/// The lifted `seq_batch_pages` knob: an explicit default is
-/// byte-identical to the implicit one (the lift changed nothing), and a
-/// non-default value actually changes behaviour (the knob is live, not
-/// decorative).
-#[test]
-fn seq_batch_pages_default_is_identical_and_knob_is_live() {
-    for mode in [Mode::Predict, Mode::PredictOpt] {
-        let baseline = run_mixed_workload(RuntimeConfig::new(mode));
-        let mut explicit = RuntimeConfig::new(mode);
-        explicit.engine_tuning.seq_batch_pages = SEQ_BATCH_PAGES;
-        assert_eq!(baseline, run_mixed_workload(explicit));
-
-        let strided = run_gapped_stride_workload(RuntimeConfig::new(mode));
-        let mut narrow = RuntimeConfig::new(mode);
-        narrow.engine_tuning.seq_batch_pages = 1;
-        assert_ne!(
-            strided,
-            run_gapped_stride_workload(narrow),
-            "{}: a one-page batch window should classify the 3-page gaps as random",
-            mode.label()
-        );
     }
 }
 

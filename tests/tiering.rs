@@ -323,7 +323,6 @@ fn deferred_writeback_coalesces_write_crossings() {
         let mut os_config = OsConfig::with_memory_mb(64);
         os_config.writeback = Some(WritebackConfig {
             write_through,
-            coalesce_gap_pages: 8,
             ..WritebackConfig::default()
         });
         let os = Os::new(
