@@ -153,8 +153,8 @@ pub struct RuntimeConfig {
     /// shared submission ring. Fully-cached reads are absorbed through the
     /// exported bitmap without a syscall crossing; demand misses cross via
     /// one vectored `read_batch` call that piggybacks any staged prefetch
-    /// runs; and high-confidence predictions pre-issue the next demand
-    /// read speculatively. Prefetch runs are only *staged* while
+    /// runs; and a known run ([`predict::Prediction::known_run`]) crosses
+    /// with the miss that starts it. Prefetch runs are only *staged* while
     /// [`Self::batch_submit`] is also on — with the ring alone every
     /// crossing carries just its demand entry — and only `tests/ring.rs`
     /// and the telemetry feature-on golden turn both on (no benchmark
@@ -277,7 +277,6 @@ mod tests {
 
     #[test]
     fn default_limits_match_paper() {
-        use crate::read_path::RING_SPEC_CONFIDENCE;
         use crate::runtime::{
             AGGRESSIVE_FLOOR, EVICT_TARGET, EVICT_TRIGGER, PREFETCH_FLOOR, PREFETCH_RETRY_ATTEMPTS,
             PREFETCH_RETRY_BACKOFF_NS,
@@ -302,6 +301,5 @@ mod tests {
         );
         assert_eq!(PREFETCH_RETRY_ATTEMPTS, 4);
         assert_eq!(PREFETCH_RETRY_BACKOFF_NS, 100 * simclock::NS_PER_US);
-        assert_eq!(RING_SPEC_CONFIDENCE, 0.9);
     }
 }

@@ -76,7 +76,7 @@ pub use predict::{
 };
 pub use range_index::{BPlusRangeIndex, IndexStats, LockScope};
 pub use range_tree::RangeTree;
-pub use ring::{FlushReason, SpecRead, SubmissionQueue};
+pub use ring::{FlushReason, SubmissionQueue};
 pub use runtime::{CpFile, LibFile, Runtime};
 pub use span::{
     CriticalPath, ReqId, SpanClassTotals, SpanCollector, SpanExemplar, SpanKind, SpanLeaf,

@@ -66,7 +66,7 @@ pub struct Policy {
     /// Completion-driven ring: absorb fully-cached demand reads through
     /// the exported bitmap, cross demand misses via the vectored
     /// `read_batch` crossing (piggybacking staged prefetch runs), and
-    /// pre-issue high-confidence predicted reads. The absorb path reads
+    /// carry a known run on the miss that starts it. The absorb path reads
     /// the shared cache-state bitmap, so the flag is the config knob
     /// ANDed with the visibility feature.
     pub ring: bool,

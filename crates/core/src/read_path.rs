@@ -28,15 +28,13 @@
 
 use std::sync::atomic::Ordering;
 
-use predict::{
-    AccessObservation, AccessPattern, Direction, Prediction, PredictionEngine, PrefetchDecision,
-};
+use predict::{AccessPattern, Direction, Prediction, PredictionEngine, PrefetchDecision};
 use simclock::ThreadClock;
 use simos::{IoError, Os, RaBatchCompletion, RaBatchEntry, ReadBatchEntry, ReadOutcome, PAGE_SIZE};
 
 use crate::metrics::{PipelineStage, ReadClass};
 use crate::policy::PostReadHook;
-use crate::runtime::CpFile;
+use crate::runtime::{BatchedRun, CpFile};
 use crate::trace::{LookupOutcome, TraceEventKind};
 
 /// Reads between whole-file refetch rounds in FetchAll mode.
@@ -48,11 +46,6 @@ const STALE_RESYNC_PAGES: u64 = 128;
 
 /// Reads between fincore polls in FincoreApp mode.
 const FINCORE_POLL_INTERVAL: u64 = 32;
-
-/// Minimum engine confidence (0.0–1.0) before the ring pre-issues the
-/// next predicted demand read. Mispredicted speculative reads are
-/// cancelled and charged as wasted prefetch, so the bar is high.
-pub(crate) const RING_SPEC_CONFIDENCE: f64 = 0.9;
 
 /// One ring crossing's result: the demand read's own outcome and the
 /// completions of the prefetch entries that rode along.
@@ -217,11 +210,11 @@ pub(crate) struct ReadCtx {
     /// prefetch-plan stage): the strided prediction, any mined
     /// correlation runs, and mining/duel bookkeeping.
     decision: PrefetchDecision,
-    /// Page range `[start, end)` of the predicted *next* demand read,
-    /// set by the prefetch-plan stage when the ring is on and the
-    /// engine's confidence clears the speculation bar; consumed by the
-    /// account stage, which pre-issues it through the ring.
-    spec_target: Option<(u64, u64)>,
+    /// The known run this access starts (set by the prefetch-plan stage
+    /// when the ring is on), waiting for the demand-fill stage: it rides
+    /// the miss's ring crossing, or is handed back to the engine when the
+    /// access turns out to need no crossing.
+    known_run: Option<Prediction>,
     /// Virtual time the current stage started (stage-latency base).
     stage_start_ns: u64,
 }
@@ -368,7 +361,7 @@ impl CpFile {
             spans,
             claimed: 0,
             decision: PrefetchDecision::default(),
-            spec_target: None,
+            known_run: None,
             stage_start_ns: entry_ns,
         };
         ctx.close_stage(self, PipelineStage::Classify, clock.now());
@@ -385,14 +378,7 @@ impl CpFile {
         let inner = &runtime.inner;
         if inner.policy.features.predict {
             clock.advance(inner.os.config().costs.predictor_step_ns);
-            let aggressive_ok =
-                inner.policy.features.aggressive && runtime.aggressive_allowed(clock.now());
-            ctx.decision = self.engine.lock().observe(&AccessObservation {
-                page: ctx.p0,
-                pages: ctx.pages,
-                aggressive_ok,
-                max_prefetch_pages: inner.config.max_prefetch_pages,
-            });
+            ctx.decision = self.observe(clock, ctx.p0, ctx.pages);
         }
         if ctx.tracing {
             if let Some(pred) = &ctx.decision.prediction {
@@ -419,28 +405,6 @@ impl CpFile {
     /// instead of trailing it.
     fn stage_prefetch_plan(&self, clock: &mut ThreadClock, ctx: &mut ReadCtx) {
         let inner = &self.runtime.inner;
-        // Speculative pre-issue target (ring only): when the engine's
-        // confidence clears the bar, the predicted *next* demand read —
-        // same size as this one, adjacent in the stream's direction. The
-        // account stage issues it after this access settles; the issue
-        // path re-checks that normal prefetch has not covered it.
-        if inner.policy.ring && ctx.pages > 0 && ctx.decision.confidence >= RING_SPEC_CONFIDENCE {
-            if let Some(pred) = &ctx.decision.prediction {
-                if pred.prefetch_pages > 0 {
-                    let file_pages = inner.os.fs().size(self.file.ino).div_ceil(PAGE_SIZE);
-                    ctx.spec_target = match pred.direction {
-                        Direction::Forward => {
-                            let end = (ctx.p1 + ctx.pages).min(file_pages);
-                            (ctx.p1 < end).then_some((ctx.p1, end))
-                        }
-                        Direction::Backward => {
-                            let start = ctx.p0.saturating_sub(ctx.pages);
-                            (start < ctx.p0).then_some((start, ctx.p0))
-                        }
-                    };
-                }
-            }
-        }
         // Cross-tier promotion: a high-confidence forward stream's
         // predicted window doubles as a placement hint — copy it
         // remote→local in the background (planner-deduped, worker-pool
@@ -449,12 +413,8 @@ impl CpFile {
             self.maybe_promote(clock, ctx);
         }
         let decision = std::mem::take(&mut ctx.decision);
-        if let Some(pred) = decision.prediction {
-            self.paced_prefetch(clock, pred, ctx.p0, ctx.p1);
-        }
-        // Correlation runs, duel bookkeeping, deferred mining — all empty
-        // for the strided engine, so the default path is unchanged.
-        self.apply_engine_decision(clock, &decision);
+        let crosses = inner.policy.ring && !ctx.is_write && !inner.degraded.load(Ordering::Relaxed);
+        ctx.known_run = self.apply_decision(clock, decision, ctx.p0, ctx.p1, crosses);
         // Batched submission: expired batches ride the next intercepted
         // read. One relaxed load when nothing is due (or batching is off).
         self.runtime.flush_due_batches(clock);
@@ -550,26 +510,34 @@ impl CpFile {
         } else {
             let ring = inner.policy.ring && !inner.degraded.load(Ordering::Relaxed);
             let mut absorbed = None;
-            if ring {
-                // Speculative pre-issue first: an exact match absorbs
-                // with no crossing; a mismatch cancels (charged wasted).
-                absorbed = self.consume_spec(clock, ctx.offset, ctx.len, ctx.tracing);
-                // Fully-claimed ranges absorb through the shared bitmap —
-                // the ring's zero-crossing completion for cache hits. The
-                // OS declines (and we fall through to the crossing) when
-                // its authoritative view disagrees with the claim or a
-                // demand fetch would beat waiting on in-flight prefetch.
-                if absorbed.is_none() && ctx.pages > 0 && ctx.claimed == ctx.pages {
-                    absorbed = inner.os.absorb_read(clock, self.fd, ctx.offset, ctx.len);
+            // Fully-claimed ranges absorb through the shared bitmap — the
+            // ring's zero-crossing completion for cache hits and for the
+            // continuations of a pre-issued run. The OS declines (and we
+            // fall through to the crossing) when its authoritative view
+            // disagrees with the claim or a demand fetch would beat
+            // waiting on in-flight prefetch.
+            if ring && ctx.pages > 0 && ctx.claimed == ctx.pages {
+                absorbed = inner.os.absorb_read(clock, self.fd, ctx.offset, ctx.len);
+                if absorbed.is_some() && self.take_preissued() {
+                    inner.stats.ring_spec_absorbed.incr();
                 }
             }
+            let known_run = ctx.known_run.take();
             match absorbed {
-                Some(outcome) => Ok(outcome),
                 // Everything else crosses — as a vectored ring submission
-                // that piggybacks staged prefetch runs when the ring is
-                // on, or the plain read syscall when it is off.
-                None if ring => self.ring_fill::<F>(clock, ctx.offset, ctx.len),
-                None => F::fill(self, clock, ctx.offset, ctx.len),
+                // that carries a known run and piggybacks staged prefetch
+                // runs when the ring is on, or the plain read syscall when
+                // it is off.
+                None if ring => self.ring_fill::<F>(clock, ctx.offset, ctx.len, known_run),
+                no_crossing => {
+                    // A jump that hit the cache: waiting out the whole
+                    // remainder as background prefetch would cost the next
+                    // read more than its own miss does.
+                    if known_run.is_some() {
+                        self.engine.lock().defer_known_run();
+                    }
+                    no_crossing.map_or_else(|| F::fill(self, clock, ctx.offset, ctx.len), Ok)
+                }
             }
         };
         let outcome = match filled {
@@ -661,20 +629,6 @@ impl CpFile {
             .last_access_ns
             .store(clock.now(), Ordering::Relaxed);
 
-        // Ring speculation: pre-issue the predicted next demand read now
-        // that this access's accounting is settled. The tenant arbiter
-        // gets first refusal — speculation is the cheapest thing to shed
-        // under pressure, so any rung below `Full` drops it here.
-        if let Some((start, end)) = ctx.spec_target.take() {
-            if !inner.degraded.load(Ordering::Relaxed)
-                && self
-                    .runtime
-                    .spec_admitted(&self.file, end - start, clock.now())
-            {
-                self.maybe_issue_spec(clock, start, end);
-            }
-        }
-
         for hook in &inner.policy.post_read {
             match hook {
                 PostReadHook::FetchAllMonitor => self.hook_fetchall_monitor(clock, ctx),
@@ -734,6 +688,7 @@ impl CpFile {
                 start,
                 round.min(file_pages - start),
                 false,
+                None,
             );
             self.file.refetch_cursor.store(
                 if reached >= file_pages { 0 } else { reached },
@@ -842,13 +797,15 @@ impl CpFile {
     /// when the read position crosses into the trailing half of the
     /// window before the frontier; each issue may double the window, up
     /// to the configured and memory-budget limits. A random-classified
-    /// stream collapses the window and frontier.
+    /// stream collapses the window and frontier. A forward request takes
+    /// `rider` with it ([`crate::Runtime::prefetch_pages`]).
     pub(crate) fn paced_prefetch(
         &self,
         clock: &mut ThreadClock,
         pred: Prediction,
         p0: u64,
         p1: u64,
+        rider: Option<&mut Vec<BatchedRun>>,
     ) {
         let runtime = &self.runtime;
         let inner = &runtime.inner;
@@ -885,8 +842,9 @@ impl CpFile {
                 let target = p1 + next_window;
                 let start = frontier.max(p1);
                 if target > start {
+                    let want = target - start;
                     let reached =
-                        runtime.prefetch_pages(clock, &self.file, start, target - start, true);
+                        runtime.prefetch_pages(clock, &self.file, start, want, true, rider);
                     self.fwd_frontier.store(reached.max(p1), Ordering::Relaxed);
                     self.window_pages.store(next_window, Ordering::Relaxed);
                 }
@@ -907,7 +865,7 @@ impl CpFile {
                 if end > target {
                     // Backward prefetch is clamped from the front; treat a
                     // partial schedule as full coverage of the tail.
-                    runtime.prefetch_pages(clock, &self.file, target, end - target, true);
+                    runtime.prefetch_pages(clock, &self.file, target, end - target, true, None);
                     self.back_frontier.store(target, Ordering::Relaxed);
                     self.window_pages.store(next_window, Ordering::Relaxed);
                 }

@@ -16,16 +16,14 @@
 //! * demand misses submit through the same ring — the read path drains
 //!   staged prefetch entries and crosses them *with* the demand read in
 //!   one vectored `Os::try_read_batch` call;
-//! * when the active prediction engine's confidence clears the
-//!   speculation bar (0.9), the next predicted demand read is pre-issued
-//!   speculatively (Foreactor-style) and recorded as a [`SpecRead`]
-//!   completion: absorbed on an exact match, cancelled and charged as
-//!   wasted prefetch on a mispredict.
+//! * a *known run* — the predictor asking, at the miss that starts a run,
+//!   for the remainder it has learned always follows — crosses with that
+//!   miss as demand-class entries (Foreactor's explicit speculation), and
+//!   the run's later reads absorb with no crossing of their own.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
-use simos::ReadOutcome;
 
 /// Why a submission batch left its queue slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -229,9 +227,8 @@ impl<T> SubmissionQueue<T> {
         all
     }
 
-    /// Whether any staged entry satisfies `pred` (used by the speculative
-    /// pre-issue gate to avoid double-submitting a range that is already
-    /// staged in an open batch).
+    /// Whether any staged entry satisfies `pred` (e.g. overlaps a range
+    /// about to be submitted some other way).
     pub fn any_staged<F>(&self, mut pred: F) -> bool
     where
         F: FnMut(&T) -> bool,
@@ -252,30 +249,6 @@ impl<T> SubmissionQueue<T> {
         }
         self.earliest_due_ns.store(earliest, Ordering::Relaxed);
     }
-}
-
-// ----- speculative pre-issue (the CQ half for demand reads) -----------------
-
-/// A completed speculative pre-issued read parked on a descriptor,
-/// waiting for the application's next demand read to claim it.
-///
-/// If the next intercepted read matches `(offset, len)` exactly, the read
-/// absorbs this completion: it pays only the ready-wait remainder and the
-/// user-space copy, never crossing into the OS. On any other access the
-/// speculation is cancelled and its freshly fetched pages are re-flagged
-/// speculative so eviction (or a later touch) books them through the
-/// normal prefetch-quality ledger — a mispredicted pre-issue must show up
-/// as `wasted`, not silently vanish.
-#[derive(Debug, Clone)]
-pub struct SpecRead {
-    /// Byte offset the speculation covered.
-    pub offset: u64,
-    /// Byte length the speculation covered.
-    pub len: u64,
-    /// The outcome the OS pipeline produced when the speculation ran.
-    pub outcome: ReadOutcome,
-    /// Virtual time the speculative read's data became ready.
-    pub ready_ns: u64,
 }
 
 #[cfg(test)]

@@ -5,7 +5,9 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use predict::{AccessObservation, Engine, PredictionEngine, PrefetchDecision, QualityFeedback};
+use predict::{
+    AccessObservation, Engine, Prediction, PredictionEngine, PrefetchDecision, QualityFeedback,
+};
 use simclock::ThreadClock;
 use simos::shard::{RegistryStats, ShardedMap};
 use simos::{
@@ -18,7 +20,7 @@ use crate::metrics::RuntimeMetrics;
 use crate::policy::{OpenAction, Policy};
 use crate::range_index::{BPlusRangeIndex, IndexStats, LockScope};
 use crate::read_path::FillMode;
-use crate::ring::{Flush, FlushReason, SpecRead, SubmissionQueue};
+use crate::ring::{Flush, FlushReason, SubmissionQueue};
 use crate::span::{CrossLayerSink, SpanCollector, SpanKind};
 use crate::stats::LibStats;
 use crate::tenant::{AdmissionRung, TenantArbiter, TenantId, UNBOUND_TENANT};
@@ -125,11 +127,11 @@ pub struct CpFile {
     pub(crate) back_frontier: AtomicU64,
     /// Current prefetch window for this descriptor, in pages.
     pub(crate) window_pages: AtomicU64,
-    /// Outstanding speculative pre-issue for this descriptor (Foreactor
-    /// style): the predicted next demand read, issued through the ring
-    /// before the application asked. Consumed (absorbed or cancelled) by
-    /// the next demand fill; at most one in flight per descriptor.
-    pub(crate) spec: Mutex<Option<SpecRead>>,
+    /// One past the last page of the run the ring pre-issued with the miss
+    /// that started it, until a continuation is read with no crossing
+    /// (`ring_spec_absorbed`) or the stream jumps away first
+    /// (`ring_spec_cancelled`); 0 = none outstanding.
+    pub(crate) preissued: AtomicU64,
     /// Whether mapped access restored fault-around already.
     mmap_touched: std::sync::atomic::AtomicBool,
     /// Last pattern index the tracer saw for this descriptor
@@ -441,13 +443,15 @@ impl Runtime {
                 // stream.
                 if !file.fetchall_scheduled.swap(true, Ordering::Relaxed) {
                     let pages = self.inner.os.fs().size(ino).div_ceil(PAGE_SIZE);
-                    self.prefetch_pages(clock, &file, 0, pages, /* respect_floors = */ false);
+                    self.prefetch_pages(
+                        clock, &file, 0, pages, /* respect_floors = */ false, None,
+                    );
                 }
             }
             OpenAction::OptimisticWindow => {
                 // §4.6: optimistic 2 MiB at open, memory permitting.
                 let pages = self.inner.config.open_prefetch_bytes / PAGE_SIZE;
-                self.prefetch_pages(clock, &file, 0, pages, true);
+                self.prefetch_pages(clock, &file, 0, pages, true, None);
             }
         }
 
@@ -463,7 +467,7 @@ impl Runtime {
             fwd_frontier: AtomicU64::new(0),
             back_frontier: AtomicU64::new(u64::MAX),
             window_pages: AtomicU64::new(0),
-            spec: Mutex::new(None),
+            preissued: AtomicU64::new(0),
             mmap_touched: std::sync::atomic::AtomicBool::new(false),
             last_pattern: std::sync::atomic::AtomicU8::new(u8::MAX),
         }
@@ -475,8 +479,7 @@ impl Runtime {
     /// global counter always, plus the owning tenant's ledger when an
     /// arbiter is configured — keeping the per-tenant
     /// `timely + late + wasted == initiated` invariant intact across
-    /// every initiation path (worker, batch completion, cancelled
-    /// speculation).
+    /// every initiation path (worker, batch completion, pre-issued run).
     pub(crate) fn note_pages_initiated(&self, file: &LibFile, pages: u64) {
         self.inner.stats.pages_initiated.add(pages);
         if pages == 0 {
@@ -604,20 +607,6 @@ impl Runtime {
         self.inner.metrics.worker_queue_ns.record(waited);
     }
 
-    /// Whether the tenant arbiter leaves room for a speculative ring
-    /// pre-issue on `file`: speculation is the first thing pressure
-    /// takes, so only a tenant still on the `Full` rung may pre-issue.
-    pub(crate) fn spec_admitted(&self, file: &LibFile, want: u64, now_ns: u64) -> bool {
-        match &self.inner.tenants {
-            Some(arbiter) => {
-                let tenant = file.tenant.load(Ordering::Relaxed);
-                tenant == UNBOUND_TENANT
-                    || arbiter.allows_speculation(&self.inner.os, tenant, want, now_ns)
-            }
-            None => true,
-        }
-    }
-
     /// The multi-tenant admission arbiter, when configured.
     pub fn tenants(&self) -> Option<&TenantArbiter> {
         self.inner.tenants.as_ref()
@@ -663,6 +652,12 @@ impl Runtime {
     /// worker pool's virtual time. Returns the page index the schedule
     /// actually reached (`from` when nothing was scheduled), so pacing
     /// frontiers reflect the memory-clamped reality.
+    ///
+    /// With a `rider` — the demand crossing about to be made for the miss
+    /// that starts a known run — the request takes neither route: admitted
+    /// in full, and billed to the tenant window like any other prefetch,
+    /// its limit-sized runs are left in `rider` to cross with that miss as
+    /// demand-class entries (DESIGN §13); refused, nothing is scheduled.
     pub(crate) fn prefetch_pages(
         &self,
         clock: &mut ThreadClock,
@@ -670,6 +665,7 @@ impl Runtime {
         from: u64,
         want: u64,
         respect_floors: bool,
+        rider: Option<&mut Vec<BatchedRun>>,
     ) -> u64 {
         let inner = &self.inner;
         let costs = &inner.os.config().costs;
@@ -700,19 +696,25 @@ impl Runtime {
         let mut force_coalesce = false;
         let mut force_blind = false;
         let mut end = end;
-        if let Some(arbiter) = &inner.tenants {
-            let tenant = file.tenant.load(Ordering::Relaxed);
-            if tenant != UNBOUND_TENANT {
-                match arbiter.admit(&inner.os, tenant, end - from, clock.now()) {
-                    AdmissionRung::Full => {}
-                    AdmissionRung::CoalescedOnly => force_coalesce = true,
-                    AdmissionRung::Blind => {
-                        // One OS readahead window, issued blind below.
-                        force_blind = true;
-                        end = from + (end - from).min(inner.os.config().ra_max_pages.max(1));
-                    }
-                    AdmissionRung::Deny => return from,
+        let tenant = file.tenant.load(Ordering::Relaxed);
+        if let Some(arbiter) = inner.tenants.as_ref().filter(|_| tenant != UNBOUND_TENANT) {
+            let (pages, now) = (end - from, clock.now());
+            let rung = if rider.is_none() {
+                arbiter.admit(&inner.os, tenant, pages, now)
+            } else if arbiter.admit_in_full(&inner.os, tenant, pages, now) {
+                AdmissionRung::Full
+            } else {
+                AdmissionRung::Deny
+            };
+            match rung {
+                AdmissionRung::Full => {}
+                AdmissionRung::CoalescedOnly => force_coalesce = true,
+                AdmissionRung::Blind => {
+                    // One OS readahead window, issued blind below.
+                    force_blind = true;
+                    end = from + pages.min(inner.os.config().ra_max_pages.max(1));
                 }
+                AdmissionRung::Deny => return from,
             }
         }
 
@@ -746,19 +748,34 @@ impl Runtime {
         inner.stats.pages_requested.add(total);
         clock.advance(costs.lock_op_ns); // enqueue
 
-        // Batched path: stage limit-sized runs in the submission queue and
-        // return; a full or expired slot flushes as one vectored crossing.
-        // Degradation falls back to the per-run path below — blind
-        // `readahead(2)` has no vectored form, whether the blindness came
-        // from the kernel latch or the tenant admission ladder.
-        if inner.policy.batch_submit && !inner.degraded.load(Ordering::Relaxed) && !force_blind {
-            self.enqueue_batched(clock, file, &missing, inner.policy.features.relax_limits);
-            return end;
+        // Vectored paths: ride the demand crossing, or stage limit-sized
+        // runs in the submission queue (a full or expired slot flushes as
+        // one vectored crossing), and return. Degradation falls back to
+        // the per-run path below — blind `readahead(2)` has no vectored
+        // form, whether the blindness came from the kernel latch or the
+        // tenant admission ladder.
+        let relax_limits = inner.policy.features.relax_limits;
+        if !inner.degraded.load(Ordering::Relaxed) && !force_blind {
+            if let Some(rider) = rider {
+                inner.stats.ring_spec_issued.incr();
+                let issued = TraceEventKind::RingSpecIssued {
+                    ino: file.ino,
+                    start_page: missing[0].0,
+                    pages: total,
+                };
+                inner.trace.emit(clock.now(), issued);
+                self.limit_sized_runs(file, &missing, relax_limits, |run| rider.push(run));
+                return end;
+            }
+            if inner.policy.batch_submit {
+                self.enqueue_batched(clock, file, &missing, relax_limits);
+                return end;
+            }
         }
 
         let runtime = self.clone();
         let file = Arc::clone(file);
-        let relax = inner.policy.features.relax_limits && !force_blind;
+        let relax = relax_limits && !force_blind;
         let visibility = inner.policy.features.visibility && !force_blind;
         let max_pages = inner.config.max_prefetch_pages;
         // Reserve worker occupancy proportional to the syscalls the job
@@ -826,11 +843,39 @@ impl Runtime {
         out
     }
 
-    /// Batching half of [`Runtime::prefetch_pages`]: splits the missing
-    /// runs into limit-sized entries — so batched and unbatched
-    /// submissions initiate identical page counts, only the crossing count
-    /// differs — and stages them in the submission queue. A push that
-    /// fills the slot or finds it past its deadline flushes inline.
+    /// Splits the missing runs into limit-sized entries — so vectored and
+    /// unbatched submissions initiate identical page counts, only the
+    /// crossing count differs — handing each to `sink`.
+    fn limit_sized_runs(
+        &self,
+        file: &Arc<LibFile>,
+        missing: &[(u64, u64)],
+        relax: bool,
+        mut sink: impl FnMut(BatchedRun),
+    ) {
+        let cap = if relax {
+            self.inner.config.max_prefetch_pages.max(1)
+        } else {
+            self.inner.os.config().ra_max_pages.max(1)
+        };
+        for &(start, end) in missing {
+            let mut cursor = start;
+            while cursor < end {
+                let upto = (cursor + cap).min(end);
+                sink(BatchedRun {
+                    file: Arc::clone(file),
+                    start: cursor,
+                    end: upto,
+                    relax,
+                });
+                cursor = upto;
+            }
+        }
+    }
+
+    /// Batching half of [`Runtime::prefetch_pages`]: stages the
+    /// limit-sized runs in the submission queue. A push that fills the
+    /// slot or finds it past its deadline flushes inline.
     fn enqueue_batched(
         &self,
         clock: &mut ThreadClock,
@@ -838,30 +883,13 @@ impl Runtime {
         missing: &[(u64, u64)],
         relax: bool,
     ) {
-        let inner = &self.inner;
-        let cap = if relax {
-            inner.config.max_prefetch_pages.max(1)
-        } else {
-            inner.os.config().ra_max_pages.max(1)
-        };
         let now = clock.now();
-        let slot = inner.workers.least_loaded(now);
-        for &(start, end) in missing {
-            let mut cursor = start;
-            while cursor < end {
-                let upto = (cursor + cap).min(end);
-                let run = BatchedRun {
-                    file: Arc::clone(file),
-                    start: cursor,
-                    end: upto,
-                    relax,
-                };
-                if let Some(flush) = inner.batch_queue.push(slot, now, run) {
-                    self.flush_batch(clock, slot, flush);
-                }
-                cursor = upto;
+        let slot = self.inner.workers.least_loaded(now);
+        self.limit_sized_runs(file, missing, relax, |run| {
+            if let Some(flush) = self.inner.batch_queue.push(slot, now, run) {
+                self.flush_batch(clock, slot, flush);
             }
-        }
+        });
     }
 
     /// Fires the reactor timer: flushes batches whose virtual-time
@@ -1493,18 +1521,9 @@ impl CpFile {
                     .tree
                     .mark_cached(clock, costs, runtime.scope(), p0, p1);
             }
-            let aggressive_ok =
-                inner.policy.features.aggressive && runtime.aggressive_allowed(clock.now());
-            let decision = self.engine.lock().observe(&AccessObservation {
-                page: p0,
-                pages: p1 - p0,
-                aggressive_ok,
-                max_prefetch_pages: inner.config.max_prefetch_pages,
-            });
-            if let Some(pred) = decision.prediction {
-                self.paced_prefetch(clock, pred, p0, p1);
-            }
-            self.apply_engine_decision(clock, &decision);
+            // A fault has no ring crossing for a known run to ride.
+            let decision = self.observe(clock, p0, p1 - p0);
+            self.apply_decision(clock, decision, p0, p1, false);
             self.maybe_feed_quality();
         }
         outcome
@@ -1532,6 +1551,11 @@ impl CpFile {
     /// as one vectored `read_batch` call, under `F`'s fault discipline — a
     /// transient device fault in the demand portion surfaces to the
     /// caller while the piggybacked prefetch completions still process.
+    /// A `known_run` prediction made at this miss is planned first and,
+    /// admitted in full, crosses with it as demand-class entries whose
+    /// completions are applied here, on the reader's clock: the view must
+    /// claim the run before the reader's next access asks for it. Refused
+    /// (or with nothing missing), it is handed back to the engine.
     /// An `Unsupported` kernel latches degradation, re-issues the staged
     /// runs through the blind path, and falls back to the plain read.
     pub(crate) fn ring_fill<F: FillMode>(
@@ -1539,178 +1563,105 @@ impl CpFile {
         clock: &mut ThreadClock,
         offset: u64,
         len: u64,
+        known_run: Option<Prediction>,
     ) -> Result<ReadOutcome, F::Error> {
-        let (staged, entries) = self.ring_stage();
+        let runtime = &self.runtime;
+        let (mut staged, mut entries) = self.ring_stage();
+        let mut riders = Vec::new();
+        if let Some(pred) = known_run {
+            let (p0, p1) = (
+                offset / PAGE_SIZE,
+                (offset + len.max(1)).div_ceil(PAGE_SIZE),
+            );
+            self.paced_prefetch(clock, pred, p0, p1, Some(&mut riders));
+            if riders.is_empty() {
+                self.engine.lock().defer_known_run();
+            }
+            let ridden = runtime.batch_entries(&riders);
+            entries.extend(ridden.into_iter().map(RaBatchEntry::with_demand_class));
+        }
         let demand = ReadBatchEntry::new(self.fd, offset, len);
-        match F::ring_cross(&self.runtime.inner.os, clock, demand, &entries) {
-            Ok((outcome, completions)) => {
-                self.runtime
-                    .finish_ring_crossing(clock, staged, completions);
+        match F::ring_cross(&runtime.inner.os, clock, demand, &entries) {
+            Ok((outcome, mut completions)) => {
+                let ridden = completions.split_off(staged.len());
+                if ridden.iter().all(|done| done.error.is_none()) {
+                    let charged = ridden.iter().map(|done| done.initiated_pages).sum();
+                    runtime.inner.stats.ring_spec_pages_charged.add(charged);
+                    runtime.apply_batch_completions(clock, &riders, &ridden);
+                    if let Some(last) = riders.last() {
+                        self.preissued.store(last.end, Ordering::Relaxed);
+                    }
+                } else {
+                    // A faulted rider retries where staged runs do: on a
+                    // worker, off the reader's clock.
+                    staged.append(&mut riders);
+                    completions.extend(ridden);
+                }
+                runtime.finish_ring_crossing(clock, staged, completions);
                 outcome
             }
             Err(_) => {
-                self.runtime.ring_degrade(clock, staged, self.file.ino);
+                staged.append(&mut riders);
+                runtime.ring_degrade(clock, staged, self.file.ino);
                 F::fill(self, clock, offset, len)
             }
         }
     }
 
-    /// Consumes a pending speculative pre-issue for this demand access.
-    ///
-    /// An exact `(offset, len)` match *absorbs*: the read completes from
-    /// the speculative completion — waiting out any still-in-flight
-    /// device time, then paying only the user-copy cost — with no
-    /// syscall crossing. A mismatch *cancels*: the speculatively filled
-    /// pages are flagged in the OS quality ledger and charged as
-    /// initiated prefetch, so they surface as `wasted` if never used
-    /// (keeping `timely + late + wasted == pages_initiated`).
-    pub(crate) fn consume_spec(
-        &self,
-        clock: &mut ThreadClock,
-        offset: u64,
-        len: u64,
-        tracing: bool,
-    ) -> Option<ReadOutcome> {
-        let spec = self.spec.lock().take()?;
-        let inner = &self.runtime.inner;
-        if spec.offset == offset && spec.len == len {
-            inner.stats.ring_spec_absorbed.incr();
-            let wait = spec.ready_ns.saturating_sub(clock.now());
-            if wait > 0 {
-                clock.advance_to(spec.ready_ns);
-                crate::span::record_leaf(SpanKind::RingComplete, wait, clock.now());
-            }
-            clock.advance(inner.os.config().costs.copy_pages_ns(spec.outcome.pages));
-            if tracing {
-                inner.trace.emit(
-                    clock.now(),
-                    TraceEventKind::RingAbsorbed {
-                        ino: self.file.ino,
-                        start_page: spec.offset / PAGE_SIZE,
-                        pages: spec.outcome.pages,
-                    },
-                );
-            }
-            return Some(spec.outcome);
-        }
-        // Mispredict: cancel and charge. `mark_range_speculative` flags
-        // only still-present, not-yet-speculative pages, so pages an
-        // overlapping real prefetch already charged are not double-billed.
-        let p0 = spec.offset / PAGE_SIZE;
-        let p1 = (spec.offset + spec.len).div_ceil(PAGE_SIZE);
-        let flagged = inner.os.mark_range_speculative(clock, self.fd, p0, p1);
-        inner.stats.ring_spec_cancelled.incr();
-        inner.stats.ring_spec_pages_charged.add(flagged);
-        self.runtime.note_pages_initiated(&self.file, flagged);
-        if tracing {
-            inner.trace.emit(
-                clock.now(),
-                TraceEventKind::RingSpecCancelled {
-                    ino: self.file.ino,
-                    start_page: p0,
-                    pages_charged: flagged,
-                },
-            );
-        }
-        None
-    }
-
-    /// Pre-issues the predicted next demand read through the ring
-    /// (Foreactor style): worth it only when the whole target is still
-    /// missing from the user view — partial coverage means the normal
-    /// prefetch stream is already on it — and no staged batch overlaps
-    /// it. The read runs on the worker pool on [`Runtime::retry_ladder`]
-    /// with the prefetch budget; an `Unsupported` kernel latches
-    /// degradation and aborts the speculation.
-    pub(crate) fn maybe_issue_spec(&self, clock: &mut ThreadClock, start_page: u64, end_page: u64) {
-        let inner = &self.runtime.inner;
-        if start_page >= end_page || self.spec.lock().is_some() {
-            return;
-        }
-        if inner.degraded.load(Ordering::Relaxed) {
-            return;
-        }
-        let costs = &inner.os.config().costs;
-        let missing =
-            self.file
-                .tree
-                .missing_in(clock, costs, self.runtime.scope(), start_page, end_page);
-        if missing != [(start_page, end_page)] {
-            return;
-        }
-        let ino = self.file.ino;
-        if inner
-            .batch_queue
-            .any_staged(|run| run.file.ino == ino && run.start < end_page && start_page < run.end)
-        {
-            return;
-        }
-        inner.stats.ring_spec_issued.incr();
-        if inner.trace.is_enabled() {
-            inner.trace.emit(
-                clock.now(),
-                TraceEventKind::RingSpecIssued {
-                    ino,
-                    start_page,
-                    pages: end_page - start_page,
-                },
-            );
-        }
-        let offset = start_page * PAGE_SIZE;
-        let len = (end_page - start_page) * PAGE_SIZE;
-        let est_ns = costs.syscall_ns;
-        let dispatch = inner.workers.dispatch(clock.now(), est_ns, |wclock| {
-            let demand = [ReadBatchEntry::new(self.fd, offset, len)];
-            let range = (ino, start_page, end_page - start_page);
-            let retries = &inner.stats.prefetch_retries;
-            let attempt = |wclock: &mut ThreadClock| {
-                match inner.os.try_read_batch(wclock, &demand, &[]) {
-                    Ok((mut outcomes, _)) => match outcomes.pop() {
-                        Some(Ok(outcome)) => Some(Some(SpecRead {
-                            offset,
-                            len,
-                            outcome,
-                            ready_ns: wclock.now(),
-                        })),
-                        // Transient demand-class fault: retry. Pages the
-                        // failed fill completed stay cached (plain,
-                        // uncharged), so dropping the speculation on
-                        // exhaustion loses nothing.
-                        Some(Err(_)) => None,
-                        None => Some(None),
-                    },
-                    Err(_) => {
-                        // Unsupported kernel: the ring is gone; latch the
-                        // one-way downgrade and abort the speculation.
-                        self.runtime.latch_degraded(wclock.now(), ino);
-                        Some(None)
-                    }
-                }
-            };
-            let spec = self
-                .runtime
-                .retry_ladder(wclock, range, 0, retries, attempt);
-            if let Some(spec) = spec.flatten() {
-                *self.spec.lock() = Some(spec);
-            }
-        });
-        self.runtime.note_queue_wait(&dispatch);
-        crate::span::record_leaf(SpanKind::RingSubmit, dispatch.latency_ns(), dispatch.end_ns);
-    }
-
     // ----- prediction-engine plumbing ----------------------------------------
 
-    /// Applies the non-strided parts of an engine decision: issues the
-    /// mined correlation runs, records duel bookkeeping, and dispatches a
-    /// mining pass when one is due. A strided decision carries none of
-    /// these, so the default engine's hot path is untouched — every
-    /// counter below stays zero and no extra virtual time is charged.
-    pub(crate) fn apply_engine_decision(
+    /// Forgets the outstanding pre-issued run; whether there was one.
+    pub(crate) fn take_preissued(&self) -> bool {
+        let outstanding = self.preissued.load(Ordering::Relaxed) != 0;
+        if outstanding {
+            self.preissued.store(0, Ordering::Relaxed);
+        }
+        outstanding
+    }
+
+    /// One engine step for an access of `pages` pages at `page`.
+    pub(crate) fn observe(&self, clock: &ThreadClock, page: u64, pages: u64) -> PrefetchDecision {
+        let runtime = &self.runtime;
+        let features = &runtime.inner.policy.features;
+        self.engine.lock().observe(&AccessObservation {
+            page,
+            pages,
+            aggressive_ok: features.aggressive && runtime.aggressive_allowed(clock.now()),
+            max_prefetch_pages: runtime.inner.config.max_prefetch_pages,
+        })
+    }
+
+    /// Applies an engine decision for the access `[p0, p1)` — the one
+    /// place a prediction is routed, for the read and the mapped path
+    /// alike. The prediction goes to the paced-frontier planner, unless it
+    /// is a known run and the caller `crosses` the ring next: that one is
+    /// returned, to ride the crossing ([`CpFile::ring_fill`]) or, if it
+    /// cannot, be handed back to the engine.
+    /// Then the non-strided parts: the mined correlation runs are issued,
+    /// duel bookkeeping recorded, and a mining pass dispatched when one is
+    /// due. A strided decision carries none of these, so the default
+    /// engine's hot path is untouched — every counter below stays zero
+    /// and no extra virtual time is charged.
+    pub(crate) fn apply_decision(
         &self,
         clock: &mut ThreadClock,
-        decision: &PrefetchDecision,
-    ) {
+        decision: PrefetchDecision,
+        p0: u64,
+        p1: u64,
+        crosses: bool,
+    ) -> Option<Prediction> {
         let inner = &self.runtime.inner;
+        let mut known_run = None;
+        if let Some(pred) = decision.prediction {
+            if pred.jumped && self.take_preissued() {
+                inner.stats.ring_spec_cancelled.incr();
+            }
+            if crosses && pred.known_run {
+                known_run = Some(pred);
+            } else {
+                self.paced_prefetch(clock, pred, p0, p1, None);
+            }
+        }
         for run in &decision.runs {
             if run.pages == 0 {
                 continue;
@@ -1722,7 +1673,7 @@ impl CpFile {
             // too: the counter is the runtime's, not the file's).
             let requested = inner.stats.pages_requested.get();
             self.runtime
-                .prefetch_pages(clock, &self.file, run.start, run.pages, true);
+                .prefetch_pages(clock, &self.file, run.start, run.pages, true, None);
             inner
                 .stats
                 .engine_assoc_pages
@@ -1744,6 +1695,7 @@ impl CpFile {
         if decision.mine_due {
             self.dispatch_mining(clock);
         }
+        known_run
     }
 
     /// Runs the engine's deferred mining pass on the worker pool, charging

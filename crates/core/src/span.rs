@@ -69,13 +69,9 @@ pub enum SpanKind {
     BatchFlush,
     /// Virtual-time backoff before a prefetch retry attempt.
     RetryBackoff,
-    /// A speculative ring pre-issue, enqueue to completion (detached
-    /// worker timeline — always an async child).
-    RingSubmit,
-    /// Ring completion handling on the demand path: the wait for a
-    /// speculative pre-issue's data to become ready before absorbing it,
-    /// or the detached piggyback-completion dispatch (which records under
-    /// a suspended frame and attaches async).
+    /// Ring completion handling: the detached piggyback-completion
+    /// dispatch (which records under a suspended frame and attaches
+    /// async).
     RingComplete,
 }
 
@@ -89,7 +85,6 @@ impl SpanKind {
             SpanKind::WorkerRun => "worker-run",
             SpanKind::BatchFlush => "batch-flush",
             SpanKind::RetryBackoff => "retry-backoff",
-            SpanKind::RingSubmit => "ring-submit",
             SpanKind::RingComplete => "ring-complete",
         }
     }
@@ -104,7 +99,6 @@ impl SpanKind {
                 | SpanKind::WorkerQueueWait
                 | SpanKind::WorkerRun
                 | SpanKind::BatchFlush
-                | SpanKind::RingSubmit
         )
     }
 }
@@ -158,8 +152,7 @@ impl CriticalPath {
             SpanKind::Os(OsSpanKind::DevicePrefetch)
             | SpanKind::Os(OsSpanKind::TierPromote)
             | SpanKind::WorkerRun
-            | SpanKind::BatchFlush
-            | SpanKind::RingSubmit => self.stage_compute_ns += dur_ns,
+            | SpanKind::BatchFlush => self.stage_compute_ns += dur_ns,
         }
     }
 }

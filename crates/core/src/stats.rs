@@ -68,18 +68,17 @@ pub struct LibStats {
     /// ([`crate::RuntimeConfig::ring_submit`]) instead of waiting for
     /// their own flush.
     pub ring_staged_runs_piggybacked: Counter,
-    /// Speculative next-read pre-issues the ring dispatched (Foreactor
-    /// style: the predictor's next demand read, issued before the
-    /// application asks).
+    /// Known runs pre-issued through the ring (Foreactor's explicit
+    /// speculation): the predictor's learned run remainder, crossing with
+    /// the miss that starts the run.
     pub ring_spec_issued: Counter,
-    /// Speculative pre-issues absorbed by a matching demand read.
+    /// Pre-issued runs whose continuation was read with no crossing.
     pub ring_spec_absorbed: Counter,
-    /// Speculative pre-issues cancelled on mispredict (the demand read
-    /// targeted a different range).
+    /// Pre-issued runs the stream left before any continuation absorbed
+    /// (their pages surface as `wasted` unless something else reads them).
     pub ring_spec_cancelled: Counter,
-    /// Pages cancelled speculative reads left in the cache, re-entered
-    /// into the prefetch-quality ledger as charged (initiated) pages so
-    /// they surface as `wasted` if never used.
+    /// Pages pre-issued runs initiated, billed to `pages_initiated` like
+    /// any prefetched page.
     pub ring_spec_pages_charged: Counter,
     /// Deadline-timer firings by the completion reactor (batches flushed
     /// *at* their virtual-time deadline rather than at the next read's

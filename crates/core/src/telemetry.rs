@@ -329,13 +329,13 @@ report_fields! {
         /// Staged prefetch runs piggybacked on demand-read ring crossings
         /// (runs are only staged while `batch_submit` is also on).
         Counter ring_staged_runs_piggybacked: u64 = "staged_runs_piggybacked" <= stats.ring_staged_runs_piggybacked.get();
-        /// Speculative next-read pre-issues dispatched.
+        /// Known runs pre-issued with the miss that starts them.
         Counter ring_spec_issued: u64 = "spec_issued" <= stats.ring_spec_issued.get();
-        /// Speculative pre-issues absorbed by a matching demand read.
+        /// Pre-issued runs whose continuation read crossed nothing.
         Counter ring_spec_absorbed: u64 = "spec_absorbed" <= stats.ring_spec_absorbed.get();
-        /// Speculative pre-issues cancelled on mispredict.
+        /// Pre-issued runs the stream left before absorbing from them.
         Counter ring_spec_cancelled: u64 = "spec_cancelled" <= stats.ring_spec_cancelled.get();
-        /// Pages cancelled speculations re-entered into the quality ledger.
+        /// Pages pre-issued runs initiated (billed as prefetch).
         Counter ring_spec_pages_charged: u64 = "spec_pages_charged" <= stats.ring_spec_pages_charged.get();
         /// Deadline-timer firings by the completion reactor. The timer also
         /// serves plain `batch_submit` mode (overdue batches flush at their

@@ -159,6 +159,12 @@ struct TenantState {
 }
 
 impl TenantState {
+    /// Bills `pages` admitted pages to the current window.
+    fn charge(&self, pages: u64) {
+        self.window_used.fetch_add(pages, Ordering::Relaxed);
+        self.admitted_pages.add(pages);
+    }
+
     fn quality(&self, os: &Os) -> PrefetchQuality {
         let mut total = PrefetchQuality::default();
         for &ino in self.inodes.lock().iter() {
@@ -325,20 +331,14 @@ impl TenantArbiter {
         self.maybe_rebalance(os, now_ns);
         let rung = self.rung(os, state, want);
         match rung {
-            AdmissionRung::Full => {
-                state.window_used.fetch_add(want, Ordering::Relaxed);
-                state.admitted_pages.add(want);
-            }
+            AdmissionRung::Full => state.charge(want),
             AdmissionRung::CoalescedOnly => {
-                state.window_used.fetch_add(want, Ordering::Relaxed);
-                state.admitted_pages.add(want);
+                state.charge(want);
                 state.degraded_coalesced.incr();
             }
             AdmissionRung::Blind => {
                 // Only one blind OS window is actually issued; charge that.
-                let clamped = want.min(os.config().ra_max_pages.max(1));
-                state.window_used.fetch_add(clamped, Ordering::Relaxed);
-                state.admitted_pages.add(clamped);
+                state.charge(want.min(os.config().ra_max_pages.max(1)));
                 state.degraded_blind.incr();
             }
             AdmissionRung::Deny => {
@@ -349,16 +349,22 @@ impl TenantArbiter {
         rung
     }
 
-    /// Whether a speculative *pre-issue* (the ring's predicted next
-    /// demand read) may go ahead: speculation is the first thing pressure
-    /// takes, so only a tenant still on the `Full` rung may pre-issue.
-    /// Charges nothing — the issued read bills through the normal path.
-    pub fn allows_speculation(&self, os: &Os, tenant: u32, want: u64, now_ns: u64) -> bool {
+    /// Admission of a known run's remainder to the demand crossing of the
+    /// miss that starts it (DESIGN §13): explicit speculation is the first
+    /// thing pressure takes, so only a tenant still on the `Full` rung is
+    /// admitted — and charged, like any prefetch. A refusal charges
+    /// nothing: the request comes back through [`TenantArbiter::admit`]
+    /// on the run's first continuation and takes its rung there.
+    pub fn admit_in_full(&self, os: &Os, tenant: u32, want: u64, now_ns: u64) -> bool {
         let Some(state) = self.tenants.get(tenant as usize) else {
             return true;
         };
         self.maybe_rebalance(os, now_ns);
-        self.rung(os, state, want) == AdmissionRung::Full
+        let full = self.rung(os, state, want) == AdmissionRung::Full;
+        if full {
+            state.charge(want);
+        }
+        full
     }
 
     /// The rung `want` pages land on right now, without charging.
@@ -522,7 +528,7 @@ mod tests {
         let arbiter = TenantArbiter::new(two_tenants());
         os.mem().note_inserted(os.mem().budget()); // full pressure
         assert_eq!(arbiter.admit(&os, 99, 1 << 20, 0), AdmissionRung::Full);
-        assert!(arbiter.allows_speculation(&os, 99, 1 << 20, 0));
+        assert!(arbiter.admit_in_full(&os, 99, 1 << 20, 0));
     }
 
     #[test]
@@ -556,8 +562,32 @@ mod tests {
         assert_eq!(report.degraded_blind, 1);
         assert_eq!(report.denied, 1);
         assert_eq!(report.denied_pages, gold_share * 4);
-        // Speculation needs the Full rung, which this window no longer has.
-        assert!(!arbiter.allows_speculation(&os, 0, 1, t1));
+    }
+
+    #[test]
+    fn known_runs_are_billed_until_the_tenant_leaves_the_full_rung() {
+        let os = small_os();
+        let arbiter = TenantArbiter::new(two_tenants());
+        os.mem().note_inserted(os.mem().budget()); // pressure = 1.0
+        arbiter.admit(&os, 1, 0, 0); // trigger the first rebalance
+        let share = arbiter.reports()[1].budget_pages;
+        let (width, mut admitted) = (12, 0);
+        while arbiter.admit_in_full(&os, 1, width, 0) {
+            admitted += 1;
+            let report = &arbiter.reports()[1];
+            assert_eq!(report.window_used_pages, admitted * width);
+            assert_eq!(report.admitted_pages, admitted * width);
+        }
+        assert_eq!(admitted, share / width, "the share binds at full pressure");
+        // The refusal charged nothing and counted nothing as degraded: the
+        // request takes its rung when it comes back through `admit`.
+        let report = &arbiter.reports()[1];
+        assert_eq!(report.window_used_pages, admitted * width);
+        assert_eq!((report.degraded_coalesced, report.denied), (0, 0));
+        assert_eq!(
+            arbiter.admit(&os, 1, width, 0),
+            AdmissionRung::CoalescedOnly
+        );
     }
 
     #[test]

@@ -219,36 +219,14 @@ pub enum TraceEventKind {
         /// Staged prefetch entries piggybacked on the crossing.
         ra_entries: u64,
     },
-    /// A demand read was absorbed by the ring without a syscall crossing
-    /// (fully cached, confirmed via the shared bitmap, or a matching
-    /// speculative pre-issue).
-    RingAbsorbed {
-        /// File read.
-        ino: InodeId,
-        /// First page of the absorbed range.
-        start_page: u64,
-        /// Pages absorbed.
-        pages: u64,
-    },
-    /// The ring pre-issued the predicted next demand read speculatively.
+    /// A known run crossed the ring with the miss that starts it.
     RingSpecIssued {
         /// Target file.
         ino: InodeId,
-        /// First page of the speculative range.
+        /// First missing page of the run's remainder.
         start_page: u64,
-        /// Pages pre-issued.
+        /// Missing pages pre-issued.
         pages: u64,
-    },
-    /// A speculative pre-issue was cancelled on mispredict; its filled
-    /// pages re-entered the prefetch-quality ledger as charged pages.
-    RingSpecCancelled {
-        /// Target file.
-        ino: InodeId,
-        /// First page of the cancelled range.
-        start_page: u64,
-        /// Pages charged as initiated (they surface as wasted if never
-        /// used).
-        pages_charged: u64,
     },
     /// The adaptive engine's duel crowned a new owner for a descriptor's
     /// prefetch decisions (the per-file engine-selection timeline).
@@ -281,9 +259,7 @@ impl TraceEventKind {
             TraceEventKind::ReadError { .. } => "read-error",
             TraceEventKind::BatchFlushed { .. } => "batch-flushed",
             TraceEventKind::RingCrossing { .. } => "ring-crossing",
-            TraceEventKind::RingAbsorbed { .. } => "ring-absorbed",
             TraceEventKind::RingSpecIssued { .. } => "ring-spec-issued",
-            TraceEventKind::RingSpecCancelled { .. } => "ring-spec-cancelled",
             TraceEventKind::EngineOwner { .. } => "engine-owner",
         }
     }
@@ -423,21 +399,11 @@ impl fmt::Display for TraceEvent {
                 demand_entries,
                 ra_entries,
             } => write!(f, "demand={demand_entries} ra={ra_entries}"),
-            TraceEventKind::RingAbsorbed {
-                ino,
-                start_page,
-                pages,
-            } => write!(f, "ino={} pages={}+{}", ino.0, start_page, pages),
             TraceEventKind::RingSpecIssued {
                 ino,
                 start_page,
                 pages,
             } => write!(f, "ino={} pages={}+{}", ino.0, start_page, pages),
-            TraceEventKind::RingSpecCancelled {
-                ino,
-                start_page,
-                pages_charged,
-            } => write!(f, "ino={} pages={}+{}", ino.0, start_page, pages_charged),
             TraceEventKind::EngineOwner { ino, engine } => {
                 write!(f, "ino={} engine={engine}", ino.0)
             }

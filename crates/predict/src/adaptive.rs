@@ -368,6 +368,10 @@ impl PredictionEngine for AdaptiveEngine {
     fn mine(&mut self) -> u64 {
         self.correlation.mine()
     }
+
+    fn defer_known_run(&mut self) {
+        self.strided.defer_known_run();
+    }
 }
 
 #[cfg(test)]

@@ -161,6 +161,12 @@ pub trait PredictionEngine {
     fn mine(&mut self) -> u64 {
         0
     }
+
+    /// Hands back the [`Prediction::known_run`] request the last
+    /// observation made: the runtime could not submit it with the miss
+    /// that starts the run, so the engine asks again on the run's first
+    /// continuation, as it does for runs it is less sure of.
+    fn defer_known_run(&mut self) {}
 }
 
 /// Construction-time tuning shared by all engines; the runtime builds one
@@ -261,6 +267,14 @@ impl PredictionEngine for Engine {
             Engine::Strided(e) => e.mine(),
             Engine::Correlation(e) => e.mine(),
             Engine::Adaptive(e) => e.mine(),
+        }
+    }
+
+    fn defer_known_run(&mut self) {
+        match self {
+            Engine::Strided(e) => e.defer_known_run(),
+            Engine::Correlation(e) => e.defer_known_run(),
+            Engine::Adaptive(e) => e.defer_known_run(),
         }
     }
 }

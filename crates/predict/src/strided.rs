@@ -20,8 +20,9 @@
 //!
 //! | Where in the run | Prediction |
 //! |---|---|
-//! | at a jump | nothing — a lone access has no continuation worth a request |
-//! | first continuation | one request for the expected remainder, never past the learned run end |
+//! | at a jump, runs always continue | one request for the expected remainder, never past the learned run end ([`Prediction::known_run`]) |
+//! | at a jump otherwise | nothing — a lone access has no continuation worth a request |
+//! | first continuation | that one request, unless the jump already made it |
 //! | inside what that request covered | nothing |
 //! | past it (the run outgrew its shape) | the counter's ramp, untouched |
 //! | no shape known | the counter's ramp, untouched |
@@ -29,6 +30,12 @@
 //! No shape is known before two runs have completed, in a backward or
 //! overlapping run, and when runs are at least as long as the counter's
 //! own ceiling of `2^max_count` pages — those the ramp covers by itself.
+//! Runs *always continue* once the last two completed runs (`CONTINUING_RUNS`)
+//! were both forward runs of at least two accesses; one lone access (an
+//! index page before every record) or backward run resets the count, and
+//! the request waits for the first continuation again — as it does for one
+//! run when the runtime hands a jump's request back
+//! ([`PredictionEngine::defer_known_run`]).
 
 use crate::{AccessObservation, EngineKind, PredictionEngine, PrefetchDecision};
 
@@ -123,7 +130,16 @@ pub struct Prediction {
     /// Whether this access broke the previous run (a random jump) — the
     /// runtime resets its pacing frontier when this is set.
     pub jumped: bool,
+    /// Whether this is the learned remainder of the run this access
+    /// starts, asked for at the jump because this descriptor's runs always
+    /// continue: a known future demand read rather than a guess, which the
+    /// runtime may submit together with the miss that starts the run.
+    pub known_run: bool,
 }
+
+/// Consecutive completed multi-access forward runs after which the
+/// remainder of the next run is asked for at its jump.
+const CONTINUING_RUNS: u32 = 2;
 
 /// Per-descriptor n-bit saturating counter predictor.
 ///
@@ -180,6 +196,9 @@ struct RunShape {
     /// Page lengths of the last two completed multi-access forward runs,
     /// newest first; 0 = not seen yet.
     recent: [u64; 2],
+    /// Completed runs since the last lone or non-forward one, saturating
+    /// at [`CONTINUING_RUNS`].
+    continuing: u32,
 }
 
 impl RunShape {
@@ -191,11 +210,12 @@ impl RunShape {
     }
 
     /// Tracks the access `page..end` and turns the counter's `ramp`
-    /// prediction into the predictor's: silent at a jump, one request for
-    /// the expected remainder on the first continuation, silent while the
-    /// reader is inside what that request covered, and the ramp untouched
-    /// otherwise (no shape, or runs of `ramp_ceiling` pages and more —
-    /// those the ramp covers by itself).
+    /// prediction into the predictor's: one request per run for the
+    /// expected remainder — at the jump when runs always continue, on the
+    /// first continuation otherwise — silent while the reader is inside
+    /// what that request covered, and the ramp untouched otherwise (no
+    /// shape, or runs of `ramp_ceiling` pages and more — those the ramp
+    /// covers by itself).
     fn plan(
         &mut self,
         page: u64,
@@ -205,7 +225,8 @@ impl RunShape {
         ramp: Prediction,
     ) -> Prediction {
         if ramp.jumped || self.accesses == 0 {
-            if self.forward && self.accesses >= 2 {
+            let completed = self.forward && self.accesses >= 2;
+            if completed {
                 self.recent = [self.end - self.start, self.recent[0]];
             }
             *self = RunShape {
@@ -215,6 +236,11 @@ impl RunShape {
                 forward: true,
                 covered: end,
                 recent: self.recent,
+                continuing: if completed {
+                    (self.continuing + 1).min(CONTINUING_RUNS)
+                } else {
+                    0
+                },
             };
         } else {
             self.forward &= page >= self.end;
@@ -225,7 +251,9 @@ impl RunShape {
         if !self.forward || expected == 0 || expected >= ramp_ceiling {
             return ramp;
         }
-        let request = if self.accesses == 2 {
+        let at_jump = self.continuing == CONTINUING_RUNS;
+        let asks_on = if at_jump { 1 } else { 2 };
+        let request = if self.accesses == asks_on {
             expected
                 .saturating_sub(self.end - self.start)
                 .min(max_pages)
@@ -242,6 +270,7 @@ impl RunShape {
             from_page: self.end,
             direction: Direction::Forward,
             aggressive: false,
+            known_run: at_jump && request > 0,
             ..ramp
         }
     }
@@ -390,6 +419,7 @@ impl Predictor {
             direction,
             aggressive,
             jumped: !sequentialish,
+            known_run: false,
         };
         let ramp_ceiling = 1 << self.max_count();
         self.shape.plan(page, end, max_pages, ramp_ceiling, ramp)
@@ -442,6 +472,12 @@ impl PredictionEngine for Predictor {
             confidence,
             ..PrefetchDecision::default()
         }
+    }
+
+    /// One run short of continuing: this run asks on its first
+    /// continuation, and completing it restores the count.
+    fn defer_known_run(&mut self) {
+        self.shape.continuing = CONTINUING_RUNS - 1;
     }
 }
 
@@ -574,16 +610,15 @@ pub(crate) mod tests {
             base += 1_000_000;
         }
         let pred = p.on_access(base, 1, true, MAX);
-        assert!(pred.jumped);
-        assert_eq!(pred.prefetch_pages, 0, "silent at the jump");
-        let asked = run(&mut p, base + 1, 15, 1);
+        assert!(pred.jumped && pred.known_run);
         assert_eq!(
-            asked[0],
-            (base + 2, 14),
-            "one request on the first continuation, ending at the learned run end"
+            (pred.from_page, pred.prefetch_pages),
+            (base + 1, 15),
+            "every batch continued: one request at the jump, ending at the learned run end"
         );
+        let asked = run(&mut p, base + 1, 15, 1);
         assert!(
-            asked[1..].iter().all(|&(_, pages)| pages == 0),
+            asked.iter().all(|&(_, pages)| pages == 0),
             "silent to the end of the batch: {asked:?}"
         );
     }
@@ -616,19 +651,47 @@ pub(crate) mod tests {
         for n in 0..32 {
             let asked = run(&mut p, base, 4, 4);
             // Once the first burst has completed, it and the 10 000-page
-            // run are the two recent runs, and the shorter one rules.
+            // run are the two recent runs, the shorter one rules, and both
+            // continued: the remainder is asked for at the jump, once.
             if n >= 1 {
                 assert_eq!(
                     asked,
-                    [(base + 4, 0), (base + 8, 8), (base + 12, 0), (base + 16, 0)]
+                    [
+                        (base + 4, 12),
+                        (base + 8, 0),
+                        (base + 12, 0),
+                        (base + 16, 0)
+                    ]
                 );
             }
             base += 1_000_000;
         }
         // And a long run after the bursts gets its ramp back.
         let asked = run(&mut p, base, 64, 4);
-        assert_eq!(asked[1], (base + 8, 8));
+        assert_eq!(asked[0], (base + 4, 12));
         assert!(asked[4..].iter().all(|&(_, pages)| pages > 0), "{asked:?}");
+    }
+
+    #[test]
+    fn one_lone_access_between_bursts_silences_the_next_two_jumps() {
+        let mut p = Predictor::new(3);
+        let mut base = 0u64;
+        let mut burst = |p: &mut Predictor| {
+            base += 1_000_000;
+            run(p, base, 4, 4)
+        };
+        for _ in 0..3 {
+            burst(&mut p);
+        }
+        assert_eq!(burst(&mut p)[0].1, 12, "bursts that always continue");
+        // The lone access's own jump still follows two completed bursts.
+        assert!(p.on_access(900_000_000, 4, true, MAX).known_run);
+        for jump in 0..2 {
+            let asked = burst(&mut p);
+            assert_eq!(asked[0].1, 0, "jump {jump} after the lone access");
+            assert_eq!(asked[1].1, 8, "asks on the first continuation again");
+        }
+        assert_eq!(burst(&mut p)[0].1, 12, "two bursts completed since");
     }
 
     #[test]
@@ -735,6 +798,73 @@ pub(crate) mod tests {
                 assert_eq!(total, RECORD_PAGES - 2, "probe {n}: {asked:?}");
                 assert!(asked.iter().all(|&(from, pages)| pages == 0
                     || (from >= record && from + pages <= record + RECORD_PAGES)));
+            }
+        }
+    }
+
+    #[test]
+    fn a_known_run_handed_back_is_asked_for_on_the_first_continuation() {
+        let mut p = Predictor::new(3);
+        for n in 0..3 {
+            run(&mut p, n * 1_000_000, 4, 4);
+        }
+        let base = 5_000_000;
+        assert!(p.on_access(base, 4, true, MAX).known_run);
+        p.defer_known_run();
+        let asked = run(&mut p, base + 4, 3, 4);
+        assert_eq!(asked, [(base + 8, 8), (base + 12, 0), (base + 16, 0)]);
+        // Completing the run restores the count: the next jump asks.
+        assert!(p.on_access(base + 1_000_000, 4, true, MAX).known_run);
+    }
+
+    #[test]
+    fn index_then_record_never_asks_at_a_jump() {
+        let mut p = Predictor::new(3);
+        for (n, &(index, record)) in probes(5, 256).iter().enumerate() {
+            for page in std::iter::once(index).chain(record..record + RECORD_PAGES) {
+                let pred = p.on_access(page, 1, true, MAX);
+                assert!(!pred.known_run, "a lone index page precedes every record");
+                // Once the shape is known (as in the test above).
+                assert!(n < 3 || !pred.jumped || pred.prefetch_pages == 0);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Over random run-length sequences (far jumps between runs, every
+        /// run shorter than the ramp ceiling), against a model of the two
+        /// recent lengths and the continuing-run count: the jump asks
+        /// exactly when the last two runs both continued forward, and a
+        /// reader strictly inside the learned shape sees at most one
+        /// request, never past the learned run end.
+        #[test]
+        fn one_request_per_run_and_jumps_ask_only_after_continuing_runs(
+            runs in proptest::collection::vec((1u64..=6, 1u64..=4, proptest::bool::ANY), 1..48),
+        ) {
+            let mut p = Predictor::new(3);
+            let (mut recent, mut continuing) = ([0u64; 2], 0u32);
+            let mut base = 0u64;
+            for (accesses, count, backward) in runs {
+                base += 1_000_000;
+                let expected = recent[0].min(recent[1]);
+                let mut requests = 0;
+                for i in 0..accesses {
+                    let page = if backward { base - i * count } else { base + i * count };
+                    let pred = p.on_access(page, count, true, MAX);
+                    let asks_at_jump = i == 0 && continuing == 2 && expected > count;
+                    proptest::prop_assert_eq!(pred.known_run, asks_at_jump);
+                    if !backward && page + count < base + expected {
+                        requests += u64::from(pred.prefetch_pages > 0);
+                        proptest::prop_assert!(requests <= 1);
+                        proptest::prop_assert!(pred.from_page + pred.prefetch_pages <= base + expected);
+                    }
+                }
+                if accesses >= 2 && !backward {
+                    recent = [accesses * count, recent[0]];
+                    continuing = (continuing + 1).min(2);
+                } else {
+                    continuing = 0;
+                }
             }
         }
     }

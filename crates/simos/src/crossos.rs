@@ -203,30 +203,15 @@ impl Os {
         let p0 = (req.offset / PAGE_SIZE).min(file_pages);
         let p1 = ((req.offset + req.len).div_ceil(PAGE_SIZE)).min(file_pages);
 
-        // Fast path: bitmap scan under the bitmap read lock.
-        let scan = cache
-            .bitmap_lock
-            .read(clock.now(), costs.bitmap_scan_ns(p1.saturating_sub(p0)));
-        self.settle_lock(clock, scan, OsSpanKind::BitmapLockWait);
-        let (fill, missing) = cache.scan_missing(p0, p1);
         let range_pages = p1.saturating_sub(p0);
-        let missing_pages: u64 = missing.iter().map(|&(s, e)| e - s).sum();
-        let cached_pages = range_pages - missing_pages;
-
-        let mut initiated = 0;
-        let mut ready_at = 0;
-        if !req.query_only && missing_pages > 0 {
-            let scheduled = clamp_to_budget(&missing, self.prefetch_cap(req.limit_pages));
-            // All-or-nothing: nothing has been inserted or published yet,
-            // so propagating a fault here leaves the bitmap and tree
-            // exactly as before the call.
-            let ready = self.charge_prefetch_progressive::<F>(clock, entry.ino, &scheduled)?;
-            ready_at = ready.last().map_or(0, |piece| piece.2);
-            let pages = scheduled.iter().map(|&(s, e)| e - s).sum();
-            initiated = self.publish_bitmap(clock, &cache, fill, pages, &ready);
-        } else {
-            drop(fill);
-        }
+        let budget = (!req.query_only).then(|| self.prefetch_cap(req.limit_pages));
+        let (cached_pages, initiated, ready_at) = self.prefetch_range::<F>(
+            clock,
+            (entry.ino, &cache),
+            (p0, p1),
+            budget,
+            IoPriority::Prefetch,
+        )?;
 
         // Export the bitmap window, coarsened per the requested shift (one
         // exported bit per 2^shift pages; a coarse bit requires all its
@@ -315,20 +300,61 @@ impl Os {
             .clamp(1, CROSSOS_MAX_PREFETCH_PAGES)
     }
 
+    /// Scan → clamp → charge → publish, the body `readahead_info` and a
+    /// demand-class batch entry share. Scans `[p0, p1)` on the fast path
+    /// (bitmap read lock, never the cache-tree lock) and, given a page
+    /// `budget` (`None` only queries), charges the missing runs it covers
+    /// at `priority` from the end of the scan and publishes them under the
+    /// bitmap write lock, once. The per-inode fill guard is held from scan
+    /// to publish. Returns `(cached, initiated, ready_at_ns)`.
+    /// All-or-nothing: a fault propagates before anything is inserted or
+    /// published, leaving the bitmap and tree exactly as before the call.
+    fn prefetch_range<F: FaultMode>(
+        &self,
+        clock: &mut ThreadClock,
+        (ino, cache): (InodeId, &InodeCache),
+        (p0, p1): PageRange,
+        budget: Option<u64>,
+        priority: IoPriority,
+    ) -> Result<(u64, u64, u64), F::Error> {
+        let range_pages = p1.saturating_sub(p0);
+        let costs = &self.config().costs;
+        let scan = cache
+            .bitmap_lock
+            .read(clock.now(), costs.bitmap_scan_ns(range_pages));
+        self.settle_lock(clock, scan, OsSpanKind::BitmapLockWait);
+        let (fill, missing) = cache.scan_missing(p0, p1);
+        let missing_pages: u64 = missing.iter().map(|&(s, e)| e - s).sum();
+        let cached = range_pages - missing_pages;
+        let Some(budget) = budget.filter(|_| missing_pages > 0) else {
+            return Ok((cached, 0, 0));
+        };
+        let scheduled = clamp_to_budget(&missing, budget);
+        let ready =
+            self.charge_prefetch_progressive::<F>(clock.now(), priority, ino, &scheduled)?;
+        let ready_at = ready.last().map_or(0, |piece| piece.2);
+        let pages = scheduled.iter().map(|&(s, e)| e - s).sum();
+        let initiated = self.publish_bitmap(clock, cache, fill, pages, &ready);
+        Ok((cached, initiated, ready_at))
+    }
+
     /// The direct paths' device charge. I/O proceeds off the caller's
-    /// critical path, on a clock detached at `clock`'s now, and large
+    /// critical path, on a clock detached at `start_ns`, and large
     /// transfers complete *progressively*: the device is charged in
     /// VFS-request-sized chunks and each chunk's own completion recorded,
     /// so readers consume the front of a big prefetch while its tail is
     /// still in flight. Returns the pieces to publish; the last one's
-    /// readiness is when the whole transfer lands.
+    /// readiness is when the whole transfer lands. Whatever the priority
+    /// this is speculation, not the application touching the range, so a
+    /// tiered store's touch clock is not stamped.
     pub(crate) fn charge_prefetch_progressive<F: FaultMode>(
         &self,
-        clock: &ThreadClock,
+        start_ns: u64,
+        priority: IoPriority,
         ino: InodeId,
         scheduled: &[PageRange],
     ) -> Result<Vec<ReadyPiece>, F::Error> {
-        let mut io_clock = ThreadClock::detached_at(Arc::clone(self.global()), clock.now());
+        let mut io_clock = ThreadClock::detached_at(Arc::clone(self.global()), start_ns);
         let chunk_pages = (self.device().config().max_request_bytes / PAGE_SIZE).max(1);
         let mut ready = Vec::new();
         for &(s, e) in scheduled {
@@ -336,21 +362,17 @@ impl Os {
             while cursor < e {
                 let upto = (cursor + chunk_pages).min(e);
                 let before = io_clock.now();
-                self.charge_read_runs::<F>(
-                    &mut io_clock,
-                    ino,
-                    cursor,
-                    upto - cursor,
-                    IoPriority::Prefetch,
-                )?;
+                self.route_extents(ino, cursor, upto - cursor, |device, blocks| {
+                    F::charge_read(device, &mut io_clock, blocks, priority)
+                })?;
                 push_interpolated_ready(&mut ready, cursor, upto, before, io_clock.now());
                 cursor = upto;
             }
         }
         let done_ns = io_clock.now();
-        if done_ns > clock.now() {
+        if done_ns > start_ns {
             if let Some(sink) = self.span_sink() {
-                sink.emit_os_span(done_ns, OsSpanKind::DevicePrefetch, done_ns - clock.now());
+                sink.emit_os_span(done_ns, OsSpanKind::DevicePrefetch, done_ns - start_ns);
             }
         }
         Ok(ready)
@@ -448,6 +470,16 @@ pub struct RaBatchEntry {
     /// Per-entry prefetch limit override (pages), as
     /// [`RaInfoRequest::limit_pages`]; `None` uses the OS readahead cap.
     pub limit_pages: Option<u64>,
+    /// Explicit speculation (Foreactor): a *known future demand read*
+    /// submitted with the one that blocks. Charged after the crossing's
+    /// demand entries, but on a clock detached at the submission instant
+    /// rather than at their completion, and on the device's blocking
+    /// horizon — FCFS on the background horizon it would queue behind any
+    /// streaming window and the reader would wait out up to twice the
+    /// refetch estimate before [`Os::absorb_read`] gives up on it. Its
+    /// pages are still published as prefetched, so the quality ledger
+    /// classifies every one. Never merged with neighbours; fails alone.
+    pub demand_class: bool,
 }
 
 impl RaBatchEntry {
@@ -458,7 +490,14 @@ impl RaBatchEntry {
             offset,
             len,
             limit_pages: None,
+            demand_class: false,
         }
+    }
+
+    /// Makes this a demand-class entry ([`RaBatchEntry::demand_class`]).
+    pub fn with_demand_class(mut self) -> Self {
+        self.demand_class = true;
+        self
     }
 
     /// Sets the §4.7 limit override for this entry.
@@ -558,7 +597,8 @@ impl Os {
         clock.advance(self.config().costs.syscall_ns);
         self.stats().syscalls.incr();
         self.stats().ra_batch_calls.incr();
-        Ok(self.readahead_batch_body(clock, entries))
+        let submitted_ns = clock.now();
+        Ok(self.readahead_batch_body::<MayFault>(clock, entries, submitted_ns))
     }
 
     /// The crossing-free body of the vectored prefetch path: grouping,
@@ -567,10 +607,14 @@ impl Os {
     /// `syscalls`/`ra_batch_calls` counters. The combined ring crossing
     /// ([`Os::try_read_batch`]) runs staged prefetch entries through this
     /// body after its demand half, sharing one syscall charge.
-    pub(crate) fn readahead_batch_body(
+    /// Demand-class entries go first, each by itself through
+    /// [`Os::prefetch_range`] on a clock detached at `submitted_ns`, under
+    /// `F`'s fault discipline.
+    pub(crate) fn readahead_batch_body<F: FaultMode>(
         &self,
         clock: &mut ThreadClock,
         entries: &[RaBatchEntry],
+        submitted_ns: u64,
     ) -> Vec<RaBatchCompletion> {
         let costs = &self.config().costs;
         let mut completions = vec![RaBatchCompletion::default(); entries.len()];
@@ -584,6 +628,30 @@ impl Os {
             let p0 = (entry.offset / PAGE_SIZE).min(file_pages);
             let p1 = ((entry.offset + entry.len).div_ceil(PAGE_SIZE)).min(file_pages);
             let cap = self.prefetch_cap(entry.limit_pages);
+            if entry.demand_class {
+                let mut at = ThreadClock::detached_at(Arc::clone(self.global()), submitted_ns);
+                let target = (ino, &*self.cache(ino));
+                let done = self.prefetch_range::<F>(
+                    &mut at,
+                    target,
+                    (p0, p1),
+                    Some(cap),
+                    IoPriority::Blocking,
+                );
+                completions[idx] = match done {
+                    Ok((cached_pages, initiated_pages, ready_at_ns)) => RaBatchCompletion {
+                        cached_pages,
+                        initiated_pages,
+                        ready_at_ns,
+                        ..RaBatchCompletion::default()
+                    },
+                    Err(_) => RaBatchCompletion {
+                        error: Some(IoError::Io),
+                        ..RaBatchCompletion::default()
+                    },
+                };
+                continue;
+            }
             let gi = inodes.iter().position(|&i| i == ino).unwrap_or_else(|| {
                 inodes.push(ino);
                 groups.push(Vec::new());
@@ -805,6 +873,7 @@ impl Os {
     ) -> Result<ReadBatchResult<F::Error>, IoError> {
         self.probe_cross_os(clock)?;
         clock.advance(self.config().costs.syscall_ns);
+        let submitted_ns = clock.now();
         self.stats().syscalls.incr();
         self.stats().read_batch_calls.incr();
         if let Some(sink) = self.trace_sink() {
@@ -825,7 +894,7 @@ impl Os {
             .iter()
             .map(|entry| self.read_charge_body::<F>(clock, entry.fd, entry.offset, entry.len))
             .collect();
-        let completions = self.readahead_batch_body(clock, prefetch);
+        let completions = self.readahead_batch_body::<F>(clock, prefetch, submitted_ns);
         Ok((outcomes, completions))
     }
 
@@ -904,13 +973,15 @@ impl Os {
         })
     }
 
-    /// Cancellation path of a speculative pre-issued read: re-flags the
-    /// still-present pages of `[start_page, end_page)` as speculative so
-    /// they re-enter the prefetch-quality ledger (touched later → timely
-    /// or late; evicted untouched → wasted). Charged as a short bitmap
-    /// write. Returns the number of pages re-flagged — the caller must
-    /// bill exactly that many against its initiated-pages ledger to keep
-    /// the quality-sum invariant.
+    /// Re-flags the still-present pages of `[start_page, end_page)` as
+    /// speculative — for pages that were fetched on a demand path but that
+    /// nobody asked for — so they enter the prefetch-quality ledger
+    /// (touched later → timely or late; evicted untouched → wasted).
+    /// Charged as a short bitmap write. Returns the number of pages
+    /// re-flagged — the caller must bill exactly that many against its
+    /// initiated-pages ledger to keep the quality-sum invariant. (A
+    /// demand-class batch entry needs none of this: its pages are
+    /// published as prefetched to begin with.)
     pub fn mark_range_speculative(
         &self,
         clock: &mut ThreadClock,
@@ -1365,6 +1436,43 @@ mod tests {
         // The demand read is an ordinary `read` body: its pages are
         // resident afterwards, but `reads` (syscall crossings) stays 0.
         assert_eq!(os.stats().reads.get(), 0);
+    }
+
+    #[test]
+    fn demand_class_entry_is_billed_published_and_fails_alone() {
+        use simstore::FaultPlan;
+        // Healthy: the entry's pages are published as prefetched (so the
+        // quality ledger sees them) on the blocking class — no
+        // prefetch-class device request is made for it.
+        let (os, fd, mut clock) = os_with_file(8 << 20);
+        let entry = RaBatchEntry::new(fd, 0, 12 * PAGE_SIZE).with_demand_class();
+        let done = os.try_readahead_batch(&mut clock, &[entry]).unwrap();
+        assert_eq!((done[0].initiated_pages, done[0].cached_pages), (12, 0));
+        assert_eq!(os.stats().prefetched_pages.get(), 12);
+        assert_eq!(os.device().stats().prefetch_requests.get(), 0);
+        os.drop_caches(&mut clock);
+        assert_eq!(os.prefetch_quality().wasted, 12);
+
+        // Demand-class faults hit it and spare its prefetch-class
+        // neighbour; all-or-nothing, nothing of it is published.
+        let os = Os::new(
+            OsConfig::with_memory_mb(256),
+            Device::with_fault_plan(
+                DeviceConfig::local_nvme(),
+                FaultPlan::seeded(3).with_demand_eio(1.0),
+            ),
+            FileSystem::new(FsKind::Ext4Like),
+        );
+        let mut clock = os.new_clock();
+        let fd = os.create_sized(&mut clock, "/f", 8 << 20).unwrap();
+        let entries = [
+            RaBatchEntry::new(fd, 0, 12 * PAGE_SIZE).with_demand_class(),
+            RaBatchEntry::new(fd, 1 << 20, 12 * PAGE_SIZE),
+        ];
+        let done = os.try_readahead_batch(&mut clock, &entries).unwrap();
+        assert_eq!(done[0].error, Some(IoError::Io));
+        assert_eq!((done[0].initiated_pages, done[1].initiated_pages), (0, 12));
+        assert_eq!(os.stats().prefetched_pages.get(), 12);
     }
 
     #[test]

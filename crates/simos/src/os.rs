@@ -850,7 +850,12 @@ impl Os {
         let access = cache.tree_lock.write(clock.now(), hold);
         self.settle_lock(clock, access, OsSpanKind::TreeLockWait);
 
-        let ready = self.charge_prefetch_progressive::<F>(clock, ino, &missing)?;
+        let ready = self.charge_prefetch_progressive::<F>(
+            clock.now(),
+            IoPriority::Prefetch,
+            ino,
+            &missing,
+        )?;
         Ok(self.publish_prefetched(clock, cache, fill, &ready))
     }
 

@@ -2,7 +2,9 @@
 //! paths, bitmap consistency under parallel mutation, and the contention
 //! accounting that Figure 6 and Table 1 are built on.
 
-use simos::{Device, DeviceConfig, FileSystem, FsKind, Os, OsConfig, RaInfoRequest, PAGE_SIZE};
+use simos::{
+    Device, DeviceConfig, FileSystem, FsKind, Os, OsConfig, RaBatchEntry, RaInfoRequest, PAGE_SIZE,
+};
 use std::sync::Arc;
 
 fn boot(memory_mb: u64) -> Arc<Os> {
@@ -46,6 +48,41 @@ fn concurrent_readahead_info_never_double_fetches() {
     assert_eq!(read, expected, "each page fetched exactly once");
     let cache = os.cache(os.fs().lookup("/c").unwrap());
     assert_eq!(cache.state.read().resident(), expected / PAGE_SIZE);
+}
+
+/// The same race with the two vectored classes mixed: half the threads
+/// submit each 2 MiB piece as a demand-class batch entry, half as a
+/// prefetch-class one. Both fill under the per-inode guard, so every page
+/// still crosses the device once.
+#[test]
+fn concurrent_demand_class_entries_never_double_fetch() {
+    let os = boot(512);
+    let mut setup = os.new_clock();
+    os.create_sized(&mut setup, "/e", 64 << 20).unwrap();
+
+    crossbeam::scope(|scope| {
+        for t in 0..8u64 {
+            let os = Arc::clone(&os);
+            scope.spawn(move |_| {
+                let mut clock = os.new_clock();
+                let fd = os.open(&mut clock, "/e").unwrap();
+                for i in 0..8u64 {
+                    let entry = RaBatchEntry::new(fd, i * (2 << 20), 2 << 20).with_limit_pages(512);
+                    let entry = if t % 2 == 0 {
+                        entry.with_demand_class()
+                    } else {
+                        entry
+                    };
+                    os.try_readahead_batch(&mut clock, &[entry]).unwrap();
+                }
+            });
+        }
+    })
+    .unwrap();
+
+    let expected = 16u64 << 20;
+    assert_eq!(os.device().stats().read_bytes.get(), expected);
+    assert_eq!(os.stats().prefetched_pages.get(), expected / PAGE_SIZE);
 }
 
 #[test]

@@ -208,6 +208,8 @@ pub struct FleetResult {
     pub requests: u64,
     /// Virtual span of the run.
     pub elapsed_ns: u64,
+    /// p99.9 per-read demand latency over every tenant's reads, virtual ns.
+    pub p999_read_ns: u64,
 }
 
 impl FleetResult {
@@ -358,10 +360,14 @@ pub fn run_fleet(runtime: &Runtime, clock: &mut ThreadClock, cfg: &FleetConfig) 
         row.p50_read_ns = percentile(reads, 50);
         row.p99_read_ns = percentile(reads, 99);
     }
+    let mut reads = read_lats.concat();
+    reads.sort_unstable();
+    let p999 = (reads.len().saturating_sub(1) * 999).div_ceil(1000);
     FleetResult {
         per_tenant: rows,
         requests: executed,
         elapsed_ns: (clock.now() - start).max(1),
+        p999_read_ns: reads.get(p999).copied().unwrap_or(0),
     }
 }
 

@@ -1,11 +1,12 @@
 //! Completion-driven ring: off-path byte-identity, same-seed
 //! determinism, visibility gating, demand-crossing reduction at hit
-//! parity, speculative pre-issue absorb/cancel, and closed-loop
-//! prefetch-quality accounting with the ring enabled.
+//! parity, run pre-issue (one miss per burst, abandoned runs, the
+//! demand-class ordering), and closed-loop prefetch-quality accounting
+//! with the ring enabled.
 
 use cp_bench::boot;
-use crossprefetch::{Mode, Runtime, RuntimeConfig, RuntimeReport};
-use simos::{Device, DeviceConfig, FaultPlan, FileSystem, FsKind, Os, OsConfig};
+use crossprefetch::{CpFile, Mode, Runtime, RuntimeConfig, RuntimeReport};
+use simclock::ThreadClock;
 use workloads::{run_kvprobe, setup_kvprobe, KvProbeConfig};
 
 const MECHANISMS: [Mode; 6] = [
@@ -126,90 +127,93 @@ fn ring_cuts_demand_crossings_at_hit_parity() {
     assert_eq!(off_consumed, on_consumed, "consumed pages must not change");
 }
 
-/// When the prefetch class is broken (permanent EIO), the predicted next
-/// read stays missing, so the confident predictor pre-issues it through
-/// the ring (demand class, un-faulted) and the stream's next read absorbs
-/// the parked completion without a crossing of its own.
-#[test]
-fn speculative_preissue_absorbs_matching_reads() {
-    let plan = FaultPlan::seeded(7).with_prefetch_eio(1.0);
-    let os = Os::new(
-        OsConfig::with_memory_mb(64),
-        Device::with_fault_plan(DeviceConfig::local_nvme(), plan),
-        FileSystem::new(FsKind::Ext4Like),
-    );
+/// A ring-on runtime over 64 MB of cache with one 128 MiB file: bursts
+/// land on distinct 128 KiB-aligned slots, so no burst finds another's
+/// pages.
+fn burst_runtime() -> (Runtime, ThreadClock, CpFile) {
     let mut config = RuntimeConfig::new(Mode::Predict);
     config.ring_submit = true;
-    let runtime = Runtime::new(os, config);
+    let runtime = Runtime::new(boot(64), config);
     let mut clock = runtime.new_clock();
     let file = runtime
-        .create_sized(&mut clock, "/data/seq.bin", 32 << 20)
+        .create_sized(&mut clock, "/data/bursts.bin", 128 << 20)
         .unwrap();
-    for i in 0..256u64 {
-        file.read_charge(&mut clock, i * 16_384, 16_384);
+    (runtime, clock, file)
+}
+
+/// Reads the first `reads` 16 KiB reads of burst `n`.
+fn burst(file: &CpFile, clock: &mut ThreadClock, n: u64, reads: u64) {
+    let base = (n * 7919 % 1000) * (128 << 10);
+    for r in 0..reads {
+        file.read_charge(clock, base + r * 16_384, 16_384);
     }
-    runtime.flush_prefetch_batches(&mut clock);
-    let stats = runtime.stats();
-    assert_eq!(stats.reads.get(), 256, "every read completes");
+}
+
+/// Crossings a demand read can make: `read(2)` and the vectored ring call.
+fn demand_crossings(runtime: &Runtime) -> u64 {
+    let os = runtime.os().stats();
+    os.reads.get() + os.read_batch_calls.get()
+}
+
+/// The run-level successor of the one-read-behind speculation: once two
+/// bursts have completed, the miss that starts a burst carries the rest of
+/// it across the ring, so a burst of four reads pays one demand miss (two
+/// at the parent: the jump was silent and the first continuation missed)
+/// and its three continuations absorb with no crossing of their own.
+#[test]
+fn a_burst_pays_one_miss_and_its_continuations_never_cross() {
+    let (runtime, mut clock, file) = burst_runtime();
+    const WARM_UP: u64 = 3;
+    const BURSTS: u64 = 200;
+    for n in 0..WARM_UP {
+        burst(&file, &mut clock, n, 4);
+    }
+    let before = RuntimeReport::collect(&runtime);
+    let crossings_before = demand_crossings(&runtime);
+    for n in WARM_UP..WARM_UP + BURSTS {
+        burst(&file, &mut clock, n, 4);
+    }
+    let after = RuntimeReport::collect(&runtime);
+    let misses = after.read_demand_miss.count - before.read_demand_miss.count;
     assert!(
-        stats.ring_spec_issued.get() > 0,
-        "confident predictions over missing ranges must pre-issue"
+        misses * 10 <= BURSTS * 11,
+        "{misses} demand-miss reads over {BURSTS} bursts"
     );
-    assert!(
-        stats.ring_spec_absorbed.get() > 0,
-        "the sequential stream must absorb parked speculations"
+    assert_eq!(
+        demand_crossings(&runtime) - crossings_before,
+        BURSTS,
+        "one crossing per burst: the miss that starts it"
     );
-    // Absorbed speculations never cross: total crossings stay well below
-    // one per read.
-    let os = runtime.os();
-    let crossings = os.stats().reads.get() + os.stats().read_batch_calls.get();
-    assert!(
-        crossings < 256 + stats.ring_spec_issued.get(),
-        "absorbed reads must not pay their own crossing ({crossings})"
+    let issued = after.ring_spec_issued - before.ring_spec_issued;
+    let absorbed = after.ring_spec_absorbed - before.ring_spec_absorbed;
+    assert_eq!((issued, absorbed), (BURSTS, BURSTS));
+    assert_eq!(after.ring_spec_cancelled, 0);
+    assert_eq!(
+        after.ring_spec_pages_charged - before.ring_spec_pages_charged,
+        BURSTS * 12,
+        "every pre-issued page is billed as initiated prefetch"
     );
 }
 
-/// A mispredicted speculation is cancelled and its pages re-enter the
-/// prefetch-quality ledger: after a cache drop they surface as `wasted`,
-/// and the closed-loop invariant (timely + late + wasted ==
-/// pages_initiated) holds with the ring enabled.
+/// A reader that leaves a run after its first read never comes back for
+/// what the ring pre-issued: the run counts as cancelled, its pages
+/// surface as `wasted` once the cache drops them, and the closed-loop
+/// invariant (timely + late + wasted == pages_initiated) holds.
 #[test]
-fn cancelled_speculation_is_charged_as_wasted() {
-    let plan = FaultPlan::seeded(7).with_prefetch_eio(1.0);
-    let os = Os::new(
-        OsConfig::with_memory_mb(64),
-        Device::with_fault_plan(DeviceConfig::local_nvme(), plan),
-        FileSystem::new(FsKind::Ext4Like),
-    );
-    let mut config = RuntimeConfig::new(Mode::Predict);
-    config.ring_submit = true;
-    let runtime = Runtime::new(os, config);
-    let mut clock = runtime.new_clock();
-    let file = runtime
-        .create_sized(&mut clock, "/data/seq.bin", 32 << 20)
-        .unwrap();
-    // Ramp long enough to park a speculation, then jump away from it.
-    for i in 0..256u64 {
-        file.read_charge(&mut clock, i * 16_384, 16_384);
+fn an_abandoned_run_leaves_its_preissued_pages_as_wasted() {
+    let (runtime, mut clock, file) = burst_runtime();
+    for n in 0..4 {
+        burst(&file, &mut clock, n, 4);
     }
-    file.read_charge(&mut clock, 31 << 20, 16_384);
-    runtime.flush_prefetch_batches(&mut clock);
+    burst(&file, &mut clock, 4, 1); // abandoned after the miss
+    burst(&file, &mut clock, 5, 4); // the jump away settles it
     let stats = runtime.stats();
-    assert!(
-        stats.ring_spec_cancelled.get() > 0,
-        "the jump must cancel the parked speculation"
-    );
-    assert!(
-        stats.ring_spec_pages_charged.get() > 0,
-        "cancelled pages must be charged to the quality ledger"
-    );
+    assert_eq!(stats.ring_spec_cancelled.get(), 1);
+    assert!(stats.ring_spec_absorbed.get() < stats.ring_spec_issued.get());
     runtime.os().drop_caches(&mut clock);
     let report = RuntimeReport::collect(&runtime);
     let q = report.prefetch_quality;
-    assert!(
-        q.wasted >= stats.ring_spec_pages_charged.get(),
-        "cancelled speculative pages must surface as wasted"
-    );
+    assert!(q.wasted >= 12, "the abandoned remainder: {q:?}");
     assert_eq!(
         q.timely + q.late + q.wasted,
         report.pages_initiated,
@@ -220,6 +224,102 @@ fn cancelled_speculation_is_charged_as_wasted() {
         q.wasted,
         report.pages_initiated
     );
+}
+
+/// Under a demand-class fault plan a rider can fail where the miss it
+/// rode with did not: it fails alone (all-or-nothing, nothing published),
+/// retries on a worker like any staged run — off the reader's clock — and
+/// the ledger still classifies every page exactly once.
+#[test]
+fn a_faulted_rider_retries_off_the_readers_clock_and_the_books_balance() {
+    use simos::{Device, DeviceConfig, FaultPlan, FileSystem, FsKind, Os, OsConfig};
+    let plan = FaultPlan::seeded(11).with_demand_eio(0.3);
+    let os = Os::new(
+        OsConfig::with_memory_mb(64),
+        Device::with_fault_plan(DeviceConfig::local_nvme(), plan),
+        FileSystem::new(FsKind::Ext4Like),
+    );
+    let mut config = RuntimeConfig::new(Mode::Predict);
+    config.ring_submit = true;
+    let runtime = Runtime::new(os, config);
+    let mut clock = runtime.new_clock();
+    let file = runtime
+        .create_sized(&mut clock, "/data/bursts.bin", 128 << 20)
+        .unwrap();
+    for n in 0..200u64 {
+        let base = (n * 7919 % 1000) * (128 << 10);
+        for r in 0..4 {
+            // The application's own retry loop: a surfaced EIO is retried.
+            while file
+                .try_read_charge(&mut clock, base + r * 16_384, 16_384)
+                .is_err()
+            {}
+        }
+    }
+    let stats = runtime.stats();
+    assert!(stats.ring_spec_issued.get() > 0);
+    assert!(
+        stats.prefetch_retries.get() > 0,
+        "some rider must have faulted"
+    );
+    runtime.os().drop_caches(&mut clock);
+    let report = RuntimeReport::collect(&runtime);
+    let q = report.prefetch_quality;
+    assert_eq!(q.timely + q.late + q.wasted, report.pages_initiated);
+}
+
+/// The ordering the pre-issue is about, at the OS surface: the demand
+/// entry is charged first and the demand-class entry on a clock of its
+/// own from the submission instant, so the miss costs exactly what it
+/// costs alone, while the remainder is in flight from the submission and
+/// not from the miss's completion (where a prefetch-class entry starts).
+#[test]
+fn a_demand_class_entry_never_delays_the_miss_it_rides_with() {
+    use simos::{RaBatchEntry, ReadBatchEntry, PAGE_SIZE};
+    // One 4-page miss, crossing alone or with the 12 pages after it as a
+    // prefetch-class (`Some(false)`) or demand-class (`Some(true)`) entry.
+    let cross = |rider: Option<bool>| {
+        let os = boot(64);
+        let mut clock = os.new_clock();
+        let fd = os.create_sized(&mut clock, "/f", 8 << 20).unwrap();
+        let start = clock.now();
+        let demand = [ReadBatchEntry::new(fd, 1 << 20, 4 * PAGE_SIZE)];
+        let rider = rider.map(|demand_class| {
+            let rest = RaBatchEntry::new(fd, (1 << 20) + 4 * PAGE_SIZE, 12 * PAGE_SIZE);
+            if demand_class {
+                rest.with_demand_class()
+            } else {
+                rest
+            }
+        });
+        let (outcomes, completions) = os
+            .read_batch(&mut clock, &demand, rider.as_slice())
+            .unwrap();
+        assert_eq!(outcomes[0].miss_pages, 4);
+        (os, fd, clock, start, completions)
+    };
+    let (_, _, alone, alone_start, _) = cross(None);
+    let (_, _, staged, staged_start, background) = cross(Some(false));
+    let (os, fd, mut clock, start, ridden) = cross(Some(true));
+
+    assert_eq!(clock.now() - start, alone.now() - alone_start);
+    let submitted = start + os.config().costs.syscall_ns;
+    let ready = ridden[0].ready_at_ns;
+    assert_eq!(ridden[0].initiated_pages, 12);
+    assert!(ready >= submitted + os.device().config().read_request_latency_ns());
+    assert!(
+        ready - start < background[0].ready_at_ns - staged_start,
+        "in flight before the miss completes, unlike the prefetch class"
+    );
+    assert!(staged.now() - staged_start >= clock.now() - start);
+    // The continuation absorbs: it waits the transfer out, never crosses.
+    let crossings = os.stats().syscalls.get();
+    let next = os
+        .absorb_read(&mut clock, fd, (1 << 20) + 4 * PAGE_SIZE, 4 * PAGE_SIZE)
+        .expect("published as in-flight prefetch");
+    assert_eq!(next.prefetch_hit_pages, 4);
+    assert!(clock.now() >= ready);
+    assert_eq!(os.stats().syscalls.get(), crossings);
 }
 
 /// The engines-suite closed-loop invariant, re-run with the ring (and
