@@ -227,17 +227,6 @@ impl<T> SubmissionQueue<T> {
         all
     }
 
-    /// Whether any staged entry satisfies `pred` (e.g. overlaps a range
-    /// about to be submitted some other way).
-    pub fn any_staged<F>(&self, mut pred: F) -> bool
-    where
-        F: FnMut(&T) -> bool,
-    {
-        self.slots
-            .iter()
-            .any(|slot| slot.lock().entries.iter().any(&mut pred))
-    }
-
     /// Recomputes the earliest-deadline hint from the open batches.
     fn recompute_due(&self) {
         let mut earliest = u64::MAX;
@@ -326,16 +315,5 @@ mod tests {
         assert_eq!(drained[1].1.entries, vec![2, 3]);
         assert!(queue.drain_all().is_empty());
         assert_eq!(queue.next_deadline_ns(), u64::MAX);
-    }
-
-    #[test]
-    fn any_staged_sees_open_batches() {
-        let queue: SubmissionQueue<u64> = SubmissionQueue::new(2, 16, 1_000_000);
-        assert!(!queue.any_staged(|&v| v == 7));
-        queue.push(1, 0, 7);
-        assert!(queue.any_staged(|&v| v == 7));
-        assert!(!queue.any_staged(|&v| v == 8));
-        queue.drain_all();
-        assert!(!queue.any_staged(|&v| v == 7));
     }
 }

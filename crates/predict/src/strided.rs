@@ -21,7 +21,8 @@
 //! | Where in the run | Prediction |
 //! |---|---|
 //! | at a jump, runs always continue | one request for the expected remainder, never past the learned run end ([`Prediction::known_run`]) |
-//! | at a jump otherwise | nothing — a lone access has no continuation worth a request |
+//! | at a jump after a lone access that always leads a run | the same request — the index page announces its record |
+//! | at a jump otherwise | nothing — the access may stay lone |
 //! | first continuation | that one request, unless the jump already made it |
 //! | inside what that request covered | nothing |
 //! | past it (the run outgrew its shape) | the counter's ramp, untouched |
@@ -30,12 +31,17 @@
 //! No shape is known before two runs have completed, in a backward or
 //! overlapping run, and when runs are at least as long as the counter's
 //! own ceiling of `2^max_count` pages — those the ramp covers by itself.
-//! Runs *always continue* once the last two completed runs (`CONTINUING_RUNS`)
-//! were both forward runs of at least two accesses; one lone access (an
-//! index page before every record) or backward run resets the count, and
-//! the request waits for the first continuation again — as it does for one
-//! run when the runtime hands a jump's request back
-//! ([`PredictionEngine::defer_known_run`]).
+//! Which count licenses the ask at a jump depends on the run before it.
+//! After a run, runs *always continue* once the last two completed runs
+//! (`CONTINUING_RUNS`) were both forward runs of at least two accesses;
+//! a lone access or a backward run resets that count. After a lone access
+//! (an index page before a record), the lone access *always leads a run*
+//! once the last two lone accesses were each followed by such a run; a
+//! lone access followed by another lone access or by a backward run resets
+//! that count. Below its count the request waits for the first
+//! continuation again — as it does for one run when the runtime hands a
+//! jump's request back ([`PredictionEngine::defer_known_run`]), which moves
+//! back whichever count licensed the ask.
 
 use crate::{AccessObservation, EngineKind, PredictionEngine, PrefetchDecision};
 
@@ -132,12 +138,14 @@ pub struct Prediction {
     pub jumped: bool,
     /// Whether this is the learned remainder of the run this access
     /// starts, asked for at the jump because this descriptor's runs always
-    /// continue: a known future demand read rather than a guess, which the
+    /// continue (or, after a lone access, its lone accesses always lead a
+    /// run): a known future demand read rather than a guess, which the
     /// runtime may submit together with the miss that starts the run.
     pub known_run: bool,
 }
 
-/// Consecutive completed multi-access forward runs after which the
+/// Consecutive completed multi-access forward runs (or, after a lone
+/// access, consecutive lone accesses each followed by one) after which the
 /// remainder of the next run is asked for at its jump.
 const CONTINUING_RUNS: u32 = 2;
 
@@ -199,6 +207,13 @@ struct RunShape {
     /// Completed runs since the last lone or non-forward one, saturating
     /// at [`CONTINUING_RUNS`].
     continuing: u32,
+    /// Lone accesses in a row, newest first, each followed by a completed
+    /// forward run of at least two accesses, saturating at
+    /// [`CONTINUING_RUNS`]; a lone access followed by another lone access
+    /// or a non-forward run resets it.
+    led_by_lone: u32,
+    /// The run before this one was a lone access.
+    after_lone: bool,
 }
 
 impl RunShape {
@@ -209,13 +224,24 @@ impl RunShape {
         self.recent[0].min(self.recent[1])
     }
 
+    /// The count that licenses an ask at this run's jump: lone accesses
+    /// that led runs when the previous run was lone, continuing runs
+    /// otherwise.
+    fn licence(&mut self) -> &mut u32 {
+        if self.after_lone {
+            &mut self.led_by_lone
+        } else {
+            &mut self.continuing
+        }
+    }
+
     /// Tracks the access `page..end` and turns the counter's `ramp`
     /// prediction into the predictor's: one request per run for the
-    /// expected remainder — at the jump when runs always continue, on the
-    /// first continuation otherwise — silent while the reader is inside
-    /// what that request covered, and the ramp untouched otherwise (no
-    /// shape, or runs of `ramp_ceiling` pages and more — those the ramp
-    /// covers by itself).
+    /// expected remainder — at the jump when its [`RunShape::licence`] is
+    /// at the ceiling, on the first continuation otherwise — silent while
+    /// the reader is inside what that request covered, and the ramp
+    /// untouched otherwise (no shape, or runs of `ramp_ceiling` pages and
+    /// more — those the ramp covers by itself).
     fn plan(
         &mut self,
         page: u64,
@@ -229,6 +255,11 @@ impl RunShape {
             if completed {
                 self.recent = [self.end - self.start, self.recent[0]];
             }
+            let led_by_lone = match (self.after_lone, completed) {
+                (false, _) => self.led_by_lone,
+                (true, true) => (self.led_by_lone + 1).min(CONTINUING_RUNS),
+                (true, false) => 0,
+            };
             *self = RunShape {
                 start: page,
                 end,
@@ -241,6 +272,8 @@ impl RunShape {
                 } else {
                     0
                 },
+                led_by_lone,
+                after_lone: self.accesses == 1,
             };
         } else {
             self.forward &= page >= self.end;
@@ -251,7 +284,7 @@ impl RunShape {
         if !self.forward || expected == 0 || expected >= ramp_ceiling {
             return ramp;
         }
-        let at_jump = self.continuing == CONTINUING_RUNS;
+        let at_jump = *self.licence() == CONTINUING_RUNS;
         let asks_on = if at_jump { 1 } else { 2 };
         let request = if self.accesses == asks_on {
             expected
@@ -474,10 +507,10 @@ impl PredictionEngine for Predictor {
         }
     }
 
-    /// One run short of continuing: this run asks on its first
-    /// continuation, and completing it restores the count.
+    /// One run short of the count that licensed the ask: this run asks on
+    /// its first continuation, and completing it restores the count.
     fn defer_known_run(&mut self) {
-        self.shape.continuing = CONTINUING_RUNS - 1;
+        *self.shape.licence() = CONTINUING_RUNS - 1;
     }
 }
 
@@ -742,21 +775,27 @@ pub(crate) mod tests {
         let mut p = Predictor::new(3);
         let stream = probes(7, 64);
         // Two records must complete (the second closes at the third
-        // probe's index jump) before the predictor plans by shape.
+        // probe's index jump) before the predictor plans by shape, and
+        // both were led by an index page.
         for &(index, record) in &stream[..3] {
             probe(&mut p, index, record);
         }
         for &(index, record) in &stream[3..] {
-            let asked = probe(&mut p, index, record);
-            assert_eq!(asked[0].1, 0, "silent at the jump to the index page");
-            assert_eq!(asked[1].1, 0, "silent at the jump to the record");
+            let at_index = p.on_access(index, 1, true, MAX);
             assert_eq!(
-                asked[2],
-                (record + 2, RECORD_PAGES - 2),
-                "one request for the remainder on the first continuation"
+                at_index.prefetch_pages, 0,
+                "silent at the jump to the index page"
             );
+            let at_record = p.on_access(record, 1, true, MAX);
+            assert!(at_record.known_run);
+            assert_eq!(
+                (at_record.from_page, at_record.prefetch_pages),
+                (record + 1, RECORD_PAGES - 1),
+                "one request for the remainder at the jump to the record"
+            );
+            let asked = run(&mut p, record + 1, RECORD_PAGES - 1, 1);
             assert!(
-                asked[3..].iter().all(|&(_, pages)| pages == 0),
+                asked.iter().all(|&(_, pages)| pages == 0),
                 "silent for the rest of the expected run: {asked:?}"
             );
         }
@@ -792,10 +831,17 @@ pub(crate) mod tests {
         for (n, &(index, record)) in probes(13, 32).iter().enumerate() {
             let asked = probe(&mut p, index, record);
             // Once the first record has completed, it and the 10 000-page
-            // run are the two recent runs, and the shorter one rules.
+            // run are the two recent runs, and the shorter one rules: on
+            // the first continuation while one index page has led a
+            // record, at the jump to the record once two have.
             if n >= 1 {
                 let total: u64 = asked.iter().map(|&(_, pages)| pages).sum();
-                assert_eq!(total, RECORD_PAGES - 2, "probe {n}: {asked:?}");
+                let asked_for = if n == 1 {
+                    RECORD_PAGES - 2
+                } else {
+                    RECORD_PAGES - 1
+                };
+                assert_eq!(total, asked_for, "probe {n}: {asked:?}");
                 assert!(asked.iter().all(|&(from, pages)| pages == 0
                     || (from >= record && from + pages <= record + RECORD_PAGES)));
             }
@@ -818,40 +864,143 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn index_then_record_never_asks_at_a_jump() {
+    fn index_then_record_asks_at_the_record_jump_only() {
         let mut p = Predictor::new(3);
         for (n, &(index, record)) in probes(5, 256).iter().enumerate() {
-            for page in std::iter::once(index).chain(record..record + RECORD_PAGES) {
+            let pred = p.on_access(index, 1, true, MAX);
+            assert!(
+                !pred.known_run,
+                "a record, not a lone access, precedes every index page"
+            );
+            // Once the shape is known (as in the test above).
+            assert!(n < 3 || pred.prefetch_pages == 0);
+            for page in record..record + RECORD_PAGES {
                 let pred = p.on_access(page, 1, true, MAX);
-                assert!(!pred.known_run, "a lone index page precedes every record");
-                // Once the shape is known (as in the test above).
-                assert!(n < 3 || !pred.jumped || pred.prefetch_pages == 0);
+                // The third record is the first after two records that
+                // were each led by an index page.
+                assert_eq!(
+                    pred.known_run,
+                    n >= 2 && page == record,
+                    "probe {n}, page {page}"
+                );
             }
         }
     }
 
+    #[test]
+    fn all_lone_streams_never_ask() {
+        let mut fresh = Predictor::new(3);
+        for n in 0..256u64 {
+            let pred = fresh.on_access(n * 1_000_000, 1, true, MAX);
+            assert_eq!(
+                (pred.known_run, pred.prefetch_pages),
+                (false, 0),
+                "access {n}"
+            );
+        }
+        // After bursts that taught a shape, only the first lone access's
+        // jump asks: it follows two completed bursts.
+        let mut p = Predictor::new(3);
+        for n in 0..4 {
+            run(&mut p, n * 1_000_000, 4, 4);
+        }
+        let base = 900_000_000;
+        assert!(p.on_access(base, 4, true, MAX).known_run);
+        for n in 1..256u64 {
+            let pred = p.on_access(base + n * 1_000_000, 4, true, MAX);
+            assert_eq!(
+                (pred.known_run, pred.prefetch_pages),
+                (false, 0),
+                "lone access {n}"
+            );
+        }
+    }
+
+    #[test]
+    fn one_lone_pair_silences_the_next_two_record_jumps() {
+        let mut p = Predictor::new(3);
+        let stream = probes(17, 8);
+        for &(index, record) in &stream[..4] {
+            probe(&mut p, index, record);
+        }
+        // A second index page before the next one. The count is still at
+        // its ceiling for the jump to the next index page — it is taken
+        // for a record — and that lone→lone pair resets it.
+        p.on_access(1_500_000, 1, true, MAX);
+        let (index, record) = stream[4];
+        assert!(p.on_access(index, 1, true, MAX).known_run);
+        let asked = run(&mut p, record, RECORD_PAGES, 1);
+        assert_eq!(
+            asked[..2],
+            [(record + 1, 0), (record + 2, RECORD_PAGES - 2)]
+        );
+        let asked = probe(&mut p, stream[5].0, stream[5].1);
+        assert_eq!(asked[1].1, 0, "the second record jump is silent too");
+        assert_eq!(
+            asked[2].1,
+            RECORD_PAGES - 2,
+            "and asks on the first continuation"
+        );
+        let asked = probe(&mut p, stream[6].0, stream[6].1);
+        assert_eq!(
+            asked[1],
+            (stream[6].1 + 1, RECORD_PAGES - 1),
+            "two records led since"
+        );
+    }
+
+    #[test]
+    fn a_deferred_lone_licensed_ask_is_restored_when_its_run_completes() {
+        let mut p = Predictor::new(3);
+        let stream = probes(19, 8);
+        for &(index, record) in &stream[..3] {
+            probe(&mut p, index, record);
+        }
+        let (index, record) = stream[3];
+        p.on_access(index, 1, true, MAX);
+        assert!(p.on_access(record, 1, true, MAX).known_run);
+        p.defer_known_run();
+        let asked = run(&mut p, record + 1, RECORD_PAGES - 1, 1);
+        assert_eq!(
+            asked[0],
+            (record + 2, RECORD_PAGES - 2),
+            "asks on the first continuation"
+        );
+        assert!(asked[1..].iter().all(|&(_, pages)| pages == 0), "{asked:?}");
+        // Completing the record restores the count: the next record jump
+        // asks.
+        let (index, record) = stream[4];
+        p.on_access(index, 1, true, MAX);
+        assert!(p.on_access(record, 1, true, MAX).known_run);
+    }
+
     proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
         /// Over random run-length sequences (far jumps between runs, every
         /// run shorter than the ramp ceiling), against a model of the two
-        /// recent lengths and the continuing-run count: the jump asks
-        /// exactly when the last two runs both continued forward, and a
-        /// reader strictly inside the learned shape sees at most one
-        /// request, never past the learned run end.
+        /// recent lengths and both counts: the jump asks exactly when the
+        /// last two runs both continued forward or, after a lone access,
+        /// when the last two lone accesses were each followed by such a
+        /// run; and a reader strictly inside the learned shape sees at most
+        /// one request, never past the learned run end.
         #[test]
         fn one_request_per_run_and_jumps_ask_only_after_continuing_runs(
             runs in proptest::collection::vec((1u64..=6, 1u64..=4, proptest::bool::ANY), 1..48),
         ) {
             let mut p = Predictor::new(3);
             let (mut recent, mut continuing) = ([0u64; 2], 0u32);
+            let (mut led_by_lone, mut after_lone) = (0u32, false);
             let mut base = 0u64;
             for (accesses, count, backward) in runs {
                 base += 1_000_000;
                 let expected = recent[0].min(recent[1]);
+                let licence = if after_lone { led_by_lone } else { continuing };
                 let mut requests = 0;
                 for i in 0..accesses {
                     let page = if backward { base - i * count } else { base + i * count };
                     let pred = p.on_access(page, count, true, MAX);
-                    let asks_at_jump = i == 0 && continuing == 2 && expected > count;
+                    let asks_at_jump = i == 0 && licence == 2 && expected > count;
                     proptest::prop_assert_eq!(pred.known_run, asks_at_jump);
                     if !backward && page + count < base + expected {
                         requests += u64::from(pred.prefetch_pages > 0);
@@ -859,12 +1008,17 @@ pub(crate) mod tests {
                         proptest::prop_assert!(pred.from_page + pred.prefetch_pages <= base + expected);
                     }
                 }
-                if accesses >= 2 && !backward {
+                let completed = accesses >= 2 && !backward;
+                if completed {
                     recent = [accesses * count, recent[0]];
                     continuing = (continuing + 1).min(2);
                 } else {
                     continuing = 0;
                 }
+                if after_lone {
+                    led_by_lone = if completed { (led_by_lone + 1).min(2) } else { 0 };
+                }
+                after_lone = accesses == 1;
             }
         }
     }

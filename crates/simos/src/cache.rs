@@ -169,23 +169,6 @@ impl CacheState {
         inserted
     }
 
-    /// Re-flags present pages in `[start, end)` as speculative without
-    /// touching presence or readiness — the cancellation path of a
-    /// speculatively pre-issued demand read. The pages were fetched on a
-    /// prediction the application never confirmed, so they must re-enter
-    /// the prefetch-quality ledger: a later touch classifies them
-    /// timely/late, eviction books them wasted. Returns the number of
-    /// pages newly flagged (present and not already speculative).
-    pub fn mark_speculative(&mut self, start: u64, end: u64) -> u64 {
-        let mut flagged = 0;
-        for (w, mask) in self.spans(start, end) {
-            let fresh = self.words[w] & mask & !self.speculative[w];
-            self.speculative[w] |= fresh;
-            flagged += u64::from(fresh.count_ones());
-        }
-        flagged
-    }
-
     /// Classifies the first access to any speculative pages in
     /// `[start, end)` at virtual time `now`: a speculative page whose fill
     /// completed by `now` counts as *timely*, one still in flight as
@@ -622,23 +605,6 @@ mod tests {
         assert_eq!(cache.classify_access(0, 64, 50), (0, 0));
         cache.evict_word(0);
         assert_eq!(cache.quality(), PrefetchQuality::default());
-    }
-
-    #[test]
-    fn mark_speculative_reflags_present_pages() {
-        let mut cache = CacheState::default();
-        cache.insert_range(0, 32, 10, 0); // demand-resident, non-speculative
-        assert_eq!(cache.mark_speculative(0, 16), 16);
-        // Already-speculative and absent pages are not double-counted.
-        assert_eq!(cache.mark_speculative(0, 64), 16);
-        assert_eq!(cache.speculative_pages(), 32);
-        // Eviction now books the untouched half as wasted.
-        cache.classify_access(0, 8, 50);
-        cache.evict_word(0);
-        let q = cache.quality();
-        assert_eq!((q.timely, q.late, q.wasted), (8, 0, 24));
-        // Out-of-coverage ranges are a no-op.
-        assert_eq!(cache.mark_speculative(1_000, 2_000), 0);
     }
 
     #[test]

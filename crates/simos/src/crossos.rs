@@ -972,38 +972,6 @@ impl Os {
             bytes: len,
         })
     }
-
-    /// Re-flags the still-present pages of `[start_page, end_page)` as
-    /// speculative — for pages that were fetched on a demand path but that
-    /// nobody asked for — so they enter the prefetch-quality ledger
-    /// (touched later → timely or late; evicted untouched → wasted).
-    /// Charged as a short bitmap write. Returns the number of pages
-    /// re-flagged — the caller must bill exactly that many against its
-    /// initiated-pages ledger to keep the quality-sum invariant. (A
-    /// demand-class batch entry needs none of this: its pages are
-    /// published as prefetched to begin with.)
-    pub fn mark_range_speculative(
-        &self,
-        clock: &mut ThreadClock,
-        fd: Fd,
-        start_page: u64,
-        end_page: u64,
-    ) -> u64 {
-        let costs = &self.config().costs;
-        let pages = end_page.saturating_sub(start_page);
-        if pages == 0 {
-            return 0;
-        }
-        let entry = self.fd_entry(fd);
-        let cache = self.cache(entry.ino);
-        let access = cache.bitmap_lock.write(
-            clock.now(),
-            costs.bitmap_lock_hold_ns + costs.bitmap_scan_ns(pages),
-        );
-        clock.advance_to(access.end_ns);
-        let flagged = cache.state.write().mark_speculative(start_page, end_page);
-        flagged
-    }
 }
 
 /// Recency bias for prefetched-but-unread pages (see
@@ -1552,23 +1520,6 @@ mod tests {
         assert_eq!(a_out, r_out);
         assert_eq!((a_hits, a_misses), (r_hits, r_misses));
         assert_eq!(a_q, r_q);
-    }
-
-    #[test]
-    fn mark_range_speculative_reenters_quality_ledger() {
-        let (os, fd, mut clock) = os_with_file(4 << 20);
-        // Silence the heuristic readahead so the only cached pages are the
-        // demand-filled ones under test.
-        os.fadvise(&mut clock, fd, crate::Advice::Random, 0, 0);
-        // Demand-fill pages [0, 16) — non-speculative.
-        os.read_charge(&mut clock, fd, 0, 16 * PAGE_SIZE);
-        let flagged = os.mark_range_speculative(&mut clock, fd, 0, 16);
-        assert_eq!(flagged, 16);
-        // Dropping them now books the full range as wasted.
-        os.drop_caches(&mut clock);
-        assert_eq!(os.prefetch_quality().wasted, 16);
-        // Re-flagging an empty or absent range is a no-op.
-        assert_eq!(os.mark_range_speculative(&mut clock, fd, 5, 5), 0);
     }
 
     #[test]

@@ -89,17 +89,6 @@ impl PageModel {
         inserted
     }
 
-    fn mark_speculative(&mut self, start: u64, end: u64) -> u64 {
-        let mut flagged = 0;
-        for p in Self::pages(start, end) {
-            if self.present[p] && !self.speculative[p] {
-                self.speculative[p] = true;
-                flagged += 1;
-            }
-        }
-        flagged
-    }
-
     fn classify_access(&mut self, start: u64, end: u64, now: u64) -> (u64, u64) {
         let (mut timely, mut late) = (0, 0);
         for p in Self::pages(start, end) {
@@ -180,7 +169,7 @@ impl PageModel {
 /// the allocated words.
 fn cache_op() -> impl Strategy<Value = (u8, u64, u64, u64)> {
     let len = prop_oneof![1u64..8, 56u64..72, 120u64..400, Just(TO_END)];
-    (0u8..12, 0u64..MODEL_PAGES + 200, len, 0u64..40)
+    (0u8..11, 0u64..MODEL_PAGES + 200, len, 0u64..40)
 }
 
 proptest! {
@@ -205,14 +194,10 @@ proptest! {
                     model.insert(istart, iend, now, now + 10 * step, true)
                 ),
                 2 => prop_assert_eq!(
-                    cache.mark_speculative(start, end),
-                    model.mark_speculative(start, end)
-                ),
-                3 => prop_assert_eq!(
                     cache.classify_access(start, end, now),
                     model.classify_access(start, end, now)
                 ),
-                4 => {
+                3 => {
                     // The write path: pages are inserted, then dirtied.
                     cache.insert_range(istart, iend, now, 0);
                     model.insert(istart, iend, now, 0, false);
@@ -221,36 +206,36 @@ proptest! {
                         model.mark_dirty(istart, iend, now)
                     );
                 }
-                5 => prop_assert_eq!(
+                4 => prop_assert_eq!(
                     cache.clear_dirty_range(start, end),
                     model.clear_dirty_range(start, end)
                 ),
-                6 => prop_assert_eq!(
+                5 => prop_assert_eq!(
                     cache.remove_range(start, end),
                     model.remove_range(start, end)
                 ),
-                7 => {
+                6 => {
                     let w = start / PAGES_PER_WORD;
                     prop_assert_eq!(
                         cache.evict_word(w as usize),
                         model.remove_range(w * PAGES_PER_WORD, (w + 1) * PAGES_PER_WORD)
                     );
                 }
-                8 => {
+                7 => {
                     cache.touch_range(istart, iend, now);
                     for p in PageModel::pages(istart, iend) {
                         let w = p / PAGES_PER_WORD as usize;
                         model.touch[w] = model.touch[w].max(now);
                     }
                 }
-                9 => {
+                8 => {
                     cache.lower_ready(start, end, now);
                     for p in PageModel::pages(start, end) {
                         let w = p / PAGES_PER_WORD as usize;
                         model.ready[w] = model.ready[w].min(now);
                     }
                 }
-                10 => prop_assert_eq!(
+                9 => prop_assert_eq!(
                     cache.clear_dirty(),
                     model.clear_dirty_range(0, MODEL_PAGES)
                 ),
