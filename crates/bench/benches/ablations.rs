@@ -2,10 +2,9 @@
 //! predictor counter width, `NR_WORKERS_VAR`, `PREFETCH_SIZE_VAR`,
 //! `CROSS_BITMAP_SHIFT`), the per-inode-LRU future-work feature (§4.6), and
 //! every opt-in subsystem added since, off against on: prediction engines,
-//! batched submission, the completion ring, the tenant arbiter, cross-tier
-//! promotion, deferred write-back. This bench only prints; the claims its
-//! tables illustrate are gated by `cargo test`
-//! (`tests/{engines,batching,ring,tenants,tiering}.rs`).
+//! the completion ring, the tenant arbiter, cross-tier promotion, deferred
+//! write-back. This bench only prints; the claims its tables illustrate
+//! are gated by `cargo test` (`tests/{engines,ring,tenants,tiering}.rs`).
 
 use cp_bench::{banner, boot, boot_tiered, fmt_mbps, scale, TablePrinter};
 use crossprefetch::{
@@ -73,15 +72,6 @@ fn micro(rt: &Runtime, clock: &mut ThreadClock) -> String {
     let result = run_micro(rt, &cfg);
     clock.advance(result.elapsed_ns);
     format!("{} MB/s", fmt_mbps(result.mbps()))
-}
-
-/// Sequential 16 KiB reads over a cold 96 MiB file.
-fn sequential(rt: &Runtime, clock: &mut ThreadClock) -> String {
-    let file = rt.create_sized(clock, PATH, 96 << 20).expect("create");
-    for i in 0..1536 * scale() {
-        file.read_charge(clock, i * 16_384, 16_384);
-    }
-    String::new()
 }
 
 /// Zipfian index-then-record probes over `keys` 9-page keys: short runs
@@ -161,7 +151,6 @@ fn scan_then_scatter(rt: &Runtime, clock: &mut ThreadClock, write_every: u64) ->
     for page in 0..pages {
         file.read_charge(clock, page * PAGE_SIZE, PAGE_SIZE);
     }
-    rt.flush_prefetch_batches(clock);
     rt.os().drop_caches(clock);
     for i in 0..4096 * scale() {
         let page = i.wrapping_mul(0x9E37_79B9) % (pages - 8);
@@ -201,12 +190,10 @@ fn report_sweep<T: Copy>(
             let rt = Runtime::new(os(value), config);
             let mut clock = rt.new_clock();
             let note = workload(&rt, &mut clock);
-            rt.flush_prefetch_batches(&mut clock);
             let ms = clock.now() as f64 / NS_PER_MS as f64;
             let calls = rt.os().stats();
             let device_writes = rt.os().device().stats().write_requests.get();
-            let prefetch_calls =
-                calls.ra_info_calls.get() + calls.ra_calls.get() + calls.ra_batch_calls.get();
+            let prefetch_calls = calls.ra_info_calls.get() + calls.ra_calls.get();
             let read_calls = calls.reads.get() + calls.read_batch_calls.get();
             rt.os().drop_caches(&mut clock);
             let r = RuntimeReport::collect(&rt);
@@ -319,14 +306,6 @@ fn main() {
             |c, engine| c.engine = engine,
         );
     }
-    report_sweep(
-        "batched SQ/CQ prefetch submission x mechanism (sequential 16 KiB reads)",
-        sequential,
-        &mechanisms,
-        &off_on,
-        |_| boot(64),
-        |c, on| c.batch_submit = on,
-    );
     report_sweep(
         "completion ring (zipfian kvprobe, 8 MB cache)",
         kvprobe,

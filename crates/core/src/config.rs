@@ -132,38 +132,15 @@ pub struct RuntimeConfig {
     /// Shard count never affects simulated timing or telemetry counters —
     /// only real-lock contention between host threads.
     pub registry_shards: usize,
-    /// Batched prefetch submission (the SQ/CQ path): planned prefetch
-    /// runs accumulate in a bounded per-worker submission queue and are
-    /// handed to the OS as one vectored `readahead_info`-style call that
-    /// charges a *single* syscall crossing per batch and merges adjacent
-    /// runs per inode. Requires cache visibility (blind `readahead(2)`
-    /// has no vectored form); ignored on modes without it. Default off:
-    /// batching changes syscall counts, crossing costs, and therefore the
+    /// Completion-driven I/O ring: fully-cached demand reads are absorbed
+    /// through the exported bitmap without a syscall crossing; demand
+    /// misses cross via one vectored `read_batch` call; and a known run
+    /// ([`predict::Prediction::known_run`]) rides the miss that starts it
+    /// on that crossing. Requires cache visibility (the absorb path reads
+    /// the shared bitmap); ignored on modes without it. Default off: the
+    /// ring changes syscall counts, crossing costs, and therefore the
     /// virtual timeline — with it off, every new code path is bypassed
-    /// and telemetry is byte-identical to the unbatched runtime.
-    pub batch_submit: bool,
-    /// Entries per submission batch before a size flush
-    /// ([`crate::ring::FlushReason::Full`]).
-    pub batch_max_runs: usize,
-    /// Virtual-time deadline after which an open batch flushes even when
-    /// not full ([`crate::ring::FlushReason::Deadline`]) — bounds the
-    /// staging latency a run can add to a prefetch.
-    pub batch_deadline_ns: u64,
-    /// Completion-driven I/O ring: demand reads join prefetch on the
-    /// shared submission ring. Fully-cached reads are absorbed through the
-    /// exported bitmap without a syscall crossing; demand misses cross via
-    /// one vectored `read_batch` call that piggybacks any staged prefetch
-    /// runs; and a known run ([`predict::Prediction::known_run`]) crosses
-    /// with the miss that starts it. Prefetch runs are only *staged* while
-    /// [`Self::batch_submit`] is also on — with the ring alone every
-    /// crossing carries just its demand entry — and only `tests/ring.rs`
-    /// and the telemetry feature-on golden turn both on (no benchmark
-    /// workload, bench gate or example does). Requires cache visibility
-    /// (the absorb path reads the shared bitmap); ignored on modes without
-    /// it. Default off: the ring changes syscall counts, crossing costs,
-    /// and therefore the virtual timeline — with it off, every new code
-    /// path is bypassed and telemetry is byte-identical to the ring-less
-    /// runtime.
+    /// and telemetry is byte-identical to the ring-less runtime.
     pub ring_submit: bool,
     /// Exemplar reservoir depth per latency class for causal span tracing
     /// ([`crate::span::SpanCollector`]): the slowest K reads of each class
@@ -203,9 +180,6 @@ impl RuntimeConfig {
             evict_min_idle_ns: 100 * simclock::NS_PER_MS,
             evict_scan_interval_ns: simclock::NS_PER_MS,
             registry_shards: 0,
-            batch_submit: false,
-            batch_max_runs: 8,
-            batch_deadline_ns: 50 * simclock::NS_PER_US,
             ring_submit: false,
             span_exemplars: 8,
             tenants: None,

@@ -58,15 +58,10 @@ pub struct Policy {
     pub scope: LockScope,
     /// Post-read hooks, in execution order.
     pub post_read: Vec<PostReadHook>,
-    /// Batched prefetch submission: accumulate planned runs and submit
-    /// them as one vectored crossing. Requires cache visibility — the
-    /// vectored call is a `readahead_info` extension — so the flag is the
-    /// config knob ANDed with the visibility feature.
-    pub batch_submit: bool,
     /// Completion-driven ring: absorb fully-cached demand reads through
     /// the exported bitmap, cross demand misses via the vectored
-    /// `read_batch` crossing (piggybacking staged prefetch runs), and
-    /// carry a known run on the miss that starts it. The absorb path reads
+    /// `read_batch` crossing, and carry a known run on the miss that
+    /// starts it. The absorb path reads
     /// the shared cache-state bitmap, so the flag is the config knob
     /// ANDed with the visibility feature.
     pub ring: bool,
@@ -110,7 +105,6 @@ impl Policy {
             open_action,
             scope,
             post_read,
-            batch_submit: features.visibility && config.batch_submit,
             ring: features.visibility && config.ring_submit,
             engine: if features.predict {
                 config.engine
@@ -191,23 +185,6 @@ mod tests {
         assert!(policy.intercept);
         assert!(!policy.silence_heuristic_ra);
         assert_eq!(policy.post_read, vec![PostReadHook::FincorePoll]);
-    }
-
-    #[test]
-    fn batch_submit_requires_visibility() {
-        // Off by default everywhere.
-        for mode in Mode::table2() {
-            assert!(!Policy::for_config(&RuntimeConfig::new(mode)).batch_submit);
-        }
-        // On + visibility: enabled.
-        let mut config = RuntimeConfig::new(Mode::PredictOpt);
-        config.batch_submit = true;
-        assert!(Policy::for_config(&config).batch_submit);
-        // On without visibility (no vectored form for blind readahead):
-        // stays off.
-        let mut blind = RuntimeConfig::new(Mode::OsOnly);
-        blind.batch_submit = true;
-        assert!(!Policy::for_config(&blind).batch_submit);
     }
 
     #[test]

@@ -34,7 +34,7 @@ use simos::{IoError, Os, RaBatchCompletion, RaBatchEntry, ReadBatchEntry, ReadOu
 
 use crate::metrics::{PipelineStage, ReadClass};
 use crate::policy::PostReadHook;
-use crate::runtime::{BatchedRun, CpFile};
+use crate::runtime::{CpFile, Rider};
 use crate::trace::{LookupOutcome, TraceEventKind};
 
 /// Reads between whole-file refetch rounds in FetchAll mode.
@@ -48,7 +48,7 @@ const STALE_RESYNC_PAGES: u64 = 128;
 const FINCORE_POLL_INTERVAL: u64 = 32;
 
 /// One ring crossing's result: the demand read's own outcome and the
-/// completions of the prefetch entries that rode along.
+/// completions of the riders it carried.
 pub(crate) type RingCrossing<E> = (Result<ReadOutcome, E>, Vec<RaBatchCompletion>);
 
 /// How the demand-fill stage performs its OS read.
@@ -70,14 +70,14 @@ pub(crate) trait FillMode {
         len: u64,
     ) -> Result<ReadOutcome, Self::Error>;
 
-    /// Submits one demand read plus staged prefetch entries as a single
-    /// vectored ring crossing ([`CpFile::ring_fill`] drives it). The outer
+    /// Submits one demand read plus its riders as a single vectored ring
+    /// crossing ([`CpFile::ring_fill`] drives it). The outer
     /// error is the kernel rejecting the crossing outright.
     fn ring_cross(
         os: &Os,
         clock: &mut ThreadClock,
         demand: ReadBatchEntry,
-        staged: &[RaBatchEntry],
+        riders: &[RaBatchEntry],
     ) -> Result<RingCrossing<Self::Error>, IoError>;
 
     /// Charges a write; the read-modify-write head/tail demand reads use
@@ -113,9 +113,9 @@ impl FillMode for NeverFails {
         os: &Os,
         clock: &mut ThreadClock,
         demand: ReadBatchEntry,
-        staged: &[RaBatchEntry],
+        riders: &[RaBatchEntry],
     ) -> Result<RingCrossing<Self::Error>, IoError> {
-        let (mut outcomes, completions) = os.read_batch(clock, &[demand], staged)?;
+        let (mut outcomes, completions) = os.read_batch(clock, &[demand], riders)?;
         Ok((Ok(outcomes.pop().unwrap_or_default()), completions))
     }
 
@@ -155,9 +155,9 @@ impl FillMode for MayFail {
         os: &Os,
         clock: &mut ThreadClock,
         demand: ReadBatchEntry,
-        staged: &[RaBatchEntry],
+        riders: &[RaBatchEntry],
     ) -> Result<RingCrossing<Self::Error>, IoError> {
-        let (mut outcomes, completions) = os.try_read_batch(clock, &[demand], staged)?;
+        let (mut outcomes, completions) = os.try_read_batch(clock, &[demand], riders)?;
         Ok((
             outcomes.pop().unwrap_or(Ok(ReadOutcome::default())),
             completions,
@@ -415,9 +415,6 @@ impl CpFile {
         let decision = std::mem::take(&mut ctx.decision);
         let crosses = inner.policy.ring && !ctx.is_write && !inner.degraded.load(Ordering::Relaxed);
         ctx.known_run = self.apply_decision(clock, decision, ctx.p0, ctx.p1, crosses);
-        // Batched submission: expired batches ride the next intercepted
-        // read. One relaxed load when nothing is due (or batching is off).
-        self.runtime.flush_due_batches(clock);
         ctx.close_stage(self, PipelineStage::PrefetchPlan, clock.now());
     }
 
@@ -525,9 +522,8 @@ impl CpFile {
             let known_run = ctx.known_run.take();
             match absorbed {
                 // Everything else crosses — as a vectored ring submission
-                // that carries a known run and piggybacks staged prefetch
-                // runs when the ring is on, or the plain read syscall when
-                // it is off.
+                // that carries a known run when the ring is on, or the
+                // plain read syscall when it is off.
                 None if ring => self.ring_fill::<F>(clock, ctx.offset, ctx.len, known_run),
                 no_crossing => {
                     // A jump that hit the cache: waiting out the whole
@@ -805,7 +801,7 @@ impl CpFile {
         pred: Prediction,
         p0: u64,
         p1: u64,
-        rider: Option<&mut Vec<BatchedRun>>,
+        rider: Option<&mut Vec<Rider>>,
     ) {
         let runtime = &self.runtime;
         let inner = &runtime.inner;

@@ -1,27 +1,12 @@
-//! Completion-driven submission/completion ring shared by prefetch and
-//! demand reads (io_uring-style).
+//! A bounded per-slot submission queue (io_uring's SQ half): entries
+//! accumulate per slot and leave as whole batches on size or virtual-time
+//! deadline.
 //!
-//! PR 4 introduced per-worker submission queues as a prefetch-only
-//! sidecar of [`crate::worker::WorkerPool`]; this module promotes them
-//! into a first-class ring:
-//!
-//! * the [`SubmissionQueue`] is the SQ half — bounded per-worker slots
-//!   accumulating planned runs that flush as whole batches on size,
-//!   virtual-time deadline, or explicit drain;
-//! * deadline flushes are driven by a *timer*, not read-path polling: a
-//!   flush carries the batch's `opened_ns`, so the reactor dispatches it
-//!   at `opened_ns + deadline_ns` in virtual time even when the
-//!   application stream has gone idle (the PR 4 polled-deadline
-//!   starvation fix);
-//! * demand misses submit through the same ring — the read path drains
-//!   staged prefetch entries and crosses them *with* the demand read in
-//!   one vectored `Os::try_read_batch` call;
-//! * a *known run* — the predictor asking, at the miss that starts a run,
-//!   for the remainder it has learned always follows — crosses with that
-//!   miss as demand-class entries (Foreactor's explicit speculation), and
-//!   the run's later reads absorb with no crossing of their own.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! No runtime path stages into it. A planned run is either issued by a
+//! worker through `readahead_info` or rides the miss that starts it on the
+//! ring crossing (`Os::try_read_batch`, DESIGN §13). Its one user is the
+//! benchmark's host-cost probe (`benchmark/src/layers.rs::probe_ring`),
+//! which times `push` and `drain_due`.
 
 use parking_lot::Mutex;
 
@@ -32,26 +17,10 @@ pub enum FlushReason {
     Full,
     /// The batch sat open past its virtual-time deadline.
     Deadline,
-    /// An explicit drain (end of run, cache-view drop, bench boundary).
-    Explicit,
-}
-
-impl FlushReason {
-    /// Stable label used in traces and telemetry.
-    pub fn name(self) -> &'static str {
-        match self {
-            FlushReason::Full => "full",
-            FlushReason::Deadline => "deadline",
-            FlushReason::Explicit => "explicit",
-        }
-    }
 }
 
 /// A batch leaving the queue: its entries, why it flushed, and the
-/// virtual time the batch was *opened* — the deadline base the caller
-/// must bill against (occupancy, flush-reason counters, and the timer
-/// dispatch time all key off the flushed batch's own age, never the
-/// event that triggered the flush).
+/// virtual time the batch was *opened* (its deadline base).
 #[derive(Debug)]
 pub struct Flush<T> {
     /// The drained batch entries.
@@ -62,13 +31,6 @@ pub struct Flush<T> {
     pub opened_ns: u64,
 }
 
-impl<T> Flush<T> {
-    /// The virtual time this batch's deadline expires (its due time).
-    pub fn due_ns(&self, deadline_ns: u64) -> u64 {
-        self.opened_ns.saturating_add(deadline_ns)
-    }
-}
-
 /// One open batch: accumulated entries plus the virtual time the batch was
 /// opened (its deadline base).
 #[derive(Debug)]
@@ -77,28 +39,20 @@ struct Slot<T> {
     opened_ns: u64,
 }
 
-/// A bounded per-worker submission queue: entries accumulate per slot and
-/// flush as whole batches when a slot fills ([`FlushReason::Full`]), when
-/// the batch ages past the deadline ([`FlushReason::Deadline`]), or on
-/// explicit drain ([`FlushReason::Explicit`]).
-///
-/// The queue itself is timing-free bookkeeping — callers decide *when* to
-/// consult it (the reactor timer checks [`SubmissionQueue::next_deadline_ns`],
-/// one relaxed load, before paying any locking).
+/// A bounded per-slot submission queue: entries accumulate per slot and
+/// flush as whole batches when a slot fills ([`FlushReason::Full`]) or when
+/// the batch ages past the deadline ([`FlushReason::Deadline`]). Timing-free
+/// bookkeeping: callers decide when to consult it.
 #[derive(Debug)]
 pub struct SubmissionQueue<T> {
     slots: Vec<Mutex<Slot<T>>>,
     max_entries: usize,
     deadline_ns: u64,
-    /// Earliest deadline over all open batches; `u64::MAX` when every slot
-    /// is empty. A monotone hint (maintained with `fetch_min` on push and
-    /// recomputed on drain), so the hot path can skip the slot locks.
-    earliest_due_ns: AtomicU64,
 }
 
 impl<T> SubmissionQueue<T> {
-    /// A queue with one slot per worker, flushing at `max_entries` entries
-    /// or `deadline_ns` virtual nanoseconds after a batch opens.
+    /// A queue with `slots` slots, flushing at `max_entries` entries or
+    /// `deadline_ns` virtual nanoseconds after a batch opens.
     pub fn new(slots: usize, max_entries: usize, deadline_ns: u64) -> Self {
         Self {
             slots: (0..slots.max(1))
@@ -111,29 +65,7 @@ impl<T> SubmissionQueue<T> {
                 .collect(),
             max_entries: max_entries.max(1),
             deadline_ns,
-            earliest_due_ns: AtomicU64::new(u64::MAX),
         }
-    }
-
-    /// Number of slots (one per worker).
-    pub fn slots(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Entry capacity per batch.
-    pub fn max_entries(&self) -> usize {
-        self.max_entries
-    }
-
-    /// The configured deadline window.
-    pub fn deadline_ns(&self) -> u64 {
-        self.deadline_ns
-    }
-
-    /// The earliest virtual time at which any open batch becomes due, or
-    /// `u64::MAX` when no batch is open. One relaxed load.
-    pub fn next_deadline_ns(&self) -> u64 {
-        self.earliest_due_ns.load(Ordering::Relaxed)
     }
 
     /// Appends `item` to `slot`'s open batch (opening one at `now` if the
@@ -142,10 +74,7 @@ impl<T> SubmissionQueue<T> {
     ///
     /// If the slot's *existing* batch is already past its deadline, that
     /// batch flushes alone — billed [`FlushReason::Deadline`] against its
-    /// own `opened_ns` — and `item` opens a fresh batch at `now`. (The
-    /// pre-ring code appended the late item first and billed the flush
-    /// against the new entry's timestamp, so the occupancy histogram and
-    /// flush-reason counters charged the wrong batch.)
+    /// own `opened_ns` — and `item` opens a fresh batch at `now`.
     pub fn push(&self, slot: usize, now: u64, item: T) -> Option<Flush<T>> {
         let mut guard = self.slots[slot % self.slots.len()].lock();
         if !guard.entries.is_empty() && now >= guard.opened_ns.saturating_add(self.deadline_ns) {
@@ -156,34 +85,25 @@ impl<T> SubmissionQueue<T> {
             };
             guard.entries.push(item);
             guard.opened_ns = now;
-            drop(guard);
-            self.recompute_due();
             return Some(expired);
         }
         if guard.entries.is_empty() {
             guard.opened_ns = now;
         }
         guard.entries.push(item);
-        if guard.entries.len() >= self.max_entries {
-            let full = Flush {
-                entries: std::mem::take(&mut guard.entries),
-                reason: FlushReason::Full,
-                opened_ns: guard.opened_ns,
-            };
-            drop(guard);
-            self.recompute_due();
-            return Some(full);
+        if guard.entries.len() < self.max_entries {
+            return None;
         }
-        let due = guard.opened_ns.saturating_add(self.deadline_ns);
-        drop(guard);
-        self.earliest_due_ns.fetch_min(due, Ordering::Relaxed);
-        None
+        Some(Flush {
+            entries: std::mem::take(&mut guard.entries),
+            reason: FlushReason::Full,
+            opened_ns: guard.opened_ns,
+        })
     }
 
     /// Drains every batch whose deadline has passed at `now`, returning
     /// `(slot, flush)` pairs in slot order (reason
-    /// [`FlushReason::Deadline`], each carrying its own `opened_ns` so the
-    /// reactor can fire the flush at the batch's due time).
+    /// [`FlushReason::Deadline`], each carrying its own `opened_ns`).
     pub fn drain_due(&self, now: u64) -> Vec<(usize, Flush<T>)> {
         let mut due = Vec::new();
         for (idx, slot) in self.slots.iter().enumerate() {
@@ -200,43 +120,7 @@ impl<T> SubmissionQueue<T> {
                 ));
             }
         }
-        if !due.is_empty() {
-            self.recompute_due();
-        }
         due
-    }
-
-    /// Drains every open batch regardless of age, returning `(slot, flush)`
-    /// pairs in slot order (the [`FlushReason::Explicit`] path).
-    pub fn drain_all(&self) -> Vec<(usize, Flush<T>)> {
-        let mut all = Vec::new();
-        for (idx, slot) in self.slots.iter().enumerate() {
-            let mut guard = slot.lock();
-            if !guard.entries.is_empty() {
-                all.push((
-                    idx,
-                    Flush {
-                        entries: std::mem::take(&mut guard.entries),
-                        reason: FlushReason::Explicit,
-                        opened_ns: guard.opened_ns,
-                    },
-                ));
-            }
-        }
-        self.earliest_due_ns.store(u64::MAX, Ordering::Relaxed);
-        all
-    }
-
-    /// Recomputes the earliest-deadline hint from the open batches.
-    fn recompute_due(&self) {
-        let mut earliest = u64::MAX;
-        for slot in &self.slots {
-            let guard = slot.lock();
-            if !guard.entries.is_empty() {
-                earliest = earliest.min(guard.opened_ns.saturating_add(self.deadline_ns));
-            }
-        }
-        self.earliest_due_ns.store(earliest, Ordering::Relaxed);
     }
 }
 
@@ -261,7 +145,6 @@ mod tests {
     fn queue_flushes_on_deadline() {
         let queue: SubmissionQueue<u64> = SubmissionQueue::new(1, 16, 1_000);
         assert!(queue.push(0, 0, 1).is_none());
-        assert_eq!(queue.next_deadline_ns(), 1_000);
         // Nothing due yet.
         assert!(queue.drain_due(999).is_empty());
         let due = queue.drain_due(1_000);
@@ -269,16 +152,14 @@ mod tests {
         assert_eq!(due[0].1.entries, vec![1]);
         assert_eq!(due[0].1.reason, FlushReason::Deadline);
         assert_eq!(due[0].1.opened_ns, 0);
-        assert_eq!(queue.next_deadline_ns(), u64::MAX);
+        assert!(queue.drain_due(u64::MAX).is_empty());
     }
 
     #[test]
     fn late_push_flushes_expired_batch_alone() {
         // A push arriving past the open batch's deadline must flush the
         // *old* batch by itself (billed against its own opened_ns) and
-        // stage the new item in a fresh batch opened at the push time —
-        // the pre-ring code lumped the late item into the expired batch
-        // and aged the flush from the new entry's timestamp.
+        // stage the new item in a fresh batch opened at the push time.
         let queue: SubmissionQueue<u64> = SubmissionQueue::new(1, 16, 1_000);
         assert!(queue.push(0, 0, 1).is_none());
         let flush = queue.push(0, 5_000, 2).expect("past-deadline push flushes");
@@ -292,28 +173,30 @@ mod tests {
             flush.opened_ns, 0,
             "billed against the expired batch's open time"
         );
-        // Item 2 sits in a fresh batch opened at 5_000.
-        assert_eq!(queue.next_deadline_ns(), 6_000);
-        let rest = queue.drain_all();
+        // Item 2 sits in a fresh batch opened at 5_000, due at 6_000.
+        assert!(queue.drain_due(5_999).is_empty());
+        let rest = queue.drain_due(6_000);
         assert_eq!(rest.len(), 1);
         assert_eq!(rest[0].1.entries, vec![2]);
         assert_eq!(rest[0].1.opened_ns, 5_000);
     }
 
     #[test]
-    fn drain_all_empties_every_slot() {
-        let queue: SubmissionQueue<u64> = SubmissionQueue::new(3, 16, 1_000_000);
+    fn drain_due_empties_every_expired_slot() {
+        let queue: SubmissionQueue<u64> = SubmissionQueue::new(3, 16, 1_000);
         queue.push(0, 0, 1);
         queue.push(2, 0, 2);
         queue.push(2, 0, 3);
-        let drained = queue.drain_all();
+        queue.push(1, 500, 4);
+        let drained = queue.drain_due(1_000);
         assert_eq!(drained.len(), 2);
         assert_eq!(drained[0].0, 0);
         assert_eq!(drained[0].1.entries, vec![1]);
-        assert_eq!(drained[0].1.reason, FlushReason::Explicit);
         assert_eq!(drained[1].0, 2);
         assert_eq!(drained[1].1.entries, vec![2, 3]);
-        assert!(queue.drain_all().is_empty());
-        assert_eq!(queue.next_deadline_ns(), u64::MAX);
+        // The younger slot drains at its own deadline.
+        let rest = queue.drain_due(1_500);
+        assert_eq!((rest.len(), rest[0].0), (1, 1));
+        assert!(queue.drain_due(u64::MAX).is_empty());
     }
 }

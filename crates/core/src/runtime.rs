@@ -20,7 +20,6 @@ use crate::metrics::RuntimeMetrics;
 use crate::policy::{OpenAction, Policy};
 use crate::range_index::{BPlusRangeIndex, IndexStats, LockScope};
 use crate::read_path::FillMode;
-use crate::ring::{Flush, FlushReason, SubmissionQueue};
 use crate::span::{CrossLayerSink, SpanCollector, SpanKind};
 use crate::stats::LibStats;
 use crate::tenant::{AdmissionRung, TenantArbiter, TenantId, UNBOUND_TENANT};
@@ -28,11 +27,11 @@ use crate::tiering::TierPlanner;
 use crate::trace::{LookupOutcome, TraceEventKind, TraceLog};
 use crate::worker::{Dispatch, WorkerPool};
 
-/// One staged prefetch run awaiting submission through the ring: a
-/// limit-sized sub-range of a planned prefetch, carrying everything the
-/// worker needs to build its [`RaBatchEntry`] at flush time.
+/// One limit-sized run of a known run riding the ring crossing of the
+/// miss that starts it: everything its [`RaBatchEntry`] is built from, and
+/// what a retry re-issues if it faults.
 #[derive(Debug)]
-pub(crate) struct BatchedRun {
+pub(crate) struct Rider {
     file: Arc<LibFile>,
     start: u64,
     end: u64,
@@ -156,11 +155,6 @@ pub(crate) struct RuntimeInner {
     /// files' opens never serialize on one registry lock.
     files: ShardedMap<Arc<LibFile>>,
     pub(crate) workers: WorkerPool,
-    /// Staged prefetch runs awaiting submission through the ring (one
-    /// slot per worker). Only consulted when [`Policy::batch_submit`] is
-    /// on; with batching off no entry is ever pushed and the queue is
-    /// inert.
-    batch_queue: SubmissionQueue<BatchedRun>,
     pub(crate) stats: LibStats,
     /// Last time (virtual ns) the memory watcher scanned candidates —
     /// bounds the eviction scan to once per watcher interval.
@@ -208,11 +202,6 @@ impl Runtime {
         let policy = Policy::for_config(&config);
         let shards = config.effective_registry_shards();
         let workers = WorkerPool::new(config.workers.max(1), Arc::clone(os.global()));
-        let batch_queue = SubmissionQueue::new(
-            config.workers.max(1),
-            config.batch_max_runs,
-            config.batch_deadline_ns,
-        );
         let trace = Arc::new(TraceLog::default());
         let spans = Arc::new(SpanCollector::new(config.span_exemplars));
         // Bridge kernel-side decisions (readahead_info, RA window growth,
@@ -234,7 +223,6 @@ impl Runtime {
                 policy,
                 files: ShardedMap::new(shards),
                 workers,
-                batch_queue,
                 stats: LibStats::default(),
                 last_evict_scan_ns: AtomicU64::new(0),
                 last_evicted_pages: AtomicU64::new(0),
@@ -479,7 +467,7 @@ impl Runtime {
     /// global counter always, plus the owning tenant's ledger when an
     /// arbiter is configured — keeping the per-tenant
     /// `timely + late + wasted == initiated` invariant intact across
-    /// every initiation path (worker, batch completion, pre-issued run).
+    /// every initiation path (worker, rider completion, promotion).
     pub(crate) fn note_pages_initiated(&self, file: &LibFile, pages: u64) {
         self.inner.stats.pages_initiated.add(pages);
         if pages == 0 {
@@ -654,10 +642,10 @@ impl Runtime {
     /// frontiers reflect the memory-clamped reality.
     ///
     /// With a `rider` — the demand crossing about to be made for the miss
-    /// that starts a known run — the request takes neither route: admitted
-    /// in full, and billed to the tenant window like any other prefetch,
-    /// its limit-sized runs are left in `rider` to cross with that miss as
-    /// demand-class entries (DESIGN §13); refused, nothing is scheduled.
+    /// that starts a known run — the request skips the worker: admitted in
+    /// full, and billed to the tenant window like any other prefetch, its
+    /// limit-sized runs are left in `rider` to ride that miss's crossing
+    /// (DESIGN §13); refused, nothing is scheduled.
     pub(crate) fn prefetch_pages(
         &self,
         clock: &mut ThreadClock,
@@ -665,7 +653,7 @@ impl Runtime {
         from: u64,
         want: u64,
         respect_floors: bool,
-        rider: Option<&mut Vec<BatchedRun>>,
+        rider: Option<&mut Vec<Rider>>,
     ) -> u64 {
         let inner = &self.inner;
         let costs = &inner.os.config().costs;
@@ -748,29 +736,23 @@ impl Runtime {
         inner.stats.pages_requested.add(total);
         clock.advance(costs.lock_op_ns); // enqueue
 
-        // Vectored paths: ride the demand crossing, or stage limit-sized
-        // runs in the submission queue (a full or expired slot flushes as
-        // one vectored crossing), and return. Degradation falls back to
-        // the per-run path below — blind `readahead(2)` has no vectored
-        // form, whether the blindness came from the kernel latch or the
-        // tenant admission ladder.
+        // Ride the demand crossing as limit-sized runs, and return.
+        // Degradation falls back to the per-run path below — blind
+        // `readahead(2)` has no vectored form, whether the blindness came
+        // from the kernel latch or the tenant admission ladder.
         let relax_limits = inner.policy.features.relax_limits;
-        if !inner.degraded.load(Ordering::Relaxed) && !force_blind {
-            if let Some(rider) = rider {
-                inner.stats.ring_spec_issued.incr();
-                let issued = TraceEventKind::RingSpecIssued {
-                    ino: file.ino,
-                    start_page: missing[0].0,
-                    pages: total,
-                };
-                inner.trace.emit(clock.now(), issued);
-                self.limit_sized_runs(file, &missing, relax_limits, |run| rider.push(run));
-                return end;
-            }
-            if inner.policy.batch_submit {
-                self.enqueue_batched(clock, file, &missing, relax_limits);
-                return end;
-            }
+        if let Some(rider) =
+            rider.filter(|_| !inner.degraded.load(Ordering::Relaxed) && !force_blind)
+        {
+            inner.stats.ring_spec_issued.incr();
+            let issued = TraceEventKind::RingSpecIssued {
+                ino: file.ino,
+                start_page: missing[0].0,
+                pages: total,
+            };
+            inner.trace.emit(clock.now(), issued);
+            self.limit_sized_runs(file, &missing, relax_limits, rider);
+            return end;
         }
 
         let runtime = self.clone();
@@ -843,15 +825,15 @@ impl Runtime {
         out
     }
 
-    /// Splits the missing runs into limit-sized entries — so vectored and
-    /// unbatched submissions initiate identical page counts, only the
-    /// crossing count differs — handing each to `sink`.
+    /// Splits the missing runs into limit-sized riders — so a ride and the
+    /// worker path initiate identical page counts, only the crossing count
+    /// differs — appending each to `riders`.
     fn limit_sized_runs(
         &self,
         file: &Arc<LibFile>,
         missing: &[(u64, u64)],
         relax: bool,
-        mut sink: impl FnMut(BatchedRun),
+        riders: &mut Vec<Rider>,
     ) {
         let cap = if relax {
             self.inner.config.max_prefetch_pages.max(1)
@@ -862,7 +844,7 @@ impl Runtime {
             let mut cursor = start;
             while cursor < end {
                 let upto = (cursor + cap).min(end);
-                sink(BatchedRun {
+                riders.push(Rider {
                     file: Arc::clone(file),
                     start: cursor,
                     end: upto,
@@ -873,137 +855,16 @@ impl Runtime {
         }
     }
 
-    /// Batching half of [`Runtime::prefetch_pages`]: stages the
-    /// limit-sized runs in the submission queue. A push that fills the
-    /// slot or finds it past its deadline flushes inline.
-    fn enqueue_batched(
-        &self,
-        clock: &mut ThreadClock,
-        file: &Arc<LibFile>,
-        missing: &[(u64, u64)],
-        relax: bool,
-    ) {
-        let now = clock.now();
-        let slot = self.inner.workers.least_loaded(now);
-        self.limit_sized_runs(file, missing, relax, |run| {
-            if let Some(flush) = self.inner.batch_queue.push(slot, now, run) {
-                self.flush_batch(clock, slot, flush);
-            }
-        });
-    }
+    /// A no-op: no planned prefetch is ever staged — a run is issued by a
+    /// worker or rides the miss that starts it — so there is nothing to
+    /// flush. Kept because the benchmark harness calls it at measurement
+    /// boundaries; ROADMAP item 1(e) removes it with that call.
+    pub fn flush_prefetch_batches(&self, _clock: &mut ThreadClock) {}
 
-    /// Fires the reactor timer: flushes batches whose virtual-time
-    /// deadline has passed, each *at its own due time*. Called from the
-    /// read path's prefetch-plan stage and the explicit drain points; the
-    /// common case is one relaxed load of the deadline hint and an
-    /// immediate return.
-    pub(crate) fn flush_due_batches(&self, clock: &mut ThreadClock) {
-        let inner = &self.inner;
-        if !inner.policy.batch_submit || clock.now() < inner.batch_queue.next_deadline_ns() {
-            return;
-        }
-        for (slot, flush) in inner.batch_queue.drain_due(clock.now()) {
-            self.flush_batch(clock, slot, flush);
-        }
-    }
-
-    /// Drains every staged prefetch batch. Expired batches fire first
-    /// through the reactor timer — dispatched at their own deadline, not
-    /// the caller's `now` — and only still-young batches drain as
-    /// [`FlushReason::Explicit`]. Benches and workloads call this at
-    /// measurement boundaries so no planned prefetch is left staged; a
-    /// no-op when batching is off.
-    pub fn flush_prefetch_batches(&self, clock: &mut ThreadClock) {
-        let inner = &self.inner;
-        if !inner.policy.batch_submit {
-            return;
-        }
-        self.flush_due_batches(clock);
-        for (slot, flush) in inner.batch_queue.drain_all() {
-            self.flush_batch(clock, slot, flush);
-        }
-    }
-
-    /// Hands one flushed batch to its worker as a single vectored
-    /// crossing. A deadline flush dispatches at the batch's *own* due
-    /// time (`opened_ns + deadline_ns`) in virtual time — the reactor
-    /// timer firing — not at whatever later moment a read happened to
-    /// pump the queue; the worker's FCFS server handles a past enqueue
-    /// time naturally (the job starts at `max(due, clear_time)`).
-    /// Billing (flush-reason counters, the occupancy histogram) is
-    /// always against the flushed batch's own entries.
-    fn flush_batch(&self, clock: &mut ThreadClock, slot: usize, flush: Flush<BatchedRun>) {
-        let inner = &self.inner;
-        if flush.entries.is_empty() {
-            return;
-        }
-        let at_ns = match flush.reason {
-            FlushReason::Deadline => {
-                inner.stats.ring_timer_fires.incr();
-                flush.due_ns(inner.batch_queue.deadline_ns())
-            }
-            FlushReason::Full | FlushReason::Explicit => clock.now(),
-        };
-        let batch = flush.entries;
-        let runs = batch.len() as u64;
-        let pages: u64 = batch.iter().map(|r| r.end - r.start).sum();
-        inner.stats.batches_flushed.incr();
-        match flush.reason {
-            FlushReason::Full => inner.stats.batch_flush_full.incr(),
-            FlushReason::Deadline => inner.stats.batch_flush_deadline.incr(),
-            FlushReason::Explicit => inner.stats.batch_flush_explicit.incr(),
-        }
-        inner.stats.batch_runs_submitted.add(runs);
-        inner.stats.batch_crossings_saved.add(runs - 1);
-        inner.metrics.batch_occupancy.record(runs);
-        inner.trace.emit(
-            at_ns,
-            TraceEventKind::BatchFlushed {
-                runs,
-                pages,
-                reason: flush.reason,
-            },
-        );
-        let runtime = self.clone();
-        let est_ns = inner.os.config().costs.syscall_ns;
-        let dispatch = inner
-            .workers
-            .dispatch_on(slot, at_ns, est_ns, move |wclock| {
-                runtime.issue_prefetch_batch(wclock, batch);
-            });
-        self.note_queue_wait(&dispatch);
-        inner.metrics.prefetch_ns.record(dispatch.latency_ns());
-        crate::span::record_leaf(SpanKind::BatchFlush, dispatch.latency_ns(), dispatch.end_ns);
-    }
-
-    /// Worker half of the batched path: one vectored syscall covers the
-    /// whole batch, then completions are handled per entry. A transiently
-    /// failed merged run falls back to the unbatched retry ladder for each
-    /// of its entries (the batch submission counts as their first
-    /// attempt); an `Unsupported` kernel flips the one-way degradation
-    /// latch and re-issues every staged run through the unbatched path,
-    /// which then goes blind.
-    fn issue_prefetch_batch(&self, clock: &mut ThreadClock, batch: Vec<BatchedRun>) {
-        let entries = self.batch_entries(&batch);
-        match self.inner.os.try_readahead_batch(clock, &entries) {
-            Ok(completions) => self.apply_batch_completions(clock, &batch, &completions),
-            Err(_) => {
-                if let Some(run) = batch.first() {
-                    self.latch_degraded(clock.now(), run.file.ino);
-                }
-                for run in &batch {
-                    self.reissue_run(clock, run, 0);
-                }
-            }
-        }
-    }
-
-    /// Builds the vectored OS entries for a set of staged runs — shared
-    /// by the batch-flush worker and the demand-path ring crossing so
-    /// both submit byte-identical requests.
-    fn batch_entries(&self, batch: &[BatchedRun]) -> Vec<RaBatchEntry> {
+    /// The vectored OS entries of a ring crossing's riders.
+    fn rider_entries(&self, riders: &[Rider]) -> Vec<RaBatchEntry> {
         let os_cap = self.inner.os.config().ra_max_pages;
-        batch
+        riders
             .iter()
             .map(|run| {
                 RaBatchEntry::new(
@@ -1020,22 +881,17 @@ impl Runtime {
             .collect()
     }
 
-    /// Per-entry completion handling for a vectored submission: merged
-    /// accounting, user-view import, and the transient-failure retry
-    /// ladder, entered with one attempt spent — the vectored submission
-    /// was each entry's first.
-    fn apply_batch_completions(
+    /// Per-rider completion handling: initiated-page accounting, the
+    /// user-view import, and the transient-failure retry ladder, entered
+    /// with one attempt spent — the crossing was each rider's first.
+    fn apply_rider_completions(
         &self,
         clock: &mut ThreadClock,
-        batch: &[BatchedRun],
+        riders: &[Rider],
         completions: &[RaBatchCompletion],
     ) {
-        let inner = &self.inner;
-        let costs = &inner.os.config().costs;
-        for (run, done) in batch.iter().zip(completions) {
-            if done.merged {
-                inner.stats.batch_runs_merged.incr();
-            }
+        let costs = &self.inner.os.config().costs;
+        for (run, done) in riders.iter().zip(completions) {
             if done.error.is_some() {
                 self.reissue_run(clock, run, 1);
                 continue;
@@ -1047,27 +903,23 @@ impl Runtime {
         }
     }
 
-    /// Reactor half of a demand ring crossing that piggybacked staged
-    /// prefetch runs: completion handling (merged accounting, user-view
-    /// import, the retry ladder) runs on the worker pool, off the demand
-    /// path.
-    fn finish_ring_crossing(
+    /// The tail of a ring crossing on which a rider faulted: the
+    /// completions are applied on a worker, off the reader's clock, and
+    /// each faulted rider re-issued through `readahead_info`. The job
+    /// reserves the worker for one syscall per faulted rider, as the
+    /// worker path does per call.
+    fn retry_faulted_riders(
         &self,
         clock: &mut ThreadClock,
-        staged: Vec<BatchedRun>,
+        riders: Vec<Rider>,
         completions: Vec<RaBatchCompletion>,
     ) {
-        if staged.is_empty() {
-            return;
-        }
         let inner = &self.inner;
-        inner
-            .stats
-            .ring_staged_runs_piggybacked
-            .add(staged.len() as u64);
+        let faulted = completions.iter().filter(|d| d.error.is_some()).count() as u64;
+        let est_ns = faulted * inner.os.config().costs.syscall_ns;
         let runtime = self.clone();
-        let dispatch = inner.workers.dispatch(clock.now(), 0, move |wclock| {
-            runtime.apply_batch_completions(wclock, &staged, &completions);
+        let dispatch = inner.workers.dispatch(clock.now(), est_ns, move |wclock| {
+            runtime.apply_rider_completions(wclock, &riders, &completions);
         });
         self.note_queue_wait(&dispatch);
         // Measured on the detached worker timeline: attach as an async
@@ -1082,14 +934,14 @@ impl Runtime {
     }
 
     /// Degradation exit for a rejected ring crossing (`Unsupported`
-    /// kernel): latch the one-way downgrade and re-issue the staged runs
-    /// through the unbatched — now blind — worker path so no planned
-    /// prefetch is lost.
-    fn ring_degrade(&self, clock: &mut ThreadClock, staged: Vec<BatchedRun>, ino: InodeId) {
+    /// kernel): latch the one-way downgrade and re-issue the riders
+    /// through the worker path — now blind — so no planned prefetch is
+    /// lost.
+    fn ring_degrade(&self, clock: &mut ThreadClock, riders: Vec<Rider>, ino: InodeId) {
         let inner = &self.inner;
         self.latch_degraded(clock.now(), ino);
         let est_ns = inner.os.config().costs.syscall_ns;
-        for run in staged {
+        for run in riders {
             let runtime = self.clone();
             inner.workers.dispatch(clock.now(), est_ns, move |wclock| {
                 runtime.reissue_run(wclock, &run, 0);
@@ -1097,9 +949,9 @@ impl Runtime {
         }
     }
 
-    /// Sends one staged run down the unbatched worker path instead, with
-    /// `spent` attempts already made on it by a vectored submission.
-    fn reissue_run(&self, clock: &mut ThreadClock, run: &BatchedRun, spent: u32) {
+    /// Sends one rider down the worker path instead, with `spent` attempts
+    /// already made on it by its crossing.
+    fn reissue_run(&self, clock: &mut ThreadClock, run: &Rider, spent: u32) {
         let range = [(run.start, run.end)];
         self.issue_prefetch(clock, &run.file, &range, run.relax, true, spent);
     }
@@ -1286,9 +1138,6 @@ impl Runtime {
     /// simulating the paper's fresh-process runs (a freshly-linked
     /// CROSS-LIB starts with no imported bitmaps).
     pub fn drop_cache_view(&self, clock: &mut ThreadClock) {
-        // Staged-but-unflushed batch entries die with the view: they were
-        // planned against the imported bitmaps being dropped.
-        let _ = self.inner.batch_queue.drain_all();
         let costs = &self.inner.os.config().costs;
         for file in self.inner.inner_files() {
             file.tree.clear(clock, costs, self.scope());
@@ -1531,33 +1380,16 @@ impl CpFile {
 
     // ----- completion-driven ring --------------------------------------------
 
-    /// Drains every staged submission batch for piggybacking on a demand
-    /// ring crossing, building their vectored entries. Empty (and free)
-    /// when batching is off or nothing is staged.
-    fn ring_stage(&self) -> (Vec<BatchedRun>, Vec<RaBatchEntry>) {
-        let inner = &self.runtime.inner;
-        if !inner.policy.batch_submit {
-            return (Vec::new(), Vec::new());
-        }
-        let mut staged = Vec::new();
-        for (_, flush) in inner.batch_queue.drain_all() {
-            staged.extend(flush.entries);
-        }
-        let entries = self.runtime.batch_entries(&staged);
-        (staged, entries)
-    }
-
-    /// Demand ring crossing: the miss and any staged prefetch runs cross
-    /// as one vectored `read_batch` call, under `F`'s fault discipline — a
-    /// transient device fault in the demand portion surfaces to the
-    /// caller while the piggybacked prefetch completions still process.
-    /// A `known_run` prediction made at this miss is planned first and,
-    /// admitted in full, crosses with it as demand-class entries whose
-    /// completions are applied here, on the reader's clock: the view must
-    /// claim the run before the reader's next access asks for it. Refused
-    /// (or with nothing missing), it is handed back to the engine.
-    /// An `Unsupported` kernel latches degradation, re-issues the staged
-    /// runs through the blind path, and falls back to the plain read.
+    /// Demand ring crossing: the miss crosses as one vectored `read_batch`
+    /// call, under `F`'s fault discipline. A `known_run` prediction made at
+    /// this miss is planned first and, admitted in full, rides the crossing
+    /// as riders whose completions are applied here, on the reader's
+    /// clock: the view must claim the run before the reader's next access
+    /// asks for it. Refused (or with nothing missing), it is handed back to
+    /// the engine. A faulted rider retries on a worker
+    /// ([`Runtime::retry_faulted_riders`]). An `Unsupported` kernel latches
+    /// degradation, re-issues the riders through the blind path, and falls
+    /// back to the plain read.
     pub(crate) fn ring_fill<F: FillMode>(
         &self,
         clock: &mut ThreadClock,
@@ -1566,7 +1398,6 @@ impl CpFile {
         known_run: Option<Prediction>,
     ) -> Result<ReadOutcome, F::Error> {
         let runtime = &self.runtime;
-        let (mut staged, mut entries) = self.ring_stage();
         let mut riders = Vec::new();
         if let Some(pred) = known_run {
             let (p0, p1) = (
@@ -1577,32 +1408,25 @@ impl CpFile {
             if riders.is_empty() {
                 self.engine.lock().defer_known_run();
             }
-            let ridden = runtime.batch_entries(&riders);
-            entries.extend(ridden.into_iter().map(RaBatchEntry::with_demand_class));
         }
+        let entries = runtime.rider_entries(&riders);
         let demand = ReadBatchEntry::new(self.fd, offset, len);
         match F::ring_cross(&runtime.inner.os, clock, demand, &entries) {
-            Ok((outcome, mut completions)) => {
-                let ridden = completions.split_off(staged.len());
-                if ridden.iter().all(|done| done.error.is_none()) {
-                    let charged = ridden.iter().map(|done| done.initiated_pages).sum();
+            Ok((outcome, completions)) => {
+                if completions.iter().all(|done| done.error.is_none()) {
+                    let charged = completions.iter().map(|done| done.initiated_pages).sum();
                     runtime.inner.stats.ring_spec_pages_charged.add(charged);
-                    runtime.apply_batch_completions(clock, &riders, &ridden);
+                    runtime.apply_rider_completions(clock, &riders, &completions);
                     if let Some(last) = riders.last() {
                         self.preissued.store(last.end, Ordering::Relaxed);
                     }
                 } else {
-                    // A faulted rider retries where staged runs do: on a
-                    // worker, off the reader's clock.
-                    staged.append(&mut riders);
-                    completions.extend(ridden);
+                    runtime.retry_faulted_riders(clock, riders, completions);
                 }
-                runtime.finish_ring_crossing(clock, staged, completions);
                 outcome
             }
             Err(_) => {
-                staged.append(&mut riders);
-                runtime.ring_degrade(clock, staged, self.file.ino);
+                runtime.ring_degrade(clock, riders, self.file.ino);
                 F::fill(self, clock, offset, len)
             }
         }
@@ -1746,5 +1570,49 @@ impl CpFile {
             late: delta.late,
             wasted: delta.wasted,
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use simos::{Device, DeviceConfig, FileSystem, FsKind, OsConfig};
+
+    /// The retry of a faulted rider re-issues it through `readahead_info`,
+    /// so its job holds the worker for that syscall as the worker path
+    /// does: with one worker, a job dispatched at the same instant queues
+    /// behind it for at least `syscall_ns`.
+    #[test]
+    fn a_faulted_rider_retry_reserves_its_syscall_on_the_worker() {
+        let os = Os::new(
+            OsConfig::with_memory_mb(64),
+            Device::new(DeviceConfig::local_nvme()),
+            FileSystem::new(FsKind::Ext4Like),
+        );
+        let mut config = RuntimeConfig::new(Mode::Predict);
+        config.workers = 1;
+        let runtime = Runtime::new(os, config);
+        let mut clock = runtime.new_clock();
+        let file = runtime.create_sized(&mut clock, "/f", 1 << 20).unwrap();
+        let rider = Rider {
+            file: Arc::clone(&file.file),
+            start: 0,
+            end: 12,
+            relax: false,
+        };
+        let faulted = RaBatchCompletion {
+            error: Some(IoError::Io),
+            ..RaBatchCompletion::default()
+        };
+        let now = clock.now();
+        runtime.retry_faulted_riders(&mut clock, vec![rider], vec![faulted]);
+        let next = runtime.workers().dispatch(now, 0, |_| {});
+        let syscall_ns = runtime.os().config().costs.syscall_ns;
+        assert!(
+            next.queue_wait_ns() >= syscall_ns,
+            "queued {} ns behind the retry",
+            next.queue_wait_ns()
+        );
+        assert_eq!(runtime.stats().prefetch_retries.get(), 1);
     }
 }

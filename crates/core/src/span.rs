@@ -24,8 +24,8 @@
 //!   synchronous leaf contributes its duration to its kind's bucket, so
 //!   the bucket sum equals the measured latency to the nanosecond.
 //! * **Async work is attached, not billed.** Spans recorded on detached
-//!   clocks (worker jobs, prefetch-class device windows, batch flushes)
-//!   appear as *async children* for tree display and folded stacks but
+//!   clocks (worker jobs, prefetch-class device windows) appear as
+//!   *async children* for tree display and folded stacks but
 //!   never enter the buckets — they are off the read's critical path.
 
 use std::cell::{Cell, RefCell};
@@ -64,13 +64,10 @@ pub enum SpanKind {
     /// A dispatched worker job's issuing window (detached worker
     /// timeline — always an async child).
     WorkerRun,
-    /// One submission-batch flush, enqueue to completion (detached worker
-    /// timeline — always an async child).
-    BatchFlush,
     /// Virtual-time backoff before a prefetch retry attempt.
     RetryBackoff,
-    /// Ring completion handling: the detached piggyback-completion
-    /// dispatch (which records under a suspended frame and attaches
+    /// Ring completion handling: the detached retry of a crossing's
+    /// faulted riders (which records under a suspended frame and attaches
     /// async).
     RingComplete,
 }
@@ -83,7 +80,6 @@ impl SpanKind {
             SpanKind::LibTreeLockWait => "lib-tree-lock-wait",
             SpanKind::WorkerQueueWait => "worker-queue-wait",
             SpanKind::WorkerRun => "worker-run",
-            SpanKind::BatchFlush => "batch-flush",
             SpanKind::RetryBackoff => "retry-backoff",
             SpanKind::RingComplete => "ring-complete",
         }
@@ -98,7 +94,6 @@ impl SpanKind {
                 | SpanKind::Os(OsSpanKind::TierPromote)
                 | SpanKind::WorkerQueueWait
                 | SpanKind::WorkerRun
-                | SpanKind::BatchFlush
         )
     }
 }
@@ -151,8 +146,7 @@ impl CriticalPath {
             // Forced-async kinds never reach here; routed defensively.
             SpanKind::Os(OsSpanKind::DevicePrefetch)
             | SpanKind::Os(OsSpanKind::TierPromote)
-            | SpanKind::WorkerRun
-            | SpanKind::BatchFlush => self.stage_compute_ns += dur_ns,
+            | SpanKind::WorkerRun => self.stage_compute_ns += dur_ns,
         }
     }
 }
@@ -206,8 +200,8 @@ pub struct SpanExemplar {
     /// bucketed in `path`).
     pub leaves: Vec<SpanLeaf>,
     /// Async children: spans measured on detached clocks while this read
-    /// was in flight (worker jobs it dispatched, prefetch device windows,
-    /// batch flushes). Attached for display, never bucketed.
+    /// was in flight (worker jobs it dispatched, prefetch device windows).
+    /// Attached for display, never bucketed.
     pub async_children: Vec<SpanLeaf>,
     /// The collapsed critical path; `path.total_ns() == latency_ns`.
     pub path: CriticalPath,
@@ -804,7 +798,7 @@ mod tests {
             &[
                 (SpanKind::WorkerQueueWait, 100),
                 (SpanKind::WorkerRun, 200),
-                (SpanKind::BatchFlush, 300),
+                (SpanKind::Os(OsSpanKind::TierPromote), 300),
                 (SpanKind::Os(OsSpanKind::DevicePrefetch), 400),
             ],
             false,

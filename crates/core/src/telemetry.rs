@@ -257,30 +257,32 @@ report_fields! {
             .iter()
             .map(|&stage| (stage.name(), metrics.stage_hist(stage).snapshot()))
             .collect();
-        /// Adjacent prefetch runs merged by opt-in submission coalescing.
+        /// Adjacent planned prefetch runs the tenant ladder's coalesced-only
+        /// rung merged into one submission.
         Counter prefetch_runs_coalesced: u64 = "prefetch_runs_coalesced" <= stats.prefetch_runs_coalesced.get();
     }
-    // Batched submission: all-zero when `batch_submit` is off — like every
-    // section below, its presence never depends on configuration.
+    // The batched submission path these counted is gone: every key reads
+    // a constant zero so the frozen layout (and what `benchmark/` reads)
+    // holds until ROADMAP item 1(e) drops the section with the probe.
     frozen ["batching"] {
-        /// Submission batches flushed to the vectored OS path.
-        Counter batches_flushed: u64 = "batches_flushed" <= stats.batches_flushed.get();
-        /// Batches flushed for reaching their entry capacity.
-        Counter batch_flush_full: u64 = "flush_full" <= stats.batch_flush_full.get();
-        /// Batches flushed by the virtual-time deadline.
-        Counter batch_flush_deadline: u64 = "flush_deadline" <= stats.batch_flush_deadline.get();
-        /// Batches flushed by an explicit drain.
-        Counter batch_flush_explicit: u64 = "flush_explicit" <= stats.batch_flush_explicit.get();
-        /// Prefetch runs submitted through batches.
-        Counter batch_runs_submitted: u64 = "runs_submitted" <= stats.batch_runs_submitted.get();
-        /// Batched runs the OS merged into an adjacent run before the device.
-        Counter batch_runs_merged: u64 = "runs_merged" <= stats.batch_runs_merged.get();
-        /// Syscall crossings batching avoided (entries minus one, per flush).
-        Counter batch_crossings_saved: u64 = "crossings_saved" <= stats.batch_crossings_saved.get();
-        /// Vectored `readahead_batch` calls the OS served.
-        Counter ra_batch_calls: u64 = "ra_batch_calls" <= os_stats.ra_batch_calls.get();
-        /// Entries per flushed batch (SQ occupancy at flush time).
-        Histogram batch_occupancy: HistogramSnapshot = "occupancy" <= metrics.batch_occupancy.snapshot();
+        /// Always 0 (retired: submission batches flushed).
+        Counter batches_flushed: u64 = "batches_flushed" <= 0;
+        /// Always 0 (retired: batches flushed for reaching capacity).
+        Counter batch_flush_full: u64 = "flush_full" <= 0;
+        /// Always 0 (retired: batches flushed by their deadline).
+        Counter batch_flush_deadline: u64 = "flush_deadline" <= 0;
+        /// Always 0 (retired: batches flushed by an explicit drain).
+        Counter batch_flush_explicit: u64 = "flush_explicit" <= 0;
+        /// Always 0 (retired: prefetch runs submitted through batches).
+        Counter batch_runs_submitted: u64 = "runs_submitted" <= 0;
+        /// Always 0 (retired: batched runs merged before the device).
+        Counter batch_runs_merged: u64 = "runs_merged" <= 0;
+        /// Always 0 (retired: crossings batching avoided).
+        Counter batch_crossings_saved: u64 = "crossings_saved" <= 0;
+        /// Always 0 (retired: vectored `readahead_batch` calls).
+        Counter ra_batch_calls: u64 = "ra_batch_calls" <= 0;
+        /// Always empty (retired: entries per flushed batch).
+        Histogram batch_occupancy: HistogramSnapshot = "occupancy" <= HistogramSnapshot::default();
     }
     frozen ["engines"] {
         /// Stable name of the prediction engine new descriptors use
@@ -324,11 +326,11 @@ report_fields! {
         /// Demand reads the ring absorbed without a syscall crossing.
         Counter ring_absorbed_reads: u64 = "absorbed_reads" <= os_stats.absorbed_reads.get();
         /// Vectored `read_batch` crossings the OS served (demand entries
-        /// plus piggybacked prefetch runs per call).
+        /// plus the known runs riding them per call).
         Counter ring_demand_batch_calls: u64 = "demand_batch_calls" <= os_stats.read_batch_calls.get();
-        /// Staged prefetch runs piggybacked on demand-read ring crossings
-        /// (runs are only staged while `batch_submit` is also on).
-        Counter ring_staged_runs_piggybacked: u64 = "staged_runs_piggybacked" <= stats.ring_staged_runs_piggybacked.get();
+        /// Always 0 (retired with the batched path, like the `batching`
+        /// section: staged runs piggybacked on a ring crossing).
+        Counter ring_staged_runs_piggybacked: u64 = "staged_runs_piggybacked" <= 0;
         /// Known runs pre-issued with the miss that starts them.
         Counter ring_spec_issued: u64 = "spec_issued" <= stats.ring_spec_issued.get();
         /// Pre-issued runs whose continuation read crossed nothing.
@@ -337,10 +339,9 @@ report_fields! {
         Counter ring_spec_cancelled: u64 = "spec_cancelled" <= stats.ring_spec_cancelled.get();
         /// Pages pre-issued runs initiated (billed as prefetch).
         Counter ring_spec_pages_charged: u64 = "spec_pages_charged" <= stats.ring_spec_pages_charged.get();
-        /// Deadline-timer firings by the completion reactor. The timer also
-        /// serves plain `batch_submit` mode (overdue batches flush at their
-        /// own due time), so this can be nonzero with the ring disabled.
-        Counter ring_timer_fires: u64 = "timer_fires" <= stats.ring_timer_fires.get();
+        /// Always 0 (retired with the batched path, like the `batching`
+        /// section: deadline-timer firings).
+        Counter ring_timer_fires: u64 = "timer_fires" <= 0;
     }
     additive ["range_index"] {
         /// Which range-index implementation backs the per-file cache views:
@@ -771,35 +772,16 @@ impl fmt::Display for RuntimeReport {
                 "coalescing : {merged} prefetch runs merged before submission"
             )?;
         }
-        if self.batches_flushed > 0 {
+        if self.ring_enabled || self.ring_absorbed_reads > 0 || self.ring_demand_batch_calls > 0 {
             writeln!(
                 f,
-                "batching   : {} batches ({} runs, {} merged), {} crossings saved ({} full / {} deadline / {} explicit)",
-                self.batches_flushed,
-                self.batch_runs_submitted,
-                self.batch_runs_merged,
-                self.batch_crossings_saved,
-                self.batch_flush_full,
-                self.batch_flush_deadline,
-                self.batch_flush_explicit
-            )?;
-        }
-        if self.ring_enabled
-            || self.ring_absorbed_reads > 0
-            || self.ring_demand_batch_calls > 0
-            || self.ring_timer_fires > 0
-        {
-            writeln!(
-                f,
-                "ring       : {} absorbed reads, {} batch crossings ({} piggybacked runs), spec {} issued / {} absorbed / {} cancelled ({} pages charged), {} timer fires",
+                "ring       : {} absorbed reads, {} batch crossings, spec {} issued / {} absorbed / {} cancelled ({} pages charged)",
                 self.ring_absorbed_reads,
                 self.ring_demand_batch_calls,
-                self.ring_staged_runs_piggybacked,
                 self.ring_spec_issued,
                 self.ring_spec_absorbed,
                 self.ring_spec_cancelled,
-                self.ring_spec_pages_charged,
-                self.ring_timer_fires
+                self.ring_spec_pages_charged
             )?;
         }
         if self.engine != "strided" || self.engine_assoc_runs > 0 || self.engine_mining_passes > 0 {

@@ -121,12 +121,12 @@ const EFFICIENCY_FLOOR: f64 = 0.25;
 /// first; demand reads are never gated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdmissionRung {
-    /// Admit as planned (visibility, relaxed limits, batching).
+    /// Admit as planned (visibility, relaxed limits, riding the ring).
     Full,
     /// Admit, but force run coalescing so the submission count shrinks.
     CoalescedOnly,
     /// Admit one blind `readahead(2)` window only: no relaxed limits, no
-    /// vectored batching, request clamped to the OS window.
+    /// ring ride, request clamped to the OS window.
     Blind,
     /// Reject the speculative prefetch outright.
     Deny,

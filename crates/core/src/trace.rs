@@ -27,7 +27,6 @@ use simclock::Counter;
 use simos::{InodeId, OsTraceEvent, OsTraceSink};
 
 use crate::metrics::ReadClass;
-use crate::ring::FlushReason;
 use predict::AccessPattern;
 
 /// Default ring capacity (events).
@@ -202,21 +201,12 @@ pub enum TraceEventKind {
         /// Pages covered.
         pages: u64,
     },
-    /// A submission batch was flushed to the vectored OS path.
-    BatchFlushed {
-        /// Entries the batch carried.
-        runs: u64,
-        /// Pages the entries covered.
-        pages: u64,
-        /// What triggered the flush.
-        reason: FlushReason,
-    },
-    /// One combined ring crossing (bridged): demand reads and staged
-    /// prefetch entries submitted as a single vectored syscall.
+    /// One ring crossing (bridged): demand reads and the known runs riding
+    /// them submitted as a single vectored syscall.
     RingCrossing {
         /// Demand-read entries the crossing carried.
         demand_entries: u64,
-        /// Staged prefetch entries piggybacked on the crossing.
+        /// Rider entries the crossing carried.
         ra_entries: u64,
     },
     /// A known run crossed the ring with the miss that starts it.
@@ -257,7 +247,6 @@ impl TraceEventKind {
             TraceEventKind::PrefetchAbandoned { .. } => "prefetch-abandoned",
             TraceEventKind::VisibilityDowngraded { .. } => "visibility-downgraded",
             TraceEventKind::ReadError { .. } => "read-error",
-            TraceEventKind::BatchFlushed { .. } => "batch-flushed",
             TraceEventKind::RingCrossing { .. } => "ring-crossing",
             TraceEventKind::RingSpecIssued { .. } => "ring-spec-issued",
             TraceEventKind::EngineOwner { .. } => "engine-owner",
@@ -388,13 +377,6 @@ impl fmt::Display for TraceEvent {
                 start_page,
                 pages,
             } => write!(f, "ino={} pages={}+{}", ino.0, start_page, pages),
-            TraceEventKind::BatchFlushed {
-                runs,
-                pages,
-                reason,
-            } => {
-                write!(f, "runs={} pages={} reason={}", runs, pages, reason.name())
-            }
             TraceEventKind::RingCrossing {
                 demand_entries,
                 ra_entries,

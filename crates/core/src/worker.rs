@@ -11,13 +11,6 @@
 //! time, so results are deterministic while the timing matches a real
 //! worker pool: a saturated pool delays prefetches, and more workers
 //! (`NR_WORKERS_VAR`) drain the queue faster.
-//!
-//! Workers double as the completion reactors of the submission ring
-//! ([`crate::ring::SubmissionQueue`]): each staged batch is bound to a
-//! worker slot, and when the reactor timer fires the batch dispatches
-//! onto that worker *at its deadline* in virtual time (the server model
-//! handles past enqueue times naturally — the job starts at
-//! `max(due_ns, clear_time)`).
 
 use std::sync::Arc;
 
@@ -112,27 +105,7 @@ impl WorkerPool {
     where
         F: FnOnce(&mut ThreadClock),
     {
-        let idx = self.least_loaded(enqueue_ns);
-        self.dispatch_on(idx, enqueue_ns, estimated_ns, job)
-    }
-
-    /// Dispatches a job onto a specific worker (used by the batched
-    /// submission path, which binds each batch to the worker whose
-    /// submission slot accumulated it).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `worker` is out of range.
-    pub fn dispatch_on<F>(
-        &self,
-        worker: usize,
-        enqueue_ns: u64,
-        estimated_ns: u64,
-        job: F,
-    ) -> Dispatch
-    where
-        F: FnOnce(&mut ThreadClock),
-    {
+        let worker = self.least_loaded(enqueue_ns);
         let access = self.servers[worker].access(enqueue_ns, self.dispatch_ns + estimated_ns);
         let mut clock = ThreadClock::detached_at(Arc::clone(&self.global), access.start_ns);
         // The job runs on the caller's stack but on the worker's detached

@@ -18,7 +18,7 @@ use std::sync::Arc;
 use parking_lot::MutexGuard;
 use simclock::ThreadClock;
 use simstore::wordwalk::{bit_is_set, word_spans};
-use simstore::{Device, DeviceError, IoPriority};
+use simstore::IoPriority;
 
 use crate::cache::{InodeCache, PageRange, PAGES_PER_WORD};
 use crate::error::IoError;
@@ -276,9 +276,8 @@ fn clamp_to_budget(missing: &[PageRange], mut budget: u64) -> Vec<PageRange> {
     scheduled
 }
 
-/// The steps every prefetch path shares. The direct paths
-/// (`readahead_info`, baseline tree prefetch) and the vectored batch body
-/// differ in which of the two device charges below they make.
+/// The steps every prefetch path shares: `readahead_info`, the baseline
+/// tree prefetch and a ring crossing's riders.
 impl Os {
     /// The failed `ENOSYS` probe of a stock kernel: one crossing, counted,
     /// and the permanent [`IoError::Unsupported`].
@@ -301,7 +300,7 @@ impl Os {
     }
 
     /// Scan → clamp → charge → publish, the body `readahead_info` and a
-    /// demand-class batch entry share. Scans `[p0, p1)` on the fast path
+    /// ring crossing's rider share. Scans `[p0, p1)` on the fast path
     /// (bitmap read lock, never the cache-tree lock) and, given a page
     /// `budget` (`None` only queries), charges the missing runs it covers
     /// at `priority` from the end of the scan and publishes them under the
@@ -338,8 +337,8 @@ impl Os {
         Ok((cached, initiated, ready_at))
     }
 
-    /// The direct paths' device charge. I/O proceeds off the caller's
-    /// critical path, on a clock detached at `start_ns`, and large
+    /// The device charge of every prefetch fill. I/O proceeds off the
+    /// caller's critical path, on a clock detached at `start_ns`, and large
     /// transfers complete *progressively*: the device is charged in
     /// VFS-request-sized chunks and each chunk's own completion recorded,
     /// so readers consume the front of a big prefetch while its tail is
@@ -376,32 +375,6 @@ impl Os {
             }
         }
         Ok(ready)
-    }
-
-    /// The batch body's device charge: one vectored submission per device
-    /// touched carries all of the run's physical extents — one fixed
-    /// latency, one congestion check, one fault draw each — the default
-    /// (local) device first, a single submission when un-tiered.
-    fn charge_prefetch_vectored(
-        &self,
-        io_clock: &mut ThreadClock,
-        ino: InodeId,
-        scheduled: &[PageRange],
-    ) -> Result<(), DeviceError> {
-        let mut per_device: Vec<(&Arc<Device>, Vec<u64>)> = vec![(self.device(), Vec::new())];
-        for &(s, e) in scheduled {
-            into_ok(self.route_extents(ino, s, e - s, |device, blocks| {
-                match per_device.iter_mut().find(|(d, _)| Arc::ptr_eq(d, device)) {
-                    Some((_, runs)) => runs.push(blocks),
-                    None => per_device.push((device, vec![blocks])),
-                }
-                Ok(())
-            }));
-        }
-        for (device, runs) in per_device {
-            device.try_charge_read_vectored(io_clock, &runs, IoPriority::Prefetch)?;
-        }
-        Ok(())
     }
 
     /// CROSS-OS publish: takes the bitmap lock (write side, short hold)
@@ -455,49 +428,39 @@ impl Os {
     }
 }
 
-/// One entry of a batched prefetch submission ([`Os::try_readahead_batch`]):
-/// a `readahead_info`-style prefetch request over a byte range of one
-/// descriptor. Entries are the submission-queue elements; the matching
-/// [`RaBatchCompletion`] is the completion-queue element.
+/// One rider of a ring crossing ([`Os::try_read_batch`]): a *known future
+/// demand read* (Foreactor's explicit speculation) over a byte range of one
+/// descriptor, submitted with the read that blocks. A rider is charged
+/// after the crossing's demand entries, but on a clock detached at the
+/// submission instant rather than at their completion, and on the device's
+/// blocking horizon — FCFS on the background horizon it would queue behind
+/// any streaming window and the reader would wait out up to twice the
+/// refetch estimate before [`Os::absorb_read`] gives up on it. Its pages
+/// are still published as prefetched, so the quality ledger classifies
+/// every one. Each rider fills and fails alone; the matching
+/// [`RaBatchCompletion`] is its completion-queue element.
 #[derive(Debug, Clone, Copy)]
 pub struct RaBatchEntry {
     /// Descriptor whose file the range belongs to.
     pub fd: Fd,
-    /// Byte offset of the range to prefetch.
+    /// Byte offset of the range to fetch.
     pub offset: u64,
-    /// Byte length of the range to prefetch.
+    /// Byte length of the range to fetch.
     pub len: u64,
-    /// Per-entry prefetch limit override (pages), as
-    /// [`RaInfoRequest::limit_pages`]; `None` uses the OS readahead cap.
+    /// Per-entry page limit override, as [`RaInfoRequest::limit_pages`];
+    /// `None` uses the OS readahead cap.
     pub limit_pages: Option<u64>,
-    /// Explicit speculation (Foreactor): a *known future demand read*
-    /// submitted with the one that blocks. Charged after the crossing's
-    /// demand entries, but on a clock detached at the submission instant
-    /// rather than at their completion, and on the device's blocking
-    /// horizon — FCFS on the background horizon it would queue behind any
-    /// streaming window and the reader would wait out up to twice the
-    /// refetch estimate before [`Os::absorb_read`] gives up on it. Its
-    /// pages are still published as prefetched, so the quality ledger
-    /// classifies every one. Never merged with neighbours; fails alone.
-    pub demand_class: bool,
 }
 
 impl RaBatchEntry {
-    /// A prefetch entry over a byte range with the default limit.
+    /// A rider over a byte range with the default limit.
     pub fn new(fd: Fd, offset: u64, len: u64) -> Self {
         Self {
             fd,
             offset,
             len,
             limit_pages: None,
-            demand_class: false,
         }
-    }
-
-    /// Makes this a demand-class entry ([`RaBatchEntry::demand_class`]).
-    pub fn with_demand_class(mut self) -> Self {
-        self.demand_class = true;
-        self
     }
 
     /// Sets the §4.7 limit override for this entry.
@@ -507,289 +470,25 @@ impl RaBatchEntry {
     }
 }
 
-/// Per-entry completion of a batched submission, index-matched to the
+/// Per-entry completion of a ring crossing's riders, index-matched to the
 /// submitted [`RaBatchEntry`] slice.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RaBatchCompletion {
     /// Pages of the entry's range already cached at submission time.
     pub cached_pages: u64,
-    /// Pages of the entry's range newly scheduled for prefetch.
+    /// Pages of the entry's range newly fetched.
     pub initiated_pages: u64,
     /// Virtual time at which this entry's initiated I/O completes
     /// (0 when nothing was initiated).
     pub ready_at_ns: u64,
-    /// Whether the entry was merged into an adjacent run of the same
-    /// inode before hitting the device. Merged entries are still fully
-    /// serviced — the merge only saves per-request device overhead.
-    pub merged: bool,
-    /// Transient failure of this entry's merged device run, if any.
-    /// Per-run all-or-nothing: the entry initiated nothing and a retry
-    /// re-covers its whole range.
+    /// Transient failure of this entry's device reads, if any.
+    /// All-or-nothing: the entry initiated nothing and a retry re-covers
+    /// its whole range.
     pub error: Option<IoError>,
 }
 
-/// A member of one per-inode merged run: index into the caller's entry
-/// slice plus its clamped page range and limit.
-struct BatchMember {
-    idx: usize,
-    p0: u64,
-    p1: u64,
-    cap: u64,
-}
-
-/// Pages of `[s, e)` overlapping `[a, b)`.
-fn overlap(s: u64, e: u64, a: u64, b: u64) -> u64 {
-    e.min(b).saturating_sub(s.max(a))
-}
-
-/// Removes `[a, b)` from the disjoint sorted range set, returning how
-/// many pages were claimed. Ranges partially covered are split so every
-/// page is claimed at most once across calls.
-fn claim_overlap(ranges: &mut Vec<(u64, u64)>, a: u64, b: u64) -> u64 {
-    let mut claimed = 0u64;
-    let mut next: Vec<(u64, u64)> = Vec::with_capacity(ranges.len() + 1);
-    for &(s, e) in ranges.iter() {
-        let took = overlap(s, e, a, b);
-        if took == 0 {
-            next.push((s, e));
-            continue;
-        }
-        claimed += took;
-        if s < a {
-            next.push((s, a));
-        }
-        if e > b {
-            next.push((b, e));
-        }
-    }
-    *ranges = next;
-    claimed
-}
-
-impl Os {
-    /// Batched prefetch submission — the vectored form of
-    /// [`Os::try_readahead_info`] (SQ/CQ model). The caller hands over a
-    /// whole submission queue of prefetch entries; the OS charges **one**
-    /// syscall crossing for the batch, groups entries by inode, merges
-    /// adjacent runs (gap at most one OS readahead window), issues one
-    /// vectored prefetch-class device submission per merged run, publishes
-    /// each inode's bitmap once, and returns per-entry completions so the
-    /// caller's per-run retry/degradation machinery still operates on
-    /// individual entries.
-    ///
-    /// Unlike `readahead_info` there is no bitmap export: the completion
-    /// queue carries counts only, keeping the crossing cheap.
-    ///
-    /// # Errors
-    ///
-    /// [`IoError::Unsupported`] when the kernel lacks CROSS-OS
-    /// ([`crate::OsConfig::readahead_info_supported`] is `false`): the
-    /// whole batch is rejected after the one failed probe crossing.
-    /// Transient device faults are **not** batch errors — they surface
-    /// per entry via [`RaBatchCompletion::error`], failing only the
-    /// members of the faulted merged run.
-    pub fn try_readahead_batch(
-        &self,
-        clock: &mut ThreadClock,
-        entries: &[RaBatchEntry],
-    ) -> Result<Vec<RaBatchCompletion>, IoError> {
-        self.probe_cross_os(clock)?;
-        clock.advance(self.config().costs.syscall_ns);
-        self.stats().syscalls.incr();
-        self.stats().ra_batch_calls.incr();
-        let submitted_ns = clock.now();
-        Ok(self.readahead_batch_body::<MayFault>(clock, entries, submitted_ns))
-    }
-
-    /// The crossing-free body of the vectored prefetch path: grouping,
-    /// merging, device submission, and publication exactly as
-    /// [`Os::try_readahead_batch`], without the boundary charge or the
-    /// `syscalls`/`ra_batch_calls` counters. The combined ring crossing
-    /// ([`Os::try_read_batch`]) runs staged prefetch entries through this
-    /// body after its demand half, sharing one syscall charge.
-    /// Demand-class entries go first, each by itself through
-    /// [`Os::prefetch_range`] on a clock detached at `submitted_ns`, under
-    /// `F`'s fault discipline.
-    pub(crate) fn readahead_batch_body<F: FaultMode>(
-        &self,
-        clock: &mut ThreadClock,
-        entries: &[RaBatchEntry],
-        submitted_ns: u64,
-    ) -> Vec<RaBatchCompletion> {
-        let costs = &self.config().costs;
-        let mut completions = vec![RaBatchCompletion::default(); entries.len()];
-
-        // Group entries by inode, first-appearance order (deterministic).
-        let mut inodes: Vec<InodeId> = Vec::new();
-        let mut groups: Vec<Vec<BatchMember>> = Vec::new();
-        for (idx, entry) in entries.iter().enumerate() {
-            let ino = self.fd_entry(entry.fd).ino;
-            let file_pages = self.fs().size(ino).div_ceil(PAGE_SIZE);
-            let p0 = (entry.offset / PAGE_SIZE).min(file_pages);
-            let p1 = ((entry.offset + entry.len).div_ceil(PAGE_SIZE)).min(file_pages);
-            let cap = self.prefetch_cap(entry.limit_pages);
-            if entry.demand_class {
-                let mut at = ThreadClock::detached_at(Arc::clone(self.global()), submitted_ns);
-                let target = (ino, &*self.cache(ino));
-                let done = self.prefetch_range::<F>(
-                    &mut at,
-                    target,
-                    (p0, p1),
-                    Some(cap),
-                    IoPriority::Blocking,
-                );
-                completions[idx] = match done {
-                    Ok((cached_pages, initiated_pages, ready_at_ns)) => RaBatchCompletion {
-                        cached_pages,
-                        initiated_pages,
-                        ready_at_ns,
-                        ..RaBatchCompletion::default()
-                    },
-                    Err(_) => RaBatchCompletion {
-                        error: Some(IoError::Io),
-                        ..RaBatchCompletion::default()
-                    },
-                };
-                continue;
-            }
-            let gi = inodes.iter().position(|&i| i == ino).unwrap_or_else(|| {
-                inodes.push(ino);
-                groups.push(Vec::new());
-                groups.len() - 1
-            });
-            groups[gi].push(BatchMember { idx, p0, p1, cap });
-        }
-
-        // Device I/O accumulates off the caller's critical path on one
-        // detached clock: the batch is a single submission stream, so its
-        // merged runs issue back to back exactly like the splits of one
-        // large transfer.
-        let mut io_clock = ThreadClock::detached_at(Arc::clone(self.global()), clock.now());
-        let merge_gap = self.config().ra_max_pages;
-        let spans = self.span_sink();
-
-        for (ino, mut members) in inodes.into_iter().zip(groups) {
-            let cache = self.cache(ino);
-            members.sort_by_key(|m| (m.p0, m.p1));
-
-            // Merge adjacent member ranges into submission runs: (start,
-            // end, page budget, member indices).
-            let mut runs: Vec<(u64, u64, u64, Vec<usize>)> = Vec::new();
-            for (mi, m) in members.iter().enumerate() {
-                if m.p1 <= m.p0 {
-                    continue;
-                }
-                match runs.last_mut() {
-                    Some(run) if m.p0 <= run.1.saturating_add(merge_gap) => {
-                        run.1 = run.1.max(m.p1);
-                        run.2 = run.2.saturating_add(m.cap).min(CROSSOS_MAX_PREFETCH_PAGES);
-                        run.3.push(mi);
-                        completions[m.idx].merged = true;
-                    }
-                    _ => runs.push((m.p0, m.p1, m.cap, vec![mi])),
-                }
-            }
-            if runs.is_empty() {
-                continue;
-            }
-
-            // Fast path: one bitmap read scan per inode over the merged
-            // spans — never the cache-tree lock.
-            let scan_pages: u64 = runs.iter().map(|r| r.1 - r.0).sum();
-            let scan = cache
-                .bitmap_lock
-                .read(clock.now(), costs.bitmap_scan_ns(scan_pages));
-            self.settle_lock(clock, scan, OsSpanKind::BitmapLockWait);
-
-            // One fill per inode: every run's scan and the single publish
-            // below happen under the same guard.
-            let fill = cache.fill_guard.lock();
-            let mut inserted: Vec<ReadyPiece> = Vec::new();
-            let mut publish_pages = 0u64;
-            for run in &runs {
-                let missing = cache.state.read().missing_runs(run.0, run.1);
-                for &mi in &run.3 {
-                    let m = &members[mi];
-                    let missing_in_member: u64 = missing
-                        .iter()
-                        .map(|&(s, e)| overlap(s, e, m.p0, m.p1))
-                        .sum();
-                    completions[m.idx].cached_pages = (m.p1 - m.p0) - missing_in_member;
-                }
-                let scheduled = clamp_to_budget(&missing, run.2);
-                if scheduled.is_empty() {
-                    continue;
-                }
-
-                let before = io_clock.now();
-                if self
-                    .charge_prefetch_vectored(&mut io_clock, ino, &scheduled)
-                    .is_err()
-                {
-                    // Per-run all-or-nothing: nothing of this run is
-                    // inserted or published; its members learn via the
-                    // completion queue and may retry individually.
-                    for &mi in &run.3 {
-                        completions[members[mi].idx].error = Some(IoError::Io);
-                    }
-                    continue;
-                }
-                let after = io_clock.now();
-                if after > before {
-                    if let Some(sink) = spans {
-                        sink.emit_os_span(after, OsSpanKind::DevicePrefetch, after - before);
-                    }
-                }
-
-                // The device streams the vector front to back: interpolate
-                // readiness across the scheduled pages so readers consume
-                // the head of the batch while its tail is in flight.
-                let total: u64 = scheduled.iter().map(|&(s, e)| e - s).sum();
-                let span = after.saturating_sub(before);
-                let mut done = 0u64;
-                for &(s, e) in &scheduled {
-                    let t0 = before + span * done / total.max(1);
-                    done += e - s;
-                    let t1 = before + span * done / total.max(1);
-                    push_interpolated_ready(&mut inserted, s, e, t0, t1);
-                }
-                // Bill every scheduled page to exactly one completion:
-                // each member *claims* (removes) its overlap from the
-                // scheduled set, so a page shared by overlapping members is
-                // billed once, and merge-gap pages — read, published, and
-                // flagged despite overlapping no member's byte range — go
-                // to the run's head member.
-                let mut unclaimed = scheduled.clone();
-                for &mi in &run.3 {
-                    let m = &members[mi];
-                    let init = claim_overlap(&mut unclaimed, m.p0, m.p1);
-                    completions[m.idx].initiated_pages = init;
-                    if init > 0 {
-                        completions[m.idx].ready_at_ns = after;
-                    }
-                }
-                let gap: u64 = unclaimed.iter().map(|&(s, e)| e - s).sum();
-                if gap > 0 {
-                    let head = &mut completions[members[run.3[0]].idx];
-                    head.initiated_pages += gap;
-                    head.ready_at_ns = after;
-                }
-                publish_pages += total;
-            }
-
-            // Publish once per inode after the whole walk.
-            if !inserted.is_empty() {
-                self.publish_bitmap(clock, &cache, fill, publish_pages, &inserted);
-            }
-        }
-
-        completions
-    }
-}
-
-/// One demand-read entry of a combined ring submission
-/// ([`Os::try_read_batch`]): a `read(2)`-shaped request that crosses
-/// alongside staged prefetch entries.
+/// One demand-read entry of a ring crossing ([`Os::try_read_batch`]): a
+/// `read(2)`-shaped request that crosses with the riders it carries.
 #[derive(Debug, Clone, Copy)]
 pub struct ReadBatchEntry {
     /// Descriptor to read from.
@@ -807,27 +506,26 @@ impl ReadBatchEntry {
     }
 }
 
-/// The CQ of one combined ring crossing: per-demand-entry outcomes paired
-/// with per-prefetch-entry completions.
+/// The CQ of one ring crossing: per-demand-entry outcomes paired with
+/// per-rider completions.
 pub type ReadBatchResult<E> = (
     Vec<Result<crate::os::ReadOutcome, E>>,
     Vec<RaBatchCompletion>,
 );
 
 impl Os {
-    /// Combined ring crossing: demand reads and staged prefetch entries
-    /// submitted as **one** vectored syscall (the io_uring-style shared
-    /// SQ). The demand half runs each entry through the full read-path
-    /// body (classification, ready-wait, synchronous demand fill,
-    /// heuristic-readahead tail) on the caller's clock — demand misses
-    /// stay on the critical path exactly as `read(2)` — while the
-    /// prefetch half reuses the vectored [`Os::try_readahead_batch`] body
-    /// off the critical path. Only one `syscall_ns` boundary charge is
-    /// paid for the whole submission.
+    /// Ring crossing, the one vectored syscall: demand reads and the
+    /// riders they carry submitted as **one** crossing (the io_uring-style
+    /// shared SQ). The demand half runs each entry through the full
+    /// read-path body (classification, ready-wait, synchronous demand
+    /// fill, heuristic-readahead tail) on the caller's clock — demand
+    /// misses stay on the critical path exactly as `read(2)` — while each
+    /// rider fills off the critical path ([`RaBatchEntry`]). Only one
+    /// `syscall_ns` boundary charge is paid for the whole submission.
     ///
     /// Demand entries never consult the fault plan (the infallible
-    /// discipline of [`Os::read_charge`]); prefetch-half device faults
-    /// surface per entry via [`RaBatchCompletion::error`].
+    /// discipline of [`Os::read_charge`]); rider device faults surface per
+    /// entry via [`RaBatchCompletion::error`].
     ///
     /// # Errors
     ///
@@ -839,37 +537,36 @@ impl Os {
         &self,
         clock: &mut ThreadClock,
         demand: &[ReadBatchEntry],
-        prefetch: &[RaBatchEntry],
+        riders: &[RaBatchEntry],
     ) -> Result<(Vec<crate::os::ReadOutcome>, Vec<RaBatchCompletion>), IoError> {
-        self.read_batch_impl::<NeverFault>(clock, demand, prefetch)
+        self.read_batch_impl::<NeverFault>(clock, demand, riders)
             .map(|(outcomes, completions)| {
                 (outcomes.into_iter().map(into_ok).collect(), completions)
             })
     }
 
-    /// Fallible variant of [`Os::read_batch`]: demand entries consult the
-    /// fault plan ([`Os::try_read_charge`] semantics, per entry), so each
-    /// demand outcome is its own `Result`.
+    /// Fallible variant of [`Os::read_batch`]: demand entries and riders
+    /// consult the fault plan ([`Os::try_read_charge`] semantics, per
+    /// entry), so each demand outcome is its own `Result`.
     ///
     /// # Errors
     ///
     /// [`IoError::Unsupported`] as for [`Os::read_batch`]. Transient
-    /// demand-fill faults surface per demand entry; prefetch faults per
-    /// prefetch entry.
+    /// faults surface per demand entry and per rider.
     pub fn try_read_batch(
         &self,
         clock: &mut ThreadClock,
         demand: &[ReadBatchEntry],
-        prefetch: &[RaBatchEntry],
+        riders: &[RaBatchEntry],
     ) -> Result<ReadBatchResult<IoError>, IoError> {
-        self.read_batch_impl::<MayFault>(clock, demand, prefetch)
+        self.read_batch_impl::<MayFault>(clock, demand, riders)
     }
 
     fn read_batch_impl<F: FaultMode>(
         &self,
         clock: &mut ThreadClock,
         demand: &[ReadBatchEntry],
-        prefetch: &[RaBatchEntry],
+        riders: &[RaBatchEntry],
     ) -> Result<ReadBatchResult<F::Error>, IoError> {
         self.probe_cross_os(clock)?;
         clock.advance(self.config().costs.syscall_ns);
@@ -881,21 +578,45 @@ impl Os {
                 clock.now(),
                 crate::trace::OsTraceEvent::ReadBatch {
                     demand_entries: demand.len() as u64,
-                    ra_entries: prefetch.len() as u64,
+                    ra_entries: riders.len() as u64,
                 },
             );
         }
-        // Demand first: with the ring disabled, staged batches still
-        // waiting on their deadline flush *after* the triggering read, so
-        // the demand fill covers its own misses and the later flush
-        // deduplicates against them. Running the demand half first keeps
-        // that ordering — and thus the hit/miss accounting — identical.
+        // Demand first: the riders queue behind the demand fills on the
+        // device, so a miss costs exactly what it costs alone.
         let outcomes = demand
             .iter()
             .map(|entry| self.read_charge_body::<F>(clock, entry.fd, entry.offset, entry.len))
             .collect();
-        let completions = self.readahead_batch_body::<F>(clock, prefetch, submitted_ns);
+        let completions = riders
+            .iter()
+            .map(|entry| self.ride::<F>(entry, submitted_ns))
+            .collect();
         Ok((outcomes, completions))
+    }
+
+    /// One rider's fill: [`Os::prefetch_range`] at blocking priority on a
+    /// clock detached at `submitted_ns`, under `F`'s fault discipline.
+    fn ride<F: FaultMode>(&self, entry: &RaBatchEntry, submitted_ns: u64) -> RaBatchCompletion {
+        let ino = self.fd_entry(entry.fd).ino;
+        let file_pages = self.fs().size(ino).div_ceil(PAGE_SIZE);
+        let p0 = (entry.offset / PAGE_SIZE).min(file_pages);
+        let p1 = ((entry.offset + entry.len).div_ceil(PAGE_SIZE)).min(file_pages);
+        let mut at = ThreadClock::detached_at(Arc::clone(self.global()), submitted_ns);
+        let budget = Some(self.prefetch_cap(entry.limit_pages));
+        let target = (ino, &*self.cache(ino));
+        match self.prefetch_range::<F>(&mut at, target, (p0, p1), budget, IoPriority::Blocking) {
+            Ok((cached_pages, initiated_pages, ready_at_ns)) => RaBatchCompletion {
+                cached_pages,
+                initiated_pages,
+                ready_at_ns,
+                error: None,
+            },
+            Err(_) => RaBatchCompletion {
+                error: Some(IoError::Io),
+                ..RaBatchCompletion::default()
+            },
+        }
     }
 
     /// Completion-ring absorption of a fully cached demand read: the
@@ -1217,106 +938,17 @@ mod tests {
     }
 
     #[test]
-    fn batch_charges_one_crossing_for_many_entries() {
-        let (os, fd, mut clock) = os_with_file(8 << 20);
-        let syscalls_before = os.stats().syscalls.get();
-        // Four disjoint far-apart runs (beyond the merge gap) of 32 pages.
-        let stride = (os.config().ra_max_pages + 64) * PAGE_SIZE;
-        let entries: Vec<RaBatchEntry> = (0..4)
-            .map(|i| RaBatchEntry::new(fd, i * stride, 32 * PAGE_SIZE).with_limit_pages(32))
-            .collect();
-        let completions = os.try_readahead_batch(&mut clock, &entries).unwrap();
-        assert_eq!(os.stats().syscalls.get() - syscalls_before, 1);
-        assert_eq!(os.stats().ra_batch_calls.get(), 1);
-        assert_eq!(completions.len(), 4);
-        for c in &completions {
-            assert_eq!(c.initiated_pages, 32);
-            assert_eq!(c.cached_pages, 0);
-            assert!(!c.merged);
-            assert!(c.error.is_none());
-            assert!(c.ready_at_ns > 0);
-        }
-        assert_eq!(os.stats().prefetched_pages.get(), 128);
-    }
-
-    #[test]
-    fn batch_merges_adjacent_runs_into_one_device_submission() {
-        let (os, fd, mut clock) = os_with_file(8 << 20);
-        let entries: Vec<RaBatchEntry> = (0..4)
-            .map(|i| RaBatchEntry::new(fd, i * 32 * PAGE_SIZE, 32 * PAGE_SIZE).with_limit_pages(32))
-            .collect();
-        let completions = os.try_readahead_batch(&mut clock, &entries).unwrap();
-        assert_eq!(os.device().stats().vectored_submissions.get(), 1);
-        assert!(!completions[0].merged);
-        assert!(completions[1..].iter().all(|c| c.merged));
-        let total: u64 = completions.iter().map(|c| c.initiated_pages).sum();
-        assert_eq!(total, 128);
-    }
-
-    #[test]
-    fn batch_billing_is_closed_over_gaps_and_overlaps() {
-        // Two entries within the merge gap (the pages between them get
-        // scheduled as part of the merged run) plus a third overlapping
-        // the first: the completions must bill every physically initiated
-        // page exactly once — gap pages to the head member, shared pages
-        // to whichever member claims them first — so the caller's
-        // `pages_initiated` ledger matches the OS's prefetch flags.
-        let (os, fd, mut clock) = os_with_file(64 << 20);
-        let gap = os.config().ra_max_pages / 2;
-        let entries = [
-            RaBatchEntry::new(fd, 0, 32 * PAGE_SIZE).with_limit_pages(256),
-            RaBatchEntry::new(fd, (32 + gap) * PAGE_SIZE, 32 * PAGE_SIZE).with_limit_pages(256),
-            RaBatchEntry::new(fd, 16 * PAGE_SIZE, 32 * PAGE_SIZE).with_limit_pages(256),
-        ];
-        let completions = os.try_readahead_batch(&mut clock, &entries).unwrap();
-        assert!(completions.iter().all(|c| c.error.is_none()));
-        let billed: u64 = completions.iter().map(|c| c.initiated_pages).sum();
-        assert_eq!(
-            billed,
-            os.stats().prefetched_pages.get(),
-            "vectored billing must equal physically initiated pages"
-        );
-        // The whole merged span [0, 64+gap) was read: gap pages included.
-        assert_eq!(billed, 64 + gap);
-    }
-
-    #[test]
-    fn claim_overlap_splits_and_never_double_claims() {
-        let mut ranges = vec![(0u64, 10u64), (20, 30)];
-        assert_eq!(claim_overlap(&mut ranges, 5, 25), 10);
-        assert_eq!(ranges, vec![(0, 5), (25, 30)]);
-        // A second claim over the same span finds nothing left.
-        assert_eq!(claim_overlap(&mut ranges, 5, 25), 0);
-        assert_eq!(claim_overlap(&mut ranges, 0, 30), 10);
-        assert!(ranges.is_empty());
-    }
-
-    #[test]
-    fn batch_entries_for_distinct_files_do_not_merge() {
-        let (os, fd_a, mut clock) = os_with_file(4 << 20);
-        let fd_b = os.create_sized(&mut clock, "/g", 4 << 20).unwrap();
-        let entries = [
-            RaBatchEntry::new(fd_a, 0, 32 * PAGE_SIZE).with_limit_pages(32),
-            RaBatchEntry::new(fd_b, 0, 32 * PAGE_SIZE).with_limit_pages(32),
-        ];
-        let completions = os.try_readahead_batch(&mut clock, &entries).unwrap();
-        assert_eq!(os.device().stats().vectored_submissions.get(), 2);
-        assert!(completions.iter().all(|c| !c.merged));
-        assert!(completions.iter().all(|c| c.initiated_pages == 32));
-    }
-
-    #[test]
     fn batch_matches_unbatched_initiated_pages_with_fewer_crossings() {
         let mk = || os_with_file(8 << 20);
 
         let (batched_os, bfd, mut bclock) = mk();
-        let entries: Vec<RaBatchEntry> = (0..4)
+        let riders: Vec<RaBatchEntry> = (0..4)
             .map(|i| {
                 RaBatchEntry::new(bfd, i * 64 * PAGE_SIZE, 64 * PAGE_SIZE).with_limit_pages(64)
             })
             .collect();
-        let completions = batched_os
-            .try_readahead_batch(&mut bclock, &entries)
+        let (_, completions) = batched_os
+            .try_read_batch(&mut bclock, &[], &riders)
             .unwrap();
         let batched_pages: u64 = completions.iter().map(|c| c.initiated_pages).sum();
 
@@ -1335,51 +967,25 @@ mod tests {
     }
 
     #[test]
-    fn unsupported_kernel_rejects_whole_batch() {
-        let mut config = OsConfig::with_memory_mb(64);
-        config.readahead_info_supported = false;
-        let os = Os::new(
-            config,
-            Device::new(DeviceConfig::local_nvme()),
-            FileSystem::new(FsKind::Ext4Like),
-        );
-        let mut clock = os.new_clock();
-        let fd = os.create_sized(&mut clock, "/f", 1 << 20).unwrap();
-        let err = os
-            .try_readahead_batch(&mut clock, &[RaBatchEntry::new(fd, 0, 1 << 20)])
-            .unwrap_err();
-        assert_eq!(err, IoError::Unsupported);
-        assert_eq!(os.stats().ra_info_unsupported.get(), 1);
-        assert_eq!(os.device().stats().read_bytes.get(), 0);
-    }
-
-    #[test]
-    fn batch_fault_fails_entries_not_the_batch() {
-        use simstore::FaultPlan;
-        let os = Os::new(
-            OsConfig::with_memory_mb(256),
-            Device::with_fault_plan(
-                DeviceConfig::local_nvme(),
-                FaultPlan::seeded(3).with_prefetch_eio(1.0),
-            ),
-            FileSystem::new(FsKind::Ext4Like),
-        );
-        let mut clock = os.new_clock();
-        let fd = os.create_sized(&mut clock, "/f", 4 << 20).unwrap();
-        let entries = [
-            RaBatchEntry::new(fd, 0, 32 * PAGE_SIZE).with_limit_pages(32),
-            RaBatchEntry::new(fd, 32 * PAGE_SIZE, 32 * PAGE_SIZE).with_limit_pages(32),
-        ];
-        // The call itself succeeds; the faulted run surfaces per entry.
-        let completions = os.try_readahead_batch(&mut clock, &entries).unwrap();
-        assert!(completions.iter().all(|c| c.error == Some(IoError::Io)));
-        assert!(completions.iter().all(|c| c.initiated_pages == 0));
-        // All-or-nothing per run: nothing was inserted.
-        let info = os
-            .try_readahead_info(&mut clock, fd, RaInfoRequest::query(0, 4 << 20))
-            .unwrap();
-        assert_eq!(info.cached_pages, 0);
-        assert_eq!(os.stats().prefetched_pages.get(), 0);
+    fn batch_charges_one_crossing_for_many_entries() {
+        let (os, fd, mut clock) = os_with_file(8 << 20);
+        let syscalls_before = os.stats().syscalls.get();
+        // Four disjoint far-apart riders of 32 pages, no demand entry.
+        let stride = (os.config().ra_max_pages + 64) * PAGE_SIZE;
+        let riders: Vec<RaBatchEntry> = (0..4)
+            .map(|i| RaBatchEntry::new(fd, i * stride, 32 * PAGE_SIZE).with_limit_pages(32))
+            .collect();
+        let (outcomes, completions) = os.try_read_batch(&mut clock, &[], &riders).unwrap();
+        assert_eq!(os.stats().syscalls.get() - syscalls_before, 1);
+        assert_eq!(os.stats().read_batch_calls.get(), 1);
+        assert!(outcomes.is_empty());
+        assert_eq!(completions.len(), 4);
+        for c in &completions {
+            assert_eq!((c.initiated_pages, c.cached_pages), (32, 0));
+            assert!(c.error.is_none());
+            assert!(c.ready_at_ns > 0);
+        }
+        assert_eq!(os.stats().prefetched_pages.get(), 128);
     }
 
     #[test]
@@ -1388,14 +994,13 @@ mod tests {
         let syscalls_before = os.stats().syscalls.get();
         let demand = [ReadBatchEntry::new(fd, 0, 64 * 1024)];
         let stride = (os.config().ra_max_pages + 64) * PAGE_SIZE;
-        let prefetch = [
+        let riders = [
             RaBatchEntry::new(fd, stride, 32 * PAGE_SIZE).with_limit_pages(32),
             RaBatchEntry::new(fd, 2 * stride, 32 * PAGE_SIZE).with_limit_pages(32),
         ];
-        let (outcomes, completions) = os.read_batch(&mut clock, &demand, &prefetch).unwrap();
+        let (outcomes, completions) = os.read_batch(&mut clock, &demand, &riders).unwrap();
         assert_eq!(os.stats().syscalls.get() - syscalls_before, 1);
         assert_eq!(os.stats().read_batch_calls.get(), 1);
-        assert_eq!(os.stats().ra_batch_calls.get(), 0);
         assert_eq!(outcomes.len(), 1);
         assert_eq!(outcomes[0].pages, 16);
         assert_eq!(outcomes[0].miss_pages, 16);
@@ -1409,20 +1014,22 @@ mod tests {
     #[test]
     fn demand_class_entry_is_billed_published_and_fails_alone() {
         use simstore::FaultPlan;
-        // Healthy: the entry's pages are published as prefetched (so the
+        // Healthy: the rider's pages are published as prefetched (so the
         // quality ledger sees them) on the blocking class — no
         // prefetch-class device request is made for it.
         let (os, fd, mut clock) = os_with_file(8 << 20);
-        let entry = RaBatchEntry::new(fd, 0, 12 * PAGE_SIZE).with_demand_class();
-        let done = os.try_readahead_batch(&mut clock, &[entry]).unwrap();
+        let rider = RaBatchEntry::new(fd, 0, 12 * PAGE_SIZE);
+        let (_, done) = os.try_read_batch(&mut clock, &[], &[rider]).unwrap();
         assert_eq!((done[0].initiated_pages, done[0].cached_pages), (12, 0));
         assert_eq!(os.stats().prefetched_pages.get(), 12);
         assert_eq!(os.device().stats().prefetch_requests.get(), 0);
         os.drop_caches(&mut clock);
         assert_eq!(os.prefetch_quality().wasted, 12);
 
-        // Demand-class faults hit it and spare its prefetch-class
-        // neighbour; all-or-nothing, nothing of it is published.
+        // Demand-class faults fail a rider that needs the device, and
+        // spare the call, the cached miss it rides with and a rider that
+        // finds its range cached; all-or-nothing, nothing of it is
+        // published.
         let os = Os::new(
             OsConfig::with_memory_mb(256),
             Device::with_fault_plan(
@@ -1433,14 +1040,55 @@ mod tests {
         );
         let mut clock = os.new_clock();
         let fd = os.create_sized(&mut clock, "/f", 8 << 20).unwrap();
-        let entries = [
-            RaBatchEntry::new(fd, 0, 12 * PAGE_SIZE).with_demand_class(),
-            RaBatchEntry::new(fd, 1 << 20, 12 * PAGE_SIZE),
+        os.fadvise(&mut clock, fd, crate::Advice::Random, 0, 0);
+        os.readahead_info(
+            &mut clock,
+            fd,
+            RaInfoRequest::prefetch(1 << 20, 12 * PAGE_SIZE).with_limit_pages(12),
+        );
+        let demand = [ReadBatchEntry::new(fd, 1 << 20, 4 * PAGE_SIZE)];
+        let riders = [
+            RaBatchEntry::new(fd, 0, 12 * PAGE_SIZE),
+            RaBatchEntry::new(fd, (1 << 20) + 4 * PAGE_SIZE, 8 * PAGE_SIZE),
         ];
-        let done = os.try_readahead_batch(&mut clock, &entries).unwrap();
+        let (outcomes, done) = os.try_read_batch(&mut clock, &demand, &riders).unwrap();
+        assert_eq!(outcomes[0].as_ref().map(|o| o.hit_pages), Ok(4));
         assert_eq!(done[0].error, Some(IoError::Io));
-        assert_eq!((done[0].initiated_pages, done[1].initiated_pages), (0, 12));
+        assert_eq!(done[0].initiated_pages, 0);
+        assert_eq!(done[1].error, None);
+        assert_eq!((done[1].initiated_pages, done[1].cached_pages), (0, 8));
         assert_eq!(os.stats().prefetched_pages.get(), 12);
+        let info = os.readahead_info(&mut clock, fd, RaInfoRequest::query(0, 12 * PAGE_SIZE));
+        assert_eq!(info.cached_pages, 0);
+    }
+
+    #[test]
+    fn batch_fault_fails_entries_not_the_batch() {
+        use simstore::FaultPlan;
+        let os = Os::new(
+            OsConfig::with_memory_mb(256),
+            Device::with_fault_plan(
+                DeviceConfig::local_nvme(),
+                FaultPlan::seeded(3).with_demand_eio(1.0),
+            ),
+            FileSystem::new(FsKind::Ext4Like),
+        );
+        let mut clock = os.new_clock();
+        let fd = os.create_sized(&mut clock, "/f", 4 << 20).unwrap();
+        let riders = [
+            RaBatchEntry::new(fd, 0, 32 * PAGE_SIZE).with_limit_pages(32),
+            RaBatchEntry::new(fd, 32 * PAGE_SIZE, 32 * PAGE_SIZE).with_limit_pages(32),
+        ];
+        // The call itself succeeds; each faulted rider surfaces per entry.
+        let (_, completions) = os.try_read_batch(&mut clock, &[], &riders).unwrap();
+        assert!(completions.iter().all(|c| c.error == Some(IoError::Io)));
+        assert!(completions.iter().all(|c| c.initiated_pages == 0));
+        // All-or-nothing per rider: nothing was inserted.
+        let info = os
+            .try_readahead_info(&mut clock, fd, RaInfoRequest::query(0, 4 << 20))
+            .unwrap();
+        assert_eq!(info.cached_pages, 0);
+        assert_eq!(os.stats().prefetched_pages.get(), 0);
     }
 
     #[test]
@@ -1460,6 +1108,29 @@ mod tests {
         assert_eq!(err, IoError::Unsupported);
         assert_eq!(os.stats().ra_info_unsupported.get(), 1);
         assert_eq!(os.device().stats().read_bytes.get(), 0);
+    }
+
+    #[test]
+    fn unsupported_kernel_rejects_whole_batch() {
+        let mut config = OsConfig::with_memory_mb(64);
+        config.readahead_info_supported = false;
+        let os = Os::new(
+            config,
+            Device::new(DeviceConfig::local_nvme()),
+            FileSystem::new(FsKind::Ext4Like),
+        );
+        let mut clock = os.new_clock();
+        let fd = os.create_sized(&mut clock, "/f", 1 << 20).unwrap();
+        let riders = [
+            RaBatchEntry::new(fd, 0, 8 * PAGE_SIZE),
+            RaBatchEntry::new(fd, 1 << 19, 8 * PAGE_SIZE),
+        ];
+        let err = os.try_read_batch(&mut clock, &[], &riders).unwrap_err();
+        assert_eq!(err, IoError::Unsupported);
+        assert_eq!(os.stats().ra_info_unsupported.get(), 1);
+        // No rider ran.
+        assert_eq!(os.device().stats().read_bytes.get(), 0);
+        assert_eq!(os.stats().prefetched_pages.get(), 0);
     }
 
     #[test]

@@ -28,12 +28,9 @@ pub struct OsStats {
     /// `readahead_info` attempts rejected because the kernel lacks the
     /// syscall (`readahead_info_supported = false`).
     pub ra_info_unsupported: Counter,
-    /// `readahead_batch` invocations (CROSS-OS vectored submissions); each
-    /// carries many entries but charges one syscall crossing.
-    pub ra_batch_calls: Counter,
-    /// `read_batch` invocations (CROSS-OS combined demand + prefetch ring
-    /// crossings); each carries demand reads plus staged prefetch entries
-    /// but charges one syscall crossing.
+    /// `read_batch` invocations (CROSS-OS ring crossings); each carries
+    /// demand reads plus the known runs riding them but charges one
+    /// syscall crossing.
     pub read_batch_calls: Counter,
     /// Demand reads absorbed by the completion ring without any syscall
     /// crossing (range fully cached and confirmed via the shared bitmap).

@@ -44,13 +44,12 @@ pub enum OsTraceEvent {
         /// Pages actually freed.
         freed_pages: u64,
     },
-    /// One combined ring crossing ([`crate::Os::try_read_batch`]): demand
-    /// reads and staged prefetch entries submitted as a single vectored
-    /// syscall.
+    /// One ring crossing ([`crate::Os::try_read_batch`]): demand reads and
+    /// the known runs riding them submitted as a single vectored syscall.
     ReadBatch {
         /// Demand-read entries the crossing carried.
         demand_entries: u64,
-        /// Staged prefetch entries piggybacked on the crossing.
+        /// Rider entries the crossing carried.
         ra_entries: u64,
     },
 }

@@ -50,10 +50,10 @@ fn concurrent_readahead_info_never_double_fetches() {
     assert_eq!(cache.state.read().resident(), expected / PAGE_SIZE);
 }
 
-/// The same race with the two vectored classes mixed: half the threads
-/// submit each 2 MiB piece as a demand-class batch entry, half as a
-/// prefetch-class one. Both fill under the per-inode guard, so every page
-/// still crosses the device once.
+/// The same race over the two fill paths: half the threads send each
+/// 2 MiB piece as a rider on a ring crossing, half as a `readahead_info`
+/// prefetch. Both fill under the per-inode guard, so every page still
+/// crosses the device once.
 #[test]
 fn concurrent_demand_class_entries_never_double_fetch() {
     let os = boot(512);
@@ -67,13 +67,14 @@ fn concurrent_demand_class_entries_never_double_fetch() {
                 let mut clock = os.new_clock();
                 let fd = os.open(&mut clock, "/e").unwrap();
                 for i in 0..8u64 {
-                    let entry = RaBatchEntry::new(fd, i * (2 << 20), 2 << 20).with_limit_pages(512);
-                    let entry = if t % 2 == 0 {
-                        entry.with_demand_class()
+                    let (offset, len) = (i * (2 << 20), 2 << 20);
+                    if t % 2 == 0 {
+                        let rider = RaBatchEntry::new(fd, offset, len).with_limit_pages(512);
+                        os.try_read_batch(&mut clock, &[], &[rider]).unwrap();
                     } else {
-                        entry
-                    };
-                    os.try_readahead_batch(&mut clock, &[entry]).unwrap();
+                        let req = RaInfoRequest::prefetch(offset, len).with_limit_pages(512);
+                        os.try_readahead_info(&mut clock, fd, req).unwrap();
+                    }
                 }
             });
         }

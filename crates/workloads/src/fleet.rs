@@ -257,9 +257,6 @@ pub fn setup_fleet(runtime: &Runtime, cfg: &FleetConfig) {
 }
 
 /// Runs the arrival loop. Call [`setup_fleet`] first.
-///
-/// Staged prefetch batches are flushed before returning, so telemetry
-/// collected right after the call covers every planned prefetch.
 pub fn run_fleet(runtime: &Runtime, clock: &mut ThreadClock, cfg: &FleetConfig) -> FleetResult {
     assert!(!cfg.tenants.is_empty(), "fleet needs at least one tenant");
     assert!(cfg.files_per_tenant > 0, "tenants need at least one file");
@@ -349,7 +346,6 @@ pub fn run_fleet(runtime: &Runtime, clock: &mut ThreadClock, cfg: &FleetConfig) 
         latencies[tenant].push(clock.now() - arrival);
         executed += 1;
     }
-    runtime.flush_prefetch_batches(clock);
 
     for (tenant, (row, lats)) in rows.iter_mut().zip(latencies.iter_mut()).enumerate() {
         lats.sort_unstable();

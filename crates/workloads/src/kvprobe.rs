@@ -101,9 +101,6 @@ pub fn setup_kvprobe(runtime: &Runtime, cfg: &KvProbeConfig, path: &str) {
 }
 
 /// Runs the probe loop. Call [`setup_kvprobe`] first.
-///
-/// Staged prefetch batches are flushed before returning, so telemetry
-/// collected right after the call covers every planned prefetch.
 pub fn run_kvprobe(
     runtime: &Runtime,
     clock: &mut simclock::ThreadClock,
@@ -128,7 +125,6 @@ pub fn run_kvprobe(
             data_reads += 1;
         }
     }
-    runtime.flush_prefetch_batches(clock);
     KvProbeResult {
         index_reads,
         data_reads,

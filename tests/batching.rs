@@ -1,327 +1,191 @@
-//! Batched prefetch submission: off-path byte-identity, flush policy,
-//! partial-batch failure, and crossing-count savings.
+//! Batched prefetch submission on the one vectored crossing left: known
+//! runs riding a demand miss's ring crossing (`Os::try_read_batch`).
+//! Same-seed determinism with riders crossing and faulting, the prefetch
+//! submission crossings the riders save at parity, and a faulted rider's
+//! entry into the retry ladder.
 
 use cp_bench::boot;
-use crossprefetch::{FlushReason, Mode, Runtime, RuntimeConfig, RuntimeReport, TraceEventKind};
+use crossprefetch::{CpFile, Mode, Runtime, RuntimeConfig, RuntimeReport, TraceEventKind};
+use simclock::ThreadClock;
 use simos::{Device, DeviceConfig, FaultPlan, FileSystem, FsKind, Os, OsConfig};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
-/// A deterministic mixed workload: sequential ramp, warm re-read, random
-/// jumps. Returns the runtime's JSON report after draining batches.
-fn run_workload(config: RuntimeConfig) -> String {
-    let runtime = Runtime::new(boot(48), config);
-    let mut clock = runtime.new_clock();
-    let file = runtime
-        .create_sized(&mut clock, "/data/w.bin", 48 << 20)
-        .unwrap();
-    let chunk = 16 * 1024u64;
-    for i in 0..512u64 {
-        file.read_charge(&mut clock, i * chunk, chunk);
+/// Bursts of four 16 KiB reads on distinct 128 KiB-aligned slots of the
+/// 128 MiB burst file: once two bursts have completed, the miss that
+/// starts a burst carries the rest of it across the ring as a rider. A
+/// surfaced EIO is re-read, as an application's own retry loop would.
+fn bursts(clock: &mut ThreadClock, file: &CpFile, count: u64) {
+    for n in 0..count {
+        let base = (n * 7919 % 1000) * (128 << 10);
+        for r in 0..4 {
+            while file
+                .try_read_charge(clock, base + r * 16_384, 16_384)
+                .is_err()
+            {}
+        }
     }
-    for i in 0..64u64 {
-        file.read_charge(&mut clock, i * chunk, chunk);
-    }
-    let mut state = 0x9E3779B97F4A7C15u64;
-    for _ in 0..128 {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        file.read_charge(&mut clock, (state % (47 << 20)) & !4095, chunk);
-    }
-    runtime.flush_prefetch_batches(&mut clock);
-    RuntimeReport::collect(&runtime).to_json()
 }
 
-/// All six Table-2 mechanisms: with `batch_submit` off, the batching knobs
-/// must be inert — telemetry is byte-identical no matter how they are set.
-#[test]
-fn batch_knobs_are_inert_when_disabled() {
-    let mechanisms = [
-        Mode::AppOnly,
-        Mode::OsOnly,
-        Mode::Predict,
-        Mode::PredictOpt,
-        Mode::FetchAllOpt,
-        Mode::FincoreApp,
-    ];
-    for mode in mechanisms {
-        let baseline = run_workload(RuntimeConfig::new(mode));
-        let mut tweaked = RuntimeConfig::new(mode);
-        tweaked.batch_max_runs = 2;
-        tweaked.batch_deadline_ns = 1;
-        assert_eq!(
-            baseline,
-            run_workload(tweaked),
-            "{}: batch knobs leaked into the unbatched path",
-            mode.label()
-        );
-    }
+/// A runtime on `os` with the ring on or off, and the 128 MiB burst file.
+fn burst_runtime(os: Arc<Os>, mode: Mode, ring: bool) -> (Runtime, ThreadClock, CpFile) {
+    let mut config = RuntimeConfig::new(mode);
+    config.ring_submit = ring;
+    let runtime = Runtime::new(os, config);
+    let mut clock = runtime.new_clock();
+    let file = runtime
+        .create_sized(&mut clock, "/data/bursts.bin", 128 << 20)
+        .unwrap();
+    (runtime, clock, file)
+}
+
+/// An OS over 64 MB of cache whose device faults demand-class reads (a
+/// rider's fill is one) at `demand_eio` and prefetch-class reads (a
+/// `readahead_info` retry is one) at `prefetch_eio`.
+fn faulty_os(demand_eio: f64, prefetch_eio: f64) -> Arc<Os> {
+    let plan = FaultPlan::seeded(7)
+        .with_demand_eio(demand_eio)
+        .with_prefetch_eio(prefetch_eio);
+    Os::new(
+        OsConfig::with_memory_mb(64),
+        Device::with_fault_plan(DeviceConfig::local_nvme(), plan),
+        FileSystem::new(FsKind::Ext4Like),
+    )
 }
 
 /// Batched runs are deterministic: the same configuration twice produces
-/// byte-identical telemetry.
+/// byte-identical telemetry, both with riders crossing cleanly and with
+/// riders faulting and retrying on a worker under a seeded fault plan.
 #[test]
 fn batched_run_is_deterministic() {
-    let mut config = RuntimeConfig::new(Mode::PredictOpt);
-    config.batch_submit = true;
-    let first = run_workload(config.clone());
-    let second = run_workload(config);
-    assert_eq!(first, second);
-}
-
-/// A tiny capacity forces size flushes; a generous deadline means none of
-/// them are deadline flushes.
-#[test]
-fn small_capacity_flushes_on_full() {
-    let mut config = RuntimeConfig::new(Mode::PredictOpt);
-    config.batch_submit = true;
-    config.batch_max_runs = 1;
-    config.batch_deadline_ns = u64::MAX / 2;
-    let runtime = Runtime::new(boot(48), config);
-    let mut clock = runtime.new_clock();
-    let file = runtime
-        .create_sized(&mut clock, "/data/full.bin", 32 << 20)
-        .unwrap();
-    for i in 0..256u64 {
-        file.read_charge(&mut clock, i * 16_384, 16_384);
-    }
-    runtime.flush_prefetch_batches(&mut clock);
-    let stats = runtime.stats();
-    assert!(stats.batches_flushed.get() > 0, "no batches flushed");
-    assert!(
-        stats.batch_flush_full.get() > 0,
-        "capacity-1 batches must flush full"
-    );
-    assert_eq!(stats.batch_flush_deadline.get(), 0);
-    assert_eq!(
-        stats.batches_flushed.get(),
-        stats.batch_flush_full.get()
-            + stats.batch_flush_deadline.get()
-            + stats.batch_flush_explicit.get()
-    );
-}
-
-/// A one-nanosecond deadline means every batch that survives to the next
-/// read-path poll (or push) flushes by deadline, never by size.
-#[test]
-fn short_deadline_flushes_on_deadline() {
-    let mut config = RuntimeConfig::new(Mode::PredictOpt);
-    config.batch_submit = true;
-    config.batch_max_runs = 1_000_000;
-    config.batch_deadline_ns = 1;
-    let runtime = Runtime::new(boot(48), config);
-    let mut clock = runtime.new_clock();
-    let file = runtime
-        .create_sized(&mut clock, "/data/deadline.bin", 32 << 20)
-        .unwrap();
-    for i in 0..256u64 {
-        file.read_charge(&mut clock, i * 16_384, 16_384);
-    }
-    runtime.flush_prefetch_batches(&mut clock);
-    let stats = runtime.stats();
-    assert!(stats.batches_flushed.get() > 0, "no batches flushed");
-    assert_eq!(stats.batch_flush_full.get(), 0);
-    assert!(
-        stats.batch_flush_deadline.get() > 0,
-        "deadline flushes expected"
-    );
-}
-
-/// The PR 4 polled-deadline starvation regression: a stream that stops
-/// issuing reads while a part-full batch is open must still see that
-/// batch flush at `opened_ns + deadline_ns` — the reactor timer firing at
-/// the batch's own due time — not sit staged until some much later event
-/// happens to poll the queue.
-#[test]
-fn idle_stream_flushes_at_the_deadline() {
-    let deadline = 10_000_000u64; // 10 ms: longer than the whole ramp
-    let mut config = RuntimeConfig::new(Mode::Predict);
-    config.batch_submit = true;
-    config.batch_max_runs = 1_000_000; // never flush by size
-    config.batch_deadline_ns = deadline;
-    let runtime = Runtime::new(boot(48), config);
-    runtime.trace().set_enabled(true);
-    let mut clock = runtime.new_clock();
-    let file = runtime
-        .create_sized(&mut clock, "/data/idle.bin", 32 << 20)
-        .unwrap();
-    // Sequential ramp: the predictor plans prefetch and stages runs. The
-    // deadline outlives the ramp, so the batch is still open (part-full)
-    // when the stream goes idle.
-    for i in 0..64u64 {
-        file.read_charge(&mut clock, i * 16_384, 16_384);
-    }
-    let stalled_ns = clock.now();
-    assert!(
-        stalled_ns < deadline,
-        "ramp must finish inside the deadline window for this regression"
-    );
-    assert_eq!(
-        runtime.stats().batches_flushed.get(),
-        0,
-        "the batch must still be open when the stream stalls"
-    );
-
-    // The stream is idle. Much later, the next pump of the reactor finds
-    // the batch long overdue — and must fire it at its *own* due time.
-    clock.advance(50 * deadline);
-    runtime.flush_prefetch_batches(&mut clock);
-
-    let stats = runtime.stats();
-    assert!(
-        stats.batch_flush_deadline.get() > 0,
-        "idle batch must flush by deadline"
-    );
-    assert_eq!(
-        stats.batch_flush_explicit.get(),
-        0,
-        "the overdue batch belongs to the timer, not the explicit drain"
-    );
-    let deadline_flush_ts: Vec<u64> = runtime
-        .trace()
-        .snapshot()
-        .iter()
-        .filter_map(|e| match e.kind {
-            TraceEventKind::BatchFlushed {
-                reason: FlushReason::Deadline,
-                ..
-            } => Some(e.ts_ns),
-            _ => None,
-        })
-        .collect();
-    assert!(!deadline_flush_ts.is_empty(), "flush must be traced");
-    for ts in deadline_flush_ts {
-        assert!(
-            ts <= stalled_ns + deadline,
-            "deadline flush stamped at {ts} ns, after its due time \
-             (stalled at {stalled_ns} ns, deadline {deadline} ns)"
-        );
-    }
-}
-
-/// Device faults on the prefetch class fail individual completions, not
-/// the whole batch: the runtime's per-run retry ladder still engages and
-/// eventually gives up, and the run itself keeps going.
-#[test]
-fn partial_batch_failure_feeds_the_retry_ladder() {
-    let plan = FaultPlan::seeded(7).with_prefetch_eio(1.0);
-    let os = Os::new(
-        OsConfig::with_memory_mb(48),
-        Device::with_fault_plan(DeviceConfig::local_nvme(), plan),
-        FileSystem::new(FsKind::Ext4Like),
-    );
-    let mut config = RuntimeConfig::new(Mode::PredictOpt);
-    config.batch_submit = true;
-    let runtime = Runtime::new(os, config);
-    runtime.trace().set_enabled(true);
-    let mut clock = runtime.new_clock();
-    let file = runtime
-        .create_sized(&mut clock, "/data/faulty.bin", 32 << 20)
-        .unwrap();
-    for i in 0..256u64 {
-        file.read_charge(&mut clock, i * 16_384, 16_384);
-    }
-    runtime.flush_prefetch_batches(&mut clock);
-    let stats = runtime.stats();
-    assert!(stats.batches_flushed.get() > 0, "no batches flushed");
-    assert!(
-        stats.prefetch_retries.get() > 0,
-        "failed completions must enter the retry ladder"
-    );
-    assert!(
-        stats.prefetch_give_ups.get() > 0 && stats.pages_abandoned.get() > 0,
-        "permanent EIO must exhaust the ladder"
-    );
-    // Reads still complete (demand path is un-faulted).
-    assert_eq!(runtime.stats().reads.get(), 256);
-
-    // The vectored submission was each entry's first attempt, so per
-    // chunk the ladder's attempt numbers strictly increase and stop short
-    // of the budget: at most PREFETCH_RETRY_ATTEMPTS = 4 device tries
-    // (1 batched + 3 retried) before the chunk is abandoned.
-    let mut failed_attempts: HashMap<(u64, u64), Vec<u32>> = HashMap::new();
-    let mut abandoned = 0;
-    for event in runtime.trace().snapshot() {
-        match event.kind {
-            TraceEventKind::PrefetchRetry {
-                start_page,
-                pages,
-                attempt,
-                ..
-            } => failed_attempts
-                .entry((start_page, pages))
-                .or_default()
-                .push(attempt),
-            TraceEventKind::PrefetchAbandoned {
-                start_page, pages, ..
-            } => {
-                abandoned += 1;
-                let attempts = failed_attempts.remove(&(start_page, pages));
-                assert_eq!(
-                    attempts,
-                    Some(vec![1, 2, 3]),
-                    "chunk at page {start_page}: 4 tries, numbered once each"
-                );
-            }
-            _ => {}
+    for mode in [Mode::Predict, Mode::PredictOpt] {
+        for demand_eio in [0.0, 0.3] {
+            let run = || {
+                let (runtime, mut clock, file) =
+                    burst_runtime(faulty_os(demand_eio, 0.0), mode, true);
+                bursts(&mut clock, &file, 200);
+                let stats = runtime.stats();
+                assert!(stats.ring_spec_issued.get() > 0, "no rider crossed");
+                assert_eq!(stats.prefetch_retries.get() > 0, demand_eio > 0.0);
+                RuntimeReport::collect(&runtime).to_json()
+            };
+            assert_eq!(
+                run(),
+                run(),
+                "{} (demand EIO {demand_eio}): same-seed divergence",
+                mode.label()
+            );
         }
     }
-    assert_eq!(abandoned, stats.prefetch_give_ups.get());
-    assert_eq!(stats.prefetch_retries.get(), 3 * abandoned);
 }
 
-/// The acceptance criterion: on a sequential stream, batching initiates at
-/// least as many pages while paying at least 2x fewer syscall crossings
-/// for prefetch submission, at an equal-or-better cache-hit ratio.
-///
-/// Uses `Predict` (no `relax_limits`): prefetch windows are issued in
-/// `ra_max_pages` chunks, so one planned window is many unbatched
-/// crossings but a single vectored batch. Under `+opt` relaxation one
-/// window is already one crossing and batching is crossing-neutral.
+/// Riding the miss, a known run's prefetch submission pays no crossing of
+/// its own: on the burst stream the ring pays under half the
+/// `readahead_info` submissions of the direct path (204 -> 6) and under
+/// half its crossings overall (1 005 -> 208), while initiating exactly the
+/// same pages at exactly the same cache-hit ratio.
 #[test]
 fn batching_halves_crossings_at_parity() {
-    let run = |batch: bool| {
-        let mut config = RuntimeConfig::new(Mode::Predict);
-        config.batch_submit = batch;
-        let runtime = Runtime::new(boot(64), config);
-        let mut clock = runtime.new_clock();
-        let file = runtime
-            .create_sized(&mut clock, "/data/seq.bin", 48 << 20)
-            .unwrap();
-        for i in 0..768u64 {
-            file.read_charge(&mut clock, i * 16_384, 16_384);
-        }
-        runtime.flush_prefetch_batches(&mut clock);
-        let submissions = if batch {
-            runtime.os().stats().ra_batch_calls.get()
-        } else {
-            runtime.os().stats().ra_info_calls.get()
-        };
+    let run = |ring: bool| {
+        let (runtime, mut clock, file) = burst_runtime(boot(64), Mode::Predict, ring);
+        bursts(&mut clock, &file, 200);
+        let os = runtime.os().stats();
+        let report = RuntimeReport::collect(&runtime);
         (
-            runtime.stats().pages_initiated.get(),
-            submissions,
-            RuntimeReport::collect(&runtime).hit_ratio,
+            os.ra_info_calls.get(),
+            os.syscalls.get(),
+            report.pages_initiated,
+            report.hit_ratio,
         )
     };
-    let (unbatched_pages, unbatched_calls, unbatched_hits) = run(false);
-    let (batched_pages, batched_calls, batched_hits) = run(true);
-    // Deadline batches flush at their own due time (the reactor timer), so
-    // batch boundaries shift against the demand stream by a flush or two
-    // over the run: allow 1% page drift instead of exact parity.
+    let (direct_submits, direct_calls, direct_pages, direct_hits) = run(false);
+    let (ring_submits, ring_calls, ring_pages, ring_hits) = run(true);
     assert!(
-        batched_pages * 100 >= unbatched_pages * 99,
-        "batching lost pages: {batched_pages} < {unbatched_pages}"
-    );
-    // A late push no longer rides inside an already-expired batch (that
-    // batch flushed at its deadline; the push opens a fresh one), which
-    // costs a couple of extra crossings over the run — hence the small
-    // slack on the 2x criterion.
-    assert!(
-        batched_calls * 2 <= unbatched_calls + 8,
-        "expected ~2x fewer submission crossings: {batched_calls} vs {unbatched_calls}"
+        ring_submits * 2 <= direct_submits,
+        "expected >=2x fewer prefetch submissions: {ring_submits} vs {direct_submits}"
     );
     assert!(
-        batched_hits >= unbatched_hits - 0.01,
-        "hit ratio regressed: {batched_hits} vs {unbatched_hits}"
+        ring_calls * 2 <= direct_calls,
+        "expected >=2x fewer crossings: {ring_calls} vs {direct_calls}"
     );
+    assert_eq!(ring_pages, direct_pages, "riding lost or added pages");
+    assert_eq!(ring_hits, direct_hits, "hit ratio moved");
+}
+
+/// Device faults on riders fail individual completions, not the crossing:
+/// the reads go on, and each faulted rider enters the per-run retry
+/// ladder with the crossing counted as its first attempt. With
+/// `readahead_info` healthy, a faulted rider's first retry succeeds and
+/// is traced as attempt 1 (a ladder entered afresh would trace nothing).
+/// With `readahead_info` always failing, a faulted rider stops at
+/// `PREFETCH_RETRY_ATTEMPTS` = 4 device tries (the crossing + 3 retries),
+/// each numbered once, before it is abandoned.
+#[test]
+fn partial_batch_failure_feeds_the_retry_ladder() {
+    for prefetch_eio in [0.0, 1.0] {
+        let os = faulty_os(0.3, prefetch_eio);
+        let (runtime, mut clock, file) = burst_runtime(os, Mode::Predict, true);
+        runtime.trace().set_enabled(true);
+        bursts(&mut clock, &file, 200);
+
+        let mut riders = HashSet::new();
+        let mut read_errors = 0;
+        let mut failed_attempts: HashMap<_, Vec<u32>> = HashMap::new();
+        let mut abandoned = Vec::new();
+        for event in runtime.trace().snapshot() {
+            match event.kind {
+                TraceEventKind::RingSpecIssued {
+                    ino,
+                    start_page,
+                    pages,
+                } => {
+                    riders.insert((ino, start_page, pages));
+                }
+                TraceEventKind::ReadError { .. } => read_errors += 1,
+                TraceEventKind::PrefetchRetry {
+                    ino,
+                    start_page,
+                    pages,
+                    attempt,
+                } => failed_attempts
+                    .entry((ino, start_page, pages))
+                    .or_default()
+                    .push(attempt),
+                TraceEventKind::PrefetchAbandoned {
+                    ino,
+                    start_page,
+                    pages,
+                } => abandoned.push((ino, start_page, pages)),
+                _ => {}
+            }
+        }
+        let stats = runtime.stats();
+        // Every read completed: each attempt is a completion or a
+        // surfaced error the loop re-read.
+        assert_eq!(stats.reads.get(), 800 + read_errors);
+        assert_eq!(stats.prefetch_give_ups.get(), abandoned.len() as u64);
+
+        if prefetch_eio == 0.0 {
+            assert!(
+                stats.prefetch_retries.get() > 0,
+                "a faulted rider must enter the ladder one attempt in"
+            );
+            assert!(abandoned.is_empty(), "a healthy retry gives nothing up");
+            for (range, attempts) in &failed_attempts {
+                assert!(riders.contains(range), "{range:?} never rode a crossing");
+                assert_eq!(attempts, &vec![1], "{range:?}: the crossing was try 1");
+            }
+        } else {
+            let ridden: Vec<_> = abandoned.iter().filter(|r| riders.contains(r)).collect();
+            assert!(!ridden.is_empty(), "no faulted rider exhausted its ladder");
+            for range in ridden {
+                assert_eq!(
+                    failed_attempts.get(range),
+                    Some(&vec![1, 2, 3]),
+                    "{range:?}: 4 tries, numbered once each"
+                );
+            }
+            assert_eq!(stats.prefetch_retries.get(), 3 * abandoned.len() as u64);
+        }
+    }
 }

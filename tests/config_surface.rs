@@ -25,9 +25,6 @@ fn every_config_field_names_who_varies_it() {
         evict_min_idle_ns: _,      // varied by: degradation, {policy,runtime}_behavior
         evict_scan_interval_ns: _, // varied by: degradation
         registry_shards: _,        // varied by: contention_smoke, sharded_registry
-        batch_submit: _,           // varied by: ablations, tests/batching.rs
-        batch_max_runs: _,         // varied by: tests/batching.rs
-        batch_deadline_ns: _,      // varied by: tests/batching.rs
         ring_submit: _,            // varied by: ablations, tests/ring.rs, kv_probe, fleet_open
         span_exemplars: _,         // varied by: tests/span_tracing.rs
         tenants: _,                // varied by: ablations, tests/tenants.rs, fleet_open

@@ -10,8 +10,8 @@ use simclock::{ThreadClock, NS_PER_MS, NS_PER_US};
 use simos::{Device, DeviceConfig, FaultPlan, FileSystem, FsKind, Os, OsConfig};
 use workloads::{run_kvprobe, setup_kvprobe, KvProbeConfig};
 
-/// The same deterministic mixed workload the batching inertness test
-/// drives: sequential ramp, warm re-read, random jumps.
+/// The same deterministic mixed workload the ring suite drives:
+/// sequential ramp, warm re-read, random jumps.
 fn run_mixed_workload(config: RuntimeConfig) -> String {
     let runtime = Runtime::new(boot(48), config);
     let mut clock = runtime.new_clock();
@@ -32,7 +32,6 @@ fn run_mixed_workload(config: RuntimeConfig) -> String {
             .wrapping_add(1442695040888963407);
         file.read_charge(&mut clock, (state % (47 << 20)) & !4095, chunk);
     }
-    runtime.flush_prefetch_batches(&mut clock);
     RuntimeReport::collect(&runtime).to_json()
 }
 
@@ -216,7 +215,6 @@ fn adaptive_matches_strided_on_sequential_reads() {
         for i in 0..768u64 {
             file.read_charge(&mut clock, i * 16_384, 16_384);
         }
-        runtime.flush_prefetch_batches(&mut clock);
         clock.now()
     });
     assert!(

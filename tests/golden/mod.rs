@@ -46,14 +46,13 @@ fn schema_workload(mode: Mode) -> RuntimeReport {
     for offset in lcg_offsets(64, 15 << 20) {
         file.read_charge(&mut clock, offset, chunk);
     }
-    rt.flush_prefetch_batches(&mut clock);
     RuntimeReport::collect(&rt)
 }
 
-/// The feature-on golden workload: `ring_submit`, `batch_submit`, a
-/// two-tenant arbiter, cross-tier promotion over a [`TieredStore`] with
-/// the default write-back daemon, and span tracing, all on together under
-/// `CrossP[+predict+opt]`. Single-threaded and seeded.
+/// The feature-on golden workload: `ring_submit`, a two-tenant arbiter,
+/// cross-tier promotion over a [`TieredStore`] with the default write-back
+/// daemon, and span tracing, all on together under `CrossP[+predict+opt]`.
+/// Single-threaded and seeded.
 fn feature_on_workload() -> RuntimeReport {
     let mut os_config = OsConfig::with_memory_mb(24);
     os_config.writeback = Some(WritebackConfig::default());
@@ -68,7 +67,6 @@ fn feature_on_workload() -> RuntimeReport {
     );
     let mut config = RuntimeConfig::new(Mode::PredictOpt);
     config.ring_submit = true;
-    config.batch_submit = true;
     config.tenants = Some(TenantsConfig::new(vec![
         TenantSpec::new("batch", QosClass::Bronze),
         TenantSpec::new("gold", QosClass::Gold),
@@ -101,7 +99,6 @@ fn feature_on_workload() -> RuntimeReport {
         plain.read_charge(&mut clock, offset, chunk);
     }
     plain.fsync(&mut clock);
-    rt.flush_prefetch_batches(&mut clock);
     RuntimeReport::collect(&rt)
 }
 

@@ -1,8 +1,8 @@
 //! Completion-driven ring: off-path byte-identity, same-seed
 //! determinism, visibility gating, demand-crossing reduction at hit
 //! parity, run pre-issue (one miss per burst and per cold record, abandoned
-//! runs, the demand-class ordering), and closed-loop prefetch-quality
-//! accounting with the ring enabled.
+//! runs, the rider ordering), and closed-loop prefetch-quality accounting
+//! with the ring enabled.
 
 use cp_bench::boot;
 use crossprefetch::{CpFile, Mode, Runtime, RuntimeConfig, RuntimeReport};
@@ -18,8 +18,8 @@ const MECHANISMS: [Mode; 6] = [
     Mode::FincoreApp,
 ];
 
-/// The same deterministic mixed workload the batching tests drive:
-/// sequential ramp, warm re-read, seeded random jumps.
+/// A deterministic mixed workload: sequential ramp, warm re-read, seeded
+/// random jumps.
 fn run_workload(config: RuntimeConfig) -> String {
     let runtime = Runtime::new(boot(48), config);
     let mut clock = runtime.new_clock();
@@ -40,7 +40,6 @@ fn run_workload(config: RuntimeConfig) -> String {
             .wrapping_add(1442695040888963407);
         file.read_charge(&mut clock, (state % (47 << 20)) & !4095, chunk);
     }
-    runtime.flush_prefetch_batches(&mut clock);
     RuntimeReport::collect(&runtime).to_json()
 }
 
@@ -63,24 +62,15 @@ fn ring_is_gated_on_visibility_end_to_end() {
 }
 
 /// Ring-enabled runs are deterministic: the same configuration twice
-/// produces byte-identical telemetry, for every mechanism, with and
-/// without batching stacked on top.
+/// produces byte-identical telemetry, for every mechanism.
 #[test]
 fn ring_run_is_deterministic_for_every_mechanism() {
     for mode in MECHANISMS {
-        for batch in [false, true] {
-            let mut config = RuntimeConfig::new(mode);
-            config.ring_submit = true;
-            config.batch_submit = batch;
-            let first = run_workload(config.clone());
-            let second = run_workload(config);
-            assert_eq!(
-                first,
-                second,
-                "{} (batch={batch}): same-seed ring divergence",
-                mode.label()
-            );
-        }
+        let mut config = RuntimeConfig::new(mode);
+        config.ring_submit = true;
+        let first = run_workload(config.clone());
+        let second = run_workload(config);
+        assert_eq!(first, second, "{}: same-seed ring divergence", mode.label());
     }
 }
 
@@ -101,7 +91,6 @@ fn ring_cuts_demand_crossings_at_hit_parity() {
         for i in 0..768u64 {
             file.read_charge(&mut clock, i * 16_384, 16_384);
         }
-        runtime.flush_prefetch_batches(&mut clock);
         let os = runtime.os();
         let crossings = os.stats().reads.get() + os.stats().read_batch_calls.get();
         let report = RuntimeReport::collect(&runtime);
@@ -228,8 +217,8 @@ fn an_abandoned_run_leaves_its_preissued_pages_as_wasted() {
 
 /// Under a demand-class fault plan a rider can fail where the miss it
 /// rode with did not: it fails alone (all-or-nothing, nothing published),
-/// retries on a worker like any staged run — off the reader's clock — and
-/// the ledger still classifies every page exactly once.
+/// retries on a worker — off the reader's clock — and the ledger still
+/// classifies every page exactly once.
 #[test]
 fn a_faulted_rider_retries_off_the_readers_clock_and_the_books_balance() {
     use simos::{Device, DeviceConfig, FaultPlan, FileSystem, FsKind, Os, OsConfig};
@@ -269,49 +258,34 @@ fn a_faulted_rider_retries_off_the_readers_clock_and_the_books_balance() {
 }
 
 /// The ordering the pre-issue is about, at the OS surface: the demand
-/// entry is charged first and the demand-class entry on a clock of its
-/// own from the submission instant, so the miss costs exactly what it
-/// costs alone, while the remainder is in flight from the submission and
-/// not from the miss's completion (where a prefetch-class entry starts).
+/// entry is charged first and the rider on a clock of its own from the
+/// submission instant, so the miss costs exactly what it costs alone,
+/// while the remainder is in flight from the submission.
 #[test]
 fn a_demand_class_entry_never_delays_the_miss_it_rides_with() {
     use simos::{RaBatchEntry, ReadBatchEntry, PAGE_SIZE};
     // One 4-page miss, crossing alone or with the 12 pages after it as a
-    // prefetch-class (`Some(false)`) or demand-class (`Some(true)`) entry.
-    let cross = |rider: Option<bool>| {
+    // rider.
+    let cross = |ride: bool| {
         let os = boot(64);
         let mut clock = os.new_clock();
         let fd = os.create_sized(&mut clock, "/f", 8 << 20).unwrap();
         let start = clock.now();
         let demand = [ReadBatchEntry::new(fd, 1 << 20, 4 * PAGE_SIZE)];
-        let rider = rider.map(|demand_class| {
-            let rest = RaBatchEntry::new(fd, (1 << 20) + 4 * PAGE_SIZE, 12 * PAGE_SIZE);
-            if demand_class {
-                rest.with_demand_class()
-            } else {
-                rest
-            }
-        });
-        let (outcomes, completions) = os
-            .read_batch(&mut clock, &demand, rider.as_slice())
-            .unwrap();
+        let rider = RaBatchEntry::new(fd, (1 << 20) + 4 * PAGE_SIZE, 12 * PAGE_SIZE);
+        let riders = if ride { vec![rider] } else { Vec::new() };
+        let (outcomes, completions) = os.read_batch(&mut clock, &demand, &riders).unwrap();
         assert_eq!(outcomes[0].miss_pages, 4);
         (os, fd, clock, start, completions)
     };
-    let (_, _, alone, alone_start, _) = cross(None);
-    let (_, _, staged, staged_start, background) = cross(Some(false));
-    let (os, fd, mut clock, start, ridden) = cross(Some(true));
+    let (_, _, alone, alone_start, _) = cross(false);
+    let (os, fd, mut clock, start, ridden) = cross(true);
 
     assert_eq!(clock.now() - start, alone.now() - alone_start);
     let submitted = start + os.config().costs.syscall_ns;
     let ready = ridden[0].ready_at_ns;
     assert_eq!(ridden[0].initiated_pages, 12);
     assert!(ready >= submitted + os.device().config().read_request_latency_ns());
-    assert!(
-        ready - start < background[0].ready_at_ns - staged_start,
-        "in flight before the miss completes, unlike the prefetch class"
-    );
-    assert!(staged.now() - staged_start >= clock.now() - start);
     // The continuation absorbs: it waits the transfer out, never crosses.
     let crossings = os.stats().syscalls.get();
     let next = os
@@ -322,8 +296,8 @@ fn a_demand_class_entry_never_delays_the_miss_it_rides_with() {
     assert_eq!(os.stats().syscalls.get(), crossings);
 }
 
-/// The engines-suite closed-loop invariant, re-run with the ring (and
-/// batching) enabled on the zipfian kvprobe: every initiated page is
+/// The engines-suite closed-loop invariant, re-run with the ring enabled on
+/// the zipfian kvprobe: every initiated page is
 /// classified exactly once even when runs ride a miss, absorb, and cancel
 /// along the way. Against the ring-off run of the same stream the ring at
 /// least halves demand-read crossings (`read` + `read_batch` calls; seed
@@ -341,16 +315,14 @@ fn a_demand_class_entry_never_delays_the_miss_it_rides_with() {
 /// by `on <= off`.
 #[test]
 fn quality_counters_balance_under_ring_on_kvprobe() {
-    let run = |ring: bool, batch: bool| {
+    let run = |ring: bool| {
         let mut config = RuntimeConfig::new(Mode::Predict);
         config.ring_submit = ring;
-        config.batch_submit = batch;
         let runtime = Runtime::new(boot(8), config);
         let cfg = KvProbeConfig::default();
         setup_kvprobe(&runtime, &cfg, "/kv");
         let mut clock = runtime.new_clock();
         run_kvprobe(&runtime, &mut clock, &cfg, "/kv");
-        runtime.flush_prefetch_batches(&mut clock);
         let os = runtime.os();
         let crossings = os.stats().reads.get() + os.stats().read_batch_calls.get();
         os.drop_caches(&mut clock);
@@ -360,7 +332,7 @@ fn quality_counters_balance_under_ring_on_kvprobe() {
         assert_eq!(
             q.timely + q.late + q.wasted,
             report.pages_initiated,
-            "ring={ring} batch={batch}: quality books don't balance \
+            "ring={ring}: quality books don't balance \
              (timely={} late={} wasted={} initiated={})",
             q.timely,
             q.late,
@@ -369,9 +341,8 @@ fn quality_counters_balance_under_ring_on_kvprobe() {
         );
         (crossings, report)
     };
-    let (off_crossings, off) = run(false, false);
-    let (on_crossings, on) = run(true, false);
-    run(true, true);
+    let (off_crossings, off) = run(false);
+    let (on_crossings, on) = run(true);
 
     assert!(
         on_crossings * 2 <= off_crossings,

@@ -59,7 +59,7 @@ fn fleet_run(
     (runtime, clock, result)
 }
 
-/// The deterministic mixed workload the batching/ring suites drive, with
+/// The deterministic mixed workload the ring suite drives, with
 /// plain (untenanted) opens.
 fn run_untenanted(config: RuntimeConfig) -> RuntimeReport {
     let runtime = Runtime::new(boot(48), config);
@@ -78,7 +78,6 @@ fn run_untenanted(config: RuntimeConfig) -> RuntimeReport {
             .wrapping_add(1442695040888963407);
         file.read_charge(&mut clock, (state % (47 << 20)) & !4095, chunk);
     }
-    runtime.flush_prefetch_batches(&mut clock);
     RuntimeReport::collect(&runtime)
 }
 
