@@ -265,14 +265,6 @@ fn main() {
         &[("0", 0), ("1", 1), ("2", 2), ("8", 8)],
         |c, mb| c.open_prefetch_bytes = mb << 20,
     );
-    report_sweep(
-        "per-inode LRU reclaim (the paper's future-work item); off = global word LRU",
-        micro,
-        &predict_opt,
-        &off_on,
-        |per_inode_lru| os_with(48, |c| c.per_inode_lru = per_inode_lru),
-        |_, _| {},
-    );
     // Four access shapes, each behind a cache it does not fit, so planned
     // prefetches actually issue and waste is a real cost. At 8x the keys
     // what the correlation table still remembers is still cached, so time,

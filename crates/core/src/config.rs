@@ -142,12 +142,6 @@ pub struct RuntimeConfig {
     /// virtual timeline — with it off, every new code path is bypassed
     /// and telemetry is byte-identical to the ring-less runtime.
     pub ring_submit: bool,
-    /// Exemplar reservoir depth per latency class for causal span tracing
-    /// ([`crate::span::SpanCollector`]): the slowest K reads of each class
-    /// keep their complete span tree. Sizing only — span *collection*
-    /// stays off until [`crate::span::SpanCollector::set_enabled`] flips
-    /// it on, and while off the read path pays one relaxed atomic load.
-    pub span_exemplars: usize,
     /// Multi-tenant prefetch arbitration ([`crate::tenant`]): a tenant
     /// table with QoS classes, per-tenant fair-share prefetch windows
     /// rebalanced from the timely/late/wasted quality ledgers, and an
@@ -181,7 +175,6 @@ impl RuntimeConfig {
             evict_scan_interval_ns: simclock::NS_PER_MS,
             registry_shards: 0,
             ring_submit: false,
-            span_exemplars: 8,
             tenants: None,
             tiering: None,
         }

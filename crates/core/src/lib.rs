@@ -88,7 +88,7 @@ pub use tenant::{
     AdmissionRung, QosClass, TenantArbiter, TenantId, TenantReport, TenantSpec, TenantsConfig,
 };
 pub use tiering::{TierPlanner, TieringConfig};
-pub use trace::{LookupOutcome, TraceEvent, TraceEventKind, TraceLog};
+pub use trace::{LookupOutcome, SpanView, TraceEvent, TraceEventKind, Tracer};
 
 // One coherent import surface for workloads and benches.
 pub use simos::{

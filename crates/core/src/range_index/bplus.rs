@@ -174,10 +174,13 @@ impl BPlusRangeIndex {
         let _ = self.wait_hist.set(hist);
     }
 
-    fn record_wait(&self, wait_ns: u64) {
+    /// Books one acquisition's wait ending at `end_ns`: into the shared
+    /// histogram, and as a lock-wait leaf of the read in flight.
+    fn record_wait(&self, wait_ns: u64, end_ns: u64) {
         if let Some(hist) = self.wait_hist.get() {
             hist.record(wait_ns);
         }
+        crate::span::record_leaf(crate::span::SpanKind::LibTreeLockWait, wait_ns, end_ns);
     }
 
     /// Exclusive acquisition: writers lock-couple down to the leaf and
@@ -195,15 +198,8 @@ impl BPlusRangeIndex {
             LockScope::PerNode => model.write(clock.now(), hold),
             LockScope::WholeFile => self.whole_file_lock.write(clock.now(), hold),
         };
-        self.record_wait(access.wait_ns);
+        self.record_wait(access.wait_ns, access.end_ns);
         clock.advance_to(access.end_ns);
-        if access.wait_ns > 0 {
-            crate::span::record_leaf(
-                crate::span::SpanKind::LibTreeLockWait,
-                access.wait_ns,
-                access.end_ns,
-            );
-        }
     }
 
     /// Shared acquisition. Under [`LockScope::PerNode`] this is the
@@ -223,15 +219,8 @@ impl BPlusRangeIndex {
         match scope {
             LockScope::WholeFile => {
                 let access = self.whole_file_lock.read(clock.now(), hold);
-                self.record_wait(access.wait_ns);
+                self.record_wait(access.wait_ns, access.end_ns);
                 clock.advance_to(access.end_ns);
-                if access.wait_ns > 0 {
-                    crate::span::record_leaf(
-                        crate::span::SpanKind::LibTreeLockWait,
-                        access.wait_ns,
-                        access.end_ns,
-                    );
-                }
             }
             LockScope::PerNode => {
                 let now = clock.now();
@@ -243,15 +232,8 @@ impl BPlusRangeIndex {
                     0
                 };
                 model.record_read(wait, hold);
-                self.record_wait(wait);
                 clock.advance(wait + hold);
-                if wait > 0 {
-                    crate::span::record_leaf(
-                        crate::span::SpanKind::LibTreeLockWait,
-                        wait,
-                        clock.now(),
-                    );
-                }
+                self.record_wait(wait, clock.now());
             }
         }
     }

@@ -128,13 +128,11 @@ impl RangeTree {
             hist.record(access.wait_ns);
         }
         clock.advance_to(access.end_ns);
-        if access.wait_ns > 0 {
-            crate::span::record_leaf(
-                crate::span::SpanKind::LibTreeLockWait,
-                access.wait_ns,
-                access.end_ns,
-            );
-        }
+        crate::span::record_leaf(
+            crate::span::SpanKind::LibTreeLockWait,
+            access.wait_ns,
+            access.end_ns,
+        );
     }
 
     /// Marks `[start, end)` as cached in the user-level view. Returns pages

@@ -195,12 +195,12 @@ pub(crate) struct ReadCtx {
     pages: u64,
     /// Virtual time at pipeline entry (end-to-end latency base).
     entry_ns: u64,
-    /// Snapshot of `TraceLog::is_enabled` — one relaxed load per access;
-    /// every emit site downstream is gated on this bool.
+    /// Whether the tracer's decision-event view is on; every emit site
+    /// downstream is gated on this bool.
     tracing: bool,
     /// Whether this access carries an open span frame — set when the
-    /// span collector is enabled (one relaxed load, the whole cost while
-    /// disabled) and this thread opened a frame for a non-write access.
+    /// tracer's span view is on and this thread opened a frame for a
+    /// non-write access.
     spans: bool,
     /// Pages of the span the user-level view claimed cached (set by the
     /// cache-probe stage, consumed by the account stage's staleness
@@ -326,9 +326,10 @@ impl CpFile {
     ) -> ReadCtx {
         let inner = &self.runtime.inner;
         let entry_ns = clock.now();
-        // One relaxed load; every emit site below is gated on this bool,
-        // so disabled tracing costs exactly this on the read path.
-        let tracing = inner.trace.is_enabled();
+        // One relaxed load for both views; every emit site below is gated
+        // on its result, so disabled tracing costs exactly this on the read
+        // path.
+        let (tracing, span_view) = inner.trace.views();
         if is_write {
             inner.stats.writes.incr();
         } else {
@@ -336,13 +337,12 @@ impl CpFile {
         }
         let p0 = offset / PAGE_SIZE;
         let p1 = (offset + len.max(1)).div_ceil(PAGE_SIZE);
-        // Same contract as tracing: one relaxed load while disabled. A
-        // frame only opens for reads (writes traverse untraced), and only
+        // A frame only opens for reads (writes traverse untraced), and only
         // if this thread has no frame in flight already.
         let spans = !is_write
-            && inner.spans.is_enabled()
+            && span_view
             && crate::span::begin(
-                inner.spans.next_req_id(),
+                inner.trace.collector.next_req_id(),
                 self.file.ino.0,
                 p0,
                 p1 - p0,
@@ -768,7 +768,7 @@ impl CpFile {
                     self.runtime.registry_wait_now(),
                     class,
                 ) {
-                    inner.spans.complete(exemplar);
+                    inner.trace.collector.complete(exemplar);
                 }
             }
             if ctx.tracing {

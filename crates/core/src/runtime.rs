@@ -20,11 +20,11 @@ use crate::metrics::RuntimeMetrics;
 use crate::policy::{OpenAction, Policy};
 use crate::range_index::{BPlusRangeIndex, IndexStats, LockScope};
 use crate::read_path::FillMode;
-use crate::span::{CrossLayerSink, SpanCollector, SpanKind};
+use crate::span::SpanKind;
 use crate::stats::LibStats;
 use crate::tenant::{AdmissionRung, TenantArbiter, TenantId, UNBOUND_TENANT};
 use crate::tiering::TierPlanner;
-use crate::trace::{LookupOutcome, TraceEventKind, TraceLog};
+use crate::trace::{LookupOutcome, SpanView, TraceEventKind, Tracer};
 use crate::worker::{Dispatch, WorkerPool};
 
 /// One limit-sized run of a known run riding the ring crossing of the
@@ -166,14 +166,13 @@ pub(crate) struct RuntimeInner {
     /// a free-memory threshold; with a steady-state-full clean cache, the
     /// observable signal for "no headroom" is reclaim running.
     aggressive_pause_until: AtomicU64,
-    /// Decision-event trace sink (disabled by default); also installed
-    /// into the OS so kernel-side decisions land in the same log.
-    pub(crate) trace: Arc<TraceLog>,
+    /// The tracer: the decision-event ring and the causal span collector
+    /// (tail exemplars with critical-path attribution for the slowest
+    /// reads per latency class), both off by default; also installed into
+    /// the OS, so kernel-side decisions and windows reach the same views.
+    pub(crate) trace: Arc<Tracer>,
     /// Always-on latency distributions.
     pub(crate) metrics: RuntimeMetrics,
-    /// Causal span collector (disabled by default): tail exemplars with
-    /// critical-path attribution for the slowest reads per latency class.
-    pub(crate) spans: Arc<SpanCollector>,
     /// One-way degradation latch: set when the kernel rejects
     /// `readahead_info` (`IoError::Unsupported`). Once set, every
     /// visibility prefetch is issued as blind `readahead(2)` instead —
@@ -202,16 +201,11 @@ impl Runtime {
         let policy = Policy::for_config(&config);
         let shards = config.effective_registry_shards();
         let workers = WorkerPool::new(config.workers.max(1), Arc::clone(os.global()));
-        let trace = Arc::new(TraceLog::default());
-        let spans = Arc::new(SpanCollector::new(config.span_exemplars));
-        // Bridge kernel-side decisions (readahead_info, RA window growth,
-        // reclaim) into the same trace log, and kernel-side wait/service
-        // windows into the calling read's span frame. First runtime
-        // attached wins.
-        os.set_trace_sink(Arc::new(CrossLayerSink {
-            trace: Arc::clone(&trace),
-            spans: Arc::clone(&spans),
-        }) as Arc<dyn simos::OsTraceSink>);
+        let trace = Arc::new(Tracer::default());
+        // Kernel-side decisions (readahead_info, RA window growth, reclaim,
+        // ring crossings) and wait/service windows reach the same tracer.
+        // First runtime attached wins.
+        os.set_trace_sink(Arc::clone(&trace) as Arc<dyn simos::OsTraceSink>);
         let tenants = config.tenants.clone().map(TenantArbiter::new);
         // Promotion needs somewhere to promote *to*: a tiering config on
         // an un-tiered OS builds no planner (and no new code path runs).
@@ -229,7 +223,6 @@ impl Runtime {
                 aggressive_pause_until: AtomicU64::new(0),
                 trace,
                 metrics: RuntimeMetrics::default(),
-                spans,
                 degraded: AtomicBool::new(false),
                 tenants,
                 planner,
@@ -279,9 +272,9 @@ impl Runtime {
         self.inner.degraded.load(Ordering::Relaxed)
     }
 
-    /// The decision-event trace log (disabled by default; turn on with
-    /// [`TraceLog::set_enabled`]).
-    pub fn trace(&self) -> &Arc<TraceLog> {
+    /// The decision-event trace (disabled by default; turn on with
+    /// [`Tracer::set_enabled`]).
+    pub fn trace(&self) -> &Tracer {
         &self.inner.trace
     }
 
@@ -291,9 +284,9 @@ impl Runtime {
     }
 
     /// The causal span collector (disabled by default; turn on with
-    /// [`SpanCollector::set_enabled`]).
-    pub fn spans(&self) -> &Arc<SpanCollector> {
-        &self.inner.spans
+    /// [`SpanView::set_enabled`]).
+    pub fn spans(&self) -> SpanView<'_> {
+        self.inner.trace.spans()
     }
 
     /// Wall-clock registry-shard wait observed runtime-wide right now

@@ -3,17 +3,19 @@
 //!
 //! Every demand read entering the staged pipeline gets a [`ReqId`]; the
 //! pipeline stages and every wait or service window the read encounters —
-//! in either layer, bridged across the LIB/OS boundary via
-//! [`simos::OsTraceSink`] — record *virtual-time* spans parented under
-//! it. At read exit the tree collapses into a [`CriticalPath`]: self-time
-//! buckets that partition the read's end-to-end latency exactly.
+//! in either layer, the OS side arriving as windows on the one trace
+//! stream ([`crate::trace::Tracer`]) — record *virtual-time* spans
+//! parented under it. At read exit the tree collapses into a
+//! [`CriticalPath`]: self-time buckets that partition the read's
+//! end-to-end latency exactly.
 //!
 //! Design rules, inherited from the trace subsystem's contract:
 //!
 //! * **Disabled by default, pay-nothing-off.** While off, the read path
-//!   pays one relaxed atomic load ([`SpanCollector::is_enabled`]); every
-//!   other hook is gated behind a thread-local flag that is only set
-//!   while a traced read is in flight.
+//!   pays one relaxed atomic load, shared with the decision-event view
+//!   ([`crate::trace::SpanView::is_enabled`]); every other hook is gated
+//!   behind a thread-local flag that is only set while a traced read is
+//!   in flight.
 //! * **Bounded.** Only the slowest K reads per latency class keep their
 //!   complete span tree ([`SpanCollector`]'s tail-exemplar reservoirs);
 //!   admission is an O(1) threshold probe in the common case, and leaf
@@ -30,19 +32,21 @@
 
 use std::cell::{Cell, RefCell};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 use simclock::Counter;
-use simos::{OsSpanKind, OsTraceEvent, OsTraceSink};
+use simos::OsSpanKind;
 
 use crate::metrics::{PipelineStage, ReadClass};
 use crate::telemetry::Metric;
-use crate::trace::TraceLog;
 
 /// Request identifier: unique per traced read within one runtime.
 pub type ReqId = u64;
+
+/// Reservoir depth per latency class: the slowest this many reads of each
+/// class keep their complete span tree.
+pub const SPAN_EXEMPLARS: usize = 8;
 
 /// Synchronous leaves kept per exemplar; overflow is still bucketed (the
 /// critical path stays exact) but drops off the displayed tree.
@@ -54,7 +58,7 @@ const MAX_ASYNC_LEAVES: usize = 32;
 /// Kinds of leaf spans a traced read can record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpanKind {
-    /// An OS-side window bridged through [`simos::OsTraceSink`].
+    /// An OS-side window ([`simos::OsTraceEvent::Window`]).
     Os(OsSpanKind),
     /// Blocked acquiring a user-level range-tree node lock.
     LibTreeLockWait,
@@ -336,12 +340,12 @@ const CLASSES: [ReadClass; 3] = [
     ReadClass::DemandMiss,
 ];
 
-/// The shared span collector: enable flag, request-id allocator,
-/// per-class totals and tail-exemplar reservoirs, and the
-/// most-registry-contended exemplar slot.
+/// The shared span collector: request-id allocator, per-class totals and
+/// tail-exemplar reservoirs, and the most-registry-contended exemplar
+/// slot. Its switch is the span view of the [`crate::trace::Tracer`] that
+/// owns it.
 #[derive(Debug)]
 pub struct SpanCollector {
-    enabled: AtomicBool,
     next_req_id: AtomicU64,
     /// Reservoir depth per class (K slowest reads keep their tree).
     capacity: usize,
@@ -358,11 +362,9 @@ pub struct SpanCollector {
 }
 
 impl SpanCollector {
-    /// A disabled collector keeping the slowest `capacity` reads per
-    /// class.
+    /// A collector keeping the slowest `capacity` reads per class.
     pub fn new(capacity: usize) -> Self {
         Self {
-            enabled: AtomicBool::new(false),
             next_req_id: AtomicU64::new(0),
             capacity,
             classes: Default::default(),
@@ -372,17 +374,6 @@ impl SpanCollector {
             exemplars_admitted: Counter::new(),
             exemplars_evicted: Counter::new(),
         }
-    }
-
-    /// Turns span tracing on or off. Off is the default; while off, a
-    /// read pays exactly one relaxed load.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether span tracing is on — the one atomic op the read path pays.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
     }
 
     /// Reservoir depth per latency class.
@@ -597,7 +588,7 @@ pub(crate) fn begin(
 /// Zero-duration leaves are skipped; leaves recorded under a detached
 /// clock (or of an inherently detached kind) attach as async children.
 pub(crate) fn record_leaf(kind: SpanKind, dur_ns: u64, end_ns: u64) {
-    if !ACTIVE.with(|a| a.get()) || dur_ns == 0 {
+    if dur_ns == 0 || !ACTIVE.with(|a| a.get()) {
         return;
     }
     let asynchronous = kind.forced_async() || SUSPENDED.with(|s| s.get()) > 0;
@@ -714,33 +705,6 @@ pub(crate) fn suspended<R>(f: impl FnOnce() -> R) -> R {
     SUSPENDED.with(|s| s.set(s.get() + 1));
     let _guard = Guard;
     f()
-}
-
-/// The sink a runtime installs into its OS: bridges decision events to
-/// the trace ring and OS-side leaf spans to the calling thread's open
-/// span frame, each behind its own enable flag.
-#[derive(Debug)]
-pub(crate) struct CrossLayerSink {
-    pub(crate) trace: Arc<TraceLog>,
-    pub(crate) spans: Arc<SpanCollector>,
-}
-
-impl OsTraceSink for CrossLayerSink {
-    fn enabled(&self) -> bool {
-        self.trace.is_enabled()
-    }
-
-    fn emit_os_event(&self, ts_ns: u64, event: OsTraceEvent) {
-        self.trace.emit_os_event(ts_ns, event);
-    }
-
-    fn span_enabled(&self) -> bool {
-        self.spans.is_enabled()
-    }
-
-    fn emit_os_span(&self, end_ns: u64, kind: OsSpanKind, dur_ns: u64) {
-        record_leaf(SpanKind::Os(kind), dur_ns, end_ns);
-    }
 }
 
 #[cfg(test)]

@@ -1,39 +1,46 @@
-//! Decision-event tracing: a bounded, lock-cheap ring buffer of structured
-//! events from both layers of the stack.
+//! Decision-event tracing and the one bridge both layers trace through.
+//!
+//! A [`Tracer`] is one event stream with two views: *decision events*
+//! from both layers land in a bounded ring, and *wait/service windows*
+//! land in the calling read's span frame ([`crate::span`]). The OS reaches
+//! it through the two-method [`OsTraceSink`] it implements.
 //!
 //! Design:
 //!
-//! * **Disabled by default.** When tracing is off, an emit site costs one
-//!   relaxed atomic load. Hot paths hoist that single load and pass the
-//!   resulting `bool` down, so a read performs at most one atomic check.
-//! * **Per-thread buffers.** When enabled, events land in a thread-local
-//!   buffer (registered with the log at first use) and are flushed to the
-//!   shared ring in batches, so emitting threads almost never contend.
-//! * **Bounded with drop-oldest.** The shared ring holds at most
-//!   `capacity` events; overflow evicts the oldest and bumps a
-//!   dropped-events counter, so a run can never OOM on its own telemetry.
+//! * **Disabled by default.** Both views are off until switched on, each
+//!   independently. Both flags live in one word, so the read path learns
+//!   which views are on with one relaxed atomic load, hoisted and passed
+//!   down as plain `bool`s.
+//! * **One ring, one lock.** Events go straight into a shared ring under
+//!   its mutex, which also assigns the global sequence number: emission
+//!   order and ring order are the same order, on every thread.
+//! * **Bounded with drop-oldest.** The ring holds at most `capacity`
+//!   events; overflow evicts the oldest and bumps a dropped-events
+//!   counter, so a run can never OOM on its own telemetry. An event for a
+//!   view that is off is discarded, not counted as a drop.
 //! * **Deterministic timestamps.** Every event carries the emitting
-//!   thread's *virtual* clock value plus a global sequence number, so
-//!   traces are diff-able across runs of a deterministic workload.
+//!   thread's *virtual* clock value plus its sequence number, so traces
+//!   are diff-able across runs of a deterministic workload.
 
-use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::ops::Deref;
+use std::sync::atomic::{AtomicU8, Ordering};
 
 use parking_lot::Mutex;
-use simclock::Counter;
 use simos::{InodeId, OsTraceEvent, OsTraceSink};
 
 use crate::metrics::ReadClass;
+use crate::span::{SpanCollector, SpanKind};
 use predict::AccessPattern;
 
 /// Default ring capacity (events).
 pub const DEFAULT_TRACE_CAPACITY: usize = 64 * 1024;
 
-/// Events a thread buffers locally before flushing to the shared ring.
-const FLUSH_BATCH: usize = 64;
+/// The decision-event view's bit in a [`Tracer`]'s views word.
+const EVENTS: u8 = 1;
+/// The span view's bit in a [`Tracer`]'s views word.
+const SPANS: u8 = 2;
 
 /// Outcome of a user-level range-tree lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -135,35 +142,6 @@ pub enum TraceEventKind {
         /// Resident pages dropped.
         pages: u64,
     },
-    /// CROSS-OS `readahead_info` call (bridged from the OS layer).
-    RaInfoCall {
-        /// File targeted.
-        ino: InodeId,
-        /// First page of the range.
-        start_page: u64,
-        /// Pages in the range.
-        pages: u64,
-        /// Pages already cached.
-        cached_pages: u64,
-        /// Pages newly initiated.
-        initiated_pages: u64,
-    },
-    /// OS heuristic readahead issued/grew a window (bridged).
-    RaWindowGrow {
-        /// File the window belongs to.
-        ino: InodeId,
-        /// First page of the window.
-        start_page: u64,
-        /// Window size, pages.
-        window_pages: u64,
-    },
-    /// OS reclaim pass (bridged).
-    OsReclaim {
-        /// Pages reclaim wanted to free.
-        target_pages: u64,
-        /// Pages it freed.
-        freed_pages: u64,
-    },
     /// A worker's prefetch attempt hit a transient device error and will
     /// be retried after backoff.
     PrefetchRetry {
@@ -201,14 +179,6 @@ pub enum TraceEventKind {
         /// Pages covered.
         pages: u64,
     },
-    /// One ring crossing (bridged): demand reads and the known runs riding
-    /// them submitted as a single vectored syscall.
-    RingCrossing {
-        /// Demand-read entries the crossing carried.
-        demand_entries: u64,
-        /// Rider entries the crossing carried.
-        ra_entries: u64,
-    },
     /// A known run crossed the ring with the miss that starts it.
     RingSpecIssued {
         /// Target file.
@@ -227,6 +197,9 @@ pub enum TraceEventKind {
         /// ([`predict::EngineKind::name`]).
         engine: &'static str,
     },
+    /// A decision the OS layer made (`readahead_info` call, heuristic
+    /// window growth, reclaim pass, ring crossing), bridged as is.
+    Os(OsTraceEvent),
 }
 
 impl TraceEventKind {
@@ -240,16 +213,13 @@ impl TraceEventKind {
             TraceEventKind::PrefetchEnqueued { .. } => "prefetch-enqueued",
             TraceEventKind::PrefetchCompleted { .. } => "prefetch-completed",
             TraceEventKind::LibEvict { .. } => "lib-evict",
-            TraceEventKind::RaInfoCall { .. } => "ra-info-call",
-            TraceEventKind::RaWindowGrow { .. } => "ra-window-grow",
-            TraceEventKind::OsReclaim { .. } => "os-reclaim",
             TraceEventKind::PrefetchRetry { .. } => "prefetch-retry",
             TraceEventKind::PrefetchAbandoned { .. } => "prefetch-abandoned",
             TraceEventKind::VisibilityDowngraded { .. } => "visibility-downgraded",
             TraceEventKind::ReadError { .. } => "read-error",
-            TraceEventKind::RingCrossing { .. } => "ring-crossing",
             TraceEventKind::RingSpecIssued { .. } => "ring-spec-issued",
             TraceEventKind::EngineOwner { .. } => "engine-owner",
+            TraceEventKind::Os(event) => event.name(),
         }
     }
 }
@@ -336,26 +306,6 @@ impl fmt::Display for TraceEvent {
             TraceEventKind::LibEvict { ino, pages } => {
                 write!(f, "ino={} pages={}", ino.0, pages)
             }
-            TraceEventKind::RaInfoCall {
-                ino,
-                start_page,
-                pages,
-                cached_pages,
-                initiated_pages,
-            } => write!(
-                f,
-                "ino={} pages={}+{} cached={} initiated={}",
-                ino.0, start_page, pages, cached_pages, initiated_pages
-            ),
-            TraceEventKind::RaWindowGrow {
-                ino,
-                start_page,
-                window_pages,
-            } => write!(f, "ino={} window={}+{}", ino.0, start_page, window_pages),
-            TraceEventKind::OsReclaim {
-                target_pages,
-                freed_pages,
-            } => write!(f, "target={target_pages} freed={freed_pages}"),
             TraceEventKind::PrefetchRetry {
                 ino,
                 start_page,
@@ -377,10 +327,6 @@ impl fmt::Display for TraceEvent {
                 start_page,
                 pages,
             } => write!(f, "ino={} pages={}+{}", ino.0, start_page, pages),
-            TraceEventKind::RingCrossing {
-                demand_entries,
-                ra_entries,
-            } => write!(f, "demand={demand_entries} ra={ra_entries}"),
             TraceEventKind::RingSpecIssued {
                 ino,
                 start_page,
@@ -389,195 +335,161 @@ impl fmt::Display for TraceEvent {
             TraceEventKind::EngineOwner { ino, engine } => {
                 write!(f, "ino={} engine={engine}", ino.0)
             }
+            TraceEventKind::Os(event) => write!(f, "{event}"),
         }
     }
 }
 
-type LocalBuffer = Arc<Mutex<Vec<TraceEvent>>>;
-
-thread_local! {
-    /// This thread's buffer per trace log (keyed by log id). Buffers are
-    /// *also* registered with the owning log, so `snapshot()` can collect
-    /// events from threads that never flushed. Entries of dropped logs are
-    /// pruned when the thread registers with a new log (see `emit`).
-    static LOCAL_BUFFERS: RefCell<HashMap<u64, LocalBuffer>> = RefCell::new(HashMap::new());
+/// The decision-event ring. `seq` is assigned under its lock, so ring
+/// order is emission order.
+#[derive(Debug, Default)]
+struct Ring {
+    events: VecDeque<TraceEvent>,
+    /// Events ever accepted: the next event's `seq`.
+    next_seq: u64,
 }
 
-static NEXT_LOG_ID: AtomicU64 = AtomicU64::new(0);
-
-/// The shared, bounded trace sink.
+/// One event stream with two views (module docs): the bounded decision
+/// ring and the span collector, switched by one views word. Installed
+/// into the OS as its [`OsTraceSink`].
 #[derive(Debug)]
-pub struct TraceLog {
-    id: u64,
-    enabled: AtomicBool,
+pub struct Tracer {
+    /// Which views are on ([`EVENTS`], [`SPANS`]).
+    views: AtomicU8,
     capacity: usize,
-    seq: AtomicU64,
-    ring: Mutex<VecDeque<TraceEvent>>,
-    buffers: Mutex<Vec<LocalBuffer>>,
-    dropped: Counter,
+    ring: Mutex<Ring>,
+    /// What the span view fills: per-class totals and tail exemplars.
+    pub(crate) collector: SpanCollector,
 }
 
-impl Default for TraceLog {
+impl Default for Tracer {
     fn default() -> Self {
         Self::new(DEFAULT_TRACE_CAPACITY)
     }
 }
 
-impl TraceLog {
-    /// A disabled log bounded at `capacity` events.
+impl Tracer {
+    /// A tracer with both views off, its ring bounded at `capacity`
+    /// events and its reservoirs [`crate::span::SPAN_EXEMPLARS`] deep.
     pub fn new(capacity: usize) -> Self {
         Self {
-            id: NEXT_LOG_ID.fetch_add(1, Ordering::Relaxed),
-            enabled: AtomicBool::new(false),
+            views: AtomicU8::new(0),
             capacity: capacity.max(1),
-            seq: AtomicU64::new(0),
-            ring: Mutex::new(VecDeque::new()),
-            buffers: Mutex::new(Vec::new()),
-            dropped: Counter::new(),
+            ring: Mutex::default(),
+            collector: SpanCollector::new(crate::span::SPAN_EXEMPLARS),
         }
     }
 
-    /// Turns tracing on or off. Off is the default; while off, emit sites
-    /// cost one relaxed load.
+    fn set_view(&self, view: u8, on: bool) {
+        if on {
+            self.views.fetch_or(view, Ordering::Relaxed);
+        } else {
+            self.views.fetch_and(!view, Ordering::Relaxed);
+        }
+    }
+
+    /// Whether the decision-event and the span view are on, in that
+    /// order — the one relaxed load the read path pays for both.
+    pub(crate) fn views(&self) -> (bool, bool) {
+        let views = self.views.load(Ordering::Relaxed);
+        (views & EVENTS != 0, views & SPANS != 0)
+    }
+
+    /// Turns decision-event tracing on or off. Off is the default; while
+    /// off, emit sites cost one relaxed load.
     pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
+        self.set_view(EVENTS, on);
     }
 
-    /// Whether tracing is currently on — the one atomic op hot paths pay.
+    /// Whether decision-event tracing is on.
     pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
+        self.views().0
     }
 
-    /// Events evicted from the ring because it was full.
+    /// The span view: its switch and its collector.
+    pub(crate) fn spans(&self) -> SpanView<'_> {
+        SpanView(self)
+    }
+
+    /// Events evicted from the ring because it was full: every accepted
+    /// event took a `seq` and is either still in the ring or was evicted.
     pub fn dropped(&self) -> u64 {
-        self.dropped.get()
+        let ring = self.ring.lock();
+        ring.next_seq - ring.events.len() as u64
     }
 
-    /// Ring capacity in events.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Records one event at virtual time `ts_ns`. No-op while disabled.
+    /// Records one event at virtual time `ts_ns`. No-op while the
+    /// decision-event view is off.
     pub fn emit(&self, ts_ns: u64, kind: TraceEventKind) {
         if !self.is_enabled() {
             return;
         }
-        let event = TraceEvent {
-            ts_ns,
-            seq: self.seq.fetch_add(1, Ordering::Relaxed),
-            kind,
-        };
-        let buffer = LOCAL_BUFFERS.with(|map| {
-            let mut map = map.borrow_mut();
-            if let Some(buffer) = map.get(&self.id) {
-                return Arc::clone(buffer);
-            }
-            // This thread's first event into this log. A live log holds a
-            // second reference to each of its buffers, so a buffer only
-            // this map still references belongs to a dropped log: release
-            // those here instead of keeping one per log ever emitted into.
-            map.retain(|_, buffer| Arc::strong_count(buffer) > 1);
-            let buffer: LocalBuffer = Arc::new(Mutex::new(Vec::new()));
-            self.buffers.lock().push(Arc::clone(&buffer));
-            map.insert(self.id, Arc::clone(&buffer));
-            buffer
-        });
-        let mut local = buffer.lock();
-        local.push(event);
-        if local.len() >= FLUSH_BATCH {
-            let batch: Vec<TraceEvent> = local.drain(..).collect();
-            drop(local);
-            self.push_batch(batch);
-        }
-    }
-
-    fn push_batch(&self, batch: Vec<TraceEvent>) {
         let mut ring = self.ring.lock();
-        for event in batch {
-            if ring.len() == self.capacity {
-                ring.pop_front();
-                self.dropped.incr();
-            }
-            ring.push_back(event);
+        if ring.events.len() == self.capacity {
+            ring.events.pop_front();
         }
+        let seq = ring.next_seq;
+        ring.next_seq += 1;
+        ring.events.push_back(TraceEvent { ts_ns, seq, kind });
     }
 
-    /// Flushes every thread's buffer into the ring and returns the
-    /// surviving events ordered by `(ts_ns, seq)`.
+    /// The surviving events ordered by `(ts_ns, seq)`.
     pub fn snapshot(&self) -> Vec<TraceEvent> {
-        let buffers: Vec<LocalBuffer> = self.buffers.lock().clone();
-        for buffer in buffers {
-            let batch: Vec<TraceEvent> = buffer.lock().drain(..).collect();
-            if !batch.is_empty() {
-                self.push_batch(batch);
-            }
-        }
-        let mut events: Vec<TraceEvent> = self.ring.lock().iter().copied().collect();
+        let mut events: Vec<TraceEvent> = self.ring.lock().events.iter().copied().collect();
         events.sort_by_key(|e| (e.ts_ns, e.seq));
         events
     }
+}
 
-    /// Drops all buffered events (the dropped counter is kept).
-    pub fn clear(&self) {
-        let buffers: Vec<LocalBuffer> = self.buffers.lock().clone();
-        for buffer in buffers {
-            buffer.lock().clear();
+/// The OS bridge: decisions go to the ring, windows to the calling
+/// thread's open span frame, each only while its view is on.
+impl OsTraceSink for Tracer {
+    fn enabled(&self) -> bool {
+        self.views.load(Ordering::Relaxed) != 0
+    }
+
+    fn emit(&self, ts_ns: u64, event: OsTraceEvent) {
+        match event {
+            OsTraceEvent::Window { kind, dur_ns } => {
+                if self.views().1 {
+                    crate::span::record_leaf(SpanKind::Os(kind), dur_ns, ts_ns);
+                }
+            }
+            decision => Tracer::emit(self, ts_ns, TraceEventKind::Os(decision)),
         }
-        self.ring.lock().clear();
     }
 }
 
-impl OsTraceSink for TraceLog {
-    fn enabled(&self) -> bool {
-        self.is_enabled()
+/// The span view of a [`Tracer`] ([`crate::Runtime::spans`]): its switch,
+/// and the [`SpanCollector`] it fills.
+#[derive(Debug, Clone, Copy)]
+pub struct SpanView<'a>(&'a Tracer);
+
+impl SpanView<'_> {
+    /// Turns span tracing on or off. Off is the default; while off, a
+    /// read pays only the tracer's one relaxed load.
+    pub fn set_enabled(&self, on: bool) {
+        self.0.set_view(SPANS, on);
     }
 
-    fn emit_os_event(&self, ts_ns: u64, event: OsTraceEvent) {
-        let kind = match event {
-            OsTraceEvent::RaInfoCall {
-                ino,
-                start_page,
-                pages,
-                cached_pages,
-                initiated_pages,
-            } => TraceEventKind::RaInfoCall {
-                ino,
-                start_page,
-                pages,
-                cached_pages,
-                initiated_pages,
-            },
-            OsTraceEvent::RaWindowGrow {
-                ino,
-                start_page,
-                window_pages,
-            } => TraceEventKind::RaWindowGrow {
-                ino,
-                start_page,
-                window_pages,
-            },
-            OsTraceEvent::OsReclaim {
-                target_pages,
-                freed_pages,
-            } => TraceEventKind::OsReclaim {
-                target_pages,
-                freed_pages,
-            },
-            OsTraceEvent::ReadBatch {
-                demand_entries,
-                ra_entries,
-            } => TraceEventKind::RingCrossing {
-                demand_entries,
-                ra_entries,
-            },
-        };
-        self.emit(ts_ns, kind);
+    /// Whether span tracing is on.
+    pub fn is_enabled(&self) -> bool {
+        self.0.views().1
+    }
+}
+
+impl Deref for SpanView<'_> {
+    type Target = SpanCollector;
+
+    fn deref(&self) -> &SpanCollector {
+        &self.0.collector
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
 
     fn evict_event(pages: u64) -> TraceEventKind {
@@ -587,22 +499,35 @@ mod tests {
         }
     }
 
+    fn enabled(capacity: usize) -> Tracer {
+        let tracer = Tracer::new(capacity);
+        tracer.set_enabled(true);
+        tracer
+    }
+
     #[test]
     fn disabled_log_records_nothing() {
-        let log = TraceLog::new(16);
-        log.emit(1, evict_event(1));
-        assert!(log.snapshot().is_empty());
-        assert_eq!(log.dropped(), 0);
+        let tracer = Tracer::new(16);
+        tracer.emit(1, evict_event(1));
+        OsTraceSink::emit(
+            &tracer,
+            2,
+            OsTraceEvent::OsReclaim {
+                target_pages: 1,
+                freed_pages: 1,
+            },
+        );
+        assert!(tracer.snapshot().is_empty());
+        assert_eq!(tracer.dropped(), 0);
     }
 
     #[test]
     fn events_survive_in_timestamp_order() {
-        let log = TraceLog::new(1024);
-        log.set_enabled(true);
-        log.emit(30, evict_event(3));
-        log.emit(10, evict_event(1));
-        log.emit(20, evict_event(2));
-        let events = log.snapshot();
+        let tracer = enabled(1024);
+        tracer.emit(30, evict_event(3));
+        tracer.emit(10, evict_event(1));
+        tracer.emit(20, evict_event(2));
+        let events = tracer.snapshot();
         assert_eq!(events.len(), 3);
         let ts: Vec<u64> = events.iter().map(|e| e.ts_ns).collect();
         assert_eq!(ts, vec![10, 20, 30]);
@@ -610,70 +535,89 @@ mod tests {
 
     #[test]
     fn overflow_drops_oldest_and_counts() {
-        let log = TraceLog::new(100);
-        log.set_enabled(true);
+        let tracer = enabled(100);
         for i in 0..500u64 {
-            log.emit(i, evict_event(i));
+            tracer.emit(i, evict_event(i));
         }
-        let events = log.snapshot();
+        let events = tracer.snapshot();
         assert_eq!(events.len(), 100);
-        assert!(log.dropped() >= 500 - 100 - FLUSH_BATCH as u64);
-        // The newest events survive.
-        let last = events.last().unwrap();
-        assert_eq!(last.ts_ns, 499);
-        // And every survivor is newer than every dropped event's window.
-        assert!(events.iter().all(|e| e.ts_ns >= 500 - 100 - 64));
+        assert_eq!(tracer.dropped(), 400);
+        let ts: Vec<u64> = events.iter().map(|e| e.ts_ns).collect();
+        assert_eq!(ts, (400..500).collect::<Vec<u64>>());
     }
 
     #[test]
     fn snapshot_collects_other_threads_buffers() {
-        let log = Arc::new(TraceLog::new(1024));
-        log.set_enabled(true);
-        let log2 = Arc::clone(&log);
+        let tracer = Arc::new(enabled(1024));
+        let other = Arc::clone(&tracer);
         std::thread::spawn(move || {
-            // Fewer than FLUSH_BATCH events: they stay in the thread-local
-            // buffer until snapshot() collects them.
             for i in 0..10u64 {
-                log2.emit(i, evict_event(i));
+                other.emit(i, evict_event(i));
             }
         })
         .join()
         .unwrap();
-        assert_eq!(log.snapshot().len(), 10);
+        assert_eq!(tracer.snapshot().len(), 10);
     }
 
     #[test]
-    fn dropped_logs_release_their_thread_local_buffers() {
-        // A dedicated thread, so the map starts empty whatever ran before.
-        std::thread::spawn(|| {
-            for i in 0..100u64 {
-                let log = TraceLog::new(16);
-                log.set_enabled(true);
-                log.emit(i, evict_event(i));
+    fn overflow_drops_oldest_first_across_threads() {
+        // Another thread's ten events are the oldest of the run: a full
+        // ring must evict them before anything newer.
+        let tracer = Arc::new(enabled(100));
+        let other = Arc::clone(&tracer);
+        std::thread::spawn(move || {
+            for i in 0..10u64 {
+                other.emit(i, evict_event(i));
             }
-            // Only the last log's buffer may linger (until the next
-            // registration prunes it).
-            let live = LOCAL_BUFFERS.with(|map| map.borrow().len());
-            assert!(live <= 1, "{live} buffers outlived their logs");
         })
         .join()
         .unwrap();
+        for i in 10..210u64 {
+            tracer.emit(i, evict_event(i));
+        }
+        let kept: Vec<u64> = tracer.snapshot().iter().map(|e| e.ts_ns).collect();
+        assert_eq!(kept, (110..210).collect::<Vec<u64>>(), "kept {kept:?}");
+        assert_eq!(tracer.dropped(), 110);
     }
 
     #[test]
     fn os_sink_bridges_events() {
-        let log = TraceLog::new(64);
-        log.set_enabled(true);
-        log.emit_os_event(
+        let tracer = enabled(64);
+        OsTraceSink::emit(
+            &tracer,
             5,
             OsTraceEvent::OsReclaim {
                 target_pages: 10,
                 freed_pages: 8,
             },
         );
-        let events = log.snapshot();
+        // A window belongs to the span view: it never takes a seq.
+        OsTraceSink::emit(
+            &tracer,
+            6,
+            OsTraceEvent::Window {
+                kind: simos::OsSpanKind::DeviceRead,
+                dur_ns: 4,
+            },
+        );
+        let events = tracer.snapshot();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].kind.name(), "os-reclaim");
+        assert_eq!(tracer.dropped(), 0);
+    }
+
+    #[test]
+    fn views_switch_independently() {
+        let tracer = Tracer::new(16);
+        assert!(!OsTraceSink::enabled(&tracer));
+        tracer.spans().set_enabled(true);
+        assert_eq!(tracer.views(), (false, true));
+        assert!(OsTraceSink::enabled(&tracer));
+        tracer.set_enabled(true);
+        tracer.spans().set_enabled(false);
+        assert_eq!(tracer.views(), (true, false));
+        assert!(tracer.is_enabled() && !tracer.spans().is_enabled());
     }
 
     #[test]
@@ -686,5 +630,17 @@ mod tests {
         let line = event.to_string();
         assert!(line.contains("lib-evict"), "{line}");
         assert!(line.contains("pages=42"), "{line}");
+        let crossing = TraceEvent {
+            ts_ns: 1234,
+            seq: 1,
+            kind: TraceEventKind::Os(OsTraceEvent::RingCrossing {
+                demand_entries: 1,
+                ra_entries: 2,
+            }),
+        };
+        assert_eq!(
+            crossing.to_string(),
+            "[        1234 ns] ring-crossing     demand=1 ra=2"
+        );
     }
 }

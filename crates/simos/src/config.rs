@@ -47,10 +47,6 @@ pub struct OsConfig {
     /// Inactivity horizon after which a file is reclaim-preferred (30 s in
     /// both Linux and the paper's CROSS-LIB).
     pub inactive_after_ns: u64,
-    /// Per-inode LRU reclaim (the paper's §4.6 *future work*): instead of
-    /// a global oldest-word scan, reclaim drains the coldest words of the
-    /// most-resident files first, bounding the scan to few inodes.
-    pub per_inode_lru: bool,
     /// Whether this kernel implements the `readahead_info` syscall. When
     /// `false` (a stock kernel without CROSS-OS), [`crate::Os::try_readahead_info`]
     /// returns [`crate::IoError::Unsupported`] and CROSS-LIB must degrade
@@ -87,7 +83,6 @@ impl Default for OsConfig {
             reclaim_slack: 0.05,
             fault_around_pages: 16,
             inactive_after_ns: 30 * NS_PER_SEC,
-            per_inode_lru: false,
             writeback: None,
             readahead_info_supported: true,
             registry_shards: 4,

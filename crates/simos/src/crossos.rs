@@ -23,7 +23,7 @@ use simstore::IoPriority;
 use crate::cache::{InodeCache, PageRange, PAGES_PER_WORD};
 use crate::error::IoError;
 use crate::os::{into_ok, FaultMode, Fd, MayFault, NeverFault, Os, PAGE_SIZE};
-use crate::trace::OsSpanKind;
+use crate::trace::{OsSpanKind, OsTraceEvent};
 use simfs::InodeId;
 
 /// Hard ceiling any `readahead_info` limit override may reach, in pages:
@@ -230,18 +230,16 @@ impl Os {
             costs.bitmap_copy_ns((w1.saturating_sub(w0).max(1)) >> req.bitmap_shift.min(16)),
         );
 
-        if let Some(sink) = self.trace_sink() {
-            sink.emit_os_event(
-                clock.now(),
-                crate::trace::OsTraceEvent::RaInfoCall {
-                    ino: entry.ino,
-                    start_page: p0,
-                    pages: range_pages,
-                    cached_pages,
-                    initiated_pages: initiated,
-                },
-            );
-        }
+        self.emit(
+            clock.now(),
+            OsTraceEvent::RaInfoCall {
+                ino: entry.ino,
+                start_page: p0,
+                pages: range_pages,
+                cached_pages,
+                initiated_pages: initiated,
+            },
+        );
 
         let state = cache.state.read();
         Ok(RaInfo {
@@ -369,11 +367,7 @@ impl Os {
             }
         }
         let done_ns = io_clock.now();
-        if done_ns > start_ns {
-            if let Some(sink) = self.span_sink() {
-                sink.emit_os_span(done_ns, OsSpanKind::DevicePrefetch, done_ns - start_ns);
-            }
-        }
+        self.emit_window(done_ns, OsSpanKind::DevicePrefetch, done_ns - start_ns);
         Ok(ready)
     }
 
@@ -573,15 +567,13 @@ impl Os {
         let submitted_ns = clock.now();
         self.stats().syscalls.incr();
         self.stats().read_batch_calls.incr();
-        if let Some(sink) = self.trace_sink() {
-            sink.emit_os_event(
-                clock.now(),
-                crate::trace::OsTraceEvent::ReadBatch {
-                    demand_entries: demand.len() as u64,
-                    ra_entries: riders.len() as u64,
-                },
-            );
-        }
+        self.emit(
+            clock.now(),
+            OsTraceEvent::RingCrossing {
+                demand_entries: demand.len() as u64,
+                ra_entries: riders.len() as u64,
+            },
+        );
         // Demand first: the riders queue behind the demand fills on the
         // device, so a miss costs exactly what it costs alone.
         let outcomes = demand

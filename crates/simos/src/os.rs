@@ -238,17 +238,20 @@ impl Os {
         let _ = self.trace.set(sink);
     }
 
-    /// The installed trace sink if one exists *and* tracing is on — one
-    /// `OnceLock` load plus one atomic flag check.
-    pub(crate) fn trace_sink(&self) -> Option<&Arc<dyn OsTraceSink>> {
-        self.trace.get().filter(|sink| sink.enabled())
+    /// Hands `event` to the installed trace sink, if one exists and has a
+    /// view on — one `OnceLock` load plus one atomic flag check.
+    pub(crate) fn emit(&self, ts_ns: u64, event: OsTraceEvent) {
+        if let Some(sink) = self.trace.get().filter(|sink| sink.enabled()) {
+            sink.emit(ts_ns, event);
+        }
     }
 
-    /// The installed trace sink if one exists *and* span bridging is on —
-    /// the same ≤1-relaxed-load contract as [`Os::trace_sink`], gated
-    /// independently so decision tracing and span tracing toggle apart.
-    pub(crate) fn span_sink(&self) -> Option<&Arc<dyn OsTraceSink>> {
-        self.trace.get().filter(|sink| sink.span_enabled())
+    /// Emits a wait or service window of `kind` lasting `dur_ns` and
+    /// ending at `end_ns` (zero-length windows are not emitted).
+    pub(crate) fn emit_window(&self, end_ns: u64, kind: OsSpanKind, dur_ns: u64) {
+        if dur_ns > 0 {
+            self.emit(end_ns, OsTraceEvent::Window { kind, dur_ns });
+        }
     }
 
     /// Total contended wall-clock wait across the OS registries (inode
@@ -468,11 +471,7 @@ impl Os {
     /// to its end and bridges any queueing into the span stream as `kind`.
     pub(crate) fn settle_lock(&self, clock: &mut ThreadClock, access: Access, kind: OsSpanKind) {
         clock.advance_to(access.end_ns);
-        if access.wait_ns > 0 {
-            if let Some(sink) = self.span_sink() {
-                sink.emit_os_span(access.end_ns, kind, access.wait_ns);
-            }
-        }
+        self.emit_window(access.end_ns, kind, access.wait_ns);
     }
 
     /// Whether a demand read of `pages` should overtake in-flight prefetch
@@ -495,9 +494,7 @@ impl Os {
         }
         self.stats.ready_wait_ns.add(wait);
         clock.advance_to(ready_at);
-        if let Some(sink) = self.span_sink() {
-            sink.emit_os_span(ready_at, OsSpanKind::ReadyWait, wait);
-        }
+        self.emit_window(ready_at, OsSpanKind::ReadyWait, wait);
     }
 
     /// First stage of the extent router: visits `[lstart, lstart + pages)`
@@ -638,7 +635,6 @@ impl Os {
         len: u64,
     ) -> Result<ReadOutcome, F::Error> {
         let costs = &self.config.costs;
-        let spans = self.span_sink();
 
         let entry = self.fd_entry(fd);
         let cache = self.cache(entry.ino);
@@ -665,11 +661,7 @@ impl Os {
             remaining -= batch;
         }
         self.stats.lock_wait_hist.record(tree_wait_ns);
-        if tree_wait_ns > 0 {
-            if let Some(sink) = spans {
-                sink.emit_os_span(clock.now(), OsSpanKind::TreeLockWait, tree_wait_ns);
-            }
-        }
+        self.emit_window(clock.now(), OsSpanKind::TreeLockWait, tree_wait_ns);
 
         let (missing, ready_at, present, prefetch_hit) = {
             let mut state = cache.state.write();
@@ -710,9 +702,7 @@ impl Os {
                     cache.state.write().lower_ready(p0, p1, now);
                     self.stats.demand_bypass_pages.add(present);
                     self.stats.demand_fill_ns.add(now - t0);
-                    if let Some(sink) = spans {
-                        sink.emit_os_span(now, OsSpanKind::DeviceRead, now - t0);
-                    }
+                    self.emit_window(now, OsSpanKind::DeviceRead, now - t0);
                 }
             }
             if !overtook {
@@ -744,12 +734,7 @@ impl Os {
                 filled.push((mstart, mend));
             }
             self.stats.demand_fill_ns.add(clock.now() - t0);
-            if let Some(sink) = spans {
-                let now = clock.now();
-                if now > t0 {
-                    sink.emit_os_span(now, OsSpanKind::DeviceRead, now - t0);
-                }
-            }
+            self.emit_window(clock.now(), OsSpanKind::DeviceRead, clock.now() - t0);
             if inserted > 0 {
                 let hold =
                     costs.tree_insert_per_page_ns * inserted + costs.page_alloc_ns * inserted;
@@ -807,16 +792,14 @@ impl Os {
         let Some(req) = entry.ra.lock().on_read(p0, pages) else {
             return;
         };
-        if let Some(sink) = self.trace_sink() {
-            sink.emit_os_event(
-                clock.now(),
-                OsTraceEvent::RaWindowGrow {
-                    ino: entry.ino,
-                    start_page: req.start,
-                    window_pages: req.count,
-                },
-            );
-        }
+        self.emit(
+            clock.now(),
+            OsTraceEvent::RaWindowGrow {
+                ino: entry.ino,
+                start_page: req.start,
+                window_pages: req.count,
+            },
+        );
         let _ = self.prefetch_via_tree::<F>(clock, entry.ino, cache, req.start, req.count);
     }
 
@@ -1135,11 +1118,7 @@ impl Os {
                 Ok(())
             }));
         }
-        if io.now() > t0 {
-            if let Some(sink) = self.span_sink() {
-                sink.emit_os_span(io.now(), OsSpanKind::WritebackFlush, io.now() - t0);
-            }
-        }
+        self.emit_window(io.now(), OsSpanKind::WritebackFlush, io.now() - t0);
         dirty
     }
 
@@ -1296,11 +1275,7 @@ impl Os {
                 break;
             }
         }
-        if clock.now() > t0 {
-            if let Some(sink) = self.span_sink() {
-                sink.emit_os_span(clock.now(), OsSpanKind::TierPromote, clock.now() - t0);
-            }
-        }
+        self.emit_window(clock.now(), OsSpanKind::TierPromote, clock.now() - t0);
         copy?;
         let cache = self.cache(ino);
         let hold = costs.tree_insert_per_page_ns * want + costs.page_alloc_ns * want;
@@ -1469,11 +1444,7 @@ impl Os {
         let scan_start_ns = clock.now();
         self.mem.reclaim_runs.incr();
         let caches = self.all_caches();
-        let victims = if self.config.per_inode_lru {
-            crate::reclaim::select_victims_per_inode(&caches, target)
-        } else {
-            select_victims(&caches, target)
-        };
+        let victims = select_victims(&caches, target);
         let costs = &self.config.costs;
         let mut dirty_total = 0;
         let mut freed_total = 0;
@@ -1498,24 +1469,18 @@ impl Os {
             .record(clock.now() - scan_start_ns);
         // Flat-leaf rule: reclaim bridges one whole-pass window; the lock
         // waits inside it are already part of the pass, not separate leaves.
-        if clock.now() > scan_start_ns {
-            if let Some(sink) = self.span_sink() {
-                sink.emit_os_span(
-                    clock.now(),
-                    OsSpanKind::ReclaimPass,
-                    clock.now() - scan_start_ns,
-                );
-            }
-        }
-        if let Some(sink) = self.trace_sink() {
-            sink.emit_os_event(
-                clock.now(),
-                OsTraceEvent::OsReclaim {
-                    target_pages: target,
-                    freed_pages: freed_total,
-                },
-            );
-        }
+        self.emit_window(
+            clock.now(),
+            OsSpanKind::ReclaimPass,
+            clock.now() - scan_start_ns,
+        );
+        self.emit(
+            clock.now(),
+            OsTraceEvent::OsReclaim {
+                target_pages: target,
+                freed_pages: freed_total,
+            },
+        );
         if dirty_total > 0 {
             self.stats.written_back_pages.add(dirty_total);
             self.stats.wb_flush_drop.incr();

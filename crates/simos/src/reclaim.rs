@@ -148,46 +148,6 @@ pub fn select_victims(caches: &[Arc<InodeCache>], target: u64) -> Vec<Victim> {
     victims
 }
 
-/// Selects victims per-inode (§4.6 future work): ranks files by resident
-/// size, then takes each fat file's *coldest* words until `target` pages
-/// are covered. Scans at most the few largest inodes instead of every
-/// word in the system.
-pub fn select_victims_per_inode(caches: &[Arc<InodeCache>], target: u64) -> Vec<Victim> {
-    // Rank and word list come from ONE lock acquisition per inode: with
-    // two snapshots a concurrent clear between the ranking pass and the
-    // word fetch could rank a file by pages its word list no longer
-    // holds, selecting already-evicted words and over-crediting the
-    // caller's `evicted` counter.
-    type InodeSnapshot = (u64, usize, Vec<(usize, u64, u64)>);
-    let mut snapshots: Vec<InodeSnapshot> = caches
-        .iter()
-        .enumerate()
-        .filter_map(|(idx, cache)| {
-            let state = cache.state.read();
-            let resident = state.resident();
-            (resident > 0).then(|| (resident, idx, state.word_summaries()))
-        })
-        .collect();
-    snapshots.sort_unstable_by_key(|&(resident, _, _)| std::cmp::Reverse(resident));
-
-    let mut victims = Vec::new();
-    let mut freed = 0;
-    for (_, idx, mut words) in snapshots {
-        if freed >= target {
-            break;
-        }
-        words.sort_unstable_by_key(|&(_, touch, _)| touch);
-        for (widx, touch, pages) in words {
-            if freed >= target {
-                break;
-            }
-            freed += pages;
-            victims.push((touch, idx, widx, pages));
-        }
-    }
-    victims
-}
-
 /// Pages covered by one reclaim word.
 pub const RECLAIM_UNIT_PAGES: u64 = PAGES_PER_WORD;
 
@@ -303,21 +263,6 @@ mod tests {
     fn select_victims_empty_cache_is_empty() {
         let caches: Vec<Arc<InodeCache>> = vec![Arc::new(InodeCache::new(InodeId(0)))];
         assert!(select_victims(&caches, 10).is_empty());
-        assert!(select_victims_per_inode(&caches, 10).is_empty());
-    }
-
-    #[test]
-    fn per_inode_lru_drains_the_fattest_file_first() {
-        let fat = Arc::new(InodeCache::new(InodeId(0)));
-        let thin = Arc::new(InodeCache::new(InodeId(1)));
-        fat.state.write().insert_range(0, 256, 100, 0); // 4 words
-        thin.state.write().insert_range(0, 32, 50, 0); // older but thin
-        let caches = vec![Arc::clone(&fat), Arc::clone(&thin)];
-
-        let victims = select_victims_per_inode(&caches, 100);
-        assert!(victims.iter().all(|&(_, idx, _, _)| idx == 0));
-        // And within the fat file, coldest words first.
-        assert!(victims.windows(2).all(|w| w[0].0 <= w[1].0));
     }
 
     #[test]
@@ -328,7 +273,7 @@ mod tests {
         let a = Arc::new(InodeCache::new(InodeId(0)));
         a.state.write().insert_range(0, 128, 100, 0);
         let caches = vec![Arc::clone(&a)];
-        let victims = select_victims_per_inode(&caches, 64);
+        let victims = select_victims(&caches, 64);
         assert!(!victims.is_empty());
 
         a.state.write().remove_range(0, 128); // concurrent clear
@@ -339,16 +284,6 @@ mod tests {
         }
         assert_eq!(removed_total, 0);
         // And a re-selection sees the cleared file not at all.
-        assert!(select_victims_per_inode(&caches, 64).is_empty());
-    }
-
-    #[test]
-    fn per_inode_lru_covers_the_target() {
-        let a = Arc::new(InodeCache::new(InodeId(0)));
-        a.state.write().insert_range(0, 512, 10, 0);
-        let caches = vec![a];
-        let victims = select_victims_per_inode(&caches, 200);
-        let pages: u64 = victims.iter().map(|v| v.3).sum();
-        assert!(pages >= 200);
+        assert!(select_victims(&caches, 64).is_empty());
     }
 }

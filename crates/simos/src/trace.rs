@@ -1,17 +1,22 @@
-//! OS-side decision-event export.
+//! OS-side trace export.
 //!
-//! The simulated OS does not know about CROSS-LIB's trace log (that would
+//! The simulated OS does not know about CROSS-LIB's tracer (that would
 //! invert the layering), so it emits structured events through an injected
-//! [`OsTraceSink`]. CROSS-LIB installs its `TraceLog` as the sink when a
-//! runtime boots; without a sink installed, every emit site is a single
-//! `OnceLock` load that finds nothing.
+//! [`OsTraceSink`]: decision events and the wait/service windows a traced
+//! read spends inside the OS travel as one stream, and the receiver keeps
+//! each in the view it belongs to. CROSS-LIB installs its `Tracer` as the
+//! sink when a runtime boots; while no sink is installed or every view is
+//! off, an emit site costs one `OnceLock` load and at most one relaxed
+//! flag load.
 //!
-//! Emit sites sit off the per-page hot path: `readahead_info` calls,
-//! heuristic readahead window growth, and reclaim passes.
+//! Decision events sit off the per-page hot path: `readahead_info` calls,
+//! heuristic readahead window growth, reclaim passes and ring crossings.
+
+use std::fmt;
 
 use simfs::InodeId;
 
-/// A structured OS-layer decision event.
+/// A structured OS-layer event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OsTraceEvent {
     /// One `readahead_info` call (CROSS-OS §4.4): what the caller asked
@@ -46,19 +51,73 @@ pub enum OsTraceEvent {
     },
     /// One ring crossing ([`crate::Os::try_read_batch`]): demand reads and
     /// the known runs riding them submitted as a single vectored syscall.
-    ReadBatch {
+    RingCrossing {
         /// Demand-read entries the crossing carried.
         demand_entries: u64,
         /// Rider entries the crossing carried.
         ra_entries: u64,
     },
+    /// A wait or service window of `dur_ns` virtual nanoseconds, ending at
+    /// the event's timestamp on the emitting thread's clock. Not a
+    /// decision: the receiver attributes it to the read in flight.
+    Window {
+        /// What the window was.
+        kind: OsSpanKind,
+        /// Window length in virtual nanoseconds.
+        dur_ns: u64,
+    },
 }
 
-/// Kinds of OS-side leaf spans bridged to the caller's span subsystem via
-/// [`OsTraceSink::emit_os_span`]. Each names one wait or service window
-/// measured on a thread's virtual clock; the receiving layer decides how
-/// to attribute it (the CROSS-LIB critical-path analyzer buckets lock
-/// waits, device service, and reclaim separately).
+impl OsTraceEvent {
+    /// Stable event-kind label (the trace schema's discriminator).
+    pub fn name(&self) -> &'static str {
+        match self {
+            OsTraceEvent::RaInfoCall { .. } => "ra-info-call",
+            OsTraceEvent::RaWindowGrow { .. } => "ra-window-grow",
+            OsTraceEvent::OsReclaim { .. } => "os-reclaim",
+            OsTraceEvent::RingCrossing { .. } => "ring-crossing",
+            OsTraceEvent::Window { kind, .. } => kind.name(),
+        }
+    }
+}
+
+/// The payload half of a trace line (the label is [`OsTraceEvent::name`]).
+impl fmt::Display for OsTraceEvent {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            OsTraceEvent::RaInfoCall {
+                ino,
+                start_page,
+                pages,
+                cached_pages,
+                initiated_pages,
+            } => write!(
+                f,
+                "ino={} pages={}+{} cached={} initiated={}",
+                ino.0, start_page, pages, cached_pages, initiated_pages
+            ),
+            OsTraceEvent::RaWindowGrow {
+                ino,
+                start_page,
+                window_pages,
+            } => write!(f, "ino={} window={}+{}", ino.0, start_page, window_pages),
+            OsTraceEvent::OsReclaim {
+                target_pages,
+                freed_pages,
+            } => write!(f, "target={target_pages} freed={freed_pages}"),
+            OsTraceEvent::RingCrossing {
+                demand_entries,
+                ra_entries,
+            } => write!(f, "demand={demand_entries} ra={ra_entries}"),
+            OsTraceEvent::Window { dur_ns, .. } => write!(f, "dur={dur_ns}ns"),
+        }
+    }
+}
+
+/// Kinds of OS-side [`OsTraceEvent::Window`]s. Each names one wait or
+/// service window measured on a thread's virtual clock; the receiving
+/// layer decides how to attribute it (the CROSS-LIB critical-path analyzer
+/// buckets lock waits, device service, and reclaim separately).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OsSpanKind {
     /// Blocked acquiring a per-inode cache-tree lock.
@@ -107,19 +166,5 @@ pub trait OsTraceSink: Send + Sync + std::fmt::Debug {
     fn enabled(&self) -> bool;
 
     /// Delivers one event stamped with the emitting thread's virtual time.
-    fn emit_os_event(&self, ts_ns: u64, event: OsTraceEvent);
-
-    /// Cheap pre-check for span bridging: when false, emit sites skip
-    /// [`OsTraceSink::emit_os_span`] entirely. Defaults to off so
-    /// event-only sinks pay nothing for the span surface.
-    fn span_enabled(&self) -> bool {
-        false
-    }
-
-    /// Delivers one OS-side leaf span: a wait or service window of
-    /// `dur_ns` virtual nanoseconds ending at `end_ns` on the emitting
-    /// thread's clock. Default: ignored.
-    fn emit_os_span(&self, end_ns: u64, kind: OsSpanKind, dur_ns: u64) {
-        let _ = (end_ns, kind, dur_ns);
-    }
+    fn emit(&self, ts_ns: u64, event: OsTraceEvent);
 }

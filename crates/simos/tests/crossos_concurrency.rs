@@ -187,24 +187,6 @@ fn mincore_reports_residency_and_charges_like_fincore() {
 }
 
 #[test]
-fn per_inode_lru_respects_budget_too() {
-    let mut config = OsConfig::with_memory_mb(8);
-    config.per_inode_lru = true;
-    let os = Os::new(
-        config,
-        Device::new(DeviceConfig::local_nvme()),
-        FileSystem::new(FsKind::Ext4Like),
-    );
-    let mut clock = os.new_clock();
-    let fd = os.create_sized(&mut clock, "/big", 64 << 20).unwrap();
-    for i in 0..1024u64 {
-        os.read_charge(&mut clock, fd, i * 64 * 1024, 64 * 1024);
-    }
-    assert!(os.mem().resident() <= os.mem().budget());
-    assert!(os.mem().evicted.get() > 0);
-}
-
-#[test]
 fn telemetry_counters_are_monotone_under_concurrency() {
     let os = boot(256);
     let mut setup = os.new_clock();

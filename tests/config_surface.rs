@@ -26,7 +26,6 @@ fn every_config_field_names_who_varies_it() {
         evict_scan_interval_ns: _, // varied by: degradation
         registry_shards: _,        // varied by: contention_smoke, sharded_registry
         ring_submit: _,            // varied by: ablations, tests/ring.rs, kv_probe, fleet_open
-        span_exemplars: _,         // varied by: tests/span_tracing.rs
         tenants: _,                // varied by: ablations, tests/tenants.rs, fleet_open
         tiering: _,                // varied by: ablations, tests/tiering.rs, tier_rw
     } = RuntimeConfig::new(Mode::PredictOpt);
@@ -37,7 +36,6 @@ fn every_config_field_names_who_varies_it() {
         reclaim_slack: _,            // varied by: tenant.rs unit tests; ROADMAP item 8 sweep
         fault_around_pages: _,       // varied by: ROADMAP item 8 sweep (kept on purpose)
         inactive_after_ns: _,        // varied by: ROADMAP item 8 sweep (kept on purpose)
-        per_inode_lru: _,            // varied by: ablations, crossos_concurrency
         readahead_info_supported: _, // varied by: degradation
         writeback: _,                // varied by: the benchmark (tier_rw), tests/tiering.rs
         registry_shards: _,          // varied by: sharded_registry, contention_smoke

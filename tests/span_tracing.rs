@@ -11,6 +11,7 @@
 //!   demand-miss exemplar;
 //! * folded stacks parse (root frame, `stage:` frames, positive counts).
 
+use crossprefetch::span::SPAN_EXEMPLARS;
 use crossprefetch::{Mode, ReadClass, Runtime, RuntimeConfig, RuntimeReport};
 use simos::{Device, DeviceConfig, FileSystem, FsKind, Os, OsConfig};
 use workloads::kvprobe::{run_kvprobe, setup_kvprobe, KvProbeConfig};
@@ -159,14 +160,7 @@ fn kvprobe_folded_stacks_parse() {
 
 #[test]
 fn exemplar_reservoirs_respect_configured_depth() {
-    let os = Os::new(
-        OsConfig::with_memory_mb(64),
-        Device::new(DeviceConfig::local_nvme()),
-        FileSystem::new(FsKind::Ext4Like),
-    );
-    let mut config = RuntimeConfig::new(Mode::PredictOpt);
-    config.span_exemplars = 3;
-    let rt = Runtime::new(os, config);
+    let rt = runtime(Mode::PredictOpt);
     rt.spans().set_enabled(true);
     mixed_reads(&rt);
 
@@ -176,7 +170,10 @@ fn exemplar_reservoirs_respect_configured_depth() {
         ReadClass::DemandMiss,
     ] {
         let kept = rt.spans().exemplars_for(class);
-        assert!(kept.len() <= 3, "reservoir depth is a hard cap");
+        assert!(
+            kept.len() <= SPAN_EXEMPLARS,
+            "reservoir depth is a hard cap"
+        );
         // Slowest-first ordering within a class.
         for pair in kept.windows(2) {
             assert!(pair[0].latency_ns >= pair[1].latency_ns);
@@ -184,6 +181,6 @@ fn exemplar_reservoirs_respect_configured_depth() {
     }
     assert!(
         rt.spans().exemplars_evicted() > 0,
-        "384 reads into 3 slots must displace"
+        "384 reads into 8 slots per class must displace"
     );
 }
