@@ -1211,13 +1211,9 @@ impl CpFile {
 
     /// The content tail of a read whose charge delivered `outcome`.
     fn fetch(&self, offset: u64, outcome: ReadOutcome) -> Vec<u8> {
-        let mut buf = vec![0u8; outcome.bytes as usize];
-        if outcome.bytes > 0 {
-            self.runtime
-                .os()
-                .fetch_content(self.file.ino, offset, &mut buf);
-        }
-        buf
+        self.runtime
+            .os()
+            .fetch_content_vec(self.file.ino, offset, outcome.bytes)
     }
 
     /// The content tail of a write whose charge absorbed `written` bytes.

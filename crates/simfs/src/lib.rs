@@ -191,6 +191,20 @@ impl FileSystem {
     /// the extent list as needed. Returns the number of newly allocated
     /// blocks.
     pub fn allocate(&self, ino: InodeId, lstart: u64, count: u64) -> u64 {
+        self.allocate_holes(ino, lstart, count, u64::MAX)
+    }
+
+    /// [`FileSystem::allocate`] one block per allocator call, in logical
+    /// order: the layout a page-at-a-time writer produces. It differs from
+    /// one call per hole only where a hole straddles the end of an
+    /// ext4-like reservation, which one call replaces by a fresh region.
+    pub fn allocate_each(&self, ino: InodeId, lstart: u64, count: u64) -> u64 {
+        self.allocate_holes(ino, lstart, count, 1)
+    }
+
+    /// Allocates the holes of `[lstart, lstart + count)` in pieces of at
+    /// most `max_piece` blocks.
+    fn allocate_holes(&self, ino: InodeId, lstart: u64, count: u64, max_piece: u64) -> u64 {
         if count == 0 {
             return 0;
         }
@@ -207,7 +221,8 @@ impl FileSystem {
             }
             // Find how many consecutive blocks from here are unmapped.
             let mut hole = 1;
-            while lblock + hole < lend && meta.map_one(lblock + hole).is_none() {
+            while hole < max_piece && lblock + hole < lend && meta.map_one(lblock + hole).is_none()
+            {
                 hole += 1;
             }
             let pstart = self.allocator.lock().allocate(ino, hole);
@@ -227,20 +242,29 @@ impl FileSystem {
     /// write path); use this for both reads and writes — files in the
     /// simulation are created with [`FileSystem::create_sized`] or written
     /// before being read, so read-path allocation only occurs for holes.
+    /// A fully mapped range costs one inode lock.
     pub fn map_blocks(&self, ino: InodeId, lstart: u64, count: u64) -> Vec<Run> {
         if count == 0 {
             return Vec::new();
         }
+        if let Some(runs) = self.mapped_runs(ino, lstart, count) {
+            return runs;
+        }
         self.allocate(ino, lstart, count);
+        self.mapped_runs(ino, lstart, count)
+            .expect("blocks allocated above must map")
+    }
+
+    /// The physical runs of `[lstart, lstart + count)`, adjacent runs
+    /// merged; `None` if the range has a hole.
+    fn mapped_runs(&self, ino: InodeId, lstart: u64, count: u64) -> Option<Vec<Run>> {
         let inodes = self.inodes.read();
         let meta = inodes[ino.0 as usize].lock();
         let mut runs: Vec<Run> = Vec::new();
         let mut lblock = lstart;
         let lend = lstart + count;
         while lblock < lend {
-            let run = meta
-                .map_one(lblock)
-                .expect("block allocated above must map");
+            let run = meta.map_one(lblock)?;
             let take = run.blocks.min(lend - lblock);
             match runs.last_mut() {
                 Some(prev) if prev.pstart + prev.blocks == run.pstart => {
@@ -253,13 +277,18 @@ impl FileSystem {
             }
             lblock += take;
         }
-        runs
+        Some(runs)
     }
 
-    /// Maps a single logical block to its physical block, allocating if
-    /// needed.
+    /// Maps a single logical block to its physical block: one inode lock
+    /// when it is mapped, an allocation only for a hole.
     pub fn map_block(&self, ino: InodeId, lblock: u64) -> u64 {
-        self.map_blocks(ino, lblock, 1)[0].pstart
+        let mapped = |fs: &Self| fs.inodes.read()[ino.0 as usize].lock().map_one(lblock);
+        if let Some(run) = mapped(self) {
+            return run.pstart;
+        }
+        self.allocate(ino, lblock, 1);
+        mapped(self).expect("block allocated above must map").pstart
     }
 
     /// Total physical blocks currently allocated across all files.
@@ -375,6 +404,61 @@ mod tests {
         let rb = fs.map_blocks(b, 0, 256);
         let a_range = ra[0].pstart..ra[0].pstart + ra[0].blocks;
         assert!(!a_range.contains(&rb[0].pstart));
+    }
+
+    #[test]
+    fn map_block_allocates_only_holes() {
+        let fs = FileSystem::new(FsKind::F2fsLike);
+        let ino = fs.create("/f").unwrap();
+        let first = fs.map_block(ino, 5);
+        assert_eq!(fs.allocated_blocks(), 1);
+        assert_eq!(fs.map_block(ino, 5), first);
+        assert_eq!(fs.allocated_blocks(), 1, "a mapped block allocates nothing");
+        assert_eq!(
+            fs.map_blocks(ino, 5, 1),
+            vec![Run {
+                pstart: first,
+                blocks: 1
+            }]
+        );
+    }
+
+    #[test]
+    fn allocate_each_is_a_page_at_a_time_writer() {
+        // Two files share the ext4-like frontier; the second write to `a`
+        // straddles the end of its first reservation.
+        let blockwise = FileSystem::new(FsKind::Ext4Like);
+        let a = blockwise.create("/a").unwrap();
+        let b = blockwise.create("/b").unwrap();
+        let each = FileSystem::new(FsKind::Ext4Like);
+        let (ea, eb) = (each.create("/a").unwrap(), each.create("/b").unwrap());
+        for (fs, a, b, per_call) in [(&blockwise, a, b, true), (&each, ea, eb, false)] {
+            for (ino, lstart, count) in [(a, 0, 8000), (b, 0, 10), (a, 8000, 400)] {
+                if per_call {
+                    for l in lstart..lstart + count {
+                        fs.map_block(ino, l);
+                    }
+                } else {
+                    assert_eq!(fs.allocate_each(ino, lstart, count), count);
+                }
+            }
+        }
+        assert_eq!(
+            blockwise.map_blocks(a, 0, 8400),
+            each.map_blocks(ea, 0, 8400)
+        );
+        assert_eq!(
+            each.map_blocks(ea, 0, 8400).len(),
+            2,
+            "split at the reservation end"
+        );
+        // One call per hole carves a fresh region instead.
+        let whole = FileSystem::new(FsKind::Ext4Like);
+        let (wa, wb) = (whole.create("/a").unwrap(), whole.create("/b").unwrap());
+        whole.allocate(wa, 0, 8000);
+        whole.allocate(wb, 0, 10);
+        whole.allocate(wa, 8000, 400);
+        assert_ne!(whole.map_blocks(wa, 0, 8400), each.map_blocks(ea, 0, 8400));
     }
 
     #[test]

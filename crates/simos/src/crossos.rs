@@ -359,8 +359,8 @@ impl Os {
             while cursor < e {
                 let upto = (cursor + chunk_pages).min(e);
                 let before = io_clock.now();
-                self.route_extents(ino, cursor, upto - cursor, |device, blocks| {
-                    F::charge_read(device, &mut io_clock, blocks, priority)
+                self.route_extents(ino, cursor, upto - cursor, |device, run| {
+                    F::charge_read(device, &mut io_clock, run.blocks, priority)
                 })?;
                 push_interpolated_ready(&mut ready, cursor, upto, before, io_clock.now());
                 cursor = upto;

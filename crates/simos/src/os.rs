@@ -4,7 +4,7 @@ use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 use simclock::{Access, FcfsResource, GlobalClock, ThreadClock};
-use simfs::{FileSystem, FsError, InodeId};
+use simfs::{FileSystem, FsError, InodeId, Run};
 use simstore::{Device, IoPriority, TieredStore, BLOCK_SIZE};
 
 use crate::cache::InodeCache;
@@ -519,21 +519,21 @@ impl Os {
     }
 
     /// The extent router: logical pages → tier split → physically
-    /// contiguous runs. Visits each run's block count with the device
-    /// holding it, in logical order, stopping at the first error. Every
-    /// read charge site resolves its device here.
+    /// contiguous runs. Visits each physical run with the device holding
+    /// it, in logical order, stopping at the first error. Every read charge
+    /// site and the byte path resolve their device here.
     pub(crate) fn route_extents<'a, E>(
         &'a self,
         ino: InodeId,
         lstart: u64,
         pages: u64,
-        mut visit: impl FnMut(&'a Arc<Device>, u64) -> Result<(), E>,
+        mut visit: impl FnMut(&'a Arc<Device>, Run) -> Result<(), E>,
     ) -> Result<(), E> {
         self.tier_runs(ino, lstart, pages, |start, count, device| {
             self.fs
                 .map_blocks(ino, start, count)
                 .into_iter()
-                .try_for_each(|run| visit(device, run.blocks))
+                .try_for_each(|run| visit(device, run))
         })
     }
 
@@ -549,8 +549,8 @@ impl Os {
         pages: u64,
         priority: IoPriority,
     ) -> Result<(), F::Error> {
-        self.route_extents(ino, lstart, pages, |device, blocks| {
-            F::charge_read(device, clock, blocks, priority)
+        self.route_extents(ino, lstart, pages, |device, run| {
+            F::charge_read(device, clock, run.blocks, priority)
         })?;
         // Only a demand read counts as the application touching the
         // range — prefetch passing over a promoted block must not clear
@@ -567,9 +567,7 @@ impl Os {
     /// Reads `len` bytes at `offset`, returning content.
     pub fn read(&self, clock: &mut ThreadClock, fd: Fd, offset: u64, len: u64) -> Vec<u8> {
         let outcome = self.read_charge(clock, fd, offset, len);
-        let mut out = vec![0u8; outcome.bytes as usize];
-        self.fetch_content(self.fd_inode(fd), offset, &mut out);
-        out
+        self.fetch_content_vec(self.fd_inode(fd), offset, outcome.bytes)
     }
 
     /// The charging half of the read path: identical timing and cache
@@ -842,56 +840,93 @@ impl Os {
         Ok(self.publish_prefetched(clock, cache, fill, &ready))
     }
 
-    /// Fetches content bytes from the backing store without a time charge —
-    /// callers must have charged the read via [`Os::read_charge`] already.
-    pub fn fetch_content(&self, ino: InodeId, offset: u64, out: &mut [u8]) {
-        let mut done = 0usize;
-        while done < out.len() {
-            let abs = offset + done as u64;
-            let lblock = abs / PAGE_SIZE;
-            let within = (abs % PAGE_SIZE) as usize;
-            let take = (PAGE_SIZE as usize - within).min(out.len() - done);
-            let pblock = self.fs.map_block(ino, lblock);
-            let device = match &self.tiered {
-                Some(tiered) => tiered.device(tiered.tier_of(ino.0, lblock)),
-                None => &self.device,
-            };
-            let dest = &mut out[done..done + take];
-            if take == BLOCK_SIZE {
-                device.store().read_block(pblock, dest);
-            } else {
-                // Partial head or tail page: the store reads whole blocks.
-                let mut block = [0u8; BLOCK_SIZE];
-                device.store().read_block(pblock, &mut block);
-                dest.copy_from_slice(&block[within..within + take]);
-            }
-            done += take;
+    /// The byte path's walk over `[offset, offset + len)`: one pass of
+    /// [`Os::route_extents`] over the pages under it, visiting each block's
+    /// share of the range in order as `(device, pblock, within, take)` —
+    /// `take` bytes starting `within` bytes into physical block `pblock`.
+    fn walk_content(
+        &self,
+        ino: InodeId,
+        offset: u64,
+        len: u64,
+        mut visit: impl FnMut(&Device, u64, usize, usize),
+    ) {
+        if len == 0 {
+            return;
         }
+        let end = offset + len;
+        let p0 = offset / PAGE_SIZE;
+        let mut pos = offset;
+        into_ok(
+            self.route_extents(ino, p0, end.div_ceil(PAGE_SIZE) - p0, |device, run| {
+                for pblock in run.pstart..run.pstart + run.blocks {
+                    let within = pos % PAGE_SIZE;
+                    let take = (PAGE_SIZE - within).min(end - pos);
+                    visit(device, pblock, within as usize, take as usize);
+                    pos += take;
+                }
+                Ok(())
+            }),
+        );
+    }
+
+    /// Fetches content bytes into `out` from the backing store without a
+    /// time charge — callers must have charged the read via
+    /// [`Os::read_charge`] already.
+    pub fn fetch_content(&self, ino: InodeId, offset: u64, out: &mut [u8]) {
+        let mut done = 0;
+        self.walk_content(
+            ino,
+            offset,
+            out.len() as u64,
+            |device, pblock, within, take| {
+                let dest = &mut out[done..done + take];
+                device.store().with_block(pblock, |block| {
+                    dest.copy_from_slice(&block[within..within + take])
+                });
+                done += take;
+            },
+        );
+    }
+
+    /// [`Os::fetch_content`] into a new vector of `len` bytes, built by
+    /// appending each block's bytes — nothing is zero-filled first.
+    pub fn fetch_content_vec(&self, ino: InodeId, offset: u64, len: u64) -> Vec<u8> {
+        let mut out = Vec::with_capacity(len as usize);
+        self.walk_content(ino, offset, len, |device, pblock, within, take| {
+            device.store().with_block(pblock, |block| {
+                out.extend_from_slice(&block[within..within + take])
+            });
+        });
+        out
     }
 
     /// Stores content bytes into the backing store without a time charge —
     /// callers must have charged the write via [`Os::write_charge`] already.
+    /// Holes are allocated block by block, as a page-at-a-time writer
+    /// allocates them. Writes land on the tier holding each block — no
+    /// write allocation; local-placed blocks pick up their modified bits
+    /// first, so demotion copies them back.
     pub fn store_content(&self, ino: InodeId, offset: u64, data: &[u8]) {
-        let mut done = 0usize;
-        while done < data.len() {
-            let abs = offset + done as u64;
-            let lblock = abs / PAGE_SIZE;
-            let within = (abs % PAGE_SIZE) as usize;
-            let take = (PAGE_SIZE as usize - within).min(data.len() - done);
-            let pblock = self.fs.map_block(ino, lblock);
-            let device = match &self.tiered {
-                Some(tiered) => {
-                    // Writes land on the tier holding the block — no write
-                    // allocation. A local-placed block picks up its
-                    // modified bit here so demotion copies it back.
-                    let tier = tiered.note_block_written(ino.0, lblock, self.global.now());
-                    tiered.device(tier)
-                }
-                None => &self.device,
-            };
-            device.store_partial(pblock, within, &data[done..done + take]);
-            done += take;
+        if data.is_empty() {
+            return;
         }
+        let p0 = offset / PAGE_SIZE;
+        let pages = (offset + data.len() as u64).div_ceil(PAGE_SIZE) - p0;
+        self.fs.allocate_each(ino, p0, pages);
+        if let Some(tiered) = &self.tiered {
+            tiered.note_range_written(ino.0, p0, pages, self.global.now());
+        }
+        let mut done = 0;
+        self.walk_content(
+            ino,
+            offset,
+            data.len() as u64,
+            |device, pblock, within, take| {
+                device.store_partial(pblock, within, &data[done..done + take]);
+                done += take;
+            },
+        );
     }
 
     // ----- write path -----------------------------------------------------
@@ -1568,8 +1603,8 @@ mod tests {
     /// What the router visits, as `(device, blocks)` in visiting order.
     fn routed(os: &Os, ino: InodeId, start: u64, count: u64) -> Vec<(*const Device, u64)> {
         let mut out = Vec::new();
-        into_ok(os.route_extents(ino, start, count, |device, blocks| {
-            out.push((Arc::as_ptr(device), blocks));
+        into_ok(os.route_extents(ino, start, count, |device, run| {
+            out.push((Arc::as_ptr(device), run.blocks));
             Ok(())
         }));
         out
@@ -1619,5 +1654,151 @@ mod tests {
             .collect();
         assert_eq!(routed(&os, ino, 3, 200), expected);
         assert!(routed(&os, ino, 3, 0).is_empty());
+    }
+
+    // ----- the byte path against its per-page oracle ---------------------
+
+    const FILE_BYTES: u64 = FILE_PAGES * PAGE_SIZE;
+
+    /// The device that holds logical page `lblock`, resolved on its own.
+    fn page_device(os: &Os, ino: InodeId, lblock: u64) -> &Arc<Device> {
+        match os.tiered() {
+            Some(tiered) => tiered.device(tiered.tier_of(ino.0, lblock)),
+            None => os.device(),
+        }
+    }
+
+    /// Calls `visit(device, pblock, within, done, take)` for each page of
+    /// `[offset, offset + len)`, resolving every page on its own through
+    /// the block map and the placement map: the per-page walk the routed
+    /// byte path replaced, kept here as its oracle.
+    fn per_page(
+        os: &Os,
+        ino: InodeId,
+        offset: u64,
+        len: usize,
+        mut visit: impl FnMut(&Device, u64, usize, usize, usize),
+    ) {
+        let mut done = 0usize;
+        while done < len {
+            let abs = offset + done as u64;
+            let lblock = abs / PAGE_SIZE;
+            let within = (abs % PAGE_SIZE) as usize;
+            let take = (PAGE_SIZE as usize - within).min(len - done);
+            let pblock = os.fs().map_block(ino, lblock);
+            visit(page_device(os, ino, lblock), pblock, within, done, take);
+            done += take;
+        }
+    }
+
+    fn fetch_per_page(os: &Os, ino: InodeId, offset: u64, len: u64) -> Vec<u8> {
+        let mut out = vec![0u8; len as usize];
+        per_page(
+            os,
+            ino,
+            offset,
+            out.len(),
+            |device, pblock, within, done, take| {
+                let mut block = [0u8; BLOCK_SIZE];
+                device.store().read_block(pblock, &mut block);
+                out[done..done + take].copy_from_slice(&block[within..within + take]);
+            },
+        );
+        out
+    }
+
+    fn store_per_page(os: &Os, ino: InodeId, offset: u64, data: &[u8]) {
+        per_page(
+            os,
+            ino,
+            offset,
+            data.len(),
+            |device, pblock, within, done, take| {
+                device.store_partial(pblock, within, &data[done..done + take]);
+            },
+        );
+    }
+
+    /// `len` bytes of content derived from `seed`, clamped to the file.
+    fn payload(offset: u64, len: u64, seed: u8) -> Vec<u8> {
+        let len = len.min(FILE_BYTES - offset);
+        (0..len)
+            .map(|i| (i as u8).wrapping_mul(31).wrapping_add(seed))
+            .collect()
+    }
+
+    /// A twin of [`fragmented_tiered`]'s OS: the same fragmented file,
+    /// the same bytes written before promotion (so promoted words carry
+    /// real content as well as synthetic blocks), the same words promoted.
+    fn seeded_tiered(seeds: &[(u64, u64, u8)], promoted: &[(u64, u64)]) -> (Arc<Os>, InodeId) {
+        let (os, ino) = fragmented_tiered(&[]);
+        for &(offset, len, seed) in seeds {
+            store_per_page(&os, ino, offset, &payload(offset, len, seed));
+        }
+        let mut clock = os.new_clock();
+        for &(start, count) in promoted {
+            os.try_promote_range(&mut clock, ino, start, count).unwrap();
+        }
+        (os, ino)
+    }
+
+    proptest! {
+        /// Over a fragmented log-structured file with random promoted words
+        /// and random unaligned ranges (partial head and tail pages, written
+        /// and never-written blocks): routed `store_content` leaves the same
+        /// bytes as the per-page store, and routed `fetch_content` /
+        /// `fetch_content_vec` read what the per-page fetch reads. A
+        /// demotion afterwards copies back exactly the written local blocks.
+        #[test]
+        fn routed_byte_path_matches_the_per_page_walk(
+            seeds in prop::collection::vec((0u64..FILE_BYTES, 1u64..40_000, any::<u8>()), 0..6),
+            promoted in prop::collection::vec((0u64..FILE_PAGES, 1u64..96), 0..8),
+            ops in prop::collection::vec(
+                (prop::bool::ANY, 0u64..FILE_BYTES, 0u64..6 * PAGE_SIZE, any::<u8>()),
+                1..24,
+            ),
+        ) {
+            let (routed_os, ino) = seeded_tiered(&seeds, &promoted);
+            let (oracle_os, oracle_ino) = seeded_tiered(&seeds, &promoted);
+            prop_assert_eq!(ino, oracle_ino);
+            let tiered = routed_os.tiered().unwrap();
+            let was_local: Vec<bool> = (0..FILE_PAGES)
+                .map(|lb| tiered.tier_of(ino.0, lb) == simstore::Tier::Local)
+                .collect();
+            let mut written_local = vec![false; FILE_PAGES as usize];
+            for (write, offset, len, seed) in ops {
+                if write {
+                    let data = payload(offset, len, seed);
+                    routed_os.store_content(ino, offset, &data);
+                    store_per_page(&oracle_os, ino, offset, &data);
+                    let pages = offset / PAGE_SIZE..(offset + data.len() as u64).div_ceil(PAGE_SIZE);
+                    for lb in pages.filter(|&lb| was_local[lb as usize]) {
+                        written_local[lb as usize] = true;
+                    }
+                } else {
+                    let len = len.min(FILE_BYTES - offset);
+                    let want = fetch_per_page(&oracle_os, ino, offset, len);
+                    prop_assert_eq!(&fetch_per_page(&routed_os, ino, offset, len), &want);
+                    prop_assert_eq!(&routed_os.fetch_content_vec(ino, offset, len), &want);
+                    let mut out = vec![0u8; len as usize];
+                    routed_os.fetch_content(ino, offset, &mut out);
+                    prop_assert_eq!(&out, &want);
+                }
+            }
+            let whole = fetch_per_page(&oracle_os, ino, 0, FILE_BYTES);
+            prop_assert_eq!(&routed_os.fetch_content_vec(ino, 0, FILE_BYTES), &whole);
+
+            let local = tiered.local_resident_blocks();
+            let map = |f: u64, lb: u64| routed_os.fs().map_block(InodeId(f), lb);
+            prop_assert_eq!(tiered.demote_cold(&mut routed_os.new_clock(), u64::MAX, &map), local);
+            let dirty = written_local.iter().filter(|&&w| w).count() as u64;
+            prop_assert_eq!(tiered.stats().demoted_dirty_blocks.get(), dirty);
+            prop_assert_eq!(tiered.local().store().resident_blocks(), 0);
+            for lb in 0..FILE_PAGES {
+                let remote = tiered.remote().store().read_block_vec(map(ino.0, lb));
+                let at = (lb * PAGE_SIZE) as usize;
+                prop_assert_eq!(&remote[..], &whole[at..at + PAGE_SIZE as usize]);
+            }
+        }
     }
 }

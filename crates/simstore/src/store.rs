@@ -1,12 +1,54 @@
 //! Byte-faithful sparse block content store.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use parking_lot::Mutex;
 
 use crate::{fill_synthetic, BLOCK_SIZE};
 
 const SHARD_COUNT: usize = 64;
+
+/// A map keyed by block (or placement-word) number. The keys are numbers
+/// the stack computes itself, never outside input, so SipHash's
+/// resistance to crafted collisions buys nothing here; one folded
+/// multiply ([`block_hash`]) does the hashing instead.
+pub(crate) type BlockMap<V> = HashMap<u64, V, BuildHasherDefault<BlockHasher>>;
+
+/// The [`BlockMap`] hasher: [`block_hash`] of the one `u64` key.
+#[derive(Debug, Default)]
+pub(crate) struct BlockHasher(u64);
+
+impl Hasher for BlockHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _bytes: &[u8]) {
+        unreachable!("block maps hash u64 keys only");
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = block_hash(key);
+    }
+}
+
+/// Folded multiply: the two halves of the 128-bit product of `key` and
+/// FxHash's odd constant, XORed together, so high key bits reach the low
+/// bits a hash table indexes by (blocks 2³² apart do not share a bucket)
+/// and low key bits reach the high ones. The golden-ratio constant spreads
+/// blocks 2³² apart over only an eighth of the low-bit buckets; the spread
+/// test below pins the choice.
+pub(crate) fn block_hash(key: u64) -> u64 {
+    let product = u128::from(key) * 0x517C_C1B7_2722_0A95;
+    product as u64 ^ (product >> 64) as u64
+}
+
+/// The shard holding `pblock`: six middle bits of [`block_hash`], clear of
+/// the low bits a shard's table indexes by and the top seven it tags with.
+fn shard_index(pblock: u64) -> usize {
+    (block_hash(pblock) >> 32) as usize % SHARD_COUNT
+}
 
 /// Sparse, sharded map from physical block number to block content.
 ///
@@ -17,7 +59,7 @@ const SHARD_COUNT: usize = 64;
 /// correct round-trip data.
 #[derive(Debug)]
 pub struct SparseStore {
-    shards: Vec<Mutex<HashMap<u64, Box<[u8]>>>>,
+    shards: Vec<Mutex<BlockMap<Box<[u8]>>>>,
 }
 
 impl SparseStore {
@@ -25,15 +67,25 @@ impl SparseStore {
     pub fn new() -> Self {
         Self {
             shards: (0..SHARD_COUNT)
-                .map(|_| Mutex::new(HashMap::new()))
+                .map(|_| Mutex::new(BlockMap::default()))
                 .collect(),
         }
     }
 
-    fn shard(&self, pblock: u64) -> &Mutex<HashMap<u64, Box<[u8]>>> {
-        // Multiply-shift hash: adjacent blocks land on different shards.
-        let h = pblock.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
-        &self.shards[(h as usize) % SHARD_COUNT]
+    fn shard(&self, pblock: u64) -> &Mutex<BlockMap<Box<[u8]>>> {
+        &self.shards[shard_index(pblock)]
+    }
+
+    /// Hands `read` the content of one block: the stored bytes, under the
+    /// shard lock, or the synthetic pattern built on the stack. The byte
+    /// path copies straight from here into its destination.
+    pub fn with_block<R>(&self, pblock: u64, read: impl FnOnce(&[u8]) -> R) -> R {
+        if let Some(data) = self.shard(pblock).lock().get(&pblock) {
+            return read(data);
+        }
+        let mut block = [0u8; BLOCK_SIZE];
+        fill_synthetic(pblock, &mut block);
+        read(&block)
     }
 
     /// Reads one block into `out`.
@@ -43,18 +95,12 @@ impl SparseStore {
     /// Panics if `out` is not exactly [`BLOCK_SIZE`] bytes.
     pub fn read_block(&self, pblock: u64, out: &mut [u8]) {
         assert_eq!(out.len(), BLOCK_SIZE, "read buffer must be one block");
-        let shard = self.shard(pblock).lock();
-        match shard.get(&pblock) {
-            Some(data) => out.copy_from_slice(data),
-            None => fill_synthetic(pblock, out),
-        }
+        self.with_block(pblock, |data| out.copy_from_slice(data));
     }
 
     /// Reads one block, allocating.
     pub fn read_block_vec(&self, pblock: u64) -> Vec<u8> {
-        let mut out = vec![0u8; BLOCK_SIZE];
-        self.read_block(pblock, &mut out);
-        out
+        self.with_block(pblock, <[u8]>::to_vec)
     }
 
     /// Overwrites one block.
@@ -69,7 +115,9 @@ impl SparseStore {
     }
 
     /// Writes a partial block at `offset` within the block, preserving the
-    /// rest of the block's current content.
+    /// rest of the block's current content. A whole-block write to a block
+    /// with no stored content skips building the synthetic pattern it
+    /// would overwrite.
     ///
     /// # Panics
     ///
@@ -81,12 +129,18 @@ impl SparseStore {
             data.len()
         );
         let mut shard = self.shard(pblock).lock();
-        let entry = shard.entry(pblock).or_insert_with(|| {
-            let mut fresh = vec![0u8; BLOCK_SIZE];
-            fill_synthetic(pblock, &mut fresh);
-            fresh.into_boxed_slice()
-        });
-        entry[offset..offset + data.len()].copy_from_slice(data);
+        match shard.get_mut(&pblock) {
+            Some(block) => block[offset..offset + data.len()].copy_from_slice(data),
+            None if data.len() == BLOCK_SIZE => {
+                shard.insert(pblock, data.into());
+            }
+            None => {
+                let mut fresh = vec![0u8; BLOCK_SIZE];
+                fill_synthetic(pblock, &mut fresh);
+                fresh[offset..offset + data.len()].copy_from_slice(data);
+                shard.insert(pblock, fresh.into_boxed_slice());
+            }
+        }
     }
 
     /// Discards stored content for a block (reads revert to synthetic).
@@ -94,15 +148,18 @@ impl SparseStore {
         self.shard(pblock).lock().remove(&pblock);
     }
 
-    /// Returns the explicitly stored content of a block, if any. Blocks
-    /// that would read back synthetic return `None` — cross-tier copies
-    /// use this to move only real data (the synthetic pattern is identical
-    /// on every device).
-    pub fn get_block(&self, pblock: u64) -> Option<Vec<u8>> {
-        self.shard(pblock)
-            .lock()
-            .get(&pblock)
-            .map(|data| data.to_vec())
+    /// Copies the stored content of block `pblock` to the same block of
+    /// `to`: one allocation and one copy. A block that reads synthetic
+    /// copies nothing — the pattern is identical on every device — so
+    /// cross-tier moves carry only real data. Returns whether bytes moved.
+    /// The two shard locks are never held together, so copies running in
+    /// opposite directions cannot deadlock.
+    pub fn copy_block(&self, pblock: u64, to: &SparseStore) -> bool {
+        let Some(data) = self.shard(pblock).lock().get(&pblock).cloned() else {
+            return false;
+        };
+        to.shard(pblock).lock().insert(pblock, data);
+        true
     }
 
     /// Number of blocks with explicitly stored content.
@@ -151,11 +208,41 @@ mod tests {
     }
 
     #[test]
+    fn whole_block_partial_write_stores_exactly_the_data() {
+        let store = SparseStore::new();
+        let data: Vec<u8> = (0..BLOCK_SIZE).map(|i| i as u8).collect();
+        store.write_partial(4, 0, &data);
+        assert_eq!(store.read_block_vec(4), data);
+        store.write_partial(4, 10, b"ab");
+        assert_eq!(&store.read_block_vec(4)[8..14], &[8, 9, b'a', b'b', 12, 13]);
+    }
+
+    #[test]
     fn discard_reverts_to_synthetic() {
         let store = SparseStore::new();
         store.write_block(5, &vec![1u8; BLOCK_SIZE]);
         store.discard(5);
         assert_eq!(store.read_block_vec(5), synthetic_block(5));
+    }
+
+    #[test]
+    fn copy_block_moves_only_stored_content() {
+        let (from, to) = (SparseStore::new(), SparseStore::new());
+        let payload = vec![0xA5u8; BLOCK_SIZE];
+        from.write_block(11, &payload);
+        to.write_block(11, &vec![0u8; BLOCK_SIZE]);
+        assert!(from.copy_block(11, &to));
+        assert_eq!(to.read_block_vec(11), payload);
+        assert!(
+            !from.copy_block(12, &to),
+            "a synthetic block copies nothing"
+        );
+        assert_eq!(to.resident_blocks(), 1);
+        assert_eq!(
+            from.read_block_vec(11),
+            payload,
+            "the source keeps its copy"
+        );
     }
 
     #[test]
@@ -171,6 +258,62 @@ mod tests {
     fn partial_write_rejects_overflow() {
         let store = SparseStore::new();
         store.write_partial(0, BLOCK_SIZE - 2, b"xyz");
+    }
+
+    /// 64 k sequential block numbers and 64 k numbers 2³² apart: each set
+    /// round-trips through a [`BlockMap`], no shard takes more than twice
+    /// its share, and the low bits a shard's table buckets by stay spread.
+    /// A multiplier that loses high or low key bits fails here instead of
+    /// quietly turning lookups linear.
+    #[test]
+    fn block_hash_spreads_sequential_and_strided_keys() {
+        const KEYS: u64 = 1 << 16;
+        for stride in [1u64, 1 << 32] {
+            let keys: Vec<u64> = (0..KEYS).map(|i| i.wrapping_mul(stride)).collect();
+            let map: BlockMap<u64> = keys.iter().map(|&k| (k, !k)).collect();
+            assert_eq!(map.len() as u64, KEYS);
+            assert!(keys.iter().all(|k| map.get(k) == Some(&!k)));
+
+            let mut per_shard = [0u64; SHARD_COUNT];
+            for &k in &keys {
+                per_shard[shard_index(k)] += 1;
+            }
+            let mean = KEYS / SHARD_COUNT as u64;
+            let fullest = per_shard.iter().max().copied().unwrap_or(0);
+            assert!(
+                fullest <= 2 * mean,
+                "stride {stride}: a shard holds {fullest} keys, mean {mean}"
+            );
+
+            let mut buckets = vec![false; KEYS as usize];
+            for &k in &keys {
+                buckets[(block_hash(k) % KEYS) as usize] = true;
+            }
+            let used = buckets.iter().filter(|&&b| b).count() as u64;
+            assert!(
+                used * 2 >= KEYS,
+                "stride {stride}: keys reach only {used} of {KEYS} low-bit buckets"
+            );
+        }
+    }
+
+    /// The same two key sets round-trip through the store itself (a sample
+    /// of each, to keep the test's memory small).
+    #[test]
+    fn strided_blocks_round_trip_through_the_store() {
+        let store = SparseStore::new();
+        for stride in [1u64, 1 << 32] {
+            for i in 0..512u64 {
+                store.write_partial(i * stride, 0, &(i * stride).to_le_bytes());
+            }
+        }
+        assert_eq!(store.resident_blocks(), 1023, "block 0 is in both sets");
+        for stride in [1u64, 1 << 32] {
+            for i in 1..512u64 {
+                let key = i * stride;
+                assert!(store.with_block(key, |b| b[..8] == key.to_le_bytes()));
+            }
+        }
     }
 
     #[test]

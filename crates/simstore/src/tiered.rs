@@ -29,6 +29,7 @@ use std::sync::Arc;
 use parking_lot::{Mutex, RwLock};
 use simclock::{Counter, ThreadClock};
 
+use crate::store::BlockMap;
 use crate::wordwalk::{bit_runs, set_runs, word_spans, WORD_BITS};
 use crate::{Device, DeviceError, IoPriority};
 
@@ -46,7 +47,7 @@ pub enum Tier {
 }
 
 /// One word of per-block placement state.
-#[derive(Debug, Default, Clone, Copy)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 struct TierWord {
     /// Bit set ⇒ the block is placed on the local tier.
     local: u64,
@@ -62,7 +63,7 @@ struct TierWord {
 
 #[derive(Debug, Default)]
 struct FilePlacement {
-    words: HashMap<u64, TierWord>,
+    words: BlockMap<TierWord>,
 }
 
 /// Aggregate tier-movement counters.
@@ -227,22 +228,26 @@ impl TieredStore {
         }
     }
 
-    /// Records a write to one logical block and returns the tier the bytes
-    /// belong on. A local-placed block is marked locally-modified (demotion
-    /// must copy it back) and counts as touched.
-    pub fn note_block_written(&self, file: u64, lblock: u64, now: u64) -> Tier {
+    /// Records a write to `[lstart, lstart+count)` under one placement
+    /// lock: every local-placed block in it is marked locally-modified
+    /// (demotion must copy it back), stops counting as promoted-unread,
+    /// and stamps its word's touch clock. Remote-placed blocks need no
+    /// bookkeeping — their bytes land on the remote tier directly.
+    pub fn note_range_written(&self, file: u64, lstart: u64, count: u64, now: u64) {
+        if count == 0 {
+            return;
+        }
         let placement = self.placement(file);
         let mut guard = placement.lock();
-        let word = lblock / PLACEMENT_WORD_BLOCKS;
-        let bit = lblock % PLACEMENT_WORD_BLOCKS;
-        match guard.words.get_mut(&word) {
-            Some(w) if w.local & (1 << bit) != 0 => {
-                w.modified |= 1 << bit;
-                w.unread &= !(1 << bit);
-                w.touch_ns = w.touch_ns.max(now);
-                Tier::Local
+        for (word, mask) in word_spans(lstart, lstart + count) {
+            if let Some(w) = guard.words.get_mut(&(word as u64)) {
+                let written = w.local & mask;
+                if written != 0 {
+                    w.modified |= written;
+                    w.unread &= !written;
+                    w.touch_ns = w.touch_ns.max(now);
+                }
             }
-            _ => Tier::Remote,
         }
     }
 
@@ -279,9 +284,7 @@ impl TieredStore {
         // devices, so only explicitly-written content needs copying.
         for &(pstart, blocks) in phys_runs {
             for pblock in pstart..pstart + blocks {
-                if let Some(data) = self.remote.store().get_block(pblock) {
-                    self.local.store().write_block(pblock, &data);
-                }
+                self.remote.store().copy_block(pblock, self.local.store());
             }
         }
         self.local.charge_write(clock, count, IoPriority::Prefetch);
@@ -391,10 +394,9 @@ impl TieredStore {
             return 0;
         }
         for lblock in set_blocks(word, modified) {
-            let pblock = map_block(file, lblock);
-            if let Some(data) = self.local.store().get_block(pblock) {
-                self.remote.store().write_block(pblock, &data);
-            }
+            self.local
+                .store()
+                .copy_block(map_block(file, lblock), self.remote.store());
         }
         for lblock in set_blocks(word, local) {
             self.local.store().discard(map_block(file, lblock));
@@ -538,7 +540,7 @@ mod tests {
         let t = tiered(1024);
         let mut c = clock();
         t.try_promote(&mut c, 1, 0, 4, &[(0, 4)]).unwrap();
-        assert_eq!(t.note_block_written(1, 2, 10), Tier::Local);
+        t.note_range_written(1, 2, 1, 10);
         let payload = vec![0x77u8; BLOCK_SIZE];
         t.local().store().write_block(2, &payload);
         let before = t.remote().stats().write_bytes.get();
@@ -551,7 +553,7 @@ mod tests {
         );
         // The modified content survived the round trip to the remote tier.
         assert_eq!(t.remote().store().read_block_vec(2), payload);
-        assert_eq!(t.local().store().get_block(2), None);
+        assert_eq!(t.local().store().resident_blocks(), 0);
     }
 
     #[test]
@@ -568,8 +570,9 @@ mod tests {
     #[test]
     fn writes_to_remote_blocks_stay_remote() {
         let t = tiered(1024);
-        assert_eq!(t.note_block_written(7, 3, 5), Tier::Remote);
+        t.note_range_written(7, 0, 200, 5);
         assert_eq!(t.tier_of(7, 3), Tier::Remote);
+        assert!(placement_words(&t, 7).is_empty(), "no word was created");
     }
 
     #[test]
@@ -582,5 +585,71 @@ mod tests {
         assert_eq!(t.local_resident_blocks(), 0);
         assert_eq!(t.stats().promoted_wasted_blocks.get(), 16);
         assert_eq!(t.tier_of(9, 0), Tier::Remote);
+    }
+
+    /// Every placement word of `file`, by word number.
+    fn placement_words(t: &TieredStore, file: u64) -> Vec<(u64, TierWord)> {
+        let mut words: Vec<_> = t
+            .placement(file)
+            .lock()
+            .words
+            .iter()
+            .map(|(&word, &w)| (word, w))
+            .collect();
+        words.sort_unstable_by_key(|&(word, _)| word);
+        words
+    }
+
+    /// The per-block write note [`TieredStore::note_range_written`]
+    /// replaced, kept here as its oracle.
+    fn note_block_written(t: &TieredStore, file: u64, lblock: u64, now: u64) {
+        let placement = t.placement(file);
+        let mut guard = placement.lock();
+        let bit = 1 << (lblock % PLACEMENT_WORD_BLOCKS);
+        if let Some(w) = guard.words.get_mut(&(lblock / PLACEMENT_WORD_BLOCKS)) {
+            if w.local & bit != 0 {
+                w.modified |= bit;
+                w.unread &= !bit;
+                w.touch_ns = w.touch_ns.max(now);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Over random promotions, reads and writes, one range note leaves
+        /// exactly the modified / unread / touch bits that a per-block note
+        /// of every block in the range leaves.
+        #[test]
+        fn range_write_note_equals_per_block_notes(
+            ops in proptest::collection::vec((0u8..3, 0u64..640, 1u64..200), 1..40)
+        ) {
+            let (ranged, blockwise) = (tiered(1 << 20), tiered(1 << 20));
+            let (mut ca, mut cb) = (clock(), clock());
+            for (step, (kind, lstart, count)) in ops.into_iter().enumerate() {
+                let now = step as u64 * 1_000;
+                match kind {
+                    0 => {
+                        for (s, n) in ranged.remote_runs(3, lstart, count) {
+                            ranged.try_promote(&mut ca, 3, s, n, &[(s, n)]).unwrap();
+                            blockwise.try_promote(&mut cb, 3, s, n, &[(s, n)]).unwrap();
+                        }
+                    }
+                    1 => {
+                        ranged.note_read(3, lstart, count, now);
+                        blockwise.note_read(3, lstart, count, now);
+                    }
+                    _ => {
+                        ranged.note_range_written(3, lstart, count, now);
+                        for lblock in lstart..lstart + count {
+                            note_block_written(&blockwise, 3, lblock, now);
+                        }
+                    }
+                }
+                proptest::prop_assert_eq!(
+                    placement_words(&ranged, 3),
+                    placement_words(&blockwise, 3)
+                );
+            }
+        }
     }
 }

@@ -36,9 +36,7 @@ proptest! {
                     }
                 }
                 1 => store.note_read(7, lstart, count, c.now()),
-                2 => {
-                    store.note_block_written(7, lstart, c.now());
-                }
+                2 => store.note_range_written(7, lstart, count, c.now()),
                 _ => {
                     store.demote_cold(&mut c, count, &identity);
                 }
