@@ -1,7 +1,8 @@
 //! Latency histograms for the user-level runtime.
 //!
 //! All distributions use the fixed-bucket log2 histogram from
-//! [`simclock::Histogram`]: recording is three relaxed atomic adds, and
+//! [`simclock::Histogram`]: recording bumps one bucket and the sum (plain
+//! stores on the owner thread, relaxed `fetch_add`s elsewhere), and
 //! quantiles are answered from bucket boundaries with bounded (≤2×)
 //! relative error — good enough to separate a cache hit from a demand
 //! miss by orders of magnitude, cheap enough to leave always-on.

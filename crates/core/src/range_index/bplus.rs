@@ -35,7 +35,7 @@
 //! are not charged: `range_tree_op_ns` already prices the lookup.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::RwLock;
@@ -150,7 +150,7 @@ pub struct BPlusRangeIndex {
     retries: Counter,
     /// Lock wait accumulated by leaves later absorbed into a neighbour,
     /// folded in so `lock_wait_ns` stays monotonic across merges.
-    retired_wait_ns: AtomicU64,
+    retired_wait_ns: Counter,
 }
 
 impl BPlusRangeIndex {
@@ -164,7 +164,7 @@ impl BPlusRangeIndex {
             splits: Counter::default(),
             merges: Counter::default(),
             retries: Counter::default(),
-            retired_wait_ns: AtomicU64::new(0),
+            retired_wait_ns: Counter::default(),
         }
     }
 
@@ -353,8 +353,7 @@ impl BPlusRangeIndex {
             // acquires it afterwards observes the flag before touching bits.
             r_guts.detached.store(true, Ordering::Release);
         }
-        self.retired_wait_ns
-            .fetch_add(r_guts.lock_model.total_wait_ns(), Ordering::Relaxed);
+        self.retired_wait_ns.add(r_guts.lock_model.total_wait_ns());
         survivor.hi = victim.hi;
     }
 
@@ -545,7 +544,7 @@ impl BPlusRangeIndex {
             .values()
             .map(|leaf| leaf.guts.lock_model.total_wait_ns())
             .sum();
-        self.retired_wait_ns.load(Ordering::Relaxed)
+        self.retired_wait_ns.get()
             + live
             + self.probe_lock.total_wait_ns()
             + self.whole_file_lock.total_wait_ns()

@@ -200,7 +200,7 @@ impl Runtime {
             .min(simos::CROSSOS_MAX_PREFETCH_PAGES);
         let policy = Policy::for_config(&config);
         let shards = config.effective_registry_shards();
-        let workers = WorkerPool::new(config.workers.max(1), Arc::clone(os.global()));
+        let workers = WorkerPool::new(config.workers.max(1));
         let trace = Arc::new(Tracer::default());
         // Kernel-side decisions (readahead_info, RA window growth, reclaim,
         // ring crossings) and wait/service windows reach the same tracer.

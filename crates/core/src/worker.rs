@@ -12,9 +12,7 @@
 //! worker pool: a saturated pool delays prefetches, and more workers
 //! (`NR_WORKERS_VAR`) drain the queue faster.
 
-use std::sync::Arc;
-
-use simclock::{FcfsResource, GlobalClock, ThreadClock};
+use simclock::{FcfsResource, ThreadClock};
 
 /// Timing facts about one dispatched job, for telemetry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,7 +43,6 @@ impl Dispatch {
 #[derive(Debug)]
 pub struct WorkerPool {
     servers: Vec<FcfsResource>,
-    global: Arc<GlobalClock>,
     /// Fixed dispatch overhead per request (dequeue + bookkeeping).
     dispatch_ns: u64,
 }
@@ -56,13 +53,12 @@ impl WorkerPool {
     /// # Panics
     ///
     /// Panics if `workers` is zero.
-    pub fn new(workers: usize, global: Arc<GlobalClock>) -> Self {
+    pub fn new(workers: usize) -> Self {
         assert!(workers > 0, "worker pool needs at least one worker");
         Self {
             servers: (0..workers)
                 .map(|_| FcfsResource::new("prefetch-worker"))
                 .collect(),
-            global,
             dispatch_ns: 300,
         }
     }
@@ -107,7 +103,7 @@ impl WorkerPool {
     {
         let worker = self.least_loaded(enqueue_ns);
         let access = self.servers[worker].access(enqueue_ns, self.dispatch_ns + estimated_ns);
-        let mut clock = ThreadClock::detached_at(Arc::clone(&self.global), access.start_ns);
+        let mut clock = ThreadClock::detached_at(access.start_ns);
         // The job runs on the caller's stack but on the worker's detached
         // timeline: span leaves it records are off the caller's critical
         // path and must attach as async children.
@@ -149,7 +145,7 @@ mod tests {
     use super::*;
 
     fn pool(workers: usize) -> WorkerPool {
-        WorkerPool::new(workers, Arc::new(GlobalClock::new()))
+        WorkerPool::new(workers)
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Per-thread virtual clocks and the shared global high-water mark.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+use crate::lane::{self, LaneWord};
 
 /// Monotone high-water mark of virtual time across all worker threads.
 ///
@@ -9,9 +10,13 @@ use std::sync::Arc;
 /// global clock tracks the maximum observed time. Components that need a
 /// notion of "now" without a calling thread (e.g. the OS LRU's 30-second
 /// file-inactivity rule) read the global clock.
+///
+/// The mark is a lane word (see the `lane` module): the owner thread
+/// raises its word with a plain store, others with `fetch_max`, and
+/// [`GlobalClock::now`] reads the larger of the two.
 #[derive(Debug, Default)]
 pub struct GlobalClock {
-    max_ns: AtomicU64,
+    max_ns: LaneWord,
 }
 
 impl GlobalClock {
@@ -22,15 +27,20 @@ impl GlobalClock {
 
     /// Returns the highest virtual time any thread has reached.
     pub fn now(&self) -> u64 {
-        self.max_ns.load(Ordering::Acquire)
+        self.max_ns.max()
     }
 
     /// Publishes `ns` as a candidate high-water mark.
     ///
     /// Returns the (possibly newer) global time after the update.
     pub fn publish(&self, ns: u64) -> u64 {
-        let prev = self.max_ns.fetch_max(ns, Ordering::AcqRel);
-        prev.max(ns)
+        self.raise(ns);
+        self.now()
+    }
+
+    /// Publishes `ns` without reading the mark back.
+    fn raise(&self, ns: u64) {
+        self.max_ns.raise(lane::owned(), ns);
     }
 }
 
@@ -45,8 +55,8 @@ impl GlobalClock {
 #[derive(Debug, Clone)]
 pub struct ThreadClock {
     now_ns: u64,
-    global: Arc<GlobalClock>,
-    publishes: bool,
+    /// The clock this one publishes to; `None` for a detached clock.
+    global: Option<Arc<GlobalClock>>,
 }
 
 impl ThreadClock {
@@ -54,8 +64,7 @@ impl ThreadClock {
     pub fn new(global: Arc<GlobalClock>) -> Self {
         Self {
             now_ns: 0,
-            global,
-            publishes: true,
+            global: Some(global),
         }
     }
 
@@ -67,15 +76,14 @@ impl ThreadClock {
     }
 
     /// Creates a *detached* clock for background/asynchronous work
-    /// (prefetch streams, writeback). Detached clocks read the global
-    /// high-water mark but never publish to it, so a prefetch stream
-    /// scheduling far-future device work does not drag "now" forward for
-    /// LRU aging or congestion accounting.
-    pub fn detached_at(global: Arc<GlobalClock>, start_ns: u64) -> Self {
+    /// (prefetch streams, writeback). Detached clocks never publish to a
+    /// global high-water mark, so a prefetch stream scheduling far-future
+    /// device work does not drag "now" forward for LRU aging or
+    /// congestion accounting.
+    pub fn detached_at(start_ns: u64) -> Self {
         Self {
             now_ns: start_ns,
-            global,
-            publishes: false,
+            global: None,
         }
     }
 
@@ -84,16 +92,11 @@ impl ThreadClock {
         self.now_ns
     }
 
-    /// The global clock this thread publishes to.
-    pub fn global(&self) -> &Arc<GlobalClock> {
-        &self.global
-    }
-
     /// Advances by a relative cost in nanoseconds.
     pub fn advance(&mut self, ns: u64) {
         self.now_ns += ns;
-        if self.publishes {
-            self.global.publish(self.now_ns);
+        if let Some(global) = &self.global {
+            global.raise(self.now_ns);
         }
     }
 
@@ -104,8 +107,8 @@ impl ThreadClock {
     pub fn advance_to(&mut self, ns: u64) {
         if ns > self.now_ns {
             self.now_ns = ns;
-            if self.publishes {
-                self.global.publish(self.now_ns);
+            if let Some(global) = &self.global {
+                global.raise(ns);
             }
         }
     }
@@ -182,6 +185,15 @@ mod tests {
         let clock = ThreadClock::starting_at(Arc::clone(&global), 42);
         assert_eq!(clock.now(), 42);
         assert_eq!(global.now(), 42);
+    }
+
+    #[test]
+    fn detached_clock_keeps_time_without_publishing() {
+        let mut clock = ThreadClock::detached_at(40);
+        clock.advance(10);
+        clock.advance_to(30);
+        assert_eq!(clock.now(), 50);
+        assert!(clock.global.is_none());
     }
 
     #[test]

@@ -1,13 +1,17 @@
 //! Fixed-bucket log2 latency histograms.
 //!
 //! Every layer of the stack records virtual-nanosecond durations into
-//! [`Histogram`]s: 64 power-of-two buckets cover the full `u64` range, so
-//! recording is two relaxed atomic adds (bucket + sum) and never allocates.
-//! Percentile queries interpolate linearly inside the winning bucket, which
-//! is the usual HdrHistogram-style trade: exact counts, bounded relative
-//! error on quantiles (at most 2x, the width of a log2 bucket).
+//! [`Histogram`]s: 65 log2 buckets cover the full `u64` range and never
+//! allocate. Each bucket and the sum are lane words (see the `lane`
+//! module): recording checks the lane once, then the owner thread bumps
+//! one bucket and the sum with plain stores while any other thread uses
+//! two relaxed `fetch_add`s. There is no separate count: it is the sum of
+//! the buckets, so a snapshot never holds more samples than its buckets.
+//! Percentile queries interpolate linearly inside the winning bucket,
+//! which is the usual HdrHistogram-style trade: exact counts, bounded
+//! relative error on quantiles (at most 2x, the width of a log2 bucket).
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::lane::{self, LaneWord};
 
 /// Number of log2 buckets: bucket `i` holds values whose bit length is `i`
 /// (bucket 0 holds the value zero, bucket 1 holds exactly 1, bucket 2 holds
@@ -17,9 +21,8 @@ pub const HISTOGRAM_BUCKETS: usize = 65;
 /// A concurrent fixed-bucket log2 histogram over `u64` samples.
 #[derive(Debug)]
 pub struct Histogram {
-    buckets: [AtomicU64; HISTOGRAM_BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
+    buckets: [LaneWord; HISTOGRAM_BUCKETS],
+    sum: LaneWord,
 }
 
 impl Default for Histogram {
@@ -69,27 +72,26 @@ impl Histogram {
     /// An empty histogram.
     pub fn new() -> Self {
         Self {
-            buckets: [const { AtomicU64::new(0) }; HISTOGRAM_BUCKETS],
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
+            buckets: [const { LaneWord::new() }; HISTOGRAM_BUCKETS],
+            sum: LaneWord::new(),
         }
     }
 
     /// Records one sample.
     pub fn record(&self, value: u64) {
-        self.buckets[bucket_of(value)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
+        let owner = lane::owned();
+        self.buckets[bucket_of(value)].add(owner, 1);
+        self.sum.add(owner, value);
     }
 
-    /// Total samples recorded.
+    /// Total samples recorded: the sum of the buckets.
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.buckets.iter().map(LaneWord::sum).sum()
     }
 
     /// Sum of all recorded samples.
     pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
+        self.sum.sum()
     }
 
     /// Mean sample, or zero when empty.
@@ -122,15 +124,14 @@ impl Histogram {
         self.quantile(0.99)
     }
 
-    /// An owned copy of the current state.
+    /// An owned copy of the current state. Its count is the sum of its
+    /// own buckets, so quantiles always land inside a bucket even while
+    /// another thread records.
     pub fn snapshot(&self) -> HistogramSnapshot {
+        let buckets: Vec<u64> = self.buckets.iter().map(LaneWord::sum).collect();
         HistogramSnapshot {
-            buckets: self
-                .buckets
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
-            count: self.count(),
+            count: buckets.iter().sum(),
+            buckets,
             sum: self.sum(),
         }
     }
@@ -361,6 +362,34 @@ mod tests {
             *qs.last().unwrap() >= 524_288,
             "tail reaches the top sample's bucket"
         );
+    }
+
+    #[test]
+    fn snapshots_taken_during_recording_stay_inside_their_buckets() {
+        // A count read apart from the buckets could run ahead of them, and
+        // p100 then walked off the last bucket to `u64::MAX`. The largest
+        // value is a bucket ceiling, so interpolation cannot exceed it.
+        use std::sync::atomic::{AtomicBool, Ordering};
+        const LARGEST: u64 = 1023;
+        let h = Histogram::new();
+        let done = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for i in 0..200_000u64 {
+                    h.record(i % (LARGEST + 1));
+                }
+                done.store(true, Ordering::Release);
+            });
+            let mut snapshots = 0u64;
+            while !done.load(Ordering::Acquire) || snapshots == 0 {
+                let snap = h.snapshot();
+                assert_eq!(snap.count, snap.buckets.iter().sum::<u64>());
+                let p100 = snap.quantile(1.0);
+                assert!(p100 <= LARGEST, "p100 = {p100}");
+                snapshots += 1;
+            }
+        });
+        assert_eq!(h.count(), 200_000);
     }
 
     #[test]

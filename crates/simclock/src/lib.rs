@@ -33,6 +33,7 @@
 mod clock;
 mod cost;
 mod hist;
+mod lane;
 mod resource;
 mod stats;
 

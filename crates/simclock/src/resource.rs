@@ -4,7 +4,7 @@ use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::stats::LockStats;
+use crate::stats::{Counter, LockStats};
 
 /// The outcome of occupying a resource for some service time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,7 +55,11 @@ fn idle_from(busy: &VecDeque<(u64, u64)>, now: u64) -> bool {
 pub struct FcfsResource {
     name: &'static str,
     busy: Mutex<VecDeque<(u64, u64)>>,
-    busy_ns: AtomicU64,
+    /// End of the last busy interval, stored under the `busy` lock. It
+    /// never decreases (no insert, merge or forfeit lowers the back end),
+    /// so an instant at or past it is idle without taking the lock.
+    horizon: AtomicU64,
+    busy_ns: Counter,
     stats: LockStats,
 }
 
@@ -65,7 +69,8 @@ impl FcfsResource {
         Self {
             name,
             busy: Mutex::new(VecDeque::new()),
-            busy_ns: AtomicU64::new(0),
+            horizon: AtomicU64::new(0),
+            busy_ns: Counter::new(),
             stats: LockStats::default(),
         }
     }
@@ -120,10 +125,12 @@ impl FcfsResource {
             busy[1] = (first_start, second_end);
             busy.pop_front();
         }
+        let (_, back_end) = *busy.back().expect("an interval was just inserted");
+        self.horizon.store(back_end, Ordering::Release);
         drop(busy);
 
         let wait = start - now;
-        self.busy_ns.fetch_add(service_ns, Ordering::Relaxed);
+        self.busy_ns.add(service_ns);
         self.stats.record(wait, service_ns);
         Access {
             start_ns: start,
@@ -134,16 +141,19 @@ impl FcfsResource {
 
     /// The end of the last busy interval (the classic FCFS horizon).
     pub fn next_free(&self) -> u64 {
-        self.busy.lock().back().map_or(0, |&(_, end)| end)
+        self.horizon.load(Ordering::Acquire)
     }
 
     /// The earliest time at or after `now` when the resource is idle —
     /// i.e. the end of the busy interval containing `now`, or `now`.
+    ///
+    /// An instant at or past the horizon answers without the lock: the
+    /// horizon only grows, so it was idle when the horizon was read.
     pub fn clear_time(&self, now: u64) -> u64 {
-        let busy = self.busy.lock();
-        if idle_from(&busy, now) {
+        if self.horizon.load(Ordering::Acquire) <= now {
             return now;
         }
+        let busy = self.busy.lock();
         let idx = busy.partition_point(|&(_, end)| end <= now);
         match busy.get(idx) {
             Some(&(start, end)) if start <= now => end,
@@ -153,7 +163,7 @@ impl FcfsResource {
 
     /// Total virtual time the resource has been occupied.
     pub fn busy_ns(&self) -> u64 {
-        self.busy_ns.load(Ordering::Relaxed)
+        self.busy_ns.get()
     }
 
     /// Contention statistics accumulated so far.
@@ -301,9 +311,10 @@ mod tests {
         }
     }
 
-    /// The calendar beside its oracle: every `Access`, and the
-    /// `clear_time` of every instant a request names (its arrival, its
-    /// start, its end), must agree.
+    /// The calendar beside its oracle: every `Access`, the horizon, and
+    /// the `clear_time` of every instant a request names (its arrival, its
+    /// start, its end) and of the horizon and its two neighbours, must
+    /// agree — the last three straddle the lock-free fast path.
     struct Differential {
         device: FcfsResource,
         oracle: SearchingCalendar,
@@ -321,10 +332,23 @@ mod tests {
             assert_eq!(self.device.clear_time(now), self.oracle.clear_time(now));
             let access = self.device.access(now, service_ns);
             assert_eq!(access, self.oracle.access(now, service_ns));
+            let horizon = self.oracle.busy.back().map_or(0, |&(_, end)| end);
+            assert_eq!(self.device.next_free(), horizon);
             for at in [now, access.start_ns, access.end_ns] {
-                assert_eq!(self.device.clear_time(at), self.oracle.clear_time(at));
+                self.probe(at);
+            }
+            for at in [horizon.saturating_sub(1), horizon, horizon + 1] {
+                self.probe(at);
             }
             access
+        }
+
+        fn probe(&self, at: u64) {
+            assert_eq!(
+                self.device.clear_time(at),
+                self.oracle.clear_time(at),
+                "at {at}"
+            );
         }
 
         fn assert_same_intervals(&self) {
@@ -335,16 +359,17 @@ mod tests {
     proptest! {
         #[test]
         fn append_fast_path_matches_the_searching_calendar(
-            ops in prop::collection::vec((0u8..5, 0u64..3_000, 0u64..400), 1..300)
+            ops in prop::collection::vec((0u8..5, 0u64..3_000, 0u64..400, 0u64..=1_000), 1..300)
         ) {
             // Arrival shapes: in order (0, 1), back-to-back at the last
             // completion (2), out of order anywhere in the past (3), and
             // far ahead so later ones land in the middle (4); one service
-            // time in eight is zero-length.
+            // time in eight is zero-length. After each request one random
+            // past instant (a permille of the horizon) is probed too.
             let mut pair = Differential::new();
             let mut cursor = 0u64;
             let mut last_end = 0u64;
-            for (shape, delta, service) in ops {
+            for (shape, delta, service, permille) in ops {
                 let now = match shape {
                     0 | 1 => {
                         cursor += delta;
@@ -356,6 +381,7 @@ mod tests {
                 };
                 let service_ns = if service % 8 == 0 { 0 } else { service };
                 last_end = pair.access(now, service_ns).end_ns;
+                pair.probe(permille * pair.device.next_free() / 1_000);
             }
             pair.assert_same_intervals();
         }

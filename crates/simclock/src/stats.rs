@@ -1,12 +1,13 @@
 //! Lightweight atomic statistics used across the simulated stack.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
+use crate::lane::{self, LaneWord};
 use crate::NS_PER_SEC;
 
-/// A relaxed atomic event counter.
+/// A relaxed event counter on the owner lane (see the `lane` module):
+/// the owner thread adds with a plain store, other threads with
+/// `fetch_add`.
 #[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
+pub struct Counter(LaneWord);
 
 impl Counter {
     /// Creates a counter at zero.
@@ -16,22 +17,17 @@ impl Counter {
 
     /// Adds one.
     pub fn incr(&self) {
-        self.0.fetch_add(1, Ordering::Relaxed);
+        self.add(1);
     }
 
     /// Adds `n`.
     pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
+        self.0.add(lane::owned(), n);
     }
 
     /// Current value.
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-
-    /// Resets to zero, returning the previous value.
-    pub fn take(&self) -> u64 {
-        self.0.swap(0, Ordering::Relaxed)
+        self.0.sum()
     }
 }
 
@@ -50,12 +46,13 @@ pub struct LockStats {
 impl LockStats {
     /// Records one acquisition that waited `wait_ns` and held `hold_ns`.
     pub fn record(&self, wait_ns: u64, hold_ns: u64) {
-        self.acquisitions.incr();
+        let owner = lane::owned();
+        self.acquisitions.0.add(owner, 1);
         if wait_ns > 0 {
-            self.contended.incr();
+            self.contended.0.add(owner, 1);
         }
-        self.wait_ns.add(wait_ns);
-        self.hold_ns.add(hold_ns);
+        self.wait_ns.0.add(owner, wait_ns);
+        self.hold_ns.0.add(owner, hold_ns);
     }
 
     /// Total acquisitions recorded.
@@ -127,8 +124,6 @@ mod tests {
         counter.incr();
         counter.add(4);
         assert_eq!(counter.get(), 5);
-        assert_eq!(counter.take(), 5);
-        assert_eq!(counter.get(), 0);
     }
 
     #[test]

@@ -13,8 +13,6 @@
 //! `readahead(2)`, a `readahead_info` request may exceed the OS readahead
 //! cap, up to [`CROSSOS_MAX_PREFETCH_PAGES`].
 
-use std::sync::Arc;
-
 use parking_lot::MutexGuard;
 use simclock::ThreadClock;
 use simstore::wordwalk::{bit_is_set, word_spans};
@@ -351,7 +349,7 @@ impl Os {
         ino: InodeId,
         scheduled: &[PageRange],
     ) -> Result<Vec<ReadyPiece>, F::Error> {
-        let mut io_clock = ThreadClock::detached_at(Arc::clone(self.global()), start_ns);
+        let mut io_clock = ThreadClock::detached_at(start_ns);
         let chunk_pages = (self.device().config().max_request_bytes / PAGE_SIZE).max(1);
         let mut ready = Vec::new();
         for &(s, e) in scheduled {
@@ -594,7 +592,7 @@ impl Os {
         let file_pages = self.fs().size(ino).div_ceil(PAGE_SIZE);
         let p0 = (entry.offset / PAGE_SIZE).min(file_pages);
         let p1 = ((entry.offset + entry.len).div_ceil(PAGE_SIZE)).min(file_pages);
-        let mut at = ThreadClock::detached_at(Arc::clone(self.global()), submitted_ns);
+        let mut at = ThreadClock::detached_at(submitted_ns);
         let budget = Some(self.prefetch_cap(entry.limit_pages));
         let target = (ino, &*self.cache(ino));
         match self.prefetch_range::<F>(&mut at, target, (p0, p1), budget, IoPriority::Blocking) {
@@ -736,6 +734,7 @@ mod tests {
     use super::*;
     use crate::{FileSystem, FsKind, OsConfig};
     use simstore::{Device, DeviceConfig};
+    use std::sync::Arc;
 
     fn os_with_file(bytes: u64) -> (Arc<Os>, Fd, ThreadClock) {
         let os = Os::new(

@@ -1088,7 +1088,7 @@ impl Os {
         if sync {
             self.device.charge_write(clock, pages, IoPriority::Blocking);
         } else {
-            let mut io_clock = ThreadClock::detached_at(Arc::clone(&self.global), clock.now());
+            let mut io_clock = ThreadClock::detached_at(clock.now());
             self.device
                 .charge_write(&mut io_clock, pages, IoPriority::Prefetch);
         }
@@ -1139,8 +1139,7 @@ impl Os {
         } else {
             IoPriority::Prefetch
         };
-        let mut detached =
-            (!sync).then(|| ThreadClock::detached_at(Arc::clone(&self.global), clock.now()));
+        let mut detached = (!sync).then(|| ThreadClock::detached_at(clock.now()));
         let io: &mut ThreadClock = match detached.as_mut() {
             Some(io) => io,
             None => clock,

@@ -244,7 +244,7 @@ fn blocking_latency_unaffected_by_prefetch_backlog() {
     let device = Device::new(DeviceConfig::local_nvme());
     let global = Arc::new(GlobalClock::new());
     // Queue a large prefetch stream.
-    let mut stream = ThreadClock::detached_at(Arc::clone(&global), 0);
+    let mut stream = ThreadClock::detached_at(0);
     device.charge_read(&mut stream, 100_000, IoPriority::Prefetch); // 400 MB
 
     // A demand read right after still completes at demand latency.
