@@ -128,10 +128,6 @@ pub struct RuntimeConfig {
     /// Minimum interval (virtual ns) between memory-watcher eviction
     /// scans; reads arriving inside the window skip the scan entirely.
     pub evict_scan_interval_ns: u64,
-    /// Shards for the per-file state registry (0 = auto: 2× `workers`).
-    /// Shard count never affects simulated timing or telemetry counters —
-    /// only real-lock contention between host threads.
-    pub registry_shards: usize,
     /// Completion-driven I/O ring: fully-cached demand reads are absorbed
     /// through the exported bitmap without a syscall crossing; demand
     /// misses cross via one vectored `read_batch` call; and a known run
@@ -173,7 +169,6 @@ impl RuntimeConfig {
             workers: 2,
             evict_min_idle_ns: 100 * simclock::NS_PER_MS,
             evict_scan_interval_ns: simclock::NS_PER_MS,
-            registry_shards: 0,
             ring_submit: false,
             tenants: None,
             tiering: None,
@@ -183,15 +178,6 @@ impl RuntimeConfig {
     /// Effective feature set.
     pub fn effective_features(&self) -> Features {
         self.features.unwrap_or_else(|| self.mode.features())
-    }
-
-    /// Effective registry shard count (0 resolves to 2× the worker count).
-    pub fn effective_registry_shards(&self) -> usize {
-        if self.registry_shards == 0 {
-            self.workers.max(1) * 2
-        } else {
-            self.registry_shards
-        }
     }
 
     /// The engine tuning handed to [`predict::Engine::for_kind`].

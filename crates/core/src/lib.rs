@@ -94,5 +94,5 @@ pub use trace::{LookupOutcome, SpanView, TraceEvent, TraceEventKind, Tracer};
 pub use simos::{
     Advice, Device, DeviceConfig, DeviceError, FaultPlan, Fd, FileSystem, FsError, FsKind, InodeId,
     IoError, MmapOutcome, Os, OsConfig, RaBatchCompletion, RaBatchEntry, RaInfo, RaInfoRequest,
-    ReadOutcome, RegistryStats, Tier, TierStats, TieredStore, WritebackConfig, PAGE_SIZE,
+    ReadOutcome, Tier, TierStats, TieredStore, WritebackConfig, PAGE_SIZE,
 };

@@ -347,7 +347,6 @@ impl CpFile {
                 p0,
                 p1 - p0,
                 entry_ns,
-                self.runtime.registry_wait_now(),
             );
         let mut ctx = ReadCtx {
             offset,
@@ -762,12 +761,9 @@ impl CpFile {
                 // caller's Account close_stage then no-ops on the spent
                 // frame. The clock does not advance between the two, so
                 // the critical-path buckets still sum to `latency_ns`.
-                if let Some(exemplar) = crate::span::finish(
-                    clock.now(),
-                    PipelineStage::Account,
-                    self.runtime.registry_wait_now(),
-                    class,
-                ) {
+                if let Some(exemplar) =
+                    crate::span::finish(clock.now(), PipelineStage::Account, class)
+                {
                     inner.trace.collector.complete(exemplar);
                 }
             }

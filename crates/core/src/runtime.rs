@@ -4,12 +4,11 @@
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 use predict::{
     AccessObservation, Engine, Prediction, PredictionEngine, PrefetchDecision, QualityFeedback,
 };
 use simclock::ThreadClock;
-use simos::shard::{RegistryStats, ShardedMap};
 use simos::{
     Advice, Fd, FsError, InodeId, IoError, MmapOutcome, Os, PrefetchQuality, RaBatchCompletion,
     RaBatchEntry, RaInfoRequest, ReadBatchEntry, ReadOutcome, PAGE_SIZE,
@@ -151,9 +150,9 @@ pub(crate) struct RuntimeInner {
     pub(crate) config: RuntimeConfig,
     /// The mechanism-dispatch table, resolved once at construction.
     pub(crate) policy: Policy,
-    /// Per-inode runtime state, sharded by inode number so unrelated
-    /// files' opens never serialize on one registry lock.
-    files: ShardedMap<Arc<LibFile>>,
+    /// Per-inode runtime state indexed by inode number (`None` for an
+    /// inode never opened through this runtime).
+    files: RwLock<Vec<Option<Arc<LibFile>>>>,
     pub(crate) workers: WorkerPool,
     pub(crate) stats: LibStats,
     /// Last time (virtual ns) the memory watcher scanned candidates —
@@ -199,7 +198,6 @@ impl Runtime {
             .max_prefetch_pages
             .min(simos::CROSSOS_MAX_PREFETCH_PAGES);
         let policy = Policy::for_config(&config);
-        let shards = config.effective_registry_shards();
         let workers = WorkerPool::new(config.workers.max(1));
         let trace = Arc::new(Tracer::default());
         // Kernel-side decisions (readahead_info, RA window growth, reclaim,
@@ -215,7 +213,7 @@ impl Runtime {
                 os,
                 config,
                 policy,
-                files: ShardedMap::new(shards),
+                files: RwLock::new(Vec::new()),
                 workers,
                 stats: LibStats::default(),
                 last_evict_scan_ns: AtomicU64::new(0),
@@ -289,13 +287,6 @@ impl Runtime {
         self.inner.trace.spans()
     }
 
-    /// Wall-clock registry-shard wait observed runtime-wide right now
-    /// (lib files + OS caches + OS fds) — sampled at span begin/end to
-    /// attribute real contention to in-flight exemplars.
-    pub(crate) fn registry_wait_now(&self) -> u64 {
-        self.inner.files.total_wait_ns() + self.inner.os.registry_wait_ns()
-    }
-
     /// A fresh worker clock attached to the OS global clock.
     pub fn new_clock(&self) -> ThreadClock {
         self.inner.os.new_clock()
@@ -305,8 +296,18 @@ impl Runtime {
         self.inner.policy.scope
     }
 
+    /// The per-file state of `ino`, built on first open under the table's
+    /// write lock (double-checked, so racing first opens agree on one).
     fn lib_file(&self, ino: InodeId, fd: Fd) -> Arc<LibFile> {
-        self.inner.files.get_or_insert_with(ino.0, || {
+        let slot = ino.0 as usize;
+        if let Some(Some(file)) = self.inner.files.read().get(slot) {
+            return Arc::clone(file);
+        }
+        let mut files = self.inner.files.write();
+        if files.len() <= slot {
+            files.resize(slot + 1, None);
+        }
+        let file = files[slot].get_or_insert_with(|| {
             let tree = BPlusRangeIndex::new();
             tree.set_wait_histogram(Arc::clone(&self.inner.metrics.lib_lock_wait_ns));
             Arc::new(LibFile {
@@ -321,7 +322,8 @@ impl Runtime {
                 refetch_cursor: AtomicU64::new(0),
                 tenant: AtomicU32::new(UNBOUND_TENANT),
             })
-        })
+        });
+        Arc::clone(file)
     }
 
     // ----- open -------------------------------------------------------------
@@ -1152,13 +1154,6 @@ impl Runtime {
             .sum()
     }
 
-    /// Real-lock contention accounting for the per-file state registry
-    /// (host wall-clock waits on contended shard acquisitions; zero in
-    /// single-threaded runs).
-    pub fn file_registry_stats(&self) -> RegistryStats {
-        self.inner.files.stats()
-    }
-
     /// Structural statistics aggregated across every file's range index
     /// (depth takes the max; leaves, splits, merges, retries sum).
     pub fn range_index_stats(&self) -> IndexStats {
@@ -1173,7 +1168,7 @@ impl Runtime {
 impl RuntimeInner {
     /// All per-file states, in inode order (deterministic iteration).
     pub(crate) fn inner_files(&self) -> Vec<Arc<LibFile>> {
-        self.files.values_sorted()
+        self.files.read().iter().flatten().cloned().collect()
     }
 }
 
@@ -1603,5 +1598,51 @@ mod tests {
             next.queue_wait_ns()
         );
         assert_eq!(runtime.stats().prefetch_retries.get(), 1);
+    }
+
+    /// Racing first opens of one file build its per-file state once: every
+    /// handle shares one `LibFile`, so one user-level cache view. Each
+    /// round releases the threads on one fresh inode together.
+    #[test]
+    fn concurrent_first_opens_share_one_lib_file() {
+        const THREADS: usize = 4;
+        const FILES: usize = 64;
+        let os = Os::new(
+            OsConfig::with_memory_mb(64),
+            Device::new(DeviceConfig::local_nvme()),
+            FileSystem::new(FsKind::Ext4Like),
+        );
+        // Created below the runtime, so no per-file state exists yet.
+        let mut clock = os.new_clock();
+        let fds: Vec<Fd> = (0..FILES)
+            .map(|i| {
+                os.create_sized(&mut clock, &format!("/f{i}"), 1 << 16)
+                    .unwrap()
+            })
+            .collect();
+        let runtime = Runtime::new(os, RuntimeConfig::new(Mode::Predict));
+        let start = std::sync::Barrier::new(THREADS);
+        let seen: Vec<Vec<Arc<LibFile>>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    s.spawn(|| {
+                        fds.iter()
+                            .map(|&fd| {
+                                start.wait();
+                                runtime.lib_file(runtime.os().fd_inode(fd), fd)
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for (i, first) in seen[0].iter().enumerate() {
+            assert!(
+                seen.iter().all(|files| Arc::ptr_eq(&files[i], first)),
+                "file {i} got two states"
+            );
+        }
+        assert_eq!(runtime.inner.inner_files().len(), FILES);
     }
 }

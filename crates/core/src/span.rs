@@ -211,11 +211,6 @@ pub struct SpanExemplar {
     pub path: CriticalPath,
     /// Leaves dropped from the two lists above by the per-exemplar caps.
     pub leaves_truncated: u64,
-    /// Wall-clock registry-shard lock wait observed runtime-wide while
-    /// this read was in flight (lib files + OS caches + OS fds). Real
-    /// synchronization, not virtual time — deliberately *outside* the
-    /// bucket sum; zero in single-threaded runs.
-    pub registry_wait_ns: u64,
 }
 
 impl SpanExemplar {
@@ -341,21 +336,14 @@ const CLASSES: [ReadClass; 3] = [
 ];
 
 /// The shared span collector: request-id allocator, per-class totals and
-/// tail-exemplar reservoirs, and the most-registry-contended exemplar
-/// slot. Its switch is the span view of the [`crate::trace::Tracer`] that
-/// owns it.
+/// tail-exemplar reservoirs. Its switch is the span view of the
+/// [`crate::trace::Tracer`] that owns it.
 #[derive(Debug)]
 pub struct SpanCollector {
     next_req_id: AtomicU64,
     /// Reservoir depth per class (K slowest reads keep their tree).
     capacity: usize,
     classes: [ClassState; 3],
-    /// Largest `registry_wait_ns` seen — the lock-free probe guarding the
-    /// slot below.
-    most_contended_max: AtomicU64,
-    /// The exemplar whose in-flight window saw the most wall-clock
-    /// registry-shard contention (None while none saw any).
-    most_contended: Mutex<Option<SpanExemplar>>,
     reads_traced: Counter,
     exemplars_admitted: Counter,
     exemplars_evicted: Counter,
@@ -368,8 +356,6 @@ impl SpanCollector {
             next_req_id: AtomicU64::new(0),
             capacity,
             classes: Default::default(),
-            most_contended_max: AtomicU64::new(0),
-            most_contended: Mutex::new(None),
             reads_traced: Counter::new(),
             exemplars_admitted: Counter::new(),
             exemplars_evicted: Counter::new(),
@@ -433,13 +419,6 @@ impl SpanCollector {
         out
     }
 
-    /// The exemplar whose in-flight window saw the most wall-clock
-    /// registry-shard contention, if any read saw any at all (always
-    /// `None` in single-threaded runs).
-    pub fn most_contended(&self) -> Option<SpanExemplar> {
-        self.most_contended.lock().clone()
-    }
-
     /// Records one completed read: class totals always, reservoir
     /// admission only when the read is slow enough to matter.
     pub(crate) fn complete(&self, exemplar: SpanExemplar) {
@@ -461,21 +440,6 @@ impl SpanCollector {
             .retry_backoff_ns
             .fetch_add(exemplar.path.retry_backoff_ns, Ordering::Relaxed);
         self.reads_traced.incr();
-
-        if exemplar.registry_wait_ns > 0 {
-            let prev = self
-                .most_contended_max
-                .fetch_max(exemplar.registry_wait_ns, Ordering::Relaxed);
-            if exemplar.registry_wait_ns > prev {
-                let mut slot = self.most_contended.lock();
-                let stale = slot
-                    .as_ref()
-                    .is_none_or(|kept| exemplar.registry_wait_ns >= kept.registry_wait_ns);
-                if stale {
-                    *slot = Some(exemplar.clone());
-                }
-            }
-        }
 
         if self.capacity == 0 {
             return;
@@ -531,7 +495,6 @@ struct Frame {
     /// Synchronous leaf time inside the open stage, subtracted from the
     /// stage duration to get its residual.
     leaf_in_stage_ns: u64,
-    registry_wait_entry_ns: u64,
     stages: Vec<StageSelf>,
     leaves: Vec<PendingLeaf>,
     async_children: Vec<PendingLeaf>,
@@ -552,14 +515,7 @@ thread_local! {
 /// Opens a frame for a traced read. Returns false (and records nothing)
 /// if this thread already has one in flight — nested reads stay untraced
 /// rather than corrupting the outer frame.
-pub(crate) fn begin(
-    req_id: ReqId,
-    ino: u64,
-    start_page: u64,
-    pages: u64,
-    entry_ns: u64,
-    registry_wait_entry_ns: u64,
-) -> bool {
+pub(crate) fn begin(req_id: ReqId, ino: u64, start_page: u64, pages: u64, entry_ns: u64) -> bool {
     if ACTIVE.with(|a| a.get()) {
         return false;
     }
@@ -572,7 +528,6 @@ pub(crate) fn begin(
             entry_ns,
             stage_start_ns: entry_ns,
             leaf_in_stage_ns: 0,
-            registry_wait_entry_ns,
             stages: Vec::with_capacity(6),
             leaves: Vec::new(),
             async_children: Vec::new(),
@@ -656,7 +611,6 @@ pub(crate) fn abort() {
 pub(crate) fn finish(
     now: u64,
     final_stage: PipelineStage,
-    registry_wait_exit_ns: u64,
     class: ReadClass,
 ) -> Option<SpanExemplar> {
     if !ACTIVE.with(|a| a.get()) {
@@ -688,7 +642,6 @@ pub(crate) fn finish(
         stages: frame.stages,
         path: frame.path,
         leaves_truncated: frame.leaves_truncated,
-        registry_wait_ns: registry_wait_exit_ns.saturating_sub(frame.registry_wait_entry_ns),
     })
 }
 
@@ -712,7 +665,7 @@ mod tests {
     use super::*;
 
     fn run_frame(leaves: &[(SpanKind, u64)], suspend: bool) -> SpanExemplar {
-        assert!(begin(7, 42, 8, 4, 1_000, 0));
+        assert!(begin(7, 42, 8, 4, 1_000));
         close_stage(PipelineStage::Classify, 1_100);
         let mut now = 1_100;
         for &(kind, dur) in leaves {
@@ -724,7 +677,7 @@ mod tests {
             }
         }
         close_stage(PipelineStage::DemandFill, now + 50);
-        finish(now + 80, PipelineStage::Account, 0, ReadClass::DemandMiss)
+        finish(now + 80, PipelineStage::Account, ReadClass::DemandMiss)
             .expect("open frame finishes")
     }
 
@@ -794,7 +747,6 @@ mod tests {
                     ..CriticalPath::default()
                 },
                 leaves_truncated: 0,
-                registry_wait_ns: 0,
             };
             collector.complete(ex);
         }
@@ -806,7 +758,6 @@ mod tests {
         assert_eq!(totals.reads, 5);
         assert_eq!(totals.path.stage_compute_ns, 150);
         assert!(collector.exemplars_evicted() >= 1);
-        assert!(collector.most_contended().is_none());
     }
 
     #[test]
@@ -824,9 +775,9 @@ mod tests {
 
     #[test]
     fn abort_discards_the_frame() {
-        assert!(begin(1, 1, 0, 1, 0, 0));
+        assert!(begin(1, 1, 0, 1, 0));
         record_leaf(SpanKind::LibTreeLockWait, 10, 10);
         abort();
-        assert!(finish(100, PipelineStage::Account, 0, ReadClass::CacheHit).is_none());
+        assert!(finish(100, PipelineStage::Account, ReadClass::CacheHit).is_none());
     }
 }

@@ -18,7 +18,7 @@
 use std::fmt::{self, Write as _};
 
 use simclock::HistogramSnapshot;
-use simos::{PrefetchQuality, RegistryStats};
+use simos::PrefetchQuality;
 
 use crate::metrics::{PipelineStage, ReadClass};
 use crate::span::SpanClassTotals;
@@ -60,8 +60,8 @@ pub struct FieldSpec {
 }
 
 /// A value the report can export and difference: scalars, histograms and
-/// the few irregular shapes (name-keyed lists, tenant rows, registry
-/// shards). The table's [`FieldKind`] decides whether `since` applies.
+/// the few irregular shapes (name-keyed lists, tenant rows). The table's
+/// [`FieldKind`] decides whether `since` applies.
 pub(crate) trait Metric {
     fn write_json(&self, out: &mut String);
     /// `self - earlier` for monotone values; point-in-time types keep the
@@ -455,18 +455,6 @@ report_fields! {
         /// Adjacent dirty runs merged into one crossing by gap coalescing.
         Counter wb_runs_coalesced: u64 = "runs_coalesced" <= os_stats.wb_runs_coalesced.get();
     }
-    // Keep "registries" the last section: shard count is deployment
-    // configuration (it never affects the simulated timeline), so
-    // determinism checks across shard counts compare the prefix.
-    frozen ["registries"] {
-        /// Real-lock contention on the CROSS-LIB per-file registry shards
-        /// (wall-clock, contended acquisitions only; zero single-threaded).
-        Counter lib_registry: RegistryStats = "lib_files" <= runtime.file_registry_stats();
-        /// Real-lock contention on the CROSS-OS inode-cache registry shards.
-        Counter os_cache_registry: RegistryStats = "os_caches" <= os.cache_registry_stats();
-        /// Real-lock contention on the CROSS-OS descriptor-table shards.
-        Counter os_fd_registry: RegistryStats = "os_fds" <= os.fd_registry_stats();
-    }
 }
 
 impl RuntimeReport {
@@ -631,28 +619,6 @@ impl<T: Metric + Clone> Metric for Vec<(&'static str, T)> {
     }
 }
 
-impl Metric for RegistryStats {
-    fn write_json(&self, out: &mut String) {
-        let _ = write!(
-            out,
-            "{{\"shards\":{},\"lock_wait_ns\":{},\"contended\":{},\"per_shard_wait_ns\":[",
-            self.shards(),
-            self.total_wait_ns(),
-            self.total_contended()
-        );
-        for (i, ns) in self.per_shard_wait_ns.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{ns}");
-        }
-        out.push_str("]}");
-    }
-    fn since(&self, earlier: &Self) -> Self {
-        self.delta(earlier)
-    }
-}
-
 /// Appends `s` as a JSON string literal (quotes, backslash and control
 /// characters escaped).
 pub(crate) fn push_json_string(out: &mut String, s: &str) {
@@ -742,19 +708,6 @@ impl fmt::Display for RuntimeReport {
         for (name, snap) in &self.stage_latency {
             writeln!(f, "{}", Self::latency_line(name, snap))?;
         }
-        writeln!(
-            f,
-            "registries : lib {} shards ({} contended, {} us), os-caches {} shards ({} contended, {} us), os-fds {} shards ({} contended, {} us)",
-            self.lib_registry.shards(),
-            self.lib_registry.total_contended(),
-            self.lib_registry.total_wait_ns() / 1_000,
-            self.os_cache_registry.shards(),
-            self.os_cache_registry.total_contended(),
-            self.os_cache_registry.total_wait_ns() / 1_000,
-            self.os_fd_registry.shards(),
-            self.os_fd_registry.total_contended(),
-            self.os_fd_registry.total_wait_ns() / 1_000
-        )?;
         writeln!(
             f,
             "range-index: {} (depth {}, {} leaves, {} splits, {} merges, {} optimistic retries)",

@@ -56,11 +56,6 @@ pub struct OsConfig {
     /// Opt-in write-back daemon; `None` (default) keeps the legacy flush
     /// behaviour byte-identical.
     pub writeback: Option<WritebackConfig>,
-    /// Shards for the inode-cache and descriptor registries
-    /// ([`crate::shard::ShardedMap`]). Shard count never affects simulated
-    /// timing or telemetry counters — only real-lock contention between
-    /// host threads. Default 4 (2× the runtime's default worker count).
-    pub registry_shards: usize,
     /// Software operation costs.
     pub costs: CostModel,
 }
@@ -85,7 +80,6 @@ impl Default for OsConfig {
             inactive_after_ns: 30 * NS_PER_SEC,
             writeback: None,
             readahead_info_supported: true,
-            registry_shards: 4,
             costs: CostModel::default(),
         }
     }

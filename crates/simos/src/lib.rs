@@ -51,7 +51,6 @@ mod mmap;
 mod os;
 pub mod readahead;
 pub mod reclaim;
-pub mod shard;
 mod stats;
 pub mod trace;
 
@@ -64,7 +63,6 @@ pub use crossos::{
 pub use error::IoError;
 pub use mmap::MmapOutcome;
 pub use os::{Advice, Fd, FdEntry, Os, ReadOutcome, PAGE_SIZE};
-pub use shard::{RegistryStats, ShardedMap};
 pub use stats::OsStats;
 pub use trace::{OsSpanKind, OsTraceEvent, OsTraceSink};
 

@@ -2,7 +2,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 use simclock::{Access, FcfsResource, GlobalClock, ThreadClock};
 use simfs::{FileSystem, FsError, InodeId, Run};
 use simstore::{Device, IoPriority, TieredStore, BLOCK_SIZE};
@@ -11,7 +11,6 @@ use crate::cache::InodeCache;
 use crate::error::IoError;
 use crate::readahead::{RaMode, RaState};
 use crate::reclaim::{select_victims, MemoryManager};
-use crate::shard::{RegistryStats, ShardedMap};
 use crate::stats::OsStats;
 use crate::trace::{OsSpanKind, OsTraceEvent, OsTraceSink};
 use crate::OsConfig;
@@ -132,13 +131,13 @@ impl FdEntry {
     }
 }
 
-/// Descriptor-slot allocator: a LIFO free list over a monotonic counter,
-/// so slots released by [`Os::close`] are reused instead of growing the
-/// registry without bound.
+/// The descriptor table: entries indexed by descriptor number plus a LIFO
+/// free list, so slots released by [`Os::close`] are reused instead of
+/// growing the table without bound.
 #[derive(Debug, Default)]
-struct FdAllocator {
-    /// Next never-used slot (the registry's high-water mark).
-    next: usize,
+struct FdTable {
+    /// `None` marks a closed slot; the length is the high-water mark.
+    slots: Vec<Option<Arc<FdEntry>>>,
     /// Slots returned by `close`, reused most-recently-freed first.
     free: Vec<usize>,
 }
@@ -177,14 +176,12 @@ pub struct Os {
     tiered: Option<Arc<TieredStore>>,
     fs: Arc<FileSystem>,
     global: Arc<GlobalClock>,
-    caches: ShardedMap<Arc<InodeCache>>,
-    /// High-water mark of created cache slots: [`Os::cache`] fills every
-    /// slot up to the requested inode, so the ordered registry snapshot
-    /// keeps the dense one-slot-per-inode shape reclaim indexes by
-    /// position.
-    cache_slots: Mutex<u64>,
-    fds: ShardedMap<Arc<FdEntry>>,
-    fd_alloc: Mutex<FdAllocator>,
+    /// Inode caches indexed by inode number. The filesystem hands inodes
+    /// out densely from 0 and never reuses one, and [`Os::cache`] fills
+    /// every slot up to the requested inode, so the table keeps the
+    /// one-slot-per-inode shape reclaim indexes by position.
+    caches: RwLock<Vec<Arc<InodeCache>>>,
+    fds: RwLock<FdTable>,
     mem: MemoryManager,
     /// Process address-space lock (taken by fincore/mincore and faults).
     mmap_lock: FcfsResource,
@@ -214,17 +211,14 @@ impl Os {
         fs: FileSystem,
     ) -> Arc<Self> {
         let mem = MemoryManager::new(config.memory_budget_pages);
-        let shards = config.registry_shards;
         Arc::new(Self {
             config,
             device,
             tiered,
             fs: Arc::new(fs),
             global: Arc::new(GlobalClock::new()),
-            caches: ShardedMap::new(shards),
-            cache_slots: Mutex::new(0),
-            fds: ShardedMap::new(shards),
-            fd_alloc: Mutex::new(FdAllocator::default()),
+            caches: RwLock::new(Vec::new()),
+            fds: RwLock::new(FdTable::default()),
             mem,
             mmap_lock: FcfsResource::new("mmap-sem"),
             stats: OsStats::default(),
@@ -252,13 +246,6 @@ impl Os {
         if dur_ns > 0 {
             self.emit(end_ns, OsTraceEvent::Window { kind, dur_ns });
         }
-    }
-
-    /// Total contended wall-clock wait across the OS registries (inode
-    /// caches + fd table). Cheap: per-shard relaxed counter loads, no
-    /// allocation — safe on the read path for span bookkeeping.
-    pub fn registry_wait_ns(&self) -> u64 {
-        self.caches.total_wait_ns() + self.fds.total_wait_ns()
     }
 
     /// The configuration in effect.
@@ -308,44 +295,31 @@ impl Os {
 
     /// Cache object for an inode (creating the slot if needed).
     pub fn cache(&self, ino: InodeId) -> Arc<InodeCache> {
-        if let Some(cache) = self.caches.get(ino.0) {
-            return cache;
+        let slot = ino.0 as usize;
+        if let Some(cache) = self.caches.read().get(slot) {
+            return Arc::clone(cache);
         }
-        // Fill every slot up to `ino` under the high-water-mark lock, so
-        // the ordered snapshot stays dense even when inodes are first
-        // touched out of order.
-        let mut hwm = self.cache_slots.lock();
-        while *hwm <= ino.0 {
-            let next = InodeId(*hwm);
-            self.caches
-                .get_or_insert_with(next.0, || Arc::new(InodeCache::new(next)));
-            *hwm += 1;
+        // Fill every slot up to `ino`, so the table stays dense even when
+        // inodes are first touched out of order.
+        let mut caches = self.caches.write();
+        while caches.len() <= slot {
+            let next = InodeId(caches.len() as u64);
+            caches.push(Arc::new(InodeCache::new(next)));
         }
-        drop(hwm);
-        self.caches.get(ino.0).expect("cache slot just created")
+        Arc::clone(&caches[slot])
     }
 
     /// All cache objects in inode order (reclaim scan, telemetry).
     pub fn all_caches(&self) -> Vec<Arc<InodeCache>> {
-        self.caches.values_sorted()
-    }
-
-    /// Per-shard lock-wait tallies of the inode-cache registry.
-    pub fn cache_registry_stats(&self) -> RegistryStats {
-        self.caches.stats()
-    }
-
-    /// Per-shard lock-wait tallies of the descriptor registry.
-    pub fn fd_registry_stats(&self) -> RegistryStats {
-        self.fds.stats()
+        self.caches.read().clone()
     }
 
     /// Descriptor-slot accounting as `(high_water, live)`: slots ever
     /// allocated and descriptors currently open. With free-list reuse the
     /// high-water mark tracks peak concurrent opens, not total opens.
     pub fn fd_slot_stats(&self) -> (usize, usize) {
-        let alloc = self.fd_alloc.lock();
-        (alloc.next, alloc.next - alloc.free.len())
+        let fds = self.fds.read();
+        (fds.slots.len(), fds.slots.len() - fds.free.len())
     }
 
     // ----- namespace ------------------------------------------------------
@@ -397,8 +371,9 @@ impl Os {
     /// [`Os::fd_entry`].
     pub fn close(&self, clock: &mut ThreadClock, fd: Fd) {
         clock.advance(self.config.costs.syscall_ns);
-        if self.fds.remove(fd.0 as u64).is_some() {
-            self.fd_alloc.lock().free.push(fd.0);
+        let mut fds = self.fds.write();
+        if fds.slots.get_mut(fd.0).and_then(Option::take).is_some() {
+            fds.free.push(fd.0);
         }
     }
 
@@ -426,25 +401,21 @@ impl Os {
     fn install_fd(&self, ino: InodeId) -> Fd {
         // Ensure the cache slot exists before I/O begins.
         let _ = self.cache(ino);
-        let slot = {
-            let mut alloc = self.fd_alloc.lock();
-            match alloc.free.pop() {
-                Some(slot) => slot,
-                None => {
-                    let slot = alloc.next;
-                    alloc.next += 1;
-                    slot
-                }
+        let entry = Some(Arc::new(FdEntry {
+            ino,
+            ra: Mutex::new(RaState::new(self.config.ra_max_pages)),
+        }));
+        let mut fds = self.fds.write();
+        match fds.free.pop() {
+            Some(slot) => {
+                fds.slots[slot] = entry;
+                Fd(slot)
             }
-        };
-        self.fds.insert(
-            slot as u64,
-            Arc::new(FdEntry {
-                ino,
-                ra: Mutex::new(RaState::new(self.config.ra_max_pages)),
-            }),
-        );
-        Fd(slot)
+            None => {
+                fds.slots.push(entry);
+                Fd(fds.slots.len() - 1)
+            }
+        }
     }
 
     /// Resolves a descriptor.
@@ -454,7 +425,12 @@ impl Os {
     /// Panics on a dangling (closed or never-opened) descriptor — always a
     /// harness bug.
     pub fn fd_entry(&self, fd: Fd) -> Arc<FdEntry> {
-        self.fds.get(fd.0 as u64).expect("dangling file descriptor")
+        self.fds
+            .read()
+            .slots
+            .get(fd.0)
+            .and_then(Option::clone)
+            .expect("dangling file descriptor")
     }
 
     /// Inode behind a descriptor.
@@ -1568,6 +1544,34 @@ mod tests {
         assert_eq!(DIRTY_LIMIT_PAGES, 4096);
         assert_eq!(DIRTY_DEADLINE_NS, 500 * simclock::NS_PER_MS);
         assert_eq!(COALESCE_GAP_PAGES, 8);
+    }
+
+    /// Inodes first touched out of order still leave one cache per inode,
+    /// in inode order: reclaim maps its positional victim indices back
+    /// into the `all_caches()` snapshot.
+    #[test]
+    fn cache_table_is_dense_in_inode_order() {
+        let os = Os::new(
+            OsConfig::with_memory_mb(64),
+            Device::new(DeviceConfig::local_nvme()),
+            FileSystem::new(FsKind::Ext4Like),
+        );
+        let five = os.cache(InodeId(5));
+        let two = os.cache(InodeId(2));
+        let caches = os.all_caches();
+        let inos: Vec<u64> = caches.iter().map(|cache| cache.ino.0).collect();
+        assert_eq!(inos, (0..=5).collect::<Vec<u64>>());
+        assert!(Arc::ptr_eq(&caches[5], &five));
+        assert!(Arc::ptr_eq(&caches[2], &two));
+        assert!(Arc::ptr_eq(&os.cache(InodeId(2)), &two));
+        for (i, cache) in caches.iter().enumerate() {
+            assert!(
+                caches[i + 1..]
+                    .iter()
+                    .all(|other| !Arc::ptr_eq(cache, other)),
+                "inode {i} shares its cache"
+            );
+        }
     }
 
     /// A tiered OS with one physically fragmented file (allocated

@@ -24,7 +24,6 @@ fn every_config_field_names_who_varies_it() {
         workers: _,                // varied by: ablations, policy_behavior
         evict_min_idle_ns: _,      // varied by: degradation, {policy,runtime}_behavior
         evict_scan_interval_ns: _, // varied by: degradation
-        registry_shards: _,        // varied by: contention_smoke, sharded_registry
         ring_submit: _,            // varied by: ablations, tests/ring.rs, kv_probe, fleet_open
         tenants: _,                // varied by: ablations, tests/tenants.rs, fleet_open
         tiering: _,                // varied by: ablations, tests/tiering.rs, tier_rw
@@ -38,7 +37,6 @@ fn every_config_field_names_who_varies_it() {
         inactive_after_ns: _,        // varied by: ROADMAP item 8 sweep (kept on purpose)
         readahead_info_supported: _, // varied by: degradation
         writeback: _,                // varied by: the benchmark (tier_rw), tests/tiering.rs
-        registry_shards: _,          // varied by: sharded_registry, contention_smoke
         costs: _,                    // varied by: tests/sensitivity.rs
     } = OsConfig::default();
 

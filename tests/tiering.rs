@@ -30,13 +30,17 @@ fn stream(file: &crossprefetch::CpFile, clock: &mut simclock::ThreadClock, total
     }
 }
 
-/// The `tiering` JSON section of a report (exclusive of `registries`).
-fn tiering_section(json: &str) -> &str {
+/// The `tiering` JSON section of a report: exported alone (every other
+/// section left out), so it runs from its key to the closing braces.
+fn tiering_section(report: &RuntimeReport) -> String {
+    let others: Vec<&str> = RuntimeReport::FIELDS
+        .iter()
+        .filter_map(|spec| spec.path.first().copied())
+        .filter(|&section| section != "tiering")
+        .collect();
+    let json = report.to_json_without(&others);
     let start = json.find("\"tiering\":").expect("tiering section present");
-    let end = json
-        .find("\"registries\":")
-        .expect("registries section present");
-    &json[start..end]
+    json[start..].to_string()
 }
 
 /// With `tiering: None` on an un-tiered OS (the default everywhere), the
@@ -51,8 +55,7 @@ fn tiering_section_is_inert_and_identical_across_mechanisms() {
         let mut clock = runtime.new_clock();
         let file = runtime.create_sized(&mut clock, "/t", 4 << 20).unwrap();
         stream(&file, &mut clock, 4 << 20, 64 * 1024);
-        let json = RuntimeReport::collect(&runtime).to_json();
-        sections.push(tiering_section(&json).to_string());
+        sections.push(tiering_section(&RuntimeReport::collect(&runtime)));
     }
     for section in &sections {
         assert!(section.contains("\"enabled\":false"), "planner must be off");
