@@ -4,16 +4,16 @@
 //! access: a zipfian key-value workload re-reads the same index-page →
 //! data-page chains over and over, yet every chain hop looks like a random
 //! jump. This engine mines those chains into a bounded block-association
-//! table and, on the hot path, does nothing more than one ordered-map
-//! lookup to turn a learned association into explicit prefetch runs.
+//! table and, on the hot path, does nothing more than one hash-map lookup
+//! to turn a learned association into explicit prefetch runs.
 //!
 //! Structure (after MITHRIL's mining/filtering split):
 //!
 //! * a **history ring** of the most recent `(block, span)` observations,
 //!   capped at 512 entries — the only state the hot path writes;
 //! * an **association table** `block → [successor; 4]` capped at 4096
-//!   entries, evicted by combined recency + frequency score — the only
-//!   state the hot path reads;
+//!   fixed-size entries, evicted by combined recency + frequency score off
+//!   a lazy min-heap — the only state the hot path reads;
 //! * a **mining pass** ([`PredictionEngine::mine`]) that folds the ring
 //!   into the table. The runtime schedules it on the worker pool every 64
 //!   observations, so table maintenance is charged to background virtual
@@ -22,10 +22,15 @@
 //! The sizes are constants; the crate-private `CorrelationConfig` exists
 //! so tests can build small tables, not as a tuning surface.
 //!
-//! All state lives in ordered containers (`BTreeMap`), so mining and
-//! eviction are deterministic and same-seed runs stay byte-identical.
+//! Nothing walks the table to decide anything: lookups and mining go by
+//! block, and eviction order comes from the heap's `(score, block)` keys,
+//! which are unique. So mining and eviction are deterministic whatever
+//! order the hash map keeps, and same-seed runs stay byte-identical.
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
+use std::collections::hash_map::Entry;
+use std::collections::{BinaryHeap, HashMap};
 
 use crate::{
     AccessObservation, EngineKind, PredictionEngine, PrefetchDecision, PrefetchRun, QualityFeedback,
@@ -39,8 +44,9 @@ const SUCCESSOR_SLOTS: usize = 4;
 const FREQUENCY_LIFETIME_BONUS: u64 = 16;
 
 /// The miner's sizes. The defaults — the only values the runtime ever
-/// runs — bound the engine to a few tens of KiB per file descriptor;
-/// tests substitute small tables through
+/// runs — bound the engine to under a MiB per file descriptor once it
+/// mines (8 192 hash buckets of 88 bytes, one 16-byte heap key per
+/// entry); tests substitute small tables through
 /// [`CorrelationEngine::with_config`].
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct CorrelationConfig {
@@ -71,16 +77,22 @@ impl Default for CorrelationConfig {
     }
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Successor {
     block: u64,
-    span: u64,
+    /// Widest read seen starting at `block`, in pages, saturating at
+    /// `u32::MAX`: every use clamps it to `max_span_pages` first.
+    span: u32,
     count: u32,
 }
 
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// One association-table entry: fixed size, nothing on the heap.
+#[derive(Debug, Clone, Default)]
 struct AssocEntry {
-    successors: Vec<Successor>,
+    /// Successor slots in the order they were filled; the first `len`
+    /// are in use.
+    slots: [Successor; SUCCESSOR_SLOTS],
+    len: u8,
     /// Total times this block was seen as a predecessor.
     freq: u32,
     /// Observation stamp of the last mining touch or lookup hit.
@@ -88,26 +100,17 @@ struct AssocEntry {
 }
 
 impl AssocEntry {
+    fn successors(&self) -> &[Successor] {
+        &self.slots[..usize::from(self.len)]
+    }
+
     /// Eviction order under table pressure: lowest goes first. Recency,
     /// extended by [`FREQUENCY_LIFETIME_BONUS`] observations per sighting.
+    /// Both terms only grow, so an entry's score never falls.
     fn eviction_score(&self) -> u64 {
         self.last_seen
             .saturating_add(u64::from(self.freq) * FREQUENCY_LIFETIME_BONUS)
     }
-}
-
-/// Size and activity snapshot, used by tests and telemetry to check the
-/// memory caps hold.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CorrelationStats {
-    /// Live association-table entries.
-    pub assoc_entries: usize,
-    /// Unmined history-ring entries.
-    pub pending: usize,
-    /// Consecutive-pair associations digested so far.
-    pub mined_pairs: u64,
-    /// History observations dropped because mining fell behind the ring.
-    pub history_dropped: u64,
 }
 
 /// The correlation prefetch engine. See the module docs for structure.
@@ -116,11 +119,14 @@ pub struct CorrelationEngine {
     config: CorrelationConfig,
     /// Unmined observations, oldest first. Bounded by `config.history`.
     ring: Vec<(u64, u64)>,
-    table: BTreeMap<u64, AssocEntry>,
+    /// The association table, sized on the first pass (see `mine_pass`).
+    table: HashMap<u64, AssocEntry>,
+    /// One `(eviction score, block)` key per table entry, taken when the
+    /// entry was inserted: a lower bound on its current key (see
+    /// `enforce_cap`).
+    evictions: BinaryHeap<Reverse<(u64, u64)>>,
     observations: u64,
     since_mine: u64,
-    mined_pairs: u64,
-    history_dropped: u64,
     /// Feedback-driven support adjustment: sustained waste raises the
     /// support bar, sustained timely hits lower it back.
     support_boost: u32,
@@ -148,24 +154,13 @@ impl CorrelationEngine {
         Self {
             config,
             ring: Vec::new(),
-            table: BTreeMap::new(),
+            table: HashMap::new(),
+            evictions: BinaryHeap::new(),
             observations: 0,
             since_mine: 0,
-            mined_pairs: 0,
-            history_dropped: 0,
             support_boost: 0,
             feedback_timely: 0,
             feedback_wasted: 0,
-        }
-    }
-
-    /// Current size/activity snapshot.
-    pub fn stats(&self) -> CorrelationStats {
-        CorrelationStats {
-            assoc_entries: self.table.len(),
-            pending: self.ring.len(),
-            mined_pairs: self.mined_pairs,
-            history_dropped: self.history_dropped,
         }
     }
 
@@ -176,35 +171,37 @@ impl CorrelationEngine {
 
     fn note_pair(&mut self, pred: u64, succ: u64, span: u64) {
         let stamp = self.observations;
-        let entry = self.table.entry(pred).or_default();
+        let span = u32::try_from(span).unwrap_or(u32::MAX);
+        let (entry, inserted) = match self.table.entry(pred) {
+            Entry::Occupied(slot) => (slot.into_mut(), false),
+            Entry::Vacant(slot) => (slot.insert(AssocEntry::default()), true),
+        };
         entry.freq = entry.freq.saturating_add(1);
         entry.last_seen = stamp;
-        if let Some(slot) = entry.successors.iter_mut().find(|s| s.block == succ) {
+        if inserted {
+            self.evictions.push(Reverse((entry.eviction_score(), pred)));
+        }
+        let live = usize::from(entry.len);
+        if let Some(slot) = entry.slots[..live].iter_mut().find(|s| s.block == succ) {
             slot.count = slot.count.saturating_add(1);
             slot.span = slot.span.max(span);
             return;
         }
-        if entry.successors.len() < SUCCESSOR_SLOTS {
-            entry.successors.push(Successor {
-                block: succ,
-                span,
-                count: 1,
-            });
+        let fresh = Successor {
+            block: succ,
+            span,
+            count: 1,
+        };
+        if live < SUCCESSOR_SLOTS {
+            entry.slots[live] = fresh;
+            entry.len += 1;
             return;
         }
         // All slots taken: replace the weakest successor (lowest count,
         // lowest block breaking ties — deterministic).
-        if let Some(weakest) = entry
-            .successors
-            .iter_mut()
-            .min_by_key(|s| (s.count, s.block))
-        {
+        if let Some(weakest) = entry.slots.iter_mut().min_by_key(|s| (s.count, s.block)) {
             if weakest.count <= 1 {
-                *weakest = Successor {
-                    block: succ,
-                    span,
-                    count: 1,
-                };
+                *weakest = fresh;
             }
         }
     }
@@ -213,27 +210,44 @@ impl CorrelationEngine {
     /// recency+frequency score (`last_seen + freq * bonus`), ties broken
     /// by block id, so the victims are a function of the table alone.
     ///
-    /// One selection per pass: removing an entry changes no survivor's
-    /// key and the block id makes every key unique, so the `excess`
-    /// smallest keys are exactly the victims that evicting one minimum
-    /// at a time would pick. Cost is O(table), not O(table × victims).
+    /// `evictions` holds one key per entry, taken when the entry was
+    /// inserted; an entry's score never falls, so its key is a lower
+    /// bound on its current one. While the smallest key is below its
+    /// entry's current key it is raised to it in place. Once it equals
+    /// it, that entry holds the table's smallest key — every other entry's
+    /// current key is at least its own heap key, which is at least this
+    /// one — and goes. Removing an entry changes no survivor's key and the
+    /// block id makes every key unique, so these are the victims one
+    /// minimum scan per victim would pick. Each raise is paid for by a
+    /// touch that made the key stale, so a pass costs heap steps per
+    /// victim and per touch, not a walk of the table.
     fn enforce_cap(&mut self) {
-        let excess = self.table.len().saturating_sub(self.config.max_assocs);
-        if excess == 0 {
-            return;
-        }
-        let mut keys: Vec<(u64, u64)> = self
-            .table
-            .iter()
-            .map(|(&block, entry)| (entry.eviction_score(), block))
-            .collect();
-        keys.select_nth_unstable(excess - 1);
-        for &(_, block) in &keys[..excess] {
-            self.table.remove(&block);
+        while self.table.len() > self.config.max_assocs {
+            let mut least = self
+                .evictions
+                .peek_mut()
+                .expect("one heap key per table entry");
+            let Reverse((key, block)) = *least;
+            let current = self.table[&block].eviction_score();
+            if key < current {
+                *least = Reverse((current, block));
+            } else {
+                debug_assert_eq!(key, current, "a heap key never exceeds its entry's score");
+                PeekMut::pop(least);
+                self.table.remove(&block);
+            }
         }
     }
 
     fn mine_pass(&mut self) -> u64 {
+        if self.table.capacity() == 0 {
+            // Sized once, for the cap plus a pass of all-new blocks (a pass
+            // is at most a full ring), so the table never grows again; an
+            // engine that never mines allocates nothing.
+            let most = self.config.max_assocs + self.config.history;
+            self.table.reserve(most);
+            self.evictions.reserve(most);
+        }
         let pending = std::mem::take(&mut self.ring);
         let mut pairs = 0;
         for window in pending.windows(2) {
@@ -250,7 +264,6 @@ impl CorrelationEngine {
             self.ring.push(last);
         }
         self.enforce_cap();
-        self.mined_pairs += pairs;
         self.since_mine = 0;
         pairs
     }
@@ -267,9 +280,7 @@ impl PredictionEngine for CorrelationEngine {
         if self.ring.len() >= self.config.history {
             // Mining has fallen behind; drop the oldest half so the ring
             // stays bounded without thrashing one-in-one-out.
-            let drop = self.config.history / 2;
-            self.ring.drain(..drop);
-            self.history_dropped += drop as u64;
+            self.ring.drain(..self.config.history / 2);
         }
         self.ring.push((obs.page, obs.pages));
 
@@ -282,12 +293,11 @@ impl PredictionEngine for CorrelationEngine {
         if let Some(entry) = self.table.get_mut(&obs.page) {
             entry.last_seen = stamp;
             let freq = entry.freq.max(1);
-            for s in &entry.successors {
+            for s in entry.successors() {
                 if s.count < support {
                     continue;
                 }
-                let pages = s
-                    .span
+                let pages = u64::from(s.span)
                     .min(self.config.max_span_pages)
                     .min(obs.max_prefetch_pages);
                 if pages == 0 {
@@ -334,6 +344,8 @@ impl PredictionEngine for CorrelationEngine {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
 
     fn obs(page: u64, pages: u64) -> AccessObservation {
@@ -342,6 +354,24 @@ mod tests {
             pages,
             aggressive_ok: false,
             max_prefetch_pages: 16_384,
+        }
+    }
+
+    /// Size snapshot the tests check the memory caps with.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct CorrelationStats {
+        /// Live association-table entries.
+        assoc_entries: usize,
+        /// Unmined history-ring entries.
+        pending: usize,
+    }
+
+    impl CorrelationEngine {
+        fn stats(&self) -> CorrelationStats {
+            CorrelationStats {
+                assoc_entries: self.table.len(),
+                pending: self.ring.len(),
+            }
         }
     }
 
@@ -407,15 +437,16 @@ mod tests {
             ..CorrelationConfig::default()
         };
         let mut engine = CorrelationEngine::with_config(config);
+        let mut mined_pairs = 0;
         for i in 0..4096u64 {
             engine.observe(&obs(i * 7, 1));
             if i % 8 == 7 {
-                engine.mine();
+                mined_pairs += engine.mine();
             }
         }
-        engine.mine();
+        mined_pairs += engine.mine();
         assert!(engine.stats().assoc_entries <= 32);
-        assert!(engine.stats().mined_pairs > 0);
+        assert!(mined_pairs > 0);
     }
 
     #[test]
@@ -428,9 +459,9 @@ mod tests {
         for i in 0..1000u64 {
             engine.observe(&obs(i, 1));
         }
-        let stats = engine.stats();
-        assert!(stats.pending <= 64);
-        assert!(stats.history_dropped > 0);
+        assert!(engine.stats().pending <= 64);
+        // What it dropped is the oldest.
+        assert_eq!(engine.ring.last(), Some(&(999, 1)));
     }
 
     #[test]
@@ -494,6 +525,8 @@ mod tests {
 
     #[test]
     fn deterministic_across_identical_streams() {
+        // Each engine's map hashes with its own random seed; the decisions
+        // and the table must not depend on it.
         let run = || {
             let mut engine = CorrelationEngine::new();
             let mut state = 0xDEADBEEFu64;
@@ -511,52 +544,165 @@ mod tests {
                     fingerprint.push((page, d.runs.clone()));
                 }
             }
-            (fingerprint, engine.stats())
+            (fingerprint, engine.stats(), table_view(&engine))
         };
         assert_eq!(run(), run());
     }
 
-    /// The eviction loop `enforce_cap` replaced — one full-table minimum
-    /// scan per victim — kept as the differential oracle.
-    fn evict_one_victim_per_scan(engine: &mut CorrelationEngine, cap: usize) {
-        while engine.table.len() > cap {
-            let victim = engine
-                .table
-                .iter()
-                .min_by_key(|(block, e)| {
-                    (
-                        e.last_seen
-                            .saturating_add(u64::from(e.freq) * FREQUENCY_LIFETIME_BONUS),
-                        **block,
-                    )
-                })
-                .map(|(block, _)| *block);
-            match victim {
-                Some(block) => {
-                    engine.table.remove(&block);
-                }
-                None => break,
+    /// A table as block-sorted rows of `(block, freq, last_seen,
+    /// successors as (block, span, count) in slot order)`.
+    type TableView = Vec<(u64, u32, u64, Vec<(u64, u64, u32)>)>;
+
+    fn table_view(engine: &CorrelationEngine) -> TableView {
+        let mut view: TableView = engine
+            .table
+            .iter()
+            .map(|(&block, e)| {
+                let successors = e
+                    .successors()
+                    .iter()
+                    .map(|s| (s.block, u64::from(s.span), s.count))
+                    .collect();
+                (block, e.freq, e.last_seen, successors)
+            })
+            .collect();
+        view.sort_unstable_by_key(|row| row.0);
+        view
+    }
+
+    /// The miner before the eviction heap, kept as the differential
+    /// oracle: a `BTreeMap` of growable successor lists, cut back to its
+    /// cap after each pass by selecting the `len − cap` smallest
+    /// `(score, block)` keys over the whole table. No feedback reaches
+    /// it, so its support bar is `min_support`.
+    struct ReferenceMiner {
+        config: CorrelationConfig,
+        ring: Vec<(u64, u64)>,
+        table: BTreeMap<u64, ReferenceEntry>,
+        observations: u64,
+        since_mine: u64,
+    }
+
+    #[derive(Default)]
+    struct ReferenceEntry {
+        /// `(block, span, count)` in the order they were filled.
+        successors: Vec<(u64, u64, u32)>,
+        freq: u32,
+        last_seen: u64,
+    }
+
+    impl ReferenceMiner {
+        fn new(config: CorrelationConfig) -> Self {
+            Self {
+                config,
+                ring: Vec::new(),
+                table: BTreeMap::new(),
+                observations: 0,
+                since_mine: 0,
             }
+        }
+
+        fn observe(&mut self, obs: &AccessObservation) -> PrefetchDecision {
+            self.observations += 1;
+            self.since_mine += 1;
+            if self.ring.len() >= self.config.history {
+                self.ring.drain(..self.config.history / 2);
+            }
+            self.ring.push((obs.page, obs.pages));
+            let mut decision = PrefetchDecision {
+                mine_due: self.since_mine >= self.config.mine_interval,
+                ..PrefetchDecision::default()
+            };
+            if let Some(entry) = self.table.get_mut(&obs.page) {
+                entry.last_seen = self.observations;
+                let freq = entry.freq.max(1);
+                for &(block, span, count) in &entry.successors {
+                    let pages = span
+                        .min(self.config.max_span_pages)
+                        .min(obs.max_prefetch_pages);
+                    if count < self.config.min_support || pages == 0 {
+                        continue;
+                    }
+                    decision.runs.push(PrefetchRun {
+                        start: block,
+                        pages,
+                    });
+                    let strength = f64::from(count) / f64::from(freq);
+                    if strength > decision.confidence {
+                        decision.confidence = strength;
+                    }
+                }
+            }
+            decision
+        }
+
+        fn note_pair(&mut self, pred: u64, succ: u64, span: u64) {
+            let entry = self.table.entry(pred).or_default();
+            entry.freq = entry.freq.saturating_add(1);
+            entry.last_seen = self.observations;
+            if let Some(slot) = entry.successors.iter_mut().find(|s| s.0 == succ) {
+                slot.1 = slot.1.max(span);
+                slot.2 = slot.2.saturating_add(1);
+            } else if entry.successors.len() < SUCCESSOR_SLOTS {
+                entry.successors.push((succ, span, 1));
+            } else if let Some(weakest) = entry.successors.iter_mut().min_by_key(|s| (s.2, s.0)) {
+                if weakest.2 <= 1 {
+                    *weakest = (succ, span, 1);
+                }
+            }
+        }
+
+        /// One pass and the cap; returns `(pairs, table length before
+        /// eviction, victims)`.
+        fn mine(&mut self) -> (u64, usize, usize) {
+            let pending = std::mem::take(&mut self.ring);
+            let mut pairs = 0;
+            for window in pending.windows(2) {
+                let ((pred, _), (succ, span)) = (window[0], window[1]);
+                if pred != succ {
+                    self.note_pair(pred, succ, span);
+                    pairs += 1;
+                }
+            }
+            self.ring.extend(pending.last());
+            self.since_mine = 0;
+            let before = self.table.len();
+            let excess = before.saturating_sub(self.config.max_assocs);
+            if excess > 0 {
+                let mut keys: Vec<(u64, u64)> = self
+                    .table
+                    .iter()
+                    .map(|(&block, e)| {
+                        let bonus = u64::from(e.freq) * FREQUENCY_LIFETIME_BONUS;
+                        (e.last_seen.saturating_add(bonus), block)
+                    })
+                    .collect();
+                keys.select_nth_unstable(excess - 1);
+                for &(_, block) in &keys[..excess] {
+                    self.table.remove(&block);
+                }
+            }
+            (pairs, before, excess)
+        }
+
+        fn view(&self) -> TableView {
+            self.table
+                .iter()
+                .map(|(&block, e)| (block, e.freq, e.last_seen, e.successors.clone()))
+                .collect()
         }
     }
 
-    /// The engine beside a twin whose own cap never engages and which the
-    /// oracle trims after every pass instead (eviction is the last thing
-    /// a pass does to the table, so the two orders are the same).
+    /// The engine beside the reference miner, fed the same accesses.
     struct Differential {
         subject: CorrelationEngine,
-        oracle: CorrelationEngine,
-        cap: usize,
+        oracle: ReferenceMiner,
     }
 
     impl Differential {
         fn new(config: CorrelationConfig) -> Self {
             Self {
-                cap: config.max_assocs,
-                oracle: CorrelationEngine::with_config(CorrelationConfig {
-                    max_assocs: usize::MAX,
-                    ..config.clone()
-                }),
+                oracle: ReferenceMiner::new(config.clone()),
                 subject: CorrelationEngine::with_config(config),
             }
         }
@@ -574,19 +720,17 @@ mod tests {
             got.mine_due
         }
 
-        /// Mines both; the whole table (blocks, successors, `freq`,
-        /// `last_seen`) must agree. Returns `(table length before
-        /// eviction, victims)`.
+        /// Mines both; the pair counts, the rings and the whole table
+        /// (blocks, successors, `freq`, `last_seen`) must agree. Returns
+        /// `(table length before eviction, victims)`.
         fn mine(&mut self) -> (usize, usize) {
-            assert_eq!(self.subject.mine(), self.oracle.mine());
-            let before = self.oracle.table.len();
-            evict_one_victim_per_scan(&mut self.oracle, self.cap);
-            let victims = before - self.oracle.table.len();
+            let (pairs, before, victims) = self.oracle.mine();
+            assert_eq!(self.subject.mine(), pairs);
+            assert_eq!(self.subject.ring, self.oracle.ring);
             assert!(
-                self.subject.table == self.oracle.table,
+                table_view(&self.subject) == self.oracle.view(),
                 "tables diverge evicting {victims} of {before}"
             );
-            assert_eq!(self.subject.stats(), self.oracle.stats());
             (before, victims)
         }
     }
@@ -670,6 +814,11 @@ mod tests {
 
     #[test]
     fn score_ties_fall_to_the_lowest_block_id() {
+        let survivors = |pair: &Differential| {
+            let mut blocks: Vec<u64> = pair.subject.table.keys().copied().collect();
+            blocks.sort_unstable();
+            blocks
+        };
         let mut pair = Differential::new(CorrelationConfig {
             max_assocs: 2,
             ..CorrelationConfig::default()
@@ -688,8 +837,7 @@ mod tests {
         pair.observe(7_000, 1);
         assert_eq!(pair.mine(), (4, 2));
         // 50 goes on score; of the tied three, the lowest block goes.
-        let survivors: Vec<u64> = pair.subject.table.keys().copied().collect();
-        assert_eq!(survivors, vec![500, 900]);
+        assert_eq!(survivors(&pair), vec![500, 900]);
 
         // One pass of never-seen blocks in descending order: every new
         // entry has the same stamp and frequency, so block id alone
@@ -702,8 +850,10 @@ mod tests {
             pair.observe(page * 10, 1);
         }
         assert_eq!(pair.mine(), (39, 31));
-        let survivors: Vec<u64> = pair.subject.table.keys().copied().collect();
-        assert_eq!(survivors, (33..=40).map(|p| p * 10).collect::<Vec<_>>());
+        assert_eq!(
+            survivors(&pair),
+            (33..=40).map(|p| p * 10).collect::<Vec<_>>()
+        );
     }
 
     #[test]
@@ -724,5 +874,72 @@ mod tests {
         );
         let max_assocs = CorrelationConfig::default().max_assocs;
         assert_eq!(pair.subject.stats().assoc_entries, max_assocs);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// Over random caps, pass lengths and key-space widths, with
+        /// lookups of blocks the table holds between passes (each raises
+        /// an entry's `last_seen` above its heap key), the heap miner
+        /// agrees with the reference miner on every decision, every pair
+        /// count and the whole table after every pass.
+        #[test]
+        fn heap_eviction_matches_the_reference_miner(
+            cap in 1usize..=512,
+            keys in 16u64..=16_384,
+            seed in proptest::any::<u64>(),
+            passes in proptest::collection::vec((1usize..=1_500, 0usize..=64), 1..=6),
+        ) {
+            let mut pair = Differential::new(CorrelationConfig {
+                max_assocs: cap,
+                history: 2_048,
+                ..CorrelationConfig::default()
+            });
+            let mut stream = ProbeStream::new(seed, keys);
+            let mut pick = seed;
+            for (pass, lookups) in passes {
+                for (page, pages) in stream.by_ref().take(pass) {
+                    pair.observe(page, pages);
+                }
+                pair.mine();
+                let held: Vec<u64> = pair.oracle.table.keys().copied().collect();
+                for _ in 0..lookups {
+                    pick = pick
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    let Some(&page) = held.get((pick >> 33) as usize % held.len().max(1)) else {
+                        break;
+                    };
+                    pair.observe(page, 1);
+                }
+            }
+            pair.mine();
+        }
+    }
+
+    #[test]
+    fn eviction_heap_holds_one_key_per_entry() {
+        // The heap's memory bound: one key per live entry, so never more
+        // than the cap plus one pass of new blocks. The table never grows
+        // past the size it was given on the first pass.
+        let max_assocs = CorrelationConfig::default().max_assocs;
+        let mut engine = CorrelationEngine::new();
+        let (mut passes, mut sized) = (0, None);
+        for (page, pages) in ProbeStream::new(1729, 16_384).take(50_000) {
+            if engine.observe(&obs(page, pages)).mine_due {
+                engine.mine();
+                passes += 1;
+                assert!(engine.table.len() <= max_assocs);
+                let capacity = *sized.get_or_insert(engine.table.capacity());
+                assert!(
+                    engine.table.capacity() <= capacity,
+                    "pass {passes} grew the table"
+                );
+            }
+            assert_eq!(engine.evictions.len(), engine.table.len());
+        }
+        assert_eq!(engine.table.len(), max_assocs, "the table saturated");
+        assert!(passes > 700, "{passes} passes");
     }
 }

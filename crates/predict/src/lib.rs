@@ -34,7 +34,7 @@ pub mod correlation;
 pub mod strided;
 
 pub use adaptive::AdaptiveEngine;
-pub use correlation::{CorrelationEngine, CorrelationStats};
+pub use correlation::CorrelationEngine;
 pub use strided::{AccessPattern, Direction, Prediction, Predictor, SEQ_BATCH_PAGES};
 
 /// Which prediction engine a file descriptor uses.

@@ -32,9 +32,9 @@ fn every_config_field_names_who_varies_it() {
     let OsConfig {
         memory_budget_pages: _,      // varied by: every harness
         ra_max_pages: _,             // varied by: fig10_limit
-        reclaim_slack: _,            // varied by: tenant.rs unit tests; ROADMAP item 8 sweep
-        fault_around_pages: _,       // varied by: ROADMAP item 8 sweep (kept on purpose)
-        inactive_after_ns: _,        // varied by: ROADMAP item 8 sweep (kept on purpose)
+        reclaim_slack: _,            // varied by: tenant.rs unit tests; ROADMAP item 10 sweep
+        fault_around_pages: _,       // varied by: ROADMAP item 10 sweep (kept on purpose)
+        inactive_after_ns: _,        // varied by: ROADMAP item 10 sweep (kept on purpose)
         readahead_info_supported: _, // varied by: degradation
         writeback: _,                // varied by: the benchmark (tier_rw), tests/tiering.rs
         costs: _,                    // varied by: tests/sensitivity.rs
@@ -58,19 +58,19 @@ fn every_config_field_names_who_varies_it() {
     } = EngineConfig::default();
 
     // The device presets differ in bandwidth and round trip; the rest are
-    // ROADMAP item 8's sweep subjects.
+    // ROADMAP item 10's sweep subjects.
     let DeviceConfig {
         read_bw: _,                // varied by: local_nvme vs remote_nvmeof (tier_rw, fig08)
         write_bw: _,               // varied by: the presets; device_properties
-        read_latency_ns: _,        // varied by: ROADMAP item 8 sweep
+        read_latency_ns: _,        // varied by: ROADMAP item 10 sweep
         write_latency_ns: _,       // varied by: device_properties
         network_rtt_ns: _,         // varied by: local_nvme vs remote_nvmeof
-        max_request_bytes: _,      // varied by: ROADMAP item 8 sweep
-        prefetch_congestion_ns: _, // varied by: ROADMAP item 8 sweep
+        max_request_bytes: _,      // varied by: ROADMAP item 10 sweep
+        prefetch_congestion_ns: _, // varied by: ROADMAP item 10 sweep
     } = DeviceConfig::local_nvme();
 
     // All seventeen scale together in tests/sensitivity.rs; one at a time
-    // is ROADMAP item 8's sweep.
+    // is ROADMAP item 10's sweep.
     let CostModel {
         syscall_ns: _,               // varied by: tests/sensitivity.rs
         page_copy_ns: _,             // varied by: tests/sensitivity.rs

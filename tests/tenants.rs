@@ -317,7 +317,7 @@ fn arbitration_raises_prefetch_hits_and_bounds_the_gold_response_tail() {
     // denials turn bronze prefetches into demand misses that the single
     // driver serialises, so every tenant queues longer than with no
     // arbiter at all (1.35x). Today's ordering is pinned, with a 1.6x
-    // ceiling, so a fix flips this assertion visibly (ROADMAP item 9).
+    // ceiling, so a fix flips this assertion visibly (ROADMAP item 14).
     assert!(
         arbitrated > unarbitrated && arbitrated * 5 <= unarbitrated * 8,
         "gold response p99 moved against the no-arbiter run: \
