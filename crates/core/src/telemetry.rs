@@ -10,10 +10,9 @@
 //!
 //! Every field is stated once, in the `report_fields!` table below: doc,
 //! [`FieldKind`], type, JSON section and key, collect expression. The
-//! struct, `collect`, `delta`, the JSON export and the additive-section
-//! set are generated from it, so **adding a counter is one table entry**
-//! (plus the `LibStats` / `OsStats` counter it reads). Only the `Display`
-//! prose is written by hand.
+//! struct, `collect`, `delta`, the JSON export, the text rendering and the
+//! additive-section set are generated from it, so **adding a counter is
+//! one table entry** (plus the `LibStats` / `OsStats` counter it reads).
 
 use std::fmt::{self, Write as _};
 
@@ -35,12 +34,8 @@ pub enum FieldKind {
     Counter,
     /// Monotone sample distribution(s): bucket-wise `later - earlier`.
     Histogram,
-    /// Point-in-time quantity: taken from the later snapshot.
+    /// Point-in-time quantity, flag or name: taken from the later snapshot.
     Gauge,
-    /// Point-in-time boolean: taken from the later snapshot.
-    Flag,
-    /// Static name: taken from the later snapshot.
-    Label,
 }
 
 /// One row of the report's field table ([`RuntimeReport::FIELDS`]).
@@ -78,7 +73,7 @@ pub(crate) trait Metric {
 fn interval<T: Metric + Clone>(kind: FieldKind, now: &T, earlier: &T) -> T {
     match kind {
         FieldKind::Counter | FieldKind::Histogram => now.since(earlier),
-        FieldKind::Gauge | FieldKind::Flag | FieldKind::Label => now.clone(),
+        FieldKind::Gauge => now.clone(),
     }
 }
 
@@ -92,7 +87,8 @@ macro_rules! is_additive {
 }
 
 /// Expands the field table into the report struct, its field-spec table,
-/// `collect`, `delta` and the (spec, value) walk `to_json` renders.
+/// `collect`, `delta` and the (spec, value) walk `to_json` and `Display`
+/// render.
 macro_rules! report_fields {
     (
         collect($runtime:ident) { $($prelude:tt)* }
@@ -137,8 +133,8 @@ macro_rules! report_fields {
 
             /// Interval accounting, by each field's [`FieldKind`] (stated in
             /// its doc and in [`Self::FIELDS`]): counters and histograms
-            /// are `self` minus `earlier` (saturating at zero); gauges,
-            /// flags and labels are point-in-time, taken from `self`.
+            /// are `self` minus `earlier` (saturating at zero); gauges are
+            /// point-in-time, taken from `self`.
             pub fn delta(&self, earlier: &RuntimeReport) -> RuntimeReport {
                 RuntimeReport {
                     $($($name: interval(FieldKind::$kind, &self.$name, &earlier.$name),)*)*
@@ -171,7 +167,7 @@ report_fields! {
 
     frozen [] {
         /// Mechanism label (Table 2 name).
-        Label mode: &'static str = "mode" <= runtime.config().mode.label();
+        Gauge mode: &'static str = "mode" <= runtime.config().mode.label();
     }
     frozen ["counters"] {
         /// Reads intercepted by the shim.
@@ -220,7 +216,7 @@ report_fields! {
         Counter device_latency_spikes: u64 = "device_latency_spikes" <= device.latency_spike_requests.get();
         /// Whether the runtime permanently downgraded visibility prefetch to
         /// blind `readahead(2)`.
-        Flag degraded_to_blind: bool = "degraded_to_blind" <= runtime.degraded_to_blind();
+        Gauge degraded_to_blind: bool = "degraded_to_blind" <= runtime.degraded_to_blind();
         /// Page-cache hit ratio over the OS lifetime.
         Gauge hit_ratio: f64 = "hit_ratio" <= os.hit_ratio();
     }
@@ -287,7 +283,7 @@ report_fields! {
     frozen ["engines"] {
         /// Stable name of the prediction engine new descriptors use
         /// ([`predict::EngineKind::name`], policy-resolved).
-        Label engine: &'static str = "selected" <= runtime.inner.policy.engine.name();
+        Gauge engine: &'static str = "selected" <= runtime.inner.policy.engine.name();
         /// Correlation-mined prefetch runs the engine issued.
         Counter engine_assoc_runs: u64 = "assoc_runs" <= stats.engine_assoc_runs.get();
         /// Pages those association runs requested (cached pages excluded).
@@ -303,7 +299,7 @@ report_fields! {
     // export is the frozen schema-v1 layout, byte for byte.
     additive ["spans"] {
         /// Whether causal span tracing was enabled at snapshot time.
-        Flag spans_enabled: bool = "enabled" <= spans.is_enabled();
+        Gauge spans_enabled: bool = "enabled" <= spans.is_enabled();
         /// Reads that completed with a span frame.
         Counter spans_reads_traced: u64 = "reads_traced" <= spans.reads_traced();
         /// Exemplars admitted into the tail reservoirs.
@@ -322,7 +318,7 @@ report_fields! {
     additive ["ring"] {
         /// Whether the completion-driven ring was enabled (policy-resolved:
         /// the config knob ANDed with cache visibility).
-        Flag ring_enabled: bool = "enabled" <= runtime.inner.policy.ring;
+        Gauge ring_enabled: bool = "enabled" <= runtime.inner.policy.ring;
         /// Demand reads the ring absorbed without a syscall crossing.
         Counter ring_absorbed_reads: u64 = "absorbed_reads" <= os_stats.absorbed_reads.get();
         /// Vectored `read_batch` crossings the OS served (demand entries
@@ -346,7 +342,7 @@ report_fields! {
     additive ["range_index"] {
         /// Which range-index implementation backs the per-file cache views:
         /// always `"bplus"` ([`crate::BPlusRangeIndex`]).
-        Label range_index_kind: &'static str = "kind" <= "bplus";
+        Gauge range_index_kind: &'static str = "kind" <= "bplus";
         /// Most levels any file's index has: 0 = empty, 1 = a lone leaf,
         /// 2 = routing map over leaves.
         Gauge range_index_depth: u64 = "depth" <= index.depth;
@@ -363,7 +359,7 @@ report_fields! {
     additive ["tenants"] {
         /// Whether the multi-tenant arbiter was configured
         /// ([`crate::RuntimeConfig::tenants`]).
-        Flag tenants_enabled: bool = "enabled" <= runtime.inner.tenants.is_some();
+        Gauge tenants_enabled: bool = "enabled" <= runtime.inner.tenants.is_some();
         /// Fair-share rebalance passes the arbiter ran.
         Counter tenant_rebalances: u64 = "rebalances" <= runtime.tenants().map_or(0, |a| a.rebalances());
         /// Per-tenant admission rows, in tenant-table order (empty without
@@ -374,10 +370,10 @@ report_fields! {
     additive ["tiering"] {
         /// Whether the cross-tier promotion planner was built (a tiering
         /// config was present *and* the OS sits on a tiered store).
-        Flag tiering_enabled: bool = "enabled" <= runtime.inner.planner.is_some();
+        Gauge tiering_enabled: bool = "enabled" <= runtime.inner.planner.is_some();
         /// Whether the OS-side write-back daemon was configured
         /// ([`simos::OsConfig::writeback`]).
-        Flag writeback_enabled: bool = "writeback_enabled" <= os.config().writeback.is_some();
+        Gauge writeback_enabled: bool = "writeback_enabled" <= os.config().writeback.is_some();
     }
     additive ["tiering", "local"] {
         /// Local-tier read requests (all tier fields are zero un-tiered).
@@ -527,14 +523,6 @@ impl RuntimeReport {
         }
         out
     }
-
-    fn latency_line(name: &str, snap: &HistogramSnapshot) -> String {
-        if snap.count == 0 {
-            return format!("  {name:<16} (no samples)");
-        }
-        let (n, p50, p95, p99) = (snap.count, snap.p50(), snap.p95(), snap.p99());
-        format!("  {name:<16} n={n:<8} p50={p50} ns  p95={p95} ns  p99={p99} ns")
-    }
 }
 
 impl Metric for u64 {
@@ -637,194 +625,29 @@ pub(crate) fn push_json_string(out: &mut String, s: &str) {
 }
 
 impl fmt::Display for RuntimeReport {
+    /// The JSON walk as text: one line per run of rows sharing a section
+    /// path (labelled `report` at the top level), each row `key=value`
+    /// with the value as [`Self::to_json`] writes it; object values
+    /// (histograms, name-keyed lists, tenant rows) get indented lines of
+    /// their own beneath.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "=== CrossPrefetch runtime report [{}] ===", self.mode)?;
-        writeln!(
-            f,
-            "I/O        : {} reads, {} writes",
-            self.reads, self.writes
-        )?;
-        writeln!(
-            f,
-            "cache      : {:.1}% hits, {}/{} pages resident",
-            self.hit_ratio * 100.0,
-            self.resident_pages,
-            self.budget_pages
-        )?;
-        writeln!(
-            f,
-            "prefetch   : {} readahead_info calls, {} skipped by visibility, {} pages initiated",
-            self.ra_info_calls, self.prefetches_skipped, self.pages_initiated
-        )?;
-        writeln!(
-            f,
-            "quality    : {} timely, {} late, {} wasted prefetched pages",
-            self.prefetch_quality.timely, self.prefetch_quality.late, self.prefetch_quality.wasted
-        )?;
-        writeln!(
-            f,
-            "eviction   : {} pages by runtime, {} pages by OS LRU",
-            self.pages_evicted_by_lib, self.pages_evicted_by_os
-        )?;
-        writeln!(
-            f,
-            "device     : {:.1} MB read, {:.1} MB written ({:.0}% prefetch-driven)",
-            self.device_read_bytes as f64 / 1e6,
-            self.device_write_bytes as f64 / 1e6,
-            self.prefetch_share() * 100.0
-        )?;
-        let (os_us, lib_us) = (self.os_lock_wait_ns / 1_000, self.lib_lock_wait_ns / 1_000);
-        writeln!(f, "lock waits : {os_us} us OS-side, {lib_us} us user-side")?;
-        writeln!(
-            f,
-            "faults     : {} injected EIOs, {} retries, {} give-ups ({} pages), {} read errors, {} resyncs{}",
-            self.device_read_faults,
-            self.prefetch_retries,
-            self.prefetch_give_ups,
-            self.pages_abandoned,
-            self.read_errors,
-            self.stale_resyncs,
-            if self.degraded_to_blind {
-                " [degraded to blind readahead]"
-            } else {
-                ""
+        let mut fields = self.fields().peekable();
+        while let Some(&(first, _)) = fields.peek() {
+            match first.path {
+                [] => f.write_str("report:")?,
+                path => write!(f, "{}:", path.join("."))?,
             }
-        )?;
-        writeln!(
-            f,
-            "trace      : {} ring-dropped events",
-            self.trace_events_dropped
-        )?;
-        writeln!(f, "latency    :")?;
-        for (name, snap) in [
-            ("read/cache-hit", &self.read_cache_hit),
-            ("read/prefetch-hit", &self.read_prefetch_hit),
-            ("read/demand-miss", &self.read_demand_miss),
-            ("prefetch", &self.prefetch_latency),
-        ] {
-            writeln!(f, "{}", Self::latency_line(name, snap))?;
-        }
-        writeln!(f, "pipeline   :")?;
-        for (name, snap) in &self.stage_latency {
-            writeln!(f, "{}", Self::latency_line(name, snap))?;
-        }
-        writeln!(
-            f,
-            "range-index: {} (depth {}, {} leaves, {} splits, {} merges, {} optimistic retries)",
-            self.range_index_kind,
-            self.range_index_depth,
-            self.range_index_leaves,
-            self.range_index_splits,
-            self.range_index_merges,
-            self.range_index_retries
-        )?;
-        let merged = self.prefetch_runs_coalesced;
-        if merged > 0 {
-            writeln!(
-                f,
-                "coalescing : {merged} prefetch runs merged before submission"
-            )?;
-        }
-        if self.ring_enabled || self.ring_absorbed_reads > 0 || self.ring_demand_batch_calls > 0 {
-            writeln!(
-                f,
-                "ring       : {} absorbed reads, {} batch crossings, spec {} issued / {} absorbed / {} cancelled ({} pages charged)",
-                self.ring_absorbed_reads,
-                self.ring_demand_batch_calls,
-                self.ring_spec_issued,
-                self.ring_spec_absorbed,
-                self.ring_spec_cancelled,
-                self.ring_spec_pages_charged
-            )?;
-        }
-        if self.engine != "strided" || self.engine_assoc_runs > 0 || self.engine_mining_passes > 0 {
-            writeln!(
-                f,
-                "engines    : {} selected, {} assoc runs ({} pages), {} mining passes, {} duels, {} ownership flips",
-                self.engine,
-                self.engine_assoc_runs,
-                self.engine_assoc_pages,
-                self.engine_mining_passes,
-                self.engine_duels,
-                self.engine_ownership_flips
-            )?;
-        }
-        if self.tenants_enabled {
-            let (configured, rebalances) = (self.tenants.len(), self.tenant_rebalances);
-            writeln!(
-                f,
-                "tenants    : {configured} configured, {rebalances} rebalances"
-            )?;
-            for row in &self.tenants {
-                writeln!(
-                    f,
-                    "  {:<12} [{:<6}] share={:<8} initiated={:<8} admitted={:<8} degraded={}+{} denied={} ({} pages)",
-                    row.name,
-                    row.qos,
-                    row.budget_pages,
-                    row.initiated_pages,
-                    row.admitted_pages,
-                    row.degraded_coalesced,
-                    row.degraded_blind,
-                    row.denied,
-                    row.denied_pages
-                )?;
-            }
-        }
-        if self.tiering_enabled || self.wb_dirtied_pages > 0 {
-            writeln!(
-                f,
-                "tiering    : local {}/{} blocks, promotions {} issued / {} completed ({} pages, {} retries, {} give-ups), demotions {} ({} blocks)",
-                self.tier_local_resident_blocks,
-                self.tier_local_capacity_blocks,
-                self.promotions_issued,
-                self.promotions_completed,
-                self.promotion_pages,
-                self.promotion_retries,
-                self.promotion_give_ups,
-                self.tier_demotions,
-                self.tier_demoted_blocks
-            )?;
-            writeln!(
-                f,
-                "write-back : {} dirtied, {} written back, {} dropped, {} dirty now; flushes {} threshold / {} deadline / {} sync / {} drop ({} runs, {} coalesced)",
-                self.wb_dirtied_pages,
-                self.wb_written_back_pages,
-                self.wb_dropped_dirty_pages,
-                self.wb_dirty_pages_now,
-                self.wb_flush_threshold,
-                self.wb_flush_deadline,
-                self.wb_flush_sync,
-                self.wb_flush_drop,
-                self.wb_runs_flushed,
-                self.wb_runs_coalesced
-            )?;
-        }
-        if self.spans_reads_traced > 0 {
-            writeln!(
-                f,
-                "spans      : {} reads traced, {} exemplars kept ({} displaced)",
-                self.spans_reads_traced,
-                self.spans_exemplars_admitted
-                    .saturating_sub(self.spans_exemplars_evicted),
-                self.spans_exemplars_evicted
-            )?;
-            for (name, totals) in &self.spans_classes {
-                if totals.reads == 0 {
-                    continue;
+            let mut objects = String::new();
+            while let Some((spec, value)) = fields.next_if(|(spec, _)| spec.path == first.path) {
+                let mut text = String::new();
+                value.write_json(&mut text);
+                if text.starts_with(['{', '[']) {
+                    let _ = write!(objects, "\n  {}={text}", spec.key);
+                } else {
+                    write!(f, " {}={text}", spec.key)?;
                 }
-                writeln!(
-                    f,
-                    "  {:<16} n={:<8} compute={} ns  lock={} ns  queue={} ns  device={} ns  backoff={} ns",
-                    name,
-                    totals.reads,
-                    totals.path.stage_compute_ns,
-                    totals.path.lock_wait_ns,
-                    totals.path.queue_wait_ns,
-                    totals.path.device_service_ns,
-                    totals.path.retry_backoff_ns
-                )?;
             }
+            writeln!(f, "{objects}")?;
         }
         Ok(())
     }
@@ -868,29 +691,6 @@ mod tests {
         assert_eq!(latency_samples, 128);
         // A sequential scan produces timely prefetched pages.
         assert!(report.prefetch_quality.timely + report.prefetch_quality.late > 0);
-    }
-
-    #[test]
-    fn report_renders_every_section() {
-        let rt = runtime();
-        let mut clock = rt.new_clock();
-        let file = rt.create_sized(&mut clock, "/t", 1 << 20).unwrap();
-        file.read_charge(&mut clock, 0, 64 * 1024);
-        let rendered = RuntimeReport::collect(&rt).to_string();
-        for section in [
-            "I/O",
-            "cache",
-            "prefetch",
-            "quality",
-            "eviction",
-            "device",
-            "lock waits",
-            "faults",
-            "trace",
-            "latency",
-        ] {
-            assert!(rendered.contains(section), "missing section {section}");
-        }
     }
 
     #[test]
@@ -995,7 +795,7 @@ mod tests {
         {
             let want = match spec.kind {
                 FieldKind::Counter | FieldKind::Histogram => emptied,
-                FieldKind::Gauge | FieldKind::Flag | FieldKind::Label => snapshot,
+                FieldKind::Gauge => snapshot,
             };
             assert_eq!(render(value), render(want), "{}", spec.name);
         }

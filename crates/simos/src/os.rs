@@ -1436,15 +1436,6 @@ impl Os {
         }
     }
 
-    /// Adjusts the memory budget at runtime. A shrink below the resident
-    /// set reclaims immediately — leaving the cache over budget until the
-    /// next insert would let the old residents keep squatting on pages.
-    pub fn set_memory_budget(&self, clock: &mut ThreadClock, pages: u64) {
-        if self.mem.set_budget(pages) {
-            self.reclaim(clock);
-        }
-    }
-
     /// Synchronous reclaim down to the watermark, charged to `clock`.
     pub fn reclaim(&self, clock: &mut ThreadClock) {
         let target = self.mem.reclaim_target(self.config.reclaim_slack);

@@ -16,7 +16,7 @@ use crate::cache::{InodeCache, PAGES_PER_WORD};
 /// uses).
 #[derive(Debug)]
 pub struct MemoryManager {
-    budget_pages: AtomicU64,
+    budget_pages: u64,
     resident_pages: AtomicU64,
     dirty_pages: AtomicU64,
     /// Pages evicted by reclaim since start.
@@ -29,7 +29,7 @@ impl MemoryManager {
     /// Creates a manager with the given capacity.
     pub fn new(budget_pages: u64) -> Self {
         Self {
-            budget_pages: AtomicU64::new(budget_pages),
+            budget_pages,
             resident_pages: AtomicU64::new(0),
             dirty_pages: AtomicU64::new(0),
             evicted: Counter::new(),
@@ -39,16 +39,7 @@ impl MemoryManager {
 
     /// Total capacity in pages.
     pub fn budget(&self) -> u64 {
-        self.budget_pages.load(Ordering::Relaxed)
-    }
-
-    /// Adjusts the capacity (experiments vary the memory:data ratio; the
-    /// tenant arbiter shrinks it routinely). Returns `true` when the new
-    /// budget sits below the resident set — the caller must run reclaim,
-    /// because no insert may come along to notice the overage.
-    pub fn set_budget(&self, pages: u64) -> bool {
-        self.budget_pages.store(pages, Ordering::Relaxed);
-        self.resident() > pages
+        self.budget_pages
     }
 
     /// Live cached pages.
@@ -210,23 +201,6 @@ mod tests {
         let mem = MemoryManager::new(16384);
         mem.note_inserted(16384 + 100);
         assert_eq!(mem.reclaim_target(0.05), 100 + 820); // watermark 15564
-    }
-
-    #[test]
-    fn set_budget_changes_free() {
-        let mem = MemoryManager::new(100);
-        mem.note_inserted(50);
-        assert!(!mem.set_budget(200));
-        assert_eq!(mem.free_pages(), 150);
-    }
-
-    #[test]
-    fn set_budget_shrink_reports_pressure() {
-        let mem = MemoryManager::new(100);
-        mem.note_inserted(80);
-        assert!(!mem.set_budget(90)); // still under: nothing to do
-        assert!(mem.set_budget(50)); // 80 resident > 50: reclaim now
-        assert_eq!(mem.reclaim_target(0.0), 30);
     }
 
     #[test]

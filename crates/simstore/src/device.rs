@@ -131,11 +131,6 @@ impl Device {
         self.faults = Some(plan);
     }
 
-    /// The fault plan in effect, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.faults.as_ref()
-    }
-
     /// The performance model in effect.
     pub fn config(&self) -> &DeviceConfig {
         &self.config

@@ -102,28 +102,41 @@ fn feature_on_workload() -> RuntimeReport {
     RuntimeReport::collect(&rt)
 }
 
+/// The reports behind the goldens: the baseline workload under each
+/// mechanism (Table 2 plus the Figure 2 fincore strawman), then the
+/// feature-on workload.
+pub fn golden_reports() -> (Vec<RuntimeReport>, RuntimeReport) {
+    let baseline = Mode::table2()
+        .into_iter()
+        .chain([Mode::FincoreApp])
+        .map(schema_workload)
+        .collect();
+    (baseline, feature_on_workload())
+}
+
 /// The checked-in telemetry goldens as `(file name under
 /// [`golden_dir`], current export)`:
 ///
-/// * `telemetry_schema_baseline.json` — one line per mechanism (Table 2
-///   plus the Figure 2 fincore strawman) of the baseline workload with
-///   every additive section left out: the frozen schema-v1 layout of a
-///   run with every opt-in subsystem off.
+/// * `telemetry_schema_baseline.json` — one line per mechanism of the
+///   baseline workload with every additive section left out: the frozen
+///   schema-v1 layout of a run with every opt-in subsystem off.
 /// * `telemetry_feature_on_golden.json` — the full export of the
 ///   feature-on workload, pinning the byte layout of the additive
 ///   sections the baseline leaves out.
 pub fn telemetry_goldens() -> [(&'static str, String); 2] {
     let additive = RuntimeReport::additive_sections();
-    let baseline = Mode::table2()
-        .into_iter()
-        .chain([Mode::FincoreApp])
-        .map(|mode| schema_workload(mode).to_json_without(&additive) + "\n")
-        .collect();
+    let (baseline, feature_on) = golden_reports();
     [
-        ("telemetry_schema_baseline.json", baseline),
+        (
+            "telemetry_schema_baseline.json",
+            baseline
+                .iter()
+                .map(|report| report.to_json_without(&additive) + "\n")
+                .collect(),
+        ),
         (
             "telemetry_feature_on_golden.json",
-            feature_on_workload().to_json() + "\n",
+            feature_on.to_json() + "\n",
         ),
     ]
 }
