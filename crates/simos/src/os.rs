@@ -882,7 +882,9 @@ impl Os {
     /// Holes are allocated block by block, as a page-at-a-time writer
     /// allocates them. Writes land on the tier holding each block — no
     /// write allocation; local-placed blocks pick up their modified bits
-    /// first, so demotion copies them back.
+    /// first, so demotion copies them back, and a block's first local write
+    /// takes its bytes over from the remote store
+    /// ([`TieredStore::note_range_written`]).
     pub fn store_content(&self, ino: InodeId, offset: u64, data: &[u8]) {
         if data.is_empty() {
             return;
@@ -891,7 +893,8 @@ impl Os {
         let pages = (offset + data.len() as u64).div_ceil(PAGE_SIZE) - p0;
         self.fs.allocate_each(ino, p0, pages);
         if let Some(tiered) = &self.tiered {
-            tiered.note_range_written(ino.0, p0, pages, self.global.now());
+            let map = |f: u64, lb: u64| self.fs.map_block(InodeId(f), lb);
+            tiered.note_range_written(ino.0, p0, pages, self.global.now(), &map);
         }
         let mut done = 0;
         self.walk_content(
@@ -1736,13 +1739,34 @@ mod tests {
         (os, ino)
     }
 
+    /// The tier ownership invariant over the whole file: a block whose
+    /// placement word reads local and modified has no bytes in the remote
+    /// store.
+    fn assert_modified_local_blocks_own_their_bytes(os: &Os, ino: InodeId) {
+        let tiered = os.tiered().unwrap();
+        for word in 0..FILE_PAGES.div_ceil(simstore::PLACEMENT_WORD_BLOCKS) {
+            let (local, modified) = tiered.placement_bits(ino.0, word);
+            for bit in 0..simstore::PLACEMENT_WORD_BLOCKS {
+                if (local & modified) >> bit & 1 == 1 {
+                    let lb = word * simstore::PLACEMENT_WORD_BLOCKS + bit;
+                    let pblock = os.fs().map_block(ino, lb);
+                    assert!(
+                        !tiered.remote().store().holds(pblock),
+                        "local modified block {lb} still has remote bytes"
+                    );
+                }
+            }
+        }
+    }
+
     proptest! {
         /// Over a fragmented log-structured file with random promoted words
         /// and random unaligned ranges (partial head and tail pages, written
         /// and never-written blocks): routed `store_content` leaves the same
         /// bytes as the per-page store, and routed `fetch_content` /
-        /// `fetch_content_vec` read what the per-page fetch reads. A
-        /// demotion afterwards copies back exactly the written local blocks.
+        /// `fetch_content_vec` read what the per-page fetch reads. After
+        /// every op no local modified block has remote bytes. A demotion
+        /// afterwards copies back exactly the written local blocks.
         #[test]
         fn routed_byte_path_matches_the_per_page_walk(
             seeds in prop::collection::vec((0u64..FILE_BYTES, 1u64..40_000, any::<u8>()), 0..6),
@@ -1778,6 +1802,7 @@ mod tests {
                     routed_os.fetch_content(ino, offset, &mut out);
                     prop_assert_eq!(&out, &want);
                 }
+                assert_modified_local_blocks_own_their_bytes(&routed_os, ino);
             }
             let whole = fetch_per_page(&oracle_os, ino, 0, FILE_BYTES);
             prop_assert_eq!(&routed_os.fetch_content_vec(ino, 0, FILE_BYTES), &whole);

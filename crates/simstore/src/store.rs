@@ -2,6 +2,7 @@
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 
@@ -57,9 +58,15 @@ fn shard_index(pblock: u64) -> usize {
 /// workloads over very large files consume no memory here. Written blocks
 /// are stored exactly, so the key-value store and compression workloads see
 /// correct round-trip data.
+///
+/// Each stored block is a reference-counted 4 KiB slice that several
+/// stores may share: [`SparseStore::copy_block`] hands the same bytes to
+/// another store, and the first write through either side copies them
+/// (copy-on-write), so a shared block never changes under its other
+/// holder. A block only one store holds is written in place.
 #[derive(Debug)]
 pub struct SparseStore {
-    shards: Vec<Mutex<BlockMap<Box<[u8]>>>>,
+    shards: Vec<Mutex<BlockMap<Arc<[u8]>>>>,
 }
 
 impl SparseStore {
@@ -72,7 +79,7 @@ impl SparseStore {
         }
     }
 
-    fn shard(&self, pblock: u64) -> &Mutex<BlockMap<Box<[u8]>>> {
+    fn shard(&self, pblock: u64) -> &Mutex<BlockMap<Arc<[u8]>>> {
         &self.shards[shard_index(pblock)]
     }
 
@@ -110,14 +117,14 @@ impl SparseStore {
     /// Panics if `data` is not exactly [`BLOCK_SIZE`] bytes.
     pub fn write_block(&self, pblock: u64, data: &[u8]) {
         assert_eq!(data.len(), BLOCK_SIZE, "write buffer must be one block");
-        let mut shard = self.shard(pblock).lock();
-        shard.insert(pblock, data.into());
+        self.write_partial(pblock, 0, data);
     }
 
     /// Writes a partial block at `offset` within the block, preserving the
     /// rest of the block's current content. A whole-block write to a block
     /// with no stored content skips building the synthetic pattern it
-    /// would overwrite.
+    /// would overwrite. Stored bytes another store shares are copied
+    /// first; bytes this store alone holds are written in place.
     ///
     /// # Panics
     ///
@@ -130,7 +137,7 @@ impl SparseStore {
         );
         let mut shard = self.shard(pblock).lock();
         match shard.get_mut(&pblock) {
-            Some(block) => block[offset..offset + data.len()].copy_from_slice(data),
+            Some(block) => Arc::make_mut(block)[offset..offset + data.len()].copy_from_slice(data),
             None if data.len() == BLOCK_SIZE => {
                 shard.insert(pblock, data.into());
             }
@@ -138,33 +145,62 @@ impl SparseStore {
                 let mut fresh = vec![0u8; BLOCK_SIZE];
                 fill_synthetic(pblock, &mut fresh);
                 fresh[offset..offset + data.len()].copy_from_slice(data);
-                shard.insert(pblock, fresh.into_boxed_slice());
+                shard.insert(pblock, fresh.into());
             }
         }
     }
 
-    /// Discards stored content for a block (reads revert to synthetic).
+    /// Discards this store's content for a block (reads revert to
+    /// synthetic). Another store sharing the bytes keeps them.
     pub fn discard(&self, pblock: u64) {
         self.shard(pblock).lock().remove(&pblock);
     }
 
-    /// Copies the stored content of block `pblock` to the same block of
-    /// `to`: one allocation and one copy. A block that reads synthetic
-    /// copies nothing — the pattern is identical on every device — so
-    /// cross-tier moves carry only real data. Returns whether bytes moved.
-    /// The two shard locks are never held together, so copies running in
-    /// opposite directions cannot deadlock.
+    /// Gives the same block of `to` the stored content of block `pblock`
+    /// by sharing it: `to` takes a reference to these bytes, and whichever
+    /// side writes the block next copies them first. A block that reads
+    /// synthetic moves nothing — the pattern is identical on every device
+    /// — so cross-tier moves carry only real data. Returns whether content
+    /// moved. The two shard locks are never held together, so moves
+    /// running in opposite directions cannot deadlock.
     pub fn copy_block(&self, pblock: u64, to: &SparseStore) -> bool {
-        let Some(data) = self.shard(pblock).lock().get(&pblock).cloned() else {
+        let Some(data) = self.shard(pblock).lock().get(&pblock).map(Arc::clone) else {
             return false;
         };
         to.shard(pblock).lock().insert(pblock, data);
         true
     }
 
-    /// Number of blocks with explicitly stored content.
+    /// Whether block `pblock` has explicitly stored content — exposed for
+    /// tests.
+    #[doc(hidden)]
+    pub fn holds(&self, pblock: u64) -> bool {
+        self.shard(pblock).lock().contains_key(&pblock)
+    }
+
+    /// Number of blocks with explicitly stored content. A block shared
+    /// with another store counts in each store that holds it.
     pub fn resident_blocks(&self) -> usize {
         self.shards.iter().map(|s| s.lock().len()).sum()
+    }
+
+    /// Whether this store and `other` hold block `pblock` in one shared
+    /// allocation.
+    #[cfg(test)]
+    pub(crate) fn shares_block(&self, pblock: u64, other: &SparseStore) -> bool {
+        let mine = self.shard(pblock).lock().get(&pblock).map(Arc::clone);
+        let theirs = other.shard(pblock).lock().get(&pblock).map(Arc::clone);
+        matches!((mine, theirs), (Some(a), Some(b)) if Arc::ptr_eq(&a, &b))
+    }
+
+    /// How many stores hold this store's bytes of block `pblock` (0 when
+    /// it holds none).
+    #[cfg(test)]
+    pub(crate) fn holders(&self, pblock: u64) -> usize {
+        self.shard(pblock)
+            .lock()
+            .get(&pblock)
+            .map_or(0, Arc::strong_count)
     }
 }
 
@@ -233,6 +269,7 @@ mod tests {
         to.write_block(11, &vec![0u8; BLOCK_SIZE]);
         assert!(from.copy_block(11, &to));
         assert_eq!(to.read_block_vec(11), payload);
+        assert!(from.shares_block(11, &to), "the target shares the bytes");
         assert!(
             !from.copy_block(12, &to),
             "a synthetic block copies nothing"
@@ -241,8 +278,88 @@ mod tests {
         assert_eq!(
             from.read_block_vec(11),
             payload,
-            "the source keeps its copy"
+            "the source keeps its reference"
         );
+        assert_eq!(
+            from.resident_blocks(),
+            1,
+            "a shared block counts on both sides"
+        );
+    }
+
+    #[test]
+    fn copy_block_shares_one_allocation() {
+        let (from, to) = (SparseStore::new(), SparseStore::new());
+        from.write_partial(3, 40, b"shared");
+        assert_eq!(from.holders(3), 1);
+        assert!(from.copy_block(3, &to));
+        assert!(from.shares_block(3, &to) && to.shares_block(3, &from));
+        assert_eq!((from.holders(3), to.holders(3)), (2, 2));
+        // Sharing onward keeps the one allocation.
+        let third = SparseStore::new();
+        assert!(to.copy_block(3, &third));
+        assert!(third.shares_block(3, &from));
+        assert_eq!(from.holders(3), 3);
+    }
+
+    #[test]
+    fn writes_to_a_shared_block_leave_the_other_side_unchanged() {
+        let (from, to) = (SparseStore::new(), SparseStore::new());
+        let original = vec![0x11u8; BLOCK_SIZE];
+        from.write_block(8, &original);
+        from.copy_block(8, &to);
+
+        // A whole-block write on the target.
+        let whole = vec![0x22u8; BLOCK_SIZE];
+        to.write_block(8, &whole);
+        assert_eq!(to.read_block_vec(8), whole);
+        assert_eq!(from.read_block_vec(8), original);
+        assert!(!from.shares_block(8, &to));
+        assert_eq!((from.holders(8), to.holders(8)), (1, 1));
+
+        // A partial write on the source, after sharing again.
+        from.copy_block(8, &to);
+        assert!(from.shares_block(8, &to));
+        from.write_partial(8, 100, b"source");
+        assert_eq!(&from.read_block_vec(8)[100..106], b"source");
+        assert_eq!(to.read_block_vec(8), original);
+        assert_eq!((from.holders(8), to.holders(8)), (1, 1));
+
+        // A whole-block write through `write_partial` on the target.
+        from.copy_block(8, &to);
+        to.write_partial(8, 0, &whole);
+        assert_eq!(to.read_block_vec(8), whole);
+        assert_eq!(&from.read_block_vec(8)[100..106], b"source");
+    }
+
+    #[test]
+    fn discarding_one_side_leaves_the_other_readable() {
+        let (from, to) = (SparseStore::new(), SparseStore::new());
+        let payload = vec![0x5Au8; BLOCK_SIZE];
+        from.write_block(21, &payload);
+        from.copy_block(21, &to);
+        from.discard(21);
+        assert_eq!(from.read_block_vec(21), synthetic_block(21));
+        assert_eq!(to.read_block_vec(21), payload);
+        assert_eq!(to.holders(21), 1, "the survivor owns the bytes alone");
+        // And back: the moved reference is the only one again.
+        to.copy_block(21, &from);
+        to.discard(21);
+        assert_eq!(from.read_block_vec(21), payload);
+        assert_eq!((from.holders(21), to.resident_blocks()), (1, 0));
+    }
+
+    #[test]
+    fn a_synthetic_block_moves_nothing() {
+        let (from, to) = (SparseStore::new(), SparseStore::new());
+        assert!(!from.copy_block(30, &to));
+        assert!(!to.holds(30));
+        assert_eq!(to.resident_blocks(), 0);
+        assert_eq!(to.read_block_vec(30), synthetic_block(30));
+        // A target's own bytes survive a synthetic source.
+        to.write_partial(30, 0, b"own");
+        assert!(!from.copy_block(30, &to));
+        assert_eq!(&to.read_block_vec(30)[..3], b"own");
     }
 
     #[test]

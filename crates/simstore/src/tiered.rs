@@ -10,6 +10,17 @@
 //! coldest words to the remote tier, writing locally-modified blocks back
 //! first and dropping clean ones for free.
 //!
+//! Host memory holds one copy of each block's bytes across both tiers.
+//! Promotion shares the remote bytes with the local store
+//! ([`SparseStore::copy_block`](crate::SparseStore::copy_block)); the first
+//! write to a local block drops the remote reference, so the local copy is
+//! the only one and is written in place; demotion hands a modified block's
+//! reference back and drops a clean one. The invariant, kept by
+//! [`TieredStore::note_range_written`] under the placement lock: *a block
+//! whose placement word reads local and modified has no bytes in the
+//! remote store.* Only the virtual model moves data; the host moves
+//! references.
+//!
 //! Placement bookkeeping is word-granular (64 blocks per word, matching the
 //! page-cache reclaim LRU) with three bits per block — placed-local,
 //! locally-modified, promoted-but-unread — plus a per-word touch stamp in
@@ -229,20 +240,35 @@ impl TieredStore {
     }
 
     /// Records a write to `[lstart, lstart+count)` under one placement
-    /// lock: every local-placed block in it is marked locally-modified
-    /// (demotion must copy it back), stops counting as promoted-unread,
-    /// and stamps its word's touch clock. Remote-placed blocks need no
-    /// bookkeeping — their bytes land on the remote tier directly.
-    pub fn note_range_written(&self, file: u64, lstart: u64, count: u64, now: u64) {
+    /// lock, before its bytes land: every local-placed block in it is
+    /// marked locally-modified (demotion must copy it back), stops counting
+    /// as promoted-unread, and stamps its word's touch clock. A block that
+    /// turns modified here also drops its remote bytes (physical block
+    /// `map_block(file, lblock)`), so the write finds the local copy
+    /// unshared and the invariant in the module docs holds. Remote-placed
+    /// blocks need no bookkeeping — their bytes land on the remote tier
+    /// directly.
+    pub fn note_range_written(
+        &self,
+        file: u64,
+        lstart: u64,
+        count: u64,
+        now: u64,
+        map_block: &dyn Fn(u64, u64) -> u64,
+    ) {
         if count == 0 {
             return;
         }
         let placement = self.placement(file);
         let mut guard = placement.lock();
         for (word, mask) in word_spans(lstart, lstart + count) {
-            if let Some(w) = guard.words.get_mut(&(word as u64)) {
+            let word = word as u64;
+            if let Some(w) = guard.words.get_mut(&word) {
                 let written = w.local & mask;
                 if written != 0 {
+                    for lblock in set_blocks(word, written & !w.modified) {
+                        self.remote.store().discard(map_block(file, lblock));
+                    }
                     w.modified |= written;
                     w.unread &= !written;
                     w.touch_ns = w.touch_ns.max(now);
@@ -251,12 +277,25 @@ impl TieredStore {
         }
     }
 
+    /// The `(local, modified)` bits of placement word `word` of `file` —
+    /// exposed for tests.
+    #[doc(hidden)]
+    pub fn placement_bits(&self, file: u64, word: u64) -> (u64, u64) {
+        let placement = self.placement(file);
+        let guard = placement.lock();
+        guard
+            .words
+            .get(&word)
+            .map_or((0, 0), |w| (w.local, w.modified))
+    }
+
     /// Promotes one wholly-remote logical run (from
     /// [`TieredStore::remote_runs`]) to the local tier: charges a
     /// prefetch-class read on the remote device (fallible — the remote
-    /// tier's fault plan draws here), copies any explicitly-written content
-    /// across, charges a background local write, and only then flips the
-    /// placement bits. On `Err` the placement map is untouched.
+    /// tier's fault plan draws here), shares any explicitly-written remote
+    /// content with the local store, charges a background local write, and
+    /// only then flips the placement bits. On `Err` the placement map is
+    /// untouched.
     ///
     /// `phys_runs` are the physical `(pstart, blocks)` extents covering the
     /// run, in order; their lengths must sum to `count`.
@@ -280,8 +319,9 @@ impl TieredStore {
             self.stats.promotion_faults.incr();
             return Err(err);
         }
-        // Move real bytes: synthetic blocks read identically on both
-        // devices, so only explicitly-written content needs copying.
+        // Share real bytes: synthetic blocks read identically on both
+        // devices, so only explicitly-written content moves, and it moves
+        // as a reference.
         for &(pstart, blocks) in phys_runs {
             for pblock in pstart..pstart + blocks {
                 self.remote.store().copy_block(pblock, self.local.store());
@@ -367,9 +407,15 @@ impl TieredStore {
         freed
     }
 
-    /// Demotes every local block of one word. Modified blocks are copied
-    /// back and charged as one background remote write; clean blocks drop
-    /// for free. Returns blocks demoted.
+    /// Demotes every local block of one word. Modified blocks hand their
+    /// bytes back to the remote store and are charged as one background
+    /// remote write; clean blocks drop for free (the remote store still
+    /// holds their bytes). Returns blocks demoted.
+    ///
+    /// Known window: the placement bits flip before the bytes move back,
+    /// so between the two a reader of a modified block routes to the
+    /// remote store and reads its synthetic pattern, and a writer's bytes
+    /// land remote and are then overwritten by the hand-back.
     fn demote_word(
         &self,
         clock: &mut ThreadClock,
@@ -497,6 +543,7 @@ mod tests {
         t.remote().store().write_block(5, &payload);
         t.try_promote(&mut c, 1, 5, 1, &[(5, 1)]).unwrap();
         assert_eq!(t.local().store().read_block_vec(5), payload);
+        assert!(t.local().store().shares_block(5, t.remote().store()));
     }
 
     #[test]
@@ -540,7 +587,7 @@ mod tests {
         let t = tiered(1024);
         let mut c = clock();
         t.try_promote(&mut c, 1, 0, 4, &[(0, 4)]).unwrap();
-        t.note_range_written(1, 2, 1, 10);
+        t.note_range_written(1, 2, 1, 10, &identity_map);
         let payload = vec![0x77u8; BLOCK_SIZE];
         t.local().store().write_block(2, &payload);
         let before = t.remote().stats().write_bytes.get();
@@ -554,6 +601,55 @@ mod tests {
         // The modified content survived the round trip to the remote tier.
         assert_eq!(t.remote().store().read_block_vec(2), payload);
         assert_eq!(t.local().store().resident_blocks(), 0);
+    }
+
+    /// The ownership invariant end to end: promotion shares the remote
+    /// bytes, the first write through the tier takes them over (the remote
+    /// store drops its reference, the local one is written in place), and
+    /// demotion hands the new bytes back, leaving the local store empty.
+    #[test]
+    fn first_local_write_takes_the_block_over_and_demotion_hands_it_back() {
+        let t = tiered(1024);
+        let mut c = clock();
+        let (local, remote) = (t.local().store(), t.remote().store());
+        remote.write_block(6, &vec![0x31u8; BLOCK_SIZE]);
+        t.try_promote(&mut c, 1, 6, 1, &[(6, 1)]).unwrap();
+        assert!(remote.shares_block(6, local), "promotion shares the bytes");
+
+        t.note_range_written(1, 6, 1, 20, &identity_map);
+        local.write_partial(6, 8, b"taken over");
+        assert!(!remote.holds(6), "the remote store holds no bytes for it");
+        assert_eq!(local.holders(6), 1, "the local block is unshared");
+        assert_eq!(t.placement_bits(1, 0), (1 << 6, 1 << 6));
+        let written = local.read_block_vec(6);
+        assert_eq!(&written[8..18], b"taken over");
+
+        // A second write keeps the invariant without touching the remote.
+        t.note_range_written(1, 6, 1, 30, &identity_map);
+        local.write_partial(6, 0, b"again");
+        let written = local.read_block_vec(6);
+
+        assert_eq!(t.demote_cold(&mut c, 1, &identity_map), 1);
+        assert_eq!(t.stats().demoted_dirty_blocks.get(), 1);
+        assert_eq!(remote.read_block_vec(6), written);
+        assert_eq!(remote.holders(6), 1, "the reference moved back");
+        assert_eq!(local.resident_blocks(), 0);
+        assert_eq!(t.placement_bits(1, 0), (0, 0));
+    }
+
+    #[test]
+    fn clean_demotion_drops_only_the_local_reference() {
+        let t = tiered(1024);
+        let mut c = clock();
+        let payload = vec![0x42u8; BLOCK_SIZE];
+        t.remote().store().write_block(9, &payload);
+        t.try_promote(&mut c, 1, 9, 1, &[(9, 1)]).unwrap();
+        t.note_read(1, 9, 1, 5);
+        assert_eq!(t.demote_cold(&mut c, 1, &identity_map), 1);
+        assert_eq!(t.stats().demoted_dirty_blocks.get(), 0);
+        assert_eq!(t.local().store().resident_blocks(), 0);
+        assert_eq!(t.remote().store().read_block_vec(9), payload);
+        assert_eq!(t.remote().store().holders(9), 1);
     }
 
     #[test]
@@ -570,7 +666,7 @@ mod tests {
     #[test]
     fn writes_to_remote_blocks_stay_remote() {
         let t = tiered(1024);
-        t.note_range_written(7, 0, 200, 5);
+        t.note_range_written(7, 0, 200, 5, &identity_map);
         assert_eq!(t.tier_of(7, 3), Tier::Remote);
         assert!(placement_words(&t, 7).is_empty(), "no word was created");
     }
@@ -639,7 +735,7 @@ mod tests {
                         blockwise.note_read(3, lstart, count, now);
                     }
                     _ => {
-                        ranged.note_range_written(3, lstart, count, now);
+                        ranged.note_range_written(3, lstart, count, now, &identity_map);
                         for lblock in lstart..lstart + count {
                             note_block_written(&blockwise, 3, lblock, now);
                         }
