@@ -476,28 +476,33 @@ impl Os {
     /// First stage of the extent router: visits `[lstart, lstart + pages)`
     /// as maximal logical runs each held by one device — the whole range
     /// on the single device, the placement map's same-tier runs when
-    /// tiered. Run-based write-back stops here (it charges one request per
-    /// logical run); read charges continue through [`Os::route_extents`].
+    /// tiered, visited under the placement guard
+    /// ([`TieredStore::with_written_runs`], which also marks the range
+    /// written when `written` carries a write's time). Run-based
+    /// write-back stops here (it charges one request per logical run);
+    /// read charges continue through [`Os::route_extents`].
     fn tier_runs<'a, E>(
         &'a self,
         ino: InodeId,
         lstart: u64,
         pages: u64,
+        written: Option<u64>,
         mut visit: impl FnMut(u64, u64, &'a Arc<Device>) -> Result<(), E>,
     ) -> Result<(), E> {
-        match &self.tiered {
-            None => visit(lstart, pages, &self.device),
-            Some(tiered) => tiered
-                .split_runs(ino.0, lstart, pages)
-                .into_iter()
-                .try_for_each(|(start, count, tier)| visit(start, count, tiered.device(tier))),
-        }
+        let Some(tiered) = &self.tiered else {
+            return visit(lstart, pages, &self.device);
+        };
+        let map = |f: u64, lb: u64| self.fs.map_block(InodeId(f), lb);
+        let written = written.map(|now| (now, &map as &dyn Fn(u64, u64) -> u64));
+        tiered.with_written_runs(ino.0, lstart, pages, written, |start, count, tier| {
+            visit(start, count, tiered.device(tier))
+        })
     }
 
     /// The extent router: logical pages → tier split → physically
     /// contiguous runs. Visits each physical run with the device holding
     /// it, in logical order, stopping at the first error. Every read charge
-    /// site and the byte path resolve their device here.
+    /// site resolves its device here.
     pub(crate) fn route_extents<'a, E>(
         &'a self,
         ino: InodeId,
@@ -505,7 +510,7 @@ impl Os {
         pages: u64,
         mut visit: impl FnMut(&'a Arc<Device>, Run) -> Result<(), E>,
     ) -> Result<(), E> {
-        self.tier_runs(ino, lstart, pages, |start, count, device| {
+        self.tier_runs(ino, lstart, pages, None, |start, count, device| {
             self.fs
                 .map_blocks(ino, start, count)
                 .into_iter()
@@ -816,15 +821,18 @@ impl Os {
         Ok(self.publish_prefetched(clock, cache, fill, &ready))
     }
 
-    /// The byte path's walk over `[offset, offset + len)`: one pass of
-    /// [`Os::route_extents`] over the pages under it, visiting each block's
-    /// share of the range in order as `(device, pblock, within, take)` —
-    /// `take` bytes starting `within` bytes into physical block `pblock`.
+    /// The byte path's walk over `[offset, offset + len)`: one pass of the
+    /// extent router over the pages under it ([`Os::tier_runs`] ×
+    /// `map_blocks`; a write's pass also marks them written), visiting
+    /// each block's share of the range in order as `(device, pblock,
+    /// within, take)` — `take` bytes starting `within` bytes into physical
+    /// block `pblock` — under the file's placement guard.
     fn walk_content(
         &self,
         ino: InodeId,
         offset: u64,
         len: u64,
+        written: Option<u64>,
         mut visit: impl FnMut(&Device, u64, usize, usize),
     ) {
         if len == 0 {
@@ -833,43 +841,29 @@ impl Os {
         let end = offset + len;
         let p0 = offset / PAGE_SIZE;
         let mut pos = offset;
+        let pages = end.div_ceil(PAGE_SIZE) - p0;
         into_ok(
-            self.route_extents(ino, p0, end.div_ceil(PAGE_SIZE) - p0, |device, run| {
-                for pblock in run.pstart..run.pstart + run.blocks {
-                    let within = pos % PAGE_SIZE;
-                    let take = (PAGE_SIZE - within).min(end - pos);
-                    visit(device, pblock, within as usize, take as usize);
-                    pos += take;
+            self.tier_runs(ino, p0, pages, written, |start, count, device| {
+                for run in self.fs.map_blocks(ino, start, count) {
+                    for pblock in run.pstart..run.pstart + run.blocks {
+                        let within = pos % PAGE_SIZE;
+                        let take = (PAGE_SIZE - within).min(end - pos);
+                        visit(device, pblock, within as usize, take as usize);
+                        pos += take;
+                    }
                 }
                 Ok(())
             }),
         );
     }
 
-    /// Fetches content bytes into `out` from the backing store without a
-    /// time charge — callers must have charged the read via
-    /// [`Os::read_charge`] already.
-    pub fn fetch_content(&self, ino: InodeId, offset: u64, out: &mut [u8]) {
-        let mut done = 0;
-        self.walk_content(
-            ino,
-            offset,
-            out.len() as u64,
-            |device, pblock, within, take| {
-                let dest = &mut out[done..done + take];
-                device.store().with_block(pblock, |block| {
-                    dest.copy_from_slice(&block[within..within + take])
-                });
-                done += take;
-            },
-        );
-    }
-
-    /// [`Os::fetch_content`] into a new vector of `len` bytes, built by
-    /// appending each block's bytes — nothing is zero-filled first.
+    /// Fetches `len` content bytes at `offset` from the backing store
+    /// without a time charge — callers must have charged the read via
+    /// [`Os::read_charge`] already. Each block's bytes are appended under
+    /// the placement guard; nothing is zero-filled first.
     pub fn fetch_content_vec(&self, ino: InodeId, offset: u64, len: u64) -> Vec<u8> {
         let mut out = Vec::with_capacity(len as usize);
-        self.walk_content(ino, offset, len, |device, pblock, within, take| {
+        self.walk_content(ino, offset, len, None, |device, pblock, within, take| {
             device.store().with_block(pblock, |block| {
                 out.extend_from_slice(&block[within..within + take])
             });
@@ -881,10 +875,9 @@ impl Os {
     /// callers must have charged the write via [`Os::write_charge`] already.
     /// Holes are allocated block by block, as a page-at-a-time writer
     /// allocates them. Writes land on the tier holding each block — no
-    /// write allocation; local-placed blocks pick up their modified bits
-    /// first, so demotion copies them back, and a block's first local write
-    /// takes its bytes over from the remote store
-    /// ([`TieredStore::note_range_written`]).
+    /// write allocation. One placement guard covers the whole write: the
+    /// walk marks it written ([`TieredStore::note_range_written`]) and
+    /// stores each block's bytes.
     pub fn store_content(&self, ino: InodeId, offset: u64, data: &[u8]) {
         if data.is_empty() {
             return;
@@ -892,17 +885,16 @@ impl Os {
         let p0 = offset / PAGE_SIZE;
         let pages = (offset + data.len() as u64).div_ceil(PAGE_SIZE) - p0;
         self.fs.allocate_each(ino, p0, pages);
-        if let Some(tiered) = &self.tiered {
-            let map = |f: u64, lb: u64| self.fs.map_block(InodeId(f), lb);
-            tiered.note_range_written(ino.0, p0, pages, self.global.now(), &map);
-        }
         let mut done = 0;
         self.walk_content(
             ino,
             offset,
             data.len() as u64,
+            Some(self.global.now()),
             |device, pblock, within, take| {
-                device.store_partial(pblock, within, &data[done..done + take]);
+                device
+                    .store()
+                    .write_partial(pblock, within, &data[done..done + take]);
                 done += take;
             },
         );
@@ -1125,7 +1117,7 @@ impl Os {
         };
         let t0 = io.now();
         for &(s, e) in &merged {
-            into_ok(self.tier_runs(ino, s, e - s, |_, count, device| {
+            into_ok(self.tier_runs(ino, s, e - s, None, |_, count, device| {
                 self.stats.wb_runs_flushed.incr();
                 device.charge_write(io, count, priority);
                 Ok(())
@@ -1696,9 +1688,9 @@ mod tests {
             offset,
             out.len(),
             |device, pblock, within, done, take| {
-                let mut block = [0u8; BLOCK_SIZE];
-                device.store().read_block(pblock, &mut block);
-                out[done..done + take].copy_from_slice(&block[within..within + take]);
+                device.store().with_block(pblock, |block| {
+                    out[done..done + take].copy_from_slice(&block[within..within + take])
+                });
             },
         );
         out
@@ -1711,7 +1703,9 @@ mod tests {
             offset,
             data.len(),
             |device, pblock, within, done, take| {
-                device.store_partial(pblock, within, &data[done..done + take]);
+                device
+                    .store()
+                    .write_partial(pblock, within, &data[done..done + take]);
             },
         );
     }
@@ -1763,8 +1757,8 @@ mod tests {
         /// Over a fragmented log-structured file with random promoted words
         /// and random unaligned ranges (partial head and tail pages, written
         /// and never-written blocks): routed `store_content` leaves the same
-        /// bytes as the per-page store, and routed `fetch_content` /
-        /// `fetch_content_vec` read what the per-page fetch reads. After
+        /// bytes as the per-page store, and routed `fetch_content_vec`
+        /// reads what the per-page fetch reads. After
         /// every op no local modified block has remote bytes. A demotion
         /// afterwards copies back exactly the written local blocks.
         #[test]
@@ -1798,9 +1792,6 @@ mod tests {
                     let want = fetch_per_page(&oracle_os, ino, offset, len);
                     prop_assert_eq!(&fetch_per_page(&routed_os, ino, offset, len), &want);
                     prop_assert_eq!(&routed_os.fetch_content_vec(ino, offset, len), &want);
-                    let mut out = vec![0u8; len as usize];
-                    routed_os.fetch_content(ino, offset, &mut out);
-                    prop_assert_eq!(&out, &want);
                 }
                 assert_modified_local_blocks_own_their_bytes(&routed_os, ino);
             }
@@ -1817,6 +1808,164 @@ mod tests {
                 let remote = tiered.remote().store().read_block_vec(map(ino.0, lb));
                 let at = (lb * PAGE_SIZE) as usize;
                 prop_assert_eq!(&remote[..], &whole[at..at + PAGE_SIZE as usize]);
+            }
+        }
+    }
+
+    // ----- tier moves racing the byte path -------------------------------
+
+    /// Runs `mover(round)` for rounds 0, 1, … on this thread until 0.8 s
+    /// have passed, while `probe` loops on a second one from before the
+    /// first round until after the last, at most eight probes ahead per
+    /// round: the placement guard is not fair, and a probe that re-takes
+    /// it at once would starve the mover. Returns how many probes returned
+    /// `false`, and how many ran.
+    fn race(mut mover: impl FnMut(u64), mut probe: impl FnMut() -> bool + Send) -> (u64, u64) {
+        use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+        let (moved, done) = (AtomicU64::new(0), AtomicBool::new(false));
+        std::thread::scope(|scope| {
+            let prober = scope.spawn(|| {
+                let (mut bad, mut probes) = (0, 0);
+                loop {
+                    let last = done.load(Ordering::Acquire);
+                    if !last && probes >= 8 * (moved.load(Ordering::Acquire) + 1) {
+                        std::thread::yield_now();
+                        continue;
+                    }
+                    bad += u64::from(!probe());
+                    probes += 1;
+                    if last {
+                        return (bad, probes);
+                    }
+                }
+            });
+            let start = std::time::Instant::now();
+            for round in 0.. {
+                if start.elapsed() >= std::time::Duration::from_millis(800) {
+                    break;
+                }
+                mover(round);
+                moved.fetch_add(1, Ordering::Release);
+            }
+            done.store(true, Ordering::Release);
+            prober.join().unwrap()
+        })
+    }
+
+    /// A reader of a locally modified block, racing a loop of rewrite →
+    /// demotion → promotion of that block, reads the written bytes every
+    /// time: the demotion hands them back and drops the local copy under
+    /// the guard the reader routes under.
+    #[test]
+    fn a_read_racing_tier_moves_sees_the_written_bytes() {
+        let (os, ino) = fragmented_tiered(&[(0, 64)]);
+        let tiered = os.tiered().unwrap();
+        let offset = 5 * PAGE_SIZE;
+        let data = payload(offset, PAGE_SIZE, 0x5A);
+        os.store_content(ino, offset, &data);
+        let map = |f: u64, lb: u64| os.fs().map_block(InodeId(f), lb);
+        let mut clock = os.new_clock();
+        let (torn, reads) = race(
+            |_| {
+                os.store_content(ino, offset, &data);
+                tiered.demote_cold(&mut clock, u64::MAX, &map);
+                os.try_promote_range(&mut clock, ino, 5, 1).unwrap();
+            },
+            || os.fetch_content_vec(ino, offset, PAGE_SIZE) == data,
+        );
+        assert_eq!(torn, 0, "{torn} of {reads} reads saw other bytes");
+    }
+
+    /// A writer that reads back each 16-block write, racing a loop of
+    /// demotion → promotion of those blocks, never finds its write gone,
+    /// and after both threads stop the blocks read the last write.
+    #[test]
+    fn a_write_racing_demotion_is_not_lost() {
+        let (os, ino) = fragmented_tiered(&[(0, 64)]);
+        let tiered = os.tiered().unwrap();
+        let (offset, len) = (8 * PAGE_SIZE, 16 * PAGE_SIZE);
+        let writes: Vec<Vec<u8>> = (1..=4).map(|seed| payload(offset, len, seed)).collect();
+        let map = |f: u64, lb: u64| os.fs().map_block(InodeId(f), lb);
+        let mut clock = os.new_clock();
+        let mut next = 0;
+        let (lost, tries) = race(
+            |_| {
+                tiered.demote_cold(&mut clock, u64::MAX, &map);
+                os.try_promote_range(&mut clock, ino, 8, 16).unwrap();
+            },
+            || {
+                next += 1;
+                let data = &writes[next % writes.len()];
+                os.store_content(ino, offset, data);
+                os.fetch_content_vec(ino, offset, len) == *data
+            },
+        );
+        assert_eq!(lost, 0, "{lost} of {tries} writes were lost");
+        let last = &writes[next % writes.len()];
+        assert_eq!(os.fetch_content_vec(ino, offset, len), *last);
+    }
+
+    /// Promotion's mirror of the demotion window: a writer follows the
+    /// word being promoted and writes its first block while promotion
+    /// shares the word's 64 blocks of bytes and flips its bits. Each write
+    /// reads back, and after both threads stop every word's first block
+    /// reads the last write made to it. Every eighth round demotes the
+    /// whole file first while the writer stands aside (it announces a
+    /// write in `busy`, then skips it if `demoting` is set), so only
+    /// promotions race the writes.
+    #[test]
+    fn a_remote_write_racing_promotion_is_visible_after_it() {
+        use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
+        const WORDS: u64 = FILE_PAGES / simstore::PLACEMENT_WORD_BLOCKS;
+        let (os, ino) = fragmented_tiered(&[]);
+        let tiered = os.tiered().unwrap();
+        os.store_content(ino, 0, &payload(0, FILE_BYTES, 0x33));
+        let map = |f: u64, lb: u64| os.fs().map_block(InodeId(f), lb);
+        let mut clock = os.new_clock();
+        let word = AtomicU64::new(0);
+        let (demoting, busy) = (AtomicBool::new(false), AtomicBool::new(false));
+        let writes: Vec<Vec<u8>> = (1..=4).map(|seed| payload(0, PAGE_SIZE, seed)).collect();
+        let mut last = [None; WORDS as usize];
+        let mut next = 0;
+        let (lost, tries) = race(
+            |round| {
+                if round % WORDS == 0 {
+                    demoting.store(true, SeqCst);
+                    while busy.load(SeqCst) {
+                        std::thread::yield_now();
+                    }
+                    tiered.demote_cold(&mut clock, u64::MAX, &map);
+                    demoting.store(false, SeqCst);
+                }
+                word.store(round % WORDS, SeqCst);
+                let lb = round % WORDS * simstore::PLACEMENT_WORD_BLOCKS;
+                os.try_promote_range(&mut clock, ino, lb, simstore::PLACEMENT_WORD_BLOCKS)
+                    .unwrap();
+            },
+            || {
+                busy.store(true, SeqCst);
+                let kept = demoting.load(SeqCst) || {
+                    let w = word.load(SeqCst);
+                    let offset = w * simstore::PLACEMENT_WORD_BLOCKS * PAGE_SIZE;
+                    next += 1;
+                    let data = &writes[next % writes.len()];
+                    os.store_content(ino, offset, data);
+                    last[w as usize] = Some(data);
+                    os.fetch_content_vec(ino, offset, PAGE_SIZE) == *data
+                };
+                busy.store(false, SeqCst);
+                kept
+            },
+        );
+        assert_eq!(lost, 0, "{lost} of {tries} writes were lost");
+        for (w, want) in (0..WORDS).zip(last) {
+            if let Some(want) = want {
+                let offset = w * simstore::PLACEMENT_WORD_BLOCKS * PAGE_SIZE;
+                assert_eq!(
+                    os.fetch_content_vec(ino, offset, PAGE_SIZE),
+                    *want,
+                    "word {w}"
+                );
             }
         }
     }

@@ -136,7 +136,9 @@ impl Device {
         &self.config
     }
 
-    /// Direct access to stored content (used by filesystem formatting).
+    /// The stored content. Time and bytes are separate calls: the byte
+    /// path reads and writes blocks here after charging through
+    /// [`Device::charge_read`] / [`Device::charge_write`].
     pub fn store(&self) -> &SparseStore {
         &self.store
     }
@@ -144,24 +146,6 @@ impl Device {
     /// Accumulated counters.
     pub fn stats(&self) -> &DeviceStats {
         &self.stats
-    }
-
-    /// Reads `count` physically-contiguous blocks starting at `pblock`,
-    /// charging virtual time to `clock` and returning the block contents.
-    pub fn read_blocks(
-        &self,
-        clock: &mut ThreadClock,
-        pblock: u64,
-        count: u64,
-        priority: IoPriority,
-    ) -> Vec<Vec<u8>> {
-        if count == 0 {
-            return Vec::new();
-        }
-        self.charge_read(clock, count, priority);
-        (pblock..pblock + count)
-            .map(|b| self.store.read_block_vec(b))
-            .collect()
     }
 
     /// Fallible variant of [`Device::charge_read`]: consults the fault plan
@@ -338,27 +322,6 @@ impl Device {
         clock.advance_to(completion);
     }
 
-    /// Writes whole blocks starting at `pblock`, charging virtual time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any buffer is not exactly one block.
-    pub fn write_blocks(
-        &self,
-        clock: &mut ThreadClock,
-        pblock: u64,
-        blocks: &[Vec<u8>],
-        priority: IoPriority,
-    ) {
-        if blocks.is_empty() {
-            return;
-        }
-        self.charge_write(clock, blocks.len() as u64, priority);
-        for (i, data) in blocks.iter().enumerate() {
-            self.store.write_block(pblock + i as u64, data);
-        }
-    }
-
     /// Charges the virtual-time cost of writing `count` contiguous blocks.
     ///
     /// Priority mirrors the read side: blocking (demand) writes queue only
@@ -372,13 +335,6 @@ impl Device {
         }
         let latency = self.config.write_request_latency_ns();
         self.submit(clock, &self.write_channel(), &[count], latency, priority);
-    }
-
-    /// Writes bytes at an arbitrary offset within one block, with content
-    /// persistence but no time charge (callers charge via
-    /// [`Device::charge_write`] at writeback granularity).
-    pub fn store_partial(&self, pblock: u64, offset: usize, data: &[u8]) {
-        self.store.write_partial(pblock, offset, data);
     }
 }
 
@@ -396,7 +352,7 @@ mod tests {
     fn single_block_read_costs_latency_plus_transfer() {
         let device = Device::new(DeviceConfig::local_nvme());
         let mut c = clock();
-        device.read_blocks(&mut c, 0, 1, IoPriority::Blocking);
+        device.charge_read(&mut c, 1, IoPriority::Blocking);
         let expected_min = device.config().read_request_latency_ns();
         assert!(c.now() >= expected_min);
         assert!(c.now() < expected_min + 10 * NS_PER_US);
@@ -407,12 +363,12 @@ mod tests {
         // 256 blocks in one request vs 256 single-block requests.
         let device_a = Device::new(DeviceConfig::local_nvme());
         let mut batch = clock();
-        device_a.read_blocks(&mut batch, 0, 256, IoPriority::Blocking);
+        device_a.charge_read(&mut batch, 256, IoPriority::Blocking);
 
         let device_b = Device::new(DeviceConfig::local_nvme());
         let mut singles = clock();
-        for block in 0..256 {
-            device_b.read_blocks(&mut singles, block, 1, IoPriority::Blocking);
+        for _ in 0..256 {
+            device_b.charge_read(&mut singles, 1, IoPriority::Blocking);
         }
         assert!(
             batch.now() * 10 < singles.now(),
@@ -427,14 +383,9 @@ mod tests {
         let device = Device::new(DeviceConfig::local_nvme());
         let mut reader = clock();
         let mut writer = clock();
-        device.read_blocks(&mut reader, 0, 512, IoPriority::Blocking);
+        device.charge_read(&mut reader, 512, IoPriority::Blocking);
         let read_done = reader.now();
-        device.write_blocks(
-            &mut writer,
-            1024,
-            &vec![vec![0u8; BLOCK_SIZE]; 4],
-            IoPriority::Blocking,
-        );
+        device.charge_write(&mut writer, 4, IoPriority::Blocking);
         // The write did not queue behind the big read.
         assert!(writer.now() < read_done);
     }
@@ -523,8 +474,14 @@ mod tests {
         let device = Device::new(DeviceConfig::local_nvme());
         let mut c = clock();
         let payload = vec![vec![0x5Au8; BLOCK_SIZE], vec![0xA5u8; BLOCK_SIZE]];
-        device.write_blocks(&mut c, 100, &payload, IoPriority::Blocking);
-        let back = device.read_blocks(&mut c, 100, 2, IoPriority::Blocking);
+        device.charge_write(&mut c, 2, IoPriority::Blocking);
+        for (i, block) in payload.iter().enumerate() {
+            device.store().write_block(100 + i as u64, block);
+        }
+        device.charge_read(&mut c, 2, IoPriority::Blocking);
+        let back: Vec<_> = (100..102)
+            .map(|b| device.store().read_block_vec(b))
+            .collect();
         assert_eq!(back, payload);
     }
 
@@ -737,10 +694,8 @@ mod tests {
     fn zero_count_operations_are_free() {
         let device = Device::new(DeviceConfig::local_nvme());
         let mut c = clock();
-        assert!(device
-            .read_blocks(&mut c, 0, 0, IoPriority::Blocking)
-            .is_empty());
-        device.write_blocks(&mut c, 0, &[], IoPriority::Blocking);
+        device.charge_read(&mut c, 0, IoPriority::Blocking);
+        device.charge_write(&mut c, 0, IoPriority::Blocking);
         assert_eq!(c.now(), 0);
     }
 }

@@ -23,10 +23,13 @@
 //! let device = Device::new(DeviceConfig::local_nvme());
 //! let mut clock = ThreadClock::new(Arc::new(GlobalClock::new()));
 //!
-//! // Write a block, then read it back.
-//! device.write_blocks(&mut clock, 7, &[vec![0xAB; simstore::BLOCK_SIZE]], IoPriority::Blocking);
-//! let data = device.read_blocks(&mut clock, 7, 1, IoPriority::Blocking);
-//! assert!(data[0].iter().all(|&b| b == 0xAB));
+//! // Charge a one-block write and store its bytes, then charge the read
+//! // and read them back: time and content are separate calls.
+//! device.charge_write(&mut clock, 1, IoPriority::Blocking);
+//! device.store().write_block(7, &[0xAB; simstore::BLOCK_SIZE]);
+//! device.charge_read(&mut clock, 1, IoPriority::Blocking);
+//! assert!(device.store().read_block_vec(7).iter().all(|&b| b == 0xAB));
+//! assert!(clock.now() > 0);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -43,7 +46,7 @@ pub use config::DeviceConfig;
 pub use device::{Device, DeviceStats, IoPriority};
 pub use fault::{DeviceError, FaultPlan};
 pub use store::SparseStore;
-pub use tiered::{Tier, TierStats, TieredStore, PLACEMENT_WORD_BLOCKS};
+pub use tiered::{Tier, TierStats, TieredStore, WriteNote, PLACEMENT_WORD_BLOCKS};
 
 /// Bytes per device block (and per OS page): 4 KiB.
 pub const BLOCK_SIZE: usize = 4096;

@@ -95,16 +95,6 @@ impl SparseStore {
         read(&block)
     }
 
-    /// Reads one block into `out`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out` is not exactly [`BLOCK_SIZE`] bytes.
-    pub fn read_block(&self, pblock: u64, out: &mut [u8]) {
-        assert_eq!(out.len(), BLOCK_SIZE, "read buffer must be one block");
-        self.with_block(pblock, |data| out.copy_from_slice(data));
-    }
-
     /// Reads one block, allocating.
     pub fn read_block_vec(&self, pblock: u64) -> Vec<u8> {
         self.with_block(pblock, <[u8]>::to_vec)
@@ -360,14 +350,6 @@ mod tests {
         to.write_partial(30, 0, b"own");
         assert!(!from.copy_block(30, &to));
         assert_eq!(&to.read_block_vec(30)[..3], b"own");
-    }
-
-    #[test]
-    #[should_panic(expected = "one block")]
-    fn read_rejects_short_buffer() {
-        let store = SparseStore::new();
-        let mut short = vec![0u8; 16];
-        store.read_block(0, &mut short);
     }
 
     #[test]

@@ -16,10 +16,20 @@
 //! write to a local block drops the remote reference, so the local copy is
 //! the only one and is written in place; demotion hands a modified block's
 //! reference back and drops a clean one. The invariant, kept by
-//! [`TieredStore::note_range_written`] under the placement lock: *a block
+//! [`TieredStore::with_written_runs`] under the placement lock: *a block
 //! whose placement word reads local and modified has no bytes in the
 //! remote store.* Only the virtual model moves data; the host moves
 //! references.
+//!
+//! One rule keeps the bytes where the bits say they are: *the file's
+//! placement guard is held from routing a run to touching its bytes, and a
+//! tier move changes bits and bytes under one guard.* The byte path routes
+//! and copies inside [`TieredStore::with_runs`] /
+//! [`TieredStore::with_written_runs`]; promotion and demotion share or
+//! hand back references and flip bits under the guard, and charge their
+//! devices outside it. Lock order is placement guard → file-system block
+//! map → store shard: no path takes a placement guard while it holds a
+//! block-map or shard lock.
 //!
 //! Placement bookkeeping is word-granular (64 blocks per word, matching the
 //! page-cache reclaim LRU) with three bits per block — placed-local,
@@ -34,6 +44,7 @@
 //! the stack.
 
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -103,6 +114,10 @@ fn set_blocks(word: u64, bits: u64) -> impl Iterator<Item = u64> {
     let base = word * PLACEMENT_WORD_BLOCKS;
     set_runs(bits).flat_map(move |(b0, b1)| base + b0..base + b1)
 }
+
+/// A write's note for [`TieredStore::with_written_runs`]: its virtual
+/// time and the `(file, lblock)` → physical block resolver.
+pub type WriteNote<'a> = (u64, &'a dyn Fn(u64, u64) -> u64);
 
 /// A local+remote device pair behind one block interface.
 #[derive(Debug)]
@@ -186,27 +201,82 @@ impl TieredStore {
         }
     }
 
-    /// Splits `[lstart, lstart+count)` into maximal same-tier runs of
-    /// `(start, count, tier)`.
-    pub fn split_runs(&self, file: u64, lstart: u64, count: u64) -> Vec<(u64, u64, Tier)> {
-        let mut runs: Vec<(u64, u64, Tier)> = Vec::new();
+    /// Visits `[lstart, lstart+count)` as maximal same-tier runs
+    /// `visit(start, count, tier)` in logical order, stopping at the first
+    /// error, with the file's placement guard held across every visit: a
+    /// visit that touches a run's bytes finds them on the tier it was
+    /// routed to.
+    pub fn with_runs<E>(
+        &self,
+        file: u64,
+        lstart: u64,
+        count: u64,
+        visit: impl FnMut(u64, u64, Tier) -> Result<(), E>,
+    ) -> Result<(), E> {
+        self.with_written_runs(file, lstart, count, None, visit)
+    }
+
+    /// [`TieredStore::with_runs`] for a write: with `written` set, each
+    /// word is first marked as [`TieredStore::note_range_written`]
+    /// describes, in the same guard and the same word walk, so the bytes
+    /// a visit stores land where the marks say they are.
+    pub fn with_written_runs<E>(
+        &self,
+        file: u64,
+        lstart: u64,
+        count: u64,
+        written: Option<WriteNote<'_>>,
+        mut visit: impl FnMut(u64, u64, Tier) -> Result<(), E>,
+    ) -> Result<(), E> {
         if count == 0 {
-            return runs;
+            return Ok(());
         }
         let placement = self.placement(file);
-        let guard = placement.lock();
-        for (w, mask) in word_spans(lstart, lstart + count) {
-            let word = w as u64;
-            let local = guard.words.get(&word).map_or(0, |tw| tw.local);
+        let mut guard = placement.lock();
+        let mut open: Option<(u64, u64, Tier)> = None;
+        for (word, mask) in word_spans(lstart, lstart + count) {
+            let word = word as u64;
+            let local = match guard.words.get_mut(&word) {
+                Some(w) => {
+                    let hit = w.local & mask;
+                    if let Some((now, map_block)) = written.filter(|_| hit != 0) {
+                        for lblock in set_blocks(word, hit & !w.modified) {
+                            self.remote.store().discard(map_block(file, lblock));
+                        }
+                        w.modified |= hit;
+                        w.unread &= !hit;
+                        w.touch_ns = w.touch_ns.max(now);
+                    }
+                    w.local
+                }
+                None => 0,
+            };
             for (b0, b1, is_local) in bit_runs(local, mask) {
                 let start = word * PLACEMENT_WORD_BLOCKS + b0;
                 let tier = if is_local { Tier::Local } else { Tier::Remote };
-                match runs.last_mut() {
+                match &mut open {
                     Some((s, c, t)) if *t == tier && *s + *c == start => *c += b1 - b0,
-                    _ => runs.push((start, b1 - b0, tier)),
+                    _ => {
+                        if let Some((s, c, t)) = open.replace((start, b1 - b0, tier)) {
+                            visit(s, c, t)?;
+                        }
+                    }
                 }
             }
         }
+        open.map_or(Ok(()), |(s, c, t)| visit(s, c, t))
+    }
+
+    /// Splits `[lstart, lstart+count)` into maximal same-tier runs of
+    /// `(start, count, tier)`: [`TieredStore::with_runs`], collected. The
+    /// runs can go stale once the guard is released, so a caller that
+    /// touches bytes routes inside `with_runs` instead.
+    pub fn split_runs(&self, file: u64, lstart: u64, count: u64) -> Vec<(u64, u64, Tier)> {
+        let mut runs = Vec::new();
+        let Ok(()) = self.with_runs(file, lstart, count, |s, c, t| {
+            runs.push((s, c, t));
+            Ok::<_, Infallible>(())
+        });
         runs
     }
 
@@ -240,14 +310,14 @@ impl TieredStore {
     }
 
     /// Records a write to `[lstart, lstart+count)` under one placement
-    /// lock, before its bytes land: every local-placed block in it is
-    /// marked locally-modified (demotion must copy it back), stops counting
-    /// as promoted-unread, and stamps its word's touch clock. A block that
-    /// turns modified here also drops its remote bytes (physical block
-    /// `map_block(file, lblock)`), so the write finds the local copy
-    /// unshared and the invariant in the module docs holds. Remote-placed
-    /// blocks need no bookkeeping — their bytes land on the remote tier
-    /// directly.
+    /// lock — the marking step of [`TieredStore::with_written_runs`]
+    /// alone: every local-placed block in it is marked locally-modified
+    /// (demotion must copy it back), stops counting as promoted-unread, and
+    /// stamps its word's touch clock. A block that turns modified here also
+    /// drops its remote bytes (physical block `map_block(file, lblock)`),
+    /// so the write finds the local copy unshared and the invariant in the
+    /// module docs holds. Remote-placed blocks need no bookkeeping — their
+    /// bytes land on the remote tier directly.
     pub fn note_range_written(
         &self,
         file: u64,
@@ -256,25 +326,10 @@ impl TieredStore {
         now: u64,
         map_block: &dyn Fn(u64, u64) -> u64,
     ) {
-        if count == 0 {
-            return;
-        }
-        let placement = self.placement(file);
-        let mut guard = placement.lock();
-        for (word, mask) in word_spans(lstart, lstart + count) {
-            let word = word as u64;
-            if let Some(w) = guard.words.get_mut(&word) {
-                let written = w.local & mask;
-                if written != 0 {
-                    for lblock in set_blocks(word, written & !w.modified) {
-                        self.remote.store().discard(map_block(file, lblock));
-                    }
-                    w.modified |= written;
-                    w.unread &= !written;
-                    w.touch_ns = w.touch_ns.max(now);
-                }
-            }
-        }
+        let written = Some((now, map_block));
+        let Ok(()) = self.with_written_runs(file, lstart, count, written, |_, _, _| {
+            Ok::<_, Infallible>(())
+        });
     }
 
     /// The `(local, modified)` bits of placement word `word` of `file` —
@@ -292,10 +347,11 @@ impl TieredStore {
     /// Promotes one wholly-remote logical run (from
     /// [`TieredStore::remote_runs`]) to the local tier: charges a
     /// prefetch-class read on the remote device (fallible — the remote
-    /// tier's fault plan draws here), shares any explicitly-written remote
-    /// content with the local store, charges a background local write, and
-    /// only then flips the placement bits. On `Err` the placement map is
-    /// untouched.
+    /// tier's fault plan draws here) and a background local write, then,
+    /// under one placement guard, shares any explicitly-written remote
+    /// content with the local store and flips the placement bits. A write
+    /// to the run lands either before the share (and is shared) or after
+    /// the flip (and lands local). On `Err` the placement map is untouched.
     ///
     /// `phys_runs` are the physical `(pstart, blocks)` extents covering the
     /// run, in order; their lengths must sum to `count`.
@@ -319,6 +375,11 @@ impl TieredStore {
             self.stats.promotion_faults.incr();
             return Err(err);
         }
+        self.local.charge_write(clock, count, IoPriority::Prefetch);
+
+        let now = clock.now();
+        let placement = self.placement(file);
+        let mut guard = placement.lock();
         // Share real bytes: synthetic blocks read identically on both
         // devices, so only explicitly-written content moves, and it moves
         // as a reference.
@@ -327,11 +388,6 @@ impl TieredStore {
                 self.remote.store().copy_block(pblock, self.local.store());
             }
         }
-        self.local.charge_write(clock, count, IoPriority::Prefetch);
-
-        let now = clock.now();
-        let placement = self.placement(file);
-        let mut guard = placement.lock();
         let mut newly = 0u64;
         for (word, mask) in word_spans(lstart, lstart + count) {
             let w = guard.words.entry(word as u64).or_default();
@@ -407,15 +463,14 @@ impl TieredStore {
         freed
     }
 
-    /// Demotes every local block of one word. Modified blocks hand their
-    /// bytes back to the remote store and are charged as one background
-    /// remote write; clean blocks drop for free (the remote store still
-    /// holds their bytes). Returns blocks demoted.
-    ///
-    /// Known window: the placement bits flip before the bytes move back,
-    /// so between the two a reader of a modified block routes to the
-    /// remote store and reads its synthetic pattern, and a writer's bytes
-    /// land remote and are then overwritten by the hand-back.
+    /// Demotes every local block of one word under one placement guard:
+    /// clears its bits, hands modified blocks' bytes back to the remote
+    /// store and drops the local copies, so a reader or writer routed
+    /// before the move finds the bytes where it was routed and one routed
+    /// after finds them remote. Clean blocks drop for free (the remote
+    /// store still holds their bytes); modified ones are charged as one
+    /// background remote write after the guard is released. Returns blocks
+    /// demoted.
     fn demote_word(
         &self,
         clock: &mut ThreadClock,
@@ -429,23 +484,24 @@ impl TieredStore {
             let Some(w) = guard.words.get_mut(&word) else {
                 return 0;
             };
-            let snap = (w.local, w.modified & w.local, w.unread & w.local);
+            let (local, modified) = (w.local, w.modified & w.local);
+            let unread = w.unread & local;
             w.local = 0;
             w.modified = 0;
             w.unread = 0;
-            snap
+            for lblock in set_blocks(word, modified) {
+                self.local
+                    .store()
+                    .copy_block(map_block(file, lblock), self.remote.store());
+            }
+            for lblock in set_blocks(word, local) {
+                self.local.store().discard(map_block(file, lblock));
+            }
+            (local, modified, unread)
         };
         let demoted = local.count_ones() as u64;
         if demoted == 0 {
             return 0;
-        }
-        for lblock in set_blocks(word, modified) {
-            self.local
-                .store()
-                .copy_block(map_block(file, lblock), self.remote.store());
-        }
-        for lblock in set_blocks(word, local) {
-            self.local.store().discard(map_block(file, lblock));
         }
         let dirty = modified.count_ones() as u64;
         if dirty > 0 {

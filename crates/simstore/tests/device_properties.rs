@@ -111,12 +111,13 @@ proptest! {
         let mut c = clock();
         let mut expected = std::collections::HashMap::new();
         for (block, fill) in writes {
-            device.write_blocks(&mut c, block, &[vec![fill; BLOCK_SIZE]], IoPriority::Blocking);
+            device.charge_write(&mut c, 1, IoPriority::Blocking);
+            device.store().write_block(block, &[fill; BLOCK_SIZE]);
             expected.insert(block, fill);
         }
         for (block, fill) in expected {
-            let data = device.read_blocks(&mut c, block, 1, IoPriority::Blocking);
-            prop_assert!(data[0].iter().all(|&b| b == fill));
+            device.charge_read(&mut c, 1, IoPriority::Blocking);
+            prop_assert!(device.store().read_block_vec(block).iter().all(|&b| b == fill));
         }
     }
 
@@ -126,7 +127,7 @@ proptest! {
         let mut shadow = simstore::synthetic_block(7);
         for (offset, data) in &parts {
             let offset = (*offset).min(BLOCK_SIZE - data.len());
-            device.store_partial(7, offset, data);
+            device.store().write_partial(7, offset, data);
             shadow[offset..offset + data.len()].copy_from_slice(data);
         }
         prop_assert_eq!(device.store().read_block_vec(7), shadow);
