@@ -19,18 +19,19 @@
 //! histograms ([`crate::metrics::PipelineStage`]) — the attach points for
 //! latency accounting and tracing.
 //!
-//! Fallibility is a type parameter, not a runtime flag: the demand fill
-//! is generic over [`FillMode`], whose infallible instantiation has an
-//! uninhabited error type. Both public entry points share one pipeline
-//! implementation, and the infallible one discharges the `Result`
-//! statically (`match err {}`) — there is no dynamic "this cannot fail"
-//! assertion anywhere on the path.
+//! Fallibility is a type parameter, not a runtime flag: the pipeline is
+//! generic over the OS's own fault discipline, [`simos::FaultMode`], and
+//! hands it straight to the syscalls it makes (`read_charge_as`,
+//! `write_charge_as`, `read_batch`). Under `NeverFault` the error type is
+//! uninhabited, so the infallible `CpFile` methods discharge the `Result`
+//! statically ([`simos::into_ok`]) — there is no dynamic "this cannot
+//! fail" assertion anywhere on the path.
 
 use std::sync::atomic::Ordering;
 
 use predict::{AccessPattern, Direction, Prediction, PredictionEngine, PrefetchDecision};
 use simclock::ThreadClock;
-use simos::{IoError, Os, RaBatchCompletion, RaBatchEntry, ReadBatchEntry, ReadOutcome, PAGE_SIZE};
+use simos::{FaultMode, ReadOutcome, PAGE_SIZE};
 
 use crate::metrics::{PipelineStage, ReadClass};
 use crate::policy::PostReadHook;
@@ -46,136 +47,6 @@ const STALE_RESYNC_PAGES: u64 = 128;
 
 /// Reads between fincore polls in FincoreApp mode.
 const FINCORE_POLL_INTERVAL: u64 = 32;
-
-/// One ring crossing's result: the demand read's own outcome and the
-/// completions of the riders it carried.
-pub(crate) type RingCrossing<E> = (Result<ReadOutcome, E>, Vec<RaBatchCompletion>);
-
-/// How the demand-fill stage performs its OS read.
-///
-/// The fallible instantiation consults the device fault plan and can
-/// surface `EIO`; the infallible one uses the non-faulting OS surface
-/// and its error type is uninhabited, so `Result<_, Self::Error>`
-/// collapses at compile time.
-pub(crate) trait FillMode {
-    /// Error the fill can produce ([`std::convert::Infallible`] for the
-    /// non-faulting surface).
-    type Error;
-
-    /// Charges the demand read against the OS.
-    fn fill(
-        file: &CpFile,
-        clock: &mut ThreadClock,
-        offset: u64,
-        len: u64,
-    ) -> Result<ReadOutcome, Self::Error>;
-
-    /// Submits one demand read plus its riders as a single vectored ring
-    /// crossing ([`CpFile::ring_fill`] drives it). The outer
-    /// error is the kernel rejecting the crossing outright.
-    fn ring_cross(
-        os: &Os,
-        clock: &mut ThreadClock,
-        demand: ReadBatchEntry,
-        riders: &[RaBatchEntry],
-    ) -> Result<RingCrossing<Self::Error>, IoError>;
-
-    /// Charges a write; the read-modify-write head/tail demand reads use
-    /// the same fault surface as `fill`.
-    fn write_fill(
-        file: &CpFile,
-        clock: &mut ThreadClock,
-        offset: u64,
-        len: u64,
-    ) -> Result<u64, Self::Error>;
-}
-
-/// Fill through the non-faulting OS surface; cannot fail.
-pub(crate) struct NeverFails;
-
-impl FillMode for NeverFails {
-    type Error = std::convert::Infallible;
-
-    fn fill(
-        file: &CpFile,
-        clock: &mut ThreadClock,
-        offset: u64,
-        len: u64,
-    ) -> Result<ReadOutcome, Self::Error> {
-        Ok(file
-            .runtime
-            .inner
-            .os
-            .read_charge(clock, file.fd, offset, len))
-    }
-
-    fn ring_cross(
-        os: &Os,
-        clock: &mut ThreadClock,
-        demand: ReadBatchEntry,
-        riders: &[RaBatchEntry],
-    ) -> Result<RingCrossing<Self::Error>, IoError> {
-        let (mut outcomes, completions) = os.read_batch(clock, &[demand], riders)?;
-        Ok((Ok(outcomes.pop().unwrap_or_default()), completions))
-    }
-
-    fn write_fill(
-        file: &CpFile,
-        clock: &mut ThreadClock,
-        offset: u64,
-        len: u64,
-    ) -> Result<u64, Self::Error> {
-        Ok(file
-            .runtime
-            .inner
-            .os
-            .write_charge(clock, file.fd, offset, len))
-    }
-}
-
-/// Fill through the fallible OS surface; injected faults surface.
-pub(crate) struct MayFail;
-
-impl FillMode for MayFail {
-    type Error = IoError;
-
-    fn fill(
-        file: &CpFile,
-        clock: &mut ThreadClock,
-        offset: u64,
-        len: u64,
-    ) -> Result<ReadOutcome, Self::Error> {
-        file.runtime
-            .inner
-            .os
-            .try_read_charge(clock, file.fd, offset, len)
-    }
-
-    fn ring_cross(
-        os: &Os,
-        clock: &mut ThreadClock,
-        demand: ReadBatchEntry,
-        riders: &[RaBatchEntry],
-    ) -> Result<RingCrossing<Self::Error>, IoError> {
-        let (mut outcomes, completions) = os.try_read_batch(clock, &[demand], riders)?;
-        Ok((
-            outcomes.pop().unwrap_or(Ok(ReadOutcome::default())),
-            completions,
-        ))
-    }
-
-    fn write_fill(
-        file: &CpFile,
-        clock: &mut ThreadClock,
-        offset: u64,
-        len: u64,
-    ) -> Result<u64, Self::Error> {
-        file.runtime
-            .inner
-            .os
-            .try_write_charge(clock, file.fd, offset, len)
-    }
-}
 
 /// Per-access pipeline state, built by the classify stage and threaded
 /// through every later stage.
@@ -235,74 +106,25 @@ impl ReadCtx {
 }
 
 impl CpFile {
-    /// Infallible pipeline entry point: reads (or writes, when `is_write`)
-    /// through the non-faulting OS surface. Returns the outcome and the
-    /// pages spanned (0 on the passthrough route, matching the historic
-    /// contract).
-    pub(crate) fn pipeline_read(
+    /// The pipeline, under fault discipline `F` (the four `CpFile` charge
+    /// methods pick it). Exactly one of the two routes runs: passthrough
+    /// (no CROSS-LIB machinery) or the full staged sequence. Under
+    /// [`MayFault`](simos::MayFault) an injected EIO in a demand-class
+    /// read (a read's fill, a write's RMW head/tail) surfaces; a write
+    /// that faulted dirtied nothing.
+    pub(crate) fn run_pipeline<F: FaultMode>(
         &self,
         clock: &mut ThreadClock,
         offset: u64,
         len: u64,
         is_write: bool,
-    ) -> (ReadOutcome, u64) {
-        match self.run_pipeline::<NeverFails>(clock, offset, len, is_write) {
-            Ok(result) => result,
-            // Uninhabited: NeverFails::Error is Infallible, so this arm
-            // is dead code the compiler can prove — no runtime assertion.
-            Err(err) => match err {},
-        }
-    }
-
-    /// Fallible pipeline entry point (reads only): the demand fill goes
-    /// through the fallible OS surface, so an injected transient device
-    /// error surfaces to the workload instead of being absorbed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`IoError::Io`] when the device fault plan injects an EIO
-    /// into a demand-class read.
-    pub(crate) fn pipeline_try_read(
-        &self,
-        clock: &mut ThreadClock,
-        offset: u64,
-        len: u64,
-    ) -> Result<(ReadOutcome, u64), IoError> {
-        self.run_pipeline::<MayFail>(clock, offset, len, false)
-    }
-
-    /// Fallible pipeline entry point for writes: the read-modify-write
-    /// head/tail demand reads go through the fallible OS surface. On a
-    /// surfaced fault nothing is dirtied; a retry redoes the whole write.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`IoError::Io`] when the device fault plan injects an EIO
-    /// into the RMW demand reads.
-    pub(crate) fn pipeline_try_write(
-        &self,
-        clock: &mut ThreadClock,
-        offset: u64,
-        len: u64,
-    ) -> Result<(ReadOutcome, u64), IoError> {
-        self.run_pipeline::<MayFail>(clock, offset, len, true)
-    }
-
-    /// The shared pipeline body. Exactly one of the two routes runs:
-    /// passthrough (no CROSS-LIB machinery) or the full staged sequence.
-    fn run_pipeline<F: FillMode>(
-        &self,
-        clock: &mut ThreadClock,
-        offset: u64,
-        len: u64,
-        is_write: bool,
-    ) -> Result<(ReadOutcome, u64), F::Error> {
+    ) -> Result<ReadOutcome, F::Error> {
         let mut ctx = self.stage_classify(clock, offset, len, is_write);
 
         if !self.runtime.inner.policy.intercept {
             let outcome = self.stage_demand_fill::<F>(clock, &mut ctx)?;
             self.stage_account_passthrough(clock, &mut ctx, &outcome);
-            return Ok((outcome, 0));
+            return Ok(outcome);
         }
 
         self.stage_predict(clock, &mut ctx);
@@ -310,8 +132,7 @@ impl CpFile {
         self.stage_cache_probe(clock, &mut ctx);
         let outcome = self.stage_demand_fill::<F>(clock, &mut ctx)?;
         self.stage_account(clock, &mut ctx, &outcome);
-        let pages = ctx.pages;
-        Ok((outcome, pages))
+        Ok(outcome)
     }
 
     /// Stage 1 — classify: entry bookkeeping. Counts the access, does the
@@ -492,17 +313,19 @@ impl CpFile {
     /// pipeline stops here: pages the fill completed stay cached OS-side
     /// and the user-level view is left unmarked, so a retry re-checks
     /// honestly and reads only what is still missing.
-    fn stage_demand_fill<F: FillMode>(
+    fn stage_demand_fill<F: FaultMode>(
         &self,
         clock: &mut ThreadClock,
         ctx: &mut ReadCtx,
     ) -> Result<ReadOutcome, F::Error> {
         let inner = &self.runtime.inner;
+        let os = &inner.os;
         let filled = if ctx.is_write {
-            F::write_fill(self, clock, ctx.offset, ctx.len).map(|written| ReadOutcome {
-                bytes: written,
-                ..ReadOutcome::default()
-            })
+            os.write_charge_as::<F>(clock, self.fd, ctx.offset, ctx.len)
+                .map(|written| ReadOutcome {
+                    bytes: written,
+                    ..ReadOutcome::default()
+                })
         } else {
             let ring = inner.policy.ring && !inner.degraded.load(Ordering::Relaxed);
             let mut absorbed = None;
@@ -513,7 +336,7 @@ impl CpFile {
             // disagrees with the claim or a demand fetch would beat
             // waiting on in-flight prefetch.
             if ring && ctx.pages > 0 && ctx.claimed == ctx.pages {
-                absorbed = inner.os.absorb_read(clock, self.fd, ctx.offset, ctx.len);
+                absorbed = os.absorb_read(clock, self.fd, ctx.offset, ctx.len);
                 if absorbed.is_some() && self.take_preissued() {
                     inner.stats.ring_spec_absorbed.incr();
                 }
@@ -531,7 +354,10 @@ impl CpFile {
                     if known_run.is_some() {
                         self.engine.lock().defer_known_run();
                     }
-                    no_crossing.map_or_else(|| F::fill(self, clock, ctx.offset, ctx.len), Ok)
+                    match no_crossing {
+                        Some(outcome) => Ok(outcome),
+                        None => os.read_charge_as::<F>(clock, self.fd, ctx.offset, ctx.len),
+                    }
                 }
             }
         };

@@ -4,7 +4,7 @@
 //!
 //! No runtime path stages into it. A planned run is either issued by a
 //! worker through `readahead_info` or rides the miss that starts it on the
-//! ring crossing (`Os::try_read_batch`, DESIGN §13). Its one user is the
+//! ring crossing (`Os::read_batch`, DESIGN §13). Its one user is the
 //! benchmark's host-cost probe (`benchmark/src/layers.rs::probe_ring`),
 //! which times `push` and `drain_due`.
 

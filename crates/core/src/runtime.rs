@@ -10,15 +10,15 @@ use predict::{
 };
 use simclock::ThreadClock;
 use simos::{
-    Advice, Fd, FsError, InodeId, IoError, MmapOutcome, Os, PrefetchQuality, RaBatchCompletion,
-    RaBatchEntry, RaInfoRequest, ReadBatchEntry, ReadOutcome, PAGE_SIZE,
+    into_ok, Advice, FaultMode, Fd, FsError, InodeId, IoError, MayFault, MmapOutcome, NeverFault,
+    Os, PrefetchQuality, RaBatchCompletion, RaBatchEntry, RaInfoRequest, ReadBatchEntry,
+    ReadOutcome, PAGE_SIZE,
 };
 
 use crate::config::{Features, Mode, RuntimeConfig};
 use crate::metrics::RuntimeMetrics;
 use crate::policy::{OpenAction, Policy};
 use crate::range_index::{BPlusRangeIndex, IndexStats, LockScope};
-use crate::read_path::FillMode;
 use crate::span::SpanKind;
 use crate::stats::LibStats;
 use crate::tenant::{AdmissionRung, TenantArbiter, TenantId, UNBOUND_TENANT};
@@ -1195,7 +1195,7 @@ impl CpFile {
 
     /// Reads `len` bytes at `offset`, timing only (no content).
     pub fn read_charge(&self, clock: &mut ThreadClock, offset: u64, len: u64) -> ReadOutcome {
-        self.pipeline_read(clock, offset, len, false).0
+        into_ok(self.run_pipeline::<NeverFault>(clock, offset, len, false))
     }
 
     /// Reads `len` bytes at `offset`, returning content.
@@ -1237,8 +1237,7 @@ impl CpFile {
         offset: u64,
         len: u64,
     ) -> Result<ReadOutcome, IoError> {
-        self.pipeline_try_read(clock, offset, len)
-            .map(|(outcome, _)| outcome)
+        self.run_pipeline::<MayFault>(clock, offset, len, false)
     }
 
     /// Fallible read returning content (see [`CpFile::try_read_charge`]).
@@ -1259,7 +1258,7 @@ impl CpFile {
 
     /// Writes `len` bytes at `offset`, timing only.
     pub fn write_charge(&self, clock: &mut ThreadClock, offset: u64, len: u64) -> u64 {
-        self.pipeline_read(clock, offset, len, true).0.bytes
+        into_ok(self.run_pipeline::<NeverFault>(clock, offset, len, true)).bytes
     }
 
     /// Writes content at `offset`.
@@ -1282,8 +1281,8 @@ impl CpFile {
         offset: u64,
         len: u64,
     ) -> Result<u64, IoError> {
-        self.pipeline_try_write(clock, offset, len)
-            .map(|(outcome, _)| outcome.bytes)
+        self.run_pipeline::<MayFault>(clock, offset, len, true)
+            .map(|outcome| outcome.bytes)
     }
 
     /// Fallible write with content (see [`CpFile::try_write_charge`]).
@@ -1374,7 +1373,7 @@ impl CpFile {
     /// ([`Runtime::retry_faulted_riders`]). An `Unsupported` kernel latches
     /// degradation, re-issues the riders through the blind path, and falls
     /// back to the plain read.
-    pub(crate) fn ring_fill<F: FillMode>(
+    pub(crate) fn ring_fill<F: FaultMode>(
         &self,
         clock: &mut ThreadClock,
         offset: u64,
@@ -1394,9 +1393,10 @@ impl CpFile {
             }
         }
         let entries = runtime.rider_entries(&riders);
-        let demand = ReadBatchEntry::new(self.fd, offset, len);
-        match F::ring_cross(&runtime.inner.os, clock, demand, &entries) {
-            Ok((outcome, completions)) => {
+        let demand = [ReadBatchEntry::new(self.fd, offset, len)];
+        let os = &runtime.inner.os;
+        match os.read_batch::<F>(clock, &demand, &entries) {
+            Ok((mut outcomes, completions)) => {
                 if completions.iter().all(|done| done.error.is_none()) {
                     let charged = completions.iter().map(|done| done.initiated_pages).sum();
                     runtime.inner.stats.ring_spec_pages_charged.add(charged);
@@ -1407,11 +1407,11 @@ impl CpFile {
                 } else {
                     runtime.retry_faulted_riders(clock, riders, completions);
                 }
-                outcome
+                outcomes.pop().unwrap_or(Ok(ReadOutcome::default()))
             }
             Err(_) => {
                 runtime.ring_degrade(clock, riders, self.file.ino);
-                F::fill(self, clock, offset, len)
+                os.read_charge_as::<F>(clock, self.fd, offset, len)
             }
         }
     }

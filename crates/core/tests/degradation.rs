@@ -8,8 +8,8 @@
 //! guarantee of an all-zero fault plan.
 
 use crossprefetch::{
-    Device, DeviceConfig, FaultPlan, FileSystem, FsKind, InodeId, Mode, Os, OsConfig, Runtime,
-    RuntimeConfig, RuntimeReport, TraceEventKind,
+    Device, DeviceConfig, FaultPlan, FileSystem, FsKind, InodeId, IoError, Mode, Os, OsConfig,
+    Runtime, RuntimeConfig, RuntimeReport, TraceEventKind,
 };
 use std::sync::Arc;
 
@@ -277,4 +277,50 @@ fn all_zero_fault_plan_is_bit_identical() {
         without, with_zero_plan,
         "an all-zero plan must not perturb virtual time or telemetry"
     );
+}
+
+/// The fault discipline is chosen per entry point, at compile time: under
+/// a plan that fails every demand and prefetch read, the infallible
+/// surface (`CpFile::read_charge` / `write_charge`, `Os::read_charge`,
+/// `read_batch::<NeverFault>`) completes without drawing a single fault,
+/// while the fallible one on the same setup surfaces the EIO.
+#[test]
+fn infallible_paths_never_draw_from_the_fault_plan() {
+    use simos::{into_ok, MayFault, NeverFault, ReadBatchEntry};
+    let plan = FaultPlan::seeded(11).with_read_eio(1.0);
+    let rt = Runtime::with_mode(boot_with_plan(256, plan), Mode::OsOnly);
+    let os = rt.os();
+    let mut clock = rt.new_clock();
+    let file = rt.create_sized(&mut clock, "/sure", 8 << 20).unwrap();
+    let fd = os.open(&mut clock, "/sure").unwrap();
+    let faults = || os.device().stats().injected_read_faults.get();
+
+    assert_eq!(file.read_charge(&mut clock, 0, 64 * 1024).miss_pages, 16);
+    // Unaligned and cold at both ends: the head and tail pages are RMW
+    // demand reads.
+    assert_eq!(file.write_charge(&mut clock, (1 << 20) + 100, 9000), 9000);
+    assert_eq!(
+        os.read_charge(&mut clock, fd, 2 << 20, 16 * 1024)
+            .miss_pages,
+        4
+    );
+    let demand = [ReadBatchEntry::new(fd, 3 << 20, 16 * 1024)];
+    let (outcomes, _) = os
+        .read_batch::<NeverFault>(&mut clock, &demand, &[])
+        .unwrap();
+    assert_eq!(into_ok(outcomes[0]).miss_pages, 4);
+    assert_eq!(faults(), 0, "an infallible path drew from the fault plan");
+
+    assert_eq!(
+        os.try_read_charge(&mut clock, fd, 4 << 20, 16 * 1024),
+        Err(IoError::Io)
+    );
+    assert_eq!(
+        file.try_read_charge(&mut clock, 5 << 20, 16 * 1024),
+        Err(IoError::Io)
+    );
+    let demand = [ReadBatchEntry::new(fd, 6 << 20, 16 * 1024)];
+    let (outcomes, _) = os.read_batch::<MayFault>(&mut clock, &demand, &[]).unwrap();
+    assert_eq!(outcomes[0], Err(IoError::Io));
+    assert!(faults() >= 3);
 }

@@ -40,10 +40,8 @@ pub struct RaInfoRequest {
     /// readahead cap; values are clamped to the CROSS-OS ceiling.
     pub limit_pages: Option<u64>,
     /// If set, only query state and export the bitmap; never start I/O.
+    /// The exported window is the one covering `offset..offset+len`.
     pub query_only: bool,
-    /// Page window `[start, end)` of the bitmap to export. `None` exports
-    /// the window covering `offset..offset+len`.
-    pub bitmap_window: Option<(u64, u64)>,
     /// Export granularity: one exported bit covers `2^bitmap_shift` pages
     /// (the artifact's `CROSS_BITMAP_SHIFT`). A coarse bit is set only
     /// when *every* page it covers is cached, so coarse views are
@@ -60,7 +58,6 @@ impl RaInfoRequest {
             len,
             limit_pages: None,
             query_only: false,
-            bitmap_window: None,
             bitmap_shift: 0,
         }
     }
@@ -214,19 +211,18 @@ impl Os {
         // Export the bitmap window, coarsened per the requested shift (one
         // exported bit per 2^shift pages; a coarse bit requires all its
         // pages present). Coarser exports copy proportionally fewer words.
-        let (w0, w1) = req.bitmap_window.unwrap_or((p0, p1.max(p0 + 1)));
-        let window_start = (w0 / PAGES_PER_WORD) * PAGES_PER_WORD;
+        // The window is the request's own range, at least one page wide.
+        let w1 = p1.max(p0 + 1);
+        let window_start = (p0 / PAGES_PER_WORD) * PAGES_PER_WORD;
         let bitmap = {
             let state = cache.state.read();
             if req.bitmap_shift == 0 {
-                state.snapshot_words(w0, w1.max(w0 + 1))
+                state.snapshot_words(p0, w1)
             } else {
-                coarsen_bitmap(&state, window_start, w1.max(w0 + 1), req.bitmap_shift)
+                coarsen_bitmap(&state, window_start, w1, req.bitmap_shift)
             }
         };
-        clock.advance(
-            costs.bitmap_copy_ns((w1.saturating_sub(w0).max(1)) >> req.bitmap_shift.min(16)),
-        );
+        clock.advance(costs.bitmap_copy_ns((w1 - p0) >> req.bitmap_shift.min(16)));
 
         self.emit(
             clock.now(),
@@ -420,7 +416,7 @@ impl Os {
     }
 }
 
-/// One rider of a ring crossing ([`Os::try_read_batch`]): a *known future
+/// One rider of a ring crossing ([`Os::read_batch`]): a *known future
 /// demand read* (Foreactor's explicit speculation) over a byte range of one
 /// descriptor, submitted with the read that blocks. A rider is charged
 /// after the crossing's demand entries, but on a clock detached at the
@@ -479,7 +475,7 @@ pub struct RaBatchCompletion {
     pub error: Option<IoError>,
 }
 
-/// One demand-read entry of a ring crossing ([`Os::try_read_batch`]): a
+/// One demand-read entry of a ring crossing ([`Os::read_batch`]): a
 /// `read(2)`-shaped request that crosses with the riders it carries.
 #[derive(Debug, Clone, Copy)]
 pub struct ReadBatchEntry {
@@ -515,9 +511,11 @@ impl Os {
     /// rider fills off the critical path ([`RaBatchEntry`]). Only one
     /// `syscall_ns` boundary charge is paid for the whole submission.
     ///
-    /// Demand entries never consult the fault plan (the infallible
-    /// discipline of [`Os::read_charge`]); rider device faults surface per
-    /// entry via [`RaBatchCompletion::error`].
+    /// Demand entries and riders run under fault discipline `F`: under
+    /// [`MayFault`] each demand outcome is its own `Result`
+    /// ([`Os::read_charge_as`] semantics) and a rider's device fault
+    /// surfaces in its [`RaBatchCompletion::error`]; under [`NeverFault`]
+    /// nothing consults the fault plan.
     ///
     /// # Errors
     ///
@@ -525,36 +523,7 @@ impl Os {
     /// ([`crate::OsConfig::readahead_info_supported`] is `false`): the
     /// whole submission is rejected after the one failed probe crossing
     /// and nothing runs.
-    pub fn read_batch(
-        &self,
-        clock: &mut ThreadClock,
-        demand: &[ReadBatchEntry],
-        riders: &[RaBatchEntry],
-    ) -> Result<(Vec<crate::os::ReadOutcome>, Vec<RaBatchCompletion>), IoError> {
-        self.read_batch_impl::<NeverFault>(clock, demand, riders)
-            .map(|(outcomes, completions)| {
-                (outcomes.into_iter().map(into_ok).collect(), completions)
-            })
-    }
-
-    /// Fallible variant of [`Os::read_batch`]: demand entries and riders
-    /// consult the fault plan ([`Os::try_read_charge`] semantics, per
-    /// entry), so each demand outcome is its own `Result`.
-    ///
-    /// # Errors
-    ///
-    /// [`IoError::Unsupported`] as for [`Os::read_batch`]. Transient
-    /// faults surface per demand entry and per rider.
-    pub fn try_read_batch(
-        &self,
-        clock: &mut ThreadClock,
-        demand: &[ReadBatchEntry],
-        riders: &[RaBatchEntry],
-    ) -> Result<ReadBatchResult<IoError>, IoError> {
-        self.read_batch_impl::<MayFault>(clock, demand, riders)
-    }
-
-    fn read_batch_impl<F: FaultMode>(
+    pub fn read_batch<F: FaultMode>(
         &self,
         clock: &mut ThreadClock,
         demand: &[ReadBatchEntry],
@@ -939,7 +908,7 @@ mod tests {
             })
             .collect();
         let (_, completions) = batched_os
-            .try_read_batch(&mut bclock, &[], &riders)
+            .read_batch::<MayFault>(&mut bclock, &[], &riders)
             .unwrap();
         let batched_pages: u64 = completions.iter().map(|c| c.initiated_pages).sum();
 
@@ -966,7 +935,7 @@ mod tests {
         let riders: Vec<RaBatchEntry> = (0..4)
             .map(|i| RaBatchEntry::new(fd, i * stride, 32 * PAGE_SIZE).with_limit_pages(32))
             .collect();
-        let (outcomes, completions) = os.try_read_batch(&mut clock, &[], &riders).unwrap();
+        let (outcomes, completions) = os.read_batch::<MayFault>(&mut clock, &[], &riders).unwrap();
         assert_eq!(os.stats().syscalls.get() - syscalls_before, 1);
         assert_eq!(os.stats().read_batch_calls.get(), 1);
         assert!(outcomes.is_empty());
@@ -989,12 +958,14 @@ mod tests {
             RaBatchEntry::new(fd, stride, 32 * PAGE_SIZE).with_limit_pages(32),
             RaBatchEntry::new(fd, 2 * stride, 32 * PAGE_SIZE).with_limit_pages(32),
         ];
-        let (outcomes, completions) = os.read_batch(&mut clock, &demand, &riders).unwrap();
+        let (outcomes, completions) = os
+            .read_batch::<NeverFault>(&mut clock, &demand, &riders)
+            .unwrap();
         assert_eq!(os.stats().syscalls.get() - syscalls_before, 1);
         assert_eq!(os.stats().read_batch_calls.get(), 1);
         assert_eq!(outcomes.len(), 1);
-        assert_eq!(outcomes[0].pages, 16);
-        assert_eq!(outcomes[0].miss_pages, 16);
+        assert_eq!(into_ok(outcomes[0]).pages, 16);
+        assert_eq!(into_ok(outcomes[0]).miss_pages, 16);
         assert_eq!(completions.len(), 2);
         assert!(completions.iter().all(|c| c.initiated_pages == 32));
         // The demand read is an ordinary `read` body: its pages are
@@ -1010,7 +981,9 @@ mod tests {
         // prefetch-class device request is made for it.
         let (os, fd, mut clock) = os_with_file(8 << 20);
         let rider = RaBatchEntry::new(fd, 0, 12 * PAGE_SIZE);
-        let (_, done) = os.try_read_batch(&mut clock, &[], &[rider]).unwrap();
+        let (_, done) = os
+            .read_batch::<MayFault>(&mut clock, &[], &[rider])
+            .unwrap();
         assert_eq!((done[0].initiated_pages, done[0].cached_pages), (12, 0));
         assert_eq!(os.stats().prefetched_pages.get(), 12);
         assert_eq!(os.device().stats().prefetch_requests.get(), 0);
@@ -1042,7 +1015,9 @@ mod tests {
             RaBatchEntry::new(fd, 0, 12 * PAGE_SIZE),
             RaBatchEntry::new(fd, (1 << 20) + 4 * PAGE_SIZE, 8 * PAGE_SIZE),
         ];
-        let (outcomes, done) = os.try_read_batch(&mut clock, &demand, &riders).unwrap();
+        let (outcomes, done) = os
+            .read_batch::<MayFault>(&mut clock, &demand, &riders)
+            .unwrap();
         assert_eq!(outcomes[0].as_ref().map(|o| o.hit_pages), Ok(4));
         assert_eq!(done[0].error, Some(IoError::Io));
         assert_eq!(done[0].initiated_pages, 0);
@@ -1071,7 +1046,7 @@ mod tests {
             RaBatchEntry::new(fd, 32 * PAGE_SIZE, 32 * PAGE_SIZE).with_limit_pages(32),
         ];
         // The call itself succeeds; each faulted rider surfaces per entry.
-        let (_, completions) = os.try_read_batch(&mut clock, &[], &riders).unwrap();
+        let (_, completions) = os.read_batch::<MayFault>(&mut clock, &[], &riders).unwrap();
         assert!(completions.iter().all(|c| c.error == Some(IoError::Io)));
         assert!(completions.iter().all(|c| c.initiated_pages == 0));
         // All-or-nothing per rider: nothing was inserted.
@@ -1094,7 +1069,7 @@ mod tests {
         let mut clock = os.new_clock();
         let fd = os.create_sized(&mut clock, "/f", 1 << 20).unwrap();
         let err = os
-            .try_read_batch(&mut clock, &[ReadBatchEntry::new(fd, 0, 4096)], &[])
+            .read_batch::<MayFault>(&mut clock, &[ReadBatchEntry::new(fd, 0, 4096)], &[])
             .unwrap_err();
         assert_eq!(err, IoError::Unsupported);
         assert_eq!(os.stats().ra_info_unsupported.get(), 1);
@@ -1116,7 +1091,9 @@ mod tests {
             RaBatchEntry::new(fd, 0, 8 * PAGE_SIZE),
             RaBatchEntry::new(fd, 1 << 19, 8 * PAGE_SIZE),
         ];
-        let err = os.try_read_batch(&mut clock, &[], &riders).unwrap_err();
+        let err = os
+            .read_batch::<MayFault>(&mut clock, &[], &riders)
+            .unwrap_err();
         assert_eq!(err, IoError::Unsupported);
         assert_eq!(os.stats().ra_info_unsupported.get(), 1);
         // No rider ran.

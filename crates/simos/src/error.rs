@@ -3,12 +3,15 @@
 use simstore::DeviceError;
 
 /// Errors surfaced by the `try_*` syscall variants ([`crate::Os::try_read_charge`],
-/// [`crate::Os::try_readahead`], [`crate::Os::try_readahead_info`]).
+/// [`crate::Os::try_readahead`], [`crate::Os::try_readahead_info`]) and by
+/// [`crate::Os::read_batch`].
 ///
-/// The infallible variants (`read_charge`, `readahead`, `readahead_info`) keep
-/// their historical never-fail contract: they never consult the device's
-/// transient-EIO schedule and ignore [`crate::OsConfig::readahead_info_supported`],
-/// so existing callers are byte-for-byte unaffected by the fault layer.
+/// It is the error type of the [`crate::MayFault`] discipline. The
+/// [`crate::NeverFault`] variants (`read_charge`, `write_charge`,
+/// `readahead`, `readahead_info`, `read_batch::<NeverFault>`) never consult
+/// the device's transient-EIO schedule: their error type is uninhabited.
+/// Of them, only `read_batch` checks
+/// [`crate::OsConfig::readahead_info_supported`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IoError {
     /// Transient I/O failure (an injected device EIO). Retrying draws a

@@ -62,7 +62,9 @@ pub use crossos::{
 };
 pub use error::IoError;
 pub use mmap::MmapOutcome;
-pub use os::{Advice, Fd, FdEntry, Os, ReadOutcome, PAGE_SIZE};
+pub use os::{
+    into_ok, Advice, FaultMode, Fd, FdEntry, MayFault, NeverFault, Os, ReadOutcome, PAGE_SIZE,
+};
 pub use stats::OsStats;
 pub use trace::{OsSpanKind, OsTraceEvent, OsTraceSink};
 

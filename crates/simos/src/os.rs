@@ -15,14 +15,16 @@ use crate::stats::OsStats;
 use crate::trace::{OsSpanKind, OsTraceEvent, OsTraceSink};
 use crate::OsConfig;
 
-/// Compile-time fault discipline of the shared read/prefetch pipelines.
+/// Compile-time fault discipline of the read, write and prefetch paths,
+/// for both layers: the simulated kernel's syscalls and CROSS-LIB's read
+/// pipeline are generic over it.
 ///
-/// The fallible entry points instantiate the shared implementations with
-/// [`MayFault`] (device charges consult the fault plan and can surface an
-/// error); the infallible ones use [`NeverFault`], whose error type is
-/// uninhabited — the infallible adapters are statically fault-free
-/// instead of dynamically asserting `unreachable!()`.
-pub(crate) trait FaultMode {
+/// [`MayFault`] consults the device fault plan and can surface an
+/// [`IoError`]; [`NeverFault`] never does, and its error type is
+/// uninhabited, so an infallible caller discharges the `Result` with
+/// [`into_ok`] instead of dynamically asserting `unreachable!()`. Sealed:
+/// these two are the only disciplines.
+pub trait FaultMode: sealed::Sealed {
     /// Error a device charge can surface; uninhabited for [`NeverFault`].
     type Error;
 
@@ -35,8 +37,15 @@ pub(crate) trait FaultMode {
     ) -> Result<(), Self::Error>;
 }
 
+mod sealed {
+    /// Keeps [`super::FaultMode`] closed to the two disciplines here.
+    pub trait Sealed {}
+    impl Sealed for super::MayFault {}
+    impl Sealed for super::NeverFault {}
+}
+
 /// Fault discipline of the `try_*` surface: consults the fault plan.
-pub(crate) struct MayFault;
+pub struct MayFault;
 
 impl FaultMode for MayFault {
     type Error = IoError;
@@ -56,7 +65,7 @@ impl FaultMode for MayFault {
 /// Fault discipline of the infallible surface: never consults the fault
 /// plan, so its error type has no values and error arms vanish at
 /// compile time.
-pub(crate) struct NeverFault;
+pub struct NeverFault;
 
 impl FaultMode for NeverFault {
     type Error = std::convert::Infallible;
@@ -72,8 +81,9 @@ impl FaultMode for NeverFault {
     }
 }
 
-/// Collapses an infallible `Result` without a runtime assertion.
-pub(crate) fn into_ok<T>(result: Result<T, std::convert::Infallible>) -> T {
+/// Collapses an infallible (`NeverFault`) `Result` without a runtime
+/// assertion.
+pub fn into_ok<T>(result: Result<T, std::convert::Infallible>) -> T {
     match result {
         Ok(value) => value,
         Err(err) => match err {},
@@ -545,16 +555,11 @@ impl Os {
 
     // ----- read path ------------------------------------------------------
 
-    /// Reads `len` bytes at `offset`, returning content.
-    pub fn read(&self, clock: &mut ThreadClock, fd: Fd, offset: u64, len: u64) -> Vec<u8> {
-        let outcome = self.read_charge(clock, fd, offset, len);
-        self.fetch_content_vec(self.fd_inode(fd), offset, outcome.bytes)
-    }
-
-    /// The charging half of the read path: identical timing and cache
-    /// behaviour to [`Os::read`], without materializing content. Workloads
-    /// that only measure use this. Never consults the fault plan's EIO
-    /// schedule (see [`IoError`]).
+    /// The charging half of the read path: cache walk, ready-wait, demand
+    /// fill and heuristic-readahead tail, timed, without materializing
+    /// content ([`Os::fetch_content_vec`] does that). Workloads that only
+    /// measure use this. Never consults the fault plan's EIO schedule
+    /// (see [`IoError`]).
     pub fn read_charge(
         &self,
         clock: &mut ThreadClock,
@@ -562,16 +567,11 @@ impl Os {
         offset: u64,
         len: u64,
     ) -> ReadOutcome {
-        into_ok(self.read_charge_impl::<NeverFault>(clock, fd, offset, len))
+        into_ok(self.read_charge_as::<NeverFault>(clock, fd, offset, len))
     }
 
-    /// Fallible variant of [`Os::read_charge`]. Failure semantics: runs of
-    /// missing pages are demand-filled front to back; on an injected fault
-    /// the runs already filled stay cached (and are inserted into the
-    /// tree), the faulted run and everything after it stay absent, and the
-    /// error surfaces to the caller — a retry re-reads only what is still
-    /// missing. The heuristic-readahead tail is best-effort: its prefetch
-    /// faults are swallowed, as kernel readahead never fails a `read(2)`.
+    /// Fallible variant of [`Os::read_charge`]:
+    /// [`Os::read_charge_as`]`::<MayFault>`.
     ///
     /// # Errors
     ///
@@ -584,10 +584,23 @@ impl Os {
         offset: u64,
         len: u64,
     ) -> Result<ReadOutcome, IoError> {
-        self.read_charge_impl::<MayFault>(clock, fd, offset, len)
+        self.read_charge_as::<MayFault>(clock, fd, offset, len)
     }
 
-    fn read_charge_impl<F: FaultMode>(
+    /// The read syscall under fault discipline `F`. Failure semantics
+    /// ([`MayFault`]): runs of missing pages are demand-filled front to
+    /// back; on an injected fault the runs already filled stay cached (and
+    /// are inserted into the tree), the faulted run and everything after
+    /// it stay absent, and the error surfaces to the caller — a retry
+    /// re-reads only what is still missing. The heuristic-readahead tail
+    /// is best-effort: its prefetch faults are swallowed, as kernel
+    /// readahead never fails a `read(2)`.
+    ///
+    /// # Errors
+    ///
+    /// Under [`MayFault`], [`IoError::Io`] when the fault plan injects an
+    /// EIO into the demand fill.
+    pub fn read_charge_as<F: FaultMode>(
         &self,
         clock: &mut ThreadClock,
         fd: Fd,
@@ -604,7 +617,7 @@ impl Os {
     /// classification, ready-wait, demand fill, and heuristic-readahead
     /// tail as [`Os::read_charge`], without the boundary-crossing charge
     /// or the `syscalls`/`reads` counters. The vectored
-    /// [`Os::try_read_batch`] runs each demand entry through this body
+    /// [`Os::read_batch`] runs each demand entry through this body
     /// after charging one shared crossing for the whole batch.
     pub(crate) fn read_charge_body<F: FaultMode>(
         &self,
@@ -902,23 +915,14 @@ impl Os {
 
     // ----- write path -----------------------------------------------------
 
-    /// Writes `data` at `offset` (content path).
-    pub fn write(&self, clock: &mut ThreadClock, fd: Fd, offset: u64, data: &[u8]) -> u64 {
-        let written = self.write_charge(clock, fd, offset, data.len() as u64);
-        self.store_content(self.fd_inode(fd), offset, data);
-        written
-    }
-
-    /// The charging half of the write path.
+    /// The charging half of the write path; [`Os::store_content`] lands
+    /// the bytes. Never consults the fault plan's EIO schedule.
     pub fn write_charge(&self, clock: &mut ThreadClock, fd: Fd, offset: u64, len: u64) -> u64 {
-        into_ok(self.write_charge_impl::<NeverFault>(clock, fd, offset, len))
+        into_ok(self.write_charge_as::<NeverFault>(clock, fd, offset, len))
     }
 
-    /// Fallible variant of [`Os::write_charge`]: the read-modify-write
-    /// head/tail demand reads consult the fault plan. On an injected fault
-    /// nothing is inserted or dirtied — a retry redoes the whole write.
-    /// The absorbed write itself never fails (write-back happens later,
-    /// off the caller's syscall).
+    /// Fallible variant of [`Os::write_charge`]:
+    /// [`Os::write_charge_as`]`::<MayFault>`.
     ///
     /// # Errors
     ///
@@ -931,10 +935,20 @@ impl Os {
         offset: u64,
         len: u64,
     ) -> Result<u64, IoError> {
-        self.write_charge_impl::<MayFault>(clock, fd, offset, len)
+        self.write_charge_as::<MayFault>(clock, fd, offset, len)
     }
 
-    fn write_charge_impl<F: FaultMode>(
+    /// The write syscall under fault discipline `F`: the read-modify-write
+    /// head/tail demand reads consult the fault plan under [`MayFault`].
+    /// On an injected fault nothing is inserted or dirtied — a retry
+    /// redoes the whole write. The absorbed write itself never fails
+    /// (write-back happens later, off the caller's syscall).
+    ///
+    /// # Errors
+    ///
+    /// Under [`MayFault`], [`IoError::Io`] when the fault plan injects an
+    /// EIO into the RMW demand read.
+    pub fn write_charge_as<F: FaultMode>(
         &self,
         clock: &mut ThreadClock,
         fd: Fd,

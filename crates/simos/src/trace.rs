@@ -49,7 +49,7 @@ pub enum OsTraceEvent {
         /// Pages actually freed.
         freed_pages: u64,
     },
-    /// One ring crossing ([`crate::Os::try_read_batch`]): demand reads and
+    /// One ring crossing ([`crate::Os::read_batch`]): demand reads and
     /// the known runs riding them submitted as a single vectored syscall.
     RingCrossing {
         /// Demand-read entries the crossing carried.

@@ -3,7 +3,8 @@
 //! accounting that Figure 6 and Table 1 are built on.
 
 use simos::{
-    Device, DeviceConfig, FileSystem, FsKind, Os, OsConfig, RaBatchEntry, RaInfoRequest, PAGE_SIZE,
+    Device, DeviceConfig, FileSystem, FsKind, MayFault, Os, OsConfig, RaBatchEntry, RaInfoRequest,
+    PAGE_SIZE,
 };
 use std::sync::Arc;
 
@@ -70,7 +71,8 @@ fn concurrent_demand_class_entries_never_double_fetch() {
                     let (offset, len) = (i * (2 << 20), 2 << 20);
                     if t % 2 == 0 {
                         let rider = RaBatchEntry::new(fd, offset, len).with_limit_pages(512);
-                        os.try_read_batch(&mut clock, &[], &[rider]).unwrap();
+                        os.read_batch::<MayFault>(&mut clock, &[], &[rider])
+                            .unwrap();
                     } else {
                         let req = RaInfoRequest::prefetch(offset, len).with_limit_pages(512);
                         os.try_readahead_info(&mut clock, fd, req).unwrap();

@@ -1,7 +1,8 @@
 //! Behavioural tests for the simulated OS: read/write paths, Linux-style
 //! readahead, fadvise semantics, fincore cost, reclaim under pressure.
 
-use simos::{Advice, Device, DeviceConfig, FileSystem, FsKind, Os, OsConfig, PAGE_SIZE};
+use simclock::ThreadClock;
+use simos::{Advice, Device, DeviceConfig, Fd, FileSystem, FsKind, Os, OsConfig, PAGE_SIZE};
 use std::sync::Arc;
 
 fn boot(memory_mb: u64) -> Arc<Os> {
@@ -103,14 +104,22 @@ fn fadvise_willneed_populates_and_dontneed_drops() {
     assert_eq!(os.mem().resident(), 0);
 }
 
+/// The content path: a write charge lands the bytes with `store_content`,
+/// a read charge fetches them with `fetch_content_vec`.
+fn write(os: &Os, clock: &mut ThreadClock, fd: Fd, offset: u64, data: &[u8]) {
+    os.write_charge(clock, fd, offset, data.len() as u64);
+    os.store_content(os.fd_inode(fd), offset, data);
+}
+
 #[test]
 fn write_then_read_round_trips_content() {
     let os = boot(256);
     let mut clock = os.new_clock();
     let fd = os.create(&mut clock, "/data").unwrap();
     let payload: Vec<u8> = (0..10_000u32).map(|i| (i % 251) as u8).collect();
-    os.write(&mut clock, fd, 3_000, &payload);
-    let back = os.read(&mut clock, fd, 3_000, payload.len() as u64);
+    write(&os, &mut clock, fd, 3_000, &payload);
+    let outcome = os.read_charge(&mut clock, fd, 3_000, payload.len() as u64);
+    let back = os.fetch_content_vec(os.fd_inode(fd), 3_000, outcome.bytes);
     assert_eq!(back, payload);
 }
 
@@ -119,9 +128,9 @@ fn write_extends_file_size() {
     let os = boot(256);
     let mut clock = os.new_clock();
     let fd = os.create(&mut clock, "/grow").unwrap();
-    os.write(&mut clock, fd, 0, &[1u8; 5000]);
+    write(&os, &mut clock, fd, 0, &[1u8; 5000]);
     assert_eq!(os.file_size(fd), 5000);
-    os.write(&mut clock, fd, 100_000, &[2u8; 100]);
+    write(&os, &mut clock, fd, 100_000, &[2u8; 100]);
     assert_eq!(os.file_size(fd), 100_100);
 }
 
@@ -130,7 +139,7 @@ fn fsync_waits_for_writeback() {
     let os = boot(256);
     let mut clock = os.new_clock();
     let fd = os.create(&mut clock, "/wal").unwrap();
-    os.write(&mut clock, fd, 0, &vec![0u8; 1 << 20]);
+    write(&os, &mut clock, fd, 0, &vec![0u8; 1 << 20]);
     let before = clock.now();
     os.fsync(&mut clock, fd);
     assert!(

@@ -3,15 +3,18 @@
 //!
 //! The device injects transient EIOs into prefetch- and demand-class
 //! reads plus periodic latency-spike windows, all derived from one seed —
-//! two runs with the same seed produce byte-identical telemetry, which CI
-//! uses as the determinism smoke test.
+//! two runs with the same seed produce byte-identical telemetry, so
+//! `cmp` against the same example built from another commit shows any
+//! behaviour change. CI runs it at seeds 42 and 1729 as a smoke test: the
+//! run asserts that every demand error the runtime counted
+//! (`read_errors`) surfaced to the workload.
 //!
 //! Run with:
 //! `cargo run --release --example fault_injection -- /tmp/faults.json [seed] [engine]`
 //!
 //! The optional third argument selects the prediction engine
-//! (`strided`, `correlation`, or `adaptive`; default `strided`), so the
-//! CI smoke can assert same-seed determinism once per engine.
+//! (`strided`, `correlation`, or `adaptive`; default `strided`), so a
+//! comparison can cover each engine.
 
 use crossprefetch::{
     Device, DeviceConfig, EngineKind, FaultPlan, FileSystem, FsKind, Mode, Os, OsConfig, Runtime,

@@ -1,5 +1,5 @@
 //! Batched prefetch submission on the one vectored crossing left: known
-//! runs riding a demand miss's ring crossing (`Os::try_read_batch`).
+//! runs riding a demand miss's ring crossing (`Os::read_batch`).
 //! Same-seed determinism with riders crossing and faulting, the prefetch
 //! submission crossings the riders save at parity, and a faulted rider's
 //! entry into the retry ladder.

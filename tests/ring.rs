@@ -263,7 +263,7 @@ fn a_faulted_rider_retries_off_the_readers_clock_and_the_books_balance() {
 /// while the remainder is in flight from the submission.
 #[test]
 fn a_demand_class_entry_never_delays_the_miss_it_rides_with() {
-    use simos::{RaBatchEntry, ReadBatchEntry, PAGE_SIZE};
+    use simos::{into_ok, NeverFault, RaBatchEntry, ReadBatchEntry, PAGE_SIZE};
     // One 4-page miss, crossing alone or with the 12 pages after it as a
     // rider.
     let cross = |ride: bool| {
@@ -274,8 +274,10 @@ fn a_demand_class_entry_never_delays_the_miss_it_rides_with() {
         let demand = [ReadBatchEntry::new(fd, 1 << 20, 4 * PAGE_SIZE)];
         let rider = RaBatchEntry::new(fd, (1 << 20) + 4 * PAGE_SIZE, 12 * PAGE_SIZE);
         let riders = if ride { vec![rider] } else { Vec::new() };
-        let (outcomes, completions) = os.read_batch(&mut clock, &demand, &riders).unwrap();
-        assert_eq!(outcomes[0].miss_pages, 4);
+        let (outcomes, completions) = os
+            .read_batch::<NeverFault>(&mut clock, &demand, &riders)
+            .unwrap();
+        assert_eq!(into_ok(outcomes[0]).miss_pages, 4);
         (os, fd, clock, start, completions)
     };
     let (_, _, alone, alone_start, _) = cross(false);
