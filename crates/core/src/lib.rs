@@ -8,8 +8,9 @@
 //! * a **shim** ([`CpFile`]) that transparently intercepts POSIX-style I/O;
 //! * a per-descriptor n-bit **access-pattern predictor** ([`Predictor`],
 //!   §4.6) driving exponential prefetch-window growth;
-//! * a concurrent **range index** with per-range locks and embedded
-//!   bitmaps ([`BPlusRangeIndex`], §4.5) as the user-level mirror of the
+//! * a concurrent **range index** with per-range locks over a directory
+//!   of 4 MiB regions, each holding its pages' presence bits
+//!   ([`BPlusRangeIndex`], §4.5), as the user-level mirror of the
 //!   kernel's per-inode cache-state bitmap ([`RangeTree`] is the flat
 //!   reference model the test suites check it against);
 //! * **background prefetch workers** ([`worker::WorkerPool`]) that issue

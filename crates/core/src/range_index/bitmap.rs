@@ -1,11 +1,12 @@
-//! Word-at-a-time page presence bitmap shared by both range indexes.
+//! Word-at-a-time page presence bitmap for the reference range tree.
 //!
 //! One bit per page, packed 64 pages to a `u64`. All range operations run
 //! on the word walk in [`simstore::wordwalk`] (shared with the OS cache
 //! state and the tier placement map) rather than bit-by-bit loops, so
 //! probing or marking a 4 MiB stripe touches 16 words instead of 1024
-//! bits. The flat [`RangeTree`] embeds one `PageBitmap` per fixed stride
-//! node; the B+ index embeds one per dynamically-sized leaf.
+//! bits. Only the flat [`RangeTree`] embeds a `PageBitmap`, one per fixed
+//! stride node; the B+ index keeps its bits as atomic words per region and
+//! shares this module's run collector with it.
 //!
 //! [`RangeTree`]: crate::range_tree::RangeTree
 
@@ -78,11 +79,8 @@ impl PageBitmap {
     }
 
     /// Extends `out` with the unset runs of local range `[start, end)`,
-    /// reported in absolute pages (`base` + local page).
-    ///
-    /// `open` carries an absolute run start across calls so a missing run
-    /// spanning two bitmaps (adjacent nodes or leaves) is reported once.
-    /// Words are split into runs of equal bits; no bit is visited alone.
+    /// reported in absolute pages (`base` + local page), carrying `open`
+    /// across calls like the free `collect_missing`.
     pub fn collect_missing(
         &self,
         start: u64,
@@ -91,37 +89,35 @@ impl PageBitmap {
         open: &mut Option<u64>,
         out: &mut Vec<(u64, u64)>,
     ) {
-        for (w, mask) in word_spans(start, end) {
-            for (b0, _, set) in bit_runs(self.word(w), mask) {
-                let at = base + w as u64 * WORD_BITS + b0;
-                if !set {
-                    // A missing run opens here unless one is already open.
-                    open.get_or_insert(at);
-                } else if let Some(s) = open.take() {
-                    out.push((s, at));
-                }
+        collect_missing(|w| self.word(w), start, end, base, open, out);
+    }
+}
+
+/// Extends `out` with the unset runs of bits `[start, end)` of the bitmap
+/// whose word `w` reads `word(w)`, reported in absolute pages (`base` +
+/// bit).
+///
+/// `open` carries an absolute run start across calls so a missing run
+/// spanning two bitmaps (adjacent nodes or regions) is reported once.
+/// Words are split into runs of equal bits; no bit is visited alone.
+pub(crate) fn collect_missing(
+    word: impl Fn(usize) -> u64,
+    start: u64,
+    end: u64,
+    base: u64,
+    open: &mut Option<u64>,
+    out: &mut Vec<(u64, u64)>,
+) {
+    for (w, mask) in word_spans(start, end) {
+        for (b0, _, set) in bit_runs(word(w), mask) {
+            let at = base + w as u64 * WORD_BITS + b0;
+            if !set {
+                // A missing run opens here unless one is already open.
+                open.get_or_insert(at);
+            } else if let Some(s) = open.take() {
+                out.push((s, at));
             }
         }
-    }
-
-    /// ORs `other` into `self` with `other`'s bit 0 landing at word
-    /// `word_offset` of `self` (leaf absorption: both sides are 64-aligned
-    /// to their word bases, so the copy is whole-word).
-    pub fn or_from(&mut self, other: &PageBitmap, word_offset: usize) {
-        if other.words.is_empty() {
-            return;
-        }
-        let need = word_offset + other.words.len();
-        if self.words.len() < need {
-            self.words.resize(need, 0);
-        }
-        let mut newly = 0u64;
-        for (i, &word) in other.words.iter().enumerate() {
-            let fresh = word & !self.words[word_offset + i];
-            self.words[word_offset + i] |= word;
-            newly += u64::from(fresh.count_ones());
-        }
-        self.resident += newly;
     }
 }
 
@@ -233,19 +229,6 @@ mod tests {
         b.collect_missing(0, 64, 64, &mut open, &mut out);
         assert_eq!(out, vec![(0, 69)]);
         assert_eq!(open, Some(74));
-    }
-
-    #[test]
-    fn or_from_merges_at_word_offset() {
-        let mut left = PageBitmap::new();
-        left.set_range(0, 10);
-        let mut right = PageBitmap::new();
-        right.set_range(2, 6); // absolute pages 130..134 at offset 2
-        left.or_from(&right, 2);
-        assert_eq!(left.resident(), 14);
-        assert!(left.contains_all(130, 134));
-        assert!(!left.is_set(129));
-        assert!(!left.is_set(134));
     }
 
     #[test]

@@ -1,27 +1,24 @@
-//! Range index: per-leaf bitmaps and locks behind an ordered routing map.
+//! Range index: per-leaf locks over a directory of 4 MiB regions.
 //!
 //! The paper's §4.5 structure: leaves cover dynamically split/merged page
-//! ranges (not fixed strides) and each embeds a [`PageBitmap`] behind its
-//! own lock. How a page number finds its leaf is not part of that
-//! contribution, so routing is std's `BTreeMap`, keyed by each leaf's
-//! first page.
+//! ranges (not fixed strides), each behind its own lock. How a page number
+//! finds its leaf is not part of that contribution, so routing is a hash
+//! directory keyed by [`NODE_PAGES`]-region. A region holds its pages'
+//! presence bits, as 16 atomic words, and the leaves whose first page lies
+//! in it, sorted. A leaf spans at most [`LEAF_SPAN_PAGES`] = `NODE_PAGES`,
+//! so only the previous region's last leaf can reach into a region from
+//! outside: a lookup is one hash probe plus a search of a short vector.
 //!
 //! # Concurrency (real machine)
 //!
-//! Structure and content are locked separately:
-//!
-//! * a short topology latch (`RwLock<BTreeMap>`) covers lookups and
-//!   split/merge restructuring;
-//! * each leaf's bitmap has its own lock; a writer takes it *after*
-//!   dropping the latch, so concurrent marks of different ranges never
-//!   serialize. Where both are held (probes, merges, the exclusive
-//!   fallback) the order is latch → bitmap lock, and nothing acquires
-//!   the latch while holding a bitmap lock;
-//! * a leaf absorbed by a merge is flagged `detached` under its bitmap
-//!   lock — a writer that locked a stale leaf observes the flag, abandons
-//!   the write, and looks the range up again (the per-leaf version
-//!   validation of optimistic lock coupling). A bounded number of retries
-//!   falls back to the exclusive latch, which no merge can overlap.
+//! One `RwLock` latch over the directory. Lookups, virtual-time charges
+//! and bit writes run under its shared side; a bit write is a `fetch_or`,
+//! and the pages it newly marked are the popcount of the bits it changed.
+//! Creating, extending, chopping and absorbing leaves — only a first touch
+//! of uncovered pages does — run under its exclusive side, so a bit write
+//! never meets a restructure. Bits are only ever set inside leaves: a fully
+//! marked chunk proves it is covered, and a range's missing pages are
+//! exactly its unset bits.
 //!
 //! # Contention model (virtual time)
 //!
@@ -34,111 +31,155 @@
 //! `min(range_index_retry_ns, blocking wait)`. Routing and restructuring
 //! are not charged: `range_tree_op_ns` already prices the lookup.
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use parking_lot::RwLock;
+use parking_lot::{RwLock, RwLockWriteGuard};
 use simclock::{CostModel, Counter, Histogram, RwContention, ThreadClock};
+use simstore::wordwalk::{set_runs, word_spans, WORD_BITS};
+use simstore::BlockMap;
 
-use super::bitmap::PageBitmap;
+use super::bitmap::collect_missing;
 use super::{IndexStats, LockScope, NODE_PAGES};
 
 /// Maximum pages one leaf may span — the flat tree's stride, so the
 /// per-region charge quanta line up across implementations.
 pub const LEAF_SPAN_PAGES: u64 = NODE_PAGES;
 
-/// Content-write plan retries before falling back to the exclusive latch.
-const PLAN_RETRIES: usize = 4;
+/// Presence words per region.
+const REGION_WORDS: usize = (NODE_PAGES / WORD_BITS) as usize;
 
-/// A leaf's lock-protected content, shared out via `Arc` so charges and
-/// bit operations run with the topology latch dropped.
-#[derive(Debug)]
-struct LeafGuts {
-    /// Presence bits, local to `word_base`.
-    bits: RwLock<PageBitmap>,
-    /// 64-aligned base page of the local bitmap (fixed at creation; a
-    /// leaf's first page never moves, only `hi` grows).
-    word_base: u64,
-    /// Virtual-time contention model for this leaf's lock.
-    lock_model: RwContention,
-    /// Set under `bits` when a merge detaches this leaf; stale writers
-    /// observe it and look the range up again.
-    detached: AtomicBool,
-}
-
-impl LeafGuts {
-    fn new(lo: u64) -> Self {
-        Self {
-            bits: RwLock::new(PageBitmap::new()),
-            word_base: lo & !63,
-            lock_model: RwContention::new("range-leaf"),
-            detached: AtomicBool::new(false),
-        }
-    }
-}
-
-/// One leaf, stored under its first page (which never changes).
+/// One leaf: the pages it covers and the virtual-time model of its lock.
 #[derive(Debug)]
 struct Leaf {
-    /// One past the last page covered (grows up to the first page plus
-    /// [`LEAF_SPAN_PAGES`]).
+    /// First page covered; never moves.
+    lo: u64,
+    /// One past the last page covered; grows up to `lo + LEAF_SPAN_PAGES`.
     hi: u64,
-    guts: Arc<LeafGuts>,
+    lock_model: RwContention,
 }
 
-/// The topology: leaves by first page, disjoint and ascending.
-type LeafMap = BTreeMap<u64, Leaf>;
-
-/// The candidate leaf for `page`: the one with the greatest first page at
-/// or below it, with that first page. Coverage is *not* implied — callers
-/// check `page < hi`.
-fn locate(map: &LeafMap, page: u64) -> Option<(u64, &Leaf)> {
-    map.range(..=page).next_back().map(|(&lo, leaf)| (lo, leaf))
+/// One [`NODE_PAGES`]-region of the directory.
+#[derive(Debug, Default)]
+struct Region {
+    /// Presence bits: bit `i` of word `w` is the region's page `64w + i`.
+    /// Set by Release `fetch_or`, read by Acquire loads: a reader that sees
+    /// a page marked also sees what its marker wrote before marking it.
+    bits: [AtomicU64; REGION_WORDS],
+    /// The leaves whose first page lies in this region, ascending.
+    leaves: Vec<Leaf>,
 }
 
-/// Where the next leaf starts at or after `pos` (`pos` itself if one
-/// starts there), or `end` when none starts before it.
-fn next_start(map: &LeafMap, pos: u64, end: u64) -> u64 {
-    map.range(pos..end).next().map_or(end, |(&lo, _)| lo)
+impl Region {
+    /// `(word, mask)` over the region-local pages `[start, end)`.
+    fn spans(start: u64, end: u64) -> impl Iterator<Item = (usize, u64)> {
+        word_spans(start % NODE_PAGES, end - start / NODE_PAGES * NODE_PAGES)
+    }
+
+    /// Whether every page of `[start, end)` (in this region) is marked.
+    fn all_marked(&self, start: u64, end: u64) -> bool {
+        Self::spans(start, end).all(|(w, mask)| self.bits[w].load(Ordering::Acquire) & mask == mask)
+    }
+
+    /// Pages of `[start, end)` (in this region) marked.
+    fn marked(&self, start: u64, end: u64) -> u64 {
+        Self::spans(start, end)
+            .map(|(w, mask)| u64::from((self.bits[w].load(Ordering::Acquire) & mask).count_ones()))
+            .sum()
+    }
+
+    /// Marks `[start, end)` (in this region); returns the pages newly marked.
+    fn mark(&self, start: u64, end: u64) -> u64 {
+        Self::spans(start, end)
+            .map(|(w, mask)| {
+                let old = self.bits[w].fetch_or(mask, Ordering::AcqRel);
+                u64::from((mask & !old).count_ones())
+            })
+            .sum()
+    }
+
+    /// The leaf of this region starting at `lo`, by index.
+    fn index_of(&self, lo: u64) -> Option<usize> {
+        self.leaves.binary_search_by_key(&lo, |leaf| leaf.lo).ok()
+    }
 }
 
-/// Visits the segments of `[start, end)` that consecutive leaves cover,
-/// ascending from `start` — one `(seg_start, seg_end, guts)` per leaf —
-/// and returns the first page no leaf covers (`end` when the range is
-/// fully covered). A leaf that holds `start` and reaches `end` (the
-/// settled-stream case) costs one map descent; only a shorter one opens
-/// the forward scan.
-fn covering<'a>(
-    map: &'a LeafMap,
-    start: u64,
-    end: u64,
-    mut visit: impl FnMut(u64, u64, &'a Arc<LeafGuts>),
-) -> u64 {
-    let mut pos = start;
-    if let Some((_, first)) = locate(map, start).filter(|&(_, leaf)| leaf.hi > start) {
-        pos = first.hi.min(end);
-        visit(start, pos, &first.guts);
-        if pos < end {
-            for (&lo, leaf) in map.range(pos..end) {
-                if lo != pos {
-                    break;
-                }
-                let seg_end = leaf.hi.min(end);
-                visit(pos, seg_end, &leaf.guts);
-                pos = seg_end;
-            }
+/// Region number → region: the routing directory.
+type Directory = BlockMap<Region>;
+
+/// The leaf that may hold `page`, given `page`'s region as probed from
+/// `dir`: the region's last leaf starting at or below `page`, else the
+/// previous region's last leaf. Coverage is *not* implied.
+fn candidate<'a>(dir: &'a Directory, region: Option<&'a Region>, page: u64) -> Option<&'a Leaf> {
+    let own = region.map_or(&[][..], |region| &region.leaves[..]);
+    match own.partition_point(|leaf| leaf.lo <= page) {
+        0 => {
+            let prev = (page / NODE_PAGES).checked_sub(1)?;
+            dir.get(&prev)?.leaves.last()
+        }
+        i => Some(&own[i - 1]),
+    }
+}
+
+/// The leaf covering `page`, if one does.
+fn owner<'a>(dir: &'a Directory, region: Option<&'a Region>, page: u64) -> Option<&'a Leaf> {
+    candidate(dir, region, page).filter(|leaf| page < leaf.hi)
+}
+
+/// The leaf starting exactly at `lo`, if one does.
+fn leaf_at(dir: &Directory, lo: u64) -> Option<&Leaf> {
+    let region = dir.get(&(lo / NODE_PAGES))?;
+    region.index_of(lo).map(|i| &region.leaves[i])
+}
+
+/// The vector holding the leaf that starts at `lo`, which must exist, and
+/// the leaf's index in it.
+fn slot(dir: &mut Directory, lo: u64) -> (&mut Vec<Leaf>, usize) {
+    let region = dir.get_mut(&(lo / NODE_PAGES));
+    let region = region.expect("`lo` keys a live leaf");
+    let i = region.index_of(lo).expect("`lo` keys a live leaf");
+    (&mut region.leaves, i)
+}
+
+/// The first page of `[start, end)` no leaf covers (`end` when consecutive
+/// leaves cover it all), with `start`'s region as probed from `dir`. One
+/// leaf holding all of it costs no probe beyond the owner lookup.
+fn covered_until(dir: &Directory, region: Option<&Region>, start: u64, end: u64) -> u64 {
+    let Some(first) = owner(dir, region, start) else {
+        return start;
+    };
+    let mut pos = first.hi;
+    while pos < end {
+        match leaf_at(dir, pos) {
+            Some(leaf) => pos = leaf.hi,
+            None => return pos,
         }
     }
-    pos
+    end
+}
+
+/// The leaf after the one starting at `lo`, as `(lo, hi)`: the next leaf
+/// of its region, else the first of the next region. A leaf further on
+/// lies beyond anything the leaf at `lo` can abut or a first touch reach.
+fn successor(dir: &Directory, lo: u64) -> Option<(u64, u64)> {
+    let region = &dir[&(lo / NODE_PAGES)];
+    let i = region.index_of(lo).expect("`lo` keys a live leaf");
+    let next = region.leaves.get(i + 1);
+    let leaf = next.or_else(|| dir.get(&(lo / NODE_PAGES + 1))?.leaves.first())?;
+    Some((leaf.lo, leaf.hi))
+}
+
+/// One past the last page of the region chunk starting at `page`.
+fn chunk_end(page: u64, end: u64) -> u64 {
+    end.min((page / NODE_PAGES + 1) * NODE_PAGES)
 }
 
 /// The per-file range index. See the module docs for the locking protocol
 /// and virtual-time contention model.
 #[derive(Debug)]
 pub struct BPlusRangeIndex {
-    /// Topology latch over the routing map.
-    leaves: RwLock<LeafMap>,
+    /// The latch over the region directory.
+    dir: RwLock<Directory>,
     /// Figure-6 baseline: one lock for the whole file.
     whole_file_lock: RwContention,
     /// Charged for probes of regions no leaf covers yet (the flat tree
@@ -157,7 +198,7 @@ impl BPlusRangeIndex {
     /// Creates an empty index.
     pub fn new() -> Self {
         Self {
-            leaves: RwLock::new(LeafMap::new()),
+            dir: RwLock::new(Directory::default()),
             whole_file_lock: RwContention::new("lib-file-bitmap"),
             probe_lock: RwContention::new("range-probe"),
             wait_hist: OnceLock::new(),
@@ -238,166 +279,121 @@ impl BPlusRangeIndex {
         }
     }
 
-    /// One walk of `[start, end)` under the shared latch: when consecutive
-    /// leaves cover all of it, the first covering leaf's guts (the lock to
-    /// charge against) and whether every page is also marked; otherwise
-    /// `None`.
-    fn probe(&self, start: u64, end: u64) -> Option<(Arc<LeafGuts>, bool)> {
-        let map = self.leaves.read();
-        let mut owner = None;
-        let mut marked = true;
-        let reached = covering(&map, start, end, |s, e, guts| {
-            let wb = guts.word_base;
-            marked = marked && guts.bits.read().contains_all(s - wb, e - wb);
-            owner.get_or_insert(guts);
-        });
-        owner
-            .filter(|_| reached == end)
-            .map(|guts| (Arc::clone(guts), marked))
+    /// Walks the region chunks of `[start, end)` under one shared latch,
+    /// charging each as a query — against the leaf covering its first
+    /// page, or the probe lock where none does — and handing `visit` the
+    /// chunk's region (if it has one) and bounds.
+    fn query(
+        &self,
+        clock: &mut ThreadClock,
+        costs: &CostModel,
+        scope: LockScope,
+        (start, end): (u64, u64),
+        mut visit: impl FnMut(Option<&Region>, u64, u64),
+    ) {
+        let dir = self.dir.read();
+        let mut page = start;
+        while page < end {
+            let upto = chunk_end(page, end);
+            let region = dir.get(&(page / NODE_PAGES));
+            let leaf = owner(&dir, region, page);
+            let model = leaf.map_or(&self.probe_lock, |leaf| &leaf.lock_model);
+            self.charge_read(clock, costs, scope, model, upto - page);
+            visit(region, page, upto);
+            page = upto;
+        }
     }
 
-    /// The guts of the leaf covering `page`, if one does.
-    fn owner_model(&self, page: u64) -> Option<Arc<LeafGuts>> {
-        let map = self.leaves.read();
-        locate(&map, page)
-            .filter(|&(_, leaf)| page < leaf.hi)
-            .map(|(_, leaf)| Arc::clone(&leaf.guts))
-    }
-
-    /// Grows coverage so every page of `[start, end)` lies in some leaf:
-    /// the leaf ending at a gap extends in place up to [`LEAF_SPAN_PAGES`],
-    /// the remainder is chopped into span-capped leaves, and touched
-    /// boundaries whose union still fits one leaf are re-absorbed.
-    /// Returns the first covering leaf's guts.
-    fn ensure_covered(&self, start: u64, end: u64) -> Arc<LeafGuts> {
+    /// Grows coverage so every page of `[start, end)`, which lies in one
+    /// region, is in some leaf: the leaf ending at a gap extends in place
+    /// up to [`LEAF_SPAN_PAGES`], the remainder is chopped into span-capped
+    /// leaves, and touched boundaries whose union still fits one leaf are
+    /// re-absorbed. The region's entry is created first, so bits are only
+    /// ever set in regions that exist.
+    fn ensure_covered(&self, dir: &mut Directory, start: u64, end: u64) {
+        let r = start / NODE_PAGES;
+        dir.entry(r).or_default();
         let mut splits = 0u64;
         let mut merges = 0u64;
-        let owner = {
-            let mut map = self.leaves.write();
-            let mut pos = start;
-            while pos < end {
-                // The end of the gap at `pos`, if there is one.
-                let gap_end = next_start(&map, pos, end);
-                // Whether the leaf before `pos` ends exactly there.
-                let mut abuts = false;
-                if let Some((&lo, leaf)) = map.range_mut(..=pos).next_back() {
-                    if leaf.hi > pos {
-                        pos = leaf.hi;
-                        continue;
-                    }
-                    if leaf.hi == pos {
-                        // Extend in place, as far as the gap and the span
-                        // cap allow (not at all for a leaf at the cap).
-                        abuts = true;
-                        leaf.hi = gap_end.min(lo + LEAF_SPAN_PAGES);
-                        pos = leaf.hi;
-                    }
-                }
-                // Chop the rest of the gap into span-capped leaves. One
-                // that continues a contiguous run is a leaf split: the run
-                // would be one oversized leaf if the cap allowed it.
-                while pos < gap_end {
-                    let hi = gap_end.min(pos + LEAF_SPAN_PAGES);
-                    let guts = Arc::new(LeafGuts::new(pos));
-                    map.insert(pos, Leaf { hi, guts });
-                    splits += u64::from(abuts);
-                    abuts = true;
+        let mut pos = start;
+        while pos < end {
+            let region = &dir[&r];
+            // The end of the gap at `pos`, if there is one.
+            let next = region.leaves.partition_point(|leaf| leaf.lo < pos);
+            let gap_end = region.leaves.get(next).map_or(end, |leaf| leaf.lo.min(end));
+            // Whether the leaf before `pos` ends exactly there.
+            let mut abuts = false;
+            if let Some(&Leaf { lo, hi, .. }) = candidate(dir, Some(region), pos) {
+                if hi > pos {
                     pos = hi;
+                    continue;
+                }
+                if hi == pos {
+                    // Extend in place, as far as the gap and the span cap
+                    // allow (not at all for a leaf at the cap).
+                    abuts = true;
+                    pos = gap_end.min(lo + LEAF_SPAN_PAGES);
+                    let (leaves, i) = slot(dir, lo);
+                    leaves[i].hi = pos;
                 }
             }
-            // Coalesce across the touched span: adjacent leaves whose
-            // union fits one span absorb rightward. The leaf holding
-            // `start` only ever survives, so its guts are the owner's.
-            let (mut t_lo, owner) = locate(&map, start)
-                .map(|(lo, leaf)| (lo, Arc::clone(&leaf.guts)))
-                .expect("the gap fill covered `start`");
-            loop {
-                let mut pair = map.range(t_lo..);
-                let t_hi = pair.next().expect("`t_lo` keys a live leaf").1.hi;
-                let Some((&r_lo, r)) = pair.next() else { break };
-                if r_lo == t_hi && r.hi - t_lo <= LEAF_SPAN_PAGES {
-                    self.absorb_next(&mut map, t_lo, r_lo);
-                    merges += 1;
-                } else if r_lo >= end {
-                    break;
-                } else {
-                    t_lo = r_lo;
-                }
+            // Chop the rest of the gap into span-capped leaves. One that
+            // continues a contiguous run is a leaf split: the run would be
+            // one oversized leaf if the cap allowed it.
+            let leaves = &mut dir.get_mut(&r).expect("created above").leaves;
+            let mut at = next;
+            while pos < gap_end {
+                let hi = gap_end.min(pos + LEAF_SPAN_PAGES);
+                leaves.insert(
+                    at,
+                    Leaf {
+                        lo: pos,
+                        hi,
+                        lock_model: RwContention::new("range-leaf"),
+                    },
+                );
+                at += 1;
+                splits += u64::from(abuts);
+                abuts = true;
+                pos = hi;
             }
-            owner
-        };
+        }
+        // Coalesce across the touched span: adjacent leaves whose union
+        // fits one span absorb rightward. The leaf holding `start` only
+        // ever survives.
+        let region = dir.get(&r);
+        let first = owner(dir, region, start).expect("the gap fill covered `start`");
+        let (mut t_lo, mut t_hi) = (first.lo, first.hi);
+        while let Some((r_lo, r_hi)) = successor(dir, t_lo) {
+            if r_lo == t_hi && r_hi - t_lo <= LEAF_SPAN_PAGES {
+                let (leaves, i) = slot(dir, r_lo);
+                let victim = leaves.remove(i);
+                self.retired_wait_ns.add(victim.lock_model.total_wait_ns());
+                let (leaves, i) = slot(dir, t_lo);
+                leaves[i].hi = r_hi;
+                t_hi = r_hi;
+                merges += 1;
+            } else if r_lo >= end {
+                break;
+            } else {
+                (t_lo, t_hi) = (r_lo, r_hi);
+            }
+        }
         if splits > 0 {
             self.splits.add(splits);
         }
         if merges > 0 {
             self.merges.add(merges);
         }
-        owner
-    }
-
-    /// Absorbs the leaf at `r_lo` into its left neighbour at `t_lo` (the
-    /// caller checked they are adjacent and the union fits one leaf
-    /// span). The victim's bits are word-OR'd into the survivor under both
-    /// bitmap locks — victim first — then it is flagged `detached` so
-    /// stale writers look the range up again.
-    fn absorb_next(&self, map: &mut LeafMap, t_lo: u64, r_lo: u64) {
-        let victim = map.remove(&r_lo).expect("`r_lo` keys a live leaf");
-        let survivor = map.get_mut(&t_lo).expect("`t_lo` keys a live leaf");
-        let (t_guts, r_guts) = (&survivor.guts, &victim.guts);
-        {
-            let rb = r_guts.bits.write();
-            let mut tb = t_guts.bits.write();
-            let off = ((r_guts.word_base - t_guts.word_base) / 64) as usize;
-            tb.or_from(&rb, off);
-            // Flag while still holding the victim's lock: any writer that
-            // acquires it afterwards observes the flag before touching bits.
-            r_guts.detached.store(true, Ordering::Release);
-        }
-        self.retired_wait_ns.add(r_guts.lock_model.total_wait_ns());
-        survivor.hi = victim.hi;
-    }
-
-    /// Sets `[start, end)` through the per-leaf locks: plan the covering
-    /// segments under the shared latch, drop it, then write each leaf's
-    /// bits, validating the `detached` flag. Bounded retries fall back to
-    /// the exclusive latch, which no merge can overlap. Coverage never
-    /// shrinks (a merge hands the victim's pages to the survivor), so the
-    /// range the caller saw covered still is and the segments span it.
-    fn set_bits(&self, start: u64, end: u64) -> u64 {
-        for _ in 0..PLAN_RETRIES {
-            let mut segs = Vec::new();
-            covering(&self.leaves.read(), start, end, |s, e, guts| {
-                segs.push((s, e, Arc::clone(guts)));
-            });
-            let mut newly = 0;
-            let mut stale = false;
-            for (s, e, guts) in &segs {
-                let mut bits = guts.bits.write();
-                if guts.detached.load(Ordering::Acquire) {
-                    stale = true;
-                    break;
-                }
-                newly += bits.set_range(s - guts.word_base, e - guts.word_base);
-            }
-            if !stale {
-                return newly;
-            }
-        }
-        // Slow path: exclusive latch excludes all structural change.
-        let map = self.leaves.write();
-        let mut newly = 0;
-        covering(&map, start, end, |s, e, guts| {
-            let wb = guts.word_base;
-            newly += guts.bits.write().set_range(s - wb, e - wb);
-        });
-        newly
     }
 
     /// Marks `[start, end)` as cached. Returns pages newly marked.
     ///
     /// Mirrors the flat tree's hot path: a fully-marked region chunk takes
     /// only the shared (optimistic) side; the exclusive side is paid just
-    /// when bits actually change.
+    /// when bits actually change. Only a chunk with uncovered pages takes
+    /// the exclusive latch, to restructure; everything else, bit writes
+    /// included, runs under the shared one.
     pub fn mark_cached(
         &self,
         clock: &mut ThreadClock,
@@ -407,17 +403,27 @@ impl BPlusRangeIndex {
         end: u64,
     ) -> u64 {
         let mut newly = 0;
+        let mut dir = self.dir.read();
         let mut page = start;
         while page < end {
-            let upto = end.min((page / NODE_PAGES + 1) * NODE_PAGES);
-            let probed = self.probe(page, upto);
-            if let Some((guts, true)) = &probed {
-                self.charge_read(clock, costs, scope, &guts.lock_model, upto - page);
+            let upto = chunk_end(page, end);
+            let r = page / NODE_PAGES;
+            let region = dir.get(&r);
+            if region.is_some_and(|region| region.all_marked(page, upto)) {
+                // Bits are only set inside leaves: marked proves covered.
+                let leaf = owner(&dir, region, page).expect("a marked page lies in a leaf");
+                self.charge_read(clock, costs, scope, &leaf.lock_model, upto - page);
             } else {
-                let owner =
-                    probed.map_or_else(|| self.ensure_covered(page, upto), |(guts, _)| guts);
-                self.charge_write(clock, costs, scope, &owner.lock_model, upto - page);
-                newly += self.set_bits(page, upto);
+                if covered_until(&dir, region, page, upto) < upto {
+                    drop(dir);
+                    let mut exclusive = self.dir.write();
+                    self.ensure_covered(&mut exclusive, page, upto);
+                    dir = RwLockWriteGuard::downgrade(exclusive);
+                }
+                let region = &dir[&r];
+                let leaf = owner(&dir, Some(region), page).expect("the chunk is covered");
+                self.charge_write(clock, costs, scope, &leaf.lock_model, upto - page);
+                newly += region.mark(page, upto);
             }
             page = upto;
         }
@@ -434,50 +440,20 @@ impl BPlusRangeIndex {
         end: u64,
     ) -> Vec<(u64, u64)> {
         let mut missing = Vec::new();
-        let mut open: Option<u64> = None;
-        let mut page = start;
-        while page < end {
-            let upto = end.min((page / NODE_PAGES + 1) * NODE_PAGES);
-            match self.owner_model(page) {
-                Some(guts) => {
-                    self.charge_read(clock, costs, scope, &guts.lock_model, upto - page);
-                }
-                None => {
-                    self.charge_read(clock, costs, scope, &self.probe_lock, upto - page);
-                }
-            }
-            self.collect_chunk(page, upto, &mut open, &mut missing);
-            page = upto;
-        }
-        if let Some(s) = open {
-            missing.push((s, end));
-        }
+        let mut open = None;
+        self.query(clock, costs, scope, (start, end), |region, page, upto| {
+            let Some(region) = region else {
+                open.get_or_insert(page);
+                return;
+            };
+            // Bits are only set inside leaves: the unset ones are missing.
+            let base = page / NODE_PAGES * NODE_PAGES;
+            let word = |w: usize| region.bits[w].load(Ordering::Acquire);
+            let (lo, hi) = (page - base, upto - base);
+            collect_missing(word, lo, hi, base, &mut open, &mut missing);
+        });
+        missing.extend(open.map(|s| (s, end)));
         missing
-    }
-
-    /// Appends the missing runs of one region chunk, carrying an open run:
-    /// whatever lies between covered segments is missing.
-    fn collect_chunk(
-        &self,
-        start: u64,
-        end: u64,
-        open: &mut Option<u64>,
-        out: &mut Vec<(u64, u64)>,
-    ) {
-        let map = self.leaves.read();
-        let mut pos = start;
-        while pos < end {
-            pos = covering(&map, pos, end, |s, e, guts| {
-                let wb = guts.word_base;
-                guts.bits
-                    .read()
-                    .collect_missing(s - wb, e - wb, wb, open, out);
-            });
-            if pos < end {
-                open.get_or_insert(pos);
-                pos = next_start(&map, pos, end);
-            }
-        }
     }
 
     /// Pages marked cached within `[start, end)`.
@@ -489,60 +465,55 @@ impl BPlusRangeIndex {
         start: u64,
         end: u64,
     ) -> u64 {
-        let total = end.saturating_sub(start);
-        let missing: u64 = self
-            .missing_in(clock, costs, scope, start, end)
-            .iter()
-            .map(|&(s, e)| e - s)
-            .sum();
-        total - missing
+        let mut cached = 0;
+        self.query(clock, costs, scope, (start, end), |region, page, upto| {
+            cached += region.map_or(0, |region| region.marked(page, upto));
+        });
+        cached
     }
 
     /// Clears the whole view. Returns pages cleared.
     ///
     /// Leaves are kept (zeroed, like a kernel bitmap that stays allocated)
-    /// and one exclusive charge is paid per ever-populated
-    /// [`NODE_PAGES`]-region, matching the flat tree's clear billing.
+    /// and one exclusive charge is paid per region some leaf intersects,
+    /// ascending, against the first such leaf — the flat tree's clear
+    /// billing.
     pub fn clear(&self, clock: &mut ThreadClock, costs: &CostModel, scope: LockScope) -> u64 {
-        let (regions, leaves): (Vec<Arc<LeafGuts>>, Vec<Arc<LeafGuts>>) = {
-            let map = self.leaves.read();
-            let mut by_region = BTreeMap::new();
-            let mut all = Vec::new();
-            for (&lo, leaf) in map.iter() {
-                for region in (lo / NODE_PAGES)..=((leaf.hi - 1) / NODE_PAGES) {
-                    by_region
-                        .entry(region)
-                        .or_insert_with(|| Arc::clone(&leaf.guts));
-                }
-                all.push(Arc::clone(&leaf.guts));
-            }
-            (by_region.into_values().collect(), all)
-        };
-        for guts in &regions {
-            self.charge_write(clock, costs, scope, &guts.lock_model, NODE_PAGES);
+        let dir = self.dir.read();
+        // Every region in the directory is one some leaf intersects.
+        let mut regions: Vec<(u64, &Region)> = dir.iter().map(|(&r, region)| (r, region)).collect();
+        regions.sort_unstable_by_key(|&(r, _)| r);
+        for &(r, region) in &regions {
+            let base = r * NODE_PAGES;
+            let first = owner(&dir, Some(region), base)
+                .or_else(|| region.leaves.first())
+                .expect("every region is reached by a leaf");
+            self.charge_write(clock, costs, scope, &first.lock_model, NODE_PAGES);
         }
-        let mut cleared = 0;
-        for guts in &leaves {
-            cleared += guts.bits.write().clear_all();
-        }
-        cleared
+        regions
+            .iter()
+            .flat_map(|(_, region)| &region.bits)
+            .map(|word| u64::from(word.swap(0, Ordering::AcqRel).count_ones()))
+            .sum()
     }
 
     /// Total pages marked cached.
     pub fn resident(&self) -> u64 {
-        let map = self.leaves.read();
-        map.values()
-            .map(|leaf| leaf.guts.bits.read().resident())
+        let dir = self.dir.read();
+        dir.values()
+            .flat_map(|region| &region.bits)
+            .map(|word| u64::from(word.load(Ordering::Acquire).count_ones()))
             .sum()
     }
 
     /// Aggregate wait across leaf locks (including absorbed leaves), the
     /// probe lock, and the whole-file lock.
     pub fn lock_wait_ns(&self) -> u64 {
-        let map = self.leaves.read();
-        let live: u64 = map
+        let dir = self.dir.read();
+        let live: u64 = dir
             .values()
-            .map(|leaf| leaf.guts.lock_model.total_wait_ns())
+            .flat_map(|region| &region.leaves)
+            .map(|leaf| leaf.lock_model.total_wait_ns())
             .sum();
         self.retired_wait_ns.get()
             + live
@@ -557,10 +528,13 @@ impl BPlusRangeIndex {
 
     /// Structural statistics.
     pub fn stats(&self) -> IndexStats {
-        let leaves = self.leaves.read().len() as u64;
+        let leaves: u64 = self
+            .dir
+            .read()
+            .values()
+            .map(|region| region.leaves.len() as u64)
+            .sum();
         IndexStats {
-            // The index's own levels: none, a lone leaf, or routing map
-            // over leaves (std exposes no height and nothing charges one).
             depth: leaves.min(2),
             leaves,
             splits: self.splits.get(),
@@ -569,30 +543,52 @@ impl BPlusRangeIndex {
         }
     }
 
-    /// Asserts every invariant the index itself maintains: leaves are
-    /// non-empty, span-capped, disjoint and ascending, each bitmap is
-    /// based at its leaf's word-aligned first page, and no leaf in the
-    /// map is detached. Test-support; panics on violation.
+    /// Asserts every invariant the index itself maintains. Test-support;
+    /// panics on violation.
+    ///
+    /// * Per region: leaves are non-empty, span-capped, sorted and
+    ///   disjoint, and stored in the region of their first page.
+    /// * Across regions: leaves stay disjoint, every region a leaf reaches
+    ///   has an entry (its bits live there), and every region is reached
+    ///   by some leaf.
+    /// * Every set bit lies inside some leaf: the settled fast path of
+    ///   [`mark_cached`](Self::mark_cached) rests on this.
     pub fn check_invariants(&self) {
-        let map = self.leaves.read();
+        let dir = self.dir.read();
+        let mut regions: Vec<(u64, &Region)> = dir.iter().map(|(&r, region)| (r, region)).collect();
+        regions.sort_unstable_by_key(|&(r, _)| r);
         let mut prev_hi = 0;
-        for (&lo, leaf) in map.iter() {
-            assert!(lo < leaf.hi, "leaf range must be non-empty");
+        for (r, region) in regions {
+            let base = r * NODE_PAGES;
+            for leaf in &region.leaves {
+                let span = leaf.hi.saturating_sub(leaf.lo);
+                assert!(
+                    (1..=LEAF_SPAN_PAGES).contains(&span),
+                    "leaf span in 1..=cap"
+                );
+                assert_eq!(leaf.lo / NODE_PAGES, r, "stored in its first page's region");
+                assert!(prev_hi <= leaf.lo, "leaves must be disjoint and ascending");
+                assert!(
+                    dir.contains_key(&((leaf.hi - 1) / NODE_PAGES)),
+                    "every region a leaf reaches must have an entry"
+                );
+                prev_hi = leaf.hi;
+            }
             assert!(
-                leaf.hi - lo <= LEAF_SPAN_PAGES,
-                "leaf span must respect the cap"
+                !region.leaves.is_empty() || owner(&dir, Some(region), base).is_some(),
+                "every region must be reached by some leaf"
             );
-            assert!(prev_hi <= lo, "leaves must be disjoint and ascending");
-            assert_eq!(
-                leaf.guts.word_base,
-                lo & !63,
-                "bitmap must be based at the leaf's word-aligned first page"
-            );
-            assert!(
-                !leaf.guts.detached.load(Ordering::Acquire),
-                "no leaf in the map may be detached"
-            );
-            prev_hi = leaf.hi;
+            for (w, word) in region.bits.iter().enumerate() {
+                let word_base = base + w as u64 * WORD_BITS;
+                for (b0, b1) in set_runs(word.load(Ordering::Acquire)) {
+                    let (s, e) = (word_base + b0, word_base + b1);
+                    assert_eq!(
+                        covered_until(&dir, Some(region), s, e),
+                        e,
+                        "marked pages [{s}, {e}) must lie inside leaves"
+                    );
+                }
+            }
         }
     }
 }
@@ -941,33 +937,44 @@ mod tests {
         // Two abutting leaves and a separated one; every `(start, end)` of
         // the universe then meets a page before the first leaf, inside a
         // gap, exactly at a leaf's `hi`, past the last leaf, and ranges
-        // ending inside, at and beyond a leaf.
+        // ending inside, at and beyond a leaf. At the second offset the
+        // first leaf starts in region 0 and reaches into region 1.
         let bounds = [(3u64, 6u64), (6, 8), (11, 14)];
-        let mut map = LeafMap::new();
-        for &(lo, hi) in &bounds {
-            let guts = Arc::new(LeafGuts::new(lo));
-            map.insert(lo, Leaf { hi, guts });
-        }
-        for map in [&LeafMap::new(), &map] {
-            for start in 0..17u64 {
-                for end in start + 1..=17 {
-                    // The oracle: scan every leaf in order, keeping those
-                    // that continue coverage from `start` without a gap.
-                    let mut pos = start;
-                    let mut scan = Vec::new();
-                    for (&lo, leaf) in map.iter() {
-                        if lo <= pos && pos < leaf.hi && pos < end {
-                            scan.push((pos, leaf.hi.min(end), &leaf.guts));
-                            pos = leaf.hi.min(end);
+        for base in [0, NODE_PAGES - 4] {
+            let leaves: Vec<(u64, u64)> = bounds
+                .iter()
+                .map(|&(lo, hi)| (base + lo, base + hi))
+                .collect();
+            let mut dir = Directory::default();
+            for &(lo, hi) in &leaves {
+                dir.entry((hi - 1) / NODE_PAGES).or_default();
+                dir.entry(lo / NODE_PAGES).or_default().leaves.push(Leaf {
+                    lo,
+                    hi,
+                    lock_model: RwContention::new("range-leaf"),
+                });
+            }
+            for (dir, leaves) in [(&Directory::default(), &[][..]), (&dir, &leaves[..])] {
+                for start in base..base + 17 {
+                    let region = dir.get(&(start / NODE_PAGES));
+                    let scan_owner = leaves.iter().find(|&&(lo, hi)| lo <= start && start < hi);
+                    let owned = owner(dir, region, start).map(|leaf| (leaf.lo, leaf.hi));
+                    assert_eq!(owned, scan_owner.copied(), "owner of {start}");
+                    for end in start + 1..=base + 17 {
+                        // The oracle: scan every leaf in order, keeping
+                        // those that continue coverage from `start`
+                        // without a gap.
+                        let mut pos = start;
+                        for &(lo, hi) in leaves {
+                            if lo <= pos && pos < hi && pos < end {
+                                pos = hi.min(end);
+                            }
                         }
-                    }
-                    let mut walked = Vec::new();
-                    let reached = covering(map, start, end, |s, e, guts| walked.push((s, e, guts)));
-                    assert_eq!(reached, pos, "[{start}, {end}): first uncovered page");
-                    assert_eq!(walked.len(), scan.len(), "[{start}, {end})");
-                    for (w, s) in walked.iter().zip(&scan) {
-                        assert_eq!((w.0, w.1), (s.0, s.1), "[{start}, {end})");
-                        assert!(Arc::ptr_eq(w.2, s.2), "[{start}, {end}): wrong leaf");
+                        assert_eq!(
+                            covered_until(dir, region, start, end),
+                            pos,
+                            "[{start}, {end}): first uncovered page"
+                        );
                     }
                 }
             }

@@ -1,11 +1,12 @@
 //! Per-file range index for CROSS-LIB's cache-state view (§4.5).
 //!
-//! The paper's range tree — per-range locks with embedded presence bitmaps
-//! so non-conflicting readers of one shared file never serialize — is
+//! The paper's range tree — per-range locks with presence bitmaps, so
+//! non-conflicting readers of one shared file never serialize — is
 //! [`BPlusRangeIndex`]: dynamically split/merged leaves, each with its own
-//! bitmap and lock, routed by std's ordered map under a short topology
-//! latch, with optimistic lock coupling. The read path and the runtime
-//! call its inherent methods directly.
+//! lock, routed by a hash directory of [`NODE_PAGES`]-regions that also
+//! holds the presence bits, under one latch whose shared side covers
+//! lookups, charges and bit writes. The read path and the runtime call
+//! its inherent methods directly.
 //!
 //! [`RangeTree`](crate::range_tree::RangeTree), a flat fixed-stride node
 //! array, is the reference model the property and stress suites compare
@@ -36,9 +37,9 @@ pub enum LockScope {
 /// Structural statistics of one file's range index.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IndexStats {
-    /// The index's own levels: 0 = empty, 1 = a lone leaf, 2 = routing
-    /// map over leaves. The map's internal height is std's business: it
-    /// is not exposed and nothing charges for it.
+    /// The index's own levels: 0 = empty, 1 = a lone leaf, 2 = the
+    /// region directory over leaves. A hash directory has no height, and
+    /// nothing charges for routing.
     pub depth: u64,
     /// Live leaves.
     pub leaves: u64,

@@ -45,7 +45,7 @@ pub mod wordwalk;
 pub use config::DeviceConfig;
 pub use device::{Device, DeviceStats, IoPriority};
 pub use fault::{DeviceError, FaultPlan};
-pub use store::SparseStore;
+pub use store::{BlockHasher, BlockMap, SparseStore};
 pub use tiered::{Tier, TierStats, TieredStore, WriteNote, PLACEMENT_WORD_BLOCKS};
 
 /// Bytes per device block (and per OS page): 4 KiB.

@@ -10,15 +10,15 @@ use crate::{fill_synthetic, BLOCK_SIZE};
 
 const SHARD_COUNT: usize = 64;
 
-/// A map keyed by block (or placement-word) number. The keys are numbers
-/// the stack computes itself, never outside input, so SipHash's
-/// resistance to crafted collisions buys nothing here; one folded
-/// multiply ([`block_hash`]) does the hashing instead.
-pub(crate) type BlockMap<V> = HashMap<u64, V, BuildHasherDefault<BlockHasher>>;
+/// A map keyed by block (or placement-word, or range-index region)
+/// number. The keys are numbers the stack computes itself, never outside
+/// input, so SipHash's resistance to crafted collisions buys nothing here;
+/// one folded multiply (`block_hash`) does the hashing instead.
+pub type BlockMap<V> = HashMap<u64, V, BuildHasherDefault<BlockHasher>>;
 
-/// The [`BlockMap`] hasher: [`block_hash`] of the one `u64` key.
+/// The [`BlockMap`] hasher: `block_hash` of the one `u64` key.
 #[derive(Debug, Default)]
-pub(crate) struct BlockHasher(u64);
+pub struct BlockHasher(u64);
 
 impl Hasher for BlockHasher {
     fn finish(&self) -> u64 {

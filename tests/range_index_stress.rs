@@ -1,6 +1,6 @@
 //! Seeded multi-thread stress for the B+ range index.
 //!
-//! Three properties that must survive eight host threads hammering one
+//! Four properties that must survive eight host threads hammering one
 //! shared index:
 //!
 //! * **Same-seed determinism of the page set.** For a mark-only workload
@@ -14,6 +14,11 @@
 //!   mix the final page set depends on interleaving, but the B+ structure
 //!   must stay well-formed and `resident` must equal the page-count
 //!   complement of `missing_in` at quiescence.
+//! * **Marks racing restructures.** Confined to two adjacent regions,
+//!   every thread's first touches extend, chop and absorb the same few
+//!   leaves while the others write bits into them; the page set must
+//!   still be the union of the marks, and the pages the marks report as
+//!   newly marked must sum to it (no bit counted twice or lost).
 //! * **Contended-read scaling.** Colliding on one region under
 //!   `LockScope::PerNode`, optimistic lock coupling (bounded retry
 //!   penalty) must accumulate less virtual lock wait than the flat
@@ -163,6 +168,78 @@ fn mixed_ops_with_clears_keep_invariants_and_accounting() {
         stats.merges > 0,
         "colliding marks must absorb leaves, or the detach path never ran under threads"
     );
+}
+
+#[test]
+fn two_region_marks_race_restructures() {
+    // All eight threads mark short ranges of two adjacent regions, so
+    // first touches extend, chop and absorb the same few leaves while
+    // other threads write bits into them.
+    const BASE: u64 = 7 * NODE_PAGES;
+    const WIDTH: u64 = 2 * NODE_PAGES;
+    let ops = |t: u64| -> Vec<(u64, u64)> {
+        let mut state = 0x5EED ^ t.wrapping_mul(0x9E3779B97F4A7C15);
+        (0..OPS_PER_THREAD)
+            .map(|_| {
+                let start = BASE + lcg(&mut state) % WIDTH;
+                let len = 1 + lcg(&mut state) % 6;
+                (start, (start + len).min(BASE + WIDTH))
+            })
+            .collect()
+    };
+    let index = BPlusRangeIndex::new();
+    let global = Arc::new(GlobalClock::new());
+    let start_line = Barrier::new(THREADS as usize);
+    let newly: u64 = thread::scope(|s| {
+        let runs: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (index, global, ops, start_line) =
+                    (&index, Arc::clone(&global), &ops, &start_line);
+                s.spawn(move || {
+                    let costs = CostModel::default();
+                    let mut clock = ThreadClock::new(global);
+                    let ops = ops(t);
+                    start_line.wait();
+                    ops.into_iter()
+                        .map(|(start, end)| {
+                            index.mark_cached(&mut clock, &costs, LockScope::PerNode, start, end)
+                        })
+                        .sum::<u64>()
+                })
+            })
+            .collect();
+        runs.into_iter()
+            .map(|run| run.join().expect("marking thread panicked"))
+            .sum()
+    });
+    index.check_invariants();
+    assert!(
+        index.stats().merges > 0,
+        "colliding marks must absorb leaves, or no mark raced a merge"
+    );
+    let mut marked = vec![false; WIDTH as usize];
+    for t in 0..THREADS {
+        for (start, end) in ops(t) {
+            marked[(start - BASE) as usize..(end - BASE) as usize].fill(true);
+        }
+    }
+    let mut expect: Vec<(u64, u64)> = Vec::new();
+    for page in (0..WIDTH).filter(|&p| !marked[p as usize]) {
+        match expect.last_mut() {
+            Some(run) if run.1 == BASE + page => run.1 += 1,
+            _ => expect.push((BASE + page, BASE + page + 1)),
+        }
+    }
+    let costs = CostModel::default();
+    let mut clock = ThreadClock::new(global);
+    assert_eq!(
+        index.missing_in(&mut clock, &costs, LockScope::PerNode, BASE, BASE + WIDTH),
+        expect,
+        "the marked pages must be the union of every mark"
+    );
+    let union = marked.iter().filter(|&&m| m).count() as u64;
+    assert_eq!(index.resident(), union);
+    assert_eq!(newly, union, "racing marks must count each page once");
 }
 
 /// Eight threads colliding on one shared index, barrier-synchronised per
