@@ -371,9 +371,6 @@ report_fields! {
         /// Whether the cross-tier promotion planner was built (a tiering
         /// config was present *and* the OS sits on a tiered store).
         Gauge tiering_enabled: bool = "enabled" <= runtime.inner.planner.is_some();
-        /// Whether the OS-side write-back daemon was configured
-        /// ([`simos::OsConfig::writeback`]).
-        Gauge writeback_enabled: bool = "writeback_enabled" <= os.config().writeback.is_some();
     }
     additive ["tiering", "local"] {
         /// Local-tier read requests (all tier fields are zero un-tiered).

@@ -4,11 +4,9 @@ use simclock::{CostModel, NS_PER_SEC};
 
 /// Write-back daemon tunables (CAWL-style cache-aware write-back: writes
 /// absorb into the page cache and are flushed in coalesced runs when
-/// dirty-ratio thresholds or virtual-time deadlines force it).
-///
-/// `None` on [`OsConfig::writeback`] keeps the legacy behaviour —
-/// byte-identical telemetry — where dirty pages flush only at the global
-/// hard limit, `fsync`, reclaim, and cache-drop paths.
+/// the per-file threshold, the global background or hard limit, or a
+/// virtual-time deadline forces it). The daemon is the OS's only write
+/// path; these values shape it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WritebackConfig {
     /// Per-file dirty pages that trigger a background flush of that file.
@@ -53,8 +51,8 @@ pub struct OsConfig {
     /// to blind `readahead(2)`. The infallible `readahead_info` ignores
     /// this flag.
     pub readahead_info_supported: bool,
-    /// Opt-in write-back daemon; `None` (default) keeps the legacy flush
-    /// behaviour byte-identical.
+    /// Write-back daemon tunables; `None` (default) means
+    /// [`WritebackConfig::default`]. The OS resolves this once at boot.
     pub writeback: Option<WritebackConfig>,
     /// Software operation costs.
     pub costs: CostModel,

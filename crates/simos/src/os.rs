@@ -13,7 +13,7 @@ use crate::readahead::{RaMode, RaState};
 use crate::reclaim::{select_victims, MemoryManager};
 use crate::stats::OsStats;
 use crate::trace::{OsSpanKind, OsTraceEvent, OsTraceSink};
-use crate::OsConfig;
+use crate::{OsConfig, WritebackConfig};
 
 /// Compile-time fault discipline of the read, write and prefetch paths,
 /// for both layers: the simulated kernel's syscalls and CROSS-LIB's read
@@ -177,6 +177,9 @@ pub struct ReadOutcome {
 #[derive(Debug)]
 pub struct Os {
     config: OsConfig,
+    /// The write-back daemon's tunables: `config.writeback` resolved at
+    /// boot, `None` meaning the defaults.
+    writeback: WritebackConfig,
     /// The device demand I/O lands on by default. In tiered mode this is
     /// the *local* tier; routed charge sites consult the placement map and
     /// may redirect individual extents to the remote device instead.
@@ -221,8 +224,10 @@ impl Os {
         fs: FileSystem,
     ) -> Arc<Self> {
         let mem = MemoryManager::new(config.memory_budget_pages);
+        let writeback = config.writeback.clone().unwrap_or_default();
         Arc::new(Self {
             config,
+            writeback,
             device,
             tiered,
             fs: Arc::new(fs),
@@ -1008,67 +1013,32 @@ impl Os {
             self.reclaim(clock);
         }
 
-        match &self.config.writeback {
-            // Legacy dirty throttling: force background writeback of the
-            // whole file past the hard limit. Byte-identical to the
-            // pre-daemon behaviour.
-            None => {
-                if self.mem.dirty() > DIRTY_LIMIT_PAGES
-                    && self.writeback_file(clock, entry.ino, false) > 0
-                {
-                    self.stats.wb_flush_threshold.incr();
-                }
+        if self.writeback.write_through {
+            if self.writeback_file(clock, entry.ino, true) > 0 {
+                self.stats.wb_flush_sync.incr();
             }
-            Some(wb) => {
-                if wb.write_through {
-                    if self.writeback_file(clock, entry.ino, true) > 0 {
-                        self.stats.wb_flush_sync.incr();
-                    }
-                } else {
-                    let file_dirty = cache.state.read().dirty_pages();
-                    if file_dirty >= wb.file_dirty_threshold_pages {
-                        // Per-file threshold: background flush of this file.
-                        if self.writeback_file(clock, entry.ino, false) > 0 {
-                            self.stats.wb_flush_threshold.incr();
-                        }
-                    } else if self.mem.dirty() > DIRTY_LIMIT_PAGES {
-                        // Hard global limit: the writer pays, synchronously.
-                        if self.writeback_file(clock, entry.ino, true) > 0 {
-                            self.stats.wb_flush_threshold.incr();
-                        }
-                    }
-                    self.writeback_tick(clock);
-                }
+            return Ok(len);
+        }
+        if cache.state.read().dirty_pages() >= self.writeback.file_dirty_threshold_pages {
+            // Per-file threshold: background flush of this file.
+            if self.writeback_file(clock, entry.ino, false) > 0 {
+                self.stats.wb_flush_threshold.incr();
+            }
+        } else if self.mem.dirty() > DIRTY_LIMIT_PAGES {
+            // Hard global limit: the writer pays, synchronously.
+            if self.writeback_file(clock, entry.ino, true) > 0 {
+                self.stats.wb_flush_threshold.incr();
             }
         }
+        self.writeback_tick(clock);
         Ok(len)
-    }
-
-    /// Flushes a file's dirty pages, returning the count flushed. `sync`
-    /// waits for completion (fsync); otherwise the device work detaches
-    /// from the caller's clock. With a write-back daemon configured or a
-    /// tiered store present this flushes run-by-run (gap coalescing,
-    /// per-tier routing); otherwise it keeps the legacy one-charge shape.
-    pub fn writeback_file(&self, clock: &mut ThreadClock, ino: InodeId, sync: bool) -> u64 {
-        if self.config.writeback.is_some() || self.tiered.is_some() {
-            return self.writeback_file_runs(clock, ino, sync);
-        }
-        let cache = self.cache(ino);
-        let dirty = cache.state.write().clear_dirty();
-        if dirty == 0 {
-            return 0;
-        }
-        self.mem.note_cleaned(dirty);
-        self.stats.written_back_pages.add(dirty);
-        self.charge_default_write(clock, dirty, sync);
-        dirty
     }
 
     /// Charges a write of `pages` to the default device: synchronously on
     /// the caller's clock at demand priority, or detached from it at
     /// background priority. The aggregate flushes that know a page count
-    /// but no extents (legacy whole-file write-back, dirty pages dropped
-    /// by reclaim, `DONTNEED` and `drop_caches`) charge here.
+    /// but no extents (dirty pages dropped by reclaim, `DONTNEED` and
+    /// `drop_caches`) charge here.
     fn charge_default_write(&self, clock: &mut ThreadClock, pages: u64, sync: bool) {
         if sync {
             self.device.charge_write(clock, pages, IoPriority::Blocking);
@@ -1079,18 +1049,14 @@ impl Os {
         }
     }
 
-    /// Run-based flush: clears the file's dirty runs, merging runs whose
-    /// clean gap is at most `COALESCE_GAP_PAGES` into one device crossing
-    /// (the gap pages ride along as extra bytes — strictly fewer write
-    /// requests for a few redundant writes). Each merged run is charged
-    /// once per device currently holding part of it. Returns the dirty
-    /// pages flushed.
-    pub fn writeback_file_runs(&self, clock: &mut ThreadClock, ino: InodeId, sync: bool) -> u64 {
-        // Without the daemon (a tiered store's flushes) runs never merge.
-        let gap = match self.config.writeback {
-            Some(_) => COALESCE_GAP_PAGES,
-            None => 0,
-        };
+    /// Flushes a file's dirty pages, returning the count flushed. `sync`
+    /// waits for completion (fsync); otherwise the device work detaches
+    /// from the caller's clock. Clears the file's dirty runs, merging runs
+    /// whose clean gap is at most `COALESCE_GAP_PAGES` into one device
+    /// crossing (the gap pages ride along as extra bytes — strictly fewer
+    /// write requests for a few redundant writes). Each merged run is
+    /// charged once per device currently holding part of it.
+    fn writeback_file(&self, clock: &mut ThreadClock, ino: InodeId, sync: bool) -> u64 {
         let cache = self.cache(ino);
         let (runs, dirty) = {
             let mut state = cache.state.write();
@@ -1111,7 +1077,7 @@ impl Os {
         let mut merged: Vec<(u64, u64)> = Vec::new();
         for &(s, e) in &runs {
             match merged.last_mut() {
-                Some(last) if s - last.1 <= gap => {
+                Some(last) if s - last.1 <= COALESCE_GAP_PAGES => {
                     self.stats.wb_runs_coalesced.incr();
                     last.1 = e;
                 }
@@ -1144,13 +1110,9 @@ impl Os {
     /// One write-back daemon pass: flushes files whose oldest dirty page
     /// has outlived the virtual-time deadline, then — while global dirty
     /// occupancy exceeds the soft background threshold — sweeps the
-    /// longest-dirty files first. A no-op without a [`crate::WritebackConfig`].
-    /// The write path calls this after every absorbed write; long-running
-    /// harnesses may also tick it explicitly.
-    pub fn writeback_tick(&self, clock: &mut ThreadClock) {
-        let Some(wb) = &self.config.writeback else {
-            return;
-        };
+    /// longest-dirty files first. The write path calls this after every
+    /// absorbed write.
+    fn writeback_tick(&self, clock: &mut ThreadClock) {
         let now = clock.now();
         let mut dirty_files: Vec<(u64, InodeId)> = Vec::new();
         for cache in self.all_caches() {
@@ -1163,16 +1125,16 @@ impl Os {
         for &(since, ino) in &dirty_files {
             if since != 0
                 && since.saturating_add(DIRTY_DEADLINE_NS) <= now
-                && self.writeback_file_runs(clock, ino, false) > 0
+                && self.writeback_file(clock, ino, false) > 0
             {
                 self.stats.wb_flush_deadline.incr();
             }
         }
         for &(_, ino) in &dirty_files {
-            if self.mem.dirty() <= wb.background_dirty_pages {
+            if self.mem.dirty() <= self.writeback.background_dirty_pages {
                 break;
             }
-            if self.writeback_file_runs(clock, ino, false) > 0 {
+            if self.writeback_file(clock, ino, false) > 0 {
                 self.stats.wb_flush_threshold.incr();
             }
         }

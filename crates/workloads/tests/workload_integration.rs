@@ -17,6 +17,17 @@ fn os(memory_mb: u64) -> Arc<Os> {
     )
 }
 
+/// The dirty ledger: every page the write path dirtied was written back,
+/// dropped by `unlink`, or is still dirty.
+fn assert_dirty_ledger(os: &Os) {
+    let s = os.stats();
+    assert_eq!(
+        s.dirtied_pages.get(),
+        s.written_back_pages.get() + s.dropped_dirty_pages.get() + os.mem().dirty(),
+        "dirty ledger out of balance"
+    );
+}
+
 #[test]
 fn micro_results_account_exactly() {
     let rt = Runtime::with_mode(os(64), Mode::OsOnly);
@@ -44,6 +55,7 @@ fn shared_rw_write_side_reflects_writer_count() {
     assert_eq!(writes.ops, 2 * 160);
     assert_eq!(reads.ops, 6 * 160);
     assert!(writes.mbps() > 0.0 && reads.mbps() > 0.0);
+    assert_dirty_ledger(rt.os());
 }
 
 #[test]
@@ -90,6 +102,7 @@ fn snappy_outputs_decompress_to_original_content() {
     let original = input.read(&mut clock, 0, 1 << 20);
     let packed = output.read(&mut clock, 0, output.size());
     assert_eq!(workloads::decompress(&packed).unwrap(), original);
+    assert_dirty_ledger(&machine);
 }
 
 #[test]
@@ -134,5 +147,6 @@ fn filebench_all_modes_complete_without_panic() {
         };
         let result = run_filebench(&machine, &cfg);
         assert!(result.bytes > 0, "{mode:?}");
+        assert_dirty_ledger(&machine);
     }
 }

@@ -36,7 +36,7 @@ fn every_config_field_names_who_varies_it() {
         fault_around_pages: _,       // varied by: ROADMAP item 10 sweep (kept on purpose)
         inactive_after_ns: _,        // varied by: ROADMAP item 10 sweep (kept on purpose)
         readahead_info_supported: _, // varied by: degradation
-        writeback: _,                // varied by: the benchmark (tier_rw), tests/tiering.rs
+        writeback: _,                // varied by: ablations, tests/tiering.rs (`None` = defaults)
         costs: _,                    // varied by: tests/sensitivity.rs
     } = OsConfig::default();
 

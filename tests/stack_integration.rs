@@ -150,6 +150,13 @@ fn lsm_store_runs_on_the_full_stack() {
     let result = bench.read_random(4, 200, 3);
     assert!(result.hit_ratio >= 0.0 && result.hit_ratio <= 1.0);
     assert!(result.kops() > 0.0);
+    // The dirty ledger balances over the WAL and SSTable writes.
+    let s = os.stats();
+    assert_eq!(
+        s.dirtied_pages.get(),
+        s.written_back_pages.get() + s.dropped_dirty_pages.get() + os.mem().dirty(),
+        "dirty ledger out of balance"
+    );
 }
 
 #[test]
