@@ -1,6 +1,5 @@
 //! Ablations: the artifact's customization knobs (paper appendix A.6:
-//! predictor counter width, `NR_WORKERS_VAR`, `PREFETCH_SIZE_VAR`,
-//! `CROSS_BITMAP_SHIFT`), the per-inode-LRU future-work feature (§4.6), and
+//! predictor counter width, `NR_WORKERS_VAR`, `PREFETCH_SIZE_VAR`) and
 //! every opt-in subsystem added since, off against on: prediction engines,
 //! the completion ring, the tenant arbiter, cross-tier promotion, deferred
 //! write-back. This bench only prints; the claims its tables illustrate
@@ -14,42 +13,12 @@ use crossprefetch::{
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simclock::{ThreadClock, NS_PER_MS, NS_PER_US};
-use simos::{Device, DeviceConfig, FileSystem, FsKind, Os, OsConfig, RaInfoRequest};
+use simos::{Device, DeviceConfig, FileSystem, FsKind, Os, OsConfig};
 use std::sync::Arc;
 use workloads::{
     run_fleet, run_kvprobe, run_micro, setup_fleet, setup_kvprobe, setup_micro, FleetConfig,
     KvProbeConfig, MicroConfig, MicroPattern,
 };
-
-fn bitmap_shift_sweep() {
-    println!("--- bitmap export granularity (CROSS_BITMAP_SHIFT) ---");
-    let os = boot(512);
-    let mut clock = os.new_clock();
-    let fd = os.create_sized(&mut clock, "/shift", 512 << 20).unwrap();
-    // Populate half the file so the export has structure.
-    os.readahead_info(
-        &mut clock,
-        fd,
-        RaInfoRequest::prefetch(0, 256 << 20).with_limit_pages(1 << 16),
-    );
-    let mut table = TablePrinter::new(["shift", "bit covers", "words", "query cost (us)"]);
-    for shift in [0u32, 2, 4, 6] {
-        let t0 = clock.now();
-        let info = os.readahead_info(
-            &mut clock,
-            fd,
-            RaInfoRequest::query(0, 512 << 20).with_bitmap_shift(shift),
-        );
-        table.row([
-            shift.to_string(),
-            format!("{} KiB", (4 << shift)),
-            info.bitmap.len().to_string(),
-            format!("{:.1}", (clock.now() - t0) as f64 / 1_000.0),
-        ]);
-    }
-    table.print();
-    println!();
-}
 
 /// A [`report_sweep`] workload: creates its dataset, drives `clock`
 /// through the run, and returns a note for the table's last column.
@@ -238,7 +207,6 @@ fn main() {
         "artifact knobs and opt-in subsystems, one knob at a time",
         "3-bit counter best (paper §4.6); other knobs plateau quickly",
     );
-    bitmap_shift_sweep();
 
     let (predict, predict_opt) = ([Mode::Predict], [Mode::PredictOpt]);
     let mut mechanisms = Mode::table2().to_vec();

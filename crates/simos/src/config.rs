@@ -13,7 +13,7 @@ pub struct WritebackConfig {
     pub file_dirty_threshold_pages: u64,
     /// Global dirty pages that trigger a background sweep of the oldest
     /// dirty files (softer than the write path's hard synchronous
-    /// limit, a constant of `os.rs`).
+    /// limit, a constant of `writeback.rs`).
     pub background_dirty_pages: u64,
     /// Flush every write synchronously instead of absorbing — the
     /// write-through comparison baseline for the coalescing gate.

@@ -15,7 +15,7 @@
 
 use parking_lot::MutexGuard;
 use simclock::ThreadClock;
-use simstore::wordwalk::{bit_is_set, word_spans};
+use simstore::wordwalk::bit_is_set;
 use simstore::IoPriority;
 
 use crate::cache::{InodeCache, PageRange, PAGES_PER_WORD};
@@ -42,12 +42,6 @@ pub struct RaInfoRequest {
     /// If set, only query state and export the bitmap; never start I/O.
     /// The exported window is the one covering `offset..offset+len`.
     pub query_only: bool,
-    /// Export granularity: one exported bit covers `2^bitmap_shift` pages
-    /// (the artifact's `CROSS_BITMAP_SHIFT`). A coarse bit is set only
-    /// when *every* page it covers is cached, so coarse views are
-    /// conservative — they can cause redundant prefetch, never a false
-    /// hit. Shift 0 is exact.
-    pub bitmap_shift: u32,
 }
 
 impl RaInfoRequest {
@@ -58,14 +52,7 @@ impl RaInfoRequest {
             len,
             limit_pages: None,
             query_only: false,
-            bitmap_shift: 0,
         }
-    }
-
-    /// Sets the coarse-export granularity (`CROSS_BITMAP_SHIFT`).
-    pub fn with_bitmap_shift(mut self, shift: u32) -> Self {
-        self.bitmap_shift = shift.min(16);
-        self
     }
 
     /// A pure cache-state query over a byte range.
@@ -208,21 +195,12 @@ impl Os {
             IoPriority::Prefetch,
         )?;
 
-        // Export the bitmap window, coarsened per the requested shift (one
-        // exported bit per 2^shift pages; a coarse bit requires all its
-        // pages present). Coarser exports copy proportionally fewer words.
-        // The window is the request's own range, at least one page wide.
+        // Export the bitmap window: the request's own range, at least one
+        // page wide.
         let w1 = p1.max(p0 + 1);
         let window_start = (p0 / PAGES_PER_WORD) * PAGES_PER_WORD;
-        let bitmap = {
-            let state = cache.state.read();
-            if req.bitmap_shift == 0 {
-                state.snapshot_words(p0, w1)
-            } else {
-                coarsen_bitmap(&state, window_start, w1, req.bitmap_shift)
-            }
-        };
-        clock.advance(costs.bitmap_copy_ns((w1 - p0) >> req.bitmap_shift.min(16)));
+        let bitmap = cache.state.read().snapshot_words(p0, w1);
+        clock.advance(costs.bitmap_copy_ns(w1 - p0));
 
         self.emit(
             clock.now(),
@@ -676,24 +654,7 @@ fn push_interpolated_ready(out: &mut Vec<ReadyPiece>, start: u64, end: u64, t0: 
     }
 }
 
-/// Coarsens a presence window: exported bit `i` covers pages
-/// `[start + i*2^shift, start + (i+1)*2^shift)` and is set only when all
-/// of them are present.
-fn coarsen_bitmap(state: &crate::cache::CacheState, start: u64, end: u64, shift: u32) -> Vec<u64> {
-    let group = 1u64 << shift.min(16);
-    let groups = (end - start).div_ceil(group);
-    // Every group starts set; each missing run clears the groups it touches.
-    let mut out: Vec<u64> = word_spans(0, groups).map(|(_, mask)| mask).collect();
-    for (s, e) in state.missing_runs(start, end) {
-        for (w, mask) in word_spans((s - start) / group, (e - start).div_ceil(group)) {
-            out[w] &= !mask;
-        }
-    }
-    out
-}
-
-/// Returns whether `page` is set in an exported [`RaInfo`] bitmap
-/// (exact exports only — for coarse exports index by group).
+/// Returns whether `page` is set in an exported [`RaInfo`] bitmap.
 pub fn bitmap_has_page(info: &RaInfo, page: u64) -> bool {
     page >= info.window_start && bit_is_set(&info.bitmap, page - info.window_start)
 }
@@ -820,38 +781,6 @@ mod tests {
         assert_eq!(info.initiated_pages, 128);
         let read_bytes_after = os.device().stats().read_bytes.get();
         assert_eq!(read_bytes_after - read_bytes_before, 128 * 4096);
-    }
-
-    #[test]
-    fn coarse_export_is_conservative() {
-        let (os, fd, mut clock) = os_with_file(8 << 20); // 2048 pages
-                                                         // Cache pages [0, 100): group of 64 pages fully covered only for
-                                                         // group 0 at shift 6.
-        os.readahead_info(
-            &mut clock,
-            fd,
-            RaInfoRequest::prefetch(0, 100 * 4096).with_limit_pages(100),
-        );
-        let info = os.readahead_info(
-            &mut clock,
-            fd,
-            RaInfoRequest::query(0, 8 << 20).with_bitmap_shift(6),
-        );
-        // Group 0 (pages 0..64) fully cached -> bit set; group 1 (64..128)
-        // partially cached -> clear.
-        assert_eq!(info.bitmap[0] & 0b11, 0b01);
-    }
-
-    #[test]
-    fn coarse_export_copies_fewer_words() {
-        let (os, fd, mut clock) = os_with_file(256 << 20);
-        let exact = os.readahead_info(&mut clock, fd, RaInfoRequest::query(0, 256 << 20));
-        let coarse = os.readahead_info(
-            &mut clock,
-            fd,
-            RaInfoRequest::query(0, 256 << 20).with_bitmap_shift(6),
-        );
-        assert!(coarse.bitmap.len() * 32 < exact.bitmap.len());
     }
 
     #[test]

@@ -53,6 +53,7 @@ pub mod readahead;
 pub mod reclaim;
 mod stats;
 pub mod trace;
+mod writeback;
 
 pub use cache::PrefetchQuality;
 pub use config::{OsConfig, WritebackConfig};

@@ -1,4 +1,4 @@
-//! The OS facade: file descriptors, read/write/prefetch syscalls, reclaim.
+//! The OS facade: descriptors, read/prefetch syscalls, byte path, reclaim.
 
 use std::sync::{Arc, OnceLock};
 
@@ -93,20 +93,6 @@ pub fn into_ok<T>(result: Result<T, std::convert::Infallible>) -> T {
 /// Page size in bytes (same as the device block size).
 pub const PAGE_SIZE: u64 = BLOCK_SIZE as u64;
 
-/// Global dirty pages past which the write path forces writeback (the
-/// hard, synchronous limit; Linux's `dirty_ratio` at this scale).
-const DIRTY_LIMIT_PAGES: u64 = 4096;
-
-/// A file whose oldest dirty page is older than this is flushed on the
-/// next daemon tick (Linux's 30 s `dirty_expire_centisecs` scaled to
-/// simulation time).
-const DIRTY_DEADLINE_NS: u64 = 500 * simclock::NS_PER_MS;
-
-/// The daemon merges dirty runs separated by at most this many
-/// clean-but-present pages into one device write (the gap pages ride
-/// along), trading a few extra bytes for strictly fewer write crossings.
-const COALESCE_GAP_PAGES: u64 = 8;
-
 /// A file descriptor handle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Fd(pub usize);
@@ -179,7 +165,7 @@ pub struct Os {
     config: OsConfig,
     /// The write-back daemon's tunables: `config.writeback` resolved at
     /// boot, `None` meaning the defaults.
-    writeback: WritebackConfig,
+    pub(crate) writeback: WritebackConfig,
     /// The device demand I/O lands on by default. In tiered mode this is
     /// the *local* tier; routed charge sites consult the placement map and
     /// may redirect individual extents to the remote device instead.
@@ -403,10 +389,7 @@ impl Os {
         let cache = self.cache(ino);
         let (removed, dirty) = cache.state.write().remove_range(0, u64::MAX / 2);
         self.mem.note_removed(removed);
-        self.mem.note_cleaned(dirty);
-        // Unlink honestly drops dirty data without device I/O — the only
-        // path that closes the dirty ledger without a write-back.
-        self.stats.dropped_dirty_pages.add(dirty);
+        self.note_discarded(dirty);
         if let Some(tiered) = &self.tiered {
             tiered.forget_file(ino.0, &|f, lb| self.fs.map_block(InodeId(f), lb));
         }
@@ -493,10 +476,10 @@ impl Os {
     /// on the single device, the placement map's same-tier runs when
     /// tiered, visited under the placement guard
     /// ([`TieredStore::with_written_runs`], which also marks the range
-    /// written when `written` carries a write's time). Run-based
-    /// write-back stops here (it charges one request per logical run);
+    /// written when `written` carries a write's time). The write path's
+    /// run flush stops here (it charges one request per logical run);
     /// read charges continue through [`Os::route_extents`].
-    fn tier_runs<'a, E>(
+    pub(crate) fn tier_runs<'a, E>(
         &'a self,
         ino: InodeId,
         lstart: u64,
@@ -918,238 +901,6 @@ impl Os {
         );
     }
 
-    // ----- write path -----------------------------------------------------
-
-    /// The charging half of the write path; [`Os::store_content`] lands
-    /// the bytes. Never consults the fault plan's EIO schedule.
-    pub fn write_charge(&self, clock: &mut ThreadClock, fd: Fd, offset: u64, len: u64) -> u64 {
-        into_ok(self.write_charge_as::<NeverFault>(clock, fd, offset, len))
-    }
-
-    /// Fallible variant of [`Os::write_charge`]:
-    /// [`Os::write_charge_as`]`::<MayFault>`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`IoError::Io`] when the fault plan injects an EIO into the
-    /// RMW demand read.
-    pub fn try_write_charge(
-        &self,
-        clock: &mut ThreadClock,
-        fd: Fd,
-        offset: u64,
-        len: u64,
-    ) -> Result<u64, IoError> {
-        self.write_charge_as::<MayFault>(clock, fd, offset, len)
-    }
-
-    /// The write syscall under fault discipline `F`: the read-modify-write
-    /// head/tail demand reads consult the fault plan under [`MayFault`].
-    /// On an injected fault nothing is inserted or dirtied — a retry
-    /// redoes the whole write. The absorbed write itself never fails
-    /// (write-back happens later, off the caller's syscall).
-    ///
-    /// # Errors
-    ///
-    /// Under [`MayFault`], [`IoError::Io`] when the fault plan injects an
-    /// EIO into the RMW demand read.
-    pub fn write_charge_as<F: FaultMode>(
-        &self,
-        clock: &mut ThreadClock,
-        fd: Fd,
-        offset: u64,
-        len: u64,
-    ) -> Result<u64, F::Error> {
-        let costs = &self.config.costs;
-        clock.advance(costs.syscall_ns);
-        self.stats.syscalls.incr();
-        self.stats.writes.incr();
-        if len == 0 {
-            return Ok(0);
-        }
-        let entry = self.fd_entry(fd);
-        let cache = self.cache(entry.ino);
-        let p0 = offset / PAGE_SIZE;
-        let p1 = (offset + len).div_ceil(PAGE_SIZE);
-        let pages = p1 - p0;
-
-        // Partial head/tail pages that are absent need read-modify-write.
-        let (head_missing, tail_missing) = {
-            let state = cache.state.read();
-            let head = !offset.is_multiple_of(PAGE_SIZE) && !state.is_present(p0);
-            let tail = !(offset + len).is_multiple_of(PAGE_SIZE)
-                && p1 - 1 != p0
-                && !state.is_present(p1 - 1);
-            (head, tail)
-        };
-        for (is_missing, page) in [(head_missing, p0), (tail_missing, p1 - 1)] {
-            if is_missing {
-                if let Err(err) =
-                    self.charge_read_runs::<F>(clock, entry.ino, page, 1, IoPriority::Blocking)
-                {
-                    self.stats.demand_read_errors.incr();
-                    return Err(err);
-                }
-            }
-        }
-
-        // Insert + dirty under the tree lock.
-        let hold = costs.tree_insert_per_page_ns * pages;
-        let access = cache.tree_lock.write(clock.now(), hold);
-        clock.advance_to(access.end_ns);
-        let now = clock.now();
-        let (newly, dirtied) = {
-            let mut state = cache.state.write();
-            let newly = state.insert_range(p0, p1, now, 0);
-            let dirtied = state.mark_dirty(p0, p1, now);
-            (newly, dirtied)
-        };
-        self.mem.note_dirtied(dirtied);
-        self.stats.dirtied_pages.add(dirtied);
-        clock.advance(costs.copy_pages_ns(pages));
-        self.stats.bytes_written.add(len);
-        self.fs.set_size(entry.ino, offset + len);
-        if self.mem.note_inserted(newly) {
-            self.reclaim(clock);
-        }
-
-        if self.writeback.write_through {
-            if self.writeback_file(clock, entry.ino, true) > 0 {
-                self.stats.wb_flush_sync.incr();
-            }
-            return Ok(len);
-        }
-        if cache.state.read().dirty_pages() >= self.writeback.file_dirty_threshold_pages {
-            // Per-file threshold: background flush of this file.
-            if self.writeback_file(clock, entry.ino, false) > 0 {
-                self.stats.wb_flush_threshold.incr();
-            }
-        } else if self.mem.dirty() > DIRTY_LIMIT_PAGES {
-            // Hard global limit: the writer pays, synchronously.
-            if self.writeback_file(clock, entry.ino, true) > 0 {
-                self.stats.wb_flush_threshold.incr();
-            }
-        }
-        self.writeback_tick(clock);
-        Ok(len)
-    }
-
-    /// Charges a write of `pages` to the default device: synchronously on
-    /// the caller's clock at demand priority, or detached from it at
-    /// background priority. The aggregate flushes that know a page count
-    /// but no extents (dirty pages dropped by reclaim, `DONTNEED` and
-    /// `drop_caches`) charge here.
-    fn charge_default_write(&self, clock: &mut ThreadClock, pages: u64, sync: bool) {
-        if sync {
-            self.device.charge_write(clock, pages, IoPriority::Blocking);
-        } else {
-            let mut io_clock = ThreadClock::detached_at(clock.now());
-            self.device
-                .charge_write(&mut io_clock, pages, IoPriority::Prefetch);
-        }
-    }
-
-    /// Flushes a file's dirty pages, returning the count flushed. `sync`
-    /// waits for completion (fsync); otherwise the device work detaches
-    /// from the caller's clock. Clears the file's dirty runs, merging runs
-    /// whose clean gap is at most `COALESCE_GAP_PAGES` into one device
-    /// crossing (the gap pages ride along as extra bytes — strictly fewer
-    /// write requests for a few redundant writes). Each merged run is
-    /// charged once per device currently holding part of it.
-    fn writeback_file(&self, clock: &mut ThreadClock, ino: InodeId, sync: bool) -> u64 {
-        let cache = self.cache(ino);
-        let (runs, dirty) = {
-            let mut state = cache.state.write();
-            let runs = state.dirty_runs();
-            let mut dirty = 0;
-            for &(s, e) in &runs {
-                dirty += state.clear_dirty_range(s, e);
-            }
-            (runs, dirty)
-        };
-        if dirty == 0 {
-            return 0;
-        }
-        self.mem.note_cleaned(dirty);
-        self.stats.written_back_pages.add(dirty);
-
-        // Gap-coalesce adjacent runs into single crossings.
-        let mut merged: Vec<(u64, u64)> = Vec::new();
-        for &(s, e) in &runs {
-            match merged.last_mut() {
-                Some(last) if s - last.1 <= COALESCE_GAP_PAGES => {
-                    self.stats.wb_runs_coalesced.incr();
-                    last.1 = e;
-                }
-                _ => merged.push((s, e)),
-            }
-        }
-
-        let priority = if sync {
-            IoPriority::Blocking
-        } else {
-            IoPriority::Prefetch
-        };
-        let mut detached = (!sync).then(|| ThreadClock::detached_at(clock.now()));
-        let io: &mut ThreadClock = match detached.as_mut() {
-            Some(io) => io,
-            None => clock,
-        };
-        let t0 = io.now();
-        for &(s, e) in &merged {
-            into_ok(self.tier_runs(ino, s, e - s, None, |_, count, device| {
-                self.stats.wb_runs_flushed.incr();
-                device.charge_write(io, count, priority);
-                Ok(())
-            }));
-        }
-        self.emit_window(io.now(), OsSpanKind::WritebackFlush, io.now() - t0);
-        dirty
-    }
-
-    /// One write-back daemon pass: flushes files whose oldest dirty page
-    /// has outlived the virtual-time deadline, then — while global dirty
-    /// occupancy exceeds the soft background threshold — sweeps the
-    /// longest-dirty files first. The write path calls this after every
-    /// absorbed write.
-    fn writeback_tick(&self, clock: &mut ThreadClock) {
-        let now = clock.now();
-        let mut dirty_files: Vec<(u64, InodeId)> = Vec::new();
-        for cache in self.all_caches() {
-            let state = cache.state.read();
-            if state.dirty_pages() > 0 {
-                dirty_files.push((state.dirty_since_ns(), cache.ino));
-            }
-        }
-        dirty_files.sort_unstable();
-        for &(since, ino) in &dirty_files {
-            if since != 0
-                && since.saturating_add(DIRTY_DEADLINE_NS) <= now
-                && self.writeback_file(clock, ino, false) > 0
-            {
-                self.stats.wb_flush_deadline.incr();
-            }
-        }
-        for &(_, ino) in &dirty_files {
-            if self.mem.dirty() <= self.writeback.background_dirty_pages {
-                break;
-            }
-            if self.writeback_file(clock, ino, false) > 0 {
-                self.stats.wb_flush_threshold.incr();
-            }
-        }
-    }
-
-    /// `fsync(2)`: synchronously flush the file.
-    pub fn fsync(&self, clock: &mut ThreadClock, fd: Fd) {
-        clock.advance(self.config.costs.syscall_ns);
-        self.stats.syscalls.incr();
-        let ino = self.fd_inode(fd);
-        if self.writeback_file(clock, ino, true) > 0 {
-            self.stats.wb_flush_sync.incr();
-        }
-    }
-
     // ----- prefetch control syscalls ---------------------------------------
 
     /// `readahead(2)`: initiate readahead for `[offset, offset + len)`.
@@ -1319,12 +1070,7 @@ impl Os {
                     clock.advance_to(access.end_ns);
                 }
                 self.mem.note_removed(removed);
-                self.mem.note_cleaned(dirty);
-                if dirty > 0 {
-                    self.stats.written_back_pages.add(dirty);
-                    self.stats.wb_flush_drop.incr();
-                    self.charge_default_write(clock, dirty, false);
-                }
+                self.flush_dropped(clock, dirty, false);
                 self.stats.evicted_by_advice.add(removed);
                 return removed;
             }
@@ -1397,14 +1143,9 @@ impl Os {
         for cache in self.all_caches() {
             let (removed, dirty) = cache.state.write().remove_range(0, u64::MAX / 2);
             self.mem.note_removed(removed);
-            self.mem.note_cleaned(dirty);
             dirty_total += dirty;
         }
-        if dirty_total > 0 {
-            self.stats.written_back_pages.add(dirty_total);
-            self.stats.wb_flush_drop.incr();
-            self.charge_default_write(clock, dirty_total, true);
-        }
+        self.flush_dropped(clock, dirty_total, true);
     }
 
     /// Synchronous reclaim down to the watermark, charged to `clock`.
@@ -1431,7 +1172,6 @@ impl Os {
                 .write(clock.now(), costs.lru_per_page_ns * removed);
             clock.advance_to(access.end_ns);
             self.mem.note_removed(removed);
-            self.mem.note_cleaned(dirty);
             self.mem.evicted.add(removed);
             dirty_total += dirty;
             freed_total += removed;
@@ -1453,11 +1193,7 @@ impl Os {
                 freed_pages: freed_total,
             },
         );
-        if dirty_total > 0 {
-            self.stats.written_back_pages.add(dirty_total);
-            self.stats.wb_flush_drop.incr();
-            self.charge_default_write(clock, dirty_total, false);
-        }
+        self.flush_dropped(clock, dirty_total, false);
     }
 
     /// Aggregate lock wait time (tree + bitmap + mmap) in nanoseconds —
@@ -1500,13 +1236,6 @@ mod tests {
     use simstore::DeviceConfig;
 
     const FILE_PAGES: u64 = 512;
-
-    #[test]
-    fn write_path_constants_are_pinned() {
-        assert_eq!(DIRTY_LIMIT_PAGES, 4096);
-        assert_eq!(DIRTY_DEADLINE_NS, 500 * simclock::NS_PER_MS);
-        assert_eq!(COALESCE_GAP_PAGES, 8);
-    }
 
     /// Inodes first touched out of order still leave one cache per inode,
     /// in inode order: reclaim maps its positional victim indices back

@@ -69,12 +69,12 @@ impl MemoryManager {
     }
 
     /// Records dirty-page delta.
-    pub fn note_dirtied(&self, n: u64) {
+    pub(crate) fn note_dirtied(&self, n: u64) {
         self.dirty_pages.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Records cleaned pages.
-    pub fn note_cleaned(&self, n: u64) {
+    pub(crate) fn note_cleaned(&self, n: u64) {
         self.dirty_pages.fetch_sub(n, Ordering::Relaxed);
     }
 

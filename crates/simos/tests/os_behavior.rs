@@ -2,7 +2,9 @@
 //! readahead, fadvise semantics, fincore cost, reclaim under pressure.
 
 use simclock::ThreadClock;
-use simos::{Advice, Device, DeviceConfig, Fd, FileSystem, FsKind, Os, OsConfig, PAGE_SIZE};
+use simos::{
+    Advice, Device, DeviceConfig, Fd, FileSystem, FsKind, Os, OsConfig, WritebackConfig, PAGE_SIZE,
+};
 use std::sync::Arc;
 
 fn boot(memory_mb: u64) -> Arc<Os> {
@@ -395,5 +397,229 @@ mod faults {
         }
         assert_eq!(os.stats().prefetched_pages.get(), 0);
         assert!(os.device().stats().injected_read_faults.get() > 0);
+    }
+}
+
+/// One write-back trigger and what it must leave behind.
+struct FlushCase {
+    name: &'static str,
+    memory_pages: u64,
+    writeback: WritebackConfig,
+    trigger: fn(&Os, &mut ThreadClock),
+    /// Cause counters: threshold, deadline, sync, drop.
+    causes: [u64; 4],
+    written_back: u64,
+    dropped: u64,
+}
+
+/// Every dirty-page transition in one table: each write-back trigger bumps
+/// exactly its own cause counter, once, and the dirty ledger
+/// (`dirtied == written_back + dropped + dirty now`) balances after it.
+/// `unlink` is the one transition that flushes nothing.
+#[test]
+fn each_flush_cause_bumps_only_its_own_counter() {
+    use simclock::NS_PER_MS;
+
+    const MEMORY: u64 = 1 << 16;
+    fn causes(os: &Os) -> [u64; 4] {
+        let s = os.stats();
+        [
+            s.wb_flush_threshold.get(),
+            s.wb_flush_deadline.get(),
+            s.wb_flush_sync.get(),
+            s.wb_flush_drop.get(),
+        ]
+    }
+    fn new_file(os: &Os, clock: &mut ThreadClock, path: &str) -> Fd {
+        os.create_sized(clock, path, 0).unwrap()
+    }
+    let defaults = WritebackConfig::default;
+
+    let cases = [
+        FlushCase {
+            name: "write-through",
+            memory_pages: MEMORY,
+            writeback: WritebackConfig {
+                write_through: true,
+                ..defaults()
+            },
+            trigger: |os, clock| {
+                let fd = new_file(os, clock, "/wt");
+                os.write_charge(clock, fd, 0, 4 * PAGE_SIZE);
+            },
+            causes: [0, 0, 1, 0],
+            written_back: 4,
+            dropped: 0,
+        },
+        FlushCase {
+            name: "fsync",
+            memory_pages: MEMORY,
+            writeback: defaults(),
+            trigger: |os, clock| {
+                let fd = new_file(os, clock, "/fsync");
+                os.write_charge(clock, fd, 0, 4 * PAGE_SIZE);
+                os.fsync(clock, fd);
+            },
+            causes: [0, 0, 1, 0],
+            written_back: 4,
+            dropped: 0,
+        },
+        FlushCase {
+            name: "per-file threshold",
+            memory_pages: MEMORY,
+            writeback: defaults(),
+            trigger: |os, clock| {
+                let fd = new_file(os, clock, "/threshold");
+                let pages = WritebackConfig::default().file_dirty_threshold_pages;
+                os.write_charge(clock, fd, 0, pages * PAGE_SIZE);
+            },
+            causes: [1, 0, 0, 0],
+            written_back: 1024,
+            dropped: 0,
+        },
+        FlushCase {
+            name: "hard limit",
+            memory_pages: MEMORY,
+            writeback: WritebackConfig {
+                file_dirty_threshold_pages: 1 << 20,
+                background_dirty_pages: 1 << 20,
+                write_through: false,
+            },
+            trigger: |os, clock| {
+                // One write past the 4096-page hard limit: the writer
+                // flushes its own file synchronously.
+                let fd = new_file(os, clock, "/limit");
+                os.write_charge(clock, fd, 0, 4100 * PAGE_SIZE);
+            },
+            causes: [1, 0, 0, 0],
+            written_back: 4100,
+            dropped: 0,
+        },
+        FlushCase {
+            name: "deadline",
+            memory_pages: MEMORY,
+            writeback: defaults(),
+            trigger: |os, clock| {
+                let old = new_file(os, clock, "/old");
+                os.write_charge(clock, old, 0, 4 * PAGE_SIZE);
+                clock.advance(600 * NS_PER_MS);
+                // The next write's daemon pass finds `/old` past its
+                // 500 ms deadline; `/new` is fresh.
+                let new = new_file(os, clock, "/new");
+                os.write_charge(clock, new, 0, 4 * PAGE_SIZE);
+            },
+            causes: [0, 1, 0, 0],
+            written_back: 4,
+            dropped: 0,
+        },
+        FlushCase {
+            name: "background sweep",
+            memory_pages: MEMORY,
+            writeback: defaults(),
+            trigger: |os, clock| {
+                // Each file stays under the per-file threshold; the third
+                // lifts global dirty past the background threshold, and
+                // flushing the oldest file brings it back under.
+                for path in ["/bg0", "/bg1", "/bg2"] {
+                    let fd = new_file(os, clock, path);
+                    os.write_charge(clock, fd, 0, 900 * PAGE_SIZE);
+                }
+            },
+            causes: [1, 0, 0, 0],
+            written_back: 900,
+            dropped: 0,
+        },
+        FlushCase {
+            name: "DONTNEED",
+            memory_pages: MEMORY,
+            writeback: defaults(),
+            trigger: |os, clock| {
+                let fd = new_file(os, clock, "/advise");
+                os.write_charge(clock, fd, 0, 4 * PAGE_SIZE);
+                os.fadvise(clock, fd, Advice::DontNeed, 0, 4 * PAGE_SIZE);
+            },
+            causes: [0, 0, 0, 1],
+            written_back: 4,
+            dropped: 0,
+        },
+        FlushCase {
+            name: "drop_caches",
+            memory_pages: MEMORY,
+            writeback: defaults(),
+            trigger: |os, clock| {
+                let fd = new_file(os, clock, "/drop");
+                os.write_charge(clock, fd, 0, 4 * PAGE_SIZE);
+                os.drop_caches(clock);
+            },
+            causes: [0, 0, 0, 1],
+            written_back: 4,
+            dropped: 0,
+        },
+        FlushCase {
+            name: "reclaim",
+            memory_pages: 256,
+            writeback: defaults(),
+            trigger: |os, clock| {
+                // Two dirty words, then a clean read that overflows the
+                // 256-page budget: reclaim evicts the older, dirty words.
+                let fd = new_file(os, clock, "/dirty");
+                os.write_charge(clock, fd, 0, 128 * PAGE_SIZE);
+                let clean = os.create_sized(clock, "/clean", 256 * PAGE_SIZE).unwrap();
+                os.read_charge(clock, clean, 0, 256 * PAGE_SIZE);
+            },
+            causes: [0, 0, 0, 1],
+            written_back: 128,
+            dropped: 0,
+        },
+        FlushCase {
+            name: "unlink",
+            memory_pages: MEMORY,
+            writeback: defaults(),
+            trigger: |os, clock| {
+                let fd = new_file(os, clock, "/gone");
+                os.write_charge(clock, fd, 0, 4 * PAGE_SIZE);
+                os.unlink(clock, "/gone").unwrap();
+            },
+            causes: [0, 0, 0, 0],
+            written_back: 0,
+            dropped: 4,
+        },
+    ];
+    for case in cases {
+        let name = case.name;
+        let config = OsConfig {
+            memory_budget_pages: case.memory_pages,
+            writeback: Some(case.writeback),
+            ..OsConfig::default()
+        };
+        let os = Os::new(
+            config,
+            Device::new(DeviceConfig::local_nvme()),
+            FileSystem::new(FsKind::Ext4Like),
+        );
+        let mut clock = os.new_clock();
+        (case.trigger)(&os, &mut clock);
+        let s = os.stats();
+        assert_eq!(
+            causes(&os),
+            case.causes,
+            "{name}: [threshold, deadline, sync, drop]"
+        );
+        assert_eq!(
+            s.written_back_pages.get(),
+            case.written_back,
+            "{name}: written-back pages"
+        );
+        assert_eq!(
+            s.dropped_dirty_pages.get(),
+            case.dropped,
+            "{name}: dropped dirty pages"
+        );
+        assert!(s.dirtied_pages.get() > 0, "{name}: nothing dirtied");
+        assert_eq!(
+            s.dirtied_pages.get(),
+            s.written_back_pages.get() + s.dropped_dirty_pages.get() + os.mem().dirty(),
+            "{name}: dirty ledger out of balance"
+        );
     }
 }
