@@ -26,8 +26,13 @@
 //! uninhabited, so the infallible `CpFile` methods discharge the `Result`
 //! statically ([`simos::into_ok`]) — there is no dynamic "this cannot
 //! fail" assertion anywhere on the path.
+//!
+//! Those syscalls take the handle's own [`simos::FdEntry`] (`CpFile`'s
+//! `os_file`, resolved once at open, holding the inode's cache), never a
+//! descriptor number, so a read makes no descriptor or inode lookup.
 
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 use predict::{AccessPattern, Direction, Prediction, PredictionEngine, PrefetchDecision};
 use simclock::ThreadClock;
@@ -321,7 +326,7 @@ impl CpFile {
         let inner = &self.runtime.inner;
         let os = &inner.os;
         let filled = if ctx.is_write {
-            os.write_charge_as::<F>(clock, self.fd, ctx.offset, ctx.len)
+            os.write_charge_as::<F>(clock, &self.os_file, ctx.offset, ctx.len)
                 .map(|written| ReadOutcome {
                     bytes: written,
                     ..ReadOutcome::default()
@@ -336,7 +341,7 @@ impl CpFile {
             // disagrees with the claim or a demand fetch would beat
             // waiting on in-flight prefetch.
             if ring && ctx.pages > 0 && ctx.claimed == ctx.pages {
-                absorbed = os.absorb_read(clock, self.fd, ctx.offset, ctx.len);
+                absorbed = os.absorb_read(clock, &self.os_file, ctx.offset, ctx.len);
                 if absorbed.is_some() && self.take_preissued() {
                     inner.stats.ring_spec_absorbed.incr();
                 }
@@ -356,7 +361,7 @@ impl CpFile {
                     }
                     match no_crossing {
                         Some(outcome) => Ok(outcome),
-                        None => os.read_charge_as::<F>(clock, self.fd, ctx.offset, ctx.len),
+                        None => os.read_charge_as::<F>(clock, &self.os_file, ctx.offset, ctx.len),
                     }
                 }
             }
@@ -525,15 +530,15 @@ impl CpFile {
         if n.is_multiple_of(FINCORE_POLL_INTERVAL) {
             inner.stats.fincore_polls.incr();
             let runtime2 = self.runtime.clone();
-            let fd = self.file.prefetch_fd;
+            let os_file = Arc::clone(&self.file.os_file);
             let next = ctx.p1 * PAGE_SIZE;
             let syscall_ns = inner.os.config().costs.syscall_ns;
             inner
                 .workers
                 .dispatch(clock.now(), syscall_ns, move |wclock| {
                     let os = runtime2.os();
-                    os.fincore(wclock, fd);
-                    os.readahead(wclock, fd, next, 1 << 20);
+                    os.fincore(wclock, &os_file);
+                    os.readahead(wclock, &os_file, next, 1 << 20);
                 });
         }
     }

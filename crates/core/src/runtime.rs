@@ -10,9 +10,9 @@ use predict::{
 };
 use simclock::ThreadClock;
 use simos::{
-    into_ok, Advice, FaultMode, Fd, FsError, InodeId, IoError, MayFault, MmapOutcome, NeverFault,
-    Os, PrefetchQuality, RaBatchCompletion, RaBatchEntry, RaInfoRequest, ReadBatchEntry,
-    ReadOutcome, PAGE_SIZE,
+    into_ok, Advice, FaultMode, Fd, FdEntry, FsError, InodeId, IoError, MayFault, MmapOutcome,
+    NeverFault, Os, PrefetchQuality, RaBatchCompletion, RaBatchEntry, RaInfoRequest,
+    ReadBatchEntry, ReadOutcome, PAGE_SIZE,
 };
 
 use crate::config::{Features, Mode, RuntimeConfig};
@@ -43,8 +43,9 @@ pub(crate) struct Rider {
 pub struct LibFile {
     /// The file's inode.
     pub ino: InodeId,
-    /// A descriptor the runtime owns for issuing prefetch/advice calls.
-    pub(crate) prefetch_fd: Fd,
+    /// The OS entry of the descriptor the file was first opened with:
+    /// workers issue prefetch and advice calls through it.
+    pub(crate) os_file: Arc<FdEntry>,
     /// User-level cache view with per-range locking.
     pub(crate) tree: BPlusRangeIndex,
     /// Virtual time of the most recent application access.
@@ -105,7 +106,8 @@ pub(crate) const PREFETCH_RETRY_BACKOFF_NS: u64 = 100 * simclock::NS_PER_US;
 #[derive(Debug)]
 pub struct CpFile {
     pub(crate) runtime: Runtime,
-    pub(crate) fd: Fd,
+    /// This handle's own OS descriptor entry, resolved once at open.
+    pub(crate) os_file: Arc<FdEntry>,
     pub(crate) file: Arc<LibFile>,
     /// The prediction engine driving this descriptor's prefetch decisions
     /// (strided counter by default; correlation or adaptive by config).
@@ -296,9 +298,11 @@ impl Runtime {
         self.inner.policy.scope
     }
 
-    /// The per-file state of `ino`, built on first open under the table's
-    /// write lock (double-checked, so racing first opens agree on one).
-    fn lib_file(&self, ino: InodeId, fd: Fd) -> Arc<LibFile> {
+    /// The per-file state of `os_file`'s inode, built on first open under
+    /// the table's write lock (double-checked, so racing first opens agree
+    /// on one).
+    fn lib_file(&self, os_file: &Arc<FdEntry>) -> Arc<LibFile> {
+        let ino = os_file.cache.ino;
         let slot = ino.0 as usize;
         if let Some(Some(file)) = self.inner.files.read().get(slot) {
             return Arc::clone(file);
@@ -312,7 +316,7 @@ impl Runtime {
             tree.set_wait_histogram(Arc::clone(&self.inner.metrics.lib_lock_wait_ns));
             Arc::new(LibFile {
                 ino,
-                prefetch_fd: fd,
+                os_file: Arc::clone(os_file),
                 tree,
                 last_access_ns: AtomicU64::new(0),
                 reads_since_poll: AtomicU64::new(0),
@@ -399,15 +403,15 @@ impl Runtime {
     }
 
     fn wrap_fd(&self, clock: &mut ThreadClock, fd: Fd, tenant: Option<TenantId>) -> CpFile {
-        let ino = self.inner.os.fd_inode(fd);
-        let file = self.lib_file(ino, fd);
+        let os_file = self.inner.os.fd_entry(fd);
+        let file = self.lib_file(&os_file);
         let policy = &self.inner.policy;
 
         // Tenant binding happens before any open-time prefetch so the
         // optimistic window and fetchall streams are attributed and
         // arbitrated from the first page.
         if let (Some(arbiter), Some(tenant)) = (&self.inner.tenants, tenant) {
-            if arbiter.bind(tenant, ino) {
+            if arbiter.bind(tenant, &os_file.cache) {
                 file.tenant.store(tenant.0, Ordering::Relaxed);
             }
         }
@@ -415,7 +419,7 @@ impl Runtime {
         if policy.silence_heuristic_ra {
             // CROSS-LIB owns prefetching: silence the OS heuristic so the
             // two layers do not double-prefetch.
-            self.inner.os.fadvise(clock, fd, Advice::Random, 0, 0);
+            self.inner.os.fadvise(clock, &os_file, Advice::Random, 0, 0);
         }
 
         match policy.open_action {
@@ -425,7 +429,7 @@ impl Runtime {
                 // open; concurrent opens of a shared file reuse the same
                 // stream.
                 if !file.fetchall_scheduled.swap(true, Ordering::Relaxed) {
-                    let pages = self.inner.os.fs().size(ino).div_ceil(PAGE_SIZE);
+                    let pages = self.inner.os.fs().size(file.ino).div_ceil(PAGE_SIZE);
                     self.prefetch_pages(
                         clock, &file, 0, pages, /* respect_floors = */ false, None,
                     );
@@ -441,7 +445,7 @@ impl Runtime {
         let engine = Engine::for_kind(self.inner.policy.engine, &self.inner.config.engine_tuning);
         CpFile {
             runtime: self.clone(),
-            fd,
+            os_file,
             file,
             engine_feedback: engine.wants_feedback(),
             engine: Mutex::new(engine),
@@ -857,13 +861,13 @@ impl Runtime {
     pub fn flush_prefetch_batches(&self, _clock: &mut ThreadClock) {}
 
     /// The vectored OS entries of a ring crossing's riders.
-    fn rider_entries(&self, riders: &[Rider]) -> Vec<RaBatchEntry> {
+    fn rider_entries<'a>(&self, riders: &'a [Rider]) -> Vec<RaBatchEntry<'a>> {
         let os_cap = self.inner.os.config().ra_max_pages;
         riders
             .iter()
             .map(|run| {
                 RaBatchEntry::new(
-                    run.file.prefetch_fd,
+                    &run.file.os_file,
                     run.start * PAGE_SIZE,
                     (run.end - run.start) * PAGE_SIZE,
                 )
@@ -997,7 +1001,7 @@ impl Runtime {
                             .with_limit_pages(if relax { chunk } else { os_cap });
                         inner
                             .os
-                            .try_readahead_info(clock, file.prefetch_fd, req)
+                            .try_readahead_info(clock, &file.os_file, req)
                             .map(|info| {
                                 self.note_pages_initiated(file, info.initiated_pages);
                                 // Import the OS's view: mark both
@@ -1020,7 +1024,7 @@ impl Runtime {
                             .os
                             .try_readahead(
                                 clock,
-                                file.prefetch_fd,
+                                &file.os_file,
                                 cursor * PAGE_SIZE,
                                 chunk * PAGE_SIZE,
                             )
@@ -1100,7 +1104,7 @@ impl Runtime {
             if self.free_fraction() >= EVICT_TARGET {
                 break;
             }
-            let resident = inner.os.cache(file.ino).state.read().resident();
+            let resident = file.os_file.cache.state.read().resident();
             if resident == 0 {
                 continue;
             }
@@ -1109,7 +1113,7 @@ impl Runtime {
             // the advice call, and the snapshot would over-count.
             let dropped = inner
                 .os
-                .fadvise(clock, file.prefetch_fd, Advice::DontNeed, 0, u64::MAX);
+                .fadvise(clock, &file.os_file, Advice::DontNeed, 0, u64::MAX);
             file.tree.clear(clock, costs, self.scope());
             if dropped == 0 {
                 continue;
@@ -1173,11 +1177,6 @@ impl RuntimeInner {
 }
 
 impl CpFile {
-    /// The raw descriptor (for workload-level `APPonly` policies).
-    pub fn fd(&self) -> Fd {
-        self.fd
-    }
-
     /// The file's inode.
     pub fn ino(&self) -> InodeId {
         self.file.ino
@@ -1303,19 +1302,21 @@ impl CpFile {
 
     /// `fsync` passthrough.
     pub fn fsync(&self, clock: &mut ThreadClock) {
-        self.runtime.os().fsync(clock, self.fd);
+        self.runtime.os().fsync(clock, &self.os_file);
     }
 
     /// Advice passthrough (used by `APPonly` workload policies).
     pub fn advise(&self, clock: &mut ThreadClock, advice: Advice, offset: u64, len: u64) {
         self.runtime
             .os()
-            .fadvise(clock, self.fd, advice, offset, len);
+            .fadvise(clock, &self.os_file, advice, offset, len);
     }
 
     /// `readahead(2)` passthrough (used by `APPonly` workload policies).
     pub fn readahead(&self, clock: &mut ThreadClock, offset: u64, len: u64) -> u64 {
-        self.runtime.os().readahead(clock, self.fd, offset, len)
+        self.runtime
+            .os()
+            .readahead(clock, &self.os_file, offset, len)
     }
 
     /// Memory-mapped access through the shim (§4.6 mmap support): the
@@ -1334,9 +1335,9 @@ impl CpFile {
                 .compare_exchange(false, true, Ordering::Relaxed, Ordering::Relaxed)
                 .is_ok()
         {
-            inner.os.fadvise(clock, self.fd, Advice::Normal, 0, 0);
+            inner.os.fadvise(clock, &self.os_file, Advice::Normal, 0, 0);
         }
-        let outcome = inner.os.mmap_read(clock, self.fd, offset, len);
+        let outcome = inner.os.mmap_read(clock, &self.os_file, offset, len);
         // Mapped access is activity: without the stamp the memory watcher
         // sees a file touched only through mmap as idle since boot.
         self.file
@@ -1393,7 +1394,7 @@ impl CpFile {
             }
         }
         let entries = runtime.rider_entries(&riders);
-        let demand = [ReadBatchEntry::new(self.fd, offset, len)];
+        let demand = [ReadBatchEntry::new(&self.os_file, offset, len)];
         let os = &runtime.inner.os;
         match os.read_batch::<F>(clock, &demand, &entries) {
             Ok((mut outcomes, completions)) => {
@@ -1411,7 +1412,7 @@ impl CpFile {
             }
             Err(_) => {
                 runtime.ring_degrade(clock, riders, self.file.ino);
-                os.read_charge_as::<F>(clock, self.fd, offset, len)
+                os.read_charge_as::<F>(clock, &self.os_file, offset, len)
             }
         }
     }
@@ -1534,14 +1535,7 @@ impl CpFile {
             return;
         }
         self.reads_since_feedback.store(0, Ordering::Relaxed);
-        let quality = self
-            .runtime
-            .inner
-            .os
-            .cache(self.file.ino)
-            .state
-            .read()
-            .quality();
+        let quality = self.os_file.cache.state.read().quality();
         let mut fed = self.fed_quality.lock();
         let delta = quality.delta(*fed);
         *fed = quality;
@@ -1629,7 +1623,7 @@ mod tests {
                         fds.iter()
                             .map(|&fd| {
                                 start.wait();
-                                runtime.lib_file(runtime.os().fd_inode(fd), fd)
+                                runtime.lib_file(&runtime.os().fd_entry(fd))
                             })
                             .collect::<Vec<_>>()
                     })

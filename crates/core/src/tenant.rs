@@ -20,10 +20,12 @@
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 use simclock::Counter;
-use simos::{InodeId, Os, PrefetchQuality};
+use simos::cache::InodeCache;
+use simos::{Os, PrefetchQuality};
 
 use crate::telemetry::{push_json_string, Metric};
 
@@ -136,8 +138,9 @@ pub enum AdmissionRung {
 #[derive(Debug)]
 struct TenantState {
     spec: TenantSpec,
-    /// Files opened under this tenant (the tenant → files registry).
-    inodes: Mutex<Vec<InodeId>>,
+    /// Caches of the files opened under this tenant (the tenant → files
+    /// registry).
+    files: Mutex<Vec<Arc<InodeCache>>>,
     /// Prefetch-window share from the last rebalance, pages.
     budget_pages: AtomicU64,
     /// Pages admitted against the window since the last rebalance.
@@ -165,10 +168,10 @@ impl TenantState {
         self.admitted_pages.add(pages);
     }
 
-    fn quality(&self, os: &Os) -> PrefetchQuality {
+    fn quality(&self) -> PrefetchQuality {
         let mut total = PrefetchQuality::default();
-        for &ino in self.inodes.lock().iter() {
-            total.merge(os.cache(ino).state.read().quality());
+        for cache in self.files.lock().iter() {
+            total.merge(cache.state.read().quality());
         }
         total
     }
@@ -290,7 +293,7 @@ impl TenantArbiter {
             .into_iter()
             .map(|spec| TenantState {
                 spec,
-                inodes: Mutex::new(Vec::new()),
+                files: Mutex::new(Vec::new()),
                 budget_pages: AtomicU64::new(u64::MAX),
                 window_used: AtomicU64::new(0),
                 initiated_pages: Counter::new(),
@@ -309,15 +312,16 @@ impl TenantArbiter {
         }
     }
 
-    /// Registers `ino` under `tenant`; returns `false` (and tracks
-    /// nothing) for a tenant outside the configured table.
-    pub fn bind(&self, tenant: TenantId, ino: InodeId) -> bool {
+    /// Registers the file whose cache is `cache` under `tenant`; returns
+    /// `false` (and tracks nothing) for a tenant outside the configured
+    /// table.
+    pub fn bind(&self, tenant: TenantId, cache: &Arc<InodeCache>) -> bool {
         let Some(state) = self.tenants.get(tenant.0 as usize) else {
             return false;
         };
-        let mut inodes = state.inodes.lock();
-        if !inodes.contains(&ino) {
-            inodes.push(ino);
+        let mut files = state.files.lock();
+        if !files.iter().any(|bound| Arc::ptr_eq(bound, cache)) {
+            files.push(Arc::clone(cache));
         }
         true
     }
@@ -430,7 +434,7 @@ impl TenantArbiter {
                 let eff_milli = if initiated == 0 {
                     1000 // no evidence yet: full weight
                 } else {
-                    let q = state.quality(os);
+                    let q = state.quality();
                     let used = (q.timely + q.late).min(initiated);
                     floor_milli + (1000 - floor_milli) * used / initiated
                 };
@@ -447,10 +451,10 @@ impl TenantArbiter {
     }
 
     /// Aggregate prefetch quality over one tenant's files.
-    pub fn tenant_quality(&self, os: &Os, tenant: TenantId) -> PrefetchQuality {
+    pub fn tenant_quality(&self, tenant: TenantId) -> PrefetchQuality {
         self.tenants
             .get(tenant.0 as usize)
-            .map(|state| state.quality(os))
+            .map(TenantState::quality)
             .unwrap_or_default()
     }
 

@@ -293,6 +293,7 @@ fn infallible_paths_never_draw_from_the_fault_plan() {
     let mut clock = rt.new_clock();
     let file = rt.create_sized(&mut clock, "/sure", 8 << 20).unwrap();
     let fd = os.open(&mut clock, "/sure").unwrap();
+    let os_file = os.fd_entry(fd);
     let faults = || os.device().stats().injected_read_faults.get();
 
     assert_eq!(file.read_charge(&mut clock, 0, 64 * 1024).miss_pages, 16);
@@ -304,7 +305,7 @@ fn infallible_paths_never_draw_from_the_fault_plan() {
             .miss_pages,
         4
     );
-    let demand = [ReadBatchEntry::new(fd, 3 << 20, 16 * 1024)];
+    let demand = [ReadBatchEntry::new(&os_file, 3 << 20, 16 * 1024)];
     let (outcomes, _) = os
         .read_batch::<NeverFault>(&mut clock, &demand, &[])
         .unwrap();
@@ -319,7 +320,7 @@ fn infallible_paths_never_draw_from_the_fault_plan() {
         file.try_read_charge(&mut clock, 5 << 20, 16 * 1024),
         Err(IoError::Io)
     );
-    let demand = [ReadBatchEntry::new(fd, 6 << 20, 16 * 1024)];
+    let demand = [ReadBatchEntry::new(&os_file, 6 << 20, 16 * 1024)];
     let (outcomes, _) = os.read_batch::<MayFault>(&mut clock, &demand, &[]).unwrap();
     assert_eq!(outcomes[0], Err(IoError::Io));
     assert!(faults() >= 3);

@@ -20,7 +20,7 @@ use simstore::IoPriority;
 
 use crate::cache::{InodeCache, PageRange, PAGES_PER_WORD};
 use crate::error::IoError;
-use crate::os::{into_ok, FaultMode, Fd, MayFault, NeverFault, Os, PAGE_SIZE};
+use crate::os::{into_ok, FaultMode, Fd, FdEntry, MayFault, NeverFault, Os, PAGE_SIZE};
 use crate::trace::{OsSpanKind, OsTraceEvent};
 use simfs::InodeId;
 
@@ -138,7 +138,7 @@ impl Os {
     /// # Ok::<(), simos::FsError>(())
     /// ```
     pub fn readahead_info(&self, clock: &mut ThreadClock, fd: Fd, req: RaInfoRequest) -> RaInfo {
-        into_ok(self.readahead_info_impl::<NeverFault>(clock, fd, req))
+        into_ok(self.readahead_info_impl::<NeverFault>(clock, &self.fd_entry(fd), req))
     }
 
     /// Fallible variant of [`Os::readahead_info`].
@@ -160,17 +160,17 @@ impl Os {
     pub fn try_readahead_info(
         &self,
         clock: &mut ThreadClock,
-        fd: Fd,
+        file: &FdEntry,
         req: RaInfoRequest,
     ) -> Result<RaInfo, IoError> {
         self.probe_cross_os(clock)?;
-        self.readahead_info_impl::<MayFault>(clock, fd, req)
+        self.readahead_info_impl::<MayFault>(clock, file, req)
     }
 
     fn readahead_info_impl<F: FaultMode>(
         &self,
         clock: &mut ThreadClock,
-        fd: Fd,
+        file: &FdEntry,
         req: RaInfoRequest,
     ) -> Result<RaInfo, F::Error> {
         let costs = &self.config().costs;
@@ -178,22 +178,16 @@ impl Os {
         self.stats().syscalls.incr();
         self.stats().ra_info_calls.incr();
 
-        let entry = self.fd_entry(fd);
-        let cache = self.cache(entry.ino);
-        let file_pages = self.fs().size(entry.ino).div_ceil(PAGE_SIZE);
+        let cache = &*file.cache;
+        let file_pages = self.fs().size(cache.ino).div_ceil(PAGE_SIZE);
 
         let p0 = (req.offset / PAGE_SIZE).min(file_pages);
         let p1 = ((req.offset + req.len).div_ceil(PAGE_SIZE)).min(file_pages);
 
         let range_pages = p1.saturating_sub(p0);
         let budget = (!req.query_only).then(|| self.prefetch_cap(req.limit_pages));
-        let (cached_pages, initiated, ready_at) = self.prefetch_range::<F>(
-            clock,
-            (entry.ino, &cache),
-            (p0, p1),
-            budget,
-            IoPriority::Prefetch,
-        )?;
+        let (cached_pages, initiated, ready_at) =
+            self.prefetch_range::<F>(clock, cache, (p0, p1), budget, IoPriority::Prefetch)?;
 
         // Export the bitmap window: the request's own range, at least one
         // page wide.
@@ -205,7 +199,7 @@ impl Os {
         self.emit(
             clock.now(),
             OsTraceEvent::RaInfoCall {
-                ino: entry.ino,
+                ino: cache.ino,
                 start_page: p0,
                 pages: range_pages,
                 cached_pages,
@@ -281,7 +275,7 @@ impl Os {
     fn prefetch_range<F: FaultMode>(
         &self,
         clock: &mut ThreadClock,
-        (ino, cache): (InodeId, &InodeCache),
+        cache: &InodeCache,
         (p0, p1): PageRange,
         budget: Option<u64>,
         priority: IoPriority,
@@ -300,7 +294,7 @@ impl Os {
         };
         let scheduled = clamp_to_budget(&missing, budget);
         let ready =
-            self.charge_prefetch_progressive::<F>(clock.now(), priority, ino, &scheduled)?;
+            self.charge_prefetch_progressive::<F>(clock.now(), priority, cache.ino, &scheduled)?;
         let ready_at = ready.last().map_or(0, |piece| piece.2);
         let pages = scheduled.iter().map(|&(s, e)| e - s).sum();
         let initiated = self.publish_bitmap(clock, cache, fill, pages, &ready);
@@ -396,7 +390,7 @@ impl Os {
 
 /// One rider of a ring crossing ([`Os::read_batch`]): a *known future
 /// demand read* (Foreactor's explicit speculation) over a byte range of one
-/// descriptor, submitted with the read that blocks. A rider is charged
+/// open file, submitted with the read that blocks. A rider is charged
 /// after the crossing's demand entries, but on a clock detached at the
 /// submission instant rather than at their completion, and on the device's
 /// blocking horizon — FCFS on the background horizon it would queue behind
@@ -406,9 +400,9 @@ impl Os {
 /// every one. Each rider fills and fails alone; the matching
 /// [`RaBatchCompletion`] is its completion-queue element.
 #[derive(Debug, Clone, Copy)]
-pub struct RaBatchEntry {
-    /// Descriptor whose file the range belongs to.
-    pub fd: Fd,
+pub struct RaBatchEntry<'a> {
+    /// Open file the range belongs to.
+    pub file: &'a FdEntry,
     /// Byte offset of the range to fetch.
     pub offset: u64,
     /// Byte length of the range to fetch.
@@ -418,11 +412,11 @@ pub struct RaBatchEntry {
     pub limit_pages: Option<u64>,
 }
 
-impl RaBatchEntry {
+impl<'a> RaBatchEntry<'a> {
     /// A rider over a byte range with the default limit.
-    pub fn new(fd: Fd, offset: u64, len: u64) -> Self {
+    pub fn new(file: &'a FdEntry, offset: u64, len: u64) -> Self {
         Self {
-            fd,
+            file,
             offset,
             len,
             limit_pages: None,
@@ -456,19 +450,19 @@ pub struct RaBatchCompletion {
 /// One demand-read entry of a ring crossing ([`Os::read_batch`]): a
 /// `read(2)`-shaped request that crosses with the riders it carries.
 #[derive(Debug, Clone, Copy)]
-pub struct ReadBatchEntry {
-    /// Descriptor to read from.
-    pub fd: Fd,
+pub struct ReadBatchEntry<'a> {
+    /// Open file to read from.
+    pub file: &'a FdEntry,
     /// Byte offset of the read.
     pub offset: u64,
     /// Byte length of the read.
     pub len: u64,
 }
 
-impl ReadBatchEntry {
+impl<'a> ReadBatchEntry<'a> {
     /// A demand-read entry over a byte range.
-    pub fn new(fd: Fd, offset: u64, len: u64) -> Self {
-        Self { fd, offset, len }
+    pub fn new(file: &'a FdEntry, offset: u64, len: u64) -> Self {
+        Self { file, offset, len }
     }
 }
 
@@ -504,8 +498,8 @@ impl Os {
     pub fn read_batch<F: FaultMode>(
         &self,
         clock: &mut ThreadClock,
-        demand: &[ReadBatchEntry],
-        riders: &[RaBatchEntry],
+        demand: &[ReadBatchEntry<'_>],
+        riders: &[RaBatchEntry<'_>],
     ) -> Result<ReadBatchResult<F::Error>, IoError> {
         self.probe_cross_os(clock)?;
         clock.advance(self.config().costs.syscall_ns);
@@ -523,7 +517,7 @@ impl Os {
         // device, so a miss costs exactly what it costs alone.
         let outcomes = demand
             .iter()
-            .map(|entry| self.read_charge_body::<F>(clock, entry.fd, entry.offset, entry.len))
+            .map(|entry| self.read_charge_body::<F>(clock, entry.file, entry.offset, entry.len))
             .collect();
         let completions = riders
             .iter()
@@ -534,15 +528,14 @@ impl Os {
 
     /// One rider's fill: [`Os::prefetch_range`] at blocking priority on a
     /// clock detached at `submitted_ns`, under `F`'s fault discipline.
-    fn ride<F: FaultMode>(&self, entry: &RaBatchEntry, submitted_ns: u64) -> RaBatchCompletion {
-        let ino = self.fd_entry(entry.fd).ino;
-        let file_pages = self.fs().size(ino).div_ceil(PAGE_SIZE);
+    fn ride<F: FaultMode>(&self, entry: &RaBatchEntry<'_>, submitted_ns: u64) -> RaBatchCompletion {
+        let cache = &entry.file.cache;
+        let file_pages = self.fs().size(cache.ino).div_ceil(PAGE_SIZE);
         let p0 = (entry.offset / PAGE_SIZE).min(file_pages);
         let p1 = ((entry.offset + entry.len).div_ceil(PAGE_SIZE)).min(file_pages);
         let mut at = ThreadClock::detached_at(submitted_ns);
         let budget = Some(self.prefetch_cap(entry.limit_pages));
-        let target = (ino, &*self.cache(ino));
-        match self.prefetch_range::<F>(&mut at, target, (p0, p1), budget, IoPriority::Blocking) {
+        match self.prefetch_range::<F>(&mut at, cache, (p0, p1), budget, IoPriority::Blocking) {
             Ok((cached_pages, initiated_pages, ready_at_ns)) => RaBatchCompletion {
                 cached_pages,
                 initiated_pages,
@@ -568,14 +561,13 @@ impl Os {
     pub fn absorb_read(
         &self,
         clock: &mut ThreadClock,
-        fd: Fd,
+        file: &FdEntry,
         offset: u64,
         len: u64,
     ) -> Option<crate::os::ReadOutcome> {
         let costs = &self.config().costs;
-        let entry = self.fd_entry(fd);
-        let cache = self.cache(entry.ino);
-        let size = self.fs().size(entry.ino);
+        let cache = &file.cache;
+        let size = self.fs().size(cache.ino);
         let len = len.min(size.saturating_sub(offset));
         if len == 0 {
             return None;
@@ -620,7 +612,7 @@ impl Os {
         // Keep the heuristic-readahead state machine in lockstep with the
         // syscall path (every ring-eligible mode silences it at open, but
         // the descriptor state must not diverge).
-        self.heuristic_readahead::<NeverFault>(clock, &entry, &cache, p0, pages);
+        self.heuristic_readahead::<NeverFault>(clock, file, p0, pages);
 
         Some(crate::os::ReadOutcome {
             pages,
@@ -796,7 +788,7 @@ mod tests {
         let info = os
             .try_readahead_info(
                 &mut clock,
-                fd,
+                &os.fd_entry(fd),
                 RaInfoRequest::prefetch(0, 1 << 20).with_limit_pages(256),
             )
             .unwrap();
@@ -815,7 +807,11 @@ mod tests {
         let mut clock = os.new_clock();
         let fd = os.create_sized(&mut clock, "/f", 1 << 20).unwrap();
         let err = os
-            .try_readahead_info(&mut clock, fd, RaInfoRequest::prefetch(0, 1 << 20))
+            .try_readahead_info(
+                &mut clock,
+                &os.fd_entry(fd),
+                RaInfoRequest::prefetch(0, 1 << 20),
+            )
             .unwrap_err();
         assert_eq!(err, IoError::Unsupported);
         assert_eq!(os.stats().ra_info_unsupported.get(), 1);
@@ -831,9 +827,10 @@ mod tests {
         let mk = || os_with_file(8 << 20);
 
         let (batched_os, bfd, mut bclock) = mk();
+        let bfile = batched_os.fd_entry(bfd);
         let riders: Vec<RaBatchEntry> = (0..4)
             .map(|i| {
-                RaBatchEntry::new(bfd, i * 64 * PAGE_SIZE, 64 * PAGE_SIZE).with_limit_pages(64)
+                RaBatchEntry::new(&bfile, i * 64 * PAGE_SIZE, 64 * PAGE_SIZE).with_limit_pages(64)
             })
             .collect();
         let (_, completions) = batched_os
@@ -861,8 +858,9 @@ mod tests {
         let syscalls_before = os.stats().syscalls.get();
         // Four disjoint far-apart riders of 32 pages, no demand entry.
         let stride = (os.config().ra_max_pages + 64) * PAGE_SIZE;
+        let file = os.fd_entry(fd);
         let riders: Vec<RaBatchEntry> = (0..4)
-            .map(|i| RaBatchEntry::new(fd, i * stride, 32 * PAGE_SIZE).with_limit_pages(32))
+            .map(|i| RaBatchEntry::new(&file, i * stride, 32 * PAGE_SIZE).with_limit_pages(32))
             .collect();
         let (outcomes, completions) = os.read_batch::<MayFault>(&mut clock, &[], &riders).unwrap();
         assert_eq!(os.stats().syscalls.get() - syscalls_before, 1);
@@ -881,11 +879,12 @@ mod tests {
     fn read_batch_charges_one_crossing_for_demand_and_prefetch() {
         let (os, fd, mut clock) = os_with_file(8 << 20);
         let syscalls_before = os.stats().syscalls.get();
-        let demand = [ReadBatchEntry::new(fd, 0, 64 * 1024)];
+        let file = os.fd_entry(fd);
+        let demand = [ReadBatchEntry::new(&file, 0, 64 * 1024)];
         let stride = (os.config().ra_max_pages + 64) * PAGE_SIZE;
         let riders = [
-            RaBatchEntry::new(fd, stride, 32 * PAGE_SIZE).with_limit_pages(32),
-            RaBatchEntry::new(fd, 2 * stride, 32 * PAGE_SIZE).with_limit_pages(32),
+            RaBatchEntry::new(&file, stride, 32 * PAGE_SIZE).with_limit_pages(32),
+            RaBatchEntry::new(&file, 2 * stride, 32 * PAGE_SIZE).with_limit_pages(32),
         ];
         let (outcomes, completions) = os
             .read_batch::<NeverFault>(&mut clock, &demand, &riders)
@@ -909,7 +908,8 @@ mod tests {
         // quality ledger sees them) on the blocking class — no
         // prefetch-class device request is made for it.
         let (os, fd, mut clock) = os_with_file(8 << 20);
-        let rider = RaBatchEntry::new(fd, 0, 12 * PAGE_SIZE);
+        let file = os.fd_entry(fd);
+        let rider = RaBatchEntry::new(&file, 0, 12 * PAGE_SIZE);
         let (_, done) = os
             .read_batch::<MayFault>(&mut clock, &[], &[rider])
             .unwrap();
@@ -933,16 +933,17 @@ mod tests {
         );
         let mut clock = os.new_clock();
         let fd = os.create_sized(&mut clock, "/f", 8 << 20).unwrap();
-        os.fadvise(&mut clock, fd, crate::Advice::Random, 0, 0);
+        os.fadvise(&mut clock, &os.fd_entry(fd), crate::Advice::Random, 0, 0);
         os.readahead_info(
             &mut clock,
             fd,
             RaInfoRequest::prefetch(1 << 20, 12 * PAGE_SIZE).with_limit_pages(12),
         );
-        let demand = [ReadBatchEntry::new(fd, 1 << 20, 4 * PAGE_SIZE)];
+        let file = os.fd_entry(fd);
+        let demand = [ReadBatchEntry::new(&file, 1 << 20, 4 * PAGE_SIZE)];
         let riders = [
-            RaBatchEntry::new(fd, 0, 12 * PAGE_SIZE),
-            RaBatchEntry::new(fd, (1 << 20) + 4 * PAGE_SIZE, 8 * PAGE_SIZE),
+            RaBatchEntry::new(&file, 0, 12 * PAGE_SIZE),
+            RaBatchEntry::new(&file, (1 << 20) + 4 * PAGE_SIZE, 8 * PAGE_SIZE),
         ];
         let (outcomes, done) = os
             .read_batch::<MayFault>(&mut clock, &demand, &riders)
@@ -970,9 +971,10 @@ mod tests {
         );
         let mut clock = os.new_clock();
         let fd = os.create_sized(&mut clock, "/f", 4 << 20).unwrap();
+        let file = os.fd_entry(fd);
         let riders = [
-            RaBatchEntry::new(fd, 0, 32 * PAGE_SIZE).with_limit_pages(32),
-            RaBatchEntry::new(fd, 32 * PAGE_SIZE, 32 * PAGE_SIZE).with_limit_pages(32),
+            RaBatchEntry::new(&file, 0, 32 * PAGE_SIZE).with_limit_pages(32),
+            RaBatchEntry::new(&file, 32 * PAGE_SIZE, 32 * PAGE_SIZE).with_limit_pages(32),
         ];
         // The call itself succeeds; each faulted rider surfaces per entry.
         let (_, completions) = os.read_batch::<MayFault>(&mut clock, &[], &riders).unwrap();
@@ -980,7 +982,11 @@ mod tests {
         assert!(completions.iter().all(|c| c.initiated_pages == 0));
         // All-or-nothing per rider: nothing was inserted.
         let info = os
-            .try_readahead_info(&mut clock, fd, RaInfoRequest::query(0, 4 << 20))
+            .try_readahead_info(
+                &mut clock,
+                &os.fd_entry(fd),
+                RaInfoRequest::query(0, 4 << 20),
+            )
             .unwrap();
         assert_eq!(info.cached_pages, 0);
         assert_eq!(os.stats().prefetched_pages.get(), 0);
@@ -998,7 +1004,11 @@ mod tests {
         let mut clock = os.new_clock();
         let fd = os.create_sized(&mut clock, "/f", 1 << 20).unwrap();
         let err = os
-            .read_batch::<MayFault>(&mut clock, &[ReadBatchEntry::new(fd, 0, 4096)], &[])
+            .read_batch::<MayFault>(
+                &mut clock,
+                &[ReadBatchEntry::new(&os.fd_entry(fd), 0, 4096)],
+                &[],
+            )
             .unwrap_err();
         assert_eq!(err, IoError::Unsupported);
         assert_eq!(os.stats().ra_info_unsupported.get(), 1);
@@ -1016,9 +1026,10 @@ mod tests {
         );
         let mut clock = os.new_clock();
         let fd = os.create_sized(&mut clock, "/f", 1 << 20).unwrap();
+        let file = os.fd_entry(fd);
         let riders = [
-            RaBatchEntry::new(fd, 0, 8 * PAGE_SIZE),
-            RaBatchEntry::new(fd, 1 << 19, 8 * PAGE_SIZE),
+            RaBatchEntry::new(&file, 0, 8 * PAGE_SIZE),
+            RaBatchEntry::new(&file, 1 << 19, 8 * PAGE_SIZE),
         ];
         let err = os
             .read_batch::<MayFault>(&mut clock, &[], &riders)
@@ -1034,7 +1045,9 @@ mod tests {
     fn absorb_read_serves_cached_range_without_crossing() {
         let (os, fd, mut clock) = os_with_file(4 << 20);
         // Nothing cached yet: absorb refuses, mutating nothing.
-        assert!(os.absorb_read(&mut clock, fd, 0, 64 * 1024).is_none());
+        assert!(os
+            .absorb_read(&mut clock, &os.fd_entry(fd), 0, 64 * 1024)
+            .is_none());
         assert_eq!(os.stats().hit_pages.get(), 0);
 
         os.readahead_info(
@@ -1044,7 +1057,7 @@ mod tests {
         );
         let syscalls_before = os.stats().syscalls.get();
         let outcome = os
-            .absorb_read(&mut clock, fd, 0, 64 * 1024)
+            .absorb_read(&mut clock, &os.fd_entry(fd), 0, 64 * 1024)
             .expect("fully cached range absorbs");
         assert_eq!(os.stats().syscalls.get(), syscalls_before);
         assert_eq!(outcome.pages, 16);
@@ -1054,7 +1067,9 @@ mod tests {
         assert_eq!(os.stats().absorbed_reads.get(), 1);
         assert_eq!(os.stats().hit_pages.get(), 16);
         // Re-absorbing the same range is a plain cache hit now.
-        let again = os.absorb_read(&mut clock, fd, 0, 64 * 1024).unwrap();
+        let again = os
+            .absorb_read(&mut clock, &os.fd_entry(fd), 0, 64 * 1024)
+            .unwrap();
         assert_eq!(again.prefetch_hit_pages, 0);
         assert_eq!(again.hit_pages, 16);
     }
@@ -1072,7 +1087,8 @@ mod tests {
                 RaInfoRequest::prefetch(0, 1 << 20).with_limit_pages(256),
             );
             let outcome = if absorb {
-                os.absorb_read(&mut clock, fd, 0, 256 * 1024).unwrap()
+                os.absorb_read(&mut clock, &os.fd_entry(fd), 0, 256 * 1024)
+                    .unwrap()
             } else {
                 os.read_charge(&mut clock, fd, 0, 256 * 1024)
             };
@@ -1106,14 +1122,18 @@ mod tests {
         let err = os
             .try_readahead_info(
                 &mut clock,
-                fd,
+                &os.fd_entry(fd),
                 RaInfoRequest::prefetch(0, 1 << 20).with_limit_pages(256),
             )
             .unwrap_err();
         assert_eq!(err, IoError::Io);
         // Nothing inserted: a later query sees an empty cache.
         let info = os
-            .try_readahead_info(&mut clock, fd, RaInfoRequest::query(0, 1 << 20))
+            .try_readahead_info(
+                &mut clock,
+                &os.fd_entry(fd),
+                RaInfoRequest::query(0, 1 << 20),
+            )
             .unwrap();
         assert_eq!(info.cached_pages, 0);
         assert_eq!(os.stats().prefetched_pages.get(), 0);

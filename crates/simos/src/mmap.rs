@@ -9,7 +9,7 @@
 use simclock::ThreadClock;
 use simstore::IoPriority;
 
-use crate::os::{into_ok, Fd, NeverFault, Os, PAGE_SIZE};
+use crate::os::{into_ok, FdEntry, NeverFault, Os, PAGE_SIZE};
 use crate::readahead::RaMode;
 
 /// Outcome of an [`Os::mmap_read`].
@@ -26,8 +26,8 @@ pub struct MmapOutcome {
 impl Os {
     /// Installs an access-pattern advice on a mapping (madvise analogue).
     /// `Random` disables fault-around for the descriptor.
-    pub fn madvise(&self, clock: &mut ThreadClock, fd: Fd, advice: crate::os::Advice) {
-        self.fadvise(clock, fd, advice, 0, 0);
+    pub fn madvise(&self, clock: &mut ThreadClock, file: &FdEntry, advice: crate::os::Advice) {
+        self.fadvise(clock, file, advice, 0, 0);
     }
 
     /// Simulates load instructions over `[offset, offset + len)` of a
@@ -36,11 +36,16 @@ impl Os {
     /// No syscall cost is charged — that is the point of `mmap` — but every
     /// absent page pays a major fault, and fault-around readahead applies
     /// unless the descriptor was advised `Random`.
-    pub fn mmap_read(&self, clock: &mut ThreadClock, fd: Fd, offset: u64, len: u64) -> MmapOutcome {
+    pub fn mmap_read(
+        &self,
+        clock: &mut ThreadClock,
+        file: &FdEntry,
+        offset: u64,
+        len: u64,
+    ) -> MmapOutcome {
         let costs = &self.config().costs;
-        let entry = self.fd_entry(fd);
-        let cache = self.cache(entry.ino);
-        let size = self.fs().size(entry.ino);
+        let cache = &file.cache;
+        let size = self.fs().size(cache.ino);
         let len = len.min(size.saturating_sub(offset));
         if len == 0 {
             return MmapOutcome::default();
@@ -48,7 +53,7 @@ impl Os {
         let p0 = offset / PAGE_SIZE;
         let p1 = (offset + len).div_ceil(PAGE_SIZE);
         let file_pages = size.div_ceil(PAGE_SIZE);
-        let fault_around = match entry.ra_mode() {
+        let fault_around = match file.ra.lock().mode() {
             RaMode::Random => 0,
             _ => self.config().fault_around_pages,
         };
@@ -89,7 +94,7 @@ impl Os {
                 for &(s, e) in &missing {
                     into_ok(self.charge_read_runs::<NeverFault>(
                         clock,
-                        entry.ino,
+                        cache.ino,
                         s,
                         e - s,
                         IoPriority::Blocking,
@@ -121,7 +126,7 @@ impl Os {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::os::Advice;
+    use crate::os::{Advice, Fd};
     use crate::{FileSystem, FsKind, OsConfig};
     use simstore::{Device, DeviceConfig};
     use std::sync::Arc;
@@ -140,10 +145,10 @@ mod tests {
     #[test]
     fn first_touch_major_faults_with_fault_around() {
         let (os, fd, mut clock) = os_with_file(1 << 20);
-        let outcome = os.mmap_read(&mut clock, fd, 0, 4096);
+        let outcome = os.mmap_read(&mut clock, &os.fd_entry(fd), 0, 4096);
         assert_eq!(outcome.major, 1);
         // Fault-around made the neighbours resident.
-        let outcome2 = os.mmap_read(&mut clock, fd, 4096, 4096 * 8);
+        let outcome2 = os.mmap_read(&mut clock, &os.fd_entry(fd), 4096, 4096 * 8);
         assert_eq!(outcome2.major, 0);
         assert_eq!(outcome2.minor, 8);
     }
@@ -151,19 +156,19 @@ mod tests {
     #[test]
     fn random_advice_disables_fault_around() {
         let (os, fd, mut clock) = os_with_file(1 << 20);
-        os.madvise(&mut clock, fd, Advice::Random);
-        let outcome = os.mmap_read(&mut clock, fd, 0, 4096);
+        os.madvise(&mut clock, &os.fd_entry(fd), Advice::Random);
+        let outcome = os.mmap_read(&mut clock, &os.fd_entry(fd), 0, 4096);
         assert_eq!(outcome.major, 1);
-        let outcome2 = os.mmap_read(&mut clock, fd, 4096, 4096);
+        let outcome2 = os.mmap_read(&mut clock, &os.fd_entry(fd), 4096, 4096);
         assert_eq!(outcome2.major, 1, "no fault-around under Random advice");
     }
 
     #[test]
     fn minor_faults_are_cheap() {
         let (os, fd, mut clock) = os_with_file(1 << 20);
-        os.mmap_read(&mut clock, fd, 0, 64 * 4096);
+        os.mmap_read(&mut clock, &os.fd_entry(fd), 0, 64 * 4096);
         let before = clock.now();
-        os.mmap_read(&mut clock, fd, 0, 16 * 4096);
+        os.mmap_read(&mut clock, &os.fd_entry(fd), 0, 16 * 4096);
         let minor_cost = clock.now() - before;
         assert!(minor_cost < 100_000, "resident touch cost {minor_cost}ns");
     }
@@ -189,7 +194,7 @@ mod tests {
         let ino = os.fd_inode(fd);
         let tiered = os.tiered().unwrap();
 
-        os.mmap_read(&mut clock, fd, 0, 64 * PAGE_SIZE);
+        os.mmap_read(&mut clock, &os.fd_entry(fd), 0, 64 * PAGE_SIZE);
         let resident = os.cache(ino).state.read().resident();
         assert!(resident >= 64);
         assert_eq!(
@@ -210,8 +215,13 @@ mod tests {
             .try_promote(&mut clock, ino.0, 128, 64, &phys)
             .unwrap();
         let remote_before = tiered.remote().stats().read_bytes.get();
-        os.madvise(&mut clock, fd, Advice::Random);
-        os.mmap_read(&mut clock, fd, 128 * PAGE_SIZE, 64 * PAGE_SIZE);
+        os.madvise(&mut clock, &os.fd_entry(fd), Advice::Random);
+        os.mmap_read(
+            &mut clock,
+            &os.fd_entry(fd),
+            128 * PAGE_SIZE,
+            64 * PAGE_SIZE,
+        );
         assert_eq!(
             tiered.local().stats().read_bytes.get(),
             64 * PAGE_SIZE,
@@ -226,7 +236,7 @@ mod tests {
     #[test]
     fn mmap_read_clamps_to_file_size() {
         let (os, fd, mut clock) = os_with_file(8 * 4096);
-        let outcome = os.mmap_read(&mut clock, fd, 0, u64::MAX / 4);
+        let outcome = os.mmap_read(&mut clock, &os.fd_entry(fd), 0, u64::MAX / 4);
         assert_eq!(outcome.pages, 8);
     }
 }

@@ -112,19 +112,14 @@ pub enum Advice {
     DontNeed,
 }
 
-/// Per-open-file state.
+/// Per-open-file state, resolved once at open: the file's page cache and
+/// the descriptor's readahead state. Every per-file syscall works on an
+/// entry; the inode number lives in the cache ([`InodeCache::ino`]).
 #[derive(Debug)]
 pub struct FdEntry {
-    /// The file's inode.
-    pub ino: InodeId,
+    /// The file's page cache, shared by every descriptor on the inode.
+    pub cache: Arc<InodeCache>,
     pub(crate) ra: Mutex<RaState>,
-}
-
-impl FdEntry {
-    /// Current readahead mode override of this descriptor.
-    pub fn ra_mode(&self) -> RaMode {
-        self.ra.lock().mode()
-    }
 }
 
 /// The descriptor table: entries indexed by descriptor number plus a LIFO
@@ -397,10 +392,8 @@ impl Os {
     }
 
     fn install_fd(&self, ino: InodeId) -> Fd {
-        // Ensure the cache slot exists before I/O begins.
-        let _ = self.cache(ino);
         let entry = Some(Arc::new(FdEntry {
-            ino,
+            cache: self.cache(ino),
             ra: Mutex::new(RaState::new(self.config.ra_max_pages)),
         }));
         let mut fds = self.fds.write();
@@ -433,7 +426,7 @@ impl Os {
 
     /// Inode behind a descriptor.
     pub fn fd_inode(&self, fd: Fd) -> InodeId {
-        self.fd_entry(fd).ino
+        self.fd_entry(fd).cache.ino
     }
 
     /// Size in bytes of the file behind `fd`.
@@ -555,7 +548,7 @@ impl Os {
         offset: u64,
         len: u64,
     ) -> ReadOutcome {
-        into_ok(self.read_charge_as::<NeverFault>(clock, fd, offset, len))
+        into_ok(self.read_charge_as::<NeverFault>(clock, &self.fd_entry(fd), offset, len))
     }
 
     /// Fallible variant of [`Os::read_charge`]:
@@ -572,7 +565,7 @@ impl Os {
         offset: u64,
         len: u64,
     ) -> Result<ReadOutcome, IoError> {
-        self.read_charge_as::<MayFault>(clock, fd, offset, len)
+        self.read_charge_as::<MayFault>(clock, &self.fd_entry(fd), offset, len)
     }
 
     /// The read syscall under fault discipline `F`. Failure semantics
@@ -591,14 +584,14 @@ impl Os {
     pub fn read_charge_as<F: FaultMode>(
         &self,
         clock: &mut ThreadClock,
-        fd: Fd,
+        file: &FdEntry,
         offset: u64,
         len: u64,
     ) -> Result<ReadOutcome, F::Error> {
         clock.advance(self.config.costs.syscall_ns);
         self.stats.syscalls.incr();
         self.stats.reads.incr();
-        self.read_charge_body::<F>(clock, fd, offset, len)
+        self.read_charge_body::<F>(clock, file, offset, len)
     }
 
     /// The syscall-free body of the read path: identical cache walk,
@@ -610,15 +603,13 @@ impl Os {
     pub(crate) fn read_charge_body<F: FaultMode>(
         &self,
         clock: &mut ThreadClock,
-        fd: Fd,
+        file: &FdEntry,
         offset: u64,
         len: u64,
     ) -> Result<ReadOutcome, F::Error> {
         let costs = &self.config.costs;
-
-        let entry = self.fd_entry(fd);
-        let cache = self.cache(entry.ino);
-        let size = self.fs.size(entry.ino);
+        let cache = &*file.cache;
+        let size = self.fs.size(cache.ino);
         let len = len.min(size.saturating_sub(offset));
         if len == 0 {
             return Ok(ReadOutcome::default());
@@ -675,7 +666,7 @@ impl Os {
                 // the queued prefetch stream is still coming, so fall back
                 // to waiting for it rather than failing the read.
                 overtook = self
-                    .charge_read_runs::<F>(clock, entry.ino, p0, pages, IoPriority::Blocking)
+                    .charge_read_runs::<F>(clock, cache.ino, p0, pages, IoPriority::Blocking)
                     .is_ok();
                 if overtook {
                     let now = clock.now();
@@ -702,7 +693,7 @@ impl Os {
             for &(mstart, mend) in &missing {
                 if let Err(err) = self.charge_read_runs::<F>(
                     clock,
-                    entry.ino,
+                    cache.ino,
                     mstart,
                     mend - mstart,
                     IoPriority::Blocking,
@@ -745,7 +736,7 @@ impl Os {
         clock.advance(costs.copy_pages_ns(pages));
         self.stats.bytes_read.add(len);
 
-        self.heuristic_readahead::<F>(clock, &entry, &cache, p0, pages);
+        self.heuristic_readahead::<F>(clock, file, p0, pages);
 
         Ok(ReadOutcome {
             pages,
@@ -764,23 +755,22 @@ impl Os {
     pub(crate) fn heuristic_readahead<F: FaultMode>(
         &self,
         clock: &mut ThreadClock,
-        entry: &FdEntry,
-        cache: &InodeCache,
+        file: &FdEntry,
         p0: u64,
         pages: u64,
     ) {
-        let Some(req) = entry.ra.lock().on_read(p0, pages) else {
+        let Some(req) = file.ra.lock().on_read(p0, pages) else {
             return;
         };
         self.emit(
             clock.now(),
             OsTraceEvent::RaWindowGrow {
-                ino: entry.ino,
+                ino: file.cache.ino,
                 start_page: req.start,
                 window_pages: req.count,
             },
         );
-        let _ = self.prefetch_via_tree::<F>(clock, entry.ino, cache, req.start, req.count);
+        let _ = self.prefetch_via_tree::<F>(clock, &file.cache, req.start, req.count);
     }
 
     /// Baseline prefetch: inserts `[start, start+count)` through the cache
@@ -791,13 +781,12 @@ impl Os {
     fn prefetch_via_tree<F: FaultMode>(
         &self,
         clock: &mut ThreadClock,
-        ino: InodeId,
         cache: &InodeCache,
         start: u64,
         count: u64,
     ) -> Result<u64, F::Error> {
         let costs = &self.config.costs;
-        let file_pages = self.fs.size(ino).div_ceil(PAGE_SIZE);
+        let file_pages = self.fs.size(cache.ino).div_ceil(PAGE_SIZE);
         let end = (start + count).min(file_pages);
         if start >= end {
             return Ok(0);
@@ -816,7 +805,7 @@ impl Os {
         let ready = self.charge_prefetch_progressive::<F>(
             clock.now(),
             IoPriority::Prefetch,
-            ino,
+            cache.ino,
             &missing,
         )?;
         Ok(self.publish_prefetched(clock, cache, fill, &ready))
@@ -909,8 +898,8 @@ impl Os {
     /// caps the request at the readahead limit and reports the *requested*
     /// length, so applications cannot tell how much was actually initiated.
     /// The true initiated page count is recorded in [`OsStats`].
-    pub fn readahead(&self, clock: &mut ThreadClock, fd: Fd, offset: u64, len: u64) -> u64 {
-        into_ok(self.readahead_impl::<NeverFault>(clock, fd, offset, len));
+    pub fn readahead(&self, clock: &mut ThreadClock, file: &FdEntry, offset: u64, len: u64) -> u64 {
+        into_ok(self.readahead_impl::<NeverFault>(clock, file, offset, len));
         len
     }
 
@@ -927,11 +916,11 @@ impl Os {
     pub fn try_readahead(
         &self,
         clock: &mut ThreadClock,
-        fd: Fd,
+        file: &FdEntry,
         offset: u64,
         len: u64,
     ) -> Result<u64, IoError> {
-        self.readahead_impl::<MayFault>(clock, fd, offset, len)
+        self.readahead_impl::<MayFault>(clock, file, offset, len)
     }
 
     /// `readahead(2)` proper: one crossing, the silent cap, then the
@@ -939,18 +928,16 @@ impl Os {
     fn readahead_impl<F: FaultMode>(
         &self,
         clock: &mut ThreadClock,
-        fd: Fd,
+        file: &FdEntry,
         offset: u64,
         len: u64,
     ) -> Result<u64, F::Error> {
         clock.advance(self.config.costs.syscall_ns);
         self.stats.syscalls.incr();
         self.stats.ra_calls.incr();
-        let entry = self.fd_entry(fd);
-        let cache = self.cache(entry.ino);
         let start = offset / PAGE_SIZE;
-        let capped = len.div_ceil(PAGE_SIZE).min(entry.ra.lock().effective_max());
-        self.prefetch_via_tree::<F>(clock, entry.ino, &cache, start, capped)
+        let capped = len.div_ceil(PAGE_SIZE).min(file.ra.lock().effective_max());
+        self.prefetch_via_tree::<F>(clock, &file.cache, start, capped)
     }
 
     /// Promotes the remote-placed blocks of `[start, start+pages)` to the
@@ -1028,7 +1015,7 @@ impl Os {
     pub fn fadvise(
         &self,
         clock: &mut ThreadClock,
-        fd: Fd,
+        file: &FdEntry,
         advice: Advice,
         offset: u64,
         len: u64,
@@ -1036,21 +1023,17 @@ impl Os {
         let costs = &self.config.costs;
         clock.advance(costs.syscall_ns);
         self.stats.syscalls.incr();
-        let entry = self.fd_entry(fd);
+        let cache = &file.cache;
         match advice {
-            Advice::Normal => entry.ra.lock().set_mode(RaMode::Normal),
-            Advice::Sequential => entry.ra.lock().set_mode(RaMode::Sequential),
-            Advice::Random => entry.ra.lock().set_mode(RaMode::Random),
+            Advice::Normal => file.ra.lock().set_mode(RaMode::Normal),
+            Advice::Sequential => file.ra.lock().set_mode(RaMode::Sequential),
+            Advice::Random => file.ra.lock().set_mode(RaMode::Random),
             Advice::WillNeed => {
-                let cache = self.cache(entry.ino);
                 let start = offset / PAGE_SIZE;
-                let pages = len.div_ceil(PAGE_SIZE).min(entry.ra.lock().effective_max());
-                into_ok(
-                    self.prefetch_via_tree::<NeverFault>(clock, entry.ino, &cache, start, pages),
-                );
+                let pages = len.div_ceil(PAGE_SIZE).min(file.ra.lock().effective_max());
+                into_ok(self.prefetch_via_tree::<NeverFault>(clock, cache, start, pages));
             }
             Advice::DontNeed => {
-                let cache = self.cache(entry.ino);
                 // Linux semantics: only pages wholly inside the byte range
                 // are dropped (start rounds up, end rounds down).
                 let p0 = offset.div_ceil(PAGE_SIZE);
@@ -1083,14 +1066,13 @@ impl Os {
     /// Expensive by design (§2.1, §3.2): serializes on the address-space
     /// lock and holds the file's cache-tree lock exclusively while walking
     /// every page's metadata.
-    pub fn fincore(&self, clock: &mut ThreadClock, fd: Fd) -> u64 {
+    pub fn fincore(&self, clock: &mut ThreadClock, file: &FdEntry) -> u64 {
         let costs = &self.config.costs;
         clock.advance(costs.syscall_ns);
         self.stats.syscalls.incr();
         self.stats.fincore_calls.incr();
-        let entry = self.fd_entry(fd);
-        let cache = self.cache(entry.ino);
-        let file_pages = self.fs.size(entry.ino).div_ceil(PAGE_SIZE);
+        let cache = &file.cache;
+        let file_pages = self.fs.size(cache.ino).div_ceil(PAGE_SIZE);
 
         let mmap = self.mmap_lock.access(
             clock.now(),
@@ -1115,7 +1097,7 @@ impl Os {
         clock.advance(costs.syscall_ns);
         self.stats.syscalls.incr();
         let entry = self.fd_entry(fd);
-        let cache = self.cache(entry.ino);
+        let cache = &entry.cache;
         let p0 = offset / PAGE_SIZE;
         let p1 = (offset + len).div_ceil(PAGE_SIZE).max(p0);
         let pages = p1 - p0;
@@ -1263,6 +1245,35 @@ mod tests {
                 "inode {i} shares its cache"
             );
         }
+    }
+
+    /// A descriptor is resolved once, at open: whichever call opened it,
+    /// its entry holds the inode's one cache object, and two descriptors
+    /// on one file share it.
+    #[test]
+    fn fd_entry_holds_its_inode_cache() {
+        let os = Os::new(
+            OsConfig::with_memory_mb(64),
+            Device::new(DeviceConfig::local_nvme()),
+            FileSystem::new(FsKind::Ext4Like),
+        );
+        let mut clock = os.new_clock();
+        let created = os.create(&mut clock, "/created").unwrap();
+        let sized = os.create_sized(&mut clock, "/sized", 1 << 20).unwrap();
+        let opened = os.open(&mut clock, "/sized").unwrap();
+        for fd in [created, sized, opened] {
+            let ino = os.fd_inode(fd);
+            assert!(Arc::ptr_eq(&os.fd_entry(fd).cache, &os.cache(ino)));
+        }
+        assert!(!Arc::ptr_eq(&os.fd_entry(sized), &os.fd_entry(opened)));
+        assert!(Arc::ptr_eq(
+            &os.fd_entry(sized).cache,
+            &os.fd_entry(opened).cache
+        ));
+        assert!(!Arc::ptr_eq(
+            &os.fd_entry(created).cache,
+            &os.fd_entry(sized).cache
+        ));
     }
 
     /// A tiered OS with one physically fragmented file (allocated

@@ -9,12 +9,14 @@
 //! together ([`Os::note_dirtied`], [`Os::note_written_back`],
 //! [`Os::note_discarded`]).
 
+use std::sync::Arc;
+
 use simclock::{Counter, ThreadClock};
-use simfs::InodeId;
 use simstore::IoPriority;
 
+use crate::cache::InodeCache;
 use crate::error::IoError;
-use crate::os::{into_ok, FaultMode, Fd, MayFault, NeverFault, Os, PAGE_SIZE};
+use crate::os::{into_ok, FaultMode, Fd, FdEntry, MayFault, NeverFault, Os, PAGE_SIZE};
 use crate::stats::OsStats;
 use crate::trace::OsSpanKind;
 
@@ -62,7 +64,7 @@ impl Os {
     /// The charging half of the write path; [`Os::store_content`] lands
     /// the bytes. Never consults the fault plan's EIO schedule.
     pub fn write_charge(&self, clock: &mut ThreadClock, fd: Fd, offset: u64, len: u64) -> u64 {
-        into_ok(self.write_charge_as::<NeverFault>(clock, fd, offset, len))
+        into_ok(self.write_charge_as::<NeverFault>(clock, &self.fd_entry(fd), offset, len))
     }
 
     /// Fallible variant of [`Os::write_charge`]:
@@ -79,7 +81,7 @@ impl Os {
         offset: u64,
         len: u64,
     ) -> Result<u64, IoError> {
-        self.write_charge_as::<MayFault>(clock, fd, offset, len)
+        self.write_charge_as::<MayFault>(clock, &self.fd_entry(fd), offset, len)
     }
 
     /// The write syscall under fault discipline `F`: the read-modify-write
@@ -95,7 +97,7 @@ impl Os {
     pub fn write_charge_as<F: FaultMode>(
         &self,
         clock: &mut ThreadClock,
-        fd: Fd,
+        file: &FdEntry,
         offset: u64,
         len: u64,
     ) -> Result<u64, F::Error> {
@@ -107,8 +109,7 @@ impl Os {
         if len == 0 {
             return Ok(0);
         }
-        let entry = self.fd_entry(fd);
-        let cache = self.cache(entry.ino);
+        let cache = &*file.cache;
         let p0 = offset / PAGE_SIZE;
         let p1 = (offset + len).div_ceil(PAGE_SIZE);
         let pages = p1 - p0;
@@ -125,7 +126,7 @@ impl Os {
         for (is_missing, page) in [(head_missing, p0), (tail_missing, p1 - 1)] {
             if is_missing {
                 if let Err(err) =
-                    self.charge_read_runs::<F>(clock, entry.ino, page, 1, IoPriority::Blocking)
+                    self.charge_read_runs::<F>(clock, cache.ino, page, 1, IoPriority::Blocking)
                 {
                     stats.demand_read_errors.incr();
                     return Err(err);
@@ -147,29 +148,29 @@ impl Os {
         self.note_dirtied(dirtied);
         clock.advance(costs.copy_pages_ns(pages));
         stats.bytes_written.add(len);
-        self.fs().set_size(entry.ino, offset + len);
+        self.fs().set_size(cache.ino, offset + len);
         if self.mem().note_inserted(newly) {
             self.reclaim(clock);
         }
 
         if self.writeback.write_through {
-            self.flush_runs(clock, entry.ino, FlushCause::Sync);
+            self.flush_runs(clock, cache, FlushCause::Sync);
             return Ok(len);
         }
         if cache.state.read().dirty_pages() >= self.writeback.file_dirty_threshold_pages {
-            self.flush_runs(clock, entry.ino, FlushCause::Threshold);
+            self.flush_runs(clock, cache, FlushCause::Threshold);
         } else if self.mem().dirty() > DIRTY_LIMIT_PAGES {
-            self.flush_runs(clock, entry.ino, FlushCause::HardLimit);
+            self.flush_runs(clock, cache, FlushCause::HardLimit);
         }
         self.writeback_tick(clock);
         Ok(len)
     }
 
     /// `fsync(2)`: synchronously flush the file.
-    pub fn fsync(&self, clock: &mut ThreadClock, fd: Fd) {
+    pub fn fsync(&self, clock: &mut ThreadClock, file: &FdEntry) {
         clock.advance(self.config().costs.syscall_ns);
         self.stats().syscalls.incr();
-        self.flush_runs(clock, self.fd_inode(fd), FlushCause::Sync);
+        self.flush_runs(clock, &file.cache, FlushCause::Sync);
     }
 
     /// One write-back daemon pass: flushes files whose oldest dirty page
@@ -179,24 +180,26 @@ impl Os {
     /// absorbed write.
     fn writeback_tick(&self, clock: &mut ThreadClock) {
         let now = clock.now();
-        let mut dirty_files: Vec<(u64, InodeId)> = Vec::new();
+        let mut dirty_files: Vec<(u64, Arc<InodeCache>)> = Vec::new();
         for cache in self.all_caches() {
             let state = cache.state.read();
             if state.dirty_pages() > 0 {
-                dirty_files.push((state.dirty_since_ns(), cache.ino));
+                let since = state.dirty_since_ns();
+                drop(state);
+                dirty_files.push((since, cache));
             }
         }
-        dirty_files.sort_unstable();
-        for &(since, ino) in &dirty_files {
-            if since != 0 && since.saturating_add(DIRTY_DEADLINE_NS) <= now {
-                self.flush_runs(clock, ino, FlushCause::Deadline);
+        dirty_files.sort_unstable_by_key(|(since, cache)| (*since, cache.ino));
+        for (since, cache) in &dirty_files {
+            if *since != 0 && since.saturating_add(DIRTY_DEADLINE_NS) <= now {
+                self.flush_runs(clock, cache, FlushCause::Deadline);
             }
         }
-        for &(_, ino) in &dirty_files {
+        for (_, cache) in &dirty_files {
             if self.mem().dirty() <= self.writeback.background_dirty_pages {
                 break;
             }
-            self.flush_runs(clock, ino, FlushCause::Threshold);
+            self.flush_runs(clock, cache, FlushCause::Threshold);
         }
     }
 
@@ -208,8 +211,7 @@ impl Os {
     /// it, on the caller's clock when `cause` is synchronous, detached
     /// from it otherwise. A flush that finds the file clean does nothing
     /// and counts nothing.
-    fn flush_runs(&self, clock: &mut ThreadClock, ino: InodeId, cause: FlushCause) {
-        let cache = self.cache(ino);
+    fn flush_runs(&self, clock: &mut ThreadClock, cache: &InodeCache, cause: FlushCause) {
         let (runs, dirty) = {
             let mut state = cache.state.write();
             let runs = state.dirty_runs();
@@ -247,11 +249,13 @@ impl Os {
         };
         let t0 = io.now();
         for &(s, e) in &merged {
-            into_ok(self.tier_runs(ino, s, e - s, None, |_, count, device| {
-                stats.wb_runs_flushed.incr();
-                device.charge_write(io, count, priority);
-                Ok(())
-            }));
+            into_ok(
+                self.tier_runs(cache.ino, s, e - s, None, |_, count, device| {
+                    stats.wb_runs_flushed.incr();
+                    device.charge_write(io, count, priority);
+                    Ok(())
+                }),
+            );
         }
         self.emit_window(io.now(), OsSpanKind::WritebackFlush, io.now() - t0);
     }

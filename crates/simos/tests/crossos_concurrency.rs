@@ -67,15 +67,16 @@ fn concurrent_demand_class_entries_never_double_fetch() {
             scope.spawn(move |_| {
                 let mut clock = os.new_clock();
                 let fd = os.open(&mut clock, "/e").unwrap();
+                let file = os.fd_entry(fd);
                 for i in 0..8u64 {
                     let (offset, len) = (i * (2 << 20), 2 << 20);
                     if t % 2 == 0 {
-                        let rider = RaBatchEntry::new(fd, offset, len).with_limit_pages(512);
+                        let rider = RaBatchEntry::new(&file, offset, len).with_limit_pages(512);
                         os.read_batch::<MayFault>(&mut clock, &[], &[rider])
                             .unwrap();
                     } else {
                         let req = RaInfoRequest::prefetch(offset, len).with_limit_pages(512);
-                        os.try_readahead_info(&mut clock, fd, req).unwrap();
+                        os.try_readahead_info(&mut clock, &file, req).unwrap();
                     }
                 }
             });
@@ -168,7 +169,7 @@ fn mincore_reports_residency_and_charges_like_fincore() {
     let mut clock = os.new_clock();
     let fd = os.create_sized(&mut clock, "/mc", 4 << 20).unwrap();
     // Disable heuristic readahead so residency is exactly what we read.
-    os.fadvise(&mut clock, fd, simos::Advice::Random, 0, 0);
+    os.fadvise(&mut clock, &os.fd_entry(fd), simos::Advice::Random, 0, 0);
     os.read_charge(&mut clock, fd, 0, 256 * 1024); // 64 pages cached
 
     let t0 = clock.now();

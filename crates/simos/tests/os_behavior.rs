@@ -55,7 +55,7 @@ fn random_reads_never_prefetch_after_warmup() {
     let os = boot(512);
     let mut clock = os.new_clock();
     let fd = os.create_sized(&mut clock, "/rand", 64 << 20).unwrap();
-    os.fadvise(&mut clock, fd, Advice::Random, 0, 0);
+    os.fadvise(&mut clock, &os.fd_entry(fd), Advice::Random, 0, 0);
     let before = os.stats().prefetched_pages.get();
     // Widely scattered reads.
     for i in 0..64u64 {
@@ -71,7 +71,7 @@ fn readahead_syscall_caps_at_os_limit() {
     let mut clock = os.new_clock();
     let fd = os.create_sized(&mut clock, "/big", 16 << 20).unwrap();
     // Ask for 4 MiB; Linux silently caps at 128 KiB (Figure 1 pathology).
-    let reported = os.readahead(&mut clock, fd, 0, 4 << 20);
+    let reported = os.readahead(&mut clock, &os.fd_entry(fd), 0, 4 << 20);
     assert_eq!(reported, 4 << 20, "the syscall reports the requested size");
     assert_eq!(
         os.stats().prefetched_pages.get(),
@@ -85,8 +85,8 @@ fn fadvise_sequential_doubles_cap() {
     let os = boot(512);
     let mut clock = os.new_clock();
     let fd = os.create_sized(&mut clock, "/s", 16 << 20).unwrap();
-    os.fadvise(&mut clock, fd, Advice::Sequential, 0, 0);
-    os.readahead(&mut clock, fd, 0, 4 << 20);
+    os.fadvise(&mut clock, &os.fd_entry(fd), Advice::Sequential, 0, 0);
+    os.readahead(&mut clock, &os.fd_entry(fd), 0, 4 << 20);
     assert_eq!(
         os.stats().prefetched_pages.get(),
         2 * os.config().ra_max_pages
@@ -98,10 +98,22 @@ fn fadvise_willneed_populates_and_dontneed_drops() {
     let os = boot(512);
     let mut clock = os.new_clock();
     let fd = os.create_sized(&mut clock, "/w", 1 << 20).unwrap();
-    os.fadvise(&mut clock, fd, Advice::WillNeed, 0, 128 * 1024);
+    os.fadvise(
+        &mut clock,
+        &os.fd_entry(fd),
+        Advice::WillNeed,
+        0,
+        128 * 1024,
+    );
     let cache = os.cache(os.fd_inode(fd));
     assert_eq!(cache.state.read().resident(), 32);
-    os.fadvise(&mut clock, fd, Advice::DontNeed, 0, 128 * 1024);
+    os.fadvise(
+        &mut clock,
+        &os.fd_entry(fd),
+        Advice::DontNeed,
+        0,
+        128 * 1024,
+    );
     assert_eq!(cache.state.read().resident(), 0);
     assert_eq!(os.mem().resident(), 0);
 }
@@ -143,7 +155,7 @@ fn fsync_waits_for_writeback() {
     let fd = os.create(&mut clock, "/wal").unwrap();
     write(&os, &mut clock, fd, 0, &vec![0u8; 1 << 20]);
     let before = clock.now();
-    os.fsync(&mut clock, fd);
+    os.fsync(&mut clock, &os.fd_entry(fd));
     assert!(
         clock.now() > before + 1_000_000,
         "fsync must pay device write"
@@ -203,7 +215,7 @@ fn fincore_is_much_more_expensive_than_readahead_info_query() {
     let fd = os.create_sized(&mut clock, "/big", 256 << 20).unwrap();
 
     let t0 = clock.now();
-    os.fincore(&mut clock, fd);
+    os.fincore(&mut clock, &os.fd_entry(fd));
     let fincore_cost = clock.now() - t0;
 
     let t1 = clock.now();
@@ -374,10 +386,14 @@ mod faults {
         let mut clock = os.new_clock();
         let fd = os.create_sized(&mut clock, "/big", 16 << 20).unwrap();
         // 4 MiB requested; the OS cap (32 pages) is what actually starts.
-        let initiated = os.try_readahead(&mut clock, fd, 0, 4 << 20).unwrap();
+        let initiated = os
+            .try_readahead(&mut clock, &os.fd_entry(fd), 0, 4 << 20)
+            .unwrap();
         assert_eq!(initiated, os.config().ra_max_pages);
         // Second call over the now-cached window initiates nothing.
-        let again = os.try_readahead(&mut clock, fd, 0, 128 * 1024).unwrap();
+        let again = os
+            .try_readahead(&mut clock, &os.fd_entry(fd), 0, 128 * 1024)
+            .unwrap();
         assert_eq!(again, 0);
     }
 
@@ -458,7 +474,7 @@ fn each_flush_cause_bumps_only_its_own_counter() {
             trigger: |os, clock| {
                 let fd = new_file(os, clock, "/fsync");
                 os.write_charge(clock, fd, 0, 4 * PAGE_SIZE);
-                os.fsync(clock, fd);
+                os.fsync(clock, &os.fd_entry(fd));
             },
             causes: [0, 0, 1, 0],
             written_back: 4,
@@ -536,7 +552,7 @@ fn each_flush_cause_bumps_only_its_own_counter() {
             trigger: |os, clock| {
                 let fd = new_file(os, clock, "/advise");
                 os.write_charge(clock, fd, 0, 4 * PAGE_SIZE);
-                os.fadvise(clock, fd, Advice::DontNeed, 0, 4 * PAGE_SIZE);
+                os.fadvise(clock, &os.fd_entry(fd), Advice::DontNeed, 0, 4 * PAGE_SIZE);
             },
             causes: [0, 0, 0, 1],
             written_back: 4,

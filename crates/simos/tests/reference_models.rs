@@ -323,7 +323,7 @@ proptest! {
         );
         let mut clock = os.new_clock();
         let fd = os.create_sized(&mut clock, "/adv", 4 << 20).unwrap();
-        os.fadvise(&mut clock, fd, Advice::Random, 0, 0); // exact residency
+        os.fadvise(&mut clock, &os.fd_entry(fd), Advice::Random, 0, 0); // exact residency
         let mut reference: HashSet<u64> = HashSet::new();
         let file_pages = (4u64 << 20) / PAGE_SIZE;
         for (page, len) in cached {
@@ -337,7 +337,7 @@ proptest! {
         let drop_end = (drop_start + drop_len).min(file_pages);
         os.fadvise(
             &mut clock,
-            fd,
+            &os.fd_entry(fd),
             Advice::DontNeed,
             drop_start * PAGE_SIZE,
             drop_len * PAGE_SIZE,
@@ -369,10 +369,16 @@ fn dontneed_byte_rounding_matches_linux() {
     );
     let mut clock = os.new_clock();
     let fd = os.create_sized(&mut clock, "/pp", 1 << 20).unwrap();
-    os.fadvise(&mut clock, fd, Advice::Random, 0, 0);
+    os.fadvise(&mut clock, &os.fd_entry(fd), Advice::Random, 0, 0);
     os.read_charge(&mut clock, fd, 0, 64 * 1024); // pages 0..16
                                                   // Drop bytes [4196, 16484): pages 2..4 are wholly inside.
-    os.fadvise(&mut clock, fd, Advice::DontNeed, 4096 + 100, 3 * 4096);
+    os.fadvise(
+        &mut clock,
+        &os.fd_entry(fd),
+        Advice::DontNeed,
+        4096 + 100,
+        3 * 4096,
+    );
     let cache = os.cache(os.fd_inode(fd));
     let state = cache.state.read();
     assert!(state.is_present(0));

@@ -119,3 +119,44 @@ fn unlink_and_recreate_churn_gets_fresh_state() {
     let inos: Vec<u64> = os.all_caches().iter().map(|cache| cache.ino.0).collect();
     assert_eq!(inos, (0..THREADS as u64 * ROUNDS).collect::<Vec<u64>>());
 }
+
+/// A handle held across `unlink` and recreate of its path keeps reading
+/// its own, unlinked inode: only the old inode's hit/miss counters move,
+/// the recreated file's cache stays empty, and closing a second OS
+/// descriptor on the old file (whose slot the recreate then reuses) does
+/// not disturb the handle.
+#[test]
+fn handle_held_across_unlink_and_recreate_reads_its_old_inode() {
+    const BYTES: u64 = 4 * PAGE_SIZE;
+    let os = boot();
+    let rt = runtime(Arc::clone(&os));
+    let mut clock = rt.new_clock();
+    let path = "/held";
+    let file = rt.create_sized(&mut clock, path, 1 << 20).unwrap();
+    let old = file.ino();
+    let second = os.open(&mut clock, path).unwrap();
+    assert_eq!(file.read_charge(&mut clock, 0, 64 * 1024).pages, 16);
+
+    os.unlink(&mut clock, path).unwrap();
+    os.close(&mut clock, second);
+    let recreated = os.create_sized(&mut clock, path, 1 << 20).unwrap();
+    let new = os.fd_inode(recreated);
+    assert!(new.0 > old.0, "recreate reused inode {}", old.0);
+
+    // Unlink truncated the old inode; a write through the handle gives it
+    // pages again, and the reads after it land on them.
+    let (old_cache, new_cache) = (os.cache(old), os.cache(new));
+    let before = old_cache.hits.get() + old_cache.misses.get();
+    let tag = vec![0xA5; BYTES as usize];
+    file.write(&mut clock, 0, &tag);
+    for _ in 0..4 {
+        assert_eq!(file.read_charge(&mut clock, 0, BYTES).pages, 4);
+    }
+    assert_eq!(file.read(&mut clock, 0, BYTES), tag);
+    assert_eq!(file.size(), BYTES);
+    assert!(old_cache.hits.get() + old_cache.misses.get() >= before + 5 * 4);
+    assert_eq!(new_cache.hits.get(), 0, "a read reached the new inode");
+    assert_eq!(new_cache.misses.get(), 0, "a read reached the new inode");
+    assert_eq!(new_cache.state.read().resident(), 0);
+    assert_eq!(os.file_size(recreated), 1 << 20);
+}

@@ -271,8 +271,9 @@ fn a_demand_class_entry_never_delays_the_miss_it_rides_with() {
         let mut clock = os.new_clock();
         let fd = os.create_sized(&mut clock, "/f", 8 << 20).unwrap();
         let start = clock.now();
-        let demand = [ReadBatchEntry::new(fd, 1 << 20, 4 * PAGE_SIZE)];
-        let rider = RaBatchEntry::new(fd, (1 << 20) + 4 * PAGE_SIZE, 12 * PAGE_SIZE);
+        let file = os.fd_entry(fd);
+        let demand = [ReadBatchEntry::new(&file, 1 << 20, 4 * PAGE_SIZE)];
+        let rider = RaBatchEntry::new(&file, (1 << 20) + 4 * PAGE_SIZE, 12 * PAGE_SIZE);
         let riders = if ride { vec![rider] } else { Vec::new() };
         let (outcomes, completions) = os
             .read_batch::<NeverFault>(&mut clock, &demand, &riders)
@@ -291,7 +292,12 @@ fn a_demand_class_entry_never_delays_the_miss_it_rides_with() {
     // The continuation absorbs: it waits the transfer out, never crosses.
     let crossings = os.stats().syscalls.get();
     let next = os
-        .absorb_read(&mut clock, fd, (1 << 20) + 4 * PAGE_SIZE, 4 * PAGE_SIZE)
+        .absorb_read(
+            &mut clock,
+            &os.fd_entry(fd),
+            (1 << 20) + 4 * PAGE_SIZE,
+            4 * PAGE_SIZE,
+        )
         .expect("published as in-flight prefetch");
     assert_eq!(next.prefetch_hit_pages, 4);
     assert!(clock.now() >= ready);

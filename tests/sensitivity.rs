@@ -109,7 +109,7 @@ fn fincore_stays_costlier_than_bitmap_under_perturbation() {
         let mut clock = os.new_clock();
         let fd = os.create_sized(&mut clock, "/big", 128 << 20).unwrap();
         let t0 = clock.now();
-        os.fincore(&mut clock, fd);
+        os.fincore(&mut clock, &os.fd_entry(fd));
         let fincore_cost = clock.now() - t0;
         let t1 = clock.now();
         os.readahead_info(&mut clock, fd, simos::RaInfoRequest::query(0, 128 << 20));

@@ -195,7 +195,7 @@ fn per_tenant_quality_books_balance_under_throttling() {
     let initiated: u64 = reports.iter().map(|t| t.initiated_pages).sum();
     assert!(initiated > 0, "the fleet should trigger prefetching");
     for (idx, report) in reports.iter().enumerate() {
-        let q = arbiter.tenant_quality(runtime.os(), TenantId(idx as u32));
+        let q = arbiter.tenant_quality(TenantId(idx as u32));
         assert_eq!(
             q.timely + q.late + q.wasted,
             report.initiated_pages,
