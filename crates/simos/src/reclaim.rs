@@ -117,7 +117,7 @@ impl MemoryManager {
 pub type Victim = (u64, usize, usize, u64);
 
 /// Selects the least-recently-touched words across `caches` totalling at
-/// least `target` pages. Pure selection — the caller evicts.
+/// least `target` pages, oldest first. Pure selection — the caller evicts.
 pub fn select_victims(caches: &[Arc<InodeCache>], target: u64) -> Vec<Victim> {
     let mut candidates: Vec<Victim> = Vec::new();
     for (idx, cache) in caches.iter().enumerate() {
@@ -126,17 +126,25 @@ pub fn select_victims(caches: &[Arc<InodeCache>], target: u64) -> Vec<Victim> {
             candidates.push((touch, idx, widx, pages));
         }
     }
-    candidates.sort_unstable();
-    let mut victims = Vec::new();
-    let mut freed = 0;
-    for victim in candidates {
-        if freed >= target {
-            break;
+    // Partition off only the oldest words that cover `target`. A word
+    // holds at most `RECLAIM_UNIT_PAGES` pages, so fewer than
+    // `shortfall.div_ceil(RECLAIM_UNIT_PAGES)` further words cannot cover
+    // the shortfall: each step takes exactly that many and every word it
+    // takes is one a full sort's walk would take too. The key has no ties,
+    // so the sorted prefix is that walk's victim list.
+    let (mut chosen, mut covered) = (0, 0);
+    while covered < target && chosen < candidates.len() {
+        let rest = &mut candidates[chosen..];
+        let take = ((target - covered).div_ceil(RECLAIM_UNIT_PAGES) as usize).min(rest.len());
+        if take < rest.len() {
+            rest.select_nth_unstable(take - 1);
         }
-        freed += victim.3;
-        victims.push(victim);
+        covered += rest[..take].iter().map(|victim| victim.3).sum::<u64>();
+        chosen += take;
     }
-    victims
+    candidates.truncate(chosen);
+    candidates.sort_unstable();
+    candidates
 }
 
 /// Pages covered by one reclaim word.
@@ -231,6 +239,49 @@ mod tests {
         let victims = select_victims(&caches, 100);
         assert_eq!(victims.len(), 2);
         assert_eq!((victims[1].1, victims[1].2), (0, 1)); // then middle
+    }
+
+    #[test]
+    fn select_victims_matches_the_full_sort_walk() {
+        // Partly filled words of mixed age over three files: the partial
+        // selection must return exactly what sorting every candidate and
+        // walking to the target returns, short targets and long ones.
+        let caches: Vec<Arc<InodeCache>> = (0..3)
+            .map(|ino| Arc::new(InodeCache::new(InodeId(ino))))
+            .collect();
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for i in 0..300u64 {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let start = i * 64 + (state >> 58);
+            let len = 1 + (state >> 20) % (64 - (state >> 58));
+            let touch = (state >> 32) % 1000; // repeats: ties broken by inode and word
+            caches[(state % 3) as usize]
+                .state
+                .write()
+                .insert_range(start, start + len, touch, 0);
+        }
+        let mut all: Vec<Victim> = Vec::new();
+        for (idx, cache) in caches.iter().enumerate() {
+            for (widx, touch, pages) in cache.state.read().word_summaries() {
+                all.push((touch, idx, widx, pages));
+            }
+        }
+        all.sort_unstable();
+        let total: u64 = all.iter().map(|v| v.3).sum();
+        for target in [1, 63, 64, 65, 500, 2_000, total - 1, total, total + 1] {
+            let mut expected = Vec::new();
+            let mut freed = 0;
+            for &victim in &all {
+                if freed >= target {
+                    break;
+                }
+                freed += victim.3;
+                expected.push(victim);
+            }
+            assert_eq!(select_victims(&caches, target), expected, "target {target}");
+        }
     }
 
     #[test]
