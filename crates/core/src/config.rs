@@ -142,7 +142,8 @@ pub struct RuntimeConfig {
     /// table with QoS classes, per-tenant fair-share prefetch windows
     /// rebalanced from the timely/late/wasted quality ledgers, and an
     /// admission ladder (full → coalesced-only → blind → deny) that
-    /// degrades speculative prefetch under memory pressure before demand
+    /// degrades a tenant's speculative prefetch past its share as
+    /// strictly as that tenant's speculation is wasted, before demand
     /// reads ever pay. Default `None`: no arbiter is built, files carry
     /// no tenant, every new code path is bypassed, and telemetry is
     /// byte-identical to the tenant-less runtime.

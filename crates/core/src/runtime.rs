@@ -676,10 +676,10 @@ impl Runtime {
             end
         };
 
-        // Tenant admission: under memory pressure a tenant over its fair
-        // share degrades — coalesced-only, then a single blind window,
-        // then outright denial — before any demand read pays. Files with
-        // no tenant (and runtimes with no arbiter) skip this entirely.
+        // Tenant admission: a wasteful tenant over its fair share
+        // degrades — coalesced-only, then a single blind window, then
+        // outright denial — before any demand read pays. Files with no
+        // tenant (and runtimes with no arbiter) skip this entirely.
         let mut force_coalesce = false;
         let mut force_blind = false;
         let mut end = end;

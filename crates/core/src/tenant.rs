@@ -5,14 +5,17 @@
 //! working sets fight for that one cache. This module adds the missing
 //! dimension (DESIGN.md §15): every open may carry a [`TenantId`], each
 //! tenant holds a fair-share *prefetch window* over a fixed slice (half)
-//! of the memory budget, and speculative prefetch degrades — full →
-//! coalesced-only → blind → none — under [`simos::reclaim::MemoryManager`]
-//! pressure *before* any demand read pays.
+//! of the memory budget, and speculative prefetch past that share degrades
+//! — full → coalesced-only → blind → none — as strictly as the tenant's
+//! speculation is wasted, *before* any demand read pays.
 //!
 //! Shares are weighted by the configured [`QosClass`] and scaled by each
-//! tenant's own timely/late/wasted prefetch-quality ledger, so a tenant
-//! whose speculation is mostly wasted is throttled first (MITHRIL's
-//! utility-driven accounting, applied to admission).
+//! tenant's own timely/late/wasted prefetch-quality ledger, and the same
+//! ledger's wasted share drives the ladder, so a tenant whose speculation
+//! is mostly wasted is throttled first and one whose speculation is
+//! consumed not at all (MITHRIL's utility-driven accounting, applied to
+//! admission). Memory is bounded before the arbiter runs, by the
+//! memory-budget clamps in `Runtime::prefetch_pages`.
 //!
 //! With [`crate::RuntimeConfig::tenants`] unset (the default) no arbiter
 //! exists, every new code path is bypassed, and telemetry stays
@@ -110,10 +113,6 @@ const WINDOW_BUDGET_FRACTION: f64 = 0.5;
 /// Virtual-time interval between share rebalances; each rebalance
 /// re-reads every tenant's quality ledger and resets window usage.
 const REBALANCE_INTERVAL_NS: u64 = 10 * simclock::NS_PER_MS;
-/// Fraction of the memory budget below which admission is free: with
-/// resident pages under this low watermark there is no pressure and
-/// every request rides the `Full` rung.
-const PRESSURE_FLOOR: f64 = 0.5;
 /// Floor of the quality scaling: a tenant whose prefetch is 100% wasted
 /// still keeps this fraction of its QoS weight, so it can re-earn its
 /// share when its access pattern turns useful.
@@ -143,6 +142,9 @@ struct TenantState {
     files: Mutex<Vec<Arc<InodeCache>>>,
     /// Prefetch-window share from the last rebalance, pages.
     budget_pages: AtomicU64,
+    /// Permille of this tenant's initiated pages not consumed timely or
+    /// late, as of the last rebalance; scales how strictly the share binds.
+    wasted_milli: AtomicU64,
     /// Pages admitted against the window since the last rebalance.
     window_used: AtomicU64,
     /// Pages the OS initiated for this tenant's prefetches (the
@@ -295,6 +297,7 @@ impl TenantArbiter {
                 spec,
                 files: Mutex::new(Vec::new()),
                 budget_pages: AtomicU64::new(u64::MAX),
+                wasted_milli: AtomicU64::new(0),
                 window_used: AtomicU64::new(0),
                 initiated_pages: Counter::new(),
                 admitted_pages: Counter::new(),
@@ -333,7 +336,7 @@ impl TenantArbiter {
             return AdmissionRung::Full;
         };
         self.maybe_rebalance(os, now_ns);
-        let rung = self.rung(os, state, want);
+        let rung = Self::rung(state, want);
         match rung {
             AdmissionRung::Full => state.charge(want),
             AdmissionRung::CoalescedOnly => {
@@ -355,7 +358,7 @@ impl TenantArbiter {
 
     /// Admission of a known run's remainder to the demand crossing of the
     /// miss that starts it (DESIGN §13): explicit speculation is the first
-    /// thing pressure takes, so only a tenant still on the `Full` rung is
+    /// thing the ladder takes, so only a tenant still on the `Full` rung is
     /// admitted — and charged, like any prefetch. A refusal charges
     /// nothing: the request comes back through [`TenantArbiter::admit`]
     /// on the run's first continuation and takes its rung there.
@@ -364,7 +367,7 @@ impl TenantArbiter {
             return true;
         };
         self.maybe_rebalance(os, now_ns);
-        let full = self.rung(os, state, want) == AdmissionRung::Full;
+        let full = Self::rung(state, want) == AdmissionRung::Full;
         if full {
             state.charge(want);
         }
@@ -372,20 +375,16 @@ impl TenantArbiter {
     }
 
     /// The rung `want` pages land on right now, without charging.
-    fn rung(&self, os: &Os, state: &TenantState, want: u64) -> AdmissionRung {
-        let mem = os.mem();
-        let low = mul_frac(mem.budget(), PRESSURE_FLOOR);
-        let pressure = mem.pressure_above(low);
-        if pressure <= 0.0 {
-            return AdmissionRung::Full;
-        }
+    fn rung(state: &TenantState, want: u64) -> AdmissionRung {
         let budget = state.budget_pages.load(Ordering::Relaxed).max(1);
         let used = state.window_used.load(Ordering::Relaxed);
         let strain = used.saturating_add(want).saturating_mul(1000) / budget;
-        // Pressure scales how strictly the share binds: at full pressure a
-        // tenant degrades as soon as it crosses its share; at half
-        // pressure it may reach 2x before the ladder engages.
-        let scaled = (strain as f64 * pressure) as u64;
+        // Waste scales how strictly the share binds: a tenant whose every
+        // prefetch was wasted degrades as soon as it crosses its share; one
+        // that wastes 3 % may reach ~33x before the ladder engages, and
+        // one that wastes nothing is never degraded.
+        let wasted = state.wasted_milli.load(Ordering::Relaxed);
+        let scaled = strain.saturating_mul(wasted) / 1000;
         if scaled <= 1000 {
             AdmissionRung::Full
         } else if scaled <= 1500 {
@@ -422,8 +421,9 @@ impl TenantArbiter {
 
     /// One rebalance pass: weight = QoS weight × quality efficiency,
     /// where efficiency interpolates from [`EFFICIENCY_FLOOR`] (all wasted)
-    /// to 1.0 (every initiated page consumed timely or late). Shares of
-    /// the window pool are proportional to weight; window usage resets.
+    /// to 1.0 (every initiated page consumed timely or late), and the
+    /// wasted remainder is stored for the ladder. Shares of the window
+    /// pool are proportional to weight; window usage resets.
     fn rebalance(&self, os: &Os) {
         let floor_milli = mul_frac(1000, EFFICIENCY_FLOOR);
         let weights: Vec<u64> = self
@@ -431,13 +431,17 @@ impl TenantArbiter {
             .iter()
             .map(|state| {
                 let initiated = state.initiated_pages.get();
-                let eff_milli = if initiated == 0 {
-                    1000 // no evidence yet: full weight
+                let (eff_milli, wasted_milli) = if initiated == 0 {
+                    (1000, 0) // no evidence yet: full weight, nothing wasted
                 } else {
                     let q = state.quality();
                     let used = (q.timely + q.late).min(initiated);
-                    floor_milli + (1000 - floor_milli) * used / initiated
+                    (
+                        floor_milli + (1000 - floor_milli) * used / initiated,
+                        (initiated - used) * 1000 / initiated,
+                    )
                 };
+                state.wasted_milli.store(wasted_milli, Ordering::Relaxed);
                 (state.spec.qos.weight() * eff_milli).max(1)
             })
             .collect();
@@ -487,11 +491,11 @@ impl TenantArbiter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simos::{Device, DeviceConfig, FileSystem, FsKind, OsConfig};
+    use simos::{Device, DeviceConfig, FileSystem, FsKind, OsConfig, PAGE_SIZE};
     use std::sync::Arc;
 
     fn small_os() -> Arc<Os> {
-        // 1024-page budget (4 MiB) so pressure is easy to manufacture.
+        // 1024-page budget (4 MiB): a small pool, so shares are small.
         let mut config = OsConfig::with_memory_mb(4);
         config.reclaim_slack = 0.0;
         Os::new(
@@ -508,12 +512,38 @@ mod tests {
         ])
     }
 
+    /// Binds a fresh file to `tenant` and prefetches its head with
+    /// `readahead(2)`, billing the initiated pages to the tenant as the
+    /// runtime does; with `consume` the pages are then read, otherwise the
+    /// cache is dropped. Returns the pages initiated.
+    fn speculate(os: &Os, arbiter: &TenantArbiter, tenant: u32, consume: bool) -> u64 {
+        let mut clock = os.new_clock();
+        let bytes = 64 * PAGE_SIZE;
+        let fd = os
+            .create_sized(&mut clock, &format!("/t{tenant}"), bytes)
+            .unwrap();
+        let file = os.fd_entry(fd);
+        assert!(arbiter.bind(TenantId(tenant), &file.cache));
+        let initiated = os.try_readahead(&mut clock, &file, 0, bytes).unwrap();
+        assert!(initiated > 0);
+        arbiter.note_initiated(tenant, initiated);
+        if consume {
+            os.read_charge(&mut clock, fd, 0, initiated * PAGE_SIZE);
+        } else {
+            os.drop_caches(&mut clock);
+        }
+        initiated
+    }
+
+    /// Makes every page `tenant` ever prefetched a wasted one.
+    fn waste_all(os: &Os, arbiter: &TenantArbiter, tenant: u32) {
+        let initiated = speculate(os, arbiter, tenant, false);
+        assert_eq!(arbiter.tenant_quality(TenantId(tenant)).wasted, initiated);
+    }
+
     #[test]
     fn tuning_constants_are_pinned() {
-        assert_eq!(
-            (WINDOW_BUDGET_FRACTION, PRESSURE_FLOOR, EFFICIENCY_FLOOR),
-            (0.5, 0.5, 0.25)
-        );
+        assert_eq!((WINDOW_BUDGET_FRACTION, EFFICIENCY_FLOOR), (0.5, 0.25));
         assert_eq!(REBALANCE_INTERVAL_NS, 10 * simclock::NS_PER_MS);
     }
 
@@ -521,7 +551,7 @@ mod tests {
     fn no_pressure_admits_everything() {
         let os = small_os();
         let arbiter = TenantArbiter::new(two_tenants());
-        // Empty cache: resident is far below the pressure floor.
+        // No prefetch on record, so no waste: every burst rides Full.
         assert_eq!(arbiter.admit(&os, 0, 1 << 20, 0), AdmissionRung::Full);
         assert_eq!(arbiter.admit(&os, 1, 1 << 20, 0), AdmissionRung::Full);
     }
@@ -530,16 +560,17 @@ mod tests {
     fn unknown_tenant_bypasses() {
         let os = small_os();
         let arbiter = TenantArbiter::new(two_tenants());
-        os.mem().note_inserted(os.mem().budget()); // full pressure
+        waste_all(&os, &arbiter, 0);
+        waste_all(&os, &arbiter, 1);
         assert_eq!(arbiter.admit(&os, 99, 1 << 20, 0), AdmissionRung::Full);
         assert!(arbiter.admit_in_full(&os, 99, 1 << 20, 0));
     }
 
     #[test]
-    fn pressure_walks_the_ladder() {
+    fn waste_walks_the_ladder() {
         let os = small_os();
         let arbiter = TenantArbiter::new(two_tenants());
-        os.mem().note_inserted(os.mem().budget()); // pressure = 1.0
+        waste_all(&os, &arbiter, 0); // every prefetched page wasted
         arbiter.admit(&os, 0, 1, 0); // trigger the first rebalance
         let gold_share = arbiter.reports()[0].budget_pages;
         assert!(gold_share > 0);
@@ -569,20 +600,42 @@ mod tests {
     }
 
     #[test]
+    fn accurate_speculation_rides_full_at_full_residency() {
+        let os = small_os();
+        let arbiter = TenantArbiter::new(two_tenants());
+        let initiated = speculate(&os, &arbiter, 0, true);
+        let q = arbiter.tenant_quality(TenantId(0));
+        assert_eq!((q.timely + q.late, q.wasted), (initiated, 0));
+        os.mem().note_inserted(os.mem().free_pages()); // cache full
+        arbiter.admit(&os, 0, 1, 0); // trigger the first rebalance
+        let share = arbiter.reports()[0].budget_pages;
+        // Residency is no signal: a tenant that wastes nothing is admitted
+        // in full however far past its share it asks.
+        let t1 = 20 * simclock::NS_PER_MS;
+        assert_eq!(arbiter.admit(&os, 0, share * 8, t1), AdmissionRung::Full);
+        assert!(arbiter.admit_in_full(&os, 0, share * 8, t1));
+        assert_eq!(arbiter.reports()[0].window_used_pages, share * 16);
+    }
+
+    #[test]
     fn known_runs_are_billed_until_the_tenant_leaves_the_full_rung() {
         let os = small_os();
         let arbiter = TenantArbiter::new(two_tenants());
-        os.mem().note_inserted(os.mem().budget()); // pressure = 1.0
+        // Both tenants wholly wasteful: the 8:1 split of the pool holds.
+        waste_all(&os, &arbiter, 0);
+        waste_all(&os, &arbiter, 1);
         arbiter.admit(&os, 1, 0, 0); // trigger the first rebalance
         let share = arbiter.reports()[1].budget_pages;
         let (width, mut admitted) = (12, 0);
-        while arbiter.admit_in_full(&os, 1, width, 0) {
+        // Bounded: a share that never binds fails the count below rather
+        // than spinning here.
+        while admitted <= share && arbiter.admit_in_full(&os, 1, width, 0) {
             admitted += 1;
             let report = &arbiter.reports()[1];
             assert_eq!(report.window_used_pages, admitted * width);
             assert_eq!(report.admitted_pages, admitted * width);
         }
-        assert_eq!(admitted, share / width, "the share binds at full pressure");
+        assert_eq!(admitted, share / width, "the share binds at full waste");
         // The refusal charged nothing and counted nothing as degraded: the
         // request takes its rung when it comes back through `admit`.
         let report = &arbiter.reports()[1];
@@ -598,7 +651,6 @@ mod tests {
     fn qos_weights_split_the_pool() {
         let os = small_os();
         let arbiter = TenantArbiter::new(two_tenants());
-        os.mem().note_inserted(os.mem().budget());
         arbiter.admit(&os, 0, 1, 0);
         let reports = arbiter.reports();
         // gold:bronze = 8:1 with no quality evidence yet (floor division
@@ -613,7 +665,7 @@ mod tests {
     fn deny_charges_nothing_to_the_window() {
         let os = small_os();
         let arbiter = TenantArbiter::new(two_tenants());
-        os.mem().note_inserted(os.mem().budget());
+        waste_all(&os, &arbiter, 1);
         arbiter.admit(&os, 0, 1, 0);
         let before = arbiter.reports()[1].window_used_pages;
         assert_eq!(

@@ -95,22 +95,6 @@ impl MemoryManager {
         let share = (budget as u128 * slack_ppm).div_ceil(1_000_000) as u64;
         resident - budget.saturating_sub(share)
     }
-
-    /// Fractional pressure above a low watermark: `0.0` at or below `low`,
-    /// climbing linearly to `1.0` as resident reaches the budget and
-    /// saturating beyond it. The tenant arbiter scales its admission
-    /// ladder by this signal.
-    pub fn pressure_above(&self, low: u64) -> f64 {
-        let resident = self.resident();
-        if resident <= low {
-            return 0.0;
-        }
-        let budget = self.budget();
-        if budget <= low {
-            return 1.0;
-        }
-        (((resident - low) as f64) / ((budget - low) as f64)).min(1.0)
-    }
 }
 
 /// One reclaim candidate: `(touch, inode index, word index, pages)`.
@@ -209,18 +193,6 @@ mod tests {
         let mem = MemoryManager::new(16384);
         mem.note_inserted(16384 + 100);
         assert_eq!(mem.reclaim_target(0.05), 100 + 820); // watermark 15564
-    }
-
-    #[test]
-    fn pressure_above_low_watermark() {
-        let mem = MemoryManager::new(100);
-        assert_eq!(mem.pressure_above(50), 0.0);
-        mem.note_inserted(75);
-        assert_eq!(mem.pressure_above(50), 0.5);
-        mem.note_inserted(50); // resident 125, over budget
-        assert_eq!(mem.pressure_above(50), 1.0);
-        assert_eq!(mem.pressure_above(120), 1.0); // low >= budget saturates
-        assert_eq!(mem.pressure_above(200), 0.0); // resident below low: idle
     }
 
     #[test]

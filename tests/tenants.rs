@@ -21,8 +21,9 @@ const MECHANISMS: [Mode; 6] = [
 ];
 
 /// A small cold-cache fleet over little memory: window budgets are tiny
-/// and the cache sits above the pressure watermark, so the admission
-/// ladder actually engages.
+/// and the bronze tenants' random-start bursts waste enough of their
+/// speculation that the admission ladder actually engages (seed 42, 8 MiB:
+/// 231 coalesced, 142 blind, 74 denied).
 fn throttled_fleet() -> FleetConfig {
     FleetConfig {
         tenants: vec![
@@ -241,7 +242,7 @@ fn no_tenant_starves_under_saturation() {
 /// windows, and the burst's second read waits it out. Riding the miss's
 /// crossing on the blocking horizon (or, refused, waiting for the first
 /// continuation) must not cost the read tail anything. Measured, seed 42:
-/// read p99.9 119 539 ns with the ring, 194 984 ns without.
+/// read p99.9 119 539 ns with the ring, 191 802 ns without.
 #[test]
 fn preissue_does_not_lengthen_the_fleet_read_tail() {
     let cfg = FleetConfig::mixed_qos(250 * NS_PER_US);
@@ -268,9 +269,9 @@ fn preissue_does_not_lengthen_the_fleet_read_tail() {
     );
 }
 
-/// The arbitration gate, on [`FleetConfig::mixed_qos`] behind 16 MB of page
-/// cache. Three runs of one arrival stream: arbiter on, arbiter off, and
-/// the gold tenant replayed alone.
+/// The arbitration gate. On [`FleetConfig::mixed_qos`] behind 16 MB of
+/// page cache, three runs of one arrival stream: arbiter on, arbiter off,
+/// and the gold tenant replayed alone.
 ///
 /// Offered load: 250 us mean inter-arrival = 4000 req/s, 74 % of the
 /// ~5400 req/s at which the arbitrated fleet saturates (8192 requests
@@ -278,18 +279,27 @@ fn preissue_does_not_lengthen_the_fleet_read_tail() {
 /// server, so the tail that matters is *response* time (completion minus
 /// arrival, queueing included), not per-read service time. Measured,
 /// seed 42, with bursts asked for at their jump (ring off here, so as
-/// ordinary prefetch): gold response p99 620 us arbitrated, 459 us without
-/// the arbiter, 26 us alone; prefetch-hit ratio 0.958 vs 0.951.
+/// ordinary prefetch): gold response p99 458.8 us arbitrated, 458.8 us
+/// without the arbiter, 26 us alone. The ladder is driven by each
+/// tenant's wasted share, and `mixed_qos` wastes little: the arbiter
+/// coalesces 8 requests, sends 2 blind and denies none. (With the ladder
+/// driven by cache residency it coalesced 1 126, sent 484 blind and
+/// denied 141, and gold read 620.5 us: the denied bronze speculation came
+/// back as demand misses on the one driver.)
+///
+/// The prefetch-hit ratio is gated where speculation does thrash: on the
+/// oversaturated [`throttled_fleet`] at 8 MiB, arbitration raises it from
+/// 0.8881 to 0.8916 (the residency-driven ladder: 0.9166, at 313 ms gold
+/// response p99 against 195 ms without the arbiter; now 204 ms). On
+/// `mixed_qos` the residency-driven ladder won that comparison (0.958 vs
+/// 0.951) only by denying accurate bronze speculation, which is what
+/// keying the ladder to waste removed; there it now reads 0.9501 vs
+/// 0.9507.
 #[test]
 fn arbitration_raises_prefetch_hits_and_bounds_the_gold_response_tail() {
     const GOLD: usize = 3;
-    let cfg = FleetConfig::mixed_qos(250 * NS_PER_US);
-    let run = |arbiter: bool, only_tenant: Option<usize>| {
-        let cfg = FleetConfig {
-            only_tenant,
-            ..cfg.clone()
-        };
-        let (runtime, mut clock, result) = fleet_run(&cfg, Mode::PredictOpt, 16, arbiter);
+    let run = |cfg: &FleetConfig, memory_mb: u64, arbiter: bool| {
+        let (runtime, mut clock, result) = fleet_run(cfg, Mode::PredictOpt, memory_mb, arbiter);
         // Settle still-speculative pages as wasted before reading the ledger.
         runtime.os().drop_caches(&mut clock);
         let report = RuntimeReport::collect(&runtime);
@@ -297,30 +307,34 @@ fn arbitration_raises_prefetch_hits_and_bounds_the_gold_response_tail() {
         let hit_ratio = (q.timely + q.late) as f64 / report.pages_initiated as f64;
         (result.per_tenant[GOLD].p99_response_ns, hit_ratio)
     };
-    let (arbitrated, arbitrated_hits) = run(true, None);
-    let (unarbitrated, unarbitrated_hits) = run(false, None);
-    let (alone, _) = run(true, Some(GOLD));
-
+    let throttled = throttled_fleet();
+    let (_, arbitrated_hits) = run(&throttled, 8, true);
+    let (_, unarbitrated_hits) = run(&throttled, 8, false);
     assert!(
         arbitrated_hits > unarbitrated_hits,
         "arbitration must raise the aggregate prefetch-hit ratio: \
          {arbitrated_hits:.4} vs {unarbitrated_hits:.4}"
     );
-    // Below saturation queueing is bounded: 23.7x the unloaded tail today.
+
+    let cfg = FleetConfig::mixed_qos(250 * NS_PER_US);
+    let (arbitrated, _) = run(&cfg, 16, true);
+    let (unarbitrated, _) = run(&cfg, 16, false);
+    let alone_cfg = FleetConfig {
+        only_tenant: Some(GOLD),
+        ..cfg
+    };
+    let (alone, _) = run(&alone_cfg, 16, true);
+    // Below saturation queueing is bounded: 17.5x the unloaded tail today.
     // (At the 50 us gap the old bench harness offered — 3.6x past
     // saturation — the backlog grows all run and this ratio is 42 000x.)
     assert!(
         arbitrated <= 100 * alone,
         "gold response p99 {arbitrated} ns exceeds 100x its unloaded {alone} ns"
     );
-    // ❌, checked: the arbiter does not shield gold's response tail. Its
-    // denials turn bronze prefetches into demand misses that the single
-    // driver serialises, so every tenant queues longer than with no
-    // arbiter at all (1.35x). Today's ordering is pinned, with a 1.6x
-    // ceiling, so a fix flips this assertion visibly (ROADMAP item 14).
+    // The arbiter costs gold nothing against no arbiter at all. Shielding
+    // gold strictly (`<`) is still open (ROADMAP item 14).
     assert!(
-        arbitrated > unarbitrated && arbitrated * 5 <= unarbitrated * 8,
-        "gold response p99 moved against the no-arbiter run: \
-         {arbitrated} ns vs {unarbitrated} ns"
+        arbitrated <= unarbitrated,
+        "gold response p99 {arbitrated} ns with the arbiter vs {unarbitrated} ns without"
     );
 }
