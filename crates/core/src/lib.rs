@@ -51,7 +51,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod admit;
 mod config;
+mod engine;
 pub mod metrics;
 pub mod policy;
 pub mod range_index;

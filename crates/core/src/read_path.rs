@@ -38,9 +38,10 @@ use predict::{AccessPattern, Direction, Prediction, PredictionEngine, PrefetchDe
 use simclock::ThreadClock;
 use simos::{FaultMode, ReadOutcome, PAGE_SIZE};
 
+use crate::admit::Rider;
 use crate::metrics::{PipelineStage, ReadClass};
 use crate::policy::PostReadHook;
-use crate::runtime::{CpFile, Rider};
+use crate::runtime::CpFile;
 use crate::trace::{LookupOutcome, TraceEventKind};
 
 /// Reads between whole-file refetch rounds in FetchAll mode.
@@ -429,12 +430,8 @@ impl CpFile {
         // stale (evicted or never actually covered): reset the pacing
         // frontier so prefetching re-engages from here.
         if outcome.miss_pages > 0 {
-            if ctx.p1 <= self.fwd_frontier.load(Ordering::Relaxed) {
-                self.fwd_frontier.store(ctx.p1, Ordering::Relaxed);
-            }
-            if ctx.p0 >= self.back_frontier.load(Ordering::Relaxed) {
-                self.back_frontier.store(ctx.p0, Ordering::Relaxed);
-            }
+            self.fwd_frontier.fetch_min(ctx.p1, Ordering::Relaxed);
+            self.back_frontier.fetch_max(ctx.p0, Ordering::Relaxed);
         }
 
         // Update the user-level view: the pages this access covered are
@@ -491,35 +488,20 @@ impl CpFile {
         let n = self
             .file
             .reads_since_refetch
-            .fetch_add(1, Ordering::Relaxed)
-            + 1;
+            .fetch_add(1, Ordering::Relaxed);
         let file_pages = inner.os.fs().size(self.file.ino).div_ceil(PAGE_SIZE);
         let budget = inner.os.mem().budget();
-        let over_memory = file_pages > budget;
-        let interval = if over_memory {
-            FETCHALL_REFRESH_READS * 16
+        let (interval, round) = if file_pages > budget {
+            (FETCHALL_REFRESH_READS * 16, (budget / 4).max(1))
         } else {
-            FETCHALL_REFRESH_READS
+            (FETCHALL_REFRESH_READS, file_pages)
         };
-        if n.is_multiple_of(interval) && file_pages > 0 {
-            let round = if over_memory {
-                (budget / 4).max(1)
-            } else {
-                file_pages
-            };
+        if (n + 1).is_multiple_of(interval) && file_pages > 0 {
             let start = self.file.refetch_cursor.load(Ordering::Relaxed) % file_pages;
-            let reached = runtime.prefetch_pages(
-                clock,
-                &self.file,
-                start,
-                round.min(file_pages - start),
-                false,
-                None,
-            );
-            self.file.refetch_cursor.store(
-                if reached >= file_pages { 0 } else { reached },
-                Ordering::Relaxed,
-            );
+            let want = round.min(file_pages - start);
+            let reached = runtime.prefetch_pages(clock, &self.file, start, want, None);
+            let cursor = if reached >= file_pages { 0 } else { reached };
+            self.file.refetch_cursor.store(cursor, Ordering::Relaxed);
         }
     }
 
@@ -666,8 +648,7 @@ impl CpFile {
                 let start = frontier.max(p1);
                 if target > start {
                     let want = target - start;
-                    let reached =
-                        runtime.prefetch_pages(clock, &self.file, start, want, true, rider);
+                    let reached = runtime.prefetch_pages(clock, &self.file, start, want, rider);
                     self.fwd_frontier.store(reached.max(p1), Ordering::Relaxed);
                     self.window_pages.store(next_window, Ordering::Relaxed);
                 }
@@ -686,13 +667,69 @@ impl CpFile {
                 let target = p0.saturating_sub(next_window);
                 let end = frontier.min(p0);
                 if end > target {
-                    // Backward prefetch is clamped from the front; treat a
-                    // partial schedule as full coverage of the tail.
-                    runtime.prefetch_pages(clock, &self.file, target, end - target, true, None);
+                    // ❌ The memory clamp keeps the window's far end, yet the frontier
+                    // claims it all (pinned: `a_clamped_backward_window_keeps_its_far_end`).
+                    runtime.prefetch_pages(clock, &self.file, target, end - target, None);
                     self.back_frontier.store(target, Ordering::Relaxed);
                     self.window_pages.store(next_window, Ordering::Relaxed);
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::atomic::Ordering;
+
+    use predict::{AccessPattern, Direction, Prediction};
+    use simos::{Device, DeviceConfig, FileSystem, FsKind, Os, OsConfig, PAGE_SIZE};
+
+    use crate::{Mode, Runtime};
+
+    /// A backward window the memory headroom clamps should keep the pages
+    /// next to the reader's cursor: the reader reaches them first.
+    #[test]
+    fn a_clamped_backward_window_keeps_its_far_end() {
+        let os = Os::new(
+            OsConfig::with_memory_mb(4),
+            Device::new(DeviceConfig::local_nvme()),
+            FileSystem::new(FsKind::Ext4Like),
+        );
+        let runtime = Runtime::with_mode(os, Mode::Predict);
+        let mut clock = runtime.new_clock();
+        let file = runtime
+            .create_sized(&mut clock, "/f", 2048 * PAGE_SIZE)
+            .unwrap();
+        let mem = runtime.os().mem();
+        mem.note_inserted(mem.free_pages()); // a cache full of clean pages
+        let headroom = mem.budget() / 32;
+        let (p0, window) = (1024, 256);
+        let pred = Prediction {
+            pattern: AccessPattern::DefinitelySequential,
+            prefetch_pages: window,
+            from_page: p0 - 1,
+            direction: Direction::Backward,
+            aggressive: false,
+            jumped: true,
+            known_run: false,
+        };
+        file.paced_prefetch(&mut clock, pred, p0, p0 + 4, None);
+        let target = p0 - window;
+        let costs = &runtime.os().config().costs;
+        let mut requested = |from, to| {
+            file.file
+                .tree
+                .cached_in(&mut clock, costs, runtime.scope(), from, to)
+        };
+        assert_eq!(runtime.stats().pages_requested.get(), headroom);
+        // ❌, checked: the clamp keeps `[target, target + headroom)`, the
+        // far end of the window, so the 224 pages between it and the
+        // cursor are never requested, while the frontier moves to `target`
+        // and claims them. Pinned as it stands, so a fix (which keeps
+        // `[p0 - headroom, p0)`) flips these assertions visibly.
+        assert_eq!(requested(target, target + headroom), headroom);
+        assert_eq!(requested(target + headroom, p0), 0);
+        assert_eq!(file.back_frontier.load(Ordering::Relaxed), target);
     }
 }

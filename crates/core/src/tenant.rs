@@ -15,7 +15,7 @@
 //! is mostly wasted is throttled first and one whose speculation is
 //! consumed not at all (MITHRIL's utility-driven accounting, applied to
 //! admission). Memory is bounded before the arbiter runs, by the
-//! memory-budget clamps in `Runtime::prefetch_pages`.
+//! memory-budget clamps of the admission plan (`Runtime::plan`).
 //!
 //! With [`crate::RuntimeConfig::tenants`] unset (the default) no arbiter
 //! exists, every new code path is bypassed, and telemetry stays
@@ -133,6 +133,18 @@ pub enum AdmissionRung {
     Deny,
 }
 
+impl AdmissionRung {
+    /// The pages of a `want`-page request this rung lets through (on
+    /// [`AdmissionRung::Deny`], the pages it refuses): all of them, except
+    /// that the blind rung issues one OS readahead window.
+    pub(crate) fn span(self, os: &Os, want: u64) -> u64 {
+        match self {
+            AdmissionRung::Blind => want.min(os.config().ra_max_pages.max(1)),
+            _ => want,
+        }
+    }
+}
+
 /// Per-tenant arbiter state.
 #[derive(Debug)]
 struct TenantState {
@@ -164,12 +176,6 @@ struct TenantState {
 }
 
 impl TenantState {
-    /// Bills `pages` admitted pages to the current window.
-    fn charge(&self, pages: u64) {
-        self.window_used.fetch_add(pages, Ordering::Relaxed);
-        self.admitted_pages.add(pages);
-    }
-
     fn quality(&self) -> PrefetchQuality {
         let mut total = PrefetchQuality::default();
         for cache in self.files.lock().iter() {
@@ -332,50 +338,19 @@ impl TenantArbiter {
     /// Admission decision for a `want`-page speculative prefetch by
     /// `tenant`, charging the tenant's window for whatever rung admits.
     pub fn admit(&self, os: &Os, tenant: u32, want: u64, now_ns: u64) -> AdmissionRung {
+        let rung = self.rung(os, tenant, want, now_ns);
+        self.charge(tenant, rung, rung.span(os, want));
+        rung
+    }
+
+    /// The rung a `want`-page request by `tenant` lands on right now,
+    /// charging nothing (rebalancing first when one is due). A tenant
+    /// outside the table is always [`AdmissionRung::Full`].
+    pub(crate) fn rung(&self, os: &Os, tenant: u32, want: u64, now_ns: u64) -> AdmissionRung {
         let Some(state) = self.tenants.get(tenant as usize) else {
             return AdmissionRung::Full;
         };
         self.maybe_rebalance(os, now_ns);
-        let rung = Self::rung(state, want);
-        match rung {
-            AdmissionRung::Full => state.charge(want),
-            AdmissionRung::CoalescedOnly => {
-                state.charge(want);
-                state.degraded_coalesced.incr();
-            }
-            AdmissionRung::Blind => {
-                // Only one blind OS window is actually issued; charge that.
-                state.charge(want.min(os.config().ra_max_pages.max(1)));
-                state.degraded_blind.incr();
-            }
-            AdmissionRung::Deny => {
-                state.denied.incr();
-                state.denied_pages.add(want);
-            }
-        }
-        rung
-    }
-
-    /// Admission of a known run's remainder to the demand crossing of the
-    /// miss that starts it (DESIGN §13): explicit speculation is the first
-    /// thing the ladder takes, so only a tenant still on the `Full` rung is
-    /// admitted — and charged, like any prefetch. A refusal charges
-    /// nothing: the request comes back through [`TenantArbiter::admit`]
-    /// on the run's first continuation and takes its rung there.
-    pub fn admit_in_full(&self, os: &Os, tenant: u32, want: u64, now_ns: u64) -> bool {
-        let Some(state) = self.tenants.get(tenant as usize) else {
-            return true;
-        };
-        self.maybe_rebalance(os, now_ns);
-        let full = Self::rung(state, want) == AdmissionRung::Full;
-        if full {
-            state.charge(want);
-        }
-        full
-    }
-
-    /// The rung `want` pages land on right now, without charging.
-    fn rung(state: &TenantState, want: u64) -> AdmissionRung {
         let budget = state.budget_pages.load(Ordering::Relaxed).max(1);
         let used = state.window_used.load(Ordering::Relaxed);
         let strain = used.saturating_add(want).saturating_mul(1000) / budget;
@@ -394,6 +369,26 @@ impl TenantArbiter {
         } else {
             AdmissionRung::Deny
         }
+    }
+
+    /// Bills `tenant` for a request that landed on `rung`: `pages` admitted
+    /// pages go on the window, a denial counts `pages` denied instead.
+    pub(crate) fn charge(&self, tenant: u32, rung: AdmissionRung, pages: u64) {
+        let Some(state) = self.tenants.get(tenant as usize) else {
+            return;
+        };
+        match rung {
+            AdmissionRung::Full => {}
+            AdmissionRung::CoalescedOnly => state.degraded_coalesced.incr(),
+            AdmissionRung::Blind => state.degraded_blind.incr(),
+            AdmissionRung::Deny => {
+                state.denied.incr();
+                state.denied_pages.add(pages);
+                return;
+            }
+        }
+        state.window_used.fetch_add(pages, Ordering::Relaxed);
+        state.admitted_pages.add(pages);
     }
 
     /// Records pages the OS initiated on behalf of `tenant`'s files.
@@ -535,6 +530,16 @@ mod tests {
         initiated
     }
 
+    /// A known run's ride as the admission plan takes it: asked for the
+    /// rung, admitted and charged only on `Full`, charged nothing otherwise.
+    fn rides(os: &Os, arbiter: &TenantArbiter, tenant: u32, want: u64, now_ns: u64) -> bool {
+        let full = arbiter.rung(os, tenant, want, now_ns) == AdmissionRung::Full;
+        if full {
+            arbiter.charge(tenant, AdmissionRung::Full, want);
+        }
+        full
+    }
+
     /// Makes every page `tenant` ever prefetched a wasted one.
     fn waste_all(os: &Os, arbiter: &TenantArbiter, tenant: u32) {
         let initiated = speculate(os, arbiter, tenant, false);
@@ -563,7 +568,7 @@ mod tests {
         waste_all(&os, &arbiter, 0);
         waste_all(&os, &arbiter, 1);
         assert_eq!(arbiter.admit(&os, 99, 1 << 20, 0), AdmissionRung::Full);
-        assert!(arbiter.admit_in_full(&os, 99, 1 << 20, 0));
+        assert!(rides(&os, &arbiter, 99, 1 << 20, 0));
     }
 
     #[test]
@@ -613,7 +618,7 @@ mod tests {
         // in full however far past its share it asks.
         let t1 = 20 * simclock::NS_PER_MS;
         assert_eq!(arbiter.admit(&os, 0, share * 8, t1), AdmissionRung::Full);
-        assert!(arbiter.admit_in_full(&os, 0, share * 8, t1));
+        assert!(rides(&os, &arbiter, 0, share * 8, t1));
         assert_eq!(arbiter.reports()[0].window_used_pages, share * 16);
     }
 
@@ -629,7 +634,7 @@ mod tests {
         let (width, mut admitted) = (12, 0);
         // Bounded: a share that never binds fails the count below rather
         // than spinning here.
-        while admitted <= share && arbiter.admit_in_full(&os, 1, width, 0) {
+        while admitted <= share && rides(&os, &arbiter, 1, width, 0) {
             admitted += 1;
             let report = &arbiter.reports()[1];
             assert_eq!(report.window_used_pages, admitted * width);
