@@ -43,6 +43,11 @@ pub(crate) struct Rider {
     relax: bool,
 }
 
+/// The riders of a successful ring crossing and their completions,
+/// imported into the view by the account stage after its staleness resync
+/// ([`CpFile::ring_fill`]).
+pub(crate) type Ridden = (Vec<Rider>, Vec<RaBatchCompletion>);
+
 /// What one speculative request becomes, decided before anything is
 /// charged, counted or sent.
 #[derive(Debug, Default)]
@@ -80,7 +85,8 @@ enum Submit {
     /// Nothing is sent; the schedule reaches `from`.
     #[default]
     Refuse,
-    /// Every admitted page is cached already: no syscall (§4.2).
+    /// The view claims every admitted page of a worker submission: no
+    /// syscall (§4.2). A ride is never skipped.
     Skip,
     /// The runs ride the demand crossing of the miss that starts them.
     Ride,
@@ -243,10 +249,24 @@ impl Runtime {
         self.apply(clock, file, plan, riders)
     }
 
+    /// The memory-budget clamp on one request's span: at most half the
+    /// truly-free headroom, but never less than budget/32 — a full cache
+    /// of *clean* pages is reclaimable, so modest windows stay productive
+    /// while no single call can blow the budget. `None` under FetchAll,
+    /// which is exempt (see [`Runtime::plan`]).
+    pub(crate) fn headroom_pages(&self) -> Option<u64> {
+        if self.inner.policy.features.fetchall {
+            return None;
+        }
+        let mem = self.inner.os.mem();
+        Some((mem.free_pages() / 2).max(mem.budget() / 32).max(1))
+    }
+
     /// Every decision about one request, each made once: the memory floor
-    /// and headroom clamp, the tenant rung, the visibility dedupe and the
-    /// submission. Charges, counts and sends nothing; the caller pays the
-    /// range-index lookup only.
+    /// and headroom clamp, the tenant rung, the visibility dedupe (worker
+    /// submissions only) and the submission. Charges, counts and sends
+    /// nothing; the caller pays a worker submission's range-index lookup
+    /// only.
     fn plan(
         &self,
         clock: &mut ThreadClock,
@@ -265,13 +285,7 @@ impl Runtime {
         if from >= end || (!features.fetchall && self.available_fraction() < PREFETCH_FLOOR) {
             return Plan::refused(from);
         }
-        if !features.fetchall {
-            // Memory-budget clamp: one prefetch may claim at most half the
-            // truly-free headroom, but never less than budget/32 — a full
-            // cache of *clean* pages is reclaimable, so modest windows
-            // stay productive while no single call can blow the budget.
-            let mem = os.mem();
-            let headroom = (mem.free_pages() / 2).max(mem.budget() / 32).max(1);
+        if let Some(headroom) = self.headroom_pages() {
             end = from + (end - from).min(headroom);
         }
 
@@ -301,10 +315,17 @@ impl Runtime {
         }
 
         // User-level visibility check: skip entirely-cached requests. This
-        // is the system-call reduction at the heart of §4.2.
+        // is the system-call reduction at the heart of §4.2, so it applies
+        // to worker submissions only. A ride crosses with its miss anyway
+        // and CROSS-OS dedupes it against the authoritative bitmap, so it
+        // carries its whole span: a view left stale by reclaim can neither
+        // veto it nor cost the reader a range-index lookup. Degradation
+        // rides nothing: blind `readahead(2)` has no vectored form, whether
+        // the blindness came from the kernel latch or the ladder.
         let blind = rung == AdmissionRung::Blind;
         let visibility = features.visibility && !blind;
-        let (missing, merged) = if visibility {
+        let rides = ride && !inner.degraded.load(Ordering::Relaxed);
+        let (missing, merged) = if visibility && !rides {
             let costs = &os.config().costs;
             let runs = file.tree.missing_in(clock, costs, self.scope(), from, end);
             if rung == AdmissionRung::CoalescedOnly {
@@ -315,13 +336,10 @@ impl Runtime {
         } else {
             (vec![(from, end)], 0)
         };
-        // Degradation rides nothing: blind `readahead(2)` has no vectored
-        // form, whether the blindness came from the kernel latch or the
-        // ladder.
-        let submit = if missing.is_empty() {
-            Submit::Skip
-        } else if ride && !inner.degraded.load(Ordering::Relaxed) {
+        let submit = if rides {
             Submit::Ride
+        } else if missing.is_empty() {
+            Submit::Skip
         } else {
             Submit::Worker
         };
@@ -500,7 +518,7 @@ impl Runtime {
     /// Per-rider completion handling: initiated-page accounting, the
     /// user-view import, and the transient-failure retry ladder, entered
     /// with one attempt spent — the crossing was each rider's first.
-    fn apply_rider_completions(
+    pub(crate) fn apply_rider_completions(
         &self,
         clock: &mut ThreadClock,
         riders: &[Rider],
@@ -646,9 +664,11 @@ impl CpFile {
     /// Demand ring crossing: the miss crosses as one vectored `read_batch`
     /// call, under `F`'s fault discipline. A `known_run` predicted at this
     /// miss is planned first; admitted, it rides the crossing and its
-    /// completions are applied here, on the reader's clock, so the view
-    /// claims the run before the next access asks. Refused (or all cached),
-    /// it goes back to the engine. A faulted rider retries on a worker; an
+    /// completions are returned, for this access's account stage to apply
+    /// on the reader's clock after its staleness resync — a resync this
+    /// miss triggers must not drop the run CROSS-OS just confirmed — so
+    /// the view claims the run before the next access asks. Refused, it
+    /// goes back to the engine. A faulted rider retries on a worker; an
     /// `Unsupported` kernel latches degradation, re-issues the riders
     /// blind and falls back to the plain read.
     pub(crate) fn ring_fill<F: FaultMode>(
@@ -657,7 +677,7 @@ impl CpFile {
         offset: u64,
         len: u64,
         known_run: Option<Prediction>,
-    ) -> Result<ReadOutcome, F::Error> {
+    ) -> Result<(ReadOutcome, Option<Ridden>), F::Error> {
         let runtime = &self.runtime;
         let mut riders = Vec::new();
         if let Some(pred) = known_run {
@@ -672,21 +692,29 @@ impl CpFile {
         let os = &runtime.inner.os;
         match os.read_batch::<F>(clock, &demand, &entries) {
             Ok((mut outcomes, completions)) => {
-                if completions.iter().all(|done| done.error.is_none()) {
-                    let charged = completions.iter().map(|done| done.initiated_pages).sum();
-                    runtime.inner.stats.ring_spec_pages_charged.add(charged);
-                    runtime.apply_rider_completions(clock, &riders, &completions);
-                    if let Some(last) = riders.last() {
-                        self.preissued.store(last.end, Ordering::Relaxed);
-                    }
-                } else {
+                let demand = outcomes.pop().unwrap_or(Ok(ReadOutcome::default()));
+                if completions.iter().any(|done| done.error.is_some()) {
                     runtime.retry_faulted_riders(clock, riders, completions);
+                    return demand.map(|outcome| (outcome, None));
                 }
-                outcomes.pop().unwrap_or(Ok(ReadOutcome::default()))
+                let charged = completions.iter().map(|done| done.initiated_pages).sum();
+                runtime.inner.stats.ring_spec_pages_charged.add(charged);
+                if let Some(last) = riders.last() {
+                    self.preissued.store(last.end, Ordering::Relaxed);
+                }
+                match demand {
+                    Ok(outcome) => Ok((outcome, Some((riders, completions)))),
+                    Err(err) => {
+                        // No account stage follows a failed demand read.
+                        runtime.apply_rider_completions(clock, &riders, &completions);
+                        Err(err)
+                    }
+                }
             }
             Err(_) => {
                 runtime.ring_degrade(clock, riders, self.file.ino);
-                os.read_charge_as::<F>(clock, &self.os_file, offset, len)
+                let plain = os.read_charge_as::<F>(clock, &self.os_file, offset, len);
+                plain.map(|outcome| (outcome, None))
             }
         }
     }
@@ -924,5 +952,91 @@ mod tests {
         );
         assert_eq!(ride, (None, 0, Submit::Refuse));
         assert!(refused.is_empty());
+    }
+
+    /// Reclaim can evict a run behind the user-level view, which keeps
+    /// claiming it until the account stage resyncs. A ride is deduped by
+    /// CROSS-OS, not by that view: the stale claim does not veto it, and
+    /// the crossing initiates every dropped page.
+    #[test]
+    fn a_stale_view_does_not_veto_a_ride() {
+        let runtime = boot(64, Mode::Predict, 1, false);
+        let mut clock = runtime.new_clock();
+        let file = runtime.create_sized(&mut clock, "/f", 1 << 20).unwrap();
+        let (os, costs) = (runtime.os(), &runtime.os().config().costs);
+        let (from, want) = (128, 32);
+        let (offset, len) = (from * PAGE_SIZE, want * PAGE_SIZE);
+        let fetched = os
+            .try_readahead(&mut clock, &file.os_file, offset, len)
+            .unwrap();
+        assert_eq!(fetched, want);
+        let (scope, end) = (runtime.scope(), from + want);
+        file.file
+            .tree
+            .mark_cached(&mut clock, costs, scope, from, end);
+        let dropped = os.fadvise(
+            &mut clock,
+            &file.os_file,
+            simos::Advice::DontNeed,
+            offset,
+            len,
+        );
+        assert_eq!(dropped, want);
+        assert_eq!(os.fincore(&mut clock, &file.os_file), 0);
+        let claimed = file
+            .file
+            .tree
+            .cached_in(&mut clock, costs, scope, from, end);
+        assert_eq!(claimed, want, "the view still claims the run");
+
+        let plan = runtime.plan(&mut clock, &file.file, from, want, true);
+        assert_eq!(plan.submit, Submit::Ride);
+        assert_eq!(plan.missing, vec![(from, end)]);
+        let mut riders = Vec::new();
+        runtime.apply(&mut clock, &file.file, plan, Some(&mut riders));
+        let entries = runtime.rider_entries(&riders);
+        let demand = [ReadBatchEntry::new(&file.os_file, 0, PAGE_SIZE)];
+        let (_, completions) = os
+            .read_batch::<simos::NeverFault>(&mut clock, &demand, &entries)
+            .unwrap();
+        runtime.apply_rider_completions(&mut clock, &riders, &completions);
+        let initiated: u64 = completions.iter().map(|done| done.initiated_pages).sum();
+        assert_eq!(initiated, want);
+        assert_eq!(runtime.stats().pages_initiated.get(), want);
+    }
+
+    /// ❌, checked (ROADMAP item 33): without relaxed limits a worker
+    /// window reserves `total.div_ceil(ra_max_pages)` syscalls, the ceiling
+    /// of the sum, while `issue_prefetch` makes one `readahead_info` call
+    /// per OS window of *each* missing run. Ten 3-page runs left by the
+    /// visibility lookup reserve one `syscall_ns` on the worker and issue
+    /// ten calls. Pinned as it stands, so the fix (the sum of the
+    /// ceilings, as the relaxed branch reserves) flips it visibly.
+    #[test]
+    fn a_worker_window_reserves_one_syscall_for_ten_runs() {
+        let runtime = boot(64, Mode::Predict, 1, false);
+        let mut clock = runtime.new_clock();
+        let file = runtime.create_sized(&mut clock, "/f", 1 << 20).unwrap();
+        let (os, costs) = (runtime.os(), &runtime.os().config().costs);
+        for run in 0..10 {
+            let gap = 6 * run + 3;
+            file.file
+                .tree
+                .mark_cached(&mut clock, costs, runtime.scope(), gap, gap + 3);
+        }
+        let plan = runtime.plan(&mut clock, &file.file, 0, 60, false);
+        assert_eq!(plan.submit, Submit::Worker);
+        assert_eq!(plan.missing.len(), 10);
+        assert!(plan.missing.iter().all(|&(s, e)| e - s == 3));
+        let calls = os.stats().ra_info_calls.get();
+        runtime.apply(&mut clock, &file.file, plan, None);
+        assert_eq!(os.stats().ra_info_calls.get() - calls, 10);
+        let next = runtime.workers().dispatch(clock.now(), 0, |_| {});
+        let syscall_ns = costs.syscall_ns;
+        let waited = next.queue_wait_ns();
+        assert!(
+            (syscall_ns..2 * syscall_ns).contains(&waited),
+            "queued {waited} ns behind ten calls: one syscall reserved"
+        );
     }
 }

@@ -38,7 +38,7 @@ use predict::{AccessPattern, Direction, Prediction, PredictionEngine, PrefetchDe
 use simclock::ThreadClock;
 use simos::{FaultMode, ReadOutcome, PAGE_SIZE};
 
-use crate::admit::Rider;
+use crate::admit::{Ridden, Rider};
 use crate::metrics::{PipelineStage, ReadClass};
 use crate::policy::PostReadHook;
 use crate::runtime::CpFile;
@@ -92,6 +92,10 @@ pub(crate) struct ReadCtx {
     /// the miss's ring crossing, or is handed back to the engine when the
     /// access turns out to need no crossing.
     known_run: Option<Prediction>,
+    /// The riders a ring crossing carried and their completions (set by
+    /// the demand-fill stage), imported by the account stage after its
+    /// staleness resync.
+    ridden: Option<Ridden>,
     /// Virtual time the current stage started (stage-latency base).
     stage_start_ns: u64,
 }
@@ -188,6 +192,7 @@ impl CpFile {
             claimed: 0,
             decision: PrefetchDecision::default(),
             known_run: None,
+            ridden: None,
             stage_start_ns: entry_ns,
         };
         ctx.close_stage(self, PipelineStage::Classify, clock.now());
@@ -352,7 +357,13 @@ impl CpFile {
                 // Everything else crosses — as a vectored ring submission
                 // that carries a known run when the ring is on, or the
                 // plain read syscall when it is off.
-                None if ring => self.ring_fill::<F>(clock, ctx.offset, ctx.len, known_run),
+                None if ring => {
+                    let filled = self.ring_fill::<F>(clock, ctx.offset, ctx.len, known_run);
+                    filled.map(|(outcome, ridden)| {
+                        ctx.ridden = ridden;
+                        outcome
+                    })
+                }
                 no_crossing => {
                     // A jump that hit the cache: waiting out the whole
                     // remainder as background prefetch would cost the next
@@ -424,6 +435,12 @@ impl CpFile {
                     self.file.tree.clear(clock, costs, runtime.scope());
                 }
             }
+        }
+
+        // A crossing's riders are imported only now, after any resync
+        // above, like the demand pages below: CROSS-OS just confirmed them.
+        if let Some((riders, completions)) = ctx.ridden.take() {
+            runtime.apply_rider_completions(clock, &riders, &completions);
         }
 
         // A miss inside the frontier-claimed region means the claim is
@@ -667,10 +684,17 @@ impl CpFile {
                 let target = p0.saturating_sub(next_window);
                 let end = frontier.min(p0);
                 if end > target {
-                    // ❌ The memory clamp keeps the window's far end, yet the frontier
-                    // claims it all (pinned: `a_clamped_backward_window_keeps_its_far_end`).
-                    runtime.prefetch_pages(clock, &self.file, target, end - target, None);
-                    self.back_frontier.store(target, Ordering::Relaxed);
+                    // `plan` clamps a span from its start, so a backward
+                    // window is cut here first, keeping the pages next to
+                    // the cursor: the reader reaches them first. The
+                    // frontier moves only as far as the plan reached.
+                    let span = runtime
+                        .headroom_pages()
+                        .map_or(end - target, |headroom| (end - target).min(headroom));
+                    let from = end - span;
+                    let reached = runtime.prefetch_pages(clock, &self.file, from, span, None);
+                    let frontier = if reached == end { from } else { end };
+                    self.back_frontier.store(frontier, Ordering::Relaxed);
                     self.window_pages.store(next_window, Ordering::Relaxed);
                 }
             }
@@ -687,10 +711,11 @@ mod tests {
 
     use crate::{Mode, Runtime};
 
-    /// A backward window the memory headroom clamps should keep the pages
-    /// next to the reader's cursor: the reader reaches them first.
+    /// A backward window the memory headroom clamps keeps the pages next
+    /// to the reader's cursor, `[p0 - headroom, p0)`: the reader reaches
+    /// them first. The frontier moves only as far as that request.
     #[test]
-    fn a_clamped_backward_window_keeps_its_far_end() {
+    fn a_clamped_backward_window_keeps_its_near_end() {
         let os = Os::new(
             OsConfig::with_memory_mb(4),
             Device::new(DeviceConfig::local_nvme()),
@@ -723,13 +748,8 @@ mod tests {
                 .cached_in(&mut clock, costs, runtime.scope(), from, to)
         };
         assert_eq!(runtime.stats().pages_requested.get(), headroom);
-        // ❌, checked: the clamp keeps `[target, target + headroom)`, the
-        // far end of the window, so the 224 pages between it and the
-        // cursor are never requested, while the frontier moves to `target`
-        // and claims them. Pinned as it stands, so a fix (which keeps
-        // `[p0 - headroom, p0)`) flips these assertions visibly.
-        assert_eq!(requested(target, target + headroom), headroom);
-        assert_eq!(requested(target + headroom, p0), 0);
-        assert_eq!(file.back_frontier.load(Ordering::Relaxed), target);
+        assert_eq!(requested(p0 - headroom, p0), headroom);
+        assert_eq!(requested(target, p0 - headroom), 0);
+        assert_eq!(file.back_frontier.load(Ordering::Relaxed), p0 - headroom);
     }
 }

@@ -309,18 +309,16 @@ fn a_demand_class_entry_never_delays_the_miss_it_rides_with() {
 /// classified exactly once even when runs ride a miss, absorb, and cancel
 /// along the way. Against the ring-off run of the same stream the ring at
 /// least halves demand-read crossings (`read` + `read_batch` calls; seed
-/// 42: 36 864 -> 2 216) while classifying the same reads with under 1 %
-/// drift for cache hits and demand misses and under 2 % for prefetch hits
-/// — the small class since the predictor plans a record in one request
-/// (3 223 reads). The two runs part where the jump to a record finds its
-/// first page cached: ring off, the record's remainder is prefetched at
-/// the jump anyway; ring on, the jump has no miss to ride and hands the
-/// run back to be asked for on the first continuation. At seed 42 that
-/// moves a handful of reads each way (demand-miss 1 291 -> 1 295,
-/// cache-hit 32 350 -> 32 374, prefetch-hit 3 223 -> 3 195), and 779
-/// records ride their miss, every one absorbed. The demand misses the
-/// ring may add are therefore bounded by the demand-miss row's 1 %, not
-/// by `on <= off`.
+/// 42: 36 864 -> 1 285) and classifies cache hits with under 1 % drift
+/// (32 350 -> 32 317). It converts demand misses into prefetch hits:
+/// a record riding its miss is deduped by CROSS-OS, not by the user-level
+/// view, so a view left stale by reclaim no longer vetoes the ride and
+/// leaves the record's pages to miss one by one, as the ring-off path's
+/// paced window does. At seed 42 demand misses fall 1 291 -> 946 and
+/// prefetch hits rise 3 223 -> 3 601, with 611 records riding their miss,
+/// every one absorbed; hence the one-sided rows, at least 20 % fewer misses
+/// and 8 % more prefetch hits (a view that vetoes rides reads 1 295 and
+/// 3 195).
 #[test]
 fn quality_counters_balance_under_ring_on_kvprobe() {
     let run = |ring: bool| {
@@ -357,28 +355,21 @@ fn quality_counters_balance_under_ring_on_kvprobe() {
         "expected >=2x fewer demand-read crossings: {on_crossings} vs {off_crossings}"
     );
     assert_eq!(on.reads, off.reads, "ring must not lose reads");
-    for (class, percent, off, on) in [
-        ("cache-hit", 1, &off.read_cache_hit, &on.read_cache_hit),
-        (
-            "prefetch-hit",
-            2,
-            &off.read_prefetch_hit,
-            &on.read_prefetch_hit,
-        ),
-        (
-            "demand-miss",
-            1,
-            &off.read_demand_miss,
-            &on.read_demand_miss,
-        ),
-    ] {
-        assert!(
-            off.count.abs_diff(on.count) * 100 <= off.count * percent,
-            "{class} reads drifted {percent}% or more: {} -> {}",
-            off.count,
-            on.count
-        );
-    }
+    let (off_hits, on_hits) = (off.read_cache_hit.count, on.read_cache_hit.count);
+    assert!(
+        off_hits.abs_diff(on_hits) * 100 <= off_hits,
+        "cache-hit reads drifted 1% or more: {off_hits} -> {on_hits}"
+    );
+    let (off_misses, on_misses) = (off.read_demand_miss.count, on.read_demand_miss.count);
+    assert!(
+        on_misses * 100 <= off_misses * 80,
+        "expected >=20% fewer demand misses with the ring: {off_misses} -> {on_misses}"
+    );
+    let (off_pf, on_pf) = (off.read_prefetch_hit.count, on.read_prefetch_hit.count);
+    assert!(
+        on_pf * 100 >= off_pf * 108,
+        "expected >=8% more prefetch hits with the ring: {off_pf} -> {on_pf}"
+    );
     assert!(on.hit_ratio >= off.hit_ratio - 0.01);
 }
 
@@ -388,11 +379,14 @@ fn quality_counters_balance_under_ring_on_kvprobe() {
 /// rest of the record across the ring. Every such run is absorbed by the
 /// record's continuation, none is cancelled, so a cold record crosses
 /// once; an index page and its record together cross less than once on
-/// average (seed 42: 3 749 crossings over 4 096 probes, 1 632 records
-/// riding their miss; 5 395 when the jump to a record was silent and its
-/// first continuation crossed as well). The ledger balances and the run
-/// takes at most `OsOnly`'s virtual time / 2.2 (seed 42: 318.5 ms against
-/// 803.5 ms; 432.8 ms with the jump silent).
+/// average (seed 42: 3 037 crossings over 4 096 probes, 1 535 records
+/// riding their miss; 3 749 and 1 632 when the user-level view could veto
+/// a ride; 5 395 when the jump to a record was silent and its first
+/// continuation crossed as well). A ride is absorbed even when its miss
+/// trips the view's stale resync: the account stage imports the ride after
+/// the resync. The ledger balances and the run takes at most `OsOnly`'s
+/// virtual time / 2.2 (seed 42: 290.0 ms against 803.5 ms; 318.5 ms with
+/// the veto, 432.8 ms with the jump silent).
 #[test]
 fn a_record_after_an_index_page_rides_its_first_miss() {
     let cfg = KvProbeConfig {
