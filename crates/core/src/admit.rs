@@ -216,13 +216,15 @@ impl Runtime {
     /// Whether aggressive window growth is currently allowed: requires
     /// clean-memory headroom *and* no recent reclaim activity (memory
     /// pressure pauses aggressiveness for a grace interval — §4.6's
-    /// high-watermark behaviour under a steady-state-full cache).
+    /// high-watermark behaviour under a steady-state-full cache). Pages
+    /// the memory watcher returned count as reclaim as much as the OS's
+    /// own evictions: they were freed because memory ran short.
     pub(crate) fn aggressive_allowed(&self, now: u64) -> bool {
         let inner = &self.inner;
         if self.available_fraction() <= AGGRESSIVE_FLOOR {
             return false;
         }
-        let evicted = inner.os.mem().evicted.get();
+        let evicted = inner.os.mem().evicted.get() + inner.stats.pages_evicted.get();
         let last = inner.last_evicted_pages.swap(evicted, Ordering::Relaxed);
         if evicted > last && last > 0 {
             inner

@@ -234,7 +234,7 @@ mod tests {
         use crate::admit::{
             AGGRESSIVE_FLOOR, PREFETCH_FLOOR, PREFETCH_RETRY_ATTEMPTS, PREFETCH_RETRY_BACKOFF_NS,
         };
-        use crate::runtime::{EVICT_TARGET, EVICT_TRIGGER};
+        use crate::watcher::{EVICT_TARGET, EVICT_TRIGGER};
         let config = RuntimeConfig::new(Mode::PredictOpt);
         assert_eq!(config.open_prefetch_bytes, 2 << 20);
         assert_eq!(config.max_prefetch_pages, CROSSOS_MAX_PREFETCH_PAGES);

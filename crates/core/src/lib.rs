@@ -67,6 +67,7 @@ pub mod telemetry;
 pub mod tenant;
 pub mod tiering;
 pub mod trace;
+mod watcher;
 pub mod worker;
 
 pub use config::{Features, Mode, RuntimeConfig};

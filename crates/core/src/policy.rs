@@ -35,7 +35,8 @@ pub enum PostReadHook {
     FetchAllMonitor,
     /// Background fincore poll + blind readahead (the Figure 2 strawman).
     FincorePoll,
-    /// The §4.6 memory watcher (aggressive eviction).
+    /// The §4.6 memory watcher (aggressive eviction): idle files, then
+    /// the consumed words behind a lone forward stream (`watcher.rs`).
     MemoryWatcher,
 }
 

@@ -12,8 +12,9 @@
 //! # Concurrency (real machine)
 //!
 //! One `RwLock` latch over the directory. Lookups, virtual-time charges
-//! and bit writes run under its shared side; a bit write is a `fetch_or`,
-//! and the pages it newly marked are the popcount of the bits it changed.
+//! and bit writes run under its shared side; a bit write is a `fetch_or`
+//! (a mark) or a `fetch_and` (a clear), and the pages it changed are the
+//! popcount of the bits it changed.
 //! Creating, extending, chopping and absorbing leaves — only a first touch
 //! of uncovered pages does — run under its exclusive side, so a bit write
 //! never meets a restructure. Bits are only ever set inside leaves: a fully
@@ -94,6 +95,16 @@ impl Region {
             .map(|(w, mask)| {
                 let old = self.bits[w].fetch_or(mask, Ordering::AcqRel);
                 u64::from((mask & !old).count_ones())
+            })
+            .sum()
+    }
+
+    /// Clears `[start, end)` (in this region); returns the pages cleared.
+    fn clear(&self, start: u64, end: u64) -> u64 {
+        Self::spans(start, end)
+            .map(|(w, mask)| {
+                let old = self.bits[w].fetch_and(!mask, Ordering::AcqRel);
+                u64::from((old & mask).count_ones())
             })
             .sum()
     }
@@ -473,28 +484,57 @@ impl BPlusRangeIndex {
     }
 
     /// Clears the whole view. Returns pages cleared.
-    ///
-    /// Leaves are kept (zeroed, like a kernel bitmap that stays allocated)
-    /// and one exclusive charge is paid per region some leaf intersects,
-    /// ascending, against the first such leaf — the flat tree's clear
-    /// billing.
     pub fn clear(&self, clock: &mut ThreadClock, costs: &CostModel, scope: LockScope) -> u64 {
-        let dir = self.dir.read();
-        // Every region in the directory is one some leaf intersects.
-        let mut regions: Vec<(u64, &Region)> = dir.iter().map(|(&r, region)| (r, region)).collect();
-        regions.sort_unstable_by_key(|&(r, _)| r);
-        for &(r, region) in &regions {
-            let base = r * NODE_PAGES;
-            let first = owner(&dir, Some(region), base)
-                .or_else(|| region.leaves.first())
-                .expect("every region is reached by a leaf");
-            self.charge_write(clock, costs, scope, &first.lock_model, NODE_PAGES);
+        self.clear_range(clock, costs, scope, 0, u64::MAX)
+    }
+
+    /// Clears `[start, end)` from the view. Returns pages cleared.
+    ///
+    /// Leaves are kept (zeroed, like a kernel bitmap that stays allocated),
+    /// so every set bit still lies inside a leaf. One exclusive charge is
+    /// paid per region chunk some leaf intersects, ascending, against the
+    /// first such leaf — the flat tree's clear billing; a chunk no leaf
+    /// reaches holds no bits and costs nothing. Bits are cleared by
+    /// `fetch_and` under the shared latch, like marks set them.
+    pub fn clear_range(
+        &self,
+        clock: &mut ThreadClock,
+        costs: &CostModel,
+        scope: LockScope,
+        start: u64,
+        end: u64,
+    ) -> u64 {
+        if start >= end {
+            return 0;
         }
-        regions
-            .iter()
-            .flat_map(|(_, region)| &region.bits)
-            .map(|word| u64::from(word.swap(0, Ordering::AcqRel).count_ones()))
-            .sum()
+        let dir = self.dir.read();
+        let (first, last) = (start / NODE_PAGES, (end - 1) / NODE_PAGES);
+        // Probe each region of a short range; walk the directory otherwise.
+        let mut regions: Vec<(u64, &Region)> = if last - first < dir.len() as u64 {
+            (first..=last)
+                .filter_map(|r| dir.get(&r).map(|region| (r, region)))
+                .collect()
+        } else {
+            let within = |r: &u64| (first..=last).contains(r);
+            dir.iter()
+                .filter(|(r, _)| within(r))
+                .map(|(&r, region)| (r, region))
+                .collect()
+        };
+        regions.sort_unstable_by_key(|&(r, _)| r);
+        let mut cleared = 0;
+        for (r, region) in regions {
+            let lo = start.max(r * NODE_PAGES);
+            let hi = chunk_end(lo, end);
+            let first_leaf = owner(&dir, Some(region), lo)
+                .or_else(|| region.leaves.iter().find(|leaf| leaf.lo < hi));
+            let Some(leaf) = first_leaf else {
+                continue;
+            };
+            self.charge_write(clock, costs, scope, &leaf.lock_model, hi - lo);
+            cleared += region.clear(lo, hi);
+        }
+        cleared
     }
 
     /// Total pages marked cached.
@@ -771,6 +811,100 @@ mod tests {
             vec![(0, 10)]
         );
         tree.check_invariants();
+    }
+
+    /// A range clear that crosses two region edges clears exactly its
+    /// pages, partial words at both ends included, charges one write per
+    /// region chunk, and keeps every leaf.
+    #[test]
+    fn clear_range_crosses_chunk_edges() {
+        let (tree, costs, mut c) = (BPlusRangeIndex::new(), costs(), clock());
+        let scope = LockScope::PerNode;
+        let span = 3 * NODE_PAGES;
+        tree.mark_cached(&mut c, &costs, scope, 0, span);
+        let leaves = tree.stats().leaves;
+        let (start, end) = (NODE_PAGES - 10, 2 * NODE_PAGES + 10);
+        let before = c.now();
+        assert_eq!(
+            tree.clear_range(&mut c, &costs, scope, start, end),
+            end - start
+        );
+        let chunks = [start, NODE_PAGES, 2 * NODE_PAGES, end];
+        let charged: u64 = chunks
+            .windows(2)
+            .map(|w| costs.range_tree_op_ns + costs.bitmap_scan_ns(w[1] - w[0]))
+            .sum();
+        assert_eq!(c.now() - before, charged);
+        assert_eq!(tree.resident(), span - (end - start));
+        let missing = tree.missing_in(&mut c, &costs, scope, 0, span);
+        assert_eq!(missing, vec![(start, end)]);
+        assert_eq!(tree.stats().leaves, leaves, "a range clear keeps leaves");
+        tree.check_invariants();
+        // Clearing again finds nothing; re-marking restores the range.
+        assert_eq!(tree.clear_range(&mut c, &costs, scope, start, end), 0);
+        assert_eq!(
+            tree.mark_cached(&mut c, &costs, scope, start, end),
+            end - start
+        );
+        assert_eq!(tree.resident(), span);
+        tree.check_invariants();
+    }
+
+    /// A leaf that starts in one region and reaches into the next is
+    /// found from the second region's chunk; a chunk no leaf reaches is
+    /// neither charged nor cleared.
+    #[test]
+    fn clear_range_follows_leaf_spans() {
+        let (tree, costs, mut c) = (BPlusRangeIndex::new(), costs(), clock());
+        let scope = LockScope::PerNode;
+        let (lo, hi) = (NODE_PAGES - 4, NODE_PAGES + 8);
+        tree.mark_cached(&mut c, &costs, scope, lo, hi);
+        assert_eq!(tree.stats().leaves, 1);
+        let before = c.now();
+        let cleared = tree.clear_range(&mut c, &costs, scope, NODE_PAGES, NODE_PAGES + 4);
+        assert_eq!(cleared, 4);
+        let charged = costs.range_tree_op_ns + costs.bitmap_scan_ns(4);
+        assert_eq!(c.now() - before, charged);
+        let missing = tree.missing_in(&mut c, &costs, scope, lo, hi);
+        assert_eq!(missing, vec![(NODE_PAGES, NODE_PAGES + 4)]);
+        tree.check_invariants();
+
+        // Inside region 0 but below its only leaf, a region never touched,
+        // and an empty range: nothing to charge.
+        let before = c.now();
+        let far = 10 * NODE_PAGES;
+        assert_eq!(tree.clear_range(&mut c, &costs, scope, 0, 100), 0);
+        assert_eq!(tree.clear_range(&mut c, &costs, scope, far, far + 64), 0);
+        assert_eq!(tree.clear_range(&mut c, &costs, scope, 5, 5), 0);
+        assert_eq!(c.now(), before);
+        tree.check_invariants();
+    }
+
+    /// `clear` is the whole-file range clear: same count, same clock.
+    #[test]
+    fn clear_is_the_whole_range_clear() {
+        let costs = costs();
+        let build = || {
+            let tree = BPlusRangeIndex::new();
+            let mut c = clock();
+            for i in 0..6u64 {
+                let lo = i * 1500 + 7;
+                tree.mark_cached(&mut c, &costs, LockScope::PerNode, lo, lo + 900);
+            }
+            (tree, c)
+        };
+        let (whole, mut cw) = build();
+        let (ranged, mut cr) = build();
+        let cleared = whole.clear(&mut cw, &costs, LockScope::PerNode);
+        assert_eq!(cleared, 6 * 900);
+        assert_eq!(
+            ranged.clear_range(&mut cr, &costs, LockScope::PerNode, 0, u64::MAX),
+            cleared
+        );
+        assert_eq!(cw.now(), cr.now());
+        assert_eq!((whole.resident(), ranged.resident()), (0, 0));
+        whole.check_invariants();
+        ranged.check_invariants();
     }
 
     #[test]

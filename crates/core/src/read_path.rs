@@ -96,6 +96,10 @@ pub(crate) struct ReadCtx {
     /// the demand-fill stage), imported by the account stage after its
     /// staleness resync.
     ridden: Option<Ridden>,
+    /// Whether this read continued a steady forward run (set by the
+    /// predict stage): the memory watcher returns only such a run's
+    /// consumed words.
+    forward_run: bool,
     /// Virtual time the current stage started (stage-latency base).
     stage_start_ns: u64,
 }
@@ -193,6 +197,7 @@ impl CpFile {
             decision: PrefetchDecision::default(),
             known_run: None,
             ridden: None,
+            forward_run: false,
             stage_start_ns: entry_ns,
         };
         ctx.close_stage(self, PipelineStage::Classify, clock.now());
@@ -210,6 +215,12 @@ impl CpFile {
         if inner.policy.features.predict {
             clock.advance(inner.os.config().costs.predictor_step_ns);
             ctx.decision = self.observe(clock, ctx.p0, ctx.pages);
+            ctx.forward_run = !ctx.is_write
+                && ctx.decision.prediction.as_ref().is_some_and(|pred| {
+                    pred.pattern == AccessPattern::DefinitelySequential
+                        && pred.direction == Direction::Forward
+                        && !pred.jumped
+                });
         }
         if ctx.tracing {
             if let Some(pred) = &ctx.decision.prediction {
@@ -473,7 +484,9 @@ impl CpFile {
             match hook {
                 PostReadHook::FetchAllMonitor => self.hook_fetchall_monitor(clock, ctx),
                 PostReadHook::FincorePoll => self.hook_fincore_poll(clock, ctx),
-                PostReadHook::MemoryWatcher => runtime.maybe_evict(clock, self.file.ino),
+                PostReadHook::MemoryWatcher => {
+                    self.watch_memory(clock, ctx.p0, ctx.p1, ctx.forward_run)
+                }
             }
         }
 

@@ -1,5 +1,6 @@
-//! The CROSS-LIB runtime: per-file state, the shim's open and I/O entry
-//! points and the §4.6 memory watcher (admission: `admit`; engines: `engine`).
+//! The CROSS-LIB runtime: per-file state and the shim's open and I/O entry
+//! points (admission: `admit`; engines: `engine`; the §4.6 memory
+//! watcher: `watcher`).
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -19,7 +20,7 @@ use crate::range_index::{BPlusRangeIndex, IndexStats, LockScope};
 use crate::stats::LibStats;
 use crate::tenant::{TenantArbiter, TenantId, UNBOUND_TENANT};
 use crate::tiering::TierPlanner;
-use crate::trace::{SpanView, TraceEventKind, Tracer};
+use crate::trace::{SpanView, Tracer};
 use crate::worker::WorkerPool;
 
 /// Per-file (per-inode) runtime state, shared by every descriptor opened on
@@ -56,14 +57,10 @@ pub struct LibFile {
     /// the first tenant-carrying open; admission and initiated-page
     /// attribution read it on every prefetch.
     pub(crate) tenant: AtomicU32,
+    /// `CpFile` handles open on the file: the memory watcher returns a
+    /// stream's consumed words only while its handle is the only one.
+    pub(crate) handles: AtomicU32,
 }
-
-/// The memory watcher begins evicting when free memory drops below this
-/// fraction of the budget.
-pub(crate) const EVICT_TRIGGER: f64 = 0.10;
-/// The memory watcher stops evicting once free memory is back at this
-/// fraction of the budget.
-pub(crate) const EVICT_TARGET: f64 = 0.25;
 
 /// An open file handle through CROSS-LIB — the shim's `FILE*` analogue.
 ///
@@ -100,6 +97,11 @@ pub struct CpFile {
     /// (`ring_spec_absorbed`) or the stream jumps away first
     /// (`ring_spec_cancelled`); 0 = none outstanding.
     pub(crate) preissued: AtomicU64,
+    /// First page of this descriptor's current forward run the memory
+    /// watcher has not yet returned to the OS (word-aligned). The first
+    /// access, and any read that is not a steady forward run, moves it to
+    /// the next word boundary past the access (`crate::watcher`).
+    pub(crate) run_start: AtomicU64,
     /// Whether mapped access restored fault-around already.
     mmap_touched: std::sync::atomic::AtomicBool,
     /// Last pattern index the tracer saw for this descriptor
@@ -127,8 +129,9 @@ pub(crate) struct RuntimeInner {
     pub(crate) stats: LibStats,
     /// Last time (virtual ns) the memory watcher scanned candidates —
     /// bounds the eviction scan to once per watcher interval.
-    last_evict_scan_ns: AtomicU64,
-    /// OS eviction count at the last pressure sample.
+    pub(crate) last_evict_scan_ns: AtomicU64,
+    /// Pages evicted (by OS reclaim and the memory watcher) at the last
+    /// pressure sample.
     pub(crate) last_evicted_pages: AtomicU64,
     /// Aggressive growth is paused until this virtual time — set whenever
     /// reclaim activity is observed. The paper pauses aggressiveness below
@@ -298,6 +301,7 @@ impl Runtime {
                 reads_since_refetch: AtomicU64::new(0),
                 refetch_cursor: AtomicU64::new(0),
                 tenant: AtomicU32::new(UNBOUND_TENANT),
+                handles: AtomicU32::new(0),
             })
         });
         Arc::clone(file)
@@ -414,6 +418,7 @@ impl Runtime {
         }
 
         let engine = Engine::for_kind(self.inner.policy.engine, &self.inner.config.engine_tuning);
+        file.handles.fetch_add(1, Ordering::Relaxed);
         CpFile {
             runtime: self.clone(),
             os_file,
@@ -426,85 +431,10 @@ impl Runtime {
             back_frontier: AtomicU64::new(u64::MAX),
             window_pages: AtomicU64::new(0),
             preissued: AtomicU64::new(0),
+            run_start: AtomicU64::new(crate::watcher::NO_RUN),
             mmap_touched: std::sync::atomic::AtomicBool::new(false),
             last_pattern: std::sync::atomic::AtomicU8::new(u8::MAX),
         }
-    }
-
-    // ----- memory watcher -----------------------------------------------------
-
-    fn free_fraction(&self) -> f64 {
-        let mem = self.inner.os.mem();
-        mem.free_pages() as f64 / mem.budget().max(1) as f64
-    }
-
-    /// Runs the §4.6 aggressive-reclamation policy if free memory dropped
-    /// below the trigger: evict least-recently-used files (preferring those
-    /// idle past [`OsConfig::inactive_after_ns`](simos::OsConfig::inactive_after_ns))
-    /// via `fadvise(DONTNEED)` until the target is met.
-    pub fn maybe_evict(&self, clock: &mut ThreadClock, current: InodeId) {
-        let inner = &self.inner;
-        if !inner.policy.features.aggressive || self.free_fraction() >= EVICT_TRIGGER {
-            return;
-        }
-        // Bound the candidate scan to once per watcher interval.
-        let now = clock.now();
-        let last = inner.last_evict_scan_ns.load(Ordering::Relaxed);
-        let interval = inner.config.evict_scan_interval_ns;
-        if now < last.saturating_add(interval)
-            || inner
-                .last_evict_scan_ns
-                .compare_exchange(last, now, Ordering::Relaxed, Ordering::Relaxed)
-                .is_err()
-        {
-            return;
-        }
-        let costs = &inner.os.config().costs;
-        let inactive_cutoff = now.saturating_sub(inner.os.config().inactive_after_ns);
-        let idle_cutoff = now.saturating_sub(inner.config.evict_min_idle_ns);
-
-        let mut candidates: Vec<Arc<LibFile>> = inner
-            .inner_files()
-            .into_iter()
-            .filter(|f| {
-                f.ino != current
-                    // Never evict files another thread is actively using;
-                    // the OS word-granular LRU handles those gracefully.
-                    && f.last_access_ns.load(Ordering::Relaxed) < idle_cutoff
-            })
-            .collect();
-        // Inactive files first, then LRU order.
-        candidates.sort_by_key(|f| {
-            let last = f.last_access_ns.load(Ordering::Relaxed);
-            (last >= inactive_cutoff, last)
-        });
-
-        for file in candidates {
-            if self.free_fraction() >= EVICT_TARGET {
-                break;
-            }
-            let resident = file.os_file.cache.state.read().resident();
-            if resident == 0 {
-                continue;
-            }
-            // Charge what the fadvise actually dropped, not the residency
-            // snapshot above: OS reclaim can race between the snapshot and
-            // the advice call, and the snapshot would over-count.
-            let dropped = inner
-                .os
-                .fadvise(clock, &file.os_file, Advice::DontNeed, 0, u64::MAX);
-            file.tree.clear(clock, costs, self.scope());
-            if dropped == 0 {
-                continue;
-            }
-            inner.stats.files_evicted.incr();
-            inner.stats.pages_evicted.add(dropped);
-            let (ino, pages) = (file.ino, dropped);
-            inner
-                .trace
-                .emit(clock.now(), TraceEventKind::LibEvict { ino, pages });
-        }
-        inner.metrics.evict_scan_ns.record(clock.now() - now);
     }
 
     /// Resets the runtime's imported cache views — the user-level analogue
@@ -736,6 +666,12 @@ impl CpFile {
             self.maybe_feed_quality();
         }
         outcome
+    }
+}
+
+impl Drop for CpFile {
+    fn drop(&mut self) {
+        self.file.handles.fetch_sub(1, Ordering::Relaxed);
     }
 }
 

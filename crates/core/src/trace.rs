@@ -135,7 +135,8 @@ pub enum TraceEventKind {
         /// Enqueue-to-completion latency, ns.
         latency_ns: u64,
     },
-    /// The runtime memory watcher evicted a file.
+    /// The runtime memory watcher evicted a file, or a consumed word
+    /// behind its reader.
     LibEvict {
         /// Evicted file.
         ino: InodeId,

@@ -119,18 +119,29 @@ proptest! {
     // ---- B+ range index -------------------------------------------------------
 
     #[test]
-    fn bplus_matches_reference_set(ops in prop::collection::vec((0u64..4096, 1u64..128, prop::bool::ANY), 1..60)) {
+    fn bplus_matches_reference_set(ops in prop::collection::vec((0u64..4096, 1u64..128, 0u8..4), 1..60)) {
         let tree = BPlusRangeIndex::new();
         let costs = CostModel::default();
         let mut clk = clock();
         let mut reference: HashSet<u64> = HashSet::new();
-        for (start, len, is_clear) in ops {
-            if is_clear {
-                tree.clear(&mut clk, &costs, LockScope::PerNode);
-                reference.clear();
-            } else {
-                tree.mark_cached(&mut clk, &costs, LockScope::PerNode, start, start + len);
-                reference.extend(start..start + len);
+        for (start, len, op) in ops {
+            let end = start + len;
+            match op {
+                0 => {
+                    tree.clear(&mut clk, &costs, LockScope::PerNode);
+                    reference.clear();
+                }
+                1 => {
+                    // A range clear reports exactly the reference pages it drops.
+                    let cleared = tree.clear_range(&mut clk, &costs, LockScope::PerNode, start, end);
+                    let before = reference.len();
+                    reference.retain(|p| !(start..end).contains(p));
+                    prop_assert_eq!(cleared, (before - reference.len()) as u64);
+                }
+                _ => {
+                    tree.mark_cached(&mut clk, &costs, LockScope::PerNode, start, end);
+                    reference.extend(start..end);
+                }
             }
             // Split/merge structural invariants must hold after every op,
             // not just at quiescence.

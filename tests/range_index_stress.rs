@@ -1,6 +1,6 @@
 //! Seeded multi-thread stress for the B+ range index.
 //!
-//! Four properties that must survive eight host threads hammering one
+//! Five properties that must survive eight host threads hammering one
 //! shared index:
 //!
 //! * **Same-seed determinism of the page set.** For a mark-only workload
@@ -19,6 +19,10 @@
 //!   leaves while the others write bits into them; the page set must
 //!   still be the union of the marks, and the pages the marks report as
 //!   newly marked must sum to it (no bit counted twice or lost).
+//! * **Range clears racing marks.** Over the same two regions, range
+//!   clears and queries run beside the marks; the pages the marks report
+//!   newly marked, minus those the clears report cleared, must equal what
+//!   stays resident.
 //! * **Contended-read scaling.** Colliding on one region under
 //!   `LockScope::PerNode`, optimistic lock coupling (bounded retry
 //!   penalty) must accumulate less virtual lock wait than the flat
@@ -240,6 +244,86 @@ fn two_region_marks_race_restructures() {
     let union = marked.iter().filter(|&&m| m).count() as u64;
     assert_eq!(index.resident(), union);
     assert_eq!(newly, union, "racing marks must count each page once");
+}
+
+#[test]
+fn range_clears_race_marks_and_queries() {
+    // Eight threads over two adjacent regions: marks extend, chop and
+    // absorb leaves while range clears and queries run beside them. A bit
+    // changes only by `fetch_or` (a mark) or `fetch_and` (a clear), each
+    // reporting the bits it changed, so the pages marked minus the pages
+    // cleared must equal what stays resident, whatever the interleaving.
+    const BASE: u64 = 3 * NODE_PAGES;
+    const WIDTH: u64 = 2 * NODE_PAGES;
+    let index = BPlusRangeIndex::new();
+    let global = Arc::new(GlobalClock::new());
+    let start_line = Barrier::new(THREADS as usize);
+    let (marked, cleared) = thread::scope(|s| {
+        let runs: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (index, global, start_line) = (&index, Arc::clone(&global), &start_line);
+                s.spawn(move || {
+                    let costs = CostModel::default();
+                    let mut clock = ThreadClock::new(global);
+                    let mut state = 0xC1EA ^ t.wrapping_mul(0x9E3779B97F4A7C15);
+                    let (mut marked, mut cleared) = (0u64, 0u64);
+                    start_line.wait();
+                    for _ in 0..OPS_PER_THREAD {
+                        let start = BASE + lcg(&mut state) % WIDTH;
+                        let end = (start + 1 + lcg(&mut state) % 200).min(BASE + WIDTH);
+                        match lcg(&mut state) % 8 {
+                            0..=2 => {
+                                cleared += index.clear_range(
+                                    &mut clock,
+                                    &costs,
+                                    LockScope::PerNode,
+                                    start,
+                                    end,
+                                );
+                            }
+                            3 => {
+                                let missing = index.missing_in(
+                                    &mut clock,
+                                    &costs,
+                                    LockScope::PerNode,
+                                    start,
+                                    end,
+                                );
+                                assert!(missing
+                                    .iter()
+                                    .all(|&(a, b)| start <= a && a < b && b <= end));
+                            }
+                            _ => {
+                                marked += index.mark_cached(
+                                    &mut clock,
+                                    &costs,
+                                    LockScope::PerNode,
+                                    start,
+                                    end,
+                                );
+                            }
+                        }
+                    }
+                    (marked, cleared)
+                })
+            })
+            .collect();
+        runs.into_iter()
+            .map(|run| run.join().expect("racing thread panicked"))
+            .fold((0, 0), |(m, c), (dm, dc)| (m + dm, c + dc))
+    });
+    index.check_invariants();
+    assert!(cleared > 0, "the clears must have found marked pages");
+    assert_eq!(
+        marked - cleared,
+        index.resident(),
+        "every page marked is either still resident or counted by one clear"
+    );
+    let costs = CostModel::default();
+    let mut clock = ThreadClock::new(global);
+    let missing = index.missing_in(&mut clock, &costs, LockScope::PerNode, BASE, BASE + WIDTH);
+    let missing_pages: u64 = missing.iter().map(|&(s, e)| e - s).sum();
+    assert_eq!(index.resident(), WIDTH - missing_pages);
 }
 
 /// Eight threads colliding on one shared index, barrier-synchronised per
