@@ -280,8 +280,7 @@ impl Runtime {
         let inner = &self.inner;
         let os = &inner.os;
         let features = &inner.policy.features;
-        let file_pages = os.fs().size(file.ino).div_ceil(PAGE_SIZE);
-        let mut end = (from + want).min(file_pages);
+        let mut end = (from + want).min(file.pages());
         // FetchAll is exempt from both memory bounds: Table 2's policy
         // assumes the data fits and paces its own rounds.
         if from >= end || (!features.fetchall && self.available_fraction() < PREFETCH_FLOOR) {

@@ -276,8 +276,7 @@ impl CpFile {
         if pred.prefetch_pages == 0 || !matches!(pred.direction, Direction::Forward) {
             return;
         }
-        let file_pages = inner.os.fs().size(self.file.ino).div_ceil(PAGE_SIZE);
-        let end = (ctx.p1 + pred.prefetch_pages).min(file_pages);
+        let end = (ctx.p1 + pred.prefetch_pages).min(self.file.pages());
         if end <= ctx.p0 {
             return;
         }
@@ -484,8 +483,10 @@ impl CpFile {
             match hook {
                 PostReadHook::FetchAllMonitor => self.hook_fetchall_monitor(clock, ctx),
                 PostReadHook::FincorePoll => self.hook_fincore_poll(clock, ctx),
+                // A read that delivered nothing (past EOF) is no step of
+                // the run.
                 PostReadHook::MemoryWatcher => {
-                    self.watch_memory(clock, ctx.p0, ctx.p1, ctx.forward_run)
+                    self.watch_memory(clock, ctx.p0, ctx.p1, ctx.forward_run && outcome.pages > 0)
                 }
             }
         }
@@ -519,7 +520,7 @@ impl CpFile {
             .file
             .reads_since_refetch
             .fetch_add(1, Ordering::Relaxed);
-        let file_pages = inner.os.fs().size(self.file.ino).div_ceil(PAGE_SIZE);
+        let file_pages = self.file.pages();
         let budget = inner.os.mem().budget();
         let (interval, round) = if file_pages > budget {
             (FETCHALL_REFRESH_READS * 16, (budget / 4).max(1))

@@ -71,7 +71,9 @@ pub struct LibFile {
 #[derive(Debug)]
 pub struct CpFile {
     pub(crate) runtime: Runtime,
-    /// This handle's own OS descriptor entry, resolved once at open.
+    /// This handle's own OS descriptor, released when the handle drops.
+    fd: Fd,
+    /// Its entry, resolved once at open.
     pub(crate) os_file: Arc<FdEntry>,
     pub(crate) file: Arc<LibFile>,
     /// The prediction engine driving this descriptor's prefetch decisions
@@ -278,7 +280,7 @@ impl Runtime {
     /// the table's write lock (double-checked, so racing first opens agree
     /// on one).
     fn lib_file(&self, os_file: &Arc<FdEntry>) -> Arc<LibFile> {
-        let ino = os_file.cache.ino;
+        let ino = os_file.cache.inode.ino();
         let slot = ino.0 as usize;
         if let Some(Some(file)) = self.inner.files.read().get(slot) {
             return Arc::clone(file);
@@ -406,8 +408,7 @@ impl Runtime {
                 // open; concurrent opens of a shared file reuse the same
                 // stream.
                 if !file.fetchall_scheduled.swap(true, Ordering::Relaxed) {
-                    let pages = self.inner.os.fs().size(file.ino).div_ceil(PAGE_SIZE);
-                    self.prefetch_pages(clock, &file, 0, pages, None);
+                    self.prefetch_pages(clock, &file, 0, file.pages(), None);
                 }
             }
             OpenAction::OptimisticWindow => {
@@ -421,6 +422,7 @@ impl Runtime {
         file.handles.fetch_add(1, Ordering::Relaxed);
         CpFile {
             runtime: self.clone(),
+            fd,
             os_file,
             file,
             engine_feedback: engine.wants_feedback(),
@@ -475,6 +477,13 @@ impl Runtime {
     }
 }
 
+impl LibFile {
+    /// The file's size in pages, read off its inode.
+    pub(crate) fn pages(&self) -> u64 {
+        self.os_file.cache.inode.size().div_ceil(PAGE_SIZE)
+    }
+}
+
 impl RuntimeInner {
     /// All per-file states, in inode order (deterministic iteration).
     pub(crate) fn inner_files(&self) -> Vec<Arc<LibFile>> {
@@ -495,7 +504,7 @@ impl CpFile {
 
     /// File size in bytes.
     pub fn size(&self) -> u64 {
-        self.runtime.os().fs().size(self.file.ino)
+        self.os_file.cache.inode.size()
     }
 
     /// Reads `len` bytes at `offset`, timing only (no content).
@@ -513,15 +522,17 @@ impl CpFile {
     fn fetch(&self, offset: u64, outcome: ReadOutcome) -> Vec<u8> {
         self.runtime
             .os()
-            .fetch_content_vec(self.file.ino, offset, outcome.bytes)
+            .read_content(&self.os_file.cache.inode, offset, outcome.bytes)
     }
 
     /// The content tail of a write whose charge absorbed `written` bytes.
     fn store(&self, offset: u64, data: &[u8], written: u64) -> u64 {
         if written > 0 {
-            self.runtime
-                .os()
-                .store_content(self.file.ino, offset, &data[..written as usize]);
+            self.runtime.os().write_content(
+                &self.os_file.cache.inode,
+                offset,
+                &data[..written as usize],
+            );
         }
         written
     }
@@ -671,6 +682,7 @@ impl CpFile {
 
 impl Drop for CpFile {
     fn drop(&mut self) {
+        self.runtime.os().release_fd(self.fd);
         self.file.handles.fetch_sub(1, Ordering::Relaxed);
     }
 }

@@ -83,29 +83,3 @@ pub struct LibStats {
     /// (placement is left unchanged; demand reads still work remotely).
     pub promotion_give_ups: Counter,
 }
-
-impl LibStats {
-    /// Fraction of would-be prefetch calls avoided via cache visibility.
-    pub fn skip_ratio(&self) -> f64 {
-        let enq = self.prefetches_enqueued.get() as f64;
-        let skipped = self.prefetches_skipped.get() as f64;
-        if enq + skipped == 0.0 {
-            return 0.0;
-        }
-        skipped / (enq + skipped)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn skip_ratio_handles_zero() {
-        let stats = LibStats::default();
-        assert_eq!(stats.skip_ratio(), 0.0);
-        stats.prefetches_enqueued.add(3);
-        stats.prefetches_skipped.add(1);
-        assert!((stats.skip_ratio() - 0.25).abs() < 1e-12);
-    }
-}

@@ -451,21 +451,6 @@ report_fields! {
 }
 
 impl RuntimeReport {
-    /// Prefetch efficiency: fraction of device pages read that were
-    /// initiated by a prefetch path, clamped to `[0, 1]`.
-    ///
-    /// The raw initiated count can exceed the device's page traffic
-    /// (overlapping requests are deduplicated by the cache after they are
-    /// counted), so the ratio is clamped rather than letting bookkeeping
-    /// races report an efficiency above 1.0.
-    pub fn prefetch_share(&self) -> f64 {
-        let device_pages = self.device_read_bytes.div_ceil(crate::PAGE_SIZE);
-        if device_pages == 0 {
-            return 0.0;
-        }
-        (self.pages_initiated as f64 / device_pages as f64).min(1.0)
-    }
-
     /// Top-level JSON sections added after schema v1 was frozen, read from
     /// the field table in export order. Each is emitted whether or not its
     /// feature is on; [`Self::to_json_without`] all of them is the schema-v1
@@ -688,28 +673,6 @@ mod tests {
         assert_eq!(latency_samples, 128);
         // A sequential scan produces timely prefetched pages.
         assert!(report.prefetch_quality.timely + report.prefetch_quality.late > 0);
-    }
-
-    #[test]
-    fn prefetch_share_handles_zero_device_traffic() {
-        let rt = runtime();
-        let report = RuntimeReport::collect(&rt);
-        assert_eq!(report.prefetch_share(), 0.0);
-    }
-
-    #[test]
-    fn prefetch_share_counts_partial_pages_and_stays_clamped() {
-        let rt = runtime();
-        let mut report = RuntimeReport::collect(&rt);
-        // Less than one page of device traffic still counts as traffic
-        // (the old integer division truncated this to zero pages).
-        report.device_read_bytes = 100;
-        report.pages_initiated = 1;
-        assert_eq!(report.prefetch_share(), 1.0);
-        // Initiated counts exceeding device traffic clamp at 1.0.
-        report.device_read_bytes = 2 * crate::PAGE_SIZE;
-        report.pages_initiated = 1000;
-        assert_eq!(report.prefetch_share(), 1.0);
     }
 
     #[test]

@@ -98,12 +98,6 @@ impl TierPlanner {
         *frontier = from + want;
         Some((from, want))
     }
-
-    /// Drops the per-file frontier (close/unlink) so a reopened file
-    /// plans from scratch.
-    pub fn forget(&self, ino: u64) {
-        self.frontiers.lock().remove(&ino);
-    }
 }
 
 #[cfg(test)]
@@ -143,13 +137,5 @@ mod tests {
         // Below the minimum: dropped without moving the frontier.
         assert_eq!(planner.plan(1, 1074, 5, 1.0), None);
         assert_eq!(planner.plan(1, 1074, 20, 1.0), Some((1074, 20)));
-    }
-
-    #[test]
-    fn forget_resets_frontier() {
-        let planner = TierPlanner::new();
-        assert_eq!(planner.plan(3, 0, 64, 1.0), Some((0, 64)));
-        planner.forget(3);
-        assert_eq!(planner.plan(3, 0, 64, 1.0), Some((0, 64)));
     }
 }

@@ -275,4 +275,46 @@ mod tests {
         assert_eq!(file.run_start.load(Ordering::Relaxed), 64);
         assert_eq!(runtime.workers().jobs(), jobs, "nothing resident, no job");
     }
+
+    /// A read past EOF delivers nothing, so it does not continue the run:
+    /// a steady stream that reaches the end of the file under pressure
+    /// returns no word for the read that finds the file exhausted, and
+    /// its run restarts past that read.
+    #[test]
+    fn a_read_past_eof_returns_no_word() {
+        let os = Os::new(
+            OsConfig::with_memory_mb(16),
+            Device::new(DeviceConfig::local_nvme()),
+            FileSystem::new(FsKind::Ext4Like),
+        );
+        let runtime = Runtime::new(os, RuntimeConfig::new(Mode::PredictOpt));
+        let mut clock = runtime.new_clock();
+        let size = 32 << 20;
+        let file = runtime.create_sized(&mut clock, "/f", size).unwrap();
+        let chunk = 16 << 10;
+        for i in 0..size / chunk {
+            file.read_charge(&mut clock, i * chunk, chunk);
+        }
+        // Hold the cache full, so the watcher runs on the next access.
+        let mem = runtime.os().mem();
+        mem.note_inserted(mem.free_pages());
+        let last_word = size / PAGE_SIZE - 64;
+        let cache = runtime.os().cache(file.ino());
+        assert_eq!(cache.state.read().present_in(last_word, last_word + 64), 64);
+        let evicted = runtime.stats().pages_evicted.get();
+
+        let outcome = file.read_charge(&mut clock, size, chunk);
+        assert_eq!(outcome.pages, 0);
+        assert_eq!(
+            runtime.stats().pages_evicted.get(),
+            evicted,
+            "a word came back"
+        );
+        assert_eq!(cache.state.read().present_in(last_word, last_word + 64), 64);
+        let past = (size + chunk) / PAGE_SIZE;
+        assert_eq!(
+            file.run_start.load(Ordering::Relaxed),
+            past.next_multiple_of(64)
+        );
+    }
 }

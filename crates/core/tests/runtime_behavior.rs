@@ -354,7 +354,7 @@ fn reads_the_os_clamps_do_not_mark_the_user_level_view() {
     assert_eq!(straddle.pages, 1);
 
     let ino = rt.os().fs().lookup("/clamped").unwrap();
-    rt.os().fs().set_size(ino, (pages + 16) * PAGE_SIZE);
+    rt.os().fs().inode(ino).set_size((pages + 16) * PAGE_SIZE);
     for page in [10, pages, pages + 1, pages + 6] {
         let outcome = file.read_charge(&mut clock, page * PAGE_SIZE, PAGE_SIZE);
         assert_eq!(outcome.miss_pages, 1, "page {page} was never read before");
@@ -391,7 +391,7 @@ fn mapped_accesses_the_os_clamps_do_not_mark_the_user_level_view() {
     assert_eq!(straddle.pages, 1);
 
     let ino = rt.os().fs().lookup("/mapped").unwrap();
-    rt.os().fs().set_size(ino, (pages + 16) * PAGE_SIZE);
+    rt.os().fs().inode(ino).set_size((pages + 16) * PAGE_SIZE);
     // Descending, so the fault-around readahead that mapped access
     // restores on the descriptor never fetches the next probe.
     for page in [pages + 6, pages + 1, pages] {

@@ -1,7 +1,6 @@
 //! In-memory write buffer.
 
 use std::collections::BTreeMap;
-use std::ops::Bound;
 
 /// A sorted in-memory buffer of recent writes.
 ///
@@ -58,16 +57,6 @@ impl MemTable {
         self.entries.is_empty()
     }
 
-    /// Iterates entries in key order starting at `from` (inclusive).
-    pub fn range_from<'a>(
-        &'a self,
-        from: &[u8],
-    ) -> impl Iterator<Item = (&'a [u8], Option<&'a [u8]>)> + 'a {
-        self.entries
-            .range::<[u8], _>((Bound::Included(from), Bound::Unbounded))
-            .map(|(k, v)| (k.as_slice(), v.as_deref()))
-    }
-
     /// Iterates all entries in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&[u8], Option<&[u8]>)> + '_ {
         self.entries
@@ -109,16 +98,6 @@ mod tests {
         mt.put(b"k", b"v");
         mt.delete(b"k");
         assert_eq!(mt.get(b"k"), Some(None));
-    }
-
-    #[test]
-    fn range_from_is_sorted_and_inclusive() {
-        let mut mt = MemTable::new();
-        for k in ["d", "a", "c", "b"] {
-            mt.put(k.as_bytes(), b"v");
-        }
-        let keys: Vec<&[u8]> = mt.range_from(b"b").map(|(k, _)| k).collect();
-        assert_eq!(keys, vec![b"b".as_slice(), b"c", b"d"]);
     }
 
     #[test]

@@ -11,8 +11,11 @@
 //! runs on F2FS.
 //!
 //! This crate provides the inode table, a flat hierarchical namespace, and
-//! both allocation policies. It is purely a mapping layer: virtual-time
-//! charges live in `simos`, and device access lives in `simstore`.
+//! both allocation policies. The table resolves an [`InodeId`] to its
+//! shared [`Inode`], which owns the file's size and block map: an open
+//! file keeps its `Arc<Inode>` and never searches the table again. It is
+//! purely a mapping layer: virtual-time charges live in `simos`, and
+//! device access lives in `simstore`.
 //!
 //! # Example
 //!
@@ -20,9 +23,9 @@
 //! use simfs::{FileSystem, FsKind};
 //!
 //! let fs = FileSystem::new(FsKind::Ext4Like);
-//! let ino = fs.create("/db/000001.sst")?;
-//! fs.allocate(ino, 0, 256); // 1 MiB
-//! let runs = fs.map_blocks(ino, 0, 256);
+//! let inode = fs.inode(fs.create("/db/000001.sst")?);
+//! inode.allocate(0, 256); // 1 MiB
+//! let runs = inode.map_blocks(0, 256);
 //! assert_eq!(runs.len(), 1, "ext4-like files are contiguous");
 //! # Ok::<(), simfs::FsError>(())
 //! ```
@@ -35,11 +38,12 @@ mod inode;
 mod namespace;
 
 pub use alloc::{Allocator, Run};
-pub use inode::{Extent, InodeId, InodeMeta};
+pub use inode::{Extent, Inode, InodeId};
 pub use namespace::Namespace;
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
@@ -79,28 +83,20 @@ impl std::error::Error for FsError {}
 /// locks so OS worker threads can operate concurrently.
 #[derive(Debug)]
 pub struct FileSystem {
-    kind: FsKind,
     namespace: RwLock<Namespace>,
-    inodes: RwLock<Vec<Mutex<InodeMeta>>>,
-    allocator: Mutex<Allocator>,
-    next_inode: AtomicU64,
+    /// Inodes indexed by number: handed out densely from 0, never reused.
+    inodes: RwLock<Vec<Arc<Inode>>>,
+    allocator: Arc<Mutex<Allocator>>,
 }
 
 impl FileSystem {
     /// Creates an empty filesystem with the given layout policy.
     pub fn new(kind: FsKind) -> Self {
         Self {
-            kind,
             namespace: RwLock::new(Namespace::new()),
             inodes: RwLock::new(Vec::new()),
-            allocator: Mutex::new(Allocator::new(kind)),
-            next_inode: AtomicU64::new(0),
+            allocator: Arc::new(Mutex::new(Allocator::new(kind))),
         }
-    }
-
-    /// The layout policy in effect.
-    pub fn kind(&self) -> FsKind {
-        self.kind
     }
 
     /// Creates a new empty file.
@@ -113,8 +109,9 @@ impl FileSystem {
         if ns.lookup(path).is_some() {
             return Err(FsError::AlreadyExists(path.to_string()));
         }
-        let ino = InodeId(self.next_inode.fetch_add(1, Ordering::Relaxed));
-        self.inodes.write().push(Mutex::new(InodeMeta::new(ino)));
+        let mut inodes = self.inodes.write();
+        let ino = InodeId(inodes.len() as u64);
+        inodes.push(Arc::new(Inode::new(ino, Arc::clone(&self.allocator))));
         ns.insert(path, ino);
         Ok(ino)
     }
@@ -127,12 +124,22 @@ impl FileSystem {
     /// Returns [`FsError::AlreadyExists`] if `path` is taken.
     pub fn create_sized(&self, path: &str, bytes: u64) -> Result<InodeId, FsError> {
         let ino = self.create(path)?;
+        let inode = self.inode(ino);
         let blocks = simstore::blocks_for_bytes(bytes);
         if blocks > 0 {
-            self.allocate(ino, 0, blocks);
+            inode.allocate(0, blocks);
         }
-        self.set_size(ino, bytes);
+        inode.size.store(bytes, Ordering::Relaxed);
         Ok(ino)
+    }
+
+    /// The inode numbered `ino`: the object an open file holds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ino` was never created by this filesystem.
+    pub fn inode(&self, ino: InodeId) -> Arc<Inode> {
+        Arc::clone(&self.inodes.read()[ino.0 as usize])
     }
 
     /// Resolves a path to its inode.
@@ -151,12 +158,7 @@ impl FileSystem {
             ns.remove(path)
                 .ok_or_else(|| FsError::NotFound(path.to_string()))?
         };
-        let inodes = self.inodes.read();
-        let mut meta = inodes[ino.0 as usize].lock();
-        let freed: u64 = meta.extents.iter().map(|e| e.blocks).sum();
-        meta.extents.clear();
-        meta.size_bytes = 0;
-        self.allocator.lock().free(freed);
+        self.inode(ino).release();
         Ok(ino)
     }
 
@@ -170,135 +172,9 @@ impl FileSystem {
         self.namespace.read().len()
     }
 
-    /// Current file size in bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ino` was never created by this filesystem.
-    pub fn size(&self, ino: InodeId) -> u64 {
-        self.inodes.read()[ino.0 as usize].lock().size_bytes
-    }
-
-    /// Updates the file size (grow only; shrink is done via unlink+create in
-    /// this model, matching how the LSM store replaces files).
-    pub fn set_size(&self, ino: InodeId, bytes: u64) {
-        let inodes = self.inodes.read();
-        let mut meta = inodes[ino.0 as usize].lock();
-        meta.size_bytes = meta.size_bytes.max(bytes);
-    }
-
-    /// Ensures blocks `[lstart, lstart + count)` are allocated, extending
-    /// the extent list as needed. Returns the number of newly allocated
-    /// blocks.
-    pub fn allocate(&self, ino: InodeId, lstart: u64, count: u64) -> u64 {
-        self.allocate_holes(ino, lstart, count, u64::MAX)
-    }
-
-    /// [`FileSystem::allocate`] one block per allocator call, in logical
-    /// order: the layout a page-at-a-time writer produces. It differs from
-    /// one call per hole only where a hole straddles the end of an
-    /// ext4-like reservation, which one call replaces by a fresh region.
-    pub fn allocate_each(&self, ino: InodeId, lstart: u64, count: u64) -> u64 {
-        self.allocate_holes(ino, lstart, count, 1)
-    }
-
-    /// Allocates the holes of `[lstart, lstart + count)` in pieces of at
-    /// most `max_piece` blocks.
-    fn allocate_holes(&self, ino: InodeId, lstart: u64, count: u64, max_piece: u64) -> u64 {
-        if count == 0 {
-            return 0;
-        }
-        let inodes = self.inodes.read();
-        let mut meta = inodes[ino.0 as usize].lock();
-        let mut newly = 0;
-        let mut lblock = lstart;
-        let lend = lstart + count;
-        while lblock < lend {
-            if let Some(run) = meta.map_one(lblock) {
-                // Already mapped; skip to the end of this mapped run.
-                lblock += run.blocks.min(lend - lblock);
-                continue;
-            }
-            // Find how many consecutive blocks from here are unmapped.
-            let mut hole = 1;
-            while hole < max_piece && lblock + hole < lend && meta.map_one(lblock + hole).is_none()
-            {
-                hole += 1;
-            }
-            let pstart = self.allocator.lock().allocate(ino, hole);
-            meta.insert_extent(Extent {
-                lstart: lblock,
-                pstart,
-                blocks: hole,
-            });
-            newly += hole;
-            lblock += hole;
-        }
-        newly
-    }
-
-    /// Maps logical blocks `[lstart, lstart + count)` to physically
-    /// contiguous runs. Unallocated regions are allocated on the fly (the
-    /// write path); use this for both reads and writes — files in the
-    /// simulation are created with [`FileSystem::create_sized`] or written
-    /// before being read, so read-path allocation only occurs for holes.
-    /// A fully mapped range costs one inode lock.
-    pub fn map_blocks(&self, ino: InodeId, lstart: u64, count: u64) -> Vec<Run> {
-        if count == 0 {
-            return Vec::new();
-        }
-        if let Some(runs) = self.mapped_runs(ino, lstart, count) {
-            return runs;
-        }
-        self.allocate(ino, lstart, count);
-        self.mapped_runs(ino, lstart, count)
-            .expect("blocks allocated above must map")
-    }
-
-    /// The physical runs of `[lstart, lstart + count)`, adjacent runs
-    /// merged; `None` if the range has a hole.
-    fn mapped_runs(&self, ino: InodeId, lstart: u64, count: u64) -> Option<Vec<Run>> {
-        let inodes = self.inodes.read();
-        let meta = inodes[ino.0 as usize].lock();
-        let mut runs: Vec<Run> = Vec::new();
-        let mut lblock = lstart;
-        let lend = lstart + count;
-        while lblock < lend {
-            let run = meta.map_one(lblock)?;
-            let take = run.blocks.min(lend - lblock);
-            match runs.last_mut() {
-                Some(prev) if prev.pstart + prev.blocks == run.pstart => {
-                    prev.blocks += take;
-                }
-                _ => runs.push(Run {
-                    pstart: run.pstart,
-                    blocks: take,
-                }),
-            }
-            lblock += take;
-        }
-        Some(runs)
-    }
-
-    /// Maps a single logical block to its physical block: one inode lock
-    /// when it is mapped, an allocation only for a hole.
-    pub fn map_block(&self, ino: InodeId, lblock: u64) -> u64 {
-        let mapped = |fs: &Self| fs.inodes.read()[ino.0 as usize].lock().map_one(lblock);
-        if let Some(run) = mapped(self) {
-            return run.pstart;
-        }
-        self.allocate(ino, lblock, 1);
-        mapped(self).expect("block allocated above must map").pstart
-    }
-
     /// Total physical blocks currently allocated across all files.
     pub fn allocated_blocks(&self) -> u64 {
         self.allocator.lock().allocated()
-    }
-
-    /// Number of extents backing a file — a fragmentation measure.
-    pub fn extent_count(&self, ino: InodeId) -> usize {
-        self.inodes.read()[ino.0 as usize].lock().extents.len()
     }
 }
 
@@ -327,8 +203,10 @@ mod tests {
     fn ext4_like_file_is_one_extent() {
         let fs = FileSystem::new(FsKind::Ext4Like);
         let ino = fs.create_sized("/big", 64 << 20).unwrap();
-        assert_eq!(fs.extent_count(ino), 1);
-        let runs = fs.map_blocks(ino, 0, simstore::blocks_for_bytes(64 << 20));
+        assert_eq!(fs.inode(ino).extent_count(), 1);
+        let runs = fs
+            .inode(ino)
+            .map_blocks(0, simstore::blocks_for_bytes(64 << 20));
         assert_eq!(runs.len(), 1);
     }
 
@@ -339,19 +217,22 @@ mod tests {
         let b = fs.create("/b").unwrap();
         // Interleave small appends from two files.
         for i in 0..16 {
-            fs.allocate(a, i, 1);
-            fs.allocate(b, i, 1);
+            fs.inode(a).allocate(i, 1);
+            fs.inode(b).allocate(i, 1);
         }
-        assert!(fs.extent_count(a) > 1, "log interleaving must fragment");
+        assert!(
+            fs.inode(a).extent_count() > 1,
+            "log interleaving must fragment"
+        );
         // Same pattern on ext4-like stays contiguous per file.
         let fs2 = FileSystem::new(FsKind::Ext4Like);
         let c = fs2.create("/c").unwrap();
         let d = fs2.create("/d").unwrap();
         for i in 0..16 {
-            fs2.allocate(c, i, 1);
-            fs2.allocate(d, i, 1);
+            fs2.inode(c).allocate(i, 1);
+            fs2.inode(d).allocate(i, 1);
         }
-        assert_eq!(fs2.extent_count(c), 1);
+        assert_eq!(fs2.inode(c).extent_count(), 1);
         let _ = d;
     }
 
@@ -359,7 +240,7 @@ mod tests {
     fn map_blocks_merges_adjacent_runs() {
         let fs = FileSystem::new(FsKind::Ext4Like);
         let ino = fs.create_sized("/x", 1 << 20).unwrap();
-        let runs = fs.map_blocks(ino, 10, 50);
+        let runs = fs.inode(ino).map_blocks(10, 50);
         assert_eq!(runs.len(), 1);
         assert_eq!(runs[0].blocks, 50);
     }
@@ -368,9 +249,9 @@ mod tests {
     fn size_grows_monotonically() {
         let fs = FileSystem::new(FsKind::Ext4Like);
         let ino = fs.create("/f").unwrap();
-        fs.set_size(ino, 100);
-        fs.set_size(ino, 50);
-        assert_eq!(fs.size(ino), 100);
+        fs.inode(ino).set_size(100);
+        fs.inode(ino).set_size(50);
+        assert_eq!(fs.inode(ino).size(), 100);
     }
 
     #[test]
@@ -400,8 +281,8 @@ mod tests {
         let fs = FileSystem::new(FsKind::Ext4Like);
         let a = fs.create_sized("/a", 1 << 20).unwrap();
         let b = fs.create_sized("/b", 1 << 20).unwrap();
-        let ra = fs.map_blocks(a, 0, 256);
-        let rb = fs.map_blocks(b, 0, 256);
+        let ra = fs.inode(a).map_blocks(0, 256);
+        let rb = fs.inode(b).map_blocks(0, 256);
         let a_range = ra[0].pstart..ra[0].pstart + ra[0].blocks;
         assert!(!a_range.contains(&rb[0].pstart));
     }
@@ -410,12 +291,12 @@ mod tests {
     fn map_block_allocates_only_holes() {
         let fs = FileSystem::new(FsKind::F2fsLike);
         let ino = fs.create("/f").unwrap();
-        let first = fs.map_block(ino, 5);
+        let first = fs.inode(ino).map_block(5);
         assert_eq!(fs.allocated_blocks(), 1);
-        assert_eq!(fs.map_block(ino, 5), first);
+        assert_eq!(fs.inode(ino).map_block(5), first);
         assert_eq!(fs.allocated_blocks(), 1, "a mapped block allocates nothing");
         assert_eq!(
-            fs.map_blocks(ino, 5, 1),
+            fs.inode(ino).map_blocks(5, 1),
             vec![Run {
                 pstart: first,
                 blocks: 1
@@ -436,37 +317,40 @@ mod tests {
             for (ino, lstart, count) in [(a, 0, 8000), (b, 0, 10), (a, 8000, 400)] {
                 if per_call {
                     for l in lstart..lstart + count {
-                        fs.map_block(ino, l);
+                        fs.inode(ino).map_block(l);
                     }
                 } else {
-                    assert_eq!(fs.allocate_each(ino, lstart, count), count);
+                    assert_eq!(fs.inode(ino).allocate_each(lstart, count), count);
                 }
             }
         }
         assert_eq!(
-            blockwise.map_blocks(a, 0, 8400),
-            each.map_blocks(ea, 0, 8400)
+            blockwise.inode(a).map_blocks(0, 8400),
+            each.inode(ea).map_blocks(0, 8400)
         );
         assert_eq!(
-            each.map_blocks(ea, 0, 8400).len(),
+            each.inode(ea).map_blocks(0, 8400).len(),
             2,
             "split at the reservation end"
         );
         // One call per hole carves a fresh region instead.
         let whole = FileSystem::new(FsKind::Ext4Like);
         let (wa, wb) = (whole.create("/a").unwrap(), whole.create("/b").unwrap());
-        whole.allocate(wa, 0, 8000);
-        whole.allocate(wb, 0, 10);
-        whole.allocate(wa, 8000, 400);
-        assert_ne!(whole.map_blocks(wa, 0, 8400), each.map_blocks(ea, 0, 8400));
+        whole.inode(wa).allocate(0, 8000);
+        whole.inode(wb).allocate(0, 10);
+        whole.inode(wa).allocate(8000, 400);
+        assert_ne!(
+            whole.inode(wa).map_blocks(0, 8400),
+            each.inode(ea).map_blocks(0, 8400)
+        );
     }
 
     #[test]
     fn hole_allocation_counts_new_blocks_once() {
         let fs = FileSystem::new(FsKind::Ext4Like);
         let ino = fs.create("/f").unwrap();
-        assert_eq!(fs.allocate(ino, 0, 10), 10);
-        assert_eq!(fs.allocate(ino, 0, 10), 0);
-        assert_eq!(fs.allocate(ino, 5, 10), 5);
+        assert_eq!(fs.inode(ino).allocate(0, 10), 10);
+        assert_eq!(fs.inode(ino).allocate(0, 10), 0);
+        assert_eq!(fs.inode(ino).allocate(5, 10), 5);
     }
 }

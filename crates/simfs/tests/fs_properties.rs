@@ -14,12 +14,12 @@ proptest! {
         let fs = FileSystem::new(if kind_f2fs { FsKind::F2fsLike } else { FsKind::Ext4Like });
         let files = [fs.create("/a").unwrap(), fs.create("/b").unwrap()];
         for &(which, lstart, count) in &allocs {
-            fs.allocate(files[which as usize], lstart, count);
+            fs.inode(files[which as usize]).allocate(lstart, count);
         }
         // Every mapped block must be stable across repeated queries.
         for &(which, lstart, count) in &allocs {
-            let first = fs.map_blocks(files[which as usize], lstart, count);
-            let second = fs.map_blocks(files[which as usize], lstart, count);
+            let first = fs.inode(files[which as usize]).map_blocks(lstart, count);
+            let second = fs.inode(files[which as usize]).map_blocks(lstart, count);
             prop_assert_eq!(first, second);
         }
     }
@@ -36,7 +36,7 @@ proptest! {
             fs.create("/z").unwrap(),
         ];
         for &(which, lstart, count) in &allocs {
-            fs.allocate(files[which as usize], lstart, count);
+            fs.inode(files[which as usize]).allocate(lstart, count);
         }
         // Collect every (physical block -> (file, logical)) mapping; a
         // physical block may appear for at most one (file, logical) pair.
@@ -46,12 +46,12 @@ proptest! {
                 let runs = {
                     // Only query allocated regions: use allocate-count of 0
                     // by checking size via map of existing extents.
-                    let newly = fs.allocate(ino, lblock, 1);
+                    let newly = fs.inode(ino).allocate(lblock, 1);
                     if newly > 0 {
                         // This block was a fresh hole; undo is impossible,
                         // but exclusivity must still hold for it.
                     }
-                    fs.map_blocks(ino, lblock, 1)
+                    fs.inode(ino).map_blocks(lblock, 1)
                 };
                 let pblock = runs[0].pstart;
                 if let Some(&(prev_f, prev_l)) = owners.get(&pblock) {
@@ -101,13 +101,13 @@ proptest! {
         let mut cursors = [0u64; 4];
         for which in pattern {
             let ino = files[which as usize];
-            fs.allocate(ino, cursors[which as usize], 8);
+            fs.inode(ino).allocate(cursors[which as usize], 8);
             cursors[which as usize] += 8;
         }
         for (i, &ino) in files.iter().enumerate() {
             if cursors[i] > 0 {
                 prop_assert_eq!(
-                    fs.map_blocks(ino, 0, cursors[i]).len(),
+                    fs.inode(ino).map_blocks(0, cursors[i]).len(),
                     1,
                     "file {} fragmented on ext4-like", i
                 );

@@ -11,9 +11,11 @@
 //! lock taken by regular I/O and by baseline prefetching; `bitmap_lock`
 //! models the CROSS-OS bitmap rw-lock taken by `readahead_info`.
 
+use std::sync::Arc;
+
 use parking_lot::{Mutex, MutexGuard, RwLock};
 use simclock::{Counter, RwContention};
-use simfs::InodeId;
+use simfs::Inode;
 use simstore::wordwalk::{bit_is_set, set_runs, word_spans, WORD_BITS};
 
 /// Pages per bitmap word (and per recency/eviction unit).
@@ -370,8 +372,9 @@ fn push_run(runs: &mut Vec<PageRange>, start: u64, end: u64) {
 /// counters.
 #[derive(Debug)]
 pub struct InodeCache {
-    /// The file this cache belongs to.
-    pub ino: InodeId,
+    /// The file this cache belongs to: its size and block map, reached
+    /// without a filesystem lookup.
+    pub inode: Arc<Inode>,
     /// Real state (presence/recency/readiness/dirt).
     pub state: RwLock<CacheState>,
     /// Virtual-time model of the per-file cache-tree lock (regular I/O and
@@ -391,10 +394,10 @@ pub struct InodeCache {
 }
 
 impl InodeCache {
-    /// Creates an empty cache for `ino`.
-    pub fn new(ino: InodeId) -> Self {
+    /// Creates an empty cache for `inode`.
+    pub fn new(inode: Arc<Inode>) -> Self {
         Self {
-            ino,
+            inode,
             state: RwLock::new(CacheState::default()),
             tree_lock: RwContention::new("cache-tree"),
             bitmap_lock: RwContention::new("cross-bitmap"),
@@ -617,7 +620,8 @@ mod tests {
 
     #[test]
     fn hit_ratio_defaults_to_one() {
-        let cache = InodeCache::new(InodeId(0));
+        let fs = simfs::FileSystem::new(simfs::FsKind::Ext4Like);
+        let cache = InodeCache::new(fs.inode(fs.create("/f").unwrap()));
         assert_eq!(cache.hit_ratio(), 1.0);
         cache.hits.add(3);
         cache.misses.add(1);

@@ -22,7 +22,7 @@ use crate::cache::{InodeCache, PageRange, PAGES_PER_WORD};
 use crate::error::IoError;
 use crate::os::{into_ok, FaultMode, Fd, FdEntry, MayFault, NeverFault, Os, PAGE_SIZE};
 use crate::trace::{OsSpanKind, OsTraceEvent};
-use simfs::InodeId;
+use simfs::Inode;
 
 /// Hard ceiling any `readahead_info` limit override may reach, in pages:
 /// the paper caps relaxed prefetch requests at 64 MiB (§4.7).
@@ -179,7 +179,7 @@ impl Os {
         self.stats().ra_info_calls.incr();
 
         let cache = &*file.cache;
-        let file_pages = self.fs().size(cache.ino).div_ceil(PAGE_SIZE);
+        let file_pages = cache.inode.size().div_ceil(PAGE_SIZE);
 
         let p0 = (req.offset / PAGE_SIZE).min(file_pages);
         let p1 = ((req.offset + req.len).div_ceil(PAGE_SIZE)).min(file_pages);
@@ -199,7 +199,7 @@ impl Os {
         self.emit(
             clock.now(),
             OsTraceEvent::RaInfoCall {
-                ino: cache.ino,
+                ino: cache.inode.ino(),
                 start_page: p0,
                 pages: range_pages,
                 cached_pages,
@@ -294,7 +294,7 @@ impl Os {
         };
         let scheduled = clamp_to_budget(&missing, budget);
         let ready =
-            self.charge_prefetch_progressive::<F>(clock.now(), priority, cache.ino, &scheduled)?;
+            self.charge_prefetch_progressive::<F>(clock.now(), priority, &cache.inode, &scheduled)?;
         let ready_at = ready.last().map_or(0, |piece| piece.2);
         let pages = scheduled.iter().map(|&(s, e)| e - s).sum();
         let initiated = self.publish_bitmap(clock, cache, fill, pages, &ready);
@@ -314,7 +314,7 @@ impl Os {
         &self,
         start_ns: u64,
         priority: IoPriority,
-        ino: InodeId,
+        inode: &Inode,
         scheduled: &[PageRange],
     ) -> Result<Vec<ReadyPiece>, F::Error> {
         let mut io_clock = ThreadClock::detached_at(start_ns);
@@ -325,7 +325,7 @@ impl Os {
             while cursor < e {
                 let upto = (cursor + chunk_pages).min(e);
                 let before = io_clock.now();
-                self.route_extents(ino, cursor, upto - cursor, |device, run| {
+                self.route_extents(inode, cursor, upto - cursor, |device, run| {
                     F::charge_read(device, &mut io_clock, run.blocks, priority)
                 })?;
                 push_interpolated_ready(&mut ready, cursor, upto, before, io_clock.now());
@@ -530,7 +530,7 @@ impl Os {
     /// clock detached at `submitted_ns`, under `F`'s fault discipline.
     fn ride<F: FaultMode>(&self, entry: &RaBatchEntry<'_>, submitted_ns: u64) -> RaBatchCompletion {
         let cache = &entry.file.cache;
-        let file_pages = self.fs().size(cache.ino).div_ceil(PAGE_SIZE);
+        let file_pages = cache.inode.size().div_ceil(PAGE_SIZE);
         let p0 = (entry.offset / PAGE_SIZE).min(file_pages);
         let p1 = ((entry.offset + entry.len).div_ceil(PAGE_SIZE)).min(file_pages);
         let mut at = ThreadClock::detached_at(submitted_ns);
@@ -567,7 +567,7 @@ impl Os {
     ) -> Option<crate::os::ReadOutcome> {
         let costs = &self.config().costs;
         let cache = &file.cache;
-        let size = self.fs().size(cache.ino);
+        let size = cache.inode.size();
         let len = len.min(size.saturating_sub(offset));
         if len == 0 {
             return None;

@@ -45,7 +45,7 @@ impl Os {
     ) -> MmapOutcome {
         let costs = &self.config().costs;
         let cache = &file.cache;
-        let size = self.fs().size(cache.ino);
+        let size = cache.inode.size();
         let len = len.min(size.saturating_sub(offset));
         if len == 0 {
             return MmapOutcome::default();
@@ -94,7 +94,7 @@ impl Os {
                 for &(s, e) in &missing {
                     into_ok(self.charge_read_runs::<NeverFault>(
                         clock,
-                        cache.ino,
+                        &cache.inode,
                         s,
                         e - s,
                         IoPriority::Blocking,
@@ -207,7 +207,8 @@ mod tests {
         // then fault it in: the reads land on the local device.
         let phys: Vec<(u64, u64)> = os
             .fs()
-            .map_blocks(ino, 128, 64)
+            .inode(ino)
+            .map_blocks(128, 64)
             .iter()
             .map(|run| (run.pstart, run.blocks))
             .collect();
@@ -228,7 +229,7 @@ mod tests {
             "promoted blocks must be read from the local tier"
         );
         assert_eq!(tiered.remote().stats().read_bytes.get(), remote_before);
-        let map = |f: u64, lb: u64| os.fs().map_block(simfs::InodeId(f), lb);
+        let map = |f: u64, lb: u64| os.fs().inode(simfs::InodeId(f)).map_block(lb);
         assert_eq!(tiered.demote_cold(&mut clock, 64, &map), 64);
         assert_eq!(tiered.stats().promoted_wasted_blocks.get(), 0);
     }

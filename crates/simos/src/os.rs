@@ -4,7 +4,7 @@ use std::sync::{Arc, OnceLock};
 
 use parking_lot::{Mutex, RwLock};
 use simclock::{Access, FcfsResource, GlobalClock, ThreadClock};
-use simfs::{FileSystem, FsError, InodeId, Run};
+use simfs::{FileSystem, FsError, Inode, InodeId, Run};
 use simstore::{Device, IoPriority, TieredStore, BLOCK_SIZE};
 
 use crate::cache::InodeCache;
@@ -114,7 +114,8 @@ pub enum Advice {
 
 /// Per-open-file state, resolved once at open: the file's page cache and
 /// the descriptor's readahead state. Every per-file syscall works on an
-/// entry; the inode number lives in the cache ([`InodeCache::ino`]).
+/// entry; the inode itself, with its size and block map, hangs off the
+/// cache ([`InodeCache::inode`]).
 #[derive(Debug)]
 pub struct FdEntry {
     /// The file's page cache, shared by every descriptor on the inode.
@@ -299,7 +300,7 @@ impl Os {
         // inodes are first touched out of order.
         let mut caches = self.caches.write();
         while caches.len() <= slot {
-            let next = InodeId(caches.len() as u64);
+            let next = self.fs.inode(InodeId(caches.len() as u64));
             caches.push(Arc::new(InodeCache::new(next)));
         }
         Arc::clone(&caches[slot])
@@ -367,6 +368,12 @@ impl Os {
     /// [`Os::fd_entry`].
     pub fn close(&self, clock: &mut ThreadClock, fd: Fd) {
         clock.advance(self.config.costs.syscall_ns);
+        self.release_fd(fd);
+    }
+
+    /// [`Os::close`] without the syscall charge: frees the descriptor's
+    /// slot. For a holder that drops its descriptor with no clock at hand.
+    pub fn release_fd(&self, fd: Fd) {
         let mut fds = self.fds.write();
         if fds.slots.get_mut(fd.0).and_then(Option::take).is_some() {
             fds.free.push(fd.0);
@@ -386,7 +393,7 @@ impl Os {
         self.mem.note_removed(removed);
         self.note_discarded(dirty);
         if let Some(tiered) = &self.tiered {
-            tiered.forget_file(ino.0, &|f, lb| self.fs.map_block(InodeId(f), lb));
+            tiered.forget_file(ino.0, &|_, lb| cache.inode.map_block(lb));
         }
         Ok(())
     }
@@ -426,12 +433,7 @@ impl Os {
 
     /// Inode behind a descriptor.
     pub fn fd_inode(&self, fd: Fd) -> InodeId {
-        self.fd_entry(fd).cache.ino
-    }
-
-    /// Size in bytes of the file behind `fd`.
-    pub fn file_size(&self, fd: Fd) -> u64 {
-        self.fs.size(self.fd_inode(fd))
+        self.fd_entry(fd).cache.inode.ino()
     }
 
     /// Settles a virtual-lock acquisition the caller just made: advances
@@ -474,7 +476,7 @@ impl Os {
     /// read charges continue through [`Os::route_extents`].
     pub(crate) fn tier_runs<'a, E>(
         &'a self,
-        ino: InodeId,
+        inode: &Inode,
         lstart: u64,
         pages: u64,
         written: Option<u64>,
@@ -483,11 +485,15 @@ impl Os {
         let Some(tiered) = &self.tiered else {
             return visit(lstart, pages, &self.device);
         };
-        let map = |f: u64, lb: u64| self.fs.map_block(InodeId(f), lb);
+        let map = |_: u64, lb: u64| inode.map_block(lb);
         let written = written.map(|now| (now, &map as &dyn Fn(u64, u64) -> u64));
-        tiered.with_written_runs(ino.0, lstart, pages, written, |start, count, tier| {
-            visit(start, count, tiered.device(tier))
-        })
+        tiered.with_written_runs(
+            inode.ino().0,
+            lstart,
+            pages,
+            written,
+            |start, count, tier| visit(start, count, tiered.device(tier)),
+        )
     }
 
     /// The extent router: logical pages → tier split → physically
@@ -496,32 +502,32 @@ impl Os {
     /// site resolves its device here.
     pub(crate) fn route_extents<'a, E>(
         &'a self,
-        ino: InodeId,
+        inode: &Inode,
         lstart: u64,
         pages: u64,
         mut visit: impl FnMut(&'a Arc<Device>, Run) -> Result<(), E>,
     ) -> Result<(), E> {
-        self.tier_runs(ino, lstart, pages, None, |start, count, device| {
-            self.fs
-                .map_blocks(ino, start, count)
+        self.tier_runs(inode, lstart, pages, None, |start, count, device| {
+            inode
+                .map_blocks(start, count)
                 .into_iter()
                 .try_for_each(|run| visit(device, run))
         })
     }
 
-    /// Charges device reads for `pages` logical pages of `ino` starting at
+    /// Charges device reads for `pages` logical pages of `inode` starting at
     /// `lstart`, one charge per routed extent, so one logical read may
     /// cross both tiers. A tiered demand read also stamps the placement
     /// map's touch clock (promotion payoff / demotion recency).
     pub(crate) fn charge_read_runs<F: FaultMode>(
         &self,
         clock: &mut ThreadClock,
-        ino: InodeId,
+        inode: &Inode,
         lstart: u64,
         pages: u64,
         priority: IoPriority,
     ) -> Result<(), F::Error> {
-        self.route_extents(ino, lstart, pages, |device, run| {
+        self.route_extents(inode, lstart, pages, |device, run| {
             F::charge_read(device, clock, run.blocks, priority)
         })?;
         // Only a demand read counts as the application touching the
@@ -529,7 +535,7 @@ impl Os {
         // its promoted-unread bit (that would launder wasted promotions
         // into useful ones).
         if let (Some(tiered), IoPriority::Blocking) = (&self.tiered, priority) {
-            tiered.note_read(ino.0, lstart, pages, clock.now());
+            tiered.note_read(inode.ino().0, lstart, pages, clock.now());
         }
         Ok(())
     }
@@ -538,7 +544,7 @@ impl Os {
 
     /// The charging half of the read path: cache walk, ready-wait, demand
     /// fill and heuristic-readahead tail, timed, without materializing
-    /// content ([`Os::fetch_content_vec`] does that). Workloads that only
+    /// content ([`Os::read_content`] does that). Workloads that only
     /// measure use this. Never consults the fault plan's EIO schedule
     /// (see [`IoError`]).
     pub fn read_charge(
@@ -609,7 +615,7 @@ impl Os {
     ) -> Result<ReadOutcome, F::Error> {
         let costs = &self.config.costs;
         let cache = &*file.cache;
-        let size = self.fs.size(cache.ino);
+        let size = cache.inode.size();
         let len = len.min(size.saturating_sub(offset));
         if len == 0 {
             return Ok(ReadOutcome::default());
@@ -624,9 +630,7 @@ impl Os {
         let mut tree_wait_ns = 0;
         while remaining > 0 {
             let batch = remaining.min(15);
-            let access = cache
-                .tree_lock
-                .read(clock.now(), costs.tree_walk_per_page_ns * batch);
+            let access = cache.tree_lock.read(clock.now(), costs.tree_walk_ns(batch));
             clock.advance_to(access.end_ns);
             tree_wait_ns += access.wait_ns;
             remaining -= batch;
@@ -666,7 +670,7 @@ impl Os {
                 // the queued prefetch stream is still coming, so fall back
                 // to waiting for it rather than failing the read.
                 overtook = self
-                    .charge_read_runs::<F>(clock, cache.ino, p0, pages, IoPriority::Blocking)
+                    .charge_read_runs::<F>(clock, &cache.inode, p0, pages, IoPriority::Blocking)
                     .is_ok();
                 if overtook {
                     let now = clock.now();
@@ -693,7 +697,7 @@ impl Os {
             for &(mstart, mend) in &missing {
                 if let Err(err) = self.charge_read_runs::<F>(
                     clock,
-                    cache.ino,
+                    &cache.inode,
                     mstart,
                     mend - mstart,
                     IoPriority::Blocking,
@@ -765,7 +769,7 @@ impl Os {
         self.emit(
             clock.now(),
             OsTraceEvent::RaWindowGrow {
-                ino: file.cache.ino,
+                ino: file.cache.inode.ino(),
                 start_page: req.start,
                 window_pages: req.count,
             },
@@ -786,7 +790,7 @@ impl Os {
         count: u64,
     ) -> Result<u64, F::Error> {
         let costs = &self.config.costs;
-        let file_pages = self.fs.size(cache.ino).div_ceil(PAGE_SIZE);
+        let file_pages = cache.inode.size().div_ceil(PAGE_SIZE);
         let end = (start + count).min(file_pages);
         if start >= end {
             return Ok(0);
@@ -805,7 +809,7 @@ impl Os {
         let ready = self.charge_prefetch_progressive::<F>(
             clock.now(),
             IoPriority::Prefetch,
-            cache.ino,
+            &cache.inode,
             &missing,
         )?;
         Ok(self.publish_prefetched(clock, cache, fill, &ready))
@@ -819,7 +823,7 @@ impl Os {
     /// block `pblock` — under the file's placement guard.
     fn walk_content(
         &self,
-        ino: InodeId,
+        inode: &Inode,
         offset: u64,
         len: u64,
         written: Option<u64>,
@@ -833,8 +837,8 @@ impl Os {
         let mut pos = offset;
         let pages = end.div_ceil(PAGE_SIZE) - p0;
         into_ok(
-            self.tier_runs(ino, p0, pages, written, |start, count, device| {
-                for run in self.fs.map_blocks(ino, start, count) {
+            self.tier_runs(inode, p0, pages, written, |start, count, device| {
+                for run in inode.map_blocks(start, count) {
                     for pblock in run.pstart..run.pstart + run.blocks {
                         let within = pos % PAGE_SIZE;
                         let take = (PAGE_SIZE - within).min(end - pos);
@@ -847,18 +851,28 @@ impl Os {
         );
     }
 
+    /// [`Os::read_content`] of the file numbered `ino`.
+    pub fn fetch_content_vec(&self, ino: InodeId, offset: u64, len: u64) -> Vec<u8> {
+        self.read_content(&self.fs.inode(ino), offset, len)
+    }
+
     /// Fetches `len` content bytes at `offset` from the backing store
     /// without a time charge — callers must have charged the read via
     /// [`Os::read_charge`] already. Each block's bytes are appended under
     /// the placement guard; nothing is zero-filled first.
-    pub fn fetch_content_vec(&self, ino: InodeId, offset: u64, len: u64) -> Vec<u8> {
+    pub fn read_content(&self, inode: &Inode, offset: u64, len: u64) -> Vec<u8> {
         let mut out = Vec::with_capacity(len as usize);
-        self.walk_content(ino, offset, len, None, |device, pblock, within, take| {
+        self.walk_content(inode, offset, len, None, |device, pblock, within, take| {
             device.store().with_block(pblock, |block| {
                 out.extend_from_slice(&block[within..within + take])
             });
         });
         out
+    }
+
+    /// [`Os::write_content`] to the file numbered `ino`.
+    pub fn store_content(&self, ino: InodeId, offset: u64, data: &[u8]) {
+        self.write_content(&self.fs.inode(ino), offset, data);
     }
 
     /// Stores content bytes into the backing store without a time charge —
@@ -868,16 +882,16 @@ impl Os {
     /// write allocation. One placement guard covers the whole write: the
     /// walk marks it written ([`TieredStore::note_range_written`]) and
     /// stores each block's bytes.
-    pub fn store_content(&self, ino: InodeId, offset: u64, data: &[u8]) {
+    pub fn write_content(&self, inode: &Inode, offset: u64, data: &[u8]) {
         if data.is_empty() {
             return;
         }
         let p0 = offset / PAGE_SIZE;
         let pages = (offset + data.len() as u64).div_ceil(PAGE_SIZE) - p0;
-        self.fs.allocate_each(ino, p0, pages);
+        inode.allocate_each(p0, pages);
         let mut done = 0;
         self.walk_content(
-            ino,
+            inode,
             offset,
             data.len() as u64,
             Some(self.global.now()),
@@ -966,12 +980,15 @@ impl Os {
             return Ok(0);
         };
         let costs = &self.config.costs;
-        let file_pages = self.fs.size(ino).div_ceil(PAGE_SIZE);
+        let cache = self.cache(ino);
+        let file_pages = cache.inode.size().div_ceil(PAGE_SIZE);
         let end = (start + pages).min(file_pages);
         if start >= end {
             return Ok(0);
         }
-        let map = |f: u64, lb: u64| self.fs.map_block(InodeId(f), lb);
+        // Demotion may pick any file's words, named by number: the one
+        // block map through the inode table.
+        let map = |f: u64, lb: u64| self.fs.inode(InodeId(f)).map_block(lb);
         let work = tiered.remote_runs(ino.0, start, end - start);
         let want: u64 = work.iter().map(|&(_, c)| c).sum();
         if want == 0 {
@@ -983,9 +1000,9 @@ impl Os {
         let t0 = clock.now();
         let mut copy = Ok(0);
         for &(rs, rc) in &work {
-            let phys: Vec<(u64, u64)> = self
-                .fs
-                .map_blocks(ino, rs, rc)
+            let phys: Vec<(u64, u64)> = cache
+                .inode
+                .map_blocks(rs, rc)
                 .iter()
                 .map(|run| (run.pstart, run.blocks))
                 .collect();
@@ -996,7 +1013,6 @@ impl Os {
         }
         self.emit_window(clock.now(), OsSpanKind::TierPromote, clock.now() - t0);
         copy?;
-        let cache = self.cache(ino);
         let hold = costs.tree_insert_per_page_ns * want + costs.page_alloc_ns * want;
         let access = cache.tree_lock.write(clock.now(), hold);
         clock.advance_to(access.end_ns);
@@ -1072,7 +1088,7 @@ impl Os {
         self.stats.syscalls.incr();
         self.stats.fincore_calls.incr();
         let cache = &file.cache;
-        let file_pages = self.fs.size(cache.ino).div_ceil(PAGE_SIZE);
+        let file_pages = cache.inode.size().div_ceil(PAGE_SIZE);
 
         let mmap = self.mmap_lock.access(
             clock.now(),
@@ -1224,15 +1240,19 @@ mod tests {
     /// into the `all_caches()` snapshot.
     #[test]
     fn cache_table_is_dense_in_inode_order() {
+        let fs = FileSystem::new(FsKind::Ext4Like);
+        for i in 0..6 {
+            fs.create(&format!("/{i}")).unwrap();
+        }
         let os = Os::new(
             OsConfig::with_memory_mb(64),
             Device::new(DeviceConfig::local_nvme()),
-            FileSystem::new(FsKind::Ext4Like),
+            fs,
         );
         let five = os.cache(InodeId(5));
         let two = os.cache(InodeId(2));
         let caches = os.all_caches();
-        let inos: Vec<u64> = caches.iter().map(|cache| cache.ino.0).collect();
+        let inos: Vec<u64> = caches.iter().map(|cache| cache.inode.ino().0).collect();
         assert_eq!(inos, (0..=5).collect::<Vec<u64>>());
         assert!(Arc::ptr_eq(&caches[5], &five));
         assert!(Arc::ptr_eq(&caches[2], &two));
@@ -1294,11 +1314,14 @@ mod tests {
         let other = os.create(&mut clock, "/interleaved").unwrap();
         let (ino, other) = (os.fd_inode(fd), os.fd_inode(other));
         for i in 0..FILE_PAGES / 32 {
-            os.fs().allocate(ino, i * 32, 32);
-            os.fs().allocate(other, i * 32, 32);
+            os.fs().inode(ino).allocate(i * 32, 32);
+            os.fs().inode(other).allocate(i * 32, 32);
         }
-        os.fs().set_size(ino, FILE_PAGES * PAGE_SIZE);
-        assert!(os.fs().extent_count(ino) > 1, "file must be fragmented");
+        os.fs().inode(ino).set_size(FILE_PAGES * PAGE_SIZE);
+        assert!(
+            os.fs().inode(ino).extent_count() > 1,
+            "file must be fragmented"
+        );
         for &(start, count) in promoted {
             os.try_promote_range(&mut clock, ino, start, count).unwrap();
         }
@@ -1308,10 +1331,12 @@ mod tests {
     /// What the router visits, as `(device, blocks)` in visiting order.
     fn routed(os: &Os, ino: InodeId, start: u64, count: u64) -> Vec<(*const Device, u64)> {
         let mut out = Vec::new();
-        into_ok(os.route_extents(ino, start, count, |device, run| {
-            out.push((Arc::as_ptr(device), run.blocks));
-            Ok(())
-        }));
+        into_ok(
+            os.route_extents(&os.fs().inode(ino), start, count, |device, run| {
+                out.push((Arc::as_ptr(device), run.blocks));
+                Ok(())
+            }),
+        );
         out
     }
 
@@ -1331,7 +1356,7 @@ mod tests {
                 let count = count.min(FILE_PAGES - start);
                 let mut expected = Vec::new();
                 for (s, c, tier) in tiered.split_runs(ino.0, start, count) {
-                    for run in os.fs().map_blocks(ino, s, c) {
+                    for run in os.fs().inode(ino).map_blocks(s, c) {
                         expected.push((Arc::as_ptr(tiered.device(tier)), run.blocks));
                     }
                 }
@@ -1353,7 +1378,8 @@ mod tests {
         let ino = os.fd_inode(fd);
         let expected: Vec<_> = os
             .fs()
-            .map_blocks(ino, 3, 200)
+            .inode(ino)
+            .map_blocks(3, 200)
             .iter()
             .map(|run| (Arc::as_ptr(os.device()), run.blocks))
             .collect();
@@ -1390,7 +1416,7 @@ mod tests {
             let lblock = abs / PAGE_SIZE;
             let within = (abs % PAGE_SIZE) as usize;
             let take = (PAGE_SIZE as usize - within).min(len - done);
-            let pblock = os.fs().map_block(ino, lblock);
+            let pblock = os.fs().inode(ino).map_block(lblock);
             visit(page_device(os, ino, lblock), pblock, within, done, take);
             done += take;
         }
@@ -1459,7 +1485,7 @@ mod tests {
             for bit in 0..simstore::PLACEMENT_WORD_BLOCKS {
                 if (local & modified) >> bit & 1 == 1 {
                     let lb = word * simstore::PLACEMENT_WORD_BLOCKS + bit;
-                    let pblock = os.fs().map_block(ino, lb);
+                    let pblock = os.fs().inode(ino).map_block(lb);
                     assert!(
                         !tiered.remote().store().holds(pblock),
                         "local modified block {lb} still has remote bytes"
@@ -1515,7 +1541,7 @@ mod tests {
             prop_assert_eq!(&routed_os.fetch_content_vec(ino, 0, FILE_BYTES), &whole);
 
             let local = tiered.local_resident_blocks();
-            let map = |f: u64, lb: u64| routed_os.fs().map_block(InodeId(f), lb);
+            let map = |f: u64, lb: u64| routed_os.fs().inode(InodeId(f)).map_block(lb);
             prop_assert_eq!(tiered.demote_cold(&mut routed_os.new_clock(), u64::MAX, &map), local);
             let dirty = written_local.iter().filter(|&&w| w).count() as u64;
             prop_assert_eq!(tiered.stats().demoted_dirty_blocks.get(), dirty);
@@ -1579,7 +1605,7 @@ mod tests {
         let offset = 5 * PAGE_SIZE;
         let data = payload(offset, PAGE_SIZE, 0x5A);
         os.store_content(ino, offset, &data);
-        let map = |f: u64, lb: u64| os.fs().map_block(InodeId(f), lb);
+        let map = |f: u64, lb: u64| os.fs().inode(InodeId(f)).map_block(lb);
         let mut clock = os.new_clock();
         let (torn, reads) = race(
             |_| {
@@ -1601,7 +1627,7 @@ mod tests {
         let tiered = os.tiered().unwrap();
         let (offset, len) = (8 * PAGE_SIZE, 16 * PAGE_SIZE);
         let writes: Vec<Vec<u8>> = (1..=4).map(|seed| payload(offset, len, seed)).collect();
-        let map = |f: u64, lb: u64| os.fs().map_block(InodeId(f), lb);
+        let map = |f: u64, lb: u64| os.fs().inode(InodeId(f)).map_block(lb);
         let mut clock = os.new_clock();
         let mut next = 0;
         let (lost, tries) = race(
@@ -1636,7 +1662,7 @@ mod tests {
         let (os, ino) = fragmented_tiered(&[]);
         let tiered = os.tiered().unwrap();
         os.store_content(ino, 0, &payload(0, FILE_BYTES, 0x33));
-        let map = |f: u64, lb: u64| os.fs().map_block(InodeId(f), lb);
+        let map = |f: u64, lb: u64| os.fs().inode(InodeId(f)).map_block(lb);
         let mut clock = os.new_clock();
         let word = AtomicU64::new(0);
         let (demoting, busy) = (AtomicBool::new(false), AtomicBool::new(false));

@@ -94,11 +94,6 @@ impl RaState {
         }
     }
 
-    /// Updates the per-window cap (CROSS-OS relaxation, Figure 10 knob).
-    pub fn set_ra_max(&mut self, pages: u64) {
-        self.ra_max_pages = pages.max(1);
-    }
-
     /// Feeds one read of `[page, page + count)` through the state machine
     /// and returns the readahead to issue, if any.
     pub fn on_read(&mut self, page: u64, count: u64) -> Option<RaRequest> {
@@ -274,20 +269,5 @@ mod tests {
             page += 20;
         }
         assert!(issued > 0, "strided access should still prefetch");
-    }
-
-    #[test]
-    fn set_ra_max_raises_cap() {
-        let mut ra = RaState::new(RA_MAX);
-        ra.set_ra_max(2048);
-        let mut page = 0;
-        let mut best = 0;
-        for _ in 0..200 {
-            if let Some(req) = ra.on_read(page, 8) {
-                best = best.max(req.count);
-            }
-            page += 8;
-        }
-        assert!(best > RA_MAX);
     }
 }

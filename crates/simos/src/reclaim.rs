@@ -137,7 +137,17 @@ pub const RECLAIM_UNIT_PAGES: u64 = PAGES_PER_WORD;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simfs::InodeId;
+
+    /// `n` empty caches over fresh inodes 0..n of a scratch filesystem.
+    fn fresh_caches(n: u64) -> Vec<Arc<InodeCache>> {
+        let fs = simfs::FileSystem::new(simfs::FsKind::Ext4Like);
+        (0..n)
+            .map(|i| {
+                let ino = fs.create(&format!("/{i}")).unwrap();
+                Arc::new(InodeCache::new(fs.inode(ino)))
+            })
+            .collect()
+    }
 
     #[test]
     fn accounting_round_trip() {
@@ -197,8 +207,7 @@ mod tests {
 
     #[test]
     fn select_victims_prefers_oldest() {
-        let a = Arc::new(InodeCache::new(InodeId(0)));
-        let b = Arc::new(InodeCache::new(InodeId(1)));
+        let [a, b]: [Arc<InodeCache>; 2] = fresh_caches(2).try_into().unwrap();
         a.state.write().insert_range(0, 64, 100, 0); // old
         b.state.write().insert_range(0, 64, 900, 0); // fresh
         a.state.write().insert_range(64, 128, 500, 0); // middle
@@ -218,9 +227,7 @@ mod tests {
         // Partly filled words of mixed age over three files: the partial
         // selection must return exactly what sorting every candidate and
         // walking to the target returns, short targets and long ones.
-        let caches: Vec<Arc<InodeCache>> = (0..3)
-            .map(|ino| Arc::new(InodeCache::new(InodeId(ino))))
-            .collect();
+        let caches = fresh_caches(3);
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         for i in 0..300u64 {
             state = state
@@ -258,7 +265,7 @@ mod tests {
 
     #[test]
     fn select_victims_empty_cache_is_empty() {
-        let caches: Vec<Arc<InodeCache>> = vec![Arc::new(InodeCache::new(InodeId(0)))];
+        let caches = fresh_caches(1);
         assert!(select_victims(&caches, 10).is_empty());
     }
 
@@ -267,7 +274,7 @@ mod tests {
         // A clear that lands between victim selection and eviction must
         // not be double-counted: the selected word now removes zero pages,
         // so the caller credits nothing to `evicted`.
-        let a = Arc::new(InodeCache::new(InodeId(0)));
+        let a = fresh_caches(1).remove(0);
         a.state.write().insert_range(0, 128, 100, 0);
         let caches = vec![Arc::clone(&a)];
         let victims = select_victims(&caches, 64);

@@ -61,7 +61,7 @@ impl FlushCause {
 }
 
 impl Os {
-    /// The charging half of the write path; [`Os::store_content`] lands
+    /// The charging half of the write path; [`Os::write_content`] lands
     /// the bytes. Never consults the fault plan's EIO schedule.
     pub fn write_charge(&self, clock: &mut ThreadClock, fd: Fd, offset: u64, len: u64) -> u64 {
         into_ok(self.write_charge_as::<NeverFault>(clock, &self.fd_entry(fd), offset, len))
@@ -126,7 +126,7 @@ impl Os {
         for (is_missing, page) in [(head_missing, p0), (tail_missing, p1 - 1)] {
             if is_missing {
                 if let Err(err) =
-                    self.charge_read_runs::<F>(clock, cache.ino, page, 1, IoPriority::Blocking)
+                    self.charge_read_runs::<F>(clock, &cache.inode, page, 1, IoPriority::Blocking)
                 {
                     stats.demand_read_errors.incr();
                     return Err(err);
@@ -148,7 +148,7 @@ impl Os {
         self.note_dirtied(dirtied);
         clock.advance(costs.copy_pages_ns(pages));
         stats.bytes_written.add(len);
-        self.fs().set_size(cache.ino, offset + len);
+        cache.inode.set_size(offset + len);
         if self.mem().note_inserted(newly) {
             self.reclaim(clock);
         }
@@ -189,7 +189,7 @@ impl Os {
                 dirty_files.push((since, cache));
             }
         }
-        dirty_files.sort_unstable_by_key(|(since, cache)| (*since, cache.ino));
+        dirty_files.sort_unstable_by_key(|(since, cache)| (*since, cache.inode.ino()));
         for (since, cache) in &dirty_files {
             if *since != 0 && since.saturating_add(DIRTY_DEADLINE_NS) <= now {
                 self.flush_runs(clock, cache, FlushCause::Deadline);
@@ -250,7 +250,7 @@ impl Os {
         let t0 = io.now();
         for &(s, e) in &merged {
             into_ok(
-                self.tier_runs(cache.ino, s, e - s, None, |_, count, device| {
+                self.tier_runs(&cache.inode, s, e - s, None, |_, count, device| {
                     stats.wb_runs_flushed.incr();
                     device.charge_write(io, count, priority);
                     Ok(())

@@ -143,9 +143,9 @@ fn write_extends_file_size() {
     let mut clock = os.new_clock();
     let fd = os.create(&mut clock, "/grow").unwrap();
     write(&os, &mut clock, fd, 0, &[1u8; 5000]);
-    assert_eq!(os.file_size(fd), 5000);
+    assert_eq!(os.fd_entry(fd).cache.inode.size(), 5000);
     write(&os, &mut clock, fd, 100_000, &[2u8; 100]);
-    assert_eq!(os.file_size(fd), 100_100);
+    assert_eq!(os.fd_entry(fd).cache.inode.size(), 100_100);
 }
 
 #[test]

@@ -124,13 +124,6 @@ impl FaultPlan {
         self.seed
     }
 
-    /// Whether the plan can never inject anything (all-zero).
-    pub fn is_zero(&self) -> bool {
-        self.demand_eio == 0.0
-            && self.prefetch_eio == 0.0
-            && (self.spike_extra_ns == 0 || self.spike_period_ns == 0)
-    }
-
     /// EIO probability for a request of the given priority.
     pub(crate) fn eio_probability(&self, priority: IoPriority) -> f64 {
         match priority {
@@ -173,7 +166,6 @@ mod tests {
     #[test]
     fn zero_plan_draws_nothing() {
         let plan = FaultPlan::seeded(1);
-        assert!(plan.is_zero());
         for op in 0..1000 {
             assert!(!plan.draw_eio(op, plan.eio_probability(IoPriority::Blocking)));
         }
@@ -223,6 +215,5 @@ mod tests {
         let plan = FaultPlan::seeded(0).with_prefetch_eio(1.0);
         assert_eq!(plan.eio_probability(IoPriority::Blocking), 0.0);
         assert_eq!(plan.eio_probability(IoPriority::Prefetch), 1.0);
-        assert!(!plan.is_zero());
     }
 }

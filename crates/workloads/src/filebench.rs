@@ -218,6 +218,9 @@ fn run_instance(
                 })
                 .collect();
             let io = 1 << 20u64;
+            // A stream is up to eight reads, all inside the video.
+            let stream = (video_bytes / io).clamp(1, 8);
+            let last_start_page = video_bytes.saturating_sub(stream * io) / 4096;
             let mut bytes = 0u64;
             let mut served = 0u64;
             while served < cfg.ops_per_instance {
@@ -227,12 +230,10 @@ fn run_instance(
                 if cfg.mode == Mode::AppOnly {
                     file.advise(clock, Advice::Sequential, 0, 0);
                 }
-                let mut offset =
-                    rng.gen_range(0..video_bytes.saturating_sub(8 * io).max(1)) / 4096 * 4096;
-                for _ in 0..8.min(cfg.ops_per_instance - served) {
-                    file.read_charge(clock, offset, io);
+                let mut offset = rng.gen_range(0..last_start_page + 1) * 4096;
+                for _ in 0..stream.min(cfg.ops_per_instance - served) {
+                    bytes += file.read_charge(clock, offset, io).bytes;
                     offset += io;
-                    bytes += io;
                     served += 1;
                 }
                 // Occasional new content appended.

@@ -75,7 +75,7 @@ fn filebench_videoserver_appends_content() {
         .fs()
         .list_prefix("/fb/video0/")
         .iter()
-        .any(|p| machine.fs().size(machine.fs().lookup(p).unwrap()) > (16 << 20) / 8);
+        .any(|p| machine.fs().inode(machine.fs().lookup(p).unwrap()).size() > (16 << 20) / 8);
     let exists = !machine.fs().list_prefix("/fb/video0/").is_empty();
     assert!(exists);
     let _ = grown; // growth is probabilistic; existence is the invariant
