@@ -37,11 +37,14 @@ impl CpFile {
 
     /// Applies an engine decision for the access `[p0, p1)` — the one
     /// place a prediction is routed, for the read and the mapped path
-    /// alike. The prediction goes to the paced-frontier planner, unless it
-    /// is a known run and the caller `crosses` the ring next: that one is
-    /// returned, to ride the crossing ([`CpFile::ring_fill`]) or go back to
-    /// the engine. Then the non-strided parts, which a strided decision
-    /// never carries: mined runs issued, duels counted, mining dispatched.
+    /// alike. A jump resets both pacing frontiers to the access, whatever
+    /// carries its request: a frontier an earlier run left ahead says
+    /// nothing about this one. The prediction goes to the paced-frontier
+    /// planner, unless it is a known run and the caller `crosses` the ring
+    /// next: that one is returned, to ride the crossing
+    /// ([`CpFile::ring_fill`]) or go back to the engine. Then the
+    /// non-strided parts, which a strided decision never carries: mined
+    /// runs issued, duels counted, mining dispatched.
     pub(crate) fn apply_decision(
         &self,
         clock: &mut ThreadClock,
@@ -54,8 +57,12 @@ impl CpFile {
         let stats = &inner.stats;
         let mut known_run = None;
         if let Some(pred) = decision.prediction {
-            if pred.jumped && self.take_preissued() {
-                inner.stats.ring_spec_cancelled.incr();
+            if pred.jumped {
+                if self.take_preissued() {
+                    inner.stats.ring_spec_cancelled.incr();
+                }
+                self.fwd_frontier.store(p1, Ordering::Relaxed);
+                self.back_frontier.store(p0, Ordering::Relaxed);
             }
             if crosses && pred.known_run {
                 known_run = Some(pred);

@@ -375,11 +375,13 @@ impl CpFile {
                     })
                 }
                 no_crossing => {
-                    // A jump that hit the cache: waiting out the whole
-                    // remainder as background prefetch would cost the next
-                    // read more than its own miss does.
+                    // A known run whose read hit the cache has no miss to
+                    // ride: the engine holds it for the run's next miss.
+                    // Waiting out the whole remainder as background
+                    // prefetch would cost the next read more than its own
+                    // miss does.
                     if known_run.is_some() {
-                        self.engine.lock().defer_known_run();
+                        self.engine.lock().hold_known_run();
                     }
                     match no_crossing {
                         Some(outcome) => Ok(outcome),
@@ -663,20 +665,14 @@ impl CpFile {
         };
         match pred.direction {
             Direction::Forward => {
-                let frontier = self.fwd_frontier.load(Ordering::Relaxed);
-                // Any run break invalidates the frontier: speculation from
-                // the previous position says nothing about the new one.
-                let frontier = if pred.jumped || frontier < p1 {
-                    p1
-                } else {
-                    frontier
-                };
-                let marker = frontier.saturating_sub(window / 2);
+                // A jump already reset the frontier to the access
+                // (`CpFile::apply_decision`).
+                let start = self.fwd_frontier.load(Ordering::Relaxed).max(p1);
+                let marker = start.saturating_sub(window / 2);
                 if p1 < marker {
                     return; // plenty prefetched ahead already
                 }
                 let target = p1 + next_window;
-                let start = frontier.max(p1);
                 if target > start {
                     let want = target - start;
                     let reached = runtime.prefetch_pages(clock, &self.file, start, want, rider);
@@ -685,18 +681,12 @@ impl CpFile {
                 }
             }
             Direction::Backward => {
-                let frontier = self.back_frontier.load(Ordering::Relaxed);
-                let frontier = if pred.jumped || frontier > p0 {
-                    p0
-                } else {
-                    frontier
-                };
-                let marker = frontier + window / 2;
+                let end = self.back_frontier.load(Ordering::Relaxed).min(p0);
+                let marker = end + window / 2;
                 if p0 > marker {
                     return;
                 }
                 let target = p0.saturating_sub(next_window);
-                let end = frontier.min(p0);
                 if end > target {
                     // `plan` clamps a span from its start, so a backward
                     // window is cut here first, keeping the pages next to

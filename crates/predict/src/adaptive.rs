@@ -372,6 +372,10 @@ impl PredictionEngine for AdaptiveEngine {
     fn defer_known_run(&mut self) {
         self.strided.defer_known_run();
     }
+
+    fn hold_known_run(&mut self) {
+        self.strided.hold_known_run();
+    }
 }
 
 #[cfg(test)]

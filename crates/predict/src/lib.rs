@@ -163,10 +163,17 @@ pub trait PredictionEngine {
     }
 
     /// Hands back the [`Prediction::known_run`] request the last
-    /// observation made: the runtime could not submit it with the miss
-    /// that starts the run, so the engine asks again on the run's first
-    /// continuation, as it does for runs it is less sure of.
+    /// observation made: the runtime's admission plan refused it a ride on
+    /// the miss that starts the run, so the engine asks again on the run's
+    /// first continuation, as it does for runs it is less sure of.
     fn defer_known_run(&mut self) {}
+
+    /// Holds the [`Prediction::known_run`] request the last observation
+    /// made: the access that made it crossed nothing (its pages were
+    /// cached), so there was no miss to ride. The engine asks for the same
+    /// remainder again, as a known run, on the run's next forward access,
+    /// whose miss can carry it.
+    fn hold_known_run(&mut self) {}
 }
 
 /// Construction-time tuning shared by all engines; the runtime builds one
@@ -275,6 +282,14 @@ impl PredictionEngine for Engine {
             Engine::Strided(e) => e.defer_known_run(),
             Engine::Correlation(e) => e.defer_known_run(),
             Engine::Adaptive(e) => e.defer_known_run(),
+        }
+    }
+
+    fn hold_known_run(&mut self) {
+        match self {
+            Engine::Strided(e) => e.hold_known_run(),
+            Engine::Correlation(e) => e.hold_known_run(),
+            Engine::Adaptive(e) => e.hold_known_run(),
         }
     }
 }

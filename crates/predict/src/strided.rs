@@ -24,6 +24,7 @@
 //! | at a jump after a lone access that always leads a run | the same request — the index page announces its record |
 //! | at a jump otherwise | nothing — the access may stay lone |
 //! | first continuation | that one request, unless the jump already made it |
+//! | the access after a held known run | what is left of that request, again as a known run |
 //! | inside what that request covered | nothing |
 //! | past it (the run outgrew its shape) | the counter's ramp, untouched |
 //! | no shape known | the counter's ramp, untouched |
@@ -39,9 +40,14 @@
 //! once the last two lone accesses were each followed by such a run; a
 //! lone access followed by another lone access or by a backward run resets
 //! that count. Below its count the request waits for the first
-//! continuation again — as it does for one run when the runtime hands a
-//! jump's request back ([`PredictionEngine::defer_known_run`]), which moves
-//! back whichever count licensed the ask.
+//! continuation again — as it does for one run when the runtime refuses a
+//! jump's request a ride ([`PredictionEngine::defer_known_run`]), which
+//! moves back whichever count licensed the ask. A known run whose access
+//! crossed nothing (its pages were cached, so there was no miss to ride) is
+//! *held* instead ([`PredictionEngine::hold_known_run`]): the run's next
+//! forward access asks for what is left of it, `[end, covered)`, again as a
+//! known run, so the next miss in the run carries it. A hold lasts one
+//! access; a jump, or a run that has read past what it covered, drops it.
 
 use crate::{AccessObservation, EngineKind, PredictionEngine, PrefetchDecision};
 
@@ -214,6 +220,9 @@ struct RunShape {
     led_by_lone: u32,
     /// The run before this one was a lone access.
     after_lone: bool,
+    /// The runtime held the known run the last access asked for: the next
+    /// forward access asks for what is left of it again. Lasts one access.
+    held: bool,
 }
 
 impl RunShape {
@@ -238,10 +247,11 @@ impl RunShape {
     /// Tracks the access `page..end` and turns the counter's `ramp`
     /// prediction into the predictor's: one request per run for the
     /// expected remainder — at the jump when its [`RunShape::licence`] is
-    /// at the ceiling, on the first continuation otherwise — silent while
-    /// the reader is inside what that request covered, and the ramp
-    /// untouched otherwise (no shape, or runs of `ramp_ceiling` pages and
-    /// more — those the ramp covers by itself).
+    /// at the ceiling, on the first continuation otherwise, and what is
+    /// left of it again on the access after a hold — silent while the
+    /// reader is inside what that request covered, and the ramp untouched
+    /// otherwise (no shape, or runs of `ramp_ceiling` pages and more —
+    /// those the ramp covers by itself).
     fn plan(
         &mut self,
         page: u64,
@@ -250,6 +260,7 @@ impl RunShape {
         ramp_ceiling: u64,
         ramp: Prediction,
     ) -> Prediction {
+        let held = std::mem::take(&mut self.held);
         if ramp.jumped || self.accesses == 0 {
             let completed = self.forward && self.accesses >= 2;
             if completed {
@@ -274,6 +285,7 @@ impl RunShape {
                 },
                 led_by_lone,
                 after_lone: self.accesses == 1,
+                held: false,
             };
         } else {
             self.forward &= page >= self.end;
@@ -290,6 +302,8 @@ impl RunShape {
             expected
                 .saturating_sub(self.end - self.start)
                 .min(max_pages)
+        } else if held {
+            self.covered.saturating_sub(self.end)
         } else {
             0
         };
@@ -511,6 +525,11 @@ impl PredictionEngine for Predictor {
     /// its first continuation, and completing it restores the count.
     fn defer_known_run(&mut self) {
         *self.shape.licence() = CONTINUING_RUNS - 1;
+    }
+
+    /// The run's next forward access asks for `[end, covered)` again.
+    fn hold_known_run(&mut self) {
+        self.shape.held = true;
     }
 }
 
@@ -864,6 +883,38 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn a_held_known_run_is_asked_for_again_until_an_access_can_carry_it() {
+        let mut p = Predictor::new(3);
+        for n in 0..3 {
+            run(&mut p, n * 1_000_000, 4, 4);
+        }
+        let base = 5_000_000;
+        let at_jump = p.on_access(base, 4, true, MAX);
+        assert!(at_jump.known_run);
+        assert_eq!((at_jump.from_page, at_jump.prefetch_pages), (base + 4, 12));
+        p.hold_known_run();
+        let again = p.on_access(base + 4, 4, true, MAX);
+        assert!(again.known_run);
+        assert_eq!((again.from_page, again.prefetch_pages), (base + 8, 8));
+        p.hold_known_run();
+        let again = p.on_access(base + 8, 4, true, MAX);
+        assert!(again.known_run);
+        assert_eq!((again.from_page, again.prefetch_pages), (base + 12, 4));
+        // Carried: nothing more is asked for inside the run, and the count
+        // that licensed the ask is untouched, so the next jump asks.
+        assert_eq!(run(&mut p, base + 12, 1, 4), [(base + 16, 0)]);
+        assert!(p.on_access(base + 1_000_000, 4, true, MAX).known_run);
+        // A hold the next access jumps away from is dropped: no access of
+        // the new run asks for the old one.
+        p.hold_known_run();
+        let far = base + 2_000_000;
+        assert!(!p.on_access(far, 4, true, MAX).known_run);
+        let next = p.on_access(far + 4, 4, true, MAX);
+        assert!(!next.known_run);
+        assert_eq!(next.from_page, far + 8);
+    }
+
+    #[test]
     fn index_then_record_asks_at_the_record_jump_only() {
         let mut p = Predictor::new(3);
         for (n, &(index, record)) in probes(5, 256).iter().enumerate() {
@@ -1019,6 +1070,70 @@ pub(crate) mod tests {
                     led_by_lone = if completed { (led_by_lone + 1).min(2) } else { 0 };
                 }
                 after_lone = accesses == 1;
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// Over random run sequences where the runtime rides, holds or
+        /// defers each known run at random, against a twin that is never
+        /// told of a hold: a held ask is made again on the next access, and
+        /// only there, exactly for `[end, covered)` as a known run, when that
+        /// access continues the run forward short of `covered`; a jump or a
+        /// run that has reached `covered` drops it, and every other
+        /// prediction is the twin's. No known run reaches past `covered`.
+        #[test]
+        fn a_hold_asks_again_once_and_never_past_covered(
+            runs in proptest::collection::vec(
+                (1u64..=8, 1u64..=4, 0u8..8, proptest::collection::vec(0u8..3, 8)),
+                1..48,
+            ),
+        ) {
+            let (mut p, mut twin) = (Predictor::new(3), Predictor::new(3));
+            let mut base = 0u64;
+            let mut held = false;
+            for (accesses, count, shape, actions) in runs {
+                base += 1_000_000;
+                let backward = shape == 0;
+                let mut covered = 0u64;
+                for i in 0..accesses {
+                    let page = if backward { base - i * count } else { base + i * count };
+                    let end = page + count;
+                    let pred = p.on_access(page, count, true, MAX);
+                    let twin_pred = twin.on_access(page, count, true, MAX);
+                    if i == 0 && pred.known_run {
+                        covered = pred.from_page + pred.prefetch_pages;
+                    }
+                    let asks_again = held && i > 0 && !backward && end < covered;
+                    if asks_again {
+                        proptest::prop_assert_eq!(twin_pred.prefetch_pages, 0);
+                        proptest::prop_assert_eq!(
+                            pred,
+                            Prediction { prefetch_pages: covered - end, known_run: true, ..twin_pred }
+                        );
+                    } else {
+                        proptest::prop_assert_eq!(pred, twin_pred);
+                    }
+                    if pred.known_run {
+                        proptest::prop_assert!(pred.from_page + pred.prefetch_pages <= covered);
+                    }
+                    held = false;
+                    if pred.known_run {
+                        match actions[i as usize] {
+                            0 => {}
+                            1 => {
+                                p.hold_known_run();
+                                held = true;
+                            }
+                            _ => {
+                                p.defer_known_run();
+                                twin.defer_known_run();
+                            }
+                        }
+                    }
+                }
             }
         }
     }

@@ -147,18 +147,22 @@ impl FileSystem {
         self.namespace.read().lookup(path)
     }
 
-    /// Removes a path and frees the inode's blocks.
+    /// Removes a path and frees the inode's blocks, running `before_free`
+    /// on the inode once the path is gone but while the inode still maps
+    /// its blocks.
     ///
     /// # Errors
     ///
     /// Returns [`FsError::NotFound`] if `path` names nothing.
-    pub fn unlink(&self, path: &str) -> Result<InodeId, FsError> {
+    pub fn unlink(&self, path: &str, before_free: impl FnOnce(&Inode)) -> Result<InodeId, FsError> {
         let ino = {
             let mut ns = self.namespace.write();
             ns.remove(path)
                 .ok_or_else(|| FsError::NotFound(path.to_string()))?
         };
-        self.inode(ino).release();
+        let inode = self.inode(ino);
+        before_free(&inode);
+        inode.release();
         Ok(ino)
     }
 
@@ -187,9 +191,9 @@ mod tests {
         let fs = FileSystem::new(FsKind::Ext4Like);
         let ino = fs.create("/a").unwrap();
         assert_eq!(fs.lookup("/a"), Some(ino));
-        assert_eq!(fs.unlink("/a").unwrap(), ino);
+        assert_eq!(fs.unlink("/a", |_| {}).unwrap(), ino);
         assert_eq!(fs.lookup("/a"), None);
-        assert_eq!(fs.unlink("/a"), Err(FsError::NotFound("/a".into())));
+        assert_eq!(fs.unlink("/a", |_| {}), Err(FsError::NotFound("/a".into())));
     }
 
     #[test]
@@ -260,7 +264,7 @@ mod tests {
         fs.create_sized("/f", 1 << 20).unwrap();
         let before = fs.allocated_blocks();
         assert!(before > 0);
-        fs.unlink("/f").unwrap();
+        fs.unlink("/f", |_| {}).unwrap();
         assert_eq!(fs.allocated_blocks(), 0);
     }
 

@@ -81,7 +81,7 @@ proptest! {
                 prop_assert_eq!(result.is_ok(), !exists, "create {}", path);
                 reference.insert(path, true);
             } else {
-                let result = fs.unlink(&path);
+                let result = fs.unlink(&path, |_| {});
                 prop_assert_eq!(result.is_ok(), exists, "unlink {}", path);
                 reference.insert(path, false);
             }

@@ -380,21 +380,24 @@ impl Os {
         }
     }
 
-    /// Removes a file, dropping its cached pages.
+    /// Removes a file, dropping its cached pages. A tiered store forgets
+    /// the file's placement while the inode still maps its blocks, so the
+    /// local copies discarded are the file's own.
     ///
     /// # Errors
     ///
     /// Returns [`FsError::NotFound`] if `path` names nothing.
     pub fn unlink(&self, clock: &mut ThreadClock, path: &str) -> Result<(), FsError> {
         clock.advance(self.config.costs.syscall_ns);
-        let ino = self.fs.unlink(path)?;
+        let ino = self.fs.unlink(path, |inode| {
+            if let Some(tiered) = &self.tiered {
+                tiered.forget_file(inode.ino().0, &|_, lb| inode.map_block(lb));
+            }
+        })?;
         let cache = self.cache(ino);
         let (removed, dirty) = cache.state.write().remove_range(0, u64::MAX / 2);
         self.mem.note_removed(removed);
         self.note_discarded(dirty);
-        if let Some(tiered) = &self.tiered {
-            tiered.forget_file(ino.0, &|_, lb| cache.inode.map_block(lb));
-        }
         Ok(())
     }
 
@@ -851,11 +854,6 @@ impl Os {
         );
     }
 
-    /// [`Os::read_content`] of the file numbered `ino`.
-    pub fn fetch_content_vec(&self, ino: InodeId, offset: u64, len: u64) -> Vec<u8> {
-        self.read_content(&self.fs.inode(ino), offset, len)
-    }
-
     /// Fetches `len` content bytes at `offset` from the backing store
     /// without a time charge — callers must have charged the read via
     /// [`Os::read_charge`] already. Each block's bytes are appended under
@@ -1231,7 +1229,7 @@ mod tests {
     use super::*;
     use crate::FsKind;
     use proptest::prelude::*;
-    use simstore::DeviceConfig;
+    use simstore::{DeviceConfig, Tier};
 
     const FILE_PAGES: u64 = 512;
 
@@ -1387,6 +1385,37 @@ mod tests {
         assert!(routed(&os, ino, 3, 0).is_empty());
     }
 
+    /// Unlinking a file with promoted blocks forgets its placement while
+    /// the inode still maps them: every block goes back to the allocator,
+    /// and the local copies discarded are the file's own.
+    #[test]
+    fn unlinking_a_promoted_file_frees_its_blocks_and_local_copies() {
+        let os = Os::new_tiered(
+            OsConfig::with_memory_mb(64),
+            TieredStore::new(
+                Device::new(DeviceConfig::local_nvme()),
+                Device::new(DeviceConfig::remote_nvmeof()),
+                1 << 20,
+            ),
+            FileSystem::new(FsKind::Ext4Like),
+        );
+        let mut clock = os.new_clock();
+        let fd = os.create_sized(&mut clock, "/promoted", 1 << 20).unwrap();
+        let inode = os.fd_entry(fd).cache.inode.clone();
+        os.write_content(&inode, 0, &[7; 64 * PAGE_SIZE as usize]);
+        os.try_promote_range(&mut clock, inode.ino(), 0, 64)
+            .unwrap();
+        let tiered = os.tiered().unwrap();
+        let local = tiered.device(Tier::Local).store();
+        assert_eq!(tiered.local_resident_blocks(), 64);
+        assert_eq!(local.resident_blocks(), 64);
+        os.close(&mut clock, fd);
+        os.unlink(&mut clock, "/promoted").unwrap();
+        assert_eq!(os.fs().allocated_blocks(), 0);
+        assert_eq!(tiered.local_resident_blocks(), 0);
+        assert_eq!(local.resident_blocks(), 0);
+    }
+
     // ----- the byte path against its per-page oracle ---------------------
 
     const FILE_BYTES: u64 = FILE_PAGES * PAGE_SIZE;
@@ -1499,7 +1528,7 @@ mod tests {
         /// Over a fragmented log-structured file with random promoted words
         /// and random unaligned ranges (partial head and tail pages, written
         /// and never-written blocks): routed `store_content` leaves the same
-        /// bytes as the per-page store, and routed `fetch_content_vec`
+        /// bytes as the per-page store, and routed `read_content`
         /// reads what the per-page fetch reads. After
         /// every op no local modified block has remote bytes. A demotion
         /// afterwards copies back exactly the written local blocks.
@@ -1533,12 +1562,12 @@ mod tests {
                     let len = len.min(FILE_BYTES - offset);
                     let want = fetch_per_page(&oracle_os, ino, offset, len);
                     prop_assert_eq!(&fetch_per_page(&routed_os, ino, offset, len), &want);
-                    prop_assert_eq!(&routed_os.fetch_content_vec(ino, offset, len), &want);
+                    prop_assert_eq!(&routed_os.read_content(&routed_os.fs().inode(ino), offset, len), &want);
                 }
                 assert_modified_local_blocks_own_their_bytes(&routed_os, ino);
             }
             let whole = fetch_per_page(&oracle_os, ino, 0, FILE_BYTES);
-            prop_assert_eq!(&routed_os.fetch_content_vec(ino, 0, FILE_BYTES), &whole);
+            prop_assert_eq!(&routed_os.read_content(&routed_os.fs().inode(ino), 0, FILE_BYTES), &whole);
 
             let local = tiered.local_resident_blocks();
             let map = |f: u64, lb: u64| routed_os.fs().inode(InodeId(f)).map_block(lb);
@@ -1613,7 +1642,7 @@ mod tests {
                 tiered.demote_cold(&mut clock, u64::MAX, &map);
                 os.try_promote_range(&mut clock, ino, 5, 1).unwrap();
             },
-            || os.fetch_content_vec(ino, offset, PAGE_SIZE) == data,
+            || os.read_content(&os.fs().inode(ino), offset, PAGE_SIZE) == data,
         );
         assert_eq!(torn, 0, "{torn} of {reads} reads saw other bytes");
     }
@@ -1639,12 +1668,12 @@ mod tests {
                 next += 1;
                 let data = &writes[next % writes.len()];
                 os.store_content(ino, offset, data);
-                os.fetch_content_vec(ino, offset, len) == *data
+                os.read_content(&os.fs().inode(ino), offset, len) == *data
             },
         );
         assert_eq!(lost, 0, "{lost} of {tries} writes were lost");
         let last = &writes[next % writes.len()];
-        assert_eq!(os.fetch_content_vec(ino, offset, len), *last);
+        assert_eq!(os.read_content(&os.fs().inode(ino), offset, len), *last);
     }
 
     /// Promotion's mirror of the demotion window: a writer follows the
@@ -1693,7 +1722,7 @@ mod tests {
                     let data = &writes[next % writes.len()];
                     os.store_content(ino, offset, data);
                     last[w as usize] = Some(data);
-                    os.fetch_content_vec(ino, offset, PAGE_SIZE) == *data
+                    os.read_content(&os.fs().inode(ino), offset, PAGE_SIZE) == *data
                 };
                 busy.store(false, SeqCst);
                 kept
@@ -1704,7 +1733,7 @@ mod tests {
             if let Some(want) = want {
                 let offset = w * simstore::PLACEMENT_WORD_BLOCKS * PAGE_SIZE;
                 assert_eq!(
-                    os.fetch_content_vec(ino, offset, PAGE_SIZE),
+                    os.read_content(&os.fs().inode(ino), offset, PAGE_SIZE),
                     *want,
                     "word {w}"
                 );

@@ -119,7 +119,7 @@ fn fadvise_willneed_populates_and_dontneed_drops() {
 }
 
 /// The content path: a write charge lands the bytes with `store_content`,
-/// a read charge fetches them with `fetch_content_vec`.
+/// a read charge fetches them with `read_content`.
 fn write(os: &Os, clock: &mut ThreadClock, fd: Fd, offset: u64, data: &[u8]) {
     os.write_charge(clock, fd, offset, data.len() as u64);
     os.store_content(os.fd_inode(fd), offset, data);
@@ -133,7 +133,7 @@ fn write_then_read_round_trips_content() {
     let payload: Vec<u8> = (0..10_000u32).map(|i| (i % 251) as u8).collect();
     write(&os, &mut clock, fd, 3_000, &payload);
     let outcome = os.read_charge(&mut clock, fd, 3_000, payload.len() as u64);
-    let back = os.fetch_content_vec(os.fd_inode(fd), 3_000, outcome.bytes);
+    let back = os.read_content(&os.fs().inode(os.fd_inode(fd)), 3_000, outcome.bytes);
     assert_eq!(back, payload);
 }
 

@@ -184,6 +184,50 @@ fn a_burst_pays_one_miss_and_its_continuations_never_cross() {
     );
 }
 
+/// A burst whose first read hits the cache has no miss at its jump for the
+/// rest of the burst to ride. The descriptor's pacing frontier sits far
+/// ahead of the burst, where an earlier burst left it. The jump's request
+/// is held, and the first continuation's miss carries it: the burst crosses
+/// once and its last two reads absorb. A request handed back to the
+/// predictor instead was asked for on that continuation, behind the stale
+/// frontier, and dropped: the burst crossed three times.
+#[test]
+fn a_burst_whose_first_read_hits_crosses_once_with_the_rest_riding() {
+    let (runtime, mut clock, file) = burst_runtime();
+    let slot = |n: u64| n * (128 << 10);
+    // Descending slots: each burst lies behind the frontier of the last.
+    for n in [900, 800, 700, 600] {
+        for r in 0..4 {
+            file.read_charge(&mut clock, slot(n) + r * 16_384, 16_384);
+        }
+    }
+    let base = slot(100);
+    let other = runtime.open(&mut clock, "/data/bursts.bin").unwrap();
+    other.read_charge(&mut clock, base, 16_384);
+    let before = RuntimeReport::collect(&runtime);
+    let crossings_before = demand_crossings(&runtime);
+    let cached = file.read_charge(&mut clock, base, 16_384);
+    assert_eq!(cached.miss_pages, 0, "the burst's first read is cached");
+    for r in 1..4 {
+        file.read_charge(&mut clock, base + r * 16_384, 16_384);
+    }
+    let after = RuntimeReport::collect(&runtime);
+    assert_eq!(
+        demand_crossings(&runtime) - crossings_before,
+        1,
+        "one crossing: the first continuation's miss"
+    );
+    let misses = after.read_demand_miss.count - before.read_demand_miss.count;
+    assert_eq!(misses, 1);
+    let issued = after.ring_spec_issued - before.ring_spec_issued;
+    let absorbed = after.ring_spec_absorbed - before.ring_spec_absorbed;
+    assert_eq!((issued, absorbed), (1, 1), "the rest rode and was read");
+    assert_eq!(
+        after.ring_spec_pages_charged - before.ring_spec_pages_charged,
+        8
+    );
+}
+
 /// A reader that leaves a run after its first read never comes back for
 /// what the ring pre-issued: the run counts as cancelled, its pages
 /// surface as `wasted` once the cache drops them, and the closed-loop
