@@ -1,7 +1,7 @@
 //! Ablations: the artifact's customization knobs (paper appendix A.6:
 //! predictor counter width, `NR_WORKERS_VAR`, `PREFETCH_SIZE_VAR`) and
 //! every opt-in subsystem added since, off against on: prediction engines,
-//! the completion ring, the tenant arbiter, cross-tier promotion, deferred
+//! the completion ring's rides, the tenant arbiter, cross-tier promotion, deferred
 //! write-back. This bench only prints; the claims its tables illustrate
 //! are gated by `cargo test` (`tests/{engines,ring,tenants,tiering}.rs`).
 
@@ -267,7 +267,7 @@ fn main() {
         );
     }
     report_sweep(
-        "completion ring (zipfian kvprobe, 8 MB cache)",
+        "ring rides off/on (zipfian kvprobe, 8 MB cache; the demand half runs in both)",
         kvprobe,
         &predict,
         &off_on,

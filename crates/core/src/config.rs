@@ -128,15 +128,16 @@ pub struct RuntimeConfig {
     /// Minimum interval (virtual ns) between memory-watcher eviction
     /// scans; reads arriving inside the window skip the scan entirely.
     pub evict_scan_interval_ns: u64,
-    /// Completion-driven I/O ring: fully-cached demand reads are absorbed
-    /// through the exported bitmap without a syscall crossing; demand
-    /// misses cross via one vectored `read_batch` call; and a known run
-    /// ([`predict::Prediction::known_run`]) rides the miss that starts it
-    /// on that crossing. Requires cache visibility (the absorb path reads
-    /// the shared bitmap); ignored on modes without it. Default off: the
-    /// ring changes syscall counts, crossing costs, and therefore the
-    /// virtual timeline — with it off, every new code path is bypassed
-    /// and telemetry is byte-identical to the ring-less runtime.
+    /// Rides on the completion-driven I/O ring: a known run
+    /// ([`predict::Prediction::known_run`]) rides the demand miss that
+    /// starts it on that miss's vectored `read_batch` crossing. The
+    /// ring's demand half needs no knob: every mode with cache
+    /// visibility absorbs fully-cached demand reads through the exported
+    /// bitmap without a crossing and crosses its misses via
+    /// `read_batch`. Ignored on modes without visibility. Default off:
+    /// riders book the device's blocking horizon, which the prefetch
+    /// class otherwise over-commits, so on multi-threaded random reads
+    /// rides cost more than they save (DESIGN §6, §13).
     pub ring_submit: bool,
     /// Multi-tenant prefetch arbitration ([`crate::tenant`]): a tenant
     /// table with QoS classes, per-tenant fair-share prefetch windows

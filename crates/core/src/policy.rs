@@ -59,13 +59,15 @@ pub struct Policy {
     pub scope: LockScope,
     /// Post-read hooks, in execution order.
     pub post_read: Vec<PostReadHook>,
-    /// Completion-driven ring: absorb fully-cached demand reads through
-    /// the exported bitmap, cross demand misses via the vectored
-    /// `read_batch` crossing, and carry a known run on the miss that
-    /// starts it. The absorb path reads
-    /// the shared cache-state bitmap, so the flag is the config knob
-    /// ANDed with the visibility feature.
-    pub ring: bool,
+    /// Whether a known run rides the demand miss that starts it on the
+    /// ring's `read_batch` crossing: the `ring_submit` knob ANDed with
+    /// the visibility feature. The ring's demand half (absorb
+    /// fully-cached reads through the exported bitmap, cross misses via
+    /// `read_batch`) needs no flag of its own: it follows
+    /// `features.visibility`. Rides stay opt-in because riders book the
+    /// device's blocking horizon that the prefetch class otherwise
+    /// over-commits (DESIGN §6, §13).
+    pub ride: bool,
     /// The prediction engine new descriptors are built with. Only
     /// predicting modes consult an engine at all, so non-predict modes
     /// resolve to the (stateless-by-disuse) strided default regardless of
@@ -106,7 +108,7 @@ impl Policy {
             open_action,
             scope,
             post_read,
-            ring: features.visibility && config.ring_submit,
+            ride: features.visibility && config.ring_submit,
             engine: if features.predict {
                 config.engine
             } else {
@@ -190,19 +192,26 @@ mod tests {
 
     #[test]
     fn ring_requires_visibility() {
-        // Off by default everywhere.
-        for mode in Mode::table2() {
-            assert!(!Policy::for_config(&RuntimeConfig::new(mode)).ring);
+        // The demand half follows visibility in every mode, whatever the
+        // knob; rides come only with `ring_submit` on a visibility mode.
+        for mode in Mode::table2().into_iter().chain([Mode::FincoreApp]) {
+            for ring_submit in [false, true] {
+                let mut config = RuntimeConfig::new(mode);
+                config.ring_submit = ring_submit;
+                let policy = Policy::for_config(&config);
+                let visibility = mode.features().visibility;
+                assert_eq!(
+                    policy.features.visibility,
+                    matches!(mode, Mode::Predict | Mode::PredictOpt | Mode::FetchAllOpt),
+                    "{mode:?}: demand half"
+                );
+                assert_eq!(
+                    policy.ride,
+                    visibility && ring_submit,
+                    "{mode:?} ring_submit={ring_submit}: rides"
+                );
+            }
         }
-        // On + visibility: enabled.
-        let mut config = RuntimeConfig::new(Mode::PredictOpt);
-        config.ring_submit = true;
-        assert!(Policy::for_config(&config).ring);
-        // On without visibility (absorb needs the exported bitmap):
-        // stays off.
-        let mut blind = RuntimeConfig::new(Mode::OsOnly);
-        blind.ring_submit = true;
-        assert!(!Policy::for_config(&blind).ring);
     }
 
     #[test]

@@ -88,7 +88,7 @@ pub(crate) struct ReadCtx {
     /// correlation runs, and mining/duel bookkeeping.
     decision: PrefetchDecision,
     /// The known run this access starts (set by the prefetch-plan stage
-    /// when the ring is on), waiting for the demand-fill stage: it rides
+    /// when rides are on), waiting for the demand-fill stage: it rides
     /// the miss's ring crossing, or is handed back to the engine when the
     /// access turns out to need no crossing.
     known_run: Option<Prediction>,
@@ -255,7 +255,7 @@ impl CpFile {
             self.maybe_promote(clock, ctx);
         }
         let decision = std::mem::take(&mut ctx.decision);
-        let crosses = inner.policy.ring && !ctx.is_write && !inner.degraded.load(Ordering::Relaxed);
+        let crosses = inner.policy.ride && !ctx.is_write && !inner.degraded.load(Ordering::Relaxed);
         ctx.known_run = self.apply_decision(clock, decision, ctx.p0, ctx.p1, crosses);
         ctx.close_stage(self, PipelineStage::PrefetchPlan, clock.now());
     }
@@ -348,7 +348,7 @@ impl CpFile {
                     ..ReadOutcome::default()
                 })
         } else {
-            let ring = inner.policy.ring && !inner.degraded.load(Ordering::Relaxed);
+            let ring = inner.policy.features.visibility && !inner.degraded.load(Ordering::Relaxed);
             let mut absorbed = None;
             // Fully-claimed ranges absorb through the shared bitmap — the
             // ring's zero-crossing completion for cache hits and for the
@@ -364,9 +364,10 @@ impl CpFile {
             }
             let known_run = ctx.known_run.take();
             match absorbed {
-                // Everything else crosses — as a vectored ring submission
-                // that carries a known run when the ring is on, or the
-                // plain read syscall when it is off.
+                // Everything else crosses: with visibility, as a vectored
+                // ring submission (carrying a known run when rides are
+                // on); without it, or once `Unsupported` latched the
+                // degradation, as the plain read syscall.
                 None if ring => {
                     let filled = self.ring_fill::<F>(clock, ctx.offset, ctx.len, known_run);
                     filled.map(|(outcome, ridden)| {

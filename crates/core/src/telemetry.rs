@@ -316,9 +316,10 @@ report_fields! {
                 .collect();
     }
     additive ["ring"] {
-        /// Whether the completion-driven ring was enabled (policy-resolved:
-        /// the config knob ANDed with cache visibility).
-        Gauge ring_enabled: bool = "enabled" <= runtime.inner.policy.ring;
+        /// Whether the ring's demand half was enabled: absorb and the
+        /// `read_batch` crossing follow cache visibility (rides, which
+        /// `ring_submit` gates, show as `spec_issued`).
+        Gauge ring_enabled: bool = "enabled" <= runtime.inner.policy.features.visibility;
         /// Demand reads the ring absorbed without a syscall crossing.
         Counter ring_absorbed_reads: u64 = "absorbed_reads" <= os_stats.absorbed_reads.get();
         /// Vectored `read_batch` crossings the OS served (demand entries

@@ -3,10 +3,11 @@
 //! accounting that Figure 6 and Table 1 are built on.
 
 use simos::{
-    Device, DeviceConfig, FileSystem, FsKind, MayFault, Os, OsConfig, RaBatchEntry, RaInfoRequest,
-    PAGE_SIZE,
+    Advice, Device, DeviceConfig, FileSystem, FsKind, MayFault, Os, OsConfig, RaBatchEntry,
+    RaInfoRequest, PAGE_SIZE,
 };
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Barrier};
 
 fn boot(memory_mb: u64) -> Arc<Os> {
     Os::new(
@@ -214,4 +215,118 @@ fn telemetry_counters_are_monotone_under_concurrency() {
         stats.hit_pages.get() + stats.miss_pages.get(),
         8 * 64 * 32 // 128 KiB = 32 pages per read
     );
+}
+
+/// The absorb race gate: reader threads absorb one 64-page range through
+/// the shared bitmap while another thread prefetches it and drops it again
+/// with `fadvise(DontNeed)`, the whole range or only its second half. An
+/// absorb checks the bitmap and classifies the pages under one state lock,
+/// so it returns `Some` only for a range that was whole when it checked,
+/// booked as 64 hits: a reader that saw the range broken for the whole of
+/// its absorb (the churn thread's generation, odd while it mutates, did
+/// not move) must get `None`. A `None` leaves the range untouched and the
+/// reader crosses with `read(2)` for the range's first half instead (with
+/// readahead off, so only the churn thread ever makes the range whole).
+/// Every page read is then booked exactly once, as a hit or a miss, and
+/// the bitmap's popcount still equals the resident count.
+#[test]
+fn absorb_races_prefetch_and_dontneed() {
+    const PAGES: u64 = 64;
+    const READS: u64 = 2_000;
+    const READERS: u64 = 3;
+    let os = boot(256);
+    let mut setup = os.new_clock();
+    os.create_sized(&mut setup, "/a", 4 << 20).unwrap();
+    let len = PAGES * PAGE_SIZE;
+    let start = Barrier::new(READERS as usize + 1);
+    let done = AtomicBool::new(false);
+    // Even: no mutation in flight; 4k: the range broken, 4k + 2: whole.
+    let generation = AtomicU64::new(0);
+
+    let (absorbed, refused) = crossbeam::scope(|scope| {
+        let churn = {
+            let (os, start, done, generation) = (Arc::clone(&os), &start, &done, &generation);
+            scope.spawn(move |_| {
+                let mut clock = os.new_clock();
+                let fd = os.open(&mut clock, "/a").unwrap();
+                let file = os.fd_entry(fd);
+                start.wait();
+                let mut churns = 0u64;
+                while !done.load(Ordering::SeqCst) {
+                    generation.fetch_add(1, Ordering::SeqCst);
+                    let req = RaInfoRequest::prefetch(0, len).with_limit_pages(PAGES);
+                    os.try_readahead_info(&mut clock, &file, req).unwrap();
+                    generation.fetch_add(1, Ordering::SeqCst);
+                    std::thread::yield_now();
+                    generation.fetch_add(1, Ordering::SeqCst);
+                    let from = if churns.is_multiple_of(2) { 0 } else { len / 2 };
+                    os.fadvise(&mut clock, &file, Advice::DontNeed, from, len - from);
+                    generation.fetch_add(1, Ordering::SeqCst);
+                    std::thread::yield_now();
+                    churns += 1;
+                }
+            })
+        };
+        let readers: Vec<_> = (0..READERS)
+            .map(|_| {
+                let (os, start, generation) = (Arc::clone(&os), &start, &generation);
+                scope.spawn(move |_| {
+                    let mut clock = os.new_clock();
+                    let fd = os.open(&mut clock, "/a").unwrap();
+                    let file = os.fd_entry(fd);
+                    os.fadvise(&mut clock, &file, Advice::Random, 0, 0);
+                    let (mut absorbed, mut refused) = (0u64, 0u64);
+                    start.wait();
+                    for _ in 0..READS {
+                        let before = generation.load(Ordering::SeqCst);
+                        let absorb = os.absorb_read(&mut clock, &file, 0, len);
+                        if before % 4 == 0 && generation.load(Ordering::SeqCst) == before {
+                            assert!(absorb.is_none(), "absorbed a range broken throughout");
+                            refused += 1;
+                        }
+                        match absorb {
+                            Some(outcome) => {
+                                assert_eq!(
+                                    (outcome.pages, outcome.hit_pages, outcome.miss_pages),
+                                    (PAGES, PAGES, 0),
+                                    "an absorb served a range that was not whole"
+                                );
+                                absorbed += 1;
+                            }
+                            None => {
+                                let outcome = os.read_charge(&mut clock, fd, 0, len / 2);
+                                assert_eq!(outcome.pages, PAGES / 2);
+                            }
+                        }
+                        std::thread::yield_now();
+                    }
+                    (absorbed, refused)
+                })
+            })
+            .collect();
+        // Stop the churn before a failed reader's panic propagates.
+        let joined: Vec<_> = readers.into_iter().map(|reader| reader.join()).collect();
+        done.store(true, Ordering::SeqCst);
+        churn.join().unwrap();
+        joined
+            .into_iter()
+            .map(|counts| counts.unwrap())
+            .fold((0, 0), |(a, r), (ra, rr)| (a + ra, r + rr))
+    })
+    .unwrap();
+
+    assert!(refused > 0, "no absorb met a range broken throughout");
+    let stats = os.stats();
+    assert_eq!(stats.absorbed_reads.get(), absorbed);
+    let crossed = READERS * READS - absorbed;
+    assert_eq!(stats.reads.get(), crossed);
+    assert_eq!(
+        stats.hit_pages.get() + stats.miss_pages.get(),
+        absorbed * PAGES + crossed * PAGES / 2,
+        "every page read is booked once, as a hit or a miss"
+    );
+    let cache = os.cache(os.fs().lookup("/a").unwrap());
+    let state = cache.state.read();
+    assert_eq!(state.present_in(0, (4 << 20) / PAGE_SIZE), state.resident());
+    assert_eq!(os.mem().resident(), state.resident());
 }

@@ -257,3 +257,37 @@ fn blocking_latency_unaffected_by_prefetch_backlog() {
         "demand read must not queue behind the stream, took {latency}ns"
     );
 }
+
+/// ❌ pinned, not endorsed: the prefetch class over-commits the read
+/// bandwidth. A prefetch read of N bytes and a demand read of N bytes
+/// submitted at the same instant on two clocks both complete by
+/// N / `read_bw` + latency, so the device moves 2N bytes in the time its
+/// bandwidth allows N. A demand read queues only behind other demand
+/// traffic and reserves its transfer on the total horizon after the
+/// prefetch already holds it (DESIGN §6). An 8-thread random-read probe
+/// reads 2.84 GB/s from the 1.4 GB/s device this way; rides, which run
+/// on the blocking horizon, are what lose that headroom, which is why
+/// they stay opt-in (DESIGN §13, ROADMAP item 4). A device model that
+/// bills both classes against one bandwidth fails this test: flip it
+/// then.
+#[test]
+fn prefetch_and_demand_at_one_instant_overcommit_the_read_bandwidth() {
+    let config = DeviceConfig::local_nvme();
+    let device = Device::new(config.clone());
+    let global = Arc::new(GlobalClock::new());
+    let n_bytes = config.max_request_bytes;
+    let blocks = n_bytes / BLOCK_SIZE as u64;
+    let mut prefetcher = ThreadClock::new(Arc::clone(&global));
+    let mut reader = ThreadClock::new(global);
+    device.charge_read(&mut prefetcher, blocks, IoPriority::Prefetch);
+    device.charge_read(&mut reader, blocks, IoPriority::Blocking);
+    let alone = simclock::transfer_ns(n_bytes, config.read_bw) + config.read_request_latency_ns();
+    assert_eq!(prefetcher.now(), alone, "the prefetch read is served alone");
+    assert!(
+        reader.now() <= alone,
+        "the demand read finished at {} ns, after one N-byte transfer ({alone} ns): \
+         the device no longer over-commits, so this ❌ is fixed",
+        reader.now()
+    );
+    assert_eq!(device.stats().read_bytes.get(), 2 * n_bytes);
+}

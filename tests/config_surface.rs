@@ -24,7 +24,7 @@ fn every_config_field_names_who_varies_it() {
         workers: _,                // varied by: ablations, policy_behavior
         evict_min_idle_ns: _,      // varied by: degradation, {policy,runtime}_behavior
         evict_scan_interval_ns: _, // varied by: degradation
-        ring_submit: _,            // varied by: ablations, tests/ring.rs, kv_probe, fleet_open
+        ring_submit: _,            // rides: ablations, tests/ring.rs, kv_probe, fleet_open
         tenants: _,                // varied by: ablations, tests/tenants.rs, fleet_open
         tiering: _,                // varied by: ablations, tests/tiering.rs, tier_rw
     } = RuntimeConfig::new(Mode::PredictOpt);

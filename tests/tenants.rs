@@ -237,19 +237,20 @@ fn no_tenant_starves_under_saturation() {
 
 /// Run pre-issue on time, on [`FleetConfig::mixed_qos`] behind 16 MB of
 /// page cache with the arbiter on: the same predictor asks for the same
-/// runs at the same jumps with the ring off, but there the remainder is a
+/// runs at the same jumps with rides off, but there the remainder is a
 /// prefetch-class request that queues behind the streaming tenants'
 /// windows, and the burst's second read waits it out. Riding the miss's
 /// crossing on the blocking horizon (or, refused, waiting for the first
 /// continuation) must not cost the read tail anything. Measured, seed 42:
-/// read p99.9 119 539 ns with the ring, 191 802 ns without.
+/// read p99.9 119 539 ns with rides, 171 881 ns without (191 802 when
+/// the rides-off path also crossed on every read).
 #[test]
 fn preissue_does_not_lengthen_the_fleet_read_tail() {
     let cfg = FleetConfig::mixed_qos(250 * NS_PER_US);
-    let read_p999 = |ring: bool| {
+    let read_p999 = |ride: bool| {
         let mut config = RuntimeConfig::new(Mode::PredictOpt);
         config.tenants = Some(TenantsConfig::new(cfg.tenant_specs()));
-        config.ring_submit = ring;
+        config.ring_submit = ride;
         let runtime = Runtime::new(boot(16), config);
         setup_fleet(&runtime, &cfg);
         let mut clock = runtime.new_clock();
@@ -257,8 +258,8 @@ fn preissue_does_not_lengthen_the_fleet_read_tail() {
         let issued = runtime.stats().ring_spec_issued.get();
         assert_eq!(
             issued > 0,
-            ring,
-            "bursts pre-issue exactly when the ring is on"
+            ride,
+            "bursts pre-issue exactly when rides are on"
         );
         result.p999_read_ns
     };
@@ -278,23 +279,24 @@ fn preissue_does_not_lengthen_the_fleet_read_tail() {
 /// take 1.52 s of virtual time back to back). The driver is one open-loop
 /// server, so the tail that matters is *response* time (completion minus
 /// arrival, queueing included), not per-read service time. Measured,
-/// seed 42, with bursts asked for at their jump (ring off here, so as
-/// ordinary prefetch): gold response p99 458.8 us arbitrated, 458.8 us
-/// without the arbiter, 26 us alone. The ladder is driven by each
-/// tenant's wasted share, and `mixed_qos` wastes little: the arbiter
-/// coalesces 8 requests, sends 2 blind and denies none. (With the ladder
+/// seed 42, with bursts asked for at their jump (rides off here, so as
+/// ordinary prefetch): gold response p99 440.5 us arbitrated, 440.5 us
+/// without the arbiter, 7.6 us alone (458.8, 458.8 and 26 us when every
+/// read crossed). The ladder is driven by each tenant's wasted share, and
+/// `mixed_qos` wastes little: the arbiter coalesces 5 requests, sends
+/// none blind and denies none. (With the ladder
 /// driven by cache residency it coalesced 1 126, sent 484 blind and
 /// denied 141, and gold read 620.5 us: the denied bronze speculation came
 /// back as demand misses on the one driver.)
 ///
 /// The prefetch-hit ratio is gated where speculation does thrash: on the
 /// oversaturated [`throttled_fleet`] at 8 MiB, arbitration raises it from
-/// 0.8881 to 0.8916 (the residency-driven ladder: 0.9166, at 313 ms gold
-/// response p99 against 195 ms without the arbiter; now 204 ms). On
-/// `mixed_qos` the residency-driven ladder won that comparison (0.958 vs
-/// 0.951) only by denying accurate bronze speculation, which is what
-/// keying the ladder to waste removed; there it now reads 0.9501 vs
-/// 0.9507.
+/// 0.8888 to 0.8903 (the residency-driven ladder: 0.9166, at 313 ms gold
+/// response p99 against 195 ms without the arbiter; now 193 ms against
+/// 177 ms). On `mixed_qos` the residency-driven ladder won that
+/// comparison (0.958 vs 0.951) only by denying accurate bronze
+/// speculation, which is what keying the ladder to waste removed; there
+/// it now reads 0.9555 with the arbiter and without.
 #[test]
 fn arbitration_raises_prefetch_hits_and_bounds_the_gold_response_tail() {
     const GOLD: usize = 3;
@@ -324,7 +326,9 @@ fn arbitration_raises_prefetch_hits_and_bounds_the_gold_response_tail() {
         ..cfg
     };
     let (alone, _) = run(&alone_cfg, 16, true);
-    // Below saturation queueing is bounded: 17.5x the unloaded tail today.
+    // Below saturation queueing is bounded: 58x the unloaded tail today
+    // (17.5x when every read crossed: gold alone reads its hits through
+    // absorb, so its unloaded tail fell 26 -> 7.6 us).
     // (At the 50 us gap the old bench harness offered — 3.6x past
     // saturation — the backlog grows all run and this ratio is 42 000x.)
     assert!(

@@ -413,3 +413,72 @@ fn mixed_read_write_tiered_runs_are_deterministic() {
     assert!(a.promotions_completed > 0, "no promotion completed");
     assert!(a.wb_runs_coalesced > 0, "the daemon never coalesced a run");
 }
+
+/// The byte oracle through the ring's absorb: default-config `+predict` on
+/// a tiered store with deferred write-back. Records are written (some
+/// overwritten in part, off page boundaries) and then re-read while
+/// resident, dirty and then written back, through `try_read`: the
+/// re-reads the view claims complete through `Os::absorb_read` with no
+/// crossing (121 of 128; with every read crossing, as before the demand
+/// half followed visibility, none did), every byte equals the byte last
+/// written, and the dirty ledger balances.
+#[test]
+fn absorbed_rereads_return_the_written_bytes_on_a_tiered_store() {
+    const RECORD: u64 = 4 * PAGE_SIZE;
+    const RECORDS: u64 = 64;
+    let mut os_config = OsConfig::with_memory_mb(32);
+    os_config.writeback = Some(WritebackConfig::default());
+    let os = Os::new_tiered(
+        os_config,
+        TieredStore::new(
+            Device::new(DeviceConfig::local_nvme()),
+            Device::new(DeviceConfig::remote_nvmeof()),
+            512,
+        ),
+        FileSystem::new(FsKind::Ext4Like),
+    );
+    let runtime = Runtime::with_mode(os, Mode::Predict);
+    let mut clock = runtime.new_clock();
+    let size = 2 * RECORDS * RECORD;
+    let file = runtime.create_sized(&mut clock, "/records", size).unwrap();
+    let mut oracle = vec![0u8; size as usize];
+    let mut write = |clock: &mut simclock::ThreadClock, offset: u64, len: u64, seed: u64| {
+        let data: Vec<u8> = (0..len).map(|i| (i * 31 + seed * 7 + 1) as u8).collect();
+        assert_eq!(file.try_write(clock, offset, &data).unwrap(), len);
+        oracle[offset as usize..(offset + len) as usize].copy_from_slice(&data);
+    };
+    // Every other record slot, then a partial overwrite of every fourth
+    // record that straddles a page boundary.
+    for r in 0..RECORDS {
+        write(&mut clock, 2 * r * RECORD, RECORD, r);
+    }
+    for r in (0..RECORDS).step_by(4) {
+        write(&mut clock, 2 * r * RECORD + PAGE_SIZE - 100, 300, r + 1_000);
+    }
+    let absorbed = |runtime: &Runtime| runtime.os().stats().absorbed_reads.get();
+    assert_eq!(absorbed(&runtime), 0, "writes absorb nothing");
+    for pass in 0..2 {
+        if pass == 1 {
+            // The second pass re-reads written-back, still-resident pages.
+            file.fsync(&mut clock);
+        }
+        for r in 0..RECORDS {
+            let offset = 2 * r * RECORD;
+            let bytes = file.try_read(&mut clock, offset, RECORD).unwrap();
+            assert_eq!(
+                bytes,
+                &oracle[offset as usize..(offset + RECORD) as usize],
+                "pass {pass}: record {r} read back other bytes"
+            );
+        }
+    }
+    assert!(absorbed(&runtime) > 0, "no resident re-read absorbed");
+    let os = runtime.os();
+    let s = os.stats();
+    assert_eq!(
+        s.dirtied_pages.get(),
+        s.written_back_pages.get() + s.dropped_dirty_pages.get() + os.mem().dirty(),
+        "dirty ledger out of balance"
+    );
+    assert!(s.written_back_pages.get() > 0, "fsync wrote nothing back");
+}
