@@ -14,6 +14,7 @@ use simos::{
     ReadOutcome, PAGE_SIZE,
 };
 
+use crate::outstanding::Outstanding;
 use crate::runtime::{CpFile, LibFile, Runtime};
 use crate::span::SpanKind;
 use crate::tenant::{AdmissionRung, UNBOUND_TENANT};
@@ -675,6 +676,7 @@ impl CpFile {
     pub(crate) fn ring_fill<F: FaultMode>(
         &self,
         clock: &mut ThreadClock,
+        outstanding: &mut Outstanding,
         offset: u64,
         len: u64,
         known_run: Option<Prediction>,
@@ -682,8 +684,9 @@ impl CpFile {
         let runtime = &self.runtime;
         let mut riders = Vec::new();
         if let Some(pred) = known_run {
+            let p0 = offset / PAGE_SIZE;
             let p1 = (offset + len.max(1)).div_ceil(PAGE_SIZE);
-            self.paced_prefetch(clock, pred, offset / PAGE_SIZE, p1, Some(&mut riders));
+            self.paced_prefetch(clock, outstanding, pred, p0, p1, Some(&mut riders));
             if riders.is_empty() {
                 self.engine.lock().defer_known_run();
             }
@@ -700,8 +703,8 @@ impl CpFile {
                 }
                 let charged = completions.iter().map(|done| done.initiated_pages).sum();
                 runtime.inner.stats.ring_spec_pages_charged.add(charged);
-                if let Some(last) = riders.last() {
-                    self.preissued.store(last.end, Ordering::Relaxed);
+                if !riders.is_empty() {
+                    outstanding.ride_preissued();
                 }
                 match demand {
                     Ok(outcome) => Ok((outcome, Some((riders, completions)))),

@@ -8,6 +8,7 @@ use predict::{AccessObservation, Prediction, PredictionEngine, PrefetchDecision,
 use simclock::ThreadClock;
 use simos::PrefetchQuality;
 
+use crate::outstanding::Outstanding;
 use crate::runtime::CpFile;
 use crate::trace::TraceEventKind;
 
@@ -18,11 +19,6 @@ use crate::trace::TraceEventKind;
 const FEEDBACK_INTERVAL_READS: u64 = 64;
 
 impl CpFile {
-    /// Forgets the outstanding pre-issued run; whether there was one.
-    pub(crate) fn take_preissued(&self) -> bool {
-        self.preissued.swap(0, Ordering::Relaxed) != 0
-    }
-
     /// One engine step for an access of `pages` pages at `page`.
     pub(crate) fn observe(&self, clock: &ThreadClock, page: u64, pages: u64) -> PrefetchDecision {
         let runtime = &self.runtime;
@@ -37,17 +33,17 @@ impl CpFile {
 
     /// Applies an engine decision for the access `[p0, p1)` — the one
     /// place a prediction is routed, for the read and the mapped path
-    /// alike. A jump resets both pacing frontiers to the access, whatever
-    /// carries its request: a frontier an earlier run left ahead says
-    /// nothing about this one. The prediction goes to the paced-frontier
-    /// planner, unless it is a known run and the caller `crosses` the ring
-    /// next: that one is returned, to ride the crossing
-    /// ([`CpFile::ring_fill`]) or go back to the engine. Then the
-    /// non-strided parts, which a strided decision never carries: mined
-    /// runs issued, duels counted, mining dispatched.
+    /// alike. A jump is the record's ([`Outstanding::jump`]), whatever
+    /// carries its request; a ride it cancels is counted here. The
+    /// prediction goes to the paced-frontier planner, unless it is a known
+    /// run and the caller `crosses` the ring next: that one is returned,
+    /// to ride the crossing ([`CpFile::ring_fill`]) or go back to the
+    /// engine. Then the non-strided parts, which a strided decision never
+    /// carries: mined runs issued, duels counted, mining dispatched.
     pub(crate) fn apply_decision(
         &self,
         clock: &mut ThreadClock,
+        outstanding: &mut Outstanding,
         decision: PrefetchDecision,
         p0: u64,
         p1: u64,
@@ -57,17 +53,13 @@ impl CpFile {
         let stats = &inner.stats;
         let mut known_run = None;
         if let Some(pred) = decision.prediction {
-            if pred.jumped {
-                if self.take_preissued() {
-                    inner.stats.ring_spec_cancelled.incr();
-                }
-                self.fwd_frontier.store(p1, Ordering::Relaxed);
-                self.back_frontier.store(p0, Ordering::Relaxed);
+            if pred.jumped && outstanding.jump(p0, p1) {
+                inner.stats.ring_spec_cancelled.incr();
             }
             if crosses && pred.known_run {
                 known_run = Some(pred);
             } else {
-                self.paced_prefetch(clock, pred, p0, p1, None);
+                self.paced_prefetch(clock, outstanding, pred, p0, p1, None);
             }
         }
         for run in &decision.runs {

@@ -55,6 +55,7 @@ mod admit;
 mod config;
 mod engine;
 pub mod metrics;
+mod outstanding;
 pub mod policy;
 pub mod range_index;
 pub mod range_tree;

@@ -34,12 +34,14 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
+use parking_lot::MutexGuard;
 use predict::{AccessPattern, Direction, Prediction, PredictionEngine, PrefetchDecision};
 use simclock::ThreadClock;
 use simos::{FaultMode, ReadOutcome, PAGE_SIZE};
 
 use crate::admit::{Ridden, Rider};
 use crate::metrics::{PipelineStage, ReadClass};
+use crate::outstanding::Outstanding;
 use crate::policy::PostReadHook;
 use crate::runtime::CpFile;
 use crate::trace::{LookupOutcome, TraceEventKind};
@@ -56,7 +58,7 @@ const FINCORE_POLL_INTERVAL: u64 = 32;
 
 /// Per-access pipeline state, built by the classify stage and threaded
 /// through every later stage.
-pub(crate) struct ReadCtx {
+pub(crate) struct ReadCtx<'a> {
     /// Byte offset of the access.
     offset: u64,
     /// Byte length of the access.
@@ -100,11 +102,22 @@ pub(crate) struct ReadCtx {
     /// predict stage): the memory watcher returns only such a run's
     /// consumed words.
     forward_run: bool,
+    /// The descriptor's outstanding speculation, locked by the predict
+    /// stage and held through account: one lock per intercepted access.
+    outstanding: Option<MutexGuard<'a, Outstanding>>,
     /// Virtual time the current stage started (stage-latency base).
     stage_start_ns: u64,
 }
 
-impl ReadCtx {
+impl ReadCtx<'_> {
+    /// The record the predict stage locked; every stage after it runs on
+    /// the intercepted route only.
+    fn outstanding(&mut self) -> &mut Outstanding {
+        self.outstanding
+            .as_deref_mut()
+            .expect("the predict stage locks the record")
+    }
+
     /// Closes the current stage: records its virtual-time cost and starts
     /// timing the next one.
     fn close_stage(&mut self, file: &CpFile, stage: PipelineStage, now: u64) {
@@ -158,7 +171,7 @@ impl CpFile {
         offset: u64,
         len: u64,
         is_write: bool,
-    ) -> ReadCtx {
+    ) -> ReadCtx<'_> {
         let inner = &self.runtime.inner;
         let entry_ns = clock.now();
         // One relaxed load for both views; every emit site below is gated
@@ -198,6 +211,7 @@ impl CpFile {
             known_run: None,
             ridden: None,
             forward_run: false,
+            outstanding: None,
             stage_start_ns: entry_ns,
         };
         ctx.close_stage(self, PipelineStage::Classify, clock.now());
@@ -208,18 +222,20 @@ impl CpFile {
     /// §4.6's per-descriptor pattern classification, generalised to the
     /// pluggable engines), plus the pattern-flip trace event. The strided
     /// engine's step is one clock advance and one `on_access`, nothing
-    /// else.
-    fn stage_predict(&self, clock: &mut ThreadClock, ctx: &mut ReadCtx) {
+    /// else. The descriptor's record is locked here, for the rest of the
+    /// access.
+    fn stage_predict<'a>(&'a self, clock: &mut ThreadClock, ctx: &mut ReadCtx<'a>) {
         let runtime = &self.runtime;
         let inner = &runtime.inner;
+        ctx.outstanding = Some(self.outstanding.lock());
         if inner.policy.features.predict {
             clock.advance(inner.os.config().costs.predictor_step_ns);
             ctx.decision = self.observe(clock, ctx.p0, ctx.pages);
+            // A jump restarts the watcher's run itself (`Outstanding::jump`).
             ctx.forward_run = !ctx.is_write
                 && ctx.decision.prediction.as_ref().is_some_and(|pred| {
                     pred.pattern == AccessPattern::DefinitelySequential
                         && pred.direction == Direction::Forward
-                        && !pred.jumped
                 });
         }
         if ctx.tracing {
@@ -256,7 +272,8 @@ impl CpFile {
         }
         let decision = std::mem::take(&mut ctx.decision);
         let crosses = inner.policy.ride && !ctx.is_write && !inner.degraded.load(Ordering::Relaxed);
-        ctx.known_run = self.apply_decision(clock, decision, ctx.p0, ctx.p1, crosses);
+        let (p0, p1) = (ctx.p0, ctx.p1);
+        ctx.known_run = self.apply_decision(clock, ctx.outstanding(), decision, p0, p1, crosses);
         ctx.close_stage(self, PipelineStage::PrefetchPlan, clock.now());
     }
 
@@ -358,7 +375,7 @@ impl CpFile {
             // waiting on in-flight prefetch.
             if ring && ctx.pages > 0 && ctx.claimed == ctx.pages {
                 absorbed = os.absorb_read(clock, &self.os_file, ctx.offset, ctx.len);
-                if absorbed.is_some() && self.take_preissued() {
+                if absorbed.is_some() && ctx.outstanding().absorbed() {
                     inner.stats.ring_spec_absorbed.incr();
                 }
             }
@@ -369,7 +386,9 @@ impl CpFile {
                 // on); without it, or once `Unsupported` latched the
                 // degradation, as the plain read syscall.
                 None if ring => {
-                    let filled = self.ring_fill::<F>(clock, ctx.offset, ctx.len, known_run);
+                    let (offset, len) = (ctx.offset, ctx.len);
+                    let outstanding = ctx.outstanding();
+                    let filled = self.ring_fill::<F>(clock, outstanding, offset, len, known_run);
                     filled.map(|(outcome, ridden)| {
                         ctx.ridden = ridden;
                         outcome
@@ -457,11 +476,10 @@ impl CpFile {
         }
 
         // A miss inside the frontier-claimed region means the claim is
-        // stale (evicted or never actually covered): reset the pacing
-        // frontier so prefetching re-engages from here.
+        // stale: the record pulls both frontiers back to the access.
+        let (p0, p1) = (ctx.p0, ctx.p1);
         if outcome.miss_pages > 0 {
-            self.fwd_frontier.fetch_min(ctx.p1, Ordering::Relaxed);
-            self.back_frontier.fetch_max(ctx.p0, Ordering::Relaxed);
+            ctx.outstanding().missed(p0, p1);
         }
 
         // Update the user-level view: the pages this access covered are
@@ -489,7 +507,8 @@ impl CpFile {
                 // A read that delivered nothing (past EOF) is no step of
                 // the run.
                 PostReadHook::MemoryWatcher => {
-                    self.watch_memory(clock, ctx.p0, ctx.p1, ctx.forward_run && outcome.pages > 0)
+                    let steady = ctx.forward_run && outcome.pages > 0;
+                    self.watch_memory(clock, ctx.outstanding(), p0, p1, steady)
                 }
             }
         }
@@ -629,79 +648,37 @@ impl CpFile {
         }
     }
 
-    /// Consumption-paced prefetch issuing (the user-space async marker).
-    ///
-    /// The descriptor keeps a *frontier* (how far prefetch has reached in
-    /// the stream's direction) and a *window*. A new request is issued
-    /// when the read position crosses into the trailing half of the
-    /// window before the frontier; each issue may double the window, up
-    /// to the configured and memory-budget limits. A random-classified
-    /// stream collapses the window and frontier. A forward request takes
-    /// `rider` with it ([`crate::Runtime::prefetch_pages`]).
+    /// Consumption-paced prefetch issuing (the user-space async marker):
+    /// the record decides whether and what a prediction asks for
+    /// ([`Outstanding::pace_forward`], [`Outstanding::pace_backward`]);
+    /// a random-classified stream collapses it ([`Outstanding::collapse`]).
+    /// A forward request takes `rider` with it
+    /// ([`crate::Runtime::prefetch_pages`]). `plan` clamps a span from its
+    /// start, so a backward window is clamped to the headroom first.
     pub(crate) fn paced_prefetch(
         &self,
         clock: &mut ThreadClock,
+        outstanding: &mut Outstanding,
         pred: Prediction,
         p0: u64,
         p1: u64,
         rider: Option<&mut Vec<Rider>>,
     ) {
         let runtime = &self.runtime;
-        let inner = &runtime.inner;
-
         if pred.prefetch_pages == 0 {
-            // Random stream: collapse pacing state.
-            self.window_pages.store(0, Ordering::Relaxed);
-            self.fwd_frontier.store(p1, Ordering::Relaxed);
-            self.back_frontier.store(p0, Ordering::Relaxed);
+            outstanding.collapse(p0, p1);
             return;
         }
-
-        let max_pages = inner.config.max_prefetch_pages;
-        let window = self.window_pages.load(Ordering::Relaxed);
-        let next_window = if pred.aggressive {
-            (window * 2).clamp(pred.prefetch_pages, max_pages)
-        } else {
-            pred.prefetch_pages.min(max_pages)
-        };
+        let (file, max_pages) = (&self.file, runtime.inner.config.max_prefetch_pages);
         match pred.direction {
-            Direction::Forward => {
-                // A jump already reset the frontier to the access
-                // (`CpFile::apply_decision`).
-                let start = self.fwd_frontier.load(Ordering::Relaxed).max(p1);
-                let marker = start.saturating_sub(window / 2);
-                if p1 < marker {
-                    return; // plenty prefetched ahead already
-                }
-                let target = p1 + next_window;
-                if target > start {
-                    let want = target - start;
-                    let reached = runtime.prefetch_pages(clock, &self.file, start, want, rider);
-                    self.fwd_frontier.store(reached.max(p1), Ordering::Relaxed);
-                    self.window_pages.store(next_window, Ordering::Relaxed);
-                }
-            }
+            Direction::Forward => outstanding.pace_forward(&pred, p1, max_pages, |from, want| {
+                runtime.prefetch_pages(clock, file, from, want, rider)
+            }),
             Direction::Backward => {
-                let end = self.back_frontier.load(Ordering::Relaxed).min(p0);
-                let marker = end + window / 2;
-                if p0 > marker {
-                    return;
-                }
-                let target = p0.saturating_sub(next_window);
-                if end > target {
-                    // `plan` clamps a span from its start, so a backward
-                    // window is cut here first, keeping the pages next to
-                    // the cursor: the reader reaches them first. The
-                    // frontier moves only as far as the plan reached.
-                    let span = runtime
-                        .headroom_pages()
-                        .map_or(end - target, |headroom| (end - target).min(headroom));
-                    let from = end - span;
-                    let reached = runtime.prefetch_pages(clock, &self.file, from, span, None);
-                    let frontier = if reached == end { from } else { end };
-                    self.back_frontier.store(frontier, Ordering::Relaxed);
-                    self.window_pages.store(next_window, Ordering::Relaxed);
-                }
+                let headroom = runtime.headroom_pages();
+                outstanding.pace_backward(&pred, p0, max_pages, headroom, |from, span| {
+                    runtime.prefetch_pages(clock, file, from, span, None)
+                });
             }
         }
     }
@@ -709,11 +686,10 @@ impl CpFile {
 
 #[cfg(test)]
 mod tests {
-    use std::sync::atomic::Ordering;
-
     use predict::{AccessPattern, Direction, Prediction};
     use simos::{Device, DeviceConfig, FileSystem, FsKind, Os, OsConfig, PAGE_SIZE};
 
+    use crate::outstanding::back_frontier;
     use crate::{Mode, Runtime};
 
     /// A backward window the memory headroom clamps keeps the pages next
@@ -744,7 +720,8 @@ mod tests {
             jumped: true,
             known_run: false,
         };
-        file.paced_prefetch(&mut clock, pred, p0, p0 + 4, None);
+        let mut outstanding = file.outstanding.lock();
+        file.paced_prefetch(&mut clock, &mut outstanding, pred, p0, p0 + 4, None);
         let target = p0 - window;
         let costs = &runtime.os().config().costs;
         let mut requested = |from, to| {
@@ -755,6 +732,6 @@ mod tests {
         assert_eq!(runtime.stats().pages_requested.get(), headroom);
         assert_eq!(requested(p0 - headroom, p0), headroom);
         assert_eq!(requested(target, p0 - headroom), 0);
-        assert_eq!(file.back_frontier.load(Ordering::Relaxed), p0 - headroom);
+        assert_eq!(back_frontier(&outstanding), p0 - headroom);
     }
 }

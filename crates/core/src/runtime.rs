@@ -15,6 +15,7 @@ use simos::{
 
 use crate::config::{Features, Mode, RuntimeConfig};
 use crate::metrics::RuntimeMetrics;
+use crate::outstanding::Outstanding;
 use crate::policy::{OpenAction, Policy};
 use crate::range_index::{BPlusRangeIndex, IndexStats, LockScope};
 use crate::stats::LibStats;
@@ -66,7 +67,9 @@ pub struct LibFile {
 ///
 /// Each handle carries its own prediction [`Engine`] (§4.6's
 /// per-file-descriptor prefetching, generalised to the pluggable engines
-/// in the [`predict`] crate), while the cache view ([`LibFile`]) is shared
+/// in the [`predict`] crate) and one record of its outstanding
+/// speculation (pacing frontiers and window, the ring's pending ride, the
+/// memory watcher's run), while the cache view ([`LibFile`]) is shared
 /// across handles to the same file.
 #[derive(Debug)]
 pub struct CpFile {
@@ -87,23 +90,11 @@ pub struct CpFile {
     /// The timely/late/wasted totals already fed to the engine, so each
     /// feedback call carries only the delta since the previous one.
     pub(crate) fed_quality: Mutex<PrefetchQuality>,
-    /// Pages prefetched ahead of (forward) or behind (backward) the stream
-    /// through this descriptor — the async-marker analogue that paces
-    /// window growth by consumption instead of by access count.
-    pub(crate) fwd_frontier: AtomicU64,
-    pub(crate) back_frontier: AtomicU64,
-    /// Current prefetch window for this descriptor, in pages.
-    pub(crate) window_pages: AtomicU64,
-    /// One past the last page of the run the ring pre-issued with the miss
-    /// that started it, until a continuation is read with no crossing
-    /// (`ring_spec_absorbed`) or the stream jumps away first
-    /// (`ring_spec_cancelled`); 0 = none outstanding.
-    pub(crate) preissued: AtomicU64,
-    /// First page of this descriptor's current forward run the memory
-    /// watcher has not yet returned to the OS (word-aligned). The first
-    /// access, and any read that is not a steady forward run, moves it to
-    /// the next word boundary past the access (`crate::watcher`).
-    pub(crate) run_start: AtomicU64,
+    /// This descriptor's outstanding speculation, changed only through the
+    /// record's transitions ([`Outstanding`]). The read pipeline locks it
+    /// once per access, from its predict stage through account; the mapped
+    /// path once per access.
+    pub(crate) outstanding: Mutex<Outstanding>,
     /// Whether mapped access restored fault-around already.
     mmap_touched: std::sync::atomic::AtomicBool,
     /// Last pattern index the tracer saw for this descriptor
@@ -429,11 +420,7 @@ impl Runtime {
             engine: Mutex::new(engine),
             reads_since_feedback: AtomicU64::new(0),
             fed_quality: Mutex::new(PrefetchQuality::default()),
-            fwd_frontier: AtomicU64::new(0),
-            back_frontier: AtomicU64::new(u64::MAX),
-            window_pages: AtomicU64::new(0),
-            preissued: AtomicU64::new(0),
-            run_start: AtomicU64::new(crate::watcher::NO_RUN),
+            outstanding: Mutex::new(Outstanding::open()),
             mmap_touched: std::sync::atomic::AtomicBool::new(false),
             last_pattern: std::sync::atomic::AtomicU8::new(u8::MAX),
         }
@@ -505,6 +492,14 @@ impl CpFile {
     /// File size in bytes.
     pub fn size(&self) -> u64 {
         self.os_file.cache.inode.size()
+    }
+
+    /// Runs the ring pre-issued through this descriptor that no read has
+    /// absorbed and no jump has cancelled yet (0 or 1): with every open
+    /// descriptor's, it closes the ring's ledger, `ring_spec_issued ==
+    /// ring_spec_absorbed + ring_spec_cancelled + pending`.
+    pub fn rides_pending(&self) -> u64 {
+        u64::from(self.outstanding.lock().ride_pending())
     }
 
     /// Reads `len` bytes at `offset`, timing only (no content).
@@ -672,8 +667,9 @@ impl CpFile {
                     .mark_cached(clock, costs, runtime.scope(), p0, p1);
             }
             // A fault has no ring crossing for a known run to ride.
+            let mut outstanding = self.outstanding.lock();
             let decision = self.observe(clock, p0, p1 - p0);
-            self.apply_decision(clock, decision, p0, p1, false);
+            self.apply_decision(clock, &mut outstanding, decision, p0, p1, false);
             self.maybe_feed_quality();
         }
         outcome
@@ -736,5 +732,33 @@ mod tests {
             );
         }
         assert_eq!(runtime.inner.inner_files().len(), FILES);
+    }
+
+    /// Every `CpFile` field, destructured with no `..`, names its owner. A
+    /// new field is a compile error here first: per-descriptor speculative
+    /// state belongs in the one record (`Outstanding`), not beside it.
+    #[test]
+    fn every_cp_file_field_names_its_owner() {
+        let os = Os::new(
+            OsConfig::with_memory_mb(16),
+            Device::new(DeviceConfig::local_nvme()),
+            FileSystem::new(FsKind::Ext4Like),
+        );
+        let runtime = Runtime::new(os, RuntimeConfig::new(Mode::Predict));
+        let mut clock = runtime.new_clock();
+        let file = runtime.create_sized(&mut clock, "/f", 1 << 16).unwrap();
+        let CpFile {
+            runtime: _,              // the shim: config, policy, workers, stats
+            fd: _,                   // `Drop`: released with the handle
+            os_file: _,              // every syscall the pipeline makes
+            file: _,                 // `LibFile`, shared: the view, `stale_pages`
+            engine: _,               // engine.rs: the predictor, and a held known run
+            engine_feedback: _,      // engine.rs: whether the engine learns
+            reads_since_feedback: _, // engine.rs: the feedback cadence
+            fed_quality: _,          // engine.rs: the quality already fed
+            outstanding: _,          // outstanding.rs: frontiers, window, ride, run
+            mmap_touched: _,         // `mmap_read`: fault-around restored once
+            last_pattern: _,         // read_path.rs predict stage: tracing only
+        } = &file;
     }
 }

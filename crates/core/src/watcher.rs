@@ -17,10 +17,11 @@
 //!    the pressure (it counts these pages too).
 //!
 //! The run is what the descriptor read as one steady forward stream
-//! (`DefinitelySequential`, `Forward`, not `jumped`): the descriptor's
-//! first access and any other access restart it at the next word boundary
-//! past the access, so a burst of a few reads at a random offset never
-//! returns the file below it. A word
+//! (`DefinitelySequential`, `Forward`, not `jumped`), kept in the
+//! descriptor's record ([`Outstanding`]): the descriptor's first access,
+//! a jump and any other access that is not steady restart it at the next
+//! word boundary past the access, so a burst of a few reads at a random
+//! offset never returns the file below it. A word
 //! holding dirty pages is left to write-back, and nothing is returned
 //! while another handle is open on the file: it may still be reading what
 //! this one has passed.
@@ -32,6 +33,7 @@ use simclock::ThreadClock;
 use simos::{Advice, InodeId, PAGE_SIZE};
 use simstore::wordwalk::WORD_BITS;
 
+use crate::outstanding::Outstanding;
 use crate::runtime::{CpFile, LibFile, Runtime};
 use crate::trace::TraceEventKind;
 
@@ -41,10 +43,6 @@ pub(crate) const EVICT_TRIGGER: f64 = 0.10;
 /// The idle-file pass stops evicting once free memory is back at this
 /// fraction of the budget.
 pub(crate) const EVICT_TARGET: f64 = 0.25;
-/// `CpFile::run_start` before the descriptor's first access: the first
-/// access starts a run wherever it lands, even one the predictor calls
-/// steady (it is optimistic at open).
-pub(crate) const NO_RUN: u64 = u64::MAX;
 
 impl Runtime {
     pub(crate) fn free_fraction(&self) -> f64 {
@@ -129,44 +127,37 @@ impl Runtime {
 
 impl CpFile {
     /// The watcher's post-access hook for the access `[p0, p1)`;
-    /// `forward_run` is whether it continued a steady forward read run.
+    /// `forward_run` is whether it continued a steady forward read run
+    /// ([`Outstanding::step_run`]).
     pub(crate) fn watch_memory(
         &self,
         clock: &mut ThreadClock,
+        outstanding: &mut Outstanding,
         p0: u64,
         p1: u64,
         forward_run: bool,
     ) {
-        if !forward_run || self.run_start.load(Ordering::Relaxed) == NO_RUN {
-            let next = p1.next_multiple_of(WORD_BITS);
-            self.run_start.store(next, Ordering::Relaxed);
-        }
+        outstanding.step_run(p1, forward_run);
         let runtime = &self.runtime;
         runtime.maybe_evict(clock, self.file.ino);
         if runtime.free_fraction() < EVICT_TRIGGER {
-            self.drop_behind(clock, p0);
+            self.drop_behind(clock, outstanding, p0);
         }
     }
 
-    /// Returns the oldest whole word of the run behind `p0` to the OS: a
-    /// worker job, reserved one syscall, `DONTNEED`s it and clears it from
-    /// the user-level view. A word with nothing resident or with dirty
-    /// pages is passed over without a job.
-    fn drop_behind(&self, clock: &mut ThreadClock, p0: u64) {
+    /// Returns the oldest whole word of the run behind `p0` to the OS
+    /// ([`Outstanding::take_word_behind`]): a worker job, reserved one
+    /// syscall, `DONTNEED`s it and clears it from the user-level view. A
+    /// word with nothing resident or with dirty pages is passed over
+    /// without a job.
+    fn drop_behind(&self, clock: &mut ThreadClock, outstanding: &mut Outstanding, p0: u64) {
         let file = &self.file;
         if file.handles.load(Ordering::Relaxed) > 1 {
             return;
         }
-        let start = self.run_start.load(Ordering::Relaxed);
-        let end = start + WORD_BITS;
-        if end > p0 / WORD_BITS * WORD_BITS
-            || self
-                .run_start
-                .compare_exchange(start, end, Ordering::Relaxed, Ordering::Relaxed)
-                .is_err()
-        {
+        let Some((start, end)) = outstanding.take_word_behind(p0) else {
             return;
-        }
+        };
         let (resident, dirty) = {
             let state = file.os_file.cache.state.read();
             let dirty = state.dirty_pages() > 0
@@ -201,10 +192,9 @@ impl CpFile {
 
 #[cfg(test)]
 mod tests {
-    use std::sync::atomic::Ordering;
-
     use simos::{Device, DeviceConfig, FileSystem, FsKind, Os, OsConfig, PAGE_SIZE};
 
+    use crate::outstanding::run_start;
     use crate::{Mode, Runtime, RuntimeConfig};
 
     /// A fresh descriptor's first access starts its run past itself, even
@@ -222,8 +212,31 @@ mod tests {
         let file = runtime.create_sized(&mut clock, "/f", 64 << 20).unwrap();
         let (p0, pages) = (1000, 256);
         file.read_charge(&mut clock, p0 * PAGE_SIZE, pages * PAGE_SIZE);
-        let run_start = file.run_start.load(Ordering::Relaxed);
-        assert_eq!(run_start, (p0 + pages).next_multiple_of(64));
+        let run_start = run_start(&file.outstanding.lock());
+        assert_eq!(run_start, Some((p0 + pages).next_multiple_of(64)));
+    }
+
+    /// A jump restarts the run wherever the descriptor makes it, on the
+    /// mapped path too: reads after a mapped jump never inherit the run
+    /// the descriptor's earlier reads left far behind.
+    #[test]
+    fn a_mapped_jump_restarts_the_run_past_itself() {
+        let os = Os::new(
+            OsConfig::with_memory_mb(64),
+            Device::new(DeviceConfig::local_nvme()),
+            FileSystem::new(FsKind::Ext4Like),
+        );
+        let runtime = Runtime::new(os, RuntimeConfig::new(Mode::PredictOpt));
+        let mut clock = runtime.new_clock();
+        let file = runtime.create_sized(&mut clock, "/f", 64 << 20).unwrap();
+        let chunk = 16 << 10;
+        for i in 0..16 {
+            file.read_charge(&mut clock, i * chunk, chunk);
+        }
+        let p0 = 8192;
+        let mapped = file.mmap_read(&mut clock, p0 * PAGE_SIZE, 4 * PAGE_SIZE);
+        let past = (p0 + mapped.pages).next_multiple_of(64);
+        assert_eq!(run_start(&file.outstanding.lock()), Some(past));
     }
 
     /// One returned word leaves both the OS cache and the user-level view,
@@ -246,16 +259,17 @@ mod tests {
         for i in 0..3 * 64 * PAGE_SIZE / chunk {
             file.read_charge(&mut clock, i * chunk, chunk);
         }
-        file.run_start.store(0, Ordering::Relaxed);
+        let mut outstanding = file.outstanding.lock();
+        outstanding.step_run(0, false); // the run starts at page 0
         clock.advance(simclock::NS_PER_SEC); // every worker idle
         let (os, costs, scope) = (runtime.os(), &runtime.os().config().costs, runtime.scope());
         let present = |from, to| os.cache(file.ino()).state.read().present_in(from, to);
         assert_eq!(present(0, 192), 192);
 
         let now = clock.now();
-        file.drop_behind(&mut clock, 192);
+        file.drop_behind(&mut clock, &mut outstanding, 192);
         assert_eq!(clock.now(), now, "the reader pays nothing");
-        assert_eq!(file.run_start.load(Ordering::Relaxed), 64);
+        assert_eq!(run_start(&outstanding), Some(64));
         assert_eq!(runtime.stats().pages_evicted.get(), 64);
         assert_eq!((present(0, 64), present(64, 192)), (0, 128));
         let mut claimed = |from, to| file.file.tree.cached_in(&mut clock, costs, scope, from, to);
@@ -263,16 +277,16 @@ mod tests {
         let next = runtime.workers().dispatch(now, 0, |_| {});
         assert!(next.queue_wait_ns() >= costs.syscall_ns);
 
-        file.drop_behind(&mut clock, 192);
-        file.drop_behind(&mut clock, 192);
-        file.drop_behind(&mut clock, 192);
-        assert_eq!(file.run_start.load(Ordering::Relaxed), 192);
+        file.drop_behind(&mut clock, &mut outstanding, 192);
+        file.drop_behind(&mut clock, &mut outstanding, 192);
+        file.drop_behind(&mut clock, &mut outstanding, 192);
+        assert_eq!(run_start(&outstanding), Some(192));
         assert_eq!(runtime.stats().pages_evicted.get(), 192);
 
         let jobs = runtime.workers().jobs();
-        file.run_start.store(0, Ordering::Relaxed);
-        file.drop_behind(&mut clock, 192);
-        assert_eq!(file.run_start.load(Ordering::Relaxed), 64);
+        outstanding.step_run(0, false);
+        file.drop_behind(&mut clock, &mut outstanding, 192);
+        assert_eq!(run_start(&outstanding), Some(64));
         assert_eq!(runtime.workers().jobs(), jobs, "nothing resident, no job");
     }
 
@@ -313,8 +327,8 @@ mod tests {
         assert_eq!(cache.state.read().present_in(last_word, last_word + 64), 64);
         let past = (size + chunk) / PAGE_SIZE;
         assert_eq!(
-            file.run_start.load(Ordering::Relaxed),
-            past.next_multiple_of(64)
+            run_start(&file.outstanding.lock()),
+            Some(past.next_multiple_of(64))
         );
     }
 }
