@@ -108,10 +108,12 @@ impl Runtime {
     }
 
     /// Dispatches a cross-tier promotion job: a background remote→local
-    /// copy of a planner-approved predicted-hot range, on the worker pool.
+    /// copy of a planner-approved range (a stream's predicted window or a
+    /// range that missed again within reach), on the worker pool.
     /// Transient faults walk the prefetch retry ladder; giving up leaves
-    /// the placement map unchanged. Pages a completed copy publishes are
-    /// billed as prefetch-initiated, keeping the quality ledger whole.
+    /// the placement map unchanged. Pages a completed copy newly inserts
+    /// into the cache are billed as prefetch-initiated, keeping the
+    /// quality ledger whole.
     pub(crate) fn dispatch_promotion(
         &self,
         clock: &mut ThreadClock,
@@ -573,6 +575,10 @@ impl Runtime {
     fn ring_degrade(&self, clock: &mut ThreadClock, riders: Vec<Rider>, ino: InodeId) {
         let inner = &self.inner;
         self.latch_degraded(clock.now(), ino);
+        // A ride re-issued blind leaves the ring: booked cancelled.
+        if !riders.is_empty() {
+            inner.stats.ring_spec_cancelled.incr();
+        }
         let est_ns = inner.os.config().costs.syscall_ns;
         for run in riders {
             let runtime = self.clone();
@@ -698,6 +704,9 @@ impl CpFile {
             Ok((mut outcomes, completions)) => {
                 let demand = outcomes.pop().unwrap_or(Ok(ReadOutcome::default()));
                 if completions.iter().any(|done| done.error.is_some()) {
+                    // The ride leaves the ring for a worker and never
+                    // becomes pending: the ledger books it cancelled.
+                    runtime.inner.stats.ring_spec_cancelled.incr();
                     runtime.retry_faulted_riders(clock, riders, completions);
                     return demand.map(|outcome| (outcome, None));
                 }

@@ -482,6 +482,15 @@ impl CpFile {
             ctx.outstanding().missed(p0, p1);
         }
 
+        // Heat promotion (tiering on only): a read whose range missed
+        // again within the local tier's reach is copied local, beside
+        // the stream frontier rather than through it.
+        if let Some(planner) = &inner.planner {
+            if !ctx.is_write && planner.remissed(self.file.ino.0, p0, outcome.miss_pages) {
+                runtime.dispatch_promotion(clock, &self.file, p0, outcome.pages);
+            }
+        }
+
         // Update the user-level view: the pages this access covered are
         // now cached. A read covers what the OS delivered after clamping
         // to the file (nothing for an empty or past-EOF read); a write's

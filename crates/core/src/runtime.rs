@@ -173,7 +173,11 @@ impl Runtime {
         let tenants = config.tenants.clone().map(TenantArbiter::new);
         // Promotion needs somewhere to promote *to*: a tiering config on
         // an un-tiered OS builds no planner (and no new code path runs).
-        let planner = (config.tiering.is_some() && os.tiered().is_some()).then(TierPlanner::new);
+        // The heat path reaches back as far as the local tier holds.
+        let planner = os
+            .tiered()
+            .filter(|_| config.tiering.is_some())
+            .map(|tiered| TierPlanner::with_reach(tiered.local_capacity_blocks()));
         Self {
             inner: Arc::new(RuntimeInner {
                 os,

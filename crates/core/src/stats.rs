@@ -51,7 +51,9 @@ pub struct LibStats {
     /// Pre-issued runs whose continuation was read with no crossing.
     pub ring_spec_absorbed: Counter,
     /// Pre-issued runs the stream left before any continuation absorbed
-    /// (their pages surface as `wasted` unless something else reads them).
+    /// (their pages surface as `wasted` unless something else reads them),
+    /// and rides that left the ring for a worker without becoming pending:
+    /// a crossing whose rider faulted, a degraded kernel's blind re-issue.
     pub ring_spec_cancelled: Counter,
     /// Pages pre-issued runs initiated, billed to `pages_initiated` like
     /// any prefetched page.
@@ -69,13 +71,16 @@ pub struct LibStats {
     /// Adaptive-engine ownership changes (a duel crowned a new engine).
     pub engine_ownership_flips: Counter,
     /// Cross-tier promotion jobs dispatched to the worker pool
-    /// ([`crate::tiering::TierPlanner`]-approved predicted-hot ranges).
+    /// ([`crate::tiering::TierPlanner`]-approved ranges: a stream's
+    /// predicted window, or a range that missed again within reach).
     pub promotions_issued: Counter,
     /// Promotion jobs whose remote→local copy completed (possibly copying
     /// zero new pages when demand reads beat the worker to the range).
     pub promotions_completed: Counter,
-    /// Pages promotion jobs published into the cache (billed as
-    /// prefetch-initiated pages, so the quality ledger identity holds).
+    /// Pages promotion jobs newly inserted into the page cache (billed as
+    /// prefetch-initiated pages, so the quality ledger identity holds). A
+    /// heat promotion copies a range its read just cached, so it inserts
+    /// none: the store's `promoted_blocks` is what grows.
     pub promotion_pages: Counter,
     /// Promotion attempts retried after a transient remote-device error.
     pub promotion_retries: Counter,

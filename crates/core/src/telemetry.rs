@@ -332,7 +332,9 @@ report_fields! {
         Counter ring_spec_issued: u64 = "spec_issued" <= stats.ring_spec_issued.get();
         /// Pre-issued runs whose continuation read crossed nothing.
         Counter ring_spec_absorbed: u64 = "spec_absorbed" <= stats.ring_spec_absorbed.get();
-        /// Pre-issued runs the stream left before absorbing from them.
+        /// Pre-issued runs the stream left before absorbing from them, or
+        /// that left the ring for a worker (a faulted rider's retry, a
+        /// degraded kernel's blind re-issue).
         Counter ring_spec_cancelled: u64 = "spec_cancelled" <= stats.ring_spec_cancelled.get();
         /// Pages pre-issued runs initiated (billed as prefetch).
         Counter ring_spec_pages_charged: u64 = "spec_pages_charged" <= stats.ring_spec_pages_charged.get();
@@ -402,8 +404,10 @@ report_fields! {
         Counter promotions_issued: u64 = "issued" <= stats.promotions_issued.get();
         /// Promotion jobs whose remote→local copy completed.
         Counter promotions_completed: u64 = "completed" <= stats.promotions_completed.get();
-        /// Pages completed promotions published into the cache (billed as
-        /// prefetch-initiated).
+        /// Pages completed promotions newly inserted into the page cache
+        /// (billed as prefetch-initiated). A heat promotion copies a range
+        /// its read just cached and inserts none: its blocks show in
+        /// `blocks`, not here.
         Counter promotion_pages: u64 = "pages" <= stats.promotion_pages.get();
         /// Promotion attempts retried after a transient remote fault.
         Counter promotion_retries: u64 = "retries" <= stats.promotion_retries.get();

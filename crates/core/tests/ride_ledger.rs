@@ -3,11 +3,13 @@
 //! crossing, cancelled by a jump away, or still pending on its descriptor,
 //! so `ring_spec_issued == ring_spec_absorbed + ring_spec_cancelled +
 //! pending`. A pre-issue that replaced a pending run without counting it
-//! would break the balance at the access that made it.
+//! would break the balance at the access that made it. Under faults a
+//! ride whose crossing faulted leaves the ring for a worker's retry
+//! without becoming pending, and is booked cancelled there.
 
 use crossprefetch::{
-    CpFile, Device, DeviceConfig, EngineKind, FileSystem, FsKind, Mode, Os, OsConfig, Runtime,
-    RuntimeConfig, PAGE_SIZE,
+    CpFile, Device, DeviceConfig, EngineKind, FaultPlan, FileSystem, FsKind, Mode, Os, OsConfig,
+    Runtime, RuntimeConfig, PAGE_SIZE,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -84,4 +86,43 @@ fn every_preissued_run_is_absorbed_cancelled_or_pending() {
         assert!(absorbed > 0, "{engine:?}: no ride was absorbed");
         assert!(cancelled > 0, "{engine:?}: no ride was cancelled");
     }
+}
+
+/// The faulted burst stream: bursts of four 16 KiB reads at scattered
+/// 128 KiB-aligned bases of a 128 MiB file, with a demand-class EIO drawn
+/// at 0.3, so some riders fault where the miss they rode with did not.
+/// Every surfaced EIO is retried by the application. The ledger balances
+/// after every read, faulted ones included, and faulted rides are booked.
+#[test]
+fn a_faulted_ride_is_booked_cancelled_where_it_leaves_the_ring() {
+    let plan = FaultPlan::seeded(11).with_demand_eio(0.3);
+    let os = Os::new(
+        OsConfig::with_memory_mb(64),
+        Device::with_fault_plan(DeviceConfig::local_nvme(), plan),
+        FileSystem::new(FsKind::Ext4Like),
+    );
+    let mut config = RuntimeConfig::new(Mode::Predict);
+    config.ring_submit = true;
+    let runtime = Runtime::new(os, config);
+    let mut clock = runtime.new_clock();
+    let file = runtime
+        .create_sized(&mut clock, "/data/bursts.bin", 128 << 20)
+        .unwrap();
+    for n in 0..200u64 {
+        let base = (n * 7919 % 1000) * (128 << 10);
+        for r in 0..4 {
+            let offset = base + r * 16_384;
+            while file.try_read_charge(&mut clock, offset, 16_384).is_err() {
+                assert_balanced(&runtime, &file, (n, offset / PAGE_SIZE));
+            }
+            assert_balanced(&runtime, &file, (n, offset / PAGE_SIZE));
+        }
+    }
+    let stats = runtime.stats();
+    assert!(stats.prefetch_retries.get() > 0, "no rider faulted");
+    assert!(
+        stats.ring_spec_cancelled.get() > 0,
+        "no faulted ride was booked"
+    );
+    assert!(stats.ring_spec_absorbed.get() > 0, "no ride was absorbed");
 }

@@ -293,26 +293,31 @@ impl CacheState {
         self.dirty_since_ns
     }
 
-    /// Removes `[start, end)` from the cache. Returns `(removed, dirty)`
-    /// counts; dirty pages removed must be written back by the caller.
-    pub fn remove_range(&mut self, start: u64, end: u64) -> (u64, u64) {
+    /// Removes `[start, end)` from the cache. Returns the pages removed
+    /// and the maximal runs of dirty pages among them, which the caller
+    /// must write back (or discard).
+    pub fn remove_range(&mut self, start: u64, end: u64) -> (u64, Vec<PageRange>) {
         let (mut removed, mut dirty) = (0, 0);
+        let mut dirty_runs = Vec::new();
         for (w, mask) in self.spans(start, end) {
             let gone = self.words[w] & mask;
             self.words[w] &= !gone;
             removed += u64::from(gone.count_ones());
-            dirty += u64::from((self.dirty[w] & gone).count_ones());
+            let gone_dirty = self.dirty[w] & gone;
+            dirty += u64::from(gone_dirty.count_ones());
+            push_set_runs(&mut dirty_runs, w, gone_dirty);
             self.dirty[w] &= !gone;
             self.quality.wasted += u64::from((self.speculative[w] & gone).count_ones());
             self.speculative[w] &= !gone;
         }
         self.resident -= removed;
         self.settle_dirty(dirty);
-        (removed, dirty)
+        (removed, dirty_runs)
     }
 
-    /// Evicts one whole word by index. Returns `(removed, dirty)`.
-    pub fn evict_word(&mut self, widx: usize) -> (u64, u64) {
+    /// Evicts one whole word by index. Returns what
+    /// [`CacheState::remove_range`] returns.
+    pub fn evict_word(&mut self, widx: usize) -> (u64, Vec<PageRange>) {
         let start = widx as u64 * PAGES_PER_WORD;
         self.remove_range(start, start + PAGES_PER_WORD)
     }
@@ -511,9 +516,21 @@ mod tests {
         cache.insert_range(0, 10, 0, 0);
         cache.mark_dirty(0, 3, 10);
         let (removed, dirty) = cache.remove_range(0, 5);
-        assert_eq!((removed, dirty), (5, 3));
+        assert_eq!((removed, dirty), (5, vec![(0, 3)]));
         assert_eq!(cache.resident(), 5);
         assert_eq!(cache.dirty_pages(), 0);
+    }
+
+    #[test]
+    fn removed_dirty_runs_stay_maximal_across_words() {
+        let mut cache = CacheState::default();
+        cache.insert_range(0, 200, 0, 0);
+        cache.mark_dirty(60, 70, 10);
+        cache.mark_dirty(72, 130, 10);
+        let (removed, dirty) = cache.remove_range(62, 190);
+        assert_eq!(removed, 128);
+        assert_eq!(dirty, vec![(62, 70), (72, 130)]);
+        assert_eq!(cache.dirty_runs(), vec![(60, 62)]);
     }
 
     #[test]
@@ -521,7 +538,7 @@ mod tests {
         let mut cache = CacheState::default();
         cache.insert_range(0, 4, 0, 0);
         let (removed, dirty) = cache.remove_range(0, 1_000_000);
-        assert_eq!((removed, dirty), (4, 0));
+        assert_eq!((removed, dirty), (4, vec![]));
     }
 
     #[test]

@@ -397,7 +397,7 @@ impl Os {
         let cache = self.cache(ino);
         let (removed, dirty) = cache.state.write().remove_range(0, u64::MAX / 2);
         self.mem.note_removed(removed);
-        self.note_discarded(dirty);
+        self.note_discarded(dirty.iter().map(|&(s, e)| e - s).sum());
         Ok(())
     }
 
@@ -1067,7 +1067,7 @@ impl Os {
                     clock.advance_to(access.end_ns);
                 }
                 self.mem.note_removed(removed);
-                self.flush_dropped(clock, dirty, false);
+                self.flush_dropped(clock, &[(&cache.inode, dirty)], false);
                 self.stats.evicted_by_advice.add(removed);
                 return removed;
             }
@@ -1135,13 +1135,16 @@ impl Os {
     /// `echo 3 > /proc/sys/vm/drop_caches` analogue the paper uses to
     /// clear the page cache before each experiment.
     pub fn drop_caches(&self, clock: &mut ThreadClock) {
-        let mut dirty_total = 0;
-        for cache in self.all_caches() {
+        let caches = self.all_caches();
+        let mut dropped = Vec::new();
+        for cache in &caches {
             let (removed, dirty) = cache.state.write().remove_range(0, u64::MAX / 2);
             self.mem.note_removed(removed);
-            dirty_total += dirty;
+            if !dirty.is_empty() {
+                dropped.push((&*cache.inode, dirty));
+            }
         }
-        self.flush_dropped(clock, dirty_total, true);
+        self.flush_dropped(clock, &dropped, true);
     }
 
     /// Synchronous reclaim down to the watermark, charged to `clock`.
@@ -1155,7 +1158,7 @@ impl Os {
         let caches = self.all_caches();
         let victims = select_victims(&caches, target);
         let costs = &self.config.costs;
-        let mut dirty_total = 0;
+        let mut dropped = Vec::new();
         let mut freed_total = 0;
         for (_, idx, widx, _) in victims {
             let cache = &caches[idx];
@@ -1169,7 +1172,9 @@ impl Os {
             clock.advance_to(access.end_ns);
             self.mem.note_removed(removed);
             self.mem.evicted.add(removed);
-            dirty_total += dirty;
+            if !dirty.is_empty() {
+                dropped.push((&*cache.inode, dirty));
+            }
             freed_total += removed;
         }
         self.stats
@@ -1189,7 +1194,7 @@ impl Os {
                 freed_pages: freed_total,
             },
         );
-        self.flush_dropped(clock, dirty_total, false);
+        self.flush_dropped(clock, &dropped, false);
     }
 
     /// Aggregate lock wait time (tree + bitmap + mmap) in nanoseconds —

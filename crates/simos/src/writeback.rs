@@ -2,19 +2,20 @@
 //!
 //! Writes absorb into the page cache; [`Os::flush_runs`] writes a file's
 //! dirty runs back when a [`FlushCause`] forces it, and
-//! [`Os::flush_dropped`] writes back the dirty pages an eviction path
-//! removed. This module owns the dirty ledger,
-//! `dirtied == written_back + dropped + dirty now`: three calls make every
-//! transition, each moving the dirty gauge and its `OsStats` counter
-//! together ([`Os::note_dirtied`], [`Os::note_written_back`],
+//! [`Os::flush_dropped`] writes back the dirty runs an eviction path
+//! removed, each to the tier that holds it. This module owns the dirty
+//! ledger, `dirtied == written_back + dropped + dirty now`: three calls
+//! make every transition, each moving the dirty gauge and its `OsStats`
+//! counter together ([`Os::note_dirtied`], [`Os::note_written_back`],
 //! [`Os::note_discarded`]).
 
 use std::sync::Arc;
 
 use simclock::{Counter, ThreadClock};
-use simstore::IoPriority;
+use simfs::Inode;
+use simstore::{Device, IoPriority};
 
-use crate::cache::InodeCache;
+use crate::cache::{InodeCache, PageRange};
 use crate::error::IoError;
 use crate::os::{into_ok, FaultMode, Fd, FdEntry, MayFault, NeverFault, Os, PAGE_SIZE};
 use crate::stats::OsStats;
@@ -260,13 +261,33 @@ impl Os {
         self.emit_window(io.now(), OsSpanKind::WritebackFlush, io.now() - t0);
     }
 
-    /// The drop flush: writes back `pages` dirty pages an eviction path
+    /// The drop flush: writes back the dirty runs an eviction path
     /// (`fadvise(DONTNEED)`, `drop_caches`, reclaim) removed from the
-    /// cache. It knows a page count but no extents, so it charges one
-    /// write of `pages` to the default device: on the caller's clock at
-    /// demand priority when `sync`, detached from it at background
-    /// priority otherwise.
-    pub(crate) fn flush_dropped(&self, clock: &mut ThreadClock, pages: u64, sync: bool) {
+    /// cache, each run given with its file. Every run is routed through
+    /// [`Os::tier_runs`], as the run flush routes, and each device is
+    /// charged one write of the pages it holds: one write on an un-tiered
+    /// OS, at most one per tier on a tiered one. The write lands on the
+    /// caller's clock at demand priority when `sync`, detached from it at
+    /// background priority otherwise.
+    pub(crate) fn flush_dropped(
+        &self,
+        clock: &mut ThreadClock,
+        dropped: &[(&Inode, Vec<PageRange>)],
+        sync: bool,
+    ) {
+        let mut per_device: Vec<(&Arc<Device>, u64)> = Vec::new();
+        for (inode, runs) in dropped {
+            for &(s, e) in runs {
+                into_ok(self.tier_runs(inode, s, e - s, None, |_, count, device| {
+                    match per_device.iter_mut().find(|(d, _)| Arc::ptr_eq(d, device)) {
+                        Some((_, pages)) => *pages += count,
+                        None => per_device.push((device, count)),
+                    }
+                    Ok(())
+                }));
+            }
+        }
+        let pages: u64 = per_device.iter().map(|&(_, pages)| pages).sum();
         if pages == 0 {
             return;
         }
@@ -278,7 +299,9 @@ impl Os {
         } else {
             (&mut detached, IoPriority::Prefetch)
         };
-        self.device().charge_write(io, pages, priority);
+        for (device, pages) in per_device {
+            device.charge_write(io, pages, priority);
+        }
     }
 
     /// Ledger: a write newly dirtied `pages`.

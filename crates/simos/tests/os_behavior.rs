@@ -3,7 +3,8 @@
 
 use simclock::ThreadClock;
 use simos::{
-    Advice, Device, DeviceConfig, Fd, FileSystem, FsKind, Os, OsConfig, WritebackConfig, PAGE_SIZE,
+    Advice, Device, DeviceConfig, Fd, FileSystem, FsKind, Os, OsConfig, Tier, TieredStore,
+    WritebackConfig, PAGE_SIZE,
 };
 use std::sync::Arc;
 
@@ -638,4 +639,99 @@ fn each_flush_cause_bumps_only_its_own_counter() {
             "{name}: dirty ledger out of balance"
         );
     }
+}
+
+/// The drop flush bills each tier the dropped dirty pages it holds:
+/// `fadvise(DONTNEED)`, reclaim and `drop_caches` each write what a
+/// per-page walk of the placement map finds on each tier, one write per
+/// tier holding any. The file alternates 64-page local and remote words;
+/// nothing but the drop flush writes (run flushes are held off).
+#[test]
+fn a_drop_flush_bills_each_tier_what_a_per_page_walk_finds() {
+    const PAGES: u64 = 1024;
+    let mut config = OsConfig::with_memory_mb(2);
+    config.writeback = Some(WritebackConfig {
+        file_dirty_threshold_pages: 1 << 20,
+        background_dirty_pages: 1 << 20,
+        write_through: false,
+    });
+    let store = TieredStore::new(
+        Device::new(DeviceConfig::local_nvme()),
+        Device::new(DeviceConfig::remote_nvmeof()),
+        PAGES,
+    );
+    let os = Os::new_tiered(config, store, FileSystem::new(FsKind::Ext4Like));
+    let mut clock = os.new_clock();
+    let fd = os
+        .create_sized(&mut clock, "/tiers", PAGES * PAGE_SIZE)
+        .unwrap();
+    let entry = os.fd_entry(fd);
+    let ino = entry.cache.inode.ino();
+    for start in (0..PAGES).step_by(128) {
+        assert_eq!(
+            os.try_promote_range(&mut clock, ino, start, 64).unwrap(),
+            64
+        );
+    }
+    os.drop_caches(&mut clock);
+    let tiered = Arc::clone(os.tiered().unwrap());
+    let writes = || {
+        [Tier::Local, Tier::Remote].map(|tier| {
+            let stats = tiered.device(tier).stats();
+            (stats.write_requests.get(), stats.write_bytes.get())
+        })
+    };
+    let dirty = || -> Vec<u64> {
+        let runs = entry.cache.state.read().dirty_runs();
+        runs.into_iter().flat_map(|(s, e)| s..e).collect()
+    };
+    let mut billed = [0u64; 2];
+    let mut check = |label: &str, op: &mut dyn FnMut(&mut ThreadClock)| {
+        let (before, writes_before) = (dirty(), writes());
+        op(&mut clock);
+        let after = dirty();
+        let mut pages = [0u64; 2];
+        for page in before.iter().filter(|p| !after.contains(p)) {
+            let tier = tiered.tier_of(ino.0, *page);
+            pages[usize::from(tier == Tier::Remote)] += 1;
+        }
+        let writes_after = writes();
+        for t in 0..2 {
+            let want = (u64::from(pages[t] > 0), pages[t] * PAGE_SIZE);
+            let got = (
+                writes_after[t].0 - writes_before[t].0,
+                writes_after[t].1 - writes_before[t].1,
+            );
+            assert_eq!(
+                got, want,
+                "{label}: tier {t} billed {got:?}, walk finds {want:?}"
+            );
+            billed[t] += pages[t];
+        }
+    };
+    for page in (0..200).step_by(2) {
+        check("write", &mut |c| {
+            os.write_charge(c, fd, page * PAGE_SIZE, PAGE_SIZE);
+        });
+    }
+    check("fadvise", &mut |c| {
+        os.fadvise(c, &entry, Advice::DontNeed, 32 * PAGE_SIZE, 128 * PAGE_SIZE);
+    });
+    for page in (200..PAGES).step_by(8) {
+        check("write + reclaim", &mut |c| {
+            os.write_charge(c, fd, page * PAGE_SIZE, 8 * PAGE_SIZE);
+        });
+    }
+    check("drop_caches", &mut |c| os.drop_caches(c));
+    let stats = os.stats();
+    assert!(
+        billed[0] > 0 && billed[1] > 0,
+        "both tiers billed: {billed:?}"
+    );
+    assert!(
+        stats.wb_flush_drop.get() >= 3,
+        "fadvise, reclaim and drop_caches flushed"
+    );
+    assert!(os.mem().evicted.get() > 0, "reclaim never ran");
+    assert_eq!(stats.wb_runs_flushed.get(), 0, "a run flush wrote");
 }

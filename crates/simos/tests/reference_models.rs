@@ -130,12 +130,21 @@ impl PageModel {
         cleaned
     }
 
-    fn remove_range(&mut self, start: u64, end: u64) -> (u64, u64) {
-        let (mut removed, mut dirty) = (0, 0);
+    /// Pages removed and the removed dirty pages as maximal runs, built
+    /// page by page.
+    fn remove_range(&mut self, start: u64, end: u64) -> (u64, Vec<(u64, u64)>) {
+        let mut removed = 0;
+        let mut dirty: Vec<(u64, u64)> = Vec::new();
         for p in Self::pages(start, end) {
             if std::mem::take(&mut self.present[p]) {
                 removed += 1;
-                dirty += u64::from(std::mem::take(&mut self.dirty[p]));
+                if std::mem::take(&mut self.dirty[p]) {
+                    let page = p as u64;
+                    match dirty.last_mut() {
+                        Some(run) if run.1 == page => run.1 += 1,
+                        _ => dirty.push((page, page + 1)),
+                    }
+                }
                 self.quality.wasted += u64::from(std::mem::take(&mut self.speculative[p]));
             }
         }

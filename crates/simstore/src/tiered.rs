@@ -43,7 +43,8 @@
 //! demotion takes a resolver closure), keeping this crate at the bottom of
 //! the stack.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -442,21 +443,24 @@ impl TieredStore {
             .iter()
             .map(|(&file, p)| (file, Arc::clone(p)))
             .collect();
-        let mut victims: Vec<(u64, u64, u64)> = Vec::new(); // (touch, file, word)
+        let mut victims: Vec<Reverse<(u64, u64, u64)>> = Vec::new(); // (touch, file, word)
         for (file, placement) in &snapshot {
             let guard = placement.lock();
             for (&word, w) in &guard.words {
                 if w.local != 0 {
-                    victims.push((w.touch_ns, *file, word));
+                    victims.push(Reverse((w.touch_ns, *file, word)));
                 }
             }
         }
-        victims.sort_unstable();
+        // Coldest first, in the order a full sort gives (the keys are
+        // unique), but ordering only the words that are demoted: a
+        // promotion usually needs one.
+        let mut victims = BinaryHeap::from(victims);
         let mut freed = 0u64;
-        for (_, file, word) in victims {
-            if freed >= target {
+        while freed < target {
+            let Some(Reverse((_, file, word))) = victims.pop() else {
                 break;
-            }
+            };
             let placement = self.placement(file);
             freed += self.demote_word(clock, file, &placement, word, map_block);
         }

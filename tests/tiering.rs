@@ -1,14 +1,19 @@
 //! Tiered-store suite: knob inertness of `RuntimeConfig::tiering`,
-//! cross-tier promotion of predicted-hot ranges, remote-fault degradation
-//! through the retry ladder, the dirty-page ledger invariant, write-back
-//! coalescing, and mixed read/write same-seed determinism.
+//! cross-tier promotion of predicted-hot ranges and of ranges that miss
+//! again within the local tier's reach, remote-fault degradation through
+//! the retry ladder, the dirty-page ledger invariant, write-back
+//! coalescing, mixed read/write same-seed determinism, and readers racing
+//! tier moves.
 
 use cp_bench::{boot, boot_tiered};
 use crossprefetch::{
     Mode, Runtime, RuntimeConfig, RuntimeReport, Tier, TieredStore, TieringConfig, WritebackConfig,
     PAGE_SIZE,
 };
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use simstore::FaultPlan;
+use workloads::zipf::Zipfian;
 
 use simos::{Device, DeviceConfig, FileSystem, FsKind, Os, OsConfig};
 
@@ -481,4 +486,129 @@ fn absorbed_rereads_return_the_written_bytes_on_a_tiered_store() {
         "dirty ledger out of balance"
     );
     assert!(s.written_back_pages.get() > 0, "fsync wrote nothing back");
+}
+
+/// Records of the zipfian tests: 32 KiB each.
+const RECORD_PAGES: u64 = 8;
+
+/// The record slot of the `i`-th most popular key: hashed, so hot records
+/// are scattered over the file and no forward stream forms.
+fn slot(key: u64, records: u64) -> u64 {
+    key.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17) % records
+}
+
+/// A zipfian random reader of 32 KiB records on a tiered store whose local
+/// tier holds a third of the file and whose page cache holds a sixth: the
+/// records it re-reads keep missing the page cache, and the heat path
+/// promotes those that miss again within the local tier's reach. Without
+/// it nothing is promoted (no forward stream forms) and every demand read
+/// is remote. Demand device reads are each tier's read requests minus its
+/// prefetch-class ones (promotion copies read the remote tier as
+/// prefetch).
+#[test]
+fn a_zipfian_reader_serves_its_remisses_locally() {
+    const RECORDS: u64 = 1536;
+    const LOCAL_BLOCKS: u64 = 4096;
+    let run = || {
+        let mut config = RuntimeConfig::new(Mode::Predict);
+        config.tiering = Some(TieringConfig::new());
+        let runtime = Runtime::new(boot_tiered(8, LOCAL_BLOCKS), config);
+        let mut clock = runtime.new_clock();
+        let bytes = RECORDS * RECORD_PAGES * PAGE_SIZE;
+        let file = runtime.create_sized(&mut clock, "/zipf", bytes).unwrap();
+        let zipf = Zipfian::new(RECORDS, 0.99);
+        let mut rng = StdRng::seed_from_u64(42);
+        for _ in 0..20_000 {
+            let offset = slot(zipf.sample(&mut rng), RECORDS) * RECORD_PAGES * PAGE_SIZE;
+            file.read_charge(&mut clock, offset, RECORD_PAGES * PAGE_SIZE);
+        }
+        runtime.os().drop_caches(&mut clock);
+        let report = RuntimeReport::collect(&runtime);
+        (runtime, report)
+    };
+    let (runtime, report) = run();
+    let tiered = runtime.os().tiered().expect("tiered store");
+    let demand = |tier: Tier| {
+        let stats = tiered.device(tier).stats();
+        stats.read_requests.get() - stats.prefetch_requests.get()
+    };
+    let (local, remote) = (demand(Tier::Local), demand(Tier::Remote));
+    let remote_share = remote as f64 / (local + remote) as f64;
+    let file_remote_share = 1.0 - LOCAL_BLOCKS as f64 / (RECORDS * RECORD_PAGES) as f64;
+    assert!(
+        remote_share < file_remote_share,
+        "remote share of demand reads {remote_share:.3} (local {local}, remote {remote}) \
+         not below the file's {file_remote_share:.3}"
+    );
+    assert!(report.promotions_completed > 0, "the heat path never fired");
+    let q = report.prefetch_quality;
+    assert_eq!(
+        q.timely + q.late + q.wasted,
+        report.pages_initiated,
+        "quality books don't balance (timely={} late={} wasted={} initiated={})",
+        q.timely,
+        q.late,
+        q.wasted,
+        report.pages_initiated
+    );
+    let (_, again) = run();
+    assert_eq!(report.to_json(), again.to_json(), "same seed, other report");
+}
+
+/// Two readers of one written tiered file, each on its own descriptor and
+/// thread, re-read zipfian records while the heat path promotes them into
+/// a local tier an eighth of the file's size (twice the page cache), so
+/// promotions demote records the other reader may be reading. Every read
+/// returns the bytes written. A tree whose promotion flips placement bits
+/// before it shares the bytes fails here in most runs.
+#[test]
+fn readers_racing_heat_promotions_and_demotions_read_the_written_bytes() {
+    const RECORDS: u64 = 512;
+    const RECORD: u64 = RECORD_PAGES * PAGE_SIZE;
+    let mut config = RuntimeConfig::new(Mode::Predict);
+    config.tiering = Some(TieringConfig::new());
+    let runtime = Runtime::new(boot_tiered(1, 512), config);
+    let mut clock = runtime.new_clock();
+    let file = runtime
+        .create_sized(&mut clock, "/race", RECORDS * RECORD)
+        .unwrap();
+    let content = |record: u64| -> Vec<u8> {
+        (0..RECORD)
+            .map(|i| (i.wrapping_mul(131) ^ record.wrapping_mul(7919)) as u8)
+            .collect()
+    };
+    for record in 0..RECORDS {
+        let written = file.try_write(&mut clock, record * RECORD, &content(record));
+        assert_eq!(written.unwrap(), RECORD);
+    }
+    file.fsync(&mut clock);
+    runtime.os().drop_caches(&mut clock);
+    std::thread::scope(|scope| {
+        for seed in [1u64, 2] {
+            let (runtime, content) = (runtime.clone(), &content);
+            scope.spawn(move || {
+                let mut clock = runtime.new_clock();
+                let file = runtime.open(&mut clock, "/race").unwrap();
+                let zipf = Zipfian::new(RECORDS, 0.99);
+                let mut rng = StdRng::seed_from_u64(seed);
+                for n in 0..4_000 {
+                    let record = slot(zipf.sample(&mut rng), RECORDS);
+                    let bytes = file.try_read(&mut clock, record * RECORD, RECORD).unwrap();
+                    assert!(
+                        bytes == content(record),
+                        "reader {seed}, read {n}: record {record} read back other bytes"
+                    );
+                }
+            });
+        }
+    });
+    let tiered = runtime.os().tiered().expect("tiered store");
+    assert!(
+        tiered.stats().promoted_blocks.get() > 0,
+        "nothing was promoted"
+    );
+    assert!(
+        tiered.stats().demoted_blocks.get() > 0,
+        "nothing was demoted"
+    );
 }
