@@ -1,12 +1,12 @@
 //! Per-file range index for CROSS-LIB's cache-state view (§4.5).
 //!
-//! The paper's range tree — per-range locks with presence bitmaps, so
-//! non-conflicting readers of one shared file never serialize — is
-//! [`BPlusRangeIndex`]: dynamically split/merged leaves, each with its own
-//! lock, routed by a hash directory of [`NODE_PAGES`]-regions that also
-//! holds the presence bits, under one latch whose shared side covers
-//! lookups, charges and bit writes. The read path and the runtime call
-//! its inherent methods directly.
+//! The paper's range tree — nodes with embedded presence bitmaps and
+//! per-node locks, so non-conflicting readers of one shared file never
+//! serialize — is [`BPlusRangeIndex`]: one node per [`NODE_PAGES`]-region,
+//! holding the region's presence bits and its own lock, routed by a hash
+//! directory under one latch whose shared side covers lookups, charges and
+//! bit writes. The read path and the runtime call its inherent methods
+//! directly.
 //!
 //! [`RangeTree`](crate::range_tree::RangeTree), a flat fixed-stride node
 //! array, is the reference model the property and stress suites compare
@@ -37,17 +37,12 @@ pub enum LockScope {
 /// Structural statistics of one file's range index.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IndexStats {
-    /// The index's own levels: 0 = empty, 1 = a lone leaf, 2 = the
-    /// region directory over leaves. A hash directory has no height, and
+    /// The index's own levels: 0 = empty, 1 = a lone node, 2 = the
+    /// region directory over nodes. A hash directory has no height, and
     /// nothing charges for routing.
     pub depth: u64,
-    /// Live leaves.
+    /// Region nodes allocated.
     pub leaves: u64,
-    /// Leaf splits performed: new leaves that continue a contiguous run
-    /// because the span cap chopped it.
-    pub splits: u64,
-    /// Leaf absorptions performed.
-    pub merges: u64,
     /// Optimistic reads that failed validation and retried.
     pub optimistic_retries: u64,
 }
@@ -58,8 +53,6 @@ impl IndexStats {
     pub fn absorb(&mut self, other: &IndexStats) {
         self.depth = self.depth.max(other.depth);
         self.leaves += other.leaves;
-        self.splits += other.splits;
-        self.merges += other.merges;
         self.optimistic_retries += other.optimistic_retries;
     }
 }
@@ -73,15 +66,11 @@ mod tests {
         let mut total = IndexStats {
             depth: 2,
             leaves: 3,
-            splits: 1,
-            merges: 0,
             optimistic_retries: 5,
         };
         total.absorb(&IndexStats {
             depth: 4,
             leaves: 7,
-            splits: 2,
-            merges: 3,
             optimistic_retries: 1,
         });
         assert_eq!(
@@ -89,8 +78,6 @@ mod tests {
             IndexStats {
                 depth: 4,
                 leaves: 10,
-                splits: 3,
-                merges: 3,
                 optimistic_retries: 6,
             }
         );

@@ -484,9 +484,17 @@ impl CpFile {
 
         // Heat promotion (tiering on only): a read whose range missed
         // again within the local tier's reach is copied local, beside
-        // the stream frontier rather than through it.
+        // the stream frontier rather than through it. A range already
+        // local has nothing to copy and takes no job.
         if let Some(planner) = &inner.planner {
-            if !ctx.is_write && planner.remissed(self.file.ino.0, p0, outcome.miss_pages) {
+            let ino = self.file.ino.0;
+            if !ctx.is_write
+                && planner.remissed(ino, p0, outcome.miss_pages)
+                && inner
+                    .os
+                    .tiered()
+                    .is_some_and(|tiered| !tiered.remote_runs(ino, p0, outcome.pages).is_empty())
+            {
                 runtime.dispatch_promotion(clock, &self.file, p0, outcome.pages);
             }
         }

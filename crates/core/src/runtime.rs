@@ -458,7 +458,7 @@ impl Runtime {
     }
 
     /// Structural statistics aggregated across every file's range index
-    /// (depth takes the max; leaves, splits, merges, retries sum).
+    /// (depth takes the max; nodes and retries sum).
     pub fn range_index_stats(&self) -> IndexStats {
         let mut total = IndexStats::default();
         for file in self.inner.inner_files() {

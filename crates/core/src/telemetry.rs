@@ -346,15 +346,18 @@ report_fields! {
         /// Which range-index implementation backs the per-file cache views:
         /// always `"bplus"` ([`crate::BPlusRangeIndex`]).
         Gauge range_index_kind: &'static str = "kind" <= "bplus";
-        /// Most levels any file's index has: 0 = empty, 1 = a lone leaf,
-        /// 2 = routing map over leaves.
+        /// Most levels any file's index has: 0 = empty, 1 = a lone node,
+        /// 2 = routing map over nodes.
         Gauge range_index_depth: u64 = "depth" <= index.depth;
-        /// Leaves allocated across files.
+        /// Region nodes allocated across files, one per touched 4 MiB
+        /// region (ROADMAP item 1(c) renames the key).
         Gauge range_index_leaves: u64 = "leaves" <= index.leaves;
-        /// Leaf splits performed (contiguous runs chopped at the span cap).
-        Counter range_index_splits: u64 = "splits" <= index.splits;
-        /// Adjacent-leaf merges performed.
-        Counter range_index_merges: u64 = "merges" <= index.merges;
+        /// Always 0: a node is its whole region, so nothing splits. Kept
+        /// because `benchmark/` reads it; ROADMAP item 1(c) drops it.
+        Counter range_index_splits: u64 = "splits" <= 0;
+        /// Always 0: nodes are never merged. Kept because `benchmark/`
+        /// reads it; ROADMAP item 1(c) drops it.
+        Counter range_index_merges: u64 = "merges" <= 0;
         /// Optimistic reads that failed version validation and paid the
         /// retry penalty (0 single-threaded).
         Counter range_index_retries: u64 = "optimistic_retries" <= index.optimistic_retries;

@@ -41,9 +41,9 @@ pub struct CostModel {
     pub page_alloc_ns: u64,
     /// Predictor update per intercepted I/O in CROSS-LIB.
     pub predictor_step_ns: u64,
-    /// Range-index lookup plus per-leaf lock in CROSS-LIB. This one
-    /// constant prices routing: the index charges nothing per level,
-    /// split or merge.
+    /// Range-index lookup plus per-node lock in CROSS-LIB. This one
+    /// constant prices routing: the index charges nothing per level or
+    /// node insertion.
     pub range_tree_op_ns: u64,
     /// Major-fault fixed cost for memory-mapped access (trap + page-table).
     pub fault_ns: u64,

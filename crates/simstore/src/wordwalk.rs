@@ -2,7 +2,7 @@
 //!
 //! A bitmap here is a sequence of `u64` words, bit `i` of word `w`
 //! standing for page (or block) `w * 64 + i`. The OS cache state
-//! (`simos::cache`), CROSS-LIB's range-index leaves and the tier placement
+//! (`simos::cache`), CROSS-LIB's range-index nodes and the tier placement
 //! map all answer range questions the same way: visit each word the range
 //! overlaps with the mask of the bits it covers ([`word_spans`]), combine
 //! masked words with popcounts, and — where the answer is a list of runs —

@@ -612,3 +612,38 @@ fn readers_racing_heat_promotions_and_demotions_read_the_written_bytes() {
         "nothing was demoted"
     );
 }
+
+/// A record that misses the page cache again after the heat path made it
+/// local dispatches no promotion job: its blocks are local, so there is
+/// nothing to copy. The mechanism predicts nothing, so no stream
+/// promotion joins the count.
+#[test]
+fn a_remiss_of_a_local_range_dispatches_no_promotion() {
+    const RECORD: u64 = RECORD_PAGES * PAGE_SIZE;
+    let mut config = RuntimeConfig::new(Mode::FincoreApp);
+    config.tiering = Some(TieringConfig::new());
+    let runtime = Runtime::new(boot_tiered(8, 4096), config);
+    let mut clock = runtime.new_clock();
+    let file = runtime
+        .create_sized(&mut clock, "/local", 64 * RECORD)
+        .unwrap();
+    let tiered = runtime.os().tiered().expect("tiered store");
+    let first = 40 * RECORD_PAGES;
+    let remote = || tiered.remote_runs(file.ino().0, first, RECORD_PAGES);
+    let issued = || RuntimeReport::collect(&runtime).promotions_issued;
+    let miss = |clock: &mut simclock::ThreadClock| {
+        runtime.os().drop_caches(clock);
+        file.read_charge(clock, first * PAGE_SIZE, RECORD);
+    };
+    miss(&mut clock);
+    assert!(!remote().is_empty(), "a first miss promotes nothing");
+    let before = issued();
+    miss(&mut clock);
+    assert_eq!(issued(), before + 1, "the remiss of a remote record");
+    assert!(
+        remote().is_empty(),
+        "the heat promotion made the record local"
+    );
+    miss(&mut clock);
+    assert_eq!(issued(), before + 1, "a local record needs no job");
+}
