@@ -456,25 +456,64 @@ mod tests {
         assert_eq!(tree.resident(), 3);
     }
 
-    /// A node is its whole region: marks that abut, fill a gap between two
-    /// earlier marks, or land far apart in one region all share one node,
-    /// and a range over several regions takes one node per region.
+    /// A mark abutting an earlier one in the same region lands in that
+    /// region's node: no second node is allocated.
     #[test]
-    fn marks_take_one_node_per_touched_region() {
+    fn adjacent_marks_extend_in_place() {
         let tree = BPlusRangeIndex::new();
         let mut c = clock();
-        let mut mark =
-            |start, end| tree.mark_cached(&mut c, &costs(), LockScope::PerNode, start, end);
-        assert_eq!(mark(0, 10), 10);
-        assert_eq!(mark(10, 20), 10);
-        assert_eq!(mark(900, 1000), 100);
-        assert_eq!(mark(20, 900), 880);
-        assert_eq!((tree.stats().leaves, tree.stats().depth), (1, 1));
+        assert_eq!(
+            tree.mark_cached(&mut c, &costs(), LockScope::PerNode, 0, 10),
+            10
+        );
+        assert_eq!(
+            tree.mark_cached(&mut c, &costs(), LockScope::PerNode, 10, 20),
+            10
+        );
+        let stats = tree.stats();
+        assert_eq!((stats.leaves, stats.depth), (1, 1));
+        assert_eq!(tree.resident(), 20);
+    }
+
+    /// Filling the gap between two marks of one region keeps the single
+    /// node they already share and leaves nothing missing.
+    #[test]
+    fn gap_fill_absorbs_both_neighbours() {
+        let tree = BPlusRangeIndex::new();
+        let mut c = clock();
+        tree.mark_cached(&mut c, &costs(), LockScope::PerNode, 0, 100);
+        tree.mark_cached(&mut c, &costs(), LockScope::PerNode, 900, 1000);
+        assert_eq!(tree.stats().leaves, 1, "one region, one node");
+        assert_eq!(
+            tree.mark_cached(&mut c, &costs(), LockScope::PerNode, 100, 900),
+            800
+        );
+        let stats = tree.stats();
+        assert_eq!((stats.leaves, stats.depth), (1, 1));
         assert_eq!(tree.resident(), 1000);
-        assert_eq!(mark(NODE_PAGES, NODE_PAGES + 5000), 5000);
-        let nodes = 1 + 5000u64.div_ceil(NODE_PAGES);
-        assert_eq!((tree.stats().leaves, tree.stats().depth), (nodes, 2));
-        assert_eq!(tree.resident(), 6000);
+        assert!(tree
+            .missing_in(&mut c, &costs(), LockScope::PerNode, 0, 1000)
+            .is_empty());
+    }
+
+    /// A range over several regions takes one node per region it touches,
+    /// which puts the region directory over them (depth 2).
+    #[test]
+    fn oversized_range_chops_into_capped_leaves() {
+        let tree = BPlusRangeIndex::new();
+        let mut c = clock();
+        assert_eq!(
+            tree.mark_cached(&mut c, &costs(), LockScope::PerNode, 0, 5000),
+            5000
+        );
+        let stats = tree.stats();
+        assert_eq!(stats.leaves, 5000u64.div_ceil(NODE_PAGES));
+        assert_eq!(stats.depth, 2);
+        assert_eq!(tree.resident(), 5000);
+        // Starting mid-region still counts every region touched.
+        let tree = BPlusRangeIndex::new();
+        tree.mark_cached(&mut c, &costs(), LockScope::PerNode, 20, NODE_PAGES + 20);
+        assert_eq!(tree.stats().leaves, 2);
     }
 
     #[test]
@@ -491,13 +530,31 @@ mod tests {
             tree.missing_in(&mut c, &costs(), LockScope::PerNode, 0, 3 * 2048),
             vec![(1, 2048), (2049, 4096), (4097, 6144)]
         );
-        // Marking everything fills the regions in between with nodes.
-        tree.mark_cached(&mut c, &costs(), LockScope::PerNode, 0, 100 * 2048);
-        assert_eq!(tree.stats().leaves, 200);
+    }
+
+    /// Marking everything over 100 separated marks fills the untouched
+    /// region between each pair with its own node and leaves no page
+    /// missing.
+    #[test]
+    fn marking_over_separated_leaves_chops_and_coalesces() {
+        let tree = BPlusRangeIndex::new();
+        let mut c = clock();
+        for i in 0..100u64 {
+            tree.mark_cached(&mut c, &costs(), LockScope::PerNode, i * 2048, i * 2048 + 1);
+        }
+        assert_eq!(
+            tree.mark_cached(&mut c, &costs(), LockScope::PerNode, 0, 100 * 2048),
+            100 * 2048 - 100
+        );
         assert_eq!(tree.resident(), 100 * 2048);
         assert!(tree
             .missing_in(&mut c, &costs(), LockScope::PerNode, 0, 100 * 2048)
             .is_empty());
+        assert_eq!(
+            tree.stats().leaves,
+            200,
+            "each 2048 stride ends as two region nodes"
+        );
     }
 
     #[test]
