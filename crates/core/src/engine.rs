@@ -19,11 +19,23 @@ use crate::trace::TraceEventKind;
 const FEEDBACK_INTERVAL_READS: u64 = 64;
 
 impl CpFile {
-    /// One engine step for an access of `pages` pages at `page`.
-    pub(crate) fn observe(&self, clock: &ThreadClock, page: u64, pages: u64) -> PrefetchDecision {
+    /// One engine step for an access of `pages` pages at `page`, after
+    /// telling the engine the last read's outcome, if any
+    /// ([`Outstanding::take_outcome`]).
+    pub(crate) fn observe(
+        &self,
+        clock: &ThreadClock,
+        outstanding: &mut Outstanding,
+        page: u64,
+        pages: u64,
+    ) -> PrefetchDecision {
         let runtime = &self.runtime;
         let features = &runtime.inner.policy.features;
-        self.engine.lock().observe(&AccessObservation {
+        let mut engine = self.engine.lock();
+        if let Some(needed_io) = outstanding.take_outcome() {
+            engine.outcome(needed_io);
+        }
+        engine.observe(&AccessObservation {
             page,
             pages,
             aggressive_ok: features.aggressive && runtime.aggressive_allowed(clock.now()),

@@ -76,8 +76,8 @@ pub use metrics::{PipelineStage, ReadClass, RuntimeMetrics};
 pub use policy::{OpenAction, Policy, PostReadHook};
 pub use predict::{
     AccessPattern, AdaptiveEngine, CorrelationEngine, Direction, Engine, EngineConfig, EngineKind,
-    Prediction, PredictionEngine, Predictor, PrefetchDecision, PrefetchRun, QualityFeedback,
-    SEQ_BATCH_PAGES,
+    Prediction, PredictionEngine, Predictor, PrefetchDecision, PrefetchRun, PrefetchRuns,
+    QualityFeedback, SEQ_BATCH_PAGES,
 };
 pub use range_index::{BPlusRangeIndex, IndexStats, LockScope};
 pub use range_tree::RangeTree;

@@ -24,6 +24,9 @@ pub(crate) struct Outstanding {
     /// The memory watcher's steady forward run: its first page not yet
     /// returned, word-aligned; `None` before the first access.
     run_start: Option<u64>,
+    /// Whether the last read needed the device, until the engine is told
+    /// ([`Outstanding::take_outcome`]).
+    outcome: Option<bool>,
 }
 
 impl Outstanding {
@@ -35,6 +38,7 @@ impl Outstanding {
             window: 0,
             ride: false,
             run_start: None,
+            outcome: None,
         }
     }
 
@@ -142,6 +146,21 @@ impl Outstanding {
         self.run_start = Some(p1.next_multiple_of(WORD_BITS));
     }
 
+    /// A read's outcome for an engine that scores its predictions:
+    /// whether any of its pages came off the device.
+    pub(crate) fn read_outcome(&mut self, needed_io: bool) {
+        self.outcome = Some(needed_io);
+    }
+
+    /// The outcome of the last read, if the engine has not been told. The
+    /// engine hears it under the lock its next observation takes, not
+    /// under one of its own: accesses to a descriptor hold this record
+    /// from predict through account, so nothing reaches the engine in
+    /// between that reads what the outcome settles.
+    pub(crate) fn take_outcome(&mut self) -> Option<bool> {
+        self.outcome.take()
+    }
+
     /// The run's oldest whole word, if it ends at or below the word of a
     /// reader at `p0`; taking it advances the run past it.
     pub(crate) fn take_word_behind(&mut self, p0: u64) -> Option<(u64, u64)> {
@@ -209,6 +228,7 @@ mod tests {
                 window: 0,
                 ride: false,
                 run_start: None,
+                outcome: None,
             }
         );
         assert!(!record.ride_pending());

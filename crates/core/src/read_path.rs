@@ -230,7 +230,8 @@ impl CpFile {
         ctx.outstanding = Some(self.outstanding.lock());
         if inner.policy.features.predict {
             clock.advance(inner.os.config().costs.predictor_step_ns);
-            ctx.decision = self.observe(clock, ctx.p0, ctx.pages);
+            let (p0, pages) = (ctx.p0, ctx.pages);
+            ctx.decision = self.observe(clock, ctx.outstanding(), p0, pages);
             // A jump restarts the watcher's run itself (`Outstanding::jump`).
             ctx.forward_run = !ctx.is_write
                 && ctx.decision.prediction.as_ref().is_some_and(|pred| {
@@ -531,12 +532,12 @@ impl CpFile {
         }
 
         // Engines that learn from what their predictions were worth see
-        // whether this read needed the device, and the per-file
-        // timely/late/wasted delta (gated off for the strided engine, no
-        // virtual time charged either way).
+        // whether this read needed the device (at their next observation)
+        // and the per-file timely/late/wasted delta (gated off for the
+        // strided engine, no virtual time charged either way).
         if self.engine_feedback && !ctx.is_write {
             let needed_io = outcome.miss_pages + outcome.prefetch_hit_pages > 0;
-            self.engine.lock().outcome(needed_io);
+            ctx.outstanding().read_outcome(needed_io);
             self.maybe_feed_quality();
         }
 

@@ -672,7 +672,7 @@ impl CpFile {
             }
             // A fault has no ring crossing for a known run to ride.
             let mut outstanding = self.outstanding.lock();
-            let decision = self.observe(clock, p0, p1 - p0);
+            let decision = self.observe(clock, &mut outstanding, p0, p1 - p0);
             self.apply_decision(clock, &mut outstanding, decision, p0, p1, false);
             self.maybe_feed_quality();
         }

@@ -36,8 +36,10 @@
 //! decides *what to promote and when*.
 
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
 use parking_lot::Mutex;
+use simstore::{BlockHasher, BlockMap};
 
 /// Minimum engine confidence (same 0.0–1.0 scale as the ring's
 /// speculation bar) before a predicted range is worth a promotion copy.
@@ -82,7 +84,7 @@ impl TieringConfig {
 #[derive(Debug, Default)]
 pub struct TierPlanner {
     /// ino → one past the last page already handed to a promotion job.
-    frontiers: Mutex<HashMap<u64, u64>>,
+    frontiers: Mutex<BlockMap<u64>>,
     /// The local tier's capacity in blocks: how many missed pages ago a
     /// range's last miss may be for its re-miss to promote it. Zero (a
     /// tier that holds nothing) turns the heat path off.
@@ -100,8 +102,9 @@ struct MissClock {
     /// `(ino, first page)` of a missed read → `now` just after its miss.
     /// Stamps more than the reach behind `now` can never promote again
     /// and are pruned once the map holds twice the reach, so it never
-    /// holds more than `2 * reach` stamps.
-    stamps: HashMap<(u64, u64), u64>,
+    /// holds more than `2 * reach` stamps. Hashed as a [`BlockMap`] is,
+    /// both words of the key folded in.
+    stamps: HashMap<(u64, u64), u64, BuildHasherDefault<BlockHasher>>,
 }
 
 impl TierPlanner {

@@ -45,6 +45,12 @@
 //!
 //! Everything is integer arithmetic over the observed stream and the
 //! reported outcomes — same-seed runs duel identically.
+//!
+//! Host cost: both arms run on every access, so the selector pays the
+//! miner's observe and its mining passes even on a file the duel never
+//! hands over (`kv_probe`). Neither allocates once warm: the shadow books
+//! are sized to their capacity at construction, and settling an access
+//! walks a book once, keeping the survivors in order.
 
 use std::collections::VecDeque;
 
@@ -95,26 +101,32 @@ struct ShadowBook {
 }
 
 impl ShadowBook {
+    /// An empty book with room for all it may hold, so recording a
+    /// prediction never allocates.
+    fn sized(config: &AdaptiveConfig) -> Self {
+        Self {
+            entries: VecDeque::with_capacity(config.shadow_capacity.max(1)),
+            ..Self::default()
+        }
+    }
+
     /// Settles an access against the ranges predicted before access
     /// number `at` (a prediction recorded on the access itself cannot
     /// credit itself). An overlapped entry is consumed whole; the overlap
     /// is booked as a hit only if the access needed the device. A
     /// prediction of pages that were already resident saved no I/O: its
-    /// entry leaves the book as neither a hit nor waste.
+    /// entry leaves the book as neither a hit nor waste. One pass over
+    /// the book; the survivors keep their order.
     fn settle(&mut self, p0: u64, p1: u64, at: u64, needed_io: bool) {
-        let mut i = 0;
-        while i < self.entries.len() {
-            let e = self.entries[i];
+        let hits = &mut self.hits;
+        self.entries.retain(|e| {
             let overlap = e.end.min(p1).saturating_sub(e.start.max(p0));
-            if overlap > 0 && e.born < at {
-                if needed_io {
-                    self.hits += overlap;
-                }
-                self.entries.remove(i);
-            } else {
-                i += 1;
+            let consumed = overlap > 0 && e.born < at;
+            if consumed && needed_io {
+                *hits += overlap;
             }
-        }
+            !consumed
+        });
     }
 
     /// Ages out stale entries as shadow waste.
@@ -191,14 +203,14 @@ impl AdaptiveEngine {
         assert!(config.sample_interval >= 1, "sample interval must be >= 1");
         assert!(config.duel_window >= 1, "duel window must be >= 1");
         Self {
+            shadow_strided: ShadowBook::sized(&config),
+            shadow_correlation: ShadowBook::sized(&config),
             config,
             strided: Predictor::new(bits),
             correlation: CorrelationEngine::new(),
             owner: EngineKind::Strided,
             observations: 0,
             unsettled: None,
-            shadow_strided: ShadowBook::default(),
-            shadow_correlation: ShadowBook::default(),
             sampled_in_duel: 0,
             duels: 0,
             ownership_flips: 0,
@@ -558,5 +570,64 @@ mod tests {
             (log, e.duels(), e.ownership_flips())
         };
         assert_eq!(run(), run());
+    }
+
+    impl ShadowBook {
+        /// The settle loop before it was one pass, kept as the oracle:
+        /// each consumed entry is removed where it stands, shifting the
+        /// rest of the book.
+        fn settle_by_removal(&mut self, p0: u64, p1: u64, at: u64, needed_io: bool) {
+            let mut i = 0;
+            while i < self.entries.len() {
+                let e = self.entries[i];
+                let overlap = e.end.min(p1).saturating_sub(e.start.max(p0));
+                if overlap > 0 && e.born < at {
+                    if needed_io {
+                        self.hits += overlap;
+                    }
+                    self.entries.remove(i);
+                } else {
+                    i += 1;
+                }
+            }
+        }
+
+        /// Hits, waste and the survivors in book order.
+        fn ledger(&self) -> (u64, u64, Vec<(u64, u64, u64)>) {
+            let entries = self.entries.iter().map(|e| (e.start, e.end, e.born));
+            (self.hits, self.wasted, entries.collect())
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Over random books (overlapping ranges, shared birth stamps, a
+        /// full book evicting its oldest) and random accesses (before,
+        /// at and after the entries' births, needing the device or not),
+        /// the one-pass settle books the same hits and waste and keeps the
+        /// same survivors in the same order as the removal loop.
+        #[test]
+        fn one_pass_settle_matches_the_removal_loop(
+            capacity in 1usize..=64,
+            predictions in proptest::collection::vec((0u64..256, 1u64..48, 0u64..4), 0..=96),
+            accesses in proptest::collection::vec(
+                (0u64..256, 1u64..16, 0u64..160, proptest::any::<bool>()),
+                1..=24,
+            ),
+        ) {
+            let mut subject = ShadowBook::default();
+            let mut born = 0;
+            for (start, pages, gap) in predictions {
+                born += gap;
+                subject.predict(start, start + pages, born, capacity);
+            }
+            let mut oracle = subject.clone();
+            for (p0, pages, at, needed_io) in accesses {
+                subject.settle(p0, p0 + pages, at, needed_io);
+                oracle.settle_by_removal(p0, p0 + pages, at, needed_io);
+                proptest::prop_assert_eq!(subject.ledger(), oracle.ledger());
+            }
+        }
     }
 }

@@ -13,7 +13,7 @@
 //!   capped at 512 entries — the only state the hot path writes;
 //! * an **association table** `block → [successor; 4]` capped at 4096
 //!   fixed-size entries, evicted by combined recency + frequency score off
-//!   a lazy min-heap — the only state the hot path reads;
+//!   a lazy eviction queue — the only state the hot path reads;
 //! * a **mining pass** ([`PredictionEngine::mine`]) that folds the ring
 //!   into the table. The runtime schedules it on the worker pool every 64
 //!   observations, so table maintenance is charged to background virtual
@@ -23,21 +23,32 @@
 //! so tests can build small tables, not as a tuning surface.
 //!
 //! Nothing walks the table to decide anything: lookups and mining go by
-//! block, and eviction order comes from the heap's `(score, block)` keys,
-//! which are unique. So mining and eviction are deterministic whatever
+//! block, and eviction order comes from the queue's `(score, block)`
+//! keys, which are unique. So mining and eviction are deterministic whatever
 //! order the hash map keeps, and same-seed runs stay byte-identical.
+//!
+//! The miner runs on every access a file sees, so it pays only for the
+//! work it does. Once warm it allocates nothing: the table and the
+//! eviction queue are sized on the first pass, the ring keeps its buffer
+//! across passes, and a decision holds its runs inline
+//! ([`crate::PrefetchRuns`]). The table hashes a block with one folded
+//! multiply (`PageHasher`): its keys are page numbers the runtime
+//! computes, never outside input, so it needs no keyed hash. And most
+//! victims leave the eviction queue from the front of a sorted deque, not
+//! the top of a heap of every entry.
 
 use std::cmp::Reverse;
-use std::collections::binary_heap::PeekMut;
 use std::collections::hash_map::Entry;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::{
     AccessObservation, EngineKind, PredictionEngine, PrefetchDecision, PrefetchRun, QualityFeedback,
 };
 
-/// Successor slots kept per association-table entry.
-const SUCCESSOR_SLOTS: usize = 4;
+/// Successor slots kept per association-table entry, and so the most
+/// runs one decision carries.
+pub(crate) const SUCCESSOR_SLOTS: usize = 4;
 
 /// How many observations a table entry's frequency extends its lifetime
 /// by, relative to pure recency, when the table is over capacity.
@@ -45,8 +56,9 @@ const FREQUENCY_LIFETIME_BONUS: u64 = 16;
 
 /// The miner's sizes. The defaults — the only values the runtime ever
 /// runs — bound the engine to under a MiB per file descriptor once it
-/// mines (8 192 hash buckets of 88 bytes, one 16-byte heap key per
-/// entry); tests substitute small tables through
+/// mines (8 192 hash buckets of 88 bytes, room for every entry's 16-byte
+/// eviction key in each of two queues); tests substitute small tables
+/// through
 /// [`CorrelationEngine::with_config`].
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct CorrelationConfig {
@@ -113,6 +125,111 @@ impl AssocEntry {
     }
 }
 
+/// The association table's hasher: the two halves of the 128-bit product
+/// of the block number and FxHash's odd constant, XORed together, so high
+/// block bits reach the low bits the table indexes by and low bits reach
+/// the high ones it tags with.
+#[derive(Debug, Clone, Copy, Default)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _bytes: &[u8]) {
+        unreachable!("the association table hashes u64 blocks only");
+    }
+
+    fn write_u64(&mut self, block: u64) {
+        let product = u128::from(block) * 0x517C_C1B7_2722_0A95;
+        self.0 = product as u64 ^ (product >> 64) as u64;
+    }
+}
+
+/// The eviction order: one `(eviction score, block)` key per table entry,
+/// least first, each a lower bound on its entry's current key (see
+/// `CorrelationEngine::enforce_cap`). Two queues hold the keys:
+///
+/// * `fresh`, in ascending order: keys taken when their entries were
+///   inserted. A pass inserts its entries seen once, at the pass's stamp,
+///   so its keys share one score and follow those of every earlier pass,
+///   whose stamps were lower; sorted by block, they extend the order.
+/// * `raised`, a min-heap: keys raised to their entry's current score,
+///   and any inserted key that would not extend `fresh`.
+///
+/// The least key is the lesser of the two fronts. Evicting an entry that
+/// was never touched again, which is most evictions, pops `fresh`'s
+/// front instead of sifting a heap of every entry.
+#[derive(Debug, Clone, Default)]
+struct EvictionQueue {
+    fresh: VecDeque<(u64, u64)>,
+    raised: BinaryHeap<Reverse<(u64, u64)>>,
+    /// Keys of the entries the pass in progress inserted; `admit` orders
+    /// them in.
+    arrivals: Vec<(u64, u64)>,
+}
+
+impl EvictionQueue {
+    /// Room for `keys` keys in either queue and a pass of `pass` arrivals.
+    fn reserve(&mut self, keys: usize, pass: usize) {
+        self.fresh.reserve(keys);
+        self.raised.reserve(keys);
+        self.arrivals.reserve(pass);
+    }
+
+    fn len(&self) -> usize {
+        self.fresh.len() + self.raised.len() + self.arrivals.len()
+    }
+
+    fn push(&mut self, key: (u64, u64)) {
+        self.arrivals.push(key);
+    }
+
+    /// Moves the pass's keys in, by block (they share one score): onto
+    /// `fresh` while they extend it, into `raised` otherwise, so `fresh`
+    /// stays ascending whatever the keys are.
+    fn admit(&mut self) {
+        self.arrivals.sort_unstable_by_key(|&(_, block)| block);
+        for key in self.arrivals.drain(..) {
+            if self.fresh.back().is_none_or(|&last| last < key) {
+                self.fresh.push_back(key);
+            } else {
+                self.raised.push(Reverse(key));
+            }
+        }
+    }
+
+    /// The least admitted key, and whether it is `fresh`'s front.
+    fn least(&self) -> Option<((u64, u64), bool)> {
+        match (self.fresh.front(), self.raised.peek()) {
+            (Some(&fresh), Some(&Reverse(raised))) if raised < fresh => Some((raised, false)),
+            (Some(&fresh), _) => Some((fresh, true)),
+            (None, Some(&Reverse(raised))) => Some((raised, false)),
+            (None, None) => None,
+        }
+    }
+
+    /// Removes the least key (`fresh` says which queue holds it).
+    fn pop_least(&mut self, fresh: bool) {
+        if fresh {
+            self.fresh.pop_front();
+        } else {
+            self.raised.pop();
+        }
+    }
+
+    /// Replaces the least key with `key`, a larger one of the same entry.
+    fn raise_least(&mut self, fresh: bool, key: (u64, u64)) {
+        if fresh {
+            self.fresh.pop_front();
+            self.raised.push(Reverse(key));
+        } else if let Some(mut least) = self.raised.peek_mut() {
+            *least = Reverse(key);
+        }
+    }
+}
+
 /// The correlation prefetch engine. See the module docs for structure.
 #[derive(Debug, Clone)]
 pub struct CorrelationEngine {
@@ -120,11 +237,11 @@ pub struct CorrelationEngine {
     /// Unmined observations, oldest first. Bounded by `config.history`.
     ring: Vec<(u64, u64)>,
     /// The association table, sized on the first pass (see `mine_pass`).
-    table: HashMap<u64, AssocEntry>,
+    table: HashMap<u64, AssocEntry, BuildHasherDefault<PageHasher>>,
     /// One `(eviction score, block)` key per table entry, taken when the
     /// entry was inserted: a lower bound on its current key (see
     /// `enforce_cap`).
-    evictions: BinaryHeap<Reverse<(u64, u64)>>,
+    evictions: EvictionQueue,
     observations: u64,
     since_mine: u64,
     /// Feedback-driven support adjustment: sustained waste raises the
@@ -154,8 +271,8 @@ impl CorrelationEngine {
         Self {
             config,
             ring: Vec::new(),
-            table: HashMap::new(),
-            evictions: BinaryHeap::new(),
+            table: HashMap::default(),
+            evictions: EvictionQueue::default(),
             observations: 0,
             since_mine: 0,
             support_boost: 0,
@@ -179,7 +296,7 @@ impl CorrelationEngine {
         entry.freq = entry.freq.saturating_add(1);
         entry.last_seen = stamp;
         if inserted {
-            self.evictions.push(Reverse((entry.eviction_score(), pred)));
+            self.evictions.push((entry.eviction_score(), pred));
         }
         let live = usize::from(entry.len);
         if let Some(slot) = entry.slots[..live].iter_mut().find(|s| s.block == succ) {
@@ -213,30 +330,34 @@ impl CorrelationEngine {
     /// `evictions` holds one key per entry, taken when the entry was
     /// inserted; an entry's score never falls, so its key is a lower
     /// bound on its current one. While the smallest key is below its
-    /// entry's current key it is raised to it in place. Once it equals
-    /// it, that entry holds the table's smallest key — every other entry's
-    /// current key is at least its own heap key, which is at least this
-    /// one — and goes. Removing an entry changes no survivor's key and the
-    /// block id makes every key unique, so these are the victims one
-    /// minimum scan per victim would pick. Each raise is paid for by a
-    /// touch that made the key stale, so a pass costs heap steps per
-    /// victim and per touch, not a walk of the table.
+    /// entry's current key it is raised to it. Once it equals it, that
+    /// entry holds the table's smallest key — every other entry's current
+    /// key is at least its own queued key, which is at least this one —
+    /// and goes. Removing an entry changes no survivor's key and the block
+    /// id makes every key unique, so these are the victims one minimum
+    /// scan per victim would pick. Each raise is paid for by a touch that
+    /// made the key stale, so a pass costs queue steps per victim and per
+    /// touch, not a walk of the table.
     fn enforce_cap(&mut self) {
+        self.evictions.admit();
         while self.table.len() > self.config.max_assocs {
-            let mut least = self
+            let ((key, block), fresh) = self
                 .evictions
-                .peek_mut()
-                .expect("one heap key per table entry");
-            let Reverse((key, block)) = *least;
-            let current = self.table[&block].eviction_score();
+                .least()
+                .expect("one queued key per table entry");
+            let Entry::Occupied(entry) = self.table.entry(block) else {
+                unreachable!("one table entry per queued key");
+            };
+            let current = entry.get().eviction_score();
             if key < current {
-                *least = Reverse((current, block));
+                self.evictions.raise_least(fresh, (current, block));
             } else {
-                debug_assert_eq!(key, current, "a heap key never exceeds its entry's score");
-                PeekMut::pop(least);
-                self.table.remove(&block);
+                debug_assert_eq!(key, current, "a queued key never exceeds its entry's score");
+                self.evictions.pop_least(fresh);
+                entry.remove();
             }
         }
+        debug_assert_eq!(self.evictions.len(), self.table.len(), "one key per entry");
     }
 
     fn mine_pass(&mut self) -> u64 {
@@ -246,9 +367,9 @@ impl CorrelationEngine {
             // engine that never mines allocates nothing.
             let most = self.config.max_assocs + self.config.history;
             self.table.reserve(most);
-            self.evictions.reserve(most);
+            self.evictions.reserve(most, self.config.history);
         }
-        let pending = std::mem::take(&mut self.ring);
+        let mut pending = std::mem::take(&mut self.ring);
         let mut pairs = 0;
         for window in pending.windows(2) {
             let (pred, _) = window[0];
@@ -259,10 +380,10 @@ impl CorrelationEngine {
             }
         }
         // Keep the last observation as the bridge into the next segment so
-        // the pair spanning two mining passes is not lost.
-        if let Some(&last) = pending.last() {
-            self.ring.push(last);
-        }
+        // the pair spanning two mining passes is not lost. The buffer goes
+        // back with it, so the ring never regrows.
+        pending.drain(..pending.len().saturating_sub(1));
+        self.ring = pending;
         self.enforce_cap();
         self.since_mine = 0;
         pairs

@@ -85,12 +85,69 @@ pub struct AccessObservation {
 
 /// An explicit prefetch request emitted by an engine: `pages` pages
 /// starting at `start`, independent of the paced sequential frontier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PrefetchRun {
     /// First page to prefetch.
     pub start: u64,
     /// Run length in pages.
     pub pages: u64,
+}
+
+/// A decision's explicit runs, held inline: the correlation miner emits
+/// at most one per successor slot of the block it looked up, so a
+/// decision never allocates. Reads as a slice of [`PrefetchRun`]s.
+#[derive(Clone, Default)]
+pub struct PrefetchRuns {
+    slots: [PrefetchRun; correlation::SUCCESSOR_SLOTS],
+    len: u8,
+}
+
+impl PrefetchRuns {
+    /// Appends a run.
+    ///
+    /// # Panics
+    ///
+    /// When the decision already holds one run per successor slot.
+    pub fn push(&mut self, run: PrefetchRun) {
+        let len = usize::from(self.len);
+        assert!(
+            len < self.slots.len(),
+            "a decision holds at most one run per successor slot"
+        );
+        self.slots[len] = run;
+        self.len += 1;
+    }
+}
+
+impl std::ops::Deref for PrefetchRuns {
+    type Target = [PrefetchRun];
+
+    fn deref(&self) -> &[PrefetchRun] {
+        &self.slots[..usize::from(self.len)]
+    }
+}
+
+impl<'a> IntoIterator for &'a PrefetchRuns {
+    type Item = &'a PrefetchRun;
+    type IntoIter = std::slice::Iter<'a, PrefetchRun>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl PartialEq for PrefetchRuns {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for PrefetchRuns {}
+
+impl std::fmt::Debug for PrefetchRuns {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
 }
 
 /// What an engine wants done after observing one access.
@@ -101,7 +158,7 @@ pub struct PrefetchDecision {
     /// engine does not reason in frontiers.
     pub prediction: Option<Prediction>,
     /// Explicit runs to prefetch as-is (correlation-learned successors).
-    pub runs: Vec<PrefetchRun>,
+    pub runs: PrefetchRuns,
     /// The engine's confidence in this decision, in `[0, 1]`.
     pub confidence: f64,
     /// The engine's background mining pass is due; the runtime should

@@ -16,7 +16,9 @@ const SHARD_COUNT: usize = 64;
 /// one folded multiply (`block_hash`) does the hashing instead.
 pub type BlockMap<V> = HashMap<u64, V, BuildHasherDefault<BlockHasher>>;
 
-/// The [`BlockMap`] hasher: `block_hash` of the one `u64` key.
+/// The [`BlockMap`] hasher: folds each `u64` written into its state with
+/// `block_hash`, so a one-word key hashes to `block_hash(key)` and a key
+/// of two words, such as an `(inode, page)` pair, hashes both of them.
 #[derive(Debug, Default)]
 pub struct BlockHasher(u64);
 
@@ -30,7 +32,7 @@ impl Hasher for BlockHasher {
     }
 
     fn write_u64(&mut self, key: u64) {
-        self.0 = block_hash(key);
+        self.0 = block_hash(self.0 ^ key);
     }
 }
 
@@ -394,6 +396,28 @@ mod tests {
                 "stride {stride}: keys reach only {used} of {KEYS} low-bit buckets"
             );
         }
+    }
+
+    /// A one-word key hashes as `block_hash` alone; a two-word key hashes
+    /// both words, so pairs that share either half still spread.
+    #[test]
+    fn block_hasher_folds_every_word_written() {
+        use std::hash::BuildHasher;
+        let hasher = BuildHasherDefault::<BlockHasher>::default();
+        for key in [0u64, 1, 42, 1 << 32, u64::MAX] {
+            assert_eq!(hasher.hash_one(key), block_hash(key));
+        }
+        let pairs: Vec<(u64, u64)> = (0..64u64)
+            .flat_map(|ino| (0..64u64).map(move |page| (ino, page * 8)))
+            .collect();
+        let mut hashes: Vec<u64> = pairs.iter().map(|&pair| hasher.hash_one(pair)).collect();
+        hashes.sort_unstable();
+        hashes.dedup();
+        assert_eq!(
+            hashes.len(),
+            pairs.len(),
+            "every (inode, page) pair hashes apart"
+        );
     }
 
     /// The same two key sets round-trip through the store itself (a sample

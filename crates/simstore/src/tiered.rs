@@ -44,7 +44,7 @@
 //! the stack.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -130,7 +130,7 @@ pub struct TieredStore {
     local_capacity_blocks: u64,
     /// Blocks currently placed local.
     resident: AtomicU64,
-    files: RwLock<HashMap<u64, Arc<Mutex<FilePlacement>>>>,
+    files: RwLock<BlockMap<Arc<Mutex<FilePlacement>>>>,
     stats: TierStats,
 }
 
@@ -144,7 +144,7 @@ impl TieredStore {
             remote: Arc::new(remote),
             local_capacity_blocks,
             resident: AtomicU64::new(0),
-            files: RwLock::new(HashMap::new()),
+            files: RwLock::new(BlockMap::default()),
             stats: TierStats::default(),
         }
     }
