@@ -1,14 +1,16 @@
 //! Ablations: the artifact's customization knobs (paper appendix A.6:
 //! predictor counter width, `NR_WORKERS_VAR`, `PREFETCH_SIZE_VAR`) and
 //! every opt-in subsystem added since, off against on: prediction engines,
-//! the completion ring's rides, the tenant arbiter, cross-tier promotion, deferred
-//! write-back. This bench only prints; the claims its tables illustrate
-//! are gated by `cargo test` (`tests/{engines,ring,tenants,tiering}.rs`).
+//! the completion ring's rides, cross-tier promotion, deferred write-back;
+//! and one per-tenant table of the mixed-QoS fleet (tenants are labels, so
+//! there is nothing to switch off). This bench only prints; the claims its
+//! tables illustrate are gated by `cargo test`
+//! (`tests/{engines,ring,tenants,tiering}.rs`).
 
 use cp_bench::{banner, boot, boot_tiered, fmt_mbps, scale, TablePrinter};
 use crossprefetch::{
-    EngineKind, Mode, Runtime, RuntimeConfig, RuntimeReport, TenantsConfig, TieringConfig,
-    WritebackConfig, PAGE_SIZE,
+    EngineKind, Mode, Runtime, RuntimeConfig, RuntimeReport, TenantId, TenantsConfig,
+    TieringConfig, WritebackConfig, PAGE_SIZE,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -97,16 +99,62 @@ fn stream_with_skips(rt: &Runtime, clock: &mut ThreadClock) -> String {
 }
 
 /// The mixed-QoS fleet, open loop at 4000 req/s: ~74 % of where it
-/// saturates with the arbiter on, so queues drain and p99s mean something.
+/// saturates, so queues drain and p99s mean something.
 const FLEET_GAP_NS: u64 = 250 * NS_PER_US;
 
-fn fleet(rt: &Runtime, clock: &mut ThreadClock) -> String {
+/// The mixed-QoS fleet behind a 16 MB cache with its tenants configured,
+/// one row per tenant: its traffic and tails, and its books (pages
+/// admitted and initiated, and the quality ledger a cache drop closes).
+/// Configuring tenants changes no decision (`tests/tenants.rs`,
+/// `tenants_are_labels`), so there is no off column to print.
+fn tenant_table() {
     let cfg = FleetConfig::mixed_qos(FLEET_GAP_NS);
-    setup_fleet(rt, &cfg);
-    let result = run_fleet(rt, clock, &cfg);
-    let gold = result.tenant("gold").expect("gold tenant");
-    let (read, response) = (gold.p99_read_ns, gold.p99_response_ns / NS_PER_US);
-    format!("gold p99: read {read} ns, response {response} us")
+    let mode = Mode::PredictOpt;
+    let mut config = RuntimeConfig::new(mode);
+    config.tenants = Some(TenantsConfig::new(cfg.tenant_specs()));
+    let rt = Runtime::new(boot(16), config);
+    setup_fleet(&rt, &cfg);
+    let mut clock = rt.new_clock();
+    let result = run_fleet(&rt, &mut clock, &cfg);
+    rt.os().drop_caches(&mut clock);
+    let books = rt.tenants().expect("tenants configured");
+    println!(
+        "--- tenants ({}, mixed-QoS fleet at 4000 req/s, ~320 MiB behind a 16 MB cache) ---",
+        mode.label()
+    );
+    let columns = "tenant|qos|requests|hit %|admitted|initiated|timely|late|wasted\
+                   |pf-hit %|read p99 us|resp p50/p99 us";
+    let mut table = TablePrinter::new(columns.split('|'));
+    for (id, (run, row)) in result.per_tenant.iter().zip(books.reports()).enumerate() {
+        let q = books.tenant_quality(TenantId(id as u32));
+        let pf_hit = match row.initiated_pages {
+            0 => "-".to_string(),
+            n => format!("{:.1}", (q.timely + q.late) as f64 * 100.0 / n as f64),
+        };
+        table.row([
+            run.name.clone(),
+            row.qos.to_string(),
+            run.requests.to_string(),
+            format!(
+                "{:.1}",
+                run.hit_pages as f64 * 100.0 / run.pages.max(1) as f64
+            ),
+            row.admitted_pages.to_string(),
+            row.initiated_pages.to_string(),
+            q.timely.to_string(),
+            q.late.to_string(),
+            q.wasted.to_string(),
+            pf_hit,
+            format!("{:.1}", run.p99_read_ns as f64 / NS_PER_US as f64),
+            format!(
+                "{:.1}/{:.1}",
+                run.p50_response_ns as f64 / NS_PER_US as f64,
+                run.p99_response_ns as f64 / NS_PER_US as f64
+            ),
+        ]);
+    }
+    table.print();
+    println!();
 }
 
 /// One sequential scan of a 9 MiB file (the stream the tier planner
@@ -213,7 +261,6 @@ fn main() {
     mechanisms.push(Mode::FincoreApp);
     let off_on = [("off", false), ("on", true)];
     let engines = EngineKind::all().map(|engine| (engine.name(), engine));
-    let fleet_tenants = TenantsConfig::new(FleetConfig::mixed_qos(FLEET_GAP_NS).tenant_specs());
 
     let knob_sweep = |title, values: &[(&str, u64)], set: fn(&mut RuntimeConfig, u64)| {
         report_sweep(title, micro, &predict_opt, values, |_| boot(64), set);
@@ -274,14 +321,7 @@ fn main() {
         |_| boot(8),
         |c, on| c.ring_submit = on,
     );
-    report_sweep(
-        "tenant arbiter (mixed-QoS fleet at 4000 req/s, ~320 MiB behind a 16 MB cache)",
-        fleet,
-        &predict_opt,
-        &off_on,
-        |_| boot(16),
-        |c, on| c.tenants = on.then(|| fleet_tenants.clone()),
-    );
+    tenant_table();
     // An 8 MiB local tier in front of NVMe-oF under the 9 MiB file: ~11 %
     // of the blocks cannot fit locally no matter what.
     report_sweep(

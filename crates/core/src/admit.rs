@@ -17,7 +17,7 @@ use simos::{
 use crate::outstanding::Outstanding;
 use crate::runtime::{CpFile, LibFile, Runtime};
 use crate::span::SpanKind;
-use crate::tenant::{AdmissionRung, UNBOUND_TENANT};
+use crate::tenant::UNBOUND_TENANT;
 use crate::trace::{LookupOutcome, TraceEventKind};
 use crate::worker::Dispatch;
 
@@ -41,7 +41,6 @@ pub(crate) struct Rider {
     file: Arc<LibFile>,
     start: u64,
     end: u64,
-    relax: bool,
 }
 
 /// The riders of a successful ring crossing and their completions,
@@ -53,19 +52,14 @@ pub(crate) type Ridden = (Vec<Rider>, Vec<RaBatchCompletion>);
 /// charged, counted or sent.
 #[derive(Debug, Default)]
 struct Plan {
-    /// The admitted span `[from, end)`; on a denial, the span denied.
+    /// The admitted span `[from, end)`.
     from: u64,
     end: u64,
-    /// The tenant to bill and its rung: `None` without an arbiter or a
-    /// tenant, and for a refused ride.
-    bill: Option<(u32, AdmissionRung)>,
-    /// The span's uncached runs, and the runs the coalesced-only rung
-    /// merged away.
+    /// The tenant to bill: `None` without a tenant table or a tenant, and
+    /// for a refused request.
+    bill: Option<u32>,
+    /// The span's uncached runs.
     missing: Vec<(u64, u64)>,
-    merged: u64,
-    /// Relaxed limits (§4.7) and `readahead_info`; off on the blind rung.
-    relax: bool,
-    visibility: bool,
     submit: Submit,
 }
 
@@ -101,9 +95,9 @@ impl Runtime {
     /// per-tenant `timely + late + wasted == initiated` invariant whole.
     pub(crate) fn note_pages_initiated(&self, file: &LibFile, pages: u64) {
         self.inner.stats.pages_initiated.add(pages);
-        if let Some(arbiter) = &self.inner.tenants {
+        if let Some(tenants) = &self.inner.tenants {
             // A file without a tenant is outside the table: a no-op.
-            arbiter.note_initiated(file.tenant.load(Ordering::Relaxed), pages);
+            tenants.note_initiated(file.tenant.load(Ordering::Relaxed), pages);
         }
     }
 
@@ -268,10 +262,10 @@ impl Runtime {
     }
 
     /// Every decision about one request, each made once: the memory floor
-    /// and headroom clamp, the tenant rung, the visibility dedupe (worker
-    /// submissions only) and the submission. Charges, counts and sends
-    /// nothing; the caller pays a worker submission's range-index lookup
-    /// only.
+    /// and headroom clamp, the visibility dedupe (worker submissions only)
+    /// and the submission; a tenant decides nothing, it is only billed.
+    /// Charges, counts and sends nothing; the caller pays a worker
+    /// submission's range-index lookup only.
     fn plan(
         &self,
         clock: &mut ThreadClock,
@@ -281,7 +275,6 @@ impl Runtime {
         ride: bool,
     ) -> Plan {
         let inner = &self.inner;
-        let os = &inner.os;
         let features = &inner.policy.features;
         let mut end = (from + want).min(file.pages());
         // FetchAll is exempt from both memory bounds: Table 2's policy
@@ -292,53 +285,22 @@ impl Runtime {
         if let Some(headroom) = self.headroom_pages() {
             end = from + (end - from).min(headroom);
         }
-
-        // Tenant admission: a wasteful tenant over its fair share
-        // degrades — coalesced-only, then a single blind window, then
-        // outright denial — before any demand read pays. Files with no
-        // tenant (and runtimes with no arbiter) skip this entirely.
         let tenant = file.tenant.load(Ordering::Relaxed);
-        let arbiter = inner.tenants.as_ref().filter(|_| tenant != UNBOUND_TENANT);
-        let rung = arbiter.map_or(AdmissionRung::Full, |arbiter| {
-            arbiter.rung(os, tenant, end - from, clock.now())
-        });
-        // Explicit speculation is the first thing the ladder takes: a ride
-        // off the `Full` rung is refused and charged nothing, and the run
-        // takes its rung on its first continuation.
-        if ride && rung != AdmissionRung::Full {
-            return Plan::refused(from);
-        }
-        end = from + rung.span(os, end - from);
-        let bill = arbiter.map(|_| (tenant, rung));
-        if rung == AdmissionRung::Deny {
-            return Plan {
-                end,
-                bill,
-                ..Plan::refused(from)
-            };
-        }
+        let bill = (inner.tenants.is_some() && tenant != UNBOUND_TENANT).then_some(tenant);
 
         // User-level visibility check: skip entirely-cached requests. This
         // is the system-call reduction at the heart of §4.2, so it applies
         // to worker submissions only. A ride crosses with its miss anyway
         // and CROSS-OS dedupes it against the authoritative bitmap, so it
         // carries its whole span: a view left stale by reclaim can neither
-        // veto it nor cost the reader a range-index lookup. Degradation
-        // rides nothing: blind `readahead(2)` has no vectored form, whether
-        // the blindness came from the kernel latch or the ladder.
-        let blind = rung == AdmissionRung::Blind;
-        let visibility = features.visibility && !blind;
+        // veto it nor cost the reader a range-index lookup. A degraded
+        // kernel rides nothing: blind `readahead(2)` has no vectored form.
         let rides = ride && !inner.degraded.load(Ordering::Relaxed);
-        let (missing, merged) = if visibility && !rides {
-            let costs = &os.config().costs;
-            let runs = file.tree.missing_in(clock, costs, self.scope(), from, end);
-            if rung == AdmissionRung::CoalescedOnly {
-                self.coalesce_runs(runs)
-            } else {
-                (runs, 0)
-            }
+        let missing = if features.visibility && !rides {
+            let costs = &inner.os.config().costs;
+            file.tree.missing_in(clock, costs, self.scope(), from, end)
         } else {
-            (vec![(from, end)], 0)
+            vec![(from, end)]
         };
         let submit = if rides {
             Submit::Ride
@@ -352,14 +314,11 @@ impl Runtime {
             end,
             bill,
             missing,
-            merged,
-            relax: features.relax_limits && !blind,
-            visibility,
             submit,
         }
     }
 
-    /// Carries out `plan` at one point: the tenant charge for exactly the
+    /// Carries out `plan` at one point: the tenant bill for exactly the
     /// span it admitted, the counters and trace, and the submission. The
     /// calling thread pays an enqueue; a worker issues on its own clock.
     fn apply(
@@ -370,11 +329,10 @@ impl Runtime {
         riders: Option<&mut Vec<Rider>>,
     ) -> u64 {
         let inner = &self.inner;
-        let (from, end, relax) = (plan.from, plan.end, plan.relax);
-        if let (Some(arbiter), Some((tenant, rung))) = (&inner.tenants, plan.bill) {
-            arbiter.charge(tenant, rung, end - from);
+        let (from, end) = (plan.from, plan.end);
+        if let (Some(tenants), Some(tenant)) = (&inner.tenants, plan.bill) {
+            tenants.admit(&inner.os, tenant, end - from, clock.now());
         }
-        inner.stats.prefetch_runs_coalesced.add(plan.merged);
         if plan.submit == Submit::Refuse {
             return from;
         }
@@ -405,12 +363,13 @@ impl Runtime {
                 pages: total,
             };
             inner.trace.emit(clock.now(), issued);
-            self.limit_sized_runs(file, &missing, relax, riders);
+            self.limit_sized_runs(file, &missing, riders);
             return end;
         }
 
         // Reserve worker occupancy proportional to the syscalls the job
         // will issue.
+        let relax = inner.policy.features.relax_limits;
         let cap = self.chunk_cap(relax);
         let call_estimate: u64 = if relax {
             // One syscall per chunk of each missing run — a run longer
@@ -420,9 +379,10 @@ impl Runtime {
             total.div_ceil(cap)
         };
         let est_ns = call_estimate * costs.syscall_ns;
-        let (runtime, file, visibility) = (self.clone(), Arc::clone(file), plan.visibility);
+        let (runtime, file) = (self.clone(), Arc::clone(file));
+        let visibility = inner.policy.features.visibility;
         let dispatch = inner.workers.dispatch(clock.now(), est_ns, move |wclock| {
-            runtime.issue_prefetch(wclock, &file, &missing, relax, visibility, 0);
+            runtime.issue_prefetch(wclock, &file, &missing, visibility, 0);
         });
         self.note_queue_wait(&dispatch);
         inner.metrics.prefetch_ns.record(dispatch.latency_ns());
@@ -458,23 +418,6 @@ impl Runtime {
         }
     }
 
-    /// Merges missing runs at most one OS readahead window apart, and
-    /// counts the runs merged away: the [`AdmissionRung::CoalescedOnly`]
-    /// rung trades a few gap pages for fewer syscalls — safe only on the
-    /// visibility path, where the OS dedups the cached pages in a span.
-    fn coalesce_runs(&self, runs: Vec<(u64, u64)>) -> (Vec<(u64, u64)>, u64) {
-        let gap = self.inner.os.config().ra_max_pages;
-        let mut out: Vec<(u64, u64)> = Vec::with_capacity(runs.len());
-        for &(start, end) in &runs {
-            match out.last_mut() {
-                Some(last) if start <= last.1.saturating_add(gap) => last.1 = last.1.max(end),
-                _ => out.push((start, end)),
-            }
-        }
-        let merged = (runs.len() - out.len()) as u64;
-        (out, merged)
-    }
-
     /// Splits the missing runs into limit-sized riders — so a ride and the
     /// worker path initiate identical page counts, only the crossing count
     /// differs — appending each to `riders`.
@@ -482,10 +425,9 @@ impl Runtime {
         &self,
         file: &Arc<LibFile>,
         missing: &[(u64, u64)],
-        relax: bool,
         riders: &mut Vec<Rider>,
     ) {
-        let cap = self.chunk_cap(relax);
+        let cap = self.chunk_cap(self.inner.policy.features.relax_limits);
         for &(start, end) in missing {
             let mut cursor = start;
             while cursor < end {
@@ -494,7 +436,6 @@ impl Runtime {
                     file: Arc::clone(file),
                     start: cursor,
                     end: upto,
-                    relax,
                 });
                 cursor = upto;
             }
@@ -509,12 +450,12 @@ impl Runtime {
 
     /// The vectored OS entries of a ring crossing's riders.
     fn rider_entries<'a>(&self, riders: &'a [Rider]) -> Vec<RaBatchEntry<'a>> {
+        let cap = self.chunk_cap(self.inner.policy.features.relax_limits);
         riders
             .iter()
             .map(|run| {
                 let (offset, len) = (run.start * PAGE_SIZE, (run.end - run.start) * PAGE_SIZE);
-                RaBatchEntry::new(&run.file.os_file, offset, len)
-                    .with_limit_pages(self.chunk_cap(run.relax))
+                RaBatchEntry::new(&run.file.os_file, offset, len).with_limit_pages(cap)
             })
             .collect()
     }
@@ -592,7 +533,7 @@ impl Runtime {
     /// already made on it by its crossing.
     fn reissue_run(&self, clock: &mut ThreadClock, run: &Rider, spent: u32) {
         let range = [(run.start, run.end)];
-        self.issue_prefetch(clock, &run.file, &range, run.relax, true, spent);
+        self.issue_prefetch(clock, &run.file, &range, true, spent);
     }
 
     /// Worker half: issues the prefetch syscalls through the fallible OS
@@ -607,12 +548,11 @@ impl Runtime {
         clock: &mut ThreadClock,
         file: &Arc<LibFile>,
         missing: &[(u64, u64)],
-        relax: bool,
         visibility: bool,
         spent: u32,
     ) {
         let inner = &self.inner;
-        let costs = &inner.os.config().costs;
+        let (costs, relax) = (&inner.os.config().costs, inner.policy.features.relax_limits);
         for &(start, end) in missing {
             let mut cursor = start;
             while cursor < end {
@@ -741,8 +681,7 @@ mod tests {
     use simos::{Device, DeviceConfig, FileSystem, FsKind, Os, OsConfig};
 
     /// A `mode` runtime with `workers` workers on a booted OS with `mb`
-    /// MiB of page cache, arbitrating a gold and a bronze tenant when
-    /// `tenants`.
+    /// MiB of page cache, with a gold and a bronze tenant when `tenants`.
     fn boot(mb: u64, mode: Mode, workers: usize, tenants: bool) -> Runtime {
         let os = Os::new(
             OsConfig::with_memory_mb(mb),
@@ -773,7 +712,6 @@ mod tests {
             file: Arc::clone(&file.file),
             start: 0,
             end: 12,
-            relax: false,
         };
         let faulted = RaBatchCompletion {
             error: Some(IoError::Io),
@@ -792,7 +730,7 @@ mod tests {
     }
 
     /// With dirty data holding more than 95 % of the budget, every request
-    /// is refused before the arbiter, charging nothing; FetchAll is exempt.
+    /// is refused, billing nothing; FetchAll is exempt.
     #[test]
     fn plan_refuses_under_the_prefetch_floor_except_fetchall() {
         for (mode, refused) in [(Mode::Predict, true), (Mode::FetchAllOpt, false)] {
@@ -843,9 +781,8 @@ mod tests {
     }
 
     /// A bronze file on a 64 MiB cache whose tenant wasted every page it
-    /// ever prefetched, a clock, and the tenant's share after the first
-    /// rebalance.
-    fn wasteful_tenant() -> (Runtime, ThreadClock, crate::CpFile, u64) {
+    /// ever prefetched, and a clock.
+    fn wasteful_tenant() -> (Runtime, ThreadClock, crate::CpFile) {
         let runtime = boot(64, Mode::Predict, 1, true);
         let mut clock = runtime.new_clock();
         let bronze = crate::TenantId(1);
@@ -859,112 +796,65 @@ mod tests {
             .unwrap();
         runtime.note_pages_initiated(&file.file, initiated);
         os.drop_caches(&mut clock);
-        let arbiter = runtime.tenants().unwrap();
-        assert_eq!(arbiter.tenant_quality(bronze).wasted, initiated);
-        arbiter.rung(os, 1, 0, clock.now()); // the first rebalance
-        let share = arbiter.reports()[1].budget_pages;
-        (runtime, clock, file, share)
+        let wasted = runtime.tenants().unwrap().tenant_quality(bronze).wasted;
+        assert_eq!(wasted, initiated);
+        (runtime, clock, file)
     }
 
-    /// Plans and applies `want` pages at `from`, checking the tenant's
-    /// window took exactly the span the plan admitted (a denial: its
-    /// denied count took the span denied; no bill: nothing moved).
-    /// Returns the rung billed, the span and the submission.
+    /// Plans and applies `want` pages at `from` for the bronze tenant,
+    /// checking that the plan alone bills nothing and the apply bills
+    /// exactly the span the plan admitted. Returns the span and the
+    /// submission.
     fn plan_and_apply(
         runtime: &Runtime,
         clock: &mut ThreadClock,
         file: &Arc<LibFile>,
         (from, want): (u64, u64),
         riders: Option<&mut Vec<Rider>>,
-    ) -> (Option<AdmissionRung>, u64, Submit) {
-        let arbiter = runtime.tenants().unwrap();
-        let before = arbiter.reports()[1].clone();
+    ) -> (u64, Submit) {
+        let admitted = || runtime.tenants().unwrap().reports()[1].admitted_pages;
+        let before = admitted();
         let plan = runtime.plan(clock, file, from, want, riders.is_some());
-        let (rung, span, submit) = (plan.bill.map(|b| b.1), plan.end - plan.from, plan.submit);
+        assert_eq!(admitted(), before, "a plan alone bills nothing");
+        assert_eq!(plan.bill, Some(1));
+        let (span, submit) = (plan.end - plan.from, plan.submit);
         runtime.apply(clock, file, plan, riders);
-        let after = &arbiter.reports()[1];
-        let charged = after.window_used_pages - before.window_used_pages;
-        let denied = after.denied_pages - before.denied_pages;
-        match rung {
-            None => assert_eq!(after, &before),
-            Some(AdmissionRung::Deny) => assert_eq!((charged, denied), (0, span)),
-            Some(_) => assert_eq!((charged, denied), (span, 0)),
+        assert_eq!(admitted() - before, span);
+        (span, submit)
+    }
+
+    /// A tenant, however wasteful, is billed exactly the span each plan
+    /// admitted: a whole request, a request the memory headroom clamps,
+    /// and a span the view already holds (skipped, but admitted). Nothing
+    /// is ever counted degraded or denied.
+    #[test]
+    fn the_charge_bills_the_admitted_span() {
+        let (runtime, mut clock, file) = wasteful_tenant();
+        let file = &file.file;
+        let whole = plan_and_apply(&runtime, &mut clock, file, (0, 256), None);
+        assert_eq!(whole, (256, Submit::Worker));
+        let headroom = runtime.headroom_pages().unwrap();
+        let clamped = plan_and_apply(&runtime, &mut clock, file, (1024, 1 << 20), None);
+        assert_eq!(clamped, (headroom, Submit::Worker));
+        let skipped = plan_and_apply(&runtime, &mut clock, file, (0, 256), None);
+        assert_eq!(skipped, (256, Submit::Skip));
+        let row = &runtime.tenants().unwrap().reports()[1];
+        let degraded = (row.degraded_coalesced, row.degraded_blind, row.denied_pages);
+        assert_eq!(degraded, (0, 0, 0));
+    }
+
+    /// A known run rides however wasteful its tenant, billed its span like
+    /// any prefetch.
+    #[test]
+    fn a_ride_is_billed_its_span_like_any_prefetch() {
+        let (runtime, mut clock, file) = wasteful_tenant();
+        let file = &file.file;
+        for from in [0, 4096] {
+            let mut riders = Vec::new();
+            let ride = plan_and_apply(&runtime, &mut clock, file, (from, 256), Some(&mut riders));
+            assert_eq!(ride, (256, Submit::Ride));
+            assert_eq!(riders.iter().map(|r| r.end - r.start).sum::<u64>(), 256);
         }
-        (rung, span, submit)
-    }
-
-    /// Each rung of the ladder, as planned: `Full` admits the request,
-    /// `CoalescedOnly` merges runs one OS window apart, `Blind` admits one
-    /// OS window without visibility or relaxed limits, `Deny` sends
-    /// nothing. The window is charged exactly what each plan admitted.
-    #[test]
-    fn plan_walks_each_rung_and_the_charge_bills_its_span() {
-        let (runtime, mut clock, file, share) = wasteful_tenant();
-        let file = &file.file;
-        let full = plan_and_apply(&runtime, &mut clock, file, (0, share), None);
-        assert_eq!(full, (Some(AdmissionRung::Full), share, Submit::Worker));
-
-        // Two missing runs two pages apart: one submission.
-        let (from, want) = (4 * share, share / 4);
-        let costs = &runtime.os().config().costs;
-        file.tree
-            .mark_cached(&mut clock, costs, runtime.scope(), from + 10, from + 12);
-        let plan = runtime.plan(&mut clock, file, from, want, false);
-        assert_eq!(plan.bill.map(|b| b.1), Some(AdmissionRung::CoalescedOnly));
-        assert_eq!(
-            (plan.missing.clone(), plan.merged),
-            (vec![(from, from + want)], 1)
-        );
-        runtime.apply(&mut clock, file, plan, None);
-        let report = &runtime.tenants().unwrap().reports()[1];
-        assert_eq!(report.window_used_pages, share + want);
-        assert_eq!(runtime.stats().prefetch_runs_coalesced.get(), 1);
-
-        let window = runtime.os().config().ra_max_pages;
-        let plan = runtime.plan(&mut clock, file, 8 * share, share / 2, false);
-        assert_eq!(plan.bill.map(|b| b.1), Some(AdmissionRung::Blind));
-        assert_eq!(plan.end - plan.from, window);
-        assert!(!plan.relax && !plan.visibility);
-        // A plan alone charges nothing: planning again lands on the same rung.
-        let report = &runtime.tenants().unwrap().reports()[1];
-        assert_eq!(report.window_used_pages, share + want);
-        let blind = plan_and_apply(&runtime, &mut clock, file, (8 * share, share / 2), None);
-        assert_eq!(blind, (Some(AdmissionRung::Blind), window, Submit::Worker));
-
-        let deny = plan_and_apply(&runtime, &mut clock, file, (12 * share, 4 * share), None);
-        assert_eq!(deny, (Some(AdmissionRung::Deny), 4 * share, Submit::Refuse));
-        let report = &runtime.tenants().unwrap().reports()[1];
-        let counts = (
-            report.degraded_coalesced,
-            report.degraded_blind,
-            report.denied,
-        );
-        assert_eq!(counts, (1, 1, 1));
-    }
-
-    /// A known run rides only on the `Full` rung, charged like any
-    /// prefetch; off it the ride is refused, and the refusal leaves the
-    /// tenant's window and counters untouched.
-    #[test]
-    fn a_ride_is_refused_off_the_full_rung_and_charges_nothing() {
-        let (runtime, mut clock, file, share) = wasteful_tenant();
-        let file = &file.file;
-        let mut riders = Vec::new();
-        let ride = plan_and_apply(&runtime, &mut clock, file, (0, share), Some(&mut riders));
-        assert_eq!(ride, (Some(AdmissionRung::Full), share, Submit::Ride));
-        assert_eq!(riders.iter().map(|r| r.end - r.start).sum::<u64>(), share);
-
-        let mut refused = Vec::new();
-        let from = 4 * share;
-        let ride = plan_and_apply(
-            &runtime,
-            &mut clock,
-            file,
-            (from, share / 4),
-            Some(&mut refused),
-        );
-        assert_eq!(ride, (None, 0, Submit::Refuse));
-        assert!(refused.is_empty());
     }
 
     /// Reclaim can evict a run behind the user-level view, which keeps

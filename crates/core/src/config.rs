@@ -139,15 +139,13 @@ pub struct RuntimeConfig {
     /// class otherwise over-commits, so on multi-threaded random reads
     /// rides cost more than they save (DESIGN §6, §13).
     pub ring_submit: bool,
-    /// Multi-tenant prefetch arbitration ([`crate::tenant`]): a tenant
-    /// table with QoS classes, per-tenant fair-share prefetch windows
-    /// rebalanced from the timely/late/wasted quality ledgers, and an
-    /// admission ladder (full → coalesced-only → blind → deny) that
-    /// degrades a tenant's speculative prefetch past its share as
-    /// strictly as that tenant's speculation is wasted, before demand
-    /// reads ever pay. Default `None`: no arbiter is built, files carry
-    /// no tenant, every new code path is bypassed, and telemetry is
-    /// byte-identical to the tenant-less runtime.
+    /// Tenants as labels ([`crate::tenant`]): a tenant table with QoS
+    /// classes; files opened for a tenant bill its admitted and initiated
+    /// pages and its timely/late/wasted quality ledger. A tenant changes
+    /// no prefetch decision: every reader shares one page cache under the
+    /// same memory clamps (§4.6). Default `None`: no table is built, files
+    /// carry no tenant, and telemetry is byte-identical to the tenant-less
+    /// runtime; set, only the additive `tenants` section differs.
     pub tenants: Option<crate::tenant::TenantsConfig>,
     /// Cross-tier promotion planning ([`crate::tiering`]): when the OS
     /// runs on a [`simos::TieredStore`], high-confidence predictions are

@@ -2,8 +2,6 @@
 //! of its decision (paced windows, known runs, mined correlation runs),
 //! the background mining pass and the prefetch-quality feedback.
 
-use std::sync::atomic::Ordering;
-
 use predict::{AccessObservation, Prediction, PredictionEngine, PrefetchDecision, QualityFeedback};
 use simclock::ThreadClock;
 use simos::PrefetchQuality;
@@ -126,16 +124,16 @@ impl CpFile {
 
     /// Feeds the per-file timely/late/wasted delta to engines that learn
     /// from it (correlation support tuning, adaptive hit weighting), every
-    /// [`FEEDBACK_INTERVAL_READS`] accesses; callers skip it for the
-    /// strided engine (`engine_feedback`). Charges no virtual time, so
-    /// feedback never perturbs the simulated timeline by itself.
-    pub(crate) fn maybe_feed_quality(&self) {
-        if self.reads_since_feedback.fetch_add(1, Ordering::Relaxed) + 1 < FEEDBACK_INTERVAL_READS {
+    /// [`FEEDBACK_INTERVAL_READS`] accesses counted in the descriptor's
+    /// record; callers skip it for the strided engine (`engine_feedback`).
+    /// Charges no virtual time, so feedback never perturbs the simulated
+    /// timeline by itself.
+    pub(crate) fn maybe_feed_quality(&self, outstanding: &mut Outstanding) {
+        let cache = &self.os_file.cache;
+        let sample = || cache.state.read().quality();
+        let Some(delta) = outstanding.quality_delta(FEEDBACK_INTERVAL_READS, sample) else {
             return;
-        }
-        self.reads_since_feedback.store(0, Ordering::Relaxed);
-        let quality = self.os_file.cache.state.read().quality();
-        let delta = quality.delta(std::mem::replace(&mut *self.fed_quality.lock(), quality));
+        };
         if delta == PrefetchQuality::default() {
             return;
         }

@@ -89,9 +89,7 @@ pub use span::{
 };
 pub use stats::LibStats;
 pub use telemetry::{FieldKind, FieldSpec, RuntimeReport, TELEMETRY_SCHEMA_VERSION};
-pub use tenant::{
-    AdmissionRung, QosClass, TenantArbiter, TenantId, TenantReport, TenantSpec, TenantsConfig,
-};
+pub use tenant::{QosClass, TenantArbiter, TenantId, TenantReport, TenantSpec, TenantsConfig};
 pub use tiering::{TierPlanner, TieringConfig};
 pub use trace::{LookupOutcome, SpanView, TraceEvent, TraceEventKind, Tracer};
 

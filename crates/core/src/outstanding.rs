@@ -6,6 +6,7 @@
 //! stack, and one that locked it would deadlock.
 
 use predict::Prediction;
+use simos::PrefetchQuality;
 use simstore::wordwalk::WORD_BITS;
 
 /// A descriptor's outstanding speculation ([module docs](self)).
@@ -27,6 +28,11 @@ pub(crate) struct Outstanding {
     /// Whether the last read needed the device, until the engine is told
     /// ([`Outstanding::take_outcome`]).
     outcome: Option<bool>,
+    /// Reads since the last quality-feedback sample, and the
+    /// timely/late/wasted totals already fed to the engine
+    /// ([`Outstanding::quality_delta`]).
+    reads_since_feedback: u64,
+    fed_quality: PrefetchQuality,
 }
 
 impl Outstanding {
@@ -39,6 +45,8 @@ impl Outstanding {
             ride: false,
             run_start: None,
             outcome: None,
+            reads_since_feedback: 0,
+            fed_quality: PrefetchQuality::default(),
         }
     }
 
@@ -161,6 +169,23 @@ impl Outstanding {
         self.outcome.take()
     }
 
+    /// One read toward the quality-feedback cadence: every `interval`-th
+    /// read returns the timely/late/wasted delta of `quality()` since the
+    /// last sample; the others return `None` without calling it.
+    pub(crate) fn quality_delta(
+        &mut self,
+        interval: u64,
+        quality: impl FnOnce() -> PrefetchQuality,
+    ) -> Option<PrefetchQuality> {
+        self.reads_since_feedback += 1;
+        if self.reads_since_feedback < interval {
+            return None;
+        }
+        self.reads_since_feedback = 0;
+        let quality = quality();
+        Some(quality.delta(std::mem::replace(&mut self.fed_quality, quality)))
+    }
+
     /// The run's oldest whole word, if it ends at or below the word of a
     /// reader at `p0`; taking it advances the run past it.
     pub(crate) fn take_word_behind(&mut self, p0: u64) -> Option<(u64, u64)> {
@@ -229,6 +254,8 @@ mod tests {
                 ride: false,
                 run_start: None,
                 outcome: None,
+                reads_since_feedback: 0,
+                fed_quality: PrefetchQuality::default(),
             }
         );
         assert!(!record.ride_pending());

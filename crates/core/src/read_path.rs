@@ -537,8 +537,9 @@ impl CpFile {
         // strided engine, no virtual time charged either way).
         if self.engine_feedback && !ctx.is_write {
             let needed_io = outcome.miss_pages + outcome.prefetch_hit_pages > 0;
-            ctx.outstanding().read_outcome(needed_io);
-            self.maybe_feed_quality();
+            let outstanding = ctx.outstanding();
+            outstanding.read_outcome(needed_io);
+            self.maybe_feed_quality(outstanding);
         }
 
         self.finish_io(clock, outcome, ctx);

@@ -10,7 +10,7 @@ use predict::{Engine, PredictionEngine};
 use simclock::ThreadClock;
 use simos::{
     into_ok, Advice, Fd, FdEntry, FsError, InodeId, IoError, MayFault, MmapOutcome, NeverFault, Os,
-    PrefetchQuality, ReadOutcome, PAGE_SIZE,
+    ReadOutcome, PAGE_SIZE,
 };
 
 use crate::config::{Features, Mode, RuntimeConfig};
@@ -54,9 +54,9 @@ pub struct LibFile {
     /// Circular cursor for FetchAll refetch rounds.
     pub(crate) refetch_cursor: AtomicU64,
     /// Owning tenant index ([`crate::tenant::UNBOUND_TENANT`] when the
-    /// file was opened without one or no arbiter is configured). Set by
-    /// the first tenant-carrying open; admission and initiated-page
-    /// attribution read it on every prefetch.
+    /// file was opened without one or no tenant table is configured). Set
+    /// by the first tenant-carrying open; admitted- and initiated-page
+    /// billing read it on every prefetch.
     pub(crate) tenant: AtomicU32,
     /// `CpFile` handles open on the file: the memory watcher returns a
     /// stream's consumed words only while its handle is the only one.
@@ -85,11 +85,6 @@ pub struct CpFile {
     /// Whether the engine consumes prefetch-quality feedback — cached at
     /// open so the strided hot path never touches the quality counters.
     pub(crate) engine_feedback: bool,
-    /// Reads since the last quality-feedback sample.
-    pub(crate) reads_since_feedback: AtomicU64,
-    /// The timely/late/wasted totals already fed to the engine, so each
-    /// feedback call carries only the delta since the previous one.
-    pub(crate) fed_quality: Mutex<PrefetchQuality>,
     /// This descriptor's outstanding speculation, changed only through the
     /// record's transitions ([`Outstanding`]). The read pipeline locks it
     /// once per access, from its predict stage through account; the mapped
@@ -144,9 +139,8 @@ pub(crate) struct RuntimeInner {
     /// CROSS-LIB on a stock kernel keeps working, it just loses the
     /// cache-visibility syscall savings.
     pub(crate) degraded: AtomicBool,
-    /// Multi-tenant fair-share admission arbiter
-    /// ([`crate::RuntimeConfig::tenants`]); `None` (the default) bypasses
-    /// every tenant path.
+    /// The tenant table and its books ([`crate::RuntimeConfig::tenants`]);
+    /// `None` (the default) bypasses every tenant path.
     pub(crate) tenants: Option<TenantArbiter>,
     /// Cross-tier promotion planner ([`crate::RuntimeConfig::tiering`]);
     /// built only when the config asks for it *and* the OS actually sits
@@ -223,7 +217,7 @@ impl Runtime {
         &self.inner.policy
     }
 
-    /// The multi-tenant admission arbiter, when configured.
+    /// The tenant table and its books, when configured.
     pub fn tenants(&self) -> Option<&TenantArbiter> {
         self.inner.tenants.as_ref()
     }
@@ -317,9 +311,9 @@ impl Runtime {
     }
 
     /// Opens an existing file on behalf of `tenant`: the file joins the
-    /// tenant's registry and its prefetch is arbitrated under the
-    /// tenant's fair share. Without a configured arbiter (or for a tenant
-    /// outside the table) this is exactly [`Runtime::open`].
+    /// tenant's registry and its prefetch is billed to the tenant's books.
+    /// Without a tenant table (or for a tenant outside it) this is exactly
+    /// [`Runtime::open`].
     ///
     /// # Errors
     ///
@@ -382,10 +376,10 @@ impl Runtime {
         let policy = &self.inner.policy;
 
         // Tenant binding happens before any open-time prefetch so the
-        // optimistic window and fetchall streams are attributed and
-        // arbitrated from the first page.
-        if let (Some(arbiter), Some(tenant)) = (&self.inner.tenants, tenant) {
-            if arbiter.bind(tenant, &os_file.cache) {
+        // optimistic window and fetchall streams are billed from the
+        // first page.
+        if let (Some(tenants), Some(tenant)) = (&self.inner.tenants, tenant) {
+            if tenants.bind(tenant, &os_file.cache) {
                 file.tenant.store(tenant.0, Ordering::Relaxed);
             }
         }
@@ -422,8 +416,6 @@ impl Runtime {
             file,
             engine_feedback: engine.wants_feedback(),
             engine: Mutex::new(engine),
-            reads_since_feedback: AtomicU64::new(0),
-            fed_quality: Mutex::new(PrefetchQuality::default()),
             outstanding: Mutex::new(Outstanding::open()),
             mmap_touched: std::sync::atomic::AtomicBool::new(false),
             last_pattern: std::sync::atomic::AtomicU8::new(u8::MAX),
@@ -674,7 +666,9 @@ impl CpFile {
             let mut outstanding = self.outstanding.lock();
             let decision = self.observe(clock, &mut outstanding, p0, p1 - p0);
             self.apply_decision(clock, &mut outstanding, decision, p0, p1, false);
-            self.maybe_feed_quality();
+            if self.engine_feedback {
+                self.maybe_feed_quality(&mut outstanding);
+            }
         }
         outcome
     }
@@ -752,17 +746,15 @@ mod tests {
         let mut clock = runtime.new_clock();
         let file = runtime.create_sized(&mut clock, "/f", 1 << 16).unwrap();
         let CpFile {
-            runtime: _,              // the shim: config, policy, workers, stats
-            fd: _,                   // `Drop`: released with the handle
-            os_file: _,              // every syscall the pipeline makes
-            file: _,                 // `LibFile`, shared: the view, `stale_pages`
-            engine: _,               // engine.rs: the predictor, and a held known run
-            engine_feedback: _,      // engine.rs: whether the engine learns
-            reads_since_feedback: _, // engine.rs: the feedback cadence
-            fed_quality: _,          // engine.rs: the quality already fed
-            outstanding: _,          // outstanding.rs: frontiers, window, ride, run
-            mmap_touched: _,         // `mmap_read`: fault-around restored once
-            last_pattern: _,         // read_path.rs predict stage: tracing only
+            runtime: _,         // the shim: config, policy, workers, stats
+            fd: _,              // `Drop`: released with the handle
+            os_file: _,         // every syscall the pipeline makes
+            file: _,            // `LibFile`, shared: the view, `stale_pages`
+            engine: _,          // engine.rs: the predictor, and a held known run
+            engine_feedback: _, // engine.rs: whether the engine learns
+            outstanding: _,     // outstanding.rs: frontiers, window, ride, run, feedback
+            mmap_touched: _,    // `mmap_read`: fault-around restored once
+            last_pattern: _,    // read_path.rs predict stage: tracing only
         } = &file;
     }
 }

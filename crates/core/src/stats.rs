@@ -40,10 +40,6 @@ pub struct LibStats {
     pub stale_resyncs: Counter,
     /// Stale pages (claimed cached, found evicted) the watchdog observed.
     pub stale_pages_observed: Counter,
-    /// Adjacent planned prefetch runs merged into an earlier submission
-    /// (the tenant ladder's [`crate::AdmissionRung::CoalescedOnly`] rung);
-    /// each merge is one saved syscall-bearing submission.
-    pub prefetch_runs_coalesced: Counter,
     /// Known runs pre-issued through the ring (Foreactor's explicit
     /// speculation): the predictor's learned run remainder, crossing with
     /// the miss that starts the run.

@@ -253,9 +253,9 @@ report_fields! {
             .iter()
             .map(|&stage| (stage.name(), metrics.stage_hist(stage).snapshot()))
             .collect();
-        /// Adjacent planned prefetch runs the tenant ladder's coalesced-only
-        /// rung merged into one submission.
-        Counter prefetch_runs_coalesced: u64 = "prefetch_runs_coalesced" <= stats.prefetch_runs_coalesced.get();
+        /// Always 0: no planned prefetch runs are merged. A frozen
+        /// schema-v1 key, and `benchmark/` reads it; ROADMAP item 1-A drops it.
+        Counter prefetch_runs_coalesced: u64 = "prefetch_runs_coalesced" <= 0;
     }
     // The batched submission path these counted is gone: every key reads
     // a constant zero so the frozen layout (and what `benchmark/` reads)
@@ -363,14 +363,14 @@ report_fields! {
         Counter range_index_retries: u64 = "optimistic_retries" <= index.optimistic_retries;
     }
     additive ["tenants"] {
-        /// Whether the multi-tenant arbiter was configured
+        /// Whether a tenant table was configured
         /// ([`crate::RuntimeConfig::tenants`]).
         Gauge tenants_enabled: bool = "enabled" <= runtime.inner.tenants.is_some();
-        /// Fair-share rebalance passes the arbiter ran.
-        Counter tenant_rebalances: u64 = "rebalances" <= runtime.tenants().map_or(0, |a| a.rebalances());
-        /// Per-tenant admission rows, in tenant-table order (empty without
-        /// an arbiter). Each row's monotone fields difference over an
-        /// interval; its budget and window usage are point-in-time.
+        /// Always 0: nothing rebalances. Kept because `benchmark/` reads
+        /// it; ROADMAP item 1-A drops it.
+        Counter tenant_rebalances: u64 = "rebalances" <= 0;
+        /// Per-tenant rows, in tenant-table order (empty without a tenant
+        /// table). Each row's page counts difference over an interval.
         Counter tenants: Vec<TenantReport> = "list" <= runtime.tenants().map_or_else(Vec::new, |a| a.reports());
     }
     additive ["tiering"] {

@@ -8,8 +8,8 @@
 //! tenant last. Each tenant owns a directory of preallocated files; a
 //! request opens (lazily, through [`Runtime::open_for_tenant`]) one of
 //! them and issues a short burst of reads, either sequentially (per-file
-//! cursor, prefetch-friendly) or at hashed random offsets (wasteful — the
-//! pattern the quality-weighted arbiter should throttle first).
+//! cursor, prefetch-friendly) or at hashed random offsets (wasteful: the
+//! readahead each burst ramps mostly settles as wasted).
 //!
 //! The driver is open-loop: arrival times come from the seeded process
 //! alone, and a request that finds the driver still busy simply starts
@@ -21,7 +21,7 @@
 //! [`FleetConfig::only_tenant`] replays the identical arrival stream but
 //! executes only one tenant's requests (every RNG draw still happens, so
 //! arrivals and offsets stay aligned). That is the *unloaded baseline*
-//! the arbitration gate (`tests/tenants.rs`) bounds the gold tenant's
+//! the gold-tail gate (`tests/tenants.rs`) bounds the gold tenant's
 //! response tail against.
 
 use crossprefetch::{QosClass, Runtime, TenantId, TenantSpec};
@@ -36,13 +36,13 @@ use crate::zipf::Zipfian;
 pub struct FleetTenantSpec {
     /// Tenant name (also the telemetry key).
     pub name: String,
-    /// Service class fed to the arbiter.
+    /// Service class, a label on the tenant's rows.
     pub qos: QosClass,
     /// Short sequential bursts from hashed-random start offsets instead
     /// of one long stream. Each burst looks sequential, so the strided
     /// predictor ramps readahead — then the next burst jumps elsewhere
     /// and the overshoot settles as wasted prefetch. Cache-hostile and
-    /// prefetch-wasteful: the traffic the arbiter throttles first.
+    /// prefetch-wasteful.
     pub random: bool,
     /// Per-tenant file size, overriding [`FleetConfig::file_bytes`] —
     /// fleet tenants rarely share one dataset shape.
@@ -117,7 +117,7 @@ impl Default for FleetConfig {
 }
 
 impl FleetConfig {
-    /// The mixed-QoS fleet the arbitration gate and the `ablations` bench
+    /// The mixed-QoS fleet the gold-tail gate and the `ablations` bench
     /// share: two hot bronze batch tenants bursting at hashed-random
     /// offsets over cold 32 MiB files, a silver and a gold tenant each
     /// streaming one long cold pass over 128 MiB (so their only structural
@@ -125,7 +125,7 @@ impl FleetConfig {
     /// inflicted by the fleet), 16 KiB reads, 8192 requests. ~320 MiB in
     /// all: run it behind a 16 MB cache and prefetch credit is the
     /// contended resource. Open loop at `mean_interarrival_ns`; the
-    /// arbitrated fleet saturates near 185 us (~5400 req/s).
+    /// fleet saturates near 185 us (~5400 req/s).
     pub fn mixed_qos(mean_interarrival_ns: u64) -> Self {
         let streaming =
             |name, qos| FleetTenantSpec::new(name, qos, false).with_file_bytes(128 << 20);
@@ -145,7 +145,7 @@ impl FleetConfig {
         }
     }
 
-    /// The arbiter-facing tenant table (same order as [`Self::tenants`],
+    /// The runtime's tenant table (same order as [`Self::tenants`],
     /// so [`TenantId`] indexes agree).
     pub fn tenant_specs(&self) -> Vec<TenantSpec> {
         self.tenants
@@ -373,14 +373,14 @@ mod tests {
     use crossprefetch::{Mode, RuntimeConfig, RuntimeReport, TenantsConfig};
     use simos::{Device, DeviceConfig, FileSystem, FsKind, Os, OsConfig};
 
-    fn runtime(memory_mb: u64, with_arbiter: bool, cfg: &FleetConfig) -> Runtime {
+    fn runtime(memory_mb: u64, with_tenants: bool, cfg: &FleetConfig) -> Runtime {
         let os = Os::new(
             OsConfig::with_memory_mb(memory_mb),
             Device::new(DeviceConfig::local_nvme()),
             FileSystem::new(FsKind::Ext4Like),
         );
         let mut config = RuntimeConfig::new(Mode::PredictOpt);
-        if with_arbiter {
+        if with_tenants {
             config.tenants = Some(TenantsConfig::new(cfg.tenant_specs()));
         }
         Runtime::new(os, config)

@@ -16,8 +16,8 @@
 //!   the correlation prediction engine mines and the strided counter
 //!   cannot), driving the engine-comparison bench;
 //! * [`fleet`] — an open-loop multi-tenant arrival stream (seeded Poisson
-//!   arrivals over zipfian tenant popularity) driving the tenant-arbiter
-//!   comparison bench.
+//!   arrivals over zipfian tenant popularity) driving the tenant suite
+//!   and the per-tenant `ablations` table.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

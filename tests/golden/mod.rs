@@ -49,7 +49,7 @@ fn schema_workload(mode: Mode) -> RuntimeReport {
     RuntimeReport::collect(&rt)
 }
 
-/// The feature-on golden workload: `ring_submit`, a two-tenant arbiter,
+/// The feature-on golden workload: `ring_submit`, a two-tenant table,
 /// cross-tier promotion over a [`TieredStore`] with the default write-back
 /// daemon, and span tracing, all on together under `CrossP[+predict+opt]`.
 /// Single-threaded and seeded.
