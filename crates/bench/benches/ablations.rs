@@ -157,11 +157,13 @@ fn tenant_table() {
     println!();
 }
 
-/// One sequential scan of a 9 MiB file (the stream the tier planner
-/// promotes from), a cache drop, then 32 KiB reads at hashed offsets, a
-/// 4-page write riding along every `write_every`-th read (dirty runs with
-/// 4-page gaps: distinct write calls the deferred daemon can coalesce
-/// under its gap budget), then `fsync`.
+/// One sequential scan of a 9 MiB file (one miss per range: the tier
+/// planner promotes none of it), a cache drop, then 32 KiB reads at hashed
+/// offsets (a range promotes only when its exact first page misses again
+/// within the local tier's reach), a 4-page write riding along every
+/// `write_every`-th read (dirty runs with 4-page gaps: distinct write
+/// calls the deferred daemon can coalesce under its gap budget), then
+/// `fsync`.
 fn scan_then_scatter(rt: &Runtime, clock: &mut ThreadClock, write_every: u64) -> String {
     let file = rt.create_sized(clock, PATH, 9 << 20).expect("create");
     let pages = file.size() / PAGE_SIZE;

@@ -36,7 +36,7 @@ pub fn boot_with(memory_mb: u64, device: DeviceConfig, fs: FsKind) -> Arc<Os> {
 /// Boots a fresh OS over a two-tier store: `memory_mb` of page cache in
 /// front of a local NVMe tier capped at `local_capacity_blocks`, with the
 /// paper's RDMA NVMe-oF remote model holding everything else (every block
-/// starts remote; promotion moves predicted-hot ranges local).
+/// starts remote; promotion moves ranges that miss again local).
 pub fn boot_tiered(memory_mb: u64, local_capacity_blocks: u64) -> Arc<Os> {
     Os::new_tiered(
         OsConfig::with_memory_mb(memory_mb),

@@ -102,8 +102,8 @@ impl Runtime {
     }
 
     /// Dispatches a cross-tier promotion job: a background remote→local
-    /// copy of a planner-approved range (a stream's predicted window or a
-    /// range that missed again within reach), on the worker pool.
+    /// copy of a planner-approved range (one that missed again within
+    /// the local tier's reach), on the worker pool.
     /// Transient faults walk the prefetch retry ladder; giving up leaves
     /// the placement map unchanged. Pages a completed copy newly inserts
     /// into the cache are billed as prefetch-initiated, keeping the

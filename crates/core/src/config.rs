@@ -148,9 +148,9 @@ pub struct RuntimeConfig {
     /// runtime; set, only the additive `tenants` section differs.
     pub tenants: Option<crate::tenant::TenantsConfig>,
     /// Cross-tier promotion planning ([`crate::tiering`]): when the OS
-    /// runs on a [`simos::TieredStore`], high-confidence predictions are
-    /// additionally turned into background remote→local promotion copies
-    /// so the stream's demand reads land on the fast tier. Default
+    /// runs on a [`simos::TieredStore`], a range that demand-misses again
+    /// within the local tier's reach is copied remote→local in the
+    /// background so its later reads land on the fast tier. Default
     /// `None`: no planner is built, no promotion job is ever dispatched,
     /// and telemetry is byte-identical to the tiering-less runtime.
     pub tiering: Option<crate::tiering::TieringConfig>,

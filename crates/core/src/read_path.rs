@@ -264,52 +264,11 @@ impl CpFile {
     /// instead of trailing it.
     fn stage_prefetch_plan(&self, clock: &mut ThreadClock, ctx: &mut ReadCtx) {
         let inner = &self.runtime.inner;
-        // Cross-tier promotion: a high-confidence forward stream's
-        // predicted window doubles as a placement hint — copy it
-        // remote→local in the background (planner-deduped, worker-pool
-        // issued) so the demand reads that follow land on the fast tier.
-        if inner.planner.is_some() && !ctx.is_write {
-            self.maybe_promote(clock, ctx);
-        }
         let decision = std::mem::take(&mut ctx.decision);
         let crosses = inner.policy.ride && !ctx.is_write && !inner.degraded.load(Ordering::Relaxed);
         let (p0, p1) = (ctx.p0, ctx.p1);
         ctx.known_run = self.apply_decision(clock, ctx.outstanding(), decision, p0, p1, crosses);
         ctx.close_stage(self, PipelineStage::PrefetchPlan, clock.now());
-    }
-
-    /// Promotion candidate selection (tiering on only): the access plus
-    /// the engine's predicted window, handed to the planner for
-    /// confidence gating, frontier dedup, and clamping. Only forward
-    /// streams promote — the planner's frontier is monotone, matching
-    /// the placement map's word-granular advance.
-    fn maybe_promote(&self, clock: &mut ThreadClock, ctx: &ReadCtx) {
-        let inner = &self.runtime.inner;
-        let Some(planner) = &inner.planner else {
-            return;
-        };
-        let Some(pred) = &ctx.decision.prediction else {
-            return;
-        };
-        if pred.prefetch_pages == 0 || !matches!(pred.direction, Direction::Forward) {
-            return;
-        }
-        let end = (ctx.p1 + pred.prefetch_pages).min(self.file.pages());
-        if end <= ctx.p0 {
-            return;
-        }
-        // The accessed pages themselves are the hottest evidence, so the
-        // candidate starts at the access, not past it; the frontier trims
-        // anything already requested.
-        if let Some((from, want)) = planner.plan(
-            self.file.ino.0,
-            ctx.p0,
-            end - ctx.p0,
-            ctx.decision.confidence,
-        ) {
-            self.runtime
-                .dispatch_promotion(clock, &self.file, from, want);
-        }
     }
 
     /// Stage 4 — cache-probe: how much of this range the user-level view
@@ -483,9 +442,8 @@ impl CpFile {
             ctx.outstanding().missed(p0, p1);
         }
 
-        // Heat promotion (tiering on only): a read whose range missed
-        // again within the local tier's reach is copied local, beside
-        // the stream frontier rather than through it. A range already
+        // Promotion (tiering on only): a read whose range missed again
+        // within the local tier's reach is copied local. A range already
         // local has nothing to copy and takes no job.
         if let Some(planner) = &inner.planner {
             let ino = self.file.ino.0;

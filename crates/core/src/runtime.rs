@@ -167,7 +167,7 @@ impl Runtime {
         let tenants = config.tenants.clone().map(TenantArbiter::new);
         // Promotion needs somewhere to promote *to*: a tiering config on
         // an un-tiered OS builds no planner (and no new code path runs).
-        // The heat path reaches back as far as the local tier holds.
+        // The planner reaches back as far as the local tier holds.
         let planner = os
             .tiered()
             .filter(|_| config.tiering.is_some())

@@ -67,16 +67,16 @@ pub struct LibStats {
     /// Adaptive-engine ownership changes (a duel crowned a new engine).
     pub engine_ownership_flips: Counter,
     /// Cross-tier promotion jobs dispatched to the worker pool
-    /// ([`crate::tiering::TierPlanner`]-approved ranges: a stream's
-    /// predicted window, or a range that missed again within reach).
+    /// ([`crate::tiering::TierPlanner`]-approved ranges: a range that
+    /// missed again within the local tier's reach).
     pub promotions_issued: Counter,
     /// Promotion jobs whose remote→local copy completed (possibly copying
     /// zero new pages when demand reads beat the worker to the range).
     pub promotions_completed: Counter,
     /// Pages promotion jobs newly inserted into the page cache (billed as
     /// prefetch-initiated pages, so the quality ledger identity holds). A
-    /// heat promotion copies a range its read just cached, so it inserts
-    /// none: the store's `promoted_blocks` is what grows.
+    /// promotion copies a range its read just cached, so it usually
+    /// inserts none: the store's `promoted_blocks` is what grows.
     pub promotion_pages: Counter,
     /// Promotion attempts retried after a transient remote-device error.
     pub promotion_retries: Counter,

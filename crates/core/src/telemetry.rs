@@ -408,8 +408,8 @@ report_fields! {
         /// Promotion jobs whose remote→local copy completed.
         Counter promotions_completed: u64 = "completed" <= stats.promotions_completed.get();
         /// Pages completed promotions newly inserted into the page cache
-        /// (billed as prefetch-initiated). A heat promotion copies a range
-        /// its read just cached and inserts none: its blocks show in
+        /// (billed as prefetch-initiated). A promotion copies a range its
+        /// read just cached and usually inserts none: its blocks show in
         /// `blocks`, not here.
         Counter promotion_pages: u64 = "pages" <= stats.promotion_pages.get();
         /// Promotion attempts retried after a transient remote fault.

@@ -1,9 +1,9 @@
 //! Tiered-store suite: knob inertness of `RuntimeConfig::tiering`,
-//! cross-tier promotion of predicted-hot ranges and of ranges that miss
-//! again within the local tier's reach, remote-fault degradation through
-//! the retry ladder, the dirty-page ledger invariant, write-back
-//! coalescing, mixed read/write same-seed determinism, and readers racing
-//! tier moves.
+//! cross-tier promotion of ranges that miss again within the local tier's
+//! reach (and of nothing a lone scan misses once), remote-fault
+//! degradation through the retry ladder, the dirty-page ledger invariant,
+//! write-back coalescing, mixed read/write same-seed determinism, and
+//! readers racing tier moves.
 
 use cp_bench::{boot, boot_tiered};
 use crossprefetch::{
@@ -91,16 +91,48 @@ fn tiering_config_without_tiered_store_is_inert() {
     assert_eq!(report.promotions_issued, 0);
 }
 
-/// The heart of the subsystem: a predictable sequential stream over a
-/// remote-resident file gets its predicted-hot ranges promoted to the
-/// local tier in the background, and the promotion pages are billed as
-/// prefetch so the quality ledger keeps balancing. Placement then pays
-/// where it is meant to: on a cold scattered re-read of the same file the
-/// promote run serves its misses from the local tier and strictly beats
-/// the `tiering: None` control — every block remote forever — on p99
-/// demand-read latency (152.9 us vs 232.4 us) at equal read totals.
+/// Reads 256 32 KiB records at hashed offsets of a 16 MiB file: scattered,
+/// so no forward stream forms, and the same records on every call.
+fn scatter(file: &crossprefetch::CpFile, clock: &mut simclock::ThreadClock) {
+    for i in 0..256u64 {
+        let page = i.wrapping_mul(0x9E37_79B9) % 4088;
+        file.read_charge(clock, page * PAGE_SIZE, 8 * PAGE_SIZE);
+    }
+}
+
+/// One forward scan of a tiered file misses each range once, so the
+/// planner promotes none of it: placement moves only on a re-miss, never
+/// on a prediction.
 #[test]
-fn promotions_move_predicted_hot_ranges_local_and_books_balance() {
+fn a_forward_scan_without_a_remiss_promotes_nothing() {
+    let mut config = RuntimeConfig::new(Mode::Predict);
+    config.tiering = Some(TieringConfig::new());
+    let runtime = Runtime::new(boot_tiered(64, 8192), config);
+    let mut clock = runtime.new_clock();
+    let file = runtime.create_sized(&mut clock, "/scan", 16 << 20).unwrap();
+    stream(&file, &mut clock, 16 << 20, 64 * 1024);
+    let report = RuntimeReport::collect(&runtime);
+    assert!(report.tiering_enabled);
+    assert_eq!(
+        report.promotions_issued, 0,
+        "a scan with no re-miss promoted"
+    );
+    let tiered = runtime.os().tiered().expect("tiered store");
+    assert_eq!(tiered.stats().promoted_blocks.get(), 0);
+    assert_eq!(tiered.local_resident_blocks(), 0);
+}
+
+/// The heart of the subsystem: scattered records of a remote-resident file
+/// are read, the cache is dropped, and they are read again. Each re-read
+/// misses its range again within the local tier's reach, so the planner
+/// promotes it to the local tier in the background, and promotion pages
+/// are billed as prefetch so the quality ledger keeps balancing. Placement
+/// then pays where it is meant to: a cold third pass over the records
+/// serves its misses from the local tier and strictly beats the
+/// `tiering: None` control — every block remote forever — on p99
+/// demand-read latency (130.4 us vs 232.4 us) at equal read totals.
+#[test]
+fn remiss_promotions_move_reread_ranges_local_and_books_balance() {
     let run = |promote: bool| {
         let mut config = RuntimeConfig::new(Mode::Predict);
         if promote {
@@ -109,7 +141,9 @@ fn promotions_move_predicted_hot_ranges_local_and_books_balance() {
         let runtime = Runtime::new(boot_tiered(64, 8192), config);
         let mut clock = runtime.new_clock();
         let file = runtime.create_sized(&mut clock, "/hot", 16 << 20).unwrap();
-        stream(&file, &mut clock, 16 << 20, 64 * 1024);
+        scatter(&file, &mut clock);
+        runtime.os().drop_caches(&mut clock);
+        scatter(&file, &mut clock);
 
         // Ledger identity with promotions billed as prefetch.
         runtime.os().drop_caches(&mut clock);
@@ -126,12 +160,10 @@ fn promotions_move_predicted_hot_ranges_local_and_books_balance() {
             warm.pages_initiated
         );
 
-        // Measured phase: scattered 32 KiB reads — big enough that a local
-        // and a remote miss land in different log2 latency buckets.
-        for i in 0..256u64 {
-            let page = i.wrapping_mul(0x9E37_79B9) % 4088;
-            file.read_charge(&mut clock, page * PAGE_SIZE, 8 * PAGE_SIZE);
-        }
+        // Measured phase: the same 32 KiB records, cold — big enough that
+        // a local and a remote miss land in different log2 latency
+        // buckets.
+        scatter(&file, &mut clock);
         let measured = RuntimeReport::collect(&runtime).delta(&warm);
         (runtime, file, warm, measured)
     };
@@ -150,8 +182,6 @@ fn promotions_move_predicted_hot_ranges_local_and_books_balance() {
         "placement never moved a block local"
     );
     assert!(tiered.local_resident_blocks() > 0);
-    // The stream's head was promoted behind the reads: some early block
-    // now lives on the local tier.
     let promoted_somewhere = (0..4096).any(|lb| tiered.tier_of(file.ino().0, lb) == Tier::Local);
     assert!(promoted_somewhere, "no block of the file ended up local");
     assert!(report.tiering_enabled);
@@ -160,7 +190,7 @@ fn promotions_move_predicted_hot_ranges_local_and_books_balance() {
         stats.promotions_issued.get()
     );
     // Both tiers saw traffic: the remote tier fed promotions and cold
-    // misses, the local tier absorbed promoted reads or the copies.
+    // misses, the local tier absorbed the copies.
     assert!(report.tier_remote_read_bytes > 0);
     assert!(
         report.tier_local_write_bytes > 0,
@@ -184,10 +214,12 @@ fn promotions_move_predicted_hot_ranges_local_and_books_balance() {
     );
 }
 
-/// Remote-tier transient EIO during promotion: every attempt faults, the
-/// job retries through the doubling backoff ladder, gives up, and leaves
-/// the placement map untouched — demand reads (blocking class, unfaulted)
-/// keep streaming off the remote tier and the books still balance.
+/// Remote-tier transient EIO during promotion: records are read, the
+/// cache is dropped and they are read again, so each re-miss dispatches a
+/// promotion; every attempt faults, the job retries through the doubling
+/// backoff ladder, gives up, and leaves the placement map untouched —
+/// demand reads (blocking class, unfaulted) keep coming off the remote
+/// tier and the books still balance.
 #[test]
 fn remote_faults_exhaust_retry_ladder_without_corrupting_placement() {
     let os = Os::new_tiered(
@@ -207,7 +239,15 @@ fn remote_faults_exhaust_retry_ladder_without_corrupting_placement() {
     let runtime = Runtime::new(os, config);
     let mut clock = runtime.new_clock();
     let file = runtime.create_sized(&mut clock, "/flaky", 8 << 20).unwrap();
-    stream(&file, &mut clock, 8 << 20, 64 * 1024);
+    const RECORD: u64 = RECORD_PAGES * PAGE_SIZE;
+    let records = |clock: &mut simclock::ThreadClock| {
+        for record in (0..256u64).step_by(16) {
+            file.read_charge(clock, record * RECORD, RECORD);
+        }
+    };
+    records(&mut clock);
+    runtime.os().drop_caches(&mut clock);
+    records(&mut clock);
 
     let stats = runtime.stats();
     assert!(stats.promotions_issued.get() > 0, "planner never fired");
@@ -367,13 +407,13 @@ fn deferred_writeback_coalesces_write_crossings() {
     );
 }
 
-/// Mixed read/write workload on the full tiered stack (promotions,
-/// write-back daemon, demotions) is deterministic: same seed, same
+/// Mixed read/write workload on the full tiered stack (re-miss
+/// promotions, write-back daemon, demotions) is deterministic: same seed, same
 /// virtual timeline, byte-identical telemetry.
 #[test]
 fn mixed_read_write_tiered_runs_are_deterministic() {
     let run = || {
-        let mut os_config = OsConfig::with_memory_mb(32);
+        let mut os_config = OsConfig::with_memory_mb(4);
         os_config.writeback = Some(WritebackConfig {
             file_dirty_threshold_pages: 128,
             ..WritebackConfig::default()
@@ -392,12 +432,15 @@ fn mixed_read_write_tiered_runs_are_deterministic() {
         let runtime = Runtime::new(os, config);
         let mut clock = runtime.new_clock();
         let file = runtime.create_sized(&mut clock, "/mix", 16 << 20).unwrap();
-        // A sequential stream (the planner's food) with a seeded scatter
-        // of page-aligned writes riding along: the daemon absorbs and
-        // coalesces them while promotions copy the read stream local.
+        // Reads cycling over 384 scattered 4-page records (1 536 pages:
+        // more than the 4 MiB cache holds, less than the local tier's
+        // reach), so records miss again and promotions copy them local,
+        // with a seeded scatter of page-aligned writes riding along that
+        // the daemon absorbs and coalesces.
         let mut state = 43u64;
-        for i in 0..1024u64 {
-            file.read_charge(&mut clock, (i * 4 % 4096) * PAGE_SIZE, 4 * PAGE_SIZE);
+        for i in 0..2048u64 {
+            let record = (i % 384) * 37 % 1024;
+            file.read_charge(&mut clock, record * 4 * PAGE_SIZE, 4 * PAGE_SIZE);
             if i % 8 == 0 {
                 state = state
                     .wrapping_mul(6364136223846793005)
