@@ -1,19 +1,17 @@
 //! Ablations: the artifact's customization knobs (paper appendix A.6:
 //! predictor counter width, `NR_WORKERS_VAR`, `PREFETCH_SIZE_VAR`) and
-//! every opt-in subsystem added since, off against on: prediction engines,
-//! the completion ring's rides, cross-tier promotion, deferred write-back;
+//! every opt-in subsystem added since, off against on: the completion
+//! ring's rides, cross-tier promotion, deferred write-back;
 //! and one per-tenant table of the mixed-QoS fleet (tenants are labels, so
 //! there is nothing to switch off). This bench only prints; the claims its
 //! tables illustrate are gated by `cargo test`
-//! (`tests/{engines,ring,tenants,tiering}.rs`).
+//! (`tests/{ring,tenants,tiering}.rs`).
 
 use cp_bench::{banner, boot, boot_tiered, fmt_mbps, scale, TablePrinter};
 use crossprefetch::{
-    EngineKind, Mode, Runtime, RuntimeConfig, RuntimeReport, TenantId, TenantsConfig,
-    TieringConfig, WritebackConfig, PAGE_SIZE,
+    Mode, Runtime, RuntimeConfig, RuntimeReport, TenantId, TenantsConfig, TieringConfig,
+    WritebackConfig, PAGE_SIZE,
 };
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use simclock::{ThreadClock, NS_PER_MS, NS_PER_US};
 use simos::{Device, DeviceConfig, FileSystem, FsKind, Os, OsConfig};
 use std::sync::Arc;
@@ -45,56 +43,13 @@ fn micro(rt: &Runtime, clock: &mut ThreadClock) -> String {
     format!("{} MB/s", fmt_mbps(result.mbps()))
 }
 
-/// Zipfian index-then-record probes over `keys` 9-page keys: short runs
-/// the predictor plans by their learned shape, and recurring chains a
-/// correlation miner can learn — while what it mined outlives the cache.
-fn kvprobe_over(keys: u64, rt: &Runtime, clock: &mut ThreadClock) -> String {
-    let mut cfg = KvProbeConfig {
-        keys,
-        ..KvProbeConfig::default()
-    };
+/// Zipfian index-then-record probes over the default 18 MiB dataset:
+/// short runs the predictor plans by their learned shape.
+fn kvprobe(rt: &Runtime, clock: &mut ThreadClock) -> String {
+    let mut cfg = KvProbeConfig::default();
     cfg.probes *= scale();
     setup_kvprobe(rt, &cfg, PATH);
     run_kvprobe(rt, clock, &cfg, PATH);
-    String::new()
-}
-
-/// The default 18 MiB dataset: 4 608 pages, about the correlation table.
-fn kvprobe(rt: &Runtime, clock: &mut ThreadClock) -> String {
-    kvprobe_over(KvProbeConfig::default().keys, rt, clock)
-}
-
-const IO_BYTES: u64 = 16 * 1024;
-
-/// Bursts of four 16 KiB reads at a random offset of a 32 MiB file (the
-/// `fleet_open` batch tenants' shape): a 16-page run, then a far jump.
-fn bursts(rt: &Runtime, clock: &mut ThreadClock) -> String {
-    let file = rt.create_sized(clock, PATH, 32 << 20).expect("create");
-    let slots = file.size() / IO_BYTES;
-    let mut rng = StdRng::seed_from_u64(0xB0B5);
-    for _ in 0..4096 * scale() {
-        let slot = rng.gen_range(0..slots - 4);
-        for read in 0..4 {
-            file.read_charge(clock, (slot + read) * IO_BYTES, IO_BYTES);
-        }
-    }
-    String::new()
-}
-
-/// Sequential 16 KiB reads over a 64 MiB file, wrapping at its end; every
-/// 8 MiB the scan skips forward by up to 2 MiB (the `seq_stream` shape at
-/// a quarter of its segment length): long runs of unequal length.
-fn stream_with_skips(rt: &Runtime, clock: &mut ThreadClock) -> String {
-    let file = rt.create_sized(clock, PATH, 64 << 20).expect("create");
-    let slots = file.size() / IO_BYTES;
-    let (mut rng, mut slot) = (StdRng::seed_from_u64(0x5C1F), 0);
-    for i in 0..16_384 * scale() {
-        if i > 0 && i % 512 == 0 {
-            slot = (slot + rng.gen_range(0..128)) % slots;
-        }
-        file.read_charge(clock, slot * IO_BYTES, IO_BYTES);
-        slot = (slot + 1) % slots;
-    }
     String::new()
 }
 
@@ -187,8 +142,7 @@ fn scan_then_scatter(rt: &Runtime, clock: &mut ThreadClock, write_every: u64) ->
 /// default config), runs `workload`, closes the prefetch-quality books
 /// with a cache drop (still-speculative pages settle as wasted) and prints
 /// the [`RuntimeReport`] next to the run's boundary crossings and its
-/// virtual time, also as a speed-up over the `OSonly` row of the same
-/// value when the sweep has one.
+/// virtual time.
 fn report_sweep<T: Copy>(
     title: &str,
     workload: Workload,
@@ -199,9 +153,8 @@ fn report_sweep<T: Copy>(
 ) {
     println!("--- {title} ---");
     let columns = "run|initiated|timely|late|wasted|pf-hit %|hit %|ra/rd/wr crossings\
-                   |local/remote tier rds|miss p50/p99 us|ms|x OSonly|note";
+                   |local/remote tier rds|miss p50/p99 us|ms|note";
     let mut table = TablePrinter::new(columns.split('|'));
-    let mut runs = Vec::new();
     for &mode in modes {
         for &(name, value) in values {
             let mut config = RuntimeConfig::new(mode);
@@ -234,18 +187,10 @@ fn report_sweep<T: Copy>(
                 format!("{}/{}", r.tier_local_reads, r.tier_remote_reads),
                 format!("{}/{}", miss.p50() / NS_PER_US, miss.p99() / NS_PER_US),
                 format!("{ms:.2}"),
+                note,
             ];
-            runs.push((mode, name, ms, cells, note));
+            table.row(cells);
         }
-    }
-    let os_only_ms = |value: &str| {
-        runs.iter()
-            .find(|run| run.0 == Mode::OsOnly && run.1 == value)
-            .map(|run| run.2)
-    };
-    for (_, name, ms, cells, note) in &runs {
-        let speedup = os_only_ms(name).map_or("-".to_string(), |base| format!("{:.2}", base / ms));
-        table.row(cells.iter().cloned().chain([speedup, note.clone()]));
     }
     table.print();
     println!();
@@ -259,10 +204,7 @@ fn main() {
     );
 
     let (predict, predict_opt) = ([Mode::Predict], [Mode::PredictOpt]);
-    let mut mechanisms = Mode::table2().to_vec();
-    mechanisms.push(Mode::FincoreApp);
     let off_on = [("off", false), ("on", true)];
-    let engines = EngineKind::all().map(|engine| (engine.name(), engine));
 
     let knob_sweep = |title, values: &[(&str, u64)], set: fn(&mut RuntimeConfig, u64)| {
         report_sweep(title, micro, &predict_opt, values, |_| boot(64), set);
@@ -282,39 +224,6 @@ fn main() {
         &[("0", 0), ("1", 1), ("2", 2), ("8", 8)],
         |c, mb| c.open_prefetch_bytes = mb << 20,
     );
-    // Four access shapes, each behind a cache it does not fit, so planned
-    // prefetches actually issue and waste is a real cost. At 8x the keys
-    // what the correlation table still remembers is still cached, so time,
-    // not hit ratio, tells the engines apart; `tests/engines.rs` gates that
-    // row for `strided` and `adaptive`.
-    let shapes: [(&str, Workload, u64); 4] = [
-        ("zipfian kvprobe, 18 MiB behind an 8 MB cache", kvprobe, 8),
-        (
-            "zipfian kvprobe, 144 MiB behind a 16 MB cache",
-            |rt, clock| kvprobe_over(4096, rt, clock),
-            16,
-        ),
-        (
-            "bursts of four 16 KiB reads, 32 MiB behind a 4 MB cache",
-            bursts,
-            4,
-        ),
-        (
-            "16 KiB stream with skips, 64 MiB behind a 32 MB cache",
-            stream_with_skips,
-            32,
-        ),
-    ];
-    for (shape, workload, memory_mb) in shapes {
-        report_sweep(
-            &format!("prediction engine x mechanism ({shape})"),
-            workload,
-            &mechanisms,
-            &engines,
-            |_| boot(memory_mb),
-            |c, engine| c.engine = engine,
-        );
-    }
     report_sweep(
         "ring rides off/on (zipfian kvprobe, 8 MB cache; the demand half runs in both)",
         kvprobe,

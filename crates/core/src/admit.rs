@@ -1,5 +1,5 @@
 //! Prefetch admission and issue. Every speculation — the §4.6 open-time
-//! window, paced windows, mined runs, FetchAll rounds, a known run riding
+//! window, paced windows, FetchAll rounds, a known run riding
 //! its first miss's ring crossing — is decided once by `Runtime::plan` and
 //! carried out at one point by `Runtime::apply`; then issued by a worker
 //! (with its retry ladder) or ridden by the crossing.
@@ -7,7 +7,7 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use predict::{Prediction, PredictionEngine};
+use predict::Prediction;
 use simclock::ThreadClock;
 use simos::{
     FaultMode, InodeId, IoError, RaBatchCompletion, RaBatchEntry, RaInfoRequest, ReadBatchEntry,
@@ -616,7 +616,7 @@ impl CpFile {
     /// on the reader's clock after its staleness resync — a resync this
     /// miss triggers must not drop the run CROSS-OS just confirmed — so
     /// the view claims the run before the next access asks. Refused, it
-    /// goes back to the engine. A faulted rider retries on a worker; an
+    /// goes back to the predictor. A faulted rider retries on a worker; an
     /// `Unsupported` kernel latches degradation, re-issues the riders
     /// blind and falls back to the plain read.
     pub(crate) fn ring_fill<F: FaultMode>(
@@ -634,7 +634,7 @@ impl CpFile {
             let p1 = (offset + len.max(1)).div_ceil(PAGE_SIZE);
             self.paced_prefetch(clock, outstanding, pred, p0, p1, Some(&mut riders));
             if riders.is_empty() {
-                self.engine.lock().defer_known_run();
+                outstanding.predictor().defer_known_run();
             }
         }
         let entries = runtime.rider_entries(&riders);

@@ -105,14 +105,11 @@ pub struct RuntimeConfig {
     /// Explicit feature overrides (None = derive from `mode`). Used by the
     /// Table 5 breakdown.
     pub features: Option<Features>,
-    /// Which prediction engine new descriptors use. `Strided` (the
-    /// default) is the §4.6 counter planned by learned run shape;
-    /// `Correlation` mines recurring block associations; `Adaptive`
-    /// set-duels the two per file. Only modes with the `predict` feature
-    /// consult it.
+    /// Inert: every descriptor runs the one strided predictor, whatever
+    /// the value. Held by `benchmark/src/workload.rs:87`, which sets it
+    /// for `kv_probe` (ROADMAP 1-B(h)).
     pub engine: EngineKind,
-    /// Tuning for whichever engine `engine` selects: the strided
-    /// counter's width.
+    /// The predictor's tuning: the strided counter's width.
     pub engine_tuning: EngineConfig,
     /// Optimistic prefetch at open, bytes (§4.6 default 2 MiB).
     pub open_prefetch_bytes: u64,
@@ -180,7 +177,8 @@ impl RuntimeConfig {
         self.features.unwrap_or_else(|| self.mode.features())
     }
 
-    /// The engine tuning handed to [`predict::Engine::for_kind`].
+    /// The predictor tuning, as `benchmark/src/layers.rs:58` hands it to
+    /// [`predict::Engine::for_kind`] (ROADMAP 1-B(h)).
     pub fn engine_config(&self) -> EngineConfig {
         self.engine_tuning.clone()
     }

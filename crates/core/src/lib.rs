@@ -75,9 +75,7 @@ pub use config::{Features, Mode, RuntimeConfig};
 pub use metrics::{PipelineStage, ReadClass, RuntimeMetrics};
 pub use policy::{OpenAction, Policy, PostReadHook};
 pub use predict::{
-    AccessPattern, AdaptiveEngine, CorrelationEngine, Direction, Engine, EngineConfig, EngineKind,
-    Prediction, PredictionEngine, Predictor, PrefetchDecision, PrefetchRun, PrefetchRuns,
-    QualityFeedback, SEQ_BATCH_PAGES,
+    AccessPattern, Direction, EngineConfig, EngineKind, Prediction, Predictor, SEQ_BATCH_PAGES,
 };
 pub use range_index::{BPlusRangeIndex, IndexStats, LockScope};
 pub use range_tree::RangeTree;

@@ -1,17 +1,20 @@
-//! One record of a descriptor's outstanding speculation (§4.6 keeps
-//! prefetch state per file descriptor). Each transition is one method,
-//! and its caller acts on what it returns instead of doing arithmetic on
-//! the fields. `CpFile` keeps the record behind one mutex that an access
-//! locks once. No worker job touches it: jobs run inline on the caller's
-//! stack, and one that locked it would deadlock.
+//! One record of a descriptor's outstanding speculation and the predictor
+//! whose predictions it paces (§4.6 keeps prefetch state per file
+//! descriptor). Each transition is one method, and its caller acts on
+//! what it returns instead of doing arithmetic on the fields. `CpFile`
+//! keeps the record behind one mutex that an access locks once. No worker
+//! job touches it: jobs run inline on the caller's stack, and one that
+//! locked it would deadlock.
 
-use predict::Prediction;
-use simos::PrefetchQuality;
+use predict::{Prediction, Predictor};
 use simstore::wordwalk::WORD_BITS;
 
 /// A descriptor's outstanding speculation ([module docs](self)).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Outstanding {
+    /// The descriptor's predictor: fed every access, told when the runtime
+    /// defers or holds the known run it asked for.
+    predictor: Predictor,
     /// How far paced prefetch reaches ahead of a forward stream and
     /// behind a backward one: the async-marker analogue that paces window
     /// growth by consumption.
@@ -25,29 +28,24 @@ pub(crate) struct Outstanding {
     /// The memory watcher's steady forward run: its first page not yet
     /// returned, word-aligned; `None` before the first access.
     run_start: Option<u64>,
-    /// Whether the last read needed the device, until the engine is told
-    /// ([`Outstanding::take_outcome`]).
-    outcome: Option<bool>,
-    /// Reads since the last quality-feedback sample, and the
-    /// timely/late/wasted totals already fed to the engine
-    /// ([`Outstanding::quality_delta`]).
-    reads_since_feedback: u64,
-    fed_quality: PrefetchQuality,
 }
 
 impl Outstanding {
-    /// A freshly opened descriptor.
-    pub(crate) fn open() -> Self {
+    /// A freshly opened descriptor whose accesses `predictor` predicts.
+    pub(crate) fn open(predictor: Predictor) -> Self {
         Self {
+            predictor,
             fwd: 0,
             back: u64::MAX,
             window: 0,
             ride: false,
             run_start: None,
-            outcome: None,
-            reads_since_feedback: 0,
-            fed_quality: PrefetchQuality::default(),
         }
+    }
+
+    /// The descriptor's predictor.
+    pub(crate) fn predictor(&mut self) -> &mut Predictor {
+        &mut self.predictor
     }
 
     /// A jump to `[p0, p1)`, whatever carries its request: both frontiers
@@ -154,38 +152,6 @@ impl Outstanding {
         self.run_start = Some(p1.next_multiple_of(WORD_BITS));
     }
 
-    /// A read's outcome for an engine that scores its predictions:
-    /// whether any of its pages came off the device.
-    pub(crate) fn read_outcome(&mut self, needed_io: bool) {
-        self.outcome = Some(needed_io);
-    }
-
-    /// The outcome of the last read, if the engine has not been told. The
-    /// engine hears it under the lock its next observation takes, not
-    /// under one of its own: accesses to a descriptor hold this record
-    /// from predict through account, so nothing reaches the engine in
-    /// between that reads what the outcome settles.
-    pub(crate) fn take_outcome(&mut self) -> Option<bool> {
-        self.outcome.take()
-    }
-
-    /// One read toward the quality-feedback cadence: every `interval`-th
-    /// read returns the timely/late/wasted delta of `quality()` since the
-    /// last sample; the others return `None` without calling it.
-    pub(crate) fn quality_delta(
-        &mut self,
-        interval: u64,
-        quality: impl FnOnce() -> PrefetchQuality,
-    ) -> Option<PrefetchQuality> {
-        self.reads_since_feedback += 1;
-        if self.reads_since_feedback < interval {
-            return None;
-        }
-        self.reads_since_feedback = 0;
-        let quality = quality();
-        Some(quality.delta(std::mem::replace(&mut self.fed_quality, quality)))
-    }
-
     /// The run's oldest whole word, if it ends at or below the word of a
     /// reader at `p0`; taking it advances the run past it.
     pub(crate) fn take_word_behind(&mut self, p0: u64) -> Option<(u64, u64)> {
@@ -234,7 +200,7 @@ mod tests {
     /// A record with a ride pending and a 32-page forward window paced to
     /// page 40.
     fn riding() -> Outstanding {
-        let mut record = Outstanding::open();
+        let mut record = Outstanding::open(Predictor::default());
         let pred = paced(32, Direction::Forward, false);
         record.pace_forward(&pred, 8, 1024, |from, pages| from + pages);
         record.ride_preissued();
@@ -244,18 +210,16 @@ mod tests {
 
     #[test]
     fn an_open_record_holds_nothing() {
-        let record = Outstanding::open();
+        let record = Outstanding::open(Predictor::new(4));
         assert_eq!(
             record,
             Outstanding {
+                predictor: Predictor::new(4),
                 fwd: 0,
                 back: u64::MAX,
                 window: 0,
                 ride: false,
                 run_start: None,
-                outcome: None,
-                reads_since_feedback: 0,
-                fed_quality: PrefetchQuality::default(),
             }
         );
         assert!(!record.ride_pending());
@@ -311,7 +275,7 @@ mod tests {
     /// restarts it at `p1.next_multiple_of(64)`.
     #[test]
     fn the_steady_run_advances_a_word_only_behind_the_readers_word() {
-        let mut record = Outstanding::open();
+        let mut record = Outstanding::open(Predictor::default());
         assert_eq!(record.take_word_behind(1000), None, "no run yet");
         record.step_run(10, true);
         assert_eq!(record.run_start, Some(64), "the first access starts it");
@@ -331,7 +295,7 @@ mod tests {
     /// window before the frontier, and grows by doubling while aggressive.
     #[test]
     fn a_forward_window_asks_from_its_marker_and_doubles_while_aggressive() {
-        let mut record = Outstanding::open();
+        let mut record = Outstanding::open(Predictor::default());
         let pred = paced(16, Direction::Forward, true);
         let mut asked = Vec::new();
         let mut pace = |record: &mut Outstanding, p1| {
@@ -354,7 +318,7 @@ mod tests {
     /// frontier moves only as far as the schedule reached.
     #[test]
     fn a_clamped_backward_span_keeps_the_pages_next_to_the_cursor() {
-        let mut record = Outstanding::open();
+        let mut record = Outstanding::open(Predictor::default());
         let pred = paced(256, Direction::Backward, false);
         let mut asked = None;
         record.pace_backward(&pred, 1024, 1024, Some(64), |from, pages| {

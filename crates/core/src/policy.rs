@@ -9,8 +9,6 @@
 //! Table-2 variant means adding a row here (plus its [`Mode`] arm) and
 //! touching nothing else.
 
-use predict::EngineKind;
-
 use crate::config::{Features, Mode, RuntimeConfig};
 use crate::range_index::LockScope;
 
@@ -68,11 +66,6 @@ pub struct Policy {
     /// device's blocking horizon that the prefetch class otherwise
     /// over-commits (DESIGN §6, §13).
     pub ride: bool,
-    /// The prediction engine new descriptors are built with. Only
-    /// predicting modes consult an engine at all, so non-predict modes
-    /// resolve to the (stateless-by-disuse) strided default regardless of
-    /// the config knob.
-    pub engine: EngineKind,
 }
 
 impl Policy {
@@ -109,11 +102,6 @@ impl Policy {
             scope,
             post_read,
             ride: features.visibility && config.ring_submit,
-            engine: if features.predict {
-                config.engine
-            } else {
-                EngineKind::Strided
-            },
         }
     }
 }
@@ -212,26 +200,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn engine_resolves_to_strided_without_predict() {
-        // The knob only matters where a predictor runs at all.
-        let mut passthrough = RuntimeConfig::new(Mode::OsOnly);
-        passthrough.engine = EngineKind::Correlation;
-        assert_eq!(Policy::for_config(&passthrough).engine, EngineKind::Strided);
-
-        let mut fetchall = RuntimeConfig::new(Mode::FetchAllOpt);
-        fetchall.engine = EngineKind::Adaptive;
-        assert_eq!(Policy::for_config(&fetchall).engine, EngineKind::Strided);
-
-        let mut predict = RuntimeConfig::new(Mode::Predict);
-        predict.engine = EngineKind::Correlation;
-        assert_eq!(Policy::for_config(&predict).engine, EngineKind::Correlation);
-        assert_eq!(
-            Policy::for_config(&RuntimeConfig::new(Mode::PredictOpt)).engine,
-            EngineKind::Strided
-        );
     }
 
     #[test]

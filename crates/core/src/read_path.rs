@@ -35,7 +35,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use parking_lot::MutexGuard;
-use predict::{AccessPattern, Direction, Prediction, PredictionEngine, PrefetchDecision};
+use predict::{AccessPattern, Direction, Prediction};
 use simclock::ThreadClock;
 use simos::{FaultMode, ReadOutcome, PAGE_SIZE};
 
@@ -85,14 +85,13 @@ pub(crate) struct ReadCtx<'a> {
     /// cache-probe stage, consumed by the account stage's staleness
     /// check).
     claimed: u64,
-    /// Engine output (set by the predict stage, consumed by the
-    /// prefetch-plan stage): the strided prediction, any mined
-    /// correlation runs, and mining/duel bookkeeping.
-    decision: PrefetchDecision,
+    /// The predictor's output (set by the predict stage, consumed by the
+    /// prefetch-plan stage).
+    prediction: Option<Prediction>,
     /// The known run this access starts (set by the prefetch-plan stage
     /// when rides are on), waiting for the demand-fill stage: it rides
-    /// the miss's ring crossing, or is handed back to the engine when the
-    /// access turns out to need no crossing.
+    /// the miss's ring crossing, or is handed back to the predictor when
+    /// the access turns out to need no crossing.
     known_run: Option<Prediction>,
     /// The riders a ring crossing carried and their completions (set by
     /// the demand-fill stage), imported by the account stage after its
@@ -207,7 +206,7 @@ impl CpFile {
             tracing,
             spans,
             claimed: 0,
-            decision: PrefetchDecision::default(),
+            prediction: None,
             known_run: None,
             ridden: None,
             forward_run: false,
@@ -218,12 +217,11 @@ impl CpFile {
         ctx
     }
 
-    /// Stage 2 — predict: one engine step per intercepted access (cheap,
-    /// §4.6's per-descriptor pattern classification, generalised to the
-    /// pluggable engines), plus the pattern-flip trace event. The strided
-    /// engine's step is one clock advance and one `on_access`, nothing
-    /// else. The descriptor's record is locked here, for the rest of the
-    /// access.
+    /// Stage 2 — predict: one predictor step per intercepted access
+    /// (§4.6's per-descriptor pattern classification), plus the
+    /// pattern-flip trace event. The step is one clock advance and one
+    /// `on_access`, nothing else. The descriptor's record, which owns the
+    /// predictor, is locked here, for the rest of the access.
     fn stage_predict<'a>(&'a self, clock: &mut ThreadClock, ctx: &mut ReadCtx<'a>) {
         let runtime = &self.runtime;
         let inner = &runtime.inner;
@@ -231,16 +229,15 @@ impl CpFile {
         if inner.policy.features.predict {
             clock.advance(inner.os.config().costs.predictor_step_ns);
             let (p0, pages) = (ctx.p0, ctx.pages);
-            ctx.decision = self.observe(clock, ctx.outstanding(), p0, pages);
+            let pred = self.observe(clock, ctx.outstanding(), p0, pages);
             // A jump restarts the watcher's run itself (`Outstanding::jump`).
             ctx.forward_run = !ctx.is_write
-                && ctx.decision.prediction.as_ref().is_some_and(|pred| {
-                    pred.pattern == AccessPattern::DefinitelySequential
-                        && pred.direction == Direction::Forward
-                });
+                && pred.pattern == AccessPattern::DefinitelySequential
+                && pred.direction == Direction::Forward;
+            ctx.prediction = Some(pred);
         }
         if ctx.tracing {
-            if let Some(pred) = &ctx.decision.prediction {
+            if let Some(pred) = &ctx.prediction {
                 let index = pred.pattern.index();
                 let prev = self.last_pattern.swap(index, Ordering::Relaxed);
                 if prev != index {
@@ -264,10 +261,12 @@ impl CpFile {
     /// instead of trailing it.
     fn stage_prefetch_plan(&self, clock: &mut ThreadClock, ctx: &mut ReadCtx) {
         let inner = &self.runtime.inner;
-        let decision = std::mem::take(&mut ctx.decision);
-        let crosses = inner.policy.ride && !ctx.is_write && !inner.degraded.load(Ordering::Relaxed);
-        let (p0, p1) = (ctx.p0, ctx.p1);
-        ctx.known_run = self.apply_decision(clock, ctx.outstanding(), decision, p0, p1, crosses);
+        if let Some(pred) = ctx.prediction.take() {
+            let crosses =
+                inner.policy.ride && !ctx.is_write && !inner.degraded.load(Ordering::Relaxed);
+            let (p0, p1) = (ctx.p0, ctx.p1);
+            ctx.known_run = self.apply_prediction(clock, ctx.outstanding(), pred, p0, p1, crosses);
+        }
         ctx.close_stage(self, PipelineStage::PrefetchPlan, clock.now());
     }
 
@@ -356,12 +355,12 @@ impl CpFile {
                 }
                 no_crossing => {
                     // A known run whose read hit the cache has no miss to
-                    // ride: the engine holds it for the run's next miss.
+                    // ride: the predictor holds it for the run's next miss.
                     // Waiting out the whole remainder as background
                     // prefetch would cost the next read more than its own
                     // miss does.
                     if known_run.is_some() {
-                        self.engine.lock().hold_known_run();
+                        ctx.outstanding().predictor().hold_known_run();
                     }
                     match no_crossing {
                         Some(outcome) => Ok(outcome),
@@ -487,17 +486,6 @@ impl CpFile {
                     self.watch_memory(clock, ctx.outstanding(), p0, p1, steady)
                 }
             }
-        }
-
-        // Engines that learn from what their predictions were worth see
-        // whether this read needed the device (at their next observation)
-        // and the per-file timely/late/wasted delta (gated off for the
-        // strided engine, no virtual time charged either way).
-        if self.engine_feedback && !ctx.is_write {
-            let needed_io = outcome.miss_pages + outcome.prefetch_hit_pages > 0;
-            let outstanding = ctx.outstanding();
-            outstanding.read_outcome(needed_io);
-            self.maybe_feed_quality(outstanding);
         }
 
         self.finish_io(clock, outcome, ctx);

@@ -1,12 +1,12 @@
 //! The CROSS-LIB runtime: per-file state and the shim's open and I/O entry
-//! points (admission: `admit`; engines: `engine`; the §4.6 memory
+//! points (admission: `admit`; the predictor: `engine`; the §4.6 memory
 //! watcher: `watcher`).
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
-use predict::{Engine, PredictionEngine};
+use predict::Predictor;
 use simclock::ThreadClock;
 use simos::{
     into_ok, Advice, Fd, FdEntry, FsError, InodeId, IoError, MayFault, MmapOutcome, NeverFault, Os,
@@ -65,12 +65,11 @@ pub struct LibFile {
 
 /// An open file handle through CROSS-LIB — the shim's `FILE*` analogue.
 ///
-/// Each handle carries its own prediction [`Engine`] (§4.6's
-/// per-file-descriptor prefetching, generalised to the pluggable engines
-/// in the [`predict`] crate) and one record of its outstanding
-/// speculation (pacing frontiers and window, the ring's pending ride, the
-/// memory watcher's run), while the cache view ([`LibFile`]) is shared
-/// across handles to the same file.
+/// Each handle carries one record of its outstanding speculation: its
+/// own [`Predictor`] (§4.6's per-file-descriptor prefetching), pacing
+/// frontiers and window, the ring's pending ride, the memory watcher's
+/// run; the cache view ([`LibFile`]) is shared across handles to the
+/// same file.
 #[derive(Debug)]
 pub struct CpFile {
     pub(crate) runtime: Runtime,
@@ -79,16 +78,10 @@ pub struct CpFile {
     /// Its entry, resolved once at open.
     pub(crate) os_file: Arc<FdEntry>,
     pub(crate) file: Arc<LibFile>,
-    /// The prediction engine driving this descriptor's prefetch decisions
-    /// (strided counter by default; correlation or adaptive by config).
-    pub(crate) engine: Mutex<Engine>,
-    /// Whether the engine consumes prefetch-quality feedback — cached at
-    /// open so the strided hot path never touches the quality counters.
-    pub(crate) engine_feedback: bool,
-    /// This descriptor's outstanding speculation, changed only through the
-    /// record's transitions ([`Outstanding`]). The read pipeline locks it
-    /// once per access, from its predict stage through account; the mapped
-    /// path once per access.
+    /// This descriptor's predictor and outstanding speculation, changed
+    /// only through the record's transitions ([`Outstanding`]). The read
+    /// pipeline locks it once per access, from its predict stage through
+    /// account; the mapped path once per access.
     pub(crate) outstanding: Mutex<Outstanding>,
     /// Whether mapped access restored fault-around already.
     mmap_touched: std::sync::atomic::AtomicBool,
@@ -407,16 +400,14 @@ impl Runtime {
             }
         }
 
-        let engine = Engine::for_kind(self.inner.policy.engine, &self.inner.config.engine_tuning);
+        let predictor = Predictor::new(self.inner.config.engine_tuning.predictor_bits);
         file.handles.fetch_add(1, Ordering::Relaxed);
         CpFile {
             runtime: self.clone(),
             fd,
             os_file,
             file,
-            engine_feedback: engine.wants_feedback(),
-            engine: Mutex::new(engine),
-            outstanding: Mutex::new(Outstanding::open()),
+            outstanding: Mutex::new(Outstanding::open(predictor)),
             mmap_touched: std::sync::atomic::AtomicBool::new(false),
             last_pattern: std::sync::atomic::AtomicU8::new(u8::MAX),
         }
@@ -652,7 +643,7 @@ impl CpFile {
             .last_access_ns
             .store(clock.now(), Ordering::Relaxed);
         // Only the pages the OS actually mapped (it clamps to the file) may
-        // enter the user-level view or reach the engine.
+        // enter the user-level view or reach the predictor.
         if inner.policy.features.predict && outcome.pages > 0 {
             let costs = &inner.os.config().costs;
             let p0 = offset / PAGE_SIZE;
@@ -664,11 +655,8 @@ impl CpFile {
             }
             // A fault has no ring crossing for a known run to ride.
             let mut outstanding = self.outstanding.lock();
-            let decision = self.observe(clock, &mut outstanding, p0, p1 - p0);
-            self.apply_decision(clock, &mut outstanding, decision, p0, p1, false);
-            if self.engine_feedback {
-                self.maybe_feed_quality(&mut outstanding);
-            }
+            let pred = self.observe(clock, &mut outstanding, p0, p1 - p0);
+            self.apply_prediction(clock, &mut outstanding, pred, p0, p1, false);
         }
         outcome
     }
@@ -746,15 +734,13 @@ mod tests {
         let mut clock = runtime.new_clock();
         let file = runtime.create_sized(&mut clock, "/f", 1 << 16).unwrap();
         let CpFile {
-            runtime: _,         // the shim: config, policy, workers, stats
-            fd: _,              // `Drop`: released with the handle
-            os_file: _,         // every syscall the pipeline makes
-            file: _,            // `LibFile`, shared: the view, `stale_pages`
-            engine: _,          // engine.rs: the predictor, and a held known run
-            engine_feedback: _, // engine.rs: whether the engine learns
-            outstanding: _,     // outstanding.rs: frontiers, window, ride, run, feedback
-            mmap_touched: _,    // `mmap_read`: fault-around restored once
-            last_pattern: _,    // read_path.rs predict stage: tracing only
+            runtime: _,      // the shim: config, policy, workers, stats
+            fd: _,           // `Drop`: released with the handle
+            os_file: _,      // every syscall the pipeline makes
+            file: _,         // `LibFile`, shared: the view, `stale_pages`
+            outstanding: _,  // outstanding.rs: predictor, frontiers, window, ride, run
+            mmap_touched: _, // `mmap_read`: fault-around restored once
+            last_pattern: _, // read_path.rs predict stage: tracing only
         } = &file;
     }
 }

@@ -54,18 +54,6 @@ pub struct LibStats {
     /// Pages pre-issued runs initiated, billed to `pages_initiated` like
     /// any prefetched page.
     pub ring_spec_pages_charged: Counter,
-    /// Correlation-mined prefetch runs issued by the prediction engine
-    /// (zero under the strided default, which emits no association runs).
-    pub engine_assoc_runs: Counter,
-    /// Pages those association runs requested (after memory clamping and
-    /// the visibility check: a run that was cached whole adds nothing).
-    pub engine_assoc_pages: Counter,
-    /// Deferred association-mining passes dispatched to the worker pool.
-    pub engine_mining_passes: Counter,
-    /// Adaptive-engine duel windows closed (shadow scoreboards compared).
-    pub engine_duels: Counter,
-    /// Adaptive-engine ownership changes (a duel crowned a new engine).
-    pub engine_ownership_flips: Counter,
     /// Cross-tier promotion jobs dispatched to the worker pool
     /// ([`crate::tiering::TierPlanner`]-approved ranges: a range that
     /// missed again within the local tier's reach).

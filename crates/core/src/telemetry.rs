@@ -280,20 +280,22 @@ report_fields! {
         /// Always empty (retired: entries per flushed batch).
         Histogram batch_occupancy: HistogramSnapshot = "occupancy" <= HistogramSnapshot::default();
     }
+    // One predictor is left (DESIGN §11): the section keeps its frozen
+    // layout at constant values; `benchmark/src/layers.rs:378,424-427`
+    // reads four of its counters. ROADMAP 1-B(h) drops them with it.
     frozen ["engines"] {
-        /// Stable name of the prediction engine new descriptors use
-        /// ([`predict::EngineKind::name`], policy-resolved).
-        Gauge engine: &'static str = "selected" <= runtime.inner.policy.engine.name();
-        /// Correlation-mined prefetch runs the engine issued.
-        Counter engine_assoc_runs: u64 = "assoc_runs" <= stats.engine_assoc_runs.get();
-        /// Pages those association runs requested (cached pages excluded).
-        Counter engine_assoc_pages: u64 = "assoc_pages" <= stats.engine_assoc_pages.get();
-        /// Deferred mining passes dispatched to the worker pool.
-        Counter engine_mining_passes: u64 = "mining_passes" <= stats.engine_mining_passes.get();
-        /// Adaptive duel windows closed.
-        Counter engine_duels: u64 = "duels" <= stats.engine_duels.get();
-        /// Adaptive ownership changes.
-        Counter engine_ownership_flips: u64 = "ownership_flips" <= stats.engine_ownership_flips.get();
+        /// Always `"strided"`: the one predictor.
+        Gauge engine: &'static str = "selected" <= "strided";
+        /// Always 0 (retired: correlation-mined prefetch runs).
+        Counter engine_assoc_runs: u64 = "assoc_runs" <= 0;
+        /// Always 0 (retired: pages those runs requested).
+        Counter engine_assoc_pages: u64 = "assoc_pages" <= 0;
+        /// Always 0 (retired: mining passes dispatched to the workers).
+        Counter engine_mining_passes: u64 = "mining_passes" <= 0;
+        /// Always 0 (retired: adaptive duel windows closed).
+        Counter engine_duels: u64 = "duels" <= 0;
+        /// Always 0 (retired: adaptive ownership changes).
+        Counter engine_ownership_flips: u64 = "ownership_flips" <= 0;
     }
     // Additive sections only ever append: with all of them left out the
     // export is the frozen schema-v1 layout, byte for byte.

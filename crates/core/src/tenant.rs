@@ -190,13 +190,15 @@ impl TenantArbiter {
         true
     }
 
-    /// Bills `pages` admitted prefetch pages to `tenant` (outside the
-    /// table: nothing). The OS and time go unused; `benchmark/`'s probe
-    /// passes them until ROADMAP item 1-A drops it.
-    pub fn admit(&self, _os: &Os, tenant: u32, pages: u64, _now_ns: u64) {
-        if let Some(state) = self.tenants.get(tenant as usize) {
-            state.admitted_pages.add(pages);
-        }
+    /// Bills `pages` admitted prefetch pages to `tenant`; `false` (billing
+    /// nothing) for a tenant outside the table. The OS and time go unused;
+    /// `benchmark/`'s probe passes them until ROADMAP item 1-A drops it.
+    pub fn admit(&self, _os: &Os, tenant: u32, pages: u64, _now_ns: u64) -> bool {
+        let Some(state) = self.tenants.get(tenant as usize) else {
+            return false;
+        };
+        state.admitted_pages.add(pages);
+        true
     }
 
     /// Records pages the OS initiated on behalf of `tenant`'s files.
@@ -288,8 +290,8 @@ mod tests {
     fn no_pressure_admits_everything() {
         let os = small_os();
         let arbiter = TenantArbiter::new(two_tenants());
-        arbiter.admit(&os, 0, 1 << 20, 0);
-        arbiter.admit(&os, 1, 1 << 20, 0);
+        assert!(arbiter.admit(&os, 0, 1 << 20, 0));
+        assert!(arbiter.admit(&os, 1, 1 << 20, 0));
         assert_eq!(
             (admitted(&arbiter, 0), admitted(&arbiter, 1)),
             (1 << 20, 1 << 20)
@@ -301,7 +303,7 @@ mod tests {
         let os = small_os();
         let arbiter = TenantArbiter::new(two_tenants());
         let before = arbiter.reports();
-        arbiter.admit(&os, 99, 1 << 20, 0);
+        assert!(!arbiter.admit(&os, 99, 1 << 20, 0));
         arbiter.note_initiated(99, 1 << 20);
         assert_eq!(arbiter.reports(), before);
         let fd = os.create_sized(&mut os.new_clock(), "/u", 0).unwrap();

@@ -189,15 +189,6 @@ pub enum TraceEventKind {
         /// Missing pages pre-issued.
         pages: u64,
     },
-    /// The adaptive engine's duel crowned a new owner for a descriptor's
-    /// prefetch decisions (the per-file engine-selection timeline).
-    EngineOwner {
-        /// File whose descriptor changed owners.
-        ino: InodeId,
-        /// Stable name of the engine now owning decisions
-        /// ([`predict::EngineKind::name`]).
-        engine: &'static str,
-    },
     /// A decision the OS layer made (`readahead_info` call, heuristic
     /// window growth, reclaim pass, ring crossing), bridged as is.
     Os(OsTraceEvent),
@@ -219,7 +210,6 @@ impl TraceEventKind {
             TraceEventKind::VisibilityDowngraded { .. } => "visibility-downgraded",
             TraceEventKind::ReadError { .. } => "read-error",
             TraceEventKind::RingSpecIssued { .. } => "ring-spec-issued",
-            TraceEventKind::EngineOwner { .. } => "engine-owner",
             TraceEventKind::Os(event) => event.name(),
         }
     }
@@ -333,9 +323,6 @@ impl fmt::Display for TraceEvent {
                 start_page,
                 pages,
             } => write!(f, "ino={} pages={}+{}", ino.0, start_page, pages),
-            TraceEventKind::EngineOwner { ino, engine } => {
-                write!(f, "ino={} engine={engine}", ino.0)
-            }
             TraceEventKind::Os(event) => write!(f, "{event}"),
         }
     }

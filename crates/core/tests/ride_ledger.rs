@@ -8,8 +8,8 @@
 //! without becoming pending, and is booked cancelled there.
 
 use crossprefetch::{
-    CpFile, Device, DeviceConfig, EngineKind, FaultPlan, FileSystem, FsKind, Mode, Os, OsConfig,
-    Runtime, RuntimeConfig, PAGE_SIZE,
+    CpFile, Device, DeviceConfig, FaultPlan, FileSystem, FsKind, Mode, Os, OsConfig, Runtime,
+    RuntimeConfig, PAGE_SIZE,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -40,14 +40,13 @@ fn assert_balanced(runtime: &Runtime, file: &CpFile, (n, page): (u64, u64)) {
 /// key's index page, then its record page by page; one probe in eight
 /// leaves its record after the first page, so a jump cancels what the
 /// ring pre-issued. Returns the ledger's (issued, absorbed, cancelled).
-fn probe(engine: EngineKind) -> (u64, u64, u64) {
+fn probe() -> (u64, u64, u64) {
     let os = Os::new(
         OsConfig::with_memory_mb(8),
         Device::new(DeviceConfig::local_nvme()),
         FileSystem::new(FsKind::Ext4Like),
     );
     let mut config = RuntimeConfig::new(Mode::Predict);
-    config.engine = engine;
     config.ring_submit = true;
     let runtime = Runtime::new(os, config);
     let mut clock = runtime.new_clock();
@@ -80,12 +79,10 @@ fn probe(engine: EngineKind) -> (u64, u64, u64) {
 
 #[test]
 fn every_preissued_run_is_absorbed_cancelled_or_pending() {
-    for engine in [EngineKind::Strided, EngineKind::Adaptive] {
-        let (issued, absorbed, cancelled) = probe(engine);
-        assert!(issued > 0, "{engine:?}: no run rode a miss");
-        assert!(absorbed > 0, "{engine:?}: no ride was absorbed");
-        assert!(cancelled > 0, "{engine:?}: no ride was cancelled");
-    }
+    let (issued, absorbed, cancelled) = probe();
+    assert!(issued > 0, "no run rode a miss");
+    assert!(absorbed > 0, "no ride was absorbed");
+    assert!(cancelled > 0, "no ride was cancelled");
 }
 
 /// The faulted burst stream: bursts of four 16 KiB reads at scattered

@@ -41,15 +41,13 @@
 //! lone access followed by another lone access or by a backward run resets
 //! that count. Below its count the request waits for the first
 //! continuation again — as it does for one run when the runtime refuses a
-//! jump's request a ride ([`PredictionEngine::defer_known_run`]), which
+//! jump's request a ride ([`Predictor::defer_known_run`]), which
 //! moves back whichever count licensed the ask. A known run whose access
 //! crossed nothing (its pages were cached, so there was no miss to ride) is
-//! *held* instead ([`PredictionEngine::hold_known_run`]): the run's next
+//! *held* instead ([`Predictor::hold_known_run`]): the run's next
 //! forward access asks for what is left of it, `[end, covered)`, again as a
 //! known run, so the next miss in the run carries it. A hold lasts one
 //! access; a jump, or a run that has read past what it covered, drops it.
-
-use crate::{AccessObservation, EngineKind, PredictionEngine, PrefetchDecision};
 
 /// Sequentiality classes reported by the predictor (paper §4.6 naming).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -172,7 +170,7 @@ const CONTINUING_RUNS: u32 = 2;
 /// assert_eq!(prediction.pattern, AccessPattern::DefinitelySequential);
 /// assert!(prediction.prefetch_pages >= 64);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Predictor {
     bits: u32,
     counter: u32,
@@ -194,7 +192,7 @@ pub struct Predictor {
 /// What the predictor has learned about how long this descriptor's forward
 /// runs are, and where in the current run the reader is. See the module
 /// docs for the protocol.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct RunShape {
     /// First page of the current run.
     start: u64,
@@ -472,6 +470,23 @@ impl Predictor {
         self.shape.plan(page, end, max_pages, ramp_ceiling, ramp)
     }
 
+    /// Hands back the [`Prediction::known_run`] request the last access
+    /// made: the runtime's admission plan refused it a ride on the miss
+    /// that starts the run. One run short of the count that licensed the
+    /// ask: this run asks on its first continuation, and completing it
+    /// restores the count.
+    pub fn defer_known_run(&mut self) {
+        *self.shape.licence() = CONTINUING_RUNS - 1;
+    }
+
+    /// Holds the [`Prediction::known_run`] request the last access made:
+    /// the access crossed nothing (its pages were cached), so there was no
+    /// miss to ride. The run's next forward access asks for
+    /// `[end, covered)` again, as a known run, whose miss can carry it.
+    pub fn hold_known_run(&mut self) {
+        self.shape.held = true;
+    }
+
     /// The counter's window, and whether it is the aggressive seed.
     fn ramp_window(&self, aggressive: bool, max_pages: u64) -> (u64, bool) {
         if self.counter < 2 {
@@ -498,38 +513,6 @@ impl Predictor {
 impl Default for Predictor {
     fn default() -> Self {
         Self::new(3)
-    }
-}
-
-impl PredictionEngine for Predictor {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Strided
-    }
-
-    fn observe(&mut self, obs: &AccessObservation) -> PrefetchDecision {
-        let prediction = self.on_access(
-            obs.page,
-            obs.pages,
-            obs.aggressive_ok,
-            obs.max_prefetch_pages,
-        );
-        let confidence = f64::from(self.counter()) / f64::from(self.max_count());
-        PrefetchDecision {
-            prediction: Some(prediction),
-            confidence,
-            ..PrefetchDecision::default()
-        }
-    }
-
-    /// One run short of the count that licensed the ask: this run asks on
-    /// its first continuation, and completing it restores the count.
-    fn defer_known_run(&mut self) {
-        *self.shape.licence() = CONTINUING_RUNS - 1;
-    }
-
-    /// The run's next forward access asks for `[end, covered)` again.
-    fn hold_known_run(&mut self) {
-        self.shape.held = true;
     }
 }
 

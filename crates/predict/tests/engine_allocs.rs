@@ -1,21 +1,16 @@
-//! Heap allocations of the engines' per-access work, counted.
+//! Heap allocations of the predictor's per-access work, counted.
 //!
 //! A counting global allocator keeps one count per thread, so only the
-//! test's own thread is counted whatever else the harness runs. Each
-//! engine is driven by a stream shaped like the benchmark's `kv_probe`
-//! (a zipfian key's index page, then its eight record pages), warmed up
-//! until the correlation miner's association table is at its cap, and
-//! then counted over 10 000 steps of what the runtime does per read:
-//! `observe`, `outcome`, a mining pass whenever one is due, and the
-//! quality feedback every 64 reads. Once warm, none of it may allocate.
+//! test's own thread is counted whatever else the harness runs. The
+//! predictor is driven by a stream shaped like the benchmark's `kv_probe`
+//! (a zipfian key's index page, then its eight record pages), warmed up,
+//! and then counted over 10 000 steps of what the runtime does per read:
+//! `on_access`. Once warm, it may not allocate.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::collections::HashSet;
 
-use predict::{
-    AccessObservation, Engine, EngineConfig, EngineKind, PredictionEngine, QualityFeedback,
-};
+use predict::Predictor;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -67,10 +62,8 @@ fn allocations() -> u64 {
 /// Keys of the probed index; the data region holds eight pages a key.
 const KEYS: u64 = 16_384;
 const RECORD_PAGES: u64 = 8;
-/// The association table's cap (`correlation::tests::default_sizes_are_pinned`).
-const TABLE_CAP: usize = 4_096;
-/// Reads between two quality-feedback deltas, as the runtime feeds them.
-const FEEDBACK_INTERVAL: usize = 64;
+/// Steps before counting.
+const WARM_STEPS: usize = 4_096;
 /// Counted steps once warm.
 const COUNTED_STEPS: usize = 10_000;
 
@@ -134,72 +127,23 @@ fn probe_pages(seed: u64, count: usize) -> Vec<u64> {
     pages
 }
 
-/// One read as the runtime drives the engine: returns whether it mined.
-fn step(engine: &mut Engine, page: u64, n: usize) -> bool {
-    let decision = engine.observe(&AccessObservation {
-        page,
-        pages: 1,
-        aggressive_ok: false,
-        max_prefetch_pages: 4_096,
-    });
-    std::hint::black_box(&decision);
-    if engine.wants_feedback() {
-        engine.outcome(mix(page ^ n as u64).is_multiple_of(8));
-        if n.is_multiple_of(FEEDBACK_INTERVAL) {
-            engine.feedback(&QualityFeedback {
-                timely: 40,
-                late: 4,
-                wasted: 2,
-            });
-        }
-    }
-    if decision.mine_due {
-        std::hint::black_box(engine.mine());
-    }
-    decision.mine_due
-}
-
-/// Allocations of `COUNTED_STEPS` warm steps of `kind`.
-fn counted_allocations(kind: EngineKind) -> u64 {
-    let pages = probe_pages(42, 20_000);
-    let mut engine = Engine::for_kind(kind, &EngineConfig::default());
-    // Warm up until a mining pass has folded more distinct predecessors
-    // than the table holds: it is then at its cap, and stays there. (The
-    // strided engine never mines.)
-    let mines = kind != EngineKind::Strided;
-    let mut seen = HashSet::new();
-    let mut n = 0;
-    loop {
-        let page = pages[n];
-        seen.insert(page);
-        let mined = step(&mut engine, page, n);
-        n += 1;
-        if (mined || !mines) && seen.len() > TABLE_CAP + 1 {
-            break;
-        }
-    }
-    assert!(
-        n + COUNTED_STEPS <= pages.len(),
-        "the stream ran out warming up"
-    );
+/// Allocations of `COUNTED_STEPS` steps of the predictor after
+/// `WARM_STEPS`.
+fn counted_allocations() -> u64 {
+    let pages = probe_pages(42, 2_000);
+    let mut predictor = Predictor::new(3);
+    let mut step = |page| {
+        std::hint::black_box(predictor.on_access(page, 1, false, 4_096));
+    };
+    pages[..WARM_STEPS].iter().for_each(|&page| step(page));
     let before = allocations();
-    for (i, &page) in pages[n..n + COUNTED_STEPS].iter().enumerate() {
-        step(&mut engine, page, n + i);
-    }
+    pages[WARM_STEPS..WARM_STEPS + COUNTED_STEPS]
+        .iter()
+        .for_each(|&page| step(page));
     allocations() - before
 }
 
 #[test]
-fn adaptive_allocates_nothing_once_warm() {
-    assert_eq!(counted_allocations(EngineKind::Adaptive), 0);
-}
-
-#[test]
-fn correlation_allocates_nothing_once_warm() {
-    assert_eq!(counted_allocations(EngineKind::Correlation), 0);
-}
-
-#[test]
 fn strided_allocates_nothing_once_warm() {
-    assert_eq!(counted_allocations(EngineKind::Strided), 0);
+    assert_eq!(counted_allocations(), 0);
 }

@@ -1,21 +1,21 @@
 //! KvProbe: a zipfian index-then-data probe workload (the YCSB-C shape
-//! correlation prefetching targets).
+//! correlation prefetching targets, MITHRIL among them).
 //!
 //! Each probe samples a key from a [`Zipfian`] distribution, reads the
 //! key's *index* page, then walks the key's *record* — a short run of
 //! consecutive data pages placed at a hashed (key-order-destroying) slot
-//! in the data region. The resulting page stream is what separates the
-//! prediction engines:
+//! in the data region. The resulting page stream:
 //!
 //! * index page → first record page is a recurring *jump* for hot keys
-//!   (mineable association, invisible to a stride detector);
+//!   (an association a miner could learn, invisible to a stride
+//!   detector);
 //! * within a record the stream is briefly sequential: a bare `2^c`
 //!   counter ramps up inside it and overshoots past its end, which is
 //!   why the strided predictor plans such runs by their learned length;
 //! * hashed record placement means no global stride ever emerges.
 //!
 //! The driver is single-threaded and fully deterministic for a given
-//! config, so engine comparisons and same-seed determinism checks can
+//! config, so mechanism comparisons and same-seed determinism checks can
 //! diff telemetry byte-for-byte.
 
 use crossprefetch::{Runtime, PAGE_SIZE};
@@ -136,23 +136,21 @@ pub fn run_kvprobe(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossprefetch::{EngineKind, Mode, RuntimeConfig};
+    use crossprefetch::Mode;
     use simos::{Device, DeviceConfig, FileSystem, FsKind, Os, OsConfig};
 
-    fn runtime(engine: EngineKind, memory_mb: u64) -> Runtime {
+    fn runtime() -> Runtime {
         let os = Os::new(
-            OsConfig::with_memory_mb(memory_mb),
+            OsConfig::with_memory_mb(64),
             Device::new(DeviceConfig::local_nvme()),
             FileSystem::new(FsKind::Ext4Like),
         );
-        let mut config = RuntimeConfig::new(Mode::Predict);
-        config.engine = engine;
-        Runtime::new(os, config)
+        Runtime::with_mode(os, Mode::Predict)
     }
 
     #[test]
     fn probe_counts_match_the_config() {
-        let rt = runtime(EngineKind::Strided, 64);
+        let rt = runtime();
         let cfg = KvProbeConfig {
             probes: 256,
             ..KvProbeConfig::default()
@@ -177,26 +175,9 @@ mod tests {
     }
 
     #[test]
-    fn correlation_engine_mines_the_probe_stream() {
-        let rt = runtime(EngineKind::Correlation, 64);
-        let cfg = KvProbeConfig {
-            probes: 2048,
-            ..KvProbeConfig::default()
-        };
-        setup_kvprobe(&rt, &cfg, "/kv");
-        let mut clock = rt.new_clock();
-        run_kvprobe(&rt, &mut clock, &cfg, "/kv");
-        assert!(rt.stats().engine_mining_passes.get() > 0);
-        assert!(
-            rt.stats().engine_assoc_runs.get() > 0,
-            "hot-key index→record pairs should mine into prefetch runs"
-        );
-    }
-
-    #[test]
     fn same_seed_runs_are_identical() {
         let run = || {
-            let rt = runtime(EngineKind::Adaptive, 64);
+            let rt = runtime();
             let cfg = KvProbeConfig {
                 probes: 1024,
                 ..KvProbeConfig::default()

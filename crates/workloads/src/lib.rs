@@ -12,9 +12,9 @@
 //!   randread, metadata-heavy "mongodb", videoserver);
 //! * [`snappy`] — a real Snappy block-format codec and the parallel
 //!   file-compression workload;
-//! * [`kvprobe`] — a zipfian index-then-data probe stream (the pattern
-//!   the correlation prediction engine mines and the strided counter
-//!   cannot), driving the engine-comparison bench;
+//! * [`kvprobe`] — a zipfian index-then-data probe stream (short runs
+//!   behind far jumps, which the strided predictor plans by their
+//!   learned length), driving the `kv_probe` gates and `ablations`;
 //! * [`fleet`] — an open-loop multi-tenant arrival stream (seeded Poisson
 //!   arrivals over zipfian tenant popularity) driving the tenant suite
 //!   and the per-tenant `ablations` table.

@@ -1,7 +1,7 @@
 //! cp_flame: folded-stack critical paths for the slowest reads.
 //!
 //! Runs the kvprobe workload (zipfian index-then-data probes) under the
-//! full mechanism with the adaptive engine and causal span tracing
+//! full mechanism with causal span tracing
 //! enabled, then emits the tail exemplars' span trees
 //! in Brendan Gregg's collapsed format — one `frame;frame;...frame count`
 //! line per folded stack, counts in virtual nanoseconds — ready for
@@ -18,7 +18,7 @@
 
 use std::collections::BTreeMap;
 
-use crossprefetch::{EngineKind, Mode, Runtime, RuntimeConfig};
+use crossprefetch::{Mode, Runtime};
 use simos::{Device, DeviceConfig, FileSystem, FsKind, Os, OsConfig};
 use workloads::kvprobe::{run_kvprobe, setup_kvprobe, KvProbeConfig};
 
@@ -28,9 +28,7 @@ fn main() {
         Device::new(DeviceConfig::local_nvme()),
         FileSystem::new(FsKind::Ext4Like),
     );
-    let mut config = RuntimeConfig::new(Mode::PredictOpt);
-    config.engine = EngineKind::Adaptive;
-    let runtime = Runtime::new(os, config);
+    let runtime = Runtime::with_mode(os, Mode::PredictOpt);
     runtime.spans().set_enabled(true);
 
     let mut clock = runtime.new_clock();

@@ -9,9 +9,7 @@
 
 use std::collections::BTreeMap;
 
-use crossprefetch::{
-    EngineKind, Mode, Runtime, RuntimeConfig, RuntimeReport, TraceEvent, TraceEventKind,
-};
+use crossprefetch::{Mode, Runtime, RuntimeReport, TraceEvent};
 use simos::{Device, DeviceConfig, FileSystem, FsKind, Os, OsConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -20,11 +18,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Device::new(DeviceConfig::local_nvme()),
         FileSystem::new(FsKind::Ext4Like),
     );
-    // The adaptive prediction engine, so the per-file ownership timeline
-    // below has transfers to show.
-    let mut config = RuntimeConfig::new(Mode::PredictOpt);
-    config.engine = EngineKind::Adaptive;
-    let runtime = Runtime::new(os, config);
+    let runtime = Runtime::with_mode(os, Mode::PredictOpt);
     runtime.trace().set_enabled(true);
     let mut clock = runtime.new_clock();
 
@@ -52,9 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // A recurring far-jump chain on a second file: the strided counter
-    // learns nothing from it, the correlation miner learns the hops, and
-    // the adaptive duel transfers that file's ownership — the transfer
-    // shows up in the ownership timeline below.
+    // classifies it random and prefetches nothing for it.
     let chain = runtime.create_sized(&mut clock, "/data/chain.bin", 16 << 20)?;
     for _ in 0..128u64 {
         for &page in &[100u64, 1600, 3200] {
@@ -99,20 +91,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("\n--- decision timeline (events per kind per ms slice) ---");
     print_timeline(&events);
-
-    // 4. Per-file engine ownership: every duel the adaptive selector
-    //    resolved with a change of winner, in virtual-time order.
-    println!("\n--- engine ownership timeline ---");
-    let mut shown = 0;
-    for event in &events {
-        if let TraceEventKind::EngineOwner { ino, engine } = event.kind {
-            println!("{:>12} ns  ino={:<4} -> {engine}", event.ts_ns, ino.0);
-            shown += 1;
-        }
-    }
-    if shown == 0 {
-        println!("(no ownership transfers)");
-    }
     Ok(())
 }
 

@@ -10,14 +10,10 @@
 //! (`read_errors`) surfaced to the workload.
 //!
 //! Run with:
-//! `cargo run --release --example fault_injection -- /tmp/faults.json [seed] [engine]`
-//!
-//! The optional third argument selects the prediction engine
-//! (`strided`, `correlation`, or `adaptive`; default `strided`), so a
-//! comparison can cover each engine.
+//! `cargo run --release --example fault_injection -- /tmp/faults.json [seed]`
 
 use crossprefetch::{
-    Device, DeviceConfig, EngineKind, FaultPlan, FileSystem, FsKind, Mode, Os, OsConfig, Runtime,
+    Device, DeviceConfig, FaultPlan, FileSystem, FsKind, Mode, Os, OsConfig, Runtime,
     RuntimeConfig, RuntimeReport,
 };
 use simclock::{NS_PER_MS, NS_PER_US};
@@ -29,13 +25,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .map(|s| s.parse())
         .transpose()?
         .unwrap_or(0xC0FFEE);
-    let engine = match std::env::args().nth(3).as_deref() {
-        None => EngineKind::Strided,
-        Some(name) => EngineKind::all()
-            .into_iter()
-            .find(|e| e.name() == name)
-            .ok_or_else(|| format!("unknown engine {name:?} (strided|correlation|adaptive)"))?,
-    };
 
     let plan = FaultPlan::seeded(seed)
         .with_prefetch_eio(0.10)
@@ -46,9 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Device::with_fault_plan(DeviceConfig::local_nvme(), plan),
         FileSystem::new(FsKind::Ext4Like),
     );
-    let mut config = RuntimeConfig::new(Mode::PredictOpt);
-    config.engine = engine;
-    let runtime = Runtime::new(os, config);
+    let runtime = Runtime::new(os, RuntimeConfig::new(Mode::PredictOpt));
     let mut clock = runtime.new_clock();
 
     // A sequential stream (exercises the worker retry ladder against
@@ -75,9 +62,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let json = report.to_json();
     println!("{json}");
     eprintln!(
-        "seed={seed:#x} engine={}: {} injected EIOs, {} retries, {} give-ups, \
+        "seed={seed:#x}: {} injected EIOs, {} retries, {} give-ups, \
          {} demand errors surfaced, {} spiked requests",
-        engine.name(),
         report.device_read_faults,
         report.prefetch_retries,
         report.prefetch_give_ups,

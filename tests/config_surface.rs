@@ -17,7 +17,7 @@ fn every_config_field_names_who_varies_it() {
     let RuntimeConfig {
         mode: _,                   // varied by: every harness
         features: _,               // varied by: tab05_breakdown
-        engine: _,                 // varied by: ablations, tests/engines.rs, kv_probe
+        engine: _,                 // inert; held by benchmark/src/workload.rs:87
         engine_tuning: _,          // varied by: ablations (predictor_bits)
         open_prefetch_bytes: _,    // varied by: ablations
         max_prefetch_pages: _,     // varied by: runtime_behavior; read by kv_probe
